@@ -14,7 +14,7 @@
 //!   announcing itself with a one-hop wake-up broadcast when its data
 //!   qualifies again.
 
-use crate::innetwork::dag::DagState;
+use crate::innetwork::dag::{sorted_intersection, DagState};
 use crate::innetwork::payload::{PartialEntry, RowEntry, TtmqoPayload};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use ttmqo_query::{
@@ -29,6 +29,10 @@ const K_CLOSE: u64 = 2;
 const K_FLOOD_QUERY: u64 = 3;
 const K_FLOOD_ABORT: u64 = 4;
 const K_SLEEP_CHECK: u64 = 5;
+
+/// A result frame's split-responsibility assignments: `(recipient, the
+/// queries it must forward)` pairs, as `TtmqoPayload` carries them.
+type Assignments = Vec<(NodeId, Vec<QueryId>)>;
 
 fn key(kind: u64, qid: QueryId, extra: u64) -> u64 {
     (extra << 32) | ((qid.0 & 0x0FFF_FFFF) << 4) | kind
@@ -252,13 +256,12 @@ impl TtmqoApp {
     /// Handles one firing of the shared clock at (aligned) time `t_ms`.
     fn handle_clock(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, t_ms: u64) {
         self.relayed_recently = false;
-        let due: Vec<Query> = self
-            .queries
-            .values()
-            .filter(|q| q.epoch().fires_at(t_ms))
-            .cloned()
-            .collect();
-        if due.is_empty() {
+        // The due queries are walked in place, in ascending id order, once
+        // per use: every node fires at every epoch, so copying them out is
+        // not free.
+        let queries = &self.queries;
+        let due = || queries.values().filter(|q| q.epoch().fires_at(t_ms));
+        if due().next().is_none() {
             self.maybe_sleep(ctx, t_ms);
             return;
         }
@@ -266,7 +269,7 @@ impl TtmqoApp {
             ctx.trace(TraceEvent::EpochFire {
                 node: ctx.node(),
                 epoch_ms: t_ms,
-                due: due.iter().map(|q| q.id()).collect(),
+                due: due().map(|q| q.id()).collect(),
             });
         }
         let epoch_idx = t_ms / ttmqo_query::BASE_EPOCH_MS;
@@ -275,7 +278,7 @@ impl TtmqoApp {
             // The base station senses nothing; it closes each due query's
             // epoch after the collection window.
             let window = self.window_ms(ctx);
-            for q in &due {
+            for q in due() {
                 ctx.set_timer(window, key(K_CLOSE, q.id(), epoch_idx));
             }
             return;
@@ -285,7 +288,7 @@ impl TtmqoApp {
         // queries' attributes exactly once (region-excluded queries can
         // never match here, so their attributes are not worth sampling).
         let mut union_attrs: Vec<ttmqo_query::Attribute> = Vec::new();
-        for q in &due {
+        for q in due() {
             if Self::in_region(ctx, q) {
                 union_attrs.extend(q.sampled_attributes());
             }
@@ -298,23 +301,42 @@ impl TtmqoApp {
             readings.set(attr, v);
         }
 
+        // Matched queries by kind, ascending. Matched aggregation queries
+        // seed their own partials right away; matched acquisition queries
+        // pool the attributes their shared frame must carry.
         let had_data = !self.has_data.is_empty();
-        let mut acq_matches: BTreeSet<QueryId> = BTreeSet::new();
-        let mut agg_matches: Vec<Query> = Vec::new();
-        for q in &due {
+        let mut acq_matches: Vec<QueryId> = Vec::new();
+        let mut acq_attrs: Vec<ttmqo_query::Attribute> = Vec::new();
+        let mut agg_matches: Vec<QueryId> = Vec::new();
+        let mut aggregation_due = false;
+        for q in due() {
+            aggregation_due |= q.is_aggregation();
             let matches = Self::in_region(ctx, q)
                 && q.predicates()
                     .matches_with(|attr| readings.get(attr).unwrap_or(f64::NAN));
-            if matches {
-                self.has_data.insert(q.id());
-                match q.selection() {
-                    Selection::Attributes(_) => {
-                        acq_matches.insert(q.id());
-                    }
-                    Selection::Aggregates(_) => agg_matches.push(q.clone()),
-                }
-            } else {
+            if !matches {
                 self.has_data.remove(&q.id());
+                continue;
+            }
+            self.has_data.insert(q.id());
+            match q.selection() {
+                Selection::Attributes(attrs) => {
+                    acq_matches.push(q.id());
+                    acq_attrs.extend(attrs.iter().copied());
+                }
+                Selection::Aggregates(aggs) => {
+                    agg_matches.push(q.id());
+                    let seeded: Vec<Option<PartialAgg>> = aggs
+                        .iter()
+                        .map(|&(op, attr)| readings.get(attr).map(|v| op.seed(v)))
+                        .collect();
+                    merge_into(
+                        self.agg_buffers
+                            .entry((q.id(), t_ms))
+                            .or_insert_with(|| vec![None; aggs.len()]),
+                        &seeded,
+                    );
+                }
             }
         }
 
@@ -323,8 +345,8 @@ impl TtmqoApp {
             ctx.trace(TraceEvent::SharedAcquisition {
                 node: ctx.node(),
                 epoch_ms: t_ms,
-                acq: acq_matches.iter().copied().collect(),
-                agg: agg_matches.iter().map(|q| q.id()).collect(),
+                acq: acq_matches.clone(),
+                agg: agg_matches.clone(),
             });
         }
 
@@ -351,39 +373,19 @@ impl TtmqoApp {
         // Shared acquisition result: one frame answers every matched
         // acquisition query.
         if !acq_matches.is_empty() {
-            let mut attrs: Vec<ttmqo_query::Attribute> = Vec::new();
-            for qid in &acq_matches {
-                if let Selection::Attributes(a) = self.queries[qid].selection() {
-                    attrs.extend(a.iter().copied());
-                }
-            }
-            attrs.sort_unstable();
-            attrs.dedup();
+            acq_attrs.sort_unstable();
+            acq_attrs.dedup();
             let entry = RowEntry {
                 node: ctx.node().0,
-                qids: acq_matches.clone(),
-                readings: readings.project(&attrs),
+                qids: acq_matches,
+                readings: readings.project(&acq_attrs),
             };
-            self.send_shared_rows(ctx, t_ms, vec![entry], &acq_matches);
+            self.send_shared_rows(ctx, t_ms, vec![entry]);
         }
 
-        // Shared aggregation: seed own partials, then transmit at this
-        // node's TAG slot (deeper levels earlier).
-        for q in &agg_matches {
-            if let Selection::Aggregates(aggs) = q.selection() {
-                let seeded: Vec<Option<PartialAgg>> = aggs
-                    .iter()
-                    .map(|&(op, attr)| readings.get(attr).map(|v| op.seed(v)))
-                    .collect();
-                merge_into(
-                    self.agg_buffers
-                        .entry((q.id(), t_ms))
-                        .or_insert_with(|| vec![None; aggs.len()]),
-                    &seeded,
-                );
-            }
-        }
-        if due.iter().any(|q| q.is_aggregation()) {
+        // Shared aggregation: the partials seeded above are transmitted at
+        // this node's TAG slot (deeper levels earlier).
+        if aggregation_due {
             let delay = self.slot_delay_ms(ctx).max(1);
             ctx.set_timer(delay, key(K_SLOT, QueryId(0), epoch_idx));
         }
@@ -416,21 +418,38 @@ impl TtmqoApp {
         }
     }
 
-    /// Routes a message's query set to parents: dynamically via the DAG, or
-    /// to the fixed link-quality parent when `dynamic_parents` is off.
+    /// Routes a result frame serving `qids` (ascending, no duplicates) to
+    /// parents: dynamically via the DAG, or to the fixed link-quality parent
+    /// when `dynamic_parents` is off. Returns the frame's destination and
+    /// its split-responsibility assignments; `None` — after the orphan
+    /// accounting — when there is data to send but no live route toward the
+    /// base station.
     fn route(
-        &self,
-        ctx: &Ctx<'_, TtmqoPayload, Output>,
-        qids: &BTreeSet<QueryId>,
-    ) -> Vec<(NodeId, BTreeSet<QueryId>)> {
-        if self.config.dynamic_parents {
+        &mut self,
+        ctx: &mut Ctx<'_, TtmqoPayload, Output>,
+        epoch_ms: u64,
+        qids: &[QueryId],
+    ) -> Option<(Destination, Assignments)> {
+        let assignments = if self.config.dynamic_parents {
             self.dag.choose_parents(qids)
         } else {
             match ctx.topology().default_parent(ctx.node()) {
-                Some(p) => vec![(p, qids.clone())],
+                Some(p) => vec![(p, qids.to_vec())],
                 None => Vec::new(),
             }
-        }
+        };
+        let dest = match assignments.as_slice() {
+            [] => {
+                if self.dag.is_orphaned() {
+                    ctx.record_orphaned();
+                    self.announce_no_route(ctx, epoch_ms);
+                }
+                return None;
+            }
+            [(only, _)] => Destination::Unicast(*only),
+            split => Destination::Multicast(split.iter().map(|(n, _)| *n).collect()),
+        };
+        Some((dest, assignments))
     }
 
     /// Sends (or forwards) a shared acquisition frame toward the base
@@ -440,36 +459,36 @@ impl TtmqoApp {
         ctx: &mut Ctx<'_, TtmqoPayload, Output>,
         epoch_ms: u64,
         entries: Vec<RowEntry>,
-        qids: &BTreeSet<QueryId>,
     ) {
-        let parents = self.route(ctx, qids);
-        if parents.is_empty() {
-            // Data to send but no live route toward the base station.
-            if self.dag.is_orphaned() {
-                ctx.record_orphaned();
-                self.announce_no_route(ctx, epoch_ms);
+        // Every query the frame serves. A frame almost always carries one
+        // source entry, whose own list is then the answer.
+        let union: Vec<QueryId>;
+        let qids: &[QueryId] = match entries.as_slice() {
+            [only] => &only.qids,
+            several => {
+                let mut all: Vec<QueryId> = several
+                    .iter()
+                    .flat_map(|e| e.qids.iter().copied())
+                    .collect();
+                all.sort_unstable();
+                all.dedup();
+                union = all;
+                &union
             }
+        };
+        let Some((dest, assignments)) = self.route(ctx, epoch_ms, qids) else {
             return;
-        }
-        let assignments: Vec<(NodeId, Vec<QueryId>)> = parents
-            .iter()
-            .map(|(n, qs)| (*n, qs.iter().copied().collect()))
-            .collect();
-        let dest = if parents.len() == 1 {
-            Destination::Unicast(parents[0].0)
-        } else {
-            Destination::Multicast(parents.iter().map(|(n, _)| *n).collect())
         };
         if ctx.trace_enabled() {
             ctx.trace(TraceEvent::ResultHop {
                 from: ctx.node(),
-                to: parents.iter().map(|(n, _)| *n).collect(),
+                to: assignments.iter().map(|(n, _)| *n).collect(),
                 epoch_ms,
                 prov: entries
                     .iter()
                     .map(|e| ProvenanceId::new(NodeId(e.node), epoch_ms))
                     .collect(),
-                qids: qids.iter().copied().collect(),
+                qids: qids.to_vec(),
                 origin: entries.iter().all(|e| e.node == ctx.node().0),
             });
         }
@@ -504,7 +523,7 @@ impl TtmqoApp {
 
     /// Sends the shared aggregation frame for one epoch from the buffers.
     fn flush_partials(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, epoch_ms: u64) {
-        let keys: Vec<(QueryId, u64)> = self
+        let mut keys: Vec<(QueryId, u64)> = self
             .agg_buffers
             .keys()
             .filter(|(_, e)| *e == epoch_ms)
@@ -513,45 +532,33 @@ impl TtmqoApp {
         if keys.is_empty() {
             return;
         }
+        // Ascending query id, so the frame's layout does not depend on the
+        // buffer map's hash order.
+        keys.sort_unstable();
         let mut entries = Vec::new();
-        let mut qids = BTreeSet::new();
         for k in keys {
             let partials = self.agg_buffers.remove(&k).expect("key just listed");
             if partials.iter().all(Option::is_none) {
                 continue;
             }
-            qids.insert(k.0);
             entries.push(PartialEntry { qid: k.0, partials });
         }
         if entries.is_empty() {
             return;
         }
-        let parents = self.route(ctx, &qids);
-        if parents.is_empty() {
-            if self.dag.is_orphaned() {
-                ctx.record_orphaned();
-                self.announce_no_route(ctx, epoch_ms);
-            }
+        let qids: Vec<QueryId> = entries.iter().map(|e| e.qid).collect();
+        let Some((dest, assignments)) = self.route(ctx, epoch_ms, &qids) else {
             return;
-        }
-        let assignments: Vec<(NodeId, Vec<QueryId>)> = parents
-            .iter()
-            .map(|(n, qs)| (*n, qs.iter().copied().collect()))
-            .collect();
-        let dest = if parents.len() == 1 {
-            Destination::Unicast(parents[0].0)
-        } else {
-            Destination::Multicast(parents.iter().map(|(n, _)| *n).collect())
         };
         if ctx.trace_enabled() {
             // Aggregation partials carry no per-origin identity (TAG merges
             // it away), so the provenance list is empty.
             ctx.trace(TraceEvent::ResultHop {
                 from: ctx.node(),
-                to: parents.iter().map(|(n, _)| *n).collect(),
+                to: assignments.iter().map(|(n, _)| *n).collect(),
                 epoch_ms,
                 prov: Vec::new(),
-                qids: qids.iter().copied().collect(),
+                qids,
                 origin: false,
             });
         }
@@ -613,7 +620,7 @@ impl TtmqoApp {
 
     /// Failure recovery: ask the neighbourhood about query ids we hear
     /// traffic for but do not know (at most once per id per reboot).
-    fn request_unknown_queries<'q, I: IntoIterator<Item = &'q QueryId>>(
+    fn request_unknown_queries<I: IntoIterator<Item = QueryId>>(
         &mut self,
         ctx: &mut Ctx<'_, TtmqoPayload, Output>,
         qids: I,
@@ -621,7 +628,7 @@ impl TtmqoApp {
         if !self.config.query_recovery {
             return;
         }
-        for &qid in qids {
+        for qid in qids {
             // Never request a query whose flood we already saw: either we
             // installed it, or SRT deliberately pruned it for this node.
             if self.queries.contains_key(&qid)
@@ -638,16 +645,13 @@ impl TtmqoApp {
         }
     }
 
-    /// My share of a split-responsibility assignment.
-    fn my_assignment(
-        ctx: &Ctx<'_, TtmqoPayload, Output>,
-        assignments: &[(NodeId, Vec<QueryId>)],
-    ) -> BTreeSet<QueryId> {
+    /// My share of a split-responsibility assignment (a frame names each
+    /// recipient once), ascending.
+    fn my_assignment(me: NodeId, assignments: &[(NodeId, Vec<QueryId>)]) -> &[QueryId] {
         assignments
             .iter()
-            .filter(|(n, _)| *n == ctx.node())
-            .flat_map(|(_, qs)| qs.iter().copied())
-            .collect()
+            .find(|(n, _)| *n == me)
+            .map_or(&[], |(_, qs)| qs)
     }
 
     fn handle_shared_rows(
@@ -657,47 +661,35 @@ impl TtmqoApp {
         entries: &[RowEntry],
         assignments: &[(NodeId, Vec<QueryId>)],
     ) {
-        let mine = Self::my_assignment(ctx, assignments);
-        self.request_unknown_queries(ctx, mine.iter());
+        let mine = Self::my_assignment(ctx.node(), assignments);
+        self.request_unknown_queries(ctx, mine.iter().copied());
         if mine.is_empty() {
             return;
         }
-        let kept: Vec<RowEntry> = entries
-            .iter()
-            .filter_map(|e| {
-                let qids: BTreeSet<QueryId> = e.qids.intersection(&mine).copied().collect();
-                if qids.is_empty() {
-                    None
-                } else {
-                    Some(RowEntry {
-                        node: e.node,
-                        qids,
-                        readings: e.readings.clone(),
-                    })
-                }
-            })
-            .collect();
-        if kept.is_empty() {
-            return;
-        }
         if ctx.is_base_station() {
-            for entry in kept {
+            // Journey's end: buffer each entry's rows for the queries it
+            // answers on my behalf, straight from the frame.
+            for entry in entries {
+                let mut kept = sorted_intersection(&entry.qids, mine).peekable();
+                if kept.peek().is_none() {
+                    continue;
+                }
                 if ctx.trace_enabled() {
                     ctx.trace(TraceEvent::ResultDelivered {
                         prov: ProvenanceId::new(NodeId(entry.node), epoch_ms),
-                        qids: entry.qids.iter().copied().collect(),
+                        qids: sorted_intersection(&entry.qids, mine).collect(),
                         epoch_ms,
                     });
                 }
-                for qid in &entry.qids {
-                    let Some(q) = self.queries.get(qid) else {
+                for qid in kept {
+                    let Some(q) = self.queries.get(&qid) else {
                         continue;
                     };
                     let Selection::Attributes(attrs) = q.selection() else {
                         continue;
                     };
                     self.row_buffers
-                        .entry((*qid, epoch_ms))
+                        .entry((qid, epoch_ms))
                         .or_default()
                         .push(Row {
                             node: entry.node,
@@ -708,9 +700,22 @@ impl TtmqoApp {
             }
             return;
         }
+        let kept: Vec<RowEntry> = entries
+            .iter()
+            .filter_map(|e| {
+                let qids: Vec<QueryId> = sorted_intersection(&e.qids, mine).collect();
+                (!qids.is_empty()).then(|| RowEntry {
+                    node: e.node,
+                    qids,
+                    readings: e.readings.clone(),
+                })
+            })
+            .collect();
+        if kept.is_empty() {
+            return;
+        }
         self.relayed_recently = true;
-        let qids: BTreeSet<QueryId> = kept.iter().flat_map(|e| e.qids.iter().copied()).collect();
-        self.send_shared_rows(ctx, epoch_ms, kept, &qids);
+        self.send_shared_rows(ctx, epoch_ms, kept);
     }
 
     fn handle_shared_partials(
@@ -720,22 +725,17 @@ impl TtmqoApp {
         entries: &[PartialEntry],
         assignments: &[(NodeId, Vec<QueryId>)],
     ) {
-        let mine = Self::my_assignment(ctx, assignments);
-        self.request_unknown_queries(ctx, mine.iter());
-        if mine.is_empty() {
-            return;
-        }
-        let kept: Vec<&PartialEntry> = entries.iter().filter(|e| mine.contains(&e.qid)).collect();
-        if kept.is_empty() {
-            return;
-        }
-        for e in &kept {
+        let mine = Self::my_assignment(ctx.node(), assignments);
+        self.request_unknown_queries(ctx, mine.iter().copied());
+        let mut merged_any = false;
+        for e in entries.iter().filter(|e| mine.contains(&e.qid)) {
             merge_into(
                 self.agg_buffers.entry((e.qid, epoch_ms)).or_default(),
                 &e.partials,
             );
+            merged_any = true;
         }
-        if ctx.is_base_station() {
+        if !merged_any || ctx.is_base_station() {
             return;
         }
         self.relayed_recently = true;
@@ -926,7 +926,7 @@ impl NodeApp for TtmqoApp {
 
     fn on_overhear(
         &mut self,
-        _ctx: &mut Ctx<'_, TtmqoPayload, Output>,
+        ctx: &mut Ctx<'_, TtmqoPayload, Output>,
         from: NodeId,
         _kind: MsgKind,
         payload: &TtmqoPayload,
@@ -934,21 +934,20 @@ impl NodeApp for TtmqoApp {
         // Exploit the broadcast nature of the channel: a neighbour's result
         // frame reveals exactly which queries it has data for, keeping the
         // DAG's has-data knowledge fresh at zero radio cost. Overhearing is
-        // also proof of life for the parent failure detector.
+        // also proof of life for the parent failure detector. This runs once
+        // per receiver of every result frame, so the frame's query ids are
+        // walked in place — nothing is collected.
         self.dag.record_heard(from);
         match payload {
             TtmqoPayload::SharedRows { entries, .. } => {
-                let qids: Vec<QueryId> = entries
-                    .iter()
-                    .flat_map(|e| e.qids.iter().copied())
-                    .collect();
-                self.dag.record_has_data(from, qids.clone());
-                self.request_unknown_queries(_ctx, qids.iter());
+                let qids = || entries.iter().flat_map(|e| e.qids.iter().copied());
+                self.dag.record_has_data(from, qids());
+                self.request_unknown_queries(ctx, qids());
             }
             TtmqoPayload::SharedPartials { entries, .. } => {
-                let qids: Vec<QueryId> = entries.iter().map(|e| e.qid).collect();
-                self.dag.record_has_data(from, qids.clone());
-                self.request_unknown_queries(_ctx, qids.iter());
+                let qids = || entries.iter().map(|e| e.qid);
+                self.dag.record_has_data(from, qids());
+                self.request_unknown_queries(ctx, qids());
             }
             TtmqoPayload::NoRoute => {
                 self.dag.record_no_route(from);

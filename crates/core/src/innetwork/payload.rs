@@ -3,8 +3,12 @@
 //! Unlike the baseline's strictly per-query traffic, TTMQO messages are
 //! *shared*: one result frame can answer several queries at once, and query
 //! floods piggyback has-data information that builds the routing DAG.
+//!
+//! Query-id lists inside result frames ([`RowEntry::qids`] and the
+//! per-recipient lists of `assignments`) are **ascending and free of
+//! duplicates**: the receive path intersects them by merge walks instead of
+//! building a set per frame.
 
-use std::collections::BTreeSet;
 use ttmqo_query::{PartialAgg, Query, QueryId, Readings};
 use ttmqo_sim::NodeId;
 
@@ -13,8 +17,8 @@ use ttmqo_sim::NodeId;
 pub struct RowEntry {
     /// The producing node.
     pub node: u16,
-    /// Queries this entry answers.
-    pub qids: BTreeSet<QueryId>,
+    /// Queries this entry answers, ascending, no duplicates.
+    pub qids: Vec<QueryId>,
     /// The union of attributes those queries request from this node.
     pub readings: Readings,
 }
@@ -56,7 +60,8 @@ pub enum TtmqoPayload {
         /// Source entries.
         entries: Vec<RowEntry>,
         /// Which recipient is responsible for which queries (multicast
-        /// splitting; a single pair means plain unicast).
+        /// splitting; a single pair means plain unicast). One pair per
+        /// recipient, its queries ascending.
         assignments: Vec<(NodeId, Vec<QueryId>)>,
     },
     /// Shared aggregation result: per-query partials for every due
@@ -290,7 +295,7 @@ mod tests {
         readings.set(Attribute::Light, 1.0);
         let entry = RowEntry {
             node: 1,
-            qids: [QueryId(1), QueryId(2)].into_iter().collect(),
+            qids: vec![QueryId(1), QueryId(2)],
             readings,
         };
         let one = TtmqoPayload::SharedRows {

@@ -1,7 +1,7 @@
 //! Property tests for the query-aware DAG parent selection.
 
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use ttmqo_core::DagState;
 use ttmqo_query::QueryId;
 use ttmqo_sim::NodeId;
@@ -27,8 +27,137 @@ prop_compose! {
     }
 }
 
-fn arb_queries() -> impl Strategy<Value = BTreeSet<QueryId>> {
+/// A message's query set the way the in-network tier carries it: ascending,
+/// no duplicates.
+fn arb_queries() -> impl Strategy<Value = Vec<QueryId>> {
     prop::collection::btree_set((0u64..8).prop_map(QueryId), 1..6)
+        .prop_map(|set| set.into_iter().collect())
+}
+
+/// The greedy set cover as it was written before the DAG state went dense:
+/// a `BTreeSet` intersection per neighbour per round, hash-free here only
+/// because the maps are ordered. Kept as the reference `choose_parents`
+/// must reproduce pick for pick.
+#[derive(Debug)]
+struct ReferenceDag {
+    upper: Vec<NodeId>,
+    link: BTreeMap<NodeId, f64>,
+    has_data: BTreeMap<NodeId, BTreeSet<QueryId>>,
+    dead: BTreeSet<NodeId>,
+}
+
+impl ReferenceDag {
+    fn choose_parents(&self, queries: &BTreeSet<QueryId>) -> Vec<(NodeId, BTreeSet<QueryId>)> {
+        let live: Vec<NodeId> = self
+            .upper
+            .iter()
+            .copied()
+            .filter(|n| !self.dead.contains(n))
+            .collect();
+        if live.is_empty() || queries.is_empty() {
+            return Vec::new();
+        }
+        let mut assignment: BTreeMap<NodeId, BTreeSet<QueryId>> = BTreeMap::new();
+        let mut remaining: BTreeSet<QueryId> = queries.clone();
+
+        while !remaining.is_empty() {
+            let (best, overlap) = live
+                .iter()
+                .map(|&n| {
+                    let overlap: BTreeSet<QueryId> = self
+                        .has_data
+                        .get(&n)
+                        .map(|d| d.intersection(&remaining).copied().collect())
+                        .unwrap_or_default();
+                    (n, overlap)
+                })
+                .max_by(|(a, oa), (b, ob)| {
+                    oa.len()
+                        .cmp(&ob.len())
+                        .then_with(|| {
+                            self.link[a]
+                                .partial_cmp(&self.link[b])
+                                .expect("link qualities are finite")
+                        })
+                        .then_with(|| b.0.cmp(&a.0)) // lower id wins ties
+                })
+                .expect("live list is non-empty");
+
+            if overlap.is_empty() {
+                // Nobody has data for what's left: hand it to the best link.
+                let fallback = live
+                    .iter()
+                    .copied()
+                    .max_by(|a, b| {
+                        self.link[a]
+                            .partial_cmp(&self.link[b])
+                            .expect("link qualities are finite")
+                            .then_with(|| b.0.cmp(&a.0))
+                    })
+                    .expect("live list is non-empty");
+                assignment
+                    .entry(fallback)
+                    .or_default()
+                    .extend(remaining.iter().copied());
+                remaining.clear();
+            } else {
+                for q in &overlap {
+                    remaining.remove(q);
+                }
+                assignment.entry(best).or_default().extend(overlap);
+            }
+        }
+        assignment.into_iter().collect()
+    }
+}
+
+/// One random DAG in both representations, built from the same inputs:
+/// 1–6 upper neighbours with distinct ids in no particular order, link
+/// qualities from three values (so ties are common), per-neighbour knowledge
+/// that is unknown, empty, or a list in any order with repeats, and a dead
+/// subset.
+#[derive(Debug)]
+struct Scenario {
+    dag: DagState,
+    reference: ReferenceDag,
+}
+
+prop_compose! {
+    fn arb_scenario()(
+        n_upper in 1usize..7,
+        first_id in 0u16..7,
+        links in prop::collection::vec(1u32..4, 6),
+        knowledge in prop::collection::vec(
+            (0u8..4, prop::collection::vec(0u64..8, 0..7)), 6),
+        dead in prop::collection::vec(0u8..3, 6),
+    ) -> Scenario {
+        // Stepping by 5 modulo 7 visits seven distinct ids out of order.
+        let upper: Vec<(NodeId, f64)> = (0..n_upper)
+            .map(|i| (NodeId((first_id + 5 * i as u16) % 7 + 1), links[i] as f64 / 4.0))
+            .collect();
+        let mut dag = DagState::new(upper.clone());
+        dag.set_failure_detector(1);
+        let mut reference = ReferenceDag {
+            upper: upper.iter().map(|&(n, _)| n).collect(),
+            link: upper.iter().copied().collect(),
+            has_data: BTreeMap::new(),
+            dead: BTreeSet::new(),
+        };
+        for (i, &(n, _)) in upper.iter().enumerate() {
+            let (kind, ref qids) = knowledge[i];
+            // kind 0: never told; 1: told "nothing"; else the raw list.
+            if kind > 0 {
+                let qids = if kind == 1 { &[][..] } else { &qids[..] };
+                dag.record_has_data(n, qids.iter().map(|&q| QueryId(q)));
+                reference.has_data.insert(n, qids.iter().map(|&q| QueryId(q)).collect());
+            }
+            if dead[i] == 0 {
+                dag.record_no_route(n);
+                reference.dead.insert(n);
+            }
+        }
+        Scenario { dag, reference }
+    }
 }
 
 proptest! {
@@ -44,7 +173,7 @@ proptest! {
                 prop_assert!(seen.insert(*q), "query {q} assigned twice");
             }
         }
-        prop_assert_eq!(seen, queries);
+        prop_assert_eq!(seen.into_iter().collect::<Vec<_>>(), queries);
     }
 
     /// Chosen parents are always actual upper-level neighbours.
@@ -74,5 +203,48 @@ proptest! {
         let parents = dag.choose_parents(&queries);
         prop_assert_eq!(parents.len(), 1);
         prop_assert_eq!(parents[0].0, NodeId(2));
+    }
+
+    /// The counting, set-free election picks exactly what the `BTreeSet`
+    /// greedy set cover picks — same parents, same split, same tie-breaks
+    /// (overlap, then link quality, then lower id) — and returns it in the
+    /// frame's shape: parents ascending, each share ascending.
+    #[test]
+    fn choose_parents_matches_the_set_based_reference(
+        scenario in arb_scenario(),
+        queries in arb_queries(),
+    ) {
+        let expected: Vec<(NodeId, Vec<QueryId>)> = scenario
+            .reference
+            .choose_parents(&queries.iter().copied().collect())
+            .into_iter()
+            .map(|(n, qs)| (n, qs.into_iter().collect()))
+            .collect();
+        prop_assert_eq!(scenario.dag.choose_parents(&queries), expected);
+    }
+
+    /// `record_has_data` has set semantics whatever the input's order and
+    /// repeats: the stored list is the sorted, deduplicated input, a later
+    /// record replaces an earlier one, and strangers are ignored.
+    #[test]
+    fn record_has_data_keeps_sorted_unique_lists(
+        first in prop::collection::vec(0u64..8, 0..9),
+        second in prop::collection::vec(0u64..8, 0..9),
+    ) {
+        let mut dag = DagState::new(vec![(NodeId(4), 0.5), (NodeId(2), 0.5)]);
+        prop_assert_eq!(dag.known_data(NodeId(2)), None);
+        for raw in [&first, &second] {
+            dag.record_has_data(NodeId(2), raw.iter().map(|&q| QueryId(q)));
+            dag.record_has_data(NodeId(9), raw.iter().map(|&q| QueryId(q)));
+            let as_set: Vec<QueryId> = raw
+                .iter()
+                .map(|&q| QueryId(q))
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            prop_assert_eq!(dag.known_data(NodeId(2)), Some(&as_set[..]));
+            prop_assert_eq!(dag.known_data(NodeId(4)), None);
+            prop_assert_eq!(dag.known_data(NodeId(9)), None);
+        }
     }
 }

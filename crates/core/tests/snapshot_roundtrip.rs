@@ -8,8 +8,6 @@
 //! these tests pin the *wire* behaviour: encode, decode, verify nothing was
 //! lost and no trailing bytes remain.
 
-use std::collections::BTreeSet;
-
 use ttmqo_core::{
     Demand, IndexStats, OptimizerOptions, OptimizerStats, PartialEntry, RowEntry, SyntheticQuery,
     TtmqoConfig, TtmqoPayload,
@@ -105,7 +103,7 @@ fn ttmqo_config_roundtrip() {
 fn ttmqo_payload_every_variant_roundtrips() {
     let row_entry = RowEntry {
         node: 9,
-        qids: BTreeSet::from([QueryId(1), QueryId(4)]),
+        qids: qids(&[1, 4]),
         readings: {
             let mut r = Readings::new();
             r.set(ttmqo_query::Attribute::Light, 512.0);

@@ -268,3 +268,55 @@ fn lossy_radio_still_converges_to_useful_answers() {
         total_rows as f64 / answers.len() as f64
     );
 }
+
+#[test]
+fn innet_only_8x8_cell_is_pinned() {
+    // The strategy with the most multi-parent split assignments, on the
+    // default (lossy, colliding) radio: any drift in Tier-2 parent election,
+    // tie-breaking or frame sizing moves these numbers. Constants recorded
+    // at PR 11 (commit bee7ab9), before the dense DAG state replaced the
+    // hash-map/`BTreeSet` one.
+    let config = ExperimentConfig {
+        strategy: Strategy::InNetOnly,
+        grid_n: 8,
+        duration: SimTime::from_ms(24 * 2048),
+        ..ExperimentConfig::default()
+    };
+    let report = run_experiment(&config, &workload_a());
+    let snap = report.metrics.snapshot();
+    assert_eq!(report.engine.frames_total, 5965);
+    assert_eq!(snap.total_tx_busy_ms.to_bits(), 0x40e6_e860_0000_0006);
+    let answer_counts: Vec<(u64, usize)> =
+        report.answers.iter().map(|(q, a)| (q.0, a.len())).collect();
+    assert_eq!(
+        answer_counts,
+        [
+            (0, 23),
+            (1, 11),
+            (2, 11),
+            (3, 5),
+            (4, 23),
+            (5, 5),
+            (6, 11),
+            (7, 5)
+        ]
+    );
+    let row_counts: Vec<(u64, usize)> = report
+        .answers
+        .iter()
+        .map(|(q, a)| (q.0, a.iter().map(|(_, answer)| answer.len()).sum()))
+        .collect();
+    assert_eq!(
+        row_counts,
+        [
+            (0, 802),
+            (1, 285),
+            (2, 284),
+            (3, 147),
+            (4, 327),
+            (5, 85),
+            (6, 11),
+            (7, 5)
+        ]
+    );
+}

@@ -103,6 +103,82 @@ fn assert_optimizer_invariants(opt: &BaseStationOptimizer, live: &[Query]) {
     assert!(opt.benefit_ratio() <= 1.0 + 1e-9, "ratio cannot exceed 1");
 }
 
+/// Inserts query `i` built from `(selections[i], predicates[i], epochs[i])`
+/// for every index all three lists have, then terminates by `kill_order`
+/// (positions in the shrinking live list; out-of-range ones are skipped),
+/// checking coverage after every step and that the network-op stream only
+/// ever aborts what it injected.
+fn check_interleaving(
+    selections: &[Selection],
+    predicates: &[PredicateSet],
+    epochs: &[u64],
+    kill_order: &[usize],
+) -> Result<(), TestCaseError> {
+    let n = selections.len().min(predicates.len()).min(epochs.len());
+    let mut opt = optimizer();
+    let mut live: Vec<Query> = Vec::new();
+    let mut injected: std::collections::BTreeSet<QueryId> = Default::default();
+
+    let apply_ops = |ops: Vec<NetworkOp>, injected: &mut std::collections::BTreeSet<QueryId>| {
+        for op in ops {
+            match op {
+                NetworkOp::Inject(q) => {
+                    prop_assert!(injected.insert(q.id()), "double inject of {}", q.id());
+                }
+                NetworkOp::Abort(id) => {
+                    prop_assert!(injected.remove(&id), "abort of never-injected {id}");
+                }
+            }
+        }
+        Ok(())
+    };
+
+    for i in 0..n {
+        let q = Query::from_parts(
+            QueryId(i as u64),
+            selections[i].clone(),
+            predicates[i].clone(),
+            EpochDuration::from_base_multiples(epochs[i]),
+        )
+        .expect("valid");
+        live.push(q.clone());
+        let ops = opt.insert(q).expect("unique ids");
+        apply_ops(ops, &mut injected)?;
+        assert_optimizer_invariants(&opt, &live);
+    }
+    for &k in kill_order {
+        if k < live.len() {
+            let q = live.remove(k);
+            let ops = opt.terminate(q.id());
+            apply_ops(ops, &mut injected)?;
+            assert_optimizer_invariants(&opt, &live);
+        }
+    }
+    // The injected set equals the optimizer's synthetic set at all times.
+    let current: std::collections::BTreeSet<QueryId> =
+        opt.synthetic_queries().map(|q| q.id()).collect();
+    prop_assert_eq!(injected, current);
+    Ok(())
+}
+
+/// A case upstream proptest once shrank a real failure to and recorded in
+/// `prop_pipeline.proptest-regressions` — a file the vendored proptest never
+/// reads, so the case was silently no longer re-run. It lives here instead:
+/// `MIN(nodeid)` aggregations alternating with `nodeid` acquisitions, no
+/// predicates, epochs 5/4/3/1, nothing terminated.
+#[test]
+fn min_nodeid_with_empty_predicates_regression() {
+    let min_nodeid = Selection::aggregates([(AggOp::Min, Attribute::NodeId)]);
+    let nodeid = Selection::attributes([Attribute::NodeId]);
+    check_interleaving(
+        &[min_nodeid.clone(), nodeid.clone(), min_nodeid, nodeid],
+        &vec![PredicateSet::new(); 4],
+        &[5, 4, 3, 1],
+        &[],
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -115,49 +191,7 @@ proptest! {
         epochs in prop::collection::vec(1u64..8, 4..12),
         kill_order in prop::collection::vec(0usize..12, 0..8),
     ) {
-        let n = queries.len().min(predicates.len()).min(epochs.len());
-        let mut opt = optimizer();
-        let mut live: Vec<Query> = Vec::new();
-        let mut injected: std::collections::BTreeSet<QueryId> = Default::default();
-
-        let apply_ops = |ops: Vec<NetworkOp>, injected: &mut std::collections::BTreeSet<QueryId>| {
-            for op in ops {
-                match op {
-                    NetworkOp::Inject(q) => {
-                        prop_assert!(injected.insert(q.id()), "double inject of {}", q.id());
-                    }
-                    NetworkOp::Abort(id) => {
-                        prop_assert!(injected.remove(&id), "abort of never-injected {id}");
-                    }
-                }
-            }
-            Ok(())
-        };
-
-        for i in 0..n {
-            let q = Query::from_parts(
-                QueryId(i as u64),
-                queries[i].clone(),
-                predicates[i].clone(),
-                EpochDuration::from_base_multiples(epochs[i]),
-            ).expect("valid");
-            live.push(q.clone());
-            let ops = opt.insert(q).expect("unique ids");
-            apply_ops(ops, &mut injected)?;
-            assert_optimizer_invariants(&opt, &live);
-        }
-        for &k in &kill_order {
-            if k < live.len() {
-                let q = live.remove(k);
-                let ops = opt.terminate(q.id());
-                apply_ops(ops, &mut injected)?;
-                assert_optimizer_invariants(&opt, &live);
-            }
-        }
-        // The injected set equals the optimizer's synthetic set at all times.
-        let current: std::collections::BTreeSet<QueryId> =
-            opt.synthetic_queries().map(|q| q.id()).collect();
-        prop_assert_eq!(injected, current);
+        check_interleaving(&queries, &predicates, &epochs, &kill_order)?;
     }
 
     /// Inserting then immediately terminating every query leaves nothing
