@@ -1,29 +1,61 @@
-//! Criterion micro-benchmarks of the hot paths: query parsing, the merge
-//! algebra, optimizer insertion, and raw simulation throughput.
+//! Micro-benchmarks of the hot paths: query parsing, the merge algebra,
+//! optimizer insertion, and raw simulation throughput. Each runs a
+//! calibrated ~300 ms loop and prints mean ns/iter.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 use ttmqo_core::{run_experiment, BaseStationOptimizer, CostModel, ExperimentConfig, Strategy};
 use ttmqo_query::{integrate, parse_query, QueryId};
 use ttmqo_sim::SimTime;
 use ttmqo_stats::{LevelStats, SelectivityEstimator};
-use ttmqo_workloads::{random_workload, workload_a, RandomWorkloadParams, ATTR_MENU};
+use ttmqo_workloads::{random_workload, workload_a, RandomWorkloadParams};
 
-fn bench_parser(c: &mut Criterion) {
-    c.bench_function("parse_query", |b| {
-        b.iter(|| {
+/// Measurement budget per benchmark.
+const TARGET: Duration = Duration::from_millis(300);
+
+/// Times `routine` over fresh inputs from `setup` (setup time excluded)
+/// until the budget is spent, and prints the mean. Iterations are timed in
+/// batches that double until one takes a millisecond, so the two clock
+/// reads around a batch vanish even for a sub-microsecond routine.
+fn bench<I, O>(name: &str, mut setup: impl FnMut() -> I, mut routine: impl FnMut(I) -> O) {
+    let (mut total, mut iters, mut batch) = (Duration::ZERO, 0u64, 1u64);
+    while total < TARGET {
+        let inputs: Vec<I> = (0..batch).map(|_| setup()).collect();
+        let start = Instant::now();
+        for input in inputs {
+            black_box(routine(input));
+        }
+        let elapsed = start.elapsed();
+        total += elapsed;
+        iters += batch;
+        if elapsed < Duration::from_millis(1) {
+            batch *= 2;
+        }
+    }
+    println!(
+        "bench {name}: {:>12.1} ns/iter ({iters} iters)",
+        total.as_nanos() as f64 / iters as f64
+    );
+}
+
+fn bench_parser() {
+    bench(
+        "parse_query",
+        || (),
+        |()| {
             parse_query(
                 QueryId(1),
-                std::hint::black_box(
+                black_box(
                     "select nodeid, light, temp where 100 < light < 900 and temp >= 0 \
                      epoch duration 4096",
                 ),
             )
             .unwrap()
-        })
-    });
+        },
+    );
 }
 
-fn bench_integrate(c: &mut Criterion) {
+fn bench_integrate() {
     let a = parse_query(
         QueryId(1),
         "select light where 280<light<600 epoch duration 2048",
@@ -34,15 +66,11 @@ fn bench_integrate(c: &mut Criterion) {
         "select light, temp where 100<light<300 epoch duration 4096",
     )
     .unwrap();
-    c.bench_function("integrate_pair", |b| {
-        b.iter(|| {
-            integrate(
-                QueryId(100),
-                std::hint::black_box(&a),
-                std::hint::black_box(&b2),
-            )
-        })
-    });
+    bench(
+        "integrate_pair",
+        || (),
+        |()| integrate(QueryId(100), black_box(&a), black_box(&b2)),
+    );
 }
 
 fn fresh_optimizer() -> BaseStationOptimizer {
@@ -55,7 +83,7 @@ fn fresh_optimizer() -> BaseStationOptimizer {
     BaseStationOptimizer::new(model, 0.6)
 }
 
-fn bench_optimizer_insert(c: &mut Criterion) {
+fn bench_optimizer_insert() {
     let events = random_workload(&RandomWorkloadParams {
         n_queries: 100,
         target_concurrency: 24.0,
@@ -69,25 +97,19 @@ fn bench_optimizer_insert(c: &mut Criterion) {
             _ => None,
         })
         .collect();
-    c.bench_function("optimizer_insert_100_random", |b| {
-        b.iter_batched(
-            fresh_optimizer,
-            |mut opt| {
-                for q in &queries {
-                    let _ = opt.insert(q.clone());
-                }
-                opt.synthetic_count()
-            },
-            BatchSize::SmallInput,
-        )
+    bench("optimizer_insert_100_random", fresh_optimizer, |mut opt| {
+        for q in &queries {
+            let _ = opt.insert(q.clone());
+        }
+        opt.synthetic_count()
     });
-    // Menu access keeps the import meaningful even if unused elsewhere.
-    std::hint::black_box(ATTR_MENU);
 }
 
-fn bench_simulation(c: &mut Criterion) {
-    c.bench_function("simulate_workload_a_16_nodes_24_epochs", |b| {
-        b.iter(|| {
+fn bench_simulation() {
+    bench(
+        "simulate_workload_a_16_nodes_24_epochs",
+        || (),
+        |()| {
             let config = ExperimentConfig {
                 strategy: Strategy::TwoTier,
                 grid_n: 4,
@@ -97,15 +119,13 @@ fn bench_simulation(c: &mut Criterion) {
             run_experiment(&config, &workload_a())
                 .metrics
                 .tx_count_total()
-        })
-    });
+        },
+    );
 }
 
-criterion_group!(
-    benches,
-    bench_parser,
-    bench_integrate,
-    bench_optimizer_insert,
-    bench_simulation
-);
-criterion_main!(benches);
+fn main() {
+    bench_parser();
+    bench_integrate();
+    bench_optimizer_insert();
+    bench_simulation();
+}

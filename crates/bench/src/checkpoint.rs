@@ -16,9 +16,10 @@
 
 use std::time::Instant;
 use ttmqo_core::{
-    run_campaign_sequential, CampaignSpec, ExperimentConfig, RunSession, Strategy, WorkloadAction,
-    WorkloadEvent,
+    run_campaign_sequential, CampaignSpec, CellRecord, ExperimentConfig, RunSession, Strategy,
+    WorkloadAction, WorkloadEvent,
 };
+use ttmqo_sim::json;
 use ttmqo_sim::SimTime;
 use ttmqo_workloads::{workload_a, workload_b};
 
@@ -116,19 +117,6 @@ fn shifted(events: Vec<WorkloadEvent>, offset_ms: u64, id_offset: u64) -> Vec<Wo
         .collect()
 }
 
-/// Removes the (non-deterministic) wall-clock field from a campaign record
-/// line so cold and warm records can be compared exactly.
-fn strip_wall_clock(line: &str) -> String {
-    match line.find("\"wall_clock_ms\":") {
-        Some(start) => {
-            let rest = &line[start..];
-            let end = rest.find(',').map_or(line.len(), |c| start + c + 1);
-            format!("{}{}", &line[..start], &line[end..])
-        }
-        None => line.to_string(),
-    }
-}
-
 /// Runs one checkpoint scenario and measures it.
 pub fn checkpoint_bench(params: &CheckpointBenchParams) -> CheckpointBenchResult {
     const EPOCH_MS: u64 = 2048;
@@ -197,12 +185,20 @@ pub fn checkpoint_bench(params: &CheckpointBenchParams) -> CheckpointBenchResult
     let warm_start = Instant::now();
     let warm = run_campaign_sequential(&warm_spec);
     let warm_wall_s = warm_start.elapsed().as_secs_f64();
+    // Records compared exactly, less the (non-deterministic) wall clock.
+    let sans_wall_clock = |cell: &CellRecord| {
+        CellRecord {
+            wall_clock_ms: 0.0,
+            ..cell.clone()
+        }
+        .to_json()
+    };
     let warm_matches = cold.cells.len() == warm.cells.len()
         && cold
-            .to_jsonl()
-            .lines()
-            .zip(warm.to_jsonl().lines())
-            .all(|(c, w)| strip_wall_clock(c) == strip_wall_clock(w));
+            .cells
+            .iter()
+            .zip(&warm.cells)
+            .all(|(c, w)| sans_wall_clock(c) == sans_wall_clock(w));
 
     CheckpointBenchResult {
         name: params.name.clone(),
@@ -221,23 +217,19 @@ pub fn checkpoint_bench(params: &CheckpointBenchParams) -> CheckpointBenchResult
 impl CheckpointBenchResult {
     /// One JSON object (one line of `BENCH_checkpoint.json`).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"schema_version\":{},\"name\":\"{}\",\"snapshot_bytes\":{},\
-             \"save_s\":{:.6},\"restore_s\":{:.6},\"resume_matches\":{},\
-             \"cold_wall_s\":{:.6},\"warm_wall_s\":{:.6},\"warmstart_speedup\":{:.3},\
-             \"warm_matches\":{},\"wall_s\":{:.6}}}",
-            ttmqo_sim::SCHEMA_VERSION,
-            self.name,
-            self.snapshot_bytes,
-            self.save_s,
-            self.restore_s,
-            self.resume_matches,
-            self.cold_wall_s,
-            self.warm_wall_s,
-            self.warmstart_speedup,
-            self.warm_matches,
-            self.wall_s,
-        )
+        json::object(|o| {
+            o.u64("schema_version", ttmqo_sim::SCHEMA_VERSION as u64);
+            o.str("name", &self.name);
+            o.u64("snapshot_bytes", self.snapshot_bytes);
+            o.fixed("save_s", self.save_s, 6);
+            o.fixed("restore_s", self.restore_s, 6);
+            o.bool("resume_matches", self.resume_matches);
+            o.fixed("cold_wall_s", self.cold_wall_s, 6);
+            o.fixed("warm_wall_s", self.warm_wall_s, 6);
+            o.fixed("warmstart_speedup", self.warmstart_speedup, 3);
+            o.bool("warm_matches", self.warm_matches);
+            o.fixed("wall_s", self.wall_s, 6);
+        })
     }
 }
 
@@ -246,17 +238,7 @@ pub const CHECKPOINT_REPORT_FILE: &str = "BENCH_checkpoint.json";
 
 /// Extracts `(name, save_s)` pairs from a previous report.
 pub fn parse_prior_checkpoint_report(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(name) = crate::engine::field_str(line, "name") else {
-            continue;
-        };
-        let Some(save_s) = crate::engine::field_f64(line, "save_s") else {
-            continue;
-        };
-        out.push((name, save_s));
-    }
-    out
+    crate::engine::prior_column(text, "save_s")
 }
 
 #[cfg(test)]
@@ -293,12 +275,5 @@ mod tests {
         let parsed = parse_prior_checkpoint_report(&json);
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].0, "tiny");
-    }
-
-    #[test]
-    fn wall_clock_stripping_is_exact() {
-        let line = "{\"a\":1,\"wall_clock_ms\":12.5,\"b\":2}";
-        assert_eq!(strip_wall_clock(line), "{\"a\":1,\"b\":2}");
-        assert_eq!(strip_wall_clock("{\"a\":1}"), "{\"a\":1}");
     }
 }

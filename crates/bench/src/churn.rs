@@ -13,6 +13,7 @@
 
 use std::time::Instant;
 use ttmqo_core::{BaseStationOptimizer, CostModel, OptimizerOptions, WorkloadAction};
+use ttmqo_sim::json;
 use ttmqo_stats::{Histogram, LevelStats, SelectivityEstimator};
 use ttmqo_workloads::{churn_workload, ChurnWorkloadParams};
 
@@ -259,29 +260,24 @@ pub fn churn_pair(params: &ChurnBenchParams) -> (ChurnBenchResult, ChurnBenchRes
 impl ChurnBenchResult {
     /// One JSON object (one line of `BENCH_churn.json`).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"schema_version\":{},\"name\":\"{}\",\"admitted\":{},\"departed\":{},\
-             \"peak_live\":{},\"peak_synthetics\":{},\"final_users\":{},\"final_synthetics\":{},\
-             \"scanned\":{},\"pruned\":{},\"wall_s\":{:.6},\"admitted_per_sec\":{:.1},\
-             \"admit_p50_us\":{:.2},\"admit_p99_us\":{:.2},\"admit_max_us\":{:.2},\
-             \"speedup_vs_exhaustive\":{:.3}}}",
-            ttmqo_sim::SCHEMA_VERSION,
-            self.name,
-            self.admitted,
-            self.departed,
-            self.peak_live,
-            self.peak_synthetics,
-            self.final_users,
-            self.final_synthetics,
-            self.scanned,
-            self.pruned,
-            self.wall_s,
-            self.admitted_per_sec,
-            self.admit_p50_us,
-            self.admit_p99_us,
-            self.admit_max_us,
-            self.speedup_vs_exhaustive,
-        )
+        json::object(|o| {
+            o.u64("schema_version", ttmqo_sim::SCHEMA_VERSION as u64);
+            o.str("name", &self.name);
+            o.u64("admitted", self.admitted);
+            o.u64("departed", self.departed);
+            o.u64("peak_live", self.peak_live);
+            o.u64("peak_synthetics", self.peak_synthetics);
+            o.u64("final_users", self.final_users);
+            o.u64("final_synthetics", self.final_synthetics);
+            o.u64("scanned", self.scanned);
+            o.u64("pruned", self.pruned);
+            o.fixed("wall_s", self.wall_s, 6);
+            o.fixed("admitted_per_sec", self.admitted_per_sec, 1);
+            o.fixed("admit_p50_us", self.admit_p50_us, 2);
+            o.fixed("admit_p99_us", self.admit_p99_us, 2);
+            o.fixed("admit_max_us", self.admit_max_us, 2);
+            o.fixed("speedup_vs_exhaustive", self.speedup_vs_exhaustive, 3);
+        })
     }
 }
 
@@ -290,17 +286,7 @@ pub const CHURN_REPORT_FILE: &str = "BENCH_churn.json";
 
 /// Extracts `(name, admitted_per_sec)` pairs from a previous report.
 pub fn parse_prior_churn_report(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(name) = crate::engine::field_str(line, "name") else {
-            continue;
-        };
-        let Some(aps) = crate::engine::field_f64(line, "admitted_per_sec") else {
-            continue;
-        };
-        out.push((name, aps));
-    }
-    out
+    crate::engine::prior_column(text, "admitted_per_sec")
 }
 
 #[cfg(test)]

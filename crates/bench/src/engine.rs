@@ -14,6 +14,7 @@
 
 use std::time::Instant;
 use ttmqo_core::{run_experiment, ExperimentConfig, Strategy};
+use ttmqo_sim::json;
 use ttmqo_sim::{
     ConstantField, Ctx, Destination, EngineStats, MsgKind, NodeApp, NodeId, ProfileHandle,
     ProfilePhase, ProfileReport, RadioParams, SimConfig, SimTime, Simulator, Topology,
@@ -321,47 +322,40 @@ impl EngineBenchResult {
     /// lower-is-better timing fields like `wall_s`.
     pub fn to_json(&self) -> String {
         let s = &self.stats;
-        let mut out = format!(
-            "{{\"schema_version\":{},\"name\":\"{}\",\"grid_n\":{},\"duration_ms\":{},\"wall_s\":{:.6},\
-             \"topo_build_s\":{:.6},\
-             \"events\":{},\"events_per_sec\":{:.1},\"tx_frames\":{},\"delivered\":{},\
-             \"frames_total\":{},\"slab_len\":{},\"slab_high_water\":{},\
-             \"frames_in_flight\":{},\"csma_capped_deferrals\":{},\"csma_sorts_saved\":{}",
-            ttmqo_sim::SCHEMA_VERSION,
-            self.name,
-            self.grid_n,
-            self.duration_ms,
-            self.wall_s,
-            self.topo_build_s,
-            self.events,
-            self.events_per_sec,
-            self.tx_frames,
-            self.delivered,
-            s.frames_total,
-            s.frame_slab_len,
-            s.frame_slab_high_water,
-            s.frames_in_flight,
-            s.csma_capped_deferrals,
-            s.csma_sorts_saved,
-        );
-        if let Some(profile) = &self.profile {
-            for (key, phase) in [
-                ("timer_wall_us", ProfilePhase::Timer),
-                ("deliver_wall_us", ProfilePhase::Deliver),
-                ("command_wall_us", ProfilePhase::Command),
-                ("maintenance_wall_us", ProfilePhase::Maintenance),
-                ("fault_wall_us", ProfilePhase::Fault),
-                ("csma_wall_us", ProfilePhase::CsmaSense),
-                ("interference_wall_us", ProfilePhase::InterferenceMark),
-            ] {
-                out.push_str(&format!(",\"{key}\":{}", profile.get(phase).wall_us()));
+        json::object(|o| {
+            o.u64("schema_version", ttmqo_sim::SCHEMA_VERSION as u64);
+            o.str("name", &self.name);
+            o.u64("grid_n", self.grid_n as u64);
+            o.u64("duration_ms", self.duration_ms);
+            o.fixed("wall_s", self.wall_s, 6);
+            o.fixed("topo_build_s", self.topo_build_s, 6);
+            o.u64("events", self.events);
+            o.fixed("events_per_sec", self.events_per_sec, 1);
+            o.u64("tx_frames", self.tx_frames);
+            o.u64("delivered", self.delivered);
+            o.u64("frames_total", s.frames_total);
+            o.u64("slab_len", s.frame_slab_len as u64);
+            o.u64("slab_high_water", s.frame_slab_high_water as u64);
+            o.u64("frames_in_flight", s.frames_in_flight as u64);
+            o.u64("csma_capped_deferrals", s.csma_capped_deferrals);
+            o.u64("csma_sorts_saved", s.csma_sorts_saved);
+            if let Some(profile) = &self.profile {
+                for (key, phase) in [
+                    ("timer_wall_us", ProfilePhase::Timer),
+                    ("deliver_wall_us", ProfilePhase::Deliver),
+                    ("command_wall_us", ProfilePhase::Command),
+                    ("maintenance_wall_us", ProfilePhase::Maintenance),
+                    ("fault_wall_us", ProfilePhase::Fault),
+                    ("csma_wall_us", ProfilePhase::CsmaSense),
+                    ("interference_wall_us", ProfilePhase::InterferenceMark),
+                ] {
+                    o.u64(key, profile.get(phase).wall_us());
+                }
             }
-        }
-        if let Some(violations) = self.audit_violations {
-            out.push_str(&format!(",\"audit_violations\":{violations}"));
-        }
-        out.push('}');
-        out
+            if let Some(violations) = self.audit_violations {
+                o.u64("audit_violations", violations);
+            }
+        })
     }
 }
 
@@ -369,34 +363,20 @@ impl EngineBenchResult {
 pub const ENGINE_REPORT_FILE: &str = "BENCH_engine.json";
 
 /// Extracts `(name, events_per_sec)` pairs from a previous report so the
-/// bench can print the perf trajectory without a JSON parser dependency.
+/// bench can print the perf trajectory.
 pub fn parse_prior_report(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(name) = field_str(line, "name") else {
-            continue;
-        };
-        let Some(eps) = field_f64(line, "events_per_sec") else {
-            continue;
-        };
-        out.push((name, eps));
-    }
-    out
+    prior_column(text, "events_per_sec")
 }
 
-pub(crate) fn field_str(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\":\"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-pub(crate) fn field_f64(line: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+/// `(name, <key>)` of every line of a previous `BENCH_*.json` report that
+/// carries both; any other line is skipped.
+pub(crate) fn prior_column(text: &str, key: &str) -> Vec<(String, f64)> {
+    let column = |line| {
+        let row = json::parse(line).ok()?;
+        let name = row.str_at("name")?.to_string();
+        Some((name, row.get(key)?.as_f64()?))
+    };
+    text.lines().filter_map(column).collect()
 }
 
 #[cfg(test)]

@@ -18,11 +18,12 @@
 use std::time::Instant;
 use ttmqo_core::{run_experiment, ExperimentConfig, RunReport, Strategy, WorkloadEvent};
 use ttmqo_query::{parse_query, QueryId};
+use ttmqo_sim::json;
 use ttmqo_sim::{
     FaultPlan, LinkDegradation, NodeId, RadioParams, RandomCrashes, SimConfig, SimTime,
 };
 
-use crate::engine::{field_f64, field_str};
+use crate::engine::prior_column;
 
 /// Epoch length of the bench workload, ms (the paper's default epoch).
 pub const FAULT_BENCH_EPOCH_MS: u64 = 2048;
@@ -202,31 +203,26 @@ pub fn fault_bench(params: &FaultBenchParams) -> FaultBenchResult {
 impl FaultBenchResult {
     /// One JSON object (one line of `BENCH_faults.json`).
     pub fn to_json(&self) -> String {
-        let latency = self
-            .mean_repair_latency_ms
-            .map_or_else(|| "null".to_string(), |v| format!("{v:.1}"));
-        format!(
-            "{{\"schema_version\":{},\"name\":\"{}\",\"grid_n\":{},\"duration_ms\":{},\"wall_s\":{:.6},\
-             \"sim_ms_per_wall_s\":{:.1},\"tx_frames\":{},\"retransmissions\":{},\
-             \"gave_up\":{},\"orphaned_drops\":{},\"orphaned_nodes\":{},\
-             \"min_epoch_ratio\":{:.6},\"min_row_ratio\":{:.6},\
-             \"repairs_triggered\":{},\"mean_repair_latency_ms\":{}}}",
-            ttmqo_sim::SCHEMA_VERSION,
-            self.name,
-            self.grid_n,
-            self.duration_ms,
-            self.wall_s,
-            self.sim_ms_per_wall_s,
-            self.tx_frames,
-            self.retransmissions,
-            self.gave_up,
-            self.orphaned_drops,
-            self.orphaned_nodes,
-            self.min_epoch_ratio,
-            self.min_row_ratio,
-            self.repairs_triggered,
-            latency,
-        )
+        json::object(|o| {
+            o.u64("schema_version", ttmqo_sim::SCHEMA_VERSION as u64);
+            o.str("name", &self.name);
+            o.u64("grid_n", self.grid_n as u64);
+            o.u64("duration_ms", self.duration_ms);
+            o.fixed("wall_s", self.wall_s, 6);
+            o.fixed("sim_ms_per_wall_s", self.sim_ms_per_wall_s, 1);
+            o.u64("tx_frames", self.tx_frames);
+            o.u64("retransmissions", self.retransmissions);
+            o.u64("gave_up", self.gave_up);
+            o.u64("orphaned_drops", self.orphaned_drops);
+            o.u64("orphaned_nodes", self.orphaned_nodes);
+            o.fixed("min_epoch_ratio", self.min_epoch_ratio, 6);
+            o.fixed("min_row_ratio", self.min_row_ratio, 6);
+            o.u64("repairs_triggered", self.repairs_triggered);
+            match self.mean_repair_latency_ms {
+                Some(ms) => o.fixed("mean_repair_latency_ms", ms, 1),
+                None => o.null("mean_repair_latency_ms"),
+            }
+        })
     }
 }
 
@@ -234,20 +230,9 @@ impl FaultBenchResult {
 pub const FAULTS_REPORT_FILE: &str = "BENCH_faults.json";
 
 /// Extracts `(name, sim_ms_per_wall_s)` pairs from a previous report so the
-/// bench can print the throughput trajectory without a JSON parser
-/// dependency.
+/// bench can print the throughput trajectory.
 pub fn parse_prior_faults_report(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(name) = field_str(line, "name") else {
-            continue;
-        };
-        let Some(thr) = field_f64(line, "sim_ms_per_wall_s") else {
-            continue;
-        };
-        out.push((name, thr));
-    }
-    out
+    prior_column(text, "sim_ms_per_wall_s")
 }
 
 #[cfg(test)]

@@ -17,11 +17,8 @@
 //! time, event and answer counts, a [`MetricsSnapshot`] of the simulator's
 //! counters, and the tier-1 optimizer's statistics when that tier ran.
 //! [`CampaignReport::to_jsonl`] serializes the records as JSON lines (one
-//! object per cell) for dashboards and regression tracking. The JSON is
-//! emitted by a small writer in this module rather than through a serde
-//! serializer: the workspace's vendored `serde` is an API stub (the build
-//! environment has no registry access), so deriving `Serialize` would not
-//! produce output. The record shape is documented on [`CellRecord::to_json`].
+//! object per cell) for dashboards and regression tracking. The record
+//! shape is documented on [`CellRecord::to_json`].
 //!
 //! # Example
 //!
@@ -59,6 +56,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use ttmqo_sim::json;
 use ttmqo_sim::{
     summarize_trace, AuditReport, CompletenessReport, EngineStats, FaultPlan, JsonLinesSink,
     MetricsSnapshot, ProfileHandle, SimTime, TraceHandle, SCHEMA_VERSION,
@@ -499,204 +497,93 @@ impl CellRecord {
     /// `"audit":{...}` ([`AuditReport::to_json`]) only with
     /// [`CampaignSpec::audit`].
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push('{');
-        json_num(&mut out, "schema_version", &SCHEMA_VERSION.to_string());
-        out.push(',');
-        json_str(&mut out, "workload", &self.workload);
-        out.push(',');
-        json_str(&mut out, "strategy", &self.strategy.to_string());
-        out.push(',');
-        json_num(&mut out, "grid_n", &self.grid_n.to_string());
-        out.push(',');
-        json_num(&mut out, "field_seed", &self.field_seed.to_string());
-        out.push(',');
-        json_str(&mut out, "fault", &self.fault);
-        out.push(',');
-        json_num(&mut out, "wall_clock_ms", &json_f64(self.wall_clock_ms));
-        out.push(',');
-        json_num(
-            &mut out,
-            "workload_events",
-            &self.workload_events.to_string(),
-        );
-        out.push(',');
-        json_num(
-            &mut out,
-            "queries_answered",
-            &self.queries_answered.to_string(),
-        );
-        out.push(',');
-        json_num(&mut out, "answer_epochs", &self.answer_epochs.to_string());
-        out.push(',');
-        json_num(
-            &mut out,
-            "avg_synthetic_count",
-            &json_f64(self.avg_synthetic_count),
-        );
-        out.push(',');
-        json_num(
-            &mut out,
-            "avg_benefit_ratio",
-            &json_f64(self.avg_benefit_ratio),
-        );
-        out.push(',');
-        json_num(&mut out, "energy_mj", &json_f64(self.energy_mj));
-        out.push(',');
-        json_num(
-            &mut out,
-            "max_node_energy_mj",
-            &json_f64(self.max_node_energy_mj),
-        );
-        out.push_str(",\"optimizer\":");
-        match &self.optimizer {
-            None => out.push_str("null"),
-            Some(s) => {
-                out.push('{');
-                json_num(&mut out, "inserted", &s.inserted.to_string());
-                out.push(',');
-                json_num(&mut out, "terminated", &s.terminated.to_string());
-                out.push(',');
-                json_num(&mut out, "injections", &s.injections.to_string());
-                out.push(',');
-                json_num(&mut out, "abortions", &s.abortions.to_string());
-                out.push(',');
-                json_num(
-                    &mut out,
-                    "absorbed_insertions",
-                    &s.absorbed_insertions.to_string(),
-                );
-                out.push(',');
-                json_num(
-                    &mut out,
-                    "absorbed_terminations",
-                    &s.absorbed_terminations.to_string(),
-                );
-                out.push('}');
+        json::object(|o| {
+            o.u64("schema_version", SCHEMA_VERSION as u64);
+            o.str("workload", &self.workload);
+            o.str("strategy", &self.strategy.to_string());
+            o.u64("grid_n", self.grid_n as u64);
+            o.u64("field_seed", self.field_seed);
+            o.str("fault", &self.fault);
+            o.f64("wall_clock_ms", self.wall_clock_ms);
+            o.u64("workload_events", self.workload_events as u64);
+            o.u64("queries_answered", self.queries_answered as u64);
+            o.u64("answer_epochs", self.answer_epochs as u64);
+            o.f64("avg_synthetic_count", self.avg_synthetic_count);
+            o.f64("avg_benefit_ratio", self.avg_benefit_ratio);
+            o.f64("energy_mj", self.energy_mj);
+            o.f64("max_node_energy_mj", self.max_node_energy_mj);
+            match &self.optimizer {
+                None => o.null("optimizer"),
+                Some(s) => o.obj("optimizer", |o| {
+                    o.u64("inserted", s.inserted);
+                    o.u64("terminated", s.terminated);
+                    o.u64("injections", s.injections);
+                    o.u64("abortions", s.abortions);
+                    o.u64("absorbed_insertions", s.absorbed_insertions);
+                    o.u64("absorbed_terminations", s.absorbed_terminations);
+                }),
             }
-        }
-        out.push_str(",\"completeness\":{");
-        let c = &self.completeness;
-        json_num(&mut out, "min_epoch_ratio", &json_f64(c.min_epoch_ratio()));
-        out.push(',');
-        json_num(&mut out, "min_row_ratio", &json_f64(c.min_row_ratio()));
-        out.push(',');
-        json_num(
-            &mut out,
-            "repairs_triggered",
-            &c.repairs_triggered.to_string(),
-        );
-        out.push(',');
-        json_num(
-            &mut out,
-            "mean_repair_latency_ms",
-            &c.mean_repair_latency_ms()
-                .map_or_else(|| "null".to_string(), json_f64),
-        );
-        out.push('}');
-        out.push_str(",\"metrics\":{");
-        let m = &self.metrics;
-        json_num(
-            &mut out,
-            "avg_transmission_time_pct",
-            &json_f64(m.avg_transmission_time_pct),
-        );
-        out.push(',');
-        json_num(&mut out, "total_tx_busy_ms", &json_f64(m.total_tx_busy_ms));
-        out.push(',');
-        json_num(&mut out, "total_rx_busy_ms", &json_f64(m.total_rx_busy_ms));
-        out.push(',');
-        json_num(&mut out, "total_sleep_ms", &json_f64(m.total_sleep_ms));
-        out.push_str(",\"tx_count\":{");
-        for (i, (kind, n)) in m.tx_count.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+            let c = &self.completeness;
+            o.obj("completeness", |o| {
+                o.f64("min_epoch_ratio", c.min_epoch_ratio());
+                o.f64("min_row_ratio", c.min_row_ratio());
+                o.u64("repairs_triggered", c.repairs_triggered);
+                match c.mean_repair_latency_ms() {
+                    Some(ms) => o.f64("mean_repair_latency_ms", ms),
+                    None => o.null("mean_repair_latency_ms"),
+                }
+            });
+            let m = &self.metrics;
+            o.obj("metrics", |o| {
+                o.f64("avg_transmission_time_pct", m.avg_transmission_time_pct);
+                o.f64("total_tx_busy_ms", m.total_tx_busy_ms);
+                o.f64("total_rx_busy_ms", m.total_rx_busy_ms);
+                o.f64("total_sleep_ms", m.total_sleep_ms);
+                o.obj("tx_count", |o| {
+                    for (kind, n) in &m.tx_count {
+                        o.u64(&kind.to_string(), *n);
+                    }
+                });
+                o.obj("tx_bytes", |o| {
+                    for (kind, n) in &m.tx_bytes {
+                        o.u64(&kind.to_string(), *n);
+                    }
+                });
+                o.u64("retransmissions", m.retransmissions);
+                o.u64("collisions", m.collisions);
+                o.u64("losses", m.losses);
+                o.u64("gave_up", m.gave_up);
+                o.u64("orphaned_drops", m.orphaned_drops);
+                o.u64("orphaned_nodes", m.orphaned_nodes);
+                o.u64("samples", m.samples);
+                o.u64("horizon_ms", m.horizon_ms);
+            });
+            let e = &self.engine;
+            o.obj("engine", |o| {
+                o.u64("events_processed", e.events_processed);
+                o.u64("frames_total", e.frames_total);
+                o.u64("frame_slab_high_water", e.frame_slab_high_water as u64);
+                o.u64("csma_capped_deferrals", e.csma_capped_deferrals);
+                o.u64("csma_sorts_saved", e.csma_sorts_saved);
+                o.u64("timer_events", e.timer_events);
+                o.u64("deliver_events", e.deliver_events);
+                o.u64("command_events", e.command_events);
+                o.u64("maintenance_events", e.maintenance_events);
+                o.u64("fault_events", e.fault_events);
+            });
+            if let Some(name) = &self.trace_file {
+                o.str("trace_file", name);
             }
-            json_num(&mut out, &kind.to_string(), &n.to_string());
-        }
-        out.push_str("},\"tx_bytes\":{");
-        for (i, (kind, n)) in m.tx_bytes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+            if let Some(name) = &self.timeseries_file {
+                o.str("timeseries_file", name);
             }
-            json_num(&mut out, &kind.to_string(), &n.to_string());
-        }
-        out.push_str("},");
-        json_num(&mut out, "retransmissions", &m.retransmissions.to_string());
-        out.push(',');
-        json_num(&mut out, "collisions", &m.collisions.to_string());
-        out.push(',');
-        json_num(&mut out, "losses", &m.losses.to_string());
-        out.push(',');
-        json_num(&mut out, "gave_up", &m.gave_up.to_string());
-        out.push(',');
-        json_num(&mut out, "orphaned_drops", &m.orphaned_drops.to_string());
-        out.push(',');
-        json_num(&mut out, "orphaned_nodes", &m.orphaned_nodes.to_string());
-        out.push(',');
-        json_num(&mut out, "samples", &m.samples.to_string());
-        out.push(',');
-        json_num(&mut out, "horizon_ms", &m.horizon_ms.to_string());
-        out.push_str("},\"engine\":{");
-        let e = &self.engine;
-        json_num(
-            &mut out,
-            "events_processed",
-            &e.events_processed.to_string(),
-        );
-        out.push(',');
-        json_num(&mut out, "frames_total", &e.frames_total.to_string());
-        out.push(',');
-        json_num(
-            &mut out,
-            "frame_slab_high_water",
-            &e.frame_slab_high_water.to_string(),
-        );
-        out.push(',');
-        json_num(
-            &mut out,
-            "csma_capped_deferrals",
-            &e.csma_capped_deferrals.to_string(),
-        );
-        out.push(',');
-        json_num(
-            &mut out,
-            "csma_sorts_saved",
-            &e.csma_sorts_saved.to_string(),
-        );
-        out.push(',');
-        json_num(&mut out, "timer_events", &e.timer_events.to_string());
-        out.push(',');
-        json_num(&mut out, "deliver_events", &e.deliver_events.to_string());
-        out.push(',');
-        json_num(&mut out, "command_events", &e.command_events.to_string());
-        out.push(',');
-        json_num(
-            &mut out,
-            "maintenance_events",
-            &e.maintenance_events.to_string(),
-        );
-        out.push(',');
-        json_num(&mut out, "fault_events", &e.fault_events.to_string());
-        out.push('}');
-        if let Some(name) = &self.trace_file {
-            out.push(',');
-            json_str(&mut out, "trace_file", name);
-        }
-        if let Some(name) = &self.timeseries_file {
-            out.push(',');
-            json_str(&mut out, "timeseries_file", name);
-        }
-        if let Some(name) = &self.profile_file {
-            out.push(',');
-            json_str(&mut out, "profile_file", name);
-        }
-        if let Some(audit) = &self.audit {
-            out.push_str(",\"audit\":");
-            out.push_str(&audit.to_json());
-        }
-        out.push('}');
-        out
+            if let Some(name) = &self.profile_file {
+                o.str("profile_file", name);
+            }
+            if let Some(audit) = &self.audit {
+                o.raw("audit", &audit.to_json());
+            }
+        })
     }
 }
 
@@ -1132,44 +1019,6 @@ pub fn run_campaign_with(spec: &CampaignSpec, threads: usize) -> CampaignReport 
     report
 }
 
-/// Appends `"key":"escaped value"`.
-pub(crate) fn json_str(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Appends `"key":value` with `value` already rendered as a JSON number (or
-/// `null`).
-pub(crate) fn json_num(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(value);
-}
-
-/// Renders an f64 as a JSON number; non-finite values (which valid runs never
-/// produce) become `null` rather than invalid JSON.
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1271,14 +1120,7 @@ mod tests {
             assert!(line.contains("\"energy_mj\":"));
             assert!(line.contains("\"max_node_energy_mj\":"));
             assert!(line.contains("\"tx_count\":{"));
-            // Balanced braces and quotes — cheap well-formedness checks that
-            // don't need a JSON parser.
-            assert_eq!(
-                line.matches('{').count(),
-                line.matches('}').count(),
-                "unbalanced braces in {line}"
-            );
-            assert_eq!(line.matches('"').count() % 2, 0);
+            assert!(json::parse(line).is_ok(), "malformed record {line}");
             let sanitized = line
                 .replace("\"optimizer\":null", "")
                 .replace("\"mean_repair_latency_ms\":null", "");
@@ -1286,16 +1128,6 @@ mod tests {
         }
         assert!(jsonl.contains("\"strategy\":\"baseline\""));
         assert!(jsonl.contains("\"strategy\":\"two-tier\""));
-    }
-
-    #[test]
-    fn json_escaping_handles_special_characters() {
-        let mut out = String::new();
-        json_str(&mut out, "k", "a\"b\\c\nd\u{1}e");
-        assert_eq!(out, "\"k\":\"a\\\"b\\\\c\\nd\\u0001e\"");
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   direction-aware relative threshold — the simulator is deterministic
 //!   but the wall clock is not;
 //! * **everything else is exact** — counters, metrics, and schema fields of
-//!   a deterministic simulation must not drift at all;
+//!   a deterministic simulation must not drift at all (unsigned integers
+//!   compare as `u64`, never through `f64`);
 //! * a field present in the baseline but absent in the current run is a
 //!   failure (reports must not silently lose fields).
 //!
@@ -25,286 +26,21 @@
 //! against the checked-in baselines under `bench/baselines/`.
 
 use crate::runner::RunReport;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// A parsed JSON value (hand-rolled; the vendored serde is an API stub).
-///
-/// Object fields keep their source order so diff output is stable.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, in source field order.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl fmt::Display for JsonValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JsonValue::Null => f.write_str("null"),
-            JsonValue::Bool(b) => write!(f, "{b}"),
-            JsonValue::Num(n) => write!(f, "{n}"),
-            JsonValue::Str(s) => write!(f, "{s:?}"),
-            JsonValue::Arr(items) => write!(f, "<array of {}>", items.len()),
-            JsonValue::Obj(fields) => write!(f, "<object of {}>", fields.len()),
-        }
-    }
-}
-
-impl JsonValue {
-    /// Looks up a top-level object field by name.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-/// Parse failure: byte offset and a short message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset of the failure in the input.
-    pub offset: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "JSON parse error at byte {}: {}",
-            self.offset, self.message
-        )
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err<T>(&self, message: &str) -> Result<T, JsonError> {
-        Err(JsonError {
-            offset: self.pos,
-            message: message.to_string(),
-        })
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(&format!("expected '{}'", b as char))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => self.parse_string().map(JsonValue::Str),
-            Some(b't') => self.parse_literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.parse_literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.parse_literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(_) => self.err("unexpected character"),
-            None => self.err("unexpected end of input"),
-        }
-    }
-
-    fn parse_literal(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            self.err(&format!("expected '{lit}'"))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<JsonValue, JsonError> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| JsonError {
-            offset: start,
-            message: "invalid UTF-8 in number".to_string(),
-        })?;
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| JsonError {
-                offset: start,
-                message: format!("invalid number '{text}'"),
-            })
-    }
-
-    fn parse_string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return self.err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok());
-                            let Some(code) = hex else {
-                                return self.err("invalid \\u escape");
-                            };
-                            // Surrogates would need pairing; our writers
-                            // never emit them, so map to the replacement
-                            // character instead of failing the whole parse.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        _ => return self.err("invalid escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar, not one byte.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| JsonError {
-                            offset: self.pos,
-                            message: "invalid UTF-8 in string".to_string(),
-                        })?;
-                    let ch = rest.chars().next().expect("peek saw a byte");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-    }
-}
-
-/// Parses one JSON document; trailing whitespace is allowed, trailing
-/// content is an error.
-///
-/// # Errors
-///
-/// [`JsonError`] with the byte offset of the first problem.
-pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return p.err("trailing content after JSON value");
-    }
-    Ok(value)
-}
+use ttmqo_sim::json::{self, JsonError, JsonValue};
 
 /// Flattens a JSON value into `(dotted key, leaf)` pairs: object fields
 /// join with `.`, array elements get `[i]`. Leaves are `Null` / `Bool` /
-/// `Num` / `Str`; empty objects and arrays produce no leaves.
-pub fn flatten(value: &JsonValue) -> Vec<(String, JsonValue)> {
-    fn walk(prefix: &str, value: &JsonValue, out: &mut Vec<(String, JsonValue)>) {
+/// `Uint` / `Num` / `Str`; empty objects and arrays produce no leaves.
+pub fn flatten<'a>(value: &JsonValue<'a>) -> Vec<(String, JsonValue<'a>)> {
+    fn walk<'a>(prefix: &str, value: &JsonValue<'a>, out: &mut Vec<(String, JsonValue<'a>)>) {
         match value {
             JsonValue::Obj(fields) => {
                 for (k, v) in fields {
                     let key = if prefix.is_empty() {
-                        k.clone()
+                        k.to_string()
                     } else {
                         format!("{prefix}.{k}")
                     };
@@ -460,46 +196,38 @@ impl CompareReport {
     /// (`Pass` rows are elided — they carry no information and would bloat
     /// the document linearly in report size).
     pub fn to_json(&self) -> String {
-        use crate::campaign::json_str;
         let CompareReport { diffs } = self;
-        let mut out = String::from("{\"schema_version\":3,");
-        json_str(&mut out, "format", "ttmqo-compare");
-        out.push_str(&format!(",\"fields_compared\":{}", diffs.len()));
-        out.push_str(&format!(",\"failures\":{}", self.failures().count()));
-        out.push_str(&format!(",\"pass\":{}", self.is_pass()));
-        out.push_str(",\"diffs\":[");
-        let mut first = true;
-        for d in diffs {
-            let FieldDiff {
-                key,
-                baseline,
-                current,
-                verdict,
-            } = d;
-            if *verdict == Verdict::Pass {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('{');
-            json_str(&mut out, "key", key);
-            let mut opt = |name: &str, v: &Option<String>| match v {
-                Some(s) => {
-                    out.push(',');
-                    json_str(&mut out, name, s);
+        json::object(|o| {
+            o.u64("schema_version", ttmqo_sim::SCHEMA_VERSION as u64);
+            o.str("format", "ttmqo-compare");
+            o.u64("fields_compared", diffs.len() as u64);
+            o.u64("failures", self.failures().count() as u64);
+            o.bool("pass", self.is_pass());
+            o.arr("diffs", |a| {
+                for d in diffs {
+                    let FieldDiff {
+                        key,
+                        baseline,
+                        current,
+                        verdict,
+                    } = d;
+                    if *verdict == Verdict::Pass {
+                        continue;
+                    }
+                    a.obj(|o| {
+                        o.str("key", key);
+                        for (name, side) in [("baseline", baseline), ("current", current)] {
+                            match side {
+                                Some(rendered) => o.str(name, rendered),
+                                None => o.null(name),
+                            }
+                        }
+                        o.str("verdict", &verdict.to_string());
+                        o.bool("failure", verdict.is_failure());
+                    });
                 }
-                None => out.push_str(&format!(",\"{name}\":null")),
-            };
-            opt("baseline", baseline);
-            opt("current", current);
-            out.push(',');
-            json_str(&mut out, "verdict", &verdict.to_string());
-            out.push_str(&format!(",\"failure\":{}}}", verdict.is_failure()));
-        }
-        out.push_str("]}");
-        out
+            });
+        })
     }
 
     /// Human-readable multi-line summary: every non-`Pass` diff, then a
@@ -533,16 +261,16 @@ fn leaf_verdict(key: &str, base: &JsonValue, cur: &JsonValue, opts: &CompareOpti
     // `audit_violations` count in the current run fails the gate outright,
     // and a zero count passes no matter what the baseline recorded.
     if key.rsplit('.').next().unwrap_or(key) == "audit_violations" {
-        if let JsonValue::Num(c) = cur {
-            return if *c == 0.0 {
+        if let Some(c) = cur.as_f64() {
+            return if c == 0.0 {
                 Verdict::Pass
             } else {
                 Verdict::Regressed
             };
         }
     }
-    if let (Some(dir), JsonValue::Num(b), JsonValue::Num(c)) = (timing_direction(key), base, cur) {
-        if *b == 0.0 {
+    if let (Some(dir), Some(b), Some(c)) = (timing_direction(key), base.as_f64(), cur.as_f64()) {
+        if b == 0.0 {
             // No relative scale to judge against.
             return Verdict::Pass;
         }
@@ -556,7 +284,7 @@ fn leaf_verdict(key: &str, base: &JsonValue, cur: &JsonValue, opts: &CompareOpti
             .rsplit('.')
             .next()
             .is_some_and(|k| k.ends_with("_wall_us"))
-            && b.max(*c) <= 1000.0
+            && b.max(c) <= 1000.0
         {
             return Verdict::Pass;
         }
@@ -566,7 +294,7 @@ fn leaf_verdict(key: &str, base: &JsonValue, cur: &JsonValue, opts: &CompareOpti
             .rsplit('.')
             .next()
             .is_some_and(|k| k.ends_with("_wall_ms"))
-            && b.max(*c) <= 1.0
+            && b.max(c) <= 1.0
         {
             return Verdict::Pass;
         }
@@ -635,15 +363,15 @@ pub fn compare_json(
     current: &str,
     opts: &CompareOptions,
 ) -> Result<CompareReport, JsonError> {
-    let b = parse_json(baseline)?;
-    let c = parse_json(current)?;
+    let b = json::parse(baseline)?;
+    let c = json::parse(current)?;
     Ok(compare_values(&b, &c, opts))
 }
 
 /// Identity of one JSONL record: its `name` field when present, otherwise
 /// the composite campaign-cell key, otherwise its position in the file.
 fn record_key(value: &JsonValue, index: usize) -> String {
-    if let Some(JsonValue::Str(name)) = value.get("name") {
+    if let Some(name) = value.str_at("name") {
         return format!("name={name}");
     }
     let composite: Vec<String> = ["workload", "strategy", "grid_n", "field_seed", "fault"]
@@ -657,13 +385,13 @@ fn record_key(value: &JsonValue, index: usize) -> String {
     }
 }
 
-fn parse_records(text: &str) -> Result<Vec<(String, JsonValue)>, JsonError> {
+fn parse_records(text: &str) -> Result<Vec<(String, JsonValue<'_>)>, JsonError> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let value = parse_json(line).map_err(|e| JsonError {
+        let value = json::parse(line).map_err(|e| JsonError {
             offset: e.offset,
             message: format!("line {}: {}", i + 1, e.message),
         })?;
@@ -724,75 +452,56 @@ pub fn compare_jsonl(
 /// Everything here is deterministic, so [`diff_reports`] compares exactly.
 /// `RunReport::profile` is deliberately excluded: its wall-clock timings are
 /// machine-dependent and would make exact comparison meaningless.
-pub fn report_leaves(report: &RunReport) -> Vec<(String, JsonValue)> {
+pub fn report_leaves(report: &RunReport) -> Vec<(String, JsonValue<'static>)> {
     let snap = report.metrics.snapshot();
-    let mut out: Vec<(String, JsonValue)> = vec![
-        (
-            "strategy".to_string(),
-            JsonValue::Str(report.strategy.to_string()),
-        ),
-        (
-            "avg_transmission_time_pct".to_string(),
-            JsonValue::Num(snap.avg_transmission_time_pct),
-        ),
-        (
-            "total_tx_busy_ms".to_string(),
-            JsonValue::Num(snap.total_tx_busy_ms),
-        ),
-        (
-            "total_rx_busy_ms".to_string(),
-            JsonValue::Num(snap.total_rx_busy_ms),
-        ),
-        (
-            "total_sleep_ms".to_string(),
-            JsonValue::Num(snap.total_sleep_ms),
-        ),
-        (
-            "retransmissions".to_string(),
-            JsonValue::Num(snap.retransmissions as f64),
-        ),
-        (
-            "collisions".to_string(),
-            JsonValue::Num(snap.collisions as f64),
-        ),
-        ("losses".to_string(), JsonValue::Num(snap.losses as f64)),
-        ("gave_up".to_string(), JsonValue::Num(snap.gave_up as f64)),
-        (
-            "orphaned_drops".to_string(),
-            JsonValue::Num(snap.orphaned_drops as f64),
-        ),
-        ("samples".to_string(), JsonValue::Num(snap.samples as f64)),
-        (
-            "horizon_ms".to_string(),
-            JsonValue::Num(snap.horizon_ms as f64),
-        ),
-        (
-            "avg_synthetic_count".to_string(),
-            JsonValue::Num(report.avg_synthetic_count),
-        ),
-        (
-            "avg_benefit_ratio".to_string(),
-            JsonValue::Num(report.avg_benefit_ratio),
-        ),
-        ("energy_mj".to_string(), JsonValue::Num(report.energy_mj)),
-        (
-            "max_node_energy_mj".to_string(),
-            JsonValue::Num(report.max_node_energy_mj),
-        ),
-        (
-            "events_processed".to_string(),
-            JsonValue::Num(report.engine.events_processed as f64),
-        ),
-        (
-            "frames_total".to_string(),
-            JsonValue::Num(report.engine.frames_total as f64),
-        ),
-    ];
+    let num = |(k, v): (&str, f64)| (k.to_string(), JsonValue::Num(v));
+    let uint = |(k, v): (&str, u64)| (k.to_string(), JsonValue::Uint(v));
+    let mut out = vec![(
+        "strategy".to_string(),
+        JsonValue::Str(report.strategy.to_string().into()),
+    )];
+    out.extend(
+        [
+            ("avg_transmission_time_pct", snap.avg_transmission_time_pct),
+            ("total_tx_busy_ms", snap.total_tx_busy_ms),
+            ("total_rx_busy_ms", snap.total_rx_busy_ms),
+            ("total_sleep_ms", snap.total_sleep_ms),
+        ]
+        .map(num),
+    );
+    out.extend(
+        [
+            ("retransmissions", snap.retransmissions),
+            ("collisions", snap.collisions),
+            ("losses", snap.losses),
+            ("gave_up", snap.gave_up),
+            ("orphaned_drops", snap.orphaned_drops),
+            ("samples", snap.samples),
+            ("horizon_ms", snap.horizon_ms),
+        ]
+        .map(uint),
+    );
+    out.extend(
+        [
+            ("avg_synthetic_count", report.avg_synthetic_count),
+            ("avg_benefit_ratio", report.avg_benefit_ratio),
+            ("energy_mj", report.energy_mj),
+            ("max_node_energy_mj", report.max_node_energy_mj),
+        ]
+        .map(num),
+    );
+    out.extend(
+        [
+            ("events_processed", report.engine.events_processed),
+            ("frames_total", report.engine.frames_total),
+        ]
+        .map(uint),
+    );
     for (kind, count) in &snap.tx_count {
-        out.push((format!("tx_count.{kind}"), JsonValue::Num(*count as f64)));
+        out.push((format!("tx_count.{kind}"), JsonValue::Uint(*count)));
     }
     for (kind, bytes) in &snap.tx_bytes {
-        out.push((format!("tx_bytes.{kind}"), JsonValue::Num(*bytes as f64)));
+        out.push((format!("tx_bytes.{kind}"), JsonValue::Uint(*bytes)));
     }
     let (mut expected, mut answered, mut exp_rows, mut got_rows) = (0u64, 0u64, 0u64, 0u64);
     for qc in report.completeness.per_query.values() {
@@ -801,26 +510,19 @@ pub fn report_leaves(report: &RunReport) -> Vec<(String, JsonValue)> {
         exp_rows += qc.expected_rows;
         got_rows += qc.delivered_rows;
     }
-    out.push((
-        "completeness.expected_epochs".to_string(),
-        JsonValue::Num(expected as f64),
-    ));
-    out.push((
-        "completeness.answered_epochs".to_string(),
-        JsonValue::Num(answered as f64),
-    ));
-    out.push((
-        "completeness.expected_rows".to_string(),
-        JsonValue::Num(exp_rows as f64),
-    ));
-    out.push((
-        "completeness.delivered_rows".to_string(),
-        JsonValue::Num(got_rows as f64),
-    ));
-    out.push((
-        "completeness.repairs_triggered".to_string(),
-        JsonValue::Num(report.completeness.repairs_triggered as f64),
-    ));
+    out.extend(
+        [
+            ("completeness.expected_epochs", expected),
+            ("completeness.answered_epochs", answered),
+            ("completeness.expected_rows", exp_rows),
+            ("completeness.delivered_rows", got_rows),
+            (
+                "completeness.repairs_triggered",
+                report.completeness.repairs_triggered,
+            ),
+        ]
+        .map(uint),
+    );
     out
 }
 
@@ -828,7 +530,10 @@ pub fn report_leaves(report: &RunReport) -> Vec<(String, JsonValue)> {
 /// are deterministic, so any difference is a [`Verdict::Changed`] failure.
 pub fn diff_reports(baseline: &RunReport, current: &RunReport) -> CompareReport {
     let opts = CompareOptions::default();
-    let to_obj = |r: &RunReport| JsonValue::Obj(report_leaves(r));
+    let to_obj = |r: &RunReport| {
+        let leaves = report_leaves(r).into_iter();
+        JsonValue::Obj(leaves.map(|(k, v)| (Cow::Owned(k), v)).collect())
+    };
     compare_values(&to_obj(baseline), &to_obj(current), &opts)
 }
 
@@ -837,29 +542,63 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_the_shapes_our_writers_emit() {
-        let v = parse_json(
-            r#"{"schema_version":2,"name":"engine_hot_path","wall_s":1.25,
-                "nested":{"a":[1,2,3],"b":null,"ok":true},"s":"x\"y\n"}"#,
-        )
-        .expect("valid JSON");
-        assert_eq!(v.get("schema_version"), Some(&JsonValue::Num(2.0)));
-        assert_eq!(v.get("s"), Some(&JsonValue::Str("x\"y\n".to_string())));
-        let flat = flatten(&v);
-        assert!(flat
-            .iter()
-            .any(|(k, v)| k == "nested.a[1]" && *v == JsonValue::Num(2.0)));
-        assert!(flat
-            .iter()
-            .any(|(k, v)| k == "nested.b" && *v == JsonValue::Null));
+    fn flatten_joins_fields_with_dots_and_indexes_arrays() {
+        let v = json::parse(r#"{"n":2,"nested":{"a":[1,2.5,{"x":"y"}],"b":null,"e":{}},"l":[]}"#)
+            .expect("valid JSON");
+        let flat: Vec<(String, String)> = flatten(&v)
+            .into_iter()
+            .map(|(k, v)| (k, v.to_string()))
+            .collect();
+        let expect = [
+            ("n", "2"),
+            ("nested.a[0]", "1"),
+            ("nested.a[1]", "2.5"),
+            ("nested.a[2].x", "\"y\""),
+            ("nested.b", "null"),
+        ];
+        assert_eq!(
+            flat,
+            expect.map(|(k, v)| (k.to_string(), v.to_string())).to_vec()
+        );
     }
 
     #[test]
-    fn rejects_malformed_documents() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json(r#"{"a":}"#).is_err());
-        assert!(parse_json(r#"{"a":1} trailing"#).is_err());
-        assert!(parse_json("").is_err());
+    fn malformed_documents_are_typed_errors_not_verdicts() {
+        let opts = CompareOptions::default();
+        assert!(compare_json("{", "{}", &opts).is_err());
+        assert!(compare_json("{}", r#"{"a":1} trailing"#, &opts).is_err());
+        let err = compare_jsonl("{\"a\":1}\n{\"a\":}\n", "", &opts).unwrap_err();
+        assert!(err.message.starts_with("line 2:"), "{err}");
+        assert!(compare_json(&"[".repeat(2_000_000), "[]", &opts).is_err());
+    }
+
+    #[test]
+    fn integer_leaves_compare_exactly_above_2_pow_53() {
+        let opts = CompareOptions::default();
+        let r = compare_json(
+            r#"{"field_seed":18446744073709551615}"#,
+            r#"{"field_seed":18446744073709551614}"#,
+            &opts,
+        )
+        .unwrap();
+        assert_eq!(r.diffs[0].verdict, Verdict::Changed);
+        assert_eq!(r.diffs[0].baseline.as_deref(), Some("18446744073709551615"));
+        assert_eq!(r.diffs[0].current.as_deref(), Some("18446744073709551614"));
+        let r = compare_json(
+            r#"{"field_seed":9007199254740993}"#,
+            r#"{"field_seed":9007199254740993}"#,
+            &opts,
+        )
+        .unwrap();
+        assert!(r.is_pass());
+        // Timing fields still compare as f64 under the threshold.
+        let r = compare_json(
+            r#"{"snapshot_bytes":1000}"#,
+            r#"{"snapshot_bytes":1100}"#,
+            &opts,
+        )
+        .unwrap();
+        assert!(r.is_pass());
     }
 
     #[test]
@@ -1021,7 +760,7 @@ mod tests {
         let opts = CompareOptions::default();
         let r = compare_json(r#"{"a":1,"wall_s":1.0}"#, r#"{"a":2,"wall_s":1.0}"#, &opts).unwrap();
         let json = r.to_json();
-        assert!(parse_json(&json).is_ok(), "to_json must emit valid JSON");
+        assert!(json::parse(&json).is_ok(), "to_json must emit valid JSON");
         assert!(json.contains("\"fields_compared\":2"));
         assert!(json.contains("\"failures\":1"));
         assert!(json.contains("\"pass\":false"));

@@ -28,11 +28,12 @@
 //! [`ExperimentConfig::audit`](crate::ExperimentConfig::audit); the rollup
 //! carries its violation totals.
 
-use crate::campaign::{json_f64, json_num, json_str, CampaignReport, CellRecord};
+use crate::campaign::{CampaignReport, CellRecord};
 use crate::runner::Strategy;
 use std::fmt;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
+use ttmqo_sim::json::{self, Obj};
 use ttmqo_sim::SCHEMA_VERSION;
 
 /// How many hotspot cells a rollup keeps.
@@ -176,159 +177,105 @@ impl CampaignEvent {
     /// field added without a serialization decision here is a compile
     /// error.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push('{');
-        json_str(&mut out, "ev", self.kind());
-        match self {
-            CampaignEvent::CampaignStarted {
-                cells,
-                threads,
-                warm_start,
-            } => {
-                out.push(',');
-                json_num(&mut out, "cells", &cells.to_string());
-                out.push(',');
-                json_num(&mut out, "threads", &threads.to_string());
-                out.push(',');
-                json_num(&mut out, "warm_start", &warm_start.to_string());
-            }
-            CampaignEvent::CellStarted {
-                wall_ms,
-                index,
-                workload,
-                strategy,
-                grid_n,
-                field_seed,
-                fault,
-                warm,
-            } => {
-                out.push(',');
-                json_num(&mut out, "wall_ms", &json_f64(*wall_ms));
-                out.push(',');
-                push_cell_coords(
-                    &mut out,
-                    *index,
+        json::object(|o| {
+            o.str("ev", self.kind());
+            match self {
+                CampaignEvent::CampaignStarted {
+                    cells,
+                    threads,
+                    warm_start,
+                } => {
+                    o.u64("cells", *cells as u64);
+                    o.u64("threads", *threads as u64);
+                    o.bool("warm_start", *warm_start);
+                }
+                CampaignEvent::CellStarted {
+                    wall_ms,
+                    index,
                     workload,
-                    *strategy,
-                    *grid_n,
-                    *field_seed,
+                    strategy,
+                    grid_n,
+                    field_seed,
                     fault,
-                );
-                out.push(',');
-                json_num(&mut out, "warm", &warm.to_string());
-            }
-            CampaignEvent::CellFinished {
-                wall_ms,
-                index,
-                workload,
-                strategy,
-                grid_n,
-                field_seed,
-                fault,
-                warm,
-                cell_wall_ms,
-                sim_ms,
-                events_processed,
-                events_per_sec,
-                audit_violations,
-                completed,
-                total,
-                eta_ms,
-            } => {
-                out.push(',');
-                json_num(&mut out, "wall_ms", &json_f64(*wall_ms));
-                out.push(',');
-                push_cell_coords(
-                    &mut out,
-                    *index,
+                    warm,
+                } => {
+                    o.f64("wall_ms", *wall_ms);
+                    cell_coords(o, *index, workload, *strategy, *grid_n, *field_seed, fault);
+                    o.bool("warm", *warm);
+                }
+                CampaignEvent::CellFinished {
+                    wall_ms,
+                    index,
                     workload,
-                    *strategy,
-                    *grid_n,
-                    *field_seed,
+                    strategy,
+                    grid_n,
+                    field_seed,
                     fault,
-                );
-                out.push(',');
-                json_num(&mut out, "warm", &warm.to_string());
-                out.push(',');
-                json_num(&mut out, "cell_wall_ms", &json_f64(*cell_wall_ms));
-                out.push(',');
-                json_num(&mut out, "sim_ms", &sim_ms.to_string());
-                out.push(',');
-                json_num(&mut out, "events_processed", &events_processed.to_string());
-                out.push(',');
-                json_num(&mut out, "events_per_sec", &json_f64(*events_per_sec));
-                out.push(',');
-                json_num(&mut out, "audit_violations", &audit_violations.to_string());
-                out.push(',');
-                json_num(&mut out, "completed", &completed.to_string());
-                out.push(',');
-                json_num(&mut out, "total", &total.to_string());
-                out.push(',');
-                push_eta(&mut out, *eta_ms);
-            }
-            CampaignEvent::CellFailed {
-                wall_ms,
-                index,
-                workload,
-                strategy,
-                grid_n,
-                field_seed,
-                fault,
-            } => {
-                out.push(',');
-                json_num(&mut out, "wall_ms", &json_f64(*wall_ms));
-                out.push(',');
-                push_cell_coords(
-                    &mut out,
-                    *index,
+                    warm,
+                    cell_wall_ms,
+                    sim_ms,
+                    events_processed,
+                    events_per_sec,
+                    audit_violations,
+                    completed,
+                    total,
+                    eta_ms,
+                } => {
+                    o.f64("wall_ms", *wall_ms);
+                    cell_coords(o, *index, workload, *strategy, *grid_n, *field_seed, fault);
+                    o.bool("warm", *warm);
+                    o.f64("cell_wall_ms", *cell_wall_ms);
+                    o.u64("sim_ms", *sim_ms);
+                    o.u64("events_processed", *events_processed);
+                    o.f64("events_per_sec", *events_per_sec);
+                    o.u64("audit_violations", *audit_violations);
+                    o.u64("completed", *completed as u64);
+                    o.u64("total", *total as u64);
+                    eta(o, *eta_ms);
+                }
+                CampaignEvent::CellFailed {
+                    wall_ms,
+                    index,
                     workload,
-                    *strategy,
-                    *grid_n,
-                    *field_seed,
+                    strategy,
+                    grid_n,
+                    field_seed,
                     fault,
-                );
+                } => {
+                    o.f64("wall_ms", *wall_ms);
+                    cell_coords(o, *index, workload, *strategy, *grid_n, *field_seed, fault);
+                }
+                CampaignEvent::Heartbeat {
+                    wall_ms,
+                    completed,
+                    running,
+                    total,
+                    eta_ms,
+                } => {
+                    o.f64("wall_ms", *wall_ms);
+                    o.u64("completed", *completed as u64);
+                    o.u64("running", *running as u64);
+                    o.u64("total", *total as u64);
+                    eta(o, *eta_ms);
+                }
+                CampaignEvent::CampaignFinished {
+                    wall_ms,
+                    cells,
+                    warm_prefix_hits,
+                    audit_violations,
+                } => {
+                    o.f64("wall_ms", *wall_ms);
+                    o.u64("cells", *cells as u64);
+                    o.u64("warm_prefix_hits", *warm_prefix_hits as u64);
+                    o.u64("audit_violations", *audit_violations);
+                }
             }
-            CampaignEvent::Heartbeat {
-                wall_ms,
-                completed,
-                running,
-                total,
-                eta_ms,
-            } => {
-                out.push(',');
-                json_num(&mut out, "wall_ms", &json_f64(*wall_ms));
-                out.push(',');
-                json_num(&mut out, "completed", &completed.to_string());
-                out.push(',');
-                json_num(&mut out, "running", &running.to_string());
-                out.push(',');
-                json_num(&mut out, "total", &total.to_string());
-                out.push(',');
-                push_eta(&mut out, *eta_ms);
-            }
-            CampaignEvent::CampaignFinished {
-                wall_ms,
-                cells,
-                warm_prefix_hits,
-                audit_violations,
-            } => {
-                out.push(',');
-                json_num(&mut out, "wall_ms", &json_f64(*wall_ms));
-                out.push(',');
-                json_num(&mut out, "cells", &cells.to_string());
-                out.push(',');
-                json_num(&mut out, "warm_prefix_hits", &warm_prefix_hits.to_string());
-                out.push(',');
-                json_num(&mut out, "audit_violations", &audit_violations.to_string());
-            }
-        }
-        out.push('}');
-        out
+        })
     }
 }
 
-fn push_cell_coords(
-    out: &mut String,
+fn cell_coords(
+    o: &mut Obj<'_>,
     index: usize,
     workload: &str,
     strategy: Strategy,
@@ -336,30 +283,27 @@ fn push_cell_coords(
     field_seed: u64,
     fault: &str,
 ) {
-    json_num(out, "index", &index.to_string());
-    out.push(',');
-    json_str(out, "workload", workload);
-    out.push(',');
-    json_str(out, "strategy", &strategy.to_string());
-    out.push(',');
-    json_num(out, "grid_n", &grid_n.to_string());
-    out.push(',');
-    json_num(out, "field_seed", &field_seed.to_string());
-    out.push(',');
-    json_str(out, "fault", fault);
+    o.u64("index", index as u64);
+    o.str("workload", workload);
+    o.str("strategy", &strategy.to_string());
+    o.u64("grid_n", grid_n as u64);
+    o.u64("field_seed", field_seed);
+    o.str("fault", fault);
 }
 
-fn push_eta(out: &mut String, eta_ms: Option<f64>) {
-    json_num(
-        out,
-        "eta_ms",
-        &eta_ms.map_or_else(|| "null".to_string(), json_f64),
-    );
+fn eta(o: &mut Obj<'_>, eta_ms: Option<f64>) {
+    match eta_ms {
+        Some(ms) => o.f64("eta_ms", ms),
+        None => o.null("eta_ms"),
+    }
 }
 
 /// Header line every progress JSONL stream starts with.
 pub fn progress_header() -> String {
-    format!("{{\"schema_version\":{SCHEMA_VERSION},\"format\":\"ttmqo-campaign-progress\"}}")
+    json::object(|o| {
+        o.u64("schema_version", SCHEMA_VERSION as u64);
+        o.str("format", "ttmqo-campaign-progress");
+    })
 }
 
 /// Receiver of campaign progress events. Implementations run on campaign
@@ -562,7 +506,7 @@ impl AxisMarginal {
         self.audit_violations += cell_violations(rec);
     }
 
-    fn to_json(&self) -> String {
+    fn write(&self, o: &mut Obj<'_>) {
         // Exhaustive destructuring: every marginal field gets a
         // serialization decision or the build breaks.
         let AxisMarginal {
@@ -582,51 +526,21 @@ impl AxisMarginal {
             repairs_triggered,
             audit_violations,
         } = self;
-        let mut out = String::with_capacity(256);
-        out.push('{');
-        json_str(&mut out, "key", key);
-        out.push(',');
-        json_num(&mut out, "cells", &cells.to_string());
-        out.push(',');
-        json_num(&mut out, "total_wall_ms", &json_f64(*total_wall_ms));
-        out.push(',');
-        json_num(&mut out, "events_processed", &events_processed.to_string());
-        out.push(',');
-        json_num(&mut out, "timer_events", &timer_events.to_string());
-        out.push(',');
-        json_num(&mut out, "deliver_events", &deliver_events.to_string());
-        out.push(',');
-        json_num(&mut out, "command_events", &command_events.to_string());
-        out.push(',');
-        json_num(
-            &mut out,
-            "maintenance_events",
-            &maintenance_events.to_string(),
-        );
-        out.push(',');
-        json_num(&mut out, "fault_events", &fault_events.to_string());
-        out.push(',');
-        json_num(&mut out, "answer_epochs", &answer_epochs.to_string());
-        out.push(',');
-        json_num(&mut out, "energy_mj", &json_f64(*energy_mj));
-        out.push(',');
-        json_num(
-            &mut out,
-            "max_node_energy_mj",
-            &json_f64(*max_node_energy_mj),
-        );
-        out.push(',');
-        json_num(&mut out, "min_epoch_ratio", &json_f64(*min_epoch_ratio));
-        out.push(',');
-        json_num(
-            &mut out,
-            "repairs_triggered",
-            &repairs_triggered.to_string(),
-        );
-        out.push(',');
-        json_num(&mut out, "audit_violations", &audit_violations.to_string());
-        out.push('}');
-        out
+        o.str("key", key);
+        o.u64("cells", *cells as u64);
+        o.f64("total_wall_ms", *total_wall_ms);
+        o.u64("events_processed", *events_processed);
+        o.u64("timer_events", *timer_events);
+        o.u64("deliver_events", *deliver_events);
+        o.u64("command_events", *command_events);
+        o.u64("maintenance_events", *maintenance_events);
+        o.u64("fault_events", *fault_events);
+        o.u64("answer_epochs", *answer_epochs);
+        o.f64("energy_mj", *energy_mj);
+        o.f64("max_node_energy_mj", *max_node_energy_mj);
+        o.f64("min_epoch_ratio", *min_epoch_ratio);
+        o.u64("repairs_triggered", *repairs_triggered);
+        o.u64("audit_violations", *audit_violations);
     }
 }
 
@@ -656,7 +570,7 @@ pub struct HotspotCell {
 }
 
 impl HotspotCell {
-    fn to_json(&self) -> String {
+    fn write(&self, o: &mut Obj<'_>) {
         let HotspotCell {
             index,
             workload,
@@ -668,25 +582,10 @@ impl HotspotCell {
             cell_wall_ms,
             events_per_sec,
         } = self;
-        let mut out = String::with_capacity(160);
-        out.push('{');
-        push_cell_coords(
-            &mut out,
-            *index,
-            workload,
-            *strategy,
-            *grid_n,
-            *field_seed,
-            fault,
-        );
-        out.push(',');
-        json_num(&mut out, "events_processed", &events_processed.to_string());
-        out.push(',');
-        json_num(&mut out, "cell_wall_ms", &json_f64(*cell_wall_ms));
-        out.push(',');
-        json_num(&mut out, "events_per_sec", &json_f64(*events_per_sec));
-        out.push('}');
-        out
+        cell_coords(o, *index, workload, *strategy, *grid_n, *field_seed, fault);
+        o.u64("events_processed", *events_processed);
+        o.f64("cell_wall_ms", *cell_wall_ms);
+        o.f64("events_per_sec", *events_per_sec);
     }
 }
 
@@ -859,57 +758,30 @@ impl CampaignRollup {
             by_fault,
             hotspots,
         } = self;
-        let mut out = String::with_capacity(2048);
-        out.push('{');
-        json_num(&mut out, "schema_version", &SCHEMA_VERSION.to_string());
-        out.push(',');
-        json_num(&mut out, "cells", &cells.to_string());
-        out.push(',');
-        json_num(&mut out, "audited_cells", &audited_cells.to_string());
-        out.push(',');
-        json_num(&mut out, "audit_violations", &audit_violations.to_string());
-        out.push(',');
-        json_num(&mut out, "total_wall_ms", &json_f64(*total_wall_ms));
-        out.push(',');
-        json_num(&mut out, "mean_wall_ms", &json_f64(*mean_wall_ms));
-        out.push(',');
-        json_num(&mut out, "max_wall_ms", &json_f64(*max_wall_ms));
-        out.push(',');
-        json_num(&mut out, "events_processed", &events_processed.to_string());
-        out.push(',');
-        json_num(&mut out, "answer_epochs", &answer_epochs.to_string());
-        out.push(',');
-        json_num(&mut out, "energy_mj", &json_f64(*energy_mj));
-        out.push(',');
-        json_num(
-            &mut out,
-            "max_node_energy_mj",
-            &json_f64(*max_node_energy_mj),
-        );
-        for (name, axis) in [
-            ("by_workload", by_workload),
-            ("by_strategy", by_strategy),
-            ("by_grid", by_grid),
-            ("by_fault", by_fault),
-        ] {
-            out.push_str(&format!(",\"{name}\":["));
-            for (i, m) in axis.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&m.to_json());
+        json::object(|o| {
+            o.u64("schema_version", SCHEMA_VERSION as u64);
+            o.u64("cells", *cells as u64);
+            o.u64("audited_cells", *audited_cells as u64);
+            o.u64("audit_violations", *audit_violations);
+            o.f64("total_wall_ms", *total_wall_ms);
+            o.f64("mean_wall_ms", *mean_wall_ms);
+            o.f64("max_wall_ms", *max_wall_ms);
+            o.u64("events_processed", *events_processed);
+            o.u64("answer_epochs", *answer_epochs);
+            o.f64("energy_mj", *energy_mj);
+            o.f64("max_node_energy_mj", *max_node_energy_mj);
+            for (name, axis) in [
+                ("by_workload", by_workload),
+                ("by_strategy", by_strategy),
+                ("by_grid", by_grid),
+                ("by_fault", by_fault),
+            ] {
+                o.arr(name, |a| axis.iter().for_each(|m| a.obj(|o| m.write(o))));
             }
-            out.push(']');
-        }
-        out.push_str(",\"hotspots\":[");
-        for (i, h) in hotspots.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&h.to_json());
-        }
-        out.push_str("]}");
-        out
+            o.arr("hotspots", |a| {
+                hotspots.iter().for_each(|h| a.obj(|o| h.write(o)));
+            });
+        })
     }
 
     /// Human markdown summary: campaign totals, one table per axis, and
@@ -1113,9 +985,7 @@ mod tests {
         assert!(json.contains("\"audit_violations\":2"));
         assert!(json.contains("\"by_strategy\":[{\"key\":\"baseline\""));
         assert!(json.contains("\"hotspots\":[{\"index\":2"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert_eq!(json.matches('"').count() % 2, 0);
+        assert!(json::parse(&json).is_ok());
 
         let md = rollup.to_markdown();
         assert!(md.contains("# Campaign report"));
@@ -1201,8 +1071,7 @@ mod tests {
                 json.starts_with(&format!("{{\"ev\":\"{}\"", ev.kind())),
                 "{json}"
             );
-            assert_eq!(json.matches('{').count(), json.matches('}').count());
-            assert_eq!(json.matches('"').count() % 2, 0);
+            assert!(json::parse(&json).is_ok(), "{json}");
         }
         assert!(events[2].to_json().contains("\"eta_ms\":22.5"));
         assert!(events[4].to_json().contains("\"eta_ms\":null"));

@@ -19,6 +19,7 @@ use crate::basestation::{
 use crate::innetwork::{TtmqoApp, TtmqoConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use ttmqo_query::{EpochAnswer, Query, QueryId, Selection, BASE_EPOCH_MS};
+use ttmqo_sim::json;
 use ttmqo_sim::{
     AuditReport, CompletenessReport, CorrelatedField, EngineStats, FaultPlan, FaultSchedule,
     Metrics, NodeId, NodeTimeseries, ProfileHandle, ProfilePhase, ProfileReport, QueryCompleteness,
@@ -405,58 +406,28 @@ impl RunTimeseries {
     }
 
     /// Serializes the full series as one JSON object with a deterministic
-    /// field order (hand-rolled; the vendored serde is an API stub).
+    /// field order.
     pub fn to_json(&self) -> String {
-        fn push_u64_array(out: &mut String, key: &str, vals: &[u64]) {
-            out.push('"');
-            out.push_str(key);
-            out.push_str("\":[");
-            for (i, v) in vals.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+        json::object(|o| {
+            o.u64("schema_version", ttmqo_sim::SCHEMA_VERSION as u64);
+            o.u64s("crash_times_ms", self.crash_times_ms.iter().copied());
+            o.raw("nodes", &self.nodes.to_json());
+            o.obj("queries", |o| {
+                for (qid, series) in &self.per_query {
+                    o.obj(&qid.0.to_string(), |o| {
+                        o.u64s("answers", series.answers.iter().copied());
+                        o.u64s("nonempty", series.nonempty.iter().copied());
+                        o.f64("latency_lo_ms", 0.0);
+                        o.f64("latency_hi_ms", LATENCY_HIST_MAX_MS);
+                        o.arr("latency_buckets", |a| {
+                            for hist in &series.latency {
+                                a.arr(|a| hist.buckets().iter().for_each(|&b| a.u64(b)));
+                            }
+                        });
+                    });
                 }
-                out.push_str(&v.to_string());
-            }
-            out.push(']');
-        }
-        let mut out = String::with_capacity(4096);
-        out.push_str(&format!(
-            "{{\"schema_version\":{},",
-            ttmqo_sim::SCHEMA_VERSION
-        ));
-        push_u64_array(&mut out, "crash_times_ms", &self.crash_times_ms);
-        out.push_str(",\"nodes\":");
-        out.push_str(&self.nodes.to_json());
-        out.push_str(",\"queries\":{");
-        for (i, (qid, series)) in self.per_query.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{{", qid.0));
-            push_u64_array(&mut out, "answers", &series.answers);
-            out.push(',');
-            push_u64_array(&mut out, "nonempty", &series.nonempty);
-            out.push_str(&format!(
-                ",\"latency_lo_ms\":{},\"latency_hi_ms\":{},\"latency_buckets\":[",
-                0.0, LATENCY_HIST_MAX_MS
-            ));
-            for (j, hist) in series.latency.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                for (k, b) in hist.buckets().iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&b.to_string());
-                }
-                out.push(']');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("}}");
-        out
+            });
+        })
     }
 }
 

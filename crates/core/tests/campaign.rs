@@ -203,7 +203,7 @@ fn rollup_marginals_reconcile_with_cell_record_sums() {
 
     // The rollup document parses and carries the axes.
     let json = rollup.to_json();
-    let parsed = ttmqo_core::compare::parse_json(&json).expect("rollup JSON parses");
+    let parsed = ttmqo_sim::json::parse(&json).expect("rollup JSON parses");
     assert!(parsed.get("by_strategy").is_some());
     assert!(parsed.get("hotspots").is_some());
 }

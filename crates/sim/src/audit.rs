@@ -19,6 +19,7 @@
 
 use crate::energy::EnergyProfile;
 use crate::engine::EngineStats;
+use crate::json;
 use crate::metrics::{CompletenessReport, Metrics};
 use crate::profile::{EnginePhase, ProfileReport};
 use crate::trace::{TraceSummary, SCHEMA_VERSION};
@@ -352,30 +353,27 @@ impl AuditReport {
             checks_skipped,
             violations,
         } = self;
-        let mut out = format!(
-            "{{\"schema_version\":{SCHEMA_VERSION},\"checks_run\":{checks_run},\
-             \"checks_skipped\":{checks_skipped},\"violations\":["
-        );
-        for (i, v) in violations.iter().enumerate() {
-            let AuditViolation {
-                check,
-                subject,
-                expected,
-                actual,
-            } = v;
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"check\":\"{}\",\"subject\":\"{}\",\"expected\":\"{}\",\"actual\":\"{}\"}}",
-                check,
-                escape(subject),
-                escape(expected),
-                escape(actual),
-            ));
-        }
-        out.push_str("]}");
-        out
+        json::object(|o| {
+            o.u64("schema_version", SCHEMA_VERSION as u64);
+            o.u64("checks_run", *checks_run as u64);
+            o.u64("checks_skipped", *checks_skipped as u64);
+            o.arr("violations", |a| {
+                for v in violations {
+                    let AuditViolation {
+                        check,
+                        subject,
+                        expected,
+                        actual,
+                    } = v;
+                    a.obj(|o| {
+                        o.str("check", &check.to_string());
+                        o.str("subject", subject);
+                        o.str("expected", expected);
+                        o.str("actual", actual);
+                    });
+                }
+            });
+        })
     }
 }
 
@@ -393,23 +391,6 @@ impl fmt::Display for AuditReport {
         }
         Ok(())
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -596,8 +577,7 @@ mod tests {
         assert!(json.contains("\"checks_run\":2"));
         assert!(json.contains("\"checks_skipped\":1"));
         assert!(json.contains("\"check\":\"phase-accounting\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('"').count() % 2, 0);
+        assert!(json::parse(&json).is_ok());
         // Display names every violation.
         assert!(audit.to_string().contains("phase-accounting"));
     }

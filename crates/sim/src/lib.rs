@@ -75,6 +75,7 @@ mod engine;
 mod faults;
 mod field;
 mod incoming;
+pub mod json;
 mod metrics;
 mod profile;
 mod radio;

@@ -44,6 +44,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::json;
 use crate::trace::SCHEMA_VERSION;
 
 /// One in how many occurrences of a phase (event dispatch or nested
@@ -574,21 +575,19 @@ impl ProfileReport {
     /// One JSON object: schema version, then per-phase
     /// `{name, wall_us, events, ns_per_event}` entries.
     pub fn to_json(&self) -> String {
-        let mut s = format!("{{\"schema_version\":{SCHEMA_VERSION},\"phases\":[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"name\":\"{}\",\"wall_us\":{},\"events\":{},\"ns_per_event\":{:.1}}}",
-                p.phase.name(),
-                p.wall_us(),
-                p.events,
-                p.ns_per_event()
-            ));
-        }
-        s.push_str("]}");
-        s
+        json::object(|o| {
+            o.u64("schema_version", SCHEMA_VERSION as u64);
+            o.arr("phases", |a| {
+                for p in &self.phases {
+                    a.obj(|o| {
+                        o.str("name", p.phase.name());
+                        o.u64("wall_us", p.wall_us());
+                        o.u64("events", p.events);
+                        o.fixed("ns_per_event", p.ns_per_event(), 1);
+                    });
+                }
+            });
+        })
     }
 
     /// Parses a report back from its [`ProfileReport::to_json`] form (the
@@ -597,15 +596,14 @@ impl ProfileReport {
     /// Returns `None` when the text is not a profile report. Sub-µs wall
     /// times are quantized by the round-trip; counts are exact.
     pub fn from_json(text: &str) -> Option<ProfileReport> {
-        let phases_at = text.find("\"phases\":[")?;
+        let doc = json::parse(text).ok()?;
         let mut phases = Vec::new();
-        for chunk in text[phases_at..].split("{\"name\":").skip(1) {
-            let name = crate::trace::json_str_field(&format!("{{\"name\":{chunk}"), "name")?;
-            let phase = ProfilePhase::ALL.into_iter().find(|p| p.name() == name)?;
+        for entry in doc.get("phases")?.items() {
+            let name = entry.str_at("name")?;
             phases.push(PhaseProfile {
-                phase,
-                wall_ns: crate::trace::json_u64_field(chunk, "wall_us")? * 1_000,
-                events: crate::trace::json_u64_field(chunk, "events")?,
+                phase: ProfilePhase::ALL.into_iter().find(|p| p.name() == name)?,
+                wall_ns: entry.u64_at("wall_us")?.checked_mul(1_000)?,
+                events: entry.u64_at("events")?,
             });
         }
         (!phases.is_empty()).then_some(ProfileReport { phases })
@@ -629,12 +627,15 @@ impl ProfileReport {
             } else {
                 1
             };
-            spans.push(format!(
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\
-                 \"pid\":1,\"tid\":{tid},\"args\":{{\"events\":{}}}}}",
-                p.phase.name(),
-                p.events
-            ));
+            spans.push(json::object(|o| {
+                o.str("name", p.phase.name());
+                o.str("ph", "X");
+                o.u64("ts", ts);
+                o.u64("dur", dur);
+                o.u64("pid", 1);
+                o.u64("tid", tid);
+                o.obj("args", |o| o.u64("events", p.events));
+            }));
             ts += dur;
         }
         spans

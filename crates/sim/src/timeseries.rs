@@ -37,6 +37,7 @@
 //! [`TraceHandle`](crate::TraceHandle) keeps.
 
 use crate::energy::EnergyProfile;
+use crate::json;
 use crate::radio::MsgKind;
 use crate::time::SimTime;
 use crate::trace::SCHEMA_VERSION;
@@ -335,75 +336,37 @@ impl NodeTimeseries {
     /// Deterministic JSON rendering of the whole series (single object, one
     /// `windows` array), used for the campaign's per-cell timeseries files.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.windows.len() * 256);
-        out.push_str(&format!(
-            "{{\"schema_version\":{SCHEMA_VERSION},\"window_ms\":{},\"nodes\":{},\"horizon_ms\":{},\"windows\":[",
-            self.window_ms, self.nodes, self.horizon_ms
-        ));
-        for (i, w) in self.windows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"start_ms\":{},\"len_ms\":{}",
-                w.start_ms, w.len_ms
-            ));
-            f64_array(&mut out, "tx_busy_ms", &w.tx_busy_ms);
-            f64_array(&mut out, "rx_busy_ms", &w.rx_busy_ms);
-            f64_array(&mut out, "sleep_ms", &w.sleep_ms);
-            f64_array(&mut out, "energy_mj", &w.energy_mj);
-            u64_array(&mut out, "samples", &w.samples);
-            u64_array(&mut out, "tx_frames", &w.tx_frames);
-            out.push_str(",\"tx_count\":{");
-            for (j, (kind, n)) in w.tx_count.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+        json::object(|o| {
+            o.u64("schema_version", SCHEMA_VERSION as u64);
+            o.u64("window_ms", self.window_ms);
+            o.u64("nodes", self.nodes as u64);
+            o.u64("horizon_ms", self.horizon_ms);
+            o.arr("windows", |a| {
+                for w in &self.windows {
+                    a.obj(|o| {
+                        o.u64("start_ms", w.start_ms);
+                        o.u64("len_ms", w.len_ms);
+                        o.f64s("tx_busy_ms", &w.tx_busy_ms);
+                        o.f64s("rx_busy_ms", &w.rx_busy_ms);
+                        o.f64s("sleep_ms", &w.sleep_ms);
+                        o.f64s("energy_mj", &w.energy_mj);
+                        o.u64s("samples", w.samples.iter().copied());
+                        o.u64s("tx_frames", w.tx_frames.iter().copied());
+                        o.obj("tx_count", |o| {
+                            for (kind, n) in &w.tx_count {
+                                o.u64(&kind.to_string(), *n);
+                            }
+                        });
+                        o.u64("collisions", w.collisions);
+                        o.u64("retransmissions", w.retransmissions);
+                        o.u64("losses", w.losses);
+                        o.u64("gave_up", w.gave_up);
+                        o.f64("max_mean_tx_ratio", w.max_mean_tx_ratio());
+                        o.f64("gini_tx_busy", w.gini_tx_busy());
+                    });
                 }
-                out.push_str(&format!("\"{kind}\":{n}"));
-            }
-            out.push('}');
-            out.push_str(&format!(
-                ",\"collisions\":{},\"retransmissions\":{},\"losses\":{},\"gave_up\":{}",
-                w.collisions, w.retransmissions, w.losses, w.gave_up
-            ));
-            out.push_str(&format!(
-                ",\"max_mean_tx_ratio\":{},\"gini_tx_busy\":{}}}",
-                json_f64(w.max_mean_tx_ratio()),
-                json_f64(w.gini_tx_busy())
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-fn f64_array(out: &mut String, key: &str, values: &[f64]) {
-    out.push_str(&format!(",\"{key}\":["));
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_f64(*v));
-    }
-    out.push(']');
-}
-
-fn u64_array(out: &mut String, key: &str, values: &[u64]) {
-    out.push_str(&format!(",\"{key}\":["));
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+            });
+        })
     }
 }
 
@@ -629,10 +592,6 @@ mod tests {
         assert!(a.starts_with(&format!("{{\"schema_version\":{SCHEMA_VERSION}")));
         assert!(a.contains("\"tx_busy_ms\":[5,0]"));
         assert!(a.contains("\"samples\":[0,1]"));
-        assert_eq!(
-            a.matches('{').count(),
-            a.matches('}').count(),
-            "balanced braces: {a}"
-        );
+        assert!(json::parse(&a).is_ok(), "well-formed: {a}");
     }
 }

@@ -30,11 +30,12 @@
 //! [`JsonLinesSink`] writes one JSON object per record after a header line
 //! carrying [`SCHEMA_VERSION`]; [`RingSink`] keeps a bounded in-memory ring
 //! for tests. [`summarize_trace`] and [`chrome_trace`] consume the
-//! JSON-lines text (the workspace's vendored `serde` is an API stub, so both
-//! the writer and the reader are hand-rolled, like the campaign reports).
+//! JSON-lines text. Writer and reader are the workspace's one
+//! [JSON layer](crate::json).
 
 pub mod diff;
 
+use crate::json::{self, JsonValue};
 use crate::radio::MsgKind;
 use crate::topology::NodeId;
 use std::collections::{BTreeMap, VecDeque};
@@ -387,14 +388,17 @@ impl TraceRecord {
     /// Field order is fixed, floats use shortest-roundtrip formatting, so a
     /// deterministic run renders a byte-identical trace.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str("{\"t\":");
-        s.push_str(&self.time_us.to_string());
-        s.push_str(",\"ev\":\"");
-        s.push_str(self.event.kind_tag());
-        s.push('"');
-        let w = &mut s;
-        match &self.event {
+        json::object(|o| {
+            o.u64("t", self.time_us);
+            o.str("ev", self.event.kind_tag());
+            self.event.write_fields(o);
+        })
+    }
+}
+
+impl TraceEvent {
+    fn write_fields(&self, o: &mut json::Obj<'_>) {
+        match self {
             TraceEvent::FrameTx {
                 src,
                 kind,
@@ -402,27 +406,27 @@ impl TraceRecord {
                 bytes,
                 airtime_us,
             } => {
-                num(w, "src", src.0 as u64);
-                str_field(w, "kind", &kind.to_string());
+                o.u64("src", src.0 as u64);
+                o.str("kind", &kind.to_string());
                 match dest {
-                    TraceDest::Broadcast => str_field(w, "dest", "broadcast"),
-                    TraceDest::Unicast(n) => num(w, "dest", n.0 as u64),
+                    TraceDest::Broadcast => o.str("dest", "broadcast"),
+                    TraceDest::Unicast(n) => o.u64("dest", n.0 as u64),
                     TraceDest::Multicast(k) => {
-                        str_field(w, "dest", "multicast");
-                        num(w, "fanout", *k as u64);
+                        o.str("dest", "multicast");
+                        o.u64("fanout", *k as u64);
                     }
                 }
-                num(w, "bytes", *bytes as u64);
-                num(w, "airtime_us", *airtime_us);
+                o.u64("bytes", *bytes as u64);
+                o.u64("airtime_us", *airtime_us);
             }
             TraceEvent::CsmaDeferred {
                 node,
                 deferrals,
                 capped,
             } => {
-                num(w, "node", node.0 as u64);
-                num(w, "deferrals", *deferrals as u64);
-                bool_field(w, "capped", *capped);
+                o.u64("node", node.0 as u64);
+                o.u64("deferrals", *deferrals as u64);
+                o.bool("capped", *capped);
             }
             TraceEvent::FrameDelivered {
                 src,
@@ -430,17 +434,17 @@ impl TraceRecord {
                 kind,
                 intended,
             } => {
-                num(w, "src", src.0 as u64);
-                num(w, "node", node.0 as u64);
-                str_field(w, "kind", &kind.to_string());
-                bool_field(w, "intended", *intended);
+                o.u64("src", src.0 as u64);
+                o.u64("node", node.0 as u64);
+                o.str("kind", &kind.to_string());
+                o.bool("intended", *intended);
             }
             TraceEvent::FrameCollision { src, node, kind }
             | TraceEvent::FrameLost { src, node, kind }
             | TraceEvent::FrameGaveUp { src, node, kind } => {
-                num(w, "src", src.0 as u64);
-                num(w, "node", node.0 as u64);
-                str_field(w, "kind", &kind.to_string());
+                o.u64("src", src.0 as u64);
+                o.u64("node", node.0 as u64);
+                o.str("kind", &kind.to_string());
             }
             TraceEvent::FrameMissed {
                 src,
@@ -448,10 +452,10 @@ impl TraceRecord {
                 kind,
                 asleep,
             } => {
-                num(w, "src", src.0 as u64);
-                num(w, "node", node.0 as u64);
-                str_field(w, "kind", &kind.to_string());
-                bool_field(w, "asleep", *asleep);
+                o.u64("src", src.0 as u64);
+                o.u64("node", node.0 as u64);
+                o.str("kind", &kind.to_string());
+                o.bool("asleep", *asleep);
             }
             TraceEvent::FrameRetry {
                 src,
@@ -459,28 +463,28 @@ impl TraceRecord {
                 kind,
                 retries_left,
             } => {
-                num(w, "src", src.0 as u64);
-                num(w, "node", node.0 as u64);
-                str_field(w, "kind", &kind.to_string());
-                num(w, "retries_left", *retries_left as u64);
+                o.u64("src", src.0 as u64);
+                o.u64("node", node.0 as u64);
+                o.str("kind", &kind.to_string());
+                o.u64("retries_left", *retries_left as u64);
             }
             TraceEvent::SleepStart { node, duration_ms } => {
-                num(w, "node", node.0 as u64);
-                num(w, "duration_ms", *duration_ms);
+                o.u64("node", node.0 as u64);
+                o.u64("duration_ms", *duration_ms);
             }
             TraceEvent::Wake { node }
             | TraceEvent::FaultCrash { node }
             | TraceEvent::FaultRecover { node } => {
-                num(w, "node", node.0 as u64);
+                o.u64("node", node.0 as u64);
             }
             TraceEvent::EpochFire {
                 node,
                 epoch_ms,
                 due,
             } => {
-                num(w, "node", node.0 as u64);
-                num(w, "epoch_ms", *epoch_ms);
-                qid_array(w, "due", due);
+                o.u64("node", node.0 as u64);
+                o.u64("epoch_ms", *epoch_ms);
+                o.u64s("due", due.iter().map(|q| q.0));
             }
             TraceEvent::SharedAcquisition {
                 node,
@@ -488,10 +492,10 @@ impl TraceRecord {
                 acq,
                 agg,
             } => {
-                num(w, "node", node.0 as u64);
-                num(w, "epoch_ms", *epoch_ms);
-                qid_array(w, "acq", acq);
-                qid_array(w, "agg", agg);
+                o.u64("node", node.0 as u64);
+                o.u64("epoch_ms", *epoch_ms);
+                o.u64s("acq", acq.iter().map(|q| q.0));
+                o.u64s("agg", agg.iter().map(|q| q.0));
             }
             TraceEvent::ResultHop {
                 from,
@@ -501,43 +505,42 @@ impl TraceRecord {
                 qids,
                 origin,
             } => {
-                num(w, "from", from.0 as u64);
-                u64_array(w, "to", to.iter().map(|n| n.0 as u64));
-                num(w, "epoch_ms", *epoch_ms);
-                u64_array(w, "prov", prov.iter().map(|p| p.0));
-                qid_array(w, "qids", qids);
-                bool_field(w, "origin", *origin);
+                o.u64("from", from.0 as u64);
+                o.u64s("to", to.iter().map(|n| n.0 as u64));
+                o.u64("epoch_ms", *epoch_ms);
+                o.u64s("prov", prov.iter().map(|p| p.0));
+                o.u64s("qids", qids.iter().map(|q| q.0));
+                o.bool("origin", *origin);
             }
             TraceEvent::ResultDelivered {
                 prov,
                 qids,
                 epoch_ms,
             } => {
-                num(w, "prov", prov.0);
-                qid_array(w, "qids", qids);
-                num(w, "epoch_ms", *epoch_ms);
+                o.u64("prov", prov.0);
+                o.u64s("qids", qids.iter().map(|q| q.0));
+                o.u64("epoch_ms", *epoch_ms);
             }
             TraceEvent::NoRouteResignation { node, epoch_ms } => {
-                num(w, "node", node.0 as u64);
-                num(w, "epoch_ms", *epoch_ms);
+                o.u64("node", node.0 as u64);
+                o.u64("epoch_ms", *epoch_ms);
             }
             TraceEvent::ParentDead { node, parent } => {
-                num(w, "node", node.0 as u64);
-                num(w, "parent", parent.0 as u64);
+                o.u64("node", node.0 as u64);
+                o.u64("parent", parent.0 as u64);
             }
             TraceEvent::Tier1Eval {
                 probe,
                 candidate,
                 rate,
             } => {
-                num(w, "probe", probe.0);
-                num(w, "candidate", candidate.0);
-                w.push_str(",\"rate\":");
+                o.u64("probe", probe.0);
+                o.u64("candidate", candidate.0);
                 if rate.is_finite() {
-                    w.push_str(&format!("{rate}"));
+                    o.f64("rate", *rate);
                 } else {
                     // Coverage scores can be +inf in raw-benefit mode.
-                    w.push_str("\"inf\"");
+                    o.str("rate", "inf");
                 }
             }
             TraceEvent::Tier1Merge {
@@ -545,19 +548,19 @@ impl TraceRecord {
                 candidate,
                 merged,
             } => {
-                num(w, "probe", probe.0);
-                num(w, "candidate", candidate.0);
-                num(w, "merged", merged.0);
+                o.u64("probe", probe.0);
+                o.u64("candidate", candidate.0);
+                o.u64("merged", merged.0);
             }
             TraceEvent::Tier1Covered { probe, covered_by } => {
-                num(w, "probe", probe.0);
-                num(w, "covered_by", covered_by.0);
+                o.u64("probe", probe.0);
+                o.u64("covered_by", covered_by.0);
             }
             TraceEvent::Tier1Install { synthetic, members }
             | TraceEvent::Tier1Reoptimize { synthetic, members }
             | TraceEvent::Tier1Reindex { synthetic, members } => {
-                num(w, "synthetic", synthetic.0);
-                qid_array(w, "members", members);
+                o.u64("synthetic", synthetic.0);
+                o.u64s("members", members.iter().map(|q| q.0));
             }
             TraceEvent::Tier1Remove {
                 user,
@@ -565,10 +568,10 @@ impl TraceRecord {
                 emptied,
                 rebuilt,
             } => {
-                num(w, "user", user.0);
-                num(w, "synthetic", synthetic.0);
-                bool_field(w, "emptied", *emptied);
-                bool_field(w, "rebuilt", *rebuilt);
+                o.u64("user", user.0);
+                o.u64("synthetic", synthetic.0);
+                o.bool("emptied", *emptied);
+                o.bool("rebuilt", *rebuilt);
             }
             TraceEvent::AnswerMapped {
                 user,
@@ -578,56 +581,15 @@ impl TraceRecord {
                 nonempty,
                 latency_ms,
             } => {
-                num(w, "user", user.0);
-                num(w, "synthetic", synthetic.0);
-                num(w, "epoch_ms", *epoch_ms);
-                num(w, "rows", *rows);
-                bool_field(w, "nonempty", *nonempty);
-                num(w, "latency_ms", *latency_ms);
+                o.u64("user", user.0);
+                o.u64("synthetic", synthetic.0);
+                o.u64("epoch_ms", *epoch_ms);
+                o.u64("rows", *rows);
+                o.bool("nonempty", *nonempty);
+                o.u64("latency_ms", *latency_ms);
             }
         }
-        s.push('}');
-        s
     }
-}
-
-fn num(out: &mut String, key: &str, value: u64) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&value.to_string());
-}
-
-fn str_field(out: &mut String, key: &str, value: &str) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":\"");
-    out.push_str(value); // kind tags and dest names: no escaping needed
-    out.push('"');
-}
-
-fn bool_field(out: &mut String, key: &str, value: bool) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(if value { "true" } else { "false" });
-}
-
-fn u64_array(out: &mut String, key: &str, values: impl Iterator<Item = u64>) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":[");
-    for (i, v) in values.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
-}
-
-fn qid_array(out: &mut String, key: &str, qids: &[QueryId]) {
-    u64_array(out, key, qids.iter().map(|q| q.0));
 }
 
 /// Receiver of trace records. Implementations must tolerate high event
@@ -703,7 +665,10 @@ impl fmt::Debug for TraceHandle {
 
 /// Header line every trace file starts with.
 pub fn trace_header() -> String {
-    format!("{{\"schema_version\":{SCHEMA_VERSION},\"format\":\"ttmqo-trace\"}}")
+    json::object(|o| {
+        o.u64("schema_version", SCHEMA_VERSION as u64);
+        o.str("format", "ttmqo-trace");
+    })
 }
 
 /// Sink writing the trace as JSON lines: the [`trace_header`] first, then
@@ -792,10 +757,11 @@ impl RingSink {
         let mut out = trace_header();
         out.push('\n');
         if self.dropped > 0 {
-            out.push_str(&format!(
-                "{{\"dropped_records\":{},\"note\":\"ring-evicted\"}}\n",
-                self.dropped
-            ));
+            out.push_str(&json::object(|o| {
+                o.u64("dropped_records", self.dropped);
+                o.str("note", "ring-evicted");
+            }));
+            out.push('\n');
         }
         for rec in &self.records {
             out.push_str(&rec.to_json());
@@ -929,12 +895,7 @@ impl TraceSummary {
 
     /// Mean answer latency over every mapped answer, ms.
     pub fn mean_latency_ms(&self) -> Option<f64> {
-        let (sum, n) = self
-            .latency_ms_per_query
-            .values()
-            .flatten()
-            .fold((0u64, 0u64), |(s, n), &l| (s + l, n + 1));
-        (n > 0).then(|| sum as f64 / n as f64)
+        mean(self.latency_ms_per_query.values().flatten().copied())
     }
 
     /// Whether the summarized text is a complete record of the run: no
@@ -965,81 +926,87 @@ impl TraceSummary {
             dropped_records,
             truncated_tail,
         } = self;
-        let mut s = format!("{{\"schema_version\":{SCHEMA_VERSION}");
-        match schema_version {
-            Some(v) => s.push_str(&format!(",\"trace_schema_version\":{v}")),
-            None => s.push_str(",\"trace_schema_version\":null"),
-        }
-        s.push_str(&format!(
-            ",\"events\":{events},\"malformed_lines\":{malformed_lines},\
-             \"dropped_records\":{dropped_records},\"truncated_tail\":{truncated_tail},\
-             \"lossless\":{}",
-            self.is_lossless()
-        ));
-        s.push_str(",\"by_kind\":{");
-        for (i, (kind, n)) in by_kind.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        json::object(|o| {
+            o.u64("schema_version", SCHEMA_VERSION as u64);
+            match schema_version {
+                Some(v) => o.u64("trace_schema_version", *v as u64),
+                None => o.null("trace_schema_version"),
             }
-            s.push_str(&format!("\"{kind}\":{n}"));
-        }
-        s.push_str("},\"queries\":[");
-        for (i, (query, answers)) in answers_per_query.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let nonempty = nonempty_per_query.get(query).copied().unwrap_or(0);
-            let latencies = latency_ms_per_query
-                .get(query)
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
-            let mean = if latencies.is_empty() {
-                "null".to_string()
-            } else {
-                format!(
-                    "{}",
-                    latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
-                )
-            };
-            s.push_str(&format!(
-                "{{\"query\":{query},\"answers\":{answers},\"nonempty\":{nonempty},\
-                 \"latency\":{{\"count\":{},\"mean_ms\":{mean}}}}}",
-                latencies.len()
-            ));
-        }
-        s.push_str("],\"hop_distribution\":{");
-        for (i, (hops, n)) in hop_distribution.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{hops}\":{n}"));
-        }
-        s.push_str("},\"rollups\":[");
-        for (i, r) in rollups.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let EpochRollup {
-                epoch_ms,
-                tx,
-                collisions,
-                losses,
-                retries,
-                sleeps,
-                rows_delivered,
-                answers,
-                nonempty_answers,
-            } = r;
-            s.push_str(&format!(
-                "{{\"epoch_ms\":{epoch_ms},\"tx\":{tx},\"collisions\":{collisions},\
-                 \"losses\":{losses},\"retries\":{retries},\"sleeps\":{sleeps},\
-                 \"rows_delivered\":{rows_delivered},\"answers\":{answers},\
-                 \"nonempty_answers\":{nonempty_answers}}}"
-            ));
-        }
-        s.push_str("]}");
-        s
+            o.u64("events", *events);
+            o.u64("malformed_lines", *malformed_lines);
+            o.u64("dropped_records", *dropped_records);
+            o.bool("truncated_tail", *truncated_tail);
+            o.bool("lossless", self.is_lossless());
+            o.obj("by_kind", |o| {
+                for (kind, n) in by_kind {
+                    o.u64(kind, *n);
+                }
+            });
+            o.arr("queries", |a| {
+                for (query, answers) in answers_per_query {
+                    let latencies = latency_ms_per_query
+                        .get(query)
+                        .map(Vec::as_slice)
+                        .unwrap_or(&[]);
+                    a.obj(|o| {
+                        o.u64("query", *query);
+                        o.u64("answers", *answers);
+                        o.u64(
+                            "nonempty",
+                            nonempty_per_query.get(query).copied().unwrap_or(0),
+                        );
+                        o.obj("latency", |o| {
+                            o.u64("count", latencies.len() as u64);
+                            match mean(latencies.iter().copied()) {
+                                Some(mean) => o.f64("mean_ms", mean),
+                                None => o.null("mean_ms"),
+                            }
+                        });
+                    });
+                }
+            });
+            o.obj("hop_distribution", |o| {
+                for (hops, n) in hop_distribution {
+                    o.u64(&hops.to_string(), *n);
+                }
+            });
+            o.arr("rollups", |a| {
+                for r in rollups {
+                    let EpochRollup {
+                        epoch_ms,
+                        tx,
+                        collisions,
+                        losses,
+                        retries,
+                        sleeps,
+                        rows_delivered,
+                        answers,
+                        nonempty_answers,
+                    } = r;
+                    a.obj(|o| {
+                        o.u64("epoch_ms", *epoch_ms);
+                        o.u64("tx", *tx);
+                        o.u64("collisions", *collisions);
+                        o.u64("losses", *losses);
+                        o.u64("retries", *retries);
+                        o.u64("sleeps", *sleeps);
+                        o.u64("rows_delivered", *rows_delivered);
+                        o.u64("answers", *answers);
+                        o.u64("nonempty_answers", *nonempty_answers);
+                    });
+                }
+            });
+        })
     }
+}
+
+/// Mean of latency samples (`None` when empty); the sum saturates rather
+/// than overflowing on a hostile trace.
+fn mean(samples: impl IntoIterator<Item = u64>) -> Option<f64> {
+    let (sum, n) = samples
+        .into_iter()
+        .fold((0u64, 0u64), |(s, n), l| (s.saturating_add(l), n + 1));
+    (n > 0).then(|| sum as f64 / n as f64)
 }
 
 /// A trace was written under an incompatible schema version: its field set
@@ -1083,7 +1050,7 @@ impl std::error::Error for TraceSchemaError {}
 /// trace does) is dropped and flagged in [`TraceSummary::truncated_tail`]
 /// instead of being counted as malformed.
 pub fn summarize_trace(text: &str, epoch_len_ms: u64) -> Result<TraceSummary, TraceSchemaError> {
-    let (text, truncated_tail) = strip_truncated_tail(text);
+    let (text, truncated_tail) = json::complete_lines(text);
     let mut summary = TraceSummary {
         truncated_tail,
         ..TraceSummary::default()
@@ -1096,9 +1063,10 @@ pub fn summarize_trace(text: &str, epoch_len_ms: u64) -> Result<TraceSummary, Tr
         if line.is_empty() {
             continue;
         }
-        let Some(ev) = json_str_field(line, "ev") else {
+        let rec = json::parse(line).unwrap_or(JsonValue::Null);
+        let Some(ev) = rec.str_at("ev") else {
             // The header (or an unknown line): pick up the schema version.
-            if let Some(v) = json_u64_field(line, "schema_version") {
+            if let Some(v) = rec.u64_at("schema_version") {
                 let v = v as u32;
                 if v != SCHEMA_VERSION {
                     return Err(TraceSchemaError {
@@ -1107,24 +1075,27 @@ pub fn summarize_trace(text: &str, epoch_len_ms: u64) -> Result<TraceSummary, Tr
                     });
                 }
                 summary.schema_version = Some(v);
-            } else if let Some(d) = json_u64_field(line, "dropped_records") {
+            } else if let Some(d) = rec.u64_at("dropped_records") {
                 // A drop marker from a bounded sink: the trace is lossy by
                 // this many records, but the marker itself is well-formed.
-                summary.dropped_records += d;
+                summary.dropped_records = summary.dropped_records.saturating_add(d);
             } else {
                 summary.malformed_lines += 1;
             }
             continue;
         };
         summary.events += 1;
-        *summary.by_kind.entry(ev.clone()).or_insert(0) += 1;
-        let t = json_u64_field(line, "t").unwrap_or(0);
-        match ev.as_str() {
+        *summary.by_kind.entry(ev.to_string()).or_insert(0) += 1;
+        let t = rec.u64_at("t").unwrap_or(0);
+        match ev {
             "answer-mapped" => {
-                let user = json_u64_field(line, "user").unwrap_or(0);
-                let nonempty = json_bool_field(line, "nonempty").unwrap_or(false);
-                let latency = json_u64_field(line, "latency_ms").unwrap_or(0);
-                let epoch_ms = json_u64_field(line, "epoch_ms").unwrap_or(0);
+                let user = rec.u64_at("user").unwrap_or(0);
+                let nonempty = rec
+                    .get("nonempty")
+                    .and_then(JsonValue::as_bool)
+                    .unwrap_or(false);
+                let latency = rec.u64_at("latency_ms").unwrap_or(0);
+                let epoch_ms = rec.u64_at("epoch_ms").unwrap_or(0);
                 *summary.answers_per_query.entry(user).or_insert(0) += 1;
                 if nonempty {
                     *summary.nonempty_per_query.entry(user).or_insert(0) += 1;
@@ -1138,28 +1109,29 @@ pub fn summarize_trace(text: &str, epoch_len_ms: u64) -> Result<TraceSummary, Tr
                     time_us: t,
                     event: TraceEvent::AnswerMapped {
                         user: QueryId(user),
-                        synthetic: QueryId(json_u64_field(line, "synthetic").unwrap_or(0)),
+                        synthetic: QueryId(rec.u64_at("synthetic").unwrap_or(0)),
                         epoch_ms,
-                        rows: json_u64_field(line, "rows").unwrap_or(0),
+                        rows: rec.u64_at("rows").unwrap_or(0),
                         nonempty,
                         latency_ms: latency,
                     },
                 });
             }
             "result-hop" => {
-                for p in json_u64_array_field(line, "prov") {
+                let prov = rec.get("prov").map_or(&[][..], JsonValue::items);
+                for p in prov.iter().filter_map(JsonValue::as_u64) {
                     *hops.entry(p).or_insert(0) += 1;
                 }
             }
             "result-delivered" => {
-                let p = json_u64_field(line, "prov").unwrap_or(0);
+                let p = rec.u64_at("prov").unwrap_or(0);
                 delivered.push(p);
                 records.push(TraceRecord {
                     time_us: t,
                     event: TraceEvent::ResultDelivered {
                         prov: ProvenanceId(p),
                         qids: Vec::new(),
-                        epoch_ms: json_u64_field(line, "epoch_ms").unwrap_or(0),
+                        epoch_ms: rec.u64_at("epoch_ms").unwrap_or(0),
                     },
                 });
             }
@@ -1235,112 +1207,37 @@ pub fn chrome_trace_with_profile(
     text: &str,
     profile: Option<&crate::profile::ProfileReport>,
 ) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    for line in text.lines() {
-        let Some(ev) = json_str_field(line, "ev") else {
-            continue;
-        };
-        let t = json_u64_field(line, "t").unwrap_or(0);
-        let tid = json_u64_field(line, "node")
-            .or_else(|| json_u64_field(line, "src"))
-            .or_else(|| json_u64_field(line, "from"))
-            .unwrap_or(0);
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        if ev == "frame-tx" {
-            let dur = json_u64_field(line, "airtime_us").unwrap_or(1);
-            out.push_str(&format!(
-                "{{\"name\":\"{ev}\",\"ph\":\"X\",\"ts\":{t},\"dur\":{dur},\
-                 \"pid\":0,\"tid\":{tid}}}"
-            ));
-        } else {
-            out.push_str(&format!(
-                "{{\"name\":\"{ev}\",\"ph\":\"i\",\"ts\":{t},\"s\":\"t\",\
-                 \"pid\":0,\"tid\":{tid}}}"
-            ));
-        }
-    }
-    if let Some(report) = profile {
-        for span in report.chrome_spans() {
-            if !first {
-                out.push(',');
+    json::object(|o| {
+        o.arr("traceEvents", |a| {
+            for line in text.lines() {
+                let rec = json::parse(line).unwrap_or(JsonValue::Null);
+                let Some(ev) = rec.str_at("ev") else {
+                    continue;
+                };
+                a.obj(|o| {
+                    o.str("name", ev);
+                    o.str("ph", if ev == "frame-tx" { "X" } else { "i" });
+                    o.u64("ts", rec.u64_at("t").unwrap_or(0));
+                    if ev == "frame-tx" {
+                        o.u64("dur", rec.u64_at("airtime_us").unwrap_or(1));
+                    } else {
+                        o.str("s", "t");
+                    }
+                    o.u64("pid", 0);
+                    o.u64(
+                        "tid",
+                        rec.u64_at("node")
+                            .or_else(|| rec.u64_at("src"))
+                            .or_else(|| rec.u64_at("from"))
+                            .unwrap_or(0),
+                    );
+                });
             }
-            first = false;
-            out.push_str(&span);
-        }
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Splits off a byte-truncated final line, if any. A complete trace ends
-/// with a newline (every sink writes whole lines), and every record is a
-/// one-line object closed by `}` — so a file that neither ends with `\n`
-/// nor closes its last line with `}` stopped mid-write. Returns the text to
-/// process and whether a partial tail was dropped.
-pub(crate) fn strip_truncated_tail(text: &str) -> (&str, bool) {
-    if text.is_empty() || text.ends_with('\n') {
-        return (text, false);
-    }
-    let tail_start = text.rfind('\n').map_or(0, |i| i + 1);
-    if text[tail_start..].ends_with('}') {
-        // Complete record that merely lacks a trailing newline.
-        (text, false)
-    } else {
-        (&text[..tail_start], true)
-    }
-}
-
-/// Extracts a string field from one JSON line (fields this module writes
-/// never contain escapes).
-pub(crate) fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\":\"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-/// Extracts an unsigned integer field from one JSON line.
-pub(crate) fn json_u64_field(line: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts a boolean field from one JSON line.
-pub(crate) fn json_bool_field(line: &str, key: &str) -> Option<bool> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Extracts a `u64` array field from one JSON line.
-pub(crate) fn json_u64_array_field(line: &str, key: &str) -> Vec<u64> {
-    let tag = format!("\"{key}\":[");
-    let Some(start) = line.find(&tag).map(|i| i + tag.len()) else {
-        return Vec::new();
-    };
-    let Some(end) = line[start..].find(']').map(|i| i + start) else {
-        return Vec::new();
-    };
-    line[start..end]
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect()
+            for span in profile.iter().flat_map(|report| report.chrome_spans()) {
+                a.raw(&span);
+            }
+        });
+    })
 }
 
 #[cfg(test)]
@@ -1417,27 +1314,33 @@ mod tests {
 
     #[test]
     fn record_json_is_deterministic_and_parsable() {
+        // The largest provenance id there is: far above 2^53, so it only
+        // survives a reader that keeps unsigned integers exact.
+        let prov = ProvenanceId::new(NodeId(65535), (1 << 48) - 1);
+        assert_eq!(prov.0, u64::MAX);
         let rec = TraceRecord {
             time_us: 2_048_000,
             event: TraceEvent::ResultHop {
                 from: NodeId(9),
                 to: vec![NodeId(5), NodeId(6)],
                 epoch_ms: 2048,
-                prov: vec![ProvenanceId::new(NodeId(9), 2048)],
+                prov: vec![prov, ProvenanceId(prov.0 - 1)],
                 qids: vec![QueryId(1), QueryId(2)],
                 origin: true,
             },
         };
         let json = rec.to_json();
         assert_eq!(json, rec.to_json());
-        assert_eq!(json_str_field(&json, "ev").as_deref(), Some("result-hop"));
-        assert_eq!(json_u64_field(&json, "from"), Some(9));
-        assert_eq!(json_u64_array_field(&json, "to"), vec![5, 6]);
-        assert_eq!(
-            json_u64_array_field(&json, "prov"),
-            vec![ProvenanceId::new(NodeId(9), 2048).0]
-        );
-        assert_eq!(json_bool_field(&json, "origin"), Some(true));
+        let back = json::parse(&json).expect("own record parses");
+        let u64s = |key| -> Vec<u64> {
+            let items = back.get(key).expect("field present").items();
+            items.iter().filter_map(JsonValue::as_u64).collect()
+        };
+        assert_eq!(back.str_at("ev"), Some("result-hop"));
+        assert_eq!(back.u64_at("from"), Some(9));
+        assert_eq!(u64s("to"), vec![5, 6]);
+        assert_eq!(u64s("prov"), vec![prov.0, prov.0 - 1]);
+        assert_eq!(back.get("origin").and_then(JsonValue::as_bool), Some(true));
     }
 
     #[test]
@@ -1758,8 +1661,7 @@ mod tests {
         assert!(json.contains("\"lossless\":true"));
         assert!(json.contains("\"query\":1"));
         assert!(json.contains("\"mean_ms\":352"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert!(json::parse(&json).is_ok());
 
         // The same trace behind an evicting ring reports itself lossy.
         text.push_str("{\"dropped_records\":5,\"note\":\"ring-evicted\"}\n");

@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use super::{json_str_field, json_u64_field, strip_truncated_tail};
+use crate::json::{self, JsonValue};
 
 /// One side's record at the divergence point, decoded for display.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,14 +41,16 @@ pub struct DivergentRecord {
 
 impl DivergentRecord {
     fn decode(line: &str) -> Self {
+        let rec = json::parse(line).unwrap_or(JsonValue::Null);
         DivergentRecord {
             line: line.to_string(),
-            kind: json_str_field(line, "ev"),
-            time_us: json_u64_field(line, "t"),
-            node: json_u64_field(line, "node")
-                .or_else(|| json_u64_field(line, "src"))
-                .or_else(|| json_u64_field(line, "from"))
-                .or_else(|| json_u64_field(line, "user")),
+            kind: rec.str_at("ev").map(str::to_string),
+            time_us: rec.u64_at("t"),
+            node: rec
+                .u64_at("node")
+                .or_else(|| rec.u64_at("src"))
+                .or_else(|| rec.u64_at("from"))
+                .or_else(|| rec.u64_at("user")),
         }
     }
 }
@@ -117,15 +119,21 @@ impl TraceDiff {
     }
 }
 
-/// Collects the record lines of one trace: header lines (no `ev` field) are
+/// Collects the record lines of one trace and counts them per kind: lines
+/// without an `ev` field (headers, anything that is not a JSON object) are
 /// skipped, and a byte-truncated final line is dropped and flagged.
-fn record_lines(text: &str) -> (Vec<&str>, bool) {
-    let (text, truncated) = strip_truncated_tail(text);
-    let records = text
-        .lines()
-        .filter(|l| !l.is_empty() && l.contains("\"ev\":\""))
-        .collect();
-    (records, truncated)
+fn record_lines(text: &str) -> (Vec<&str>, BTreeMap<String, u64>, bool) {
+    let (text, truncated) = json::complete_lines(text);
+    let mut records = Vec::new();
+    let mut counts = BTreeMap::new();
+    for line in text.lines() {
+        let rec = json::parse(line).unwrap_or(JsonValue::Null);
+        if let Some(kind) = rec.str_at("ev") {
+            records.push(line);
+            *counts.entry(kind.to_string()).or_insert(0) += 1;
+        }
+    }
+    (records, counts, truncated)
 }
 
 /// Compares two JSON-lines traces and localizes their first divergence.
@@ -136,21 +144,8 @@ fn record_lines(text: &str) -> (Vec<&str>, bool) {
 /// the number of records to include before and after the divergence point
 /// in each side's context window.
 pub fn trace_diff(a: &str, b: &str, context: usize) -> TraceDiff {
-    let (recs_a, truncated_a) = record_lines(a);
-    let (recs_b, truncated_b) = record_lines(b);
-
-    let mut counts_a: BTreeMap<String, u64> = BTreeMap::new();
-    let mut counts_b: BTreeMap<String, u64> = BTreeMap::new();
-    for l in &recs_a {
-        if let Some(k) = json_str_field(l, "ev") {
-            *counts_a.entry(k).or_insert(0) += 1;
-        }
-    }
-    for l in &recs_b {
-        if let Some(k) = json_str_field(l, "ev") {
-            *counts_b.entry(k).or_insert(0) += 1;
-        }
-    }
+    let (recs_a, counts_a, truncated_a) = record_lines(a);
+    let (recs_b, counts_b, truncated_b) = record_lines(b);
     let mut kinds: Vec<&String> = counts_a.keys().chain(counts_b.keys()).collect();
     kinds.sort();
     kinds.dedup();

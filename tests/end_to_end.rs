@@ -2,8 +2,12 @@
 //! delivered answers, across every strategy, exercised through the umbrella
 //! crate exactly as a downstream user would.
 
-use ttmqo::core::{run_experiment, ExperimentConfig, FieldKind, Strategy, WorkloadEvent};
+use ttmqo::core::{
+    run_campaign_sequential, run_experiment, CampaignSpec, ExperimentConfig, FieldKind, Strategy,
+    WorkloadEvent,
+};
 use ttmqo::query::{parse_query, AggOp, Attribute, EpochAnswer, QueryId};
+use ttmqo::sim::json;
 use ttmqo::sim::{RadioParams, SimConfig, SimTime};
 use ttmqo::workloads::{
     random_workload, selectivity_workload, workload_a, workload_b, workload_c,
@@ -319,4 +323,28 @@ fn innet_only_8x8_cell_is_pinned() {
             (7, 5)
         ]
     );
+
+    // The same cell through the JSON layer: a campaign renders it as a
+    // `CellRecord`, the one reader parses it back, and the leaves are the
+    // constants pinned above — so writer or reader drift fails here too.
+    let spec = CampaignSpec::new(config)
+        .strategies([Strategy::InNetOnly])
+        .grid_sizes([8])
+        .workload("A", workload_a());
+    let json = run_campaign_sequential(&spec).cells[0].to_json();
+    let cell = json::parse(&json).expect("a cell record is valid JSON");
+    let leaf = |path: &[&str]| {
+        let found = path.iter().try_fold(&cell, |value, key| value.get(key));
+        found.unwrap_or_else(|| panic!("{path:?} missing from {json}"))
+    };
+    assert_eq!(
+        leaf(&["metrics", "total_tx_busy_ms"])
+            .as_f64()
+            .map(f64::to_bits),
+        Some(0x40e6_e860_0000_0006)
+    );
+    assert_eq!(leaf(&["engine", "frames_total"]).as_u64(), Some(5965));
+    let answers: usize = answer_counts.iter().map(|(_, n)| n).sum();
+    assert_eq!(leaf(&["answer_epochs"]).as_u64(), Some(answers as u64));
+    assert_eq!(leaf(&["strategy"]).as_str(), Some("in-net-only"));
 }

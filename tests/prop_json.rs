@@ -1,0 +1,1561 @@
+//! Properties of the one JSON layer (`ttmqo::sim::json`) and everything
+//! that writes or reads through it.
+//!
+//! * **Round trip, per report type**: render → `json::parse` succeeds →
+//!   `flatten` yields exactly the expected leaf keys in writer order → every
+//!   leaf equals the struct field it came from (integers exactly, floats by
+//!   the bits of the rendered form). The expected leaves are spelled out
+//!   here, independently of the writers, so a field dropped, reordered or
+//!   re-typed on either side fails.
+//! * **Never panic**: `json::parse`, `summarize_trace`, `trace_diff`,
+//!   `chrome_trace`, `ProfileReport::from_json` and the four
+//!   `parse_prior_*_report`s return a value or a typed error on arbitrary
+//!   text and on our own documents with one byte deleted, flipped or
+//!   duplicated.
+
+use proptest::prelude::*;
+use proptest::strategy::FnStrategy;
+use proptest::TestRng;
+use std::collections::BTreeMap;
+use ttmqo::core::compare::{compare_json, flatten, CompareOptions, CompareReport, Verdict};
+use ttmqo::core::{CampaignEvent, CampaignRollup, CellRecord, OptimizerStats, Strategy as Tier};
+use ttmqo::query::QueryId;
+use ttmqo::sim::json::{self, JsonValue};
+use ttmqo::sim::{
+    chrome_trace, summarize_trace, trace_diff, trace_header, AuditCheck, AuditReport,
+    AuditViolation, CompletenessReport, EngineStats, EpochRollup, MetricsSnapshot, MsgKind, NodeId,
+    NodeTimeseries, PhaseProfile, ProfilePhase, ProfileReport, ProvenanceId, QueryCompleteness,
+    TraceDest, TraceEvent, TraceRecord, TraceSummary, WindowStats, SCHEMA_VERSION,
+};
+use ttmqo::stats::Histogram;
+use ttmqo_bench::{
+    parse_prior_checkpoint_report, parse_prior_churn_report, parse_prior_faults_report,
+    parse_prior_report, CheckpointBenchResult, ChurnBenchResult, EngineBenchResult,
+    FaultBenchResult,
+};
+
+// ---------------------------------------------------------------------------
+// Value generators
+// ---------------------------------------------------------------------------
+
+/// Unsigned integers that stress exactness: small, around 2^53, near
+/// `u64::MAX`.
+fn uint(rng: &mut TestRng) -> u64 {
+    match rng.sample(0..4u8) {
+        0 => rng.sample(0..1000u64),
+        1 => (1 << 53) + rng.sample(0..1000u64),
+        2 => u64::MAX - rng.sample(0..1000u64),
+        _ => rng.sample(0..=u64::MAX),
+    }
+}
+
+/// Counts small enough to sum without overflow.
+fn count(rng: &mut TestRng) -> u64 {
+    rng.sample(0..1_000_000u64)
+}
+
+/// Floats that stress the shortest round-trip form: zeros, integral values,
+/// long fractions, arbitrary bit patterns (non-finite ones included).
+fn float(rng: &mut TestRng) -> f64 {
+    match rng.sample(0..6u8) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => rng.sample(0..100_000u64) as f64,
+        3 => rng.sample(-1.0e6..1.0e6),
+        4 => rng.sample(0.0..1.0) * 1e-9,
+        _ => f64::from_bits(rng.sample(0..=u64::MAX)),
+    }
+}
+
+/// Strings that stress escaping: quotes, backslashes, newlines, control
+/// characters, non-ASCII.
+fn text(rng: &mut TestRng) -> String {
+    let len = rng.sample(0..12usize);
+    (0..len)
+        .map(|_| match rng.sample(0..8u8) {
+            0 => '"',
+            1 => '\\',
+            2 => '\n',
+            3 => char::from(rng.sample(0..0x20u8)),
+            _ => rng.sample_char(),
+        })
+        .collect()
+}
+
+fn flag(rng: &mut TestRng) -> bool {
+    rng.sample(0..2u8) == 1
+}
+
+fn node(rng: &mut TestRng) -> NodeId {
+    NodeId(rng.sample(0..=u16::MAX))
+}
+
+fn qids(rng: &mut TestRng) -> Vec<QueryId> {
+    (0..rng.sample(0..4usize))
+        .map(|_| QueryId(uint(rng)))
+        .collect()
+}
+
+fn msg_kind(rng: &mut TestRng) -> MsgKind {
+    MsgKind::ALL[rng.sample(0..MsgKind::ALL.len())]
+}
+
+fn tier(rng: &mut TestRng) -> Tier {
+    Tier::ALL[rng.sample(0..Tier::ALL.len())]
+}
+
+fn vec_of<T>(rng: &mut TestRng, max: usize, mut item: impl FnMut(&mut TestRng) -> T) -> Vec<T> {
+    (0..rng.sample(0..=max)).map(|_| item(rng)).collect()
+}
+
+fn arb<T>(build: impl Fn(&mut TestRng) -> T) -> impl Strategy<Value = T> {
+    FnStrategy::new(build)
+}
+
+// ---------------------------------------------------------------------------
+// Expected leaves
+// ---------------------------------------------------------------------------
+
+/// What one flattened leaf of a rendered report must be.
+#[derive(Debug, Clone)]
+enum Leaf {
+    U(u64),
+    /// Shortest round-trip float (`null` when non-finite).
+    F(f64),
+    /// Float printed with a fixed number of decimals (`null` when
+    /// non-finite).
+    Fixed(f64, usize),
+    S(String),
+    B(bool),
+    Null,
+}
+
+type Leaves = Vec<(String, Leaf)>;
+
+fn u(key: &str, v: u64) -> (String, Leaf) {
+    (key.to_string(), Leaf::U(v))
+}
+fn f(key: &str, v: f64) -> (String, Leaf) {
+    (key.to_string(), Leaf::F(v))
+}
+fn fixed(key: &str, v: f64, decimals: usize) -> (String, Leaf) {
+    (key.to_string(), Leaf::Fixed(v, decimals))
+}
+fn s(key: &str, v: impl ToString) -> (String, Leaf) {
+    (key.to_string(), Leaf::S(v.to_string()))
+}
+fn b(key: &str, v: bool) -> (String, Leaf) {
+    (key.to_string(), Leaf::B(v))
+}
+fn null(key: &str) -> (String, Leaf) {
+    (key.to_string(), Leaf::Null)
+}
+fn opt(key: &str, v: Option<Leaf>) -> (String, Leaf) {
+    (key.to_string(), v.unwrap_or(Leaf::Null))
+}
+/// One leaf per array element: `key[0]`, `key[1]`, ...
+fn each(key: &str, items: impl IntoIterator<Item = Leaf>) -> Leaves {
+    let indexed = items.into_iter().enumerate();
+    indexed
+        .map(|(i, leaf)| (format!("{key}[{i}]"), leaf))
+        .collect()
+}
+/// Prefixes every key with `prefix` (`"a."` for a nested object,
+/// `"a[3]."` for an array element).
+fn under(prefix: &str, leaves: Leaves) -> Leaves {
+    let prefixed = leaves.into_iter();
+    prefixed
+        .map(|(k, leaf)| (format!("{prefix}{k}"), leaf))
+        .collect()
+}
+
+/// The round-trip property: `json` parses, and its flattened leaves are
+/// exactly `expected`, in order.
+fn check(json: &str, expected: &Leaves) -> Result<(), TestCaseError> {
+    let doc = json::parse(json)
+        .map_err(|e| TestCaseError::fail(format!("writer emitted malformed JSON: {e}\n{json}")))?;
+    let got = flatten(&doc);
+    let got_keys: Vec<&str> = got.iter().map(|(k, _)| k.as_str()).collect();
+    let want_keys: Vec<&str> = expected.iter().map(|(k, _)| k.as_str()).collect();
+    prop_assert_eq!(got_keys, want_keys, "leaf keys of {}", json);
+    for ((key, got), (_, want)) in got.iter().zip(expected) {
+        let matches = match want {
+            Leaf::U(n) => *got == JsonValue::Uint(*n),
+            Leaf::F(x) | Leaf::Fixed(x, _) if !x.is_finite() => *got == JsonValue::Null,
+            Leaf::F(x) => got.as_f64().map(f64::to_bits) == Some(x.to_bits()),
+            Leaf::Fixed(x, decimals) => {
+                let rendered: f64 = format!("{x:.decimals$}").parse().expect("a float");
+                got.as_f64().map(f64::to_bits) == Some(rendered.to_bits())
+            }
+            Leaf::S(text) => got.as_str() == Some(text),
+            Leaf::B(flag) => got.as_bool() == Some(*flag),
+            Leaf::Null => *got == JsonValue::Null,
+        };
+        prop_assert!(matches, "leaf {key}: got {got:?}, want {want:?}\n{json}");
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Report generators, each with the leaves its rendering must flatten to
+// ---------------------------------------------------------------------------
+
+fn trace_record(rng: &mut TestRng) -> (TraceRecord, Leaves) {
+    let ids = |q: &[QueryId]| q.iter().map(|q| Leaf::U(q.0)).collect::<Vec<_>>();
+    let (src, at, kind) = (node(rng), node(rng), msg_kind(rng));
+    let (epoch_ms, a, c, d) = (uint(rng), uint(rng), uint(rng), uint(rng));
+    let (flag_a, flag_b, latency_ms) = (flag(rng), flag(rng), count(rng));
+    let (list, list2) = (qids(rng), qids(rng));
+    let members = [vec![u("synthetic", a)], each("members", ids(&list))].concat();
+    let frame = |extra: Leaves| {
+        let mut leaves = vec![
+            u("src", src.0 as u64),
+            u("node", at.0 as u64),
+            s("kind", kind),
+        ];
+        leaves.extend(extra);
+        leaves
+    };
+    let (event, fields): (TraceEvent, Leaves) = match rng.sample(0..26u8) {
+        0 => {
+            let (dest, dest_leaves) = match rng.sample(0..3u8) {
+                0 => (TraceDest::Broadcast, vec![s("dest", "broadcast")]),
+                1 => (TraceDest::Unicast(at), vec![u("dest", at.0 as u64)]),
+                _ => (
+                    TraceDest::Multicast(at.0),
+                    vec![s("dest", "multicast"), u("fanout", at.0 as u64)],
+                ),
+            };
+            let bytes = rng.sample(0..4096usize);
+            let mut leaves = vec![u("src", src.0 as u64), s("kind", kind)];
+            leaves.extend(dest_leaves);
+            leaves.extend([u("bytes", bytes as u64), u("airtime_us", a)]);
+            let event = TraceEvent::FrameTx {
+                src,
+                kind,
+                dest,
+                bytes,
+                airtime_us: a,
+            };
+            (event, leaves)
+        }
+        1 => {
+            let deferrals = rng.sample(0..=u32::MAX);
+            (
+                TraceEvent::CsmaDeferred {
+                    node: at,
+                    deferrals,
+                    capped: flag_a,
+                },
+                vec![
+                    u("node", at.0 as u64),
+                    u("deferrals", deferrals as u64),
+                    b("capped", flag_a),
+                ],
+            )
+        }
+        2 => (
+            TraceEvent::FrameDelivered {
+                src,
+                node: at,
+                kind,
+                intended: flag_a,
+            },
+            frame(vec![b("intended", flag_a)]),
+        ),
+        3 => (
+            TraceEvent::FrameCollision {
+                src,
+                node: at,
+                kind,
+            },
+            frame(vec![]),
+        ),
+        4 => (
+            TraceEvent::FrameLost {
+                src,
+                node: at,
+                kind,
+            },
+            frame(vec![]),
+        ),
+        5 => (
+            TraceEvent::FrameGaveUp {
+                src,
+                node: at,
+                kind,
+            },
+            frame(vec![]),
+        ),
+        6 => (
+            TraceEvent::FrameMissed {
+                src,
+                node: at,
+                kind,
+                asleep: flag_a,
+            },
+            frame(vec![b("asleep", flag_a)]),
+        ),
+        7 => {
+            let retries_left = rng.sample(0..=u32::MAX);
+            (
+                TraceEvent::FrameRetry {
+                    src,
+                    node: at,
+                    kind,
+                    retries_left,
+                },
+                frame(vec![u("retries_left", retries_left as u64)]),
+            )
+        }
+        8 => (
+            TraceEvent::SleepStart {
+                node: at,
+                duration_ms: a,
+            },
+            vec![u("node", at.0 as u64), u("duration_ms", a)],
+        ),
+        9 => (TraceEvent::Wake { node: at }, vec![u("node", at.0 as u64)]),
+        10 => (
+            TraceEvent::FaultCrash { node: at },
+            vec![u("node", at.0 as u64)],
+        ),
+        11 => (
+            TraceEvent::FaultRecover { node: at },
+            vec![u("node", at.0 as u64)],
+        ),
+        12 => {
+            let mut leaves = vec![u("node", at.0 as u64), u("epoch_ms", epoch_ms)];
+            leaves.extend(each("due", ids(&list)));
+            let event = TraceEvent::EpochFire {
+                node: at,
+                epoch_ms,
+                due: list,
+            };
+            (event, leaves)
+        }
+        13 => {
+            let mut leaves = vec![u("node", at.0 as u64), u("epoch_ms", epoch_ms)];
+            leaves.extend(each("acq", ids(&list)));
+            leaves.extend(each("agg", ids(&list2)));
+            let event = TraceEvent::SharedAcquisition {
+                node: at,
+                epoch_ms,
+                acq: list,
+                agg: list2,
+            };
+            (event, leaves)
+        }
+        14 => {
+            let to = vec_of(rng, 3, node);
+            let prov = vec_of(rng, 3, |rng| ProvenanceId::new(node(rng), uint(rng) >> 16));
+            let mut leaves = vec![u("from", src.0 as u64)];
+            leaves.extend(each("to", to.iter().map(|n| Leaf::U(n.0 as u64))));
+            leaves.push(u("epoch_ms", epoch_ms));
+            leaves.extend(each("prov", prov.iter().map(|p| Leaf::U(p.0))));
+            leaves.extend(each("qids", ids(&list)));
+            leaves.push(b("origin", flag_a));
+            let event = TraceEvent::ResultHop {
+                from: src,
+                to,
+                epoch_ms,
+                prov,
+                qids: list,
+                origin: flag_a,
+            };
+            (event, leaves)
+        }
+        15 => {
+            let prov = ProvenanceId::new(at, a >> 16);
+            let mut leaves = vec![u("prov", prov.0)];
+            leaves.extend(each("qids", ids(&list)));
+            leaves.push(u("epoch_ms", epoch_ms));
+            let event = TraceEvent::ResultDelivered {
+                prov,
+                qids: list,
+                epoch_ms,
+            };
+            (event, leaves)
+        }
+        16 => (
+            TraceEvent::NoRouteResignation { node: at, epoch_ms },
+            vec![u("node", at.0 as u64), u("epoch_ms", epoch_ms)],
+        ),
+        17 => (
+            TraceEvent::ParentDead {
+                node: at,
+                parent: src,
+            },
+            vec![u("node", at.0 as u64), u("parent", src.0 as u64)],
+        ),
+        18 => {
+            let rate = float(rng);
+            let rate_leaf = if rate.is_finite() {
+                f("rate", rate)
+            } else {
+                s("rate", "inf")
+            };
+            (
+                TraceEvent::Tier1Eval {
+                    probe: QueryId(a),
+                    candidate: QueryId(c),
+                    rate,
+                },
+                vec![u("probe", a), u("candidate", c), rate_leaf],
+            )
+        }
+        19 => (
+            TraceEvent::Tier1Merge {
+                probe: QueryId(a),
+                candidate: QueryId(c),
+                merged: QueryId(d),
+            },
+            vec![u("probe", a), u("candidate", c), u("merged", d)],
+        ),
+        20 => (
+            TraceEvent::Tier1Covered {
+                probe: QueryId(a),
+                covered_by: QueryId(c),
+            },
+            vec![u("probe", a), u("covered_by", c)],
+        ),
+        21 => (
+            TraceEvent::Tier1Install {
+                synthetic: QueryId(a),
+                members: list,
+            },
+            members,
+        ),
+        22 => (
+            TraceEvent::Tier1Reoptimize {
+                synthetic: QueryId(a),
+                members: list,
+            },
+            members,
+        ),
+        23 => (
+            TraceEvent::Tier1Reindex {
+                synthetic: QueryId(a),
+                members: list,
+            },
+            members,
+        ),
+        24 => (
+            TraceEvent::Tier1Remove {
+                user: QueryId(a),
+                synthetic: QueryId(c),
+                emptied: flag_a,
+                rebuilt: flag_b,
+            },
+            vec![
+                u("user", a),
+                u("synthetic", c),
+                b("emptied", flag_a),
+                b("rebuilt", flag_b),
+            ],
+        ),
+        _ => (
+            TraceEvent::AnswerMapped {
+                user: QueryId(a),
+                synthetic: QueryId(c),
+                epoch_ms,
+                rows: d,
+                nonempty: flag_a,
+                latency_ms,
+            },
+            vec![
+                u("user", a),
+                u("synthetic", c),
+                u("epoch_ms", epoch_ms),
+                u("rows", d),
+                b("nonempty", flag_a),
+                u("latency_ms", latency_ms),
+            ],
+        ),
+    };
+    let record = TraceRecord {
+        time_us: uint(rng),
+        event,
+    };
+    let mut leaves = vec![u("t", record.time_us), s("ev", record.event.kind_tag())];
+    leaves.extend(fields);
+    (record, leaves)
+}
+
+fn trace_summary(rng: &mut TestRng) -> (TraceSummary, Leaves) {
+    let queries: Vec<u64> = vec_of(rng, 3, uint);
+    let mut summary = TraceSummary {
+        schema_version: flag(rng).then_some(SCHEMA_VERSION),
+        events: uint(rng),
+        by_kind: vec_of(rng, 3, |rng| (text(rng), uint(rng)))
+            .into_iter()
+            .collect(),
+        hop_distribution: vec_of(rng, 3, |rng| (uint(rng), uint(rng)))
+            .into_iter()
+            .collect(),
+        rollups: vec_of(rng, 3, |rng| EpochRollup {
+            epoch_ms: uint(rng),
+            tx: uint(rng),
+            collisions: uint(rng),
+            losses: uint(rng),
+            retries: uint(rng),
+            sleeps: uint(rng),
+            rows_delivered: uint(rng),
+            answers: uint(rng),
+            nonempty_answers: uint(rng),
+        }),
+        malformed_lines: rng.sample(0..2u64),
+        dropped_records: rng.sample(0..2u64),
+        truncated_tail: flag(rng),
+        ..TraceSummary::default()
+    };
+    for q in &queries {
+        summary.answers_per_query.insert(*q, uint(rng));
+        if flag(rng) {
+            summary.nonempty_per_query.insert(*q, uint(rng));
+        }
+        if flag(rng) {
+            let samples = vec_of(rng, 4, count);
+            summary.latency_ms_per_query.insert(*q, samples);
+        }
+    }
+    let mut leaves = vec![
+        u("schema_version", SCHEMA_VERSION as u64),
+        opt(
+            "trace_schema_version",
+            summary.schema_version.map(|v| Leaf::U(v as u64)),
+        ),
+        u("events", summary.events),
+        u("malformed_lines", summary.malformed_lines),
+        u("dropped_records", summary.dropped_records),
+        b("truncated_tail", summary.truncated_tail),
+        b("lossless", summary.is_lossless()),
+    ];
+    for (kind, n) in &summary.by_kind {
+        leaves.push(u(&format!("by_kind.{kind}"), *n));
+    }
+    for (i, (query, answers)) in summary.answers_per_query.iter().enumerate() {
+        let latencies = summary.latency_ms_per_query.get(query);
+        let latencies = latencies.map_or(&[][..], Vec::as_slice);
+        let mean = (!latencies.is_empty())
+            .then(|| Leaf::F(latencies.iter().sum::<u64>() as f64 / latencies.len() as f64));
+        leaves.extend(under(
+            &format!("queries[{i}]."),
+            vec![
+                u("query", *query),
+                u("answers", *answers),
+                u(
+                    "nonempty",
+                    summary.nonempty_per_query.get(query).copied().unwrap_or(0),
+                ),
+                u("latency.count", latencies.len() as u64),
+                opt("latency.mean_ms", mean),
+            ],
+        ));
+    }
+    for (hops, n) in &summary.hop_distribution {
+        leaves.push(u(&format!("hop_distribution.{hops}"), *n));
+    }
+    for (i, r) in summary.rollups.iter().enumerate() {
+        leaves.extend(under(
+            &format!("rollups[{i}]."),
+            vec![
+                u("epoch_ms", r.epoch_ms),
+                u("tx", r.tx),
+                u("collisions", r.collisions),
+                u("losses", r.losses),
+                u("retries", r.retries),
+                u("sleeps", r.sleeps),
+                u("rows_delivered", r.rows_delivered),
+                u("answers", r.answers),
+                u("nonempty_answers", r.nonempty_answers),
+            ],
+        ));
+    }
+    (summary, leaves)
+}
+
+fn profile_report(rng: &mut TestRng) -> (ProfileReport, Leaves) {
+    let report = ProfileReport {
+        phases: vec_of(rng, 5, |rng| PhaseProfile {
+            phase: ProfilePhase::ALL[rng.sample(0..ProfilePhase::ALL.len())],
+            wall_ns: uint(rng),
+            events: uint(rng),
+        }),
+    };
+    let mut leaves = vec![u("schema_version", SCHEMA_VERSION as u64)];
+    for (i, p) in report.phases.iter().enumerate() {
+        leaves.extend(under(
+            &format!("phases[{i}]."),
+            vec![
+                s("name", p.phase.name()),
+                u("wall_us", p.wall_ns / 1_000),
+                u("events", p.events),
+                fixed("ns_per_event", p.ns_per_event(), 1),
+            ],
+        ));
+    }
+    (report, leaves)
+}
+
+fn audit_report(rng: &mut TestRng) -> (AuditReport, Leaves) {
+    let report = AuditReport {
+        checks_run: rng.sample(0..=u32::MAX),
+        checks_skipped: rng.sample(0..=u32::MAX),
+        violations: vec_of(rng, 3, |rng| AuditViolation {
+            check: AuditCheck::ALL[rng.sample(0..AuditCheck::ALL.len())],
+            subject: text(rng),
+            expected: text(rng),
+            actual: text(rng),
+        }),
+    };
+    let mut leaves = vec![
+        u("schema_version", SCHEMA_VERSION as u64),
+        u("checks_run", report.checks_run as u64),
+        u("checks_skipped", report.checks_skipped as u64),
+    ];
+    for (i, v) in report.violations.iter().enumerate() {
+        leaves.extend(under(
+            &format!("violations[{i}]."),
+            vec![
+                s("check", v.check.name()),
+                s("subject", &v.subject),
+                s("expected", &v.expected),
+                s("actual", &v.actual),
+            ],
+        ));
+    }
+    (report, leaves)
+}
+
+fn kind_counts(rng: &mut TestRng) -> BTreeMap<MsgKind, u64> {
+    vec_of(rng, 3, |rng| (msg_kind(rng), uint(rng)))
+        .into_iter()
+        .collect()
+}
+
+fn node_timeseries(rng: &mut TestRng) -> (NodeTimeseries, Leaves) {
+    let nodes = rng.sample(0..4usize);
+    let series = NodeTimeseries {
+        window_ms: uint(rng),
+        nodes,
+        horizon_ms: uint(rng),
+        windows: vec_of(rng, 3, |rng| WindowStats {
+            start_ms: uint(rng),
+            len_ms: uint(rng),
+            tx_busy_ms: (0..nodes).map(|_| float(rng)).collect(),
+            rx_busy_ms: (0..nodes).map(|_| float(rng)).collect(),
+            sleep_ms: (0..nodes).map(|_| float(rng)).collect(),
+            samples: (0..nodes).map(|_| uint(rng)).collect(),
+            tx_frames: (0..nodes).map(|_| uint(rng)).collect(),
+            energy_mj: (0..nodes).map(|_| float(rng)).collect(),
+            tx_count: kind_counts(rng),
+            collisions: uint(rng),
+            retransmissions: uint(rng),
+            losses: uint(rng),
+            gave_up: uint(rng),
+        }),
+    };
+    let mut leaves = vec![
+        u("schema_version", SCHEMA_VERSION as u64),
+        u("window_ms", series.window_ms),
+        u("nodes", series.nodes as u64),
+        u("horizon_ms", series.horizon_ms),
+    ];
+    for (i, w) in series.windows.iter().enumerate() {
+        let floats = |v: &[f64]| v.iter().map(|x| Leaf::F(*x)).collect::<Vec<_>>();
+        let uints = |v: &[u64]| v.iter().map(|x| Leaf::U(*x)).collect::<Vec<_>>();
+        let mut window = vec![u("start_ms", w.start_ms), u("len_ms", w.len_ms)];
+        window.extend(each("tx_busy_ms", floats(&w.tx_busy_ms)));
+        window.extend(each("rx_busy_ms", floats(&w.rx_busy_ms)));
+        window.extend(each("sleep_ms", floats(&w.sleep_ms)));
+        window.extend(each("energy_mj", floats(&w.energy_mj)));
+        window.extend(each("samples", uints(&w.samples)));
+        window.extend(each("tx_frames", uints(&w.tx_frames)));
+        for (kind, n) in &w.tx_count {
+            window.push(u(&format!("tx_count.{kind}"), *n));
+        }
+        window.extend([
+            u("collisions", w.collisions),
+            u("retransmissions", w.retransmissions),
+            u("losses", w.losses),
+            u("gave_up", w.gave_up),
+            f("max_mean_tx_ratio", w.max_mean_tx_ratio()),
+            f("gini_tx_busy", w.gini_tx_busy()),
+        ]);
+        leaves.extend(under(&format!("windows[{i}]."), window));
+    }
+    (series, leaves)
+}
+
+fn cell_record(rng: &mut TestRng) -> (CellRecord, Leaves) {
+    let per_query = vec_of(rng, 3, |rng| {
+        let completeness = QueryCompleteness {
+            expected_epochs: count(rng),
+            answered_epochs: count(rng),
+            expected_rows: count(rng),
+            delivered_rows: count(rng),
+        };
+        (QueryId(uint(rng)), completeness)
+    });
+    let (audit, audit_leaves) = audit_report(rng);
+    let record = CellRecord {
+        workload: text(rng),
+        strategy: tier(rng),
+        grid_n: rng.sample(0..100usize),
+        field_seed: uint(rng),
+        fault: text(rng),
+        wall_clock_ms: float(rng),
+        workload_events: rng.sample(0..1000usize),
+        queries_answered: rng.sample(0..1000usize),
+        answer_epochs: rng.sample(0..1_000_000usize),
+        avg_synthetic_count: float(rng),
+        avg_benefit_ratio: float(rng),
+        optimizer: flag(rng).then(|| OptimizerStats {
+            inserted: uint(rng),
+            terminated: uint(rng),
+            injections: uint(rng),
+            abortions: uint(rng),
+            absorbed_insertions: uint(rng),
+            absorbed_terminations: uint(rng),
+            reoptimizations: uint(rng),
+        }),
+        completeness: CompletenessReport {
+            per_query: per_query.into_iter().collect(),
+            repairs_triggered: count(rng),
+            repair_latency_ms: vec_of(rng, 3, count),
+        },
+        metrics: MetricsSnapshot {
+            avg_transmission_time_pct: float(rng),
+            total_tx_busy_ms: float(rng),
+            total_rx_busy_ms: float(rng),
+            total_sleep_ms: float(rng),
+            tx_count: kind_counts(rng),
+            tx_bytes: kind_counts(rng),
+            retransmissions: uint(rng),
+            collisions: uint(rng),
+            losses: uint(rng),
+            gave_up: uint(rng),
+            orphaned_drops: uint(rng),
+            orphaned_nodes: uint(rng),
+            samples: uint(rng),
+            horizon_ms: uint(rng),
+        },
+        engine: EngineStats {
+            events_processed: count(rng),
+            frames_total: uint(rng),
+            frame_slab_len: rng.sample(0..10_000usize),
+            frame_slab_high_water: rng.sample(0..10_000usize),
+            frames_in_flight: rng.sample(0..10_000usize),
+            csma_capped_deferrals: uint(rng),
+            csma_sorts_saved: uint(rng),
+            timer_events: count(rng),
+            deliver_events: count(rng),
+            command_events: count(rng),
+            maintenance_events: count(rng),
+            fault_events: count(rng),
+        },
+        trace_file: flag(rng).then(|| text(rng)),
+        energy_mj: float(rng),
+        max_node_energy_mj: float(rng),
+        timeseries_file: flag(rng).then(|| text(rng)),
+        profile_file: flag(rng).then(|| text(rng)),
+        audit: flag(rng).then_some(audit),
+    };
+    let (c, m, e) = (&record.completeness, &record.metrics, &record.engine);
+    let mut leaves = vec![
+        u("schema_version", SCHEMA_VERSION as u64),
+        s("workload", &record.workload),
+        s("strategy", record.strategy),
+        u("grid_n", record.grid_n as u64),
+        u("field_seed", record.field_seed),
+        s("fault", &record.fault),
+        f("wall_clock_ms", record.wall_clock_ms),
+        u("workload_events", record.workload_events as u64),
+        u("queries_answered", record.queries_answered as u64),
+        u("answer_epochs", record.answer_epochs as u64),
+        f("avg_synthetic_count", record.avg_synthetic_count),
+        f("avg_benefit_ratio", record.avg_benefit_ratio),
+        f("energy_mj", record.energy_mj),
+        f("max_node_energy_mj", record.max_node_energy_mj),
+    ];
+    match &record.optimizer {
+        None => leaves.push(null("optimizer")),
+        Some(o) => leaves.extend(under(
+            "optimizer.",
+            vec![
+                u("inserted", o.inserted),
+                u("terminated", o.terminated),
+                u("injections", o.injections),
+                u("abortions", o.abortions),
+                u("absorbed_insertions", o.absorbed_insertions),
+                u("absorbed_terminations", o.absorbed_terminations),
+            ],
+        )),
+    }
+    leaves.extend(under(
+        "completeness.",
+        vec![
+            f("min_epoch_ratio", c.min_epoch_ratio()),
+            f("min_row_ratio", c.min_row_ratio()),
+            u("repairs_triggered", c.repairs_triggered),
+            opt(
+                "mean_repair_latency_ms",
+                c.mean_repair_latency_ms().map(Leaf::F),
+            ),
+        ],
+    ));
+    let mut metrics = vec![
+        f("avg_transmission_time_pct", m.avg_transmission_time_pct),
+        f("total_tx_busy_ms", m.total_tx_busy_ms),
+        f("total_rx_busy_ms", m.total_rx_busy_ms),
+        f("total_sleep_ms", m.total_sleep_ms),
+    ];
+    for (kind, n) in &m.tx_count {
+        metrics.push(u(&format!("tx_count.{kind}"), *n));
+    }
+    for (kind, n) in &m.tx_bytes {
+        metrics.push(u(&format!("tx_bytes.{kind}"), *n));
+    }
+    metrics.extend([
+        u("retransmissions", m.retransmissions),
+        u("collisions", m.collisions),
+        u("losses", m.losses),
+        u("gave_up", m.gave_up),
+        u("orphaned_drops", m.orphaned_drops),
+        u("orphaned_nodes", m.orphaned_nodes),
+        u("samples", m.samples),
+        u("horizon_ms", m.horizon_ms),
+    ]);
+    leaves.extend(under("metrics.", metrics));
+    leaves.extend(under(
+        "engine.",
+        vec![
+            u("events_processed", e.events_processed),
+            u("frames_total", e.frames_total),
+            u("frame_slab_high_water", e.frame_slab_high_water as u64),
+            u("csma_capped_deferrals", e.csma_capped_deferrals),
+            u("csma_sorts_saved", e.csma_sorts_saved),
+            u("timer_events", e.timer_events),
+            u("deliver_events", e.deliver_events),
+            u("command_events", e.command_events),
+            u("maintenance_events", e.maintenance_events),
+            u("fault_events", e.fault_events),
+        ],
+    ));
+    for (key, file) in [
+        ("trace_file", &record.trace_file),
+        ("timeseries_file", &record.timeseries_file),
+        ("profile_file", &record.profile_file),
+    ] {
+        leaves.extend(file.as_ref().map(|name| s(key, name)));
+    }
+    if record.audit.is_some() {
+        leaves.extend(under("audit.", audit_leaves));
+    }
+    (record, leaves)
+}
+
+fn campaign_event(rng: &mut TestRng) -> (CampaignEvent, Leaves) {
+    let (wall_ms, index, grid_n) = (
+        float(rng),
+        rng.sample(0..1000usize),
+        rng.sample(0..100usize),
+    );
+    let (workload, strategy, field_seed, fault) = (text(rng), tier(rng), uint(rng), text(rng));
+    let (warm, eta_ms) = (flag(rng), flag(rng).then(|| float(rng)));
+    let (n1, n2, n3) = (
+        rng.sample(0..1000usize),
+        rng.sample(0..1000usize),
+        rng.sample(0..1000usize),
+    );
+    let coords = vec![
+        u("index", index as u64),
+        s("workload", &workload),
+        s("strategy", strategy),
+        u("grid_n", grid_n as u64),
+        u("field_seed", field_seed),
+        s("fault", &fault),
+    ];
+    let eta = opt("eta_ms", eta_ms.map(Leaf::F));
+    let (event, fields): (CampaignEvent, Leaves) = match rng.sample(0..6u8) {
+        0 => (
+            CampaignEvent::CampaignStarted {
+                cells: n1,
+                threads: n2,
+                warm_start: warm,
+            },
+            vec![
+                u("cells", n1 as u64),
+                u("threads", n2 as u64),
+                b("warm_start", warm),
+            ],
+        ),
+        1 => (
+            CampaignEvent::CellStarted {
+                wall_ms,
+                index,
+                workload,
+                strategy,
+                grid_n,
+                field_seed,
+                fault,
+                warm,
+            },
+            [vec![f("wall_ms", wall_ms)], coords, vec![b("warm", warm)]].concat(),
+        ),
+        2 => {
+            let (cell_wall_ms, events_per_sec) = (float(rng), float(rng));
+            let (sim_ms, events_processed, audit_violations) = (uint(rng), uint(rng), uint(rng));
+            (
+                CampaignEvent::CellFinished {
+                    wall_ms,
+                    index,
+                    workload,
+                    strategy,
+                    grid_n,
+                    field_seed,
+                    fault,
+                    warm,
+                    cell_wall_ms,
+                    sim_ms,
+                    events_processed,
+                    events_per_sec,
+                    audit_violations,
+                    completed: n1,
+                    total: n2,
+                    eta_ms,
+                },
+                [
+                    vec![f("wall_ms", wall_ms)],
+                    coords,
+                    vec![
+                        b("warm", warm),
+                        f("cell_wall_ms", cell_wall_ms),
+                        u("sim_ms", sim_ms),
+                        u("events_processed", events_processed),
+                        f("events_per_sec", events_per_sec),
+                        u("audit_violations", audit_violations),
+                        u("completed", n1 as u64),
+                        u("total", n2 as u64),
+                        eta,
+                    ],
+                ]
+                .concat(),
+            )
+        }
+        3 => (
+            CampaignEvent::CellFailed {
+                wall_ms,
+                index,
+                workload,
+                strategy,
+                grid_n,
+                field_seed,
+                fault,
+            },
+            [vec![f("wall_ms", wall_ms)], coords].concat(),
+        ),
+        4 => (
+            CampaignEvent::Heartbeat {
+                wall_ms,
+                completed: n1,
+                running: n2,
+                total: n3,
+                eta_ms,
+            },
+            vec![
+                f("wall_ms", wall_ms),
+                u("completed", n1 as u64),
+                u("running", n2 as u64),
+                u("total", n3 as u64),
+                eta,
+            ],
+        ),
+        _ => (
+            CampaignEvent::CampaignFinished {
+                wall_ms,
+                cells: n1,
+                warm_prefix_hits: n2,
+                audit_violations: field_seed,
+            },
+            vec![
+                f("wall_ms", wall_ms),
+                u("cells", n1 as u64),
+                u("warm_prefix_hits", n2 as u64),
+                u("audit_violations", field_seed),
+            ],
+        ),
+    };
+    let leaves = [vec![s("ev", event.kind())], fields].concat();
+    (event, leaves)
+}
+
+fn rollup(rng: &mut TestRng) -> (CampaignRollup, Leaves) {
+    // A handful of axis values, so marginals aggregate several cells.
+    let names = [text(rng), text(rng)];
+    let records: Vec<CellRecord> = vec_of(rng, 6, |rng| {
+        let (mut record, _) = cell_record(rng);
+        record.workload = names[rng.sample(0..2usize)].clone();
+        record.fault = names[rng.sample(0..2usize)].clone();
+        record.grid_n = rng.sample(3..5usize);
+        record
+    });
+    let rollup = CampaignRollup::from_records(&records);
+    let mut leaves = vec![
+        u("schema_version", SCHEMA_VERSION as u64),
+        u("cells", rollup.cells as u64),
+        u("audited_cells", rollup.audited_cells as u64),
+        u("audit_violations", rollup.audit_violations),
+        f("total_wall_ms", rollup.total_wall_ms),
+        f("mean_wall_ms", rollup.mean_wall_ms),
+        f("max_wall_ms", rollup.max_wall_ms),
+        u("events_processed", rollup.events_processed),
+        u("answer_epochs", rollup.answer_epochs),
+        f("energy_mj", rollup.energy_mj),
+        f("max_node_energy_mj", rollup.max_node_energy_mj),
+    ];
+    for (name, axis) in [
+        ("by_workload", &rollup.by_workload),
+        ("by_strategy", &rollup.by_strategy),
+        ("by_grid", &rollup.by_grid),
+        ("by_fault", &rollup.by_fault),
+    ] {
+        for (i, m) in axis.iter().enumerate() {
+            leaves.extend(under(
+                &format!("{name}[{i}]."),
+                vec![
+                    s("key", &m.key),
+                    u("cells", m.cells as u64),
+                    f("total_wall_ms", m.total_wall_ms),
+                    u("events_processed", m.events_processed),
+                    u("timer_events", m.timer_events),
+                    u("deliver_events", m.deliver_events),
+                    u("command_events", m.command_events),
+                    u("maintenance_events", m.maintenance_events),
+                    u("fault_events", m.fault_events),
+                    u("answer_epochs", m.answer_epochs),
+                    f("energy_mj", m.energy_mj),
+                    f("max_node_energy_mj", m.max_node_energy_mj),
+                    f("min_epoch_ratio", m.min_epoch_ratio),
+                    u("repairs_triggered", m.repairs_triggered),
+                    u("audit_violations", m.audit_violations),
+                ],
+            ));
+        }
+    }
+    for (i, h) in rollup.hotspots.iter().enumerate() {
+        leaves.extend(under(
+            &format!("hotspots[{i}]."),
+            vec![
+                u("index", h.index as u64),
+                s("workload", &h.workload),
+                s("strategy", h.strategy),
+                u("grid_n", h.grid_n as u64),
+                u("field_seed", h.field_seed),
+                s("fault", &h.fault),
+                u("events_processed", h.events_processed),
+                f("cell_wall_ms", h.cell_wall_ms),
+                f("events_per_sec", h.events_per_sec),
+            ],
+        ));
+    }
+    (rollup, leaves)
+}
+
+fn engine_result(rng: &mut TestRng) -> (EngineBenchResult, Leaves) {
+    let (record, _) = cell_record(rng);
+    let (profile, _) = profile_report(rng);
+    let result = EngineBenchResult {
+        name: text(rng),
+        grid_n: rng.sample(0..100usize),
+        duration_ms: uint(rng),
+        wall_s: float(rng),
+        topo_build_s: float(rng),
+        events: uint(rng),
+        events_per_sec: float(rng),
+        tx_frames: uint(rng),
+        delivered: uint(rng),
+        stats: record.engine,
+        profile: flag(rng).then_some(profile),
+        audit_violations: flag(rng).then(|| uint(rng)),
+    };
+    let st = &result.stats;
+    let mut leaves = vec![
+        u("schema_version", SCHEMA_VERSION as u64),
+        s("name", &result.name),
+        u("grid_n", result.grid_n as u64),
+        u("duration_ms", result.duration_ms),
+        fixed("wall_s", result.wall_s, 6),
+        fixed("topo_build_s", result.topo_build_s, 6),
+        u("events", result.events),
+        fixed("events_per_sec", result.events_per_sec, 1),
+        u("tx_frames", result.tx_frames),
+        u("delivered", result.delivered),
+        u("frames_total", st.frames_total),
+        u("slab_len", st.frame_slab_len as u64),
+        u("slab_high_water", st.frame_slab_high_water as u64),
+        u("frames_in_flight", st.frames_in_flight as u64),
+        u("csma_capped_deferrals", st.csma_capped_deferrals),
+        u("csma_sorts_saved", st.csma_sorts_saved),
+    ];
+    if let Some(profile) = &result.profile {
+        for (key, phase) in [
+            ("timer_wall_us", ProfilePhase::Timer),
+            ("deliver_wall_us", ProfilePhase::Deliver),
+            ("command_wall_us", ProfilePhase::Command),
+            ("maintenance_wall_us", ProfilePhase::Maintenance),
+            ("fault_wall_us", ProfilePhase::Fault),
+            ("csma_wall_us", ProfilePhase::CsmaSense),
+            ("interference_wall_us", ProfilePhase::InterferenceMark),
+        ] {
+            leaves.push(u(key, profile.get(phase).wall_us()));
+        }
+    }
+    leaves.extend(result.audit_violations.map(|n| u("audit_violations", n)));
+    (result, leaves)
+}
+
+fn checkpoint_result(rng: &mut TestRng) -> (CheckpointBenchResult, Leaves) {
+    let r = CheckpointBenchResult {
+        name: text(rng),
+        snapshot_bytes: uint(rng),
+        save_s: float(rng),
+        restore_s: float(rng),
+        resume_matches: flag(rng),
+        cold_wall_s: float(rng),
+        warm_wall_s: float(rng),
+        warmstart_speedup: float(rng),
+        warm_matches: flag(rng),
+        wall_s: float(rng),
+    };
+    let leaves = vec![
+        u("schema_version", SCHEMA_VERSION as u64),
+        s("name", &r.name),
+        u("snapshot_bytes", r.snapshot_bytes),
+        fixed("save_s", r.save_s, 6),
+        fixed("restore_s", r.restore_s, 6),
+        b("resume_matches", r.resume_matches),
+        fixed("cold_wall_s", r.cold_wall_s, 6),
+        fixed("warm_wall_s", r.warm_wall_s, 6),
+        fixed("warmstart_speedup", r.warmstart_speedup, 3),
+        b("warm_matches", r.warm_matches),
+        fixed("wall_s", r.wall_s, 6),
+    ];
+    (r, leaves)
+}
+
+fn churn_result(rng: &mut TestRng) -> (ChurnBenchResult, Leaves) {
+    let r = ChurnBenchResult {
+        name: text(rng),
+        admitted: uint(rng),
+        departed: uint(rng),
+        peak_live: uint(rng),
+        peak_synthetics: uint(rng),
+        final_users: uint(rng),
+        final_synthetics: uint(rng),
+        scanned: uint(rng),
+        pruned: uint(rng),
+        admit_wall_s: float(rng),
+        wall_s: float(rng),
+        admitted_per_sec: float(rng),
+        admit_p50_us: float(rng),
+        admit_p99_us: float(rng),
+        admit_max_us: float(rng),
+        speedup_vs_exhaustive: float(rng),
+        latency_hist: Histogram::new(0.0, 1.0, 1).expect("valid histogram"),
+    };
+    let leaves = vec![
+        u("schema_version", SCHEMA_VERSION as u64),
+        s("name", &r.name),
+        u("admitted", r.admitted),
+        u("departed", r.departed),
+        u("peak_live", r.peak_live),
+        u("peak_synthetics", r.peak_synthetics),
+        u("final_users", r.final_users),
+        u("final_synthetics", r.final_synthetics),
+        u("scanned", r.scanned),
+        u("pruned", r.pruned),
+        fixed("wall_s", r.wall_s, 6),
+        fixed("admitted_per_sec", r.admitted_per_sec, 1),
+        fixed("admit_p50_us", r.admit_p50_us, 2),
+        fixed("admit_p99_us", r.admit_p99_us, 2),
+        fixed("admit_max_us", r.admit_max_us, 2),
+        fixed("speedup_vs_exhaustive", r.speedup_vs_exhaustive, 3),
+    ];
+    (r, leaves)
+}
+
+fn fault_result(rng: &mut TestRng) -> (FaultBenchResult, Leaves) {
+    let r = FaultBenchResult {
+        name: text(rng),
+        grid_n: rng.sample(0..100usize),
+        duration_ms: uint(rng),
+        wall_s: float(rng),
+        sim_ms_per_wall_s: float(rng),
+        tx_frames: uint(rng),
+        retransmissions: uint(rng),
+        gave_up: uint(rng),
+        orphaned_drops: uint(rng),
+        orphaned_nodes: uint(rng),
+        min_epoch_ratio: float(rng),
+        min_row_ratio: float(rng),
+        repairs_triggered: uint(rng),
+        mean_repair_latency_ms: flag(rng).then(|| float(rng)),
+    };
+    let leaves = vec![
+        u("schema_version", SCHEMA_VERSION as u64),
+        s("name", &r.name),
+        u("grid_n", r.grid_n as u64),
+        u("duration_ms", r.duration_ms),
+        fixed("wall_s", r.wall_s, 6),
+        fixed("sim_ms_per_wall_s", r.sim_ms_per_wall_s, 1),
+        u("tx_frames", r.tx_frames),
+        u("retransmissions", r.retransmissions),
+        u("gave_up", r.gave_up),
+        u("orphaned_drops", r.orphaned_drops),
+        u("orphaned_nodes", r.orphaned_nodes),
+        fixed("min_epoch_ratio", r.min_epoch_ratio, 6),
+        fixed("min_row_ratio", r.min_row_ratio, 6),
+        u("repairs_triggered", r.repairs_triggered),
+        opt(
+            "mean_repair_latency_ms",
+            r.mean_repair_latency_ms.map(|ms| Leaf::Fixed(ms, 1)),
+        ),
+    ];
+    (r, leaves)
+}
+
+/// A comparison of two random flat documents sharing some keys.
+fn compare_report(rng: &mut TestRng) -> CompareReport {
+    let side = |rng: &mut TestRng| {
+        json::object(|o| {
+            for key in ["a", "b\"", "wall_s", "audit_violations", "n"] {
+                match rng.sample(0..5u8) {
+                    0 => {}
+                    1 => o.u64(key, uint(rng)),
+                    2 => o.f64(key, float(rng)),
+                    3 => o.str(key, &text(rng)),
+                    _ => o.null(key),
+                }
+            }
+        })
+    };
+    let (base, cur) = (side(rng), side(rng));
+    compare_json(&base, &cur, &CompareOptions::default()).expect("own documents parse")
+}
+
+proptest! {
+    #[test]
+    fn trace_record_round_trips(case in arb(trace_record)) {
+        check(&case.0.to_json(), &case.1)?;
+    }
+
+    #[test]
+    fn trace_summary_round_trips(case in arb(trace_summary)) {
+        check(&case.0.to_json(), &case.1)?;
+    }
+
+    #[test]
+    fn profile_report_round_trips(case in arb(profile_report)) {
+        let json = case.0.to_json();
+        check(&json, &case.1)?;
+        // The report's own reader: phases and counts exact, wall quantized
+        // to whole µs.
+        match ProfileReport::from_json(&json) {
+            None => prop_assert!(case.0.phases.is_empty()),
+            Some(back) => {
+                prop_assert_eq!(back.phases.len(), case.0.phases.len());
+                for (got, want) in back.phases.iter().zip(&case.0.phases) {
+                    prop_assert_eq!(got.phase, want.phase);
+                    prop_assert_eq!(got.events, want.events);
+                    prop_assert_eq!(got.wall_ns, want.wall_ns / 1_000 * 1_000);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn audit_report_round_trips(case in arb(audit_report)) {
+        check(&case.0.to_json(), &case.1)?;
+    }
+
+    #[test]
+    fn node_timeseries_round_trips(case in arb(node_timeseries)) {
+        check(&case.0.to_json(), &case.1)?;
+    }
+
+    #[test]
+    fn cell_record_round_trips(case in arb(cell_record)) {
+        check(&case.0.to_json(), &case.1)?;
+    }
+
+    #[test]
+    fn campaign_event_round_trips(case in arb(campaign_event)) {
+        check(&case.0.to_json(), &case.1)?;
+    }
+
+    #[test]
+    fn campaign_rollup_round_trips(case in arb(rollup)) {
+        check(&case.0.to_json(), &case.1)?;
+    }
+
+    #[test]
+    fn compare_report_round_trips(report in arb(compare_report)) {
+        let shown: Vec<_> = report.diffs.iter().filter(|d| d.verdict != Verdict::Pass).collect();
+        let mut leaves = vec![
+            u("schema_version", SCHEMA_VERSION as u64),
+            s("format", "ttmqo-compare"),
+            u("fields_compared", report.diffs.len() as u64),
+            u("failures", report.failures().count() as u64),
+            b("pass", report.is_pass()),
+        ];
+        for (i, d) in shown.iter().enumerate() {
+            leaves.extend(under(&format!("diffs[{i}]."), vec![
+                s("key", &d.key),
+                opt("baseline", d.baseline.clone().map(Leaf::S)),
+                opt("current", d.current.clone().map(Leaf::S)),
+                s("verdict", d.verdict),
+                b("failure", d.verdict.is_failure()),
+            ]));
+        }
+        check(&report.to_json(), &leaves)?;
+    }
+
+    #[test]
+    fn bench_results_round_trip(
+        engine in arb(engine_result),
+        checkpoint in arb(checkpoint_result),
+        churn in arb(churn_result),
+        faults in arb(fault_result),
+    ) {
+        check(&engine.0.to_json(), &engine.1)?;
+        check(&checkpoint.0.to_json(), &checkpoint.1)?;
+        check(&churn.0.to_json(), &churn.1)?;
+        check(&faults.0.to_json(), &faults.1)?;
+        // The trajectory readers find every finite row by its (escaped) name.
+        let column = |json: String, parse: fn(&str) -> Vec<(String, f64)>, name: &str, v: f64, d| {
+            let want: f64 = format!("{v:.d$}").parse().expect("a float");
+            let rows = parse(&format!("{json}\nnot a row\n"));
+            if v.is_finite() {
+                rows == vec![(name.to_string(), want)]
+            } else {
+                rows.is_empty()
+            }
+        };
+        prop_assert!(column(engine.0.to_json(), parse_prior_report, &engine.0.name, engine.0.events_per_sec, 1));
+        prop_assert!(column(checkpoint.0.to_json(), parse_prior_checkpoint_report, &checkpoint.0.name, checkpoint.0.save_s, 6));
+        prop_assert!(column(churn.0.to_json(), parse_prior_churn_report, &churn.0.name, churn.0.admitted_per_sec, 1));
+        prop_assert!(column(faults.0.to_json(), parse_prior_faults_report, &faults.0.name, faults.0.sim_ms_per_wall_s, 1));
+    }
+}
+
+#[test]
+fn a_bench_name_with_a_quote_renders_valid_json_and_reads_back() {
+    let mut rng = TestRng::for_case(0);
+    let (mut result, _) = engine_result(&mut rng);
+    result.name = "a\"b".to_string();
+    result.events_per_sec = 1234.5;
+    let json = result.to_json();
+    let doc = json::parse(&json).expect("an escaped name keeps the row valid JSON");
+    assert_eq!(doc.str_at("name"), Some("a\"b"));
+    assert_eq!(
+        parse_prior_report(&json),
+        vec![("a\"b".to_string(), 1234.5)]
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Never panic
+// ---------------------------------------------------------------------------
+
+/// Every reader, fed one text. Returning at all is the property.
+fn feed_every_reader(text: &str, other: &str) {
+    let _ = json::parse(text);
+    if let Ok(summary) = summarize_trace(text, 2048) {
+        let _ = summary.to_json();
+        let _ = summary.mean_latency_ms();
+    }
+    let _ = summarize_trace(text, 0);
+    let _ = trace_diff(text, other, 2);
+    let _ = trace_diff(other, text, 0);
+    let _ = chrome_trace(text);
+    if let Some(report) = ProfileReport::from_json(text) {
+        let _ = report.to_json();
+    }
+    let _ = parse_prior_report(text);
+    let _ = parse_prior_checkpoint_report(text);
+    let _ = parse_prior_churn_report(text);
+    let _ = parse_prior_faults_report(text);
+    let opts = CompareOptions::default();
+    let _ = compare_json(text, other, &opts);
+    let _ = ttmqo::core::compare::compare_jsonl(text, other, &opts);
+}
+
+/// One of our own documents, picked and filled at random.
+fn own_document(rng: &mut TestRng) -> String {
+    match rng.sample(0..8u8) {
+        0 | 1 => {
+            let mut text = trace_header();
+            text.push('\n');
+            if flag(rng) {
+                text.push_str("{\"dropped_records\":3,\"note\":\"ring-evicted\"}\n");
+            }
+            for _ in 0..rng.sample(1..12usize) {
+                text.push_str(&trace_record(rng).0.to_json());
+                text.push('\n');
+            }
+            text
+        }
+        2 => profile_report(rng).0.to_json(),
+        3 => cell_record(rng).0.to_json(),
+        4 => rollup(rng).0.to_json(),
+        5 => trace_summary(rng).0.to_json(),
+        6 => format!(
+            "{}\n{}\n",
+            engine_result(rng).0.to_json(),
+            fault_result(rng).0.to_json()
+        ),
+        _ => format!(
+            "{}\n{}\n",
+            churn_result(rng).0.to_json(),
+            checkpoint_result(rng).0.to_json()
+        ),
+    }
+}
+
+/// `doc` with one byte deleted, flipped or duplicated (made valid UTF-8
+/// again, since the readers take `&str`).
+fn mutated(rng: &mut TestRng, doc: &str) -> String {
+    let mut bytes = doc.as_bytes().to_vec();
+    let at = rng.sample(0..bytes.len());
+    match rng.sample(0..3u8) {
+        0 => {
+            bytes.remove(at);
+        }
+        1 => bytes[at] ^= 1 << rng.sample(0..8u8),
+        _ => bytes.insert(at, bytes[at]),
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Text drawn mostly from JSON's own alphabet, so the parser gets past the
+/// first byte: structural characters, digits, keywords, escapes, the field
+/// names the readers look for, and arbitrary characters.
+fn json_soup(rng: &mut TestRng) -> String {
+    const TOKENS: &[&str] = &[
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        "\"",
+        "\\",
+        "\\u",
+        "\\ud800",
+        "\n",
+        " ",
+        "-",
+        "+",
+        ".",
+        "e",
+        "E",
+        "0",
+        "1",
+        "9",
+        "18446744073709551615",
+        "18446744073709551616",
+        "1e999",
+        "true",
+        "false",
+        "null",
+        "\"ev\"",
+        "\"t\"",
+        "\"prov\"",
+        "\"schema_version\"",
+        "\"phases\"",
+        "\"name\"",
+        "\"wall_us\"",
+        "\"events\"",
+        "\"dropped_records\"",
+        "\"answer-mapped\"",
+        "\"result-hop\"",
+        "\"result-delivered\"",
+        "\"frame-tx\"",
+        "\"user\"",
+        "\"latency_ms\"",
+        "\"epoch_ms\"",
+        "\"events_per_sec\"",
+        "\"deliver\"",
+    ];
+    (0..rng.sample(0..40usize))
+        .map(|_| match rng.sample(0..8u8) {
+            0 => rng.sample_char().to_string(),
+            _ => TOKENS[rng.sample(0..TOKENS.len())].to_string(),
+        })
+        .collect()
+}
+
+proptest! {
+    #[test]
+    fn readers_never_panic_on_arbitrary_text(text in ".{0,200}", soup in arb(json_soup), other in arb(json_soup)) {
+        feed_every_reader(&text, &other);
+        feed_every_reader(&soup, &other);
+    }
+
+    #[test]
+    fn readers_never_panic_on_our_documents_with_one_byte_damaged(
+        case in arb(|rng| {
+            let doc = own_document(rng);
+            (mutated(rng, &doc), doc)
+        })
+    ) {
+        let (damaged, doc) = case;
+        feed_every_reader(&doc, &damaged);
+        feed_every_reader(&damaged, &doc);
+    }
+}
+
+#[test]
+fn deep_nesting_is_a_typed_error_in_every_reader() {
+    for open in [
+        "[",
+        "{\"a\":",
+        "{\"ev\":\"frame-tx\",\"t\":[",
+        "{\"phases\":[",
+    ] {
+        let deep = open.repeat(2_000_000);
+        assert!(json::parse(&deep).is_err());
+        feed_every_reader(&deep, "[]");
+        let summary = summarize_trace(&format!("{deep}\n"), 2048).expect("no schema error");
+        assert_eq!((summary.events, summary.malformed_lines), (0, 1));
+        assert!(ProfileReport::from_json(&deep).is_none());
+    }
+}
+
+#[test]
+fn a_truncated_tail_is_dropped_not_misread() {
+    let mut rng = TestRng::for_case(1);
+    let mut text = trace_header();
+    text.push('\n');
+    let records: Vec<String> = (0..5).map(|_| trace_record(&mut rng).0.to_json()).collect();
+    for r in &records {
+        text.push_str(r);
+        text.push('\n');
+    }
+    // Cut anywhere inside the last record: the four complete ones survive.
+    let last_start = text.len() - records[4].len() - 1;
+    for cut in last_start + 1..text.len() - 2 {
+        if !text.is_char_boundary(cut) {
+            continue;
+        }
+        let summary = summarize_trace(&text[..cut], 2048).expect("same schema");
+        assert!(summary.truncated_tail, "cut at {cut}");
+        assert_eq!((summary.events, summary.malformed_lines), (4, 0));
+        let diff = trace_diff(&text, &text[..cut], 1);
+        assert!(diff.truncated_b && !diff.truncated_a);
+        assert_eq!((diff.records_a, diff.records_b), (5, 4));
+        feed_every_reader(&text[..cut], &text);
+    }
+}
