@@ -16,7 +16,7 @@ use std::time::Instant;
 use ttmqo_core::{run_experiment, ExperimentConfig, Strategy};
 use ttmqo_sim::json;
 use ttmqo_sim::{
-    ConstantField, Ctx, Destination, EngineStats, MsgKind, NodeApp, NodeId, ProfileHandle,
+    ConstantField, Ctx, Destination, EngineStats, MsgKind, NodeApp, NodeId, Observe, ProfileHandle,
     ProfilePhase, ProfileReport, RadioParams, SimConfig, SimTime, Simulator, Topology,
 };
 use ttmqo_workloads::workload_a;
@@ -99,7 +99,7 @@ pub struct TwoTierBenchParams {
     /// Simulated duration, ms.
     pub duration_ms: u64,
     /// Whether the run arms the standing invariant auditor
-    /// (`ExperimentConfig::audit`) — the report row then gains an
+    /// (`observe.audit`) — the report row then gains an
     /// `audit_violations` count. Off for the overhead-comparison baseline
     /// rows, like `profiled` on the flood rows.
     pub audited: bool,
@@ -243,7 +243,10 @@ pub fn engine_microbench(params: &EngineBenchParams) -> EngineBenchResult {
     } else {
         ProfileHandle::disabled()
     };
-    sim.set_profile(profile.clone());
+    sim.attach(&Observe {
+        profile: profile.clone(),
+        ..Observe::default()
+    });
     let start = Instant::now();
     sim.run_until(SimTime::from_ms(params.duration_ms));
     let wall_s = start.elapsed().as_secs_f64();
@@ -281,8 +284,11 @@ pub fn twotier_bench(params: &TwoTierBenchParams) -> EngineBenchResult {
         grid_n: params.grid_n,
         duration: SimTime::from_ms(params.duration_ms),
         topology_override: Some(topo),
-        profile: ProfileHandle::enabled(),
-        audit: params.audited,
+        observe: Observe {
+            profile: ProfileHandle::enabled(),
+            audit: params.audited,
+            ..Observe::default()
+        },
         ..ExperimentConfig::default()
     };
     let start = Instant::now();

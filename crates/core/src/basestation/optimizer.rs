@@ -195,6 +195,12 @@ impl BaseStationOptimizer {
         self.trace_now_ms = now_ms;
     }
 
+    /// Emits a decision event at the time last set, built only if a sink
+    /// is attached.
+    fn trace(&self, event: impl FnOnce() -> TraceEvent) {
+        self.trace.emit_with(self.trace_now_ms * 1000, event);
+    }
+
     /// The termination parameter α.
     pub fn alpha(&self) -> f64 {
         self.options.alpha
@@ -301,17 +307,12 @@ impl BaseStationOptimizer {
         // cost(q) ≤ benefit · α.
         let rebuilt =
             !emptied && freed && self.cost.cost(&query) > benefit_before * self.options.alpha;
-        if self.trace.is_enabled() {
-            self.trace.emit(
-                self.trace_now_ms * 1000,
-                TraceEvent::Tier1Remove {
-                    user: qid,
-                    synthetic: syn_id,
-                    emptied,
-                    rebuilt,
-                },
-            );
-        }
+        self.trace(|| TraceEvent::Tier1Remove {
+            user: qid,
+            synthetic: syn_id,
+            emptied,
+            rebuilt,
+        });
 
         if emptied {
             self.uninstall_synthetic(syn_id);
@@ -320,15 +321,10 @@ impl BaseStationOptimizer {
                 .uninstall_synthetic(syn_id)
                 .expect("synthetic still present");
             let members: Vec<QueryId> = sq.members().collect();
-            if self.trace.is_enabled() {
-                self.trace.emit(
-                    self.trace_now_ms * 1000,
-                    TraceEvent::Tier1Reindex {
-                        synthetic: syn_id,
-                        members: members.clone(),
-                    },
-                );
-            }
+            self.trace(|| TraceEvent::Tier1Reindex {
+                synthetic: syn_id,
+                members: members.clone(),
+            });
             for m in members {
                 self.user_to_syn.remove(&m);
                 let mq = self.user_queries[&m].clone();
@@ -411,15 +407,10 @@ impl BaseStationOptimizer {
         };
         self.stats.reoptimizations += 1;
         let members: Vec<QueryId> = sq.members().collect();
-        if self.trace.is_enabled() {
-            self.trace.emit(
-                self.trace_now_ms * 1000,
-                TraceEvent::Tier1Reoptimize {
-                    synthetic: syn_id,
-                    members: members.clone(),
-                },
-            );
-        }
+        self.trace(|| TraceEvent::Tier1Reoptimize {
+            synthetic: syn_id,
+            members: members.clone(),
+        });
         for m in members {
             self.user_to_syn.remove(&m);
             let mq = self.user_queries[&m].clone();
@@ -519,16 +510,11 @@ impl BaseStationOptimizer {
             for id in candidates {
                 let rate = self.score(&pq, self.synthetics[&id].query());
                 self.index_stats.scanned += 1;
-                if self.trace.is_enabled() {
-                    self.trace.emit(
-                        self.trace_now_ms * 1000,
-                        TraceEvent::Tier1Eval {
-                            probe: pq.id(),
-                            candidate: id,
-                            rate,
-                        },
-                    );
-                }
+                self.trace(|| TraceEvent::Tier1Eval {
+                    probe: pq.id(),
+                    candidate: id,
+                    rate,
+                });
                 if best.is_none_or(|(_, b)| rate > b) {
                     best = Some((id, rate));
                 }
@@ -539,15 +525,10 @@ impl BaseStationOptimizer {
             match best {
                 Some((id, rate)) if rate >= 1.0 => {
                     // Covered: the probe's members ride along for free.
-                    if self.trace.is_enabled() {
-                        self.trace.emit(
-                            self.trace_now_ms * 1000,
-                            TraceEvent::Tier1Covered {
-                                probe: pq.id(),
-                                covered_by: id,
-                            },
-                        );
-                    }
+                    self.trace(|| TraceEvent::Tier1Covered {
+                        probe: pq.id(),
+                        covered_by: id,
+                    });
                     let members: Vec<QueryId> = probe.members().collect();
                     let sq = self.synthetics.get_mut(&id).expect("best exists");
                     for m in &members {
@@ -569,16 +550,11 @@ impl BaseStationOptimizer {
                     let old = self.uninstall_synthetic(id).expect("best exists");
                     let merged_query = integrate(self.fresh_syn_id(), old.query(), &pq)
                         .expect("positive benefit rate implies integrable");
-                    if self.trace.is_enabled() {
-                        self.trace.emit(
-                            self.trace_now_ms * 1000,
-                            TraceEvent::Tier1Merge {
-                                probe: pq.id(),
-                                candidate: id,
-                                merged: merged_query.id(),
-                            },
-                        );
-                    }
+                    self.trace(|| TraceEvent::Tier1Merge {
+                        probe: pq.id(),
+                        candidate: id,
+                        merged: merged_query.id(),
+                    });
                     let mut merged = SyntheticQuery::new(merged_query);
                     for m in old.members().chain(probe.members()) {
                         merged.add_member(m, &Demand::of(&self.user_queries[&m]));
@@ -589,15 +565,10 @@ impl BaseStationOptimizer {
                     // No beneficial rewrite: run the probe as-is.
                     let id = probe.id();
                     let members: Vec<QueryId> = probe.members().collect();
-                    if self.trace.is_enabled() {
-                        self.trace.emit(
-                            self.trace_now_ms * 1000,
-                            TraceEvent::Tier1Install {
-                                synthetic: id,
-                                members: members.clone(),
-                            },
-                        );
-                    }
+                    self.trace(|| TraceEvent::Tier1Install {
+                        synthetic: id,
+                        members: members.clone(),
+                    });
                     for m in members {
                         self.user_to_syn.insert(m, id);
                     }

@@ -106,26 +106,19 @@ pub struct CampaignSpec {
     pub faults: Vec<CampaignFault>,
     /// Workload axis; at least one is required to have any cells.
     pub workloads: Vec<CampaignWorkload>,
-    /// Opt-in per-cell structured tracing: when set, every cell attaches a
-    /// [`JsonLinesSink`] writing to
-    /// `<dir>/trace-<index>-<workload>-<strategy>-<grid_n>-<fault>.jsonl` and
-    /// its record names the file in `trace_file`. `None` (the default) keeps
-    /// every cell untraced and bit-for-bit identical to earlier campaigns.
+    /// Opt-in per-cell artifact directories. Each one that is set switches
+    /// the matching [`ExperimentConfig::observe`] member on for every cell
+    /// (under the contract stated on [`ttmqo_sim::Observe`]: the cell's
+    /// record is the same either way) and writes
+    /// `<dir>/<kind>-<index>-<workload>-<strategy>-<grid_n>-<fault>.<ext>`,
+    /// named in the record's `<kind>_file`; `None` (the default) leaves the
+    /// base config's setting untouched. This one attaches a
+    /// [`JsonLinesSink`] and writes `trace-….jsonl`.
     pub trace_dir: Option<PathBuf>,
-    /// Opt-in per-cell windowed timeseries output: when set, every cell runs
-    /// with timeseries collection enabled (the base config's
-    /// `ExperimentConfig::timeseries` when it is `Some`, the default
-    /// [`ttmqo_sim::TimeseriesConfig`] otherwise) and writes
-    /// `<dir>/timeseries-<index>-<workload>-<strategy>-<grid_n>-<fault>.json`,
-    /// named in the record's `timeseries_file`. `None` (the default) leaves
-    /// the base config's setting untouched.
+    /// Windowed timeseries collection, written as `timeseries-….json`.
     pub timeseries_dir: Option<PathBuf>,
-    /// Opt-in per-cell phase profiling: when set, every cell runs with a
-    /// [`ProfileHandle`] attached and writes its [`ttmqo_sim::ProfileReport`]
-    /// to `<dir>/profile-<index>-<workload>-<strategy>-<grid_n>-<fault>.json`,
-    /// named in the record's `profile_file`. Profiling never changes
-    /// simulation behaviour (cells stay bit-identical), only the wall-clock
-    /// attribution recorded alongside. `None` (the default) profiles nothing.
+    /// Phase profiling through a fresh [`ProfileHandle`]; the cell's
+    /// [`ttmqo_sim::ProfileReport`] is written as `profile-….json`.
     pub profile_dir: Option<PathBuf>,
     /// Opt-in warm-started execution: cells that share every coordinate
     /// except the workload (same strategy, grid size, field seed and fault
@@ -146,9 +139,8 @@ pub struct CampaignSpec {
     /// Live progress telemetry channel. The default disabled handle emits
     /// nothing; an attached sink receives [`CampaignEvent`]s as cells
     /// start, finish and fail, plus heartbeats and an overall
-    /// started/finished pair. Emission is observational only — no RNG
-    /// draws, no behavioral branches — so cell records are bit-identical
-    /// with or without a sink (the `trace` contract at campaign scope).
+    /// started/finished pair. Emission is observational only: the
+    /// [`ttmqo_sim::Observe`] contract at campaign scope.
     pub progress: ProgressHandle,
     /// Heartbeat period for the observational liveness thread, ms. The
     /// thread runs only while a progress sink is attached and the period
@@ -201,13 +193,12 @@ impl CampaignSpec {
     }
 
     /// Enables the standing invariant auditor for every cell
-    /// ([`ExperimentConfig::audit`] on the shared base): each record
-    /// carries an [`AuditReport`], and — when the campaign also traces —
-    /// the written trace file is read back and reconciled against the
-    /// cell's answer counts. Auditing is post-hoc arithmetic; cells stay
-    /// bit-identical.
+    /// (`observe.audit` on the shared base): each record carries an
+    /// [`AuditReport`], and — when the campaign also traces — the written
+    /// trace file is read back and reconciled against the cell's answer
+    /// counts.
     pub fn audit(mut self) -> Self {
-        self.base.audit = true;
+        self.base.observe.audit = true;
         self
     }
 
@@ -447,7 +438,7 @@ pub struct CellRecord {
     pub profile_file: Option<String>,
     /// Standing invariant audit of the cell's run; `Some` iff the campaign
     /// ran with [`CampaignSpec::audit`] (or the base config set
-    /// [`ExperimentConfig::audit`]). When the campaign also traced, the
+    /// `observe.audit`). When the campaign also traced, the
     /// report includes the trace↔answer reconciliation over the written
     /// trace file. Deterministic: auditing is arithmetic over the run's
     /// own deterministic artifacts.
@@ -649,17 +640,40 @@ fn slug(name: &str) -> String {
 /// checkpoint; only the workload axis varies within a group.
 type GroupKey = (Strategy, usize, u64, usize);
 
-/// The full configuration a cell runs under: coordinates applied over the
-/// base, the fault axis's plan injected, timeseries defaulted on when the
-/// campaign writes timeseries files. Shared by cold runs and the warm-start
-/// prefix, which must agree on everything except the trace sink.
-fn cell_config(spec: &CampaignSpec, cell: &CellSpec) -> ExperimentConfig {
+/// One of a cell's artifact files:
+/// `<kind>-<index>-<workload>-<strategy>-<grid_n>-<fault>.<ext>`.
+fn artifact_name(spec: &CampaignSpec, cell: &CellSpec, kind: &str, ext: &str) -> String {
+    format!(
+        "{kind}-{}-{}-{}-{}-{}.{ext}",
+        cell.index,
+        slug(&spec.workloads[cell.workload].name),
+        cell.strategy,
+        cell.grid_n,
+        slug(&spec.faults[cell.fault].name),
+    )
+}
+
+/// The full configuration a cell runs under — coordinates applied over the
+/// base, the fault axis's plan injected, and `observe` switched on for
+/// every artifact directory the campaign writes — plus the name of the
+/// trace file the cell's sink writes to, if any. Shared by cold runs and
+/// the warm-start prefix (which never traces: traced campaigns run cold).
+fn cell_config(spec: &CampaignSpec, cell: &CellSpec) -> (ExperimentConfig, Option<String>) {
     let mut config = cell.config(&spec.base);
     config.faults = spec.faults[cell.fault].plan.clone();
-    if spec.timeseries_dir.is_some() && config.timeseries.is_none() {
-        config.timeseries = Some(Default::default());
+    let observe = &mut config.observe;
+    observe.timeseries |= spec.timeseries_dir.is_some();
+    if spec.profile_dir.is_some() {
+        observe.profile = ProfileHandle::enabled();
     }
-    config
+    let trace_file = spec.trace_dir.as_ref().and_then(|dir| {
+        let name = artifact_name(spec, cell, "trace", "jsonl");
+        std::fs::create_dir_all(dir).ok()?;
+        let sink = JsonLinesSink::create(dir.join(&name)).ok()?;
+        observe.trace = TraceHandle::new(sink);
+        Some(name)
+    });
+    (config, trace_file)
 }
 
 /// Runs one cell and wraps its results into a record. With `prefix` set,
@@ -668,24 +682,7 @@ fn cell_config(spec: &CampaignSpec, cell: &CellSpec) -> ExperimentConfig {
 fn run_cell(spec: &CampaignSpec, cell: &CellSpec, prefix: Option<&[u8]>) -> CellRecord {
     let workload = &spec.workloads[cell.workload];
     let fault = &spec.faults[cell.fault];
-    let mut config = cell_config(spec, cell);
-    let trace_file = spec.trace_dir.as_ref().and_then(|dir| {
-        let name = format!(
-            "trace-{}-{}-{}-{}-{}.jsonl",
-            cell.index,
-            slug(&workload.name),
-            cell.strategy,
-            cell.grid_n,
-            slug(&fault.name),
-        );
-        std::fs::create_dir_all(dir).ok()?;
-        let sink = JsonLinesSink::create(dir.join(&name)).ok()?;
-        config.trace = TraceHandle::new(sink);
-        Some(name)
-    });
-    if spec.profile_dir.is_some() {
-        config.profile = ProfileHandle::enabled();
-    }
+    let (config, trace_file) = cell_config(spec, cell);
     let start = Instant::now();
     let mut report = match prefix {
         Some(bytes) => RunSession::restore(bytes, &config, &workload.events)
@@ -694,7 +691,7 @@ fn run_cell(spec: &CampaignSpec, cell: &CellSpec, prefix: Option<&[u8]>) -> Cell
         None => run_experiment(&config, &workload.events),
     };
     let wall_clock_ms = start.elapsed().as_secs_f64() * 1000.0;
-    config.trace.flush();
+    config.observe.trace.flush();
     // Trace↔answer reconciliation: with both the auditor and tracing on,
     // read the written trace back and check that the answer counts it
     // reconstructs equal the run report's. Post-hoc by construction — the
@@ -723,14 +720,7 @@ fn run_cell(spec: &CampaignSpec, cell: &CellSpec, prefix: Option<&[u8]>) -> Cell
         .as_ref()
         .zip(report.timeseries.as_ref())
         .and_then(|(dir, ts)| {
-            let name = format!(
-                "timeseries-{}-{}-{}-{}-{}.json",
-                cell.index,
-                slug(&workload.name),
-                cell.strategy,
-                cell.grid_n,
-                slug(&fault.name),
-            );
+            let name = artifact_name(spec, cell, "timeseries", "json");
             std::fs::create_dir_all(dir).ok()?;
             std::fs::write(dir.join(&name), ts.to_json()).ok()?;
             Some(name)
@@ -740,14 +730,7 @@ fn run_cell(spec: &CampaignSpec, cell: &CellSpec, prefix: Option<&[u8]>) -> Cell
         .as_ref()
         .zip(report.profile.as_ref())
         .and_then(|(dir, profile)| {
-            let name = format!(
-                "profile-{}-{}-{}-{}-{}.json",
-                cell.index,
-                slug(&workload.name),
-                cell.strategy,
-                cell.grid_n,
-                slug(&fault.name),
-            );
+            let name = artifact_name(spec, cell, "profile", "json");
             std::fs::create_dir_all(dir).ok()?;
             std::fs::write(dir.join(&name), profile.to_json()).ok()?;
             Some(name)
@@ -917,7 +900,7 @@ pub fn run_campaign_with(spec: &CampaignSpec, threads: usize) -> CampaignReport 
             for cell in &cells {
                 map.entry((cell.strategy, cell.grid_n, cell.field_seed, cell.fault))
                     .or_insert_with(|| {
-                        let config = cell_config(spec, cell);
+                        let (config, _) = cell_config(spec, cell);
                         let mut session = RunSession::new(&config, &prefix_events);
                         session.run_to(t0);
                         session.checkpoint()
@@ -946,10 +929,8 @@ pub fn run_campaign_with(spec: &CampaignSpec, threads: usize) -> CampaignReport 
     });
     // Observational heartbeat: a plain OS thread that only *reads* the
     // shared counters and emits telemetry on a period. It holds no
-    // reference into the simulation, draws no RNG, and nothing in the
-    // campaign ever branches on its existence — so an observed campaign's
-    // cell records are bit-identical to an unobserved one's (pinned by the
-    // golden determinism tests). Spawned only when a sink is attached.
+    // reference into the simulation and nothing in the campaign ever
+    // branches on its existence. Spawned only when a sink is attached.
     let stop = Arc::new(AtomicBool::new(false));
     let heartbeat = (spec.progress.is_enabled() && spec.heartbeat_ms > 0 && !cells.is_empty())
         .then(|| {

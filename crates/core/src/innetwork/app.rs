@@ -265,13 +265,11 @@ impl TtmqoApp {
             self.maybe_sleep(ctx, t_ms);
             return;
         }
-        if ctx.trace_enabled() {
-            ctx.trace(TraceEvent::EpochFire {
-                node: ctx.node(),
-                epoch_ms: t_ms,
-                due: due().map(|q| q.id()).collect(),
-            });
-        }
+        ctx.trace_with(|| TraceEvent::EpochFire {
+            node: ctx.node(),
+            epoch_ms: t_ms,
+            due: due().map(|q| q.id()).collect(),
+        });
         let epoch_idx = t_ms / ttmqo_query::BASE_EPOCH_MS;
 
         if ctx.is_base_station() {
@@ -340,9 +338,10 @@ impl TtmqoApp {
             }
         }
 
+        let transmits_now = !acq_matches.is_empty() || !agg_matches.is_empty();
         // Shared-acquisition hit: one sample batch served several queries.
-        if ctx.trace_enabled() && (!acq_matches.is_empty() || !agg_matches.is_empty()) {
-            ctx.trace(TraceEvent::SharedAcquisition {
+        if transmits_now {
+            ctx.trace_with(|| TraceEvent::SharedAcquisition {
                 node: ctx.node(),
                 epoch_ms: t_ms,
                 acq: acq_matches.clone(),
@@ -355,7 +354,6 @@ impl TtmqoApp {
         // anyway — neighbours learn has-data sets by overhearing result
         // frames, so an explicit broadcast is needed only for data that
         // serves queries not due right now.
-        let transmits_now = !acq_matches.is_empty() || !agg_matches.is_empty();
         if self.config.sleep
             && self.slept
             && !had_data
@@ -479,19 +477,17 @@ impl TtmqoApp {
         let Some((dest, assignments)) = self.route(ctx, epoch_ms, qids) else {
             return;
         };
-        if ctx.trace_enabled() {
-            ctx.trace(TraceEvent::ResultHop {
-                from: ctx.node(),
-                to: assignments.iter().map(|(n, _)| *n).collect(),
-                epoch_ms,
-                prov: entries
-                    .iter()
-                    .map(|e| ProvenanceId::new(NodeId(e.node), epoch_ms))
-                    .collect(),
-                qids: qids.to_vec(),
-                origin: entries.iter().all(|e| e.node == ctx.node().0),
-            });
-        }
+        ctx.trace_with(|| TraceEvent::ResultHop {
+            from: ctx.node(),
+            to: assignments.iter().map(|(n, _)| *n).collect(),
+            epoch_ms,
+            prov: entries
+                .iter()
+                .map(|e| ProvenanceId::new(NodeId(e.node), epoch_ms))
+                .collect(),
+            qids: qids.to_vec(),
+            origin: entries.iter().all(|e| e.node == ctx.node().0),
+        });
         let payload = TtmqoPayload::SharedRows {
             epoch_ms,
             entries,
@@ -510,12 +506,10 @@ impl TtmqoApp {
             return;
         }
         self.last_no_route_ms = Some(epoch_ms);
-        if ctx.trace_enabled() {
-            ctx.trace(TraceEvent::NoRouteResignation {
-                node: ctx.node(),
-                epoch_ms,
-            });
-        }
+        ctx.trace(TraceEvent::NoRouteResignation {
+            node: ctx.node(),
+            epoch_ms,
+        });
         let payload = TtmqoPayload::NoRoute;
         let bytes = payload.wire_size();
         ctx.send(Destination::Broadcast, MsgKind::Maintenance, bytes, payload);
@@ -550,18 +544,16 @@ impl TtmqoApp {
         let Some((dest, assignments)) = self.route(ctx, epoch_ms, &qids) else {
             return;
         };
-        if ctx.trace_enabled() {
-            // Aggregation partials carry no per-origin identity (TAG merges
-            // it away), so the provenance list is empty.
-            ctx.trace(TraceEvent::ResultHop {
-                from: ctx.node(),
-                to: assignments.iter().map(|(n, _)| *n).collect(),
-                epoch_ms,
-                prov: Vec::new(),
-                qids,
-                origin: false,
-            });
-        }
+        // Aggregation partials carry no per-origin identity (TAG merges
+        // it away), so the provenance list is empty.
+        ctx.trace_with(|| TraceEvent::ResultHop {
+            from: ctx.node(),
+            to: assignments.iter().map(|(n, _)| *n).collect(),
+            epoch_ms,
+            prov: Vec::new(),
+            qids,
+            origin: false,
+        });
         let payload = TtmqoPayload::SharedPartials {
             epoch_ms,
             entries,
@@ -674,13 +666,11 @@ impl TtmqoApp {
                 if kept.peek().is_none() {
                     continue;
                 }
-                if ctx.trace_enabled() {
-                    ctx.trace(TraceEvent::ResultDelivered {
-                        prov: ProvenanceId::new(NodeId(entry.node), epoch_ms),
-                        qids: sorted_intersection(&entry.qids, mine).collect(),
-                        epoch_ms,
-                    });
-                }
+                ctx.trace_with(|| TraceEvent::ResultDelivered {
+                    prov: ProvenanceId::new(NodeId(entry.node), epoch_ms),
+                    qids: sorted_intersection(&entry.qids, mine).collect(),
+                    epoch_ms,
+                });
                 for qid in kept {
                     let Some(q) = self.queries.get(&qid) else {
                         continue;
@@ -967,7 +957,7 @@ impl NodeApp for TtmqoApp {
         // failures (with nothing overheard in between) and the parent is
         // excluded from routing; the next epoch's rows re-elect among the
         // surviving upper neighbours.
-        if self.dag.record_send_failure(dest) && ctx.trace_enabled() {
+        if self.dag.record_send_failure(dest) {
             ctx.trace(TraceEvent::ParentDead {
                 node: ctx.node(),
                 parent: dest,

@@ -8,10 +8,9 @@
 //!   [`run_campaign_with`](crate::run_campaign_with) through a
 //!   [`ProgressHandle`] as cells start, finish and fail, with a periodic
 //!   heartbeat and an ETA extrapolated from completed-cell rates. The
-//!   channel obeys the `trace` contract: emission never draws simulation
-//!   RNG and never branches on simulated state, so a campaign with a
-//!   progress sink attached produces bit-identical cell records to one
-//!   without. Event *contents* include wall-clock fields and are therefore
+//!   channel keeps the [`ttmqo_sim::Observe`] contract at campaign scope:
+//!   cell records are the same with or without a sink. Event *contents*
+//!   include wall-clock fields and are therefore
 //!   machine-dependent; the deterministic parts (cell coordinates, event
 //!   counts, completion order of the sequential runner) are not.
 //! * **Rollups** — [`CampaignRollup::from_records`] aggregates the per-cell
@@ -25,7 +24,7 @@
 //!
 //! The third observability leg, the standing invariant auditor, lives in
 //! [`ttmqo_sim::AuditReport`] and is wired through
-//! [`ExperimentConfig::audit`](crate::ExperimentConfig::audit); the rollup
+//! [`ExperimentConfig::observe`](crate::ExperimentConfig::observe); the rollup
 //! carries its violation totals.
 
 use crate::campaign::{CampaignReport, CellRecord};

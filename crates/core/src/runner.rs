@@ -21,11 +21,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use ttmqo_query::{EpochAnswer, Query, QueryId, Selection, BASE_EPOCH_MS};
 use ttmqo_sim::json;
 use ttmqo_sim::{
-    AuditReport, CompletenessReport, CorrelatedField, EngineStats, FaultPlan, FaultSchedule,
-    Metrics, NodeId, NodeTimeseries, ProfileHandle, ProfilePhase, ProfileReport, QueryCompleteness,
-    RadioParams, Restorable, SensorField, SimConfig, SimTime, Simulator, SnapReader, SnapWriter,
-    Snapshot, SnapshotBuilder, SnapshotDocument, SnapshotError, TimeseriesConfig, Topology,
-    TraceEvent, TraceHandle, UniformField, WindowRecorder, SECTION_RUNNER, SECTION_SIMULATOR,
+    AuditReport, CompletenessReport, CorrelatedField, EnergyProfile, EngineStats, FaultPlan,
+    FaultSchedule, Metrics, NodeId, NodeTimeseries, Observe, ProfilePhase, ProfileReport,
+    QueryCompleteness, RadioParams, Restorable, SensorField, SimConfig, SimTime, Simulator,
+    SnapReader, SnapWriter, Snapshot, SnapshotBuilder, SnapshotDocument, SnapshotError, Topology,
+    TraceEvent, TraceHandle, UniformField, SECTION_RUNNER, SECTION_SIMULATOR,
 };
 use ttmqo_stats::{EmpiricalDistribution, Histogram, LevelStats, SelectivityEstimator};
 use ttmqo_tinydb::{Command, Output, Srt, TinyDbApp, TinyDbConfig};
@@ -150,36 +150,17 @@ pub struct ExperimentConfig {
     /// model's selectivity estimator (§3.1.2's maintained statistics).
     pub adaptive_statistics: bool,
     /// Fault-injection plan (crashes, recoveries, loss windows). Empty by
-    /// default: no fault events are scheduled, no extra randomness is drawn,
-    /// and the run is bit-identical to a build without the fault subsystem.
-    /// A non-empty plan also auto-arms the in-network parent failure
+    /// default: no fault events are scheduled and no extra randomness is
+    /// drawn. A non-empty plan also auto-arms the in-network parent failure
     /// detector (unless `innetwork.dead_parent_after` was set explicitly)
     /// and, for rewriting strategies, the base station's missing-result
     /// repair monitor.
     pub faults: FaultPlan,
-    /// Trace sink for structured per-event observability. The default
-    /// disabled handle costs one branch per event site and keeps the run
-    /// bit-identical to a build without the trace subsystem.
-    pub trace: TraceHandle,
-    /// Windowed time-series collection. `None` (the default) records
-    /// nothing and keeps the run bit-identical (the `trace` contract);
-    /// `Some` fills [`RunReport::timeseries`] and selects the energy profile
-    /// used for the report's energy fields.
-    pub timeseries: Option<TimeseriesConfig>,
-    /// Per-phase profiling handle, shared with the engine. The default
-    /// disabled handle costs one branch per site; enabled, it attributes
-    /// wall-clock time to engine and runner phases and fills
-    /// [`RunReport::profile`] — without drawing RNG or branching on
-    /// simulated state, so the run stays bit-identical either way (the
-    /// `trace` contract).
-    pub profile: ProfileHandle,
-    /// Run the standing invariant auditor over the finished run and fill
-    /// [`RunReport::audit`]. Strictly post-hoc arithmetic over artifacts
-    /// the run already produced — no RNG draws, no mid-run branches — so
-    /// an audited run is bit-identical to an unaudited one (the `trace`
-    /// contract). Violations are *reported*, never panicked on: callers
-    /// (campaigns, CI gates) decide how loudly to fail.
-    pub audit: bool,
+    /// What to observe about the run: trace sink, windowed time-series,
+    /// profiler, invariant auditor. All off by default; [`Observe`] states
+    /// the one contract they share (on or off, the run is the same run).
+    /// Each one fills the [`RunReport`] field of its name.
+    pub observe: Observe,
 }
 
 impl Default for ExperimentConfig {
@@ -198,10 +179,7 @@ impl Default for ExperimentConfig {
             optimizer: OptimizerOptions::default(),
             innetwork: TtmqoConfig::default(),
             faults: FaultPlan::default(),
-            trace: TraceHandle::disabled(),
-            timeseries: None,
-            profile: ProfileHandle::disabled(),
-            audit: false,
+            observe: Observe::default(),
         }
     }
 }
@@ -228,22 +206,21 @@ pub struct RunReport {
     /// Engine hot-path counters, including the per-phase event breakdown
     /// (timer / deliver / command / maintenance / fault).
     pub engine: EngineStats,
-    /// Whole-run radio+sensing energy (mJ), under the energy profile in
-    /// force: the timeseries config's profile when one is set, the default
-    /// profile otherwise.
+    /// Whole-run radio+sensing energy (mJ) under the default
+    /// [`EnergyProfile`].
     pub energy_mj: f64,
     /// The hottest single node's energy (mJ) under the same profile.
     pub max_node_energy_mj: f64,
-    /// Windowed time-series; `Some` iff [`ExperimentConfig::timeseries`]
-    /// was set.
+    /// Windowed time-series; `Some` iff `observe.timeseries` was set.
     pub timeseries: Option<RunTimeseries>,
-    /// Per-phase wall-time attribution; `Some` iff
-    /// [`ExperimentConfig::profile`] was enabled. Wall-clock derived and
-    /// therefore machine-dependent — excluded from determinism comparisons.
+    /// Per-phase wall-time attribution; `Some` iff `observe.profile` was
+    /// enabled. Wall-clock derived and therefore machine-dependent —
+    /// excluded from determinism comparisons.
     pub profile: Option<ProfileReport>,
-    /// Standing invariant audit; `Some` iff [`ExperimentConfig::audit`]
-    /// was set. Check the report's `is_clean()` — the runner itself never
-    /// fails a run over a violation.
+    /// Standing invariant audit; `Some` iff `observe.audit` was set.
+    /// Violations are *reported*, never panicked on: check the report's
+    /// `is_clean()` — callers (campaigns, CI gates) decide how loudly to
+    /// fail.
     pub audit: Option<AuditReport>,
 }
 
@@ -279,8 +256,9 @@ pub struct QueryWindowSeries {
     pub nonempty: Vec<u64>,
 }
 
-/// Base-station-side windowed answer accounting, aligned with the engine's
-/// [`WindowRecorder`] grid. Built only when timeseries collection is on.
+/// Base-station-side windowed answer accounting, on the engine's window
+/// grid (one base epoch per window). Built only when timeseries collection
+/// is on.
 #[derive(Debug)]
 struct TimeseriesCollector {
     window_ms: u64,
@@ -288,18 +266,19 @@ struct TimeseriesCollector {
 }
 
 impl TimeseriesCollector {
-    fn new(window_ms: u64) -> Self {
+    fn new() -> Self {
         TimeseriesCollector {
-            window_ms: window_ms.max(1),
+            window_ms: BASE_EPOCH_MS,
             per_query: BTreeMap::new(),
         }
     }
 
-    fn note_answer(&mut self, uid: QueryId, arrival_ms: u64, latency_ms: u64, nonempty: bool) {
-        let w = (arrival_ms / self.window_ms) as usize;
+    /// Buckets the answer by its arrival time.
+    fn note_answer(&mut self, a: &MappedAnswer) {
+        let w = (a.arrival_ms / self.window_ms) as usize;
         let series = self
             .per_query
-            .entry(uid)
+            .entry(a.user)
             .or_insert_with(|| QueryWindowSeries {
                 latency: Vec::new(),
                 answers: Vec::new(),
@@ -310,9 +289,9 @@ impl TimeseriesCollector {
             series.answers.push(0);
             series.nonempty.push(0);
         }
-        series.latency[w].add(latency_ms as f64);
+        series.latency[w].add(a.latency_ms() as f64);
         series.answers[w] += 1;
-        if nonempty {
+        if a.nonempty {
             series.nonempty[w] += 1;
         }
     }
@@ -429,6 +408,19 @@ impl RunTimeseries {
             });
         })
     }
+}
+
+fn build_topology(config: &ExperimentConfig) -> Topology {
+    config
+        .topology_override
+        .clone()
+        .unwrap_or_else(|| Topology::grid(config.grid_n).expect("valid experiment grid"))
+}
+
+/// How long after an epoch fires its answer is collected: one slot per tree
+/// level plus jitter and a margin.
+fn collection_window_ms(config: &ExperimentConfig, topo: &Topology) -> u64 {
+    (topo.max_level() as u64 + 1) * config.innetwork.slot_ms + config.innetwork.jitter_ms + 32
 }
 
 fn build_field(config: &ExperimentConfig, topo: &Topology) -> Box<dyn SensorField + Send + Sync> {
@@ -578,14 +570,14 @@ impl RepairMonitor {
         });
     }
 
-    fn note_answer(&mut self, uid: QueryId, epoch_ms: u64, nonempty: bool, arrival_ms: u64) {
-        if !nonempty {
+    fn note_answer(&mut self, a: &MappedAnswer) {
+        if !a.nonempty {
             return;
         }
-        self.answered.entry(uid).or_default().insert(epoch_ms);
-        if let Some(pos) = self.pending.iter().position(|(_, m)| m.contains(&uid)) {
+        self.answered.entry(a.user).or_default().insert(a.epoch_ms);
+        if let Some(pos) = self.pending.iter().position(|(_, m)| m.contains(&a.user)) {
             let (t0, _) = self.pending.remove(pos);
-            self.latencies_ms.push(arrival_ms.saturating_sub(t0));
+            self.latencies_ms.push(a.arrival_ms.saturating_sub(t0));
         }
     }
 
@@ -632,10 +624,43 @@ impl RepairMonitor {
     }
 }
 
+/// One synthetic answer mapped back to one user query: the runner-level
+/// counterpart of the engine's probe values, built once per mapping and
+/// handed to the repair monitor, the timeseries collector and the trace.
+#[derive(Debug, Clone, Copy)]
+struct MappedAnswer {
+    user: QueryId,
+    synthetic: QueryId,
+    epoch_ms: u64,
+    /// Result rows in the mapped answer (0 for aggregates).
+    rows: u64,
+    nonempty: bool,
+    arrival_ms: u64,
+}
+
+impl MappedAnswer {
+    /// Emission delay past the epoch start, ms.
+    fn latency_ms(&self) -> u64 {
+        self.arrival_ms.saturating_sub(self.epoch_ms)
+    }
+
+    fn trace_event(&self) -> TraceEvent {
+        TraceEvent::AnswerMapped {
+            user: self.user,
+            synthetic: self.synthetic,
+            epoch_ms: self.epoch_ms,
+            rows: self.rows,
+            nonempty: self.nonempty,
+            latency_ms: self.latency_ms(),
+        }
+    }
+}
+
 /// Drains one batch of network outputs: feeds adaptive statistics, maps each
-/// answer back to the user queries it serves, and notifies the repair
-/// monitor. Attribution is incremental but identical to the bulk end-of-run
-/// mapping it replaced: an answer for epoch `e` is always emitted (and thus
+/// answer back to the user queries it serves, and reports each mapping to
+/// the repair monitor, the timeseries collector and the trace. Attribution
+/// is incremental but identical to the bulk end-of-run mapping it
+/// replaced: an answer for epoch `e` is always emitted (and thus
 /// drained) after every workload event at or before `e` has executed, so the
 /// snapshot in force at `e` already exists, and a termination that should
 /// drop the answer (`arrival > termination`) has always been recorded by
@@ -701,38 +726,25 @@ fn ingest_outputs(
             if let Some(mapped) =
                 map_epoch_answer_at(user_q, syn_q, *epoch_ms, answer, &position_of)
             {
-                let nonempty = match &mapped {
-                    EpochAnswer::Rows(rows) => !rows.is_empty(),
-                    EpochAnswer::Aggregates(vals) => !vals.is_empty(),
+                let (rows, nonempty) = match &mapped {
+                    EpochAnswer::Rows(rows) => (rows.len() as u64, !rows.is_empty()),
+                    EpochAnswer::Aggregates(vals) => (0, !vals.is_empty()),
+                };
+                let a = MappedAnswer {
+                    user: *uid,
+                    synthetic: *syn_id,
+                    epoch_ms: *epoch_ms,
+                    rows,
+                    nonempty,
+                    arrival_ms: record.time.as_ms(),
                 };
                 if let Some(mon) = monitor.as_deref_mut() {
-                    mon.note_answer(*uid, *epoch_ms, nonempty, record.time.as_ms());
+                    mon.note_answer(&a);
                 }
                 if let Some(col) = timeseries.as_deref_mut() {
-                    col.note_answer(
-                        *uid,
-                        record.time.as_ms(),
-                        record.time.as_ms().saturating_sub(*epoch_ms),
-                        nonempty,
-                    );
+                    col.note_answer(&a);
                 }
-                if trace.is_enabled() {
-                    let rows = match &mapped {
-                        EpochAnswer::Rows(rows) => rows.len() as u64,
-                        EpochAnswer::Aggregates(_) => 0,
-                    };
-                    trace.emit(
-                        record.time.as_ms() * 1000,
-                        TraceEvent::AnswerMapped {
-                            user: *uid,
-                            synthetic: *syn_id,
-                            epoch_ms: *epoch_ms,
-                            rows,
-                            nonempty,
-                            latency_ms: record.time.as_ms().saturating_sub(*epoch_ms),
-                        },
-                    );
-                }
+                trace.emit_with(a.arrival_ms * 1000, || a.trace_event());
                 answers.entry(*uid).or_default().push((*epoch_ms, mapped));
             }
         }
@@ -802,20 +814,12 @@ impl SimKind {
         with_sim!(self, s => s.engine_stats())
     }
 
-    fn take_timeseries(&mut self) -> Option<Box<WindowRecorder>> {
-        with_sim!(self, s => s.take_timeseries())
+    fn detach(&mut self) -> Option<NodeTimeseries> {
+        with_sim!(self, s => s.detach())
     }
 
     fn replace_fault_plan(&mut self, plan: &FaultPlan) {
         with_sim!(self, s => s.replace_fault_plan(plan))
-    }
-
-    fn set_trace(&mut self, trace: TraceHandle) {
-        with_sim!(self, s => s.set_trace(trace))
-    }
-
-    fn set_profile(&mut self, profile: ProfileHandle) {
-        with_sim!(self, s => s.set_profile(profile))
     }
 
     fn now(&self) -> SimTime {
@@ -825,6 +829,40 @@ impl SimKind {
     fn write_snapshot(&self, w: &mut SnapWriter) {
         with_sim!(self, s => s.write_snapshot(w))
     }
+}
+
+/// Builds the strategy's simulator — new, or decoded from a snapshot's
+/// simulator section — with `config.observe` attached. A new simulator also
+/// gets the fault plan; a restored one carries its own.
+fn build_sim(
+    config: &ExperimentConfig,
+    topo: &Topology,
+    snapshot: Option<&mut SnapReader<'_>>,
+) -> Result<SimKind, SnapshotError> {
+    let field = build_field(config, topo);
+    let is_new = snapshot.is_none();
+    let (radio, sim_config) = (config.radio.clone(), config.sim.clone());
+    let mut sim = if config.strategy.uses_innetwork_tier() {
+        let innetwork = effective_innetwork(config);
+        let factory = move |_: NodeId, _: &Topology| TtmqoApp::new(innetwork.clone());
+        SimKind::Ttmqo(Box::new(match snapshot {
+            Some(r) => Simulator::read_snapshot(r, field, factory)?,
+            None => Simulator::new(topo.clone(), radio, sim_config, field, factory),
+        }))
+    } else {
+        let factory = |_: NodeId, _: &Topology| TinyDbApp::new(TinyDbConfig::default());
+        SimKind::TinyDb(Box::new(match snapshot {
+            Some(r) => Simulator::read_snapshot(r, field, factory)?,
+            None => Simulator::new(topo.clone(), radio, sim_config, field, factory),
+        }))
+    };
+    with_sim!(&mut sim, s => {
+        s.attach(&config.observe);
+        if is_new {
+            s.install_fault_plan(&config.faults);
+        }
+    });
+    Ok(sim)
 }
 
 /// Stable on-disk tag of each strategy inside runner snapshot sections.
@@ -911,58 +949,17 @@ impl RunSession {
     ///
     /// Panics if the grid cannot be constructed (e.g. `grid_n == 0`).
     pub fn new(config: &ExperimentConfig, workload: &[WorkloadEvent]) -> RunSession {
-        let topo_t0 = config.profile.start();
-        let topo = config
-            .topology_override
-            .clone()
-            .unwrap_or_else(|| Topology::grid(config.grid_n).expect("valid experiment grid"));
-        config.profile.finish(ProfilePhase::TopologyBuild, topo_t0);
+        let profile = &config.observe.profile;
+        let topo_t0 = profile.start();
+        let topo = build_topology(config);
+        profile.finish(ProfilePhase::TopologyBuild, topo_t0);
         let events = Self::prepare_events(config, workload);
-        let sim = if config.strategy.uses_innetwork_tier() {
-            let field = build_field(config, &topo);
-            let innetwork = effective_innetwork(config);
-            let mut sim = Simulator::new(
-                topo.clone(),
-                config.radio.clone(),
-                config.sim.clone(),
-                field,
-                move |_, _| TtmqoApp::new(innetwork.clone()),
-            );
-            sim.set_trace(config.trace.clone());
-            sim.set_profile(config.profile.clone());
-            sim.set_timeseries(
-                config
-                    .timeseries
-                    .as_ref()
-                    .map(|c| Box::new(WindowRecorder::new(topo.node_count(), c))),
-            );
-            sim.install_fault_plan(&config.faults);
-            SimKind::Ttmqo(Box::new(sim))
-        } else {
-            let field = build_field(config, &topo);
-            let mut sim = Simulator::new(
-                topo.clone(),
-                config.radio.clone(),
-                config.sim.clone(),
-                field,
-                |_, _| TinyDbApp::new(TinyDbConfig::default()),
-            );
-            sim.set_trace(config.trace.clone());
-            sim.set_profile(config.profile.clone());
-            sim.set_timeseries(
-                config
-                    .timeseries
-                    .as_ref()
-                    .map(|c| Box::new(WindowRecorder::new(topo.node_count(), c))),
-            );
-            sim.install_fault_plan(&config.faults);
-            SimKind::TinyDb(Box::new(sim))
-        };
+        let sim = build_sim(config, &topo, None).expect("building a fresh simulator cannot fail");
 
         let rewriting = config.strategy.uses_basestation_tier();
         let optimizer = rewriting.then(|| {
             let mut opt = build_optimizer(config, &topo);
-            opt.set_trace(config.trace.clone());
+            opt.set_trace(config.observe.trace.clone());
             opt
         });
         // Fault bookkeeping: the same deterministic schedule the engine
@@ -970,14 +967,9 @@ impl RunSession {
         // monitor (armed only for faulty runs with the rewriting tier —
         // fault-free runs take exactly the pre-fault code path).
         let schedule = (!config.faults.is_empty()).then(|| config.faults.materialize(&topo));
-        let window_ms = (topo.max_level() as u64 + 1) * config.innetwork.slot_ms
-            + config.innetwork.jitter_ms
-            + 32;
+        let window_ms = collection_window_ms(config, &topo);
         let monitor = (rewriting && schedule.is_some()).then(|| RepairMonitor::new(window_ms));
-        let ts_collector = config
-            .timeseries
-            .as_ref()
-            .map(|c| TimeseriesCollector::new(c.window_ms));
+        let ts_collector = config.observe.timeseries.then(TimeseriesCollector::new);
 
         RunSession {
             config: config.clone(),
@@ -1031,7 +1023,7 @@ impl RunSession {
 
     /// Drains pending network outputs into the answer/statistics state.
     fn ingest(&mut self) {
-        let t0 = self.config.profile.start();
+        let t0 = self.config.observe.profile.start();
         let fresh = self.sim.take_outputs();
         ingest_outputs(
             fresh,
@@ -1043,9 +1035,12 @@ impl RunSession {
             &mut self.answers,
             self.monitor.as_mut(),
             self.ts_collector.as_mut(),
-            &self.config.trace,
+            &self.config.observe.trace,
         );
-        self.config.profile.finish(ProfilePhase::AnswerMapping, t0);
+        self.config
+            .observe
+            .profile
+            .finish(ProfilePhase::AnswerMapping, t0);
     }
 
     /// Folds the time-weighted statistics over `[last_t, t_ms)`. Called only
@@ -1094,9 +1089,12 @@ impl RunSession {
                 self.weighted_ratio += self.current_ratio * dt;
                 self.last_t = b;
                 opt.set_trace_time(b);
-                let t0 = self.config.profile.start();
+                let t0 = self.config.observe.profile.start();
                 let ops = opt.reoptimize(syn);
-                self.config.profile.finish(ProfilePhase::Reoptimize, t0);
+                self.config
+                    .observe
+                    .profile
+                    .finish(ProfilePhase::Reoptimize, t0);
                 for op in ops {
                     let cmd = match op {
                         NetworkOp::Inject(q) => Command::Pose(q),
@@ -1138,11 +1136,12 @@ impl RunSession {
                     mon.note_posed(&q, t.as_ms());
                 }
                 opt.set_trace_time(t.as_ms());
-                let t0 = self.config.profile.start();
+                let t0 = self.config.observe.profile.start();
                 let ops = opt
                     .insert(q)
                     .expect("workload ids are unique and unreserved");
                 self.config
+                    .observe
                     .profile
                     .finish(ProfilePhase::AdmissionScoring, t0);
                 ops
@@ -1321,18 +1320,12 @@ impl RunSession {
 
         let total = duration.as_ms().max(1) as f64;
         let metrics = self.sim.metrics().clone();
-        let energy_profile = self
-            .config
-            .timeseries
-            .as_ref()
-            .map(|c| c.energy)
-            .unwrap_or_default();
+        let energy_profile = EnergyProfile::default();
         let energy_mj = metrics.total_energy_mj(&energy_profile);
         let max_node_energy_mj = metrics.max_node_energy_mj(&energy_profile);
         let mut ts_collector = self.ts_collector;
         let schedule = self.schedule;
-        let timeseries = self.sim.take_timeseries().map(|recorder| {
-            let nodes = recorder.finalize(duration);
+        let timeseries = self.sim.detach().map(|nodes| {
             let mut per_query = ts_collector.take().map(|c| c.per_query).unwrap_or_default();
             // Pad every query series to the node grid so consumers can
             // iterate window-for-window without length checks.
@@ -1355,13 +1348,13 @@ impl RunSession {
             }
         });
         let engine = self.sim.engine_stats();
-        let profile = self.config.profile.report();
+        let profile = self.config.observe.profile.report();
         // The standing invariant auditor: pure post-hoc arithmetic over the
         // artifacts assembled above, so enabling it cannot perturb the run
         // it is auditing. The trace↔answer reconciliation needs the trace
         // *text*, which the runner never holds — campaign cells append it
         // after reading the written file back.
-        let audit = self.config.audit.then(|| {
+        let audit = self.config.observe.audit.then(|| {
             let mut audit = AuditReport::new();
             audit.check_engine(&engine);
             audit.check_profile(profile.as_ref(), &engine);
@@ -1394,7 +1387,7 @@ impl RunSession {
     /// Serializes the complete run state — engine section plus runner
     /// section — into one versioned snapshot document.
     pub fn checkpoint(&self) -> Vec<u8> {
-        let t0 = self.config.profile.start();
+        let t0 = self.config.observe.profile.start();
         let mut sw = SnapWriter::new();
         self.sim.write_snapshot(&mut sw);
         let mut rw = SnapWriter::new();
@@ -1403,7 +1396,10 @@ impl RunSession {
         b.section(SECTION_SIMULATOR, sw.as_bytes());
         b.section(SECTION_RUNNER, rw.as_bytes());
         let bytes = b.finish();
-        self.config.profile.finish(ProfilePhase::SnapshotSave, t0);
+        self.config
+            .observe
+            .profile
+            .finish(ProfilePhase::SnapshotSave, t0);
         bytes
     }
 
@@ -1466,9 +1462,10 @@ impl RunSession {
     /// `config` and `workload` re-supply everything the snapshot
     /// deliberately omits and must match the originals (the strategy is
     /// validated; the rest is trusted the same way the engine trusts its
-    /// re-supplied field and factory). The trace handle in `config` is
-    /// attached to the restored engine and optimizer, so a traced resume
-    /// continues emitting from the restore point.
+    /// re-supplied field and factory). `config.observe` is attached to the
+    /// restored engine and optimizer, so a traced resume continues emitting
+    /// from the restore point and a window recorder in the snapshot carries
+    /// on from its restored windows.
     ///
     /// # Errors
     ///
@@ -1480,12 +1477,9 @@ impl RunSession {
         config: &ExperimentConfig,
         workload: &[WorkloadEvent],
     ) -> Result<RunSession, SnapshotError> {
-        let restore_t0 = config.profile.start();
+        let restore_t0 = config.observe.profile.start();
         let doc = SnapshotDocument::parse(bytes)?;
-        let topo = config
-            .topology_override
-            .clone()
-            .unwrap_or_else(|| Topology::grid(config.grid_n).expect("valid experiment grid"));
+        let topo = build_topology(config);
         let events = Self::prepare_events(config, workload);
 
         // Validate the strategy tag before touching the simulator section:
@@ -1503,32 +1497,15 @@ impl RunSession {
         }
 
         let mut s = doc.section(SECTION_SIMULATOR)?;
-        let mut sim = if config.strategy.uses_innetwork_tier() {
-            let field = build_field(config, &topo);
-            let innetwork = effective_innetwork(config);
-            SimKind::Ttmqo(Box::new(Simulator::read_snapshot(
-                &mut s,
-                field,
-                move |_, _| TtmqoApp::new(innetwork.clone()),
-            )?))
-        } else {
-            let field = build_field(config, &topo);
-            SimKind::TinyDb(Box::new(Simulator::read_snapshot(
-                &mut s,
-                field,
-                |_, _| TinyDbApp::new(TinyDbConfig::default()),
-            )?))
-        };
+        let sim = build_sim(config, &topo, Some(&mut s))?;
         s.finish()?;
-        sim.set_trace(config.trace.clone());
-        sim.set_profile(config.profile.clone());
 
         let event_idx = r.usize()?;
         let audited_to = r.u64()?;
         let optimizer = if r.bool()? {
             let mut opt =
                 BaseStationOptimizer::read_snapshot(&mut r, build_optimizer(config, &topo))?;
-            opt.set_trace(config.trace.clone());
+            opt.set_trace(config.observe.trace.clone());
             Some(opt)
         } else {
             None
@@ -1560,10 +1537,9 @@ impl RunSession {
         }
 
         let schedule = (!config.faults.is_empty()).then(|| config.faults.materialize(&topo));
-        let window_ms = (topo.max_level() as u64 + 1) * config.innetwork.slot_ms
-            + config.innetwork.jitter_ms
-            + 32;
+        let window_ms = collection_window_ms(config, &topo);
         config
+            .observe
             .profile
             .finish(ProfilePhase::SnapshotRestore, restore_t0);
         Ok(RunSession {
@@ -1750,7 +1726,7 @@ mod tests {
             window_ms: 2048,
             per_query,
         });
-        roundtrip_debug(&TimeseriesCollector::new(0)); // window clamps to 1
+        roundtrip_debug(&TimeseriesCollector::new());
     }
 
     #[test]

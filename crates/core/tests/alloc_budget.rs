@@ -13,9 +13,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use ttmqo_core::{DagState, ExperimentConfig, RunSession, Strategy};
+use ttmqo_core::{run_experiment, DagState, ExperimentConfig, RunSession, Strategy};
 use ttmqo_query::QueryId;
-use ttmqo_sim::{NodeId, RadioParams, SimTime, TraceEvent, TraceHandle, TraceRecord, TraceSink};
+use ttmqo_sim::{
+    NodeId, Observe, RadioParams, SimTime, TraceEvent, TraceHandle, TraceRecord, TraceSink,
+};
 use ttmqo_workloads::workload_a;
 
 thread_local! {
@@ -150,11 +152,14 @@ fn steady_state_two_tier_allocates_less_than_once_per_delivered_frame_copy() {
     // tells how many frame copies the window delivers...
     let copies = Arc::new(AtomicU64::new(0));
     let traced = ExperimentConfig {
-        trace: TraceHandle::new(DeliveredInWindow {
-            from_us: from.as_ms() * 1000,
-            to_us: to.as_ms() * 1000,
-            copies: Arc::clone(&copies),
-        }),
+        observe: Observe {
+            trace: TraceHandle::new(DeliveredInWindow {
+                from_us: from.as_ms() * 1000,
+                to_us: to.as_ms() * 1000,
+                copies: Arc::clone(&copies),
+            }),
+            ..Observe::default()
+        },
         ..config.clone()
     };
     RunSession::new(&traced, &workload_a()).run_to(to);
@@ -176,4 +181,24 @@ fn steady_state_two_tier_allocates_less_than_once_per_delivered_frame_copy() {
         "{allocs} allocations for {copies} delivered frame copies ({:.2} per copy)",
         allocs as f64 / copies as f64
     );
+}
+
+#[test]
+fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
+    // The whole run, set-up included, of the cell the root suite pins
+    // (`innet_only_8x8_cell_is_pinned`): Tier 2 only, Workload A, 8×8, every
+    // observer off. 61 232 is the count at commit 755f41b, before the
+    // engine's accounting moved behind the probe seam; an unobserved run
+    // must not pay an allocation for observers it does not have. The count
+    // is the same in debug and release builds.
+    let config = ExperimentConfig {
+        strategy: Strategy::InNetOnly,
+        grid_n: 8,
+        duration: SimTime::from_ms(24 * 2048),
+        ..ExperimentConfig::default()
+    };
+    let workload = workload_a();
+    let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
+    assert_eq!(report.engine.frames_total, 5965, "not the pinned cell");
+    assert_eq!(allocs, 61_232);
 }

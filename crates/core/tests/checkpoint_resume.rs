@@ -20,9 +20,7 @@ use ttmqo_core::{
     WorkloadEvent,
 };
 use ttmqo_query::{parse_query, QueryId};
-use ttmqo_sim::{
-    FaultPlan, JsonLinesSink, MetricsSnapshot, NodeId, SimTime, TimeseriesConfig, TraceHandle,
-};
+use ttmqo_sim::{FaultPlan, JsonLinesSink, MetricsSnapshot, NodeId, Observe, SimTime, TraceHandle};
 use ttmqo_workloads::{workload_a, workload_b};
 
 const GOLDEN_PATH: &str = concat!(
@@ -134,7 +132,10 @@ fn resume_reproduces_the_full_report_across_checkpoint_times() {
         strategy: Strategy::TwoTier,
         grid_n: 4,
         duration: SimTime::from_ms(16 * 2048),
-        timeseries: Some(TimeseriesConfig::default()),
+        observe: Observe {
+            timeseries: true,
+            ..Observe::default()
+        },
         ..ExperimentConfig::default()
     };
     let straight = format!("{:?}", run_experiment(&config, &workload_a()));
@@ -186,8 +187,16 @@ fn resumed_trace_continues_the_straight_trace_byte_for_byte() {
         faults: FaultPlan::scripted(vec![(NodeId(6), 3 * 2048, None)]),
         ..ExperimentConfig::default()
     };
+    // Timeseries rides along: the window recorder comes back inside the
+    // snapshot, the sink is new, and attaching after the restore has to put
+    // the restored windows and the new sink in one box — the report compared
+    // below carries the series.
     let with_trace = |path: &std::path::Path| ExperimentConfig {
-        trace: TraceHandle::new(JsonLinesSink::create(path).unwrap()),
+        observe: Observe {
+            trace: TraceHandle::new(JsonLinesSink::create(path).unwrap()),
+            timeseries: true,
+            ..Observe::default()
+        },
         ..base.clone()
     };
 
@@ -195,7 +204,7 @@ fn resumed_trace_continues_the_straight_trace_byte_for_byte() {
     let straight_path = dir.join("straight.jsonl");
     let config = with_trace(&straight_path);
     let straight = format!("{:?}", run_experiment(&config, &workload_a()));
-    config.trace.flush();
+    config.observe.trace.flush();
 
     // Prefix run to the cut, then a resumed run with a fresh sink.
     let prefix_path = dir.join("prefix.jsonl");
@@ -204,7 +213,7 @@ fn resumed_trace_continues_the_straight_trace_byte_for_byte() {
     session.run_to(SimTime::from_ms(5 * 2048 + 200));
     let bytes = session.checkpoint();
     drop(session);
-    config.trace.flush();
+    config.observe.trace.flush();
 
     let resumed_path = dir.join("resumed.jsonl");
     let config = with_trace(&resumed_path);
@@ -214,7 +223,7 @@ fn resumed_trace_continues_the_straight_trace_byte_for_byte() {
             .expect("own checkpoint restores")
             .finish()
     );
-    config.trace.flush();
+    config.observe.trace.flush();
     assert_eq!(resumed, straight, "resumed report diverged");
 
     let read = |p: &std::path::Path| std::fs::read_to_string(p).unwrap();

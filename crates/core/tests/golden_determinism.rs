@@ -12,12 +12,12 @@
 
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
-use ttmqo_core::{run_experiment, ExperimentConfig, Strategy};
+use ttmqo_core::{run_experiment, ExperimentConfig, RunSession, Strategy, WorkloadEvent};
 use ttmqo_sim::{
-    JsonLinesSink, MetricsSnapshot, ProfileHandle, ProfilePhase, RingSink, SimTime,
-    TimeseriesConfig, TraceHandle, TraceSink,
+    FaultPlan, JsonLinesSink, MetricsSnapshot, NodeId, Observe, ProfileHandle, ProfilePhase,
+    RadioParams, RingSink, SimTime, TraceHandle, TraceSink,
 };
-use ttmqo_workloads::workload_a;
+use ttmqo_workloads::{workload_a, workload_b};
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -152,7 +152,10 @@ fn tracing_leaves_the_golden_cell_untouched() {
             strategy: Strategy::TwoTier,
             grid_n: 4,
             duration: SimTime::from_ms(24 * 2048),
-            trace,
+            observe: Observe {
+                trace,
+                ..Observe::default()
+            },
             ..ExperimentConfig::default()
         };
         let report = run_experiment(&config, &workload_a());
@@ -203,12 +206,15 @@ fn profiling_leaves_the_golden_cell_untouched() {
             strategy: Strategy::TwoTier,
             grid_n: 4,
             duration: SimTime::from_ms(24 * 2048),
-            trace: TraceHandle::new(JsonLinesSink::new(buf.clone()).unwrap()),
-            profile,
+            observe: Observe {
+                trace: TraceHandle::new(JsonLinesSink::new(buf.clone()).unwrap()),
+                profile,
+                ..Observe::default()
+            },
             ..ExperimentConfig::default()
         };
         let mut report = run_experiment(&config, &workload_a());
-        config.trace.flush();
+        config.observe.trace.flush();
         let profile_report = report.profile.take();
         let trace = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         (format!("{report:?}"), trace, profile_report)
@@ -226,19 +232,23 @@ fn profiling_leaves_the_golden_cell_untouched() {
 #[test]
 fn profile_report_reconciles_with_engine_stats() {
     // The profiler's counts are exact, not sampled: each engine phase's
-    // event count must equal the corresponding EngineStats counter, and
-    // the engine-phase wall attribution cannot exceed the measured wall
-    // time of the whole experiment.
+    // event count must equal the corresponding EngineStats counter.
+    //
+    // Its wall times are deliberately not bounded here. `wall_ns` is a
+    // ×SAMPLE_INTERVAL extrapolation of every 32nd event's stamps, so one
+    // sampled event that is descheduled mid-flight inflates its phase by
+    // 32× the stall and can exceed the run's true wall time; the bound this
+    // test used to assert failed for exactly that reason under a parallel
+    // test run. The <2% overhead and attribution gates live in
+    // `--bench engine`, which runs alone.
     let config = ExperimentConfig {
-        strategy: Strategy::TwoTier,
-        grid_n: 4,
-        duration: SimTime::from_ms(24 * 2048),
-        profile: ProfileHandle::enabled(),
-        ..ExperimentConfig::default()
+        observe: Observe {
+            profile: ProfileHandle::enabled(),
+            ..Observe::default()
+        },
+        ..golden_config()
     };
-    let start = std::time::Instant::now();
     let report = run_experiment(&config, &workload_a());
-    let total_wall_ns = start.elapsed().as_nanos() as u64;
 
     let profile = report.profile.as_ref().expect("profiling was enabled");
     for (phase, expected) in [
@@ -255,12 +265,6 @@ fn profile_report_reconciles_with_engine_stats() {
             phase.name()
         );
     }
-    assert!(
-        profile.engine_event_wall_ns() <= total_wall_ns,
-        "attributed engine wall time ({} ns) cannot exceed the whole \
-         experiment's wall time ({total_wall_ns} ns)",
-        profile.engine_event_wall_ns()
-    );
 }
 
 #[test]
@@ -276,12 +280,15 @@ fn auditing_leaves_the_golden_cell_untouched() {
             strategy: Strategy::TwoTier,
             grid_n: 4,
             duration: SimTime::from_ms(24 * 2048),
-            trace: TraceHandle::new(JsonLinesSink::new(buf.clone()).unwrap()),
-            audit,
+            observe: Observe {
+                trace: TraceHandle::new(JsonLinesSink::new(buf.clone()).unwrap()),
+                audit,
+                ..Observe::default()
+            },
             ..ExperimentConfig::default()
         };
         let mut report = run_experiment(&config, &workload_a());
-        config.trace.flush();
+        config.observe.trace.flush();
         let audit_report = report.audit.take();
         let trace = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         (format!("{report:?}"), trace, audit_report)
@@ -307,12 +314,15 @@ fn timeseries_leaves_the_golden_cell_untouched() {
     // engine already maintains, never draws from the simulation RNG, and
     // never perturbs event order — so the golden cell with collection on
     // must render identically to the cell with collection off.
-    let run = |timeseries: Option<TimeseriesConfig>| {
+    let run = |timeseries: bool| {
         let config = ExperimentConfig {
             strategy: Strategy::TwoTier,
             grid_n: 4,
             duration: SimTime::from_ms(24 * 2048),
-            timeseries,
+            observe: Observe {
+                timeseries,
+                ..Observe::default()
+            },
             ..ExperimentConfig::default()
         };
         let report = run_experiment(&config, &workload_a());
@@ -323,8 +333,8 @@ fn timeseries_leaves_the_golden_cell_untouched() {
         )
     };
 
-    let off = run(None);
-    let on = run(Some(TimeseriesConfig::default()));
+    let off = run(false);
+    let on = run(true);
 
     assert_eq!(off.0, on.0, "metrics diverged under timeseries collection");
     assert_eq!(
@@ -337,5 +347,218 @@ fn timeseries_leaves_the_golden_cell_untouched() {
     assert!(
         !series.per_query.is_empty(),
         "per-query answer series were recorded"
+    );
+}
+
+/// The two-tier golden cell's configuration (what `golden_cell` runs).
+fn golden_config() -> ExperimentConfig {
+    ExperimentConfig {
+        strategy: Strategy::TwoTier,
+        grid_n: 4,
+        duration: SimTime::from_ms(24 * 2048),
+        ..ExperimentConfig::default()
+    }
+}
+
+/// What one observed run of a cell leaves behind.
+struct Observed {
+    /// The report's debug rendering with the three observer-only fields
+    /// taken out (shortest-roundtrip floats: equal strings ⇔ equal bits).
+    report: String,
+    /// The JSONL trace; empty when the run was not traced.
+    trace: String,
+    /// `RunTimeseries::to_json()`, when the series was recorded.
+    series: Option<String>,
+    profiled: bool,
+    audit: Option<ttmqo_sim::AuditReport>,
+    /// `RunSession::checkpoint()` taken mid-run, at a non-aligned instant.
+    checkpoint: Vec<u8>,
+}
+
+const CUT_MS: u64 = 11 * 2048 + 317;
+
+/// `base` with exactly the named observers attached, tracing into `buf`.
+fn observing(
+    base: &ExperimentConfig,
+    [trace, timeseries, profile, audit]: [bool; 4],
+    buf: &SharedBuf,
+) -> ExperimentConfig {
+    ExperimentConfig {
+        observe: Observe {
+            trace: if trace {
+                TraceHandle::new(JsonLinesSink::new(buf.clone()).unwrap())
+            } else {
+                TraceHandle::disabled()
+            },
+            timeseries,
+            profile: if profile {
+                ProfileHandle::enabled()
+            } else {
+                ProfileHandle::disabled()
+            },
+            audit,
+        },
+        ..base.clone()
+    }
+}
+
+/// Runs the cell under `observers`, and a second time up to [`CUT_MS`] for
+/// the checkpoint (stopping drains the base station's outputs early, which
+/// moves `answer-mapped` records within the trace, so the trace comes from
+/// the uninterrupted run).
+fn observe(base: &ExperimentConfig, workload: &[WorkloadEvent], observers: [bool; 4]) -> Observed {
+    let buf = SharedBuf::default();
+    let config = observing(base, observers, &buf);
+    let mut report = run_experiment(&config, workload);
+    config.observe.trace.flush();
+    let series = report.timeseries.take().map(|ts| ts.to_json());
+    let profiled = report.profile.take().is_some();
+    let audit = report.audit.take();
+    let trace = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+
+    let mut session = RunSession::new(&observing(base, observers, &SharedBuf::default()), workload);
+    session.run_to(SimTime::from_ms(CUT_MS));
+    Observed {
+        report: format!("{report:?}"),
+        trace,
+        series,
+        profiled,
+        audit,
+        checkpoint: session.checkpoint(),
+    }
+}
+
+const OFF: [bool; 4] = [false; 4];
+
+/// Line count, byte length and 64-bit FNV-1a digest of one artifact.
+#[derive(Debug, PartialEq)]
+struct Digest {
+    lines: usize,
+    bytes: usize,
+    fnv1a: u64,
+}
+
+fn digest(text: &str) -> Digest {
+    Digest {
+        lines: text.lines().count(),
+        bytes: text.len(),
+        fnv1a: text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        }),
+    }
+}
+
+// The observed bytes of two cells, generated at commit 755f41b — the last
+// one whose engine wrote to `Metrics`, the window recorder and the trace
+// sink by hand at every site — and never regenerated by the commit that
+// re-routed those sites through the probe seam. Unlike the on-vs-off tests
+// above, which compare one build with itself, these compare builds.
+//
+// The golden cell covers frame tx / delivery / collision / retry, CSMA
+// deferrals and wakes; the stormy one (15% loss, a crash with recovery, a
+// crash without, Workload B so that idle nodes nap) adds loss, missed and
+// abandoned frames, sleep-start and the fault events — every engine trace
+// kind appears in it.
+const GOLDEN_TRACE: Digest = Digest {
+    lines: 10807,
+    bytes: 936846,
+    fnv1a: 0x3b12_6e7d_d125_9c94,
+};
+const GOLDEN_SERIES: Digest = Digest {
+    lines: 1,
+    bytes: 32190,
+    fnv1a: 0x94cc_3a2e_4898_6b2e,
+};
+const STORMY_TRACE: Digest = Digest {
+    lines: 11200,
+    bytes: 958953,
+    fnv1a: 0x2881_1694_4bc3_af25,
+};
+const STORMY_SERIES: Digest = Digest {
+    lines: 1,
+    bytes: 26001,
+    fnv1a: 0xed0c_1b80_eba9_c9f1,
+};
+
+fn stormy_config() -> ExperimentConfig {
+    ExperimentConfig {
+        radio: RadioParams {
+            loss_rate: 0.15,
+            ..RadioParams::default()
+        },
+        faults: FaultPlan::scripted(vec![
+            (NodeId(5), 4 * 2048, Some(14 * 2048)),
+            (NodeId(10), 7 * 2048 + 100, None),
+        ]),
+        ..golden_config()
+    }
+}
+
+#[test]
+fn trace_and_timeseries_bytes_match_the_pinned_digests() {
+    for (name, config, workload, trace, series) in [
+        (
+            "golden",
+            golden_config(),
+            workload_a(),
+            GOLDEN_TRACE,
+            GOLDEN_SERIES,
+        ),
+        (
+            "stormy",
+            stormy_config(),
+            workload_b(),
+            STORMY_TRACE,
+            STORMY_SERIES,
+        ),
+    ] {
+        let run = observe(&config, &workload, [true, true, false, false]);
+        assert_eq!(digest(&run.trace), trace, "{name} cell: JSONL trace");
+        let json = run.series.expect("timeseries was on");
+        assert_eq!(digest(&json), series, "{name} cell: RunTimeseries JSON");
+        for kind in [
+            "frame-tx",
+            "frame-delivered",
+            "frame-collision",
+            "frame-retry",
+            "csma-deferred",
+            "wake",
+        ] {
+            let tag = format!("\"ev\":\"{kind}\"");
+            assert!(run.trace.contains(&tag), "{name} cell never traced {kind}");
+        }
+    }
+}
+
+#[test]
+fn every_observer_at_once_leaves_the_golden_cell_untouched() {
+    // The observers share one box inside the engine, so the pairwise tests
+    // above do not cover what they might do to each other: all four on at
+    // once must give the all-off report, the pinned trace and series, and —
+    // the window recorder being the only observer a snapshot carries — the
+    // mid-run checkpoint of the recorder-only run; with the recorder left
+    // out, the all-off checkpoint.
+    let base = golden_config();
+    let off = observe(&base, &workload_a(), OFF);
+    let all = observe(&base, &workload_a(), [true; 4]);
+    let all_but_series = observe(&base, &workload_a(), [true, false, true, true]);
+    let series_only = observe(&base, &workload_a(), [false, true, false, false]);
+
+    assert_eq!(
+        off.report, all.report,
+        "RunReport diverged under observation"
+    );
+    assert_eq!(digest(&all.trace), GOLDEN_TRACE);
+    assert_eq!(
+        digest(&all.series.expect("timeseries was on")),
+        GOLDEN_SERIES
+    );
+    assert!(all.profiled && all.audit.is_some_and(|a| a.is_clean()));
+    assert!(off.trace.is_empty() && off.series.is_none() && !off.profiled && off.audit.is_none());
+    assert_eq!(off.checkpoint, all_but_series.checkpoint);
+    assert_eq!(series_only.checkpoint, all.checkpoint);
+    assert_ne!(
+        off.checkpoint, all.checkpoint,
+        "the recorder is checkpointed"
     );
 }

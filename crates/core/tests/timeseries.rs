@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use ttmqo_core::{run_experiment, ExperimentConfig, RunReport, Strategy, WorkloadEvent};
 use ttmqo_query::{parse_query, QueryId, BASE_EPOCH_MS};
-use ttmqo_sim::{EnergyProfile, FaultPlan, MsgKind, NodeId, SimTime, TimeseriesConfig};
+use ttmqo_sim::{EnergyProfile, FaultPlan, MsgKind, NodeId, Observe, SimTime};
 use ttmqo_workloads::workload_a;
 
 /// Relative f64 comparison: window sums re-associate the same additions the
@@ -24,7 +24,10 @@ fn timeseries_run(strategy: Strategy, faults: FaultPlan) -> RunReport {
         strategy,
         grid_n: 4,
         duration: SimTime::from_ms(24 * 2048),
-        timeseries: Some(TimeseriesConfig::default()),
+        observe: Observe {
+            timeseries: true,
+            ..Observe::default()
+        },
         faults,
         ..ExperimentConfig::default()
     };
@@ -209,7 +212,10 @@ fn sleeping_cells_reconcile_their_sleep_windows() {
         strategy: Strategy::TwoTier,
         grid_n: 4,
         duration: SimTime::from_ms(24 * 2048),
-        timeseries: Some(TimeseriesConfig::default()),
+        observe: Observe {
+            timeseries: true,
+            ..Observe::default()
+        },
         ..ExperimentConfig::default()
     };
     let report = run_experiment(&config, &workload);

@@ -8,7 +8,7 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use ttmqo_core::{run_experiment, ExperimentConfig, Strategy};
-use ttmqo_sim::{summarize_trace, JsonLinesSink, SimTime, TraceHandle, SCHEMA_VERSION};
+use ttmqo_sim::{summarize_trace, JsonLinesSink, Observe, SimTime, TraceHandle, SCHEMA_VERSION};
 use ttmqo_workloads::workload_a;
 
 /// A `Write` implementor appending into a shared buffer, so the test can
@@ -33,11 +33,14 @@ fn traced_run(strategy: Strategy) -> (ttmqo_core::RunReport, String) {
         strategy,
         grid_n: 4,
         duration: SimTime::from_ms(24 * 2048),
-        trace: TraceHandle::new(sink),
+        observe: Observe {
+            trace: TraceHandle::new(sink),
+            ..Observe::default()
+        },
         ..ExperimentConfig::default()
     };
     let report = run_experiment(&config, &workload_a());
-    config.trace.flush();
+    config.observe.trace.flush();
     let bytes = buf.0.lock().unwrap().clone();
     (report, String::from_utf8(bytes).unwrap())
 }

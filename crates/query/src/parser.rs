@@ -164,10 +164,13 @@ fn tokenize(text: &str) -> Result<Vec<Token>, ParseQueryError> {
                     .map_err(|_| ParseQueryError::Syntax(format!("bad number `{s}`")))?;
                 tokens.push(Token::Number(n));
             }
-            other => {
+            _ => {
+                // Every arm above consumes ASCII only, so `i` is on a
+                // character boundary; `c` is just the lead byte.
+                let other = text[i..].chars().next().expect("i < len");
                 return Err(ParseQueryError::Syntax(format!(
                     "unexpected character `{other}`"
-                )))
+                )));
             }
         }
     }
@@ -571,6 +574,22 @@ mod tests {
             assert!(
                 parse_query(QueryId(1), bad).is_err(),
                 "expected error for: {bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_non_ascii_character_is_named_whole() {
+        // Not `Ã`, the lead byte of `é` read as Latin-1.
+        for (text, c) in [
+            ("select light where é epoch duration 2048", 'é'),
+            ("select light\0", '\0'),
+            ("select 光", '光'),
+        ] {
+            let err = parse_query(QueryId(1), text).unwrap_err();
+            assert_eq!(
+                err,
+                ParseQueryError::Syntax(format!("unexpected character `{c}`"))
             );
         }
     }

@@ -12,10 +12,8 @@
 //! wrong numbers becomes a sweep that fails loudly.
 //!
 //! The auditor is strictly *post-hoc*: every check is arithmetic over data
-//! the run already produced (counters, reports, trace summaries). It draws
-//! no RNG, installs no hooks, and branches on nothing mid-run, so an
-//! audited run is bit-identical to an unaudited one — the `trace` contract,
-//! extended to auditing.
+//! the run already produced (counters, reports, trace summaries), which is
+//! how it keeps the observer contract stated on [`Observe`](crate::Observe).
 
 use crate::energy::EnergyProfile;
 use crate::engine::EngineStats;
@@ -397,8 +395,10 @@ impl fmt::Display for AuditReport {
 mod tests {
     use super::*;
     use crate::metrics::QueryCompleteness;
+    use crate::probe::Probe;
     use crate::radio::MsgKind;
     use crate::time::SimTime;
+    use crate::topology::NodeId;
 
     fn healthy_engine() -> EngineStats {
         EngineStats {
@@ -469,9 +469,9 @@ mod tests {
     fn energy_recomputation_must_match_bit_for_bit() {
         let profile = EnergyProfile::default();
         let mut m = Metrics::new(3);
-        m.record_tx(0, MsgKind::Result, 30, 400.0);
-        m.record_rx(2, 50.0);
-        m.record_sample();
+        m.apply(Probe::tx(0, MsgKind::Result, 30, 400));
+        m.apply(Probe::rx(2, 50.0));
+        m.apply(Probe::Sample { node: NodeId(0) });
         m.set_horizon(SimTime::from_ms(1000));
         let total = m.total_energy_mj(&profile);
         let max_node = m.max_node_energy_mj(&profile);

@@ -54,13 +54,13 @@ use crate::faults::{FaultOverlay, FaultPlan};
 use crate::field::SensorField;
 use crate::incoming::{IncomingArena, IncomingFrame};
 use crate::metrics::Metrics;
-use crate::profile;
-use crate::profile::{EnginePhase, ProfileHandle, ProfilePhase, ProfileScratch};
+use crate::probe::{Observe, Probe, Probes, Reception};
+use crate::profile::{self, EnginePhase, ProfilePhase};
 use crate::radio::{Destination, MsgKind, RadioParams};
 use crate::time::SimTime;
-use crate::timeseries::WindowRecorder;
+use crate::timeseries::{NodeTimeseries, WindowRecorder};
 use crate::topology::{NodeId, Topology};
-use crate::trace::{TraceDest, TraceEvent, TraceHandle};
+use crate::trace::{TraceDest, TraceEvent};
 use std::fmt::Debug;
 use std::sync::Arc;
 use ttmqo_query::Attribute;
@@ -134,13 +134,11 @@ pub struct Ctx<'a, P, O> {
     now_us: u64,
     topology: &'a Topology,
     field: &'a dyn SensorField,
-    metrics: &'a mut Metrics,
+    probes: &'a mut Probes,
     outputs: &'a mut Vec<OutputRecord<O>>,
     /// Engine-owned scratch, drained and reused across callbacks.
     actions: &'a mut Vec<Action<P>>,
     rng_state: &'a mut u64,
-    trace: &'a TraceHandle,
-    timeseries: &'a mut Option<Box<WindowRecorder>>,
 }
 
 /// One record emitted by a node via [`Ctx::emit`].
@@ -212,10 +210,8 @@ impl<'a, P, O> Ctx<'a, P, O> {
     /// Samples one attribute from the sensor field (charged to the sampling
     /// energy budget).
     pub fn read_sensor(&mut self, attr: Attribute) -> f64 {
-        self.metrics.record_sample();
-        if let Some(ts) = self.timeseries.as_deref_mut() {
-            ts.record_sample(self.now_us, self.node.index());
-        }
+        self.probes
+            .record(self.now_us, Probe::Sample { node: self.node });
         self.field.reading(self.node, attr, self.now())
     }
 
@@ -223,7 +219,8 @@ impl<'a, P, O> Ctx<'a, P, O> {
     /// (orphaned by upstream failures). Feeds the completeness accounting's
     /// orphaned-node counters.
     pub fn record_orphaned(&mut self) {
-        self.metrics.record_orphaned_drop(self.node.index());
+        self.probes
+            .record(self.now_us, Probe::Orphaned { node: self.node });
     }
 
     /// Puts the radio to sleep until `now + duration_ms`: no frames are
@@ -247,16 +244,23 @@ impl<'a, P, O> Ctx<'a, P, O> {
         });
     }
 
-    /// Whether a trace sink is attached. Apps check this before building an
-    /// event, so disabled tracing costs one branch and zero allocations.
+    /// Whether a trace sink is attached.
     pub fn trace_enabled(&self) -> bool {
-        self.trace.is_enabled()
+        self.probes.trace_enabled()
     }
 
     /// Records an application-level trace event at the current simulation
     /// time (no-op when tracing is disabled).
     pub fn trace(&self, event: TraceEvent) {
-        self.trace.emit(self.now_us, event);
+        self.trace_with(|| event);
+    }
+
+    /// Like [`Ctx::trace`], but builds the event only when a trace sink is
+    /// attached: disabled tracing costs one branch and zero allocations
+    /// without the app checking anything.
+    #[inline]
+    pub fn trace_with(&self, event: impl FnOnce() -> TraceEvent) {
+        self.probes.trace_with(self.now_us, event);
     }
 
     /// A deterministic pseudo-random `u64` from the simulation's seed.
@@ -420,7 +424,9 @@ pub struct Simulator<A: NodeApp> {
     radio: RadioParams,
     config: SimConfig,
     field: Box<dyn SensorField + Send + Sync>,
-    metrics: Metrics,
+    /// The run's accounting and observers: every radio occurrence is
+    /// reported here exactly once.
+    probes: Probes,
     outputs: Vec<OutputRecord<A::Output>>,
     /// The event queue: a calendar queue popping in strict `(time_us, seq)`
     /// order — bit-identical to the `BinaryHeap<Reverse<Event>>` it replaced
@@ -449,21 +455,6 @@ pub struct Simulator<A: NodeApp> {
     /// `None` (the default) keeps the delivery path byte-identical to a
     /// fault-free engine: one branch, no extra RNG draws.
     faults: Option<FaultOverlay>,
-    /// Trace emission handle; the default (disabled) handle costs one branch
-    /// per emission site and never allocates or draws RNG.
-    trace: TraceHandle,
-    /// Windowed time-series recorder mirroring every metrics delta, bucketed
-    /// by event time. `None` (the default) costs one branch per mirror site
-    /// and keeps runs bit-for-bit identical; enabled recording never draws
-    /// RNG either, so it holds both ways (the `TraceHandle` contract).
-    timeseries: Option<Box<WindowRecorder>>,
-    /// Profiling handle shared with the runner; disabled by default. Like
-    /// tracing, profiling never draws RNG or branches on simulated state,
-    /// so runs are bit-identical either way.
-    profile: ProfileHandle,
-    /// Lock-free per-run profiling accumulator, present iff `profile` is
-    /// enabled; flushed into the handle once per `run_until` call.
-    profile_scratch: Option<Box<ProfileScratch>>,
     now_us: u64,
     seq: u64,
     rng_state: u64,
@@ -476,10 +467,6 @@ pub struct Simulator<A: NodeApp> {
     /// Per-phase event counters indexed by [`EnginePhase::index`] — the
     /// breakdown behind `events_processed`.
     phase_events: [u64; EnginePhase::COUNT],
-    /// Watermark of `phase_events` already credited to the profiler, so the
-    /// hot loop never increments a profiler counter per event: the delta is
-    /// credited in bulk when the scratch is flushed.
-    profile_credited: [u64; EnginePhase::COUNT],
 }
 
 impl<A: NodeApp> Simulator<A> {
@@ -501,7 +488,7 @@ impl<A: NodeApp> Simulator<A> {
             nodes,
             factory: Box::new(factory),
             failed: vec![false; n],
-            metrics: Metrics::new(n),
+            probes: Probes::new(n),
             outputs: Vec::new(),
             queue: CalendarQueue::new(),
             frames: Vec::new(),
@@ -511,10 +498,6 @@ impl<A: NodeApp> Simulator<A> {
             sleep_until_us: vec![0; n],
             incoming: IncomingArena::new(n),
             faults: None,
-            trace: TraceHandle::disabled(),
-            timeseries: None,
-            profile: ProfileHandle::disabled(),
-            profile_scratch: None,
             now_us: 0,
             seq: 0,
             rng_state,
@@ -525,7 +508,6 @@ impl<A: NodeApp> Simulator<A> {
             csma_capped: 0,
             csma_sorts_saved: 0,
             phase_events: [0; EnginePhase::COUNT],
-            profile_credited: [0; EnginePhase::COUNT],
             topology,
             radio,
             config,
@@ -540,7 +522,7 @@ impl<A: NodeApp> Simulator<A> {
 
     /// Accumulated metrics.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        self.probes.metrics()
     }
 
     /// Engine hot-path counters: events processed, frame-slab occupancy and
@@ -562,44 +544,24 @@ impl<A: NodeApp> Simulator<A> {
         }
     }
 
-    /// Attaches (or detaches, with [`TraceHandle::disabled`]) the trace
-    /// sink. The engine and app callbacks emit structured [`TraceEvent`]s
-    /// through it; with the default disabled handle every emission site is a
-    /// single branch and the run is bit-for-bit identical to an untraced one
-    /// (tracing never draws from the simulation RNG, so this holds for
-    /// enabled sinks too).
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
+    /// Attaches what `observe` selects — trace sink, window recorder,
+    /// profiler — replacing whatever was attached before. The engine
+    /// reports every occurrence once and the attached observers consume
+    /// it; [`Observe`] states what they may and may not do. On a simulator
+    /// restored from a snapshot taken with the recorder on, the recorder
+    /// carries on from the restored windows. Profiling attributes each
+    /// processed event's wall time to its [`EnginePhase`] plus the nested
+    /// CSMA-sense and interference-marking sub-spans.
+    pub fn attach(&mut self, observe: &Observe) {
+        self.probes
+            .attach(observe, self.nodes.len(), self.phase_events);
     }
 
-    /// Attaches (or detaches, with [`ProfileHandle::disabled`]) the
-    /// profiling handle. The engine attributes each processed event's wall
-    /// time to its [`EnginePhase`] (one clock read per event into a
-    /// lock-free scratch, flushed per `run_until` call) plus nested
-    /// CSMA-sense and interference-marking sub-spans. Profiling never draws
-    /// from the simulation RNG and never branches on simulated state, so
-    /// runs are bit-for-bit identical with or without it.
-    pub fn set_profile(&mut self, profile: ProfileHandle) {
-        self.profile_scratch = profile.scratch();
-        // Events processed before the profiler attached are not its to
-        // count: start crediting from the current watermark.
-        self.profile_credited = self.phase_events;
-        self.profile = profile;
-    }
-
-    /// Installs (or removes, with `None`) a windowed time-series recorder.
-    /// Every metrics delta the engine records from now on is mirrored into
-    /// it, bucketed by event time; retrieve the finished series with
-    /// [`Simulator::take_timeseries`]. Recording never draws from the
-    /// simulation RNG, so runs are bit-for-bit identical with or without it.
-    pub fn set_timeseries(&mut self, recorder: Option<Box<WindowRecorder>>) {
-        self.timeseries = recorder;
-    }
-
-    /// Detaches and returns the time-series recorder installed via
-    /// [`Simulator::set_timeseries`], if any.
-    pub fn take_timeseries(&mut self) -> Option<Box<WindowRecorder>> {
-        self.timeseries.take()
+    /// Detaches every observer and returns the window recorder's series,
+    /// closed at the metrics horizon, if one was recording.
+    pub fn detach(&mut self) -> Option<NodeTimeseries> {
+        let horizon = self.metrics().horizon();
+        self.probes.detach().map(|w| w.finalize(horizon))
     }
 
     /// Records emitted by nodes so far.
@@ -743,10 +705,7 @@ impl<A: NodeApp> Simulator<A> {
         // the report extrapolates wall time from the sample; exact event
         // counts are credited from `phase_events` after the loop (see the
         // profile module's overhead budget).
-        let mut prof_seen = self
-            .profile_scratch
-            .as_deref()
-            .map(ProfileScratch::take_seen);
+        let mut prof_seen = self.probes.profile_cursor();
         while let Some((time_us, _)) = self.queue.peek() {
             if time_us > end_us {
                 break;
@@ -758,27 +717,12 @@ impl<A: NodeApp> Simulator<A> {
             let phase = self.process_event(kind);
             self.phase_events[phase.index()] += 1;
             if let Some(t0) = t0 {
-                if let Some(scratch) = self.profile_scratch.as_deref_mut() {
-                    scratch.event_end(ProfilePhase::from(phase), t0);
-                }
+                self.probes.event_end(phase, t0);
             }
         }
-        if let Some(scratch) = self.profile_scratch.as_deref_mut() {
-            if let Some(seen) = prof_seen {
-                scratch.store_seen(seen);
-            }
-            for p in EnginePhase::ALL {
-                let i = p.index();
-                scratch.credit(
-                    ProfilePhase::from(p),
-                    self.phase_events[i] - self.profile_credited[i],
-                );
-                self.profile_credited[i] = self.phase_events[i];
-            }
-            self.profile.absorb(scratch);
-        }
+        self.probes.flush_profile(prof_seen, &self.phase_events);
         self.now_us = end_us;
-        self.metrics.set_horizon(t_end);
+        self.probes.set_horizon(t_end);
     }
 
     /// Handles one popped event, returning the [`EnginePhase`] it belongs
@@ -803,32 +747,17 @@ impl<A: NodeApp> Simulator<A> {
                 EnginePhase::Deliver
             }
             EventKind::Fail { node } => {
-                if self.trace.is_enabled() {
-                    self.trace
-                        .emit(self.now_us, TraceEvent::FaultCrash { node });
-                }
                 self.failed[node.index()] = true;
-                // A crash ends any ongoing nap; retract the unspent part
-                // that was credited in full when the nap was planned, as
-                // `Action::Wake` does. (A failed node draws no power, so
-                // leaving the unspent nap credited would overstate sleep
-                // time and understate idle-listening energy after
-                // recovery.)
-                let pending = self.sleep_until_us[node.index()].saturating_sub(self.now_us);
-                self.metrics
-                    .record_sleep(node.index(), -(pending as f64) / 1000.0);
-                if let Some(ts) = self.timeseries.as_deref_mut() {
-                    ts.record_sleep(self.now_us, node.index(), -(pending as f64) / 1000.0);
-                }
+                // A crash ends any ongoing nap, as `Action::Wake` does.
+                let pending_us = self.pending_nap_us(node);
+                self.probes
+                    .record(self.now_us, Probe::Crash { node, pending_us });
                 self.sleep_until_us[node.index()] = 0;
                 EnginePhase::Fault
             }
             EventKind::Recover { node } => {
                 if self.failed[node.index()] {
-                    if self.trace.is_enabled() {
-                        self.trace
-                            .emit(self.now_us, TraceEvent::FaultRecover { node });
-                    }
+                    self.probes.record(self.now_us, Probe::Recover { node });
                     self.failed[node.index()] = false;
                     self.tx_ready_at_us[node.index()] = self.now_us;
                     self.nodes[node.index()] = (self.factory)(node, &self.topology);
@@ -884,12 +813,10 @@ impl<A: NodeApp> Simulator<A> {
                 now_us: self.now_us,
                 topology: &self.topology,
                 field: self.field.as_ref(),
-                metrics: &mut self.metrics,
+                probes: &mut self.probes,
                 outputs: &mut self.outputs,
                 actions: &mut actions,
                 rng_state: &mut self.rng_state,
-                trace: &self.trace,
-                timeseries: &mut self.timeseries,
             };
             match cb {
                 Callback::Start => app.on_start(&mut ctx),
@@ -935,33 +862,18 @@ impl<A: NodeApp> Simulator<A> {
                     );
                 }
                 Action::Sleep { duration_ms } => {
-                    if self.trace.is_enabled() {
-                        self.trace
-                            .emit(self.now_us, TraceEvent::SleepStart { node, duration_ms });
-                    }
-                    // Re-planning an ongoing nap: retract the unspent part.
-                    let pending = self.sleep_until_us[node.index()].saturating_sub(self.now_us);
-                    self.metrics
-                        .record_sleep(node.index(), duration_ms as f64 - pending as f64 / 1000.0);
-                    if let Some(ts) = self.timeseries.as_deref_mut() {
-                        ts.record_sleep(
-                            self.now_us,
-                            node.index(),
-                            duration_ms as f64 - pending as f64 / 1000.0,
-                        );
-                    }
+                    let probe = Probe::Sleep {
+                        node,
+                        duration_ms,
+                        pending_us: self.pending_nap_us(node),
+                    };
+                    self.probes.record(self.now_us, probe);
                     self.sleep_until_us[node.index()] = self.now_us + duration_ms * 1000;
                 }
                 Action::Wake => {
-                    if self.trace.is_enabled() {
-                        self.trace.emit(self.now_us, TraceEvent::Wake { node });
-                    }
-                    let pending = self.sleep_until_us[node.index()].saturating_sub(self.now_us);
-                    self.metrics
-                        .record_sleep(node.index(), -(pending as f64) / 1000.0);
-                    if let Some(ts) = self.timeseries.as_deref_mut() {
-                        ts.record_sleep(self.now_us, node.index(), -(pending as f64) / 1000.0);
-                    }
+                    let pending_us = self.pending_nap_us(node);
+                    self.probes
+                        .record(self.now_us, Probe::Wake { node, pending_us });
                     self.sleep_until_us[node.index()] = 0;
                 }
             }
@@ -971,6 +883,13 @@ impl<A: NodeApp> Simulator<A> {
 
     fn is_asleep(&self, node: NodeId) -> bool {
         self.sleep_until_us[node.index()] > self.now_us
+    }
+
+    /// The part of `node`'s current nap not yet slept, µs. Naps are
+    /// credited in full when planned, so whatever ends or re-plans one
+    /// reports this for retraction.
+    fn pending_nap_us(&self, node: NodeId) -> u64 {
+        self.sleep_until_us[node.index()].saturating_sub(self.now_us)
     }
 
     /// Puts a frame on the air from `src` no earlier than `earliest_us`.
@@ -996,10 +915,7 @@ impl<A: NodeApp> Simulator<A> {
             // enclosing event's slice (the profiler's delta scheme), so the
             // two must not be summed. Sampled — only every SPAN_SAMPLE-th
             // occurrence reads a timestamp.
-            let csma_t0 = self
-                .profile_scratch
-                .as_deref_mut()
-                .and_then(|s| s.span_begin(ProfilePhase::CsmaSense));
+            let csma_t0 = self.probes.span_begin(ProfilePhase::CsmaSense);
             // CSMA: carrier-sense at the sender — defer past any frame
             // currently audible here, plus a short random inter-frame gap.
             // Hidden terminals (senders out of each other's range colliding
@@ -1032,45 +948,31 @@ impl<A: NodeApp> Simulator<A> {
             if deferrals >= cap && deferrals > 0 {
                 self.csma_capped += 1;
             }
-            if deferrals > 0 && self.trace.is_enabled() {
-                self.trace.emit(
-                    self.now_us,
-                    TraceEvent::CsmaDeferred {
-                        node: src,
-                        deferrals,
-                        capped: deferrals >= cap,
-                    },
-                );
+            if deferrals > 0 {
+                let probe = Probe::CsmaDeferred {
+                    node: src,
+                    deferrals,
+                    capped: deferrals >= cap,
+                };
+                self.probes.record(self.now_us, probe);
             }
-            if let (Some(t0), Some(scratch)) = (csma_t0, self.profile_scratch.as_deref_mut()) {
-                scratch.span_end(ProfilePhase::CsmaSense, t0);
-            }
+            self.probes.span_end(ProfilePhase::CsmaSense, csma_t0);
         }
         let end_us = start_us + dur_us;
         self.tx_ready_at_us[src.index()] = end_us;
-        self.metrics
-            .record_tx(src.index(), kind, total_bytes, dur_us as f64 / 1000.0);
-        if let Some(ts) = self.timeseries.as_deref_mut() {
-            // Bucketed by airtime start, like the FrameTx trace event.
-            ts.record_tx(start_us, src.index(), kind, dur_us as f64 / 1000.0);
-        }
-        if self.trace.is_enabled() {
-            let tdest = match &dest {
+        let probe = Probe::Tx {
+            node: src,
+            kind,
+            dest: match &dest {
                 Destination::Broadcast => TraceDest::Broadcast,
                 Destination::Unicast(d) => TraceDest::Unicast(*d),
                 Destination::Multicast(ds) => TraceDest::Multicast(ds.len() as u16),
-            };
-            self.trace.emit(
-                start_us,
-                TraceEvent::FrameTx {
-                    src,
-                    kind,
-                    dest: tdest,
-                    bytes: total_bytes,
-                    airtime_us: dur_us,
-                },
-            );
-        }
+            },
+            bytes: total_bytes,
+            airtime_us: dur_us,
+        };
+        // Stamped with the airtime start, not `now`.
+        self.probes.record(start_us, probe);
 
         let frame_idx = self.alloc_frame(FrameState {
             src,
@@ -1089,10 +991,7 @@ impl<A: NodeApp> Simulator<A> {
         // in place (no copy) while the interference state mutates.
         let fanout = self.topology.neighbors(src).len();
         if self.radio.collisions {
-            let mark_t0 = self
-                .profile_scratch
-                .as_deref_mut()
-                .and_then(|s| s.span_begin(ProfilePhase::InterferenceMark));
+            let mark_t0 = self.probes.span_begin(ProfilePhase::InterferenceMark);
             let frames = &mut self.frames;
             let entry = IncomingFrame {
                 start_us,
@@ -1117,9 +1016,8 @@ impl<A: NodeApp> Simulator<A> {
                         }
                     });
             }
-            if let (Some(t0), Some(scratch)) = (mark_t0, self.profile_scratch.as_deref_mut()) {
-                scratch.span_end(ProfilePhase::InterferenceMark, t0);
-            }
+            self.probes
+                .span_end(ProfilePhase::InterferenceMark, mark_t0);
         }
         if fanout == 0 {
             // Nothing in range: the frame is spent the moment it airs.
@@ -1164,37 +1062,29 @@ impl<A: NodeApp> Simulator<A> {
             let receiver = self.topology.neighbors(src)[i];
             let intended = dest.includes(receiver);
             let corrupted = !corrupted_at.is_empty() && corrupted_at.contains(&receiver);
+            let at = Reception {
+                src,
+                node: receiver,
+                kind,
+            };
 
             if self.is_asleep(receiver) || self.failed[receiver.index()] {
                 // The radio is off (or the node is dead): the frame is missed.
-                if intended && self.trace.is_enabled() {
-                    self.trace.emit(
-                        self.now_us,
-                        TraceEvent::FrameMissed {
-                            src,
-                            node: receiver,
-                            kind,
-                            asleep: self.is_asleep(receiver),
-                        },
-                    );
+                if intended {
+                    let asleep = self.is_asleep(receiver);
+                    self.probes
+                        .record(self.now_us, Probe::Missed { at, asleep });
                 }
                 if intended && is_unicast {
-                    let payload = frame_payload.clone();
-                    self.retry_or_give_up(
-                        src,
-                        receiver,
-                        kind,
-                        payload_bytes,
-                        payload,
-                        retries_left,
-                    );
+                    self.retry_or_give_up(at, payload_bytes, frame_payload.clone(), retries_left);
                 }
                 continue;
             }
-            self.metrics.record_rx(receiver.index(), dur_ms);
-            if let Some(ts) = self.timeseries.as_deref_mut() {
-                ts.record_rx(self.now_us, receiver.index(), dur_ms);
-            }
+            let probe = Probe::Rx {
+                node: receiver,
+                busy_ms: dur_ms,
+            };
+            self.probes.record(self.now_us, probe);
 
             let mut loss_prob = if self.radio.distance_loss {
                 let d = self
@@ -1211,48 +1101,14 @@ impl<A: NodeApp> Simulator<A> {
             let lost =
                 !corrupted && loss_prob > 0.0 && next_rand_f64(&mut self.rng_state) < loss_prob;
             if corrupted {
-                self.metrics.record_collision();
-                if let Some(ts) = self.timeseries.as_deref_mut() {
-                    ts.record_collision(self.now_us);
-                }
-                if self.trace.is_enabled() {
-                    self.trace.emit(
-                        self.now_us,
-                        TraceEvent::FrameCollision {
-                            src,
-                            node: receiver,
-                            kind,
-                        },
-                    );
-                }
+                self.probes.record(self.now_us, Probe::Collision(at));
             }
             if lost {
-                self.metrics.record_loss();
-                if let Some(ts) = self.timeseries.as_deref_mut() {
-                    ts.record_loss(self.now_us);
-                }
-                if self.trace.is_enabled() {
-                    self.trace.emit(
-                        self.now_us,
-                        TraceEvent::FrameLost {
-                            src,
-                            node: receiver,
-                            kind,
-                        },
-                    );
-                }
+                self.probes.record(self.now_us, Probe::Lost(at));
             }
             if corrupted || lost {
                 if intended && is_unicast {
-                    let payload = frame_payload.clone();
-                    self.retry_or_give_up(
-                        src,
-                        receiver,
-                        kind,
-                        payload_bytes,
-                        payload,
-                        retries_left,
-                    );
+                    self.retry_or_give_up(at, payload_bytes, frame_payload.clone(), retries_left);
                 }
                 continue;
             }
@@ -1261,17 +1117,8 @@ impl<A: NodeApp> Simulator<A> {
                 // Engine-generated beacon: accounted, not delivered to the app.
                 continue;
             };
-            if self.trace.is_enabled() {
-                self.trace.emit(
-                    self.now_us,
-                    TraceEvent::FrameDelivered {
-                        src,
-                        node: receiver,
-                        kind,
-                        intended,
-                    },
-                );
-            }
+            self.probes
+                .record(self.now_us, Probe::Delivered { at, intended });
             self.dispatch_callback(
                 receiver,
                 Callback::Message {
@@ -1287,73 +1134,41 @@ impl<A: NodeApp> Simulator<A> {
         self.release_frame(frame_idx);
     }
 
-    /// Re-queues a missed unicast frame to `receiver` (the sole intended
-    /// recipient) or gives up once its retry budget is spent. The payload
-    /// `Arc` is shared with the original transmission, not copied.
+    /// Re-queues a unicast frame missed `at` its sole intended recipient, or
+    /// gives up once its retry budget is spent. The payload `Arc` is shared
+    /// with the original transmission, not copied.
     fn retry_or_give_up(
         &mut self,
-        src: NodeId,
-        receiver: NodeId,
-        kind: MsgKind,
+        at: Reception,
         payload_bytes: usize,
         payload: Option<Arc<A::Payload>>,
         retries_left: u32,
     ) {
+        let Reception { src, node, kind } = at;
         if retries_left == 0 {
-            self.metrics.record_gave_up();
-            if let Some(ts) = self.timeseries.as_deref_mut() {
-                ts.record_gave_up(self.now_us);
-            }
-            if self.trace.is_enabled() {
-                self.trace.emit(
-                    self.now_us,
-                    TraceEvent::FrameGaveUp {
-                        src,
-                        node: receiver,
-                        kind,
-                    },
-                );
-            }
+            self.probes.record(self.now_us, Probe::GaveUp(at));
             if !self.failed[src.index()] {
-                self.dispatch_callback(
-                    src,
-                    Callback::SendFailed {
-                        dest: receiver,
-                        kind,
-                    },
-                );
+                self.dispatch_callback(src, Callback::SendFailed { dest: node, kind });
             }
             return;
-        }
-        self.metrics.record_retransmission();
-        if let Some(ts) = self.timeseries.as_deref_mut() {
-            ts.record_retransmission(self.now_us);
-        }
-        if self.trace.is_enabled() {
-            self.trace.emit(
-                self.now_us,
-                TraceEvent::FrameRetry {
-                    src,
-                    node: receiver,
-                    kind,
-                    retries_left: retries_left - 1,
-                },
-            );
         }
         // Random backoff with a window that doubles per attempt, so two
         // colliding senders eventually desynchronize by more than one frame
         // time (binary exponential backoff).
         let attempt = self.radio.max_retries.saturating_sub(retries_left) + 1;
+        let retries_left = retries_left - 1;
+        self.probes
+            .record(self.now_us, Probe::Retry { at, retries_left });
         let window_us = 16_000u64 << attempt.min(6);
         let backoff_us = 1000 + next_rand(&mut self.rng_state) % window_us;
         self.transmit(
             src,
-            Destination::Unicast(receiver),
+            Destination::Unicast(node),
             kind,
             payload_bytes,
             payload,
             self.now_us + backoff_us,
-            retries_left - 1,
+            retries_left,
         );
     }
 }
@@ -1541,8 +1356,9 @@ where
     /// ones a snapshot deliberately cannot carry: the app `factory` and the
     /// sensor `field` (arbitrary closures / trait objects, re-supplied at
     /// [`Simulator::restore`]; the factory must be live because node
-    /// recovery rebuilds apps through it), the `trace` and `profile`
-    /// handles (host-side observers, re-attached by the caller), and
+    /// recovery rebuilds apps through it), the trace sink and profiler
+    /// inside `probes` (host-side observers, re-attached by the caller —
+    /// its metrics and window recorder are written), and
     /// `action_scratch` (empty between events, which is the only place a
     /// checkpoint can be taken).
     pub fn write_snapshot(&self, w: &mut SnapWriter) {
@@ -1554,7 +1370,7 @@ where
             radio,
             config,
             field: _,
-            metrics,
+            probes,
             outputs,
             queue,
             frames,
@@ -1564,11 +1380,6 @@ where
             sleep_until_us,
             incoming,
             faults,
-            trace: _,
-            timeseries,
-            profile: _,
-            profile_scratch: _,
-            profile_credited: _,
             now_us,
             seq,
             rng_state,
@@ -1585,7 +1396,7 @@ where
         config.write(w);
         nodes.write(w);
         failed.write(w);
-        metrics.write(w);
+        probes.metrics().write(w);
         outputs.write(w);
         queue.write(w);
         frames.write(w);
@@ -1594,7 +1405,7 @@ where
         sleep_until_us.write(w);
         incoming.write(w);
         faults.write(w);
-        timeseries.write(w);
+        probes.windows().write(w);
         w.put_u64(*now_us);
         w.put_u64(*seq);
         w.put_u64(*rng_state);
@@ -1631,9 +1442,9 @@ where
     /// [`Simulator::write_snapshot`]. `field` and `factory` re-supply the
     /// two unserializable collaborators and must match the originals (the
     /// field is drawn from on every sample; the factory rebuilds apps on
-    /// node recovery). The trace and profile handles start disabled —
-    /// attach them with [`Simulator::set_trace`] / [`Simulator::set_profile`]
-    /// before resuming if the run was observed.
+    /// node recovery). The trace sink and profiler start detached —
+    /// [`Simulator::attach`] them before resuming if the run was observed;
+    /// a window recorder in the snapshot resumes recording by itself.
     ///
     /// # Errors
     ///
@@ -1661,7 +1472,7 @@ where
         let sleep_until_us: Vec<u64> = Vec::read(r)?;
         let incoming = IncomingArena::read(r)?;
         let faults: Option<FaultOverlay> = Option::read(r)?;
-        let timeseries: Option<Box<WindowRecorder>> = Option::read(r)?;
+        let windows: Option<WindowRecorder> = Option::read(r)?;
         let now_us = r.u64()?;
         let seq = r.u64()?;
         let rng_state = r.u64()?;
@@ -1697,7 +1508,7 @@ where
             radio,
             config,
             field,
-            metrics,
+            probes: Probes::restored(metrics, windows),
             outputs,
             queue,
             frames,
@@ -1707,10 +1518,6 @@ where
             sleep_until_us,
             incoming,
             faults,
-            trace: TraceHandle::disabled(),
-            timeseries,
-            profile: ProfileHandle::disabled(),
-            profile_scratch: None,
             now_us,
             seq,
             rng_state,
@@ -1721,7 +1528,6 @@ where
             csma_capped,
             csma_sorts_saved,
             phase_events,
-            profile_credited: phase_events,
         })
     }
 

@@ -77,6 +77,7 @@ mod field;
 mod incoming;
 pub mod json;
 mod metrics;
+mod probe;
 mod profile;
 mod radio;
 mod snapshot;
@@ -94,6 +95,7 @@ pub use faults::{
 };
 pub use field::{BoundCorrelatedField, ConstantField, CorrelatedField, SensorField, UniformField};
 pub use metrics::{CompletenessReport, Metrics, MetricsSnapshot, QueryCompleteness};
+pub use probe::Observe;
 pub use profile::{
     sample_event, EnginePhase, PhaseProfile, ProfileHandle, ProfilePhase, ProfileReport,
     ProfileScratch, SAMPLE_INTERVAL,
@@ -104,9 +106,7 @@ pub use snapshot::{
     SECTION_RUNNER, SECTION_SIMULATOR, SNAPSHOT_MAGIC,
 };
 pub use time::SimTime;
-pub use timeseries::{
-    gini, max_mean_ratio, NodeTimeseries, TimeseriesConfig, WindowRecorder, WindowStats,
-};
+pub use timeseries::{gini, max_mean_ratio, NodeTimeseries, WindowStats};
 pub use topology::{NodeId, Position, Topology, TopologyError, GRID_SPACING_FT, RADIO_RANGE_FT};
 pub use trace::diff::{trace_diff, Divergence, DivergentRecord, KindDelta, TraceDiff};
 pub use trace::{

@@ -6,6 +6,7 @@
 //! results, query propagation/abortion, maintenance and retransmissions.
 
 use crate::energy::EnergyProfile;
+use crate::probe::Probe;
 use crate::radio::MsgKind;
 use crate::time::SimTime;
 use std::collections::BTreeMap;
@@ -60,60 +61,56 @@ impl Metrics {
         }
     }
 
-    pub(crate) fn record_tx(&mut self, node: usize, kind: MsgKind, bytes: usize, busy_ms: f64) {
-        self.tx_busy_ms[node] += busy_ms;
-        *self.tx_count.entry(kind).or_insert(0) += 1;
-        *self.tx_bytes.entry(kind).or_insert(0) += bytes as u64;
-    }
-
-    pub(crate) fn record_rx(&mut self, node: usize, busy_ms: f64) {
-        self.rx_busy_ms[node] += busy_ms;
-    }
-
-    /// Adjusts a node's accumulated sleep time (negative when an early wake,
-    /// a nap re-plan, or a node failure cancels part of a planned nap).
+    /// Folds one engine occurrence into the run totals.
     ///
-    /// Every negative correction retracts part of a nap that was credited in
-    /// full when it was planned, so the running total can only dip below
-    /// zero through f64 rounding in the µs→ms conversions — never by a
-    /// material amount. A large negative correction would silently discard
-    /// sleep time and skew `avg_transmission_time_pct`'s energy companion
-    /// metrics, so it is asserted against instead of clamped away.
-    pub(crate) fn record_sleep(&mut self, node: usize, ms: f64) {
-        let updated = self.sleep_ms[node] + ms;
-        debug_assert!(
-            updated >= -SLEEP_EPSILON_MS,
-            "sleep accounting underflow on node {node}: {} ms adjusted by {ms} ms",
-            self.sleep_ms[node],
-        );
-        self.sleep_ms[node] = updated.max(0.0);
-    }
-
-    pub(crate) fn record_retransmission(&mut self) {
-        self.retransmissions += 1;
-    }
-
-    pub(crate) fn record_collision(&mut self) {
-        self.collisions += 1;
-    }
-
-    pub(crate) fn record_loss(&mut self) {
-        self.losses += 1;
-    }
-
-    pub(crate) fn record_gave_up(&mut self) {
-        self.gave_up += 1;
-    }
-
-    pub(crate) fn record_orphaned_drop(&mut self, node: usize) {
-        self.orphaned_drops += 1;
-        if let Some(slot) = self.orphaned.get_mut(node) {
-            *slot = true;
+    /// Sleep is the subtle one. Every negative correction retracts part of
+    /// a nap that was credited in full when it was planned, so the running
+    /// total can only dip below zero through f64 rounding in the µs→ms
+    /// conversions — never by a material amount. A large negative
+    /// correction would silently discard sleep time and skew
+    /// `avg_transmission_time_pct`'s energy companion metrics, so it is
+    /// asserted against instead of clamped away.
+    #[inline(always)]
+    pub(crate) fn apply(&mut self, probe: Probe) {
+        match probe {
+            Probe::Tx {
+                node,
+                kind,
+                bytes,
+                airtime_us,
+                ..
+            } => {
+                self.tx_busy_ms[node.index()] += airtime_us as f64 / 1000.0;
+                *self.tx_count.entry(kind).or_insert(0) += 1;
+                *self.tx_bytes.entry(kind).or_insert(0) += bytes as u64;
+            }
+            Probe::Rx { node, busy_ms } => self.rx_busy_ms[node.index()] += busy_ms,
+            Probe::Sleep { .. } | Probe::Wake { .. } | Probe::Crash { .. } => {
+                let (node, ms) = probe.sleep_delta_ms().expect("a sleep probe");
+                let slept = &mut self.sleep_ms[node.index()];
+                let updated = *slept + ms;
+                debug_assert!(
+                    updated >= -SLEEP_EPSILON_MS,
+                    "sleep accounting underflow on node {node}: {slept} ms adjusted by {ms} ms",
+                );
+                *slept = updated.max(0.0);
+            }
+            Probe::Retry { .. } => self.retransmissions += 1,
+            Probe::Collision(_) => self.collisions += 1,
+            Probe::Lost(_) => self.losses += 1,
+            Probe::GaveUp(_) => self.gave_up += 1,
+            Probe::Orphaned { node } => {
+                self.orphaned_drops += 1;
+                if let Some(slot) = self.orphaned.get_mut(node.index()) {
+                    *slot = true;
+                }
+            }
+            Probe::Sample { .. } => self.samples += 1,
+            Probe::Delivered { .. }
+            | Probe::Missed { .. }
+            | Probe::CsmaDeferred { .. }
+            | Probe::Recover { .. } => {}
         }
-    }
-
-    pub(crate) fn record_sample(&mut self) {
-        self.samples += 1;
     }
 
     pub(crate) fn set_horizon(&mut self, t: SimTime) {
@@ -518,12 +515,22 @@ impl Restorable for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::Reception;
+    use crate::topology::NodeId;
+
+    const RETRY: Probe = Probe::Retry {
+        at: Reception::ANY,
+        retries_left: 0,
+    };
+    const COLLISION: Probe = Probe::Collision(Reception::ANY);
+    const LOST: Probe = Probe::Lost(Reception::ANY);
+    const GAVE_UP: Probe = Probe::GaveUp(Reception::ANY);
 
     #[test]
     fn avg_transmission_time_is_mean_node_duty_cycle() {
         let mut m = Metrics::new(2);
-        m.record_tx(0, MsgKind::Result, 30, 100.0);
-        m.record_tx(1, MsgKind::Result, 30, 300.0);
+        m.apply(Probe::tx(0, MsgKind::Result, 30, 100));
+        m.apply(Probe::tx(1, MsgKind::Result, 30, 300));
         m.set_horizon(SimTime::from_ms(1000));
         // node duty cycles 10% and 30% → mean 20%.
         assert!((m.avg_transmission_time_pct() - 20.0).abs() < 1e-9);
@@ -538,9 +545,9 @@ mod tests {
     #[test]
     fn counters_accumulate_by_kind() {
         let mut m = Metrics::new(1);
-        m.record_tx(0, MsgKind::Result, 10, 1.0);
-        m.record_tx(0, MsgKind::Result, 20, 1.0);
-        m.record_tx(0, MsgKind::Maintenance, 5, 1.0);
+        m.apply(Probe::tx(0, MsgKind::Result, 10, 1));
+        m.apply(Probe::tx(0, MsgKind::Result, 20, 1));
+        m.apply(Probe::tx(0, MsgKind::Maintenance, 5, 1));
         assert_eq!(m.tx_count(MsgKind::Result), 2);
         assert_eq!(m.tx_bytes(MsgKind::Result), 30);
         assert_eq!(m.tx_count(MsgKind::Maintenance), 1);
@@ -551,12 +558,12 @@ mod tests {
     #[test]
     fn event_counters() {
         let mut m = Metrics::new(1);
-        m.record_retransmission();
-        m.record_collision();
-        m.record_collision();
-        m.record_loss();
-        m.record_gave_up();
-        m.record_sample();
+        m.apply(RETRY);
+        m.apply(COLLISION);
+        m.apply(COLLISION);
+        m.apply(LOST);
+        m.apply(GAVE_UP);
+        m.apply(Probe::Sample { node: NodeId(0) });
         assert_eq!(m.retransmissions(), 1);
         assert_eq!(m.collisions(), 2);
         assert_eq!(m.losses(), 1);
@@ -567,9 +574,9 @@ mod tests {
     #[test]
     fn sleep_accumulates_and_retracts() {
         let mut m = Metrics::new(2);
-        m.record_sleep(0, 500.0); // plan a 500 ms nap
-        m.record_sleep(0, -200.0); // early wake retracts the unspent 200 ms
-        m.record_sleep(1, 100.0);
+        m.apply(Probe::nap(0, 500)); // plan a 500 ms nap
+        m.apply(Probe::wake(0, 200_000)); // early wake retracts the unspent 200 ms
+        m.apply(Probe::nap(1, 100));
         assert!((m.node_sleep_ms(0) - 300.0).abs() < 1e-9);
         assert!((m.total_sleep_ms() - 400.0).abs() < 1e-9);
     }
@@ -577,9 +584,16 @@ mod tests {
     #[test]
     fn sleep_tolerates_rounding_epsilon() {
         let mut m = Metrics::new(1);
-        m.record_sleep(0, 250.0);
-        // µs→ms double rounding can retract a hair more than was credited.
-        m.record_sleep(0, -250.0 - 1e-9);
+        // µs→ms double rounding can retract a hair more than was credited:
+        // 1 − 0.9 − 0.1 is −2.8e-17 in f64.
+        m.apply(Probe::nap(0, 1));
+        m.apply(Probe::Sleep {
+            node: NodeId(0),
+            duration_ms: 0,
+            pending_us: 900,
+        });
+        assert!(m.node_sleep_ms(0) < 0.1);
+        m.apply(Probe::wake(0, 100));
         assert_eq!(m.node_sleep_ms(0), 0.0);
     }
 
@@ -588,22 +602,22 @@ mod tests {
     #[cfg(debug_assertions)]
     fn sleep_underflow_is_a_bug() {
         let mut m = Metrics::new(1);
-        m.record_sleep(0, 100.0);
+        m.apply(Probe::nap(0, 100));
         // Retracting more than was ever credited is a logic error, not
         // rounding; it must not be silently clamped away.
-        m.record_sleep(0, -500.0);
+        m.apply(Probe::wake(0, 500_000));
     }
 
     #[test]
     fn snapshot_mirrors_counters() {
         let mut m = Metrics::new(2);
-        m.record_tx(0, MsgKind::Result, 30, 100.0);
-        m.record_tx(1, MsgKind::Maintenance, 8, 50.0);
-        m.record_rx(0, 40.0);
-        m.record_sleep(1, 700.0);
-        m.record_retransmission();
-        m.record_loss();
-        m.record_sample();
+        m.apply(Probe::tx(0, MsgKind::Result, 30, 100));
+        m.apply(Probe::tx(1, MsgKind::Maintenance, 8, 50));
+        m.apply(Probe::rx(0, 40.0));
+        m.apply(Probe::nap(1, 700));
+        m.apply(RETRY);
+        m.apply(LOST);
+        m.apply(Probe::Sample { node: NodeId(0) });
         m.set_horizon(SimTime::from_ms(1000));
         let s = m.snapshot();
         assert_eq!(s.avg_transmission_time_pct, m.avg_transmission_time_pct());
@@ -632,15 +646,15 @@ mod tests {
     #[test]
     fn snapshot_carries_every_metrics_field() {
         let mut m = Metrics::new(3);
-        m.record_tx(0, MsgKind::Result, 30, 100.0);
-        m.record_rx(1, 40.0);
-        m.record_sleep(2, 700.0);
-        m.record_retransmission();
-        m.record_collision();
-        m.record_loss();
-        m.record_gave_up();
-        m.record_orphaned_drop(1);
-        m.record_sample();
+        m.apply(Probe::tx(0, MsgKind::Result, 30, 100));
+        m.apply(Probe::rx(1, 40.0));
+        m.apply(Probe::nap(2, 700));
+        m.apply(RETRY);
+        m.apply(COLLISION);
+        m.apply(LOST);
+        m.apply(GAVE_UP);
+        m.apply(Probe::Orphaned { node: NodeId(1) });
+        m.apply(Probe::Sample { node: NodeId(0) });
         m.set_horizon(SimTime::from_ms(1000));
 
         // Exhaustive: a new private field in Metrics breaks this pattern.
@@ -700,9 +714,9 @@ mod tests {
     #[test]
     fn orphan_counters_track_drops_and_distinct_nodes() {
         let mut m = Metrics::new(4);
-        m.record_orphaned_drop(2);
-        m.record_orphaned_drop(2);
-        m.record_orphaned_drop(3);
+        m.apply(Probe::Orphaned { node: NodeId(2) });
+        m.apply(Probe::Orphaned { node: NodeId(2) });
+        m.apply(Probe::Orphaned { node: NodeId(3) });
         assert_eq!(m.orphaned_drops(), 3);
         assert_eq!(m.orphaned_node_count(), 2);
         let s = m.snapshot();
@@ -744,11 +758,11 @@ mod tests {
     fn per_node_energy_sums_to_the_total_and_finds_the_hotspot() {
         let p = EnergyProfile::default();
         let mut m = Metrics::new(3);
-        m.record_tx(0, MsgKind::Result, 30, 400.0); // the hotspot
-        m.record_tx(1, MsgKind::Result, 30, 10.0);
-        m.record_rx(2, 50.0);
-        m.record_sleep(1, 500.0);
-        m.record_sample();
+        m.apply(Probe::tx(0, MsgKind::Result, 30, 400)); // the hotspot
+        m.apply(Probe::tx(1, MsgKind::Result, 30, 10));
+        m.apply(Probe::rx(2, 50.0));
+        m.apply(Probe::nap(1, 500));
+        m.apply(Probe::Sample { node: NodeId(0) });
         m.set_horizon(SimTime::from_ms(1000));
         let per_node: f64 = (0..3).map(|n| m.node_energy_mj(&p, n)).sum();
         let sample_mj = p.sample_uj / 1000.0;
@@ -761,7 +775,7 @@ mod tests {
     #[test]
     fn display_is_nonempty() {
         let mut m = Metrics::new(1);
-        m.record_tx(0, MsgKind::Result, 10, 1.0);
+        m.apply(Probe::tx(0, MsgKind::Result, 10, 1));
         m.set_horizon(SimTime::from_ms(10));
         let s = m.to_string();
         assert!(s.contains("avg transmission time"));

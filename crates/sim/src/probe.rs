@@ -1,0 +1,431 @@
+//! The probe seam: every radio occurrence is reported once, as one [`Probe`]
+//! value, and the run's accounting and observers consume that one value.
+//!
+//! A site in the engine says *what happened* —
+//! `probes.record(at_us, Probe::Tx { .. })` — and nothing about who is
+//! listening. [`Probes`] feeds the value to [`Metrics`] (always) and, when
+//! any observer is attached, to the window recorder and the trace sink.
+//! What a tx, an rx, a collision or a retracted nap *means* to each consumer
+//! is one `match` per consumer (`Metrics::apply`, `WindowRecorder::apply`,
+//! [`Probe::trace_event`]) instead of a hand-written fan-out per site.
+//!
+//! [`Observe`] states the observer contract; DESIGN.md §22 has the table of
+//! sites.
+
+use crate::metrics::Metrics;
+use crate::profile::{EnginePhase, ProfileHandle, ProfilePhase, ProfileScratch};
+use crate::radio::MsgKind;
+use crate::time::SimTime;
+use crate::timeseries::WindowRecorder;
+use crate::topology::NodeId;
+use crate::trace::{TraceDest, TraceEvent, TraceHandle};
+
+/// What to observe about a run, beyond the [`Metrics`] every run keeps.
+///
+/// **The observer contract.** Nothing selected here draws from the
+/// simulation RNG, branches on simulated state, or reorders events: a run is
+/// bit-identical — metrics, answers, engine counters, snapshot bytes, and
+/// the trace itself — whichever of these are on. With everything off (the
+/// default) each engine site costs its metrics update plus one not-taken
+/// branch. The golden-determinism tests pin both halves.
+#[derive(Debug, Clone, Default)]
+pub struct Observe {
+    /// Sink for structured per-event [`TraceEvent`]s from the engine, the
+    /// node apps, Tier 1 and the runner's answer mapping.
+    pub trace: TraceHandle,
+    /// Record windowed per-node counters (one base epoch per window, the
+    /// default [`EnergyProfile`](crate::EnergyProfile)); the finished
+    /// series comes back from [`Simulator::detach`](crate::Simulator::detach).
+    pub timeseries: bool,
+    /// Attribute wall-clock time to engine and runner phases. The report is
+    /// wall-derived, so it alone is excluded from determinism comparisons.
+    pub profile: ProfileHandle,
+    /// Run the standing invariant auditor over the finished run — post-hoc
+    /// arithmetic over artifacts the run already produced. The engine
+    /// ignores this; the experiment runner acts on it.
+    pub audit: bool,
+}
+
+/// One frame at one of its receivers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Reception {
+    pub(crate) src: NodeId,
+    pub(crate) node: NodeId,
+    pub(crate) kind: MsgKind,
+}
+
+/// One engine occurrence. `Copy`, allocation-free, and built whether or not
+/// anyone observes the run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Probe {
+    /// A frame went on the air (recorded at its airtime start).
+    Tx {
+        node: NodeId,
+        kind: MsgKind,
+        dest: TraceDest,
+        /// Payload + header bytes.
+        bytes: usize,
+        airtime_us: u64,
+    },
+    /// An awake, live node's radio received a frame (intact or not).
+    Rx { node: NodeId, busy_ms: f64 },
+    /// A frame arrived intact and is about to be handed to the node's app.
+    Delivered { at: Reception, intended: bool },
+    /// A frame was corrupted by a collision at the receiver.
+    Collision(Reception),
+    /// The loss model dropped a frame at the receiver.
+    Lost(Reception),
+    /// An addressed frame found the receiver's radio off (asleep or failed).
+    Missed { at: Reception, asleep: bool },
+    /// A missed unicast frame was re-queued.
+    Retry { at: Reception, retries_left: u32 },
+    /// A unicast frame ran out of retries.
+    GaveUp(Reception),
+    /// A transmission's carrier sense deferred at least once.
+    CsmaDeferred {
+        node: NodeId,
+        deferrals: u32,
+        capped: bool,
+    },
+    /// A nap was planned. Naps are credited in full when planned, so the
+    /// unspent part of the nap it replaces (`pending_us`) is retracted.
+    Sleep {
+        node: NodeId,
+        duration_ms: u64,
+        pending_us: u64,
+    },
+    /// The radio was woken early; the unspent nap is retracted.
+    Wake { node: NodeId, pending_us: u64 },
+    /// A fault crashed the node; the unspent nap is retracted (a failed
+    /// node draws no power, so leaving it credited would overstate sleep).
+    Crash { node: NodeId, pending_us: u64 },
+    /// A crashed node rebooted.
+    Recover { node: NodeId },
+    /// A sensor attribute was sampled.
+    Sample { node: NodeId },
+    /// A node dropped results it had no live route for.
+    Orphaned { node: NodeId },
+}
+
+impl Probe {
+    /// The change this probe makes to `node`'s credited sleep time, ms —
+    /// the one expression both accumulators evaluate.
+    #[inline(always)]
+    pub(crate) fn sleep_delta_ms(self) -> Option<(NodeId, f64)> {
+        match self {
+            Probe::Sleep {
+                node,
+                duration_ms,
+                pending_us,
+            } => Some((node, duration_ms as f64 - pending_us as f64 / 1000.0)),
+            Probe::Wake { node, pending_us } | Probe::Crash { node, pending_us } => {
+                Some((node, -(pending_us as f64) / 1000.0))
+            }
+            _ => None,
+        }
+    }
+
+    /// The trace record of this occurrence, if it has one: the only place
+    /// an engine [`TraceEvent`] is built.
+    fn trace_event(self) -> Option<TraceEvent> {
+        use TraceEvent as T;
+        Some(match self {
+            Probe::Tx {
+                node: src,
+                kind,
+                dest,
+                bytes,
+                airtime_us,
+            } => T::FrameTx {
+                src,
+                kind,
+                dest,
+                bytes,
+                airtime_us,
+            },
+            Probe::Delivered {
+                at: Reception { src, node, kind },
+                intended,
+            } => T::FrameDelivered {
+                src,
+                node,
+                kind,
+                intended,
+            },
+            Probe::Collision(Reception { src, node, kind }) => {
+                T::FrameCollision { src, node, kind }
+            }
+            Probe::Lost(Reception { src, node, kind }) => T::FrameLost { src, node, kind },
+            Probe::Missed {
+                at: Reception { src, node, kind },
+                asleep,
+            } => T::FrameMissed {
+                src,
+                node,
+                kind,
+                asleep,
+            },
+            Probe::Retry {
+                at: Reception { src, node, kind },
+                retries_left,
+            } => T::FrameRetry {
+                src,
+                node,
+                kind,
+                retries_left,
+            },
+            Probe::GaveUp(Reception { src, node, kind }) => T::FrameGaveUp { src, node, kind },
+            Probe::CsmaDeferred {
+                node,
+                deferrals,
+                capped,
+            } => T::CsmaDeferred {
+                node,
+                deferrals,
+                capped,
+            },
+            Probe::Sleep {
+                node, duration_ms, ..
+            } => T::SleepStart { node, duration_ms },
+            Probe::Wake { node, .. } => T::Wake { node },
+            Probe::Crash { node, .. } => T::FaultCrash { node },
+            Probe::Recover { node } => T::FaultRecover { node },
+            Probe::Rx { .. } | Probe::Sample { .. } | Probe::Orphaned { .. } => return None,
+        })
+    }
+}
+
+/// The attached observers, boxed so an unobserved engine carries one null
+/// pointer.
+#[derive(Debug, Default)]
+struct Observers {
+    windows: Option<WindowRecorder>,
+    trace: TraceHandle,
+    profile: ProfileHandle,
+    /// Lock-free per-run profiling accumulator, present iff `profile` is
+    /// enabled; flushed into the handle once per `run_until` call.
+    scratch: Option<ProfileScratch>,
+    /// Watermark of the engine's per-phase event counters already credited
+    /// to the profiler: the hot loop never bumps a profiler counter per
+    /// event, the delta is credited in bulk at each flush.
+    credited: [u64; EnginePhase::COUNT],
+}
+
+impl Observers {
+    /// Out of line: every engine site inlines [`Probes::record`], and the
+    /// unobserved run should carry only the branch around this call.
+    #[inline(never)]
+    fn observe(&mut self, at_us: u64, probe: Probe) {
+        if let Some(windows) = self.windows.as_mut() {
+            windows.apply(at_us, probe);
+        }
+        if let Some(event) = probe.trace_event() {
+            self.trace.emit(at_us, event);
+        }
+    }
+}
+
+/// Owner of a simulator's [`Metrics`] and of whatever observes the run.
+#[derive(Debug)]
+pub(crate) struct Probes {
+    metrics: Metrics,
+    observers: Option<Box<Observers>>,
+}
+
+impl Probes {
+    /// Unobserved accounting for `nodes` nodes.
+    pub(crate) fn new(nodes: usize) -> Self {
+        Probes::restored(Metrics::new(nodes), None)
+    }
+
+    /// Accounting decoded from a snapshot. A restored recorder keeps
+    /// recording, so resuming before [`Probes::attach`] loses nothing.
+    pub(crate) fn restored(metrics: Metrics, windows: Option<WindowRecorder>) -> Self {
+        Probes {
+            metrics,
+            observers: windows.map(|w| {
+                Box::new(Observers {
+                    windows: Some(w),
+                    ..Observers::default()
+                })
+            }),
+        }
+    }
+
+    pub(crate) fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    pub(crate) fn set_horizon(&mut self, t: SimTime) {
+        self.metrics.set_horizon(t);
+    }
+
+    /// The live window recorder, for the snapshot writer.
+    pub(crate) fn windows(&self) -> Option<&WindowRecorder> {
+        self.observers.as_deref()?.windows.as_ref()
+    }
+
+    /// Reports one occurrence at simulation time `at_us`. Always inlined:
+    /// the probe's variant is a constant at every site, so the metrics
+    /// `match` folds to its one arm and no `Probe` is ever materialized on
+    /// the unobserved path.
+    #[inline(always)]
+    pub(crate) fn record(&mut self, at_us: u64, probe: Probe) {
+        self.metrics.apply(probe);
+        if let Some(obs) = self.observers.as_deref_mut() {
+            // A profiler alone consumes no probes.
+            if obs.windows.is_some() || obs.trace.is_enabled() {
+                obs.observe(at_us, probe);
+            }
+        }
+    }
+
+    /// Whether a trace sink is attached.
+    pub(crate) fn trace_enabled(&self) -> bool {
+        self.observers
+            .as_deref()
+            .is_some_and(|obs| obs.trace.is_enabled())
+    }
+
+    /// Emits an app-level trace event, built only if a sink is attached.
+    #[inline]
+    pub(crate) fn trace_with(&self, at_us: u64, event: impl FnOnce() -> TraceEvent) {
+        if let Some(obs) = self.observers.as_deref() {
+            obs.trace.emit_with(at_us, event);
+        }
+    }
+
+    /// Replaces the observers with what `observe` selects. A recorder that
+    /// is already running (restored from a snapshot) keeps its windows.
+    /// `phase_events` is the engine's per-phase event count so far: events
+    /// processed before the profiler attached are not its to count.
+    pub(crate) fn attach(
+        &mut self,
+        observe: &Observe,
+        nodes: usize,
+        phase_events: [u64; EnginePhase::COUNT],
+    ) {
+        let running = self.observers.take().and_then(|obs| obs.windows);
+        let windows = observe
+            .timeseries
+            .then(|| running.unwrap_or_else(|| WindowRecorder::new(nodes)));
+        if windows.is_none() && !observe.trace.is_enabled() && !observe.profile.is_enabled() {
+            return;
+        }
+        self.observers = Some(Box::new(Observers {
+            windows,
+            trace: observe.trace.clone(),
+            profile: observe.profile.clone(),
+            scratch: observe.profile.scratch().map(|scratch| *scratch),
+            credited: phase_events,
+        }));
+    }
+
+    /// Drops every observer, returning the window recorder if one ran.
+    pub(crate) fn detach(&mut self) -> Option<WindowRecorder> {
+        self.observers.take()?.windows
+    }
+
+    fn scratch(&mut self) -> Option<&mut ProfileScratch> {
+        self.observers.as_deref_mut()?.scratch.as_mut()
+    }
+
+    /// Opens a sampled profiling sub-span; pass the result to
+    /// [`Probes::span_end`].
+    #[inline]
+    pub(crate) fn span_begin(&mut self, phase: ProfilePhase) -> Option<u64> {
+        self.scratch()?.span_begin(phase)
+    }
+
+    #[inline]
+    pub(crate) fn span_end(&mut self, phase: ProfilePhase, started: Option<u64>) {
+        if let (Some(t0), Some(scratch)) = (started, self.scratch()) {
+            scratch.span_end(phase, t0);
+        }
+    }
+
+    /// Detaches the profiler's event-sampling cursor for the event loop to
+    /// advance in a register; hand it back to [`Probes::flush_profile`].
+    pub(crate) fn profile_cursor(&mut self) -> Option<u64> {
+        self.scratch().map(|s| s.take_seen())
+    }
+
+    /// Closes a sampled event now that its phase is known.
+    #[inline]
+    pub(crate) fn event_end(&mut self, phase: EnginePhase, started: u64) {
+        if let Some(scratch) = self.scratch() {
+            scratch.event_end(phase.into(), started);
+        }
+    }
+
+    /// Credits the events counted since the last flush and merges the
+    /// scratch into the shared profile (one lock per `run_until`).
+    pub(crate) fn flush_profile(
+        &mut self,
+        cursor: Option<u64>,
+        phase_events: &[u64; EnginePhase::COUNT],
+    ) {
+        let Some(obs) = self.observers.as_deref_mut() else {
+            return;
+        };
+        let Some(scratch) = obs.scratch.as_mut() else {
+            return;
+        };
+        if let Some(seen) = cursor {
+            scratch.store_seen(seen);
+        }
+        for p in EnginePhase::ALL {
+            let i = p.index();
+            scratch.credit(p.into(), phase_events[i] - obs.credited[i]);
+            obs.credited[i] = phase_events[i];
+        }
+        obs.profile.absorb(scratch);
+    }
+}
+
+/// Shorthand constructors for the accumulators' unit tests.
+#[cfg(test)]
+impl Probe {
+    pub(crate) fn tx(node: u16, kind: MsgKind, bytes: usize, airtime_ms: u64) -> Probe {
+        Probe::Tx {
+            node: NodeId(node),
+            kind,
+            dest: TraceDest::Broadcast,
+            bytes,
+            airtime_us: airtime_ms * 1000,
+        }
+    }
+
+    pub(crate) fn rx(node: u16, busy_ms: f64) -> Probe {
+        Probe::Rx {
+            node: NodeId(node),
+            busy_ms,
+        }
+    }
+
+    /// A fresh nap (nothing pending to retract).
+    pub(crate) fn nap(node: u16, duration_ms: u64) -> Probe {
+        Probe::Sleep {
+            node: NodeId(node),
+            duration_ms,
+            pending_us: 0,
+        }
+    }
+
+    pub(crate) fn wake(node: u16, pending_us: u64) -> Probe {
+        Probe::Wake {
+            node: NodeId(node),
+            pending_us,
+        }
+    }
+}
+
+#[cfg(test)]
+impl Reception {
+    /// A result frame from node 0 at node 1.
+    pub(crate) const ANY: Reception = Reception {
+        src: NodeId(0),
+        node: NodeId(1),
+        kind: MsgKind::Result,
+    };
+}

@@ -2,10 +2,8 @@
 //!
 //! Attributes wall-clock time and event counts to named engine and runner
 //! phases without perturbing the simulation: profiling code only reads the
-//! monotonic clock and bumps counters — it never draws from the simulation's
-//! RNG and never branches on anything the simulation can observe, so a run
-//! is bit-identical whether profiling is enabled or not (the same contract
-//! [`crate::TraceHandle`] honours).
+//! monotonic clock and bumps counters, which is how it keeps the observer
+//! contract stated on [`Observe`](crate::Observe).
 //!
 //! The moving parts:
 //!
@@ -389,9 +387,7 @@ impl ProfileScratch {
 /// Cloneable handle the runner and engine record profiling data through.
 ///
 /// The default handle is disabled: every instrumentation site reduces to an
-/// `Option::is_some` branch, and — enabled or disabled — profiling never
-/// draws from the simulation's RNG and never changes behaviour, so runs
-/// stay bit-identical.
+/// `Option::is_some` branch.
 #[derive(Clone, Default)]
 pub struct ProfileHandle(Option<Arc<Mutex<ProfileCollector>>>);
 

@@ -499,6 +499,12 @@ impl<T: Restorable> Restorable for Option<T> {
     }
 }
 
+impl<T: Snapshot> Snapshot for &T {
+    fn write(&self, w: &mut SnapWriter) {
+        (**self).write(w);
+    }
+}
+
 impl<T: Snapshot> Snapshot for Box<T> {
     fn write(&self, w: &mut SnapWriter) {
         (**self).write(w);

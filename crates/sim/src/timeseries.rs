@@ -7,17 +7,17 @@
 //! module resolves the aggregate [`Metrics`](crate::Metrics) in two extra
 //! dimensions:
 //!
-//! * **time** — counters are bucketed into fixed windows (default one base
-//!   epoch, 2048 ms), so convergence after a fault and epoch-phase structure
-//!   become visible;
+//! * **time** — counters are bucketed into fixed windows (one base epoch,
+//!   2048 ms), so convergence after a fault and epoch-phase structure become
+//!   visible;
 //! * **space** — every window carries per-node vectors (tx/rx busy, sleep,
 //!   samples, energy), plus derived imbalance statistics (max/mean ratio and
 //!   the [`gini`] coefficient over per-node transmit time).
 //!
 //! # Reconciliation invariant
 //!
-//! The engine mirrors *the same deltas* into the [`WindowRecorder`] that it
-//! feeds the aggregate `Metrics`, bucketed by event time. Summing any counter
+//! The window recorder consumes *the same probe values* the aggregate
+//! `Metrics` does, bucketed by event time. Summing any counter
 //! over all windows therefore reproduces the aggregate total exactly
 //! (integer counters) or up to f64 re-association (time sums). Two
 //! consequences are deliberate:
@@ -32,35 +32,17 @@
 //!   the aggregate accounting itself does not clamp.
 //!
 //! Recording never allocates on a per-event basis beyond amortized window
-//! growth, and never draws from the simulation RNG, so enabling the recorder
-//! leaves runs bit-for-bit identical — the same contract
-//! [`TraceHandle`](crate::TraceHandle) keeps.
+//! growth, and keeps the observer contract stated on
+//! [`Observe`](crate::Observe).
 
 use crate::energy::EnergyProfile;
 use crate::json;
+use crate::probe::Probe;
 use crate::radio::MsgKind;
 use crate::time::SimTime;
 use crate::trace::SCHEMA_VERSION;
 use std::collections::BTreeMap;
 use ttmqo_query::BASE_EPOCH_MS;
-
-/// Configuration for windowed time-series collection.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeseriesConfig {
-    /// Window length, ms (default: one base epoch, 2048 ms).
-    pub window_ms: u64,
-    /// Power profile used for per-window energy accounting.
-    pub energy: EnergyProfile,
-}
-
-impl Default for TimeseriesConfig {
-    fn default() -> Self {
-        TimeseriesConfig {
-            window_ms: BASE_EPOCH_MS,
-            energy: EnergyProfile::default(),
-        }
-    }
-}
 
 /// Per-window accumulator, one slot per elapsed window.
 #[derive(Debug, Clone)]
@@ -94,11 +76,10 @@ impl WindowAccum {
     }
 }
 
-/// Live collector the engine mirrors its metric deltas into, bucketed by
-/// event time. Install with `Simulator::set_timeseries`; retrieve the
-/// finished series with `Simulator::take_timeseries` and [`Self::finalize`].
+/// Live collector of the probe stream, bucketed by event time. Attached
+/// with `Simulator::attach`; `Simulator::detach` finalizes it.
 #[derive(Debug, Clone)]
-pub struct WindowRecorder {
+pub(crate) struct WindowRecorder {
     window_us: u64,
     nodes: usize,
     energy: EnergyProfile,
@@ -106,24 +87,15 @@ pub struct WindowRecorder {
 }
 
 impl WindowRecorder {
-    /// A recorder for `nodes` nodes under the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.window_ms` is zero.
-    pub fn new(nodes: usize, config: &TimeseriesConfig) -> Self {
-        assert!(config.window_ms > 0, "window length must be positive");
+    /// A recorder for `nodes` nodes: one base epoch per window, the default
+    /// power profile.
+    pub(crate) fn new(nodes: usize) -> Self {
         WindowRecorder {
-            window_us: config.window_ms * 1000,
+            window_us: BASE_EPOCH_MS * 1000,
             nodes,
-            energy: config.energy,
+            energy: EnergyProfile::default(),
             windows: Vec::new(),
         }
-    }
-
-    /// Window length, ms.
-    pub fn window_ms(&self) -> u64 {
-        self.window_us / 1000
     }
 
     fn slot(&mut self, time_us: u64) -> &mut WindowAccum {
@@ -134,55 +106,46 @@ impl WindowRecorder {
         &mut self.windows[idx]
     }
 
-    /// Mirrors `Metrics::record_tx` (airtime only; bytes are not windowed).
-    pub fn record_tx(&mut self, time_us: u64, node: usize, kind: MsgKind, busy_ms: f64) {
-        let w = self.slot(time_us);
-        w.tx_busy_ms[node] += busy_ms;
-        w.tx_frames[node] += 1;
-        *w.tx_count.entry(kind).or_insert(0) += 1;
-    }
-
-    /// Mirrors `Metrics::record_rx`.
-    pub fn record_rx(&mut self, time_us: u64, node: usize, busy_ms: f64) {
-        self.slot(time_us).rx_busy_ms[node] += busy_ms;
-    }
-
-    /// Mirrors `Metrics::record_sleep`: the full nap is credited to the
-    /// planning window; retractions arrive as negative `ms`.
-    pub fn record_sleep(&mut self, time_us: u64, node: usize, ms: f64) {
-        self.slot(time_us).sleep_ms[node] += ms;
-    }
-
-    /// Mirrors `Metrics::record_sample`.
-    pub fn record_sample(&mut self, time_us: u64, node: usize) {
-        self.slot(time_us).samples[node] += 1;
-    }
-
-    /// Mirrors `Metrics::record_collision`.
-    pub fn record_collision(&mut self, time_us: u64) {
-        self.slot(time_us).collisions += 1;
-    }
-
-    /// Mirrors `Metrics::record_retransmission`.
-    pub fn record_retransmission(&mut self, time_us: u64) {
-        self.slot(time_us).retransmissions += 1;
-    }
-
-    /// Mirrors `Metrics::record_loss`.
-    pub fn record_loss(&mut self, time_us: u64) {
-        self.slot(time_us).losses += 1;
-    }
-
-    /// Mirrors `Metrics::record_gave_up`.
-    pub fn record_gave_up(&mut self, time_us: u64) {
-        self.slot(time_us).gave_up += 1;
+    /// Folds one engine occurrence into the window holding `time_us`. A
+    /// nap is credited in full to the window it was planned in; retractions
+    /// land, negative, in the window of the wake or crash. Bytes and orphan
+    /// drops are not windowed.
+    pub(crate) fn apply(&mut self, time_us: u64, probe: Probe) {
+        match probe {
+            Probe::Tx {
+                node,
+                kind,
+                airtime_us,
+                ..
+            } => {
+                let w = self.slot(time_us);
+                w.tx_busy_ms[node.index()] += airtime_us as f64 / 1000.0;
+                w.tx_frames[node.index()] += 1;
+                *w.tx_count.entry(kind).or_insert(0) += 1;
+            }
+            Probe::Rx { node, busy_ms } => self.slot(time_us).rx_busy_ms[node.index()] += busy_ms,
+            Probe::Sleep { .. } | Probe::Wake { .. } | Probe::Crash { .. } => {
+                let (node, ms) = probe.sleep_delta_ms().expect("a sleep probe");
+                self.slot(time_us).sleep_ms[node.index()] += ms;
+            }
+            Probe::Sample { node } => self.slot(time_us).samples[node.index()] += 1,
+            Probe::Collision(_) => self.slot(time_us).collisions += 1,
+            Probe::Retry { .. } => self.slot(time_us).retransmissions += 1,
+            Probe::Lost(_) => self.slot(time_us).losses += 1,
+            Probe::GaveUp(_) => self.slot(time_us).gave_up += 1,
+            Probe::Delivered { .. }
+            | Probe::Missed { .. }
+            | Probe::CsmaDeferred { .. }
+            | Probe::Recover { .. }
+            | Probe::Orphaned { .. } => {}
+        }
     }
 
     /// Closes the series at `horizon` and derives per-window energy and
     /// imbalance statistics. Windows are padded out to the horizon so a
     /// quiet tail still appears (with idle-only energy); the last window is
     /// truncated at the horizon.
-    pub fn finalize(mut self, horizon: SimTime) -> NodeTimeseries {
+    pub(crate) fn finalize(mut self, horizon: SimTime) -> NodeTimeseries {
         let horizon_ms = horizon.as_ms();
         let window_ms = self.window_us / 1000;
         // Pad so that every ms up to the horizon is covered by a window.
@@ -304,7 +267,7 @@ impl WindowStats {
 /// to the run horizon.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeTimeseries {
-    /// Configured window length, ms.
+    /// Window length, ms.
     pub window_ms: u64,
     /// Number of nodes (length of every per-node vector).
     pub nodes: usize,
@@ -483,26 +446,30 @@ impl Restorable for WindowRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::Reception;
+    use crate::topology::NodeId;
 
-    fn config(window_ms: u64) -> TimeseriesConfig {
-        TimeseriesConfig {
-            window_ms,
-            ..TimeseriesConfig::default()
+    /// A recorder with a test-sized window.
+    fn recorder(nodes: usize, window_ms: u64) -> WindowRecorder {
+        WindowRecorder {
+            window_us: window_ms * 1000,
+            ..WindowRecorder::new(nodes)
         }
     }
 
     #[test]
-    fn default_window_is_one_base_epoch() {
-        assert_eq!(TimeseriesConfig::default().window_ms, 2048);
+    fn run_level_window_is_one_base_epoch() {
+        let ts = WindowRecorder::new(1).finalize(SimTime::from_ms(1));
+        assert_eq!(ts.window_ms, 2048);
     }
 
     #[test]
     fn events_bucket_by_time() {
-        let mut r = WindowRecorder::new(2, &config(1000));
-        r.record_tx(0, 0, MsgKind::Result, 5.0);
-        r.record_tx(999_999, 1, MsgKind::Result, 7.0);
-        r.record_tx(1_000_000, 0, MsgKind::Maintenance, 11.0);
-        r.record_collision(2_500_000);
+        let mut r = recorder(2, 1000);
+        r.apply(0, Probe::tx(0, MsgKind::Result, 0, 5));
+        r.apply(999_999, Probe::tx(1, MsgKind::Result, 0, 7));
+        r.apply(1_000_000, Probe::tx(0, MsgKind::Maintenance, 0, 11));
+        r.apply(2_500_000, Probe::Collision(Reception::ANY));
         let ts = r.finalize(SimTime::from_ms(3000));
         assert_eq!(ts.windows.len(), 3);
         assert_eq!(ts.windows[0].tx_busy_ms, vec![5.0, 7.0]);
@@ -515,7 +482,7 @@ mod tests {
 
     #[test]
     fn finalize_pads_quiet_tail_and_truncates_last_window() {
-        let r = WindowRecorder::new(1, &config(1000));
+        let r = recorder(1, 1000);
         let ts = r.finalize(SimTime::from_ms(2500));
         assert_eq!(ts.windows.len(), 3);
         assert_eq!(ts.windows[2].start_ms, 2000);
@@ -529,10 +496,10 @@ mod tests {
 
     #[test]
     fn sleep_retraction_can_leave_a_window_negative_but_totals_exact() {
-        let mut r = WindowRecorder::new(1, &config(1000));
+        let mut r = recorder(1, 1000);
         // A 3 s nap planned in window 0; crash in window 2 retracts 1.5 s.
-        r.record_sleep(100_000, 0, 3000.0);
-        r.record_sleep(2_500_000, 0, -1500.0);
+        r.apply(100_000, Probe::nap(0, 3000));
+        r.apply(2_500_000, Probe::wake(0, 1_500_000));
         let ts = r.finalize(SimTime::from_ms(3000));
         assert_eq!(ts.windows[0].sleep_ms[0], 3000.0);
         assert_eq!(ts.windows[2].sleep_ms[0], -1500.0);
@@ -570,8 +537,8 @@ mod tests {
 
     #[test]
     fn window_imbalance_accessors() {
-        let mut r = WindowRecorder::new(4, &config(1000));
-        r.record_tx(0, 3, MsgKind::Result, 4.0);
+        let mut r = recorder(4, 1000);
+        r.apply(0, Probe::tx(3, MsgKind::Result, 0, 4));
         let ts = r.finalize(SimTime::from_ms(1000));
         let w = &ts.windows[0];
         assert_eq!(w.max_mean_tx_ratio(), 4.0);
@@ -581,10 +548,10 @@ mod tests {
 
     #[test]
     fn json_is_deterministic_and_balanced() {
-        let mut r = WindowRecorder::new(2, &config(1000));
-        r.record_tx(0, 0, MsgKind::Result, 5.0);
-        r.record_rx(500_000, 1, 2.5);
-        r.record_sample(600_000, 1);
+        let mut r = recorder(2, 1000);
+        r.apply(0, Probe::tx(0, MsgKind::Result, 0, 5));
+        r.apply(500_000, Probe::rx(1, 2.5));
+        r.apply(600_000, Probe::Sample { node: NodeId(1) });
         let ts = r.finalize(SimTime::from_ms(1000));
         let a = ts.to_json();
         let b = ts.to_json();

@@ -5,11 +5,10 @@
 //! epoch firings and shared-acquisition hits, routing events (parent death,
 //! no-route resignation), sleep transitions, fault injections, Tier-1
 //! `Beneficial` evaluations and merge/reoptimize decisions, and base-station
-//! answer mapping. The engine and the applications emit through a
-//! [`TraceHandle`]; the default handle is disabled and costs one branch per
-//! event site — no allocation, no extra RNG draws, so a run with tracing
-//! disabled is bit-for-bit identical to a build without the subsystem (the
-//! golden determinism snapshot proves it).
+//! answer mapping. The engine's events arrive through the probe seam, the
+//! applications', Tier 1's and the runner's through
+//! [`TraceHandle::emit_with`]; the default handle is disabled, and tracing
+//! keeps the observer contract stated on [`Observe`](crate::Observe).
 //!
 //! # Provenance
 //!
@@ -601,12 +600,8 @@ pub trait TraceSink: Send {
     fn flush(&mut self) {}
 }
 
-/// Cloneable handle the engine and apps emit trace events through.
-///
-/// The default handle is disabled: every emission site reduces to a single
-/// `Option::is_some` branch, keeping the hot path allocation-free and the
-/// simulated behaviour bit-identical (tracing never draws from the
-/// simulation's RNG — enabled or not).
+/// Cloneable handle trace events are emitted through. The default handle is
+/// disabled: every emission reduces to a single `Option::is_some` branch.
 #[derive(Clone, Default)]
 pub struct TraceHandle(Option<Arc<Mutex<dyn TraceSink>>>);
 
@@ -627,8 +622,7 @@ impl TraceHandle {
         TraceHandle(Some(sink))
     }
 
-    /// Whether a sink is attached. Emission sites check this before building
-    /// an event, so the disabled path never allocates.
+    /// Whether a sink is attached.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
@@ -636,10 +630,21 @@ impl TraceHandle {
 
     /// Records `event` at simulation time `time_us` (no-op when disabled).
     pub fn emit(&self, time_us: u64, event: TraceEvent) {
+        self.emit_with(time_us, || event);
+    }
+
+    /// Records the event `build` returns at simulation time `time_us`.
+    /// `build` runs only when a sink is attached, so a site whose event
+    /// carries a `Vec` needs no enabled-check of its own and the disabled
+    /// path never allocates.
+    #[inline]
+    pub fn emit_with(&self, time_us: u64, build: impl FnOnce() -> TraceEvent) {
         if let Some(sink) = &self.0 {
-            sink.lock()
-                .expect("trace sink poisoned")
-                .record(&TraceRecord { time_us, event });
+            let record = TraceRecord {
+                time_us,
+                event: build(),
+            };
+            sink.lock().expect("trace sink poisoned").record(&record);
         }
     }
 

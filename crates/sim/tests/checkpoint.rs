@@ -5,9 +5,9 @@
 
 use ttmqo_query::Attribute;
 use ttmqo_sim::{
-    Ctx, Destination, FaultPlan, MsgKind, NodeApp, NodeId, RadioParams, RandomCrashes, Restorable,
-    SimConfig, SimTime, Simulator, SnapReader, SnapWriter, Snapshot, SnapshotError,
-    TimeseriesConfig, Topology, UniformField, WindowRecorder,
+    Ctx, Destination, FaultPlan, MsgKind, NodeApp, NodeId, Observe, RadioParams, RandomCrashes,
+    Restorable, SimConfig, SimTime, Simulator, SnapReader, SnapWriter, Snapshot, SnapshotError,
+    Topology, UniformField,
 };
 
 /// A deliberately stateful app: periodic jittered sampling, unicast of a
@@ -109,13 +109,10 @@ fn build(with_faults: bool) -> Simulator<Chatter> {
         Box::new(UniformField::new(0xF1E1D)),
         |_, _| Chatter::new(),
     );
-    sim.set_timeseries(Some(Box::new(WindowRecorder::new(
-        16,
-        &TimeseriesConfig {
-            window_ms: 1000,
-            energy: Default::default(),
-        },
-    ))));
+    sim.attach(&Observe {
+        timeseries: true,
+        ..Observe::default()
+    });
     if with_faults {
         sim.install_fault_plan(&fault_plan(0xFA17));
     }

@@ -203,13 +203,11 @@ impl TinyDbApp {
         // One fire per query: the baseline shares nothing, so (unlike the
         // in-network tier's single fire listing every due query) each query's
         // epoch announces itself separately.
-        if ctx.trace_enabled() {
-            ctx.trace(TraceEvent::EpochFire {
-                node: ctx.node(),
-                epoch_ms,
-                due: vec![qid],
-            });
-        }
+        ctx.trace_with(|| TraceEvent::EpochFire {
+            node: ctx.node(),
+            epoch_ms,
+            due: vec![qid],
+        });
 
         if ctx.is_base_station() {
             // The base station does not sense; it only closes the epoch.
@@ -250,16 +248,14 @@ impl TinyDbApp {
                         rows: vec![row],
                     };
                     if let Some(parent) = self.parent(ctx) {
-                        if ctx.trace_enabled() {
-                            ctx.trace(TraceEvent::ResultHop {
-                                from: ctx.node(),
-                                to: vec![parent],
-                                epoch_ms,
-                                prov: vec![ProvenanceId::new(ctx.node(), epoch_ms)],
-                                qids: vec![qid],
-                                origin: true,
-                            });
-                        }
+                        ctx.trace_with(|| TraceEvent::ResultHop {
+                            from: ctx.node(),
+                            to: vec![parent],
+                            epoch_ms,
+                            prov: vec![ProvenanceId::new(ctx.node(), epoch_ms)],
+                            qids: vec![qid],
+                            origin: true,
+                        });
                         let bytes = payload.wire_size();
                         ctx.send(
                             Destination::Unicast(parent),
@@ -311,16 +307,14 @@ impl TinyDbApp {
         }
         if let Some(parent) = self.parent(ctx) {
             // TAG merges per-origin identity away: no provenance to carry.
-            if ctx.trace_enabled() {
-                ctx.trace(TraceEvent::ResultHop {
-                    from: ctx.node(),
-                    to: vec![parent],
-                    epoch_ms,
-                    prov: Vec::new(),
-                    qids: vec![qid],
-                    origin: false,
-                });
-            }
+            ctx.trace_with(|| TraceEvent::ResultHop {
+                from: ctx.node(),
+                to: vec![parent],
+                epoch_ms,
+                prov: Vec::new(),
+                qids: vec![qid],
+                origin: false,
+            });
             let payload = TinyDbPayload::Partials {
                 qid,
                 epoch_ms,
@@ -459,33 +453,29 @@ impl NodeApp for TinyDbApp {
                 rows,
             } => {
                 if ctx.is_base_station() {
-                    if ctx.trace_enabled() {
-                        for row in rows {
-                            ctx.trace(TraceEvent::ResultDelivered {
-                                prov: ProvenanceId::new(NodeId(row.node), *epoch_ms),
-                                qids: vec![*qid],
-                                epoch_ms: *epoch_ms,
-                            });
-                        }
+                    for row in rows {
+                        ctx.trace_with(|| TraceEvent::ResultDelivered {
+                            prov: ProvenanceId::new(NodeId(row.node), *epoch_ms),
+                            qids: vec![*qid],
+                            epoch_ms: *epoch_ms,
+                        });
                     }
                     self.row_buffers
                         .entry((*qid, *epoch_ms))
                         .or_default()
                         .extend(rows.iter().cloned());
                 } else if let Some(parent) = self.parent(ctx) {
-                    if ctx.trace_enabled() {
-                        ctx.trace(TraceEvent::ResultHop {
-                            from: ctx.node(),
-                            to: vec![parent],
-                            epoch_ms: *epoch_ms,
-                            prov: rows
-                                .iter()
-                                .map(|r| ProvenanceId::new(NodeId(r.node), *epoch_ms))
-                                .collect(),
-                            qids: vec![*qid],
-                            origin: false,
-                        });
-                    }
+                    ctx.trace_with(|| TraceEvent::ResultHop {
+                        from: ctx.node(),
+                        to: vec![parent],
+                        epoch_ms: *epoch_ms,
+                        prov: rows
+                            .iter()
+                            .map(|r| ProvenanceId::new(NodeId(r.node), *epoch_ms))
+                            .collect(),
+                        qids: vec![*qid],
+                        origin: false,
+                    });
                     // Hop-by-hop forwarding, unchanged: the baseline never
                     // merges traffic of different (or even the same) queries.
                     let payload = payload.clone();
@@ -514,16 +504,14 @@ impl NodeApp for TinyDbApp {
                 if ctx.now().as_ms() > my_slot + self.config.jitter_ms {
                     // Our slot already passed (late child): forward as-is.
                     if let Some(parent) = self.parent(ctx) {
-                        if ctx.trace_enabled() {
-                            ctx.trace(TraceEvent::ResultHop {
-                                from: ctx.node(),
-                                to: vec![parent],
-                                epoch_ms: *epoch_ms,
-                                prov: Vec::new(),
-                                qids: vec![*qid],
-                                origin: false,
-                            });
-                        }
+                        ctx.trace_with(|| TraceEvent::ResultHop {
+                            from: ctx.node(),
+                            to: vec![parent],
+                            epoch_ms: *epoch_ms,
+                            prov: Vec::new(),
+                            qids: vec![*qid],
+                            origin: false,
+                        });
                         let payload = payload.clone();
                         let bytes = payload.wire_size();
                         ctx.send(

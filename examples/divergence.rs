@@ -12,7 +12,7 @@
 
 use ttmqo::core::{ExperimentConfig, RunSession, Strategy, WorkloadEvent};
 use ttmqo::query::{parse_query, ParseQueryError, QueryId};
-use ttmqo::sim::{trace_diff, FaultPlan, JsonLinesSink, NodeId, SimTime, TraceHandle};
+use ttmqo::sim::{trace_diff, FaultPlan, JsonLinesSink, NodeId, Observe, SimTime, TraceHandle};
 
 const EPOCH_MS: u64 = 2048;
 const OUT_DIR: &str = "divergence";
@@ -67,14 +67,19 @@ fn main() -> Result<(), ParseQueryError> {
     for (label, plan) in forks {
         let path = format!("{OUT_DIR}/trace-{label}.jsonl");
         let traced = ExperimentConfig {
-            trace: TraceHandle::new(JsonLinesSink::create(&path).expect("create fork trace file")),
+            observe: Observe {
+                trace: TraceHandle::new(
+                    JsonLinesSink::create(&path).expect("create fork trace file"),
+                ),
+                ..Observe::default()
+            },
             ..config.clone()
         };
         let mut fork = RunSession::restore(&snapshot, &traced, &workload)
             .expect("restoring our own checkpoint");
         fork.replace_fault_plan(plan);
         let report = fork.finish();
-        traced.trace.flush();
+        traced.observe.trace.flush();
         let answers: usize = report.answers.values().map(Vec::len).sum();
         println!("fork {label:>6}: {answers} answers, trace at {path}");
         traces.push(std::fs::read_to_string(&path).expect("read fork trace back"));

@@ -17,7 +17,7 @@
 //! Run with: `cargo run --release --example hotspots`
 
 use ttmqo::core::{run_experiment, ExperimentConfig, RunReport, Strategy};
-use ttmqo::sim::{gini, max_mean_ratio, ProfileHandle, SimTime, TimeseriesConfig};
+use ttmqo::sim::{gini, max_mean_ratio, Observe, ProfileHandle, SimTime};
 use ttmqo::workloads::workload_a;
 
 const GRID_N: usize = 8;
@@ -28,8 +28,11 @@ fn run(strategy: Strategy) -> RunReport {
         strategy,
         grid_n: GRID_N,
         duration: SimTime::from_ms(EPOCHS * 2048),
-        timeseries: Some(TimeseriesConfig::default()),
-        profile: ProfileHandle::enabled(),
+        observe: Observe {
+            timeseries: true,
+            profile: ProfileHandle::enabled(),
+            ..Observe::default()
+        },
         ..ExperimentConfig::default()
     };
     run_experiment(&config, &workload_a())

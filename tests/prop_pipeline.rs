@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 use ttmqo::core::{BaseStationOptimizer, CostModel, NetworkOp, OptimizerOptions};
 use ttmqo::query::{
-    covers_query, AggOp, Attribute, EpochDuration, PredicateSet, Query, QueryId, Selection,
+    covers_query, integrate, parse_query, AggOp, Attribute, EpochDuration, ParseQueryError,
+    PredicateSet, Query, QueryId, Selection,
 };
 use ttmqo::sim::Topology;
 use ttmqo::stats::{LevelStats, SelectivityEstimator};
@@ -67,6 +68,94 @@ prop_compose! {
             EpochDuration::from_base_multiples(epoch_mult),
         ).expect("generated query valid")
     }
+}
+
+/// A number-shaped literal: ordinary ones, runs of `-`, `.` and digits, an
+/// integer past `u64` (20 digits), 2⁶⁴, and 2⁶³ — the largest power of two
+/// that is still a valid epoch.
+fn arb_number_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        prop_oneof![
+            Just("2048"),
+            Just("4096"),
+            Just("100"),
+            Just("-5"),
+            Just("3.7"),
+            Just("1.2.3"),
+            Just("-."),
+            Just("1e9"),
+            Just("9223372036854775808"),
+            Just("18446744073709551616"),
+            Just("99999999999999999999"),
+        ]
+        .prop_map(str::to_string),
+        "[-.0123456789]{1,12}",
+    ]
+}
+
+/// What breaks tokenizers: NUL, multi-byte characters, stray operators and
+/// a few arbitrary characters.
+fn arb_junk() -> impl Strategy<Value = String> {
+    prop_oneof![
+        prop_oneof![
+            Just("\0"),
+            Just("é"),
+            Just("光"),
+            Just("\u{1F4A1}"),
+            Just("--"),
+            Just(".-.-"),
+            Just("("),
+            Just(","),
+            Just("<="),
+            Just("select"),
+            Just("epoch"),
+        ]
+        .prop_map(str::to_string),
+        ".{0,6}",
+    ]
+}
+
+/// Query text in the language's own shape — so a good share of it parses —
+/// with number-shaped literals where the grammar wants numbers and, half the
+/// time, a piece of junk spliced in between two words.
+fn arb_query_text() -> impl Strategy<Value = String> {
+    (
+        prop_oneof![
+            Just("light"),
+            Just("nodeid, temp"),
+            Just("max(light)"),
+            Just("avg(temp), min(light)"),
+        ],
+        prop_oneof![
+            Just("where"),
+            Just("where 100 < light < 600 and"),
+            Just("where temp between -5 and 3.7 and"),
+            Just("from sensors where region(0, 0, 60, 40) and"),
+        ],
+        prop_oneof![
+            Just("0".to_string()),
+            Just("3.7".to_string()),
+            Just("99".to_string()),
+            arb_number_text(),
+        ],
+        prop_oneof![
+            Just("2048".to_string()),
+            Just("4096 ms".to_string()),
+            Just("9223372036854775808".to_string()),
+            arb_number_text(),
+        ],
+        prop::collection::vec((arb_junk(), 0usize..64), 0..2),
+    )
+        .prop_map(|(selection, conditions, bound, epoch, splices)| {
+            let text = format!(
+                "select {selection} {conditions} humidity >= {bound} epoch duration {epoch}"
+            );
+            let mut words: Vec<&str> = text.split(' ').collect();
+            for (junk, at) in &splices {
+                words.insert(at % (words.len() + 1), junk);
+            }
+            words.join(" ")
+        })
 }
 
 fn optimizer() -> BaseStationOptimizer {
@@ -179,8 +268,82 @@ fn min_nodeid_with_empty_predicates_regression() {
     .unwrap_or_else(|e| panic!("{e}"));
 }
 
+/// The hostile literals of the generators above, each in an otherwise valid
+/// query, with the outcome spelled out.
+#[test]
+fn hostile_query_text_is_a_typed_error_or_a_query_that_merges() {
+    let syntax = |text: &str| match parse_query(QueryId(1), text) {
+        Err(ParseQueryError::Syntax(msg)) => msg,
+        other => panic!("{text:?} gave {other:?}"),
+    };
+    // The character is named whole, not as its lead byte read as Latin-1.
+    assert_eq!(
+        syntax("select light where é < 3 epoch duration 2048"),
+        "unexpected character `é`"
+    );
+    assert_eq!(syntax("select light\0"), "unexpected character `\0`");
+    assert_eq!(
+        syntax("select light where light > --5 epoch duration 2048"),
+        "bad number `-`"
+    );
+    assert_eq!(
+        syntax("select light where light > .-. epoch duration 2048"),
+        "bad number `.`"
+    );
+    assert_eq!(
+        syntax("select light where light > 1.2.3 epoch duration 2048"),
+        "bad number `1.2.3`"
+    );
+    // 20 digits and 2⁶⁴ saturate to `u64::MAX`, which is no multiple of the
+    // base epoch: a build error, not a wrapped-around small epoch.
+    for epoch in ["99999999999999999999", "18446744073709551616"] {
+        let text = format!("select light epoch duration {epoch}");
+        assert!(
+            matches!(
+                parse_query(QueryId(1), &text),
+                Err(ParseQueryError::Build(_))
+            ),
+            "{text}"
+        );
+    }
+    // 2⁶³ ms is a valid (absurd) epoch; it builds, renders, re-parses, and
+    // merges with an ordinary query on the common divisor.
+    let huge = parse_query(
+        QueryId(1),
+        "select light epoch duration 9223372036854775808",
+    )
+    .expect("2^63 is a multiple of the base epoch");
+    assert_eq!(huge.epoch().as_ms(), 1 << 63);
+    assert_eq!(
+        parse_query(QueryId(1), &huge.to_string()).as_ref(),
+        Ok(&huge)
+    );
+    let small = parse_query(QueryId(2), "select light epoch duration 4096").unwrap();
+    let merged = integrate(QueryId(100), &huge, &small).expect("same selection, no predicates");
+    assert_eq!(merged.epoch().as_ms(), 4096);
+    assert!(covers_query(&merged, &huge) && covers_query(&merged, &small));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `parse_query` returns a value or a typed error on any text — it never
+    /// panics — and whatever it accepts went through `build()`, renders,
+    /// re-parses, and survives one merge.
+    #[test]
+    fn parse_query_never_panics_and_what_parses_merges(text in arb_query_text()) {
+        if let Ok(q) = parse_query(QueryId(1), &text) {
+            let again = parse_query(QueryId(1), &q.to_string());
+            prop_assert!(again.is_ok(), "{} does not re-parse: {:?}", q, again);
+            // A twin always integrates, whatever the selection kind.
+            let twin = q.clone().with_id(QueryId(2));
+            let merged = integrate(QueryId(100), &q, &twin);
+            prop_assert!(
+                merged.as_ref().is_some_and(|m| covers_query(m, &q) && covers_query(m, &twin)),
+                "{} and its twin merged into {:?}", q, merged
+            );
+        }
+    }
 
     /// Random insert/terminate interleavings never break coverage, and the
     /// network-op stream is consistent (abort only what was injected).
