@@ -25,7 +25,7 @@ use ttmqo_sim::{
     FaultSchedule, Metrics, NodeId, NodeTimeseries, Observe, ProfilePhase, ProfileReport,
     QueryCompleteness, RadioParams, Restorable, SensorField, SimConfig, SimTime, Simulator,
     SnapReader, SnapWriter, Snapshot, SnapshotBuilder, SnapshotDocument, SnapshotError, Topology,
-    TraceEvent, TraceHandle, UniformField, SECTION_RUNNER, SECTION_SIMULATOR,
+    TraceEvent, UniformField, SECTION_RUNNER, SECTION_SIMULATOR,
 };
 use ttmqo_stats::{EmpiricalDistribution, Histogram, LevelStats, SelectivityEstimator};
 use ttmqo_tinydb::{Command, Output, Srt, TinyDbApp, TinyDbConfig};
@@ -494,22 +494,103 @@ fn effective_innetwork(config: &ExperimentConfig) -> TtmqoConfig {
     innetwork
 }
 
-/// Snapshot of user → (synthetic id, synthetic query, user query) taken after
-/// each workload event, used to map synthetic answers back to users.
-type MappingSnapshot = BTreeMap<QueryId, (QueryId, Query, Query)>;
+/// One user query's life at the base station.
+#[derive(Debug)]
+struct UserLife {
+    query: Query,
+    posed_ms: u64,
+    /// `None` while the query runs. TinyDB labels an answer with its epoch's
+    /// *start* but emits it at the epoch's close, so an epoch can straddle a
+    /// Terminate; attribution checks the answer's arrival against this.
+    terminated_ms: Option<u64>,
+}
 
-/// The last entry of the time-sorted `timeline` whose timestamp is
-/// `<= at` — the snapshot in force at time `at`.
-///
-/// `timeline` must be sorted by timestamp (duplicates allowed; the latest
-/// duplicate wins, matching "state after all events at that instant").
-/// Binary search: the predicate `t <= at` is monotone over a sorted
-/// timeline, so `partition_point` finds the first entry *after* `at` and
-/// the one just before it is the answer. Replaces an O(n) reverse scan that
-/// made answer mapping O(outputs × snapshots) on long workloads.
-fn snapshot_at<T>(timeline: &[(u64, T)], at: u64) -> Option<&T> {
-    let first_after = timeline.partition_point(|(t, _)| *t <= at);
-    first_after.checked_sub(1).map(|idx| &timeline[idx].1)
+/// The one record of query lives (DESIGN.md §23): every user query ever
+/// posed and every query ever injected into the network, each stored once,
+/// joined by the services the injected queries gave the users. An injected
+/// id's query never changes — Tier 1 rewrites under fresh ids — so "who was
+/// served by which id from when to when" is all that answer attribution,
+/// completeness accounting and the repair monitor need. Strategies without
+/// Tier 1 are the degenerate case: every user is its own injected query.
+#[derive(Debug, Default)]
+struct Ledger {
+    users: BTreeMap<QueryId, UserLife>,
+    /// The running users, each with its open service: the injected query now
+    /// serving it, and since when.
+    open: BTreeMap<QueryId, Option<(QueryId, u64)>>,
+    /// Definitions, taken from the [`NetworkOp::Inject`] that created them.
+    injected: BTreeMap<QueryId, Query>,
+    /// `(injected, user, from_ms) → until_ms`: the half-open interval of
+    /// epoch starts `injected` answered for `user`; `u64::MAX` while open.
+    services: BTreeMap<(QueryId, QueryId, u64), u64>,
+}
+
+impl Ledger {
+    fn pose(&mut self, query: &Query, t_ms: u64) {
+        let life = UserLife {
+            query: query.clone(),
+            posed_ms: t_ms,
+            terminated_ms: None,
+        };
+        self.users.insert(query.id(), life);
+        self.open.insert(query.id(), None);
+    }
+
+    fn terminate(&mut self, user: QueryId, t_ms: u64) {
+        if let Some(Some((syn, from_ms))) = self.open.remove(&user) {
+            self.services.insert((syn, user, from_ms), t_ms);
+        }
+        if let Some(life) = self.users.get_mut(&user) {
+            life.terminated_ms = Some(t_ms);
+        }
+    }
+
+    fn inject(&mut self, query: &Query) {
+        self.injected.insert(query.id(), query.clone());
+    }
+
+    /// Brings the open services in line with `mapping` as of `t_ms`, after
+    /// the events at `t_ms` ran. A service opened and closed within one
+    /// millisecond is empty: the mapping in force at an epoch is the state
+    /// after *all* events at or before its start.
+    fn remap(&mut self, t_ms: u64, mapping: impl Fn(QueryId) -> Option<QueryId>) {
+        for (user, open) in &mut self.open {
+            let now = mapping(*user);
+            if now == open.map(|(syn, _)| syn) {
+                continue;
+            }
+            if let Some((syn, from_ms)) = *open {
+                self.services.insert((syn, *user, from_ms), t_ms);
+            }
+            *open = now.map(|syn| (syn, t_ms));
+            if let Some(syn) = now {
+                self.services.insert((syn, *user, t_ms), u64::MAX);
+            }
+        }
+    }
+
+    /// The users the injected query `syn` was serving at the epoch starting
+    /// at `epoch_ms`, in ascending id order, as `(user, user query, injected
+    /// query)` — minus those already gone when the answer arrived (an answer
+    /// arriving at the termination instant itself still counts: the user was
+    /// live when it materialized).
+    fn served(
+        &self,
+        syn: QueryId,
+        epoch_ms: u64,
+        arrival_ms: u64,
+    ) -> impl Iterator<Item = (QueryId, &Query, &Query)> {
+        let syn_q = self.injected.get(&syn);
+        let by_syn = (syn, QueryId(0), 0)..=(syn, QueryId(u64::MAX), u64::MAX);
+        self.services
+            .range(by_syn)
+            .filter(move |((_, _, from_ms), until_ms)| (*from_ms..**until_ms).contains(&epoch_ms))
+            .filter_map(move |((_, user, _), _)| {
+                let life = self.users.get(user)?;
+                let gone = life.terminated_ms.is_some_and(|t| arrival_ms > t);
+                (!gone).then_some((*user, &life.query, syn_q?))
+            })
+    }
 }
 
 /// How many consecutive missing expected epochs trigger a Tier-1 repair.
@@ -533,7 +614,8 @@ struct RepairMonitor {
     audit_next: BTreeMap<QueryId, u64>,
     /// Consecutive missing expected epochs, per live user query.
     streaks: BTreeMap<QueryId, u32>,
-    /// Epochs answered with a non-empty result, per user query.
+    /// Epochs answered with a non-empty result that the audit has yet to
+    /// reach, per live user query.
     answered: BTreeMap<QueryId, BTreeSet<u64>>,
     /// Repairs whose first post-repair answer has not arrived yet:
     /// `(trigger ms, member user queries)`.
@@ -564,6 +646,7 @@ impl RepairMonitor {
     fn note_terminated(&mut self, qid: QueryId) {
         self.audit_next.remove(&qid);
         self.streaks.remove(&qid);
+        self.answered.remove(&qid);
         self.pending.retain_mut(|(_, members)| {
             members.retain(|m| *m != qid);
             !members.is_empty()
@@ -574,7 +657,15 @@ impl RepairMonitor {
         if !a.nonempty {
             return;
         }
-        self.answered.entry(a.user).or_default().insert(a.epoch_ms);
+        // The audit only moves forward: an epoch it has passed, or one of a
+        // user it no longer follows, is never looked up again.
+        if self
+            .audit_next
+            .get(&a.user)
+            .is_some_and(|next| a.epoch_ms >= *next)
+        {
+            self.answered.entry(a.user).or_default().insert(a.epoch_ms);
+        }
         if let Some(pos) = self.pending.iter().position(|(_, m)| m.contains(&a.user)) {
             let (t0, _) = self.pending.remove(pos);
             self.latencies_ms.push(a.arrival_ms.saturating_sub(t0));
@@ -583,15 +674,15 @@ impl RepairMonitor {
 
     /// Audits every epoch whose collection window closed by time `b`;
     /// returns the user queries whose missing streak crossed the threshold.
-    fn due_repairs(&mut self, b: u64, live: &BTreeMap<QueryId, Query>) -> Vec<QueryId> {
+    fn due_repairs(&mut self, b: u64, ledger: &Ledger) -> Vec<QueryId> {
         self.pending
             .retain(|(t0, _)| b.saturating_sub(*t0) <= REPAIR_GRACE_MS);
         let mut due = Vec::new();
-        for (uid, q) in live {
-            let Some(next) = self.audit_next.get_mut(uid) else {
+        for (uid, next) in &mut self.audit_next {
+            let Some(life) = ledger.users.get(uid) else {
                 continue;
             };
-            let step = q.epoch().as_ms();
+            let step = life.query.epoch().as_ms();
             let answered = self.answered.entry(*uid).or_default();
             let streak = self.streaks.entry(*uid).or_insert(0);
             while *next + self.window_ms <= b {
@@ -602,6 +693,7 @@ impl RepairMonitor {
                 }
                 *next += step;
             }
+            answered.retain(|epoch_ms| *epoch_ms >= *next);
             if *streak >= REPAIR_AFTER_MISSING && !self.pending.iter().any(|(_, m)| m.contains(uid))
             {
                 due.push(*uid);
@@ -610,15 +702,15 @@ impl RepairMonitor {
         due
     }
 
-    fn note_repaired(&mut self, b: u64, members: &[QueryId], live: &BTreeMap<QueryId, Query>) {
+    fn note_repaired(&mut self, b: u64, members: &[QueryId], ledger: &Ledger) {
         self.repairs += 1;
         self.pending.push((b, members.to_vec()));
         for m in members {
             self.streaks.insert(*m, 0);
-            if let Some(q) = live.get(m) {
+            if let (Some(next), Some(life)) = (self.audit_next.get_mut(m), ledger.users.get(m)) {
                 // Give the replacement flood until its next epoch before the
                 // audit resumes counting.
-                self.audit_next.insert(*m, q.epoch().next_fire_at(b + 1));
+                *next = life.query.epoch().next_fire_at(b + 1);
             }
         }
     }
@@ -654,125 +746,6 @@ impl MappedAnswer {
             latency_ms: self.latency_ms(),
         }
     }
-}
-
-/// Drains one batch of network outputs: feeds adaptive statistics, maps each
-/// answer back to the user queries it serves, and reports each mapping to
-/// the repair monitor, the timeseries collector and the trace. Attribution
-/// is incremental but identical to the bulk end-of-run mapping it
-/// replaced: an answer for epoch `e` is always emitted (and thus
-/// drained) after every workload event at or before `e` has executed, so the
-/// snapshot in force at `e` already exists, and a termination that should
-/// drop the answer (`arrival > termination`) has always been recorded by
-/// drain time.
-#[allow(clippy::too_many_arguments)]
-fn ingest_outputs(
-    fresh: Vec<ttmqo_sim::OutputRecord<Output>>,
-    adaptive: bool,
-    optimizer: &mut Option<BaseStationOptimizer>,
-    snapshots: &[(u64, MappingSnapshot)],
-    terminated_at: &BTreeMap<QueryId, u64>,
-    topo: &Topology,
-    answers: &mut BTreeMap<QueryId, Vec<(u64, EpochAnswer)>>,
-    mut monitor: Option<&mut RepairMonitor>,
-    mut timeseries: Option<&mut TimeseriesCollector>,
-    trace: &TraceHandle,
-) {
-    for record in fresh {
-        let Output::Answer {
-            qid,
-            epoch_ms,
-            answer,
-        } = &record.output;
-        // §3.1.2 statistics maintenance: learn the data distribution from
-        // the result rows the base station receives, so later decisions use
-        // it.
-        if adaptive {
-            if let Some(opt) = optimizer.as_mut() {
-                if let EpochAnswer::Rows(rows) = answer {
-                    for row in rows {
-                        for (attr, value) in row.readings.iter() {
-                            opt.observe_reading(attr, value);
-                        }
-                    }
-                }
-            }
-        }
-        // Mapping in force at the answered epoch's start.
-        let Some(snap) = snapshot_at(snapshots, *epoch_ms) else {
-            continue;
-        };
-        for (uid, (syn_id, syn_q, user_q)) in snap {
-            if *syn_id != *qid {
-                continue;
-            }
-            // The epoch started while `uid` was live, but the answer is only
-            // emitted at the epoch's close — drop it if the user terminated
-            // in between. Answers arriving at the termination instant itself
-            // still belong to the user (it was live when they materialized).
-            if terminated_at
-                .get(uid)
-                .is_some_and(|&term_ms| record.time.as_ms() > term_ms)
-            {
-                continue;
-            }
-            let position_of = |node: u16| {
-                let id = NodeId(node);
-                (id.index() < topo.node_count()).then(|| {
-                    let p = topo.position(id);
-                    (p.x, p.y)
-                })
-            };
-            if let Some(mapped) =
-                map_epoch_answer_at(user_q, syn_q, *epoch_ms, answer, &position_of)
-            {
-                let (rows, nonempty) = match &mapped {
-                    EpochAnswer::Rows(rows) => (rows.len() as u64, !rows.is_empty()),
-                    EpochAnswer::Aggregates(vals) => (0, !vals.is_empty()),
-                };
-                let a = MappedAnswer {
-                    user: *uid,
-                    synthetic: *syn_id,
-                    epoch_ms: *epoch_ms,
-                    rows,
-                    nonempty,
-                    arrival_ms: record.time.as_ms(),
-                };
-                if let Some(mon) = monitor.as_deref_mut() {
-                    mon.note_answer(&a);
-                }
-                if let Some(col) = timeseries.as_deref_mut() {
-                    col.note_answer(&a);
-                }
-                trace.emit_with(a.arrival_ms * 1000, || a.trace_event());
-                answers.entry(*uid).or_default().push((*epoch_ms, mapped));
-            }
-        }
-    }
-}
-
-/// Appends the user → synthetic mapping in force after the events at `t`.
-fn take_mapping_snapshot(
-    t: u64,
-    optimizer: &Option<BaseStationOptimizer>,
-    live: &BTreeMap<QueryId, Query>,
-    snapshots: &mut Vec<(u64, MappingSnapshot)>,
-) {
-    let mut snap = MappingSnapshot::new();
-    if let Some(opt) = optimizer {
-        for (uid, uq) in live {
-            if let Some(syn_id) = opt.mapping(*uid) {
-                if let Some(sq) = opt.synthetic(syn_id) {
-                    snap.insert(*uid, (syn_id, sq.query().clone(), uq.clone()));
-                }
-            }
-        }
-    } else {
-        for (uid, uq) in live {
-            snap.insert(*uid, (*uid, uq.clone(), uq.clone()));
-        }
-    }
-    snapshots.push((t, snap));
 }
 
 /// The two concrete simulators a run can drive: the in-network tier runs the
@@ -875,16 +848,6 @@ fn strategy_tag(s: Strategy) -> u8 {
     }
 }
 
-fn strategy_name_of_tag(tag: u8) -> String {
-    match tag {
-        0 => "baseline".into(),
-        1 => "bs-only".into(),
-        2 => "in-net-only".into(),
-        3 => "two-tier".into(),
-        other => format!("unknown strategy tag {other}"),
-    }
-}
-
 /// One experiment in progress: the simulator plus every piece of
 /// base-station-side driver state (answer attribution, repair monitoring,
 /// time-weighted statistics, completeness bookkeeping).
@@ -899,36 +862,38 @@ pub struct RunSession {
     config: ExperimentConfig,
     topo: Topology,
     events: Vec<WorkloadEvent>,
-    /// Next workload event to apply.
-    event_idx: usize,
     sim: SimKind,
     optimizer: Option<BaseStationOptimizer>,
     /// Materialized fault schedule (completeness expectations); recomputed
     /// from the config at restore, never serialized.
     schedule: Option<FaultSchedule>,
     window_ms: u64,
+    state: RunnerState,
+}
+
+/// The driver state a checkpoint's runner section carries, next to the
+/// optimizer's own. Everything else a session holds is re-supplied at
+/// restore (`config`, `topo`, `events`, like the engine's field and
+/// factory), lives in the simulator's section (`sim`), or is a pure function
+/// of config and topology (`schedule`, `window_ms`).
+#[derive(Debug, Default)]
+struct RunnerState {
+    /// Next workload event to apply.
+    event_idx: usize,
+    /// Highest base-epoch boundary the repair monitor has audited (and the
+    /// floor above which the next audit boundary is computed). Advanced to
+    /// the event time at each workload event, matching the audit loop the
+    /// monolithic driver ran per inter-event interval.
+    audited_to: u64,
     monitor: Option<RepairMonitor>,
     ts_collector: Option<TimeseriesCollector>,
-    live_users: BTreeMap<QueryId, Query>,
-    /// When each user query was terminated, ms. TinyDB labels an answer with
-    /// its epoch's *start* time but emits it at the epoch's close, so an
-    /// epoch can straddle a Terminate; attribution also checks the answer's
-    /// arrival time against this.
-    terminated_at: BTreeMap<QueryId, u64>,
-    posed_at: BTreeMap<QueryId, u64>,
-    posed_query: BTreeMap<QueryId, Query>,
-    snapshots: Vec<(u64, MappingSnapshot)>,
+    ledger: Ledger,
     weighted_syn: f64,
     weighted_ratio: f64,
     last_t: u64,
     current_syn_count: usize,
     current_ratio: f64,
     answers: BTreeMap<QueryId, Vec<(u64, EpochAnswer)>>,
-    /// Highest base-epoch boundary the repair monitor has audited (and the
-    /// floor above which the next audit boundary is computed). Advanced to
-    /// the event time at each workload event, matching the audit loop the
-    /// monolithic driver ran per inter-event interval.
-    audited_to: u64,
 }
 
 impl std::fmt::Debug for RunSession {
@@ -936,8 +901,8 @@ impl std::fmt::Debug for RunSession {
         f.debug_struct("RunSession")
             .field("strategy", &self.config.strategy)
             .field("now_ms", &self.sim.now().as_ms())
-            .field("event_idx", &self.event_idx)
-            .field("live_users", &self.live_users.len())
+            .field("event_idx", &self.state.event_idx)
+            .field("running_users", &self.state.ledger.open.len())
             .finish_non_exhaustive()
     }
 }
@@ -968,32 +933,21 @@ impl RunSession {
         // fault-free runs take exactly the pre-fault code path).
         let schedule = (!config.faults.is_empty()).then(|| config.faults.materialize(&topo));
         let window_ms = collection_window_ms(config, &topo);
-        let monitor = (rewriting && schedule.is_some()).then(|| RepairMonitor::new(window_ms));
-        let ts_collector = config.observe.timeseries.then(TimeseriesCollector::new);
+        let state = RunnerState {
+            monitor: (rewriting && schedule.is_some()).then(|| RepairMonitor::new(window_ms)),
+            ts_collector: config.observe.timeseries.then(TimeseriesCollector::new),
+            ..RunnerState::default()
+        };
 
         RunSession {
             config: config.clone(),
             topo,
             events,
-            event_idx: 0,
             sim,
             optimizer,
             schedule,
             window_ms,
-            monitor,
-            ts_collector,
-            live_users: BTreeMap::new(),
-            terminated_at: BTreeMap::new(),
-            posed_at: BTreeMap::new(),
-            posed_query: BTreeMap::new(),
-            snapshots: Vec::new(),
-            weighted_syn: 0.0,
-            weighted_ratio: 0.0,
-            last_t: 0,
-            current_syn_count: 0,
-            current_ratio: 0.0,
-            answers: BTreeMap::new(),
-            audited_to: 0,
+            state,
         }
     }
 
@@ -1021,36 +975,120 @@ impl RunSession {
         &self.config
     }
 
-    /// Drains pending network outputs into the answer/statistics state.
+    /// Drains pending network outputs: feeds adaptive statistics, maps each
+    /// answer back to the user queries it served, and reports each mapping
+    /// to the repair monitor, the timeseries collector and the trace. An
+    /// answer for epoch `e` is always emitted (and thus drained) after every
+    /// workload event at or before `e` has executed, so the ledger already
+    /// holds the services in force at `e`, and a termination that should
+    /// drop the answer has always been recorded by drain time.
     fn ingest(&mut self) {
-        let t0 = self.config.observe.profile.start();
-        let fresh = self.sim.take_outputs();
-        ingest_outputs(
-            fresh,
-            self.config.adaptive_statistics,
-            &mut self.optimizer,
-            &self.snapshots,
-            &self.terminated_at,
-            &self.topo,
-            &mut self.answers,
-            self.monitor.as_mut(),
-            self.ts_collector.as_mut(),
-            &self.config.observe.trace,
-        );
-        self.config
-            .observe
-            .profile
-            .finish(ProfilePhase::AnswerMapping, t0);
+        let Observe { profile, trace, .. } = &self.config.observe;
+        let t0 = profile.start();
+        let topo = &self.topo;
+        let position_of = |node: u16| {
+            let id = NodeId(node);
+            (id.index() < topo.node_count()).then(|| {
+                let p = topo.position(id);
+                (p.x, p.y)
+            })
+        };
+        let RunnerState {
+            ledger,
+            monitor,
+            ts_collector,
+            answers,
+            ..
+        } = &mut self.state;
+        let adaptive = self.config.adaptive_statistics;
+        let mut learner = self.optimizer.as_mut().filter(|_| adaptive);
+        for record in self.sim.take_outputs() {
+            let Output::Answer {
+                qid,
+                epoch_ms,
+                answer,
+            } = &record.output;
+            // §3.1.2 statistics maintenance: learn the data distribution
+            // from the result rows the base station receives, so later
+            // decisions use it.
+            if let (Some(opt), EpochAnswer::Rows(rows)) = (learner.as_deref_mut(), answer) {
+                for row in rows {
+                    for (attr, value) in row.readings.iter() {
+                        opt.observe_reading(attr, value);
+                    }
+                }
+            }
+            let arrival_ms = record.time.as_ms();
+            for (user, user_q, syn_q) in ledger.served(*qid, *epoch_ms, arrival_ms) {
+                let Some(mapped) =
+                    map_epoch_answer_at(user_q, syn_q, *epoch_ms, answer, &position_of)
+                else {
+                    continue;
+                };
+                let (rows, nonempty) = match &mapped {
+                    EpochAnswer::Rows(rows) => (rows.len() as u64, !rows.is_empty()),
+                    EpochAnswer::Aggregates(vals) => (0, !vals.is_empty()),
+                };
+                let a = MappedAnswer {
+                    user,
+                    synthetic: *qid,
+                    epoch_ms: *epoch_ms,
+                    rows,
+                    nonempty,
+                    arrival_ms,
+                };
+                if let Some(mon) = monitor {
+                    mon.note_answer(&a);
+                }
+                if let Some(col) = ts_collector {
+                    col.note_answer(&a);
+                }
+                trace.emit_with(arrival_ms * 1000, || a.trace_event());
+                answers.entry(user).or_default().push((*epoch_ms, mapped));
+            }
+        }
+        profile.finish(ProfilePhase::AnswerMapping, t0);
     }
 
     /// Folds the time-weighted statistics over `[last_t, t_ms)`. Called only
     /// at workload events, repairs, and the end of the run — never at a
     /// checkpoint, so resuming folds the same intervals a straight run does.
     fn fold_dt(&mut self, t_ms: u64) {
-        let dt = t_ms.saturating_sub(self.last_t) as f64;
-        self.weighted_syn += self.current_syn_count as f64 * dt;
-        self.weighted_ratio += self.current_ratio * dt;
-        self.last_t = t_ms;
+        let state = &mut self.state;
+        let dt = t_ms.saturating_sub(state.last_t) as f64;
+        state.weighted_syn += state.current_syn_count as f64 * dt;
+        state.weighted_ratio += state.current_ratio * dt;
+        state.last_t = t_ms;
+    }
+
+    /// Carries out what Tier 1 (or, without it, the user) decided at `t_ms`:
+    /// sends `ops` to the network, entering each injected query in the
+    /// ledger, then re-reads who serves whom and the two time-weighted
+    /// quantities.
+    fn commit(&mut self, ops: Vec<NetworkOp>, t_ms: u64) {
+        let state = &mut self.state;
+        for op in ops {
+            let cmd = match op {
+                NetworkOp::Inject(q) => {
+                    state.ledger.inject(&q);
+                    Command::Pose(q)
+                }
+                NetworkOp::Abort(id) => Command::Terminate(id),
+            };
+            self.sim
+                .schedule_command(SimTime::from_ms(t_ms), NodeId::BASE_STATION, cmd);
+        }
+        match &self.optimizer {
+            Some(opt) => {
+                state.ledger.remap(t_ms, |user| opt.mapping(user));
+                state.current_syn_count = opt.synthetic_count();
+                state.current_ratio = opt.benefit_ratio();
+            }
+            None => {
+                state.ledger.remap(t_ms, Some);
+                state.current_syn_count = state.ledger.open.len();
+            }
+        }
     }
 
     /// With the repair monitor armed, advances in base-epoch steps so the
@@ -1060,18 +1098,17 @@ impl RunSession {
     /// mid-interval stop at an audit boundary must run that audit, exactly
     /// as a straight run does when its clock passes the boundary).
     fn audit_to(&mut self, t_ms: u64, inclusive: bool) {
-        if self.monitor.is_none() {
+        if self.state.monitor.is_none() {
             return;
         }
-        let mut b = (self.audited_to / BASE_EPOCH_MS + 1) * BASE_EPOCH_MS;
+        let mut b = (self.state.audited_to / BASE_EPOCH_MS + 1) * BASE_EPOCH_MS;
         while b < t_ms || (inclusive && b == t_ms) {
             self.sim.run_until(SimTime::from_ms(b));
             self.ingest();
-            let due = match self.monitor.as_mut() {
-                Some(mon) => mon.due_repairs(b, &self.live_users),
+            let due = match self.state.monitor.as_mut() {
+                Some(mon) => mon.due_repairs(b, &self.state.ledger),
                 None => Vec::new(),
             };
-            let mut repaired = false;
             for uid in due {
                 let Some(opt) = self.optimizer.as_mut() else {
                     break;
@@ -1083,40 +1120,19 @@ impl RunSession {
                     .synthetic(syn)
                     .map(|sq| sq.members().collect())
                     .unwrap_or_default();
-                // Account the time-weighted stats up to the repair.
-                let dt = (b - self.last_t) as f64;
-                self.weighted_syn += self.current_syn_count as f64 * dt;
-                self.weighted_ratio += self.current_ratio * dt;
-                self.last_t = b;
                 opt.set_trace_time(b);
-                let t0 = self.config.observe.profile.start();
+                let profile = &self.config.observe.profile;
+                let t0 = profile.start();
                 let ops = opt.reoptimize(syn);
-                self.config
-                    .observe
-                    .profile
-                    .finish(ProfilePhase::Reoptimize, t0);
-                for op in ops {
-                    let cmd = match op {
-                        NetworkOp::Inject(q) => Command::Pose(q),
-                        NetworkOp::Abort(id) => Command::Terminate(id),
-                    };
-                    self.sim
-                        .schedule_command(SimTime::from_ms(b), NodeId::BASE_STATION, cmd);
+                profile.finish(ProfilePhase::Reoptimize, t0);
+                // The interval up to the repair ran under the old set.
+                self.fold_dt(b);
+                self.commit(ops, b);
+                if let Some(mon) = self.state.monitor.as_mut() {
+                    mon.note_repaired(b, &members, &self.state.ledger);
                 }
-                self.current_syn_count = self
-                    .optimizer
-                    .as_ref()
-                    .map_or(self.live_users.len(), |o| o.synthetic_count());
-                self.current_ratio = self.optimizer.as_ref().map_or(0.0, |o| o.benefit_ratio());
-                if let Some(mon) = self.monitor.as_mut() {
-                    mon.note_repaired(b, &members, &self.live_users);
-                }
-                repaired = true;
             }
-            if repaired {
-                take_mapping_snapshot(b, &self.optimizer, &self.live_users, &mut self.snapshots);
-            }
-            self.audited_to = b;
+            self.state.audited_to = b;
             b += BASE_EPOCH_MS;
         }
     }
@@ -1124,68 +1140,43 @@ impl RunSession {
     /// Applies the next workload event (the simulator has already been
     /// advanced to its time and outputs drained).
     fn apply_event(&mut self) {
-        let event = self.events[self.event_idx].clone();
-        self.event_idx += 1;
-        let t = event.at;
-        let ops: Vec<NetworkOp> = match (&mut self.optimizer, event.action) {
-            (Some(opt), WorkloadAction::Pose(q)) => {
-                self.live_users.insert(q.id(), q.clone());
-                self.posed_at.insert(q.id(), t.as_ms());
-                self.posed_query.insert(q.id(), q.clone());
-                if let Some(mon) = self.monitor.as_mut() {
-                    mon.note_posed(&q, t.as_ms());
-                }
-                opt.set_trace_time(t.as_ms());
-                let t0 = self.config.observe.profile.start();
-                let ops = opt
-                    .insert(q)
-                    .expect("workload ids are unique and unreserved");
-                self.config
-                    .observe
-                    .profile
-                    .finish(ProfilePhase::AdmissionScoring, t0);
-                ops
-            }
-            (Some(opt), WorkloadAction::Terminate(qid)) => {
-                self.live_users.remove(&qid);
-                self.terminated_at.insert(qid, t.as_ms());
-                if let Some(mon) = self.monitor.as_mut() {
-                    mon.note_terminated(qid);
-                }
-                opt.set_trace_time(t.as_ms());
-                opt.terminate(qid)
-            }
-            (None, WorkloadAction::Pose(q)) => {
-                self.live_users.insert(q.id(), q.clone());
-                self.posed_at.insert(q.id(), t.as_ms());
-                self.posed_query.insert(q.id(), q.clone());
-                vec![NetworkOp::Inject(q)]
-            }
-            (None, WorkloadAction::Terminate(qid)) => {
-                self.live_users.remove(&qid);
-                self.terminated_at.insert(qid, t.as_ms());
-                vec![NetworkOp::Abort(qid)]
-            }
-        };
-        for op in ops {
-            let cmd = match op {
-                NetworkOp::Inject(q) => Command::Pose(q),
-                NetworkOp::Abort(id) => Command::Terminate(id),
-            };
-            self.sim.schedule_command(t, NodeId::BASE_STATION, cmd);
+        let event = &self.events[self.state.event_idx];
+        let state = &mut self.state;
+        state.event_idx += 1;
+        let t_ms = event.at.as_ms();
+        if let Some(opt) = self.optimizer.as_mut() {
+            opt.set_trace_time(t_ms);
         }
-        self.current_syn_count = match &self.optimizer {
-            Some(opt) => opt.synthetic_count(),
-            None => self.live_users.len(),
+        let ops = match &event.action {
+            WorkloadAction::Pose(q) => {
+                state.ledger.pose(q, t_ms);
+                if let Some(mon) = state.monitor.as_mut() {
+                    mon.note_posed(q, t_ms);
+                }
+                match self.optimizer.as_mut() {
+                    Some(opt) => {
+                        let profile = &self.config.observe.profile;
+                        let t0 = profile.start();
+                        let ops = opt.insert(q.clone());
+                        profile.finish(ProfilePhase::AdmissionScoring, t0);
+                        ops.expect("workload ids are unique and unreserved")
+                    }
+                    None => vec![NetworkOp::Inject(q.clone())],
+                }
+            }
+            WorkloadAction::Terminate(qid) => {
+                state.ledger.terminate(*qid, t_ms);
+                if let Some(mon) = state.monitor.as_mut() {
+                    mon.note_terminated(*qid);
+                }
+                match self.optimizer.as_mut() {
+                    Some(opt) => opt.terminate(*qid),
+                    None => vec![NetworkOp::Abort(*qid)],
+                }
+            }
         };
-        self.current_ratio = self.optimizer.as_ref().map_or(0.0, |o| o.benefit_ratio());
-        take_mapping_snapshot(
-            t.as_ms(),
-            &self.optimizer,
-            &self.live_users,
-            &mut self.snapshots,
-        );
-        self.audited_to = self.audited_to.max(t.as_ms());
+        self.commit(ops, t_ms);
+        self.state.audited_to = self.state.audited_to.max(t_ms);
     }
 
     /// Advances the run to time `t` (clamped to the configured duration),
@@ -1199,7 +1190,7 @@ impl RunSession {
             return;
         }
         loop {
-            match self.events.get(self.event_idx).map(|e| e.at) {
+            match self.events.get(self.state.event_idx).map(|e| e.at) {
                 Some(et) if et <= target => {
                     self.audit_to(et.as_ms(), false);
                     self.sim.run_until(et);
@@ -1240,7 +1231,7 @@ impl RunSession {
         self.run_to(duration);
         self.fold_dt(duration.as_ms());
 
-        for per_query in self.answers.values_mut() {
+        for per_query in self.state.answers.values_mut() {
             per_query.sort_by_key(|(e, _)| *e);
         }
 
@@ -1253,20 +1244,16 @@ impl RunSession {
         // queries.
         let srt = Srt::build(&self.topo);
         let mut per_query: BTreeMap<QueryId, QueryCompleteness> = BTreeMap::new();
-        for (uid, q) in &self.posed_query {
-            let pose = self.posed_at[uid];
-            let end = self
-                .terminated_at
-                .get(uid)
-                .copied()
-                .unwrap_or(u64::MAX)
-                .min(duration.as_ms());
+        for (uid, life) in &self.state.ledger.users {
+            let q = &life.query;
+            let end = life.terminated_ms.unwrap_or(u64::MAX).min(duration.as_ms());
             let static_matching: Vec<NodeId> = self
                 .topo
                 .nodes()
                 .filter(|&n| n != NodeId::BASE_STATION && srt.node_matches(n, q))
                 .collect();
             let by_epoch: BTreeMap<u64, (bool, u64)> = self
+                .state
                 .answers
                 .get(uid)
                 .map(|v| {
@@ -1284,7 +1271,7 @@ impl RunSession {
             let is_acquisition = matches!(q.selection(), Selection::Attributes(_));
             let mut qc = QueryCompleteness::default();
             let step = q.epoch().as_ms();
-            let mut e = q.epoch().next_fire_at(pose + 1);
+            let mut e = q.epoch().next_fire_at(life.posed_ms + 1);
             while e + self.window_ms < end {
                 let alive = static_matching
                     .iter()
@@ -1306,7 +1293,7 @@ impl RunSession {
             }
             per_query.insert(*uid, qc);
         }
-        let completeness = match &self.monitor {
+        let completeness = match &self.state.monitor {
             Some(mon) => CompletenessReport {
                 per_query,
                 repairs_triggered: mon.repairs,
@@ -1323,7 +1310,7 @@ impl RunSession {
         let energy_profile = EnergyProfile::default();
         let energy_mj = metrics.total_energy_mj(&energy_profile);
         let max_node_energy_mj = metrics.max_node_energy_mj(&energy_profile);
-        let mut ts_collector = self.ts_collector;
+        let mut ts_collector = self.state.ts_collector;
         let schedule = self.schedule;
         let timeseries = self.sim.detach().map(|nodes| {
             let mut per_query = ts_collector.take().map(|c| c.per_query).unwrap_or_default();
@@ -1370,9 +1357,9 @@ impl RunSession {
         RunReport {
             strategy: self.config.strategy,
             metrics,
-            answers: self.answers,
-            avg_synthetic_count: self.weighted_syn / total,
-            avg_benefit_ratio: self.weighted_ratio / total,
+            answers: self.state.answers,
+            avg_synthetic_count: self.state.weighted_syn / total,
+            avg_benefit_ratio: self.state.weighted_ratio / total,
             optimizer_stats: self.optimizer.map(|o| o.stats()),
             completeness,
             engine,
@@ -1385,76 +1372,26 @@ impl RunSession {
     }
 
     /// Serializes the complete run state — engine section plus runner
-    /// section — into one versioned snapshot document.
+    /// section — into one versioned snapshot document. The runner section is
+    /// the strategy tag, the optimizer's dynamic state, and `RunnerState`.
     pub fn checkpoint(&self) -> Vec<u8> {
-        let t0 = self.config.observe.profile.start();
+        let profile = &self.config.observe.profile;
+        let t0 = profile.start();
         let mut sw = SnapWriter::new();
         self.sim.write_snapshot(&mut sw);
         let mut rw = SnapWriter::new();
-        self.write_runner_snapshot(&mut rw);
+        rw.put_u8(strategy_tag(self.config.strategy));
+        rw.put_bool(self.optimizer.is_some());
+        if let Some(opt) = &self.optimizer {
+            opt.write_snapshot(&mut rw);
+        }
+        self.state.write(&mut rw);
         let mut b = SnapshotBuilder::new();
         b.section(SECTION_SIMULATOR, sw.as_bytes());
         b.section(SECTION_RUNNER, rw.as_bytes());
         let bytes = b.finish();
-        self.config
-            .observe
-            .profile
-            .finish(ProfilePhase::SnapshotSave, t0);
+        profile.finish(ProfilePhase::SnapshotSave, t0);
         bytes
-    }
-
-    /// Serializes the runner-side state. Deliberately NOT serialized:
-    /// `config`, `topo` and `events` (re-supplied at restore, like the
-    /// engine's field and factory), `sim` (its own section), and `schedule`
-    /// (a pure function of config and topology).
-    fn write_runner_snapshot(&self, w: &mut SnapWriter) {
-        let RunSession {
-            config,
-            topo: _,
-            events: _,
-            event_idx,
-            sim: _,
-            optimizer,
-            schedule: _,
-            window_ms: _,
-            monitor,
-            ts_collector,
-            live_users,
-            terminated_at,
-            posed_at,
-            posed_query,
-            snapshots,
-            weighted_syn,
-            weighted_ratio,
-            last_t,
-            current_syn_count,
-            current_ratio,
-            answers,
-            audited_to,
-        } = self;
-        w.put_u8(strategy_tag(config.strategy));
-        w.put_usize(*event_idx);
-        w.put_u64(*audited_to);
-        match optimizer {
-            Some(opt) => {
-                w.put_bool(true);
-                opt.write_snapshot(w);
-            }
-            None => w.put_bool(false),
-        }
-        monitor.write(w);
-        ts_collector.write(w);
-        live_users.write(w);
-        terminated_at.write(w);
-        posed_at.write(w);
-        posed_query.write(w);
-        snapshots.write(w);
-        w.put_f64(*weighted_syn);
-        w.put_f64(*weighted_ratio);
-        w.put_u64(*last_t);
-        w.put_usize(*current_syn_count);
-        w.put_f64(*current_ratio);
-        answers.write(w);
     }
 
     /// Rebuilds a session from a [`checkpoint`](Self::checkpoint) document.
@@ -1470,14 +1407,16 @@ impl RunSession {
     /// # Errors
     ///
     /// Any [`SnapshotError`]: corrupted or truncated documents, foreign
-    /// magic, a schema-version mismatch, or a strategy mismatch between the
+    /// magic, a schema-version mismatch, a document whose runner section
+    /// predates the query ledger, or a strategy mismatch between the
     /// snapshot and the supplied configuration.
     pub fn restore(
         bytes: &[u8],
         config: &ExperimentConfig,
         workload: &[WorkloadEvent],
     ) -> Result<RunSession, SnapshotError> {
-        let restore_t0 = config.observe.profile.start();
+        let profile = &config.observe.profile;
+        let restore_t0 = profile.start();
         let doc = SnapshotDocument::parse(bytes)?;
         let topo = build_topology(config);
         let events = Self::prepare_events(config, workload);
@@ -1489,9 +1428,12 @@ impl RunSession {
         let mut r = doc.section(SECTION_RUNNER)?;
         let tag = r.u8()?;
         if tag != strategy_tag(config.strategy) {
+            let taken = Strategy::ALL
+                .get(tag as usize)
+                .map_or_else(|| format!("tag {tag}"), Strategy::to_string);
             return Err(SnapshotError::Corrupt(format!(
-                "checkpoint was taken under strategy {} but the supplied configuration runs {}",
-                strategy_name_of_tag(tag),
+                "checkpoint was taken under strategy {taken} but the supplied configuration \
+                 runs {}",
                 config.strategy
             )));
         }
@@ -1500,8 +1442,6 @@ impl RunSession {
         let sim = build_sim(config, &topo, Some(&mut s))?;
         s.finish()?;
 
-        let event_idx = r.usize()?;
-        let audited_to = r.u64()?;
         let optimizer = if r.bool()? {
             let mut opt =
                 BaseStationOptimizer::read_snapshot(&mut r, build_optimizer(config, &topo))?;
@@ -1515,22 +1455,9 @@ impl RunSession {
                 "optimizer presence disagrees with the strategy".into(),
             ));
         }
-        let monitor: Option<RepairMonitor> = Restorable::read(&mut r)?;
-        let ts_collector: Option<TimeseriesCollector> = Restorable::read(&mut r)?;
-        let live_users: BTreeMap<QueryId, Query> = Restorable::read(&mut r)?;
-        let terminated_at: BTreeMap<QueryId, u64> = Restorable::read(&mut r)?;
-        let posed_at: BTreeMap<QueryId, u64> = Restorable::read(&mut r)?;
-        let posed_query: BTreeMap<QueryId, Query> = Restorable::read(&mut r)?;
-        let snapshots: Vec<(u64, MappingSnapshot)> = Restorable::read(&mut r)?;
-        let weighted_syn = r.f64()?;
-        let weighted_ratio = r.f64()?;
-        let last_t = r.u64()?;
-        let current_syn_count = r.usize()?;
-        let current_ratio = r.f64()?;
-        let answers: BTreeMap<QueryId, Vec<(u64, EpochAnswer)>> = Restorable::read(&mut r)?;
+        let state = RunnerState::read(&mut r)?;
         r.finish()?;
-
-        if event_idx > events.len() {
+        if state.event_idx > events.len() {
             return Err(SnapshotError::Corrupt(
                 "checkpoint event index lies past the supplied workload".into(),
             ));
@@ -1538,33 +1465,16 @@ impl RunSession {
 
         let schedule = (!config.faults.is_empty()).then(|| config.faults.materialize(&topo));
         let window_ms = collection_window_ms(config, &topo);
-        config
-            .observe
-            .profile
-            .finish(ProfilePhase::SnapshotRestore, restore_t0);
+        profile.finish(ProfilePhase::SnapshotRestore, restore_t0);
         Ok(RunSession {
             config: config.clone(),
             topo,
             events,
-            event_idx,
             sim,
             optimizer,
             schedule,
             window_ms,
-            monitor,
-            ts_collector,
-            live_users,
-            terminated_at,
-            posed_at,
-            posed_query,
-            snapshots,
-            weighted_syn,
-            weighted_ratio,
-            last_t,
-            current_syn_count,
-            current_ratio,
-            answers,
-            audited_to,
+            state,
         })
     }
 }
@@ -1572,6 +1482,90 @@ impl RunSession {
 // ---------------------------------------------------------------------------
 // Snapshot impls for the runner's own state-bearing types
 // ---------------------------------------------------------------------------
+
+impl Snapshot for RunnerState {
+    fn write(&self, w: &mut SnapWriter) {
+        let RunnerState {
+            event_idx,
+            audited_to,
+            monitor,
+            ts_collector,
+            ledger:
+                Ledger {
+                    users,
+                    open,
+                    injected,
+                    services,
+                },
+            weighted_syn,
+            weighted_ratio,
+            last_t,
+            current_syn_count,
+            current_ratio,
+            answers,
+        } = self;
+        w.put_usize(*event_idx);
+        w.put_u64(*audited_to);
+        monitor.write(w);
+        ts_collector.write(w);
+        users.write(w);
+        open.write(w);
+        injected.write(w);
+        services.write(w);
+        w.put_f64(*weighted_syn);
+        w.put_f64(*weighted_ratio);
+        w.put_u64(*last_t);
+        w.put_usize(*current_syn_count);
+        w.put_f64(*current_ratio);
+        answers.write(w);
+    }
+}
+
+impl Restorable for RunnerState {
+    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(RunnerState {
+            event_idx: r.usize()?,
+            audited_to: r.u64()?,
+            monitor: Restorable::read(r)?,
+            ts_collector: Restorable::read(r)?,
+            ledger: Ledger {
+                users: Restorable::read(r)?,
+                open: Restorable::read(r)?,
+                injected: Restorable::read(r)?,
+                services: Restorable::read(r)?,
+            },
+            weighted_syn: r.f64()?,
+            weighted_ratio: r.f64()?,
+            last_t: r.u64()?,
+            current_syn_count: r.usize()?,
+            current_ratio: r.f64()?,
+            answers: Restorable::read(r)?,
+        })
+    }
+}
+
+impl Snapshot for UserLife {
+    fn write(&self, w: &mut SnapWriter) {
+        let UserLife {
+            query,
+            posed_ms,
+            terminated_ms,
+        } = self;
+        query.write(w);
+        w.put_u64(*posed_ms);
+        terminated_ms.write(w);
+    }
+}
+
+impl Restorable for UserLife {
+    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(UserLife {
+            query: Restorable::read(r)?,
+            posed_ms: r.u64()?,
+            terminated_ms: Restorable::read(r)?,
+        })
+    }
+}
 
 fn write_histogram(h: &Histogram, w: &mut SnapWriter) {
     w.put_f64(h.lo());
@@ -1677,11 +1671,273 @@ impl Restorable for RepairMonitor {
 
 #[cfg(test)]
 mod tests {
-    use super::{snapshot_at, QueryWindowSeries, RepairMonitor, TimeseriesCollector};
+    use super::{
+        ExperimentConfig, Ledger, QueryWindowSeries, RepairMonitor, RunSession, RunnerState,
+        Strategy, TimeseriesCollector, WorkloadEvent,
+    };
     use std::collections::{BTreeMap, BTreeSet};
-    use ttmqo_query::QueryId;
-    use ttmqo_sim::{Restorable, SnapReader, SnapWriter, Snapshot};
+    use ttmqo_query::{parse_query, Query, QueryId};
+    use ttmqo_sim::{FaultPlan, NodeId, Restorable, SimTime, SnapReader, SnapWriter, Snapshot};
     use ttmqo_stats::Histogram;
+
+    // -- Reference implementation -----------------------------------------
+    // The timeline the ledger replaced: after every workload event and every
+    // repair, a clone of the whole user → (synthetic id, synthetic query,
+    // user query) map, looked up by epoch start. Kept as the oracle the
+    // ledger is compared against.
+
+    type MappingSnapshot = BTreeMap<QueryId, (QueryId, Query, Query)>;
+
+    /// The last entry of the time-sorted `timeline` whose timestamp is
+    /// `<= at` — the snapshot in force at time `at`. Duplicate timestamps
+    /// are allowed; the latest duplicate wins, matching "state after all
+    /// events at that instant".
+    fn snapshot_at<T>(timeline: &[(u64, T)], at: u64) -> Option<&T> {
+        let first_after = timeline.partition_point(|(t, _)| *t <= at);
+        first_after.checked_sub(1).map(|idx| &timeline[idx].1)
+    }
+
+    /// Appends the user → synthetic mapping in force after the events at
+    /// `t`. `mapping` and `synthetics` stand in for the optimizer's
+    /// `mapping()` and `synthetic()`.
+    fn take_mapping_snapshot(
+        t: u64,
+        mapping: &BTreeMap<QueryId, QueryId>,
+        synthetics: &BTreeMap<QueryId, Query>,
+        live: &BTreeMap<QueryId, Query>,
+        snapshots: &mut Vec<(u64, MappingSnapshot)>,
+    ) {
+        let mut snap = MappingSnapshot::new();
+        for (uid, uq) in live {
+            if let Some(syn_id) = mapping.get(uid) {
+                if let Some(sq) = synthetics.get(syn_id) {
+                    snap.insert(*uid, (*syn_id, sq.clone(), uq.clone()));
+                }
+            }
+        }
+        snapshots.push((t, snap));
+    }
+
+    /// The attribution loop that read the timeline: every user the snapshot
+    /// in force at `epoch_ms` maps to `qid`, unless it terminated before the
+    /// answer arrived.
+    fn reference_served<'a>(
+        snapshots: &'a [(u64, MappingSnapshot)],
+        terminated_at: &BTreeMap<QueryId, u64>,
+        qid: QueryId,
+        epoch_ms: u64,
+        arrival_ms: u64,
+    ) -> Vec<(QueryId, &'a Query, &'a Query)> {
+        let Some(snap) = snapshot_at(snapshots, epoch_ms) else {
+            return Vec::new();
+        };
+        let mut out = Vec::new();
+        for (uid, (syn_id, syn_q, user_q)) in snap {
+            if *syn_id != qid {
+                continue;
+            }
+            if terminated_at
+                .get(uid)
+                .is_some_and(|&term_ms| arrival_ms > term_ms)
+            {
+                continue;
+            }
+            out.push((*uid, user_q, syn_q));
+        }
+        out
+    }
+
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// The ledger, and next to it everything the reference timeline is built
+    /// from, driven by the same events.
+    #[derive(Default)]
+    struct Twin {
+        ledger: Ledger,
+        live: BTreeMap<QueryId, Query>,
+        mapping: BTreeMap<QueryId, QueryId>,
+        synthetics: BTreeMap<QueryId, Query>,
+        terminated_at: BTreeMap<QueryId, u64>,
+        snapshots: Vec<(u64, MappingSnapshot)>,
+    }
+
+    impl Twin {
+        fn pose(&mut self, q: &Query, t: u64) {
+            self.live.insert(q.id(), q.clone());
+            self.ledger.pose(q, t);
+        }
+
+        fn terminate(&mut self, uid: QueryId, t: u64) {
+            self.live.remove(&uid);
+            self.mapping.remove(&uid);
+            self.terminated_at.insert(uid, t);
+            self.ledger.terminate(uid, t);
+        }
+
+        /// Maps `uid` to `syn`, injecting it on first use — Tier 1's
+        /// `Inject` precedes any mapping to the id.
+        fn serve(&mut self, uid: QueryId, syn: &Query) {
+            if self.synthetics.insert(syn.id(), syn.clone()).is_none() {
+                self.ledger.inject(syn);
+            }
+            self.mapping.insert(uid, syn.id());
+        }
+
+        /// What the runner does after the event (or repair) at `t`.
+        fn settle(&mut self, t: u64) {
+            let Twin {
+                ledger,
+                live,
+                mapping,
+                synthetics,
+                snapshots,
+                ..
+            } = self;
+            take_mapping_snapshot(t, mapping, synthetics, live, snapshots);
+            ledger.remap(t, |uid| mapping.get(&uid).copied());
+        }
+    }
+
+    #[test]
+    fn ledger_attributes_exactly_what_the_mapping_timeline_did() {
+        // Generated lives: bursts of events in one millisecond (a user posed
+        // and gone, or moved away and back, within it), several users per
+        // synthetic, moves among a pool of six ids small enough that A→B→A
+        // happens, re-mappings with no pose or terminate (a repair), users
+        // left unmapped, and — every fourth case — no Tier 1 at all, where
+        // each user is its own synthetic.
+        let light = |id: u64, lo: u64| {
+            let text = format!("select light where {lo}<light<900 epoch duration 2048");
+            parse_query(QueryId(id), &text).unwrap()
+        };
+        let pool: Vec<Query> = (0..6).map(|i| light((1 << 20) + i, 100 + 10 * i)).collect();
+        for case in 0..40u64 {
+            let mut next = xorshift(0x9E37_79B9_7F4A_7C15 ^ (case + 1));
+            let tier1 = case % 4 != 3;
+            let mut twin = Twin::default();
+            let mut times = vec![0u64];
+            let (mut t, mut users) = (0u64, 0u64);
+            for _ in 0..250 {
+                if next() % 2 == 1 {
+                    t += next() % 3000;
+                }
+                times.push(t);
+                let victim = twin.live.keys().nth((next() % 7) as usize).copied();
+                match (next() % 4, victim) {
+                    (0, Some(uid)) => twin.terminate(uid, t),
+                    (1, Some(uid)) if tier1 => {
+                        twin.serve(uid, &pool[(next() % 6) as usize]);
+                        if let Some(other) = twin.live.keys().nth((next() % 7) as usize).copied() {
+                            twin.serve(other, &pool[(next() % 6) as usize]);
+                        }
+                    }
+                    _ => {
+                        let q = light(users, 200 + users % 50);
+                        users += 1;
+                        twin.pose(&q, t);
+                        if !tier1 {
+                            twin.serve(q.id(), &q);
+                        } else if next() % 8 < 7 {
+                            twin.serve(q.id(), &pool[(next() % 6) as usize]);
+                        }
+                    }
+                }
+                twin.settle(t);
+            }
+            let answering: Vec<QueryId> = twin
+                .synthetics
+                .keys()
+                .copied()
+                .chain([QueryId(u64::MAX)])
+                .collect();
+            for probe in 0..2500 {
+                let qid = answering[(next() % answering.len() as u64) as usize];
+                // Half the probes sit exactly on an event's millisecond.
+                let epoch_ms = match probe % 2 {
+                    0 => times[(next() % times.len() as u64) as usize],
+                    _ => next() % (t + 5000),
+                };
+                let arrival_ms = epoch_ms + next() % 700;
+                let got: Vec<_> = twin.ledger.served(qid, epoch_ms, arrival_ms).collect();
+                let want = reference_served(
+                    &twin.snapshots,
+                    &twin.terminated_at,
+                    qid,
+                    epoch_ms,
+                    arrival_ms,
+                );
+                assert_eq!(
+                    got, want,
+                    "case {case}: {qid} at {epoch_ms}, arrived {arrival_ms}"
+                );
+            }
+            roundtrip_debug(&RunnerState {
+                ledger: twin.ledger,
+                ..RunnerState::default()
+            });
+        }
+    }
+
+    #[test]
+    fn repair_monitor_forgets_what_the_audit_has_passed() {
+        // Crashes next to the base station keep the monitor auditing (and
+        // repairing) for the whole run. Per live user it may hold only the
+        // answered epochs its audit has yet to reach — a collection window's
+        // worth — however long the run; a terminated user holds none.
+        let q = |id: u64, text: &str| parse_query(QueryId(id), text).unwrap();
+        let workload = vec![
+            WorkloadEvent::pose(0, q(0, "select light epoch duration 2048")),
+            WorkloadEvent::pose(
+                0,
+                q(1, "select light where 200<light<700 epoch duration 2048"),
+            ),
+            WorkloadEvent::pose(0, q(2, "select temp epoch duration 4096")),
+            WorkloadEvent::pose(0, q(3, "select light where 4<nodeid<6 epoch duration 2048")),
+            WorkloadEvent::terminate(60 * 2048, QueryId(1)),
+        ];
+        let config = ExperimentConfig {
+            strategy: Strategy::TwoTier,
+            grid_n: 4,
+            duration: SimTime::from_ms(200 * 2048),
+            faults: FaultPlan::scripted(vec![
+                (NodeId(1), 20 * 2048, Some(60 * 2048)),
+                (NodeId(4), 30 * 2048, Some(90 * 2048)),
+                (NodeId(5), 40 * 2048, None),
+                (NodeId(6), 100 * 2048, Some(130 * 2048)),
+            ]),
+            ..ExperimentConfig::default()
+        };
+        let mut session = RunSession::new(&config, &workload);
+        for epochs in [25, 50, 100, 150, 200] {
+            session.run_to(SimTime::from_ms(epochs * 2048));
+            let monitor = session
+                .state
+                .monitor
+                .as_ref()
+                .expect("faulty rewriting run");
+            let held: usize = monitor.answered.values().map(BTreeSet::len).sum();
+            assert!(
+                held <= 2 * 4,
+                "{held} answered epochs held after {epochs} epochs"
+            );
+            assert_eq!(
+                monitor.answered.contains_key(&QueryId(1)),
+                epochs < 60,
+                "after {epochs} epochs"
+            );
+        }
+        let monitor = session.state.monitor.as_ref().unwrap();
+        assert!(monitor.repairs > 0, "the run never exercised a repair");
+        roundtrip_debug(&session.state);
+    }
 
     /// Encode → decode → require full consumption; compare via the debug
     /// rendering (shortest-roundtrip floats, ordered maps → string equality
@@ -1783,19 +2039,13 @@ mod tests {
         // query time, on timelines shaped like real workloads — many events,
         // bursts of identical timestamps (a pose and a terminate in the same
         // ms), and gaps.
-        let mut state = 0x0123_4567_89AB_CDEFu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = xorshift(0x0123_4567_89AB_CDEF);
         for _ in 0..50 {
             let mut t = 0u64;
             let mut timeline = Vec::new();
             for i in 0..500u64 {
                 // ~1/4 of events share the previous timestamp.
-                if i > 0 && next() % 4 != 0 {
+                if i > 0 && !next().is_multiple_of(4) {
                     t += next() % 97;
                 }
                 timeline.push((t, i));

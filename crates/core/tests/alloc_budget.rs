@@ -18,7 +18,7 @@ use ttmqo_query::QueryId;
 use ttmqo_sim::{
     NodeId, Observe, RadioParams, SimTime, TraceEvent, TraceHandle, TraceRecord, TraceSink,
 };
-use ttmqo_workloads::workload_a;
+use ttmqo_workloads::{random_workload, workload_a, workload_end_ms, RandomWorkloadParams};
 
 thread_local! {
     /// `alloc`, `alloc_zeroed` and `realloc` calls made by this thread.
@@ -187,10 +187,11 @@ fn steady_state_two_tier_allocates_less_than_once_per_delivered_frame_copy() {
 fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     // The whole run, set-up included, of the cell the root suite pins
     // (`innet_only_8x8_cell_is_pinned`): Tier 2 only, Workload A, 8×8, every
-    // observer off. 61 232 is the count at commit 755f41b, before the
-    // engine's accounting moved behind the probe seam; an unobserved run
-    // must not pay an allocation for observers it does not have. The count
-    // is the same in debug and release builds.
+    // observer off. The count was 61 232 from commit 755f41b (before the
+    // engine's accounting moved behind the probe seam — an unobserved run
+    // must not pay an allocation for observers it does not have) to 88a8754,
+    // and is 61 085 since the per-event mapping timeline became the query
+    // ledger. The count is the same in debug and release builds.
     let config = ExperimentConfig {
         strategy: Strategy::InNetOnly,
         grid_n: 8,
@@ -200,5 +201,33 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     let workload = workload_a();
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.engine.frames_total, 5965, "not the pinned cell");
-    assert_eq!(allocs, 61_232);
+    assert_eq!(allocs, 61_085);
+}
+
+#[test]
+fn a_churn_cell_and_its_checkpoint_are_pinned() {
+    // A hundred queries arriving and leaving under the full scheme on 4×4:
+    // the base station's bookkeeping per workload event is what this run
+    // spends its allocator calls on, and what its checkpoint carries. At
+    // commit 88a8754, which cloned the whole user → synthetic map after every
+    // event and kept every clone, the run made 89 644 calls and a checkpoint
+    // at its last event was 296 404 bytes.
+    let workload = random_workload(&RandomWorkloadParams {
+        n_queries: 100,
+        mean_arrival_ms: 10_000.0,
+        nodeid_max: 15.0,
+        ..RandomWorkloadParams::default()
+    });
+    let last_event = SimTime::from_ms(workload_end_ms(&workload));
+    let config = ExperimentConfig {
+        strategy: Strategy::TwoTier,
+        grid_n: 4,
+        duration: last_event + 4 * 2048,
+        ..ExperimentConfig::default()
+    };
+    let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
+    assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(100));
+    let mut session = RunSession::new(&config, &workload);
+    session.run_to(last_event);
+    assert_eq!((allocs, session.checkpoint().len()), (85_121, 140_631));
 }

@@ -20,7 +20,10 @@ use ttmqo_core::{
     WorkloadEvent,
 };
 use ttmqo_query::{parse_query, QueryId};
-use ttmqo_sim::{FaultPlan, JsonLinesSink, MetricsSnapshot, NodeId, Observe, SimTime, TraceHandle};
+use ttmqo_sim::{
+    FaultPlan, JsonLinesSink, MetricsSnapshot, NodeId, Observe, SimTime, SnapshotBuilder,
+    SnapshotDocument, SnapshotError, TraceHandle, SECTION_RUNNER, SECTION_SIMULATOR,
+};
 use ttmqo_workloads::{workload_a, workload_b};
 
 const GOLDEN_PATH: &str = concat!(
@@ -402,4 +405,22 @@ fn checkpoint_strategy_mismatch_is_a_typed_error() {
     );
     // And the error machinery never masks a valid restore.
     assert!(RunSession::restore(&bytes, &config, &workload).is_ok());
+
+    // A document from before the query ledger kept its runner state under
+    // tag 2, in a layout this reader must not guess at: it is refused as a
+    // missing section, whatever the payload.
+    let doc = SnapshotDocument::parse(&bytes).unwrap();
+    let payload = |tag| {
+        let mut section = doc.section(tag).unwrap();
+        section.bytes(section.remaining()).unwrap()
+    };
+    let mut old = SnapshotBuilder::new();
+    old.section(SECTION_SIMULATOR, payload(SECTION_SIMULATOR));
+    old.section(2, payload(SECTION_RUNNER));
+    let err = RunSession::restore(&old.finish(), &config, &workload)
+        .expect_err("an old-layout document must fail");
+    assert_eq!(
+        err,
+        SnapshotError::Corrupt(format!("missing section 0x{SECTION_RUNNER:02x}"))
+    );
 }

@@ -2,10 +2,10 @@
 //!
 //! TinyDB labels an answer with its epoch's *start* time but only emits it at
 //! the epoch's close (last level slot + 32 ms), so an epoch can straddle a
-//! `Terminate`: the mapping snapshot at the epoch start still lists the user
+//! `Terminate`: the service in force at the epoch start still lists the user
 //! query, yet the answer materializes after the user is gone. Those answers
-//! must not be attributed — and on long workloads the snapshot lookup must
-//! stay exact while being a binary search rather than a reverse scan.
+//! must not be attributed — and on long workloads, where the query ledger
+//! holds many short services, the lookup must stay exact.
 
 use ttmqo_core::{run_experiment, ExperimentConfig, FieldKind, Strategy, WorkloadEvent};
 use ttmqo_query::{parse_query, Query, QueryId};
@@ -33,8 +33,8 @@ fn config(strategy: Strategy, epochs: u64) -> ExperimentConfig {
 
 #[test]
 fn terminating_mid_epoch_attributes_no_straddling_answer() {
-    // Terminate 10 ms into the epoch that starts at 10·2048: the snapshot at
-    // the epoch start still contains the query, but its answer only closes
+    // Terminate 10 ms into the epoch that starts at 10·2048: the service at
+    // the epoch start still covers the query, but its answer only closes
     // ~(levels+1)·64 + 32 ms after the start — after the termination — so it
     // must not be attributed. (Before arrival-time checking it was.)
     //
@@ -88,11 +88,11 @@ fn terminating_mid_epoch_attributes_no_straddling_answer() {
 
 #[test]
 fn many_event_workload_maps_answers_only_inside_lifetimes() {
-    // Satellite regression for the snapshot binary search: a workload with
-    // many pose/terminate events builds a long snapshot timeline with
-    // same-millisecond bursts; every attributed answer must land strictly
-    // inside its query's [pose, terminate) window, and queries alive long
-    // enough must actually be answered.
+    // A workload with many pose/terminate events, some in same-millisecond
+    // bursts, under every strategy (with and without Tier 1 re-mapping the
+    // users): every attributed answer must land strictly inside its query's
+    // [pose, terminate) window, and queries alive long enough must actually
+    // be answered.
     let n = 24u64;
     let mut workload = Vec::new();
     let mut windows = Vec::new();
@@ -114,7 +114,7 @@ fn many_event_workload_maps_answers_only_inside_lifetimes() {
         windows.push((QueryId(i), pose, term));
     }
     let horizon = 40u64;
-    for strategy in [Strategy::Baseline, Strategy::TwoTier] {
+    for strategy in Strategy::ALL {
         let report = run_experiment(&config(strategy, horizon), &workload);
         let mut answered = 0usize;
         for (qid, pose, term) in &windows {

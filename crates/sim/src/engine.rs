@@ -244,11 +244,6 @@ impl<'a, P, O> Ctx<'a, P, O> {
         });
     }
 
-    /// Whether a trace sink is attached.
-    pub fn trace_enabled(&self) -> bool {
-        self.probes.trace_enabled()
-    }
-
     /// Records an application-level trace event at the current simulation
     /// time (no-op when tracing is disabled).
     pub fn trace(&self, event: TraceEvent) {

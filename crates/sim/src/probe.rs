@@ -280,13 +280,6 @@ impl Probes {
         }
     }
 
-    /// Whether a trace sink is attached.
-    pub(crate) fn trace_enabled(&self) -> bool {
-        self.observers
-            .as_deref()
-            .is_some_and(|obs| obs.trace.is_enabled())
-    }
-
     /// Emits an app-level trace event, built only if a sink is attached.
     #[inline]
     pub(crate) fn trace_with(&self, at_us: u64, event: impl FnOnce() -> TraceEvent) {

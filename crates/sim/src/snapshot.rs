@@ -48,9 +48,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TTMQOSNP";
 /// Section tag of the engine state written by `Simulator::write_snapshot`.
 pub const SECTION_SIMULATOR: u8 = 1;
 
-/// Section tag reserved for the runner's session state (answer ingestion,
-/// optimizer dynamics, repair monitor) written by `ttmqo-core`.
-pub const SECTION_RUNNER: u8 = 2;
+/// Section tag reserved for the runner's session state (optimizer dynamics,
+/// query ledger, repair monitor) written by `ttmqo-core`. Tag 2 carried the
+/// layout that kept a timeline of whole user→synthetic maps; it is retired,
+/// so a document written then fails as a missing section, not a misread one.
+pub const SECTION_RUNNER: u8 = 3;
 
 /// Why a snapshot could not be decoded. Every decoding failure — truncation,
 /// bit flips, wrong version, impossible values — surfaces as one of these;

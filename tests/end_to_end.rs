@@ -8,7 +8,7 @@ use ttmqo::core::{
 };
 use ttmqo::query::{parse_query, AggOp, Attribute, EpochAnswer, QueryId};
 use ttmqo::sim::json;
-use ttmqo::sim::{RadioParams, SimConfig, SimTime};
+use ttmqo::sim::{Observe, RadioParams, SimConfig, SimTime};
 use ttmqo::workloads::{
     random_workload, selectivity_workload, workload_a, workload_b, workload_c,
     RandomWorkloadParams, SelectivityWorkloadParams,
@@ -26,6 +26,25 @@ fn quiet_config(strategy: Strategy, grid_n: usize, epochs: u64) -> ExperimentCon
         },
         ..ExperimentConfig::default()
     }
+}
+
+/// Per user query of `events`: `(posed ms, terminated ms or `u64::MAX`,
+/// epoch ms)`.
+fn lifetimes(events: &[WorkloadEvent]) -> std::collections::BTreeMap<QueryId, (u64, u64, u64)> {
+    let mut lives = std::collections::BTreeMap::new();
+    for e in events {
+        match &e.action {
+            ttmqo::core::WorkloadAction::Pose(q) => {
+                lives.insert(q.id(), (e.at.as_ms(), u64::MAX, q.epoch().as_ms()));
+            }
+            ttmqo::core::WorkloadAction::Terminate(qid) => {
+                if let Some(life) = lives.get_mut(qid) {
+                    life.1 = e.at.as_ms();
+                }
+            }
+        }
+    }
+    lives
 }
 
 #[test]
@@ -127,22 +146,9 @@ fn random_workload_runs_end_to_end_under_two_tier() {
     let report = run_experiment(&config, &events);
 
     // Queries alive for at least 3 of their epochs must have answers.
-    let mut lived: std::collections::BTreeMap<QueryId, (u64, u64, u64)> = Default::default();
-    for e in &events {
-        match &e.action {
-            ttmqo::core::WorkloadAction::Pose(q) => {
-                lived.insert(q.id(), (e.at.as_ms(), u64::MAX, q.epoch().as_ms()));
-            }
-            ttmqo::core::WorkloadAction::Terminate(qid) => {
-                if let Some(v) = lived.get_mut(qid) {
-                    v.1 = e.at.as_ms();
-                }
-            }
-        }
-    }
     let mut answered = 0;
     let mut expected = 0;
-    for (qid, (start, end, epoch)) in &lived {
+    for (qid, (start, end, epoch)) in &lifetimes(&events) {
         if end.saturating_sub(*start) > 4 * epoch {
             expected += 1;
             if report.answers.get(qid).is_some_and(|a| !a.is_empty()) {
@@ -347,4 +353,67 @@ fn innet_only_8x8_cell_is_pinned() {
     let answers: usize = answer_counts.iter().map(|(_, n)| n).sum();
     assert_eq!(leaf(&["answer_epochs"]).as_u64(), Some(answers as u64));
     assert_eq!(leaf(&["strategy"]).as_str(), Some("in-net-only"));
+}
+
+#[test]
+fn audited_churn_cell_is_pinned_per_strategy() {
+    // Forty queries arriving and leaving on a 4×4 grid: the traffic that
+    // exercises the base station's answer attribution (re-mappings, absorbed
+    // terminations, same-synthetic sharing) rather than the radio. The
+    // constants were generated at commit 88a8754, before the per-event
+    // mapping timeline became the query ledger.
+    let events = random_workload(&RandomWorkloadParams {
+        n_queries: 40,
+        target_concurrency: 6.0,
+        mean_arrival_ms: 20_000.0,
+        nodeid_max: 15.0,
+        seed: 4040,
+        ..RandomWorkloadParams::default()
+    });
+    let end_ms = ttmqo::workloads::workload_end_ms(&events);
+    let lives = lifetimes(&events);
+    let mut measured = Vec::new();
+    for strategy in Strategy::ALL {
+        let config = ExperimentConfig {
+            strategy,
+            grid_n: 4,
+            duration: SimTime::from_ms(end_ms + 4 * 2048),
+            radio: RadioParams::lossless(),
+            observe: Observe {
+                audit: true,
+                ..Observe::default()
+            },
+            ..ExperimentConfig::default()
+        };
+        let report = run_experiment(&config, &events);
+        let audit = report.audit.as_ref().expect("audit was requested");
+        assert!(audit.is_clean(), "{strategy}: {audit:?}");
+        for (qid, answers) in &report.answers {
+            let (pose, term, _) = lives[qid];
+            for (epoch, _) in answers {
+                assert!(
+                    (pose..term).contains(epoch),
+                    "{strategy}: {qid} answered for epoch {epoch} outside [{pose}, {term})"
+                );
+            }
+        }
+        let epochs: usize = report.answers.values().map(Vec::len).sum();
+        let rows: usize = report
+            .answers
+            .values()
+            .flatten()
+            .map(|(_, answer)| answer.len())
+            .sum();
+        measured.push((strategy, report.answers.len(), epochs, rows));
+    }
+    // (strategy, user queries answered, answer epochs, result rows).
+    assert_eq!(
+        measured,
+        [
+            (Strategy::Baseline, 35, 354, 2222),
+            (Strategy::BsOnly, 35, 354, 2660),
+            (Strategy::InNetOnly, 35, 354, 2194),
+            (Strategy::TwoTier, 35, 354, 2630),
+        ]
+    );
 }
