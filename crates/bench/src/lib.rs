@@ -9,7 +9,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod campaign;
-pub mod checkpoint;
 pub mod churn;
 pub mod engine;
 pub mod faults;
@@ -19,10 +18,6 @@ pub mod fig5;
 pub mod table;
 
 pub use campaign::{paper_campaign, write_report, CAMPAIGN_REPORT_FILE};
-pub use checkpoint::{
-    checkpoint_bench, parse_prior_checkpoint_report, CheckpointBenchParams, CheckpointBenchResult,
-    CHECKPOINT_REPORT_FILE,
-};
 pub use churn::{
     churn_bench, churn_pair, parse_prior_churn_report, ChurnBenchParams, ChurnBenchResult,
     CHURN_REPORT_FILE,

@@ -183,118 +183,6 @@ impl CostModel {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Checkpoint/restore
-// ---------------------------------------------------------------------------
-
-use ttmqo_query::Attribute;
-use ttmqo_sim::Snapshot as SimSnapshot;
-use ttmqo_sim::{Restorable, SnapReader, SnapWriter, SnapshotError};
-use ttmqo_stats::{EmpiricalDistribution, Histogram};
-
-/// Serializes level statistics as the raw per-level counts (level 1 first).
-pub(crate) fn write_levels(levels: &LevelStats, w: &mut SnapWriter) {
-    let counts: Vec<u64> = (1..=levels.max_depth())
-        .map(|k| levels.nodes_at(k))
-        .collect();
-    counts.write(w);
-}
-
-/// Rebuilds level statistics captured by [`write_levels`].
-pub(crate) fn read_levels(r: &mut SnapReader<'_>) -> Result<LevelStats, SnapshotError> {
-    Ok(LevelStats::from_counts(Vec::<u64>::read(r)?))
-}
-
-/// Serializes the *dynamic* estimator state: the warmup threshold and the
-/// online per-attribute empirical models. The static models registered with
-/// `set_model` are boxed trait objects and are deliberately NOT serialized —
-/// they are a pure function of the experiment configuration and topology, so
-/// restore re-registers them through the same construction path.
-pub(crate) fn write_estimator_dynamics(est: &SelectivityEstimator, w: &mut SnapWriter) {
-    w.put_u64(est.warmup());
-    let models: Vec<(Attribute, &EmpiricalDistribution)> = est.adaptive_models().collect();
-    w.put_usize(models.len());
-    for (attr, m) in models {
-        attr.write(w);
-        let h = m.histogram();
-        w.put_f64(h.lo());
-        w.put_f64(h.hi());
-        h.buckets().to_vec().write(w);
-        w.put_u64(h.total());
-    }
-}
-
-/// Re-applies dynamics captured by [`write_estimator_dynamics`] onto a
-/// freshly constructed estimator whose static models are already registered.
-pub(crate) fn apply_estimator_dynamics(
-    est: SelectivityEstimator,
-    r: &mut SnapReader<'_>,
-) -> Result<SelectivityEstimator, SnapshotError> {
-    let mut est = est.with_warmup(r.u64()?);
-    let n = r.usize()?;
-    for _ in 0..n {
-        let attr = Attribute::read(r)?;
-        let lo = r.f64()?;
-        let hi = r.f64()?;
-        let buckets = Vec::<u64>::read(r)?;
-        let total = r.u64()?;
-        let h = Histogram::from_parts(lo, hi, buckets, total)
-            .map_err(|e| SnapshotError::Corrupt(format!("bad adaptive histogram: {e}")))?;
-        est.set_adaptive(attr, EmpiricalDistribution::from_histogram(h));
-    }
-    Ok(est)
-}
-
-impl CostModel {
-    /// Serializes the cost model: radio constants, level statistics,
-    /// positions, and the estimator's dynamic state.
-    pub fn write_snapshot(&self, w: &mut SnapWriter) {
-        let CostModel {
-            c_start,
-            c_trans,
-            levels,
-            estimator,
-            positions,
-        } = self;
-        w.put_f64(*c_start);
-        w.put_f64(*c_trans);
-        write_levels(levels, w);
-        positions.write(w);
-        write_estimator_dynamics(estimator, w);
-    }
-
-    /// Restores a cost model captured by [`write_snapshot`](Self::write_snapshot).
-    ///
-    /// `fresh` must be a cost model built through the same construction path
-    /// as the captured one (same experiment configuration and topology); it
-    /// supplies the estimator's static models, which are trait objects and
-    /// cannot travel in the snapshot. Everything else comes from the stream.
-    pub fn read_snapshot(
-        r: &mut SnapReader<'_>,
-        fresh: CostModel,
-    ) -> Result<CostModel, SnapshotError> {
-        let CostModel {
-            c_start: _,
-            c_trans: _,
-            levels: _,
-            estimator,
-            positions: _,
-        } = fresh;
-        let c_start = r.f64()?;
-        let c_trans = r.f64()?;
-        let levels = read_levels(r)?;
-        let positions = Vec::read(r)?;
-        let estimator = apply_estimator_dynamics(estimator, r)?;
-        Ok(CostModel {
-            c_start,
-            c_trans,
-            levels,
-            estimator,
-            positions,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -656,173 +656,6 @@ impl BaseStationOptimizer {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Checkpoint/restore
-// ---------------------------------------------------------------------------
-
-use ttmqo_sim::{Restorable, SnapReader, SnapWriter, Snapshot, SnapshotError};
-
-impl Snapshot for OptimizerOptions {
-    fn write(&self, w: &mut SnapWriter) {
-        let OptimizerOptions {
-            alpha,
-            reinsert,
-            rank_by_rate,
-            exhaustive,
-        } = self;
-        w.put_f64(*alpha);
-        w.put_bool(*reinsert);
-        w.put_bool(*rank_by_rate);
-        w.put_bool(*exhaustive);
-    }
-}
-
-impl Restorable for OptimizerOptions {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(OptimizerOptions {
-            alpha: r.f64()?,
-            reinsert: r.bool()?,
-            rank_by_rate: r.bool()?,
-            exhaustive: r.bool()?,
-        })
-    }
-}
-
-impl Snapshot for OptimizerStats {
-    fn write(&self, w: &mut SnapWriter) {
-        let OptimizerStats {
-            inserted,
-            terminated,
-            injections,
-            abortions,
-            absorbed_insertions,
-            absorbed_terminations,
-            reoptimizations,
-        } = self;
-        w.put_u64(*inserted);
-        w.put_u64(*terminated);
-        w.put_u64(*injections);
-        w.put_u64(*abortions);
-        w.put_u64(*absorbed_insertions);
-        w.put_u64(*absorbed_terminations);
-        w.put_u64(*reoptimizations);
-    }
-}
-
-impl Restorable for OptimizerStats {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(OptimizerStats {
-            inserted: r.u64()?,
-            terminated: r.u64()?,
-            injections: r.u64()?,
-            abortions: r.u64()?,
-            absorbed_insertions: r.u64()?,
-            absorbed_terminations: r.u64()?,
-            reoptimizations: r.u64()?,
-        })
-    }
-}
-
-impl Snapshot for IndexStats {
-    fn write(&self, w: &mut SnapWriter) {
-        let IndexStats {
-            lookups,
-            scanned,
-            pruned,
-        } = self;
-        w.put_u64(*lookups);
-        w.put_u64(*scanned);
-        w.put_u64(*pruned);
-    }
-}
-
-impl Restorable for IndexStats {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(IndexStats {
-            lookups: r.u64()?,
-            scanned: r.u64()?,
-            pruned: r.u64()?,
-        })
-    }
-}
-
-impl BaseStationOptimizer {
-    /// Serializes the optimizer's complete dynamic state.
-    ///
-    /// Deliberately NOT serialized: the candidate index (rebuilt from the
-    /// synthetic set at restore — it is a pure function of it) and the trace
-    /// handle (sinks cannot travel; the restored optimizer starts with
-    /// tracing disabled and the caller re-attaches a handle if wanted).
-    pub fn write_snapshot(&self, w: &mut SnapWriter) {
-        let BaseStationOptimizer {
-            cost,
-            options,
-            synthetics,
-            index: _,
-            index_stats,
-            user_to_syn,
-            user_queries,
-            injected,
-            next_syn,
-            stats,
-            trace: _,
-            trace_now_ms,
-        } = self;
-        cost.write_snapshot(w);
-        options.write(w);
-        synthetics.write(w);
-        index_stats.write(w);
-        user_to_syn.write(w);
-        user_queries.write(w);
-        injected.write(w);
-        w.put_u64(*next_syn);
-        stats.write(w);
-        w.put_u64(*trace_now_ms);
-    }
-
-    /// Restores an optimizer captured by
-    /// [`write_snapshot`](Self::write_snapshot).
-    ///
-    /// `fresh` must be an optimizer built through the same construction path
-    /// as the captured one (same experiment configuration and topology); it
-    /// supplies the cost model's static estimator models. The candidate index
-    /// is rebuilt deterministically by re-inserting the synthetic set in
-    /// ascending id order. Tracing starts disabled.
-    pub fn read_snapshot(
-        r: &mut SnapReader<'_>,
-        fresh: BaseStationOptimizer,
-    ) -> Result<Self, SnapshotError> {
-        let cost = CostModel::read_snapshot(r, fresh.cost)?;
-        let options = OptimizerOptions::read(r)?;
-        let synthetics: BTreeMap<QueryId, SyntheticQuery> = Restorable::read(r)?;
-        let index_stats = IndexStats::read(r)?;
-        let user_to_syn = Restorable::read(r)?;
-        let user_queries = Restorable::read(r)?;
-        let injected = Restorable::read(r)?;
-        let next_syn = r.u64()?;
-        let stats = OptimizerStats::read(r)?;
-        let trace_now_ms = r.u64()?;
-        let mut index = CandidateIndex::new(cost.positions());
-        for (id, sq) in &synthetics {
-            index.insert(*id, sq.query());
-        }
-        Ok(BaseStationOptimizer {
-            cost,
-            options,
-            synthetics,
-            index,
-            index_stats,
-            user_to_syn,
-            user_queries,
-            injected,
-            next_syn,
-            stats,
-            trace: TraceHandle::disabled(),
-            trace_now_ms,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

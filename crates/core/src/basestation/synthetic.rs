@@ -187,47 +187,6 @@ impl SyntheticQuery {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Checkpoint/restore
-// ---------------------------------------------------------------------------
-
-use ttmqo_sim::{Restorable, SnapReader, SnapWriter, Snapshot, SnapshotError};
-
-impl Snapshot for SyntheticQuery {
-    fn write(&self, w: &mut SnapWriter) {
-        let SyntheticQuery {
-            query,
-            from_list,
-            attr_counts,
-            agg_counts,
-            pred_counts,
-            epoch_counts,
-            benefit,
-        } = self;
-        query.write(w);
-        from_list.write(w);
-        attr_counts.write(w);
-        agg_counts.write(w);
-        pred_counts.write(w);
-        epoch_counts.write(w);
-        w.put_f64(*benefit);
-    }
-}
-
-impl Restorable for SyntheticQuery {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SyntheticQuery {
-            query: Query::read(r)?,
-            from_list: Restorable::read(r)?,
-            attr_counts: Restorable::read(r)?,
-            agg_counts: Restorable::read(r)?,
-            pred_counts: Restorable::read(r)?,
-            epoch_counts: Restorable::read(r)?,
-            benefit: r.f64()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

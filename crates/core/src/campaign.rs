@@ -50,7 +50,7 @@
 
 use crate::basestation::OptimizerStats;
 use crate::observe::{events_per_sec, CampaignEvent, ProgressHandle, ProgressSink};
-use crate::runner::{run_experiment, ExperimentConfig, RunSession, Strategy, WorkloadEvent};
+use crate::runner::{run_experiment, ExperimentConfig, Strategy, WorkloadEvent};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 use ttmqo_sim::json;
 use ttmqo_sim::{
     summarize_trace, AuditReport, CompletenessReport, EngineStats, FaultPlan, JsonLinesSink,
-    MetricsSnapshot, ProfileHandle, SimTime, TraceHandle, SCHEMA_VERSION,
+    MetricsSnapshot, ProfileHandle, TraceHandle, SCHEMA_VERSION,
 };
 
 /// Epoch length (ms) used when summarizing a cell's trace for the
@@ -120,22 +120,6 @@ pub struct CampaignSpec {
     /// Phase profiling through a fresh [`ProfileHandle`]; the cell's
     /// [`ttmqo_sim::ProfileReport`] is written as `profile-….json`.
     pub profile_dir: Option<PathBuf>,
-    /// Opt-in warm-started execution: cells that share every coordinate
-    /// except the workload (same strategy, grid size, field seed and fault
-    /// plan) also share their common prefix — topology build, SRT
-    /// dissemination, startup radio traffic, *and* every workload event the
-    /// spec's workloads agree on before they first diverge (workloads built
-    /// as "common base queries plus per-cell extras" share the whole base).
-    /// With warm start on, that prefix is simulated once per group,
-    /// checkpointed just before the earliest diverging workload event
-    /// ([`CampaignSpec::warm_prefix_time`]), and every cell of the group
-    /// resumes from the checkpoint instead of re-simulating it. Restored
-    /// runs are bit-identical to cold runs, so every record field except
-    /// `wall_clock_ms` is unchanged. Ignored (cells run cold) when
-    /// [`CampaignSpec::trace_dir`] or [`CampaignSpec::profile_dir`] is set,
-    /// because a resumed cell's trace file (or profile attribution) would be
-    /// missing the shared prefix's events.
-    pub warm_start: bool,
     /// Live progress telemetry channel. The default disabled handle emits
     /// nothing; an attached sink receives [`CampaignEvent`]s as cells
     /// start, finish and fail, plus heartbeats and an overall
@@ -165,7 +149,6 @@ impl CampaignSpec {
             trace_dir: None,
             timeseries_dir: None,
             profile_dir: None,
-            warm_start: false,
             progress: ProgressHandle::disabled(),
             heartbeat_ms: 1000,
             base,
@@ -251,61 +234,6 @@ impl CampaignSpec {
     pub fn profile_output(mut self, dir: impl Into<PathBuf>) -> Self {
         self.profile_dir = Some(dir.into());
         self
-    }
-
-    /// Enables warm-started execution (see [`CampaignSpec::warm_start`]).
-    pub fn warm_start(mut self) -> Self {
-        self.warm_start = true;
-        self
-    }
-
-    /// The instant warm-started groups checkpoint their shared prefix at:
-    /// one millisecond before the earliest workload event past the longest
-    /// common leading event sequence of the spec's workloads (clamped to
-    /// the run duration), i.e. the latest time the network state is still
-    /// independent of which workload a cell will replay. Identical
-    /// workloads (or a single workload) share everything: the prefix runs
-    /// to the full duration.
-    pub fn warm_prefix_time(&self) -> SimTime {
-        self.warm_prefix().1
-    }
-
-    /// The shared prefix of a warm-started group: the longest common
-    /// leading event sequence across the spec's workloads (each normalized
-    /// the way the runner replays them — sorted by time, truncated to the
-    /// duration) and the checkpoint instant. Every group shares one cell
-    /// per workload, so the prefix is a property of the spec, not of the
-    /// group.
-    fn warm_prefix(&self) -> (Vec<WorkloadEvent>, SimTime) {
-        let duration = self.base.duration;
-        let normalized: Vec<Vec<WorkloadEvent>> = self
-            .workloads
-            .iter()
-            .map(|w| RunSession::prepare_events(&self.base, &w.events))
-            .collect();
-        let Some(first) = normalized.first() else {
-            return (Vec::new(), duration);
-        };
-        // Longest leading sequence every workload agrees on.
-        let mut k = first.len();
-        for events in &normalized[1..] {
-            k = k.min(events.len());
-            while k > 0 && events[..k] != first[..k] {
-                k -= 1;
-            }
-        }
-        // Checkpoint strictly before the earliest diverging event: up to
-        // that instant every cell of a group replays exactly the common
-        // prefix, so the checkpoint is indistinguishable from one taken
-        // mid-way through the cell's own straight run.
-        let t0 = normalized
-            .iter()
-            .filter_map(|events| events.get(k).map(|e| e.at))
-            .min()
-            .map(|t| SimTime::from_ms(t.as_ms().saturating_sub(1)))
-            .unwrap_or(duration)
-            .min(duration);
-        (first[..k].to_vec(), t0)
     }
 
     /// Appends a named workload.
@@ -635,11 +563,6 @@ fn slug(name: &str) -> String {
         .collect()
 }
 
-/// Warm-start sharing key: cells agreeing on `(strategy, grid_n,
-/// field_seed, fault index)` replay the same prefix and share one
-/// checkpoint; only the workload axis varies within a group.
-type GroupKey = (Strategy, usize, u64, usize);
-
 /// One of a cell's artifact files:
 /// `<kind>-<index>-<workload>-<strategy>-<grid_n>-<fault>.<ext>`.
 fn artifact_name(spec: &CampaignSpec, cell: &CellSpec, kind: &str, ext: &str) -> String {
@@ -656,8 +579,7 @@ fn artifact_name(spec: &CampaignSpec, cell: &CellSpec, kind: &str, ext: &str) ->
 /// The full configuration a cell runs under — coordinates applied over the
 /// base, the fault axis's plan injected, and `observe` switched on for
 /// every artifact directory the campaign writes — plus the name of the
-/// trace file the cell's sink writes to, if any. Shared by cold runs and
-/// the warm-start prefix (which never traces: traced campaigns run cold).
+/// trace file the cell's sink writes to, if any.
 fn cell_config(spec: &CampaignSpec, cell: &CellSpec) -> (ExperimentConfig, Option<String>) {
     let mut config = cell.config(&spec.base);
     config.faults = spec.faults[cell.fault].plan.clone();
@@ -676,20 +598,13 @@ fn cell_config(spec: &CampaignSpec, cell: &CellSpec) -> (ExperimentConfig, Optio
     (config, trace_file)
 }
 
-/// Runs one cell and wraps its results into a record. With `prefix` set,
-/// the cell resumes from the group's shared checkpoint instead of
-/// simulating the pre-workload prefix itself.
-fn run_cell(spec: &CampaignSpec, cell: &CellSpec, prefix: Option<&[u8]>) -> CellRecord {
+/// Runs one cell and wraps its results into a record.
+fn run_cell(spec: &CampaignSpec, cell: &CellSpec) -> CellRecord {
     let workload = &spec.workloads[cell.workload];
     let fault = &spec.faults[cell.fault];
     let (config, trace_file) = cell_config(spec, cell);
     let start = Instant::now();
-    let mut report = match prefix {
-        Some(bytes) => RunSession::restore(bytes, &config, &workload.events)
-            .expect("the group prefix checkpoint was produced under this configuration")
-            .finish(),
-        None => run_experiment(&config, &workload.events),
-    };
+    let mut report = run_experiment(&config, &workload.events);
     let wall_clock_ms = start.elapsed().as_secs_f64() * 1000.0;
     config.observe.trace.flush();
     // Trace↔answer reconciliation: with both the auditor and tracing on,
@@ -798,13 +713,7 @@ impl ProgressState {
 /// around the run, and — when the worker panics — a `cell-failed` event
 /// naming the dead cell, flushed before the panic resumes so the observer
 /// keeps the context even though the campaign aborts.
-fn run_cell_observed(
-    spec: &CampaignSpec,
-    cell: &CellSpec,
-    prefix: Option<&[u8]>,
-    warm: bool,
-    state: &ProgressState,
-) -> CellRecord {
+fn run_cell_observed(spec: &CampaignSpec, cell: &CellSpec, state: &ProgressState) -> CellRecord {
     let workload = &spec.workloads[cell.workload].name;
     let fault = &spec.faults[cell.fault].name;
     spec.progress.emit(&CampaignEvent::CellStarted {
@@ -815,12 +724,9 @@ fn run_cell_observed(
         grid_n: cell.grid_n,
         field_seed: cell.field_seed,
         fault: fault.clone(),
-        warm,
     });
     state.running.fetch_add(1, Ordering::Relaxed);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_cell(spec, cell, prefix)
-    }));
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_cell(spec, cell)));
     state.running.fetch_sub(1, Ordering::Relaxed);
     let record = match result {
         Ok(record) => record,
@@ -850,7 +756,6 @@ fn run_cell_observed(
         grid_n: cell.grid_n,
         field_seed: cell.field_seed,
         fault: record.fault.clone(),
-        warm,
         cell_wall_ms: record.wall_clock_ms,
         sim_ms: spec.base.duration.as_ms(),
         events_processed: record.engine.events_processed,
@@ -889,31 +794,6 @@ pub fn run_campaign_with(spec: &CampaignSpec, threads: usize) -> CampaignReport 
     let cells = spec.cells();
     let started = Instant::now();
     let threads = threads.clamp(1, cells.len().max(1));
-    // Warm start: one checkpointed prefix per (strategy, grid, seed, fault)
-    // group, shared by that group's cells across the workload axis. Traced
-    // and profiled campaigns run cold — a resumed cell's trace (or profile
-    // attribution) would lack the prefix.
-    let prefixes: Option<BTreeMap<GroupKey, Vec<u8>>> =
-        (spec.warm_start && spec.trace_dir.is_none() && spec.profile_dir.is_none()).then(|| {
-            let (prefix_events, t0) = spec.warm_prefix();
-            let mut map = BTreeMap::new();
-            for cell in &cells {
-                map.entry((cell.strategy, cell.grid_n, cell.field_seed, cell.fault))
-                    .or_insert_with(|| {
-                        let (config, _) = cell_config(spec, cell);
-                        let mut session = RunSession::new(&config, &prefix_events);
-                        session.run_to(t0);
-                        session.checkpoint()
-                    });
-            }
-            map
-        });
-    let prefix_of = |cell: &CellSpec| {
-        prefixes
-            .as_ref()
-            .map(|map| map[&(cell.strategy, cell.grid_n, cell.field_seed, cell.fault)].as_slice())
-    };
-    let warm = prefixes.is_some();
     let state = Arc::new(ProgressState {
         started,
         total: cells.len(),
@@ -925,7 +805,6 @@ pub fn run_campaign_with(spec: &CampaignSpec, threads: usize) -> CampaignReport 
     spec.progress.emit(&CampaignEvent::CampaignStarted {
         cells: cells.len(),
         threads,
-        warm_start: warm,
     });
     // Observational heartbeat: a plain OS thread that only *reads* the
     // shared counters and emits telemetry on a period. It holds no
@@ -955,7 +834,7 @@ pub fn run_campaign_with(spec: &CampaignSpec, threads: usize) -> CampaignReport 
     let records: Vec<CellRecord> = if threads == 1 {
         cells
             .iter()
-            .map(|cell| run_cell_observed(spec, cell, prefix_of(cell), warm, &state))
+            .map(|cell| run_cell_observed(spec, cell, &state))
             .collect()
     } else {
         let cursor = AtomicUsize::new(0);
@@ -965,7 +844,7 @@ pub fn run_campaign_with(spec: &CampaignSpec, threads: usize) -> CampaignReport 
                 s.spawn(|_| loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(cell) = cells.get(i) else { break };
-                    let record = run_cell_observed(spec, cell, prefix_of(cell), warm, &state);
+                    let record = run_cell_observed(spec, cell, &state);
                     slots.lock().expect("no worker panicked holding the lock")[i] = Some(record);
                 });
             }
@@ -993,7 +872,6 @@ pub fn run_campaign_with(spec: &CampaignSpec, threads: usize) -> CampaignReport 
     spec.progress.emit(&CampaignEvent::CampaignFinished {
         wall_ms: report.wall_clock_ms,
         cells: report.cells.len(),
-        warm_prefix_hits: if warm { report.cells.len() } else { 0 },
         audit_violations: report.audit_violations(),
     });
     spec.progress.flush();

@@ -966,106 +966,6 @@ impl NodeApp for TtmqoApp {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Checkpoint/restore
-// ---------------------------------------------------------------------------
-
-use ttmqo_sim::{Restorable, SnapReader, SnapWriter, Snapshot, SnapshotError};
-
-impl Snapshot for TtmqoConfig {
-    fn write(&self, w: &mut SnapWriter) {
-        let TtmqoConfig {
-            slot_ms,
-            jitter_ms,
-            sleep,
-            dynamic_parents,
-            query_recovery,
-            srt,
-            dead_parent_after,
-        } = self;
-        w.put_u64(*slot_ms);
-        w.put_u64(*jitter_ms);
-        w.put_bool(*sleep);
-        w.put_bool(*dynamic_parents);
-        w.put_bool(*query_recovery);
-        w.put_bool(*srt);
-        w.put_u32(*dead_parent_after);
-    }
-}
-
-impl Restorable for TtmqoConfig {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TtmqoConfig {
-            slot_ms: r.u64()?,
-            jitter_ms: r.u64()?,
-            sleep: r.bool()?,
-            dynamic_parents: r.bool()?,
-            query_recovery: r.bool()?,
-            srt: r.bool()?,
-            dead_parent_after: r.u32()?,
-        })
-    }
-}
-
-impl Snapshot for TtmqoApp {
-    fn write(&self, w: &mut SnapWriter) {
-        let TtmqoApp {
-            config,
-            queries,
-            seen_query_floods,
-            seen_abort_floods,
-            dag,
-            clock_gen,
-            has_data,
-            relayed_recently,
-            slept,
-            requested_queries,
-            forward_only,
-            srt,
-            last_no_route_ms,
-            agg_buffers,
-            row_buffers,
-        } = self;
-        config.write(w);
-        queries.write(w);
-        seen_query_floods.write(w);
-        seen_abort_floods.write(w);
-        dag.write(w);
-        w.put_u64(*clock_gen);
-        has_data.write(w);
-        w.put_bool(*relayed_recently);
-        w.put_bool(*slept);
-        requested_queries.write(w);
-        forward_only.write(w);
-        srt.write(w);
-        last_no_route_ms.write(w);
-        agg_buffers.write(w);
-        row_buffers.write(w);
-    }
-}
-
-impl Restorable for TtmqoApp {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TtmqoApp {
-            config: TtmqoConfig::read(r)?,
-            queries: Restorable::read(r)?,
-            seen_query_floods: Restorable::read(r)?,
-            seen_abort_floods: Restorable::read(r)?,
-            dag: DagState::read(r)?,
-            clock_gen: r.u64()?,
-            has_data: Restorable::read(r)?,
-            relayed_recently: r.bool()?,
-            slept: r.bool()?,
-            requested_queries: Restorable::read(r)?,
-            forward_only: Restorable::read(r)?,
-            srt: Restorable::read(r)?,
-            last_no_route_ms: Restorable::read(r)?,
-            agg_buffers: Restorable::read(r)?,
-            row_buffers: Restorable::read(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

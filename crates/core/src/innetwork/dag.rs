@@ -286,93 +286,10 @@ fn covered(picked: &[(NodeId, Vec<QueryId>)], q: QueryId) -> bool {
     picked.iter().any(|(_, qs)| qs.binary_search(&q).is_ok())
 }
 
-// ---------------------------------------------------------------------------
-// Checkpoint/restore
-// ---------------------------------------------------------------------------
-
-use std::collections::{BTreeMap, BTreeSet};
-use ttmqo_sim::{Restorable, SnapReader, SnapWriter, Snapshot, SnapshotError};
-
-impl Snapshot for DagState {
-    /// The encoding predates the dense layout and is kept byte for byte:
-    /// after `upper`, the four containers the state used to be — link,
-    /// has-data, failure count and dead, keyed by node id and written in
-    /// ascending id order — each holding only the neighbours that have an
-    /// entry there.
-    fn write(&self, w: &mut SnapWriter) {
-        let DagState {
-            upper,
-            link,
-            has_data,
-            failures_since_heard,
-            dead,
-            dead_after,
-        } = self;
-        let slots: BTreeMap<NodeId, usize> = upper.iter().copied().zip(0..).collect();
-        upper.write(w);
-        slots
-            .iter()
-            .map(|(&n, &i)| (n, link[i]))
-            .collect::<BTreeMap<_, _>>()
-            .write(w);
-        slots
-            .iter()
-            .filter_map(|(&n, &i)| Some((n, has_data[i].clone()?)))
-            .collect::<BTreeMap<_, _>>()
-            .write(w);
-        slots
-            .iter()
-            .filter(|&(_, &i)| failures_since_heard[i] > 0)
-            .map(|(&n, &i)| (n, failures_since_heard[i]))
-            .collect::<BTreeMap<_, _>>()
-            .write(w);
-        slots
-            .iter()
-            .filter(|&(_, &i)| dead[i])
-            .map(|(&n, _)| n)
-            .collect::<BTreeSet<_>>()
-            .write(w);
-        w.put_u32(*dead_after);
-    }
-}
-
-impl Restorable for DagState {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let upper: Vec<NodeId> = Restorable::read(r)?;
-        let link: BTreeMap<NodeId, f64> = Restorable::read(r)?;
-        let has_data: BTreeMap<NodeId, Vec<QueryId>> = Restorable::read(r)?;
-        let failures: BTreeMap<NodeId, u32> = Restorable::read(r)?;
-        let dead: BTreeSet<NodeId> = Restorable::read(r)?;
-        let mut dag = DagState::new(upper.into_iter().map(|n| (n, 0.0)).collect());
-        dag.dead_after = r.u32()?;
-        let slot = |dag: &DagState, n: NodeId| {
-            dag.slot(n).ok_or_else(|| {
-                SnapshotError::Corrupt(format!("DAG state for {n}, which is no upper neighbour"))
-            })
-        };
-        for (n, quality) in link {
-            let i = slot(&dag, n)?;
-            dag.link[i] = quality;
-        }
-        for (n, qids) in has_data {
-            slot(&dag, n)?;
-            dag.record_has_data(n, qids);
-        }
-        for (n, count) in failures {
-            let i = slot(&dag, n)?;
-            dag.failures_since_heard[i] = count;
-        }
-        for n in dead {
-            let i = slot(&dag, n)?;
-            dag.dead[i] = true;
-        }
-        Ok(dag)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     /// A query-id list; callers pass ascending ids.
     fn qs(ids: &[u64]) -> Vec<QueryId> {
@@ -582,41 +499,5 @@ mod tests {
         d.set_failure_detector(0);
         assert!(!d.presumed_dead(NodeId(1)));
         assert!(!d.record_send_failure(NodeId(1)));
-    }
-
-    #[test]
-    fn snapshot_roundtrips_mid_detection_state() {
-        use ttmqo_sim::{Restorable, SnapReader, SnapWriter, Snapshot};
-        // A DAG caught mid-failure-detection: piggybacked knowledge, one
-        // partial failure streak, one presumed-dead parent.
-        let mut d = dag();
-        d.set_failure_detector(2);
-        d.record_has_data(NodeId(2), qs(&[10, 11]));
-        d.record_has_data(NodeId(3), qs(&[12]));
-        d.record_send_failure(NodeId(1));
-        d.record_send_failure(NodeId(2));
-        assert!(d.record_send_failure(NodeId(2)));
-
-        let mut w = SnapWriter::new();
-        d.write(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        let back = DagState::read(&mut r).expect("roundtrip decodes");
-        r.finish().expect("no trailing bytes");
-        // Behavioural equality: same parent election, same detector state.
-        assert_eq!(
-            back.choose_parents(&qs(&[10, 11])),
-            d.choose_parents(&qs(&[10, 11]))
-        );
-        assert_eq!(
-            back.choose_parents(&qs(&[12])),
-            d.choose_parents(&qs(&[12]))
-        );
-        assert!(back.presumed_dead(NodeId(2)));
-        assert!(!back.presumed_dead(NodeId(1)));
-        // Bit equality via re-serialization.
-        let mut w2 = SnapWriter::new();
-        back.write(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes);
     }
 }

@@ -156,134 +156,6 @@ impl TtmqoPayload {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Checkpoint/restore
-// ---------------------------------------------------------------------------
-
-use ttmqo_sim::{Restorable, SnapReader, SnapWriter, Snapshot, SnapshotError};
-
-impl Snapshot for RowEntry {
-    fn write(&self, w: &mut SnapWriter) {
-        let RowEntry {
-            node,
-            qids,
-            readings,
-        } = self;
-        w.put_u16(*node);
-        qids.write(w);
-        readings.write(w);
-    }
-}
-
-impl Restorable for RowEntry {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(RowEntry {
-            node: r.u16()?,
-            qids: Restorable::read(r)?,
-            readings: Restorable::read(r)?,
-        })
-    }
-}
-
-impl Snapshot for PartialEntry {
-    fn write(&self, w: &mut SnapWriter) {
-        let PartialEntry { qid, partials } = self;
-        qid.write(w);
-        partials.write(w);
-    }
-}
-
-impl Restorable for PartialEntry {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(PartialEntry {
-            qid: Restorable::read(r)?,
-            partials: Restorable::read(r)?,
-        })
-    }
-}
-
-impl Snapshot for TtmqoPayload {
-    fn write(&self, w: &mut SnapWriter) {
-        match self {
-            TtmqoPayload::Query { query, has_data } => {
-                w.put_u8(0);
-                query.write(w);
-                has_data.write(w);
-            }
-            TtmqoPayload::Abort(qid) => {
-                w.put_u8(1);
-                qid.write(w);
-            }
-            TtmqoPayload::Wakeup { has_data } => {
-                w.put_u8(2);
-                has_data.write(w);
-            }
-            TtmqoPayload::SharedRows {
-                epoch_ms,
-                entries,
-                assignments,
-            } => {
-                w.put_u8(3);
-                w.put_u64(*epoch_ms);
-                entries.write(w);
-                assignments.write(w);
-            }
-            TtmqoPayload::SharedPartials {
-                epoch_ms,
-                entries,
-                assignments,
-            } => {
-                w.put_u8(4);
-                w.put_u64(*epoch_ms);
-                entries.write(w);
-                assignments.write(w);
-            }
-            TtmqoPayload::NoRoute => w.put_u8(5),
-            TtmqoPayload::QueryRequest(qid) => {
-                w.put_u8(6);
-                qid.write(w);
-            }
-            TtmqoPayload::QueryShare(query) => {
-                w.put_u8(7);
-                query.write(w);
-            }
-        }
-    }
-}
-
-impl Restorable for TtmqoPayload {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => TtmqoPayload::Query {
-                query: Query::read(r)?,
-                has_data: Restorable::read(r)?,
-            },
-            1 => TtmqoPayload::Abort(Restorable::read(r)?),
-            2 => TtmqoPayload::Wakeup {
-                has_data: Restorable::read(r)?,
-            },
-            3 => TtmqoPayload::SharedRows {
-                epoch_ms: r.u64()?,
-                entries: Restorable::read(r)?,
-                assignments: Restorable::read(r)?,
-            },
-            4 => TtmqoPayload::SharedPartials {
-                epoch_ms: r.u64()?,
-                entries: Restorable::read(r)?,
-                assignments: Restorable::read(r)?,
-            },
-            5 => TtmqoPayload::NoRoute,
-            6 => TtmqoPayload::QueryRequest(Restorable::read(r)?),
-            7 => TtmqoPayload::QueryShare(Query::read(r)?),
-            b => {
-                return Err(SnapshotError::Corrupt(format!(
-                    "invalid TtmqoPayload tag {b}"
-                )))
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

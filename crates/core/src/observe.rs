@@ -53,8 +53,6 @@ pub enum CampaignEvent {
         cells: usize,
         /// Worker threads.
         threads: usize,
-        /// Whether warm-started prefix sharing is in force.
-        warm_start: bool,
     },
     /// A worker picked up a cell.
     CellStarted {
@@ -72,8 +70,6 @@ pub enum CampaignEvent {
         field_seed: u64,
         /// Fault-plan name.
         fault: String,
-        /// Whether the cell resumes from a warm-start prefix checkpoint.
-        warm: bool,
     },
     /// A cell finished and its record landed in its slot.
     CellFinished {
@@ -91,8 +87,6 @@ pub enum CampaignEvent {
         field_seed: u64,
         /// Fault-plan name.
         fault: String,
-        /// Whether the cell resumed from a warm-start prefix checkpoint.
-        warm: bool,
         /// The cell's own wall-clock time, ms.
         cell_wall_ms: f64,
         /// Simulated horizon of the cell, ms.
@@ -151,8 +145,6 @@ pub enum CampaignEvent {
         wall_ms: f64,
         /// Cells executed.
         cells: usize,
-        /// Cells that resumed from a warm-start prefix checkpoint.
-        warm_prefix_hits: usize,
         /// Total audit violations across every cell record.
         audit_violations: u64,
     },
@@ -179,14 +171,9 @@ impl CampaignEvent {
         json::object(|o| {
             o.str("ev", self.kind());
             match self {
-                CampaignEvent::CampaignStarted {
-                    cells,
-                    threads,
-                    warm_start,
-                } => {
+                CampaignEvent::CampaignStarted { cells, threads } => {
                     o.u64("cells", *cells as u64);
                     o.u64("threads", *threads as u64);
-                    o.bool("warm_start", *warm_start);
                 }
                 CampaignEvent::CellStarted {
                     wall_ms,
@@ -196,11 +183,9 @@ impl CampaignEvent {
                     grid_n,
                     field_seed,
                     fault,
-                    warm,
                 } => {
                     o.f64("wall_ms", *wall_ms);
                     cell_coords(o, *index, workload, *strategy, *grid_n, *field_seed, fault);
-                    o.bool("warm", *warm);
                 }
                 CampaignEvent::CellFinished {
                     wall_ms,
@@ -210,7 +195,6 @@ impl CampaignEvent {
                     grid_n,
                     field_seed,
                     fault,
-                    warm,
                     cell_wall_ms,
                     sim_ms,
                     events_processed,
@@ -222,7 +206,6 @@ impl CampaignEvent {
                 } => {
                     o.f64("wall_ms", *wall_ms);
                     cell_coords(o, *index, workload, *strategy, *grid_n, *field_seed, fault);
-                    o.bool("warm", *warm);
                     o.f64("cell_wall_ms", *cell_wall_ms);
                     o.u64("sim_ms", *sim_ms);
                     o.u64("events_processed", *events_processed);
@@ -260,12 +243,10 @@ impl CampaignEvent {
                 CampaignEvent::CampaignFinished {
                     wall_ms,
                     cells,
-                    warm_prefix_hits,
                     audit_violations,
                 } => {
                     o.f64("wall_ms", *wall_ms);
                     o.u64("cells", *cells as u64);
-                    o.u64("warm_prefix_hits", *warm_prefix_hits as u64);
                     o.u64("audit_violations", *audit_violations);
                 }
             }
@@ -1011,7 +992,6 @@ mod tests {
             CampaignEvent::CampaignStarted {
                 cells: 4,
                 threads: 2,
-                warm_start: true,
             },
             CampaignEvent::CellStarted {
                 wall_ms: 1.5,
@@ -1021,7 +1001,6 @@ mod tests {
                 grid_n: 4,
                 field_seed: 7,
                 fault: "none".to_string(),
-                warm: true,
             },
             CampaignEvent::CellFinished {
                 wall_ms: 9.0,
@@ -1031,7 +1010,6 @@ mod tests {
                 grid_n: 4,
                 field_seed: 7,
                 fault: "none".to_string(),
-                warm: true,
                 cell_wall_ms: 7.5,
                 sim_ms: 20480,
                 events_processed: 1000,
@@ -1060,7 +1038,6 @@ mod tests {
             CampaignEvent::CampaignFinished {
                 wall_ms: 30.0,
                 cells: 4,
-                warm_prefix_hits: 4,
                 audit_violations: 0,
             },
         ];
@@ -1086,12 +1063,10 @@ mod tests {
         handle.emit(&CampaignEvent::CampaignStarted {
             cells: 1,
             threads: 1,
-            warm_start: false,
         });
         handle.emit(&CampaignEvent::CampaignFinished {
             wall_ms: 1.0,
             cells: 1,
-            warm_prefix_hits: 0,
             audit_violations: 0,
         });
         handle.flush();

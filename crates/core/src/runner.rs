@@ -23,9 +23,8 @@ use ttmqo_sim::json;
 use ttmqo_sim::{
     AuditReport, CompletenessReport, CorrelatedField, EnergyProfile, EngineStats, FaultPlan,
     FaultSchedule, Metrics, NodeId, NodeTimeseries, Observe, ProfilePhase, ProfileReport,
-    QueryCompleteness, RadioParams, Restorable, SensorField, SimConfig, SimTime, Simulator,
-    SnapReader, SnapWriter, Snapshot, SnapshotBuilder, SnapshotDocument, SnapshotError, Topology,
-    TraceEvent, UniformField, SECTION_RUNNER, SECTION_SIMULATOR,
+    QueryCompleteness, RadioParams, SensorField, SimConfig, SimTime, Simulator, Topology,
+    TraceEvent, UniformField,
 };
 use ttmqo_stats::{EmpiricalDistribution, Histogram, LevelStats, SelectivityEstimator};
 use ttmqo_tinydb::{Command, Output, Srt, TinyDbApp, TinyDbConfig};
@@ -474,7 +473,7 @@ fn build_optimizer(config: &ExperimentConfig, topo: &Topology) -> BaseStationOpt
 /// Runs one experiment: the workload under the configured strategy.
 ///
 /// Equivalent to `RunSession::new(config, workload).finish()`; the session
-/// API additionally allows checkpointing and restoring mid-run.
+/// API additionally allows stopping mid-run and swapping the fault plan.
 ///
 /// # Panics
 ///
@@ -798,54 +797,38 @@ impl SimKind {
     fn now(&self) -> SimTime {
         with_sim!(self, s => s.now())
     }
-
-    fn write_snapshot(&self, w: &mut SnapWriter) {
-        with_sim!(self, s => s.write_snapshot(w))
-    }
 }
 
-/// Builds the strategy's simulator — new, or decoded from a snapshot's
-/// simulator section — with `config.observe` attached. A new simulator also
-/// gets the fault plan; a restored one carries its own.
-fn build_sim(
-    config: &ExperimentConfig,
-    topo: &Topology,
-    snapshot: Option<&mut SnapReader<'_>>,
-) -> Result<SimKind, SnapshotError> {
+/// Builds the strategy's simulator with `config.observe` attached and the
+/// fault plan installed.
+fn build_sim(config: &ExperimentConfig, topo: &Topology) -> SimKind {
     let field = build_field(config, topo);
-    let is_new = snapshot.is_none();
     let (radio, sim_config) = (config.radio.clone(), config.sim.clone());
     let mut sim = if config.strategy.uses_innetwork_tier() {
         let innetwork = effective_innetwork(config);
         let factory = move |_: NodeId, _: &Topology| TtmqoApp::new(innetwork.clone());
-        SimKind::Ttmqo(Box::new(match snapshot {
-            Some(r) => Simulator::read_snapshot(r, field, factory)?,
-            None => Simulator::new(topo.clone(), radio, sim_config, field, factory),
-        }))
+        SimKind::Ttmqo(Box::new(Simulator::new(
+            topo.clone(),
+            radio,
+            sim_config,
+            field,
+            factory,
+        )))
     } else {
         let factory = |_: NodeId, _: &Topology| TinyDbApp::new(TinyDbConfig::default());
-        SimKind::TinyDb(Box::new(match snapshot {
-            Some(r) => Simulator::read_snapshot(r, field, factory)?,
-            None => Simulator::new(topo.clone(), radio, sim_config, field, factory),
-        }))
+        SimKind::TinyDb(Box::new(Simulator::new(
+            topo.clone(),
+            radio,
+            sim_config,
+            field,
+            factory,
+        )))
     };
     with_sim!(&mut sim, s => {
         s.attach(&config.observe);
-        if is_new {
-            s.install_fault_plan(&config.faults);
-        }
+        s.install_fault_plan(&config.faults);
     });
-    Ok(sim)
-}
-
-/// Stable on-disk tag of each strategy inside runner snapshot sections.
-fn strategy_tag(s: Strategy) -> u8 {
-    match s {
-        Strategy::Baseline => 0,
-        Strategy::BsOnly => 1,
-        Strategy::InNetOnly => 2,
-        Strategy::TwoTier => 3,
-    }
+    sim
 }
 
 /// One experiment in progress: the simulator plus every piece of
@@ -854,28 +837,27 @@ fn strategy_tag(s: Strategy) -> u8 {
 ///
 /// [`run_experiment`] is `RunSession::new(..).finish()`. The session API
 /// adds mid-run control: [`run_to`](Self::run_to) advances to an arbitrary
-/// time, [`checkpoint`](Self::checkpoint) serializes the complete run state
-/// into a versioned snapshot document, and [`restore`](Self::restore)
-/// resumes it such that finishing is bit-identical — same [`RunReport`],
-/// same trace events — to a run that never stopped.
+/// time such that finishing is bit-identical — same [`RunReport`], same
+/// trace records (a stop drains the base station's outputs, so
+/// `answer-mapped` records may sit earlier in the file) — to a run that
+/// never stopped, and [`replace_fault_plan`](Self::replace_fault_plan)
+/// swaps the fault plan there. Runs are deterministic, so being at time `t`
+/// again is a replay: a fresh session and `run_to(t)`.
 pub struct RunSession {
     config: ExperimentConfig,
     topo: Topology,
     events: Vec<WorkloadEvent>,
     sim: SimKind,
     optimizer: Option<BaseStationOptimizer>,
-    /// Materialized fault schedule (completeness expectations); recomputed
-    /// from the config at restore, never serialized.
+    /// Materialized fault schedule (completeness expectations).
     schedule: Option<FaultSchedule>,
     window_ms: u64,
     state: RunnerState,
 }
 
-/// The driver state a checkpoint's runner section carries, next to the
-/// optimizer's own. Everything else a session holds is re-supplied at
-/// restore (`config`, `topo`, `events`, like the engine's field and
-/// factory), lives in the simulator's section (`sim`), or is a pure function
-/// of config and topology (`schedule`, `window_ms`).
+/// The driver state that changes as the run advances, next to the
+/// simulator's and the optimizer's own. Everything else a session holds is
+/// fixed when it is built or by [`RunSession::replace_fault_plan`].
 #[derive(Debug, Default)]
 struct RunnerState {
     /// Next workload event to apply.
@@ -919,7 +901,7 @@ impl RunSession {
         let topo = build_topology(config);
         profile.finish(ProfilePhase::TopologyBuild, topo_t0);
         let events = Self::prepare_events(config, workload);
-        let sim = build_sim(config, &topo, None).expect("building a fresh simulator cannot fail");
+        let sim = build_sim(config, &topo);
 
         let rewriting = config.strategy.uses_basestation_tier();
         let optimizer = rewriting.then(|| {
@@ -955,10 +937,7 @@ impl RunSession {
     /// event scheduled at or past `duration` would push the time-weighted
     /// accounting past the measured window (and underflow the
     /// `duration − last_event` interval).
-    pub(crate) fn prepare_events(
-        config: &ExperimentConfig,
-        workload: &[WorkloadEvent],
-    ) -> Vec<WorkloadEvent> {
+    fn prepare_events(config: &ExperimentConfig, workload: &[WorkloadEvent]) -> Vec<WorkloadEvent> {
         let mut events: Vec<WorkloadEvent> = workload.to_vec();
         events.sort_by_key(|e| e.at);
         events.retain(|e| e.at < config.duration);
@@ -1051,8 +1030,9 @@ impl RunSession {
     }
 
     /// Folds the time-weighted statistics over `[last_t, t_ms)`. Called only
-    /// at workload events, repairs, and the end of the run — never at a
-    /// checkpoint, so resuming folds the same intervals a straight run does.
+    /// at workload events, repairs, and the end of the run — never where
+    /// [`run_to`](Self::run_to) merely stops, so a sliced run folds the same
+    /// intervals a straight run does.
     fn fold_dt(&mut self, t_ms: u64) {
         let state = &mut self.state;
         let dt = t_ms.saturating_sub(state.last_t) as f64;
@@ -1181,8 +1161,8 @@ impl RunSession {
 
     /// Advances the run to time `t` (clamped to the configured duration),
     /// applying every workload event at or before it, exactly as an
-    /// uninterrupted run would pass through `t`. Stopping here and
-    /// checkpointing, then restoring and finishing, is bit-identical to
+    /// uninterrupted run would pass through `t`: stopping here, at any
+    /// instant and any number of times, then finishing is bit-identical to
     /// never stopping.
     pub fn run_to(&mut self, t: SimTime) {
         let target = t.min(self.config.duration);
@@ -1215,10 +1195,18 @@ impl RunSession {
     /// Swaps the engine's fault plan: pending injected fault events are
     /// retracted, the new plan is installed from the current instant, and
     /// the session's completeness expectations follow it. This is the fork
-    /// primitive — restore one checkpoint N times and hand each session a
-    /// divergent plan. The repair monitor and the per-node failure-detector
-    /// configuration keep their checkpointed state (a cold run with the new
-    /// plan may arm them differently).
+    /// primitive: build N sessions from the same inputs, `run_to(t)` each,
+    /// and hand each a divergent plan — they share everything up to `t`.
+    ///
+    /// What a fork does *not* get is what the plan a session was built with
+    /// decides once, in [`RunSession::new`]: the repair monitor and the
+    /// in-network dead-parent detector are armed only when that plan is
+    /// non-empty. A session built calm and forked into a crash therefore
+    /// reports the crash's lost answers but neither re-routes around the
+    /// dead node nor re-injects, where a cold run under the same plan does
+    /// both (`fault_healing::a_calm_built_fork_neither_detects_nor_repairs`
+    /// pins the difference). To fork between faulty futures that heal,
+    /// build the sessions under a plan that is already non-empty.
     pub fn replace_fault_plan(&mut self, plan: &FaultPlan) {
         self.sim.replace_fault_plan(plan);
         self.config.faults = plan.clone();
@@ -1370,315 +1358,14 @@ impl RunSession {
             audit,
         }
     }
-
-    /// Serializes the complete run state — engine section plus runner
-    /// section — into one versioned snapshot document. The runner section is
-    /// the strategy tag, the optimizer's dynamic state, and `RunnerState`.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let profile = &self.config.observe.profile;
-        let t0 = profile.start();
-        let mut sw = SnapWriter::new();
-        self.sim.write_snapshot(&mut sw);
-        let mut rw = SnapWriter::new();
-        rw.put_u8(strategy_tag(self.config.strategy));
-        rw.put_bool(self.optimizer.is_some());
-        if let Some(opt) = &self.optimizer {
-            opt.write_snapshot(&mut rw);
-        }
-        self.state.write(&mut rw);
-        let mut b = SnapshotBuilder::new();
-        b.section(SECTION_SIMULATOR, sw.as_bytes());
-        b.section(SECTION_RUNNER, rw.as_bytes());
-        let bytes = b.finish();
-        profile.finish(ProfilePhase::SnapshotSave, t0);
-        bytes
-    }
-
-    /// Rebuilds a session from a [`checkpoint`](Self::checkpoint) document.
-    ///
-    /// `config` and `workload` re-supply everything the snapshot
-    /// deliberately omits and must match the originals (the strategy is
-    /// validated; the rest is trusted the same way the engine trusts its
-    /// re-supplied field and factory). `config.observe` is attached to the
-    /// restored engine and optimizer, so a traced resume continues emitting
-    /// from the restore point and a window recorder in the snapshot carries
-    /// on from its restored windows.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`]: corrupted or truncated documents, foreign
-    /// magic, a schema-version mismatch, a document whose runner section
-    /// predates the query ledger, or a strategy mismatch between the
-    /// snapshot and the supplied configuration.
-    pub fn restore(
-        bytes: &[u8],
-        config: &ExperimentConfig,
-        workload: &[WorkloadEvent],
-    ) -> Result<RunSession, SnapshotError> {
-        let profile = &config.observe.profile;
-        let restore_t0 = profile.start();
-        let doc = SnapshotDocument::parse(bytes)?;
-        let topo = build_topology(config);
-        let events = Self::prepare_events(config, workload);
-
-        // Validate the strategy tag before touching the simulator section:
-        // the engine payload's wire type depends on the strategy's tier, so
-        // a mismatch would otherwise surface as an opaque payload decode
-        // error instead of this targeted one.
-        let mut r = doc.section(SECTION_RUNNER)?;
-        let tag = r.u8()?;
-        if tag != strategy_tag(config.strategy) {
-            let taken = Strategy::ALL
-                .get(tag as usize)
-                .map_or_else(|| format!("tag {tag}"), Strategy::to_string);
-            return Err(SnapshotError::Corrupt(format!(
-                "checkpoint was taken under strategy {taken} but the supplied configuration \
-                 runs {}",
-                config.strategy
-            )));
-        }
-
-        let mut s = doc.section(SECTION_SIMULATOR)?;
-        let sim = build_sim(config, &topo, Some(&mut s))?;
-        s.finish()?;
-
-        let optimizer = if r.bool()? {
-            let mut opt =
-                BaseStationOptimizer::read_snapshot(&mut r, build_optimizer(config, &topo))?;
-            opt.set_trace(config.observe.trace.clone());
-            Some(opt)
-        } else {
-            None
-        };
-        if optimizer.is_some() != config.strategy.uses_basestation_tier() {
-            return Err(SnapshotError::Corrupt(
-                "optimizer presence disagrees with the strategy".into(),
-            ));
-        }
-        let state = RunnerState::read(&mut r)?;
-        r.finish()?;
-        if state.event_idx > events.len() {
-            return Err(SnapshotError::Corrupt(
-                "checkpoint event index lies past the supplied workload".into(),
-            ));
-        }
-
-        let schedule = (!config.faults.is_empty()).then(|| config.faults.materialize(&topo));
-        let window_ms = collection_window_ms(config, &topo);
-        profile.finish(ProfilePhase::SnapshotRestore, restore_t0);
-        Ok(RunSession {
-            config: config.clone(),
-            topo,
-            events,
-            sim,
-            optimizer,
-            schedule,
-            window_ms,
-            state,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot impls for the runner's own state-bearing types
-// ---------------------------------------------------------------------------
-
-impl Snapshot for RunnerState {
-    fn write(&self, w: &mut SnapWriter) {
-        let RunnerState {
-            event_idx,
-            audited_to,
-            monitor,
-            ts_collector,
-            ledger:
-                Ledger {
-                    users,
-                    open,
-                    injected,
-                    services,
-                },
-            weighted_syn,
-            weighted_ratio,
-            last_t,
-            current_syn_count,
-            current_ratio,
-            answers,
-        } = self;
-        w.put_usize(*event_idx);
-        w.put_u64(*audited_to);
-        monitor.write(w);
-        ts_collector.write(w);
-        users.write(w);
-        open.write(w);
-        injected.write(w);
-        services.write(w);
-        w.put_f64(*weighted_syn);
-        w.put_f64(*weighted_ratio);
-        w.put_u64(*last_t);
-        w.put_usize(*current_syn_count);
-        w.put_f64(*current_ratio);
-        answers.write(w);
-    }
-}
-
-impl Restorable for RunnerState {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(RunnerState {
-            event_idx: r.usize()?,
-            audited_to: r.u64()?,
-            monitor: Restorable::read(r)?,
-            ts_collector: Restorable::read(r)?,
-            ledger: Ledger {
-                users: Restorable::read(r)?,
-                open: Restorable::read(r)?,
-                injected: Restorable::read(r)?,
-                services: Restorable::read(r)?,
-            },
-            weighted_syn: r.f64()?,
-            weighted_ratio: r.f64()?,
-            last_t: r.u64()?,
-            current_syn_count: r.usize()?,
-            current_ratio: r.f64()?,
-            answers: Restorable::read(r)?,
-        })
-    }
-}
-
-impl Snapshot for UserLife {
-    fn write(&self, w: &mut SnapWriter) {
-        let UserLife {
-            query,
-            posed_ms,
-            terminated_ms,
-        } = self;
-        query.write(w);
-        w.put_u64(*posed_ms);
-        terminated_ms.write(w);
-    }
-}
-
-impl Restorable for UserLife {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(UserLife {
-            query: Restorable::read(r)?,
-            posed_ms: r.u64()?,
-            terminated_ms: Restorable::read(r)?,
-        })
-    }
-}
-
-fn write_histogram(h: &Histogram, w: &mut SnapWriter) {
-    w.put_f64(h.lo());
-    w.put_f64(h.hi());
-    h.buckets().to_vec().write(w);
-    w.put_u64(h.total());
-}
-
-fn read_histogram(r: &mut SnapReader<'_>) -> Result<Histogram, SnapshotError> {
-    let lo = r.f64()?;
-    let hi = r.f64()?;
-    let buckets = Vec::<u64>::read(r)?;
-    let total = r.u64()?;
-    Histogram::from_parts(lo, hi, buckets, total)
-        .map_err(|e| SnapshotError::Corrupt(format!("bad latency histogram: {e}")))
-}
-
-impl Snapshot for QueryWindowSeries {
-    fn write(&self, w: &mut SnapWriter) {
-        let QueryWindowSeries {
-            latency,
-            answers,
-            nonempty,
-        } = self;
-        w.put_usize(latency.len());
-        for h in latency {
-            write_histogram(h, w);
-        }
-        answers.write(w);
-        nonempty.write(w);
-    }
-}
-
-impl Restorable for QueryWindowSeries {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let n = r.usize()?;
-        let mut latency = Vec::new();
-        for _ in 0..n {
-            latency.push(read_histogram(r)?);
-        }
-        Ok(QueryWindowSeries {
-            latency,
-            answers: Restorable::read(r)?,
-            nonempty: Restorable::read(r)?,
-        })
-    }
-}
-
-impl Snapshot for TimeseriesCollector {
-    fn write(&self, w: &mut SnapWriter) {
-        let TimeseriesCollector {
-            window_ms,
-            per_query,
-        } = self;
-        w.put_u64(*window_ms);
-        per_query.write(w);
-    }
-}
-
-impl Restorable for TimeseriesCollector {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TimeseriesCollector {
-            window_ms: r.u64()?,
-            per_query: Restorable::read(r)?,
-        })
-    }
-}
-
-impl Snapshot for RepairMonitor {
-    fn write(&self, w: &mut SnapWriter) {
-        let RepairMonitor {
-            window_ms,
-            audit_next,
-            streaks,
-            answered,
-            pending,
-            repairs,
-            latencies_ms,
-        } = self;
-        w.put_u64(*window_ms);
-        audit_next.write(w);
-        streaks.write(w);
-        answered.write(w);
-        pending.write(w);
-        w.put_u64(*repairs);
-        latencies_ms.write(w);
-    }
-}
-
-impl Restorable for RepairMonitor {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(RepairMonitor {
-            window_ms: r.u64()?,
-            audit_next: Restorable::read(r)?,
-            streaks: Restorable::read(r)?,
-            answered: Restorable::read(r)?,
-            pending: Restorable::read(r)?,
-            repairs: r.u64()?,
-            latencies_ms: Restorable::read(r)?,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{
-        ExperimentConfig, Ledger, QueryWindowSeries, RepairMonitor, RunSession, RunnerState,
-        Strategy, TimeseriesCollector, WorkloadEvent,
-    };
+    use super::{ExperimentConfig, Ledger, RunSession, Strategy, WorkloadEvent};
     use std::collections::{BTreeMap, BTreeSet};
     use ttmqo_query::{parse_query, Query, QueryId};
-    use ttmqo_sim::{FaultPlan, NodeId, Restorable, SimTime, SnapReader, SnapWriter, Snapshot};
-    use ttmqo_stats::Histogram;
+    use ttmqo_sim::{FaultPlan, NodeId, SimTime};
 
     // -- Reference implementation -----------------------------------------
     // The timeline the ledger replaced: after every workload event and every
@@ -1879,10 +1566,6 @@ mod tests {
                     "case {case}: {qid} at {epoch_ms}, arrived {arrival_ms}"
                 );
             }
-            roundtrip_debug(&RunnerState {
-                ledger: twin.ledger,
-                ..RunnerState::default()
-            });
         }
     }
 
@@ -1936,71 +1619,6 @@ mod tests {
         }
         let monitor = session.state.monitor.as_ref().unwrap();
         assert!(monitor.repairs > 0, "the run never exercised a repair");
-        roundtrip_debug(&session.state);
-    }
-
-    /// Encode → decode → require full consumption; compare via the debug
-    /// rendering (shortest-roundtrip floats, ordered maps → string equality
-    /// is bit equality). These are the runner's private state-bearing types,
-    /// unreachable from the integration-level roundtrip tests.
-    fn roundtrip_debug<T: Snapshot + Restorable + std::fmt::Debug>(value: &T) {
-        let mut w = SnapWriter::new();
-        value.write(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        let back = T::read(&mut r).expect("roundtrip decodes");
-        r.finish().expect("no trailing bytes");
-        assert_eq!(format!("{back:?}"), format!("{value:?}"));
-    }
-
-    #[test]
-    fn query_window_series_roundtrips_with_populated_histograms() {
-        let mut h = Histogram::new(0.0, 10_000.0, 16).unwrap();
-        h.add(120.0);
-        h.add(9_500.0);
-        h.add(-3.0); // below-lo clamps into the first bucket; total still counts it
-        let series = QueryWindowSeries {
-            latency: vec![h, Histogram::new(0.0, 10_000.0, 16).unwrap()],
-            answers: vec![3, 0, 7],
-            nonempty: vec![2, 0, 7],
-        };
-        roundtrip_debug(&series);
-    }
-
-    #[test]
-    fn timeseries_collector_roundtrips() {
-        let mut per_query = BTreeMap::new();
-        per_query.insert(
-            QueryId(4),
-            QueryWindowSeries {
-                latency: vec![Histogram::new(0.0, 1_000.0, 4).unwrap()],
-                answers: vec![1],
-                nonempty: vec![0],
-            },
-        );
-        roundtrip_debug(&TimeseriesCollector {
-            window_ms: 2048,
-            per_query,
-        });
-        roundtrip_debug(&TimeseriesCollector::new());
-    }
-
-    #[test]
-    fn repair_monitor_roundtrips_mid_audit_state() {
-        let monitor = RepairMonitor {
-            window_ms: 352,
-            audit_next: BTreeMap::from([(QueryId(1), 4096), (QueryId(2), 6144)]),
-            streaks: BTreeMap::from([(QueryId(1), 0), (QueryId(2), 2)]),
-            answered: BTreeMap::from([
-                (QueryId(1), BTreeSet::from([2048, 4096])),
-                (QueryId(2), BTreeSet::new()),
-            ]),
-            pending: vec![(6144, vec![QueryId(2)])],
-            repairs: 1,
-            latencies_ms: vec![2048],
-        };
-        roundtrip_debug(&monitor);
-        roundtrip_debug(&RepairMonitor::new(352));
     }
 
     /// The reverse linear scan `snapshot_at` replaced; kept as the oracle.

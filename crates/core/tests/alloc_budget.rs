@@ -205,29 +205,26 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
 }
 
 #[test]
-fn a_churn_cell_and_its_checkpoint_are_pinned() {
+fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     // A hundred queries arriving and leaving under the full scheme on 4×4:
     // the base station's bookkeeping per workload event is what this run
-    // spends its allocator calls on, and what its checkpoint carries. At
-    // commit 88a8754, which cloned the whole user → synthetic map after every
-    // event and kept every clone, the run made 89 644 calls and a checkpoint
-    // at its last event was 296 404 bytes.
+    // spends its allocator calls on. At commit 88a8754, which cloned the
+    // whole user → synthetic map after every event and kept every clone, the
+    // run made 89 644 calls. How much state that bookkeeping holds is
+    // watched by the repo benchmark's `adaptive-churn` `peak_rss_mib`.
     let workload = random_workload(&RandomWorkloadParams {
         n_queries: 100,
         mean_arrival_ms: 10_000.0,
         nodeid_max: 15.0,
         ..RandomWorkloadParams::default()
     });
-    let last_event = SimTime::from_ms(workload_end_ms(&workload));
     let config = ExperimentConfig {
         strategy: Strategy::TwoTier,
         grid_n: 4,
-        duration: last_event + 4 * 2048,
+        duration: SimTime::from_ms(workload_end_ms(&workload)) + 4 * 2048,
         ..ExperimentConfig::default()
     };
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(100));
-    let mut session = RunSession::new(&config, &workload);
-    session.run_to(last_event);
-    assert_eq!((allocs, session.checkpoint().len()), (85_121, 140_631));
+    assert_eq!(allocs, 85_121);
 }

@@ -133,6 +133,35 @@ fn workload_a_32x32_metrics_match_golden_snapshot() {
 }
 
 #[test]
+fn golden_cells_stopped_mid_run_still_render_the_golden_snapshots() {
+    // Both golden cells, interrupted at a non-aligned instant and then
+    // finished: stopping is not an event, so the rendering must equal the
+    // checked-in goldens that pin the uninterrupted engine's behaviour.
+    for (grid_n, epochs, cut_ms, path) in [
+        (4, 24, CUT_MS, GOLDEN_PATH),
+        (32, 8, 3 * 2048 + 777, GOLDEN_32X32_PATH),
+    ] {
+        let mut rendered = String::new();
+        for strategy in [Strategy::Baseline, Strategy::TwoTier] {
+            let config = ExperimentConfig {
+                strategy,
+                grid_n,
+                duration: SimTime::from_ms(epochs * 2048),
+                ..ExperimentConfig::default()
+            };
+            let mut session = RunSession::new(&config, &workload_a());
+            session.run_to(SimTime::from_ms(cut_ms));
+            rendered.push_str(&render(strategy, &session.finish().metrics.snapshot()));
+        }
+        let golden = std::fs::read_to_string(path).expect("golden snapshot checked in");
+        assert_eq!(
+            rendered, golden,
+            "a {grid_n}×{grid_n} run stopped at {cut_ms} ms diverged from its golden cell"
+        );
+    }
+}
+
+#[test]
 fn golden_cell_is_reproducible_within_a_process() {
     // The cheaper invariant behind the golden file: two in-process runs of
     // the same cell agree bit-for-bit.
@@ -371,10 +400,9 @@ struct Observed {
     series: Option<String>,
     profiled: bool,
     audit: Option<ttmqo_sim::AuditReport>,
-    /// `RunSession::checkpoint()` taken mid-run, at a non-aligned instant.
-    checkpoint: Vec<u8>,
 }
 
+/// A mid-run instant that is not aligned to any epoch.
 const CUT_MS: u64 = 11 * 2048 + 317;
 
 /// `base` with exactly the named observers attached, tracing into `buf`.
@@ -402,30 +430,40 @@ fn observing(
     }
 }
 
-/// Runs the cell under `observers`, and a second time up to [`CUT_MS`] for
-/// the checkpoint (stopping drains the base station's outputs early, which
-/// moves `answer-mapped` records within the trace, so the trace comes from
-/// the uninterrupted run).
-fn observe(base: &ExperimentConfig, workload: &[WorkloadEvent], observers: [bool; 4]) -> Observed {
+/// Runs the cell under `observers`, stopping at each of `stops_ms` on the
+/// way (stopping drains the base station's outputs early, which moves
+/// `answer-mapped` records within the trace, so the pinned trace digests
+/// are of uninterrupted runs).
+fn observe_sliced(
+    base: &ExperimentConfig,
+    workload: &[WorkloadEvent],
+    observers: [bool; 4],
+    stops_ms: &[u64],
+) -> Observed {
     let buf = SharedBuf::default();
     let config = observing(base, observers, &buf);
-    let mut report = run_experiment(&config, workload);
+    let mut session = RunSession::new(&config, workload);
+    for &t in stops_ms {
+        session.run_to(SimTime::from_ms(t));
+    }
+    let mut report = session.finish();
     config.observe.trace.flush();
     let series = report.timeseries.take().map(|ts| ts.to_json());
     let profiled = report.profile.take().is_some();
     let audit = report.audit.take();
     let trace = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-
-    let mut session = RunSession::new(&observing(base, observers, &SharedBuf::default()), workload);
-    session.run_to(SimTime::from_ms(CUT_MS));
     Observed {
         report: format!("{report:?}"),
         trace,
         series,
         profiled,
         audit,
-        checkpoint: session.checkpoint(),
     }
+}
+
+/// Runs the cell under `observers`, uninterrupted.
+fn observe(base: &ExperimentConfig, workload: &[WorkloadEvent], observers: [bool; 4]) -> Observed {
+    observe_sliced(base, workload, observers, &[])
 }
 
 const OFF: [bool; 4] = [false; 4];
@@ -534,15 +572,34 @@ fn trace_and_timeseries_bytes_match_the_pinned_digests() {
 fn every_observer_at_once_leaves_the_golden_cell_untouched() {
     // The observers share one box inside the engine, so the pairwise tests
     // above do not cover what they might do to each other: all four on at
-    // once must give the all-off report, the pinned trace and series, and —
-    // the window recorder being the only observer a snapshot carries — the
-    // mid-run checkpoint of the recorder-only run; with the recorder left
-    // out, the all-off checkpoint.
+    // once must give the all-off report and the pinned trace and series.
+    // A session exposes no mid-run state, so the witness that no observer
+    // set perturbs it there is the sliced run itself: stopped at a
+    // non-aligned instant and then finished, under each set, it must render
+    // the uninterrupted report — series included where one is recorded.
     let base = golden_config();
     let off = observe(&base, &workload_a(), OFF);
     let all = observe(&base, &workload_a(), [true; 4]);
-    let all_but_series = observe(&base, &workload_a(), [true, false, true, true]);
-    let series_only = observe(&base, &workload_a(), [false, true, false, false]);
+    for observers in [
+        OFF,
+        [true; 4],
+        [true, false, true, true],
+        [false, true, false, false],
+    ] {
+        let sliced = observe_sliced(&base, &workload_a(), observers, &[CUT_MS]);
+        assert_eq!(
+            sliced.report, off.report,
+            "stopping at {CUT_MS} ms under {observers:?} changed the report"
+        );
+        assert_eq!(
+            sliced.series.is_some(),
+            observers[1],
+            "a series is recorded exactly when asked for"
+        );
+        if let Some(series) = sliced.series {
+            assert_eq!(digest(&series), GOLDEN_SERIES, "sliced under {observers:?}");
+        }
+    }
 
     assert_eq!(
         off.report, all.report,
@@ -555,10 +612,4 @@ fn every_observer_at_once_leaves_the_golden_cell_untouched() {
     );
     assert!(all.profiled && all.audit.is_some_and(|a| a.is_clean()));
     assert!(off.trace.is_empty() && off.series.is_none() && !off.profiled && off.audit.is_none());
-    assert_eq!(off.checkpoint, all_but_series.checkpoint);
-    assert_eq!(series_only.checkpoint, all.checkpoint);
-    assert_ne!(
-        off.checkpoint, all.checkpoint,
-        "the recorder is checkpointed"
-    );
 }

@@ -1,10 +1,14 @@
-//! Property test for checkpoint/restore: for *random* checkpoint instants,
-//! workloads, strategies and fault plans, stopping a run, serializing it
-//! and resuming must reproduce the uninterrupted run's full `RunReport`
-//! exactly (the debug rendering uses shortest-roundtrip float formatting,
-//! so string equality is bit equality).
+//! Property test for the one way to be at time `t`: replay. For *random*
+//! workloads, strategies, fault plans and one to three arbitrary stop
+//! instants (millisecond-granular, not epoch-aligned, possibly repeated),
+//! `run_to(t₁); …; finish()` must reproduce the uninterrupted run's full
+//! `RunReport` exactly (the debug rendering uses shortest-roundtrip float
+//! formatting, so string equality is bit equality). This file used to hold
+//! the same property for checkpoint/restore; slicing is what survives of it,
+//! and what every fork (`run_to(t)` + `replace_fault_plan`) and the repo
+//! benchmark's sliced `adaptive-churn` repetition rely on.
 //!
-//! Each case runs two short 4×4 simulations; the case count is kept small
+//! Each case runs eight short 4×4 simulations; the case count is kept small
 //! accordingly (override with `PROPTEST_CASES`).
 
 use proptest::prelude::*;
@@ -12,7 +16,7 @@ use proptest::prelude::*;
 // `Strategy` trait, so re-import the trait anonymously for `.prop_map`.
 use proptest::strategy::Strategy as _;
 use ttmqo_core::{run_experiment, ExperimentConfig, RunSession, Strategy, WorkloadEvent};
-use ttmqo_sim::{FaultPlan, NodeId, SimTime};
+use ttmqo_sim::{FaultPlan, NodeId, Observe, SimTime};
 use ttmqo_workloads::{churn_workload, workload_a, workload_b, ChurnWorkloadParams};
 
 const DURATION_MS: u64 = 10 * 2048;
@@ -32,44 +36,92 @@ fn workload(ix: usize) -> Vec<WorkloadEvent> {
 }
 
 proptest! {
-    #![proptest_config(proptest::test_runner::Config::with_cases(8))]
+    #![proptest_config(proptest::test_runner::Config::with_cases(12))]
 
-    /// checkpoint(t) ∘ restore ∘ finish == finish, for arbitrary t.
+    /// run_to(t₁) ∘ … ∘ run_to(tₖ) ∘ finish == finish, for arbitrary tᵢ,
+    /// under every strategy.
     #[test]
-    fn resume_from_any_instant_reproduces_the_straight_run(
-        cut_permille in 0u64..=1000,
+    fn stopping_at_any_instants_reproduces_the_straight_run(
+        cuts_ms in proptest::collection::vec(0u64..=DURATION_MS, 1..=3),
         workload_ix in 0usize..3,
-        two_tier in (0u8..2).prop_map(|b| b == 1),
         faulty in (0u8..2).prop_map(|b| b == 1),
     ) {
+        let events = workload(workload_ix);
+        let mut cuts_ms = cuts_ms;
+        cuts_ms.sort_unstable();
+        for strategy in Strategy::ALL {
+            let config = ExperimentConfig {
+                strategy,
+                grid_n: 4,
+                duration: SimTime::from_ms(DURATION_MS),
+                faults: if faulty {
+                    FaultPlan::scripted(vec![(NodeId(7), 3 * 2048, Some(7 * 2048))])
+                } else {
+                    FaultPlan::default()
+                },
+                ..ExperimentConfig::default()
+            };
+            let straight = format!("{:?}", run_experiment(&config, &events));
+            let mut session = RunSession::new(&config, &events);
+            for &t in &cuts_ms {
+                session.run_to(SimTime::from_ms(t));
+            }
+            prop_assert_eq!(
+                format!("{:?}", session.finish()),
+                straight,
+                "stopping at {:?} ms ({}, workload {}, faulty={}) diverged",
+                cuts_ms,
+                strategy,
+                workload_ix,
+                faulty
+            );
+        }
+    }
+}
+
+/// The instants a random draw rarely hits: time zero, a base-epoch boundary
+/// (where the straight run audits and the stopping run must audit too,
+/// exactly once), a misaligned mid-epoch instant, the same instant twice,
+/// and the run's end — calm and faulty, with the time series recorded so
+/// the whole report (answers, completeness, optimizer stats, engine
+/// counters, windows) is compared.
+#[test]
+fn stopping_at_boundary_instants_reproduces_the_straight_run() {
+    const END_MS: u64 = 20 * 2048;
+    let faulty = FaultPlan::scripted(vec![
+        (NodeId(5), 4 * 2048, Some(14 * 2048)),
+        (NodeId(10), 7 * 2048, None),
+    ]);
+    for faults in [FaultPlan::default(), faulty] {
         let config = ExperimentConfig {
-            strategy: if two_tier { Strategy::TwoTier } else { Strategy::InNetOnly },
+            strategy: Strategy::TwoTier,
             grid_n: 4,
-            duration: SimTime::from_ms(DURATION_MS),
-            faults: if faulty {
-                FaultPlan::scripted(vec![(NodeId(7), 3 * 2048, Some(7 * 2048))])
-            } else {
-                FaultPlan::default()
+            duration: SimTime::from_ms(END_MS),
+            faults,
+            observe: Observe {
+                timeseries: true,
+                ..Observe::default()
             },
             ..ExperimentConfig::default()
         };
-        let events = workload(workload_ix);
-        let cut_ms = DURATION_MS * cut_permille / 1000;
-
-        let straight = format!("{:?}", run_experiment(&config, &events));
-        let mut session = RunSession::new(&config, &events);
-        session.run_to(SimTime::from_ms(cut_ms));
-        let bytes = session.checkpoint();
-        let resumed = RunSession::restore(&bytes, &config, &events)
-            .expect("own checkpoint restores")
-            .finish();
-        prop_assert_eq!(
-            format!("{:?}", resumed),
-            straight,
-            "resume from t={}ms (workload {}, faulty={}) diverged",
-            cut_ms,
-            workload_ix,
-            faulty
-        );
+        let straight = format!("{:?}", run_experiment(&config, &workload_a()));
+        for cuts_ms in [
+            &[0][..],
+            &[8 * 2048],
+            &[9 * 2048 + 555, 9 * 2048 + 555],
+            &[END_MS],
+            &[0, 6 * 2048, 9 * 2048 + 123, END_MS],
+        ] {
+            let mut session = RunSession::new(&config, &workload_a());
+            for &t in cuts_ms {
+                session.run_to(SimTime::from_ms(t));
+            }
+            assert_eq!(
+                format!("{:?}", session.finish()),
+                straight,
+                "stopping at {cuts_ms:?} ms (faulty={}) diverged",
+                !config.faults.is_empty()
+            );
+        }
     }
 }

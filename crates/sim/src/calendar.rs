@@ -248,48 +248,6 @@ impl<T> CalendarQueue<T> {
     }
 }
 
-use crate::snapshot::{Restorable, SnapReader, SnapWriter, Snapshot, SnapshotError};
-
-impl<T: Snapshot> Snapshot for CalendarQueue<T> {
-    // Serializes pending entries in pop order — ascending `(time, seq)` — so
-    // the bytes are independent of the current bucket layout, which the
-    // determinism contract above makes unobservable anyway. The skipped
-    // fields are all derived: `mask` from the bucket count, `floor` and
-    // `cached_min` re-established by subsequent pops, `width_shift` pure
-    // performance state.
-    fn write(&self, w: &mut SnapWriter) {
-        let CalendarQueue {
-            buckets,
-            mask: _,
-            width_shift: _,
-            len,
-            floor: _,
-            cached_min: _,
-        } = self;
-        w.put_usize(*len);
-        let mut entries: Vec<&Entry<T>> = buckets.iter().flatten().collect();
-        entries.sort_by_key(|e| (e.time, e.seq));
-        for e in entries {
-            w.put_u64(e.time);
-            w.put_u64(e.seq);
-            e.item.write(w);
-        }
-    }
-}
-
-impl<T: Restorable> Restorable for CalendarQueue<T> {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let n = r.usize()?;
-        let mut q = CalendarQueue::new();
-        for _ in 0..n {
-            let time = r.u64()?;
-            let seq = r.u64()?;
-            q.push(time, seq, T::read(r)?);
-        }
-        Ok(q)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -58,7 +58,7 @@ use crate::probe::{Observe, Probe, Probes, Reception};
 use crate::profile::{self, EnginePhase, ProfilePhase};
 use crate::radio::{Destination, MsgKind, RadioParams};
 use crate::time::SimTime;
-use crate::timeseries::{NodeTimeseries, WindowRecorder};
+use crate::timeseries::NodeTimeseries;
 use crate::topology::{NodeId, Topology};
 use crate::trace::{TraceDest, TraceEvent};
 use std::fmt::Debug;
@@ -542,11 +542,9 @@ impl<A: NodeApp> Simulator<A> {
     /// Attaches what `observe` selects — trace sink, window recorder,
     /// profiler — replacing whatever was attached before. The engine
     /// reports every occurrence once and the attached observers consume
-    /// it; [`Observe`] states what they may and may not do. On a simulator
-    /// restored from a snapshot taken with the recorder on, the recorder
-    /// carries on from the restored windows. Profiling attributes each
-    /// processed event's wall time to its [`EnginePhase`] plus the nested
-    /// CSMA-sense and interference-marking sub-spans.
+    /// it; [`Observe`] states what they may and may not do. Profiling
+    /// attributes each processed event's wall time to its [`EnginePhase`]
+    /// plus the nested CSMA-sense and interference-marking sub-spans.
     pub fn attach(&mut self, observe: &Observe) {
         self.probes
             .attach(observe, self.nodes.len(), self.phase_events);
@@ -625,6 +623,30 @@ impl<A: NodeApp> Simulator<A> {
             }
         }
         self.faults = plan.overlay(&self.topology);
+    }
+
+    /// Swaps the installed fault plan for `plan`: every pending `Fail` /
+    /// `Recover` event of the previous plan is retracted (all other queue
+    /// entries keep their exact `(time, seq)` keys) and the new plan's
+    /// events and loss overlay are installed. This is how a run is *forked*
+    /// by replay: build N simulators from the same inputs, run each to the
+    /// same instant `t`, give each a different plan whose events lie after
+    /// `t`, and the futures share everything up to `t` and diverge only
+    /// where the plans do. Nodes already down stay down; an empty `plan`
+    /// leaves a fault-free simulator exactly as it was.
+    pub fn replace_fault_plan(&mut self, plan: &FaultPlan) {
+        let mut kept = Vec::with_capacity(self.queue.len());
+        while let Some((time, seq, kind)) = self.queue.pop() {
+            match kind {
+                EventKind::Fail { .. } | EventKind::Recover { .. } => {}
+                other => kept.push((time, seq, other)),
+            }
+        }
+        for (time, seq, kind) in kept {
+            self.queue.push(time, seq, kind);
+        }
+        self.faults = None;
+        self.install_fault_plan(plan);
     }
 
     fn push_event(&mut self, time_us: u64, kind: EventKind<A::Command>) {
@@ -1206,344 +1228,4 @@ fn next_rand(state: &mut u64) -> u64 {
 
 fn next_rand_f64(state: &mut u64) -> f64 {
     (next_rand(state) >> 11) as f64 / (1u64 << 53) as f64
-}
-
-use crate::snapshot::{
-    Restorable, SnapReader, SnapWriter, Snapshot, SnapshotBuilder, SnapshotDocument, SnapshotError,
-    SECTION_SIMULATOR,
-};
-
-impl<C: Snapshot> Snapshot for EventKind<C> {
-    fn write(&self, w: &mut SnapWriter) {
-        match self {
-            EventKind::Timer { node, key } => {
-                w.put_u8(0);
-                node.write(w);
-                w.put_u64(*key);
-            }
-            EventKind::Deliver { frame } => {
-                w.put_u8(1);
-                w.put_usize(*frame);
-            }
-            EventKind::Command { node, cmd } => {
-                w.put_u8(2);
-                node.write(w);
-                cmd.write(w);
-            }
-            EventKind::Maintenance { node } => {
-                w.put_u8(3);
-                node.write(w);
-            }
-            EventKind::Fail { node } => {
-                w.put_u8(4);
-                node.write(w);
-            }
-            EventKind::Recover { node } => {
-                w.put_u8(5);
-                node.write(w);
-            }
-        }
-    }
-}
-
-impl<C: Restorable> Restorable for EventKind<C> {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => EventKind::Timer {
-                node: NodeId::read(r)?,
-                key: r.u64()?,
-            },
-            1 => EventKind::Deliver { frame: r.usize()? },
-            2 => EventKind::Command {
-                node: NodeId::read(r)?,
-                cmd: C::read(r)?,
-            },
-            3 => EventKind::Maintenance {
-                node: NodeId::read(r)?,
-            },
-            4 => EventKind::Fail {
-                node: NodeId::read(r)?,
-            },
-            5 => EventKind::Recover {
-                node: NodeId::read(r)?,
-            },
-            b => return Err(SnapshotError::Corrupt(format!("invalid EventKind tag {b}"))),
-        })
-    }
-}
-
-impl<P: Snapshot> Snapshot for FrameState<P> {
-    // Free slab slots serialize like any other frame (their payload is
-    // `None` and their corruption list empty after `release_frame`), so slot
-    // indices referenced by pending `Deliver` events stay valid verbatim.
-    fn write(&self, w: &mut SnapWriter) {
-        let FrameState {
-            src,
-            dest,
-            kind,
-            payload_bytes,
-            payload,
-            start_us,
-            end_us,
-            retries_left,
-            corrupted,
-        } = self;
-        src.write(w);
-        dest.write(w);
-        kind.write(w);
-        w.put_usize(*payload_bytes);
-        payload.write(w);
-        w.put_u64(*start_us);
-        w.put_u64(*end_us);
-        w.put_u32(*retries_left);
-        corrupted.write(w);
-    }
-}
-
-impl<P: Restorable> Restorable for FrameState<P> {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(FrameState {
-            src: NodeId::read(r)?,
-            dest: Destination::read(r)?,
-            kind: MsgKind::read(r)?,
-            payload_bytes: r.usize()?,
-            payload: Option::read(r)?,
-            start_us: r.u64()?,
-            end_us: r.u64()?,
-            retries_left: r.u32()?,
-            corrupted: Vec::read(r)?,
-        })
-    }
-}
-
-impl<A: NodeApp> Simulator<A> {
-    /// Swaps the installed fault plan for `plan`: every pending `Fail` /
-    /// `Recover` event of the previous plan is retracted (all other queue
-    /// entries keep their exact `(time, seq)` keys) and the new plan's
-    /// events and loss overlay are installed. This is how a restored
-    /// checkpoint is *forked*: restore N times, give each copy a different
-    /// plan, and the futures diverge only where the plans do.
-    pub fn replace_fault_plan(&mut self, plan: &FaultPlan) {
-        let mut kept = Vec::with_capacity(self.queue.len());
-        while let Some((time, seq, kind)) = self.queue.pop() {
-            match kind {
-                EventKind::Fail { .. } | EventKind::Recover { .. } => {}
-                other => kept.push((time, seq, other)),
-            }
-        }
-        for (time, seq, kind) in kept {
-            self.queue.push(time, seq, kind);
-        }
-        self.faults = None;
-        self.install_fault_plan(plan);
-    }
-}
-
-impl<A> Simulator<A>
-where
-    A: NodeApp + Snapshot,
-    A::Payload: Snapshot,
-    A::Command: Snapshot,
-    A::Output: Snapshot,
-{
-    /// Writes the complete simulation state — apps, queue, slab, radio and
-    /// RNG — as one snapshot section payload. The skipped fields are the
-    /// ones a snapshot deliberately cannot carry: the app `factory` and the
-    /// sensor `field` (arbitrary closures / trait objects, re-supplied at
-    /// [`Simulator::restore`]; the factory must be live because node
-    /// recovery rebuilds apps through it), the trace sink and profiler
-    /// inside `probes` (host-side observers, re-attached by the caller —
-    /// its metrics and window recorder are written), and
-    /// `action_scratch` (empty between events, which is the only place a
-    /// checkpoint can be taken).
-    pub fn write_snapshot(&self, w: &mut SnapWriter) {
-        let Simulator {
-            nodes,
-            factory: _,
-            failed,
-            topology,
-            radio,
-            config,
-            field: _,
-            probes,
-            outputs,
-            queue,
-            frames,
-            free_frames,
-            action_scratch: _,
-            tx_ready_at_us,
-            sleep_until_us,
-            incoming,
-            faults,
-            now_us,
-            seq,
-            rng_state,
-            started,
-            events_processed,
-            frames_total,
-            slab_high_water,
-            csma_capped,
-            csma_sorts_saved,
-            phase_events,
-        } = self;
-        topology.write(w);
-        radio.write(w);
-        config.write(w);
-        nodes.write(w);
-        failed.write(w);
-        probes.metrics().write(w);
-        outputs.write(w);
-        queue.write(w);
-        frames.write(w);
-        free_frames.write(w);
-        tx_ready_at_us.write(w);
-        sleep_until_us.write(w);
-        incoming.write(w);
-        faults.write(w);
-        probes.windows().write(w);
-        w.put_u64(*now_us);
-        w.put_u64(*seq);
-        w.put_u64(*rng_state);
-        w.put_bool(*started);
-        w.put_u64(*events_processed);
-        w.put_u64(*frames_total);
-        w.put_usize(*slab_high_water);
-        w.put_u64(*csma_capped);
-        w.put_u64(*csma_sorts_saved);
-        phase_events.write(w);
-    }
-
-    /// Serializes the full simulation into a standalone snapshot document.
-    ///
-    /// Resuming via [`Simulator::restore`] and continuing is bit-identical
-    /// to never having stopped: same outputs, same metrics, same RNG draws.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        self.write_snapshot(&mut w);
-        let mut b = SnapshotBuilder::new();
-        b.section(SECTION_SIMULATOR, w.as_bytes());
-        b.finish()
-    }
-}
-
-impl<A> Simulator<A>
-where
-    A: NodeApp + Restorable,
-    A::Payload: Restorable,
-    A::Command: Restorable,
-    A::Output: Restorable,
-{
-    /// Decodes one simulator from a snapshot section written by
-    /// [`Simulator::write_snapshot`]. `field` and `factory` re-supply the
-    /// two unserializable collaborators and must match the originals (the
-    /// field is drawn from on every sample; the factory rebuilds apps on
-    /// node recovery). The trace sink and profiler start detached —
-    /// [`Simulator::attach`] them before resuming if the run was observed;
-    /// a window recorder in the snapshot resumes recording by itself.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`] from decoding, including `Corrupt` if the
-    /// decoded tables disagree with each other.
-    pub fn read_snapshot<F>(
-        r: &mut SnapReader<'_>,
-        field: Box<dyn SensorField + Send + Sync>,
-        factory: F,
-    ) -> Result<Self, SnapshotError>
-    where
-        F: FnMut(NodeId, &Topology) -> A + Send + 'static,
-    {
-        let topology = Topology::read(r)?;
-        let radio = RadioParams::read(r)?;
-        let config = SimConfig::read(r)?;
-        let nodes: Vec<A> = Vec::read(r)?;
-        let failed: Vec<bool> = Vec::read(r)?;
-        let metrics = Metrics::read(r)?;
-        let outputs: Vec<OutputRecord<A::Output>> = Vec::read(r)?;
-        let queue = CalendarQueue::read(r)?;
-        let frames: Vec<FrameState<A::Payload>> = Vec::read(r)?;
-        let free_frames: Vec<usize> = Vec::read(r)?;
-        let tx_ready_at_us: Vec<u64> = Vec::read(r)?;
-        let sleep_until_us: Vec<u64> = Vec::read(r)?;
-        let incoming = IncomingArena::read(r)?;
-        let faults: Option<FaultOverlay> = Option::read(r)?;
-        let windows: Option<WindowRecorder> = Option::read(r)?;
-        let now_us = r.u64()?;
-        let seq = r.u64()?;
-        let rng_state = r.u64()?;
-        let started = r.bool()?;
-        let events_processed = r.u64()?;
-        let frames_total = r.u64()?;
-        let slab_high_water = r.usize()?;
-        let csma_capped = r.u64()?;
-        let csma_sorts_saved = r.u64()?;
-        // The wire stays exactly `EnginePhase::COUNT` u64s in wire order.
-        let phase_events: [u64; EnginePhase::COUNT] = <[u64; EnginePhase::COUNT]>::read(r)?;
-
-        let n = topology.node_count();
-        if nodes.len() != n
-            || failed.len() != n
-            || tx_ready_at_us.len() != n
-            || sleep_until_us.len() != n
-        {
-            return Err(SnapshotError::Corrupt(
-                "per-node tables disagree with the topology".into(),
-            ));
-        }
-        if free_frames.iter().any(|&i| i >= frames.len()) {
-            return Err(SnapshotError::Corrupt(
-                "free-frame index past the slab".into(),
-            ));
-        }
-        Ok(Simulator {
-            nodes,
-            factory: Box::new(factory),
-            failed,
-            topology,
-            radio,
-            config,
-            field,
-            probes: Probes::restored(metrics, windows),
-            outputs,
-            queue,
-            frames,
-            free_frames,
-            action_scratch: Vec::new(),
-            tx_ready_at_us,
-            sleep_until_us,
-            incoming,
-            faults,
-            now_us,
-            seq,
-            rng_state,
-            started,
-            events_processed,
-            frames_total,
-            slab_high_water,
-            csma_capped,
-            csma_sorts_saved,
-            phase_events,
-        })
-    }
-
-    /// Rebuilds a simulator from a [`Simulator::checkpoint`] document.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`]: corrupted or truncated documents, foreign
-    /// magic, or a schema-version mismatch.
-    pub fn restore<F>(
-        bytes: &[u8],
-        field: Box<dyn SensorField + Send + Sync>,
-        factory: F,
-    ) -> Result<Self, SnapshotError>
-    where
-        F: FnMut(NodeId, &Topology) -> A + Send + 'static,
-    {
-        let doc = SnapshotDocument::parse(bytes)?;
-        let mut r = doc.section(SECTION_SIMULATOR)?;
-        let sim = Self::read_snapshot(&mut r, field, factory)?;
-        r.finish()?;
-        Ok(sim)
-    }
 }

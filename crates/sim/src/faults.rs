@@ -313,46 +313,6 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-use crate::snapshot::{Restorable, SnapReader, SnapWriter, Snapshot, SnapshotError};
-
-impl Snapshot for FaultSchedule {
-    fn write(&self, w: &mut SnapWriter) {
-        let FaultSchedule { crashes } = self;
-        crashes.write(w);
-    }
-}
-
-impl Restorable for FaultSchedule {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(FaultSchedule {
-            crashes: Vec::read(r)?,
-        })
-    }
-}
-
-impl Snapshot for FaultOverlay {
-    // The region membership vectors are serialized rather than rebuilt from
-    // the topology: `loss_prob` is pure, so the vectors fully determine the
-    // overlay's behaviour without re-running the (position-dependent) build.
-    fn write(&self, w: &mut SnapWriter) {
-        let FaultOverlay {
-            degradations,
-            regions,
-        } = self;
-        degradations.write(w);
-        regions.write(w);
-    }
-}
-
-impl Restorable for FaultOverlay {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(FaultOverlay {
-            degradations: Vec::read(r)?,
-            regions: Vec::read(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

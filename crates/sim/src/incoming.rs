@@ -199,57 +199,6 @@ impl IncomingArena {
     }
 }
 
-use crate::snapshot::{Restorable, SnapReader, SnapWriter, Snapshot, SnapshotError};
-
-impl Snapshot for IncomingFrame {
-    fn write(&self, w: &mut SnapWriter) {
-        let IncomingFrame {
-            start_us,
-            dur_us,
-            frame,
-        } = *self;
-        w.put_u64(start_us);
-        w.put_u32(dur_us);
-        w.put_u32(frame);
-    }
-}
-
-impl Restorable for IncomingFrame {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(IncomingFrame {
-            start_us: r.u64()?,
-            dur_us: r.u32()?,
-            frame: r.u32()?,
-        })
-    }
-}
-
-impl Snapshot for IncomingArena {
-    // The layout (including the current capacity) round-trips exactly: the
-    // capacity is unobservable but serializing it is simpler and keeps the
-    // restored arena byte-identical to the live one.
-    fn write(&self, w: &mut SnapWriter) {
-        let IncomingArena { data, len, cap } = self;
-        data.write(w);
-        len.write(w);
-        w.put_usize(*cap);
-    }
-}
-
-impl Restorable for IncomingArena {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let data: Vec<IncomingFrame> = Vec::read(r)?;
-        let len: Vec<u32> = Vec::read(r)?;
-        let cap = r.usize()?;
-        if data.len() != len.len() * cap || len.iter().any(|&l| l as usize > cap) {
-            return Err(SnapshotError::Corrupt(
-                "incoming arena geometry mismatch".into(),
-            ));
-        }
-        Ok(IncomingArena { data, len, cap })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -80,7 +80,6 @@ mod metrics;
 mod probe;
 mod profile;
 mod radio;
-mod snapshot;
 mod time;
 mod timeseries;
 mod topology;
@@ -101,10 +100,6 @@ pub use profile::{
     ProfileScratch, SAMPLE_INTERVAL,
 };
 pub use radio::{Destination, MsgKind, RadioParams};
-pub use snapshot::{
-    Restorable, SnapReader, SnapWriter, Snapshot, SnapshotBuilder, SnapshotDocument, SnapshotError,
-    SECTION_RUNNER, SECTION_SIMULATOR, SNAPSHOT_MAGIC,
-};
 pub use time::SimTime;
 pub use timeseries::{gini, max_mean_ratio, NodeTimeseries, WindowStats};
 pub use topology::{NodeId, Position, Topology, TopologyError, GRID_SPACING_FT, RADIO_RANGE_FT};

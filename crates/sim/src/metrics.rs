@@ -457,61 +457,6 @@ impl fmt::Display for Metrics {
     }
 }
 
-use crate::snapshot::{Restorable, SnapReader, SnapWriter, Snapshot, SnapshotError};
-
-impl Snapshot for Metrics {
-    fn write(&self, w: &mut SnapWriter) {
-        let Metrics {
-            tx_busy_ms,
-            rx_busy_ms,
-            sleep_ms,
-            tx_count,
-            tx_bytes,
-            retransmissions,
-            collisions,
-            losses,
-            gave_up,
-            orphaned_drops,
-            orphaned,
-            samples,
-            horizon,
-        } = self;
-        tx_busy_ms.write(w);
-        rx_busy_ms.write(w);
-        sleep_ms.write(w);
-        tx_count.write(w);
-        tx_bytes.write(w);
-        w.put_u64(*retransmissions);
-        w.put_u64(*collisions);
-        w.put_u64(*losses);
-        w.put_u64(*gave_up);
-        w.put_u64(*orphaned_drops);
-        orphaned.write(w);
-        w.put_u64(*samples);
-        horizon.write(w);
-    }
-}
-
-impl Restorable for Metrics {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Metrics {
-            tx_busy_ms: Vec::read(r)?,
-            rx_busy_ms: Vec::read(r)?,
-            sleep_ms: Vec::read(r)?,
-            tx_count: std::collections::BTreeMap::read(r)?,
-            tx_bytes: std::collections::BTreeMap::read(r)?,
-            retransmissions: r.u64()?,
-            collisions: r.u64()?,
-            losses: r.u64()?,
-            gave_up: r.u64()?,
-            orphaned_drops: r.u64()?,
-            orphaned: Vec::read(r)?,
-            samples: r.u64()?,
-            horizon: SimTime::read(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,8 +24,8 @@ use crate::trace::{TraceDest, TraceEvent, TraceHandle};
 ///
 /// **The observer contract.** Nothing selected here draws from the
 /// simulation RNG, branches on simulated state, or reorders events: a run is
-/// bit-identical — metrics, answers, engine counters, snapshot bytes, and
-/// the trace itself — whichever of these are on. With everything off (the
+/// bit-identical — metrics, answers, engine counters, and the trace
+/// itself — whichever of these are on. With everything off (the
 /// default) each engine site costs its metrics update plus one not-taken
 /// branch. The golden-determinism tests pin both halves.
 #[derive(Debug, Clone, Default)]
@@ -235,20 +235,9 @@ pub(crate) struct Probes {
 impl Probes {
     /// Unobserved accounting for `nodes` nodes.
     pub(crate) fn new(nodes: usize) -> Self {
-        Probes::restored(Metrics::new(nodes), None)
-    }
-
-    /// Accounting decoded from a snapshot. A restored recorder keeps
-    /// recording, so resuming before [`Probes::attach`] loses nothing.
-    pub(crate) fn restored(metrics: Metrics, windows: Option<WindowRecorder>) -> Self {
         Probes {
-            metrics,
-            observers: windows.map(|w| {
-                Box::new(Observers {
-                    windows: Some(w),
-                    ..Observers::default()
-                })
-            }),
+            metrics: Metrics::new(nodes),
+            observers: None,
         }
     }
 
@@ -258,11 +247,6 @@ impl Probes {
 
     pub(crate) fn set_horizon(&mut self, t: SimTime) {
         self.metrics.set_horizon(t);
-    }
-
-    /// The live window recorder, for the snapshot writer.
-    pub(crate) fn windows(&self) -> Option<&WindowRecorder> {
-        self.observers.as_deref()?.windows.as_ref()
     }
 
     /// Reports one occurrence at simulation time `at_us`. Always inlined:
@@ -289,7 +273,7 @@ impl Probes {
     }
 
     /// Replaces the observers with what `observe` selects. A recorder that
-    /// is already running (restored from a snapshot) keeps its windows.
+    /// is already running keeps its windows.
     /// `phase_events` is the engine's per-phase event count so far: events
     /// processed before the profiler attached are not its to count.
     pub(crate) fn attach(

@@ -12,8 +12,8 @@
 //!   accounting for it everywhere is now a compile error.
 //! - [`ProfilePhase`] — the full attribution key: the engine phases plus the
 //!   engine's CSMA-sense and interference-marking sub-spans and the
-//!   runner-side phases (topology build, snapshot save/restore, admission
-//!   scoring, re-optimization, answer mapping).
+//!   runner-side phases (topology build, admission scoring,
+//!   re-optimization, answer mapping).
 //! - [`ProfileHandle`] — cloneable, off by default, shared between the
 //!   runner and the engine the way [`crate::TraceHandle`] is.
 //! - [`ProfileScratch`] — the engine's lock-free accumulator: an increment
@@ -70,8 +70,8 @@ fn stamp() -> u64 {
     }
 }
 
-/// The engine's event-dispatch phases, in the order the engine's snapshot
-/// wire has always stored their counters. Every processed event belongs to
+/// The engine's event-dispatch phases, in the order the engine has always
+/// stored their counters. Every processed event belongs to
 /// exactly one of these; the match in `Simulator::process_event` is
 /// exhaustive, so a new event kind cannot ship without naming its phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,10 +91,10 @@ pub enum EnginePhase {
 
 impl EnginePhase {
     /// Number of engine phases (the length of the engine's per-phase
-    /// counter array — and of its snapshot wire encoding).
+    /// counter array).
     pub const COUNT: usize = 5;
 
-    /// All phases, in wire order.
+    /// All phases, in counter-array order.
     pub const ALL: [EnginePhase; EnginePhase::COUNT] = [
         EnginePhase::Timer,
         EnginePhase::Deliver,
@@ -153,10 +153,6 @@ pub enum ProfilePhase {
     InterferenceMark,
     /// Grid/topology construction before the run starts.
     TopologyBuild,
-    /// Serializing a checkpoint.
-    SnapshotSave,
-    /// Restoring a checkpoint.
-    SnapshotRestore,
     /// Base-station optimizer admission scoring (`insert`).
     AdmissionScoring,
     /// Base-station optimizer re-optimization sweeps.
@@ -167,10 +163,10 @@ pub enum ProfilePhase {
 
 impl ProfilePhase {
     /// Number of profiled phases.
-    pub const COUNT: usize = 13;
+    pub const COUNT: usize = 11;
 
-    /// All phases, in report order: engine event phases first (wire order),
-    /// then engine sub-spans, then runner phases.
+    /// All phases, in report order: engine event phases first (in
+    /// counter-array order), then engine sub-spans, then runner phases.
     pub const ALL: [ProfilePhase; ProfilePhase::COUNT] = [
         ProfilePhase::Timer,
         ProfilePhase::Deliver,
@@ -180,8 +176,6 @@ impl ProfilePhase {
         ProfilePhase::CsmaSense,
         ProfilePhase::InterferenceMark,
         ProfilePhase::TopologyBuild,
-        ProfilePhase::SnapshotSave,
-        ProfilePhase::SnapshotRestore,
         ProfilePhase::AdmissionScoring,
         ProfilePhase::Reoptimize,
         ProfilePhase::AnswerMapping,
@@ -200,11 +194,9 @@ impl ProfilePhase {
             ProfilePhase::CsmaSense => 5,
             ProfilePhase::InterferenceMark => 6,
             ProfilePhase::TopologyBuild => 7,
-            ProfilePhase::SnapshotSave => 8,
-            ProfilePhase::SnapshotRestore => 9,
-            ProfilePhase::AdmissionScoring => 10,
-            ProfilePhase::Reoptimize => 11,
-            ProfilePhase::AnswerMapping => 12,
+            ProfilePhase::AdmissionScoring => 8,
+            ProfilePhase::Reoptimize => 9,
+            ProfilePhase::AnswerMapping => 10,
         }
     }
 
@@ -219,8 +211,6 @@ impl ProfilePhase {
             ProfilePhase::CsmaSense => "csma-sense",
             ProfilePhase::InterferenceMark => "interference-mark",
             ProfilePhase::TopologyBuild => "topology-build",
-            ProfilePhase::SnapshotSave => "snapshot-save",
-            ProfilePhase::SnapshotRestore => "snapshot-restore",
             ProfilePhase::AdmissionScoring => "admission-scoring",
             ProfilePhase::Reoptimize => "reoptimize",
             ProfilePhase::AnswerMapping => "answer-mapping",
@@ -434,8 +424,8 @@ impl ProfileHandle {
     }
 
     /// Starts a coarse-grained span (runner phases: topology build,
-    /// snapshot save/restore, optimizer work). Returns `None` when
-    /// disabled, so the disabled path never reads a timestamp.
+    /// optimizer work). Returns `None` when disabled, so the disabled path
+    /// never reads a timestamp.
     #[inline]
     pub fn start(&self) -> Option<u64> {
         self.0.as_ref().map(|_| stamp())

@@ -365,84 +365,6 @@ pub fn gini(values: &[f64]) -> f64 {
     (2.0 * weighted) / (n as f64 * sum) - (n as f64 + 1.0) / n as f64
 }
 
-use crate::snapshot::{Restorable, SnapReader, SnapWriter, Snapshot, SnapshotError};
-
-impl Snapshot for WindowAccum {
-    fn write(&self, w: &mut SnapWriter) {
-        let WindowAccum {
-            tx_busy_ms,
-            rx_busy_ms,
-            sleep_ms,
-            samples,
-            tx_frames,
-            tx_count,
-            collisions,
-            retransmissions,
-            losses,
-            gave_up,
-        } = self;
-        tx_busy_ms.write(w);
-        rx_busy_ms.write(w);
-        sleep_ms.write(w);
-        samples.write(w);
-        tx_frames.write(w);
-        tx_count.write(w);
-        w.put_u64(*collisions);
-        w.put_u64(*retransmissions);
-        w.put_u64(*losses);
-        w.put_u64(*gave_up);
-    }
-}
-
-impl Restorable for WindowAccum {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(WindowAccum {
-            tx_busy_ms: Vec::read(r)?,
-            rx_busy_ms: Vec::read(r)?,
-            sleep_ms: Vec::read(r)?,
-            samples: Vec::read(r)?,
-            tx_frames: Vec::read(r)?,
-            tx_count: std::collections::BTreeMap::read(r)?,
-            collisions: r.u64()?,
-            retransmissions: r.u64()?,
-            losses: r.u64()?,
-            gave_up: r.u64()?,
-        })
-    }
-}
-
-impl Snapshot for WindowRecorder {
-    fn write(&self, w: &mut SnapWriter) {
-        let WindowRecorder {
-            window_us,
-            nodes,
-            energy,
-            windows,
-        } = self;
-        w.put_u64(*window_us);
-        w.put_usize(*nodes);
-        energy.write(w);
-        windows.write(w);
-    }
-}
-
-impl Restorable for WindowRecorder {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let window_us = r.u64()?;
-        if window_us == 0 {
-            return Err(SnapshotError::Corrupt(
-                "zero-length timeseries window".into(),
-            ));
-        }
-        Ok(WindowRecorder {
-            window_us,
-            nodes: r.usize()?,
-            energy: EnergyProfile::read(r)?,
-            windows: Vec::read(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -427,68 +427,6 @@ impl Topology {
     }
 }
 
-use crate::snapshot::{Restorable, SnapReader, SnapWriter, Snapshot, SnapshotError};
-
-impl Snapshot for SpatialIndex {
-    fn write(&self, w: &mut SnapWriter) {
-        let SpatialIndex { cell_ft, cells } = self;
-        w.put_f64(*cell_ft);
-        cells.write(w);
-    }
-}
-
-impl Restorable for SpatialIndex {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SpatialIndex {
-            cell_ft: r.f64()?,
-            cells: std::collections::HashMap::read(r)?,
-        })
-    }
-}
-
-impl Snapshot for Topology {
-    // Everything — including the derived neighbour lists, BFS levels and the
-    // spatial index — is serialized rather than rebuilt, so restoring a
-    // big-grid topology costs a read, not an O(n) rebuild. This is what
-    // warm-started campaigns amortize across cells.
-    fn write(&self, w: &mut SnapWriter) {
-        let Topology {
-            positions,
-            radio_range,
-            neighbors,
-            levels,
-            index,
-        } = self;
-        positions.write(w);
-        w.put_f64(*radio_range);
-        neighbors.write(w);
-        levels.write(w);
-        index.write(w);
-    }
-}
-
-impl Restorable for Topology {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let positions: Vec<Position> = Vec::read(r)?;
-        let radio_range = r.f64()?;
-        let neighbors: Vec<Vec<NodeId>> = Vec::read(r)?;
-        let levels: Vec<u32> = Vec::read(r)?;
-        let index = SpatialIndex::read(r)?;
-        if neighbors.len() != positions.len() || levels.len() != positions.len() {
-            return Err(SnapshotError::Corrupt(
-                "topology table lengths disagree".into(),
-            ));
-        }
-        Ok(Topology {
-            positions,
-            radio_range,
-            neighbors,
-            levels,
-            index,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,8 +3,8 @@
 //!
 //! Two runs of this simulator with identical configuration produce
 //! byte-identical JSON-lines traces — that *is* the determinism contract.
-//! So when two traces differ (a baseline vs a candidate binary, or a
-//! checkpoint forked with two fault plans), the first differing record is
+//! So when two traces differ (a baseline vs a candidate binary, or one run
+//! forked at an instant under two fault plans), the first differing record is
 //! the first observable behavioural departure, and everything before it is
 //! provably shared history. [`trace_diff`] compares two traces record by
 //! record (headers skipped, byte-truncated tails tolerated) and reports:
@@ -16,9 +16,9 @@
 //! - whether either file ended in a truncated partial record.
 //!
 //! The workflow this powers: when the report-diff gate flags a divergent
-//! `RunReport`, restore both variants from the nearest checkpoint with
-//! tracing enabled, re-run, and hand both traces to [`trace_diff`] — see
-//! `examples/divergence.rs` for the end-to-end recipe.
+//! `RunReport`, re-run both variants with tracing enabled and hand both
+//! traces to [`trace_diff`] — see `examples/divergence.rs` for the
+//! end-to-end recipe.
 
 use std::collections::BTreeMap;
 use std::fmt;

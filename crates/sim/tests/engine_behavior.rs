@@ -2,8 +2,9 @@
 //! retransmission, sleep and determinism.
 
 use ttmqo_sim::{
-    ConstantField, Ctx, Destination, FaultPlan, LinkDegradation, MsgKind, NodeApp, NodeId,
-    Position, RadioParams, RegionLossOverride, SimConfig, SimTime, Simulator, Topology,
+    ConstantField, Ctx, Destination, EngineStats, FaultPlan, LinkDegradation, MetricsSnapshot,
+    MsgKind, NodeApp, NodeId, OutputRecord, Position, RadioParams, RandomCrashes,
+    RegionLossOverride, SimConfig, SimTime, Simulator, Topology,
 };
 
 /// A scriptable test app: sends frames per a static script and records what
@@ -825,46 +826,139 @@ fn fault_plan_region_override_is_local() {
     assert!(sim.node(NodeId(2)).received.is_empty());
 }
 
+/// A busy 4×4 grid for the fault-plan tests: an RNG-drawing loss path,
+/// retries, maintenance beacons, and unicasts toward the base station
+/// spread over the first 17 s of a 20 s run.
+fn lossy_grid_sim() -> Simulator<Probe> {
+    let mut radio = RadioParams::lossless();
+    radio.loss_rate = 0.3;
+    radio.max_retries = 2;
+    let config = SimConfig {
+        seed: 99,
+        maintenance_interval_ms: Some(700),
+        maintenance_bytes: 8,
+    };
+    let mut sim = Simulator::new(
+        Topology::grid(4).unwrap(),
+        radio,
+        config,
+        Box::new(ConstantField),
+        |_, _| Probe::default(),
+    );
+    for i in 0..40u64 {
+        sim.schedule_command(
+            SimTime::from_ms(i * 431),
+            NodeId((1 + i % 15) as u16),
+            Cmd::Send {
+                dest: Destination::Unicast(NodeId(0)),
+                kind: MsgKind::Result,
+                bytes: 12,
+                tag: format!("m{i}"),
+            },
+        );
+    }
+    sim
+}
+
+const LOSSY_GRID_END_MS: u64 = 20_000;
+
+/// Everything observable about a finished run.
+fn observables(
+    sim: &Simulator<Probe>,
+) -> (Vec<OutputRecord<String>>, MetricsSnapshot, EngineStats) {
+    (
+        sim.outputs().to_vec(),
+        sim.metrics().snapshot(),
+        sim.engine_stats(),
+    )
+}
+
+fn sampled_crashes(seed: u64) -> FaultPlan {
+    FaultPlan {
+        seed,
+        random_crashes: Some(RandomCrashes {
+            fraction: 0.2,
+            from_ms: 6_000,
+            until_ms: 12_000,
+            outage_ms: Some(3_000),
+        }),
+        ..FaultPlan::default()
+    }
+}
+
 #[test]
 fn empty_fault_plan_leaves_runs_bit_identical() {
     // Installing an empty plan must not perturb the event queue or the RNG
     // stream: the run's full metrics snapshot stays equal to a run that
     // never heard of fault plans.
     let run = |install_empty_plan: bool| {
-        let mut radio = RadioParams::lossless();
-        radio.loss_rate = 0.3; // active RNG-drawing loss path
-        radio.max_retries = 2;
-        let config = SimConfig {
-            seed: 99,
-            maintenance_interval_ms: Some(700),
-            maintenance_bytes: 8,
-        };
-        let mut sim = Simulator::new(
-            Topology::grid(4).unwrap(),
-            radio,
-            config,
-            Box::new(ConstantField),
-            |_, _| Probe::default(),
-        );
+        let mut sim = lossy_grid_sim();
         if install_empty_plan {
             sim.install_fault_plan(&FaultPlan::default());
         }
-        for i in 0..10u64 {
-            sim.schedule_command(
-                SimTime::from_ms(i * 131),
-                NodeId((1 + i % 15) as u16),
-                Cmd::Send {
-                    dest: Destination::Unicast(NodeId(0)),
-                    kind: MsgKind::Result,
-                    bytes: 12,
-                    tag: format!("m{i}"),
-                },
-            );
-        }
-        sim.run_until(SimTime::from_ms(20_000));
+        sim.run_until(SimTime::from_ms(LOSSY_GRID_END_MS));
         sim.metrics().snapshot()
     };
     assert_eq!(run(false), run(true));
+}
+
+#[test]
+fn a_run_forks_by_replaying_to_an_instant_and_replacing_the_plan() {
+    // Being at time t is a replay: a fresh simulator run to t. Stopping
+    // there is unobservable, and what is installed there decides the rest.
+    let fork = |plan: Option<FaultPlan>| {
+        let mut sim = lossy_grid_sim();
+        sim.run_until(SimTime::from_ms(4_321));
+        if let Some(plan) = plan {
+            sim.replace_fault_plan(&plan);
+        }
+        sim.run_until(SimTime::from_ms(LOSSY_GRID_END_MS));
+        observables(&sim)
+    };
+    let mut straight = lossy_grid_sim();
+    straight.run_until(SimTime::from_ms(LOSSY_GRID_END_MS));
+    let control = observables(&straight);
+    assert_eq!(fork(None), control, "stopping mid-run must be unobservable");
+    assert_eq!(
+        fork(Some(FaultPlan::default())),
+        control,
+        "an empty replacement plan is the straight run"
+    );
+
+    let (a, b) = (
+        fork(Some(sampled_crashes(1))),
+        fork(Some(sampled_crashes(2))),
+    );
+    assert_ne!(a, control, "fork A's crashes must be observable");
+    assert_ne!(b, control, "fork B's crashes must be observable");
+    assert_ne!(a, b, "different plans must diverge");
+    assert_eq!(
+        fork(Some(sampled_crashes(1))),
+        a,
+        "the same plan from the same instant is the same future"
+    );
+}
+
+#[test]
+fn replacing_an_installed_plan_retracts_its_pending_fault_events() {
+    // A run that already has crash/recovery events queued, forked under a
+    // *different* plan: the old plan's events must be gone.
+    let run = |swap: Option<FaultPlan>| {
+        let mut sim = lossy_grid_sim();
+        sim.install_fault_plan(&sampled_crashes(0xFA17));
+        sim.run_until(SimTime::from_ms(2_000));
+        if let Some(plan) = swap {
+            sim.replace_fault_plan(&plan);
+        }
+        sim.run_until(SimTime::from_ms(LOSSY_GRID_END_MS));
+        sim.engine_stats().fault_events
+    };
+    assert!(run(None) > 0);
+    // FaultPlan::default() is empty: no fault event may fire after the swap.
+    assert_eq!(run(Some(FaultPlan::default())), 0);
+    // And a later, shorter plan fires only its own pair.
+    let one_outage = FaultPlan::scripted(vec![(NodeId(5), 8_000, Some(9_000))]);
+    assert_eq!(run(Some(one_outage)), 2);
 }
 
 #[test]

@@ -91,17 +91,6 @@ impl EmpiricalDistribution {
     pub fn observe(&mut self, value: f64) {
         self.histogram.add(value);
     }
-
-    /// The backing histogram (for serialization).
-    pub fn histogram(&self) -> &Histogram {
-        &self.histogram
-    }
-
-    /// Wraps an already-built histogram (the inverse of
-    /// [`histogram`](Self::histogram)).
-    pub fn from_histogram(histogram: Histogram) -> Self {
-        EmpiricalDistribution { histogram }
-    }
 }
 
 impl DataDistribution for EmpiricalDistribution {
@@ -168,24 +157,6 @@ impl SelectivityEstimator {
     /// Observations accumulated for an attribute.
     pub fn observation_count(&self, attr: Attribute) -> u64 {
         self.adaptive.get(&attr).map_or(0, |m| m.sample_count())
-    }
-
-    /// Observations required before adaptive models are trusted.
-    pub fn warmup(&self) -> u64 {
-        self.warmup
-    }
-
-    /// The online empirical models in attribute order (for serialization;
-    /// the static [`set_model`](Self::set_model) models are trait objects
-    /// and must be re-registered instead).
-    pub fn adaptive_models(&self) -> impl Iterator<Item = (Attribute, &EmpiricalDistribution)> {
-        self.adaptive.iter().map(|(a, m)| (*a, m))
-    }
-
-    /// Reinstalls a previously captured adaptive model for one attribute
-    /// (the inverse of [`adaptive_models`](Self::adaptive_models)).
-    pub fn set_adaptive(&mut self, attr: Attribute, model: EmpiricalDistribution) {
-        self.adaptive.insert(attr, model);
     }
 
     /// Registers a distribution model for one attribute, replacing any

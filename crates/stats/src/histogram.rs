@@ -167,30 +167,6 @@ impl Histogram {
         self.buckets.iter_mut().for_each(|b| *b = 0);
         self.total = 0;
     }
-
-    /// Rebuilds a histogram from previously captured parts (the inverse of
-    /// [`lo`](Self::lo)/[`hi`](Self::hi)/[`buckets`](Self::buckets)), for
-    /// deserialization.
-    ///
-    /// # Errors
-    ///
-    /// The same configuration errors as [`new`](Self::new), plus
-    /// [`HistogramError::InvalidRange`] when `total` disagrees with the sum
-    /// of the bucket counts.
-    pub fn from_parts(
-        lo: f64,
-        hi: f64,
-        buckets: Vec<u64>,
-        total: u64,
-    ) -> Result<Self, HistogramError> {
-        let mut h = Histogram::new(lo, hi, buckets.len())?;
-        if buckets.iter().sum::<u64>() != total {
-            return Err(HistogramError::InvalidRange);
-        }
-        h.buckets = buckets;
-        h.total = total;
-        Ok(h)
-    }
 }
 
 #[cfg(test)]

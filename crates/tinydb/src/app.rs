@@ -549,66 +549,6 @@ impl NodeApp for TinyDbApp {
     }
 }
 
-use ttmqo_sim::{Restorable, SnapReader, SnapWriter, Snapshot, SnapshotError};
-
-impl Snapshot for TinyDbConfig {
-    fn write(&self, w: &mut SnapWriter) {
-        let TinyDbConfig {
-            slot_ms,
-            jitter_ms,
-            srt,
-        } = *self;
-        w.put_u64(slot_ms);
-        w.put_u64(jitter_ms);
-        w.put_bool(srt);
-    }
-}
-
-impl Restorable for TinyDbConfig {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TinyDbConfig {
-            slot_ms: r.u64()?,
-            jitter_ms: r.u64()?,
-            srt: r.bool()?,
-        })
-    }
-}
-
-impl Snapshot for TinyDbApp {
-    fn write(&self, w: &mut SnapWriter) {
-        let TinyDbApp {
-            config,
-            queries,
-            seen_query_floods,
-            seen_abort_floods,
-            agg_buffers,
-            row_buffers,
-            srt,
-        } = self;
-        config.write(w);
-        queries.write(w);
-        seen_query_floods.write(w);
-        seen_abort_floods.write(w);
-        agg_buffers.write(w);
-        row_buffers.write(w);
-        srt.write(w);
-    }
-}
-
-impl Restorable for TinyDbApp {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TinyDbApp {
-            config: TinyDbConfig::read(r)?,
-            queries: BTreeMap::read(r)?,
-            seen_query_floods: HashSet::read(r)?,
-            seen_abort_floods: HashSet::read(r)?,
-            agg_buffers: HashMap::read(r)?,
-            row_buffers: HashMap::read(r)?,
-            srt: Option::read(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

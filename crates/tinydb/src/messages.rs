@@ -79,122 +79,6 @@ pub enum Output {
     },
 }
 
-use ttmqo_sim::{Restorable, SnapReader, SnapWriter, Snapshot, SnapshotError};
-
-impl Snapshot for TinyDbPayload {
-    fn write(&self, w: &mut SnapWriter) {
-        match self {
-            TinyDbPayload::Query(q) => {
-                w.put_u8(0);
-                q.write(w);
-            }
-            TinyDbPayload::Abort(qid) => {
-                w.put_u8(1);
-                qid.write(w);
-            }
-            TinyDbPayload::Rows {
-                qid,
-                epoch_ms,
-                rows,
-            } => {
-                w.put_u8(2);
-                qid.write(w);
-                w.put_u64(*epoch_ms);
-                rows.write(w);
-            }
-            TinyDbPayload::Partials {
-                qid,
-                epoch_ms,
-                partials,
-            } => {
-                w.put_u8(3);
-                qid.write(w);
-                w.put_u64(*epoch_ms);
-                partials.write(w);
-            }
-        }
-    }
-}
-
-impl Restorable for TinyDbPayload {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => TinyDbPayload::Query(Query::read(r)?),
-            1 => TinyDbPayload::Abort(QueryId::read(r)?),
-            2 => TinyDbPayload::Rows {
-                qid: QueryId::read(r)?,
-                epoch_ms: r.u64()?,
-                rows: Vec::read(r)?,
-            },
-            3 => TinyDbPayload::Partials {
-                qid: QueryId::read(r)?,
-                epoch_ms: r.u64()?,
-                partials: Vec::read(r)?,
-            },
-            b => {
-                return Err(SnapshotError::Corrupt(format!(
-                    "invalid TinyDbPayload tag {b}"
-                )))
-            }
-        })
-    }
-}
-
-impl Snapshot for Command {
-    fn write(&self, w: &mut SnapWriter) {
-        match self {
-            Command::Pose(q) => {
-                w.put_u8(0);
-                q.write(w);
-            }
-            Command::Terminate(qid) => {
-                w.put_u8(1);
-                qid.write(w);
-            }
-        }
-    }
-}
-
-impl Restorable for Command {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => Command::Pose(Query::read(r)?),
-            1 => Command::Terminate(QueryId::read(r)?),
-            b => return Err(SnapshotError::Corrupt(format!("invalid Command tag {b}"))),
-        })
-    }
-}
-
-impl Snapshot for Output {
-    fn write(&self, w: &mut SnapWriter) {
-        match self {
-            Output::Answer {
-                qid,
-                epoch_ms,
-                answer,
-            } => {
-                w.put_u8(0);
-                qid.write(w);
-                w.put_u64(*epoch_ms);
-                answer.write(w);
-            }
-        }
-    }
-}
-
-impl Restorable for Output {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => Output::Answer {
-                qid: QueryId::read(r)?,
-                epoch_ms: r.u64()?,
-                answer: EpochAnswer::read(r)?,
-            },
-            b => return Err(SnapshotError::Corrupt(format!("invalid Output tag {b}"))),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

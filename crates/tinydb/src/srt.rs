@@ -359,37 +359,3 @@ mod bbox_tests {
         assert!(!srt.node_matches(NodeId(15), &query));
     }
 }
-
-use ttmqo_sim::{Restorable, SnapReader, SnapWriter, Snapshot, SnapshotError};
-
-impl Snapshot for Srt {
-    // The SRT is a pure function of the topology and the dead set it was
-    // built from, but the dead set is not retained — so the derived tables
-    // are serialized rather than rebuilt.
-    fn write(&self, w: &mut SnapWriter) {
-        let Srt {
-            ranges,
-            bboxes,
-            positions,
-        } = self;
-        ranges.write(w);
-        bboxes.write(w);
-        positions.write(w);
-    }
-}
-
-impl Restorable for Srt {
-    fn read(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        let ranges: Vec<(u16, u16)> = Vec::read(r)?;
-        let bboxes: Vec<Region> = Vec::read(r)?;
-        let positions: Vec<(f64, f64)> = Vec::read(r)?;
-        if bboxes.len() != ranges.len() || positions.len() != ranges.len() {
-            return Err(SnapshotError::Corrupt("SRT table lengths disagree".into()));
-        }
-        Ok(Srt {
-            ranges,
-            bboxes,
-            positions,
-        })
-    }
-}

@@ -1,12 +1,16 @@
-//! Trace-divergence localizer: fork one checkpoint under two fault plans,
-//! trace both forks, and name the first event where their behaviour
-//! departs — kind, simulated time, node — with a context window per side.
+//! Trace-divergence localizer: fork one run under two fault plans, trace
+//! both forks, and name the first event where their behaviour departs —
+//! kind, simulated time, node — with a context window per side.
+//!
+//! Runs are deterministic, so a fork is a replay: each fork is a fresh
+//! session run to the fork instant and handed its own fault plan there.
+//! Both traces start at t = 0 and share a byte-identical prefix.
 //!
 //! This is the diagnostic step behind the report-diff gate: when
 //! `report_diff` (or CI's baseline comparison) says two runs disagree, you
-//! don't eyeball two JSONL files — you re-trace from the last common
-//! checkpoint under both configurations and let `trace_diff` localize the
-//! first departure and summarize what changed after it.
+//! don't eyeball two JSONL files — you re-trace both configurations and let
+//! `trace_diff` localize the first departure and summarize what changed
+//! after it.
 //!
 //! Run with: `cargo run --release --example divergence`
 
@@ -15,6 +19,7 @@ use ttmqo::query::{parse_query, ParseQueryError, QueryId};
 use ttmqo::sim::{trace_diff, FaultPlan, JsonLinesSink, NodeId, Observe, SimTime, TraceHandle};
 
 const EPOCH_MS: u64 = 2048;
+const FORK_MS: u64 = 8 * EPOCH_MS;
 const OUT_DIR: &str = "divergence";
 
 fn main() -> Result<(), ParseQueryError> {
@@ -41,20 +46,10 @@ fn main() -> Result<(), ParseQueryError> {
     };
 
     // ------------------------------------------------------------------
-    // 1. Run to epoch 8 and freeze the common prefix.
+    // 1. Fork at epoch 8 under two futures, tracing each fork: replay the
+    //    common prefix, then swap the fault plan.
     // ------------------------------------------------------------------
-    let mut session = RunSession::new(&config, &workload);
-    session.run_to(SimTime::from_ms(8 * EPOCH_MS));
-    let snapshot = session.checkpoint();
-    println!(
-        "checkpoint: {} bytes at t = {} ms (epoch 8)",
-        snapshot.len(),
-        8 * EPOCH_MS
-    );
-
-    // ------------------------------------------------------------------
-    // 2. Fork the checkpoint under two futures, tracing each fork.
-    // ------------------------------------------------------------------
+    println!("fork instant: t = {FORK_MS} ms (epoch 8)");
     std::fs::create_dir_all(OUT_DIR).expect("create output directory");
     let forks: &[(&str, FaultPlan)] = &[
         ("calm", FaultPlan::default()),
@@ -75,8 +70,8 @@ fn main() -> Result<(), ParseQueryError> {
             },
             ..config.clone()
         };
-        let mut fork = RunSession::restore(&snapshot, &traced, &workload)
-            .expect("restoring our own checkpoint");
+        let mut fork = RunSession::new(&traced, &workload);
+        fork.run_to(SimTime::from_ms(FORK_MS));
         fork.replace_fault_plan(plan);
         let report = fork.finish();
         traced.observe.trace.flush();
@@ -86,7 +81,7 @@ fn main() -> Result<(), ParseQueryError> {
     }
 
     // ------------------------------------------------------------------
-    // 3. Localize: first diverging event plus per-kind count deltas.
+    // 2. Localize: first diverging event plus per-kind count deltas.
     // ------------------------------------------------------------------
     let diff = trace_diff(&traces[0], &traces[1], 5);
     println!("\ntraces: {} vs {} records", diff.records_a, diff.records_b);
@@ -117,12 +112,12 @@ fn main() -> Result<(), ParseQueryError> {
     let first_at = div.a.as_ref().and_then(|r| r.time_us);
     if let Some(t) = first_at {
         assert!(
-            t >= 8 * EPOCH_MS * 1000,
-            "forks share the checkpoint prefix, so divergence is after it"
+            t >= FORK_MS * 1000,
+            "forks replay the same prefix, so divergence is after the fork instant"
         );
         println!(
-            "\nbehaviour departs {:.1} epochs after the checkpoint (crash at epoch 10)",
-            (t as f64 / 1000.0 - 8.0 * EPOCH_MS as f64) / EPOCH_MS as f64
+            "\nbehaviour departs {:.1} epochs after the fork instant (crash at epoch 10)",
+            (t as f64 / 1000.0 - FORK_MS as f64) / EPOCH_MS as f64
         );
     }
 

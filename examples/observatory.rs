@@ -44,13 +44,9 @@ fn eta(ms: Option<f64>) -> String {
 impl ProgressSink for Observatory {
     fn event(&mut self, event: &CampaignEvent) {
         match event {
-            CampaignEvent::CampaignStarted {
-                cells,
-                threads,
-                warm_start,
-            } => println!(
-                "observatory: {cells} cells on {threads} threads (warm start: {warm_start})"
-            ),
+            CampaignEvent::CampaignStarted { cells, threads } => {
+                println!("observatory: {cells} cells on {threads} threads")
+            }
             CampaignEvent::CellStarted {
                 wall_ms,
                 index,
@@ -111,11 +107,10 @@ impl ProgressSink for Observatory {
             CampaignEvent::CampaignFinished {
                 wall_ms,
                 cells,
-                warm_prefix_hits,
                 audit_violations,
             } => println!(
                 "observatory: {cells} cells in {wall_ms:.0} ms \
-                 ({warm_prefix_hits} warm prefix hits, {audit_violations} audit violations)"
+                 ({audit_violations} audit violations)"
             ),
         }
         self.jsonl.event(event);

@@ -17,7 +17,7 @@
 //!
 //! When the gate fails on an exact field, the next diagnostic step is the
 //! trace-divergence localizer (`examples/divergence.rs`): re-trace both
-//! configurations from a common checkpoint and it names the first event
+//! configurations through their common prefix and it names the first event
 //! where behaviour departs instead of leaving you with two counters.
 //!
 //! ```text

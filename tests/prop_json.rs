@@ -29,9 +29,8 @@ use ttmqo::sim::{
 };
 use ttmqo::stats::Histogram;
 use ttmqo_bench::{
-    parse_prior_checkpoint_report, parse_prior_churn_report, parse_prior_faults_report,
-    parse_prior_report, CheckpointBenchResult, ChurnBenchResult, EngineBenchResult,
-    FaultBenchResult,
+    parse_prior_churn_report, parse_prior_faults_report, parse_prior_report, ChurnBenchResult,
+    EngineBenchResult, FaultBenchResult,
 };
 
 // ---------------------------------------------------------------------------
@@ -863,7 +862,7 @@ fn campaign_event(rng: &mut TestRng) -> (CampaignEvent, Leaves) {
         rng.sample(0..100usize),
     );
     let (workload, strategy, field_seed, fault) = (text(rng), tier(rng), uint(rng), text(rng));
-    let (warm, eta_ms) = (flag(rng), flag(rng).then(|| float(rng)));
+    let eta_ms = flag(rng).then(|| float(rng));
     let (n1, n2, n3) = (
         rng.sample(0..1000usize),
         rng.sample(0..1000usize),
@@ -883,13 +882,8 @@ fn campaign_event(rng: &mut TestRng) -> (CampaignEvent, Leaves) {
             CampaignEvent::CampaignStarted {
                 cells: n1,
                 threads: n2,
-                warm_start: warm,
             },
-            vec![
-                u("cells", n1 as u64),
-                u("threads", n2 as u64),
-                b("warm_start", warm),
-            ],
+            vec![u("cells", n1 as u64), u("threads", n2 as u64)],
         ),
         1 => (
             CampaignEvent::CellStarted {
@@ -900,9 +894,8 @@ fn campaign_event(rng: &mut TestRng) -> (CampaignEvent, Leaves) {
                 grid_n,
                 field_seed,
                 fault,
-                warm,
             },
-            [vec![f("wall_ms", wall_ms)], coords, vec![b("warm", warm)]].concat(),
+            [vec![f("wall_ms", wall_ms)], coords].concat(),
         ),
         2 => {
             let (cell_wall_ms, events_per_sec) = (float(rng), float(rng));
@@ -916,7 +909,6 @@ fn campaign_event(rng: &mut TestRng) -> (CampaignEvent, Leaves) {
                     grid_n,
                     field_seed,
                     fault,
-                    warm,
                     cell_wall_ms,
                     sim_ms,
                     events_processed,
@@ -930,7 +922,6 @@ fn campaign_event(rng: &mut TestRng) -> (CampaignEvent, Leaves) {
                     vec![f("wall_ms", wall_ms)],
                     coords,
                     vec![
-                        b("warm", warm),
                         f("cell_wall_ms", cell_wall_ms),
                         u("sim_ms", sim_ms),
                         u("events_processed", events_processed),
@@ -976,13 +967,11 @@ fn campaign_event(rng: &mut TestRng) -> (CampaignEvent, Leaves) {
             CampaignEvent::CampaignFinished {
                 wall_ms,
                 cells: n1,
-                warm_prefix_hits: n2,
                 audit_violations: field_seed,
             },
             vec![
                 f("wall_ms", wall_ms),
                 u("cells", n1 as u64),
-                u("warm_prefix_hits", n2 as u64),
                 u("audit_violations", field_seed),
             ],
         ),
@@ -1114,35 +1103,6 @@ fn engine_result(rng: &mut TestRng) -> (EngineBenchResult, Leaves) {
     }
     leaves.extend(result.audit_violations.map(|n| u("audit_violations", n)));
     (result, leaves)
-}
-
-fn checkpoint_result(rng: &mut TestRng) -> (CheckpointBenchResult, Leaves) {
-    let r = CheckpointBenchResult {
-        name: text(rng),
-        snapshot_bytes: uint(rng),
-        save_s: float(rng),
-        restore_s: float(rng),
-        resume_matches: flag(rng),
-        cold_wall_s: float(rng),
-        warm_wall_s: float(rng),
-        warmstart_speedup: float(rng),
-        warm_matches: flag(rng),
-        wall_s: float(rng),
-    };
-    let leaves = vec![
-        u("schema_version", SCHEMA_VERSION as u64),
-        s("name", &r.name),
-        u("snapshot_bytes", r.snapshot_bytes),
-        fixed("save_s", r.save_s, 6),
-        fixed("restore_s", r.restore_s, 6),
-        b("resume_matches", r.resume_matches),
-        fixed("cold_wall_s", r.cold_wall_s, 6),
-        fixed("warm_wall_s", r.warm_wall_s, 6),
-        fixed("warmstart_speedup", r.warmstart_speedup, 3),
-        b("warm_matches", r.warm_matches),
-        fixed("wall_s", r.wall_s, 6),
-    ];
-    (r, leaves)
 }
 
 fn churn_result(rng: &mut TestRng) -> (ChurnBenchResult, Leaves) {
@@ -1325,12 +1285,10 @@ proptest! {
     #[test]
     fn bench_results_round_trip(
         engine in arb(engine_result),
-        checkpoint in arb(checkpoint_result),
         churn in arb(churn_result),
         faults in arb(fault_result),
     ) {
         check(&engine.0.to_json(), &engine.1)?;
-        check(&checkpoint.0.to_json(), &checkpoint.1)?;
         check(&churn.0.to_json(), &churn.1)?;
         check(&faults.0.to_json(), &faults.1)?;
         // The trajectory readers find every finite row by its (escaped) name.
@@ -1344,7 +1302,6 @@ proptest! {
             }
         };
         prop_assert!(column(engine.0.to_json(), parse_prior_report, &engine.0.name, engine.0.events_per_sec, 1));
-        prop_assert!(column(checkpoint.0.to_json(), parse_prior_checkpoint_report, &checkpoint.0.name, checkpoint.0.save_s, 6));
         prop_assert!(column(churn.0.to_json(), parse_prior_churn_report, &churn.0.name, churn.0.admitted_per_sec, 1));
         prop_assert!(column(faults.0.to_json(), parse_prior_faults_report, &faults.0.name, faults.0.sim_ms_per_wall_s, 1));
     }
@@ -1384,7 +1341,6 @@ fn feed_every_reader(text: &str, other: &str) {
         let _ = report.to_json();
     }
     let _ = parse_prior_report(text);
-    let _ = parse_prior_checkpoint_report(text);
     let _ = parse_prior_churn_report(text);
     let _ = parse_prior_faults_report(text);
     let opts = CompareOptions::default();
@@ -1416,11 +1372,7 @@ fn own_document(rng: &mut TestRng) -> String {
             engine_result(rng).0.to_json(),
             fault_result(rng).0.to_json()
         ),
-        _ => format!(
-            "{}\n{}\n",
-            churn_result(rng).0.to_json(),
-            checkpoint_result(rng).0.to_json()
-        ),
+        _ => format!("{}\n", churn_result(rng).0.to_json()),
     }
 }
 
