@@ -84,8 +84,8 @@ fn main() {
     // enough simulated time to exercise retries and collisions while
     // staying trivial for CI.
     let duration_ms = if smoke { 30_000 } else { 600_000 };
-    // Two-tier rows replay Workload A end to end; durations are in epochs
-    // (2048 ms) so every row sees complete result rounds.
+    // Two-tier and baseline rows replay Workload A end to end; durations are
+    // in epochs (2048 ms) so every row sees complete result rounds.
     let twotier_duration_ms = if smoke { 16 * 2048 } else { 64 * 2048 };
     let prior = std::fs::read_to_string(ENGINE_REPORT_FILE)
         .map(|text| parse_prior_report(&text))

@@ -85,15 +85,18 @@ impl EngineBenchParams {
     }
 }
 
-/// One end-to-end two-tier row of the engine bench: the full TTMQO stack
-/// (Tier-1 optimizer, in-network tier, runner) on a big grid, so the report
-/// tracks how the engine scales under real protocol traffic — SRT floods,
-/// epoch-synchronized results, maintenance beacons — not just synthetic
-/// flood load.
+/// One end-to-end row of the engine bench: the full stack (Tier-1
+/// optimizer, in-network tier or TinyDB app, runner) on a big grid, so the
+/// report tracks how the engine scales under real protocol traffic — SRT
+/// floods, epoch-synchronized results, maintenance beacons — not just
+/// synthetic flood load.
 #[derive(Debug, Clone)]
 pub struct TwoTierBenchParams {
     /// Scenario name carried into the report.
     pub name: String,
+    /// What runs on the grid: the two-tier scheme for the ladder, the
+    /// TinyDB baseline for the backlog row.
+    pub strategy: Strategy,
     /// Grid side (nodes = `grid_n²`).
     pub grid_n: usize,
     /// Simulated duration, ms.
@@ -106,19 +109,31 @@ pub struct TwoTierBenchParams {
 }
 
 impl TwoTierBenchParams {
-    /// The big-grid two-tier ladder. `duration_ms` is the 16×16 row's
-    /// simulated duration; larger grids shrink it like the flood rows do.
+    /// The big-grid two-tier ladder, then the one row with a deep CSMA
+    /// backlog. `duration_ms` is the 16×16 row's simulated duration; larger
+    /// grids shrink it like the flood rows do.
+    ///
+    /// The flood and two-tier rows keep the pending-event population near
+    /// the node count. `baseline-32x32` — every user query of Workload A
+    /// run unshared under TinyDB — offers more than the channel carries, so
+    /// frames queue behind carrier sense and the backlog grows with the run
+    /// (slab high water 16,398 after 16 base epochs, 72,158 after 64). That
+    /// is the shape that tells an event queue that holds up under backlog
+    /// from one that does not. It is not shrunk: the backlog needs the
+    /// epochs.
     pub fn default_scenarios(duration_ms: u64) -> Vec<TwoTierBenchParams> {
-        let base = |name: &str, grid_n, duration_ms| TwoTierBenchParams {
+        let base = |name: &str, strategy, grid_n, duration_ms| TwoTierBenchParams {
             name: name.to_string(),
+            strategy,
             grid_n,
             duration_ms,
             audited: false,
         };
         vec![
-            base("twotier-16x16", 16, duration_ms),
-            base("twotier-32x32", 32, duration_ms / 2),
-            base("twotier-64x64", 64, duration_ms / 4),
+            base("twotier-16x16", Strategy::TwoTier, 16, duration_ms),
+            base("twotier-32x32", Strategy::TwoTier, 32, duration_ms / 2),
+            base("twotier-64x64", Strategy::TwoTier, 64, duration_ms / 4),
+            base("baseline-32x32", Strategy::Baseline, 32, duration_ms),
         ]
     }
 }
@@ -272,15 +287,16 @@ pub fn engine_microbench(params: &EngineBenchParams) -> EngineBenchResult {
     }
 }
 
-/// Runs one end-to-end two-tier scenario (Workload A through the full TTMQO
-/// stack) and measures it with the same report shape as the flood rows.
+/// Runs one end-to-end scenario (Workload A through the full stack under
+/// `params.strategy`) and measures it with the same report shape as the
+/// flood rows.
 /// `delivered` counts result rows delivered at the base station.
 pub fn twotier_bench(params: &TwoTierBenchParams) -> EngineBenchResult {
     let topo_start = Instant::now();
     let topo = Topology::grid(params.grid_n).expect("valid bench grid");
     let topo_build_s = topo_start.elapsed().as_secs_f64();
     let config = ExperimentConfig {
-        strategy: Strategy::TwoTier,
+        strategy: params.strategy,
         grid_n: params.grid_n,
         duration: SimTime::from_ms(params.duration_ms),
         topology_override: Some(topo),

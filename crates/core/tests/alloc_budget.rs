@@ -190,8 +190,11 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     // observer off. The count was 61 232 from commit 755f41b (before the
     // engine's accounting moved behind the probe seam — an unobserved run
     // must not pay an allocation for observers it does not have) to 88a8754,
-    // and is 61 085 since the per-event mapping timeline became the query
-    // ledger. The count is the same in debug and release builds.
+    // was 61 085 once the per-event mapping timeline became the query
+    // ledger, and is 58 553 since the engine's event queue became one binary
+    // heap: the calendar queue's bucket `Vec`s and their regrowth are gone,
+    // and one `Box` per scheduled command came in. The count is the same in
+    // debug and release builds.
     let config = ExperimentConfig {
         strategy: Strategy::InNetOnly,
         grid_n: 8,
@@ -201,7 +204,7 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     let workload = workload_a();
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.engine.frames_total, 5965, "not the pinned cell");
-    assert_eq!(allocs, 61_085);
+    assert_eq!(allocs, 58_553);
 }
 
 #[test]
@@ -210,8 +213,10 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     // the base station's bookkeeping per workload event is what this run
     // spends its allocator calls on. At commit 88a8754, which cloned the
     // whole user → synthetic map after every event and kept every clone, the
-    // run made 89 644 calls. How much state that bookkeeping holds is
-    // watched by the repo benchmark's `adaptive-churn` `peak_rss_mib`.
+    // run made 89 644 calls; the query ledger brought it to 85 121, and the
+    // binary-heap event queue (no bucket `Vec`s; one `Box` per scheduled
+    // command) to 78 836. How much state that bookkeeping holds is watched
+    // by the repo benchmark's `adaptive-churn` `peak_rss_mib`.
     let workload = random_workload(&RandomWorkloadParams {
         n_queries: 100,
         mean_arrival_ms: 10_000.0,
@@ -226,5 +231,5 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     };
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(100));
-    assert_eq!(allocs, 85_121);
+    assert_eq!(allocs, 78_836);
 }

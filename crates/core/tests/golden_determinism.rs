@@ -97,10 +97,11 @@ fn workload_a_metrics_match_golden_snapshot() {
 fn golden_big_cell(strategy: Strategy) -> MetricsSnapshot {
     // The big-grid cell: Workload A on a 32×32 grid (1024 nodes), long
     // enough for SRT dissemination, several epoch rounds and retransmission
-    // traffic. Generated from the engine as of PR 6 (global `BinaryHeap`
-    // event queue, all-pairs O(n²) topology build), so a passing run proves
-    // the calendar queue and the spatial grid-bucket index reproduce the old
-    // engine's behaviour bit for bit at thousand-node scale.
+    // traffic. Generated from the engine as of PR 6 (all-pairs O(n²)
+    // topology build, before the big-grid rework), so a passing run proves
+    // the event queue — any queue popping in `(time, seq)` order — and the
+    // spatial grid-bucket index reproduce that engine's behaviour bit for
+    // bit at thousand-node scale.
     let config = ExperimentConfig {
         strategy,
         grid_n: 32,

@@ -23,8 +23,9 @@
 //! bounded by *in-flight* frames, not total transmissions:
 //!
 //! * payloads are stored once per transmission behind an [`Arc`]; a
-//!   broadcast delivered to k neighbours clones k reference counts, never
-//!   k payloads (retransmissions share the same allocation too);
+//!   broadcast delivered to k neighbours takes one reference for the whole
+//!   fan-out and lends `&Payload` to each receiver (retransmissions share
+//!   the same allocation too);
 //! * frame state lives in a slab with a free list — a slot is recycled as
 //!   soon as the last scheduled delivery of its frame has fired, so slab
 //!   length equals the high-water mark of concurrently in-flight frames
@@ -37,10 +38,11 @@
 //!   one node), so the CSMA carrier-sense scan walks them in place — no
 //!   per-transmit copy, no per-transmit sort (see
 //!   [`EngineStats::csma_sorts_saved`]);
-//! * the event queue is a calendar queue ([`crate::CalendarQueue`]) rather
-//!   than a binary heap: amortized O(1) push/pop with one-bucket locality,
-//!   popping in bit-identical `(time, seq)` order — at 64×64 scale the heap's
-//!   O(log n) cache-missing sift dominated the whole engine;
+//! * the event queue is a plain [`BinaryHeap`] of 32-byte events popping in
+//!   `(time, seq)` order. Events must stay that small (a compile-time
+//!   assertion pins it; the one fat payload, a command, is boxed): under a
+//!   CSMA backlog thousands of `Deliver` events are pending at once, and
+//!   what a push or pop costs is the bytes its sift moves;
 //! * one `Deliver` event covers a frame's whole fan-out (receivers are
 //!   walked in neighbour order when it fires — provably the order the
 //!   per-receiver events popped in), dividing event-queue traffic by the
@@ -49,7 +51,6 @@
 //!   fan-out, capacity recycled with the slab slot) instead of a global
 //!   hash set, so the transmit/delivery paths do no hashing.
 
-use crate::calendar::CalendarQueue;
 use crate::faults::{FaultOverlay, FaultPlan};
 use crate::field::SensorField;
 use crate::incoming::{IncomingArena, IncomingFrame};
@@ -61,6 +62,8 @@ use crate::time::SimTime;
 use crate::timeseries::NodeTimeseries;
 use crate::topology::{NodeId, Topology};
 use crate::trace::{TraceDest, TraceEvent};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::fmt::Debug;
 use std::sync::Arc;
 use ttmqo_query::Attribute;
@@ -302,9 +305,11 @@ enum EventKind<C> {
     Deliver {
         frame: usize,
     },
+    /// Boxed: a command can be a whole query, and a handful per run must
+    /// not set the size of the hundreds of thousands of other events.
     Command {
         node: NodeId,
-        cmd: C,
+        cmd: Box<C>,
     },
     Maintenance {
         node: NodeId,
@@ -316,6 +321,39 @@ enum EventKind<C> {
         node: NodeId,
     },
 }
+
+/// One pending event. `seq` is unique, so `(time_us, seq)` is a total order
+/// and any correct priority queue pops the same sequence; `Ord` is that key
+/// reversed, which makes the max-heap [`BinaryHeap`] pop the earliest first.
+#[derive(Debug)]
+struct Event<C> {
+    time_us: u64,
+    seq: u64,
+    kind: EventKind<C>,
+}
+
+// Events stay ≤ 32 bytes whatever the app's command type is.
+const _: () = assert!(std::mem::size_of::<Event<[u64; 32]>>() <= 32);
+
+impl<C> Ord for Event<C> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time_us, other.seq).cmp(&(self.time_us, self.seq))
+    }
+}
+
+impl<C> PartialOrd for Event<C> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<C> PartialEq for Event<C> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<C> Eq for Event<C> {}
 
 /// One in-flight transmission, stored in the frame slab. The slot is
 /// recycled once the frame's `Deliver` event has fired (or immediately, if
@@ -423,11 +461,8 @@ pub struct Simulator<A: NodeApp> {
     /// reported here exactly once.
     probes: Probes,
     outputs: Vec<OutputRecord<A::Output>>,
-    /// The event queue: a calendar queue popping in strict `(time_us, seq)`
-    /// order — bit-identical to the `BinaryHeap<Reverse<Event>>` it replaced
-    /// (the golden determinism snapshots pin this), but amortized O(1) per
-    /// operation with one-bucket cache locality at big-grid queue depths.
-    queue: CalendarQueue<EventKind<A::Command>>,
+    /// The event queue, popping in strict `(time_us, seq)` order.
+    queue: BinaryHeap<Event<A::Command>>,
     /// Frame slab: slots are recycled through `free_frames` once all of a
     /// frame's deliveries have fired, so `frames.len()` tracks peak
     /// in-flight frames rather than total transmissions.
@@ -485,7 +520,7 @@ impl<A: NodeApp> Simulator<A> {
             failed: vec![false; n],
             probes: Probes::new(n),
             outputs: Vec::new(),
-            queue: CalendarQueue::new(),
+            queue: BinaryHeap::new(),
             frames: Vec::new(),
             free_frames: Vec::new(),
             action_scratch: Vec::new(),
@@ -584,6 +619,7 @@ impl<A: NodeApp> Simulator<A> {
     /// Schedules an external command for `node` at absolute time `at`.
     pub fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: A::Command) {
         let time_us = (at.as_ms() * 1000).max(self.now_us);
+        let cmd = Box::new(cmd);
         self.push_event(time_us, EventKind::Command { node, cmd });
     }
 
@@ -635,23 +671,16 @@ impl<A: NodeApp> Simulator<A> {
     /// where the plans do. Nodes already down stay down; an empty `plan`
     /// leaves a fault-free simulator exactly as it was.
     pub fn replace_fault_plan(&mut self, plan: &FaultPlan) {
-        let mut kept = Vec::with_capacity(self.queue.len());
-        while let Some((time, seq, kind)) = self.queue.pop() {
-            match kind {
-                EventKind::Fail { .. } | EventKind::Recover { .. } => {}
-                other => kept.push((time, seq, other)),
-            }
-        }
-        for (time, seq, kind) in kept {
-            self.queue.push(time, seq, kind);
-        }
+        self.queue
+            .retain(|e| !matches!(e.kind, EventKind::Fail { .. } | EventKind::Recover { .. }));
         self.faults = None;
         self.install_fault_plan(plan);
     }
 
     fn push_event(&mut self, time_us: u64, kind: EventKind<A::Command>) {
         self.seq += 1;
-        self.queue.push(time_us, self.seq, kind);
+        let seq = self.seq;
+        self.queue.push(Event { time_us, seq, kind });
     }
 
     /// Takes a slab slot for `frame`, recycling a free one if possible.
@@ -699,7 +728,7 @@ impl<A: NodeApp> Simulator<A> {
         if !self.started {
             self.started = true;
             for id in 0..self.nodes.len() {
-                self.dispatch_callback(NodeId(id as u16), Callback::Start);
+                self.dispatch_callback(NodeId(id as u16), |app, ctx| app.on_start(ctx));
             }
             if let Some(interval) = self.config.maintenance_interval_ms {
                 for id in 0..self.nodes.len() {
@@ -723,11 +752,8 @@ impl<A: NodeApp> Simulator<A> {
         // counts are credited from `phase_events` after the loop (see the
         // profile module's overhead budget).
         let mut prof_seen = self.probes.profile_cursor();
-        while let Some((time_us, _)) = self.queue.peek() {
-            if time_us > end_us {
-                break;
-            }
-            let (time_us, _, kind) = self.queue.pop().expect("peeked event exists");
+        while self.queue.peek().is_some_and(|next| next.time_us <= end_us) {
+            let Event { time_us, kind, .. } = self.queue.pop().expect("peeked event exists");
             self.now_us = time_us;
             self.events_processed += 1;
             let t0 = prof_seen.as_mut().and_then(profile::sample_event);
@@ -749,13 +775,13 @@ impl<A: NodeApp> Simulator<A> {
         match kind {
             EventKind::Timer { node, key } => {
                 if !self.failed[node.index()] {
-                    self.dispatch_callback(node, Callback::Timer(key));
+                    self.dispatch_callback(node, |app, ctx| app.on_timer(ctx, key));
                 }
                 EnginePhase::Timer
             }
             EventKind::Command { node, cmd } => {
                 if !self.failed[node.index()] {
-                    self.dispatch_callback(node, Callback::Command(cmd));
+                    self.dispatch_callback(node, |app, ctx| app.on_command(ctx, *cmd));
                 }
                 EnginePhase::Command
             }
@@ -778,7 +804,7 @@ impl<A: NodeApp> Simulator<A> {
                     self.failed[node.index()] = false;
                     self.tx_ready_at_us[node.index()] = self.now_us;
                     self.nodes[node.index()] = (self.factory)(node, &self.topology);
-                    self.dispatch_callback(node, Callback::Start);
+                    self.dispatch_callback(node, |app, ctx| app.on_start(ctx));
                 }
                 EnginePhase::Fault
             }
@@ -817,43 +843,29 @@ impl<A: NodeApp> Simulator<A> {
         }
     }
 
-    fn dispatch_callback(&mut self, node: NodeId, cb: Callback<A::Command, A::Payload>) {
+    /// Runs one app callback on `node` — `call` picks which — then applies
+    /// the actions it queued.
+    fn dispatch_callback(
+        &mut self,
+        node: NodeId,
+        call: impl FnOnce(&mut A, &mut Ctx<'_, A::Payload, A::Output>),
+    ) {
         // The action queue is engine-owned scratch: taken for the duration
         // of the callback, drained, and put back — one allocation for the
         // whole run instead of one per sending callback.
         let mut actions = std::mem::take(&mut self.action_scratch);
         debug_assert!(actions.is_empty());
-        {
-            let app = &mut self.nodes[node.index()];
-            let mut ctx = Ctx {
-                node,
-                now_us: self.now_us,
-                topology: &self.topology,
-                field: self.field.as_ref(),
-                probes: &mut self.probes,
-                outputs: &mut self.outputs,
-                actions: &mut actions,
-                rng_state: &mut self.rng_state,
-            };
-            match cb {
-                Callback::Start => app.on_start(&mut ctx),
-                Callback::Timer(key) => app.on_timer(&mut ctx, key),
-                Callback::Command(cmd) => app.on_command(&mut ctx, cmd),
-                Callback::Message {
-                    from,
-                    kind,
-                    payload,
-                    intended,
-                } => {
-                    if intended {
-                        app.on_message(&mut ctx, from, kind, &payload)
-                    } else {
-                        app.on_overhear(&mut ctx, from, kind, &payload)
-                    }
-                }
-                Callback::SendFailed { dest, kind } => app.on_send_failed(&mut ctx, dest, kind),
-            }
-        }
+        let mut ctx = Ctx {
+            node,
+            now_us: self.now_us,
+            topology: &self.topology,
+            field: self.field.as_ref(),
+            probes: &mut self.probes,
+            outputs: &mut self.outputs,
+            actions: &mut actions,
+            rng_state: &mut self.rng_state,
+        };
+        call(&mut self.nodes[node.index()], &mut ctx);
         for action in actions.drain(..) {
             match action {
                 Action::Send {
@@ -1073,8 +1085,14 @@ impl<A: NodeApp> Simulator<A> {
         let fanout = self.topology.neighbors(src).len();
         let dest = std::mem::replace(&mut self.frames[frame_idx].dest, Destination::Broadcast);
         let corrupted_at = std::mem::take(&mut self.frames[frame_idx].corrupted);
+        // One reference for the whole fan-out: receivers are lent
+        // `&Payload` out of this local, which no callback can invalidate.
         let frame_payload = self.frames[frame_idx].payload.clone();
         let is_unicast = matches!(dest, Destination::Unicast(_));
+        // With every loss source off no receiver draws from the RNG, so the
+        // per-receiver probability is skipped altogether.
+        let lossless =
+            !self.radio.distance_loss && self.faults.is_none() && self.radio.loss_rate <= 0.0;
         for i in 0..fanout {
             let receiver = self.topology.neighbors(src)[i];
             let intended = dest.includes(receiver);
@@ -1103,20 +1121,10 @@ impl<A: NodeApp> Simulator<A> {
             };
             self.probes.record(self.now_us, probe);
 
-            let mut loss_prob = if self.radio.distance_loss {
-                let d = self
-                    .topology
-                    .position(src)
-                    .distance(self.topology.position(receiver));
-                self.radio.loss_at(d, self.topology.radio_range())
-            } else {
-                self.radio.loss_rate
+            let lost = !lossless && !corrupted && {
+                let loss_prob = self.loss_prob(src, receiver);
+                loss_prob > 0.0 && next_rand_f64(&mut self.rng_state) < loss_prob
             };
-            if let Some(overlay) = &self.faults {
-                loss_prob = overlay.loss_prob(loss_prob, receiver.index(), self.now_us);
-            }
-            let lost =
-                !corrupted && loss_prob > 0.0 && next_rand_f64(&mut self.rng_state) < loss_prob;
             if corrupted {
                 self.probes.record(self.now_us, Probe::Collision(at));
             }
@@ -1130,25 +1138,41 @@ impl<A: NodeApp> Simulator<A> {
                 continue;
             }
 
-            let Some(payload) = frame_payload.clone() else {
+            let Some(payload) = frame_payload.as_deref() else {
                 // Engine-generated beacon: accounted, not delivered to the app.
                 continue;
             };
             self.probes
                 .record(self.now_us, Probe::Delivered { at, intended });
-            self.dispatch_callback(
-                receiver,
-                Callback::Message {
-                    from: src,
-                    kind,
-                    payload,
-                    intended,
-                },
-            );
+            self.dispatch_callback(receiver, |app, ctx| {
+                if intended {
+                    app.on_message(ctx, src, kind, payload)
+                } else {
+                    app.on_overhear(ctx, src, kind, payload)
+                }
+            });
         }
         self.frames[frame_idx].dest = dest;
         self.frames[frame_idx].corrupted = corrupted_at;
         self.release_frame(frame_idx);
+    }
+
+    /// The probability that a frame from `src` is lost at `receiver` now,
+    /// before any collision: the radio's own model, then the fault overlay.
+    fn loss_prob(&self, src: NodeId, receiver: NodeId) -> f64 {
+        let base = if self.radio.distance_loss {
+            let d = self
+                .topology
+                .position(src)
+                .distance(self.topology.position(receiver));
+            self.radio.loss_at(d, self.topology.radio_range())
+        } else {
+            self.radio.loss_rate
+        };
+        match &self.faults {
+            Some(overlay) => overlay.loss_prob(base, receiver.index(), self.now_us),
+            None => base,
+        }
     }
 
     /// Re-queues a unicast frame missed `at` its sole intended recipient, or
@@ -1165,7 +1189,7 @@ impl<A: NodeApp> Simulator<A> {
         if retries_left == 0 {
             self.probes.record(self.now_us, Probe::GaveUp(at));
             if !self.failed[src.index()] {
-                self.dispatch_callback(src, Callback::SendFailed { dest: node, kind });
+                self.dispatch_callback(src, |app, ctx| app.on_send_failed(ctx, node, kind));
             }
             return;
         }
@@ -1202,22 +1226,6 @@ impl<A: NodeApp> Debug for Simulator<A> {
     }
 }
 
-enum Callback<C, P> {
-    Start,
-    Timer(u64),
-    Command(C),
-    Message {
-        from: NodeId,
-        kind: MsgKind,
-        payload: Arc<P>,
-        intended: bool,
-    },
-    SendFailed {
-        dest: NodeId,
-        kind: MsgKind,
-    },
-}
-
 fn next_rand(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
     let mut z = *state;
@@ -1229,3 +1237,6 @@ fn next_rand(state: &mut u64) -> u64 {
 fn next_rand_f64(state: &mut u64) -> f64 {
     (next_rand(state) >> 11) as f64 / (1u64 << 53) as f64
 }
+
+#[cfg(test)]
+mod tests;

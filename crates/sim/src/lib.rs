@@ -69,7 +69,6 @@
 #![warn(missing_debug_implementations)]
 
 mod audit;
-mod calendar;
 mod energy;
 mod engine;
 mod faults;
@@ -86,7 +85,6 @@ mod topology;
 mod trace;
 
 pub use audit::{AuditCheck, AuditReport, AuditViolation};
-pub use calendar::CalendarQueue;
 pub use energy::EnergyProfile;
 pub use engine::{Ctx, EngineStats, NodeApp, OutputRecord, SimConfig, Simulator};
 pub use faults::{
