@@ -9,7 +9,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod campaign;
-pub mod churn;
 pub mod engine;
 pub mod faults;
 pub mod fig2;
@@ -18,10 +17,6 @@ pub mod fig5;
 pub mod table;
 
 pub use campaign::{paper_campaign, write_report, CAMPAIGN_REPORT_FILE};
-pub use churn::{
-    churn_bench, churn_pair, parse_prior_churn_report, ChurnBenchParams, ChurnBenchResult,
-    CHURN_REPORT_FILE,
-};
 pub use engine::{
     engine_microbench, parse_prior_report, twotier_bench, EngineBenchParams, EngineBenchResult,
     TwoTierBenchParams, ENGINE_REPORT_FILE,

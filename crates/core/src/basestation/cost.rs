@@ -78,12 +78,6 @@ impl CostModel {
         self
     }
 
-    /// The registered sensing-node positions (empty when regions are priced
-    /// as the whole field).
-    pub(crate) fn positions(&self) -> &[(f64, f64)] {
-        &self.positions
-    }
-
     /// The level statistics in use.
     pub fn levels(&self) -> &LevelStats {
         &self.levels

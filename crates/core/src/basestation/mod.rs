@@ -2,7 +2,6 @@
 //! the greedy insertion / adaptive termination optimizer, and result mapping.
 
 mod cost;
-mod index;
 mod mapper;
 mod optimizer;
 mod synthetic;
@@ -10,7 +9,7 @@ mod synthetic;
 pub use cost::CostModel;
 pub use mapper::{map_epoch_answer, map_epoch_answer_at, map_expected_epoch, EpochOutcome};
 pub use optimizer::{
-    BaseStationOptimizer, IndexStats, InsertError, NetworkOp, OptimizerOptions, OptimizerStats,
+    BaseStationOptimizer, InsertError, NetworkOp, OptimizerOptions, OptimizerStats,
     SYNTHETIC_ID_BASE,
 };
 pub use synthetic::{Demand, SyntheticQuery};

@@ -10,14 +10,11 @@
 //! station and return no operations at all — the "screen" role of §3.
 
 use crate::basestation::cost::CostModel;
-use crate::basestation::index::{batch_sort_key, CandidateIndex};
 use crate::basestation::synthetic::{Demand, SyntheticQuery};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use ttmqo_query::{integrate, Query, QueryId};
 use ttmqo_sim::{TraceEvent, TraceHandle};
-
-pub use crate::basestation::index::IndexStats;
 
 /// First id handed to synthetic queries; user query ids must stay below it.
 pub const SYNTHETIC_ID_BASE: u64 = 1 << 20;
@@ -85,12 +82,6 @@ pub struct OptimizerOptions {
     /// Whether candidates are ranked by benefit *rate* (`benefit/cost(q_i)`,
     /// the paper's `Beneficial`) or by raw benefit.
     pub rank_by_rate: bool,
-    /// Score every running synthetic on insertion (the paper's linear scan)
-    /// instead of only the candidate index's plausible merge targets. The
-    /// decisions are identical either way (the index only prunes candidates
-    /// that cannot score positive); this exists as the `--exhaustive`
-    /// reference mode for the churn bench and the equivalence tests.
-    pub exhaustive: bool,
 }
 
 impl Default for OptimizerOptions {
@@ -99,7 +90,6 @@ impl Default for OptimizerOptions {
             alpha: 0.6,
             reinsert: true,
             rank_by_rate: true,
-            exhaustive: false,
         }
     }
 }
@@ -133,10 +123,6 @@ pub struct BaseStationOptimizer {
     cost: CostModel,
     options: OptimizerOptions,
     synthetics: BTreeMap<QueryId, SyntheticQuery>,
-    /// Candidate index over `synthetics`, maintained on every install and
-    /// uninstall (see `index.rs` for the pruning soundness argument).
-    index: CandidateIndex,
-    index_stats: IndexStats,
     user_to_syn: BTreeMap<QueryId, QueryId>,
     user_queries: BTreeMap<QueryId, Query>,
     injected: BTreeSet<QueryId>,
@@ -165,12 +151,9 @@ impl BaseStationOptimizer {
     /// Creates an optimizer with full control over the algorithm knobs
     /// (used by the ablation benchmarks).
     pub fn with_options(cost: CostModel, options: OptimizerOptions) -> Self {
-        let index = CandidateIndex::new(cost.positions());
         BaseStationOptimizer {
             cost,
             options,
-            index,
-            index_stats: IndexStats::default(),
             synthetics: BTreeMap::new(),
             user_to_syn: BTreeMap::new(),
             user_queries: BTreeMap::new(),
@@ -223,20 +206,6 @@ impl BaseStationOptimizer {
         self.stats
     }
 
-    /// Cumulative candidate-index statistics (lookups, candidates scored,
-    /// candidates pruned). Pruned stays 0 under `exhaustive`.
-    pub fn index_stats(&self) -> IndexStats {
-        self.index_stats
-    }
-
-    /// Number of synthetics tracked by the candidate index (always equals
-    /// [`synthetic_count`]; exposed for drain tests).
-    ///
-    /// [`synthetic_count`]: BaseStationOptimizer::synthetic_count
-    pub fn index_len(&self) -> usize {
-        self.index.len()
-    }
-
     /// Algorithm 1: inserts a new user query, rewriting the synthetic set.
     ///
     /// Returns the network operations realizing the change (possibly none,
@@ -267,16 +236,9 @@ impl BaseStationOptimizer {
         Ok(ops)
     }
 
-    /// Algorithm 2: terminates a user query. Alias of [`remove`].
-    ///
-    /// [`remove`]: BaseStationOptimizer::remove
-    pub fn terminate(&mut self, qid: QueryId) -> Vec<NetworkOp> {
-        self.remove(qid)
-    }
-
-    /// The streaming departure path (Algorithm 2): detaches the member from
-    /// its synthetic query, shrinks the synthetic's demand counts, and
-    /// uninstalls the synthetic when it empties.
+    /// Algorithm 2: terminates a user query — detaches the member from its
+    /// synthetic query, shrinks the synthetic's demand counts, and drops the
+    /// synthetic when it empties.
     ///
     /// If the departed query was the only one demanding some piece of the
     /// synthetic query's data, the α-test decides between keeping the
@@ -285,7 +247,7 @@ impl BaseStationOptimizer {
     /// back through Algorithm 1 and lands wherever is now most beneficial.
     ///
     /// Returns no operations for an unknown id.
-    pub fn remove(&mut self, qid: QueryId) -> Vec<NetworkOp> {
+    pub fn terminate(&mut self, qid: QueryId) -> Vec<NetworkOp> {
         let Some(syn_id) = self.user_to_syn.remove(&qid) else {
             return Vec::new();
         };
@@ -315,10 +277,11 @@ impl BaseStationOptimizer {
         });
 
         if emptied {
-            self.uninstall_synthetic(syn_id);
+            self.synthetics.remove(&syn_id);
         } else if rebuilt {
             let sq = self
-                .uninstall_synthetic(syn_id)
+                .synthetics
+                .remove(&syn_id)
                 .expect("synthetic still present");
             let members: Vec<QueryId> = sq.members().collect();
             self.trace(|| TraceEvent::Tier1Reindex {
@@ -343,52 +306,6 @@ impl BaseStationOptimizer {
         ops
     }
 
-    /// Batched arrival processing: admits a whole batch of user queries and
-    /// returns the *net* network operations.
-    ///
-    /// Arrivals are sorted into the index once — by kind, attribute set,
-    /// epoch and predicate signature — so similar queries are admitted
-    /// adjacently and fold into each other before touching unrelated
-    /// synthetics. Intermediate inject/abort pairs that cancel within the
-    /// batch (a synthetic installed by one arrival and merged away by the
-    /// next) never reach the network, which is the point of batching.
-    ///
-    /// The batch is atomic with respect to validation: on any duplicate or
-    /// reserved id (including duplicates *within* the batch) no query is
-    /// admitted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InsertError`] on a duplicate or reserved query id.
-    pub fn insert_batch(&mut self, queries: Vec<Query>) -> Result<Vec<NetworkOp>, InsertError> {
-        let mut seen: BTreeSet<QueryId> = BTreeSet::new();
-        for query in &queries {
-            let qid = query.id();
-            if qid.0 >= SYNTHETIC_ID_BASE {
-                return Err(InsertError::ReservedId(qid));
-            }
-            if self.user_queries.contains_key(&qid) || !seen.insert(qid) {
-                return Err(InsertError::DuplicateId(qid));
-            }
-        }
-        let mut sorted = queries;
-        sorted.sort_by_cached_key(batch_sort_key);
-        let n = sorted.len() as u64;
-        for query in sorted {
-            let qid = query.id();
-            self.user_queries.insert(qid, query.clone());
-            self.stats.inserted += 1;
-            let mut probe = SyntheticQuery::new(query.with_id(self.fresh_syn_id()));
-            probe.add_member(qid, &Demand::of(&query));
-            self.insert_probe(probe);
-        }
-        let ops = self.diff_ops();
-        if ops.is_empty() && n > 0 {
-            self.stats.absorbed_insertions += n;
-        }
-        Ok(ops)
-    }
-
     /// Repair path: rebuilds the synthetic query `syn_id` from its members
     /// under *fresh* synthetic ids and returns the abort/inject operations.
     ///
@@ -402,7 +319,7 @@ impl BaseStationOptimizer {
     ///
     /// Returns no operations when `syn_id` is not running.
     pub fn reoptimize(&mut self, syn_id: QueryId) -> Vec<NetworkOp> {
-        let Some(sq) = self.uninstall_synthetic(syn_id) else {
+        let Some(sq) = self.synthetics.remove(&syn_id) else {
             return Vec::new();
         };
         self.stats.reoptimizations += 1;
@@ -494,22 +411,11 @@ impl BaseStationOptimizer {
     fn insert_probe_from(&mut self, mut probe: SyntheticQuery, mut merges: u32) {
         loop {
             let pq = probe.query().clone();
-            // The exhaustive scan visits every synthetic in ascending id
-            // order; the index returns a subset in the same order, omitting
-            // only candidates that cannot score positive — so the best
-            // positive candidate, ties (broken by first-seen id) and the
-            // covered early-exit all come out identical.
-            let candidates: Vec<QueryId> = if self.options.exhaustive {
-                self.synthetics.keys().copied().collect()
-            } else {
-                self.index.lookup(&pq).into_iter().collect()
-            };
-            self.index_stats.lookups += 1;
-            self.index_stats.pruned += (self.synthetics.len() - candidates.len()) as u64;
+            // Algorithm 1's scan: every running synthetic, in ascending id
+            // order (ties go to the first seen).
             let mut best: Option<(QueryId, f64)> = None;
-            for id in candidates {
-                let rate = self.score(&pq, self.synthetics[&id].query());
-                self.index_stats.scanned += 1;
+            for (&id, sq) in &self.synthetics {
+                let rate = self.score(&pq, sq.query());
                 self.trace(|| TraceEvent::Tier1Eval {
                     probe: pq.id(),
                     candidate: id,
@@ -547,7 +453,7 @@ impl BaseStationOptimizer {
                     // still absorbs the merged probe rather than letting it
                     // install as a duplicate.
                     merges += 1;
-                    let old = self.uninstall_synthetic(id).expect("best exists");
+                    let old = self.synthetics.remove(&id).expect("best exists");
                     let merged_query = integrate(self.fresh_syn_id(), old.query(), &pq)
                         .expect("positive benefit rate implies integrable");
                     self.trace(|| TraceEvent::Tier1Merge {
@@ -572,7 +478,7 @@ impl BaseStationOptimizer {
                     for m in members {
                         self.user_to_syn.insert(m, id);
                     }
-                    self.install_synthetic(probe);
+                    self.synthetics.insert(id, probe);
                     self.refresh_benefit(id);
                     return;
                 }
@@ -606,25 +512,10 @@ impl BaseStationOptimizer {
         }
     }
 
-    /// Installs a synthetic query, keeping map and candidate index in sync.
-    fn install_synthetic(&mut self, sq: SyntheticQuery) {
-        self.index.insert(sq.id(), sq.query());
-        self.synthetics.insert(sq.id(), sq);
-    }
-
-    /// Uninstalls a synthetic query, keeping map and candidate index in
-    /// sync. Returns `None` when the id is not running.
-    fn uninstall_synthetic(&mut self, id: QueryId) -> Option<SyntheticQuery> {
-        let sq = self.synthetics.remove(&id)?;
-        self.index.remove(id, sq.query());
-        Some(sq)
-    }
-
     fn refresh_benefit(&mut self, id: QueryId) {
         let Some(sq) = self.synthetics.get(&id) else {
             // Every caller passes the id of a synthetic it just installed or
-            // attached to; a miss here means the synthetic map and the
-            // candidate index diverged.
+            // attached to, so a miss here is a bug in this file.
             debug_assert!(false, "refresh_benefit: synthetic {id} is not running");
             return;
         };
@@ -659,7 +550,9 @@ impl BaseStationOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Mutex};
     use ttmqo_query::{covers_query, parse_query};
+    use ttmqo_sim::{RingSink, TraceSink};
     use ttmqo_stats::{LevelStats, SelectivityEstimator};
 
     fn opt(alpha: f64) -> BaseStationOptimizer {
@@ -1018,6 +911,98 @@ mod tests {
         }
     }
 
+    /// The queries of `ttmqo_workloads::workload_b` (that crate depends on
+    /// this one, so its types are not this test build's): acquisition pairs
+    /// whose epochs do not divide and aggregations with pairwise different
+    /// predicates — pairs that can never merge.
+    const WORKLOAD_B: [&str; 8] = [
+        "select light where 100<=light<=700 epoch duration 4096",
+        "select light where 100<=light<=700 epoch duration 6144",
+        "select temp where 0<=temp<=500 epoch duration 4096",
+        "select temp where 0<=temp<=500 epoch duration 6144",
+        "select max(humidity) where 10<=humidity<=60 epoch duration 4096",
+        "select max(humidity) where 20<=humidity<=70 epoch duration 6144",
+        "select min(voltage) where 2000<=voltage<=2800 epoch duration 4096",
+        "select min(voltage) where 2200<=voltage<=3000 epoch duration 6144",
+    ];
+
+    /// The trace of a probe round is the whole of Algorithm 1's scan: its
+    /// `tier1-eval` candidates are the running synthetics in ascending id
+    /// order, up to and including the first that covers the probe. No
+    /// running synthetic is skipped unscored, however hopeless the pair.
+    #[test]
+    fn every_probe_round_traces_every_running_synthetic() {
+        let ring = Arc::new(Mutex::new(RingSink::new(0)));
+        let mut o = opt(0.6);
+        o.set_trace(TraceHandle::shared(
+            ring.clone() as Arc<Mutex<dyn TraceSink>>
+        ));
+        let texts = WORKLOAD_B.iter().chain(&REPAIR_SET);
+        for (i, t) in texts.enumerate() {
+            o.insert(q(i as u64, t)).unwrap();
+        }
+        for i in [1u64, 9, 4, 10, 0] {
+            o.terminate(QueryId(i));
+        }
+
+        // The running set as the trace tells it, and the round in progress.
+        let mut running: BTreeSet<QueryId> = BTreeSet::new();
+        let mut round: Vec<(QueryId, f64)> = Vec::new();
+        let (mut rounds, mut covered, mut merged, mut torn_down) = (0, 0, 0, 0);
+        for rec in ring.lock().unwrap().records() {
+            // Evaluations and departures feed the state; a decision event
+            // falls through and closes the round.
+            match &rec.event {
+                TraceEvent::Tier1Eval {
+                    candidate, rate, ..
+                } => {
+                    round.push((*candidate, *rate));
+                    continue;
+                }
+                TraceEvent::Tier1Remove {
+                    synthetic,
+                    emptied: true,
+                    ..
+                } => {
+                    running.remove(synthetic);
+                    continue;
+                }
+                TraceEvent::Tier1Reindex { synthetic, .. } => {
+                    torn_down += 1;
+                    running.remove(synthetic);
+                    continue;
+                }
+                TraceEvent::Tier1Covered { .. } => covered += 1,
+                TraceEvent::Tier1Merge { .. } => merged += 1,
+                TraceEvent::Tier1Install { .. } => {}
+                _ => continue,
+            }
+            let scan = round
+                .iter()
+                .position(|&(_, rate)| rate >= 1.0)
+                .map_or(running.len(), |first_covering| first_covering + 1);
+            let expected: Vec<QueryId> = running.iter().copied().take(scan).collect();
+            let scored: Vec<QueryId> = round.iter().map(|&(id, _)| id).collect();
+            assert_eq!(scored, expected, "round {rounds} of {:?}", rec.event);
+            round.clear();
+            rounds += 1;
+            match &rec.event {
+                TraceEvent::Tier1Merge { candidate, .. } => running.remove(candidate),
+                TraceEvent::Tier1Install { synthetic, .. } => running.insert(*synthetic),
+                _ => false,
+            };
+        }
+        assert!(round.is_empty(), "every round ends in a decision");
+        assert!(
+            running.iter().eq(o.synthetics.keys()),
+            "the trace accounts for every install and removal"
+        );
+        // The sequence exercises every way a round can end and the α
+        // tear-down's re-admissions, not only fresh installs.
+        assert!(covered > 0 && merged > 0 && torn_down > 0);
+        assert!(rounds > WORKLOAD_B.len() + REPAIR_SET.len());
+    }
+
     fn opt_with(options: OptimizerOptions) -> BaseStationOptimizer {
         let model = CostModel::new(
             1.0,
@@ -1063,171 +1048,9 @@ mod tests {
         assert_invariants(&o);
     }
 
-    /// The candidate index must reach the same decisions as the exhaustive
-    /// scan — same synthetic shapes, same user→synthetic structure, same
-    /// network operations — while actually pruning candidates.
-    #[test]
-    fn indexed_admission_matches_exhaustive_scan() {
-        let texts = [
-            // 4096 vs 6144 are epoch-incomparable, so two synthetics coexist
-            // and later 4096-class arrivals exercise the epoch pruning.
-            "select light epoch duration 4096",
-            "select temp epoch duration 6144",
-            "select light where 100<light<300 epoch duration 4096",
-            "select max(light) epoch duration 8192",
-            "select min(temp) where 0<=temp<=200 epoch duration 6144",
-            "select humidity where 20<=humidity<=80 epoch duration 2048",
-            "select max(humidity) where 0<=humidity<=100 epoch duration 4096",
-            "select nodeid epoch duration 12288",
-            "select temp epoch duration 12288",
-            "select light epoch duration 6144",
-        ];
-        let mut indexed = opt(0.6);
-        let mut exhaustive = opt_with(OptimizerOptions {
-            exhaustive: true,
-            ..OptimizerOptions::default()
-        });
-        for (i, t) in texts.iter().enumerate() {
-            let a = indexed.insert(q(i as u64, t)).unwrap();
-            let b = exhaustive.insert(q(i as u64, t)).unwrap();
-            assert_eq!(a, b, "insert {i} diverged");
-            assert_eq!(synthetic_shapes(&indexed), synthetic_shapes(&exhaustive));
-        }
-        for i in [2u64, 0, 8, 5] {
-            let a = indexed.remove(QueryId(i));
-            let b = exhaustive.remove(QueryId(i));
-            assert_eq!(a, b, "remove {i} diverged");
-            assert_eq!(synthetic_shapes(&indexed), synthetic_shapes(&exhaustive));
-            assert_invariants(&indexed);
-        }
-        let stats = indexed.index_stats();
-        assert!(stats.pruned > 0, "index should have pruned something");
-        assert_eq!(exhaustive.index_stats().pruned, 0);
-        assert!(stats.scanned < exhaustive.index_stats().scanned);
-    }
-
-    /// Same equivalence with node positions registered, so the region-grid
-    /// dimension of the index is live.
-    #[test]
-    fn indexed_admission_matches_exhaustive_scan_with_regions() {
-        let positions: Vec<(f64, f64)> = (0..64)
-            .map(|i| ((i % 8) as f64 * 10.0, (i / 8) as f64 * 10.0))
-            .collect();
-        let build = |exhaustive: bool| {
-            let model = CostModel::new(
-                1.0,
-                0.0,
-                LevelStats::from_counts([4, 4, 4]),
-                SelectivityEstimator::uniform(),
-            )
-            .with_positions(positions.clone());
-            BaseStationOptimizer::with_options(
-                model,
-                OptimizerOptions {
-                    exhaustive,
-                    ..OptimizerOptions::default()
-                },
-            )
-        };
-        let mut indexed = build(false);
-        let mut exhaustive = build(true);
-        let boxed = |id: u64, x0: f64, y0: f64, side: f64| {
-            q(id, "select light epoch duration 4096")
-                .with_region(ttmqo_query::Region::new(x0, y0, x0 + side, y0 + side).unwrap())
-        };
-        let queries = [
-            boxed(0, 0.0, 0.0, 20.0),
-            boxed(1, 5.0, 5.0, 20.0),                 // overlaps 0
-            boxed(2, 60.0, 60.0, 10.0),               // far corner
-            boxed(3, 58.0, 58.0, 12.0),               // overlaps 2
-            q(4, "select light epoch duration 4096"), // region-free
-            boxed(5, 30.0, 30.0, 15.0),
-        ];
-        for query in &queries {
-            let a = indexed.insert(query.clone()).unwrap();
-            let b = exhaustive.insert(query.clone()).unwrap();
-            assert_eq!(a, b);
-            assert_eq!(synthetic_shapes(&indexed), synthetic_shapes(&exhaustive));
-        }
-        for i in [1u64, 2, 4] {
-            assert_eq!(indexed.remove(QueryId(i)), exhaustive.remove(QueryId(i)));
-            assert_eq!(synthetic_shapes(&indexed), synthetic_shapes(&exhaustive));
-        }
-        assert!(indexed.index_stats().pruned > 0);
-    }
-
-    #[test]
-    fn insert_batch_converges_to_sequential_shapes() {
-        let queries: Vec<Query> = REPAIR_SET
-            .iter()
-            .enumerate()
-            .map(|(i, t)| q(1 + i as u64, t))
-            .collect();
-        let mut sequential = opt(0.6);
-        for query in &queries {
-            sequential.insert(query.clone()).unwrap();
-        }
-        let mut batched = opt(0.6);
-        let ops = batched.insert_batch(queries.clone()).unwrap();
-        assert_eq!(synthetic_shapes(&batched), synthetic_shapes(&sequential));
-        assert_eq!(batched.user_count(), queries.len());
-        assert_invariants(&batched);
-        // Net ops: only injects for the final synthetic set — the
-        // intermediate install/merge churn never reaches the network.
-        assert_eq!(ops.len(), batched.synthetic_count());
-        assert!(ops.iter().all(|op| matches!(op, NetworkOp::Inject(_))));
-    }
-
-    #[test]
-    fn insert_batch_rejects_duplicates_atomically() {
-        let mut o = opt(0.6);
-        o.insert(q(7, "select light epoch duration 2048")).unwrap();
-        let err = o
-            .insert_batch(vec![
-                q(1, "select temp epoch duration 2048"),
-                q(7, "select temp epoch duration 4096"), // live already
-            ])
-            .unwrap_err();
-        assert_eq!(err, InsertError::DuplicateId(QueryId(7)));
-        let err = o
-            .insert_batch(vec![
-                q(2, "select temp epoch duration 2048"),
-                q(2, "select light epoch duration 4096"), // dup within batch
-            ])
-            .unwrap_err();
-        assert_eq!(err, InsertError::DuplicateId(QueryId(2)));
-        assert_eq!(o.user_count(), 1, "failed batches must admit nothing");
-        assert_eq!(o.synthetic_count(), 1);
-        assert_invariants(&o);
-    }
-
-    #[test]
-    fn insert_batch_of_covered_arrivals_is_absorbed() {
-        let mut o = opt(0.6);
-        o.insert(q(1, "select light, temp epoch duration 2048"))
-            .unwrap();
-        let ops = o
-            .insert_batch(vec![
-                q(2, "select light epoch duration 4096"),
-                q(3, "select temp epoch duration 2048"),
-            ])
-            .unwrap();
-        assert!(ops.is_empty());
-        assert_eq!(o.stats().absorbed_insertions, 2);
-        assert_eq!(o.synthetic_count(), 1);
-        assert_invariants(&o);
-    }
-
-    #[test]
-    fn empty_insert_batch_is_a_noop() {
-        let mut o = opt(0.6);
-        assert!(o.insert_batch(Vec::new()).unwrap().is_empty());
-        assert_eq!(o.stats().absorbed_insertions, 0);
-    }
-
     /// Full drain: every departure processed, the optimizer holds nothing —
-    /// no synthetics, no user maps, an empty candidate index — and a fresh
-    /// admission cycle starts clean.
+    /// no synthetics, no user maps — and a fresh admission cycle starts
+    /// clean.
     #[test]
     fn drain_to_empty_clears_all_state_and_readmits() {
         let mut o = opt(0.6);
@@ -1236,27 +1059,31 @@ mod tests {
             .enumerate()
             .map(|(i, t)| q(1 + i as u64, t))
             .collect();
-        o.insert_batch(queries.clone()).unwrap();
+        for query in &queries {
+            o.insert(query.clone()).unwrap();
+        }
         let shapes = synthetic_shapes(&o);
 
         let mut aborts = 0;
         for query in &queries {
             aborts += o
-                .remove(query.id())
+                .terminate(query.id())
                 .iter()
                 .filter(|op| matches!(op, NetworkOp::Abort(_)))
                 .count();
         }
         assert_eq!(o.synthetic_count(), 0);
         assert_eq!(o.user_count(), 0);
-        assert_eq!(o.index_len(), 0, "drained index must be empty");
+        assert!(o.user_to_syn.is_empty(), "drained mapping must be empty");
         assert!(aborts > 0, "draining must abort the running synthetics");
         // Epoch-GCD over the drained (empty) set must be `None`, not panic.
         assert!(
             ttmqo_query::EpochDuration::gcd_all(o.synthetic_queries().map(|s| s.epoch())).is_none()
         );
 
-        o.insert_batch(queries).unwrap();
+        for query in queries {
+            o.insert(query).unwrap();
+        }
         assert_eq!(synthetic_shapes(&o), shapes, "re-admission must converge");
         assert_invariants(&o);
     }
@@ -1277,11 +1104,10 @@ mod tests {
             let id = round;
             o.insert(q(id, texts[(round % 4) as usize])).unwrap();
             if round >= 4 {
-                o.remove(QueryId(id - 4));
+                o.terminate(QueryId(id - 4));
             }
             assert!(o.user_count() <= 5);
             assert!(o.synthetic_count() <= o.user_count());
-            assert_eq!(o.index_len(), o.synthetic_count());
             assert_invariants(&o);
         }
         assert_eq!(o.stats().inserted, 50);

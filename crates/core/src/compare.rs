@@ -7,13 +7,11 @@
 //! two sides are joined key-by-key:
 //!
 //! * **timing fields** (`wall_s`, `wall_clock_ms`, `events_per_sec`,
-//!   `sim_ms_per_wall_s`, the churn bench's `admitted_per_sec`,
-//!   `admit_p50_us`/`admit_p99_us`/`admit_max_us` latency quantiles and
-//!   `speedup_vs_exhaustive`, and the profiler's per-phase
+//!   `sim_ms_per_wall_s`, and the profiler's per-phase
 //!   `timer_wall_us`/`deliver_wall_us`/`command_wall_us`/
 //!   `maintenance_wall_us`/`fault_wall_us`/`csma_wall_us`/
-//!   `interference_wall_us`) get a direction-aware relative threshold — the simulator is deterministic
-//!   but the wall clock is not;
+//!   `interference_wall_us`) get a direction-aware relative threshold — the
+//!   simulator is deterministic but the wall clock is not;
 //! * **everything else is exact** — counters, metrics, and schema fields of
 //!   a deterministic simulation must not drift at all (unsigned integers
 //!   compare as `u64`, never through `f64`);
@@ -90,9 +88,6 @@ fn timing_direction(key: &str) -> Option<Direction> {
         "wall_s"
         | "topo_build_s"
         | "wall_clock_ms"
-        | "admit_p50_us"
-        | "admit_p99_us"
-        | "admit_max_us"
         | "timer_wall_us"
         | "deliver_wall_us"
         | "command_wall_us"
@@ -103,9 +98,7 @@ fn timing_direction(key: &str) -> Option<Direction> {
         // Campaign rollup wall aggregates (total_wall_ms, mean_wall_ms,
         // max_wall_ms, cell_wall_ms, ...): wall clock, lower is better.
         _ if leaf.ends_with("_wall_ms") => Some(Direction::LowerBetter),
-        "events_per_sec" | "sim_ms_per_wall_s" | "admitted_per_sec" | "speedup_vs_exhaustive" => {
-            Some(Direction::HigherBetter)
-        }
+        "events_per_sec" | "sim_ms_per_wall_s" => Some(Direction::HigherBetter),
         _ => None,
     }
 }
@@ -584,8 +577,8 @@ mod tests {
         assert!(r.is_pass());
         // Timing fields still compare as f64 under the threshold.
         let r = compare_json(
-            r#"{"admit_max_us":1000}"#,
-            r#"{"admit_max_us":1100}"#,
+            r#"{"timer_wall_us":1000}"#,
+            r#"{"timer_wall_us":1100}"#,
             &opts,
         )
         .unwrap();

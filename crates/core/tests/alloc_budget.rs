@@ -215,8 +215,10 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     // whole user → synthetic map after every event and kept every clone, the
     // run made 89 644 calls; the query ledger brought it to 85 121, and the
     // binary-heap event queue (no bucket `Vec`s; one `Box` per scheduled
-    // command) to 78 836. How much state that bookkeeping holds is watched
-    // by the repo benchmark's `adaptive-churn` `peak_rss_mib`.
+    // command) to 78 836, and deleting Tier 1's candidate index back up to
+    // 79 054 (scoring the pairs it pruned costs more calls than maintaining
+    // it saved). How much state that bookkeeping holds is watched by the
+    // repo benchmark's `adaptive-churn` `peak_rss_mib`.
     let workload = random_workload(&RandomWorkloadParams {
         n_queries: 100,
         mean_arrival_ms: 10_000.0,
@@ -231,5 +233,5 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     };
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(100));
-    assert_eq!(allocs, 78_836);
+    assert_eq!(allocs, 79_054);
 }

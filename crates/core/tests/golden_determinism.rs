@@ -498,6 +498,12 @@ fn digest(text: &str) -> Digest {
 // crash without, Workload B so that idle nodes nap) adds loss, missed and
 // abandoned frames, sleep-start and the fault events — every engine trace
 // kind appears in it.
+//
+// `STORMY_TRACE` moved once since: Tier 1 scores every running synthetic
+// again, so Workload B's trace gained the ten `tier1-eval` lines the
+// candidate index used to hide (11200 → 11210 lines). The new digest is
+// what commit 091690d writes when its linear-scan reference mode is made
+// the default and nothing else is touched; the other three never moved.
 const GOLDEN_TRACE: Digest = Digest {
     lines: 10807,
     bytes: 936846,
@@ -509,9 +515,9 @@ const GOLDEN_SERIES: Digest = Digest {
     fnv1a: 0x94cc_3a2e_4898_6b2e,
 };
 const STORMY_TRACE: Digest = Digest {
-    lines: 11200,
-    bytes: 958953,
-    fnv1a: 0x2881_1694_4bc3_af25,
+    lines: 11210,
+    bytes: 959734,
+    fnv1a: 0x787c_d611_e162_2362,
 };
 const STORMY_SERIES: Digest = Digest {
     lines: 1,

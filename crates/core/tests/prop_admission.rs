@@ -1,13 +1,11 @@
 //! Property tests for the streaming admission/departure paths: demand
-//! shrink/grow exactness, indexed-vs-exhaustive decision equivalence, and
-//! churn-workload determinism.
+//! shrink/grow exactness and churn-workload determinism.
 
 use proptest::prelude::*;
-use ttmqo_core::{BaseStationOptimizer, CostModel, Demand, OptimizerOptions, SyntheticQuery};
+use ttmqo_core::{Demand, SyntheticQuery};
 use ttmqo_query::{
     AggOp, Attribute, EpochDuration, Predicate, PredicateSet, Query, QueryId, Region, Selection,
 };
-use ttmqo_stats::{LevelStats, SelectivityEstimator};
 use ttmqo_workloads::{churn_workload, ChurnWorkloadParams};
 
 const ATTRS: [Attribute; 4] = [
@@ -100,38 +98,6 @@ fn build_query(spec: &QuerySpec, id: u64) -> Query {
     }
 }
 
-fn optimizer(exhaustive: bool, with_positions: bool) -> BaseStationOptimizer {
-    let mut model = CostModel::new(
-        4.0,
-        0.2,
-        LevelStats::from_counts([8, 16, 24]),
-        SelectivityEstimator::uniform(),
-    );
-    if with_positions {
-        let positions: Vec<(f64, f64)> = (0..64)
-            .map(|i| ((i % 8) as f64 * 10.0, (i / 8) as f64 * 10.0))
-            .collect();
-        model = model.with_positions(positions);
-    }
-    BaseStationOptimizer::with_options(
-        model,
-        OptimizerOptions {
-            exhaustive,
-            ..OptimizerOptions::default()
-        },
-    )
-}
-
-/// Id-independent canonical forms of the running synthetic set.
-fn shapes(o: &BaseStationOptimizer) -> Vec<String> {
-    let mut out: Vec<String> = o
-        .synthetic_queries()
-        .map(|s| format!("{:?}", s.with_id(QueryId(0))))
-        .collect();
-    out.sort();
-    out
-}
-
 proptest! {
     /// `add_member` then `remove_member` restores the synthetic's demand
     /// bookkeeping exactly (Debug shows every count, so string equality is
@@ -146,36 +112,6 @@ proptest! {
         sq.add_member(QueryId(2), &Demand::of(&e));
         sq.remove_member(QueryId(2), &Demand::of(&e));
         prop_assert_eq!(format!("{sq:?}"), before);
-    }
-
-    /// The candidate index reaches the same admission and departure
-    /// decisions as the exhaustive scan over random query menus — identical
-    /// network operations and identical synthetic shapes at every step,
-    /// with and without node positions (region pruning on/off).
-    #[test]
-    fn indexed_admission_matches_exhaustive(
-        specs in prop::collection::vec(arb_query(), 1..16),
-        with_positions in (0u8..2).prop_map(|b| b == 1),
-        remove_mask in 0u16..=u16::MAX,
-    ) {
-        let mut indexed = optimizer(false, with_positions);
-        let mut exhaustive = optimizer(true, with_positions);
-        for (i, spec) in specs.iter().enumerate() {
-            let a = indexed.insert(build_query(spec, i as u64)).expect("fresh id");
-            let b = exhaustive.insert(build_query(spec, i as u64)).expect("fresh id");
-            prop_assert_eq!(a, b, "insert {} diverged", i);
-            prop_assert_eq!(shapes(&indexed), shapes(&exhaustive));
-        }
-        for i in 0..specs.len() {
-            if remove_mask & (1 << i) == 0 {
-                continue;
-            }
-            let a = indexed.remove(QueryId(i as u64));
-            let b = exhaustive.remove(QueryId(i as u64));
-            prop_assert_eq!(a, b, "remove {} diverged", i);
-            prop_assert_eq!(shapes(&indexed), shapes(&exhaustive));
-        }
-        prop_assert_eq!(indexed.synthetic_count(), indexed.index_len());
     }
 
     /// Churn workloads are bit-identical across repeats for a fixed seed.

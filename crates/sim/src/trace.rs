@@ -313,8 +313,11 @@ pub enum TraceEvent {
         /// surviving members are re-inserted (see `Tier1Reindex`).
         rebuilt: bool,
     },
-    /// Tier 1 dissolved a no-longer-beneficial synthetic query after a
-    /// departure and re-inserted its surviving members.
+    /// Survivors re-admitted after an α tear-down: a departure failed
+    /// Algorithm 2's α-test, Tier 1 dissolved the synthetic query and ran
+    /// each surviving member back through Algorithm 1. No index is involved;
+    /// the wire name `tier1-reindex` is kept so the trace schema does not
+    /// change.
     Tier1Reindex {
         /// The dissolved synthetic query's (old) id.
         synthetic: QueryId,

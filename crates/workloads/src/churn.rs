@@ -84,9 +84,7 @@ pub fn churn_workload(params: &ChurnWorkloadParams) -> Vec<WorkloadEvent> {
 }
 
 /// The arrival sequence alone (no timestamps, no departures): query `i`
-/// instantiates a seeded template under id `i`. This is what the churn
-/// bench feeds straight into the optimizer when it measures pure admission
-/// throughput without simulating time.
+/// instantiates a seeded template under id `i`.
 pub fn churn_queries(params: &ChurnWorkloadParams) -> Vec<Query> {
     let mut rng = StdRng::seed_from_u64(params.seed);
     let n_templates = params.n_templates.max(1);

@@ -9,10 +9,9 @@
 //!   by `name` or by the campaign-cell coordinates.
 //!
 //! Timing fields (`wall_s`, `wall_clock_ms`, `events_per_sec`,
-//! `sim_ms_per_wall_s`, and the churn bench's throughput/latency fields)
-//! are judged against a direction-aware relative threshold; every other
-//! field must match exactly — the simulator is deterministic, so a counter
-//! that moved is a behaviour change, not noise.
+//! `sim_ms_per_wall_s`) are judged against a direction-aware relative
+//! threshold; every other field must match exactly — the simulator is
+//! deterministic, so a counter that moved is a behaviour change, not noise.
 //! CI runs this against the checked-in baselines under `bench/baselines/`.
 //!
 //! When the gate fails on an exact field, the next diagnostic step is the

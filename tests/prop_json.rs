@@ -27,10 +27,8 @@ use ttmqo::sim::{
     NodeTimeseries, PhaseProfile, ProfilePhase, ProfileReport, ProvenanceId, QueryCompleteness,
     TraceDest, TraceEvent, TraceRecord, TraceSummary, WindowStats, SCHEMA_VERSION,
 };
-use ttmqo::stats::Histogram;
 use ttmqo_bench::{
-    parse_prior_churn_report, parse_prior_faults_report, parse_prior_report, ChurnBenchResult,
-    EngineBenchResult, FaultBenchResult,
+    parse_prior_faults_report, parse_prior_report, EngineBenchResult, FaultBenchResult,
 };
 
 // ---------------------------------------------------------------------------
@@ -1105,47 +1103,6 @@ fn engine_result(rng: &mut TestRng) -> (EngineBenchResult, Leaves) {
     (result, leaves)
 }
 
-fn churn_result(rng: &mut TestRng) -> (ChurnBenchResult, Leaves) {
-    let r = ChurnBenchResult {
-        name: text(rng),
-        admitted: uint(rng),
-        departed: uint(rng),
-        peak_live: uint(rng),
-        peak_synthetics: uint(rng),
-        final_users: uint(rng),
-        final_synthetics: uint(rng),
-        scanned: uint(rng),
-        pruned: uint(rng),
-        admit_wall_s: float(rng),
-        wall_s: float(rng),
-        admitted_per_sec: float(rng),
-        admit_p50_us: float(rng),
-        admit_p99_us: float(rng),
-        admit_max_us: float(rng),
-        speedup_vs_exhaustive: float(rng),
-        latency_hist: Histogram::new(0.0, 1.0, 1).expect("valid histogram"),
-    };
-    let leaves = vec![
-        u("schema_version", SCHEMA_VERSION as u64),
-        s("name", &r.name),
-        u("admitted", r.admitted),
-        u("departed", r.departed),
-        u("peak_live", r.peak_live),
-        u("peak_synthetics", r.peak_synthetics),
-        u("final_users", r.final_users),
-        u("final_synthetics", r.final_synthetics),
-        u("scanned", r.scanned),
-        u("pruned", r.pruned),
-        fixed("wall_s", r.wall_s, 6),
-        fixed("admitted_per_sec", r.admitted_per_sec, 1),
-        fixed("admit_p50_us", r.admit_p50_us, 2),
-        fixed("admit_p99_us", r.admit_p99_us, 2),
-        fixed("admit_max_us", r.admit_max_us, 2),
-        fixed("speedup_vs_exhaustive", r.speedup_vs_exhaustive, 3),
-    ];
-    (r, leaves)
-}
-
 fn fault_result(rng: &mut TestRng) -> (FaultBenchResult, Leaves) {
     let r = FaultBenchResult {
         name: text(rng),
@@ -1285,11 +1242,9 @@ proptest! {
     #[test]
     fn bench_results_round_trip(
         engine in arb(engine_result),
-        churn in arb(churn_result),
         faults in arb(fault_result),
     ) {
         check(&engine.0.to_json(), &engine.1)?;
-        check(&churn.0.to_json(), &churn.1)?;
         check(&faults.0.to_json(), &faults.1)?;
         // The trajectory readers find every finite row by its (escaped) name.
         let column = |json: String, parse: fn(&str) -> Vec<(String, f64)>, name: &str, v: f64, d| {
@@ -1302,7 +1257,6 @@ proptest! {
             }
         };
         prop_assert!(column(engine.0.to_json(), parse_prior_report, &engine.0.name, engine.0.events_per_sec, 1));
-        prop_assert!(column(churn.0.to_json(), parse_prior_churn_report, &churn.0.name, churn.0.admitted_per_sec, 1));
         prop_assert!(column(faults.0.to_json(), parse_prior_faults_report, &faults.0.name, faults.0.sim_ms_per_wall_s, 1));
     }
 }
@@ -1341,7 +1295,6 @@ fn feed_every_reader(text: &str, other: &str) {
         let _ = report.to_json();
     }
     let _ = parse_prior_report(text);
-    let _ = parse_prior_churn_report(text);
     let _ = parse_prior_faults_report(text);
     let opts = CompareOptions::default();
     let _ = compare_json(text, other, &opts);
@@ -1350,7 +1303,7 @@ fn feed_every_reader(text: &str, other: &str) {
 
 /// One of our own documents, picked and filled at random.
 fn own_document(rng: &mut TestRng) -> String {
-    match rng.sample(0..8u8) {
+    match rng.sample(0..7u8) {
         0 | 1 => {
             let mut text = trace_header();
             text.push('\n');
@@ -1367,12 +1320,11 @@ fn own_document(rng: &mut TestRng) -> String {
         3 => cell_record(rng).0.to_json(),
         4 => rollup(rng).0.to_json(),
         5 => trace_summary(rng).0.to_json(),
-        6 => format!(
+        _ => format!(
             "{}\n{}\n",
             engine_result(rng).0.to_json(),
             fault_result(rng).0.to_json()
         ),
-        _ => format!("{}\n", churn_result(rng).0.to_json()),
     }
 }
 
