@@ -16,8 +16,8 @@ use std::time::Instant;
 use ttmqo_core::{run_experiment, ExperimentConfig, Strategy};
 use ttmqo_sim::json;
 use ttmqo_sim::{
-    ConstantField, Ctx, Destination, EngineStats, MsgKind, NodeApp, NodeId, Observe, ProfileHandle,
-    ProfilePhase, ProfileReport, RadioParams, SimConfig, SimTime, Simulator, Topology,
+    ConstantField, Ctx, Destination, EngineStats, MsgKind, NodeApp, NodeId, Observe, RadioParams,
+    SimConfig, SimTime, Simulator, Topology,
 };
 use ttmqo_workloads::workload_a;
 
@@ -39,10 +39,6 @@ pub struct EngineBenchParams {
     pub collisions: bool,
     /// Engine seed.
     pub seed: u64,
-    /// Whether the run attaches a [`ProfileHandle`] — the report then gains
-    /// the per-phase wall-time breakdown. Off for the overhead-comparison
-    /// baseline rows.
-    pub profiled: bool,
 }
 
 impl EngineBenchParams {
@@ -72,7 +68,6 @@ impl EngineBenchParams {
             payload_words: 8,
             collisions,
             seed: 0xE161E,
-            profiled: true,
         };
         vec![
             base("flood-4x4-csma", 4, true, duration_ms),
@@ -103,8 +98,7 @@ pub struct TwoTierBenchParams {
     pub duration_ms: u64,
     /// Whether the run arms the standing invariant auditor
     /// (`observe.audit`) — the report row then gains an
-    /// `audit_violations` count. Off for the overhead-comparison baseline
-    /// rows, like `profiled` on the flood rows.
+    /// `audit_violations` count.
     pub audited: bool,
 }
 
@@ -163,8 +157,6 @@ pub struct EngineBenchResult {
     pub delivered: u64,
     /// Engine slab/event counters at the end of the run.
     pub stats: EngineStats,
-    /// Per-phase wall-time attribution, when the run was profiled.
-    pub profile: Option<ProfileReport>,
     /// Standing-auditor violation count, when the run was audited
     /// (two-tier rows with [`TwoTierBenchParams::audited`] set).
     pub audit_violations: Option<u64>,
@@ -253,15 +245,6 @@ pub fn engine_microbench(params: &EngineBenchParams) -> EngineBenchResult {
                 delivered: 0,
             }
         });
-    let profile = if params.profiled {
-        ProfileHandle::enabled()
-    } else {
-        ProfileHandle::disabled()
-    };
-    sim.attach(&Observe {
-        profile: profile.clone(),
-        ..Observe::default()
-    });
     let start = Instant::now();
     sim.run_until(SimTime::from_ms(params.duration_ms));
     let wall_s = start.elapsed().as_secs_f64();
@@ -282,7 +265,6 @@ pub fn engine_microbench(params: &EngineBenchParams) -> EngineBenchResult {
         tx_frames: sim.metrics().tx_count_total(),
         delivered,
         stats,
-        profile: profile.report(),
         audit_violations: None,
     }
 }
@@ -301,7 +283,6 @@ pub fn twotier_bench(params: &TwoTierBenchParams) -> EngineBenchResult {
         duration: SimTime::from_ms(params.duration_ms),
         topology_override: Some(topo),
         observe: Observe {
-            profile: ProfileHandle::enabled(),
             audit: params.audited,
             ..Observe::default()
         },
@@ -329,7 +310,6 @@ pub fn twotier_bench(params: &TwoTierBenchParams) -> EngineBenchResult {
         tx_frames: report.metrics.tx_count_total(),
         delivered,
         stats: report.engine,
-        profile: report.profile,
         audit_violations: report
             .audit
             .as_ref()
@@ -338,10 +318,7 @@ pub fn twotier_bench(params: &TwoTierBenchParams) -> EngineBenchResult {
 }
 
 impl EngineBenchResult {
-    /// One JSON object (one line of `BENCH_engine.json`). Profiled rows gain
-    /// trailing per-phase wall-time fields (`timer_wall_us` …
-    /// `interference_wall_us`), which the report-diff gate treats as
-    /// lower-is-better timing fields like `wall_s`.
+    /// One JSON object (one line of `BENCH_engine.json`).
     pub fn to_json(&self) -> String {
         let s = &self.stats;
         json::object(|o| {
@@ -361,19 +338,6 @@ impl EngineBenchResult {
             o.u64("frames_in_flight", s.frames_in_flight as u64);
             o.u64("csma_capped_deferrals", s.csma_capped_deferrals);
             o.u64("csma_sorts_saved", s.csma_sorts_saved);
-            if let Some(profile) = &self.profile {
-                for (key, phase) in [
-                    ("timer_wall_us", ProfilePhase::Timer),
-                    ("deliver_wall_us", ProfilePhase::Deliver),
-                    ("command_wall_us", ProfilePhase::Command),
-                    ("maintenance_wall_us", ProfilePhase::Maintenance),
-                    ("fault_wall_us", ProfilePhase::Fault),
-                    ("csma_wall_us", ProfilePhase::CsmaSense),
-                    ("interference_wall_us", ProfilePhase::InterferenceMark),
-                ] {
-                    o.u64(key, profile.get(phase).wall_us());
-                }
-            }
             if let Some(violations) = self.audit_violations {
                 o.u64("audit_violations", violations);
             }
@@ -416,7 +380,6 @@ mod tests {
             payload_words: 8,
             collisions: true,
             seed: 7,
-            profiled: true,
         }
     }
 
@@ -461,37 +424,6 @@ mod tests {
         assert_eq!(a.tx_frames, b.tx_frames);
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(a.stats.frame_slab_high_water, b.stats.frame_slab_high_water);
-    }
-
-    #[test]
-    fn profiling_changes_no_counts_and_adds_phase_fields() {
-        let on = engine_microbench(&tiny());
-        let off = engine_microbench(&EngineBenchParams {
-            profiled: false,
-            ..tiny()
-        });
-        // The profiler is pure observation: event-for-event identical runs.
-        assert_eq!(on.events, off.events);
-        assert_eq!(on.tx_frames, off.tx_frames);
-        assert_eq!(on.delivered, off.delivered);
-        assert_eq!(on.stats, off.stats);
-        // The profiled row carries a report whose event attribution matches
-        // the engine's own counters; the unprofiled row carries none.
-        let profile = on.profile.as_ref().expect("profiled run has a report");
-        let attributed: u64 = [
-            ProfilePhase::Timer,
-            ProfilePhase::Deliver,
-            ProfilePhase::Command,
-            ProfilePhase::Maintenance,
-            ProfilePhase::Fault,
-        ]
-        .into_iter()
-        .map(|p| profile.get(p).events)
-        .sum();
-        assert_eq!(attributed, on.events);
-        assert!(off.profile.is_none());
-        assert!(on.to_json().contains("\"deliver_wall_us\":"));
-        assert!(!off.to_json().contains("deliver_wall_us"));
     }
 
     #[test]

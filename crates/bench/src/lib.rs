@@ -5,6 +5,7 @@
 //! regenerates every figure). Keeping the logic in the library lets the test
 //! suite assert the figures' *shapes* cheaply.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

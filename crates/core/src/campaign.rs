@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 use ttmqo_sim::json;
 use ttmqo_sim::{
     summarize_trace, AuditReport, CompletenessReport, EngineStats, FaultPlan, JsonLinesSink,
-    MetricsSnapshot, ProfileHandle, TraceHandle, SCHEMA_VERSION,
+    MetricsSnapshot, TraceHandle, SCHEMA_VERSION,
 };
 
 /// Epoch length (ms) used when summarizing a cell's trace for the
@@ -117,9 +117,6 @@ pub struct CampaignSpec {
     pub trace_dir: Option<PathBuf>,
     /// Windowed timeseries collection, written as `timeseries-….json`.
     pub timeseries_dir: Option<PathBuf>,
-    /// Phase profiling through a fresh [`ProfileHandle`]; the cell's
-    /// [`ttmqo_sim::ProfileReport`] is written as `profile-….json`.
-    pub profile_dir: Option<PathBuf>,
     /// Live progress telemetry channel. The default disabled handle emits
     /// nothing; an attached sink receives [`CampaignEvent`]s as cells
     /// start, finish and fail, plus heartbeats and an overall
@@ -148,7 +145,6 @@ impl CampaignSpec {
             workloads: Vec::new(),
             trace_dir: None,
             timeseries_dir: None,
-            profile_dir: None,
             progress: ProgressHandle::disabled(),
             heartbeat_ms: 1000,
             base,
@@ -226,13 +222,6 @@ impl CampaignSpec {
     /// demand). See [`CampaignSpec::timeseries_dir`] for the naming scheme.
     pub fn timeseries_output(mut self, dir: impl Into<PathBuf>) -> Self {
         self.timeseries_dir = Some(dir.into());
-        self
-    }
-
-    /// Enables per-cell phase profiling output under `dir` (created on
-    /// demand). See [`CampaignSpec::profile_dir`] for the naming scheme.
-    pub fn profile_output(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.profile_dir = Some(dir.into());
         self
     }
 
@@ -361,9 +350,6 @@ pub struct CellRecord {
     /// File name (relative to [`CampaignSpec::timeseries_dir`]) of this
     /// cell's timeseries JSON, when the campaign ran with timeseries output.
     pub timeseries_file: Option<String>,
-    /// File name (relative to [`CampaignSpec::profile_dir`]) of this cell's
-    /// phase-profile JSON, when the campaign ran with profiling enabled.
-    pub profile_file: Option<String>,
     /// Standing invariant audit of the cell's run; `Some` iff the campaign
     /// ran with [`CampaignSpec::audit`] (or the base config set
     /// `observe.audit`). When the campaign also traced, the
@@ -410,9 +396,7 @@ impl CellRecord {
     /// `"trace_file":"trace-0-....jsonl"` field is present only when the
     /// campaign ran with [`CampaignSpec::trace_output`], a trailing
     /// `"timeseries_file":"timeseries-0-....json"` only with
-    /// [`CampaignSpec::timeseries_output`], a trailing
-    /// `"profile_file":"profile-0-....json"` only with
-    /// [`CampaignSpec::profile_output`], and a trailing
+    /// [`CampaignSpec::timeseries_output`], and a trailing
     /// `"audit":{...}` ([`AuditReport::to_json`]) only with
     /// [`CampaignSpec::audit`].
     pub fn to_json(&self) -> String {
@@ -495,9 +479,6 @@ impl CellRecord {
             }
             if let Some(name) = &self.timeseries_file {
                 o.str("timeseries_file", name);
-            }
-            if let Some(name) = &self.profile_file {
-                o.str("profile_file", name);
             }
             if let Some(audit) = &self.audit {
                 o.raw("audit", &audit.to_json());
@@ -585,9 +566,6 @@ fn cell_config(spec: &CampaignSpec, cell: &CellSpec) -> (ExperimentConfig, Optio
     config.faults = spec.faults[cell.fault].plan.clone();
     let observe = &mut config.observe;
     observe.timeseries |= spec.timeseries_dir.is_some();
-    if spec.profile_dir.is_some() {
-        observe.profile = ProfileHandle::enabled();
-    }
     let trace_file = spec.trace_dir.as_ref().and_then(|dir| {
         let name = artifact_name(spec, cell, "trace", "jsonl");
         std::fs::create_dir_all(dir).ok()?;
@@ -640,16 +618,6 @@ fn run_cell(spec: &CampaignSpec, cell: &CellSpec) -> CellRecord {
             std::fs::write(dir.join(&name), ts.to_json()).ok()?;
             Some(name)
         });
-    let profile_file = spec
-        .profile_dir
-        .as_ref()
-        .zip(report.profile.as_ref())
-        .and_then(|(dir, profile)| {
-            let name = artifact_name(spec, cell, "profile", "json");
-            std::fs::create_dir_all(dir).ok()?;
-            std::fs::write(dir.join(&name), profile.to_json()).ok()?;
-            Some(name)
-        });
     CellRecord {
         workload: workload.name.clone(),
         strategy: cell.strategy,
@@ -670,7 +638,6 @@ fn run_cell(spec: &CampaignSpec, cell: &CellSpec) -> CellRecord {
         energy_mj: report.energy_mj,
         max_node_energy_mj: report.max_node_energy_mj,
         timeseries_file,
-        profile_file,
         audit: report.audit,
     }
 }
@@ -1036,33 +1003,6 @@ mod tests {
         let jsonl = report.to_jsonl();
         assert!(jsonl.contains("\"timeseries_file\":\"timeseries-0-tiny-baseline-3-none.json\""));
         assert!(jsonl.contains("\"timeseries_file\":\"timeseries-1-tiny-two-tier-3-none.json\""));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn profile_output_writes_one_file_per_cell() {
-        let dir = std::env::temp_dir().join(format!("ttmqo-prof-campaign-{}", std::process::id()));
-        let spec = tiny_spec().profile_output(&dir);
-        let report = run_campaign_sequential(&spec);
-        assert_eq!(report.cells.len(), 2);
-        for cell in &report.cells {
-            let name = cell.profile_file.as_ref().expect("profile file written");
-            let text = std::fs::read_to_string(dir.join(name)).expect("file readable");
-            assert!(text.starts_with("{\"schema_version\":"));
-            assert!(text.contains("\"phases\":["));
-            assert!(text.contains("\"name\":\"deliver\""));
-        }
-        let jsonl = report.to_jsonl();
-        assert!(jsonl.contains("\"profile_file\":\"profile-0-tiny-baseline-3-none.json\""));
-        assert!(jsonl.contains("\"profile_file\":\"profile-1-tiny-two-tier-3-none.json\""));
-        // Profiling must not perturb behaviour: an unprofiled run of the
-        // same spec agrees on every deterministic field.
-        let plain = run_campaign_sequential(&tiny_spec());
-        for (p, c) in plain.cells.iter().zip(&report.cells) {
-            assert_eq!(p.metrics, c.metrics);
-            assert_eq!(p.engine, c.engine);
-            assert_eq!(p.completeness, c.completeness);
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -7,10 +7,7 @@
 //! two sides are joined key-by-key:
 //!
 //! * **timing fields** (`wall_s`, `wall_clock_ms`, `events_per_sec`,
-//!   `sim_ms_per_wall_s`, and the profiler's per-phase
-//!   `timer_wall_us`/`deliver_wall_us`/`command_wall_us`/
-//!   `maintenance_wall_us`/`fault_wall_us`/`csma_wall_us`/
-//!   `interference_wall_us`) get a direction-aware relative threshold — the
+//!   `sim_ms_per_wall_s`) get a direction-aware relative threshold — the
 //!   simulator is deterministic but the wall clock is not;
 //! * **everything else is exact** — counters, metrics, and schema fields of
 //!   a deterministic simulation must not drift at all (unsigned integers
@@ -85,16 +82,7 @@ enum Direction {
 fn timing_direction(key: &str) -> Option<Direction> {
     let leaf = key.rsplit('.').next().unwrap_or(key);
     match leaf {
-        "wall_s"
-        | "topo_build_s"
-        | "wall_clock_ms"
-        | "timer_wall_us"
-        | "deliver_wall_us"
-        | "command_wall_us"
-        | "maintenance_wall_us"
-        | "fault_wall_us"
-        | "csma_wall_us"
-        | "interference_wall_us" => Some(Direction::LowerBetter),
+        "wall_s" | "topo_build_s" | "wall_clock_ms" => Some(Direction::LowerBetter),
         // Campaign rollup wall aggregates (total_wall_ms, mean_wall_ms,
         // max_wall_ms, cell_wall_ms, ...): wall clock, lower is better.
         _ if leaf.ends_with("_wall_ms") => Some(Direction::LowerBetter),
@@ -258,22 +246,8 @@ fn leaf_verdict(key: &str, base: &JsonValue, cur: &JsonValue, opts: &CompareOpti
             // No relative scale to judge against.
             return Verdict::Pass;
         }
-        // The profiler's per-phase wall fields are extrapolated from
-        // sampled stamps; for phases with a handful of events the estimate
-        // rests on one or two measurements and a single descheduled tick
-        // can swing it by orders of magnitude. Below a millisecond the
-        // attribution is under the profiler's own resolution — treat it as
-        // noise, not signal.
-        if key
-            .rsplit('.')
-            .next()
-            .is_some_and(|k| k.ends_with("_wall_us"))
-            && b.max(c) <= 1000.0
-        {
-            return Verdict::Pass;
-        }
-        // Campaign rollup wall aggregates share the same problem one unit
-        // up: sub-millisecond cells are dominated by scheduler jitter.
+        // Campaign rollup wall aggregates of sub-millisecond cells are
+        // dominated by scheduler jitter.
         if key
             .rsplit('.')
             .next()
@@ -434,8 +408,6 @@ pub fn compare_jsonl(
 /// Flattens a [`RunReport`] into comparable leaves: strategy, the full
 /// metrics snapshot, completeness totals, energy, and engine counters.
 /// Everything here is deterministic, so [`diff_reports`] compares exactly.
-/// `RunReport::profile` is deliberately excluded: its wall-clock timings are
-/// machine-dependent and would make exact comparison meaningless.
 pub fn report_leaves(report: &RunReport) -> Vec<(String, JsonValue<'static>)> {
     let snap = report.metrics.snapshot();
     let num = |(k, v): (&str, f64)| (k.to_string(), JsonValue::Num(v));
@@ -577,8 +549,8 @@ mod tests {
         assert!(r.is_pass());
         // Timing fields still compare as f64 under the threshold.
         let r = compare_json(
-            r#"{"timer_wall_us":1000}"#,
-            r#"{"timer_wall_us":1100}"#,
+            r#"{"wall_clock_ms":1000}"#,
+            r#"{"wall_clock_ms":1100}"#,
             &opts,
         )
         .unwrap();
@@ -623,28 +595,6 @@ mod tests {
         )
         .unwrap();
         assert!(r.is_pass());
-    }
-
-    #[test]
-    fn profiler_wall_fields_have_a_sub_millisecond_noise_floor() {
-        let opts = CompareOptions::default();
-        // A 4 µs → 120 µs swing is a 30x relative move, but both sides sit
-        // under the 1 ms floor: sampled extrapolation noise, not a signal.
-        let r = compare_json(
-            r#"{"command_wall_us":4}"#,
-            r#"{"command_wall_us":120}"#,
-            &opts,
-        )
-        .unwrap();
-        assert!(r.is_pass());
-        // Above the floor the usual relative threshold applies.
-        let r = compare_json(
-            r#"{"deliver_wall_us":10000}"#,
-            r#"{"deliver_wall_us":20000}"#,
-            &opts,
-        )
-        .unwrap();
-        assert_eq!(r.diffs[0].verdict, Verdict::Regressed);
     }
 
     #[test]

@@ -41,6 +41,7 @@
 //! assert!(report.answers.contains_key(&QueryId(1)));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

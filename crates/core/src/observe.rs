@@ -884,7 +884,6 @@ mod tests {
             energy_mj: 100.0,
             max_node_energy_mj: 10.0,
             timeseries_file: None,
-            profile_file: None,
             audit: (violations > 0).then(|| AuditReport {
                 checks_run: 5,
                 checks_skipped: 0,

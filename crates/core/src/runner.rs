@@ -22,9 +22,8 @@ use ttmqo_query::{EpochAnswer, Query, QueryId, Selection, BASE_EPOCH_MS};
 use ttmqo_sim::json;
 use ttmqo_sim::{
     AuditReport, CompletenessReport, CorrelatedField, EnergyProfile, EngineStats, FaultPlan,
-    FaultSchedule, Metrics, NodeId, NodeTimeseries, Observe, ProfilePhase, ProfileReport,
-    QueryCompleteness, RadioParams, SensorField, SimConfig, SimTime, Simulator, Topology,
-    TraceEvent, UniformField,
+    FaultSchedule, Metrics, NodeId, NodeTimeseries, Observe, QueryCompleteness, RadioParams,
+    SensorField, SimConfig, SimTime, Simulator, Topology, TraceEvent, UniformField,
 };
 use ttmqo_stats::{EmpiricalDistribution, Histogram, LevelStats, SelectivityEstimator};
 use ttmqo_tinydb::{Command, Output, Srt, TinyDbApp, TinyDbConfig};
@@ -156,7 +155,7 @@ pub struct ExperimentConfig {
     /// repair monitor.
     pub faults: FaultPlan,
     /// What to observe about the run: trace sink, windowed time-series,
-    /// profiler, invariant auditor. All off by default; [`Observe`] states
+    /// invariant auditor. All off by default; [`Observe`] states
     /// the one contract they share (on or off, the run is the same run).
     /// Each one fills the [`RunReport`] field of its name.
     pub observe: Observe,
@@ -212,10 +211,6 @@ pub struct RunReport {
     pub max_node_energy_mj: f64,
     /// Windowed time-series; `Some` iff `observe.timeseries` was set.
     pub timeseries: Option<RunTimeseries>,
-    /// Per-phase wall-time attribution; `Some` iff `observe.profile` was
-    /// enabled. Wall-clock derived and therefore machine-dependent —
-    /// excluded from determinism comparisons.
-    pub profile: Option<ProfileReport>,
     /// Standing invariant audit; `Some` iff `observe.audit` was set.
     /// Violations are *reported*, never panicked on: check the report's
     /// `is_clean()` — callers (campaigns, CI gates) decide how loudly to
@@ -896,10 +891,7 @@ impl RunSession {
     ///
     /// Panics if the grid cannot be constructed (e.g. `grid_n == 0`).
     pub fn new(config: &ExperimentConfig, workload: &[WorkloadEvent]) -> RunSession {
-        let profile = &config.observe.profile;
-        let topo_t0 = profile.start();
         let topo = build_topology(config);
-        profile.finish(ProfilePhase::TopologyBuild, topo_t0);
         let events = Self::prepare_events(config, workload);
         let sim = build_sim(config, &topo);
 
@@ -962,8 +954,7 @@ impl RunSession {
     /// holds the services in force at `e`, and a termination that should
     /// drop the answer has always been recorded by drain time.
     fn ingest(&mut self) {
-        let Observe { profile, trace, .. } = &self.config.observe;
-        let t0 = profile.start();
+        let trace = &self.config.observe.trace;
         let topo = &self.topo;
         let position_of = |node: u16| {
             let id = NodeId(node);
@@ -1026,7 +1017,6 @@ impl RunSession {
                 answers.entry(user).or_default().push((*epoch_ms, mapped));
             }
         }
-        profile.finish(ProfilePhase::AnswerMapping, t0);
     }
 
     /// Folds the time-weighted statistics over `[last_t, t_ms)`. Called only
@@ -1101,10 +1091,7 @@ impl RunSession {
                     .map(|sq| sq.members().collect())
                     .unwrap_or_default();
                 opt.set_trace_time(b);
-                let profile = &self.config.observe.profile;
-                let t0 = profile.start();
                 let ops = opt.reoptimize(syn);
-                profile.finish(ProfilePhase::Reoptimize, t0);
                 // The interval up to the repair ran under the old set.
                 self.fold_dt(b);
                 self.commit(ops, b);
@@ -1134,13 +1121,9 @@ impl RunSession {
                     mon.note_posed(q, t_ms);
                 }
                 match self.optimizer.as_mut() {
-                    Some(opt) => {
-                        let profile = &self.config.observe.profile;
-                        let t0 = profile.start();
-                        let ops = opt.insert(q.clone());
-                        profile.finish(ProfilePhase::AdmissionScoring, t0);
-                        ops.expect("workload ids are unique and unreserved")
-                    }
+                    Some(opt) => opt
+                        .insert(q.clone())
+                        .expect("workload ids are unique and unreserved"),
                     None => vec![NetworkOp::Inject(q.clone())],
                 }
             }
@@ -1323,7 +1306,6 @@ impl RunSession {
             }
         });
         let engine = self.sim.engine_stats();
-        let profile = self.config.observe.profile.report();
         // The standing invariant auditor: pure post-hoc arithmetic over the
         // artifacts assembled above, so enabling it cannot perturb the run
         // it is auditing. The trace↔answer reconciliation needs the trace
@@ -1332,7 +1314,6 @@ impl RunSession {
         let audit = self.config.observe.audit.then(|| {
             let mut audit = AuditReport::new();
             audit.check_engine(&engine);
-            audit.check_profile(profile.as_ref(), &engine);
             audit.check_energy(&metrics, &energy_profile, energy_mj, max_node_energy_mj);
             audit.check_completeness(
                 &completeness,
@@ -1354,7 +1335,6 @@ impl RunSession {
             energy_mj,
             max_node_energy_mj,
             timeseries,
-            profile,
             audit,
         }
     }

@@ -14,8 +14,8 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use ttmqo_core::{run_experiment, ExperimentConfig, RunSession, Strategy, WorkloadEvent};
 use ttmqo_sim::{
-    FaultPlan, JsonLinesSink, MetricsSnapshot, NodeId, Observe, ProfileHandle, ProfilePhase,
-    RadioParams, RingSink, SimTime, TraceHandle, TraceSink,
+    FaultPlan, JsonLinesSink, MetricsSnapshot, NodeId, Observe, RadioParams, RingSink, SimTime,
+    TraceHandle, TraceSink,
 };
 use ttmqo_workloads::{workload_a, workload_b};
 
@@ -223,81 +223,6 @@ impl std::io::Write for SharedBuf {
 }
 
 #[test]
-fn profiling_leaves_the_golden_cell_untouched() {
-    // The profiler's determinism contract, pinned at full observability:
-    // the golden cell run with profiling on AND a live trace sink must
-    // produce a RunReport (profile field aside — it is wall-clock derived)
-    // and a JSONL trace byte-identical to the profiler-off run. Profiling
-    // reads timestamps but never draws from the simulation RNG and never
-    // branches on simulated state.
-    let run = |profile: ProfileHandle| {
-        let buf = SharedBuf::default();
-        let config = ExperimentConfig {
-            strategy: Strategy::TwoTier,
-            grid_n: 4,
-            duration: SimTime::from_ms(24 * 2048),
-            observe: Observe {
-                trace: TraceHandle::new(JsonLinesSink::new(buf.clone()).unwrap()),
-                profile,
-                ..Observe::default()
-            },
-            ..ExperimentConfig::default()
-        };
-        let mut report = run_experiment(&config, &workload_a());
-        config.observe.trace.flush();
-        let profile_report = report.profile.take();
-        let trace = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        (format!("{report:?}"), trace, profile_report)
-    };
-
-    let off = run(ProfileHandle::disabled());
-    let on = run(ProfileHandle::enabled());
-
-    assert_eq!(off.0, on.0, "RunReport diverged under profiling");
-    assert_eq!(off.1, on.1, "JSONL trace diverged under profiling");
-    assert!(off.2.is_none(), "disabled run must not carry a profile");
-    assert!(on.2.is_some(), "enabled run carries a profile");
-}
-
-#[test]
-fn profile_report_reconciles_with_engine_stats() {
-    // The profiler's counts are exact, not sampled: each engine phase's
-    // event count must equal the corresponding EngineStats counter.
-    //
-    // Its wall times are deliberately not bounded here. `wall_ns` is a
-    // ×SAMPLE_INTERVAL extrapolation of every 32nd event's stamps, so one
-    // sampled event that is descheduled mid-flight inflates its phase by
-    // 32× the stall and can exceed the run's true wall time; the bound this
-    // test used to assert failed for exactly that reason under a parallel
-    // test run. The <2% overhead and attribution gates live in
-    // `--bench engine`, which runs alone.
-    let config = ExperimentConfig {
-        observe: Observe {
-            profile: ProfileHandle::enabled(),
-            ..Observe::default()
-        },
-        ..golden_config()
-    };
-    let report = run_experiment(&config, &workload_a());
-
-    let profile = report.profile.as_ref().expect("profiling was enabled");
-    for (phase, expected) in [
-        (ProfilePhase::Timer, report.engine.timer_events),
-        (ProfilePhase::Deliver, report.engine.deliver_events),
-        (ProfilePhase::Command, report.engine.command_events),
-        (ProfilePhase::Maintenance, report.engine.maintenance_events),
-        (ProfilePhase::Fault, report.engine.fault_events),
-    ] {
-        assert_eq!(
-            profile.get(phase).events,
-            expected,
-            "{} count must match EngineStats exactly",
-            phase.name()
-        );
-    }
-}
-
-#[test]
 fn auditing_leaves_the_golden_cell_untouched() {
     // The standing invariant auditor runs strictly after the simulation —
     // pure arithmetic over the finished run's counters. Arming it must not
@@ -392,14 +317,13 @@ fn golden_config() -> ExperimentConfig {
 
 /// What one observed run of a cell leaves behind.
 struct Observed {
-    /// The report's debug rendering with the three observer-only fields
+    /// The report's debug rendering with the two observer-only fields
     /// taken out (shortest-roundtrip floats: equal strings ⇔ equal bits).
     report: String,
     /// The JSONL trace; empty when the run was not traced.
     trace: String,
     /// `RunTimeseries::to_json()`, when the series was recorded.
     series: Option<String>,
-    profiled: bool,
     audit: Option<ttmqo_sim::AuditReport>,
 }
 
@@ -409,7 +333,7 @@ const CUT_MS: u64 = 11 * 2048 + 317;
 /// `base` with exactly the named observers attached, tracing into `buf`.
 fn observing(
     base: &ExperimentConfig,
-    [trace, timeseries, profile, audit]: [bool; 4],
+    [trace, timeseries, audit]: [bool; 3],
     buf: &SharedBuf,
 ) -> ExperimentConfig {
     ExperimentConfig {
@@ -420,11 +344,6 @@ fn observing(
                 TraceHandle::disabled()
             },
             timeseries,
-            profile: if profile {
-                ProfileHandle::enabled()
-            } else {
-                ProfileHandle::disabled()
-            },
             audit,
         },
         ..base.clone()
@@ -438,7 +357,7 @@ fn observing(
 fn observe_sliced(
     base: &ExperimentConfig,
     workload: &[WorkloadEvent],
-    observers: [bool; 4],
+    observers: [bool; 3],
     stops_ms: &[u64],
 ) -> Observed {
     let buf = SharedBuf::default();
@@ -450,24 +369,22 @@ fn observe_sliced(
     let mut report = session.finish();
     config.observe.trace.flush();
     let series = report.timeseries.take().map(|ts| ts.to_json());
-    let profiled = report.profile.take().is_some();
     let audit = report.audit.take();
     let trace = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
     Observed {
         report: format!("{report:?}"),
         trace,
         series,
-        profiled,
         audit,
     }
 }
 
 /// Runs the cell under `observers`, uninterrupted.
-fn observe(base: &ExperimentConfig, workload: &[WorkloadEvent], observers: [bool; 4]) -> Observed {
+fn observe(base: &ExperimentConfig, workload: &[WorkloadEvent], observers: [bool; 3]) -> Observed {
     observe_sliced(base, workload, observers, &[])
 }
 
-const OFF: [bool; 4] = [false; 4];
+const OFF: [bool; 3] = [false; 3];
 
 /// Line count, byte length and 64-bit FNV-1a digest of one artifact.
 #[derive(Debug, PartialEq)]
@@ -557,7 +474,7 @@ fn trace_and_timeseries_bytes_match_the_pinned_digests() {
             STORMY_SERIES,
         ),
     ] {
-        let run = observe(&config, &workload, [true, true, false, false]);
+        let run = observe(&config, &workload, [true, true, false]);
         assert_eq!(digest(&run.trace), trace, "{name} cell: JSONL trace");
         let json = run.series.expect("timeseries was on");
         assert_eq!(digest(&json), series, "{name} cell: RunTimeseries JSON");
@@ -578,21 +495,18 @@ fn trace_and_timeseries_bytes_match_the_pinned_digests() {
 #[test]
 fn every_observer_at_once_leaves_the_golden_cell_untouched() {
     // The observers share one box inside the engine, so the pairwise tests
-    // above do not cover what they might do to each other: all four on at
+    // above do not cover what they might do to each other: all three on at
     // once must give the all-off report and the pinned trace and series.
     // A session exposes no mid-run state, so the witness that no observer
     // set perturbs it there is the sliced run itself: stopped at a
-    // non-aligned instant and then finished, under each set, it must render
-    // the uninterrupted report — series included where one is recorded.
+    // non-aligned instant and then finished, under each of the eight sets,
+    // it must render the uninterrupted report — series included where one
+    // is recorded.
     let base = golden_config();
     let off = observe(&base, &workload_a(), OFF);
-    let all = observe(&base, &workload_a(), [true; 4]);
-    for observers in [
-        OFF,
-        [true; 4],
-        [true, false, true, true],
-        [false, true, false, false],
-    ] {
+    let all = observe(&base, &workload_a(), [true; 3]);
+    for set in 0..8u8 {
+        let observers = [set & 1 != 0, set & 2 != 0, set & 4 != 0];
         let sliced = observe_sliced(&base, &workload_a(), observers, &[CUT_MS]);
         assert_eq!(
             sliced.report, off.report,
@@ -617,6 +531,6 @@ fn every_observer_at_once_leaves_the_golden_cell_untouched() {
         digest(&all.series.expect("timeseries was on")),
         GOLDEN_SERIES
     );
-    assert!(all.profiled && all.audit.is_some_and(|a| a.is_clean()));
-    assert!(off.trace.is_empty() && off.series.is_none() && !off.profiled && off.audit.is_none());
+    assert!(all.audit.is_some_and(|a| a.is_clean()));
+    assert!(off.trace.is_empty() && off.series.is_none() && off.audit.is_none());
 }

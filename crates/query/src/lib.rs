@@ -24,6 +24,7 @@
 //! # Ok::<(), ttmqo_query::ParseQueryError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -2,11 +2,10 @@
 //! lived only inside tests, promoted to a per-run runtime artifact.
 //!
 //! A deterministic simulator earns trust by being *checkable*: the trace is
-//! a faithful record of the run (the provenance test), the profiler's
-//! counts equal the engine's phase counters (the golden reconciliation
-//! test), per-node energy sums to the radio model's total (the metrics
-//! test). Those invariants used to be verified once, in CI, on one cell —
-//! a week-long 64×64 soak campaign ran on faith. An [`AuditReport`] re-runs
+//! a faithful record of the run (the provenance test), per-node energy sums
+//! to the radio model's total (the metrics test). Those invariants used to
+//! be verified once, in CI, on one cell — a week-long 64×64 soak campaign
+//! ran on faith. An [`AuditReport`] re-runs
 //! them against every audited run's own artifacts and records each breach
 //! as a structured [`AuditViolation`], so a sweep that silently produced
 //! wrong numbers becomes a sweep that fails loudly.
@@ -19,7 +18,6 @@ use crate::energy::EnergyProfile;
 use crate::engine::EngineStats;
 use crate::json;
 use crate::metrics::{CompletenessReport, Metrics};
-use crate::profile::{EnginePhase, ProfileReport};
 use crate::trace::{TraceSummary, SCHEMA_VERSION};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -29,8 +27,6 @@ use std::fmt;
 pub enum AuditCheck {
     /// Trace-reconstructed per-query answer counts equal the run report's.
     TraceAnswers,
-    /// Profiler per-phase event counts equal the engine's phase counters.
-    ProfileCounts,
     /// Per-node energy plus sampling energy sums to the model's totals.
     EnergyConservation,
     /// Frame-slab and in-flight high-water marks are mutually consistent.
@@ -43,9 +39,8 @@ pub enum AuditCheck {
 
 impl AuditCheck {
     /// Every check, in report order.
-    pub const ALL: [AuditCheck; 6] = [
+    pub const ALL: [AuditCheck; 5] = [
         AuditCheck::TraceAnswers,
-        AuditCheck::ProfileCounts,
         AuditCheck::EnergyConservation,
         AuditCheck::SlabSanity,
         AuditCheck::PhaseAccounting,
@@ -56,7 +51,6 @@ impl AuditCheck {
     pub fn name(self) -> &'static str {
         match self {
             AuditCheck::TraceAnswers => "trace-answers",
-            AuditCheck::ProfileCounts => "profile-counts",
             AuditCheck::EnergyConservation => "energy-conservation",
             AuditCheck::SlabSanity => "slab-sanity",
             AuditCheck::PhaseAccounting => "phase-accounting",
@@ -96,8 +90,7 @@ impl fmt::Display for AuditViolation {
 }
 
 /// Outcome of auditing one run: how many checks ran, how many were skipped
-/// for lack of an artifact (no profile attached, no readable trace), and
-/// every violation found. An empty `violations` list from a nonzero
+/// for lack of an artifact (no readable trace), and every violation found. An empty `violations` list from a nonzero
 /// `checks_run` is the auditor's actual claim; all-skipped means "nothing
 /// was verified", not "nothing is wrong".
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -179,36 +172,6 @@ impl AuditReport {
                 format!("<= {}", engine.frames_total),
                 engine.frame_slab_high_water,
             );
-        }
-    }
-
-    /// Profiler-vs-engine reconciliation: the profiler's counts are exact
-    /// (credited in bulk from the engine's counters, not sampled), so each
-    /// engine phase's profiled event count must equal the corresponding
-    /// [`EngineStats`] counter. Skipped when no profile was attached.
-    pub fn check_profile(&mut self, profile: Option<&ProfileReport>, engine: &EngineStats) {
-        let Some(profile) = profile else {
-            self.checks_skipped += 1;
-            return;
-        };
-        self.checks_run += 1;
-        for phase in EnginePhase::ALL {
-            let expected = match phase {
-                EnginePhase::Timer => engine.timer_events,
-                EnginePhase::Deliver => engine.deliver_events,
-                EnginePhase::Command => engine.command_events,
-                EnginePhase::Maintenance => engine.maintenance_events,
-                EnginePhase::Fault => engine.fault_events,
-            };
-            let counted = profile.get(phase.into()).events;
-            if counted != expected {
-                self.violate(
-                    AuditCheck::ProfileCounts,
-                    &format!("{}_events", phase.name()),
-                    expected,
-                    counted,
-                );
-            }
         }
     }
 
@@ -339,8 +302,8 @@ impl AuditReport {
     /// One JSON object:
     ///
     /// ```json
-    /// {"schema_version":3,"checks_run":5,"checks_skipped":1,"violations":[
-    ///   {"check":"profile-counts","subject":"timer_events",
+    /// {"schema_version":3,"checks_run":4,"checks_skipped":1,"violations":[
+    ///   {"check":"phase-accounting","subject":"timer+deliver+command+maintenance+fault",
     ///    "expected":"4000","actual":"4001"}]}
     /// ```
     pub fn to_json(&self) -> String {
@@ -457,15 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn missing_profile_is_skipped_not_failed() {
-        let mut audit = AuditReport::new();
-        audit.check_profile(None, &healthy_engine());
-        assert!(audit.is_clean());
-        assert_eq!(audit.checks_run, 0);
-        assert_eq!(audit.checks_skipped, 1);
-    }
-
-    #[test]
     fn energy_recomputation_must_match_bit_for_bit() {
         let profile = EnergyProfile::default();
         let mut m = Metrics::new(3);
@@ -571,7 +525,11 @@ mod tests {
         engine.deliver_events += 2;
         let mut audit = AuditReport::new();
         audit.check_engine(&engine);
-        audit.check_profile(None, &engine);
+        let lossy = TraceSummary {
+            truncated_tail: true,
+            ..TraceSummary::default()
+        };
+        audit.check_trace_answers(&lossy, &BTreeMap::new());
         let json = audit.to_json();
         assert!(json.starts_with("{\"schema_version\":"));
         assert!(json.contains("\"checks_run\":2"));
@@ -584,6 +542,7 @@ mod tests {
 
     #[test]
     fn every_check_has_a_stable_name() {
+        assert_eq!(AuditCheck::ALL.len(), 5);
         for check in AuditCheck::ALL {
             assert!(!check.name().is_empty());
             assert!(check.name().is_ascii());

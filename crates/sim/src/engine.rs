@@ -56,7 +56,6 @@ use crate::field::SensorField;
 use crate::incoming::{IncomingArena, IncomingFrame};
 use crate::metrics::Metrics;
 use crate::probe::{Observe, Probe, Probes, Reception};
-use crate::profile::{self, EnginePhase, ProfilePhase};
 use crate::radio::{Destination, MsgKind, RadioParams};
 use crate::time::SimTime;
 use crate::timeseries::NodeTimeseries;
@@ -438,6 +437,44 @@ pub struct EngineStats {
     pub fault_events: u64,
 }
 
+/// The engine's event-dispatch phases, in the order the engine stores their
+/// counters. Every processed event belongs to exactly one of these; the
+/// match in `Simulator::process_event` is exhaustive, so a new event kind
+/// cannot ship without naming its phase.
+#[derive(Debug, Clone, Copy)]
+enum EnginePhase {
+    /// Application timer callbacks (`on_timer`).
+    Timer,
+    /// Frame delivery fan-out to receivers (`on_message` and loss/collision
+    /// resolution).
+    Deliver,
+    /// External commands injected into a node (`on_command`).
+    Command,
+    /// Periodic maintenance beacons.
+    Maintenance,
+    /// Fault-plan crash and recovery events.
+    Fault,
+}
+
+impl EnginePhase {
+    /// Number of engine phases (the length of the engine's per-phase
+    /// counter array).
+    const COUNT: usize = 5;
+
+    /// Index into the engine's per-phase counter array. Exhaustive: a new
+    /// phase must pick a slot.
+    #[inline]
+    const fn index(self) -> usize {
+        match self {
+            EnginePhase::Timer => 0,
+            EnginePhase::Deliver => 1,
+            EnginePhase::Command => 2,
+            EnginePhase::Maintenance => 3,
+            EnginePhase::Fault => 4,
+        }
+    }
+}
+
 /// Factory building a node's application, used at start and on reboot.
 type AppFactory<A> = Box<dyn FnMut(NodeId, &Topology) -> A + Send>;
 
@@ -574,15 +611,12 @@ impl<A: NodeApp> Simulator<A> {
         }
     }
 
-    /// Attaches what `observe` selects — trace sink, window recorder,
-    /// profiler — replacing whatever was attached before. The engine
-    /// reports every occurrence once and the attached observers consume
-    /// it; [`Observe`] states what they may and may not do. Profiling
-    /// attributes each processed event's wall time to its [`EnginePhase`]
-    /// plus the nested CSMA-sense and interference-marking sub-spans.
+    /// Attaches what `observe` selects — trace sink, window recorder —
+    /// replacing whatever was attached before. The engine reports every
+    /// occurrence once and the attached observers consume it; [`Observe`]
+    /// states what they may and may not do.
     pub fn attach(&mut self, observe: &Observe) {
-        self.probes
-            .attach(observe, self.nodes.len(), self.phase_events);
+        self.probes.attach(observe, self.nodes.len());
     }
 
     /// Detaches every observer and returns the window recorder's series,
@@ -744,33 +778,20 @@ impl<A: NodeApp> Simulator<A> {
                 }
             }
         }
-        // Detach the profiler's sampling cursor into a local so the
-        // unsampled per-event path is a register increment and a branch
-        // rather than a read-modify-write through the scratch box. Every
-        // SAMPLE_INTERVAL-th event is bracketed with a timestamp pair and
-        // the report extrapolates wall time from the sample; exact event
-        // counts are credited from `phase_events` after the loop (see the
-        // profile module's overhead budget).
-        let mut prof_seen = self.probes.profile_cursor();
         while self.queue.peek().is_some_and(|next| next.time_us <= end_us) {
             let Event { time_us, kind, .. } = self.queue.pop().expect("peeked event exists");
             self.now_us = time_us;
             self.events_processed += 1;
-            let t0 = prof_seen.as_mut().and_then(profile::sample_event);
             let phase = self.process_event(kind);
             self.phase_events[phase.index()] += 1;
-            if let Some(t0) = t0 {
-                self.probes.event_end(phase, t0);
-            }
         }
-        self.probes.flush_profile(prof_seen, &self.phase_events);
         self.now_us = end_us;
         self.probes.set_horizon(t_end);
     }
 
     /// Handles one popped event, returning the [`EnginePhase`] it belongs
     /// to. The match is exhaustive and every arm names its phase, so a new
-    /// event kind cannot ship uncounted (and unprofiled).
+    /// event kind cannot ship uncounted.
     fn process_event(&mut self, kind: EventKind<A::Command>) -> EnginePhase {
         match kind {
             EventKind::Timer { node, key } => {
@@ -940,11 +961,6 @@ impl<A: NodeApp> Simulator<A> {
         let dur_us = (self.radio.tx_time_ms(payload_bytes) * 1000.0).round() as u64;
         let mut start_us = earliest_us.max(self.tx_ready_at_us[src.index()]);
         if self.radio.collisions {
-            // Nested profiling sub-span: this time also stays inside the
-            // enclosing event's slice (the profiler's delta scheme), so the
-            // two must not be summed. Sampled — only every SPAN_SAMPLE-th
-            // occurrence reads a timestamp.
-            let csma_t0 = self.probes.span_begin(ProfilePhase::CsmaSense);
             // CSMA: carrier-sense at the sender — defer past any frame
             // currently audible here, plus a short random inter-frame gap.
             // Hidden terminals (senders out of each other's range colliding
@@ -985,7 +1001,6 @@ impl<A: NodeApp> Simulator<A> {
                 };
                 self.probes.record(self.now_us, probe);
             }
-            self.probes.span_end(ProfilePhase::CsmaSense, csma_t0);
         }
         let end_us = start_us + dur_us;
         self.tx_ready_at_us[src.index()] = end_us;
@@ -1020,7 +1035,6 @@ impl<A: NodeApp> Simulator<A> {
         // in place (no copy) while the interference state mutates.
         let fanout = self.topology.neighbors(src).len();
         if self.radio.collisions {
-            let mark_t0 = self.probes.span_begin(ProfilePhase::InterferenceMark);
             let frames = &mut self.frames;
             let entry = IncomingFrame {
                 start_us,
@@ -1045,8 +1059,6 @@ impl<A: NodeApp> Simulator<A> {
                         }
                     });
             }
-            self.probes
-                .span_end(ProfilePhase::InterferenceMark, mark_t0);
         }
         if fanout == 0 {
             // Nothing in range: the frame is spent the moment it airs.

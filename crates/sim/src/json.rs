@@ -1,6 +1,6 @@
 //! The workspace's one JSON layer: one writer and one exact reader.
 //!
-//! Every machine-readable report (trace JSONL, profiles, audits, timeseries,
+//! Every machine-readable report (trace JSONL, audits, timeseries,
 //! campaign records and rollups, comparison verdicts, the `BENCH_*.json`
 //! rows) is rendered by the [`Obj`]/[`Arr`] builders here and read back by
 //! [`parse`]. The policy is stated once:

@@ -65,6 +65,7 @@
 //! # Ok::<(), ttmqo_sim::TopologyError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -77,7 +78,6 @@ mod incoming;
 pub mod json;
 mod metrics;
 mod probe;
-mod profile;
 mod radio;
 mod time;
 mod timeseries;
@@ -93,17 +93,13 @@ pub use faults::{
 pub use field::{BoundCorrelatedField, ConstantField, CorrelatedField, SensorField, UniformField};
 pub use metrics::{CompletenessReport, Metrics, MetricsSnapshot, QueryCompleteness};
 pub use probe::Observe;
-pub use profile::{
-    sample_event, EnginePhase, PhaseProfile, ProfileHandle, ProfilePhase, ProfileReport,
-    ProfileScratch, SAMPLE_INTERVAL,
-};
 pub use radio::{Destination, MsgKind, RadioParams};
 pub use time::SimTime;
 pub use timeseries::{gini, max_mean_ratio, NodeTimeseries, WindowStats};
 pub use topology::{NodeId, Position, Topology, TopologyError, GRID_SPACING_FT, RADIO_RANGE_FT};
 pub use trace::diff::{trace_diff, Divergence, DivergentRecord, KindDelta, TraceDiff};
 pub use trace::{
-    chrome_trace, chrome_trace_with_profile, epoch_rollups, summarize_trace, trace_header,
-    EpochRollup, JsonLinesSink, ProvenanceId, RingSink, TraceDest, TraceEvent, TraceHandle,
-    TraceRecord, TraceSchemaError, TraceSink, TraceSummary, SCHEMA_VERSION,
+    chrome_trace, epoch_rollups, summarize_trace, trace_header, EpochRollup, JsonLinesSink,
+    ProvenanceId, RingSink, TraceDest, TraceEvent, TraceHandle, TraceRecord, TraceSchemaError,
+    TraceSink, TraceSummary, SCHEMA_VERSION,
 };

@@ -13,7 +13,6 @@
 //! sites.
 
 use crate::metrics::Metrics;
-use crate::profile::{EnginePhase, ProfileHandle, ProfilePhase, ProfileScratch};
 use crate::radio::MsgKind;
 use crate::time::SimTime;
 use crate::timeseries::WindowRecorder;
@@ -37,9 +36,6 @@ pub struct Observe {
     /// default [`EnergyProfile`](crate::EnergyProfile)); the finished
     /// series comes back from [`Simulator::detach`](crate::Simulator::detach).
     pub timeseries: bool,
-    /// Attribute wall-clock time to engine and runner phases. The report is
-    /// wall-derived, so it alone is excluded from determinism comparisons.
-    pub profile: ProfileHandle,
     /// Run the standing invariant auditor over the finished run — post-hoc
     /// arithmetic over artifacts the run already produced. The engine
     /// ignores this; the experiment runner acts on it.
@@ -201,14 +197,6 @@ impl Probe {
 struct Observers {
     windows: Option<WindowRecorder>,
     trace: TraceHandle,
-    profile: ProfileHandle,
-    /// Lock-free per-run profiling accumulator, present iff `profile` is
-    /// enabled; flushed into the handle once per `run_until` call.
-    scratch: Option<ProfileScratch>,
-    /// Watermark of the engine's per-phase event counters already credited
-    /// to the profiler: the hot loop never bumps a profiler counter per
-    /// event, the delta is credited in bulk at each flush.
-    credited: [u64; EnginePhase::COUNT],
 }
 
 impl Observers {
@@ -257,10 +245,7 @@ impl Probes {
     pub(crate) fn record(&mut self, at_us: u64, probe: Probe) {
         self.metrics.apply(probe);
         if let Some(obs) = self.observers.as_deref_mut() {
-            // A profiler alone consumes no probes.
-            if obs.windows.is_some() || obs.trace.is_enabled() {
-                obs.observe(at_us, probe);
-            }
+            obs.observe(at_us, probe);
         }
     }
 
@@ -274,89 +259,23 @@ impl Probes {
 
     /// Replaces the observers with what `observe` selects. A recorder that
     /// is already running keeps its windows.
-    /// `phase_events` is the engine's per-phase event count so far: events
-    /// processed before the profiler attached are not its to count.
-    pub(crate) fn attach(
-        &mut self,
-        observe: &Observe,
-        nodes: usize,
-        phase_events: [u64; EnginePhase::COUNT],
-    ) {
+    pub(crate) fn attach(&mut self, observe: &Observe, nodes: usize) {
         let running = self.observers.take().and_then(|obs| obs.windows);
         let windows = observe
             .timeseries
             .then(|| running.unwrap_or_else(|| WindowRecorder::new(nodes)));
-        if windows.is_none() && !observe.trace.is_enabled() && !observe.profile.is_enabled() {
+        if windows.is_none() && !observe.trace.is_enabled() {
             return;
         }
         self.observers = Some(Box::new(Observers {
             windows,
             trace: observe.trace.clone(),
-            profile: observe.profile.clone(),
-            scratch: observe.profile.scratch().map(|scratch| *scratch),
-            credited: phase_events,
         }));
     }
 
     /// Drops every observer, returning the window recorder if one ran.
     pub(crate) fn detach(&mut self) -> Option<WindowRecorder> {
         self.observers.take()?.windows
-    }
-
-    fn scratch(&mut self) -> Option<&mut ProfileScratch> {
-        self.observers.as_deref_mut()?.scratch.as_mut()
-    }
-
-    /// Opens a sampled profiling sub-span; pass the result to
-    /// [`Probes::span_end`].
-    #[inline]
-    pub(crate) fn span_begin(&mut self, phase: ProfilePhase) -> Option<u64> {
-        self.scratch()?.span_begin(phase)
-    }
-
-    #[inline]
-    pub(crate) fn span_end(&mut self, phase: ProfilePhase, started: Option<u64>) {
-        if let (Some(t0), Some(scratch)) = (started, self.scratch()) {
-            scratch.span_end(phase, t0);
-        }
-    }
-
-    /// Detaches the profiler's event-sampling cursor for the event loop to
-    /// advance in a register; hand it back to [`Probes::flush_profile`].
-    pub(crate) fn profile_cursor(&mut self) -> Option<u64> {
-        self.scratch().map(|s| s.take_seen())
-    }
-
-    /// Closes a sampled event now that its phase is known.
-    #[inline]
-    pub(crate) fn event_end(&mut self, phase: EnginePhase, started: u64) {
-        if let Some(scratch) = self.scratch() {
-            scratch.event_end(phase.into(), started);
-        }
-    }
-
-    /// Credits the events counted since the last flush and merges the
-    /// scratch into the shared profile (one lock per `run_until`).
-    pub(crate) fn flush_profile(
-        &mut self,
-        cursor: Option<u64>,
-        phase_events: &[u64; EnginePhase::COUNT],
-    ) {
-        let Some(obs) = self.observers.as_deref_mut() else {
-            return;
-        };
-        let Some(scratch) = obs.scratch.as_mut() else {
-            return;
-        };
-        if let Some(seen) = cursor {
-            scratch.store_seen(seen);
-        }
-        for p in EnginePhase::ALL {
-            let i = p.index();
-            scratch.credit(p.into(), phase_events[i] - obs.credited[i]);
-            obs.credited[i] = phase_events[i];
-        }
-        obs.profile.absorb(scratch);
     }
 }
 

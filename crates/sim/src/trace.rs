@@ -44,8 +44,8 @@ use std::sync::{Arc, Mutex};
 use ttmqo_query::QueryId;
 
 /// Version of every machine-readable report this workspace emits: the trace
-/// JSON-lines header, all `BENCH_*.json` records, and profile JSON carry it
-/// as `schema_version`. This constant is the single source of truth — bump
+/// JSON-lines header and all `BENCH_*.json` records carry it as
+/// `schema_version`. This constant is the single source of truth — bump
 /// it here (and document the change in DESIGN.md §13) whenever any report's
 /// field set changes shape.
 pub const SCHEMA_VERSION: u32 = 3;
@@ -1204,17 +1204,6 @@ pub fn summarize_trace(text: &str, epoch_len_ms: u64) -> Result<TraceSummary, Tr
 /// become complete (`X`) slices on their source node's track, everything
 /// else instant (`i`) events on the node named by the record.
 pub fn chrome_trace(text: &str) -> String {
-    chrome_trace_with_profile(text, None)
-}
-
-/// Like [`chrome_trace`], optionally merging a [`crate::ProfileReport`]'s
-/// per-phase totals as a flamegraph-style row of back-to-back slices on a
-/// dedicated `pid:1` "profiler" track (wall-µs timebase) next to the
-/// simulation-time events on `pid:0`.
-pub fn chrome_trace_with_profile(
-    text: &str,
-    profile: Option<&crate::profile::ProfileReport>,
-) -> String {
     json::object(|o| {
         o.arr("traceEvents", |a| {
             for line in text.lines() {
@@ -1240,9 +1229,6 @@ pub fn chrome_trace_with_profile(
                             .unwrap_or(0),
                     );
                 });
-            }
-            for span in profile.iter().flat_map(|report| report.chrome_spans()) {
-                a.raw(&span);
             }
         });
     })

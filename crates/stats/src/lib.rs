@@ -11,6 +11,7 @@
 //! * [`LevelStats`] for the level populations, maximum depth and the average
 //!   depth `d` used in the paper's worked example.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

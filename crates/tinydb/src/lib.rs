@@ -38,6 +38,7 @@
 //! # Ok::<(), ttmqo_sim::TopologyError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

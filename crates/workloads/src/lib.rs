@@ -11,6 +11,7 @@
 //!
 //! All generators are deterministic given their seed.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

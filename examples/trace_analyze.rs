@@ -8,32 +8,25 @@
 //! radio activity. `ttmqo::sim::summarize_trace` is the same code path the
 //! provenance test uses to prove the trace is a faithful record of the run.
 //!
-//! With `--profile`, a campaign `profile-*.json` report (see
-//! `CampaignSpec::profile_output`) is read back, its phase ranking printed,
-//! and its spans merged into the `--chrome` export as a second process row
-//! above the simulated-event timeline.
-//!
 //! Run with:
 //!
 //! ```text
 //! cargo run --release --example trace_analyze -- traces/trace-0-....jsonl \
-//!     [--epoch-ms 2048] [--chrome chrome.json] [--profile profile-0-....json] \
-//!     [--json]
+//!     [--epoch-ms 2048] [--chrome chrome.json] [--json]
 //! ```
 //!
 //! With `--json` the summary is emitted as one machine-readable JSON object
 //! on stdout (`TraceSummary::to_json`) instead of the human tables; `--chrome`
-//! and `--profile` still work, with their status lines moved to stderr.
+//! still works, with its status line moved to stderr.
 
 use std::process::ExitCode;
 
-use ttmqo::sim::{chrome_trace_with_profile, summarize_trace, ProfileReport};
+use ttmqo::sim::{chrome_trace, summarize_trace};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut path: Option<String> = None;
     let mut chrome_out: Option<String> = None;
-    let mut profile_path: Option<String> = None;
     let mut epoch_ms: u64 = 2048;
     let mut json = false;
     let mut i = 0;
@@ -45,14 +38,6 @@ fn main() -> ExitCode {
                 chrome_out = args.get(i).cloned();
                 if chrome_out.is_none() {
                     eprintln!("--chrome needs an output path");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "--profile" => {
-                i += 1;
-                profile_path = args.get(i).cloned();
-                if profile_path.is_none() {
-                    eprintln!("--profile needs a profile-*.json path");
                     return ExitCode::FAILURE;
                 }
             }
@@ -77,7 +62,7 @@ fn main() -> ExitCode {
     let Some(path) = path else {
         eprintln!(
             "usage: trace_analyze <trace.jsonl> [--epoch-ms 2048] \
-             [--chrome out.json] [--profile profile.json] [--json]"
+             [--chrome out.json] [--json]"
         );
         return ExitCode::FAILURE;
     };
@@ -179,57 +164,12 @@ fn main() -> ExitCode {
         }
     }
 
-    let profile = match &profile_path {
-        Some(p) => match std::fs::read_to_string(p) {
-            Ok(json) => match ProfileReport::from_json(&json) {
-                Some(report) => Some(report),
-                None => {
-                    eprintln!("{p} is not a profile report");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("cannot read {p}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    if let Some(report) = profile.as_ref().filter(|_| !json) {
-        println!(
-            "\nper-phase profile ({}):",
-            profile_path.as_deref().unwrap()
-        );
-        println!(
-            "  {:<20} {:>10} {:>10} {:>10}",
-            "phase", "wall us", "events", "ns/event"
-        );
-        let mut phases = report.phases.clone();
-        phases.sort_by_key(|p| std::cmp::Reverse(p.wall_ns));
-        for p in phases.iter().filter(|p| p.events > 0) {
-            println!(
-                "  {:<20} {:>10} {:>10} {:>10.0}",
-                p.phase.name(),
-                p.wall_us(),
-                p.events,
-                p.ns_per_event()
-            );
-        }
-    }
-
     if let Some(out) = chrome_out {
-        let chrome_json = chrome_trace_with_profile(&text, profile.as_ref());
-        if let Err(e) = std::fs::write(&out, chrome_json) {
+        if let Err(e) = std::fs::write(&out, chrome_trace(&text)) {
             eprintln!("cannot write {out}: {e}");
             return ExitCode::FAILURE;
         }
-        let note = match profile.is_some() {
-            true => format!(
-                "wrote Chrome trace-event JSON (with profiler spans) to {out} \
-                 (load in chrome://tracing)"
-            ),
-            false => format!("wrote Chrome trace-event JSON to {out} (load in chrome://tracing)"),
-        };
+        let note = format!("wrote Chrome trace-event JSON to {out} (load in chrome://tracing)");
         // In --json mode stdout carries exactly one JSON document.
         match json {
             true => eprintln!("{note}"),

@@ -8,10 +8,8 @@
 //! two-tier cell, then re-reads the trace from disk and shows that the
 //! summary reconstructed from the trace alone agrees with the live
 //! `CellRecord` — the property the `trace_provenance` integration test
-//! asserts exactly. The cell also runs with the per-phase profiler
-//! (`CampaignSpec::profile_output`), writing a `profiles/profile-*.json`
-//! report next to the trace. CI runs this before `trace_analyze` to
-//! produce the trace- and profile-smoke artifacts.
+//! asserts exactly. CI runs this before `trace_analyze` to produce the
+//! trace-smoke artifacts.
 //!
 //! Run with: `cargo run --release --example trace_quickstart`
 
@@ -42,8 +40,7 @@ fn main() {
         .strategies([Strategy::TwoTier])
         .grid_sizes([4])
         .workload("quickstart", workload)
-        .trace_output("traces")
-        .profile_output("profiles");
+        .trace_output("traces");
 
     println!("running {} traced cell(s)...", spec.cell_count());
     let report = run_campaign_sequential(&spec);
@@ -58,9 +55,6 @@ fn main() {
         "engine phases: {} timer, {} deliver, {} maintenance events",
         cell.engine.timer_events, cell.engine.deliver_events, cell.engine.maintenance_events
     );
-    let profile_file = cell.profile_file.as_ref().expect("profiling was enabled");
-    let profile_path = format!("profiles/{profile_file}");
-    println!("per-phase profile -> {profile_path}");
 
     let text = std::fs::read_to_string(&path).expect("trace file written by the campaign");
     let summary = summarize_trace(&text, 2048).expect("trace schema matches the library");
@@ -97,6 +91,6 @@ fn main() {
     );
     println!(
         "analyze further with: cargo run --release --example trace_analyze -- {path} \
-         --profile {profile_path} --chrome chrome.json"
+         --chrome chrome.json"
     );
 }

@@ -36,6 +36,7 @@
 //! # Ok::<(), ttmqo::query::ParseQueryError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use ttmqo_core as core;

@@ -8,10 +8,9 @@
 //!   here, independently of the writers, so a field dropped, reordered or
 //!   re-typed on either side fails.
 //! * **Never panic**: `json::parse`, `summarize_trace`, `trace_diff`,
-//!   `chrome_trace`, `ProfileReport::from_json` and the four
-//!   `parse_prior_*_report`s return a value or a typed error on arbitrary
-//!   text and on our own documents with one byte deleted, flipped or
-//!   duplicated.
+//!   `chrome_trace` and the `parse_prior_*_report`s return a value or a
+//!   typed error on arbitrary text and on our own documents with one byte
+//!   deleted, flipped or duplicated.
 
 use proptest::prelude::*;
 use proptest::strategy::FnStrategy;
@@ -24,8 +23,8 @@ use ttmqo::sim::json::{self, JsonValue};
 use ttmqo::sim::{
     chrome_trace, summarize_trace, trace_diff, trace_header, AuditCheck, AuditReport,
     AuditViolation, CompletenessReport, EngineStats, EpochRollup, MetricsSnapshot, MsgKind, NodeId,
-    NodeTimeseries, PhaseProfile, ProfilePhase, ProfileReport, ProvenanceId, QueryCompleteness,
-    TraceDest, TraceEvent, TraceRecord, TraceSummary, WindowStats, SCHEMA_VERSION,
+    NodeTimeseries, ProvenanceId, QueryCompleteness, TraceDest, TraceEvent, TraceRecord,
+    TraceSummary, WindowStats, SCHEMA_VERSION,
 };
 use ttmqo_bench::{
     parse_prior_faults_report, parse_prior_report, EngineBenchResult, FaultBenchResult,
@@ -572,29 +571,6 @@ fn trace_summary(rng: &mut TestRng) -> (TraceSummary, Leaves) {
     (summary, leaves)
 }
 
-fn profile_report(rng: &mut TestRng) -> (ProfileReport, Leaves) {
-    let report = ProfileReport {
-        phases: vec_of(rng, 5, |rng| PhaseProfile {
-            phase: ProfilePhase::ALL[rng.sample(0..ProfilePhase::ALL.len())],
-            wall_ns: uint(rng),
-            events: uint(rng),
-        }),
-    };
-    let mut leaves = vec![u("schema_version", SCHEMA_VERSION as u64)];
-    for (i, p) in report.phases.iter().enumerate() {
-        leaves.extend(under(
-            &format!("phases[{i}]."),
-            vec![
-                s("name", p.phase.name()),
-                u("wall_us", p.wall_ns / 1_000),
-                u("events", p.events),
-                fixed("ns_per_event", p.ns_per_event(), 1),
-            ],
-        ));
-    }
-    (report, leaves)
-}
-
 fn audit_report(rng: &mut TestRng) -> (AuditReport, Leaves) {
     let report = AuditReport {
         checks_run: rng.sample(0..=u32::MAX),
@@ -756,7 +732,6 @@ fn cell_record(rng: &mut TestRng) -> (CellRecord, Leaves) {
         energy_mj: float(rng),
         max_node_energy_mj: float(rng),
         timeseries_file: flag(rng).then(|| text(rng)),
-        profile_file: flag(rng).then(|| text(rng)),
         audit: flag(rng).then_some(audit),
     };
     let (c, m, e) = (&record.completeness, &record.metrics, &record.engine);
@@ -843,7 +818,6 @@ fn cell_record(rng: &mut TestRng) -> (CellRecord, Leaves) {
     for (key, file) in [
         ("trace_file", &record.trace_file),
         ("timeseries_file", &record.timeseries_file),
-        ("profile_file", &record.profile_file),
     ] {
         leaves.extend(file.as_ref().map(|name| s(key, name)));
     }
@@ -1052,7 +1026,6 @@ fn rollup(rng: &mut TestRng) -> (CampaignRollup, Leaves) {
 
 fn engine_result(rng: &mut TestRng) -> (EngineBenchResult, Leaves) {
     let (record, _) = cell_record(rng);
-    let (profile, _) = profile_report(rng);
     let result = EngineBenchResult {
         name: text(rng),
         grid_n: rng.sample(0..100usize),
@@ -1064,7 +1037,6 @@ fn engine_result(rng: &mut TestRng) -> (EngineBenchResult, Leaves) {
         tx_frames: uint(rng),
         delivered: uint(rng),
         stats: record.engine,
-        profile: flag(rng).then_some(profile),
         audit_violations: flag(rng).then(|| uint(rng)),
     };
     let st = &result.stats;
@@ -1086,19 +1058,6 @@ fn engine_result(rng: &mut TestRng) -> (EngineBenchResult, Leaves) {
         u("csma_capped_deferrals", st.csma_capped_deferrals),
         u("csma_sorts_saved", st.csma_sorts_saved),
     ];
-    if let Some(profile) = &result.profile {
-        for (key, phase) in [
-            ("timer_wall_us", ProfilePhase::Timer),
-            ("deliver_wall_us", ProfilePhase::Deliver),
-            ("command_wall_us", ProfilePhase::Command),
-            ("maintenance_wall_us", ProfilePhase::Maintenance),
-            ("fault_wall_us", ProfilePhase::Fault),
-            ("csma_wall_us", ProfilePhase::CsmaSense),
-            ("interference_wall_us", ProfilePhase::InterferenceMark),
-        ] {
-            leaves.push(u(key, profile.get(phase).wall_us()));
-        }
-    }
     leaves.extend(result.audit_violations.map(|n| u("audit_violations", n)));
     (result, leaves)
 }
@@ -1171,25 +1130,6 @@ proptest! {
     #[test]
     fn trace_summary_round_trips(case in arb(trace_summary)) {
         check(&case.0.to_json(), &case.1)?;
-    }
-
-    #[test]
-    fn profile_report_round_trips(case in arb(profile_report)) {
-        let json = case.0.to_json();
-        check(&json, &case.1)?;
-        // The report's own reader: phases and counts exact, wall quantized
-        // to whole µs.
-        match ProfileReport::from_json(&json) {
-            None => prop_assert!(case.0.phases.is_empty()),
-            Some(back) => {
-                prop_assert_eq!(back.phases.len(), case.0.phases.len());
-                for (got, want) in back.phases.iter().zip(&case.0.phases) {
-                    prop_assert_eq!(got.phase, want.phase);
-                    prop_assert_eq!(got.events, want.events);
-                    prop_assert_eq!(got.wall_ns, want.wall_ns / 1_000 * 1_000);
-                }
-            }
-        }
     }
 
     #[test]
@@ -1291,9 +1231,6 @@ fn feed_every_reader(text: &str, other: &str) {
     let _ = trace_diff(text, other, 2);
     let _ = trace_diff(other, text, 0);
     let _ = chrome_trace(text);
-    if let Some(report) = ProfileReport::from_json(text) {
-        let _ = report.to_json();
-    }
     let _ = parse_prior_report(text);
     let _ = parse_prior_faults_report(text);
     let opts = CompareOptions::default();
@@ -1303,7 +1240,7 @@ fn feed_every_reader(text: &str, other: &str) {
 
 /// One of our own documents, picked and filled at random.
 fn own_document(rng: &mut TestRng) -> String {
-    match rng.sample(0..7u8) {
+    match rng.sample(0..6u8) {
         0 | 1 => {
             let mut text = trace_header();
             text.push('\n');
@@ -1316,10 +1253,9 @@ fn own_document(rng: &mut TestRng) -> String {
             }
             text
         }
-        2 => profile_report(rng).0.to_json(),
-        3 => cell_record(rng).0.to_json(),
-        4 => rollup(rng).0.to_json(),
-        5 => trace_summary(rng).0.to_json(),
+        2 => cell_record(rng).0.to_json(),
+        3 => rollup(rng).0.to_json(),
+        4 => trace_summary(rng).0.to_json(),
         _ => format!(
             "{}\n{}\n",
             engine_result(rng).0.to_json(),
@@ -1423,18 +1359,12 @@ proptest! {
 
 #[test]
 fn deep_nesting_is_a_typed_error_in_every_reader() {
-    for open in [
-        "[",
-        "{\"a\":",
-        "{\"ev\":\"frame-tx\",\"t\":[",
-        "{\"phases\":[",
-    ] {
+    for open in ["[", "{\"a\":", "{\"ev\":\"frame-tx\",\"t\":["] {
         let deep = open.repeat(2_000_000);
         assert!(json::parse(&deep).is_err());
         feed_every_reader(&deep, "[]");
         let summary = summarize_trace(&format!("{deep}\n"), 2048).expect("no schema error");
         assert_eq!((summary.events, summary.malformed_lines), (0, 1));
-        assert!(ProfileReport::from_json(&deep).is_none());
     }
 }
 
