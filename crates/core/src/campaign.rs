@@ -1,5 +1,5 @@
 //! Experiment campaigns: declarative sweeps over the paper's evaluation
-//! space, executed across a thread pool with per-run observability.
+//! space, executed across a thread pool, one record per run.
 //!
 //! The paper's figures are all grids of independent runs — Figure 3 is
 //! workloads × network sizes × the four strategies, Figures 4–5 sweep the
@@ -49,13 +49,12 @@
 //! ```
 
 use crate::basestation::OptimizerStats;
-use crate::observe::{events_per_sec, CampaignEvent, ProgressHandle, ProgressSink};
 use crate::runner::{run_experiment, ExperimentConfig, Strategy, WorkloadEvent};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::time::Instant;
 use ttmqo_sim::json;
 use ttmqo_sim::{
     summarize_trace, AuditReport, CompletenessReport, EngineStats, FaultPlan, JsonLinesSink,
@@ -117,16 +116,6 @@ pub struct CampaignSpec {
     pub trace_dir: Option<PathBuf>,
     /// Windowed timeseries collection, written as `timeseries-….json`.
     pub timeseries_dir: Option<PathBuf>,
-    /// Live progress telemetry channel. The default disabled handle emits
-    /// nothing; an attached sink receives [`CampaignEvent`]s as cells
-    /// start, finish and fail, plus heartbeats and an overall
-    /// started/finished pair. Emission is observational only: the
-    /// [`ttmqo_sim::Observe`] contract at campaign scope.
-    pub progress: ProgressHandle,
-    /// Heartbeat period for the observational liveness thread, ms. The
-    /// thread runs only while a progress sink is attached and the period
-    /// is nonzero; 0 disables heartbeats while keeping per-cell events.
-    pub heartbeat_ms: u64,
 }
 
 impl CampaignSpec {
@@ -145,30 +134,8 @@ impl CampaignSpec {
             workloads: Vec::new(),
             trace_dir: None,
             timeseries_dir: None,
-            progress: ProgressHandle::disabled(),
-            heartbeat_ms: 1000,
             base,
         }
-    }
-
-    /// Attaches a progress sink (see [`CampaignSpec::progress`]).
-    pub fn progress(mut self, sink: impl ProgressSink + 'static) -> Self {
-        self.progress = ProgressHandle::new(sink);
-        self
-    }
-
-    /// Attaches an existing progress handle — lets a caller keep a typed
-    /// shared sink (e.g. [`crate::observe::MemoryProgress`]) to read the
-    /// events back.
-    pub fn progress_handle(mut self, handle: ProgressHandle) -> Self {
-        self.progress = handle;
-        self
-    }
-
-    /// Sets the heartbeat period (see [`CampaignSpec::heartbeat_ms`]).
-    pub fn heartbeat_ms(mut self, ms: u64) -> Self {
-        self.heartbeat_ms = ms;
-        self
     }
 
     /// Enables the standing invariant auditor for every cell
@@ -588,13 +555,13 @@ fn run_cell(spec: &CampaignSpec, cell: &CellSpec) -> CellRecord {
     // Trace↔answer reconciliation: with both the auditor and tracing on,
     // read the written trace back and check that the answer counts it
     // reconstructs equal the run report's. Post-hoc by construction — the
-    // run is already finished. An unreadable or unparsable trace counts as
-    // a skipped check, not a violation (an absent artifact proves nothing).
-    if let (Some(audit), Some(dir), Some(name)) =
-        (report.audit.as_mut(), &spec.trace_dir, &trace_file)
-    {
-        let summarized = std::fs::read_to_string(dir.join(name))
-            .ok()
+    // run is already finished. A trace that could not be created, read or
+    // parsed counts as a skipped check, not a violation (an absent artifact
+    // proves nothing).
+    if let (Some(audit), Some(dir)) = (report.audit.as_mut(), &spec.trace_dir) {
+        let summarized = trace_file
+            .as_ref()
+            .and_then(|name| std::fs::read_to_string(dir.join(name)).ok())
             .and_then(|text| summarize_trace(&text, AUDIT_SUMMARY_EPOCH_MS).ok());
         match summarized {
             Some(summary) => {
@@ -642,102 +609,6 @@ fn run_cell(spec: &CampaignSpec, cell: &CellSpec) -> CellRecord {
     }
 }
 
-/// Observational campaign counters shared by the workers and the heartbeat
-/// thread. Everything here is telemetry: loads and stores are `Relaxed`,
-/// and no simulation decision ever reads these values.
-struct ProgressState {
-    started: Instant,
-    total: usize,
-    threads: usize,
-    completed: AtomicUsize,
-    running: AtomicUsize,
-    /// Sum of completed cells' wall-clock times, µs (u64 so workers can
-    /// accumulate without a lock).
-    wall_sum_us: AtomicU64,
-}
-
-impl ProgressState {
-    fn wall_ms(&self) -> f64 {
-        self.started.elapsed().as_secs_f64() * 1000.0
-    }
-
-    /// ETA extrapolation: mean completed-cell wall time × remaining cells
-    /// ÷ worker threads. `None` until the first cell completes. A coarse
-    /// estimate by design — cells vary in cost — but it converges as the
-    /// sweep progresses, which is what a week-long soak campaign needs.
-    fn eta_ms(&self) -> Option<f64> {
-        let completed = self.completed.load(Ordering::Relaxed);
-        if completed == 0 {
-            return None;
-        }
-        let mean_ms = self.wall_sum_us.load(Ordering::Relaxed) as f64 / 1000.0 / completed as f64;
-        let remaining = self.total.saturating_sub(completed) as f64;
-        Some(mean_ms * remaining / self.threads as f64)
-    }
-}
-
-/// [`run_cell`] wrapped in progress telemetry: started/finished events
-/// around the run, and — when the worker panics — a `cell-failed` event
-/// naming the dead cell, flushed before the panic resumes so the observer
-/// keeps the context even though the campaign aborts.
-fn run_cell_observed(spec: &CampaignSpec, cell: &CellSpec, state: &ProgressState) -> CellRecord {
-    let workload = &spec.workloads[cell.workload].name;
-    let fault = &spec.faults[cell.fault].name;
-    spec.progress.emit(&CampaignEvent::CellStarted {
-        wall_ms: state.wall_ms(),
-        index: cell.index,
-        workload: workload.clone(),
-        strategy: cell.strategy,
-        grid_n: cell.grid_n,
-        field_seed: cell.field_seed,
-        fault: fault.clone(),
-    });
-    state.running.fetch_add(1, Ordering::Relaxed);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_cell(spec, cell)));
-    state.running.fetch_sub(1, Ordering::Relaxed);
-    let record = match result {
-        Ok(record) => record,
-        Err(panic) => {
-            spec.progress.emit(&CampaignEvent::CellFailed {
-                wall_ms: state.wall_ms(),
-                index: cell.index,
-                workload: workload.clone(),
-                strategy: cell.strategy,
-                grid_n: cell.grid_n,
-                field_seed: cell.field_seed,
-                fault: fault.clone(),
-            });
-            spec.progress.flush();
-            std::panic::resume_unwind(panic)
-        }
-    };
-    state
-        .wall_sum_us
-        .fetch_add((record.wall_clock_ms * 1000.0) as u64, Ordering::Relaxed);
-    let completed = state.completed.fetch_add(1, Ordering::Relaxed) + 1;
-    spec.progress.emit(&CampaignEvent::CellFinished {
-        wall_ms: state.wall_ms(),
-        index: cell.index,
-        workload: record.workload.clone(),
-        strategy: cell.strategy,
-        grid_n: cell.grid_n,
-        field_seed: cell.field_seed,
-        fault: record.fault.clone(),
-        cell_wall_ms: record.wall_clock_ms,
-        sim_ms: spec.base.duration.as_ms(),
-        events_processed: record.engine.events_processed,
-        events_per_sec: events_per_sec(record.engine.events_processed, record.wall_clock_ms),
-        audit_violations: record
-            .audit
-            .as_ref()
-            .map_or(0, |a| a.violations.len() as u64),
-        completed,
-        total: state.total,
-        eta_ms: state.eta_ms(),
-    });
-    record
-}
-
 /// Runs the campaign over one worker thread per available CPU.
 pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -761,48 +632,8 @@ pub fn run_campaign_with(spec: &CampaignSpec, threads: usize) -> CampaignReport 
     let cells = spec.cells();
     let started = Instant::now();
     let threads = threads.clamp(1, cells.len().max(1));
-    let state = Arc::new(ProgressState {
-        started,
-        total: cells.len(),
-        threads,
-        completed: AtomicUsize::new(0),
-        running: AtomicUsize::new(0),
-        wall_sum_us: AtomicU64::new(0),
-    });
-    spec.progress.emit(&CampaignEvent::CampaignStarted {
-        cells: cells.len(),
-        threads,
-    });
-    // Observational heartbeat: a plain OS thread that only *reads* the
-    // shared counters and emits telemetry on a period. It holds no
-    // reference into the simulation and nothing in the campaign ever
-    // branches on its existence. Spawned only when a sink is attached.
-    let stop = Arc::new(AtomicBool::new(false));
-    let heartbeat = (spec.progress.is_enabled() && spec.heartbeat_ms > 0 && !cells.is_empty())
-        .then(|| {
-            let progress = spec.progress.clone();
-            let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            let period = Duration::from_millis(spec.heartbeat_ms);
-            std::thread::spawn(move || loop {
-                std::thread::park_timeout(period);
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                progress.emit(&CampaignEvent::Heartbeat {
-                    wall_ms: state.wall_ms(),
-                    completed: state.completed.load(Ordering::Relaxed),
-                    running: state.running.load(Ordering::Relaxed),
-                    total: state.total,
-                    eta_ms: state.eta_ms(),
-                });
-            })
-        });
     let records: Vec<CellRecord> = if threads == 1 {
-        cells
-            .iter()
-            .map(|cell| run_cell_observed(spec, cell, &state))
-            .collect()
+        cells.iter().map(|cell| run_cell(spec, cell)).collect()
     } else {
         let cursor = AtomicUsize::new(0);
         let slots: Mutex<Vec<Option<CellRecord>>> = Mutex::new(vec![None; cells.len()]);
@@ -811,7 +642,7 @@ pub fn run_campaign_with(spec: &CampaignSpec, threads: usize) -> CampaignReport 
                 s.spawn(|_| loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(cell) = cells.get(i) else { break };
-                    let record = run_cell_observed(spec, cell, &state);
+                    let record = run_cell(spec, cell);
                     slots.lock().expect("no worker panicked holding the lock")[i] = Some(record);
                 });
             }
@@ -824,25 +655,11 @@ pub fn run_campaign_with(spec: &CampaignSpec, threads: usize) -> CampaignReport 
             .map(|r| r.expect("cursor visited every cell"))
             .collect()
     };
-    if let Some(heartbeat) = heartbeat {
-        stop.store(true, Ordering::Relaxed);
-        heartbeat.thread().unpark();
-        heartbeat
-            .join()
-            .expect("the heartbeat thread only reads counters and never panics");
-    }
-    let report = CampaignReport {
+    CampaignReport {
         cells: records,
         threads,
         wall_clock_ms: started.elapsed().as_secs_f64() * 1000.0,
-    };
-    spec.progress.emit(&CampaignEvent::CampaignFinished {
-        wall_ms: report.wall_clock_ms,
-        cells: report.cells.len(),
-        audit_violations: report.audit_violations(),
-    });
-    spec.progress.flush();
-    report
+    }
 }
 
 #[cfg(test)]
@@ -1035,6 +852,22 @@ mod tests {
         assert!(bare.cells.iter().all(|c| c.audit.is_none()));
         assert!(!bare.to_jsonl().contains("\"audit\""));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_uncreatable_trace_is_a_skipped_check_not_a_silent_pass() {
+        // A trace directory under a regular file can never be created.
+        let file = std::env::temp_dir().join(format!("ttmqo-audit-nodir-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").expect("temp file writable");
+        let report =
+            run_campaign_sequential(&tiny_spec().audit().trace_output(file.join("traces")));
+        for cell in &report.cells {
+            assert_eq!(cell.trace_file, None);
+            let audit = cell.audit.as_ref().expect("audited cell carries a report");
+            assert_eq!(audit.checks_skipped, 1, "the trace↔answer check is counted");
+            assert!(audit.is_clean(), "a skipped check is not a violation");
+        }
+        std::fs::remove_file(&file).ok();
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Run comparison: field-by-field diffs of reports with threshold verdicts.
 //!
-//! Three inputs share one machinery: single JSON reports (the benches'
-//! `BENCH_*.json`), campaign JSON-lines files (one record per cell), and
-//! in-memory [`RunReport`] pairs. Every JSON document is flattened to dotted
-//! leaf keys (`metrics.tx_count.result`, `windows[3].gini_tx_busy`) and the
-//! two sides are joined key-by-key:
+//! Two inputs share one machinery: single JSON reports (the benches'
+//! `BENCH_*.json`) and campaign JSON-lines files (one record per cell).
+//! Every JSON document is flattened to dotted leaf keys
+//! (`metrics.tx_count.result`, `windows[3].gini_tx_busy`) and the two sides
+//! are joined key-by-key:
 //!
 //! * **timing fields** (`wall_s`, `wall_clock_ms`, `events_per_sec`,
 //!   `sim_ms_per_wall_s`) get a direction-aware relative threshold — the
@@ -18,8 +18,6 @@
 //! The `report_diff` example wraps this module as the CI regression gate
 //! against the checked-in baselines under `bench/baselines/`.
 
-use crate::runner::RunReport;
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use ttmqo_sim::json::{self, JsonError, JsonValue};
@@ -403,94 +401,6 @@ pub fn compare_jsonl(
         }
     }
     Ok(CompareReport { diffs })
-}
-
-/// Flattens a [`RunReport`] into comparable leaves: strategy, the full
-/// metrics snapshot, completeness totals, energy, and engine counters.
-/// Everything here is deterministic, so [`diff_reports`] compares exactly.
-pub fn report_leaves(report: &RunReport) -> Vec<(String, JsonValue<'static>)> {
-    let snap = report.metrics.snapshot();
-    let num = |(k, v): (&str, f64)| (k.to_string(), JsonValue::Num(v));
-    let uint = |(k, v): (&str, u64)| (k.to_string(), JsonValue::Uint(v));
-    let mut out = vec![(
-        "strategy".to_string(),
-        JsonValue::Str(report.strategy.to_string().into()),
-    )];
-    out.extend(
-        [
-            ("avg_transmission_time_pct", snap.avg_transmission_time_pct),
-            ("total_tx_busy_ms", snap.total_tx_busy_ms),
-            ("total_rx_busy_ms", snap.total_rx_busy_ms),
-            ("total_sleep_ms", snap.total_sleep_ms),
-        ]
-        .map(num),
-    );
-    out.extend(
-        [
-            ("retransmissions", snap.retransmissions),
-            ("collisions", snap.collisions),
-            ("losses", snap.losses),
-            ("gave_up", snap.gave_up),
-            ("orphaned_drops", snap.orphaned_drops),
-            ("samples", snap.samples),
-            ("horizon_ms", snap.horizon_ms),
-        ]
-        .map(uint),
-    );
-    out.extend(
-        [
-            ("avg_synthetic_count", report.avg_synthetic_count),
-            ("avg_benefit_ratio", report.avg_benefit_ratio),
-            ("energy_mj", report.energy_mj),
-            ("max_node_energy_mj", report.max_node_energy_mj),
-        ]
-        .map(num),
-    );
-    out.extend(
-        [
-            ("events_processed", report.engine.events_processed),
-            ("frames_total", report.engine.frames_total),
-        ]
-        .map(uint),
-    );
-    for (kind, count) in &snap.tx_count {
-        out.push((format!("tx_count.{kind}"), JsonValue::Uint(*count)));
-    }
-    for (kind, bytes) in &snap.tx_bytes {
-        out.push((format!("tx_bytes.{kind}"), JsonValue::Uint(*bytes)));
-    }
-    let (mut expected, mut answered, mut exp_rows, mut got_rows) = (0u64, 0u64, 0u64, 0u64);
-    for qc in report.completeness.per_query.values() {
-        expected += qc.expected_epochs;
-        answered += qc.answered_epochs;
-        exp_rows += qc.expected_rows;
-        got_rows += qc.delivered_rows;
-    }
-    out.extend(
-        [
-            ("completeness.expected_epochs", expected),
-            ("completeness.answered_epochs", answered),
-            ("completeness.expected_rows", exp_rows),
-            ("completeness.delivered_rows", got_rows),
-            (
-                "completeness.repairs_triggered",
-                report.completeness.repairs_triggered,
-            ),
-        ]
-        .map(uint),
-    );
-    out
-}
-
-/// Diffs two in-memory [`RunReport`]s over [`report_leaves`]. All leaves
-/// are deterministic, so any difference is a [`Verdict::Changed`] failure.
-pub fn diff_reports(baseline: &RunReport, current: &RunReport) -> CompareReport {
-    let opts = CompareOptions::default();
-    let to_obj = |r: &RunReport| {
-        let leaves = report_leaves(r).into_iter();
-        JsonValue::Obj(leaves.map(|(k, v)| (Cow::Owned(k), v)).collect())
-    };
-    compare_values(&to_obj(baseline), &to_obj(current), &opts)
 }
 
 #[cfg(test)]

@@ -15,7 +15,9 @@
 //!   workloads.
 //! * [`campaign`] — declarative sweeps over strategies × grid sizes × field
 //!   seeds × workloads, executed across a thread pool ([`run_campaign`])
-//!   with one JSON-lines observability record per run.
+//!   with one JSON-lines record per run.
+//! * [`rollup`] — cross-cell aggregation of a campaign's records: per-axis
+//!   marginals, hotspot cells, audit-violation totals.
 //!
 //! # Quick example
 //!
@@ -49,7 +51,7 @@ pub mod basestation;
 pub mod campaign;
 pub mod compare;
 pub mod innetwork;
-pub mod observe;
+pub mod rollup;
 mod runner;
 
 pub use basestation::{
@@ -62,10 +64,7 @@ pub use campaign::{
     CampaignWorkload, CellRecord, CellSpec,
 };
 pub use innetwork::{DagState, PartialEntry, RowEntry, TtmqoApp, TtmqoConfig, TtmqoPayload};
-pub use observe::{
-    progress_header, AxisMarginal, CampaignEvent, CampaignRollup, HotspotCell, JsonLinesProgress,
-    MemoryProgress, ProgressHandle, ProgressSink,
-};
+pub use rollup::{AxisMarginal, CampaignRollup, HotspotCell};
 pub use runner::{
     run_experiment, ExperimentConfig, FieldKind, QueryWindowSeries, RunReport, RunSession,
     RunTimeseries, Strategy, WorkloadAction, WorkloadEvent,

@@ -1,414 +1,25 @@
-//! Campaign observatory: live progress telemetry and cross-cell rollups.
+//! Cross-cell rollup of a campaign's records.
 //!
-//! A campaign is hundreds of independent cells; until now it ran dark —
-//! the only output was the final [`CampaignReport`] after the last cell.
-//! This module adds the fleet-level observability layer:
+//! [`CampaignRollup::from_records`] aggregates the per-cell records into
+//! per-axis marginals (workload / strategy / grid / fault), top-N hotspot
+//! cells, and campaign totals, serialized as the single
+//! `campaign-report.json` object ([`CampaignRollup::to_json`]) the
+//! `report_diff` example gates on, plus a human markdown summary
+//! ([`CampaignRollup::to_markdown`]). Every marginal is an exact sum (or
+//! min/max) over the records it covers — integer counters reconcile
+//! exactly, f64 sums fold in deterministic cell order.
 //!
-//! * **Progress events** — [`CampaignEvent`]s stream from
-//!   [`run_campaign_with`](crate::run_campaign_with) through a
-//!   [`ProgressHandle`] as cells start, finish and fail, with a periodic
-//!   heartbeat and an ETA extrapolated from completed-cell rates. The
-//!   channel keeps the [`ttmqo_sim::Observe`] contract at campaign scope:
-//!   cell records are the same with or without a sink. Event *contents*
-//!   include wall-clock fields and are therefore
-//!   machine-dependent; the deterministic parts (cell coordinates, event
-//!   counts, completion order of the sequential runner) are not.
-//! * **Rollups** — [`CampaignRollup::from_records`] aggregates the per-cell
-//!   records into per-axis marginals (workload / strategy / grid / fault),
-//!   top-N hotspot cells, and campaign totals, serialized as the single
-//!   `campaign-report.json` object ([`CampaignRollup::to_json`]) the
-//!   `report_diff` example gates on, plus a human markdown summary
-//!   ([`CampaignRollup::to_markdown`]). Every marginal is an exact sum (or
-//!   min/max) over the records it covers — integer counters reconcile
-//!   exactly, f64 sums fold in deterministic cell order.
-//!
-//! The third observability leg, the standing invariant auditor, lives in
-//! [`ttmqo_sim::AuditReport`] and is wired through
-//! [`ExperimentConfig::observe`](crate::ExperimentConfig::observe); the rollup
-//! carries its violation totals.
+//! The standing invariant auditor lives in [`ttmqo_sim::AuditReport`] and is
+//! wired through [`ExperimentConfig::observe`](crate::ExperimentConfig::observe);
+//! the rollup carries its violation totals.
 
 use crate::campaign::{CampaignReport, CellRecord};
 use crate::runner::Strategy;
-use std::fmt;
-use std::io::Write;
-use std::sync::{Arc, Mutex};
 use ttmqo_sim::json::{self, Obj};
 use ttmqo_sim::SCHEMA_VERSION;
 
 /// How many hotspot cells a rollup keeps.
 pub const HOTSPOT_TOP_N: usize = 5;
-
-/// One progress event on a campaign's telemetry channel.
-///
-/// `wall_ms` fields are host wall-clock milliseconds since the campaign
-/// started — observational, machine-dependent, and absent from every
-/// determinism comparison. Everything naming cells (index, coordinates)
-/// follows the deterministic [`CampaignSpec::cells`](crate::CampaignSpec)
-/// order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CampaignEvent {
-    /// The campaign accepted its spec and is about to run.
-    CampaignStarted {
-        /// Cells the sweep expands to.
-        cells: usize,
-        /// Worker threads.
-        threads: usize,
-    },
-    /// A worker picked up a cell.
-    CellStarted {
-        /// Wall-clock ms since campaign start.
-        wall_ms: f64,
-        /// Position in the deterministic cell order.
-        index: usize,
-        /// Workload name.
-        workload: String,
-        /// Strategy coordinate.
-        strategy: Strategy,
-        /// Grid-side coordinate.
-        grid_n: usize,
-        /// Field-seed coordinate.
-        field_seed: u64,
-        /// Fault-plan name.
-        fault: String,
-    },
-    /// A cell finished and its record landed in its slot.
-    CellFinished {
-        /// Wall-clock ms since campaign start.
-        wall_ms: f64,
-        /// Position in the deterministic cell order.
-        index: usize,
-        /// Workload name.
-        workload: String,
-        /// Strategy coordinate.
-        strategy: Strategy,
-        /// Grid-side coordinate.
-        grid_n: usize,
-        /// Field-seed coordinate.
-        field_seed: u64,
-        /// Fault-plan name.
-        fault: String,
-        /// The cell's own wall-clock time, ms.
-        cell_wall_ms: f64,
-        /// Simulated horizon of the cell, ms.
-        sim_ms: u64,
-        /// Engine events the cell processed.
-        events_processed: u64,
-        /// Engine events per wall-clock second (0 for a 0 ms cell).
-        events_per_sec: f64,
-        /// Audit violations in the cell's record (0 when unaudited).
-        audit_violations: u64,
-        /// Cells completed so far, this one included.
-        completed: usize,
-        /// Total cells in the campaign.
-        total: usize,
-        /// Estimated wall-clock ms to completion, extrapolated from the
-        /// mean completed-cell wall time over the remaining cells and
-        /// thread count. `None` until the first cell completes.
-        eta_ms: Option<f64>,
-    },
-    /// A cell's worker panicked. The campaign still aborts (the panic is
-    /// resumed after this event flushes), but the observer learns *which*
-    /// cell died rather than losing the whole sweep's context.
-    CellFailed {
-        /// Wall-clock ms since campaign start.
-        wall_ms: f64,
-        /// Position in the deterministic cell order.
-        index: usize,
-        /// Workload name.
-        workload: String,
-        /// Strategy coordinate.
-        strategy: Strategy,
-        /// Grid-side coordinate.
-        grid_n: usize,
-        /// Field-seed coordinate.
-        field_seed: u64,
-        /// Fault-plan name.
-        fault: String,
-    },
-    /// Periodic liveness tick from the observational heartbeat thread.
-    Heartbeat {
-        /// Wall-clock ms since campaign start.
-        wall_ms: f64,
-        /// Cells completed so far.
-        completed: usize,
-        /// Cells currently inside a worker.
-        running: usize,
-        /// Total cells in the campaign.
-        total: usize,
-        /// Estimated wall-clock ms to completion (see
-        /// [`CampaignEvent::CellFinished::eta_ms`]).
-        eta_ms: Option<f64>,
-    },
-    /// Every cell completed.
-    CampaignFinished {
-        /// Wall-clock ms the whole campaign took.
-        wall_ms: f64,
-        /// Cells executed.
-        cells: usize,
-        /// Total audit violations across every cell record.
-        audit_violations: u64,
-    },
-}
-
-impl CampaignEvent {
-    /// Stable kebab-case tag carried in the JSON `ev` field.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            CampaignEvent::CampaignStarted { .. } => "campaign-started",
-            CampaignEvent::CellStarted { .. } => "cell-started",
-            CampaignEvent::CellFinished { .. } => "cell-finished",
-            CampaignEvent::CellFailed { .. } => "cell-failed",
-            CampaignEvent::Heartbeat { .. } => "heartbeat",
-            CampaignEvent::CampaignFinished { .. } => "campaign-finished",
-        }
-    }
-
-    /// One JSON object per event, `{"ev":"<kind>",...}` — a line of the
-    /// progress JSONL stream. Every variant destructures exhaustively: a
-    /// field added without a serialization decision here is a compile
-    /// error.
-    pub fn to_json(&self) -> String {
-        json::object(|o| {
-            o.str("ev", self.kind());
-            match self {
-                CampaignEvent::CampaignStarted { cells, threads } => {
-                    o.u64("cells", *cells as u64);
-                    o.u64("threads", *threads as u64);
-                }
-                CampaignEvent::CellStarted {
-                    wall_ms,
-                    index,
-                    workload,
-                    strategy,
-                    grid_n,
-                    field_seed,
-                    fault,
-                } => {
-                    o.f64("wall_ms", *wall_ms);
-                    cell_coords(o, *index, workload, *strategy, *grid_n, *field_seed, fault);
-                }
-                CampaignEvent::CellFinished {
-                    wall_ms,
-                    index,
-                    workload,
-                    strategy,
-                    grid_n,
-                    field_seed,
-                    fault,
-                    cell_wall_ms,
-                    sim_ms,
-                    events_processed,
-                    events_per_sec,
-                    audit_violations,
-                    completed,
-                    total,
-                    eta_ms,
-                } => {
-                    o.f64("wall_ms", *wall_ms);
-                    cell_coords(o, *index, workload, *strategy, *grid_n, *field_seed, fault);
-                    o.f64("cell_wall_ms", *cell_wall_ms);
-                    o.u64("sim_ms", *sim_ms);
-                    o.u64("events_processed", *events_processed);
-                    o.f64("events_per_sec", *events_per_sec);
-                    o.u64("audit_violations", *audit_violations);
-                    o.u64("completed", *completed as u64);
-                    o.u64("total", *total as u64);
-                    eta(o, *eta_ms);
-                }
-                CampaignEvent::CellFailed {
-                    wall_ms,
-                    index,
-                    workload,
-                    strategy,
-                    grid_n,
-                    field_seed,
-                    fault,
-                } => {
-                    o.f64("wall_ms", *wall_ms);
-                    cell_coords(o, *index, workload, *strategy, *grid_n, *field_seed, fault);
-                }
-                CampaignEvent::Heartbeat {
-                    wall_ms,
-                    completed,
-                    running,
-                    total,
-                    eta_ms,
-                } => {
-                    o.f64("wall_ms", *wall_ms);
-                    o.u64("completed", *completed as u64);
-                    o.u64("running", *running as u64);
-                    o.u64("total", *total as u64);
-                    eta(o, *eta_ms);
-                }
-                CampaignEvent::CampaignFinished {
-                    wall_ms,
-                    cells,
-                    audit_violations,
-                } => {
-                    o.f64("wall_ms", *wall_ms);
-                    o.u64("cells", *cells as u64);
-                    o.u64("audit_violations", *audit_violations);
-                }
-            }
-        })
-    }
-}
-
-fn cell_coords(
-    o: &mut Obj<'_>,
-    index: usize,
-    workload: &str,
-    strategy: Strategy,
-    grid_n: usize,
-    field_seed: u64,
-    fault: &str,
-) {
-    o.u64("index", index as u64);
-    o.str("workload", workload);
-    o.str("strategy", &strategy.to_string());
-    o.u64("grid_n", grid_n as u64);
-    o.u64("field_seed", field_seed);
-    o.str("fault", fault);
-}
-
-fn eta(o: &mut Obj<'_>, eta_ms: Option<f64>) {
-    match eta_ms {
-        Some(ms) => o.f64("eta_ms", ms),
-        None => o.null("eta_ms"),
-    }
-}
-
-/// Header line every progress JSONL stream starts with.
-pub fn progress_header() -> String {
-    json::object(|o| {
-        o.u64("schema_version", SCHEMA_VERSION as u64);
-        o.str("format", "ttmqo-campaign-progress");
-    })
-}
-
-/// Receiver of campaign progress events. Implementations run on campaign
-/// worker threads and the heartbeat thread (behind the handle's mutex), so
-/// they should be quick; slow sinks delay telemetry, never simulation
-/// results.
-pub trait ProgressSink: Send {
-    /// Called once per event, in emission order.
-    fn event(&mut self, event: &CampaignEvent);
-    /// Flush buffered output (called at campaign end and around failures).
-    fn flush(&mut self) {}
-}
-
-/// Cloneable, optionally-attached progress channel — the campaign analogue
-/// of [`ttmqo_sim::TraceHandle`]. The default disabled handle costs one
-/// `Option` check per emission site and keeps campaign behaviour identical
-/// to a build without the observatory.
-#[derive(Clone, Default)]
-pub struct ProgressHandle(Option<Arc<Mutex<dyn ProgressSink>>>);
-
-impl fmt::Debug for ProgressHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("ProgressHandle")
-            .field(&if self.0.is_some() {
-                "enabled"
-            } else {
-                "disabled"
-            })
-            .finish()
-    }
-}
-
-impl ProgressHandle {
-    /// The no-op handle (same as `ProgressHandle::default()`).
-    pub fn disabled() -> Self {
-        ProgressHandle(None)
-    }
-
-    /// A handle delivering events to `sink`.
-    pub fn new(sink: impl ProgressSink + 'static) -> Self {
-        ProgressHandle(Some(Arc::new(Mutex::new(sink))))
-    }
-
-    /// A handle over an existing shared sink — lets a caller keep a typed
-    /// `Arc<Mutex<MemoryProgress>>` clone to read the events back.
-    pub fn shared(sink: Arc<Mutex<dyn ProgressSink>>) -> Self {
-        ProgressHandle(Some(sink))
-    }
-
-    /// Whether a sink is attached.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Delivers `event` (no-op when disabled).
-    pub fn emit(&self, event: &CampaignEvent) {
-        if let Some(sink) = &self.0 {
-            sink.lock().expect("progress sink poisoned").event(event);
-        }
-    }
-
-    /// Flushes the attached sink, if any.
-    pub fn flush(&self) {
-        if let Some(sink) = &self.0 {
-            sink.lock().expect("progress sink poisoned").flush();
-        }
-    }
-}
-
-/// Sink writing progress as JSON lines: the [`progress_header`] first, then
-/// one [`CampaignEvent::to_json`] object per line.
-pub struct JsonLinesProgress {
-    out: Box<dyn Write + Send>,
-}
-
-impl JsonLinesProgress {
-    /// Wraps any writer (the header is written immediately).
-    pub fn new(mut out: impl Write + Send + 'static) -> std::io::Result<Self> {
-        writeln!(out, "{}", progress_header())?;
-        Ok(JsonLinesProgress { out: Box::new(out) })
-    }
-
-    /// Creates (truncating) a progress file at `path`, buffered.
-    pub fn create(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Self::new(std::io::BufWriter::new(file))
-    }
-}
-
-impl fmt::Debug for JsonLinesProgress {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("JsonLinesProgress").finish_non_exhaustive()
-    }
-}
-
-impl ProgressSink for JsonLinesProgress {
-    fn event(&mut self, event: &CampaignEvent) {
-        // Ignore write errors at event granularity (telemetry must never
-        // abort the campaign); flush reports them implicitly.
-        let _ = writeln!(self.out, "{}", event.to_json());
-    }
-
-    fn flush(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
-/// In-memory sink for tests: keeps every event.
-#[derive(Debug, Default)]
-pub struct MemoryProgress {
-    events: Vec<CampaignEvent>,
-}
-
-impl MemoryProgress {
-    /// The events received so far, in emission order.
-    pub fn events(&self) -> &[CampaignEvent] {
-        &self.events
-    }
-}
-
-impl ProgressSink for MemoryProgress {
-    fn event(&mut self, event: &CampaignEvent) {
-        self.events.push(event.clone());
-    }
-}
 
 /// One axis value's aggregate over the cell records that carry it: exact
 /// sums of the integer counters, deterministic-order sums of the f64
@@ -562,7 +173,12 @@ impl HotspotCell {
             cell_wall_ms,
             events_per_sec,
         } = self;
-        cell_coords(o, *index, workload, *strategy, *grid_n, *field_seed, fault);
+        o.u64("index", *index as u64);
+        o.str("workload", workload);
+        o.str("strategy", &strategy.to_string());
+        o.u64("grid_n", *grid_n as u64);
+        o.u64("field_seed", *field_seed);
+        o.str("fault", fault);
         o.u64("events_processed", *events_processed);
         o.f64("cell_wall_ms", *cell_wall_ms);
         o.f64("events_per_sec", *events_per_sec);
@@ -983,124 +599,6 @@ mod tests {
         let json = rollup.to_json();
         assert!(json.contains("\"by_workload\":[]"));
         assert!(json.contains("\"hotspots\":[]"));
-    }
-
-    #[test]
-    fn progress_events_serialize_every_variant() {
-        let events = [
-            CampaignEvent::CampaignStarted {
-                cells: 4,
-                threads: 2,
-            },
-            CampaignEvent::CellStarted {
-                wall_ms: 1.5,
-                index: 0,
-                workload: "A".to_string(),
-                strategy: Strategy::TwoTier,
-                grid_n: 4,
-                field_seed: 7,
-                fault: "none".to_string(),
-            },
-            CampaignEvent::CellFinished {
-                wall_ms: 9.0,
-                index: 0,
-                workload: "A".to_string(),
-                strategy: Strategy::TwoTier,
-                grid_n: 4,
-                field_seed: 7,
-                fault: "none".to_string(),
-                cell_wall_ms: 7.5,
-                sim_ms: 20480,
-                events_processed: 1000,
-                events_per_sec: 133333.0,
-                audit_violations: 0,
-                completed: 1,
-                total: 4,
-                eta_ms: Some(22.5),
-            },
-            CampaignEvent::CellFailed {
-                wall_ms: 10.0,
-                index: 1,
-                workload: "A".to_string(),
-                strategy: Strategy::Baseline,
-                grid_n: 4,
-                field_seed: 7,
-                fault: "none".to_string(),
-            },
-            CampaignEvent::Heartbeat {
-                wall_ms: 11.0,
-                completed: 1,
-                running: 2,
-                total: 4,
-                eta_ms: None,
-            },
-            CampaignEvent::CampaignFinished {
-                wall_ms: 30.0,
-                cells: 4,
-                audit_violations: 0,
-            },
-        ];
-        for ev in &events {
-            let json = ev.to_json();
-            assert!(
-                json.starts_with(&format!("{{\"ev\":\"{}\"", ev.kind())),
-                "{json}"
-            );
-            assert!(json::parse(&json).is_ok(), "{json}");
-        }
-        assert!(events[2].to_json().contains("\"eta_ms\":22.5"));
-        assert!(events[4].to_json().contains("\"eta_ms\":null"));
-        assert!(progress_header().contains("ttmqo-campaign-progress"));
-    }
-
-    #[test]
-    fn progress_handle_and_sinks_deliver_in_order() {
-        let sink = Arc::new(Mutex::new(MemoryProgress::default()));
-        let handle = ProgressHandle::shared(sink.clone());
-        assert!(handle.is_enabled());
-        assert!(!ProgressHandle::disabled().is_enabled());
-        handle.emit(&CampaignEvent::CampaignStarted {
-            cells: 1,
-            threads: 1,
-        });
-        handle.emit(&CampaignEvent::CampaignFinished {
-            wall_ms: 1.0,
-            cells: 1,
-            audit_violations: 0,
-        });
-        handle.flush();
-        let sink = sink.lock().unwrap();
-        assert_eq!(sink.events().len(), 2);
-        assert_eq!(sink.events()[0].kind(), "campaign-started");
-        assert_eq!(sink.events()[1].kind(), "campaign-finished");
-
-        // The JSONL sink writes a header plus one line per event.
-        #[derive(Clone, Default)]
-        struct Buf(Arc<Mutex<Vec<u8>>>);
-        impl Write for Buf {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let buf = Buf::default();
-        let handle = ProgressHandle::new(JsonLinesProgress::new(buf.clone()).unwrap());
-        handle.emit(&CampaignEvent::Heartbeat {
-            wall_ms: 0.5,
-            completed: 0,
-            running: 1,
-            total: 1,
-            eta_ms: None,
-        });
-        handle.flush();
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0], progress_header());
-        assert!(lines[1].starts_with("{\"ev\":\"heartbeat\""));
     }
 
     #[test]

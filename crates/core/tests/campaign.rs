@@ -1,11 +1,9 @@
 //! Campaign-runner integration tests: the parallel executor must be an
 //! observational no-op relative to running each cell alone, and the report
-//! must carry exactly one record per cell. The observatory layers (progress
-//! telemetry, the standing auditor, the cross-cell rollup) get the same
-//! treatment: attaching them must not move a single bit of any cell record.
+//! must carry exactly one record per cell. The standing auditor and the
+//! cross-cell rollup get the same treatment: attaching them must not move a
+//! single bit of any cell record.
 
-use std::sync::{Arc, Mutex};
-use ttmqo_core::observe::{CampaignEvent, MemoryProgress, ProgressHandle, ProgressSink};
 use ttmqo_core::{
     run_campaign_sequential, run_campaign_with, CampaignSpec, ExperimentConfig, FieldKind,
     Strategy, WorkloadEvent,
@@ -105,61 +103,27 @@ fn campaign_rerun_is_bit_stable() {
 }
 
 #[test]
-fn observed_audited_campaign_is_bit_identical_to_a_bare_run() {
-    // The whole observatory — progress telemetry with a fast heartbeat plus
-    // the standing auditor — attached to the paper sweep must reproduce the
-    // bare run's cell records bit for bit: telemetry never draws from any
+fn audited_campaign_is_bit_identical_to_a_bare_run() {
+    // The standing auditor attached to the paper sweep must reproduce the
+    // bare run's cell records bit for bit: auditing never draws from any
     // simulation RNG and never branches on simulated state.
     let bare = run_campaign_with(&paper_spec(), 3);
+    let audited = run_campaign_with(&paper_spec().audit(), 3);
 
-    let sink: Arc<Mutex<MemoryProgress>> = Arc::new(Mutex::new(MemoryProgress::default()));
-    let spec = paper_spec()
-        .audit()
-        .heartbeat_ms(1)
-        .progress_handle(ProgressHandle::shared(
-            sink.clone() as Arc<Mutex<dyn ProgressSink>>
-        ));
-    let observed = run_campaign_with(&spec, 3);
-
-    assert_eq!(bare.cells.len(), observed.cells.len());
-    for (b, o) in bare.cells.iter().zip(&observed.cells) {
+    assert_eq!(bare.cells.len(), audited.cells.len());
+    for (b, a) in bare.cells.iter().zip(&audited.cells) {
         let at = format!("{}/{}/{}", b.workload, b.strategy, b.grid_n);
-        assert_eq!(b.metrics, o.metrics, "metrics differ at {at}");
-        assert_eq!(b.engine, o.engine, "engine stats differ at {at}");
-        assert_eq!(b.answer_epochs, o.answer_epochs, "{at}");
-        assert_eq!(b.optimizer, o.optimizer, "{at}");
-        assert_eq!(b.energy_mj, o.energy_mj, "{at}");
+        assert_eq!(b.metrics, a.metrics, "metrics differ at {at}");
+        assert_eq!(b.engine, a.engine, "engine stats differ at {at}");
+        assert_eq!(b.answer_epochs, a.answer_epochs, "{at}");
+        assert_eq!(b.optimizer, a.optimizer, "{at}");
+        assert_eq!(b.energy_mj, a.energy_mj, "{at}");
         // The only permitted difference: the audited run carries a (clean)
         // audit report where the bare run carries none.
         assert!(b.audit.is_none(), "bare cell must not carry an audit");
-        let audit = o.audit.as_ref().expect("audited cell carries a report");
+        let audit = a.audit.as_ref().expect("audited cell carries a report");
         assert!(audit.is_clean(), "healthy sweep must audit clean at {at}");
     }
-
-    // The telemetry channel saw the whole lifecycle, in a consistent order.
-    let events = sink.lock().unwrap().events().to_vec();
-    assert!(matches!(
-        events.first(),
-        Some(CampaignEvent::CampaignStarted { .. })
-    ));
-    assert!(matches!(
-        events.last(),
-        Some(CampaignEvent::CampaignFinished {
-            audit_violations: 0,
-            ..
-        })
-    ));
-    let finished = events
-        .iter()
-        .filter(|e| matches!(e, CampaignEvent::CellFinished { .. }))
-        .count();
-    assert_eq!(finished, observed.cells.len());
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, CampaignEvent::Heartbeat { .. })),
-        "a 1 ms heartbeat must tick at least once during the sweep"
-    );
 }
 
 #[test]

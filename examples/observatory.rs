@@ -1,13 +1,10 @@
-//! Campaign observatory: watch a sweep live, roll it up, and audit it.
+//! Campaign observatory: run a sweep, audit it, and roll it up.
 //!
-//! This example wires together the three observability layers added by the
-//! observatory work:
+//! A [`CampaignSpec`] names every axis of an experiment sweep declaratively;
+//! `run_campaign` executes the cross product on a scoped thread pool, one
+//! deterministic simulation per cell, and returns one `CellRecord` per run.
+//! This example adds the two layers that sit on top of the records:
 //!
-//! * **live progress** — a [`ProgressSink`] attached via
-//!   `CampaignSpec::progress` receives one [`CampaignEvent`] per lifecycle
-//!   transition (campaign/cell started/finished, heartbeats, ETA). Here the
-//!   sink renders each event as a human-readable line *and* forwards it to a
-//!   `progress.jsonl` machine-readable stream;
 //! * **standing invariant auditor** — `CampaignSpec::audit` promotes the
 //!   test-suite's reconciliation checks (phase accounting, slab sanity,
 //!   energy conservation, completeness, trace↔answer agreement) into every
@@ -17,109 +14,19 @@
 //!   `campaign-report.json` (for `report_diff`) and `campaign-report.md`
 //!   (for humans).
 //!
-//! The telemetry channel is observational only: running with progress and
-//! audit enabled produces bit-identical cell records to a bare run.
+//! Auditing is observational only: an audited campaign produces
+//! bit-identical cell records to a bare run.
 //!
 //! Run with: `cargo run --release --example observatory`
 //!
-//! Outputs land under `observatory/`: `progress.jsonl`,
-//! `campaign-report.json`, `campaign-report.md`, and per-cell traces.
+//! Outputs land under `observatory/`: `campaign-report.json`,
+//! `campaign-report.md`, and per-cell traces.
 
 use std::process::ExitCode;
 
-use ttmqo::core::observe::{CampaignEvent, JsonLinesProgress, ProgressSink};
 use ttmqo::core::{run_campaign, CampaignSpec, Strategy, WorkloadEvent};
 use ttmqo::query::{parse_query, QueryId};
 use ttmqo::sim::SimTime;
-
-/// Human renderer that tees every event into the JSONL stream.
-struct Observatory {
-    jsonl: JsonLinesProgress,
-}
-
-fn eta(ms: Option<f64>) -> String {
-    ms.map_or_else(|| "eta -".to_string(), |ms| format!("eta {ms:.0} ms"))
-}
-
-impl ProgressSink for Observatory {
-    fn event(&mut self, event: &CampaignEvent) {
-        match event {
-            CampaignEvent::CampaignStarted { cells, threads } => {
-                println!("observatory: {cells} cells on {threads} threads")
-            }
-            CampaignEvent::CellStarted {
-                wall_ms,
-                index,
-                workload,
-                strategy,
-                grid_n,
-                fault,
-                ..
-            } => println!(
-                "[{wall_ms:>8.1} ms] -> #{index} {workload}/{strategy}/{grid_n}x{grid_n}/{fault}"
-            ),
-            CampaignEvent::CellFinished {
-                wall_ms,
-                index,
-                workload,
-                strategy,
-                grid_n,
-                cell_wall_ms,
-                events_processed,
-                events_per_sec,
-                audit_violations,
-                completed,
-                total,
-                eta_ms,
-                ..
-            } => {
-                let audit = match audit_violations {
-                    0 => "audit clean".to_string(),
-                    n => format!("AUDIT: {n} violations"),
-                };
-                println!(
-                    "[{wall_ms:>8.1} ms] ok #{index} {workload}/{strategy}/{grid_n}x{grid_n}: \
-                     {events_processed} ev in {cell_wall_ms:.1} ms ({events_per_sec:.0} ev/s), \
-                     {completed}/{total} done, {}, {audit}",
-                    eta(*eta_ms),
-                );
-            }
-            CampaignEvent::CellFailed {
-                wall_ms,
-                index,
-                workload,
-                strategy,
-                grid_n,
-                ..
-            } => println!(
-                "[{wall_ms:>8.1} ms] FAILED #{index} {workload}/{strategy}/{grid_n}x{grid_n}"
-            ),
-            CampaignEvent::Heartbeat {
-                wall_ms,
-                completed,
-                running,
-                total,
-                eta_ms,
-            } => println!(
-                "[{wall_ms:>8.1} ms] .. {completed}/{total} done, {running} running, {}",
-                eta(*eta_ms),
-            ),
-            CampaignEvent::CampaignFinished {
-                wall_ms,
-                cells,
-                audit_violations,
-            } => println!(
-                "observatory: {cells} cells in {wall_ms:.0} ms \
-                 ({audit_violations} audit violations)"
-            ),
-        }
-        self.jsonl.event(event);
-    }
-
-    fn flush(&mut self) {
-        self.jsonl.flush();
-    }
-}
 
 fn main() -> ExitCode {
     let overlap: Vec<WorkloadEvent> = [
@@ -151,13 +58,6 @@ fn main() -> ExitCode {
         eprintln!("cannot create {}: {e}", out_dir.display());
         return ExitCode::FAILURE;
     }
-    let progress = match JsonLinesProgress::create(out_dir.join("progress.jsonl")) {
-        Ok(jsonl) => Observatory { jsonl },
-        Err(e) => {
-            eprintln!("cannot open progress stream: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
 
     let base = ttmqo::core::ExperimentConfig {
         duration: SimTime::from_ms(12 * 2048),
@@ -171,11 +71,17 @@ fn main() -> ExitCode {
         .workload("overlap", overlap)
         .workload("disjoint", disjoint)
         .trace_output(out_dir.join("traces"))
-        .audit()
-        .heartbeat_ms(200)
-        .progress(progress);
+        .audit();
 
     let report = run_campaign(&spec);
+    println!(
+        "observatory: {} cells in {:.0} ms on {} threads",
+        report.cells.len(),
+        report.wall_clock_ms,
+        report.threads
+    );
+    // Each record renders as one JSON line for external tooling.
+    println!("first record as JSON:\n{}", report.cells[0].to_json());
 
     let rollup = report.rollup();
     let json_path = out_dir.join("campaign-report.json");
@@ -190,12 +96,7 @@ fn main() -> ExitCode {
     }
 
     println!("\n{}", rollup.to_markdown());
-    println!(
-        "wrote {}, {}, and {}",
-        out_dir.join("progress.jsonl").display(),
-        json_path.display(),
-        md_path.display(),
-    );
+    println!("wrote {} and {}", json_path.display(), md_path.display());
 
     if rollup.is_clean() {
         println!("audit: all {} cells clean", rollup.cells);

@@ -17,7 +17,7 @@ use proptest::strategy::FnStrategy;
 use proptest::TestRng;
 use std::collections::BTreeMap;
 use ttmqo::core::compare::{compare_json, flatten, CompareOptions, CompareReport, Verdict};
-use ttmqo::core::{CampaignEvent, CampaignRollup, CellRecord, OptimizerStats, Strategy as Tier};
+use ttmqo::core::{CampaignRollup, CellRecord, OptimizerStats, Strategy as Tier};
 use ttmqo::query::QueryId;
 use ttmqo::sim::json::{self, JsonValue};
 use ttmqo::sim::{
@@ -827,131 +827,6 @@ fn cell_record(rng: &mut TestRng) -> (CellRecord, Leaves) {
     (record, leaves)
 }
 
-fn campaign_event(rng: &mut TestRng) -> (CampaignEvent, Leaves) {
-    let (wall_ms, index, grid_n) = (
-        float(rng),
-        rng.sample(0..1000usize),
-        rng.sample(0..100usize),
-    );
-    let (workload, strategy, field_seed, fault) = (text(rng), tier(rng), uint(rng), text(rng));
-    let eta_ms = flag(rng).then(|| float(rng));
-    let (n1, n2, n3) = (
-        rng.sample(0..1000usize),
-        rng.sample(0..1000usize),
-        rng.sample(0..1000usize),
-    );
-    let coords = vec![
-        u("index", index as u64),
-        s("workload", &workload),
-        s("strategy", strategy),
-        u("grid_n", grid_n as u64),
-        u("field_seed", field_seed),
-        s("fault", &fault),
-    ];
-    let eta = opt("eta_ms", eta_ms.map(Leaf::F));
-    let (event, fields): (CampaignEvent, Leaves) = match rng.sample(0..6u8) {
-        0 => (
-            CampaignEvent::CampaignStarted {
-                cells: n1,
-                threads: n2,
-            },
-            vec![u("cells", n1 as u64), u("threads", n2 as u64)],
-        ),
-        1 => (
-            CampaignEvent::CellStarted {
-                wall_ms,
-                index,
-                workload,
-                strategy,
-                grid_n,
-                field_seed,
-                fault,
-            },
-            [vec![f("wall_ms", wall_ms)], coords].concat(),
-        ),
-        2 => {
-            let (cell_wall_ms, events_per_sec) = (float(rng), float(rng));
-            let (sim_ms, events_processed, audit_violations) = (uint(rng), uint(rng), uint(rng));
-            (
-                CampaignEvent::CellFinished {
-                    wall_ms,
-                    index,
-                    workload,
-                    strategy,
-                    grid_n,
-                    field_seed,
-                    fault,
-                    cell_wall_ms,
-                    sim_ms,
-                    events_processed,
-                    events_per_sec,
-                    audit_violations,
-                    completed: n1,
-                    total: n2,
-                    eta_ms,
-                },
-                [
-                    vec![f("wall_ms", wall_ms)],
-                    coords,
-                    vec![
-                        f("cell_wall_ms", cell_wall_ms),
-                        u("sim_ms", sim_ms),
-                        u("events_processed", events_processed),
-                        f("events_per_sec", events_per_sec),
-                        u("audit_violations", audit_violations),
-                        u("completed", n1 as u64),
-                        u("total", n2 as u64),
-                        eta,
-                    ],
-                ]
-                .concat(),
-            )
-        }
-        3 => (
-            CampaignEvent::CellFailed {
-                wall_ms,
-                index,
-                workload,
-                strategy,
-                grid_n,
-                field_seed,
-                fault,
-            },
-            [vec![f("wall_ms", wall_ms)], coords].concat(),
-        ),
-        4 => (
-            CampaignEvent::Heartbeat {
-                wall_ms,
-                completed: n1,
-                running: n2,
-                total: n3,
-                eta_ms,
-            },
-            vec![
-                f("wall_ms", wall_ms),
-                u("completed", n1 as u64),
-                u("running", n2 as u64),
-                u("total", n3 as u64),
-                eta,
-            ],
-        ),
-        _ => (
-            CampaignEvent::CampaignFinished {
-                wall_ms,
-                cells: n1,
-                audit_violations: field_seed,
-            },
-            vec![
-                f("wall_ms", wall_ms),
-                u("cells", n1 as u64),
-                u("audit_violations", field_seed),
-            ],
-        ),
-    };
-    let leaves = [vec![s("ev", event.kind())], fields].concat();
-    (event, leaves)
-}
-
 fn rollup(rng: &mut TestRng) -> (CampaignRollup, Leaves) {
     // A handful of axis values, so marginals aggregate several cells.
     let names = [text(rng), text(rng)];
@@ -1144,11 +1019,6 @@ proptest! {
 
     #[test]
     fn cell_record_round_trips(case in arb(cell_record)) {
-        check(&case.0.to_json(), &case.1)?;
-    }
-
-    #[test]
-    fn campaign_event_round_trips(case in arb(campaign_event)) {
         check(&case.0.to_json(), &case.1)?;
     }
 
