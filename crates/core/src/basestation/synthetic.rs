@@ -27,12 +27,12 @@ pub struct Demand {
 impl Demand {
     /// Extracts the demand of a user query.
     pub fn of(query: &Query) -> Self {
-        let (attrs, aggs) = match query.selection() {
-            ttmqo_query::Selection::Attributes(_) => (query.sampled_attributes(), Vec::new()),
-            ttmqo_query::Selection::Aggregates(aggs) => (query.sampled_attributes(), aggs.clone()),
+        let aggs = match query.selection() {
+            ttmqo_query::Selection::Attributes(_) => Vec::new(),
+            ttmqo_query::Selection::Aggregates(aggs) => aggs.clone(),
         };
         Demand {
-            attrs,
+            attrs: query.sampled_attributes().iter().collect(),
             aggs,
             pred_ranges: query
                 .predicates()

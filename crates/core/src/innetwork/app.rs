@@ -18,7 +18,8 @@ use crate::innetwork::dag::{sorted_intersection, DagState};
 use crate::innetwork::payload::{PartialEntry, RowEntry, TtmqoPayload};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use ttmqo_query::{
-    AggValue, EpochAnswer, EpochDuration, PartialAgg, Query, QueryId, Readings, Row, Selection,
+    AggValue, AttrSet, EpochAnswer, EpochDuration, PartialAgg, Query, QueryId, Readings, Row,
+    Selection,
 };
 use ttmqo_sim::{Ctx, Destination, MsgKind, NodeApp, NodeId, ProvenanceId, TraceEvent};
 use ttmqo_tinydb::{Command, Output, Srt};
@@ -285,14 +286,12 @@ impl TtmqoApp {
         // §3.2.1 — shared data acquisition: sample the union of the due
         // queries' attributes exactly once (region-excluded queries can
         // never match here, so their attributes are not worth sampling).
-        let mut union_attrs: Vec<ttmqo_query::Attribute> = Vec::new();
+        let mut union_attrs = AttrSet::new();
         for q in due() {
             if Self::in_region(ctx, q) {
                 union_attrs.extend(q.sampled_attributes());
             }
         }
-        union_attrs.sort_unstable();
-        union_attrs.dedup();
         let mut readings = Readings::new();
         for attr in union_attrs {
             let v = ctx.read_sensor(attr);
@@ -304,7 +303,7 @@ impl TtmqoApp {
         // pool the attributes their shared frame must carry.
         let had_data = !self.has_data.is_empty();
         let mut acq_matches: Vec<QueryId> = Vec::new();
-        let mut acq_attrs: Vec<ttmqo_query::Attribute> = Vec::new();
+        let mut acq_attrs = AttrSet::new();
         let mut agg_matches: Vec<QueryId> = Vec::new();
         let mut aggregation_due = false;
         for q in due() {
@@ -320,7 +319,7 @@ impl TtmqoApp {
             match q.selection() {
                 Selection::Attributes(attrs) => {
                     acq_matches.push(q.id());
-                    acq_attrs.extend(attrs.iter().copied());
+                    acq_attrs.extend(attrs);
                 }
                 Selection::Aggregates(aggs) => {
                     agg_matches.push(q.id());
@@ -371,12 +370,10 @@ impl TtmqoApp {
         // Shared acquisition result: one frame answers every matched
         // acquisition query.
         if !acq_matches.is_empty() {
-            acq_attrs.sort_unstable();
-            acq_attrs.dedup();
             let entry = RowEntry {
                 node: ctx.node().0,
                 qids: acq_matches,
-                readings: readings.project(&acq_attrs),
+                readings: readings.project(acq_attrs),
             };
             self.send_shared_rows(ctx, t_ms, vec![entry]);
         }
@@ -694,10 +691,10 @@ impl TtmqoApp {
             .iter()
             .filter_map(|e| {
                 let qids: Vec<QueryId> = sorted_intersection(&e.qids, mine).collect();
-                (!qids.is_empty()).then(|| RowEntry {
+                (!qids.is_empty()).then_some(RowEntry {
                     node: e.node,
                     qids,
-                    readings: e.readings.clone(),
+                    readings: e.readings,
                 })
             })
             .collect();

@@ -14,10 +14,12 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use ttmqo_core::{run_experiment, DagState, ExperimentConfig, RunSession, Strategy};
-use ttmqo_query::QueryId;
+use ttmqo_query::{parse_query, Attribute, QueryId, Readings, Row};
 use ttmqo_sim::{
-    NodeId, Observe, RadioParams, SimTime, TraceEvent, TraceHandle, TraceRecord, TraceSink,
+    NodeId, Observe, Position, RadioParams, SimConfig, SimTime, Simulator, Topology, TraceEvent,
+    TraceHandle, TraceRecord, TraceSink, UniformField,
 };
+use ttmqo_tinydb::{Command, TinyDbApp, TinyDbConfig};
 use ttmqo_workloads::{random_workload, workload_a, workload_end_ms, RandomWorkloadParams};
 
 thread_local! {
@@ -191,10 +193,13 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     // engine's accounting moved behind the probe seam — an unobserved run
     // must not pay an allocation for observers it does not have) to 88a8754,
     // was 61 085 once the per-event mapping timeline became the query
-    // ledger, and is 58 553 since the engine's event queue became one binary
-    // heap: the calendar queue's bucket `Vec`s and their regrowth are gone,
-    // and one `Box` per scheduled command came in. The count is the same in
-    // debug and release builds.
+    // ledger, and 58 553 once the engine's event queue became one binary
+    // heap: the calendar queue's bucket `Vec`s and their regrowth were gone,
+    // and one `Box` per scheduled command came in. It is 28 132 since
+    // readings, predicate sets and attribute sets are inline values: no
+    // B-tree node per row or per query copy, no attribute `Vec` per clock
+    // firing. The count is the same in debug and release builds (CI runs
+    // both).
     let config = ExperimentConfig {
         strategy: Strategy::InNetOnly,
         grid_n: 8,
@@ -204,7 +209,7 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     let workload = workload_a();
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.engine.frames_total, 5965, "not the pinned cell");
-    assert_eq!(allocs, 58_553);
+    assert_eq!(allocs, 28_132);
 }
 
 #[test]
@@ -217,8 +222,11 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     // binary-heap event queue (no bucket `Vec`s; one `Box` per scheduled
     // command) to 78 836, and deleting Tier 1's candidate index back up to
     // 79 054 (scoring the pairs it pruned costs more calls than maintaining
-    // it saved). How much state that bookkeeping holds is watched by the
-    // repo benchmark's `adaptive-churn` `peak_rss_mib`.
+    // it saved). Inline readings, predicate sets and attribute sets brought
+    // it to 40 361: every query Tier 1 copies, floods or probes with no
+    // longer carries a B-tree, and every answer row is one flat value. How
+    // much state that bookkeeping holds is watched by the repo benchmark's
+    // `adaptive-churn` `peak_rss_mib`.
     let workload = random_workload(&RandomWorkloadParams {
         n_queries: 100,
         mean_arrival_ms: 10_000.0,
@@ -233,5 +241,72 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     };
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(100));
-    assert_eq!(allocs, 79_054);
+    assert_eq!(allocs, 40_361);
+}
+
+#[test]
+fn a_warm_baseline_relay_of_a_rows_frame_allocates_nothing() {
+    // A three-node line under the baseline: only node 2 qualifies, so each
+    // epoch exactly one `Rows` frame travels 2 → 1 → 0 and node 1 is a pure
+    // hop-by-hop relay. Four epochs warm the slab, the event queue and the
+    // interference lists.
+    let line = (0..3)
+        .map(|x| Position {
+            x: f64::from(x),
+            y: 0.0,
+        })
+        .collect();
+    let radio = RadioParams::default();
+    let hop_ms = radio.tx_time_ms(4 + 2 + 2) as u64;
+    let mut sim = Simulator::new(
+        Topology::from_positions(line, 1.0).unwrap(),
+        radio,
+        SimConfig {
+            maintenance_interval_ms: None,
+            ..SimConfig::default()
+        },
+        Box::new(UniformField::new(7)),
+        |_, _| TinyDbApp::new(TinyDbConfig::default()),
+    );
+    let query = parse_query(
+        QueryId(1),
+        "select light where nodeid >= 2 epoch duration 2048",
+    )
+    .unwrap();
+    sim.schedule_command(SimTime::ZERO, NodeId::BASE_STATION, Command::Pose(query));
+
+    // The window opens after node 2 has sampled and put its frame on the
+    // air, and closes once node 1 has received and re-sent it — before the
+    // base station hears the relayed copy.
+    let epoch_ms = 4 * 2048;
+    sim.run_until(SimTime::from_ms(epoch_ms + 1));
+    let before = sim.engine_stats();
+    let (allocs, ()) = allocs_during(|| sim.run_until(SimTime::from_ms(epoch_ms + hop_ms + 1)));
+    let after = sim.engine_stats();
+    assert_eq!(
+        (
+            after.deliver_events - before.deliver_events,
+            after.frames_total - before.frames_total,
+            after.events_processed - before.events_processed,
+        ),
+        (1, 1, 1),
+        "the window is not exactly one relay"
+    );
+    assert_eq!(allocs, 0, "relaying a frame allocated");
+}
+
+#[test]
+fn copying_a_row_allocates_nothing() {
+    fn assert_copy<T: Copy>() {}
+    assert_copy::<Readings>();
+    assert_copy::<Row>();
+
+    let row = Row {
+        node: 7,
+        time_ms: 2048,
+        readings: Attribute::ALL.into_iter().map(|a| (a, 1.0)).collect(),
+    };
+    let (allocs, copy) = allocs_during(|| Clone::clone(std::hint::black_box(&row)));
+    assert_eq!(allocs, 0, "cloning a row allocated");
+    assert_eq!(copy, row);
 }

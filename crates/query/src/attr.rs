@@ -6,6 +6,7 @@
 //! exercise wider schemas.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 use std::str::FromStr;
 
@@ -89,6 +90,159 @@ impl Attribute {
 impl fmt::Display for Attribute {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// A set of attributes: the tuple's attribute bitmap, one bit per attribute
+/// in canonical order. `Copy`, no heap, iterates ascending.
+///
+/// # Examples
+///
+/// ```
+/// use ttmqo_query::{AttrSet, Attribute};
+///
+/// let set: AttrSet = [Attribute::Temp, Attribute::NodeId, Attribute::Temp].into_iter().collect();
+/// assert_eq!(set.len(), 2);
+/// assert_eq!(set.iter().collect::<Vec<_>>(), [Attribute::NodeId, Attribute::Temp]);
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+pub struct AttrSet(u8);
+
+impl AttrSet {
+    /// The empty set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds `attr`.
+    pub fn insert(&mut self, attr: Attribute) {
+        self.0 |= 1 << attr as u8;
+    }
+
+    /// Whether `attr` is in the set.
+    pub fn contains(self, attr: Attribute) -> bool {
+        self.0 & (1 << attr as u8) != 0
+    }
+
+    /// Number of attributes in the set.
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Whether the set holds nothing.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The attributes in both sets.
+    pub fn intersection(self, other: AttrSet) -> AttrSet {
+        AttrSet(self.0 & other.0)
+    }
+
+    /// Iterates the members in canonical attribute order.
+    pub fn iter(self) -> AttrSetIter {
+        AttrSetIter(self.0)
+    }
+}
+
+/// Iterator over an [`AttrSet`], ascending.
+#[derive(Debug, Clone)]
+pub struct AttrSetIter(u8);
+
+impl Iterator for AttrSetIter {
+    type Item = Attribute;
+
+    fn next(&mut self) -> Option<Attribute> {
+        // Only `insert` sets bits, so every set bit indexes `ALL`.
+        let attr = *Attribute::ALL.get(self.0.trailing_zeros() as usize)?;
+        self.0 &= self.0 - 1;
+        Some(attr)
+    }
+}
+
+impl IntoIterator for AttrSet {
+    type Item = Attribute;
+    type IntoIter = AttrSetIter;
+
+    fn into_iter(self) -> AttrSetIter {
+        self.iter()
+    }
+}
+
+impl<A: Borrow<Attribute>> Extend<A> for AttrSet {
+    fn extend<I: IntoIterator<Item = A>>(&mut self, iter: I) {
+        for attr in iter {
+            self.insert(*attr.borrow());
+        }
+    }
+}
+
+impl<A: Borrow<Attribute>> FromIterator<A> for AttrSet {
+    fn from_iter<I: IntoIterator<Item = A>>(iter: I) -> Self {
+        let mut set = AttrSet::new();
+        set.extend(iter);
+        set
+    }
+}
+
+impl fmt::Debug for AttrSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// A map from attribute to `V` held inline: the presence bitmap plus one slot
+/// per attribute, indexed by `attr as usize`. What [`Readings`] and
+/// [`PredicateSet`] are made of; it iterates, compares and prints as an
+/// ordered map keyed by attribute (`{Light: 5.0, Temp: 21.5}`).
+///
+/// [`Readings`]: crate::Readings
+/// [`PredicateSet`]: crate::PredicateSet
+#[derive(Clone, Copy, Default)]
+pub(crate) struct AttrMap<V> {
+    present: AttrSet,
+    slots: [V; Attribute::ALL.len()],
+}
+
+impl<V: Copy> AttrMap<V> {
+    pub(crate) fn insert(&mut self, attr: Attribute, value: V) -> Option<V> {
+        let old = self.get(attr);
+        self.present.insert(attr);
+        self.slots[attr as usize] = value;
+        old
+    }
+
+    pub(crate) fn get(&self, attr: Attribute) -> Option<V> {
+        self.present
+            .contains(attr)
+            .then(|| self.slots[attr as usize])
+    }
+
+    pub(crate) fn keys(&self) -> AttrSet {
+        self.present
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Attribute, V)> + '_ {
+        self.present.iter().map(|a| (a, self.slots[a as usize]))
+    }
+
+    /// Drops every entry whose key is not in `keep`.
+    pub(crate) fn restrict(&mut self, keep: AttrSet) {
+        self.present = self.present.intersection(keep);
+    }
+}
+
+/// Equal when the same keys map to equal values; what an absent slot last
+/// held does not count.
+impl<V: Copy + PartialEq> PartialEq for AttrMap<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.present == other.present && self.iter().eq(other.iter())
+    }
+}
+
+impl<V: Copy + fmt::Debug> fmt::Debug for AttrMap<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 

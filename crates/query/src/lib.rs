@@ -39,7 +39,7 @@ mod region;
 mod result;
 
 pub use agg::{AggOp, MergePartialError, ParseAggOpError, PartialAgg};
-pub use attr::{Attribute, ParseAttributeError};
+pub use attr::{AttrSet, AttrSetIter, Attribute, ParseAttributeError};
 pub use epoch::{gcd_u64, EpochDuration, InvalidEpochError, BASE_EPOCH_MS};
 pub use merge::{can_integrate, covers_query, integrate, needed_attributes};
 pub use parser::{parse_query, ParseQueryError};

@@ -22,7 +22,7 @@
 //! re-filtering, projecting, aggregating and epoch-aligning (`ttmqo-core`'s
 //! result mapper).
 
-use crate::attr::Attribute;
+use crate::attr::{AttrSet, Attribute};
 use crate::query::{Query, QueryId, Selection};
 use crate::region::Region;
 
@@ -63,7 +63,7 @@ pub fn covers_query(outer: &Query, inner: &Query) -> bool {
     match (outer.selection(), inner.selection()) {
         (Selection::Attributes(outer_attrs), _) => needed_attributes(inner, outer)
             .iter()
-            .all(|a| outer_attrs.contains(a)),
+            .all(|a| outer_attrs.contains(&a)),
         (Selection::Aggregates(outer_aggs), Selection::Aggregates(inner_aggs)) => {
             outer.predicates().equivalent(inner.predicates())
                 && inner_aggs.iter().all(|p| outer_aggs.contains(p))
@@ -80,7 +80,7 @@ pub fn covers_query(outer: &Query, inner: &Query) -> bool {
 /// predicate attribute on which the carrier's predicates are strictly wider
 /// than `member`'s (those rows must be re-filtered, which requires the value
 /// to travel with the row).
-pub fn needed_attributes(member: &Query, carrier: &Query) -> Vec<Attribute> {
+pub fn needed_attributes(member: &Query, carrier: &Query) -> AttrSet {
     let mut attrs = member.selection().sampled_attributes();
     for p in member.predicates().iter() {
         let carrier_range = carrier.predicates().effective_range(p.attr());
@@ -88,11 +88,9 @@ pub fn needed_attributes(member: &Query, carrier: &Query) -> Vec<Attribute> {
         let identical =
             carrier_range.min() == member_range.min() && carrier_range.max() == member_range.max();
         if !identical {
-            attrs.push(p.attr());
+            attrs.insert(p.attr());
         }
     }
-    attrs.sort_unstable();
-    attrs.dedup();
     attrs
 }
 

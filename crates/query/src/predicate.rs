@@ -12,9 +12,8 @@
 //! shared ranges and *dropping* attributes constrained on only one side —
 //! keeping such a constraint would wrongly exclude the other query's rows).
 
-use crate::attr::Attribute;
+use crate::attr::{AttrMap, Attribute};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A closed range predicate `min <= attr <= max` on one attribute.
@@ -157,7 +156,7 @@ impl fmt::Display for Predicate {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct PredicateSet {
-    ranges: BTreeMap<Attribute, (f64, f64)>,
+    ranges: AttrMap<(f64, f64)>,
 }
 
 impl PredicateSet {
@@ -179,20 +178,20 @@ impl PredicateSet {
     /// the same attribute). The resulting range may be empty, in which case
     /// the set is unsatisfiable ([`is_unsatisfiable`](Self::is_unsatisfiable)).
     pub fn and(&mut self, p: Predicate) {
-        let entry = self.ranges.entry(p.attr()).or_insert_with(|| {
-            let (lo, hi) = p.attr().domain();
-            (lo, hi)
-        });
-        entry.0 = entry.0.max(p.min());
-        entry.1 = entry.1.min(p.max());
+        let (min, max) = self
+            .ranges
+            .get(p.attr())
+            .unwrap_or_else(|| p.attr().domain());
+        self.ranges
+            .insert(p.attr(), (min.max(p.min()), max.min(p.max())));
     }
 
     /// The range constraining `attr`, if any. Full-domain ranges are reported
     /// too if they were explicitly added.
     pub fn range(&self, attr: Attribute) -> Option<Predicate> {
         self.ranges
-            .get(&attr)
-            .and_then(|&(min, max)| Predicate::new(attr, min, max).ok())
+            .get(attr)
+            .and_then(|(min, max)| Predicate::new(attr, min, max).ok())
     }
 
     /// The effective range of `attr`: the stored range, or the full domain.
@@ -202,36 +201,36 @@ impl PredicateSet {
 
     /// Attributes explicitly constrained by this set.
     pub fn attrs(&self) -> impl Iterator<Item = Attribute> + '_ {
-        self.ranges.keys().copied()
+        self.ranges.keys().iter()
     }
 
     /// Iterates the normalized predicates.
     pub fn iter(&self) -> impl Iterator<Item = Predicate> + '_ {
         self.ranges
             .iter()
-            .map(|(&attr, &(min, max))| Predicate { attr, min, max })
+            .map(|(attr, (min, max))| Predicate { attr, min, max })
     }
 
     /// Number of constrained attributes.
     pub fn len(&self) -> usize {
-        self.ranges.len()
+        self.ranges.keys().len()
     }
 
     /// Whether no attribute is constrained (the set accepts every row).
     pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
+        self.ranges.keys().is_empty()
     }
 
     /// Whether some range became empty (`min > max`) so no row can qualify.
     pub fn is_unsatisfiable(&self) -> bool {
-        self.ranges.values().any(|&(min, max)| min > max)
+        self.ranges.iter().any(|(_, (min, max))| min > max)
     }
 
     /// Whether a full row of readings satisfies every predicate.
     ///
     /// `lookup` maps an attribute to the reading's value for it.
     pub fn matches_with<F: Fn(Attribute) -> f64>(&self, lookup: F) -> bool {
-        self.ranges.iter().all(|(&attr, &(min, max))| {
+        self.ranges.iter().all(|(attr, (min, max))| {
             let v = lookup(attr);
             v >= min && v <= max
         })
@@ -243,15 +242,12 @@ impl PredicateSet {
     /// For conjunctive boxes this holds iff every attribute `self` constrains
     /// is also constrained by `other` to a sub-range.
     pub fn covers(&self, other: &PredicateSet) -> bool {
-        self.ranges.iter().all(|(&attr, &(min, max))| {
-            match other.ranges.get(&attr) {
-                Some(&(omin, omax)) => min <= omin && max >= omax,
+        self.ranges.iter().all(|(attr, (min, max))| {
+            match other.ranges.get(attr) {
+                Some((omin, omax)) => min <= omin && max >= omax,
                 // `other` leaves attr unconstrained; we only cover it if our
                 // range is the whole domain.
-                None => {
-                    let (lo, hi) = attr.domain();
-                    min <= lo && max >= hi
-                }
+                None => Predicate { attr, min, max }.is_full(),
             }
         })
     }
@@ -268,13 +264,13 @@ impl PredicateSet {
     /// constrained by only one side must be dropped (otherwise rows from the
     /// unconstrained side would be excluded).
     pub fn union_cover(&self, other: &PredicateSet) -> PredicateSet {
-        let mut ranges = BTreeMap::new();
-        for (&attr, &(min, max)) in &self.ranges {
-            if let Some(&(omin, omax)) = other.ranges.get(&attr) {
+        let mut ranges = AttrMap::default();
+        for (attr, (min, max)) in self.ranges.iter() {
+            if let Some((omin, omax)) = other.ranges.get(attr) {
                 ranges.insert(attr, (min.min(omin), max.max(omax)));
             }
         }
-        PredicateSet { ranges }.normalized()
+        PredicateSet { ranges }.normalize()
     }
 
     /// Uniform-distribution selectivity: product of per-attribute range
@@ -283,18 +279,17 @@ impl PredicateSet {
         self.iter().map(|p| p.uniform_selectivity()).product()
     }
 
-    /// Drops explicit full-domain ranges (they do not filter anything).
-    fn normalized(mut self) -> Self {
-        self.ranges.retain(|attr, &mut (min, max)| {
-            let (lo, hi) = attr.domain();
-            !(min <= lo && max >= hi)
-        });
-        self
-    }
-
-    /// Returns a copy with explicit full-domain ranges removed.
+    /// Returns a copy with explicit full-domain ranges removed (they do not
+    /// filter anything).
     pub fn normalize(&self) -> Self {
-        self.clone().normalized()
+        let mut set = self.clone();
+        set.ranges.restrict(
+            self.iter()
+                .filter(|p| !p.is_full())
+                .map(|p| p.attr())
+                .collect(),
+        );
+        set
     }
 }
 
@@ -314,7 +309,7 @@ impl Extend<Predicate> for PredicateSet {
 
 impl fmt::Display for PredicateSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.ranges.is_empty() {
+        if self.is_empty() {
             return f.write_str("true");
         }
         let mut first = true;

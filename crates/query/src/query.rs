@@ -7,7 +7,7 @@
 //! attributes) or an *aggregation* query (computing aggregates) — never both.
 
 use crate::agg::AggOp;
-use crate::attr::Attribute;
+use crate::attr::{AttrSet, Attribute};
 use crate::epoch::EpochDuration;
 use crate::predicate::{Predicate, PredicateSet};
 use crate::region::Region;
@@ -70,14 +70,11 @@ impl Selection {
 
     /// Every attribute the selection needs sampled (for aggregates, the
     /// aggregated attributes).
-    pub fn sampled_attributes(&self) -> Vec<Attribute> {
-        let mut v = match self {
-            Selection::Attributes(attrs) => attrs.clone(),
+    pub fn sampled_attributes(&self) -> AttrSet {
+        match self {
+            Selection::Attributes(attrs) => attrs.iter().collect(),
             Selection::Aggregates(aggs) => aggs.iter().map(|&(_, a)| a).collect(),
-        };
-        v.sort_unstable();
-        v.dedup();
-        v
+        }
     }
 
     /// Payload bytes a single result tuple of this selection occupies.
@@ -233,12 +230,10 @@ impl Query {
 
     /// Attributes that must be sampled to evaluate this query (selection
     /// attributes plus predicate attributes).
-    pub fn sampled_attributes(&self) -> Vec<Attribute> {
-        let mut v = self.selection.sampled_attributes();
-        v.extend(self.predicates.attrs());
-        v.sort_unstable();
-        v.dedup();
-        v
+    pub fn sampled_attributes(&self) -> AttrSet {
+        let mut set = self.selection.sampled_attributes();
+        set.extend(self.predicates.attrs());
+        set
     }
 
     /// Payload bytes of one result tuple for this query (Eq. 3's `len(q)`).
@@ -410,8 +405,8 @@ mod tests {
         );
         assert_eq!(q.result_len(), 4);
         assert_eq!(
-            q.sampled_attributes(),
-            vec![Attribute::Light, Attribute::Temp]
+            q.sampled_attributes().iter().collect::<Vec<_>>(),
+            [Attribute::Light, Attribute::Temp]
         );
     }
 
@@ -497,8 +492,8 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(
-            q.sampled_attributes(),
-            vec![Attribute::Light, Attribute::Temp]
+            q.sampled_attributes().iter().collect::<Vec<_>>(),
+            [Attribute::Light, Attribute::Temp]
         );
     }
 

@@ -1,9 +1,9 @@
 //! Result-side data types: readings, rows and per-epoch answers.
 
 use crate::agg::{AggOp, PartialAgg};
-use crate::attr::Attribute;
+use crate::attr::{AttrMap, Attribute};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
 use std::fmt;
 
 /// One node's sampled values for a set of attributes at one instant.
@@ -18,9 +18,9 @@ use std::fmt;
 /// assert_eq!(r.get(Attribute::Light), Some(512.0));
 /// assert_eq!(r.get(Attribute::Temp), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Readings {
-    values: BTreeMap<Attribute, f64>,
+    values: AttrMap<f64>,
 }
 
 impl Readings {
@@ -36,60 +36,69 @@ impl Readings {
 
     /// The sampled value for `attr`, if present.
     pub fn get(&self, attr: Attribute) -> Option<f64> {
-        self.values.get(&attr).copied()
+        self.values.get(attr)
     }
 
     /// Iterates `(attribute, value)` pairs in canonical attribute order.
     pub fn iter(&self) -> impl Iterator<Item = (Attribute, f64)> + '_ {
-        self.values.iter().map(|(&a, &v)| (a, v))
+        self.values.iter()
     }
 
     /// Number of sampled attributes.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.values.keys().len()
     }
 
     /// Whether nothing has been sampled.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.values.keys().is_empty()
     }
 
-    /// Keeps only the given attributes.
-    pub fn project(&self, attrs: &[Attribute]) -> Readings {
-        Readings {
-            values: self
-                .values
-                .iter()
-                .filter(|(a, _)| attrs.contains(a))
-                .map(|(&a, &v)| (a, v))
-                .collect(),
-        }
+    /// Keeps only the given attributes (a slice, or an [`AttrSet`]).
+    ///
+    /// [`AttrSet`]: crate::AttrSet
+    pub fn project<I>(&self, attrs: I) -> Readings
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Attribute>,
+    {
+        let mut kept = *self;
+        kept.values.restrict(attrs.into_iter().collect());
+        kept
     }
 }
 
 impl FromIterator<(Attribute, f64)> for Readings {
     fn from_iter<I: IntoIterator<Item = (Attribute, f64)>>(iter: I) -> Self {
-        Readings {
-            values: iter.into_iter().collect(),
-        }
+        let mut readings = Readings::new();
+        readings.extend(iter);
+        readings
     }
 }
 
 impl Extend<(Attribute, f64)> for Readings {
     fn extend<I: IntoIterator<Item = (Attribute, f64)>>(&mut self, iter: I) {
-        self.values.extend(iter);
+        for (attr, value) in iter {
+            self.set(attr, value);
+        }
     }
 }
 
 impl fmt::Display for Readings {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let parts: Vec<String> = self.iter().map(|(a, v)| format!("{a}={v}")).collect();
-        write!(f, "{{{}}}", parts.join(", "))
+        f.write_str("{")?;
+        for (i, (a, v)) in self.iter().enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
+            }
+            write!(f, "{a}={v}")?;
+        }
+        f.write_str("}")
     }
 }
 
 /// A result row: one node's qualifying readings at one epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Row {
     /// Raw id of the producing node.
     pub node: u16,
@@ -98,6 +107,9 @@ pub struct Row {
     /// The projected readings.
     pub readings: Readings,
 }
+
+// A row is a flat value: relays and answer buffers hold it without a heap node.
+const _: () = assert!(std::mem::size_of::<Row>() <= 64);
 
 /// A finalized aggregate value for one `(op, attr)` pair at one epoch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -184,7 +196,7 @@ mod tests {
         assert_eq!(r.set(Attribute::Light, 2.0), Some(1.0));
         r.set(Attribute::Temp, 3.0);
         assert_eq!(r.len(), 2);
-        let p = r.project(&[Attribute::Temp]);
+        let p = r.project([Attribute::Temp]);
         assert_eq!(p.get(Attribute::Temp), Some(3.0));
         assert_eq!(p.get(Attribute::Light), None);
     }

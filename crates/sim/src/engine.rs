@@ -25,7 +25,7 @@
 //! * payloads are stored once per transmission behind an [`Arc`]; a
 //!   broadcast delivered to k neighbours takes one reference for the whole
 //!   fan-out and lends `&Payload` to each receiver (retransmissions share
-//!   the same allocation too);
+//!   the same allocation too, and so does a relay's [`Ctx::forward`]);
 //! * frame state lives in a slab with a free list — a slot is recycled as
 //!   soon as the last scheduled delivery of its frame has fired, so slab
 //!   length equals the high-water mark of concurrently in-flight frames
@@ -141,6 +141,8 @@ pub struct Ctx<'a, P, O> {
     /// Engine-owned scratch, drained and reused across callbacks.
     actions: &'a mut Vec<Action<P>>,
     rng_state: &'a mut u64,
+    /// The frame being delivered, in `on_message` / `on_overhear` only.
+    delivering: Option<&'a Arc<P>>,
 }
 
 /// One record emitted by a node via [`Ctx::emit`].
@@ -187,7 +189,8 @@ impl<'a, P, O> Ctx<'a, P, O> {
     ///
     /// The payload is stored once behind an [`Arc`] however many receivers
     /// the frame reaches; an app re-sending the same payload may pass an
-    /// `Arc<P>` directly to share the allocation across transmissions.
+    /// `Arc<P>` directly to share the allocation across transmissions, and
+    /// a relay re-sending the frame it was handed uses [`Ctx::forward`].
     pub fn send(
         &mut self,
         dest: Destination,
@@ -201,6 +204,23 @@ impl<'a, P, O> Ctx<'a, P, O> {
             payload_bytes,
             payload: payload.into(),
         });
+    }
+
+    /// Re-sends the frame this callback was handed, payload untouched — what
+    /// a hop-by-hop relay does. Indistinguishable from [`Ctx::send`] of a
+    /// clone of that payload, except that the new frame shares the received
+    /// frame's allocation instead of copying it.
+    ///
+    /// # Panics
+    ///
+    /// Outside [`NodeApp::on_message`] and [`NodeApp::on_overhear`] no frame
+    /// is being delivered, and calling this is a bug in the app: it panics
+    /// with "`Ctx::forward`: no frame is being delivered".
+    pub fn forward(&mut self, dest: Destination, kind: MsgKind, payload_bytes: usize) {
+        let payload = self
+            .delivering
+            .expect("`Ctx::forward`: no frame is being delivered");
+        self.send(dest, kind, payload_bytes, Arc::clone(payload));
     }
 
     /// Arms a one-shot timer `delay_ms` from now; `key` is returned to
@@ -762,7 +782,7 @@ impl<A: NodeApp> Simulator<A> {
         if !self.started {
             self.started = true;
             for id in 0..self.nodes.len() {
-                self.dispatch_callback(NodeId(id as u16), |app, ctx| app.on_start(ctx));
+                self.dispatch_callback(NodeId(id as u16), None, |app, ctx| app.on_start(ctx));
             }
             if let Some(interval) = self.config.maintenance_interval_ms {
                 for id in 0..self.nodes.len() {
@@ -796,13 +816,13 @@ impl<A: NodeApp> Simulator<A> {
         match kind {
             EventKind::Timer { node, key } => {
                 if !self.failed[node.index()] {
-                    self.dispatch_callback(node, |app, ctx| app.on_timer(ctx, key));
+                    self.dispatch_callback(node, None, |app, ctx| app.on_timer(ctx, key));
                 }
                 EnginePhase::Timer
             }
             EventKind::Command { node, cmd } => {
                 if !self.failed[node.index()] {
-                    self.dispatch_callback(node, |app, ctx| app.on_command(ctx, *cmd));
+                    self.dispatch_callback(node, None, |app, ctx| app.on_command(ctx, *cmd));
                 }
                 EnginePhase::Command
             }
@@ -825,7 +845,7 @@ impl<A: NodeApp> Simulator<A> {
                     self.failed[node.index()] = false;
                     self.tx_ready_at_us[node.index()] = self.now_us;
                     self.nodes[node.index()] = (self.factory)(node, &self.topology);
-                    self.dispatch_callback(node, |app, ctx| app.on_start(ctx));
+                    self.dispatch_callback(node, None, |app, ctx| app.on_start(ctx));
                 }
                 EnginePhase::Fault
             }
@@ -865,10 +885,12 @@ impl<A: NodeApp> Simulator<A> {
     }
 
     /// Runs one app callback on `node` — `call` picks which — then applies
-    /// the actions it queued.
+    /// the actions it queued. `delivering` is the frame the callback is
+    /// about, if it is about one.
     fn dispatch_callback(
         &mut self,
         node: NodeId,
+        delivering: Option<&Arc<A::Payload>>,
         call: impl FnOnce(&mut A, &mut Ctx<'_, A::Payload, A::Output>),
     ) {
         // The action queue is engine-owned scratch: taken for the duration
@@ -885,6 +907,7 @@ impl<A: NodeApp> Simulator<A> {
             outputs: &mut self.outputs,
             actions: &mut actions,
             rng_state: &mut self.rng_state,
+            delivering,
         };
         call(&mut self.nodes[node.index()], &mut ctx);
         for action in actions.drain(..) {
@@ -1150,13 +1173,14 @@ impl<A: NodeApp> Simulator<A> {
                 continue;
             }
 
-            let Some(payload) = frame_payload.as_deref() else {
+            let Some(shared) = &frame_payload else {
                 // Engine-generated beacon: accounted, not delivered to the app.
                 continue;
             };
+            let payload: &A::Payload = shared;
             self.probes
                 .record(self.now_us, Probe::Delivered { at, intended });
-            self.dispatch_callback(receiver, |app, ctx| {
+            self.dispatch_callback(receiver, Some(shared), |app, ctx| {
                 if intended {
                     app.on_message(ctx, src, kind, payload)
                 } else {
@@ -1201,7 +1225,7 @@ impl<A: NodeApp> Simulator<A> {
         if retries_left == 0 {
             self.probes.record(self.now_us, Probe::GaveUp(at));
             if !self.failed[src.index()] {
-                self.dispatch_callback(src, |app, ctx| app.on_send_failed(ctx, node, kind));
+                self.dispatch_callback(src, None, |app, ctx| app.on_send_failed(ctx, node, kind));
             }
             return;
         }

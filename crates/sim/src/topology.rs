@@ -403,12 +403,15 @@ impl Topology {
 
     /// Neighbours of `node` one level closer to the base station.
     pub fn upper_neighbors(&self, node: NodeId) -> Vec<NodeId> {
+        self.upper_iter(node).collect()
+    }
+
+    fn upper_iter(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         let my = self.level(node);
         self.neighbors(node)
             .iter()
             .copied()
-            .filter(|&n| self.level(n) + 1 == my)
-            .collect()
+            .filter(move |&n| self.level(n) + 1 == my)
     }
 
     /// The default TinyDB parent: the upper-level neighbour with the best
@@ -417,7 +420,7 @@ impl Topology {
         if node == NodeId::BASE_STATION {
             return None;
         }
-        self.upper_neighbors(node).into_iter().max_by(|&a, &b| {
+        self.upper_iter(node).max_by(|&a, &b| {
             self.link_quality(node, a)
                 .partial_cmp(&self.link_quality(node, b))
                 .expect("link qualities are finite")

@@ -194,7 +194,7 @@ impl TinyDbApp {
         qid: QueryId,
         epoch_ms: u64,
     ) {
-        let Some(query) = self.queries.get(&qid).cloned() else {
+        let Some(query) = self.queries.get(&qid) else {
             return; // query terminated since the timer was set
         };
         // Re-arm the periodic sample timer.
@@ -216,7 +216,7 @@ impl TinyDbApp {
             ctx.set_timer(close_at - epoch_ms, key(KIND_CLOSE, qid, epoch_idx));
             return;
         }
-        if !Self::in_region(ctx, &query) {
+        if !Self::in_region(ctx, query) {
             // Outside the query's region: never a source (still a relay).
             return;
         }
@@ -463,7 +463,7 @@ impl NodeApp for TinyDbApp {
                     self.row_buffers
                         .entry((*qid, *epoch_ms))
                         .or_default()
-                        .extend(rows.iter().cloned());
+                        .extend(rows);
                 } else if let Some(parent) = self.parent(ctx) {
                     ctx.trace_with(|| TraceEvent::ResultHop {
                         from: ctx.node(),
@@ -478,13 +478,10 @@ impl NodeApp for TinyDbApp {
                     });
                     // Hop-by-hop forwarding, unchanged: the baseline never
                     // merges traffic of different (or even the same) queries.
-                    let payload = payload.clone();
-                    let bytes = payload.wire_size();
-                    ctx.send(
+                    ctx.forward(
                         Destination::Unicast(parent),
                         MsgKind::Result,
-                        bytes,
-                        payload,
+                        payload.wire_size(),
                     );
                 }
             }
@@ -512,13 +509,10 @@ impl NodeApp for TinyDbApp {
                             qids: vec![*qid],
                             origin: false,
                         });
-                        let payload = payload.clone();
-                        let bytes = payload.wire_size();
-                        ctx.send(
+                        ctx.forward(
                             Destination::Unicast(parent),
                             MsgKind::Result,
-                            bytes,
-                            payload,
+                            payload.wire_size(),
                         );
                     }
                 } else {

@@ -106,12 +106,12 @@ mod tests {
         let one = TinyDbPayload::Rows {
             qid: QueryId(1),
             epoch_ms: 0,
-            rows: vec![row.clone()],
+            rows: vec![row],
         };
         let two = TinyDbPayload::Rows {
             qid: QueryId(1),
             epoch_ms: 0,
-            rows: vec![row.clone(), row],
+            rows: vec![row, row],
         };
         assert_eq!(one.wire_size(), 4 + 6);
         assert_eq!(two.wire_size(), 4 + 12);
