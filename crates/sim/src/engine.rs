@@ -30,11 +30,14 @@
 //!   soon as the last scheduled delivery of its frame has fired, so slab
 //!   length equals the high-water mark of concurrently in-flight frames
 //!   (see [`EngineStats::frame_slab_high_water`]);
-//! * the per-callback action queue reuses a per-engine scratch buffer
-//!   instead of allocating per callback, and delivery fan-out iterates the
+//! * the per-callback action queue is one per-engine scratch buffer lent to
+//!   the [`Ctx`] in place: a callback that queues nothing (an empty
+//!   `on_overhear`) costs an emptiness test, and only one that did queue
+//!   pays the take / drain / restore; delivery fan-out iterates the
 //!   topology's neighbour slice in place rather than copying it;
-//! * per-node `incoming` frame lists are kept sorted by insertion
-//!   (`partition_point` + insert, cost bounded by the in-flight frames at
+//! * per-node `incoming` frame lists are kept sorted by the one fused pass
+//!   that touches them (purge, mark overlaps, insert — inlined into
+//!   `transmit`'s neighbour loop, cost bounded by the in-flight frames at
 //!   one node), so the CSMA carrier-sense scan walks them in place — no
 //!   per-transmit copy, no per-transmit sort (see
 //!   [`EngineStats::csma_sorts_saved`]);
@@ -47,9 +50,10 @@
 //!   walked in neighbour order when it fires — provably the order the
 //!   per-receiver events popped in), dividing event-queue traffic by the
 //!   fan-out factor;
-//! * collision markers live on the frame itself (a list bounded by the
-//!   fan-out, capacity recycled with the slab slot) instead of a global
-//!   hash set, so the transmit/delivery paths do no hashing.
+//! * collision markers live on the frame itself — one bit per position in
+//!   the sender's neighbour slice, `fanout.div_ceil(64)` words whose
+//!   capacity is recycled with the slab slot — so marking sets a bit, a
+//!   delivery tests bit `i`, and neither path searches or hashes.
 
 use crate::faults::{FaultOverlay, FaultPlan};
 use crate::field::SensorField;
@@ -389,10 +393,11 @@ struct FrameState<P> {
     start_us: u64,
     end_us: u64,
     retries_left: u32,
-    /// Receivers at which this frame was corrupted by a collision. Bounded
-    /// by the fan-out, cleared when the slot is released (so a recycled slot
-    /// cannot inherit markers), capacity recycled with the slot.
-    corrupted: Vec<NodeId>,
+    /// Receivers at which this frame was corrupted by a collision: bit `i`
+    /// stands for `neighbors(src)[i]`, in `fanout.div_ceil(64)` words.
+    /// Emptied when the slot is released and re-sized, all zero, when it is
+    /// taken again; the words' capacity is recycled with the slot.
+    corrupted: Vec<u64>,
 }
 
 /// Engine-level configuration beyond the radio itself.
@@ -737,16 +742,21 @@ impl<A: NodeApp> Simulator<A> {
         self.queue.push(Event { time_us, seq, kind });
     }
 
-    /// Takes a slab slot for `frame`, recycling a free one if possible.
+    /// Takes a slab slot for `frame`, recycling a free one if possible, and
+    /// gives it one clear collision bit per receiver.
     fn alloc_frame(&mut self, frame: FrameState<A::Payload>) -> usize {
         self.frames_total += 1;
-        match self.free_frames.pop() {
+        let words = self.topology.neighbors(frame.src).len().div_ceil(64);
+        let idx = match self.free_frames.pop() {
             Some(idx) => {
-                // Field-wise assignment keeps the slot's corruption-list
-                // capacity alive across reuse (`frame.corrupted` is a fresh
-                // empty Vec that never allocated).
+                // Field-wise assignment keeps the slot's collision words
+                // alive across reuse (`frame.corrupted` is a fresh empty Vec
+                // that never allocated).
                 let slot = &mut self.frames[idx];
-                debug_assert!(slot.corrupted.is_empty(), "recycled slot has markers");
+                debug_assert!(
+                    slot.corrupted.is_empty(),
+                    "a recycled slot starts with no collision bits, whatever fan-out it last had"
+                );
                 slot.src = frame.src;
                 slot.dest = frame.dest;
                 slot.kind = frame.kind;
@@ -762,7 +772,9 @@ impl<A: NodeApp> Simulator<A> {
                 self.slab_high_water = self.slab_high_water.max(self.frames.len());
                 self.frames.len() - 1
             }
-        }
+        };
+        self.frames[idx].corrupted.resize(words, 0);
+        idx
     }
 
     /// Returns a slot whose deliveries have all fired to the free list. The
@@ -893,11 +905,7 @@ impl<A: NodeApp> Simulator<A> {
         delivering: Option<&Arc<A::Payload>>,
         call: impl FnOnce(&mut A, &mut Ctx<'_, A::Payload, A::Output>),
     ) {
-        // The action queue is engine-owned scratch: taken for the duration
-        // of the callback, drained, and put back — one allocation for the
-        // whole run instead of one per sending callback.
-        let mut actions = std::mem::take(&mut self.action_scratch);
-        debug_assert!(actions.is_empty());
+        debug_assert!(self.action_scratch.is_empty());
         let mut ctx = Ctx {
             node,
             now_us: self.now_us,
@@ -905,11 +913,19 @@ impl<A: NodeApp> Simulator<A> {
             field: self.field.as_ref(),
             probes: &mut self.probes,
             outputs: &mut self.outputs,
-            actions: &mut actions,
+            actions: &mut self.action_scratch,
             rng_state: &mut self.rng_state,
             delivering,
         };
         call(&mut self.nodes[node.index()], &mut ctx);
+        // The action queue is engine-owned scratch, lent in place: a callback
+        // that queued nothing is done here. One that did pays for the queue
+        // to be taken, drained and put back (applying a `Send` needs `self`)
+        // — still one allocation for the whole run.
+        if self.action_scratch.is_empty() {
+            return;
+        }
+        let mut actions = std::mem::take(&mut self.action_scratch);
         for action in actions.drain(..) {
             match action {
                 Action::Send {
@@ -1058,29 +1074,31 @@ impl<A: NodeApp> Simulator<A> {
         // in place (no copy) while the interference state mutates.
         let fanout = self.topology.neighbors(src).len();
         if self.radio.collisions {
-            let frames = &mut self.frames;
+            debug_assert!(dur_us <= u32::MAX as u64, "airtime truncated");
+            debug_assert!(frame_idx <= u32::MAX as usize, "slab index truncated");
+            let (frames, topology) = (&mut self.frames, &self.topology);
             let entry = IncomingFrame {
                 start_us,
                 dur_us: dur_us as u32,
                 frame: frame_idx as u32,
             };
-            for &r in self.topology.neighbors(src) {
-                // Interference: any concurrent in-range frame corrupts both.
-                // One fused arena pass drops expired entries, reports the
-                // overlaps, and slots this frame in sorted position — the
-                // CSMA scan at the sender reads the block in place, so it
-                // must stay ascending.
-                self.incoming
-                    .retain_mark_insert(r.index(), start_us, entry, |other| {
-                        let mine = &mut frames[frame_idx].corrupted;
-                        if !mine.contains(&r) {
-                            mine.push(r);
-                        }
-                        let theirs = &mut frames[other as usize].corrupted;
-                        if !theirs.contains(&r) {
-                            theirs.push(r);
-                        }
-                    });
+            for (pos, &r) in topology.neighbors(src).iter().enumerate() {
+                // Interference: any concurrent in-range frame corrupts both,
+                // each at its own position for `r` — this frame's is the loop
+                // index, the other's is found in its sender's ascending
+                // neighbour slice. One fused arena pass drops expired
+                // entries, reports the overlaps, and slots this frame in
+                // sorted position — the CSMA scan at the sender reads the
+                // block in place, so it must stay ascending.
+                self.incoming.retain_mark_insert(r.index(), entry, |other| {
+                    let other = &mut frames[other as usize];
+                    let theirs = topology
+                        .neighbors(other.src)
+                        .binary_search(&r)
+                        .expect("a frame is audible only at its sender's neighbours");
+                    other.corrupted[theirs / 64] |= 1 << (theirs % 64);
+                    frames[frame_idx].corrupted[pos / 64] |= 1 << (pos % 64);
+                });
             }
         }
         if fanout == 0 {
@@ -1115,7 +1133,7 @@ impl<A: NodeApp> Simulator<A> {
         // (every later transmission starts at or after `now`, past this
         // frame's end), and `dest`/`payload` are never written after
         // allocation — so they move out of the slab once instead of being
-        // re-borrowed per receiver; `dest` and the corruption list go back
+        // re-borrowed per receiver; `dest` and the collision bits go back
         // before the release so the slot recycles with its capacity.
         let fanout = self.topology.neighbors(src).len();
         let dest = std::mem::replace(&mut self.frames[frame_idx].dest, Destination::Broadcast);
@@ -1131,7 +1149,7 @@ impl<A: NodeApp> Simulator<A> {
         for i in 0..fanout {
             let receiver = self.topology.neighbors(src)[i];
             let intended = dest.includes(receiver);
-            let corrupted = !corrupted_at.is_empty() && corrupted_at.contains(&receiver);
+            let corrupted = corrupted_at[i / 64] >> (i % 64) & 1 != 0;
             let at = Reception {
                 src,
                 node: receiver,

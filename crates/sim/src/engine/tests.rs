@@ -5,14 +5,20 @@
 //!
 //! And `Ctx::forward`'s: the forwarded frame is the received allocation, and
 //! nothing else about the run can tell it from `send` of a clone.
+//!
+//! And the collision model's: the receivers a run reports each frame
+//! corrupted at are those the arena's unfused reference halves and a plain
+//! set of `(frame, receiver)` pairs give for the same transmissions — on
+//! random floods, and on fan-outs past one 64-bit word.
 
 use super::{Ctx, Event, EventKind, NodeApp, SimConfig, Simulator};
+use crate::incoming::{IncomingArena, IncomingFrame};
 use crate::{
     ConstantField, Destination, MsgKind, NodeId, Observe, Position, RadioParams, RingSink, SimTime,
-    Topology, TraceHandle,
+    Topology, TraceEvent, TraceHandle, TraceRecord,
 };
 use proptest::prelude::*;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::{Arc, Mutex};
 
 /// One scripted step. Times are relative to the last popped event, as in
@@ -197,18 +203,28 @@ fn relay_line(hops: [Hop; 3]) -> (Simulator<Relay>, Arc<Mutex<RingSink>>) {
             y: 0.0,
         })
         .collect();
+    let topology = Topology::from_positions(line, 50.0).unwrap();
+    traced_sim(topology, move |node, _| Relay {
+        hop: hops[node.index()],
+        heard: Vec::new(),
+    })
+}
+
+/// A traced simulator with the default (collision-modelling, lossless)
+/// radio and no maintenance beacons, and the ring its trace goes to.
+fn traced_sim<A: NodeApp>(
+    topology: Topology,
+    factory: impl FnMut(NodeId, &Topology) -> A + Send + 'static,
+) -> (Simulator<A>, Arc<Mutex<RingSink>>) {
     let mut sim = Simulator::new(
-        Topology::from_positions(line, 50.0).unwrap(),
+        topology,
         RadioParams::default(),
         SimConfig {
             maintenance_interval_ms: None,
             ..SimConfig::default()
         },
         Box::new(ConstantField),
-        move |node, _| Relay {
-            hop: hops[node.index()],
-            heard: Vec::new(),
-        },
+        factory,
     );
     let ring = Arc::new(Mutex::new(RingSink::new(0)));
     sim.attach(&Observe {
@@ -284,4 +300,216 @@ fn forward_from_a_command_is_a_programming_error() {
     let (mut sim, _) = relay_line([Hop::Keep; 3]);
     sim.schedule_command(SimTime::from_ms(1), NodeId(1), RelayCmd::ForwardFromCommand);
     sim.run_until(SimTime::from_ms(100));
+}
+
+/// A frame corrupted at a receiver, named by what a trace shows of it:
+/// `(sender, end of airtime µs, receiver)`. One sender's frames serialize,
+/// so the first two name the frame.
+type Corrupted = BTreeSet<(NodeId, u64, NodeId)>;
+
+/// The `FrameCollision` records of a trace.
+fn traced_collisions<'a>(records: impl Iterator<Item = &'a TraceRecord>) -> Corrupted {
+    records
+        .filter_map(|r| match r.event {
+            TraceEvent::FrameCollision { src, node, .. } => Some((src, r.time_us, node)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The collision model, kept apart from the engine's code: the trace's
+/// `FrameTx` records in emission order, each touching its sender's
+/// neighbours with the arena's reference halves — purge what ended by the
+/// new frame's start, corrupt both sides of every overlap, insert.
+fn reference_collisions<'a>(
+    topology: &Topology,
+    records: impl Iterator<Item = &'a TraceRecord>,
+) -> Corrupted {
+    let mut arena = IncomingArena::new(topology.node_count());
+    let mut frames = Vec::new();
+    let mut corrupted = Corrupted::new();
+    for record in records {
+        let TraceEvent::FrameTx {
+            src, airtime_us, ..
+        } = record.event
+        else {
+            continue;
+        };
+        let new = IncomingFrame {
+            start_us: record.time_us,
+            dur_us: airtime_us as u32,
+            frame: frames.len() as u32,
+        };
+        frames.push((src, new.end_us()));
+        for &r in topology.neighbors(src) {
+            arena.retain_active(r.index(), new.start_us);
+            for other in arena.node(r.index()) {
+                if other.start_us < new.end_us() && new.start_us < other.end_us() {
+                    let (their_src, their_end) = frames[other.frame as usize];
+                    corrupted.insert((src, new.end_us(), r));
+                    corrupted.insert((their_src, their_end, r));
+                }
+            }
+            arena.insert(r.index(), new);
+        }
+    }
+    corrupted
+}
+
+/// Rebroadcasts the first copy it hears of each flood; a flood is named by
+/// its payload.
+#[derive(Debug)]
+struct Flooder {
+    seen: Vec<u16>,
+    heard: usize,
+}
+
+impl NodeApp for Flooder {
+    type Payload = u16;
+    type Command = (Destination, u16);
+    type Output = ();
+
+    fn on_start(&mut self, _ctx: &mut Ctx<'_, u16, ()>) {}
+
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_, u16, ()>, _key: u64) {}
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, u16, ()>, _: NodeId, _: MsgKind, flood: &u16) {
+        self.heard += 1;
+        if !self.seen.contains(flood) {
+            self.seen.push(*flood);
+            ctx.forward(Destination::Broadcast, MsgKind::Result, FRAME_BYTES);
+        }
+    }
+
+    fn on_command(&mut self, ctx: &mut Ctx<'_, u16, ()>, (dest, flood): (Destination, u16)) {
+        self.seen.push(flood);
+        ctx.send(dest, MsgKind::Result, FRAME_BYTES, flood);
+    }
+}
+
+/// `Flooder`s that never sleep, traced; `quiet` ones hear but do not
+/// rebroadcast (every flood of a quiet run is number 0).
+fn flooders(topology: Topology, quiet: bool) -> (Simulator<Flooder>, Arc<Mutex<RingSink>>) {
+    traced_sim(topology, move |_, _| Flooder {
+        seen: if quiet { vec![0] } else { Vec::new() },
+        heard: 0,
+    })
+}
+
+/// A connected deployment: each node is placed within range of an earlier
+/// one. `steps[i]` is node `i + 1`'s `(anchor, dx, dy)`.
+fn chained_positions(steps: &[(usize, f64, f64)]) -> Vec<Position> {
+    let mut positions = vec![Position { x: 0.0, y: 0.0 }];
+    for &(anchor, dx, dy) in steps {
+        let at = positions[anchor % positions.len()];
+        positions.push(Position {
+            x: at.x + dx,
+            y: at.y + dy,
+        });
+    }
+    positions
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn traced_collisions_are_the_reference_models(
+        // |(dx, dy)| ≤ 35·√2 < 50: every node is in range of its anchor.
+        steps in prop::collection::vec((0usize..16, -35.0f64..35.0, -35.0f64..35.0), 2..14),
+        floods in prop::collection::vec((0usize..16, 0u64..40, 0usize..16), 1..6),
+    ) {
+        let topology = Topology::from_positions(chained_positions(&steps), 50.0).unwrap();
+        let n = topology.node_count();
+        let (mut sim, ring) = flooders(topology, false);
+        for (flood, &(origin, at_ms, to)) in floods.iter().enumerate() {
+            let origin = NodeId((origin % n) as u16);
+            // Every third flood starts as a unicast, so retransmissions and
+            // their backoff are part of the schedule.
+            let neighbors = sim.topology().neighbors(origin);
+            let dest = match flood % 3 {
+                0 => Destination::Unicast(neighbors[to % neighbors.len()]),
+                _ => Destination::Broadcast,
+            };
+            sim.schedule_command(SimTime::from_ms(at_ms), origin, (dest, flood as u16));
+        }
+        sim.run_until(SimTime::from_ms(60_000));
+        prop_assert_eq!(sim.engine_stats().frames_in_flight, 0);
+        let ring = ring.lock().unwrap();
+        let traced = traced_collisions(ring.records());
+        prop_assert_eq!(traced.len() as u64, sim.metrics().snapshot().collisions);
+        prop_assert_eq!(traced, reference_collisions(sim.topology(), ring.records()));
+    }
+}
+
+/// Two senders out of each other's range, each in range of its own 65-node
+/// cluster and of four shared receivers with the highest ids — positions
+/// 65..=68 of either sender's neighbour slice — and a narrow node in range
+/// of those four only.
+fn two_wide_hidden_senders() -> Topology {
+    let column = |x: f64, count: usize| {
+        (0..count).map(move |k| Position {
+            x,
+            y: k as f64 * 0.5 - 16.0,
+        })
+    };
+    let mut positions = vec![Position { x: 0.0, y: 0.0 }, Position { x: 80.0, y: 0.0 }];
+    positions.extend(column(-20.0, 65));
+    positions.extend(column(100.0, 65));
+    positions.extend((0..4).map(|k| Position {
+        x: 40.0,
+        y: f64::from(k),
+    }));
+    positions.push(Position { x: 40.0, y: 45.0 });
+    Topology::from_positions(positions, 50.0).unwrap()
+}
+
+#[test]
+fn collisions_past_bit_64_and_recycled_slots_match_the_reference() {
+    let (left, right, narrow) = (NodeId(0), NodeId(1), NodeId(136));
+    let shared: Vec<NodeId> = (132..136).map(NodeId).collect();
+    let (mut sim, ring) = flooders(two_wide_hidden_senders(), true);
+    assert_eq!(sim.topology().neighbors(left).len(), 69);
+    assert_eq!(sim.topology().neighbors(left)[65..], shared[..]);
+    assert_eq!(sim.topology().neighbors(right)[65..], shared[..]);
+    assert_eq!(sim.topology().neighbors(narrow), &shared[..]);
+
+    // Each round's senders start at the same instant, hidden from each
+    // other; a lone sender must be heard everywhere, whatever the slot it
+    // recycles was last used for.
+    let rounds: [&[NodeId]; 5] = [
+        &[left, right],
+        &[narrow],
+        &[left, narrow],
+        &[right],
+        &[narrow, right],
+    ];
+    let mut heard_by_shared = 0;
+    for (round, senders) in rounds.iter().enumerate() {
+        let at = SimTime::from_ms(100 * (round as u64 + 1));
+        for &sender in *senders {
+            sim.schedule_command(at, sender, (Destination::Broadcast, 0));
+        }
+        let collisions_before = sim.metrics().snapshot().collisions;
+        sim.run_until(at + 90);
+        let collided = sim.metrics().snapshot().collisions - collisions_before;
+        if senders.len() == 1 {
+            heard_by_shared += 1;
+            assert_eq!(collided, 0, "round {round}: a lone frame was corrupted");
+        } else {
+            assert_eq!(collided, 8, "round {round}: two frames at four receivers");
+        }
+        for &node in &shared {
+            assert_eq!(sim.node(node).heard, heard_by_shared, "round {round}");
+        }
+    }
+    // Two slots served all eight frames, wide and narrow alike.
+    assert_eq!(sim.engine_stats().frame_slab_len, 2);
+    assert_eq!(sim.engine_stats().frames_total, 8);
+
+    let ring = ring.lock().unwrap();
+    let traced = traced_collisions(ring.records());
+    assert_eq!(traced, reference_collisions(sim.topology(), ring.records()));
+    assert_eq!(traced.len(), 24);
+    assert!(traced.iter().all(|(_, _, node)| shared.contains(node)));
 }

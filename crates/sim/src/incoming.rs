@@ -19,6 +19,13 @@
 //! old per-transmit `sort_unstable` produced (equal starts order by equal
 //! ends iff by equal durations) — so the CSMA carrier-sense scan reads a
 //! block in place and draws the identical RNG sequence.
+//!
+//! A block holds about two entries, half of them expired, when it is
+//! touched, so what a touch costs is its fixed overhead, not its memory:
+//! [`IncomingArena::retain_mark_insert`] is one pass over one bounds-checked
+//! slice, shifts the (usually empty) tail with a plain loop, and is inlined
+//! into its only caller. It reports overlaps by slab index; which receiver
+//! bit that is on the other frame is the engine's to look up.
 
 /// One in-flight frame audible at a node, packed to 16 bytes.
 ///
@@ -132,37 +139,36 @@ impl IncomingArena {
     }
 
     /// Fused per-touch update for the interference-marking pass: drops node
-    /// `i`'s entries whose airtime ended at or before `cutoff_us`, calls
+    /// `i`'s entries whose airtime ended at or before `new` starts, calls
     /// `on_overlap` with the slab index of each survivor whose airtime
     /// overlaps `new`'s, and inserts `new` at its sorted position — one
-    /// left-to-right pass over the block where the unfused form (retain,
-    /// then scan, then binary-search insert) walked it three times.
+    /// left-to-right pass over one block slice, inlined into `transmit`'s
+    /// neighbour loop.
     ///
-    /// Equivalent to
-    /// `retain_active(i, cutoff_us)` + overlap scan + `insert(i, new)`:
-    /// survivors are visited in the same order the post-retain scan saw
-    /// them, so marking order is unchanged.
+    /// Equivalent to `retain_active(i, new.start_us)` + overlap scan +
+    /// `insert(i, new)`, survivors visited in the same order. A survivor ends
+    /// after `new` starts, so it overlaps iff it starts before `new` ends.
+    #[inline]
     pub fn retain_mark_insert(
         &mut self,
         i: usize,
-        cutoff_us: u64,
         new: IncomingFrame,
         mut on_overlap: impl FnMut(u32),
     ) {
-        let base = i * self.cap;
-        let n = self.len[i] as usize;
+        let cap = self.cap;
+        let n = (self.len[i] as usize).min(cap);
         let new_end = new.end_us();
-        let block = &mut self.data[base..base + n];
+        let block = &mut self.data[i * cap..(i + 1) * cap];
         let mut write = 0;
         // Insert position: survivors stay sorted, and every survivor with a
         // smaller key lands in the prefix, so the position is just a count.
         let mut pos = 0;
         for read in 0..n {
             let e = block[read];
-            if e.end_us() <= cutoff_us {
+            if e.end_us() <= new.start_us {
                 continue;
             }
-            if e.start_us < new_end && new.start_us < e.end_us() {
+            if e.start_us < new_end {
                 on_overlap(e.frame);
             }
             if e.key() < new.key() {
@@ -173,18 +179,23 @@ impl IncomingArena {
             }
             write += 1;
         }
-        self.len[i] = write as u32;
-        if write == self.cap {
+        let block = if write == cap {
             self.grow();
+            &mut self.data[i * self.cap..(i + 1) * self.cap]
+        } else {
+            block
+        };
+        // The tail is usually empty and never longer than the block: a plain
+        // loop, not a `memmove` call.
+        for j in (pos..write).rev() {
+            block[j + 1] = block[j];
         }
-        let base = i * self.cap;
-        self.data
-            .copy_within(base + pos..base + write, base + pos + 1);
-        self.data[base + pos] = new;
+        block[pos] = new;
         self.len[i] = (write + 1) as u32;
     }
 
     /// Rebuilds with doubled per-node capacity, preserving every block.
+    #[cold]
     fn grow(&mut self) {
         let new_cap = self.cap * 2;
         let nodes = self.len.len();
@@ -297,7 +308,7 @@ mod tests {
             }
             reference.insert(node, entry);
             let mut fused_overlaps = Vec::new();
-            fused.retain_mark_insert(node, start_us, entry, |f| fused_overlaps.push(f));
+            fused.retain_mark_insert(node, entry, |f| fused_overlaps.push(f));
             assert_eq!(fused_overlaps, ref_overlaps, "overlaps at frame {frame}");
             for i in 0..nodes {
                 assert_eq!(
@@ -316,7 +327,6 @@ mod tests {
         for k in 0..3 * INITIAL_CAP as u32 {
             let mut overlaps = 0;
             a.retain_mark_insert(
-                0,
                 0,
                 IncomingFrame {
                     start_us: 1000 + k as u64,

@@ -26,10 +26,11 @@ pub struct Metrics {
     rx_busy_ms: Vec<f64>,
     /// Per-node time spent with the radio off, ms.
     sleep_ms: Vec<f64>,
-    /// Number of transmissions by kind (retransmissions re-count their kind).
-    tx_count: BTreeMap<MsgKind, u64>,
-    /// Payload+header bytes transmitted by kind.
-    tx_bytes: BTreeMap<MsgKind, u64>,
+    /// Number of transmissions by kind (retransmissions re-count their
+    /// kind), indexed by `kind as usize`.
+    tx_count: [u64; MsgKind::ALL.len()],
+    /// Payload+header bytes transmitted by kind, indexed the same way.
+    tx_bytes: [u64; MsgKind::ALL.len()],
     /// Retransmissions caused by loss or collision.
     retransmissions: u64,
     /// Frames corrupted by collisions (counted per receiver).
@@ -81,8 +82,8 @@ impl Metrics {
                 ..
             } => {
                 self.tx_busy_ms[node.index()] += airtime_us as f64 / 1000.0;
-                *self.tx_count.entry(kind).or_insert(0) += 1;
-                *self.tx_bytes.entry(kind).or_insert(0) += bytes as u64;
+                self.tx_count[kind as usize] += 1;
+                self.tx_bytes[kind as usize] += bytes as u64;
             }
             Probe::Rx { node, busy_ms } => self.rx_busy_ms[node.index()] += busy_ms,
             Probe::Sleep { .. } | Probe::Wake { .. } | Probe::Crash { .. } => {
@@ -151,17 +152,17 @@ impl Metrics {
 
     /// Number of transmissions of the given kind.
     pub fn tx_count(&self, kind: MsgKind) -> u64 {
-        self.tx_count.get(&kind).copied().unwrap_or(0)
+        self.tx_count[kind as usize]
     }
 
     /// Total number of transmissions of all kinds.
     pub fn tx_count_total(&self) -> u64 {
-        self.tx_count.values().sum()
+        self.tx_count.iter().sum()
     }
 
     /// Bytes transmitted of the given kind (headers included).
     pub fn tx_bytes(&self, kind: MsgKind) -> u64 {
-        self.tx_bytes.get(&kind).copied().unwrap_or(0)
+        self.tx_bytes[kind as usize]
     }
 
     /// Retransmissions caused by loss or collision.
@@ -268,13 +269,18 @@ impl Metrics {
     /// reduced to totals; everything else is copied verbatim, so two
     /// bit-identical runs yield `==` snapshots.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        // A kind is a key of both maps iff a frame of it was ever sent.
+        let sent = |slots: &[u64; MsgKind::ALL.len()]| {
+            let kinds = MsgKind::ALL.into_iter().filter(|&k| self.tx_count(k) != 0);
+            kinds.map(|k| (k, slots[k as usize])).collect()
+        };
         MetricsSnapshot {
             avg_transmission_time_pct: self.avg_transmission_time_pct(),
             total_tx_busy_ms: self.total_tx_busy_ms(),
             total_rx_busy_ms: self.total_rx_busy_ms(),
             total_sleep_ms: self.total_sleep_ms(),
-            tx_count: self.tx_count.clone(),
-            tx_bytes: self.tx_bytes.clone(),
+            tx_count: sent(&self.tx_count),
+            tx_bytes: sent(&self.tx_bytes),
             retransmissions: self.retransmissions,
             collisions: self.collisions,
             losses: self.losses,
@@ -498,6 +504,8 @@ mod tests {
         assert_eq!(m.tx_count(MsgKind::Maintenance), 1);
         assert_eq!(m.tx_count(MsgKind::QueryAbort), 0);
         assert_eq!(m.tx_count_total(), 3);
+        // The slot of a kind is its place in `MsgKind::ALL`.
+        assert_eq!(MsgKind::ALL.map(|k| k as usize), [0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -641,8 +649,10 @@ mod tests {
         assert_eq!(total_tx_busy_ms, tx_busy_ms.iter().sum::<f64>());
         assert_eq!(total_rx_busy_ms, rx_busy_ms.iter().sum::<f64>());
         assert_eq!(total_sleep_ms, sleep_ms.iter().sum::<f64>());
-        assert_eq!(snap_tx_count, tx_count);
-        assert_eq!(snap_tx_bytes, tx_bytes);
+        let result_only = |slots: [u64; 5]| BTreeMap::from([(MsgKind::Result, slots[0])]);
+        assert_eq!(snap_tx_count, result_only(tx_count));
+        assert_eq!(snap_tx_bytes, result_only(tx_bytes));
+        assert_eq!((&tx_count[1..], &tx_bytes[1..]), (&[0; 4][..], &[0; 4][..]));
         assert_eq!(snap_retransmissions, retransmissions);
         assert_eq!(snap_collisions, collisions);
         assert_eq!(snap_losses, losses);
