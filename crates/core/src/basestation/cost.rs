@@ -83,11 +83,6 @@ impl CostModel {
         &self.levels
     }
 
-    /// Replaces the level statistics (e.g. after re-measuring the tree).
-    pub fn set_levels(&mut self, levels: LevelStats) {
-        self.levels = levels;
-    }
-
     /// Feeds one observed reading into the estimator's adaptive statistics
     /// (§3.1.2: the base station maintains data distributions from the
     /// result stream it already receives).

@@ -7,8 +7,8 @@
 //! a time in nested loops. A [`CampaignSpec`] names the sweep once
 //! (strategies × grid sizes × field seeds × workloads over a shared base
 //! [`ExperimentConfig`]), and [`run_campaign`] executes the cells N-way
-//! parallel over crossbeam scoped threads. Cells are completely independent
-//! simulations, each bit-for-bit deterministic given its configuration, so
+//! parallel over scoped threads (`std::thread::scope`). Cells are completely
+//! independent simulations, each bit-for-bit deterministic given its configuration, so
 //! per-cell results are identical whatever the thread count — only the wall
 //! clock changes. [`run_campaign_sequential`] is the single-thread oracle the
 //! determinism tests compare against.
@@ -637,17 +637,16 @@ pub fn run_campaign_with(spec: &CampaignSpec, threads: usize) -> CampaignReport 
     } else {
         let cursor = AtomicUsize::new(0);
         let slots: Mutex<Vec<Option<CellRecord>>> = Mutex::new(vec![None; cells.len()]);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..threads {
-                s.spawn(|_| loop {
+                s.spawn(|| loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(cell) = cells.get(i) else { break };
                     let record = run_cell(spec, cell);
                     slots.lock().expect("no worker panicked holding the lock")[i] = Some(record);
                 });
             }
-        })
-        .expect("campaign worker panicked");
+        });
         slots
             .into_inner()
             .expect("workers have exited")

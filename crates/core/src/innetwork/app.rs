@@ -16,13 +16,10 @@
 
 use crate::innetwork::dag::{sorted_intersection, DagState};
 use crate::innetwork::payload::{PartialEntry, RowEntry, TtmqoPayload};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use ttmqo_query::{
-    AggValue, AttrSet, EpochAnswer, EpochDuration, PartialAgg, Query, QueryId, Readings, Row,
-    Selection,
-};
+use std::collections::{BTreeMap, BTreeSet};
+use ttmqo_query::{AttrSet, EpochDuration, PartialAgg, Query, QueryId, Readings, Row, Selection};
 use ttmqo_sim::{Ctx, Destination, MsgKind, NodeApp, NodeId, ProvenanceId, TraceEvent};
-use ttmqo_tinydb::{Command, Output, Srt};
+use ttmqo_tinydb::{in_region, timer_key, timer_key_parts, Command, EpochBuffers, Output, Srt};
 
 const K_CLOCK: u64 = 0;
 const K_SLOT: u64 = 1;
@@ -34,14 +31,6 @@ const K_SLEEP_CHECK: u64 = 5;
 /// A result frame's split-responsibility assignments: `(recipient, the
 /// queries it must forward)` pairs, as `TtmqoPayload` carries them.
 type Assignments = Vec<(NodeId, Vec<QueryId>)>;
-
-fn key(kind: u64, qid: QueryId, extra: u64) -> u64 {
-    (extra << 32) | ((qid.0 & 0x0FFF_FFFF) << 4) | kind
-}
-
-fn key_parts(key: u64) -> (u64, QueryId, u64) {
-    (key & 0xF, QueryId((key >> 4) & 0x0FFF_FFFF), key >> 32)
-}
 
 /// Configuration of the in-network tier.
 #[derive(Debug, Clone)]
@@ -122,10 +111,8 @@ pub struct TtmqoApp {
     /// Epoch start of the last no-route resignation broadcast, so an
     /// orphaned node announces at most once per epoch.
     last_no_route_ms: Option<u64>,
-    /// Aggregation partials per (query, epoch-start ms).
-    agg_buffers: HashMap<(QueryId, u64), Vec<Option<PartialAgg>>>,
-    /// Base station only: acquisition rows per (query, epoch-start ms).
-    row_buffers: HashMap<(QueryId, u64), Vec<Row>>,
+    /// Partials and (base station only) rows per (query, epoch-start ms).
+    buffers: EpochBuffers,
 }
 
 impl TtmqoApp {
@@ -145,19 +132,13 @@ impl TtmqoApp {
             forward_only: BTreeMap::new(),
             srt: None,
             last_no_route_ms: None,
-            agg_buffers: HashMap::new(),
-            row_buffers: HashMap::new(),
+            buffers: EpochBuffers::default(),
         }
     }
 
     /// Currently installed queries (for tests and inspection).
     pub fn installed_queries(&self) -> impl Iterator<Item = &Query> {
         self.queries.values()
-    }
-
-    /// Queries this node's latest readings satisfy (for tests).
-    pub fn has_data_for(&self) -> impl Iterator<Item = QueryId> + '_ {
-        self.has_data.iter().copied()
     }
 
     /// Read-only view of the routing DAG state (for tests and diagnostics).
@@ -177,7 +158,7 @@ impl TtmqoApp {
         let Some(gcd) = self.gcd_epoch() else { return };
         let now = ctx.now().as_ms();
         let next = gcd.next_fire_at(now + 1);
-        ctx.set_timer(next - now, key(K_CLOCK, QueryId(0), self.clock_gen));
+        ctx.set_timer(next - now, timer_key(K_CLOCK, QueryId(0), self.clock_gen));
         ctx.wake();
     }
 
@@ -196,8 +177,7 @@ impl TtmqoApp {
         self.has_data.remove(&qid);
         self.forward_only.remove(&qid);
         self.dag.forget_query(qid);
-        self.agg_buffers.retain(|(id, _), _| *id != qid);
-        self.row_buffers.retain(|(id, _), _| *id != qid);
+        self.buffers.forget_query(qid);
         self.rearm_clock(ctx);
     }
 
@@ -214,7 +194,7 @@ impl TtmqoApp {
         };
         if forwards {
             let jitter = 1 + ctx.rand_u64() % self.config.jitter_ms.max(1);
-            ctx.set_timer(jitter, key(K_FLOOD_QUERY, query.id(), 0));
+            ctx.set_timer(jitter, timer_key(K_FLOOD_QUERY, query.id(), 0));
         }
         if matches || ctx.is_base_station() {
             self.install(ctx, query.clone());
@@ -230,7 +210,7 @@ impl TtmqoApp {
             return;
         }
         let jitter = 1 + ctx.rand_u64() % self.config.jitter_ms.max(1);
-        ctx.set_timer(jitter, key(K_FLOOD_ABORT, qid, 0));
+        ctx.set_timer(jitter, timer_key(K_FLOOD_ABORT, qid, 0));
         self.uninstall(ctx, qid);
     }
 
@@ -238,15 +218,6 @@ impl TtmqoApp {
     /// before emitting, and how long an idle node stays awake to relay.
     fn window_ms(&self, ctx: &Ctx<'_, TtmqoPayload, Output>) -> u64 {
         (ctx.topology().max_level() as u64 + 1) * self.config.slot_ms + self.config.jitter_ms + 32
-    }
-
-    /// Whether this node's physical position satisfies the query's region
-    /// clause.
-    fn in_region(ctx: &Ctx<'_, TtmqoPayload, Output>, query: &Query) -> bool {
-        query.region().is_none_or(|r| {
-            let pos = ctx.topology().position(ctx.node());
-            r.contains(pos.x, pos.y)
-        })
     }
 
     fn slot_delay_ms(&self, ctx: &mut Ctx<'_, TtmqoPayload, Output>) -> u64 {
@@ -278,7 +249,7 @@ impl TtmqoApp {
             // epoch after the collection window.
             let window = self.window_ms(ctx);
             for q in due() {
-                ctx.set_timer(window, key(K_CLOSE, q.id(), epoch_idx));
+                ctx.set_timer(window, timer_key(K_CLOSE, q.id(), epoch_idx));
             }
             return;
         }
@@ -288,7 +259,7 @@ impl TtmqoApp {
         // never match here, so their attributes are not worth sampling).
         let mut union_attrs = AttrSet::new();
         for q in due() {
-            if Self::in_region(ctx, q) {
+            if in_region(ctx, q) {
                 union_attrs.extend(q.sampled_attributes());
             }
         }
@@ -308,7 +279,7 @@ impl TtmqoApp {
         let mut aggregation_due = false;
         for q in due() {
             aggregation_due |= q.is_aggregation();
-            let matches = Self::in_region(ctx, q)
+            let matches = in_region(ctx, q)
                 && q.predicates()
                     .matches_with(|attr| readings.get(attr).unwrap_or(f64::NAN));
             if !matches {
@@ -327,12 +298,7 @@ impl TtmqoApp {
                         .iter()
                         .map(|&(op, attr)| readings.get(attr).map(|v| op.seed(v)))
                         .collect();
-                    merge_into(
-                        self.agg_buffers
-                            .entry((q.id(), t_ms))
-                            .or_insert_with(|| vec![None; aggs.len()]),
-                        &seeded,
-                    );
+                    self.buffers.merge(q.id(), t_ms, &seeded);
                 }
             }
         }
@@ -382,7 +348,7 @@ impl TtmqoApp {
         // this node's TAG slot (deeper levels earlier).
         if aggregation_due {
             let delay = self.slot_delay_ms(ctx).max(1);
-            ctx.set_timer(delay, key(K_SLOT, QueryId(0), epoch_idx));
+            ctx.set_timer(delay, timer_key(K_SLOT, QueryId(0), epoch_idx));
         }
 
         self.maybe_sleep(ctx, t_ms);
@@ -395,7 +361,7 @@ impl TtmqoApp {
         }
         let window = self.window_ms(ctx);
         let epoch_idx = t_ms / ttmqo_query::BASE_EPOCH_MS;
-        ctx.set_timer(window, key(K_SLEEP_CHECK, QueryId(0), epoch_idx));
+        ctx.set_timer(window, timer_key(K_SLEEP_CHECK, QueryId(0), epoch_idx));
     }
 
     fn handle_sleep_check(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>) {
@@ -514,25 +480,12 @@ impl TtmqoApp {
 
     /// Sends the shared aggregation frame for one epoch from the buffers.
     fn flush_partials(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, epoch_ms: u64) {
-        let mut keys: Vec<(QueryId, u64)> = self
-            .agg_buffers
-            .keys()
-            .filter(|(_, e)| *e == epoch_ms)
-            .copied()
-            .collect();
-        if keys.is_empty() {
-            return;
-        }
-        // Ascending query id, so the frame's layout does not depend on the
-        // buffer map's hash order.
-        keys.sort_unstable();
         let mut entries = Vec::new();
-        for k in keys {
-            let partials = self.agg_buffers.remove(&k).expect("key just listed");
+        for (qid, partials) in self.buffers.take_epoch(epoch_ms) {
             if partials.iter().all(Option::is_none) {
                 continue;
             }
-            entries.push(PartialEntry { qid: k.0, partials });
+            entries.push(PartialEntry { qid, partials });
         }
         if entries.is_empty() {
             return;
@@ -558,53 +511,6 @@ impl TtmqoApp {
         };
         let bytes = payload.wire_size();
         ctx.send(dest, MsgKind::Result, bytes, payload);
-    }
-
-    fn handle_close(
-        &mut self,
-        ctx: &mut Ctx<'_, TtmqoPayload, Output>,
-        qid: QueryId,
-        epoch_ms: u64,
-    ) {
-        let Some(query) = self.queries.get(&qid) else {
-            self.agg_buffers.remove(&(qid, epoch_ms));
-            self.row_buffers.remove(&(qid, epoch_ms));
-            return;
-        };
-        let answer = match query.selection() {
-            Selection::Attributes(_) => {
-                let mut rows = self
-                    .row_buffers
-                    .remove(&(qid, epoch_ms))
-                    .unwrap_or_default();
-                rows.sort_by_key(|r| r.node);
-                rows.dedup_by_key(|r| r.node);
-                EpochAnswer::Rows(rows)
-            }
-            Selection::Aggregates(aggs) => {
-                let partials = self
-                    .agg_buffers
-                    .remove(&(qid, epoch_ms))
-                    .unwrap_or_default();
-                let values: Vec<AggValue> = aggs
-                    .iter()
-                    .zip(partials.iter().chain(std::iter::repeat(&None)))
-                    .filter_map(|(&(op, attr), p)| {
-                        p.as_ref().map(|p| AggValue {
-                            op,
-                            attr,
-                            value: p.finalize(),
-                        })
-                    })
-                    .collect();
-                EpochAnswer::Aggregates(values)
-            }
-        };
-        ctx.emit(Output::Answer {
-            qid,
-            epoch_ms,
-            answer,
-        });
     }
 
     /// Failure recovery: ask the neighbourhood about query ids we hear
@@ -675,14 +581,12 @@ impl TtmqoApp {
                     let Selection::Attributes(attrs) = q.selection() else {
                         continue;
                     };
-                    self.row_buffers
-                        .entry((qid, epoch_ms))
-                        .or_default()
-                        .push(Row {
-                            node: entry.node,
-                            time_ms: epoch_ms,
-                            readings: entry.readings.project(attrs),
-                        });
+                    let row = Row {
+                        node: entry.node,
+                        time_ms: epoch_ms,
+                        readings: entry.readings.project(attrs),
+                    };
+                    self.buffers.add_rows(qid, epoch_ms, [row]);
                 }
             }
             return;
@@ -716,10 +620,7 @@ impl TtmqoApp {
         self.request_unknown_queries(ctx, mine.iter().copied());
         let mut merged_any = false;
         for e in entries.iter().filter(|e| mine.contains(&e.qid)) {
-            merge_into(
-                self.agg_buffers.entry((e.qid, epoch_ms)).or_default(),
-                &e.partials,
-            );
+            self.buffers.merge(e.qid, epoch_ms, &e.partials);
             merged_any = true;
         }
         if !merged_any || ctx.is_base_station() {
@@ -739,22 +640,8 @@ impl TtmqoApp {
             let epoch_idx = epoch_ms / ttmqo_query::BASE_EPOCH_MS;
             ctx.set_timer(
                 my_slot.saturating_sub(now).max(1),
-                key(K_SLOT, QueryId(0), epoch_idx),
+                timer_key(K_SLOT, QueryId(0), epoch_idx),
             );
-        }
-    }
-}
-
-/// Merges `incoming` into `buffer` element-wise, growing the buffer.
-fn merge_into(buffer: &mut Vec<Option<PartialAgg>>, incoming: &[Option<PartialAgg>]) {
-    if buffer.len() < incoming.len() {
-        buffer.resize(incoming.len(), None);
-    }
-    for (slot, inc) in buffer.iter_mut().zip(incoming) {
-        match (slot.as_mut(), inc) {
-            (Some(a), Some(b)) => a.merge(b).expect("aligned partials share operators"),
-            (None, Some(b)) => *slot = Some(*b),
-            _ => {}
         }
     }
 }
@@ -776,8 +663,8 @@ impl NodeApp for TtmqoApp {
         self.dag.set_failure_detector(self.config.dead_parent_after);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, timer_key: u64) {
-        let (kind, qid, extra) = key_parts(timer_key);
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, key: u64) {
+        let (kind, qid, extra) = timer_key_parts(key);
         match kind {
             K_CLOCK => {
                 if extra != self.clock_gen {
@@ -786,14 +673,16 @@ impl NodeApp for TtmqoApp {
                 let Some(gcd) = self.gcd_epoch() else { return };
                 let now = ctx.now().as_ms();
                 let t = now - now % gcd.as_ms();
-                ctx.set_timer(gcd.as_ms(), key(K_CLOCK, QueryId(0), self.clock_gen));
+                ctx.set_timer(gcd.as_ms(), timer_key(K_CLOCK, QueryId(0), self.clock_gen));
                 self.handle_clock(ctx, t);
             }
             K_SLOT => {
                 self.flush_partials(ctx, extra * ttmqo_query::BASE_EPOCH_MS);
             }
             K_CLOSE => {
-                self.handle_close(ctx, qid, extra * ttmqo_query::BASE_EPOCH_MS);
+                let epoch_ms = extra * ttmqo_query::BASE_EPOCH_MS;
+                self.buffers
+                    .close(ctx, self.queries.get(&qid), qid, epoch_ms);
             }
             K_FLOOD_QUERY => {
                 let Some(query) = self
@@ -812,7 +701,7 @@ impl NodeApp for TtmqoApp {
                         let v = ctx.read_sensor(attr);
                         readings.set(attr, v);
                     }
-                    let matches = Self::in_region(ctx, &query)
+                    let matches = in_region(ctx, &query)
                         && query
                             .predicates()
                             .matches_with(|attr| readings.get(attr).expect("attributes sampled"));
@@ -960,29 +849,5 @@ impl NodeApp for TtmqoApp {
                 parent: dest,
             });
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn key_roundtrip() {
-        let k = key(K_SLEEP_CHECK, QueryId(77), 1234);
-        assert_eq!(key_parts(k), (K_SLEEP_CHECK, QueryId(77), 1234));
-    }
-
-    #[test]
-    fn merge_into_grows_and_merges() {
-        use ttmqo_query::AggOp;
-        let mut buf = Vec::new();
-        merge_into(&mut buf, &[Some(AggOp::Max.seed(1.0)), None]);
-        merge_into(
-            &mut buf,
-            &[Some(AggOp::Max.seed(7.0)), Some(AggOp::Count.seed(0.0))],
-        );
-        assert_eq!(buf[0].unwrap().finalize(), 7.0);
-        assert_eq!(buf[1].unwrap().finalize(), 1.0);
     }
 }

@@ -6,7 +6,6 @@
 //! is exactly the property both the baseline and the TTMQO in-network tier
 //! rely on.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -20,7 +19,7 @@ use std::str::FromStr;
 /// let op: AggOp = "max".parse().unwrap();
 /// assert_eq!(op, AggOp::Max);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AggOp {
     /// Minimum value.
     Min,
@@ -127,7 +126,7 @@ impl FromStr for AggOp {
 /// p.merge(&AggOp::Avg.seed(20.0)).unwrap();
 /// assert_eq!(p.finalize(), 15.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PartialAgg {
     /// Running minimum.
     Min(f64),

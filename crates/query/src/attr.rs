@@ -5,7 +5,6 @@
 //! and `temp`; we additionally model `humidity` and `voltage` so workloads can
 //! exercise wider schemas.
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::fmt;
 use std::str::FromStr;
@@ -25,7 +24,7 @@ use std::str::FromStr;
 /// assert_eq!(a, Attribute::Light);
 /// assert_eq!(a.domain(), (0.0, 1000.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Attribute {
     /// The unique node identifier (integer-valued).
     NodeId,
@@ -105,7 +104,7 @@ impl fmt::Display for Attribute {
 /// assert_eq!(set.len(), 2);
 /// assert_eq!(set.iter().collect::<Vec<_>>(), [Attribute::NodeId, Attribute::Temp]);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct AttrSet(u8);
 
 impl AttrSet {

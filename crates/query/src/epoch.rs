@@ -6,7 +6,6 @@
 //! multiple of it (§3.2.1); the in-network tier fires node clocks at the GCD
 //! of all running epochs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The smallest allowed epoch duration, in milliseconds (§3.2.1).
@@ -24,7 +23,7 @@ pub const BASE_EPOCH_MS: u64 = 2048;
 /// assert!(EpochDuration::from_ms(3000).is_err());
 /// # Ok::<(), ttmqo_query::InvalidEpochError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EpochDuration(u64);
 
 /// Error constructing an epoch duration that is zero or not a multiple of

@@ -13,7 +13,6 @@
 //! keeping such a constraint would wrongly exclude the other query's rows).
 
 use crate::attr::{AttrMap, Attribute};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A closed range predicate `min <= attr <= max` on one attribute.
@@ -27,7 +26,7 @@ use std::fmt;
 /// assert!(p.matches(300.0));
 /// assert!(!p.matches(601.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Predicate {
     attr: Attribute,
     min: f64,
@@ -154,7 +153,7 @@ impl fmt::Display for Predicate {
 /// let r = ps.range(Attribute::Light).unwrap();
 /// assert_eq!((r.min(), r.max()), (200.0, 300.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PredicateSet {
     ranges: AttrMap<(f64, f64)>,
 }

@@ -11,7 +11,6 @@ use crate::attr::{AttrSet, Attribute};
 use crate::epoch::EpochDuration;
 use crate::predicate::{Predicate, PredicateSet};
 use crate::region::Region;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Unique identifier of a user query.
@@ -21,7 +20,7 @@ use std::fmt;
 /// let q = QueryId(7);
 /// assert_eq!(q.to_string(), "q7");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QueryId(pub u64);
 
 impl fmt::Display for QueryId {
@@ -31,7 +30,7 @@ impl fmt::Display for QueryId {
 }
 
 /// What a query asks the network for: raw attributes or aggregates.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Selection {
     /// Data acquisition: project these raw attributes from every qualifying
     /// node each epoch. Sorted and deduplicated.
@@ -128,7 +127,7 @@ impl fmt::Display for Selection {
 /// assert_eq!(q.epoch().as_ms(), 2048);
 /// # Ok::<(), ttmqo_query::BuildQueryError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     id: QueryId,
     selection: Selection,

@@ -5,7 +5,6 @@
 //! base station and to the node itself), not against sampled data. Queries
 //! without a region clause cover the whole deployment.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An axis-aligned rectangle of the deployment plane, in feet.
@@ -20,7 +19,7 @@ use std::fmt;
 /// assert!(!r.contains(61.0, 0.0));
 /// # Ok::<(), ttmqo_query::InvalidRegionError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Region {
     x_min: f64,
     y_min: f64,

@@ -2,7 +2,6 @@
 
 use crate::agg::{AggOp, PartialAgg};
 use crate::attr::{AttrMap, Attribute};
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::fmt;
 
@@ -18,7 +17,7 @@ use std::fmt;
 /// assert_eq!(r.get(Attribute::Light), Some(512.0));
 /// assert_eq!(r.get(Attribute::Temp), None);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Readings {
     values: AttrMap<f64>,
 }
@@ -98,7 +97,7 @@ impl fmt::Display for Readings {
 }
 
 /// A result row: one node's qualifying readings at one epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Row {
     /// Raw id of the producing node.
     pub node: u16,
@@ -112,7 +111,7 @@ pub struct Row {
 const _: () = assert!(std::mem::size_of::<Row>() <= 64);
 
 /// A finalized aggregate value for one `(op, attr)` pair at one epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggValue {
     /// The aggregation operator.
     pub op: AggOp,
@@ -124,7 +123,7 @@ pub struct AggValue {
 
 /// A query's answer for one epoch: rows for acquisition queries, aggregate
 /// values for aggregation queries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EpochAnswer {
     /// Acquisition answer: the qualifying rows.
     Rows(Vec<Row>),

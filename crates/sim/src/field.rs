@@ -45,32 +45,16 @@ impl SensorField for ConstantField {
 #[derive(Debug, Clone, Copy)]
 pub struct UniformField {
     seed: u64,
-    /// Readings change only every `hold_ms` milliseconds.
-    hold_ms: u64,
 }
 
 impl UniformField {
     /// A uniform field with the given seed, holding values for one base epoch.
     pub fn new(seed: u64) -> Self {
-        UniformField {
-            seed,
-            hold_ms: ttmqo_query::BASE_EPOCH_MS,
-        }
-    }
-
-    /// Overrides how long a value is held before being redrawn.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hold_ms` is zero.
-    pub fn with_hold_ms(mut self, hold_ms: u64) -> Self {
-        assert!(hold_ms > 0, "hold interval must be positive");
-        self.hold_ms = hold_ms;
-        self
+        UniformField { seed }
     }
 
     fn unit(&self, node: NodeId, attr: Attribute, t: SimTime) -> f64 {
-        let bucket = t.as_ms() / self.hold_ms;
+        let bucket = t.as_ms() / ttmqo_query::BASE_EPOCH_MS;
         let h = splitmix(
             self.seed ^ (node.0 as u64) << 32 ^ (attr as u64) << 16 ^ bucket.wrapping_mul(0x9E37),
         );

@@ -283,11 +283,6 @@ impl NodeTimeseries {
         self.windows.iter().map(|w| w.tx_busy_ms[node]).sum()
     }
 
-    /// A node's energy summed over all windows, mJ.
-    pub fn node_total_energy_mj(&self, node: usize) -> f64 {
-        self.windows.iter().map(|w| w.energy_mj[node]).sum()
-    }
-
     /// Worst (maximum) per-window Gini coefficient over transmit time.
     pub fn peak_gini_tx_busy(&self) -> f64 {
         self.windows

@@ -816,46 +816,69 @@ pub struct EpochRollup {
     pub nonempty_answers: u64,
 }
 
+/// The bucketing rule behind [`epoch_rollups`] and [`summarize_trace`]:
+/// events that carry an explicit `epoch_ms` (rows, answers) are bucketed by
+/// it, everything else by its timestamp.
+struct RollupBuckets {
+    len_ms: u64,
+    buckets: BTreeMap<u64, EpochRollup>,
+}
+
+impl RollupBuckets {
+    fn new(epoch_len_ms: u64) -> Self {
+        RollupBuckets {
+            len_ms: epoch_len_ms.max(1),
+            buckets: BTreeMap::new(),
+        }
+    }
+
+    /// Counts one record from its kind tag and timestamp; `epoch_ms` and
+    /// `nonempty` are read only for the kinds that carry them.
+    fn count(&mut self, kind_tag: &str, time_us: u64, epoch_ms: u64, nonempty: bool) {
+        let len = self.len_ms;
+        let by_time = (time_us / 1000) / len * len;
+        let by_epoch = epoch_ms / len * len;
+        let (bucket, apply): (u64, fn(&mut EpochRollup)) = match kind_tag {
+            "frame-tx" => (by_time, |r| r.tx += 1),
+            "frame-collision" => (by_time, |r| r.collisions += 1),
+            "frame-lost" => (by_time, |r| r.losses += 1),
+            "frame-retry" => (by_time, |r| r.retries += 1),
+            "sleep-start" => (by_time, |r| r.sleeps += 1),
+            "result-delivered" => (by_epoch, |r| r.rows_delivered += 1),
+            "answer-mapped" if nonempty => (by_epoch, |r| {
+                r.answers += 1;
+                r.nonempty_answers += 1;
+            }),
+            "answer-mapped" => (by_epoch, |r| r.answers += 1),
+            _ => return,
+        };
+        apply(self.buckets.entry(bucket).or_insert(EpochRollup {
+            epoch_ms: bucket,
+            ..EpochRollup::default()
+        }));
+    }
+
+    fn finish(self) -> Vec<EpochRollup> {
+        self.buckets.into_values().collect()
+    }
+}
+
 /// Buckets trace records into per-epoch rollups of length `epoch_len_ms`.
 /// Events that carry an explicit `epoch_ms` (rows, answers) are bucketed by
 /// it; everything else by its timestamp.
 pub fn epoch_rollups(records: &[TraceRecord], epoch_len_ms: u64) -> Vec<EpochRollup> {
-    let len = epoch_len_ms.max(1);
-    let mut buckets: BTreeMap<u64, EpochRollup> = BTreeMap::new();
+    let mut buckets = RollupBuckets::new(epoch_len_ms);
     for rec in records {
-        let by_time = (rec.time_us / 1000) / len * len;
-        let (bucket, apply): (u64, fn(&mut EpochRollup)) = match &rec.event {
-            TraceEvent::FrameTx { .. } => (by_time, |r| r.tx += 1),
-            TraceEvent::FrameCollision { .. } => (by_time, |r| r.collisions += 1),
-            TraceEvent::FrameLost { .. } => (by_time, |r| r.losses += 1),
-            TraceEvent::FrameRetry { .. } => (by_time, |r| r.retries += 1),
-            TraceEvent::SleepStart { .. } => (by_time, |r| r.sleeps += 1),
-            TraceEvent::ResultDelivered { epoch_ms, .. } => {
-                (epoch_ms / len * len, |r| r.rows_delivered += 1)
-            }
+        let (epoch_ms, nonempty) = match &rec.event {
+            TraceEvent::ResultDelivered { epoch_ms, .. } => (*epoch_ms, false),
             TraceEvent::AnswerMapped {
                 epoch_ms, nonempty, ..
-            } => {
-                let b = epoch_ms / len * len;
-                let r = buckets.entry(b).or_insert(EpochRollup {
-                    epoch_ms: b,
-                    ..EpochRollup::default()
-                });
-                r.answers += 1;
-                if *nonempty {
-                    r.nonempty_answers += 1;
-                }
-                continue;
-            }
-            _ => continue,
+            } => (*epoch_ms, *nonempty),
+            _ => (0, false),
         };
-        let r = buckets.entry(bucket).or_insert(EpochRollup {
-            epoch_ms: bucket,
-            ..EpochRollup::default()
-        });
-        apply(r);
+        buckets.count(rec.event.kind_tag(), rec.time_us, epoch_ms, nonempty);
     }
-    buckets.into_values().collect()
+    buckets.finish()
 }
 
 /// Summary of a JSON-lines trace, computed from the text alone (no access
@@ -1066,7 +1089,7 @@ pub fn summarize_trace(text: &str, epoch_len_ms: u64) -> Result<TraceSummary, Tr
     // Hops per provenance id, and which provenances were delivered.
     let mut hops: BTreeMap<u64, u64> = BTreeMap::new();
     let mut delivered: Vec<u64> = Vec::new();
-    let mut records: Vec<TraceRecord> = Vec::new();
+    let mut rollups = RollupBuckets::new(epoch_len_ms);
     for line in text.lines() {
         if line.is_empty() {
             continue;
@@ -1094,16 +1117,20 @@ pub fn summarize_trace(text: &str, epoch_len_ms: u64) -> Result<TraceSummary, Tr
         };
         summary.events += 1;
         *summary.by_kind.entry(ev.to_string()).or_insert(0) += 1;
-        let t = rec.u64_at("t").unwrap_or(0);
+        let nonempty = rec
+            .get("nonempty")
+            .and_then(JsonValue::as_bool)
+            .unwrap_or(false);
+        rollups.count(
+            ev,
+            rec.u64_at("t").unwrap_or(0),
+            rec.u64_at("epoch_ms").unwrap_or(0),
+            nonempty,
+        );
         match ev {
             "answer-mapped" => {
                 let user = rec.u64_at("user").unwrap_or(0);
-                let nonempty = rec
-                    .get("nonempty")
-                    .and_then(JsonValue::as_bool)
-                    .unwrap_or(false);
                 let latency = rec.u64_at("latency_ms").unwrap_or(0);
-                let epoch_ms = rec.u64_at("epoch_ms").unwrap_or(0);
                 *summary.answers_per_query.entry(user).or_insert(0) += 1;
                 if nonempty {
                     *summary.nonempty_per_query.entry(user).or_insert(0) += 1;
@@ -1113,17 +1140,6 @@ pub fn summarize_trace(text: &str, epoch_len_ms: u64) -> Result<TraceSummary, Tr
                     .entry(user)
                     .or_default()
                     .push(latency);
-                records.push(TraceRecord {
-                    time_us: t,
-                    event: TraceEvent::AnswerMapped {
-                        user: QueryId(user),
-                        synthetic: QueryId(rec.u64_at("synthetic").unwrap_or(0)),
-                        epoch_ms,
-                        rows: rec.u64_at("rows").unwrap_or(0),
-                        nonempty,
-                        latency_ms: latency,
-                    },
-                });
             }
             "result-hop" => {
                 let prov = rec.get("prov").map_or(&[][..], JsonValue::items);
@@ -1132,60 +1148,8 @@ pub fn summarize_trace(text: &str, epoch_len_ms: u64) -> Result<TraceSummary, Tr
                 }
             }
             "result-delivered" => {
-                let p = rec.u64_at("prov").unwrap_or(0);
-                delivered.push(p);
-                records.push(TraceRecord {
-                    time_us: t,
-                    event: TraceEvent::ResultDelivered {
-                        prov: ProvenanceId(p),
-                        qids: Vec::new(),
-                        epoch_ms: rec.u64_at("epoch_ms").unwrap_or(0),
-                    },
-                });
+                delivered.push(rec.u64_at("prov").unwrap_or(0));
             }
-            // Rollup-relevant engine events: reconstruct just enough.
-            "frame-tx" => records.push(TraceRecord {
-                time_us: t,
-                event: TraceEvent::FrameTx {
-                    src: NodeId(0),
-                    kind: MsgKind::Result,
-                    dest: TraceDest::Broadcast,
-                    bytes: 0,
-                    airtime_us: 0,
-                },
-            }),
-            "frame-collision" => records.push(TraceRecord {
-                time_us: t,
-                event: TraceEvent::FrameCollision {
-                    src: NodeId(0),
-                    node: NodeId(0),
-                    kind: MsgKind::Result,
-                },
-            }),
-            "frame-lost" => records.push(TraceRecord {
-                time_us: t,
-                event: TraceEvent::FrameLost {
-                    src: NodeId(0),
-                    node: NodeId(0),
-                    kind: MsgKind::Result,
-                },
-            }),
-            "frame-retry" => records.push(TraceRecord {
-                time_us: t,
-                event: TraceEvent::FrameRetry {
-                    src: NodeId(0),
-                    node: NodeId(0),
-                    kind: MsgKind::Result,
-                    retries_left: 0,
-                },
-            }),
-            "sleep-start" => records.push(TraceRecord {
-                time_us: t,
-                event: TraceEvent::SleepStart {
-                    node: NodeId(0),
-                    duration_ms: 0,
-                },
-            }),
             _ => {}
         }
     }
@@ -1195,7 +1159,7 @@ pub fn summarize_trace(text: &str, epoch_len_ms: u64) -> Result<TraceSummary, Tr
         let h = hops.get(&p).copied().unwrap_or(0);
         *summary.hop_distribution.entry(h).or_insert(0) += 1;
     }
-    summary.rollups = epoch_rollups(&records, epoch_len_ms);
+    summary.rollups = rollups.finish();
     Ok(summary)
 }
 

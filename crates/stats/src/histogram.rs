@@ -72,11 +72,6 @@ impl Histogram {
         })
     }
 
-    /// Number of buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Raw per-bucket counts, lowest bucket first (for serialization).
     pub fn buckets(&self) -> &[u64] {
         &self.buckets

@@ -15,10 +15,11 @@
 //! * aggregation uses TAG-style slotted in-network aggregation, **per query**:
 //!   deeper levels transmit earlier so parents can merge partials.
 
+use crate::buffers::{in_region, timer_key, timer_key_parts, EpochBuffers};
 use crate::messages::{Command, Output, TinyDbPayload};
 use crate::srt::Srt;
-use std::collections::{BTreeMap, HashMap, HashSet};
-use ttmqo_query::{AggValue, EpochAnswer, PartialAgg, Query, QueryId, Readings, Row, Selection};
+use std::collections::{BTreeMap, HashSet};
+use ttmqo_query::{PartialAgg, Query, QueryId, Readings, Row, Selection};
 use ttmqo_sim::{Ctx, Destination, MsgKind, NodeApp, NodeId, ProvenanceId, TraceEvent};
 
 /// Timer-key kinds (low 4 bits of the key).
@@ -27,14 +28,6 @@ const KIND_SLOT: u64 = 1;
 const KIND_CLOSE: u64 = 2;
 const KIND_FLOOD_QUERY: u64 = 3;
 const KIND_FLOOD_ABORT: u64 = 4;
-
-fn key(kind: u64, qid: QueryId, epoch_idx: u64) -> u64 {
-    (epoch_idx << 32) | ((qid.0 & 0x0FFF_FFFF) << 4) | kind
-}
-
-fn key_parts(key: u64) -> (u64, QueryId, u64) {
-    (key & 0xF, QueryId((key >> 4) & 0x0FFF_FFFF), key >> 32)
-}
 
 /// Per-node configuration of the baseline.
 #[derive(Debug, Clone)]
@@ -74,11 +67,8 @@ pub struct TinyDbApp {
     seen_query_floods: HashSet<QueryId>,
     /// Aborts we already relayed.
     seen_abort_floods: HashSet<QueryId>,
-    /// Aggregation partials per (query, epoch start ms), aligned with the
-    /// query's aggregate list.
-    agg_buffers: HashMap<(QueryId, u64), Vec<Option<PartialAgg>>>,
-    /// Base station only: acquisition rows per (query, epoch start ms).
-    row_buffers: HashMap<(QueryId, u64), Vec<Row>>,
+    /// Partials and (base station only) rows per (query, epoch start ms).
+    buffers: EpochBuffers,
     /// Semantic routing tree (built lazily when `config.srt` is on).
     srt: Option<Srt>,
 }
@@ -91,8 +81,7 @@ impl TinyDbApp {
             queries: BTreeMap::new(),
             seen_query_floods: HashSet::new(),
             seen_abort_floods: HashSet::new(),
-            agg_buffers: HashMap::new(),
-            row_buffers: HashMap::new(),
+            buffers: EpochBuffers::default(),
             srt: None,
         }
     }
@@ -117,13 +106,12 @@ impl TinyDbApp {
         // grid (TinyDB synchronizes epochs via time sync).
         let now = ctx.now().as_ms();
         let t0 = epoch.next_fire_at(now + 1);
-        ctx.set_timer(t0 - now, key(KIND_SAMPLE, qid, 0));
+        ctx.set_timer(t0 - now, timer_key(KIND_SAMPLE, qid, 0));
     }
 
     fn uninstall(&mut self, qid: QueryId) {
         self.queries.remove(&qid);
-        self.agg_buffers.retain(|(id, _), _| *id != qid);
-        self.row_buffers.retain(|(id, _), _| *id != qid);
+        self.buffers.forget_query(qid);
     }
 
     fn relay_query_flood(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>, query: &Query) {
@@ -142,7 +130,7 @@ impl TinyDbApp {
             // Re-broadcast after a short random jitter to desynchronize the
             // flood.
             let jitter = 1 + ctx.rand_u64() % self.config.jitter_ms.max(1);
-            ctx.set_timer(jitter, key(KIND_FLOOD_QUERY, qid, 0));
+            ctx.set_timer(jitter, timer_key(KIND_FLOOD_QUERY, qid, 0));
         }
         if matches || ctx.is_base_station() {
             self.install(ctx, query.clone());
@@ -159,7 +147,7 @@ impl TinyDbApp {
             return;
         }
         let jitter = 1 + ctx.rand_u64() % self.config.jitter_ms.max(1);
-        ctx.set_timer(jitter, key(KIND_FLOOD_ABORT, qid, 0));
+        ctx.set_timer(jitter, timer_key(KIND_FLOOD_ABORT, qid, 0));
         self.uninstall(qid);
     }
 
@@ -179,15 +167,6 @@ impl TinyDbApp {
         ctx.topology().default_parent(ctx.node())
     }
 
-    /// Whether this node's physical position satisfies the query's region
-    /// clause (queries without a region cover the whole deployment).
-    fn in_region(ctx: &Ctx<'_, TinyDbPayload, Output>, query: &Query) -> bool {
-        query.region().is_none_or(|r| {
-            let pos = ctx.topology().position(ctx.node());
-            r.contains(pos.x, pos.y)
-        })
-    }
-
     fn handle_sample(
         &mut self,
         ctx: &mut Ctx<'_, TinyDbPayload, Output>,
@@ -198,7 +177,7 @@ impl TinyDbApp {
             return; // query terminated since the timer was set
         };
         // Re-arm the periodic sample timer.
-        ctx.set_timer(query.epoch().as_ms(), key(KIND_SAMPLE, qid, 0));
+        ctx.set_timer(query.epoch().as_ms(), timer_key(KIND_SAMPLE, qid, 0));
 
         // One fire per query: the baseline shares nothing, so (unlike the
         // in-network tier's single fire listing every due query) each query's
@@ -213,10 +192,10 @@ impl TinyDbApp {
             // The base station does not sense; it only closes the epoch.
             let close_at = self.close_time(ctx, epoch_ms);
             let epoch_idx = epoch_ms / ttmqo_query::BASE_EPOCH_MS;
-            ctx.set_timer(close_at - epoch_ms, key(KIND_CLOSE, qid, epoch_idx));
+            ctx.set_timer(close_at - epoch_ms, timer_key(KIND_CLOSE, qid, epoch_idx));
             return;
         }
-        if !Self::in_region(ctx, query) {
+        if !in_region(ctx, query) {
             // Outside the query's region: never a source (still a relay).
             return;
         }
@@ -272,12 +251,7 @@ impl TinyDbApp {
                         .iter()
                         .map(|&(op, attr)| readings.get(attr).map(|v| op.seed(v)))
                         .collect();
-                    merge_partials(
-                        self.agg_buffers
-                            .entry((qid, epoch_ms))
-                            .or_insert_with(|| vec![None; aggs.len()]),
-                        &seeded,
-                    );
+                    self.buffers.merge(qid, epoch_ms, &seeded);
                 }
                 // Arm this node's TAG slot whether or not it qualified: it
                 // may still need to forward children's partials.
@@ -287,7 +261,7 @@ impl TinyDbApp {
                 let now = ctx.now().as_ms();
                 ctx.set_timer(
                     slot_at.saturating_sub(now).max(1),
-                    key(KIND_SLOT, qid, epoch_idx),
+                    timer_key(KIND_SLOT, qid, epoch_idx),
                 );
             }
         }
@@ -299,7 +273,7 @@ impl TinyDbApp {
         qid: QueryId,
         epoch_ms: u64,
     ) {
-        let Some(partials) = self.agg_buffers.remove(&(qid, epoch_ms)) else {
+        let Some(partials) = self.buffers.take_partials(qid, epoch_ms) else {
             return; // nothing to send this epoch
         };
         if partials.iter().all(Option::is_none) {
@@ -329,66 +303,6 @@ impl TinyDbApp {
             );
         }
     }
-
-    fn handle_close(
-        &mut self,
-        ctx: &mut Ctx<'_, TinyDbPayload, Output>,
-        qid: QueryId,
-        epoch_ms: u64,
-    ) {
-        let Some(query) = self.queries.get(&qid) else {
-            self.agg_buffers.remove(&(qid, epoch_ms));
-            self.row_buffers.remove(&(qid, epoch_ms));
-            return;
-        };
-        let answer = match query.selection() {
-            Selection::Attributes(_) => {
-                let mut rows = self
-                    .row_buffers
-                    .remove(&(qid, epoch_ms))
-                    .unwrap_or_default();
-                rows.sort_by_key(|r| r.node);
-                EpochAnswer::Rows(rows)
-            }
-            Selection::Aggregates(aggs) => {
-                let partials = self
-                    .agg_buffers
-                    .remove(&(qid, epoch_ms))
-                    .unwrap_or_default();
-                let values: Vec<AggValue> = aggs
-                    .iter()
-                    .zip(partials.iter().chain(std::iter::repeat(&None)))
-                    .filter_map(|(&(op, attr), p)| {
-                        p.as_ref().map(|p| AggValue {
-                            op,
-                            attr,
-                            value: p.finalize(),
-                        })
-                    })
-                    .collect();
-                EpochAnswer::Aggregates(values)
-            }
-        };
-        ctx.emit(Output::Answer {
-            qid,
-            epoch_ms,
-            answer,
-        });
-    }
-}
-
-/// Merges `incoming` into `buffer` element-wise.
-fn merge_partials(buffer: &mut Vec<Option<PartialAgg>>, incoming: &[Option<PartialAgg>]) {
-    if buffer.len() < incoming.len() {
-        buffer.resize(incoming.len(), None);
-    }
-    for (slot, inc) in buffer.iter_mut().zip(incoming) {
-        match (slot.as_mut(), inc) {
-            (Some(a), Some(b)) => a.merge(b).expect("aligned partials share operators"),
-            (None, Some(b)) => *slot = Some(*b),
-            _ => {}
-        }
-    }
 }
 
 impl NodeApp for TinyDbApp {
@@ -398,8 +312,8 @@ impl NodeApp for TinyDbApp {
 
     fn on_start(&mut self, _ctx: &mut Ctx<'_, TinyDbPayload, Output>) {}
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>, timer_key: u64) {
-        let (kind, qid, epoch_idx) = key_parts(timer_key);
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>, key: u64) {
+        let (kind, qid, epoch_idx) = timer_key_parts(key);
         match kind {
             KIND_SAMPLE => {
                 // The epoch that just started is "now" rounded to the grid.
@@ -414,7 +328,9 @@ impl NodeApp for TinyDbApp {
                 self.handle_slot(ctx, qid, epoch_idx * ttmqo_query::BASE_EPOCH_MS);
             }
             KIND_CLOSE => {
-                self.handle_close(ctx, qid, epoch_idx * ttmqo_query::BASE_EPOCH_MS);
+                let epoch_ms = epoch_idx * ttmqo_query::BASE_EPOCH_MS;
+                self.buffers
+                    .close(ctx, self.queries.get(&qid), qid, epoch_ms);
             }
             KIND_FLOOD_QUERY => {
                 if let Some(query) = self.queries.get(&qid) {
@@ -460,10 +376,7 @@ impl NodeApp for TinyDbApp {
                             epoch_ms: *epoch_ms,
                         });
                     }
-                    self.row_buffers
-                        .entry((*qid, *epoch_ms))
-                        .or_default()
-                        .extend(rows);
+                    self.buffers.add_rows(*qid, *epoch_ms, rows.iter().copied());
                 } else if let Some(parent) = self.parent(ctx) {
                     ctx.trace_with(|| TraceEvent::ResultHop {
                         from: ctx.node(),
@@ -491,10 +404,7 @@ impl NodeApp for TinyDbApp {
                 partials,
             } => {
                 if ctx.is_base_station() {
-                    merge_partials(
-                        self.agg_buffers.entry((*qid, *epoch_ms)).or_default(),
-                        partials,
-                    );
+                    self.buffers.merge(*qid, *epoch_ms, partials);
                     return;
                 }
                 let my_slot = self.slot_time(ctx, *epoch_ms);
@@ -516,10 +426,7 @@ impl NodeApp for TinyDbApp {
                         );
                     }
                 } else {
-                    merge_partials(
-                        self.agg_buffers.entry((*qid, *epoch_ms)).or_default(),
-                        partials,
-                    );
+                    self.buffers.merge(*qid, *epoch_ms, partials);
                     // A pure relay (e.g. SRT-pruned) has no sample timer and
                     // therefore no slot timer yet: arm one. Duplicate slot
                     // fires are harmless — the buffer empties on the first.
@@ -527,7 +434,7 @@ impl NodeApp for TinyDbApp {
                     let epoch_idx = epoch_ms / ttmqo_query::BASE_EPOCH_MS;
                     ctx.set_timer(
                         my_slot.saturating_sub(now).max(1),
-                        key(KIND_SLOT, *qid, epoch_idx),
+                        timer_key(KIND_SLOT, *qid, epoch_idx),
                     );
                 }
             }
@@ -540,40 +447,5 @@ impl NodeApp for TinyDbApp {
             Command::Pose(query) => self.relay_query_flood(ctx, &query),
             Command::Terminate(qid) => self.relay_abort_flood(ctx, qid),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn timer_key_roundtrip() {
-        let k = key(KIND_SLOT, QueryId(12345), 678);
-        let (kind, qid, epoch) = key_parts(k);
-        assert_eq!(kind, KIND_SLOT);
-        assert_eq!(qid, QueryId(12345));
-        assert_eq!(epoch, 678);
-    }
-
-    #[test]
-    fn merge_partials_elementwise() {
-        use ttmqo_query::AggOp;
-        let mut buf = vec![Some(AggOp::Max.seed(1.0)), None];
-        merge_partials(
-            &mut buf,
-            &[Some(AggOp::Max.seed(5.0)), Some(AggOp::Min.seed(2.0))],
-        );
-        assert_eq!(buf[0].unwrap().finalize(), 5.0);
-        assert_eq!(buf[1].unwrap().finalize(), 2.0);
-    }
-
-    #[test]
-    fn merge_partials_grows_buffer() {
-        use ttmqo_query::AggOp;
-        let mut buf: Vec<Option<PartialAgg>> = vec![];
-        merge_partials(&mut buf, &[Some(AggOp::Count.seed(0.0))]);
-        assert_eq!(buf.len(), 1);
-        assert_eq!(buf[0].unwrap().finalize(), 1.0);
     }
 }

@@ -43,9 +43,11 @@
 #![warn(missing_debug_implementations)]
 
 mod app;
+mod buffers;
 mod messages;
 mod srt;
 
 pub use app::{TinyDbApp, TinyDbConfig};
+pub use buffers::{in_region, timer_key, timer_key_parts, EpochBuffers};
 pub use messages::{Command, Output, TinyDbPayload};
 pub use srt::Srt;

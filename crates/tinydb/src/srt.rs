@@ -27,42 +27,6 @@ pub struct Srt {
 impl Srt {
     /// Builds the SRT over the topology's fixed (link-quality) routing tree.
     pub fn build(topo: &Topology) -> Self {
-        Self::build_with_parents(topo, |node| topo.default_parent(node))
-    }
-
-    /// Builds the SRT over the routing tree that survives after `dead` nodes
-    /// crash: each surviving node reparents to its best-link *live* upper
-    /// neighbour (the same rule [`Topology::default_parent`] uses, restricted
-    /// to survivors). Dead nodes keep their own point interval but fold into
-    /// nobody; a survivor whose upper neighbours are all dead is orphaned and
-    /// likewise folds into nobody. With an empty `dead` list the result is
-    /// identical to [`Srt::build`]. This is the tree-repair step of the
-    /// self-healing extension — the paper leaves node failures to future
-    /// work.
-    pub fn build_excluding(topo: &Topology, dead: &[NodeId]) -> Self {
-        let mut is_dead = vec![false; topo.node_count()];
-        for d in dead {
-            if d.index() < is_dead.len() {
-                is_dead[d.index()] = true;
-            }
-        }
-        Self::build_with_parents(topo, |node| {
-            if is_dead[node.index()] {
-                return None;
-            }
-            topo.upper_neighbors(node)
-                .into_iter()
-                .filter(|n| !is_dead[n.index()])
-                .max_by(|&a, &b| {
-                    topo.link_quality(node, a)
-                        .partial_cmp(&topo.link_quality(node, b))
-                        .expect("link qualities are finite")
-                        .then(b.0.cmp(&a.0).reverse())
-                })
-        })
-    }
-
-    fn build_with_parents<F: Fn(NodeId) -> Option<NodeId>>(topo: &Topology, parent_of: F) -> Self {
         let n = topo.node_count();
         let mut ranges: Vec<(u16, u16)> = (0..n as u16).map(|i| (i, i)).collect();
         let mut bboxes: Vec<Region> = topo
@@ -77,7 +41,7 @@ impl Srt {
         let mut order: Vec<NodeId> = topo.nodes().collect();
         order.sort_by_key(|&node| std::cmp::Reverse(topo.level(node)));
         for node in order {
-            if let Some(parent) = parent_of(node) {
+            if let Some(parent) = topo.default_parent(node) {
                 let (clo, chi) = ranges[node.index()];
                 let r = &mut ranges[parent.index()];
                 r.0 = r.0.min(clo);
@@ -212,76 +176,6 @@ mod tests {
                 "ancestor {parent} must forward"
             );
             node = parent;
-        }
-    }
-
-    /// The live-parent rule of `build_excluding`, replicated so tests can
-    /// walk the repaired tree independently.
-    fn live_parent(topo: &Topology, node: NodeId, dead: &[NodeId]) -> Option<NodeId> {
-        if dead.contains(&node) {
-            return None;
-        }
-        topo.upper_neighbors(node)
-            .into_iter()
-            .filter(|n| !dead.contains(n))
-            .max_by(|&a, &b| {
-                topo.link_quality(node, a)
-                    .partial_cmp(&topo.link_quality(node, b))
-                    .unwrap()
-                    .then(b.0.cmp(&a.0).reverse())
-            })
-    }
-
-    #[test]
-    fn build_excluding_nothing_matches_build() {
-        let topo = Topology::grid(4).unwrap();
-        let a = Srt::build(&topo);
-        let b = Srt::build_excluding(&topo, &[]);
-        for node in topo.nodes() {
-            assert_eq!(a.subtree_range(node), b.subtree_range(node));
-            assert_eq!(a.subtree_bbox(node), b.subtree_bbox(node));
-        }
-    }
-
-    #[test]
-    fn dead_corner_leaf_leaves_the_root_interval() {
-        let topo = Topology::grid(4).unwrap();
-        let srt = Srt::build_excluding(&topo, &[NodeId(15)]);
-        // Node 15 is the far-corner leaf with the maximum id: dead, it folds
-        // into nobody, so the base station's interval shrinks past it.
-        assert_eq!(srt.subtree_range(NodeId(0)), (0, 14));
-        assert_eq!(srt.subtree_range(NodeId(15)), (15, 15));
-    }
-
-    #[test]
-    fn survivors_reparent_around_dead_interior_nodes() {
-        let topo = Topology::grid(4).unwrap();
-        let dead = [NodeId(1), NodeId(5)];
-        let srt = Srt::build_excluding(&topo, &dead);
-        for node in topo.nodes() {
-            if dead.contains(&node) || node == NodeId(0) {
-                continue;
-            }
-            // Every survivor still has a live route to the base station…
-            let mut chain = Vec::new();
-            let mut cur = node;
-            while let Some(p) = live_parent(&topo, cur, &dead) {
-                chain.push(p);
-                cur = p;
-            }
-            assert_eq!(cur, NodeId(0), "{node} must reach the base station");
-            // …and pruning stays sound along it: a query targeting exactly
-            // this node is forwarded by every live ancestor.
-            let query = q(&format!(
-                "select light where nodeid = {} epoch duration 2048",
-                node.0
-            ));
-            for ancestor in chain {
-                assert!(
-                    srt.forwards(ancestor, &query),
-                    "live ancestor {ancestor} of {node} must forward"
-                );
-            }
         }
     }
 
