@@ -14,7 +14,7 @@
 //!   announcing itself with a one-hop wake-up broadcast when its data
 //!   qualifies again.
 
-use crate::innetwork::dag::{sorted_intersection, DagState};
+use crate::innetwork::dag::{DagState, Election};
 use crate::innetwork::payload::{PartialEntry, RowEntry, TtmqoPayload};
 use std::collections::{BTreeMap, BTreeSet};
 use ttmqo_query::{AttrSet, EpochDuration, PartialAgg, Query, QueryId, Readings, Row, Selection};
@@ -29,7 +29,8 @@ const K_FLOOD_ABORT: u64 = 4;
 const K_SLEEP_CHECK: u64 = 5;
 
 /// A result frame's split-responsibility assignments: `(recipient, the
-/// queries it must forward)` pairs, as `TtmqoPayload` carries them.
+/// queries it must forward)` pairs, as `TtmqoPayload` carries them — empty
+/// on a unicast frame.
 type Assignments = Vec<(NodeId, Vec<QueryId>)>;
 
 /// Configuration of the in-network tier.
@@ -275,7 +276,7 @@ impl TtmqoApp {
         let had_data = !self.has_data.is_empty();
         let mut acq_matches: Vec<QueryId> = Vec::new();
         let mut acq_attrs = AttrSet::new();
-        let mut agg_matches: Vec<QueryId> = Vec::new();
+        let mut agg_matched = false;
         let mut aggregation_due = false;
         for q in due() {
             aggregation_due |= q.is_aggregation();
@@ -293,7 +294,7 @@ impl TtmqoApp {
                     acq_attrs.extend(attrs);
                 }
                 Selection::Aggregates(aggs) => {
-                    agg_matches.push(q.id());
+                    agg_matched = true;
                     let seeded: Vec<Option<PartialAgg>> = aggs
                         .iter()
                         .map(|&(op, attr)| readings.get(attr).map(|v| op.seed(v)))
@@ -303,14 +304,18 @@ impl TtmqoApp {
             }
         }
 
-        let transmits_now = !acq_matches.is_empty() || !agg_matches.is_empty();
+        let transmits_now = !acq_matches.is_empty() || agg_matched;
         // Shared-acquisition hit: one sample batch served several queries.
+        // (A due query is in `has_data` exactly when it matched above.)
         if transmits_now {
             ctx.trace_with(|| TraceEvent::SharedAcquisition {
                 node: ctx.node(),
                 epoch_ms: t_ms,
                 acq: acq_matches.clone(),
-                agg: agg_matches.clone(),
+                agg: due()
+                    .filter(|q| q.is_aggregation() && self.has_data.contains(&q.id()))
+                    .map(|q| q.id())
+                    .collect(),
             });
         }
 
@@ -341,7 +346,10 @@ impl TtmqoApp {
                 qids: acq_matches,
                 readings: readings.project(acq_attrs),
             };
-            self.send_shared_rows(ctx, t_ms, vec![entry]);
+            let qids = entry.qids.iter().copied();
+            if let Some((dest, assignments)) = self.route(ctx, t_ms, qids, Some(entry.node)) {
+                send_shared_rows(ctx, dest, t_ms, entry, assignments);
+            }
         }
 
         // Shared aggregation: the partials seeded above are transmitted at
@@ -381,83 +389,55 @@ impl TtmqoApp {
 
     /// Routes a result frame serving `qids` (ascending, no duplicates) to
     /// parents: dynamically via the DAG, or to the fixed link-quality parent
-    /// when `dynamic_parents` is off. Returns the frame's destination and
-    /// its split-responsibility assignments; `None` — after the orphan
-    /// accounting — when there is data to send but no live route toward the
-    /// base station.
+    /// when `dynamic_parents` is off. `source` is the node whose row the
+    /// frame carries (`None` for partials, which TAG merges past any origin).
+    /// Traces the hop and returns the frame's destination with the
+    /// assignments it must carry — none to one parent, the split to several;
+    /// `None` — after the orphan accounting — when there is data to send but
+    /// no live route toward the base station.
     fn route(
         &mut self,
         ctx: &mut Ctx<'_, TtmqoPayload, Output>,
         epoch_ms: u64,
-        qids: &[QueryId],
+        qids: impl ExactSizeIterator<Item = QueryId> + Clone,
+        source: Option<u16>,
     ) -> Option<(Destination, Assignments)> {
-        let assignments = if self.config.dynamic_parents {
-            self.dag.choose_parents(qids)
+        let election = if self.config.dynamic_parents {
+            self.dag.choose_parents(qids.clone())
         } else {
-            match ctx.topology().default_parent(ctx.node()) {
-                Some(p) => vec![(p, qids.to_vec())],
-                None => Vec::new(),
-            }
+            let parent = ctx.topology().default_parent(ctx.node());
+            parent.map_or(Election::NoRoute, Election::One)
         };
-        let dest = match assignments.as_slice() {
-            [] => {
+        let (dest, assignments) = match election {
+            Election::NoRoute => {
                 if self.dag.is_orphaned() {
                     ctx.record_orphaned();
                     self.announce_no_route(ctx, epoch_ms);
                 }
                 return None;
             }
-            [(only, _)] => Destination::Unicast(*only),
-            split => Destination::Multicast(split.iter().map(|(n, _)| *n).collect()),
-        };
-        Some((dest, assignments))
-    }
-
-    /// Sends (or forwards) a shared acquisition frame toward the base
-    /// station via dynamically chosen parents.
-    fn send_shared_rows(
-        &mut self,
-        ctx: &mut Ctx<'_, TtmqoPayload, Output>,
-        epoch_ms: u64,
-        entries: Vec<RowEntry>,
-    ) {
-        // Every query the frame serves. A frame almost always carries one
-        // source entry, whose own list is then the answer.
-        let union: Vec<QueryId>;
-        let qids: &[QueryId] = match entries.as_slice() {
-            [only] => &only.qids,
-            several => {
-                let mut all: Vec<QueryId> = several
-                    .iter()
-                    .flat_map(|e| e.qids.iter().copied())
-                    .collect();
-                all.sort_unstable();
-                all.dedup();
-                union = all;
-                &union
+            Election::One(parent) => (Destination::Unicast(parent), Vec::new()),
+            Election::Split(split) => {
+                let parents = split.iter().map(|(n, _)| *n).collect();
+                (Destination::Multicast(parents), split)
             }
-        };
-        let Some((dest, assignments)) = self.route(ctx, epoch_ms, qids) else {
-            return;
         };
         ctx.trace_with(|| TraceEvent::ResultHop {
             from: ctx.node(),
-            to: assignments.iter().map(|(n, _)| *n).collect(),
+            to: match &dest {
+                Destination::Unicast(parent) => vec![*parent],
+                Destination::Multicast(parents) => parents.clone(),
+                Destination::Broadcast => unreachable!("a result frame names its parents"),
+            },
             epoch_ms,
-            prov: entries
-                .iter()
-                .map(|e| ProvenanceId::new(NodeId(e.node), epoch_ms))
+            prov: source
+                .map(|node| ProvenanceId::new(NodeId(node), epoch_ms))
+                .into_iter()
                 .collect(),
-            qids: qids.to_vec(),
-            origin: entries.iter().all(|e| e.node == ctx.node().0),
+            qids: qids.collect(),
+            origin: source == Some(ctx.node().0),
         });
-        let payload = TtmqoPayload::SharedRows {
-            epoch_ms,
-            entries,
-            assignments,
-        };
-        let bytes = payload.wire_size();
-        ctx.send(dest, MsgKind::Result, bytes, payload);
+        Some((dest, assignments))
     }
 
     /// Broadcasts (at most once per epoch) that this node is orphaned — no
@@ -490,20 +470,10 @@ impl TtmqoApp {
         if entries.is_empty() {
             return;
         }
-        let qids: Vec<QueryId> = entries.iter().map(|e| e.qid).collect();
-        let Some((dest, assignments)) = self.route(ctx, epoch_ms, &qids) else {
+        let qids = entries.iter().map(|e| e.qid);
+        let Some((dest, assignments)) = self.route(ctx, epoch_ms, qids, None) else {
             return;
         };
-        // Aggregation partials carry no per-origin identity (TAG merges
-        // it away), so the provenance list is empty.
-        ctx.trace_with(|| TraceEvent::ResultHop {
-            from: ctx.node(),
-            to: assignments.iter().map(|(n, _)| *n).collect(),
-            epoch_ms,
-            prov: Vec::new(),
-            qids,
-            origin: false,
-        });
         let payload = TtmqoPayload::SharedPartials {
             epoch_ms,
             entries,
@@ -540,73 +510,76 @@ impl TtmqoApp {
         }
     }
 
-    /// My share of a split-responsibility assignment (a frame names each
+    /// The queries of a received result frame this node is responsible for:
+    /// `None` when the frame came by unicast and names nobody — all of them;
+    /// otherwise my share of the split (a multicast frame names each
     /// recipient once), ascending.
-    fn my_assignment(me: NodeId, assignments: &[(NodeId, Vec<QueryId>)]) -> &[QueryId] {
-        assignments
-            .iter()
-            .find(|(n, _)| *n == me)
-            .map_or(&[], |(_, qs)| qs)
+    fn my_share(me: NodeId, assignments: &[(NodeId, Vec<QueryId>)]) -> Option<&[QueryId]> {
+        if assignments.is_empty() {
+            return None;
+        }
+        let mine = assignments.iter().find(|(n, _)| *n == me);
+        Some(mine.map_or(&[], |(_, qs)| qs))
     }
 
+    /// Handles `frame`, a shared acquisition frame addressed to this node,
+    /// whose fields the other arguments are.
     fn handle_shared_rows(
         &mut self,
         ctx: &mut Ctx<'_, TtmqoPayload, Output>,
+        frame: &TtmqoPayload,
         epoch_ms: u64,
-        entries: &[RowEntry],
+        entry: &RowEntry,
         assignments: &[(NodeId, Vec<QueryId>)],
     ) {
-        let mine = Self::my_assignment(ctx.node(), assignments);
+        let share = Self::my_share(ctx.node(), assignments);
+        // A share is a subset of the entry's queries, so it is the entry's
+        // queries this node answers for.
+        let mine = share.unwrap_or(&entry.qids);
         self.request_unknown_queries(ctx, mine.iter().copied());
         if mine.is_empty() {
             return;
         }
         if ctx.is_base_station() {
-            // Journey's end: buffer each entry's rows for the queries it
+            // Journey's end: buffer the entry's row for each query it
             // answers on my behalf, straight from the frame.
-            for entry in entries {
-                let mut kept = sorted_intersection(&entry.qids, mine).peekable();
-                if kept.peek().is_none() {
+            ctx.trace_with(|| TraceEvent::ResultDelivered {
+                prov: ProvenanceId::new(NodeId(entry.node), epoch_ms),
+                qids: mine.to_vec(),
+                epoch_ms,
+            });
+            for &qid in mine {
+                let Some(q) = self.queries.get(&qid) else {
                     continue;
-                }
-                ctx.trace_with(|| TraceEvent::ResultDelivered {
-                    prov: ProvenanceId::new(NodeId(entry.node), epoch_ms),
-                    qids: sorted_intersection(&entry.qids, mine).collect(),
-                    epoch_ms,
-                });
-                for qid in kept {
-                    let Some(q) = self.queries.get(&qid) else {
-                        continue;
-                    };
-                    let Selection::Attributes(attrs) = q.selection() else {
-                        continue;
-                    };
-                    let row = Row {
-                        node: entry.node,
-                        time_ms: epoch_ms,
-                        readings: entry.readings.project(attrs),
-                    };
-                    self.buffers.add_rows(qid, epoch_ms, [row]);
-                }
+                };
+                let Selection::Attributes(attrs) = q.selection() else {
+                    continue;
+                };
+                let row = Row {
+                    node: entry.node,
+                    time_ms: epoch_ms,
+                    readings: entry.readings.project(attrs),
+                };
+                self.buffers.add_rows(qid, epoch_ms, [row]);
             }
             return;
         }
-        let kept: Vec<RowEntry> = entries
-            .iter()
-            .filter_map(|e| {
-                let qids: Vec<QueryId> = sorted_intersection(&e.qids, mine).collect();
-                (!qids.is_empty()).then_some(RowEntry {
-                    node: e.node,
-                    qids,
-                    readings: e.readings,
-                })
-            })
-            .collect();
-        if kept.is_empty() {
-            return;
-        }
         self.relayed_recently = true;
-        self.send_shared_rows(ctx, epoch_ms, kept);
+        let qids = mine.iter().copied();
+        let Some((dest, split)) = self.route(ctx, epoch_ms, qids, Some(entry.node)) else {
+            return;
+        };
+        if share.is_none() && split.is_empty() {
+            // Handed the whole frame, handing it all to one parent: the
+            // frame to send is the frame received.
+            ctx.forward(dest, MsgKind::Result, frame.wire_size());
+        } else {
+            let entry = RowEntry {
+                qids: mine.to_vec(),
+                ..*entry
+            };
+            send_shared_rows(ctx, dest, epoch_ms, entry, split);
+        }
     }
 
     fn handle_shared_partials(
@@ -616,10 +589,17 @@ impl TtmqoApp {
         entries: &[PartialEntry],
         assignments: &[(NodeId, Vec<QueryId>)],
     ) {
-        let mine = Self::my_assignment(ctx.node(), assignments);
-        self.request_unknown_queries(ctx, mine.iter().copied());
+        // Entries and shares are both ascending, so walking my entries
+        // walks my share.
+        let share = Self::my_share(ctx.node(), assignments);
+        let mine = || {
+            entries
+                .iter()
+                .filter(|e| share.is_none_or(|qids| qids.contains(&e.qid)))
+        };
+        self.request_unknown_queries(ctx, mine().map(|e| e.qid));
         let mut merged_any = false;
-        for e in entries.iter().filter(|e| mine.contains(&e.qid)) {
+        for e in mine() {
             self.buffers.merge(e.qid, epoch_ms, &e.partials);
             merged_any = true;
         }
@@ -644,6 +624,23 @@ impl TtmqoApp {
             );
         }
     }
+}
+
+/// Puts a shared acquisition frame on the air.
+fn send_shared_rows(
+    ctx: &mut Ctx<'_, TtmqoPayload, Output>,
+    dest: Destination,
+    epoch_ms: u64,
+    entry: RowEntry,
+    assignments: Assignments,
+) {
+    let payload = TtmqoPayload::SharedRows {
+        epoch_ms,
+        entry,
+        assignments,
+    };
+    let bytes = payload.wire_size();
+    ctx.send(dest, MsgKind::Result, bytes, payload);
 }
 
 impl NodeApp for TtmqoApp {
@@ -761,10 +758,10 @@ impl NodeApp for TtmqoApp {
             }
             TtmqoPayload::SharedRows {
                 epoch_ms,
-                entries,
+                entry,
                 assignments,
             } => {
-                self.handle_shared_rows(ctx, *epoch_ms, entries, assignments);
+                self.handle_shared_rows(ctx, payload, *epoch_ms, entry, assignments);
             }
             TtmqoPayload::SharedPartials {
                 epoch_ms,
@@ -777,7 +774,11 @@ impl NodeApp for TtmqoApp {
                 if let Some(query) = self.queries.get(qid).cloned() {
                     let payload = TtmqoPayload::QueryShare(query);
                     let bytes = payload.wire_size();
-                    // Small jitter so several helpful neighbours desynchronize.
+                    // The share goes out at once: this draw delays nothing.
+                    // It stays because it is part of the node's RNG stream,
+                    // which the fault goldens pin; jitter that desynchronizes
+                    // several helpful neighbours needs a timer, and a PR
+                    // that may move those goldens.
                     let _ = ctx.rand_u64();
                     ctx.send(Destination::Broadcast, MsgKind::Maintenance, bytes, payload);
                 }
@@ -812,20 +813,30 @@ impl NodeApp for TtmqoApp {
         // DAG's has-data knowledge fresh at zero radio cost. Overhearing is
         // also proof of life for the parent failure detector. This runs once
         // per receiver of every result frame, so the frame's query ids are
-        // walked in place — nothing is collected.
-        self.dag.record_heard(from);
+        // walked in place — nothing is collected — and the DAG is asked only
+        // about a sender it has a slot for: `upper` is the neighbours one
+        // level up (`on_start`), and the level array is shared by every
+        // node, where each node's DAG vectors are its own cache lines.
+        let from_upper = ctx.topology().level(from) + 1 == ctx.level();
+        if from_upper {
+            self.dag.record_heard(from);
+        }
         match payload {
-            TtmqoPayload::SharedRows { entries, .. } => {
-                let qids = || entries.iter().flat_map(|e| e.qids.iter().copied());
-                self.dag.record_has_data(from, qids());
+            TtmqoPayload::SharedRows { entry, .. } => {
+                let qids = || entry.qids.iter().copied();
+                if from_upper {
+                    self.dag.record_has_data(from, qids());
+                }
                 self.request_unknown_queries(ctx, qids());
             }
             TtmqoPayload::SharedPartials { entries, .. } => {
                 let qids = || entries.iter().map(|e| e.qid);
-                self.dag.record_has_data(from, qids());
+                if from_upper {
+                    self.dag.record_has_data(from, qids());
+                }
                 self.request_unknown_queries(ctx, qids());
             }
-            TtmqoPayload::NoRoute => {
+            TtmqoPayload::NoRoute if from_upper => {
                 self.dag.record_no_route(from);
             }
             _ => {}

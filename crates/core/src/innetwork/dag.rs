@@ -18,17 +18,31 @@
 use ttmqo_query::QueryId;
 use ttmqo_sim::NodeId;
 
-/// The elements common to two ascending, duplicate-free query-id lists, in
-/// ascending order — a merge walk, no allocation.
-pub(crate) fn sorted_intersection<'a>(
+/// The elements common to two ascending, duplicate-free query-id sequences,
+/// in ascending order — a merge walk, no allocation.
+fn sorted_intersection<'a>(
     a: &'a [QueryId],
-    b: &'a [QueryId],
+    b: impl Iterator<Item = QueryId> + 'a,
 ) -> impl Iterator<Item = QueryId> + 'a {
-    let mut b = b.iter().copied().peekable();
+    let mut b = b.peekable();
     a.iter().copied().filter(move |q| {
         while b.next_if(|x| x < q).is_some() {}
         b.peek() == Some(q)
     })
+}
+
+/// Where a result message goes: the outcome of [`DagState::choose_parents`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Election {
+    /// No live upper neighbour (or no query to route).
+    NoRoute,
+    /// One parent, responsible for every query of the message — unicast.
+    One(NodeId),
+    /// Two or more parents, each responsible for its share of the queries —
+    /// "one multicast message is required". Parents ascending, each share
+    /// ascending, the shares partitioning the message's queries: the
+    /// `assignments` a multicast frame carries.
+    Split(Vec<(NodeId, Vec<QueryId>)>),
 }
 
 /// What a node knows about its upper-level neighbours. Every per-neighbour
@@ -199,7 +213,7 @@ impl DagState {
     fn uncovered_overlap<'a>(
         &'a self,
         i: usize,
-        queries: &'a [QueryId],
+        queries: impl Iterator<Item = QueryId> + 'a,
         picked: &'a [(NodeId, Vec<QueryId>)],
     ) -> impl Iterator<Item = QueryId> + 'a {
         let known = self.has_data[i].as_deref().unwrap_or(&[]);
@@ -207,35 +221,44 @@ impl DagState {
     }
 
     /// Chooses parents for a message serving `queries` (ascending, no
-    /// duplicates).
+    /// duplicates; an iterator so that a caller whose ids sit inside other
+    /// records need not copy them out).
     ///
     /// Greedy set cover: repeatedly pick the upper neighbour with data for
     /// the most still-uncovered queries (ties broken by link quality, then by
     /// node id for determinism). Queries no neighbour has data for are
     /// assigned to the best-link neighbour. Neighbours presumed dead by the
-    /// failure detector are excluded. Returns `(parent, responsible
-    /// query subset)` pairs in ascending parent order, each subset ascending
-    /// — the shape a result frame carries — where one pair means unicast,
-    /// several mean one multicast with split responsibility; empty only when
-    /// the node has no (live) upper neighbours at all.
+    /// failure detector are excluded.
     ///
     /// Overlaps are counted by merge walks over the sorted lists, never
-    /// materialised, and the only allocations are the returned vectors.
-    pub fn choose_parents(&self, queries: &[QueryId]) -> Vec<(NodeId, Vec<QueryId>)> {
+    /// materialised. The common outcome — the first round's winner overlaps
+    /// every query, or nobody overlaps any and everything rides the best
+    /// link — is [`Election::One`] before any vector exists; otherwise the
+    /// only allocations are the vectors of the returned [`Election::Split`].
+    pub fn choose_parents<Q>(&self, queries: Q) -> Election
+    where
+        Q: ExactSizeIterator<Item = QueryId> + Clone,
+    {
         debug_assert!(
-            queries.windows(2).all(|w| w[0] < w[1]),
+            queries
+                .clone()
+                .zip(queries.clone().skip(1))
+                .all(|(a, b)| a < b),
             "queries are sorted and unique"
         );
         let live = self.dead.iter().filter(|&&d| !d).count();
-        if live == 0 || queries.is_empty() {
-            return Vec::new();
-        }
-        let mut picked: Vec<(NodeId, Vec<QueryId>)> = Vec::with_capacity(live.min(queries.len()));
         let mut uncovered = queries.len();
+        if live == 0 || uncovered == 0 {
+            return Election::NoRoute;
+        }
+        let mut picked: Vec<(NodeId, Vec<QueryId>)> = Vec::new();
         while uncovered > 0 {
             let (best, overlap) = (0..self.upper.len())
                 .filter(|&i| !self.dead[i])
-                .map(|i| (i, self.uncovered_overlap(i, queries, &picked).count()))
+                .map(|i| {
+                    let overlap = self.uncovered_overlap(i, queries.clone(), &picked);
+                    (i, overlap.count())
+                })
                 .max_by(|&(a, oa), &(b, ob)| {
                     oa.cmp(&ob)
                         .then_with(|| {
@@ -247,12 +270,21 @@ impl DagState {
                 })
                 .expect("a live upper neighbour exists");
             let parent = self.upper[best];
+            if picked.is_empty() {
+                if overlap == uncovered || overlap == 0 {
+                    // The first round settles it: `parent` has data for
+                    // every query, or nobody has data for any and `parent`
+                    // is the best live link, which takes them all.
+                    return Election::One(parent);
+                }
+                picked.reserve_exact(live.min(uncovered));
+            }
             if overlap > 0 {
                 // A neighbour picked earlier has no uncovered overlap left,
                 // so `parent` is new. Room for everything still uncovered:
                 // its share can only grow by the leftovers below.
                 let mut share = Vec::with_capacity(uncovered);
-                share.extend(self.uncovered_overlap(best, queries, &picked));
+                share.extend(self.uncovered_overlap(best, queries.clone(), &picked));
                 picked.push((parent, share));
                 uncovered -= overlap;
             } else {
@@ -267,7 +299,7 @@ impl DagState {
                         picked.push((parent, Vec::with_capacity(uncovered)));
                         picked.len() - 1
                     });
-                for &q in queries {
+                for q in queries.clone() {
                     if !covered(&picked, q) {
                         let share = &mut picked[at].1;
                         share.insert(share.partition_point(|&x| x < q), q);
@@ -276,8 +308,12 @@ impl DagState {
                 uncovered = 0;
             }
         }
+        if let [(only, _)] = picked[..] {
+            // The leftovers merged into the first round's parent.
+            return Election::One(only);
+        }
         picked.sort_unstable_by_key(|&(n, _)| n);
-        picked
+        Election::Split(picked)
     }
 }
 
@@ -289,11 +325,15 @@ fn covered(picked: &[(NodeId, Vec<QueryId>)], q: QueryId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
     /// A query-id list; callers pass ascending ids.
     fn qs(ids: &[u64]) -> Vec<QueryId> {
         ids.iter().map(|&i| QueryId(i)).collect()
+    }
+
+    /// The election for a message serving `ids` (ascending).
+    fn elect(d: &DagState, ids: &[u64]) -> Election {
+        d.choose_parents(ids.iter().map(|&i| QueryId(i)))
     }
 
     fn dag() -> DagState {
@@ -304,16 +344,16 @@ mod tests {
     #[test]
     fn no_knowledge_falls_back_to_best_link_unicast() {
         let d = dag();
-        let parents = d.choose_parents(&qs(&[10, 11]));
-        assert_eq!(parents, vec![(NodeId(1), qs(&[10, 11]))]);
+        let parents = elect(&d, &[10, 11]);
+        assert_eq!(parents, Election::One(NodeId(1)));
     }
 
     #[test]
     fn single_covering_neighbor_wins_over_better_link() {
         let mut d = dag();
         d.record_has_data(NodeId(3), qs(&[10, 11]));
-        let parents = d.choose_parents(&qs(&[10, 11]));
-        assert_eq!(parents, vec![(NodeId(3), qs(&[10, 11]))]);
+        let parents = elect(&d, &[10, 11]);
+        assert_eq!(parents, Election::One(NodeId(3)));
     }
 
     #[test]
@@ -321,10 +361,10 @@ mod tests {
         let mut d = dag();
         d.record_has_data(NodeId(2), qs(&[10]));
         d.record_has_data(NodeId(3), qs(&[10]));
-        let parents = d.choose_parents(&qs(&[10]));
+        let parents = elect(&d, &[10]);
         assert_eq!(
             parents,
-            vec![(NodeId(2), qs(&[10]))],
+            Election::One(NodeId(2)),
             "better link wins the tie"
         );
     }
@@ -334,21 +374,29 @@ mod tests {
         let mut d = dag();
         d.record_has_data(NodeId(2), qs(&[10]));
         d.record_has_data(NodeId(3), qs(&[11]));
-        let parents = d.choose_parents(&qs(&[10, 11]));
-        assert_eq!(parents.len(), 2);
-        let map: BTreeMap<_, _> = parents.into_iter().collect();
-        assert_eq!(map[&NodeId(2)], qs(&[10]));
-        assert_eq!(map[&NodeId(3)], qs(&[11]));
+        assert_eq!(
+            elect(&d, &[10, 11]),
+            Election::Split(vec![(NodeId(2), qs(&[10])), (NodeId(3), qs(&[11]))])
+        );
     }
 
     #[test]
     fn uncovered_queries_ride_with_best_link() {
         let mut d = dag();
         d.record_has_data(NodeId(3), qs(&[10]));
-        let parents = d.choose_parents(&qs(&[10, 12]));
-        let map: BTreeMap<_, _> = parents.into_iter().collect();
-        assert_eq!(map[&NodeId(3)], qs(&[10]));
-        assert_eq!(map[&NodeId(1)], qs(&[12]), "orphan query goes to best link");
+        assert_eq!(
+            elect(&d, &[10, 12]),
+            Election::Split(vec![(NodeId(1), qs(&[12])), (NodeId(3), qs(&[10]))]),
+            "orphan query goes to best link"
+        );
+    }
+
+    #[test]
+    fn leftovers_merging_into_the_first_pick_is_still_one_parent() {
+        let mut d = dag();
+        d.record_has_data(NodeId(1), qs(&[10]));
+        // Node 1 wins round one on overlap, and round two as the best link.
+        assert_eq!(elect(&d, &[10, 12]), Election::One(NodeId(1)));
     }
 
     #[test]
@@ -356,8 +404,8 @@ mod tests {
         let mut d = dag();
         d.record_has_data(NodeId(2), qs(&[10, 11, 12]));
         d.record_has_data(NodeId(1), qs(&[10]));
-        let parents = d.choose_parents(&qs(&[10, 11, 12]));
-        assert_eq!(parents, vec![(NodeId(2), qs(&[10, 11, 12]))]);
+        let parents = elect(&d, &[10, 11, 12]);
+        assert_eq!(parents, Election::One(NodeId(2)));
     }
 
     #[test]
@@ -365,8 +413,8 @@ mod tests {
         let mut d = dag();
         d.record_has_data(NodeId(3), qs(&[10]));
         d.forget_query(QueryId(10));
-        let parents = d.choose_parents(&qs(&[10]));
-        assert_eq!(parents, vec![(NodeId(1), qs(&[10]))], "back to best link");
+        let parents = elect(&d, &[10]);
+        assert_eq!(parents, Election::One(NodeId(1)), "back to best link");
     }
 
     #[test]
@@ -379,9 +427,9 @@ mod tests {
     #[test]
     fn empty_inputs_yield_empty_assignment() {
         let d = dag();
-        assert!(d.choose_parents(&[]).is_empty());
+        assert_eq!(elect(&d, &[]), Election::NoRoute);
         let empty = DagState::new(vec![]);
-        assert!(empty.choose_parents(&qs(&[1])).is_empty());
+        assert_eq!(elect(&empty, &[1]), Election::NoRoute);
     }
 
     #[test]
@@ -399,7 +447,7 @@ mod tests {
             assert!(!d.record_send_failure(NodeId(1)));
         }
         assert!(!d.presumed_dead(NodeId(1)));
-        assert_eq!(d.choose_parents(&qs(&[10])), vec![(NodeId(1), qs(&[10]))]);
+        assert_eq!(elect(&d, &[10]), Election::One(NodeId(1)));
     }
 
     #[test]
@@ -408,7 +456,7 @@ mod tests {
         d.set_failure_detector(3);
         // Node 3 is the only one known to serve query 10, but it goes silent.
         d.record_has_data(NodeId(3), qs(&[10]));
-        assert_eq!(d.choose_parents(&qs(&[10])), vec![(NodeId(3), qs(&[10]))]);
+        assert_eq!(elect(&d, &[10]), Election::One(NodeId(3)));
         assert!(!d.record_send_failure(NodeId(3)));
         assert!(!d.record_send_failure(NodeId(3)));
         assert!(
@@ -421,8 +469,8 @@ mod tests {
         // query-aware rule still applies (2 has data for 11, so it beats the
         // better-link node 1 for that query).
         d.record_has_data(NodeId(2), qs(&[11]));
-        assert_eq!(d.choose_parents(&qs(&[10])), vec![(NodeId(1), qs(&[10]))]);
-        assert_eq!(d.choose_parents(&qs(&[11])), vec![(NodeId(2), qs(&[11]))]);
+        assert_eq!(elect(&d, &[10]), Election::One(NodeId(1)));
+        assert_eq!(elect(&d, &[11]), Election::One(NodeId(2)));
     }
 
     #[test]
@@ -434,7 +482,7 @@ mod tests {
         assert!(d.presumed_dead(NodeId(1)));
         d.record_heard(NodeId(1));
         assert!(!d.presumed_dead(NodeId(1)));
-        assert_eq!(d.choose_parents(&qs(&[10])), vec![(NodeId(1), qs(&[10]))]);
+        assert_eq!(elect(&d, &[10]), Election::One(NodeId(1)));
     }
 
     #[test]
@@ -460,13 +508,14 @@ mod tests {
             d.record_send_failure(NodeId(n));
         }
         assert!(d.is_orphaned());
-        assert!(
-            d.choose_parents(&qs(&[10])).is_empty(),
+        assert_eq!(
+            elect(&d, &[10]),
+            Election::NoRoute,
             "no live route toward the base station"
         );
         d.record_heard(NodeId(2));
         assert!(!d.is_orphaned());
-        assert_eq!(d.choose_parents(&qs(&[10])), vec![(NodeId(2), qs(&[10]))]);
+        assert_eq!(elect(&d, &[10]), Election::One(NodeId(2)));
     }
 
     #[test]
@@ -476,7 +525,7 @@ mod tests {
         d.record_no_route(NodeId(1));
         assert!(d.presumed_dead(NodeId(1)));
         // Election falls back to the best live link (2 at 0.5 beats 3 at 0.3).
-        assert_eq!(d.choose_parents(&qs(&[10])), vec![(NodeId(2), qs(&[10]))]);
+        assert_eq!(elect(&d, &[10]), Election::One(NodeId(2)));
         // Hearing result traffic from the resigned parent revives it.
         d.record_heard(NodeId(1));
         assert!(!d.presumed_dead(NodeId(1)));
@@ -487,7 +536,7 @@ mod tests {
         let mut d = dag();
         d.record_no_route(NodeId(1));
         assert!(!d.presumed_dead(NodeId(1)));
-        assert_eq!(d.choose_parents(&qs(&[10])), vec![(NodeId(1), qs(&[10]))]);
+        assert_eq!(elect(&d, &[10]), Election::One(NodeId(1)));
     }
 
     #[test]

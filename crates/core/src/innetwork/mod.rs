@@ -7,5 +7,5 @@ mod dag;
 mod payload;
 
 pub use app::{TtmqoApp, TtmqoConfig};
-pub use dag::DagState;
+pub use dag::{DagState, Election};
 pub use payload::{PartialEntry, RowEntry, TtmqoPayload};

@@ -4,10 +4,18 @@
 //! *shared*: one result frame can answer several queries at once, and query
 //! floods piggyback has-data information that builds the routing DAG.
 //!
-//! Query-id lists inside result frames ([`RowEntry::qids`] and the
-//! per-recipient lists of `assignments`) are **ascending and free of
-//! duplicates**: the receive path intersects them by merge walks instead of
-//! building a set per frame.
+//! Query-id lists inside result frames ([`RowEntry::qids`] and every
+//! explicit per-recipient list of `assignments`) are **ascending and free of
+//! duplicates**: the receive path walks them in place instead of building a
+//! set per frame.
+//!
+//! A result frame's `assignments` exist for §3.2.2's multicast — "if
+//! multiple neighbors are chosen (each is responsible for forwarding message
+//! for a subset of queries), one multicast message is required". A frame to
+//! one parent carries an **empty** list: the one addressee is responsible
+//! for every query the frame serves, which `Destination::Unicast` already
+//! says. It is charged the bytes of the single `(recipient, queries)` pair it
+//! stands for, so airtime does not depend on the representation.
 
 use ttmqo_query::{PartialAgg, Query, QueryId, Readings};
 use ttmqo_sim::NodeId;
@@ -52,16 +60,20 @@ pub enum TtmqoPayload {
         /// Queries the sender has data for.
         has_data: Vec<QueryId>,
     },
-    /// Shared acquisition result: entries from one or more sources, each
-    /// answering one or more queries, routed with split responsibility.
+    /// Shared acquisition result: one source node's readings, answering one
+    /// or more queries. Rows of different sources are never merged into one
+    /// frame — an origin sends its own entry and a relay passes on the entry
+    /// it was handed (all of it, or its share of the queries) — so the frame
+    /// holds the entry itself, not a list of them.
     SharedRows {
-        /// Epoch start the rows belong to, ms.
+        /// Epoch start the row belongs to, ms.
         epoch_ms: u64,
-        /// Source entries.
-        entries: Vec<RowEntry>,
-        /// Which recipient is responsible for which queries (multicast
-        /// splitting; a single pair means plain unicast). One pair per
-        /// recipient, its queries ascending.
+        /// The source entry.
+        entry: RowEntry,
+        /// Split responsibility of a multicast frame: one pair per
+        /// recipient, recipients ascending, their lists ascending and
+        /// partitioning `entry.qids`. **Empty on a unicast frame**: the one
+        /// addressee is responsible for all of `entry.qids`.
         assignments: Vec<(NodeId, Vec<QueryId>)>,
     },
     /// Shared aggregation result: per-query partials for every due
@@ -69,9 +81,11 @@ pub enum TtmqoPayload {
     SharedPartials {
         /// Epoch start the partials belong to, ms.
         epoch_ms: u64,
-        /// Per-query partial state.
+        /// Per-query partial state, ascending by query id.
         entries: Vec<PartialEntry>,
-        /// Which recipient is responsible for which queries.
+        /// Split responsibility of a multicast frame, as in
+        /// [`TtmqoPayload::SharedRows`]; **empty on a unicast frame**, whose
+        /// addressee is responsible for every entry.
         assignments: Vec<(NodeId, Vec<QueryId>)>,
     },
     /// An orphaned node's resignation: it is alive but has no route toward
@@ -112,47 +126,40 @@ impl TtmqoPayload {
             }
             TtmqoPayload::Wakeup { has_data } => 1 + 2 * has_data.len(),
             TtmqoPayload::SharedRows {
-                entries,
-                assignments,
-                ..
+                entry, assignments, ..
             } => {
-                2 + assignments
-                    .iter()
-                    .map(|(_, qs)| 2 + qs.len())
-                    .sum::<usize>()
-                    + entries
-                        .iter()
-                        .map(|e| 2 + e.qids.len() + 2 * e.readings.len())
-                        .sum::<usize>()
+                2 + assignment_bytes(assignments, entry.qids.len())
+                    + (2 + entry.qids.len() + 2 * entry.readings.len())
             }
             TtmqoPayload::SharedPartials {
                 entries,
                 assignments,
                 ..
             } => {
-                // Deduplicate identical partial vectors: queries with equal
-                // partial values share one copy of the value bytes.
-                let mut distinct: Vec<&Vec<Option<PartialAgg>>> = Vec::new();
-                let mut value_bytes = 0;
-                for e in entries {
-                    if !distinct.iter().any(|d| **d == e.partials) {
-                        value_bytes += e
-                            .partials
-                            .iter()
-                            .flatten()
-                            .map(|p| p.op().wire_size())
-                            .sum::<usize>();
-                        distinct.push(&e.partials);
-                    }
-                }
-                2 + assignments
+                // Queries with equal partial values share one copy of the
+                // value bytes: an entry pays for its values only if no
+                // earlier entry carries the same ones.
+                let value_bytes: usize = entries
                     .iter()
-                    .map(|(_, qs)| 2 + qs.len())
-                    .sum::<usize>()
-                    + 2 * entries.len()
-                    + value_bytes
+                    .enumerate()
+                    .filter(|&(i, e)| !entries[..i].iter().any(|d| d.partials == e.partials))
+                    .flat_map(|(_, e)| e.partials.iter().flatten())
+                    .map(|p| p.op().wire_size())
+                    .sum();
+                2 + assignment_bytes(assignments, entries.len()) + 2 * entries.len() + value_bytes
             }
         }
+    }
+}
+
+/// Bytes of a result frame's responsibility lists: two per recipient plus one
+/// per query id. The empty list of a unicast frame costs what the one pair it
+/// stands for would — the addressee and all `served` queries.
+fn assignment_bytes(assignments: &[(NodeId, Vec<QueryId>)], served: usize) -> usize {
+    if assignments.is_empty() {
+        2 + served
+    } else {
+        assignments.iter().map(|(_, qs)| 2 + qs.len()).sum()
     }
 }
 
@@ -161,63 +168,93 @@ mod tests {
     use super::*;
     use ttmqo_query::{parse_query, AggOp, Attribute};
 
-    #[test]
-    fn shared_rows_size_scales_with_entries() {
+    fn qs(ids: std::ops::RangeInclusive<u64>) -> Vec<QueryId> {
+        ids.map(QueryId).collect()
+    }
+
+    fn rows(qids: Vec<QueryId>, assignments: Vec<(NodeId, Vec<QueryId>)>) -> TtmqoPayload {
         let mut readings = Readings::new();
         readings.set(Attribute::Light, 1.0);
-        let entry = RowEntry {
-            node: 1,
-            qids: vec![QueryId(1), QueryId(2)],
-            readings,
-        };
-        let one = TtmqoPayload::SharedRows {
+        TtmqoPayload::SharedRows {
             epoch_ms: 0,
-            entries: vec![entry.clone()],
-            assignments: vec![(NodeId(0), vec![QueryId(1), QueryId(2)])],
-        };
-        let two = TtmqoPayload::SharedRows {
+            entry: RowEntry {
+                node: 1,
+                qids,
+                readings,
+            },
+            assignments,
+        }
+    }
+
+    fn partials(values: &[f64], assignments: Vec<(NodeId, Vec<QueryId>)>) -> TtmqoPayload {
+        TtmqoPayload::SharedPartials {
             epoch_ms: 0,
-            entries: vec![entry.clone(), entry],
-            assignments: vec![(NodeId(0), vec![QueryId(1), QueryId(2)])],
-        };
-        assert!(two.wire_size() > one.wire_size());
+            entries: (1..)
+                .zip(values)
+                .map(|(q, &v)| PartialEntry {
+                    qid: QueryId(q),
+                    partials: vec![Some(AggOp::Max.seed(v))],
+                })
+                .collect(),
+            assignments,
+        }
+    }
+
+    #[test]
+    fn shared_rows_size_scales_with_queries_not_frames() {
+        let one = rows(qs(1..=1), vec![]);
+        let two = rows(qs(1..=2), vec![]);
+        // A second query adds its id to the entry and to the addressee's
+        // responsibility, nothing else.
+        assert_eq!(two.wire_size(), one.wire_size() + 2);
         // One shared frame is smaller than two single-query frames would be:
         // entry bytes counted once, not once per query.
-        assert!(one.wire_size() < 2 * (2 + 4 + 2 + 1 + 2));
+        assert!(two.wire_size() < 2 * one.wire_size());
+    }
+
+    #[test]
+    fn a_unicast_frame_costs_what_its_explicit_pair_would() {
+        for n in 1..=6 {
+            let all = qs(1..=n);
+            let values: Vec<f64> = (0..n).map(|i| (i % 3) as f64).collect();
+            let explicit = vec![(NodeId(7), all.clone())];
+            assert_eq!(
+                rows(all.clone(), vec![]).wire_size(),
+                rows(all.clone(), explicit.clone()).wire_size(),
+                "rows, {n} queries"
+            );
+            assert_eq!(
+                partials(&values, vec![]).wire_size(),
+                partials(&values, explicit).wire_size(),
+                "partials, {n} queries"
+            );
+        }
+    }
+
+    #[test]
+    fn a_split_costs_two_bytes_per_extra_recipient() {
+        let split = vec![(NodeId(3), qs(1..=2)), (NodeId(4), qs(3..=3))];
+        assert_eq!(
+            rows(qs(1..=3), split.clone()).wire_size(),
+            rows(qs(1..=3), vec![]).wire_size() + 2
+        );
+        assert_eq!(
+            partials(&[1.0, 2.0, 3.0], split).wire_size(),
+            partials(&[1.0, 2.0, 3.0], vec![]).wire_size() + 2
+        );
     }
 
     #[test]
     fn identical_partials_share_value_bytes() {
-        let p = vec![Some(AggOp::Max.seed(10.0))];
-        let same = TtmqoPayload::SharedPartials {
-            epoch_ms: 0,
-            entries: vec![
-                PartialEntry {
-                    qid: QueryId(1),
-                    partials: p.clone(),
-                },
-                PartialEntry {
-                    qid: QueryId(2),
-                    partials: p.clone(),
-                },
-            ],
-            assignments: vec![(NodeId(0), vec![QueryId(1), QueryId(2)])],
-        };
-        let different = TtmqoPayload::SharedPartials {
-            epoch_ms: 0,
-            entries: vec![
-                PartialEntry {
-                    qid: QueryId(1),
-                    partials: p,
-                },
-                PartialEntry {
-                    qid: QueryId(2),
-                    partials: vec![Some(AggOp::Max.seed(99.0))],
-                },
-            ],
-            assignments: vec![(NodeId(0), vec![QueryId(1), QueryId(2)])],
-        };
+        let same = partials(&[10.0, 10.0], vec![]);
+        let different = partials(&[10.0, 99.0], vec![]);
         assert!(same.wire_size() < different.wire_size());
+        // Equal values are found wherever they sit in the frame: a third
+        // query repeating the first one's adds its two ids and no value.
+        assert_eq!(
+            partials(&[10.0, 99.0, 10.0], vec![]).wire_size(),
+            different.wire_size() + 3
+        );
     }
 
     #[test]

@@ -63,7 +63,9 @@ pub use campaign::{
     run_campaign, run_campaign_sequential, run_campaign_with, CampaignReport, CampaignSpec,
     CampaignWorkload, CellRecord, CellSpec,
 };
-pub use innetwork::{DagState, PartialEntry, RowEntry, TtmqoApp, TtmqoConfig, TtmqoPayload};
+pub use innetwork::{
+    DagState, Election, PartialEntry, RowEntry, TtmqoApp, TtmqoConfig, TtmqoPayload,
+};
 pub use rollup::{AxisMarginal, CampaignRollup, HotspotCell};
 pub use runner::{
     run_experiment, ExperimentConfig, FieldKind, QueryWindowSeries, RunReport, RunSession,

@@ -13,11 +13,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use ttmqo_core::{run_experiment, DagState, ExperimentConfig, RunSession, Strategy};
+use ttmqo_core::{
+    run_experiment, DagState, Election, ExperimentConfig, RowEntry, RunSession, Strategy, TtmqoApp,
+    TtmqoConfig, TtmqoPayload,
+};
 use ttmqo_query::{parse_query, Attribute, QueryId, Readings, Row};
 use ttmqo_sim::{
-    NodeId, Observe, Position, RadioParams, SimConfig, SimTime, Simulator, Topology, TraceEvent,
-    TraceHandle, TraceRecord, TraceSink, UniformField,
+    NodeApp, NodeId, Observe, Position, RadioParams, SimConfig, SimTime, Simulator, Topology,
+    TraceEvent, TraceHandle, TraceRecord, TraceSink, UniformField,
 };
 use ttmqo_tinydb::{Command, TinyDbApp, TinyDbConfig};
 use ttmqo_workloads::{random_workload, workload_a, workload_end_ms, RandomWorkloadParams};
@@ -97,23 +100,29 @@ fn warm_dag_updates_and_elections_allocate_only_what_they_return() {
     assert_eq!(n, 0, "warm record_has_data allocated");
     assert_eq!(dag.known_data(NodeId(2)), Some(&qs(&[10, 12, 13])[..]));
 
-    // Election allocates the vectors it returns — the outer list and one
-    // share per parent — and no scratch: unicast, a two-way split, and a
-    // split whose uncovered rest merges into an already-picked parent
-    // (node 2 has the best live link once node 1 is presumed dead).
+    // An election that its first round settles on one parent — a neighbour
+    // with data for every query, or nobody with data for any — allocates
+    // nothing. A split allocates the vectors it returns — the outer list and
+    // one share per parent — and no scratch: a two-way split, and a split
+    // whose uncovered rest merges into an already-picked parent (node 2 has
+    // the best live link once node 1 is presumed dead).
     dag.set_failure_detector(1);
     dag.record_no_route(NodeId(1));
-    for (queries, parents) in [
-        (qs(&[10, 12]), 1),
-        (qs(&[10, 12, 14]), 2),
-        (qs(&[10, 14, 16, 20, 21]), 2),
-    ] {
-        let (n, chosen) = allocs_during(|| dag.choose_parents(&queries));
-        assert_eq!(chosen.len(), parents, "{queries:?} → {chosen:?}");
+    for (queries, parent) in [(qs(&[10, 12]), 2), (qs(&[14, 16]), 3), (qs(&[20, 21]), 2)] {
+        let (n, chosen) = allocs_during(|| dag.choose_parents(queries.iter().copied()));
+        assert_eq!(chosen, Election::One(NodeId(parent)), "{queries:?}");
+        assert_eq!(n, 0, "electing one parent for {queries:?} allocated");
+    }
+    for queries in [qs(&[10, 12, 14]), qs(&[10, 14, 16, 20, 21])] {
+        let (n, chosen) = allocs_during(|| dag.choose_parents(queries.iter().copied()));
+        let Election::Split(shares) = &chosen else {
+            panic!("{queries:?} → {chosen:?}");
+        };
+        assert_eq!(shares.len(), 2, "{queries:?} → {chosen:?}");
         assert!(
-            n <= 1 + chosen.len() as u64,
+            n <= 1 + shares.len() as u64,
             "choose_parents({queries:?}) made {n} allocations for {} returned vectors",
-            1 + chosen.len()
+            1 + shares.len()
         );
     }
 }
@@ -174,10 +183,12 @@ fn steady_state_two_tier_allocates_less_than_once_per_delivered_frame_copy() {
     session.run_to(from);
     let (allocs, ()) = allocs_during(|| session.run_to(to));
 
-    // Measured: 32 130 allocations for 40 999 copies, 0.78 per copy — all of
-    // them building frames at their origin and at each relay, none on an
-    // overhear. The hash-map/`BTreeSet` receive path this replaced made
-    // 160 615, 3.92 per copy.
+    // Measured: 4 297 allocations for 40 999 copies, 0.10 per copy — frames
+    // built at their origin, and at a relay only when it merges partials or
+    // splits its queries among several parents; none on an overhear, none on
+    // a forwarded unicast hop. Rebuilding every relayed frame made 32 130
+    // (0.78 per copy); the hash-map/`BTreeSet` receive path before that,
+    // 160 615 (3.92 per copy).
     assert!(
         allocs < copies,
         "{allocs} allocations for {copies} delivered frame copies ({:.2} per copy)",
@@ -200,8 +211,11 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     // B-tree node per row or per query copy, no attribute `Vec` per clock
     // firing. It is 27 903 since a frame's collision state is one bitset
     // over its receivers, allocated once per slab slot where the receiver
-    // list re-grew 4 → 8 → 16, and the per-kind counters are two arrays. The
-    // count is the same in debug and release builds (CI runs both).
+    // list re-grew 4 → 8 → 16, and the per-kind counters are two arrays. It
+    // is 14 182 since a result frame to one parent names nobody: a relay
+    // forwards the frame it was handed, electing one parent builds no
+    // vector, and a rows frame holds its one entry inline. The count is the
+    // same in debug and release builds (CI runs both).
     let config = ExperimentConfig {
         strategy: Strategy::InNetOnly,
         grid_n: 8,
@@ -211,7 +225,7 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     let workload = workload_a();
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.engine.frames_total, 5965, "not the pinned cell");
-    assert_eq!(allocs, 27_903);
+    assert_eq!(allocs, 14_182);
 }
 
 #[test]
@@ -227,9 +241,10 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     // it saved). Inline readings, predicate sets and attribute sets brought
     // it to 40 361: every query Tier 1 copies, floods or probes with no
     // longer carries a B-tree, and every answer row is one flat value; the
-    // per-slot collision bitset and the per-kind counter arrays, to 40 290. How
-    // much state that bookkeeping holds is watched by the repo benchmark's
-    // `adaptive-churn` `peak_rss_mib`.
+    // per-slot collision bitset and the per-kind counter arrays, to 40 290;
+    // unicast result frames that name nobody and are forwarded, not rebuilt,
+    // to 26 746. How much state that bookkeeping holds is watched by the repo
+    // benchmark's `adaptive-churn` `peak_rss_mib`.
     let workload = random_workload(&RandomWorkloadParams {
         n_queries: 100,
         mean_arrival_ms: 10_000.0,
@@ -244,15 +259,18 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     };
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(100));
-    assert_eq!(allocs, 40_290);
+    assert_eq!(allocs, 26_746);
 }
 
-#[test]
-fn a_warm_baseline_relay_of_a_rows_frame_allocates_nothing() {
-    // A three-node line under the baseline: only node 2 qualifies, so each
-    // epoch exactly one `Rows` frame travels 2 → 1 → 0 and node 1 is a pure
-    // hop-by-hop relay. Four epochs warm the slab, the event queue and the
-    // interference lists.
+/// Allocator calls made while node 1 of a three-node line relays node 2's
+/// rows frame (`frame_bytes` of payload) to the base station. Only node 2
+/// qualifies, so each epoch exactly one rows frame travels 2 → 1 → 0 and
+/// node 1 is a pure hop-by-hop relay. Four epochs warm the slab, the event
+/// queue, the interference lists and the app's own state.
+fn allocs_of_a_warm_relay<A>(frame_bytes: usize, app: fn() -> A) -> u64
+where
+    A: NodeApp<Command = Command> + 'static,
+{
     let line = (0..3)
         .map(|x| Position {
             x: f64::from(x),
@@ -260,7 +278,7 @@ fn a_warm_baseline_relay_of_a_rows_frame_allocates_nothing() {
         })
         .collect();
     let radio = RadioParams::default();
-    let hop_ms = radio.tx_time_ms(4 + 2 + 2) as u64;
+    let hop_ms = radio.tx_time_ms(frame_bytes) as u64;
     let mut sim = Simulator::new(
         Topology::from_positions(line, 1.0).unwrap(),
         radio,
@@ -269,7 +287,7 @@ fn a_warm_baseline_relay_of_a_rows_frame_allocates_nothing() {
             ..SimConfig::default()
         },
         Box::new(UniformField::new(7)),
-        |_, _| TinyDbApp::new(TinyDbConfig::default()),
+        move |_, _| app(),
     );
     let query = parse_query(
         QueryId(1),
@@ -295,6 +313,31 @@ fn a_warm_baseline_relay_of_a_rows_frame_allocates_nothing() {
         (1, 1, 1),
         "the window is not exactly one relay"
     );
+    allocs
+}
+
+#[test]
+fn a_warm_baseline_relay_of_a_rows_frame_allocates_nothing() {
+    let allocs = allocs_of_a_warm_relay(4 + 2 + 2, || TinyDbApp::new(TinyDbConfig::default()));
+    assert_eq!(allocs, 0, "relaying a frame allocated");
+}
+
+#[test]
+fn a_warm_two_tier_relay_of_a_rows_frame_allocates_nothing() {
+    // The frame node 2 sends: its one-attribute row for the one query,
+    // unicast, so naming nobody. Node 1 is handed all of it and elects one
+    // parent: no share, no entry, no frame is built — it forwards.
+    let frame = TtmqoPayload::SharedRows {
+        epoch_ms: 4 * 2048,
+        entry: RowEntry {
+            node: 2,
+            qids: vec![QueryId(1)],
+            readings: [(Attribute::Light, 0.0)].into_iter().collect(),
+        },
+        assignments: Vec::new(),
+    };
+    let allocs =
+        allocs_of_a_warm_relay(frame.wire_size(), || TtmqoApp::new(TtmqoConfig::default()));
     assert_eq!(allocs, 0, "relaying a frame allocated");
 }
 

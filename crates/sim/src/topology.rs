@@ -106,6 +106,8 @@ pub struct Topology {
     radio_range: f64,
     neighbors: Vec<Vec<NodeId>>,
     levels: Vec<u32>,
+    /// The largest of `levels`, fixed at construction like the levels are.
+    max_level: u32,
     index: SpatialIndex,
 }
 
@@ -292,11 +294,13 @@ impl Topology {
         if let Some(idx) = levels.iter().position(|&l| l == u32::MAX) {
             return Err(TopologyError::Disconnected(idx as u16));
         }
+        let max_level = levels.iter().copied().max().unwrap_or(0);
         Ok(Topology {
             positions,
             radio_range,
             neighbors,
             levels,
+            max_level,
             index,
         })
     }
@@ -384,7 +388,7 @@ impl Topology {
 
     /// Maximum level over all nodes.
     pub fn max_level(&self) -> u32 {
-        self.levels.iter().copied().max().unwrap_or(0)
+        self.max_level
     }
 
     /// Link quality in `(0, 1]`, decaying with distance (1 at distance 0).
@@ -461,6 +465,21 @@ mod tests {
         // via (40,40).
         assert_eq!(t.level(NodeId(15)), 2);
         assert!(t.max_level() >= 2);
+    }
+
+    #[test]
+    fn max_level_is_the_largest_level() {
+        let line = (0..5).map(|x| Position {
+            x: f64::from(x),
+            y: 0.0,
+        });
+        for t in [
+            Topology::grid(8).unwrap(),
+            Topology::from_positions(line.collect(), 1.0).unwrap(),
+            Topology::from_positions(vec![Position::default()], 1.0).unwrap(),
+        ] {
+            assert_eq!(Some(t.max_level()), t.levels().iter().copied().max());
+        }
     }
 
     #[test]
