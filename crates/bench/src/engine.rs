@@ -1,5 +1,5 @@
-//! Engine microbenchmark: transmit/deliver hot-path throughput with a
-//! regression-tracking JSON report (`BENCH_engine.json`).
+//! Engine microbenchmark: the transmit/deliver hot path, with an exact JSON
+//! report (`BENCH_engine.json`).
 //!
 //! Every figure in the paper is replayed through `Simulator`'s
 //! transmit/deliver loop thousands of epochs per campaign cell, so that loop
@@ -7,10 +7,12 @@
 //! deliberately trivial [`NodeApp`] (periodic broadcast + unicast to an
 //! upper neighbour, payloads with real heap content) drives the engine with
 //! almost no application logic, so wall-clock time is engine time. The
-//! report records events/sec plus the engine's frame-slab counters — the
-//! high-water mark is the peak number of in-flight frames and serves as the
-//! run's peak-memory proxy (the slab recycles slots, so it must stay flat as
-//! simulated time grows).
+//! report holds only what the simulation decides — events, frames,
+//! deliveries and the engine's frame-slab counters (the high-water mark is
+//! the peak number of in-flight frames and serves as the run's peak-memory
+//! proxy; the slab recycles slots, so it must stay flat as simulated time
+//! grows) — so two runs write the same bytes. Host time is measured and
+//! printed by the bench, never written.
 
 use std::time::Instant;
 use ttmqo_core::{run_experiment, ExperimentConfig, Strategy};
@@ -96,10 +98,6 @@ pub struct TwoTierBenchParams {
     pub grid_n: usize,
     /// Simulated duration, ms.
     pub duration_ms: u64,
-    /// Whether the run arms the standing invariant auditor
-    /// (`observe.audit`) — the report row then gains an
-    /// `audit_violations` count.
-    pub audited: bool,
 }
 
 impl TwoTierBenchParams {
@@ -121,7 +119,6 @@ impl TwoTierBenchParams {
             strategy,
             grid_n,
             duration_ms,
-            audited: false,
         };
         vec![
             base("twotier-16x16", Strategy::TwoTier, 16, duration_ms),
@@ -141,24 +138,22 @@ pub struct EngineBenchResult {
     pub grid_n: usize,
     /// Simulated duration, ms.
     pub duration_ms: u64,
-    /// Host wall-clock of the run, seconds (excludes the topology build,
-    /// which is reported separately as `topo_build_s`).
+    /// Host wall-clock of the run, seconds (excludes the topology build).
+    /// Printed by the bench, not written to the report.
     pub wall_s: f64,
     /// Host wall-clock of the topology build (neighbour lists + BFS levels)
-    /// for this scenario's grid, seconds.
+    /// for this scenario's grid, seconds. Printed, not written.
     pub topo_build_s: f64,
     /// Engine events processed (transmit deliveries, timers, commands).
     pub events: u64,
-    /// `events / wall_s` — the headline throughput.
-    pub events_per_sec: f64,
     /// Frames put on the air.
     pub tx_frames: u64,
     /// Frames handed to apps (`on_message` + `on_overhear`).
     pub delivered: u64,
     /// Engine slab/event counters at the end of the run.
     pub stats: EngineStats,
-    /// Standing-auditor violation count, when the run was audited
-    /// (two-tier rows with [`TwoTierBenchParams::audited`] set).
+    /// Standing-auditor violation count of an end-to-end row (the flood
+    /// rows run no auditor).
     pub audit_violations: Option<u64>,
 }
 
@@ -261,7 +256,6 @@ pub fn engine_microbench(params: &EngineBenchParams) -> EngineBenchResult {
         wall_s,
         topo_build_s,
         events,
-        events_per_sec: events as f64 / wall_s.max(1e-9),
         tx_frames: sim.metrics().tx_count_total(),
         delivered,
         stats,
@@ -272,7 +266,9 @@ pub fn engine_microbench(params: &EngineBenchParams) -> EngineBenchResult {
 /// Runs one end-to-end scenario (Workload A through the full stack under
 /// `params.strategy`) and measures it with the same report shape as the
 /// flood rows.
-/// `delivered` counts result rows delivered at the base station.
+/// `delivered` counts result rows delivered at the base station. The
+/// standing invariant auditor is always armed: it is end-of-run arithmetic
+/// that moves no counter, and the row carries its violation count.
 pub fn twotier_bench(params: &TwoTierBenchParams) -> EngineBenchResult {
     let topo_start = Instant::now();
     let topo = Topology::grid(params.grid_n).expect("valid bench grid");
@@ -283,7 +279,7 @@ pub fn twotier_bench(params: &TwoTierBenchParams) -> EngineBenchResult {
         duration: SimTime::from_ms(params.duration_ms),
         topology_override: Some(topo),
         observe: Observe {
-            audit: params.audited,
+            audit: true,
             ..Observe::default()
         },
         ..ExperimentConfig::default()
@@ -306,7 +302,6 @@ pub fn twotier_bench(params: &TwoTierBenchParams) -> EngineBenchResult {
         wall_s,
         topo_build_s,
         events,
-        events_per_sec: events as f64 / wall_s.max(1e-9),
         tx_frames: report.metrics.tx_count_total(),
         delivered,
         stats: report.engine,
@@ -318,7 +313,8 @@ pub fn twotier_bench(params: &TwoTierBenchParams) -> EngineBenchResult {
 }
 
 impl EngineBenchResult {
-    /// One JSON object (one line of `BENCH_engine.json`).
+    /// One JSON object (one line of `BENCH_engine.json`): exact counters
+    /// only, so a deterministic run renders the same bytes.
     pub fn to_json(&self) -> String {
         let s = &self.stats;
         json::object(|o| {
@@ -326,10 +322,7 @@ impl EngineBenchResult {
             o.str("name", &self.name);
             o.u64("grid_n", self.grid_n as u64);
             o.u64("duration_ms", self.duration_ms);
-            o.fixed("wall_s", self.wall_s, 6);
-            o.fixed("topo_build_s", self.topo_build_s, 6);
             o.u64("events", self.events);
-            o.fixed("events_per_sec", self.events_per_sec, 1);
             o.u64("tx_frames", self.tx_frames);
             o.u64("delivered", self.delivered);
             o.u64("frames_total", s.frames_total);
@@ -347,23 +340,6 @@ impl EngineBenchResult {
 
 /// Default file the engine bench writes its JSON-lines report to.
 pub const ENGINE_REPORT_FILE: &str = "BENCH_engine.json";
-
-/// Extracts `(name, events_per_sec)` pairs from a previous report so the
-/// bench can print the perf trajectory.
-pub fn parse_prior_report(text: &str) -> Vec<(String, f64)> {
-    prior_column(text, "events_per_sec")
-}
-
-/// `(name, <key>)` of every line of a previous `BENCH_*.json` report that
-/// carries both; any other line is skipped.
-pub(crate) fn prior_column(text: &str, key: &str) -> Vec<(String, f64)> {
-    let column = |line| {
-        let row = json::parse(line).ok()?;
-        let name = row.str_at("name")?.to_string();
-        Some((name, row.get(key)?.as_f64()?))
-    };
-    text.lines().filter_map(column).collect()
-}
 
 #[cfg(test)]
 mod tests {
@@ -387,7 +363,6 @@ mod tests {
     fn microbench_counts_events_and_bounds_slab() {
         let r = engine_microbench(&tiny());
         assert!(r.events > 0 && r.tx_frames > 0 && r.delivered > 0);
-        assert!(r.events_per_sec > 0.0);
         assert!(r.stats.frames_total >= r.tx_frames);
         // The slab recycles: its footprint is in-flight frames, an order of
         // magnitude (and asymptotically unboundedly) below total
@@ -417,23 +392,9 @@ mod tests {
     }
 
     #[test]
-    fn microbench_is_deterministic() {
-        let a = engine_microbench(&tiny());
-        let b = engine_microbench(&tiny());
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.tx_frames, b.tx_frames);
-        assert_eq!(a.delivered, b.delivered);
-        assert_eq!(a.stats.frame_slab_high_water, b.stats.frame_slab_high_water);
-    }
-
-    #[test]
-    fn report_round_trips_through_parser() {
-        let r = engine_microbench(&tiny());
-        let json = r.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        let parsed = parse_prior_report(&json);
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].0, "tiny");
-        assert!((parsed[0].1 - r.events_per_sec).abs() / r.events_per_sec < 1e-3);
+    fn report_is_byte_identical_across_runs() {
+        let json = engine_microbench(&tiny()).to_json();
+        assert_eq!(json, engine_microbench(&tiny()).to_json());
+        assert!(json::parse(&json).is_ok());
     }
 }

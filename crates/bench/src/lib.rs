@@ -19,12 +19,11 @@ pub mod table;
 
 pub use campaign::{paper_campaign, write_report, CAMPAIGN_REPORT_FILE};
 pub use engine::{
-    engine_microbench, parse_prior_report, twotier_bench, EngineBenchParams, EngineBenchResult,
-    TwoTierBenchParams, ENGINE_REPORT_FILE,
+    engine_microbench, twotier_bench, EngineBenchParams, EngineBenchResult, TwoTierBenchParams,
+    ENGINE_REPORT_FILE,
 };
 pub use faults::{
-    fault_bench, parse_prior_faults_report, FaultBenchParams, FaultBenchResult, FAULTS_REPORT_FILE,
-    FAULT_BENCH_EPOCH_MS,
+    fault_bench, FaultBenchParams, FaultBenchResult, FAULTS_REPORT_FILE, FAULT_BENCH_EPOCH_MS,
 };
 pub use fig2::{fig2_counts, Fig2Counts};
 pub use fig34::{

@@ -49,7 +49,6 @@
 
 pub mod basestation;
 pub mod campaign;
-pub mod compare;
 pub mod innetwork;
 pub mod rollup;
 mod runner;

@@ -3,11 +3,13 @@
 //! [`CampaignRollup::from_records`] aggregates the per-cell records into
 //! per-axis marginals (workload / strategy / grid / fault), top-N hotspot
 //! cells, and campaign totals, serialized as the single
-//! `campaign-report.json` object ([`CampaignRollup::to_json`]) the
-//! `report_diff` example gates on, plus a human markdown summary
-//! ([`CampaignRollup::to_markdown`]). Every marginal is an exact sum (or
-//! min/max) over the records it covers — integer counters reconcile
-//! exactly, f64 sums fold in deterministic cell order.
+//! `campaign-report.json` object ([`CampaignRollup::to_json`]) plus a human
+//! markdown summary ([`CampaignRollup::to_markdown`]). Every marginal is an
+//! exact sum (or min/max) over the records it covers — integer counters
+//! reconcile exactly, f64 sums fold in deterministic cell order. Host time
+//! is left out — a rollup never reads `CellRecord::wall_clock_ms` — so both
+//! renderings are a pure function of the simulated records, and CI gates
+//! the observatory's `campaign-report.json` with `diff`.
 //!
 //! The standing invariant auditor lives in [`ttmqo_sim::AuditReport`] and is
 //! wired through [`ExperimentConfig::observe`](crate::ExperimentConfig::observe);
@@ -31,8 +33,6 @@ pub struct AxisMarginal {
     pub key: String,
     /// Cells aggregated.
     pub cells: usize,
-    /// Sum of the cells' wall-clock times, ms.
-    pub total_wall_ms: f64,
     /// Sum of engine events processed.
     pub events_processed: u64,
     /// Sum of timer-phase engine events.
@@ -64,7 +64,6 @@ impl AxisMarginal {
         AxisMarginal {
             key,
             cells: 0,
-            total_wall_ms: 0.0,
             events_processed: 0,
             timer_events: 0,
             deliver_events: 0,
@@ -82,7 +81,6 @@ impl AxisMarginal {
 
     fn add(&mut self, rec: &CellRecord) {
         self.cells += 1;
-        self.total_wall_ms += rec.wall_clock_ms;
         self.events_processed += rec.engine.events_processed;
         self.timer_events += rec.engine.timer_events;
         self.deliver_events += rec.engine.deliver_events;
@@ -103,7 +101,6 @@ impl AxisMarginal {
         let AxisMarginal {
             key,
             cells,
-            total_wall_ms,
             events_processed,
             timer_events,
             deliver_events,
@@ -119,7 +116,6 @@ impl AxisMarginal {
         } = self;
         o.str("key", key);
         o.u64("cells", *cells as u64);
-        o.f64("total_wall_ms", *total_wall_ms);
         o.u64("events_processed", *events_processed);
         o.u64("timer_events", *timer_events);
         o.u64("deliver_events", *deliver_events);
@@ -137,7 +133,7 @@ impl AxisMarginal {
 
 /// One of the campaign's most expensive cells, by engine events processed
 /// (a deterministic cost proxy — wall time would rank differently on every
-/// machine; it rides along as information).
+/// machine).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HotspotCell {
     /// Position in the deterministic cell order.
@@ -154,10 +150,6 @@ pub struct HotspotCell {
     pub fault: String,
     /// Engine events the cell processed (the ranking key).
     pub events_processed: u64,
-    /// The cell's wall-clock time, ms (informational, machine-dependent).
-    pub cell_wall_ms: f64,
-    /// Engine events per wall-clock second (informational).
-    pub events_per_sec: f64,
 }
 
 impl HotspotCell {
@@ -170,8 +162,6 @@ impl HotspotCell {
             field_seed,
             fault,
             events_processed,
-            cell_wall_ms,
-            events_per_sec,
         } = self;
         o.u64("index", *index as u64);
         o.str("workload", workload);
@@ -180,18 +170,6 @@ impl HotspotCell {
         o.u64("field_seed", *field_seed);
         o.str("fault", fault);
         o.u64("events_processed", *events_processed);
-        o.f64("cell_wall_ms", *cell_wall_ms);
-        o.f64("events_per_sec", *events_per_sec);
-    }
-}
-
-/// Engine events per wall-clock second (0 when the wall time is 0 — a
-/// degenerate timer, not a division).
-pub fn events_per_sec(events_processed: u64, wall_ms: f64) -> f64 {
-    if wall_ms > 0.0 {
-        events_processed as f64 / (wall_ms / 1000.0)
-    } else {
-        0.0
     }
 }
 
@@ -217,13 +195,6 @@ pub struct CampaignRollup {
     pub audited_cells: usize,
     /// Total audit violations across every record.
     pub audit_violations: u64,
-    /// Sum of per-cell wall-clock times, ms (CPU time, not campaign
-    /// elapsed time — parallel campaigns overlap cells).
-    pub total_wall_ms: f64,
-    /// Mean per-cell wall-clock time, ms (0 for an empty campaign).
-    pub mean_wall_ms: f64,
-    /// The slowest single cell's wall-clock time, ms.
-    pub max_wall_ms: f64,
     /// Sum of engine events processed.
     pub events_processed: u64,
     /// Sum of `(query, epoch)` answers attributed to user queries.
@@ -253,9 +224,6 @@ impl CampaignRollup {
             cells: records.len(),
             audited_cells: 0,
             audit_violations: 0,
-            total_wall_ms: 0.0,
-            mean_wall_ms: 0.0,
-            max_wall_ms: 0.0,
             events_processed: 0,
             answer_epochs: 0,
             energy_mj: 0.0,
@@ -277,8 +245,6 @@ impl CampaignRollup {
             }
         }
         for rec in records {
-            rollup.total_wall_ms += rec.wall_clock_ms;
-            rollup.max_wall_ms = rollup.max_wall_ms.max(rec.wall_clock_ms);
             rollup.events_processed += rec.engine.events_processed;
             rollup.answer_epochs += rec.answer_epochs as u64;
             rollup.energy_mj += rec.energy_mj;
@@ -291,9 +257,6 @@ impl CampaignRollup {
             axis_add(&mut rollup.by_strategy, rec.strategy.to_string(), rec);
             axis_add(&mut rollup.by_grid, rec.grid_n.to_string(), rec);
             axis_add(&mut rollup.by_fault, rec.fault.clone(), rec);
-        }
-        if !records.is_empty() {
-            rollup.mean_wall_ms = rollup.total_wall_ms / records.len() as f64;
         }
         let mut ranked: Vec<usize> = (0..records.len()).collect();
         ranked.sort_by(|&a, &b| {
@@ -316,8 +279,6 @@ impl CampaignRollup {
                     field_seed: rec.field_seed,
                     fault: rec.fault.clone(),
                     events_processed: rec.engine.events_processed,
-                    cell_wall_ms: rec.wall_clock_ms,
-                    events_per_sec: events_per_sec(rec.engine.events_processed, rec.wall_clock_ms),
                 }
             })
             .collect();
@@ -331,19 +292,14 @@ impl CampaignRollup {
         self.audit_violations == 0
     }
 
-    /// The single `campaign-report.json` object. Wall-clock fields end in
-    /// `_wall_ms` and are compared lower-better with a noise floor by
-    /// [`crate::compare`]; `audit_violations` leaves gate at exactly 0;
-    /// everything else is deterministic and compared exact.
+    /// The single `campaign-report.json` object. Every leaf is
+    /// deterministic, so the same records render the same bytes.
     pub fn to_json(&self) -> String {
         // Exhaustive destructuring (the MetricsSnapshot idiom).
         let CampaignRollup {
             cells,
             audited_cells,
             audit_violations,
-            total_wall_ms,
-            mean_wall_ms,
-            max_wall_ms,
             events_processed,
             answer_epochs,
             energy_mj,
@@ -359,9 +315,6 @@ impl CampaignRollup {
             o.u64("cells", *cells as u64);
             o.u64("audited_cells", *audited_cells as u64);
             o.u64("audit_violations", *audit_violations);
-            o.f64("total_wall_ms", *total_wall_ms);
-            o.f64("mean_wall_ms", *mean_wall_ms);
-            o.f64("max_wall_ms", *max_wall_ms);
             o.u64("events_processed", *events_processed);
             o.u64("answer_epochs", *answer_epochs);
             o.f64("energy_mj", *energy_mj);
@@ -381,17 +334,13 @@ impl CampaignRollup {
     }
 
     /// Human markdown summary: campaign totals, one table per axis, and
-    /// the hotspot table.
+    /// the hotspot table. Deterministic like [`CampaignRollup::to_json`].
     pub fn to_markdown(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("# Campaign report\n\n");
         out.push_str(&format!(
             "- cells: {} ({} audited, {} audit violations)\n",
             self.cells, self.audited_cells, self.audit_violations
-        ));
-        out.push_str(&format!(
-            "- wall: {:.1} ms total, {:.1} ms mean, {:.1} ms max per cell\n",
-            self.total_wall_ms, self.mean_wall_ms, self.max_wall_ms
         ));
         out.push_str(&format!(
             "- engine events: {}, answer epochs: {}\n",
@@ -409,15 +358,14 @@ impl CampaignRollup {
         ] {
             out.push_str(&format!("\n## {title}\n\n"));
             out.push_str(
-                "| key | cells | wall ms | events | answers | energy mJ | min epoch ratio | repairs | violations |\n\
-                 |---|---|---|---|---|---|---|---|---|\n",
+                "| key | cells | events | answers | energy mJ | min epoch ratio | repairs | violations |\n\
+                 |---|---|---|---|---|---|---|---|\n",
             );
             for m in axis {
                 out.push_str(&format!(
-                    "| {} | {} | {:.1} | {} | {} | {:.1} | {:.3} | {} | {} |\n",
+                    "| {} | {} | {} | {} | {:.1} | {:.3} | {} | {} |\n",
                     m.key,
                     m.cells,
-                    m.total_wall_ms,
                     m.events_processed,
                     m.answer_epochs,
                     m.energy_mj,
@@ -429,20 +377,13 @@ impl CampaignRollup {
         }
         out.push_str("\n## Hotspots (by engine events)\n\n");
         out.push_str(
-            "| cell | workload | strategy | grid | fault | events | wall ms | events/s |\n\
-             |---|---|---|---|---|---|---|---|\n",
+            "| cell | workload | strategy | grid | fault | events |\n\
+             |---|---|---|---|---|---|\n",
         );
         for h in &self.hotspots {
             out.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {} | {:.1} | {:.0} |\n",
-                h.index,
-                h.workload,
-                h.strategy,
-                h.grid_n,
-                h.fault,
-                h.events_processed,
-                h.cell_wall_ms,
-                h.events_per_sec,
+                "| {} | {} | {} | {} | {} | {} |\n",
+                h.index, h.workload, h.strategy, h.grid_n, h.fault, h.events_processed,
             ));
         }
         out
@@ -593,17 +534,10 @@ mod tests {
     fn empty_campaign_rolls_up_to_zeroes() {
         let rollup = CampaignRollup::from_records(&[]);
         assert_eq!(rollup.cells, 0);
-        assert_eq!(rollup.mean_wall_ms, 0.0);
         assert!(rollup.hotspots.is_empty());
         assert!(rollup.is_clean());
         let json = rollup.to_json();
         assert!(json.contains("\"by_workload\":[]"));
         assert!(json.contains("\"hotspots\":[]"));
-    }
-
-    #[test]
-    fn events_per_sec_guards_the_zero_wall_case() {
-        assert_eq!(events_per_sec(1000, 0.0), 0.0);
-        assert_eq!(events_per_sec(1000, 500.0), 2000.0);
     }
 }

@@ -1,9 +1,9 @@
 //! The workspace's one JSON layer: one writer and one exact reader.
 //!
 //! Every machine-readable report (trace JSONL, audits, timeseries,
-//! campaign records and rollups, comparison verdicts, the `BENCH_*.json`
-//! rows) is rendered by the [`Obj`]/[`Arr`] builders here and read back by
-//! [`parse`]. The policy is stated once:
+//! campaign records and rollups, the `BENCH_*.json` rows) is rendered by
+//! the [`Obj`]/[`Arr`] builders here and read back by [`parse`]. The policy
+//! is stated once:
 //!
 //! * **Field order is call order.** The builders own comma placement, key
 //!   quoting and bracket closing; a deterministic run renders byte-identical

@@ -6,8 +6,8 @@
 //! session run to the fork instant and handed its own fault plan there.
 //! Both traces start at t = 0 and share a byte-identical prefix.
 //!
-//! This is the diagnostic step behind the report-diff gate: when
-//! `report_diff` (or CI's baseline comparison) says two runs disagree, you
+//! This is the diagnostic step behind CI's baseline gate: when a `diff` of
+//! a bench report against `bench/baselines/` says two runs disagree, you
 //! don't eyeball two JSONL files — you re-trace both configurations and let
 //! `trace_diff` localize the first departure and summarize what changed
 //! after it.

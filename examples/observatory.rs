@@ -11,8 +11,9 @@
 //!   cell's record; any violation fails this example with a nonzero exit;
 //! * **cross-cell rollup** — `CampaignReport::rollup` aggregates the cell
 //!   records into per-axis marginals and hotspot cells, written as
-//!   `campaign-report.json` (for `report_diff`) and `campaign-report.md`
-//!   (for humans).
+//!   `campaign-report.json` (no host time in it, so CI gates it with `diff`
+//!   against `bench/baselines/BENCH_observatory.json`) and
+//!   `campaign-report.md` (for humans).
 //!
 //! Auditing is observational only: an audited campaign produces
 //! bit-identical cell records to a bare run.

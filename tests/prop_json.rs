@@ -7,16 +7,14 @@
 //!   the bits of the rendered form). The expected leaves are spelled out
 //!   here, independently of the writers, so a field dropped, reordered or
 //!   re-typed on either side fails.
-//! * **Never panic**: `json::parse`, `summarize_trace`, `trace_diff`,
-//!   `chrome_trace` and the `parse_prior_*_report`s return a value or a
-//!   typed error on arbitrary text and on our own documents with one byte
-//!   deleted, flipped or duplicated.
+//! * **Never panic**: `json::parse`, `summarize_trace`, `trace_diff` and
+//!   `chrome_trace` return a value or a typed error on arbitrary text and on
+//!   our own documents with one byte deleted, flipped or duplicated.
 
 use proptest::prelude::*;
 use proptest::strategy::FnStrategy;
 use proptest::TestRng;
 use std::collections::BTreeMap;
-use ttmqo::core::compare::{compare_json, flatten, CompareOptions, CompareReport, Verdict};
 use ttmqo::core::{CampaignRollup, CellRecord, OptimizerStats, Strategy as Tier};
 use ttmqo::query::QueryId;
 use ttmqo::sim::json::{self, JsonValue};
@@ -26,9 +24,7 @@ use ttmqo::sim::{
     NodeTimeseries, ProvenanceId, QueryCompleteness, TraceDest, TraceEvent, TraceRecord,
     TraceSummary, WindowStats, SCHEMA_VERSION,
 };
-use ttmqo_bench::{
-    parse_prior_faults_report, parse_prior_report, EngineBenchResult, FaultBenchResult,
-};
+use ttmqo_bench::{EngineBenchResult, FaultBenchResult};
 
 // ---------------------------------------------------------------------------
 // Value generators
@@ -163,6 +159,31 @@ fn under(prefix: &str, leaves: Leaves) -> Leaves {
     prefixed
         .map(|(k, leaf)| (format!("{prefix}{k}"), leaf))
         .collect()
+}
+
+/// Flattens a JSON value into `(dotted key, leaf)` pairs in document order:
+/// object fields join with `.`, array elements get `[i]`; empty objects and
+/// arrays produce no leaves.
+fn flatten<'a>(value: &JsonValue<'a>) -> Vec<(String, JsonValue<'a>)> {
+    fn walk<'a>(prefix: &str, value: &JsonValue<'a>, out: &mut Vec<(String, JsonValue<'a>)>) {
+        match value {
+            JsonValue::Obj(fields) => {
+                for (k, v) in fields {
+                    let dot = if prefix.is_empty() { "" } else { "." };
+                    walk(&format!("{prefix}{dot}{k}"), v, out);
+                }
+            }
+            JsonValue::Arr(items) => {
+                for (i, v) in items.iter().enumerate() {
+                    walk(&format!("{prefix}[{i}]"), v, out);
+                }
+            }
+            leaf => out.push((prefix.to_string(), leaf.clone())),
+        }
+    }
+    let mut out = Vec::new();
+    walk("", value, &mut out);
+    out
 }
 
 /// The round-trip property: `json` parses, and its flattened leaves are
@@ -843,9 +864,6 @@ fn rollup(rng: &mut TestRng) -> (CampaignRollup, Leaves) {
         u("cells", rollup.cells as u64),
         u("audited_cells", rollup.audited_cells as u64),
         u("audit_violations", rollup.audit_violations),
-        f("total_wall_ms", rollup.total_wall_ms),
-        f("mean_wall_ms", rollup.mean_wall_ms),
-        f("max_wall_ms", rollup.max_wall_ms),
         u("events_processed", rollup.events_processed),
         u("answer_epochs", rollup.answer_epochs),
         f("energy_mj", rollup.energy_mj),
@@ -863,7 +881,6 @@ fn rollup(rng: &mut TestRng) -> (CampaignRollup, Leaves) {
                 vec![
                     s("key", &m.key),
                     u("cells", m.cells as u64),
-                    f("total_wall_ms", m.total_wall_ms),
                     u("events_processed", m.events_processed),
                     u("timer_events", m.timer_events),
                     u("deliver_events", m.deliver_events),
@@ -891,8 +908,6 @@ fn rollup(rng: &mut TestRng) -> (CampaignRollup, Leaves) {
                 u("field_seed", h.field_seed),
                 s("fault", &h.fault),
                 u("events_processed", h.events_processed),
-                f("cell_wall_ms", h.cell_wall_ms),
-                f("events_per_sec", h.events_per_sec),
             ],
         ));
     }
@@ -908,7 +923,6 @@ fn engine_result(rng: &mut TestRng) -> (EngineBenchResult, Leaves) {
         wall_s: float(rng),
         topo_build_s: float(rng),
         events: uint(rng),
-        events_per_sec: float(rng),
         tx_frames: uint(rng),
         delivered: uint(rng),
         stats: record.engine,
@@ -920,10 +934,7 @@ fn engine_result(rng: &mut TestRng) -> (EngineBenchResult, Leaves) {
         s("name", &result.name),
         u("grid_n", result.grid_n as u64),
         u("duration_ms", result.duration_ms),
-        fixed("wall_s", result.wall_s, 6),
-        fixed("topo_build_s", result.topo_build_s, 6),
         u("events", result.events),
-        fixed("events_per_sec", result.events_per_sec, 1),
         u("tx_frames", result.tx_frames),
         u("delivered", result.delivered),
         u("frames_total", st.frames_total),
@@ -943,7 +954,6 @@ fn fault_result(rng: &mut TestRng) -> (FaultBenchResult, Leaves) {
         grid_n: rng.sample(0..100usize),
         duration_ms: uint(rng),
         wall_s: float(rng),
-        sim_ms_per_wall_s: float(rng),
         tx_frames: uint(rng),
         retransmissions: uint(rng),
         gave_up: uint(rng),
@@ -959,8 +969,6 @@ fn fault_result(rng: &mut TestRng) -> (FaultBenchResult, Leaves) {
         s("name", &r.name),
         u("grid_n", r.grid_n as u64),
         u("duration_ms", r.duration_ms),
-        fixed("wall_s", r.wall_s, 6),
-        fixed("sim_ms_per_wall_s", r.sim_ms_per_wall_s, 1),
         u("tx_frames", r.tx_frames),
         u("retransmissions", r.retransmissions),
         u("gave_up", r.gave_up),
@@ -975,25 +983,6 @@ fn fault_result(rng: &mut TestRng) -> (FaultBenchResult, Leaves) {
         ),
     ];
     (r, leaves)
-}
-
-/// A comparison of two random flat documents sharing some keys.
-fn compare_report(rng: &mut TestRng) -> CompareReport {
-    let side = |rng: &mut TestRng| {
-        json::object(|o| {
-            for key in ["a", "b\"", "wall_s", "audit_violations", "n"] {
-                match rng.sample(0..5u8) {
-                    0 => {}
-                    1 => o.u64(key, uint(rng)),
-                    2 => o.f64(key, float(rng)),
-                    3 => o.str(key, &text(rng)),
-                    _ => o.null(key),
-                }
-            }
-        })
-    };
-    let (base, cur) = (side(rng), side(rng));
-    compare_json(&base, &cur, &CompareOptions::default()).expect("own documents parse")
 }
 
 proptest! {
@@ -1028,46 +1017,12 @@ proptest! {
     }
 
     #[test]
-    fn compare_report_round_trips(report in arb(compare_report)) {
-        let shown: Vec<_> = report.diffs.iter().filter(|d| d.verdict != Verdict::Pass).collect();
-        let mut leaves = vec![
-            u("schema_version", SCHEMA_VERSION as u64),
-            s("format", "ttmqo-compare"),
-            u("fields_compared", report.diffs.len() as u64),
-            u("failures", report.failures().count() as u64),
-            b("pass", report.is_pass()),
-        ];
-        for (i, d) in shown.iter().enumerate() {
-            leaves.extend(under(&format!("diffs[{i}]."), vec![
-                s("key", &d.key),
-                opt("baseline", d.baseline.clone().map(Leaf::S)),
-                opt("current", d.current.clone().map(Leaf::S)),
-                s("verdict", d.verdict),
-                b("failure", d.verdict.is_failure()),
-            ]));
-        }
-        check(&report.to_json(), &leaves)?;
-    }
-
-    #[test]
     fn bench_results_round_trip(
         engine in arb(engine_result),
         faults in arb(fault_result),
     ) {
         check(&engine.0.to_json(), &engine.1)?;
         check(&faults.0.to_json(), &faults.1)?;
-        // The trajectory readers find every finite row by its (escaped) name.
-        let column = |json: String, parse: fn(&str) -> Vec<(String, f64)>, name: &str, v: f64, d| {
-            let want: f64 = format!("{v:.d$}").parse().expect("a float");
-            let rows = parse(&format!("{json}\nnot a row\n"));
-            if v.is_finite() {
-                rows == vec![(name.to_string(), want)]
-            } else {
-                rows.is_empty()
-            }
-        };
-        prop_assert!(column(engine.0.to_json(), parse_prior_report, &engine.0.name, engine.0.events_per_sec, 1));
-        prop_assert!(column(faults.0.to_json(), parse_prior_faults_report, &faults.0.name, faults.0.sim_ms_per_wall_s, 1));
     }
 }
 
@@ -1076,14 +1031,9 @@ fn a_bench_name_with_a_quote_renders_valid_json_and_reads_back() {
     let mut rng = TestRng::for_case(0);
     let (mut result, _) = engine_result(&mut rng);
     result.name = "a\"b".to_string();
-    result.events_per_sec = 1234.5;
     let json = result.to_json();
     let doc = json::parse(&json).expect("an escaped name keeps the row valid JSON");
     assert_eq!(doc.str_at("name"), Some("a\"b"));
-    assert_eq!(
-        parse_prior_report(&json),
-        vec![("a\"b".to_string(), 1234.5)]
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -1101,11 +1051,6 @@ fn feed_every_reader(text: &str, other: &str) {
     let _ = trace_diff(text, other, 2);
     let _ = trace_diff(other, text, 0);
     let _ = chrome_trace(text);
-    let _ = parse_prior_report(text);
-    let _ = parse_prior_faults_report(text);
-    let opts = CompareOptions::default();
-    let _ = compare_json(text, other, &opts);
-    let _ = ttmqo::core::compare::compare_jsonl(text, other, &opts);
 }
 
 /// One of our own documents, picked and filled at random.
@@ -1196,7 +1141,6 @@ fn json_soup(rng: &mut TestRng) -> String {
         "\"user\"",
         "\"latency_ms\"",
         "\"epoch_ms\"",
-        "\"events_per_sec\"",
         "\"deliver\"",
     ];
     (0..rng.sample(0..40usize))
