@@ -56,7 +56,6 @@ fn main() -> ExitCode {
                 format!("{:.0}", r.events as f64 / r.wall_s.max(1e-9)),
                 r.stats.frame_slab_high_water.to_string(),
                 r.stats.csma_capped_deferrals.to_string(),
-                r.stats.csma_sorts_saved.to_string(),
             ]
         })
         .collect();
@@ -71,7 +70,6 @@ fn main() -> ExitCode {
             "events/s",
             "slab high-water",
             "csma caps",
-            "sorts saved",
         ],
         &rows,
     );

@@ -330,7 +330,6 @@ impl EngineBenchResult {
             o.u64("slab_high_water", s.frame_slab_high_water as u64);
             o.u64("frames_in_flight", s.frames_in_flight as u64);
             o.u64("csma_capped_deferrals", s.csma_capped_deferrals);
-            o.u64("csma_sorts_saved", s.csma_sorts_saved);
             if let Some(violations) = self.audit_violations {
                 o.u64("audit_violations", violations);
             }

@@ -352,7 +352,6 @@ impl CellRecord {
     ///             "samples":512,"horizon_ms":196608},
     ///  "engine":{"events_processed":5000,"frames_total":320,
     ///            "frame_slab_high_water":4,"csma_capped_deferrals":0,
-    ///            "csma_sorts_saved":320,
     ///            "timer_events":4000,"deliver_events":900,"command_events":8,
     ///            "maintenance_events":92,"fault_events":0}}
     /// ```
@@ -434,7 +433,6 @@ impl CellRecord {
                 o.u64("frames_total", e.frames_total);
                 o.u64("frame_slab_high_water", e.frame_slab_high_water as u64);
                 o.u64("csma_capped_deferrals", e.csma_capped_deferrals);
-                o.u64("csma_sorts_saved", e.csma_sorts_saved);
                 o.u64("timer_events", e.timer_events);
                 o.u64("deliver_events", e.deliver_events);
                 o.u64("command_events", e.command_events);

@@ -371,7 +371,6 @@ mod tests {
             frame_slab_high_water: 4,
             frames_in_flight: 2,
             csma_capped_deferrals: 0,
-            csma_sorts_saved: 40,
             timer_events: 60,
             deliver_events: 30,
             command_events: 5,

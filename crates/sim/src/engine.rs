@@ -35,12 +35,12 @@
 //!   `on_overhear`) costs an emptiness test, and only one that did queue
 //!   pays the take / drain / restore; delivery fan-out iterates the
 //!   topology's neighbour slice in place rather than copying it;
-//! * per-node `incoming` frame lists are kept sorted by the one fused pass
-//!   that touches them (purge, mark overlaps, insert — inlined into
-//!   `transmit`'s neighbour loop, cost bounded by the in-flight frames at
-//!   one node), so the CSMA carrier-sense scan walks them in place — no
-//!   per-transmit copy, no per-transmit sort (see
-//!   [`EngineStats::csma_sorts_saved`]);
+//! * per-node `incoming` frame lists live in one flat arena and are
+//!   unordered: the one pass that touches them (purge, mark overlaps,
+//!   append — inlined into `transmit`'s neighbour loop, a fixed four-slot
+//!   window for blocks of up to four entries) never shifts an entry, and the
+//!   CSMA carrier-sense scan sorts the sender's own block of about two
+//!   entries in place before it reads it;
 //! * the event queue is a plain [`BinaryHeap`] of 32-byte events popping in
 //!   `(time, seq)` order. Events must stay that small (a compile-time
 //!   assertion pins it; the one fat payload, a command, is boxed): under a
@@ -446,10 +446,6 @@ pub struct EngineStats {
     /// (`RadioParams::csma_max_deferrals`) and fell through to
     /// transmit-with-collision.
     pub csma_capped_deferrals: u64,
-    /// Carrier-sense scans that read the sender's pre-sorted `incoming` list
-    /// in place — each one a per-transmit copy + sort the old scratch-buffer
-    /// path would have paid.
-    pub csma_sorts_saved: u64,
     /// Timer events processed (per-phase breakdown of `events_processed`).
     pub timer_events: u64,
     /// Frame-delivery events processed (one per frame fan-out).
@@ -537,11 +533,10 @@ pub struct Simulator<A: NodeApp> {
     tx_ready_at_us: Vec<u64>,
     /// Per-node sleep deadline, µs (0 = awake).
     sleep_until_us: Vec<u64>,
-    /// Per-node in-flight incoming frames, sorted ascending in a flat arena
-    /// (see [`IncomingArena`]) so the CSMA carrier-sense scan reads a node's
-    /// block in place — no per-transmit copy or sort — and the
-    /// interference-marking loop touches cache-resident contiguous blocks
-    /// instead of 12 scattered heap buffers per transmit.
+    /// Per-node in-flight incoming frames, unordered in a flat arena (see
+    /// [`IncomingArena`]), so the interference-marking loop touches
+    /// cache-resident contiguous blocks instead of 12 scattered heap buffers
+    /// per transmit.
     incoming: IncomingArena,
     /// Loss-side fault elements, installed by [`Simulator::install_fault_plan`].
     /// `None` (the default) keeps the delivery path byte-identical to a
@@ -555,7 +550,6 @@ pub struct Simulator<A: NodeApp> {
     frames_total: u64,
     slab_high_water: usize,
     csma_capped: u64,
-    csma_sorts_saved: u64,
     /// Per-phase event counters indexed by [`EnginePhase::index`] — the
     /// breakdown behind `events_processed`.
     phase_events: [u64; EnginePhase::COUNT],
@@ -598,7 +592,6 @@ impl<A: NodeApp> Simulator<A> {
             frames_total: 0,
             slab_high_water: 0,
             csma_capped: 0,
-            csma_sorts_saved: 0,
             phase_events: [0; EnginePhase::COUNT],
             topology,
             radio,
@@ -627,7 +620,6 @@ impl<A: NodeApp> Simulator<A> {
             frame_slab_high_water: self.slab_high_water,
             frames_in_flight: self.frames.len() - self.free_frames.len(),
             csma_capped_deferrals: self.csma_capped,
-            csma_sorts_saved: self.csma_sorts_saved,
             timer_events: self.phase_events[EnginePhase::Timer.index()],
             deliver_events: self.phase_events[EnginePhase::Deliver.index()],
             command_events: self.phase_events[EnginePhase::Command.index()],
@@ -1007,17 +999,16 @@ impl<A: NodeApp> Simulator<A> {
             // deferral budget (`RadioParams::csma_max_deferrals`) bounds the
             // loop under pathological backlogs.
             let cap = self.radio.csma_max_deferrals;
-            // `incoming` is kept sorted on insert, so the scan reads it in
-            // place in the same (start, end) order the per-transmit
-            // copy-and-sort used to produce; equal keys are indistinguishable
-            // to the scan, so the RNG draw sequence — and every downstream
-            // bit — is unchanged.
-            self.csma_sorts_saved += 1;
+            // Each deferral moves `start_us`, so the order the scan visits
+            // audible frames in decides the RNG draws: ascending
+            // `(start, dur, frame)`. Blocks are unordered, so the sender's
+            // own is sorted in place first.
+            let audible_here = self.incoming.sorted(src.index());
             let mut deferrals = 0u32;
             let mut deferred = true;
             while deferred && deferrals < cap {
                 deferred = false;
-                for &audible in self.incoming.node(src.index()) {
+                for &audible in audible_here {
                     let (s, e) = (audible.start_us, audible.end_us());
                     if s < start_us + dur_us && start_us < e {
                         start_us = e + 200 + next_rand(&mut self.rng_state) % 800;
@@ -1086,10 +1077,8 @@ impl<A: NodeApp> Simulator<A> {
                 // Interference: any concurrent in-range frame corrupts both,
                 // each at its own position for `r` — this frame's is the loop
                 // index, the other's is found in its sender's ascending
-                // neighbour slice. One fused arena pass drops expired
-                // entries, reports the overlaps, and slots this frame in
-                // sorted position — the CSMA scan at the sender reads the
-                // block in place, so it must stay ascending.
+                // neighbour slice. One arena pass drops expired entries,
+                // reports the overlaps, and appends this frame.
                 self.incoming.retain_mark_insert(r.index(), entry, |other| {
                     let other = &mut frames[other as usize];
                     let theirs = topology

@@ -14,18 +14,21 @@
 //! Blocks are fixed-capacity; when any node's list would overflow, the arena
 //! rebuilds with doubled capacity (deterministic, amortized over the run —
 //! flood workloads stay at the initial capacity, deep two-tier backlogs
-//! double a handful of times). Entries are kept sorted ascending by
-//! `(start_us, dur_us, frame)` — exactly the `(start, end, frame)` order the
-//! old per-transmit `sort_unstable` produced (equal starts order by equal
-//! ends iff by equal durations) — so the CSMA carrier-sense scan reads a
-//! block in place and draws the identical RNG sequence.
+//! double a handful of times).
 //!
-//! A block holds about two entries, half of them expired, when it is
-//! touched, so what a touch costs is its fixed overhead, not its memory:
-//! [`IncomingArena::retain_mark_insert`] is one pass over one bounds-checked
-//! slice, shifts the (usually empty) tail with a plain loop, and is inlined
-//! into its only caller. It reports overlaps by slab index; which receiver
-//! bit that is on the other frame is the engine's to look up.
+//! Blocks are unordered. A block holds about two entries, half of them
+//! expired, when it is touched, so what a touch costs is its fixed overhead,
+//! not its memory: [`IncomingArena::retain_mark_insert`] purges, reports
+//! overlaps and appends, over a fixed four-slot window with no exit that
+//! depends on the data for blocks of up to four entries (almost every
+//! touch), and is inlined into its only caller. Overlap reporting only sets
+//! bits, so the order it visits entries in is unobservable. The one reader
+//! that needs an order is the CSMA carrier-sense scan at the sender: each
+//! deferral moves the candidate start, so the scan must visit entries
+//! ascending by `(start_us, dur_us, frame)` — the `(start, end, frame)` order
+//! of the old per-transmit `sort_unstable` (equal starts order by equal ends
+//! iff by equal durations) — and [`IncomingArena::sorted`] sorts the sender's
+//! own block in place before it scans, drawing the identical RNG sequence.
 
 /// One in-flight frame audible at a node, packed to 16 bytes.
 ///
@@ -49,17 +52,17 @@ impl IncomingFrame {
         self.start_us + self.dur_us as u64
     }
 
-    /// The sort key: ascending `(start, dur, frame)`, which orders identically
-    /// to the old `(start, end, frame)` tuples (same starts ⇒ dur and end
-    /// order agree).
+    /// The scan key: ascending `(start, dur, frame)`, which orders
+    /// identically to the old `(start, end, frame)` tuples (same starts ⇒
+    /// dur and end order agree).
     #[inline]
     fn key(self) -> (u64, u32, u32) {
         (self.start_us, self.dur_us, self.frame)
     }
 }
 
-/// Flat arena of per-node sorted in-flight frame lists. See the module docs
-/// for the layout and why it exists.
+/// Flat arena of per-node unordered in-flight frame lists. See the module
+/// docs for the layout and why it exists.
 #[derive(Debug, Clone)]
 pub(crate) struct IncomingArena {
     /// `nodes * cap` entries; node `i` owns `data[i*cap .. (i+1)*cap]`.
@@ -75,6 +78,10 @@ pub(crate) struct IncomingArena {
 /// the 64×64 arena at 256 KiB — cache-resident.
 const INITIAL_CAP: usize = 4;
 
+/// Slots a touch visits whatever the block holds, when it holds no more:
+/// every block has at least this many, since capacity only doubles.
+const WINDOW: usize = INITIAL_CAP;
+
 impl IncomingArena {
     /// An arena for `nodes` nodes, all lists empty.
     pub fn new(nodes: usize) -> Self {
@@ -85,69 +92,27 @@ impl IncomingArena {
         }
     }
 
-    /// Node `i`'s live entries, ascending by `(start, dur, frame)`.
-    #[inline]
+    /// Node `i`'s live entries, in no particular order.
+    #[cfg(test)]
     pub fn node(&self, i: usize) -> &[IncomingFrame] {
         &self.data[i * self.cap..i * self.cap + self.len[i] as usize]
     }
 
-    /// Drops node `i`'s entries whose airtime ended at or before `cutoff_us`,
-    /// preserving order (the compaction the old `Vec::retain` did).
-    ///
-    /// Test-only reference half of [`IncomingArena::retain_mark_insert`],
-    /// which the engine's hot path uses instead.
-    #[cfg(test)]
-    pub fn retain_active(&mut self, i: usize, cutoff_us: u64) {
-        let base = i * self.cap;
-        let n = self.len[i] as usize;
-        let block = &mut self.data[base..base + n];
-        // The common case drops nothing: scan read-only (no dirtied cache
-        // lines) and start compacting only from the first expired entry.
-        let Some(first) = block.iter().position(|e| e.end_us() <= cutoff_us) else {
-            return;
-        };
-        let mut write = first;
-        for read in first + 1..n {
-            let e = block[read];
-            if e.end_us() > cutoff_us {
-                block[write] = e;
-                write += 1;
-            }
-        }
-        self.len[i] = write as u32;
+    /// Node `i`'s live entries, sorted in place ascending by
+    /// `(start, dur, frame)` — the order the CSMA scan reads them in.
+    #[inline]
+    pub fn sorted(&mut self, i: usize) -> &[IncomingFrame] {
+        let block = &mut self.data[i * self.cap..i * self.cap + self.len[i] as usize];
+        block.sort_unstable_by_key(|e| e.key());
+        block
     }
 
-    /// Inserts an entry into node `i`'s list at its sorted position, growing
-    /// the arena (doubled capacity, full rebuild) if the block is full.
-    ///
-    /// Test-only reference half of [`IncomingArena::retain_mark_insert`],
-    /// which the engine's hot path uses instead.
-    #[cfg(test)]
-    pub fn insert(&mut self, i: usize, entry: IncomingFrame) {
-        if self.len[i] as usize == self.cap {
-            self.grow();
-        }
-        let base = i * self.cap;
-        let n = self.len[i] as usize;
-        let block = &self.data[base..base + n];
-        let pos = block.partition_point(|e| e.key() < entry.key());
-        // Shift the tail right by one inside the block; bounded by the block
-        // occupancy, and entirely within one contiguous run.
-        self.data.copy_within(base + pos..base + n, base + pos + 1);
-        self.data[base + pos] = entry;
-        self.len[i] = (n + 1) as u32;
-    }
-
-    /// Fused per-touch update for the interference-marking pass: drops node
-    /// `i`'s entries whose airtime ended at or before `new` starts, calls
+    /// Per-touch update for the interference-marking pass: drops node `i`'s
+    /// entries whose airtime ended at or before `new` starts, calls
     /// `on_overlap` with the slab index of each survivor whose airtime
-    /// overlaps `new`'s, and inserts `new` at its sorted position — one
-    /// left-to-right pass over one block slice, inlined into `transmit`'s
-    /// neighbour loop.
-    ///
-    /// Equivalent to `retain_active(i, new.start_us)` + overlap scan +
-    /// `insert(i, new)`, survivors visited in the same order. A survivor ends
-    /// after `new` starts, so it overlaps iff it starts before `new` ends.
+    /// overlaps `new`'s, and appends `new`, growing the arena if the block
+    /// is full of survivors. A survivor ends after `new` starts, so it
+    /// overlaps iff it starts before `new` ends.
     #[inline]
     pub fn retain_mark_insert(
         &mut self,
@@ -160,24 +125,39 @@ impl IncomingArena {
         let new_end = new.end_us();
         let block = &mut self.data[i * cap..(i + 1) * cap];
         let mut write = 0;
-        // Insert position: survivors stay sorted, and every survivor with a
-        // smaller key lands in the prefix, so the position is just a count.
-        let mut pos = 0;
-        for read in 0..n {
-            let e = block[read];
-            if e.end_us() <= new.start_us {
-                continue;
+        if n <= WINDOW {
+            // The first four slots, live or not: slots past `n` are masked,
+            // every slot is copied down and the write index advances by the
+            // survivor bit, so nothing in the pass branches on the data.
+            // Overlaps are rare and collected as bits, then reported with
+            // one test per touch.
+            let window = &mut block[..WINDOW];
+            let mut frames = [0u32; WINDOW];
+            let mut overlaps = 0u32;
+            for read in 0..WINDOW {
+                let e = window[read];
+                frames[read] = e.frame;
+                let survives = (read < n) & (e.end_us() > new.start_us);
+                overlaps |= u32::from(survives & (e.start_us < new_end)) << read;
+                window[write] = e;
+                write += survives as usize;
             }
-            if e.start_us < new_end {
-                on_overlap(e.frame);
+            while overlaps != 0 {
+                on_overlap(frames[overlaps.trailing_zeros() as usize]);
+                overlaps &= overlaps - 1;
             }
-            if e.key() < new.key() {
-                pos = write + 1;
-            }
-            if write != read {
+        } else {
+            for read in 0..n {
+                let e = block[read];
+                if e.end_us() <= new.start_us {
+                    continue;
+                }
+                if e.start_us < new_end {
+                    on_overlap(e.frame);
+                }
                 block[write] = e;
+                write += 1;
             }
-            write += 1;
         }
         let block = if write == cap {
             self.grow();
@@ -185,12 +165,7 @@ impl IncomingArena {
         } else {
             block
         };
-        // The tail is usually empty and never longer than the block: a plain
-        // loop, not a `memmove` call.
-        for j in (pos..write).rev() {
-            block[j + 1] = block[j];
-        }
-        block[pos] = new;
+        block[write] = new;
         self.len[i] = (write + 1) as u32;
     }
 
@@ -222,39 +197,57 @@ mod tests {
         }
     }
 
+    /// Touches node `i` with `new` and returns the overlaps it reported.
+    fn touch(a: &mut IncomingArena, i: usize, new: IncomingFrame) -> Vec<u32> {
+        let mut overlaps = Vec::new();
+        a.retain_mark_insert(i, new, |f| overlaps.push(f));
+        overlaps
+    }
+
     #[test]
-    fn inserts_keep_each_node_sorted_and_isolated() {
+    fn touches_keep_each_node_isolated_and_sorted_reads_ascending() {
         let mut a = IncomingArena::new(3);
-        a.insert(1, f(300, 10, 7));
-        a.insert(1, f(100, 10, 3));
-        a.insert(1, f(200, 10, 5));
-        a.insert(2, f(50, 10, 9));
+        // Long frames from late to early: nothing expires, so each block
+        // holds every frame it was touched with, in arrival order.
+        touch(&mut a, 1, f(300, 1000, 7));
+        touch(&mut a, 1, f(100, 1000, 3));
+        touch(&mut a, 1, f(200, 1000, 5));
+        touch(&mut a, 2, f(50, 10, 9));
         assert_eq!(a.node(0), &[]);
-        assert_eq!(a.node(1), &[f(100, 10, 3), f(200, 10, 5), f(300, 10, 7)]);
+        assert_eq!(
+            a.node(1),
+            &[f(300, 1000, 7), f(100, 1000, 3), f(200, 1000, 5)]
+        );
+        assert_eq!(
+            a.sorted(1),
+            &[f(100, 1000, 3), f(200, 1000, 5), f(300, 1000, 7)]
+        );
         assert_eq!(a.node(2), &[f(50, 10, 9)]);
     }
 
     #[test]
-    fn ties_order_by_duration_then_frame() {
+    fn sorted_ties_order_by_duration_then_frame() {
         let mut a = IncomingArena::new(1);
-        a.insert(0, f(100, 20, 2));
-        a.insert(0, f(100, 10, 9));
-        a.insert(0, f(100, 10, 4));
+        touch(&mut a, 0, f(100, 20, 2));
+        touch(&mut a, 0, f(100, 10, 9));
+        touch(&mut a, 0, f(100, 10, 4));
         // Same start: shorter duration first (same relative order as sorting
         // by end); same duration: lower frame index first.
-        assert_eq!(a.node(0), &[f(100, 10, 4), f(100, 10, 9), f(100, 20, 2)]);
+        assert_eq!(a.sorted(0), &[f(100, 10, 4), f(100, 10, 9), f(100, 20, 2)]);
     }
 
     #[test]
-    fn retain_drops_expired_entries_in_place() {
+    fn a_touch_drops_what_ended_by_its_start_and_reports_the_rest() {
         let mut a = IncomingArena::new(2);
-        a.insert(0, f(0, 100, 1)); // ends at 100
-        a.insert(0, f(50, 100, 2)); // ends at 150
-        a.insert(0, f(120, 100, 3)); // ends at 220
-        a.retain_active(0, 100); // cutoff: end must be > 100
-        assert_eq!(a.node(0), &[f(50, 100, 2), f(120, 100, 3)]);
-        a.retain_active(0, 500);
-        assert_eq!(a.node(0), &[]);
+        touch(&mut a, 0, f(300, 100, 3)); // a backlogged sender's frame
+        touch(&mut a, 0, f(0, 100, 1)); // ends at 100
+        assert_eq!(touch(&mut a, 0, f(50, 100, 2)), [1]);
+        // Starts at 100: frame 1 ended by then; 2 overlaps, 3 starts after.
+        assert_eq!(touch(&mut a, 0, f(100, 30, 4)), [2]);
+        assert_eq!(a.node(0), &[f(300, 100, 3), f(50, 100, 2), f(100, 30, 4)]);
+        // Starts at 500: everything before it has ended.
+        assert_eq!(touch(&mut a, 0, f(500, 10, 5)), []);
+        assert_eq!(a.node(0), &[f(500, 10, 5)]);
     }
 
     #[test]
@@ -262,22 +255,27 @@ mod tests {
         let mut a = IncomingArena::new(4);
         // Fill node 2 past several doublings, with node 1 holding data that
         // must survive the rebuilds untouched.
-        a.insert(1, f(5, 1, 0));
+        touch(&mut a, 1, f(5, 1, 0));
         for k in 0..100u32 {
-            a.insert(2, f((100 - k as u64) * 10, 1, k));
+            touch(&mut a, 2, f((100 - k as u64) * 10, 10_000, k));
         }
         assert_eq!(a.node(1), &[f(5, 1, 0)]);
         assert_eq!(a.node(2).len(), 100);
-        assert!(a.node(2).windows(2).all(|w| w[0].key() < w[1].key()));
-        assert_eq!(a.node(2)[0], f(10, 1, 99));
+        assert!(a.node(2).iter().zip(0..).all(|(e, k)| e.frame == k));
+        let sorted = a.sorted(2);
+        assert!(sorted.windows(2).all(|w| w[0].key() < w[1].key()));
+        assert_eq!(sorted[0], f(10, 10_000, 99));
     }
 
     #[test]
     fn fused_pass_matches_retain_then_scan_then_insert() {
-        // Deterministic pseudo-random workload: replay the same touch stream
-        // through the fused pass and through the unfused reference
-        // (retain_active + overlap scan + insert) and demand identical
-        // blocks and identical overlap reports at every step.
+        // Replay one deterministic pseudo-random touch stream through the
+        // arena and through a plain `Vec` per node (retain, scan, push) and
+        // demand, at every step, the same overlaps and the same blocks as
+        // multisets, and the same sorted scan order. Starts run up to 300 µs
+        // past the clock (a backlogged sender's frame) and airtimes up to
+        // 400 µs against a clock step of at most 40, so blocks reach five
+        // entries and more and the general loop runs.
         let mut state = 0x1234_5678_9abc_def0u64;
         let mut rand = move || {
             state ^= state << 13;
@@ -286,38 +284,48 @@ mod tests {
             state
         };
         let nodes = 5;
-        let mut fused = IncomingArena::new(nodes);
-        let mut reference = IncomingArena::new(nodes);
-        let mut clock = 0u64;
-        for frame in 0..400u32 {
+        let mut arena = IncomingArena::new(nodes);
+        let mut model: Vec<Vec<IncomingFrame>> = vec![Vec::new(); nodes];
+        let sorted = |block: &[IncomingFrame]| {
+            let mut block = block.to_vec();
+            block.sort_unstable_by_key(|e| e.key());
+            block
+        };
+        let (mut clock, mut future_starts, mut widest) = (0u64, 0, 0);
+        for frame in 0..2_000u32 {
             clock += rand() % 40;
             let node = (rand() % nodes as u64) as usize;
-            let start_us = clock + rand() % 60;
-            let dur_us = 1 + (rand() % 80) as u32;
-            let entry = IncomingFrame {
-                start_us,
-                dur_us,
-                frame,
-            };
-            let mut ref_overlaps = Vec::new();
-            reference.retain_active(node, start_us);
-            for &other in reference.node(node) {
-                if other.start_us < entry.end_us() && start_us < other.end_us() {
-                    ref_overlaps.push(other.frame);
-                }
-            }
-            reference.insert(node, entry);
-            let mut fused_overlaps = Vec::new();
-            fused.retain_mark_insert(node, entry, |f| fused_overlaps.push(f));
-            assert_eq!(fused_overlaps, ref_overlaps, "overlaps at frame {frame}");
-            for i in 0..nodes {
+            let ahead = if rand() % 4 == 0 { rand() % 300 } else { 0 };
+            let new = f(clock + ahead, 1 + (rand() % 400) as u32, frame);
+            future_starts += usize::from(ahead > 0);
+
+            let block = &mut model[node];
+            block.retain(|e| e.end_us() > new.start_us);
+            let mut expected: Vec<u32> = block
+                .iter()
+                .filter(|e| e.start_us < new.end_us())
+                .map(|e| e.frame)
+                .collect();
+            block.push(new);
+            widest = widest.max(block.len());
+
+            let mut reported = touch(&mut arena, node, new);
+            reported.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(reported, expected, "overlaps at frame {frame}");
+            for (i, block) in model.iter().enumerate() {
                 assert_eq!(
-                    fused.node(i),
-                    reference.node(i),
+                    sorted(arena.node(i)),
+                    sorted(block),
                     "block {i} at frame {frame}"
                 );
             }
+            if frame % 7 == 0 {
+                assert_eq!(arena.sorted(node), sorted(&model[node]));
+            }
         }
+        assert!(future_starts > 100, "{future_starts} future-start frames");
+        assert!(widest >= 8, "widest block {widest}");
     }
 
     #[test]
@@ -325,20 +333,11 @@ mod tests {
         let mut a = IncomingArena::new(2);
         // Fill node 0 with entries that never expire, then keep inserting.
         for k in 0..3 * INITIAL_CAP as u32 {
-            let mut overlaps = 0;
-            a.retain_mark_insert(
-                0,
-                IncomingFrame {
-                    start_us: 1000 + k as u64,
-                    dur_us: 1_000_000,
-                    frame: k,
-                },
-                |_| overlaps += 1,
-            );
-            assert_eq!(overlaps as u32, k, "all prior entries overlap");
+            let overlaps = touch(&mut a, 0, f(1000 + k as u64, 1_000_000, k));
+            assert_eq!(overlaps, (0..k).collect::<Vec<_>>(), "all prior entries");
         }
         assert_eq!(a.node(0).len(), 3 * INITIAL_CAP);
-        assert!(a.node(0).windows(2).all(|w| w[0].key() < w[1].key()));
+        assert!(a.sorted(0).windows(2).all(|w| w[0].key() < w[1].key()));
     }
 
     #[test]

@@ -742,7 +742,6 @@ fn cell_record(rng: &mut TestRng) -> (CellRecord, Leaves) {
             frame_slab_high_water: rng.sample(0..10_000usize),
             frames_in_flight: rng.sample(0..10_000usize),
             csma_capped_deferrals: uint(rng),
-            csma_sorts_saved: uint(rng),
             timer_events: count(rng),
             deliver_events: count(rng),
             command_events: count(rng),
@@ -828,7 +827,6 @@ fn cell_record(rng: &mut TestRng) -> (CellRecord, Leaves) {
             u("frames_total", e.frames_total),
             u("frame_slab_high_water", e.frame_slab_high_water as u64),
             u("csma_capped_deferrals", e.csma_capped_deferrals),
-            u("csma_sorts_saved", e.csma_sorts_saved),
             u("timer_events", e.timer_events),
             u("deliver_events", e.deliver_events),
             u("command_events", e.command_events),
@@ -942,7 +940,6 @@ fn engine_result(rng: &mut TestRng) -> (EngineBenchResult, Leaves) {
         u("slab_high_water", st.frame_slab_high_water as u64),
         u("frames_in_flight", st.frames_in_flight as u64),
         u("csma_capped_deferrals", st.csma_capped_deferrals),
-        u("csma_sorts_saved", st.csma_sorts_saved),
     ];
     leaves.extend(result.audit_violations.map(|n| u("audit_violations", n)));
     (result, leaves)
