@@ -105,17 +105,13 @@ pub struct CampaignSpec {
     pub faults: Vec<CampaignFault>,
     /// Workload axis; at least one is required to have any cells.
     pub workloads: Vec<CampaignWorkload>,
-    /// Opt-in per-cell artifact directories. Each one that is set switches
-    /// the matching [`ExperimentConfig::observe`] member on for every cell
-    /// (under the contract stated on [`ttmqo_sim::Observe`]: the cell's
-    /// record is the same either way) and writes
-    /// `<dir>/<kind>-<index>-<workload>-<strategy>-<grid_n>-<fault>.<ext>`,
-    /// named in the record's `<kind>_file`; `None` (the default) leaves the
-    /// base config's setting untouched. This one attaches a
-    /// [`JsonLinesSink`] and writes `trace-….jsonl`.
+    /// Opt-in per-cell trace directory. When set, every cell traces into a
+    /// [`JsonLinesSink`] writing
+    /// `<dir>/trace-<index>-<workload>-<strategy>-<grid_n>-<fault>.jsonl`,
+    /// named in the record's `trace_file` (under the contract stated on
+    /// [`ttmqo_sim::Observe`]: the cell's record is the same either way);
+    /// `None` (the default) leaves the base config's sink untouched.
     pub trace_dir: Option<PathBuf>,
-    /// Windowed timeseries collection, written as `timeseries-….json`.
-    pub timeseries_dir: Option<PathBuf>,
 }
 
 impl CampaignSpec {
@@ -133,7 +129,6 @@ impl CampaignSpec {
             }],
             workloads: Vec::new(),
             trace_dir: None,
-            timeseries_dir: None,
             base,
         }
     }
@@ -182,13 +177,6 @@ impl CampaignSpec {
     /// [`CampaignSpec::trace_dir`] for the file naming scheme.
     pub fn trace_output(mut self, dir: impl Into<PathBuf>) -> Self {
         self.trace_dir = Some(dir.into());
-        self
-    }
-
-    /// Enables per-cell windowed timeseries output under `dir` (created on
-    /// demand). See [`CampaignSpec::timeseries_dir`] for the naming scheme.
-    pub fn timeseries_output(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.timeseries_dir = Some(dir.into());
         self
     }
 
@@ -309,14 +297,11 @@ pub struct CellRecord {
     /// File name (relative to [`CampaignSpec::trace_dir`]) of this cell's
     /// trace JSONL, when the campaign ran with tracing enabled.
     pub trace_file: Option<String>,
-    /// Whole-run radio+sensing energy, mJ (under the timeseries config's
-    /// energy profile when one is set, the default profile otherwise).
+    /// Whole-run radio+sensing energy, mJ, under the default
+    /// [`EnergyProfile`](ttmqo_sim::EnergyProfile).
     pub energy_mj: f64,
     /// The hottest single node's energy, mJ, under the same profile.
     pub max_node_energy_mj: f64,
-    /// File name (relative to [`CampaignSpec::timeseries_dir`]) of this
-    /// cell's timeseries JSON, when the campaign ran with timeseries output.
-    pub timeseries_file: Option<String>,
     /// Standing invariant audit of the cell's run; `Some` iff the campaign
     /// ran with [`CampaignSpec::audit`] (or the base config set
     /// `observe.audit`). When the campaign also traced, the
@@ -360,9 +345,7 @@ impl CellRecord {
     /// trace JSONL format and the `BENCH_*.json` reports). `optimizer` is
     /// `null` for strategies without the base-station tier. A trailing
     /// `"trace_file":"trace-0-....jsonl"` field is present only when the
-    /// campaign ran with [`CampaignSpec::trace_output`], a trailing
-    /// `"timeseries_file":"timeseries-0-....json"` only with
-    /// [`CampaignSpec::timeseries_output`], and a trailing
+    /// campaign ran with [`CampaignSpec::trace_output`], and a trailing
     /// `"audit":{...}` ([`AuditReport::to_json`]) only with
     /// [`CampaignSpec::audit`].
     pub fn to_json(&self) -> String {
@@ -442,9 +425,6 @@ impl CellRecord {
             if let Some(name) = &self.trace_file {
                 o.str("trace_file", name);
             }
-            if let Some(name) = &self.timeseries_file {
-                o.str("timeseries_file", name);
-            }
             if let Some(audit) = &self.audit {
                 o.raw("audit", &audit.to_json());
             }
@@ -509,11 +489,10 @@ fn slug(name: &str) -> String {
         .collect()
 }
 
-/// One of a cell's artifact files:
-/// `<kind>-<index>-<workload>-<strategy>-<grid_n>-<fault>.<ext>`.
-fn artifact_name(spec: &CampaignSpec, cell: &CellSpec, kind: &str, ext: &str) -> String {
+/// A cell's trace file: `trace-<index>-<workload>-<strategy>-<grid_n>-<fault>.jsonl`.
+fn trace_file_name(spec: &CampaignSpec, cell: &CellSpec) -> String {
     format!(
-        "{kind}-{}-{}-{}-{}-{}.{ext}",
+        "trace-{}-{}-{}-{}-{}.jsonl",
         cell.index,
         slug(&spec.workloads[cell.workload].name),
         cell.strategy,
@@ -523,19 +502,17 @@ fn artifact_name(spec: &CampaignSpec, cell: &CellSpec, kind: &str, ext: &str) ->
 }
 
 /// The full configuration a cell runs under — coordinates applied over the
-/// base, the fault axis's plan injected, and `observe` switched on for
-/// every artifact directory the campaign writes — plus the name of the
-/// trace file the cell's sink writes to, if any.
+/// base, the fault axis's plan injected, and a trace sink attached when the
+/// campaign writes traces — plus the name of the trace file the cell's sink
+/// writes to, if any.
 fn cell_config(spec: &CampaignSpec, cell: &CellSpec) -> (ExperimentConfig, Option<String>) {
     let mut config = cell.config(&spec.base);
     config.faults = spec.faults[cell.fault].plan.clone();
-    let observe = &mut config.observe;
-    observe.timeseries |= spec.timeseries_dir.is_some();
     let trace_file = spec.trace_dir.as_ref().and_then(|dir| {
-        let name = artifact_name(spec, cell, "trace", "jsonl");
+        let name = trace_file_name(spec, cell);
         std::fs::create_dir_all(dir).ok()?;
         let sink = JsonLinesSink::create(dir.join(&name)).ok()?;
-        observe.trace = TraceHandle::new(sink);
+        config.observe.trace = TraceHandle::new(sink);
         Some(name)
     });
     (config, trace_file)
@@ -573,16 +550,6 @@ fn run_cell(spec: &CampaignSpec, cell: &CellSpec) -> CellRecord {
             None => audit.checks_skipped += 1,
         }
     }
-    let timeseries_file = spec
-        .timeseries_dir
-        .as_ref()
-        .zip(report.timeseries.as_ref())
-        .and_then(|(dir, ts)| {
-            let name = artifact_name(spec, cell, "timeseries", "json");
-            std::fs::create_dir_all(dir).ok()?;
-            std::fs::write(dir.join(&name), ts.to_json()).ok()?;
-            Some(name)
-        });
     CellRecord {
         workload: workload.name.clone(),
         strategy: cell.strategy,
@@ -602,7 +569,6 @@ fn run_cell(spec: &CampaignSpec, cell: &CellSpec) -> CellRecord {
         trace_file,
         energy_mj: report.energy_mj,
         max_node_energy_mj: report.max_node_energy_mj,
-        timeseries_file,
         audit: report.audit,
     }
 }
@@ -734,6 +700,10 @@ mod tests {
             assert_eq!(cell.queries_answered, 2);
             assert!(cell.answer_epochs > 0);
             assert!(cell.avg_transmission_time_pct() > 0.0);
+            assert!(
+                0.0 < cell.max_node_energy_mj && cell.max_node_energy_mj < cell.energy_mj,
+                "the hottest node's energy is positive and below the total"
+            );
             assert!(cell.wall_clock_ms >= 0.0);
         }
         // Only the two-tier cell carries optimizer stats.
@@ -793,31 +763,6 @@ mod tests {
         assert!(jsonl.contains("\"fault\":\"crash-one\""));
         assert!(jsonl.contains("\"completeness\":{\"min_epoch_ratio\":"));
         assert!(jsonl.contains("\"orphaned_nodes\":"));
-    }
-
-    #[test]
-    fn timeseries_output_writes_one_file_per_cell() {
-        let dir = std::env::temp_dir().join(format!("ttmqo-ts-campaign-{}", std::process::id()));
-        let spec = tiny_spec().timeseries_output(&dir);
-        let report = run_campaign_sequential(&spec);
-        assert_eq!(report.cells.len(), 2);
-        for cell in &report.cells {
-            let name = cell
-                .timeseries_file
-                .as_ref()
-                .expect("timeseries file written");
-            let text = std::fs::read_to_string(dir.join(name)).expect("file readable");
-            assert!(text.starts_with("{\"schema_version\":"));
-            assert!(text.contains("\"windows\":["));
-            assert!(text.contains("\"queries\":{"));
-            assert!(cell.energy_mj > 0.0);
-            assert!(cell.max_node_energy_mj > 0.0);
-            assert!(cell.energy_mj >= cell.max_node_energy_mj);
-        }
-        let jsonl = report.to_jsonl();
-        assert!(jsonl.contains("\"timeseries_file\":\"timeseries-0-tiny-baseline-3-none.json\""));
-        assert!(jsonl.contains("\"timeseries_file\":\"timeseries-1-tiny-two-tier-3-none.json\""));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -67,6 +67,6 @@ pub use innetwork::{
 };
 pub use rollup::{AxisMarginal, CampaignRollup, HotspotCell};
 pub use runner::{
-    run_experiment, ExperimentConfig, FieldKind, QueryWindowSeries, RunReport, RunSession,
-    RunTimeseries, Strategy, WorkloadAction, WorkloadEvent,
+    run_experiment, ExperimentConfig, FieldKind, RunReport, RunSession, Strategy, WorkloadAction,
+    WorkloadEvent,
 };

@@ -440,7 +440,6 @@ mod tests {
             trace_file: None,
             energy_mj: 100.0,
             max_node_energy_mj: 10.0,
-            timeseries_file: None,
             audit: (violations > 0).then(|| AuditReport {
                 checks_run: 5,
                 checks_skipped: 0,

@@ -19,13 +19,12 @@ use crate::basestation::{
 use crate::innetwork::{TtmqoApp, TtmqoConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use ttmqo_query::{EpochAnswer, Query, QueryId, Selection, BASE_EPOCH_MS};
-use ttmqo_sim::json;
 use ttmqo_sim::{
     AuditReport, CompletenessReport, CorrelatedField, EnergyProfile, EngineStats, FaultPlan,
-    FaultSchedule, Metrics, NodeId, NodeTimeseries, Observe, QueryCompleteness, RadioParams,
-    SensorField, SimConfig, SimTime, Simulator, Topology, TraceEvent, UniformField,
+    FaultSchedule, Metrics, NodeId, Observe, QueryCompleteness, RadioParams, SensorField,
+    SimConfig, SimTime, Simulator, Topology, TraceEvent, UniformField,
 };
-use ttmqo_stats::{EmpiricalDistribution, Histogram, LevelStats, SelectivityEstimator};
+use ttmqo_stats::{EmpiricalDistribution, LevelStats, SelectivityEstimator};
 use ttmqo_tinydb::{Command, Output, Srt, TinyDbApp, TinyDbConfig};
 
 /// Which optimization tiers run (§4's four configurations).
@@ -154,10 +153,10 @@ pub struct ExperimentConfig {
     /// and, for rewriting strategies, the base station's missing-result
     /// repair monitor.
     pub faults: FaultPlan,
-    /// What to observe about the run: trace sink, windowed time-series,
-    /// invariant auditor. All off by default; [`Observe`] states
-    /// the one contract they share (on or off, the run is the same run).
-    /// Each one fills the [`RunReport`] field of its name.
+    /// What to observe about the run: trace sink, invariant auditor. Both
+    /// off by default; [`Observe`] states the one contract they share (on or
+    /// off, the run is the same run). The auditor fills
+    /// [`RunReport::audit`].
     pub observe: Observe,
 }
 
@@ -209,8 +208,6 @@ pub struct RunReport {
     pub energy_mj: f64,
     /// The hottest single node's energy (mJ) under the same profile.
     pub max_node_energy_mj: f64,
-    /// Windowed time-series; `Some` iff `observe.timeseries` was set.
-    pub timeseries: Option<RunTimeseries>,
     /// Standing invariant audit; `Some` iff `observe.audit` was set.
     /// Violations are *reported*, never panicked on: check the report's
     /// `is_clean()` — callers (campaigns, CI gates) decide how loudly to
@@ -222,185 +219,6 @@ impl RunReport {
     /// The paper's headline metric for this run.
     pub fn avg_transmission_time_pct(&self) -> f64 {
         self.metrics.avg_transmission_time_pct()
-    }
-}
-
-/// Range upper bound (ms) of the per-window answer-latency histograms.
-/// Latencies beyond it clamp into the top bucket.
-const LATENCY_HIST_MAX_MS: f64 = 4096.0;
-
-/// Bucket count of the per-window answer-latency histograms.
-const LATENCY_HIST_BUCKETS: usize = 16;
-
-fn empty_latency_hist() -> Histogram {
-    Histogram::new(0.0, LATENCY_HIST_MAX_MS, LATENCY_HIST_BUCKETS)
-        .expect("static latency histogram config is valid")
-}
-
-/// One user query's windowed answer series, on the run's timeseries window
-/// grid.
-#[derive(Debug, Clone)]
-pub struct QueryWindowSeries {
-    /// Per-window answer-latency histogram (epoch start → arrival at the
-    /// base station, ms). Answers are bucketed by arrival time.
-    pub latency: Vec<Histogram>,
-    /// Answers mapped to this user per window.
-    pub answers: Vec<u64>,
-    /// Of those, answers carrying at least one row or aggregate.
-    pub nonempty: Vec<u64>,
-}
-
-/// Base-station-side windowed answer accounting, on the engine's window
-/// grid (one base epoch per window). Built only when timeseries collection
-/// is on.
-#[derive(Debug)]
-struct TimeseriesCollector {
-    window_ms: u64,
-    per_query: BTreeMap<QueryId, QueryWindowSeries>,
-}
-
-impl TimeseriesCollector {
-    fn new() -> Self {
-        TimeseriesCollector {
-            window_ms: BASE_EPOCH_MS,
-            per_query: BTreeMap::new(),
-        }
-    }
-
-    /// Buckets the answer by its arrival time.
-    fn note_answer(&mut self, a: &MappedAnswer) {
-        let w = (a.arrival_ms / self.window_ms) as usize;
-        let series = self
-            .per_query
-            .entry(a.user)
-            .or_insert_with(|| QueryWindowSeries {
-                latency: Vec::new(),
-                answers: Vec::new(),
-                nonempty: Vec::new(),
-            });
-        while series.latency.len() <= w {
-            series.latency.push(empty_latency_hist());
-            series.answers.push(0);
-            series.nonempty.push(0);
-        }
-        series.latency[w].add(a.latency_ms() as f64);
-        series.answers[w] += 1;
-        if a.nonempty {
-            series.nonempty[w] += 1;
-        }
-    }
-}
-
-/// Windowed time-series of one run: per-node radio/energy counters from the
-/// engine plus per-user-query answer/latency series on the same window grid,
-/// and the crash times needed for fault-recovery convergence analysis.
-#[derive(Debug, Clone)]
-pub struct RunTimeseries {
-    /// Per-node windowed counters (tx/rx busy, sleep, samples, energy) with
-    /// per-window load-imbalance statistics.
-    pub nodes: NodeTimeseries,
-    /// Per user query: windowed answer counts and latency histograms.
-    pub per_query: BTreeMap<QueryId, QueryWindowSeries>,
-    /// Crash times (ms) of the run's materialized fault schedule, in time
-    /// order; empty for fault-free runs.
-    pub crash_times_ms: Vec<u64>,
-}
-
-impl RunTimeseries {
-    /// Window length, ms.
-    pub fn window_ms(&self) -> u64 {
-        self.nodes.window_ms
-    }
-
-    /// Total non-empty answers per window, summed across user queries. At
-    /// least as long as the node series' window list (one longer when an
-    /// answer arrives exactly at the horizon of an evenly divided run).
-    pub fn window_nonempty(&self) -> Vec<u64> {
-        let mut out = vec![0u64; self.nodes.windows.len()];
-        for series in self.per_query.values() {
-            for (w, &ne) in series.nonempty.iter().enumerate() {
-                if w >= out.len() {
-                    out.resize(w + 1, 0);
-                }
-                out[w] += ne;
-            }
-        }
-        out
-    }
-
-    /// First window after `crash_ms` where the network has converged back to
-    /// its pre-fault baseline: per-window tx-busy Gini within `tolerance`
-    /// (absolute) of the pre-crash mean AND non-empty answers per window at
-    /// least `(1 - tolerance)` of the pre-crash mean. The baseline averages
-    /// every full-length window strictly before the crash's window.
-    ///
-    /// Returns the start (ms) of the first converged window, `None` when
-    /// there is no pre-crash baseline or the run never converges.
-    pub fn convergence_after_ms(&self, crash_ms: u64, tolerance: f64) -> Option<u64> {
-        let wm = self.nodes.window_ms.max(1);
-        let crash_w = (crash_ms / wm) as usize;
-        let nonempty = self.window_nonempty();
-        let windows = &self.nodes.windows;
-        let mut gini_sum = 0.0;
-        let mut ne_sum = 0.0;
-        let mut n = 0u32;
-        for (w, stats) in windows.iter().enumerate().take(crash_w) {
-            if stats.len_ms == wm {
-                gini_sum += stats.gini_tx_busy();
-                ne_sum += nonempty.get(w).copied().unwrap_or(0) as f64;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            return None;
-        }
-        let gini_base = gini_sum / n as f64;
-        let ne_base = ne_sum / n as f64;
-        for (w, stats) in windows.iter().enumerate().skip(crash_w + 1) {
-            if stats.len_ms == 0 {
-                continue;
-            }
-            let gini_ok = (stats.gini_tx_busy() - gini_base).abs() <= tolerance;
-            let ne_ok = nonempty.get(w).copied().unwrap_or(0) as f64 >= (1.0 - tolerance) * ne_base;
-            if gini_ok && ne_ok {
-                return Some(stats.start_ms);
-            }
-        }
-        None
-    }
-
-    /// [`Self::convergence_after_ms`] for every crash in
-    /// [`Self::crash_times_ms`]: `(crash ms, converged window start ms)`.
-    pub fn convergence_ms(&self, tolerance: f64) -> Vec<(u64, Option<u64>)> {
-        self.crash_times_ms
-            .iter()
-            .map(|&c| (c, self.convergence_after_ms(c, tolerance)))
-            .collect()
-    }
-
-    /// Serializes the full series as one JSON object with a deterministic
-    /// field order.
-    pub fn to_json(&self) -> String {
-        json::object(|o| {
-            o.u64("schema_version", ttmqo_sim::SCHEMA_VERSION as u64);
-            o.u64s("crash_times_ms", self.crash_times_ms.iter().copied());
-            o.raw("nodes", &self.nodes.to_json());
-            o.obj("queries", |o| {
-                for (qid, series) in &self.per_query {
-                    o.obj(&qid.0.to_string(), |o| {
-                        o.u64s("answers", series.answers.iter().copied());
-                        o.u64s("nonempty", series.nonempty.iter().copied());
-                        o.f64("latency_lo_ms", 0.0);
-                        o.f64("latency_hi_ms", LATENCY_HIST_MAX_MS);
-                        o.arr("latency_buckets", |a| {
-                            for hist in &series.latency {
-                                a.arr(|a| hist.buckets().iter().for_each(|&b| a.u64(b)));
-                            }
-                        });
-                    });
-                }
-            });
-        })
     }
 }
 
@@ -712,7 +530,7 @@ impl RepairMonitor {
 
 /// One synthetic answer mapped back to one user query: the runner-level
 /// counterpart of the engine's probe values, built once per mapping and
-/// handed to the repair monitor, the timeseries collector and the trace.
+/// handed to the repair monitor and the trace.
 #[derive(Debug, Clone, Copy)]
 struct MappedAnswer {
     user: QueryId,
@@ -781,10 +599,6 @@ impl SimKind {
         with_sim!(self, s => s.engine_stats())
     }
 
-    fn detach(&mut self) -> Option<NodeTimeseries> {
-        with_sim!(self, s => s.detach())
-    }
-
     fn replace_fault_plan(&mut self, plan: &FaultPlan) {
         with_sim!(self, s => s.replace_fault_plan(plan))
     }
@@ -794,7 +608,7 @@ impl SimKind {
     }
 }
 
-/// Builds the strategy's simulator with `config.observe` attached and the
+/// Builds the strategy's simulator with the trace sink attached and the
 /// fault plan installed.
 fn build_sim(config: &ExperimentConfig, topo: &Topology) -> SimKind {
     let field = build_field(config, topo);
@@ -820,7 +634,7 @@ fn build_sim(config: &ExperimentConfig, topo: &Topology) -> SimKind {
         )))
     };
     with_sim!(&mut sim, s => {
-        s.attach(&config.observe);
+        s.set_trace(config.observe.trace.clone());
         s.install_fault_plan(&config.faults);
     });
     sim
@@ -863,7 +677,6 @@ struct RunnerState {
     /// monolithic driver ran per inter-event interval.
     audited_to: u64,
     monitor: Option<RepairMonitor>,
-    ts_collector: Option<TimeseriesCollector>,
     ledger: Ledger,
     weighted_syn: f64,
     weighted_ratio: f64,
@@ -909,7 +722,6 @@ impl RunSession {
         let window_ms = collection_window_ms(config, &topo);
         let state = RunnerState {
             monitor: (rewriting && schedule.is_some()).then(|| RepairMonitor::new(window_ms)),
-            ts_collector: config.observe.timeseries.then(TimeseriesCollector::new),
             ..RunnerState::default()
         };
 
@@ -948,7 +760,7 @@ impl RunSession {
 
     /// Drains pending network outputs: feeds adaptive statistics, maps each
     /// answer back to the user queries it served, and reports each mapping
-    /// to the repair monitor, the timeseries collector and the trace. An
+    /// to the repair monitor and the trace. An
     /// answer for epoch `e` is always emitted (and thus drained) after every
     /// workload event at or before `e` has executed, so the ledger already
     /// holds the services in force at `e`, and a termination that should
@@ -966,7 +778,6 @@ impl RunSession {
         let RunnerState {
             ledger,
             monitor,
-            ts_collector,
             answers,
             ..
         } = &mut self.state;
@@ -1009,9 +820,6 @@ impl RunSession {
                 };
                 if let Some(mon) = monitor {
                     mon.note_answer(&a);
-                }
-                if let Some(col) = ts_collector {
-                    col.note_answer(&a);
                 }
                 trace.emit_with(arrival_ms * 1000, || a.trace_event());
                 answers.entry(user).or_default().push((*epoch_ms, mapped));
@@ -1281,30 +1089,6 @@ impl RunSession {
         let energy_profile = EnergyProfile::default();
         let energy_mj = metrics.total_energy_mj(&energy_profile);
         let max_node_energy_mj = metrics.max_node_energy_mj(&energy_profile);
-        let mut ts_collector = self.state.ts_collector;
-        let schedule = self.schedule;
-        let timeseries = self.sim.detach().map(|nodes| {
-            let mut per_query = ts_collector.take().map(|c| c.per_query).unwrap_or_default();
-            // Pad every query series to the node grid so consumers can
-            // iterate window-for-window without length checks.
-            for series in per_query.values_mut() {
-                while series.latency.len() < nodes.windows.len() {
-                    series.latency.push(empty_latency_hist());
-                    series.answers.push(0);
-                    series.nonempty.push(0);
-                }
-            }
-            let mut crash_times_ms: Vec<u64> = schedule
-                .as_ref()
-                .map(|s| s.crashes().iter().map(|c| c.at_ms).collect())
-                .unwrap_or_default();
-            crash_times_ms.sort_unstable();
-            RunTimeseries {
-                nodes,
-                per_query,
-                crash_times_ms,
-            }
-        });
         let engine = self.sim.engine_stats();
         // The standing invariant auditor: pure post-hoc arithmetic over the
         // artifacts assembled above, so enabling it cannot perturb the run
@@ -1334,7 +1118,6 @@ impl RunSession {
             engine,
             energy_mj,
             max_node_energy_mj,
-            timeseries,
             audit,
         }
     }

@@ -238,7 +238,6 @@ fn auditing_leaves_the_golden_cell_untouched() {
             observe: Observe {
                 trace: TraceHandle::new(JsonLinesSink::new(buf.clone()).unwrap()),
                 audit,
-                ..Observe::default()
             },
             ..ExperimentConfig::default()
         };
@@ -263,48 +262,6 @@ fn auditing_leaves_the_golden_cell_untouched() {
     assert!(audit.checks_run > 0, "the auditor actually ran checks");
 }
 
-#[test]
-fn timeseries_leaves_the_golden_cell_untouched() {
-    // Same contract as tracing: the windowed recorder mirrors counters the
-    // engine already maintains, never draws from the simulation RNG, and
-    // never perturbs event order — so the golden cell with collection on
-    // must render identically to the cell with collection off.
-    let run = |timeseries: bool| {
-        let config = ExperimentConfig {
-            strategy: Strategy::TwoTier,
-            grid_n: 4,
-            duration: SimTime::from_ms(24 * 2048),
-            observe: Observe {
-                timeseries,
-                ..Observe::default()
-            },
-            ..ExperimentConfig::default()
-        };
-        let report = run_experiment(&config, &workload_a());
-        (
-            render(Strategy::TwoTier, &report.metrics.snapshot()),
-            report.engine,
-            report.timeseries,
-        )
-    };
-
-    let off = run(false);
-    let on = run(true);
-
-    assert_eq!(off.0, on.0, "metrics diverged under timeseries collection");
-    assert_eq!(
-        off.1, on.1,
-        "engine stats diverged under timeseries collection"
-    );
-    assert!(off.2.is_none(), "disabled run must not carry a series");
-    let series = on.2.expect("enabled run carries a series");
-    assert!(!series.nodes.windows.is_empty(), "windows were recorded");
-    assert!(
-        !series.per_query.is_empty(),
-        "per-query answer series were recorded"
-    );
-}
-
 /// The two-tier golden cell's configuration (what `golden_cell` runs).
 fn golden_config() -> ExperimentConfig {
     ExperimentConfig {
@@ -317,13 +274,11 @@ fn golden_config() -> ExperimentConfig {
 
 /// What one observed run of a cell leaves behind.
 struct Observed {
-    /// The report's debug rendering with the two observer-only fields
+    /// The report's debug rendering with the observer-only `audit` field
     /// taken out (shortest-roundtrip floats: equal strings ⇔ equal bits).
     report: String,
     /// The JSONL trace; empty when the run was not traced.
     trace: String,
-    /// `RunTimeseries::to_json()`, when the series was recorded.
-    series: Option<String>,
     audit: Option<ttmqo_sim::AuditReport>,
 }
 
@@ -333,7 +288,7 @@ const CUT_MS: u64 = 11 * 2048 + 317;
 /// `base` with exactly the named observers attached, tracing into `buf`.
 fn observing(
     base: &ExperimentConfig,
-    [trace, timeseries, audit]: [bool; 3],
+    [trace, audit]: [bool; 2],
     buf: &SharedBuf,
 ) -> ExperimentConfig {
     ExperimentConfig {
@@ -343,7 +298,6 @@ fn observing(
             } else {
                 TraceHandle::disabled()
             },
-            timeseries,
             audit,
         },
         ..base.clone()
@@ -357,7 +311,7 @@ fn observing(
 fn observe_sliced(
     base: &ExperimentConfig,
     workload: &[WorkloadEvent],
-    observers: [bool; 3],
+    observers: [bool; 2],
     stops_ms: &[u64],
 ) -> Observed {
     let buf = SharedBuf::default();
@@ -368,23 +322,21 @@ fn observe_sliced(
     }
     let mut report = session.finish();
     config.observe.trace.flush();
-    let series = report.timeseries.take().map(|ts| ts.to_json());
     let audit = report.audit.take();
     let trace = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
     Observed {
         report: format!("{report:?}"),
         trace,
-        series,
         audit,
     }
 }
 
 /// Runs the cell under `observers`, uninterrupted.
-fn observe(base: &ExperimentConfig, workload: &[WorkloadEvent], observers: [bool; 3]) -> Observed {
+fn observe(base: &ExperimentConfig, workload: &[WorkloadEvent], observers: [bool; 2]) -> Observed {
     observe_sliced(base, workload, observers, &[])
 }
 
-const OFF: [bool; 3] = [false; 3];
+const OFF: [bool; 2] = [false; 2];
 
 /// Line count, byte length and 64-bit FNV-1a digest of one artifact.
 #[derive(Debug, PartialEq)]
@@ -404,11 +356,12 @@ fn digest(text: &str) -> Digest {
     }
 }
 
-// The observed bytes of two cells, generated at commit 755f41b — the last
-// one whose engine wrote to `Metrics`, the window recorder and the trace
-// sink by hand at every site — and never regenerated by the commit that
-// re-routed those sites through the probe seam. Unlike the on-vs-off tests
-// above, which compare one build with itself, these compare builds.
+// The traced bytes of two cells, generated at commit 755f41b — the last one
+// whose engine wrote to `Metrics`, a window recorder and the trace sink by
+// hand at every site — and never regenerated by the commit that re-routed
+// those sites through the probe seam, nor by the one that deleted the
+// recorder. Unlike the on-vs-off tests above, which compare one build with
+// itself, these compare builds.
 //
 // The golden cell covers frame tx / delivery / collision / retry, CSMA
 // deferrals and wakes; the stormy one (15% loss, a crash with recovery, a
@@ -420,26 +373,16 @@ fn digest(text: &str) -> Digest {
 // again, so Workload B's trace gained the ten `tier1-eval` lines the
 // candidate index used to hide (11200 → 11210 lines). The new digest is
 // what commit 091690d writes when its linear-scan reference mode is made
-// the default and nothing else is touched; the other three never moved.
+// the default and nothing else is touched; `GOLDEN_TRACE` never moved.
 const GOLDEN_TRACE: Digest = Digest {
     lines: 10807,
     bytes: 936846,
     fnv1a: 0x3b12_6e7d_d125_9c94,
 };
-const GOLDEN_SERIES: Digest = Digest {
-    lines: 1,
-    bytes: 32190,
-    fnv1a: 0x94cc_3a2e_4898_6b2e,
-};
 const STORMY_TRACE: Digest = Digest {
     lines: 11210,
     bytes: 959734,
     fnv1a: 0x787c_d611_e162_2362,
-};
-const STORMY_SERIES: Digest = Digest {
-    lines: 1,
-    bytes: 26001,
-    fnv1a: 0xed0c_1b80_eba9_c9f1,
 };
 
 fn stormy_config() -> ExperimentConfig {
@@ -457,27 +400,13 @@ fn stormy_config() -> ExperimentConfig {
 }
 
 #[test]
-fn trace_and_timeseries_bytes_match_the_pinned_digests() {
-    for (name, config, workload, trace, series) in [
-        (
-            "golden",
-            golden_config(),
-            workload_a(),
-            GOLDEN_TRACE,
-            GOLDEN_SERIES,
-        ),
-        (
-            "stormy",
-            stormy_config(),
-            workload_b(),
-            STORMY_TRACE,
-            STORMY_SERIES,
-        ),
+fn trace_bytes_match_the_pinned_digests() {
+    for (name, config, workload, trace) in [
+        ("golden", golden_config(), workload_a(), GOLDEN_TRACE),
+        ("stormy", stormy_config(), workload_b(), STORMY_TRACE),
     ] {
-        let run = observe(&config, &workload, [true, true, false]);
+        let run = observe(&config, &workload, [true, false]);
         assert_eq!(digest(&run.trace), trace, "{name} cell: JSONL trace");
-        let json = run.series.expect("timeseries was on");
-        assert_eq!(digest(&json), series, "{name} cell: RunTimeseries JSON");
         for kind in [
             "frame-tx",
             "frame-delivered",
@@ -494,32 +423,22 @@ fn trace_and_timeseries_bytes_match_the_pinned_digests() {
 
 #[test]
 fn every_observer_at_once_leaves_the_golden_cell_untouched() {
-    // The observers share one box inside the engine, so the pairwise tests
-    // above do not cover what they might do to each other: all three on at
-    // once must give the all-off report and the pinned trace and series.
-    // A session exposes no mid-run state, so the witness that no observer
-    // set perturbs it there is the sliced run itself: stopped at a
-    // non-aligned instant and then finished, under each of the eight sets,
-    // it must render the uninterrupted report — series included where one
-    // is recorded.
+    // The pairwise tests above do not cover what the observers might do to
+    // each other: both on at once must give the all-off report and the
+    // pinned trace. A session exposes no mid-run state, so the witness that
+    // no observer set perturbs it there is the sliced run itself: stopped at
+    // a non-aligned instant and then finished, under each of the four sets,
+    // it must render the uninterrupted report.
     let base = golden_config();
     let off = observe(&base, &workload_a(), OFF);
-    let all = observe(&base, &workload_a(), [true; 3]);
-    for set in 0..8u8 {
-        let observers = [set & 1 != 0, set & 2 != 0, set & 4 != 0];
+    let all = observe(&base, &workload_a(), [true; 2]);
+    for set in 0..4u8 {
+        let observers = [set & 1 != 0, set & 2 != 0];
         let sliced = observe_sliced(&base, &workload_a(), observers, &[CUT_MS]);
         assert_eq!(
             sliced.report, off.report,
             "stopping at {CUT_MS} ms under {observers:?} changed the report"
         );
-        assert_eq!(
-            sliced.series.is_some(),
-            observers[1],
-            "a series is recorded exactly when asked for"
-        );
-        if let Some(series) = sliced.series {
-            assert_eq!(digest(&series), GOLDEN_SERIES, "sliced under {observers:?}");
-        }
     }
 
     assert_eq!(
@@ -527,10 +446,6 @@ fn every_observer_at_once_leaves_the_golden_cell_untouched() {
         "RunReport diverged under observation"
     );
     assert_eq!(digest(&all.trace), GOLDEN_TRACE);
-    assert_eq!(
-        digest(&all.series.expect("timeseries was on")),
-        GOLDEN_SERIES
-    );
     assert!(all.audit.is_some_and(|a| a.is_clean()));
-    assert!(off.trace.is_empty() && off.series.is_none() && off.audit.is_none());
+    assert!(off.trace.is_empty() && off.audit.is_none());
 }

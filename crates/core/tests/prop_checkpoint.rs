@@ -15,8 +15,9 @@ use proptest::prelude::*;
 // `ttmqo_core::Strategy` (the tier enum) shadows the glob-imported proptest
 // `Strategy` trait, so re-import the trait anonymously for `.prop_map`.
 use proptest::strategy::Strategy as _;
+use std::sync::{Arc, Mutex};
 use ttmqo_core::{run_experiment, ExperimentConfig, RunSession, Strategy, WorkloadEvent};
-use ttmqo_sim::{FaultPlan, NodeId, Observe, SimTime};
+use ttmqo_sim::{FaultPlan, NodeId, Observe, RingSink, SimTime, TraceHandle};
 use ttmqo_workloads::{churn_workload, workload_a, workload_b, ChurnWorkloadParams};
 
 const DURATION_MS: u64 = 10 * 2048;
@@ -79,12 +80,25 @@ proptest! {
     }
 }
 
+/// The trace text with its `answer-mapped` lines split out and sorted: a
+/// stop drains the base station's outputs early, so it may move those lines
+/// (DESIGN.md §17) but nothing else.
+fn split_answers(ring: &Mutex<RingSink>) -> (Vec<String>, Vec<String>) {
+    let text = ring.lock().unwrap().to_jsonl();
+    let (mut answers, rest): (Vec<String>, Vec<String>) = text
+        .lines()
+        .map(str::to_string)
+        .partition(|line| line.contains("\"ev\":\"answer-mapped\""));
+    answers.sort_unstable();
+    (rest, answers)
+}
+
 /// The instants a random draw rarely hits: time zero, a base-epoch boundary
 /// (where the straight run audits and the stopping run must audit too,
 /// exactly once), a misaligned mid-epoch instant, the same instant twice,
-/// and the run's end — calm and faulty, with the time series recorded so
-/// the whole report (answers, completeness, optimizer stats, engine
-/// counters, windows) is compared.
+/// and the run's end — calm and faulty, traced so that what happened on the
+/// way is compared along with the whole report (answers, completeness,
+/// optimizer stats, engine counters).
 #[test]
 fn stopping_at_boundary_instants_reproduces_the_straight_run() {
     const END_MS: u64 = 20 * 2048;
@@ -93,18 +107,24 @@ fn stopping_at_boundary_instants_reproduces_the_straight_run() {
         (NodeId(10), 7 * 2048, None),
     ]);
     for faults in [FaultPlan::default(), faulty] {
-        let config = ExperimentConfig {
-            strategy: Strategy::TwoTier,
-            grid_n: 4,
-            duration: SimTime::from_ms(END_MS),
-            faults,
-            observe: Observe {
-                timeseries: true,
-                ..Observe::default()
-            },
-            ..ExperimentConfig::default()
+        let traced = || {
+            let ring = Arc::new(Mutex::new(RingSink::new(0)));
+            let config = ExperimentConfig {
+                strategy: Strategy::TwoTier,
+                grid_n: 4,
+                duration: SimTime::from_ms(END_MS),
+                faults: faults.clone(),
+                observe: Observe {
+                    trace: TraceHandle::shared(ring.clone()),
+                    ..Observe::default()
+                },
+                ..ExperimentConfig::default()
+            };
+            (config, ring)
         };
+        let (config, ring) = traced();
         let straight = format!("{:?}", run_experiment(&config, &workload_a()));
+        let straight_trace = split_answers(&ring);
         for cuts_ms in [
             &[0][..],
             &[8 * 2048],
@@ -112,15 +132,20 @@ fn stopping_at_boundary_instants_reproduces_the_straight_run() {
             &[END_MS],
             &[0, 6 * 2048, 9 * 2048 + 123, END_MS],
         ] {
+            let (config, ring) = traced();
             let mut session = RunSession::new(&config, &workload_a());
             for &t in cuts_ms {
                 session.run_to(SimTime::from_ms(t));
             }
+            let faulty = !config.faults.is_empty();
             assert_eq!(
                 format!("{:?}", session.finish()),
                 straight,
-                "stopping at {cuts_ms:?} ms (faulty={}) diverged",
-                !config.faults.is_empty()
+                "stopping at {cuts_ms:?} ms (faulty={faulty}) diverged"
+            );
+            assert!(
+                split_answers(&ring) == straight_trace,
+                "stopping at {cuts_ms:?} ms (faulty={faulty}) changed the trace"
             );
         }
     }

@@ -112,11 +112,15 @@ fn srt_reduces_propagation_in_ttmqo() {
         (
             sim.metrics().tx_count(MsgKind::QueryPropagation),
             answers(sim.outputs()),
+            sim.metrics().total_sleep_ms(),
         )
     };
-    let (flood_msgs, flood_answers) = run(false);
-    let (srt_msgs, srt_answers) = run(true);
+    let (flood_msgs, flood_answers, flood_sleep_ms) = run(false);
+    let (srt_msgs, srt_answers, _) = run(true);
     assert!(srt_msgs < flood_msgs, "{srt_msgs} !< {flood_msgs}");
+    // Flooded, every node holds the query, and the ones it never selects nap
+    // between firings (§3.2.2).
+    assert!(flood_sleep_ms > 0.0, "the nodeid-restricted run slept");
     assert_eq!(flood_answers, srt_answers);
 }
 

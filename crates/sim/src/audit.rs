@@ -361,7 +361,6 @@ mod tests {
     use crate::probe::Probe;
     use crate::radio::MsgKind;
     use crate::time::SimTime;
-    use crate::topology::NodeId;
 
     fn healthy_engine() -> EngineStats {
         EngineStats {
@@ -424,7 +423,7 @@ mod tests {
         let mut m = Metrics::new(3);
         m.apply(Probe::tx(0, MsgKind::Result, 30, 400));
         m.apply(Probe::rx(2, 50.0));
-        m.apply(Probe::Sample { node: NodeId(0) });
+        m.apply(Probe::Sample);
         m.set_horizon(SimTime::from_ms(1000));
         let total = m.total_energy_mj(&profile);
         let max_node = m.max_node_energy_mj(&profile);

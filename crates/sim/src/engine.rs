@@ -59,12 +59,11 @@ use crate::faults::{FaultOverlay, FaultPlan};
 use crate::field::SensorField;
 use crate::incoming::{IncomingArena, IncomingFrame};
 use crate::metrics::Metrics;
-use crate::probe::{Observe, Probe, Probes, Reception};
+use crate::probe::{Probe, Probes, Reception};
 use crate::radio::{Destination, MsgKind, RadioParams};
 use crate::time::SimTime;
-use crate::timeseries::NodeTimeseries;
 use crate::topology::{NodeId, Topology};
-use crate::trace::{TraceDest, TraceEvent};
+use crate::trace::{TraceDest, TraceEvent, TraceHandle};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt::Debug;
@@ -236,8 +235,7 @@ impl<'a, P, O> Ctx<'a, P, O> {
     /// Samples one attribute from the sensor field (charged to the sampling
     /// energy budget).
     pub fn read_sensor(&mut self, attr: Attribute) -> f64 {
-        self.probes
-            .record(self.now_us, Probe::Sample { node: self.node });
+        self.probes.record(self.now_us, Probe::Sample);
         self.field.reading(self.node, attr, self.now())
     }
 
@@ -628,19 +626,12 @@ impl<A: NodeApp> Simulator<A> {
         }
     }
 
-    /// Attaches what `observe` selects — trace sink, window recorder —
-    /// replacing whatever was attached before. The engine reports every
-    /// occurrence once and the attached observers consume it; [`Observe`]
-    /// states what they may and may not do.
-    pub fn attach(&mut self, observe: &Observe) {
-        self.probes.attach(observe, self.nodes.len());
-    }
-
-    /// Detaches every observer and returns the window recorder's series,
-    /// closed at the metrics horizon, if one was recording.
-    pub fn detach(&mut self) -> Option<NodeTimeseries> {
-        let horizon = self.metrics().horizon();
-        self.probes.detach().map(|w| w.finalize(horizon))
+    /// Sends the engine's and the node apps' trace events to `trace`,
+    /// replacing the sink set before. The engine reports every occurrence
+    /// once and the sink only reads it: [`Observe`](crate::Observe) states
+    /// what an observer may and may not do.
+    pub fn set_trace(&mut self, trace: TraceHandle) {
+        self.probes.set_trace(trace);
     }
 
     /// Records emitted by nodes so far.

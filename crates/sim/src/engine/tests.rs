@@ -15,7 +15,7 @@
 use super::{Ctx, Event, EventKind, NodeApp, SimConfig, Simulator};
 use crate::incoming::IncomingFrame;
 use crate::{
-    ConstantField, Destination, MsgKind, NodeId, Observe, Position, RadioParams, RingSink, SimTime,
+    ConstantField, Destination, MsgKind, NodeId, Position, RadioParams, RingSink, SimTime,
     Topology, TraceEvent, TraceHandle, TraceRecord,
 };
 use proptest::prelude::*;
@@ -228,10 +228,7 @@ fn traced_sim<A: NodeApp>(
         factory,
     );
     let ring = Arc::new(Mutex::new(RingSink::new(0)));
-    sim.attach(&Observe {
-        trace: TraceHandle::shared(ring.clone()),
-        ..Observe::default()
-    });
+    sim.set_trace(TraceHandle::shared(ring.clone()));
     (sim, ring)
 }
 

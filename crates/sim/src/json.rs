@@ -1,6 +1,6 @@
 //! The workspace's one JSON layer: one writer and one exact reader.
 //!
-//! Every machine-readable report (trace JSONL, audits, timeseries,
+//! Every machine-readable report (trace JSONL and its summary, audits,
 //! campaign records and rollups, the `BENCH_*.json` rows) is rendered by
 //! the [`Obj`]/[`Arr`] builders here and read back by [`parse`]. The policy
 //! is stated once:
@@ -163,11 +163,6 @@ impl Obj<'_> {
     pub fn u64s(&mut self, key: &str, values: impl IntoIterator<Item = u64>) {
         self.arr(key, |a| values.into_iter().for_each(|v| a.u64(v)));
     }
-
-    /// `"key":[1.5,2]`, each element as [`Obj::f64`] renders it.
-    pub fn f64s(&mut self, key: &str, values: &[f64]) {
-        self.arr(key, |a| values.iter().for_each(|&v| a.f64(v)));
-    }
 }
 
 /// Builder for the elements of one JSON array.
@@ -197,24 +192,9 @@ impl Arr<'_> {
         push_u64(self.next(), v);
     }
 
-    /// A float element, as [`Obj::f64`] renders it.
-    pub fn f64(&mut self, v: f64) {
-        push_f64(self.next(), v, None);
-    }
-
-    /// An already-rendered element.
-    pub fn raw(&mut self, json: &str) {
-        self.next().push_str(json);
-    }
-
     /// An object element.
     pub fn obj(&mut self, fill: impl FnOnce(&mut Obj<'_>)) {
         Obj::write(self.next(), fill);
-    }
-
-    /// A nested array element.
-    pub fn arr(&mut self, fill: impl FnOnce(&mut Arr<'_>)) {
-        Arr::write(self.next(), fill);
     }
 }
 
@@ -625,17 +605,15 @@ mod tests {
             o.arr("items", |a| {
                 a.u64(1);
                 a.obj(|o| o.f64("v", 0.5));
-                a.arr(|a| a.f64(2.0));
-                a.raw("null");
             });
             o.u64s("ids", [3, 4]);
-            o.f64s("xs", &[1.5, f64::NAN]);
+            o.f64("nan", f64::NAN);
             o.raw("spliced", "{\"a\":1}");
         });
         assert_eq!(
             json,
             "{\"n\":7,\"s\":\"x\",\"b\":true,\"z\":null,\"inner\":{\"k\":1},\"empty\":{},\
-             \"items\":[1,{\"v\":0.5},[2],null],\"ids\":[3,4],\"xs\":[1.5,null],\
+             \"items\":[1,{\"v\":0.5}],\"ids\":[3,4],\"nan\":null,\
              \"spliced\":{\"a\":1}}"
         );
         assert_eq!(object(|_| {}), "{}");

@@ -80,7 +80,6 @@ mod metrics;
 mod probe;
 mod radio;
 mod time;
-mod timeseries;
 mod topology;
 mod trace;
 
@@ -91,15 +90,16 @@ pub use faults::{
     CrashEvent, FaultPlan, FaultSchedule, LinkDegradation, RandomCrashes, RegionLossOverride,
 };
 pub use field::{BoundCorrelatedField, ConstantField, CorrelatedField, SensorField, UniformField};
-pub use metrics::{CompletenessReport, Metrics, MetricsSnapshot, QueryCompleteness};
+pub use metrics::{
+    gini, max_mean_ratio, CompletenessReport, Metrics, MetricsSnapshot, QueryCompleteness,
+};
 pub use probe::Observe;
 pub use radio::{Destination, MsgKind, RadioParams};
 pub use time::SimTime;
-pub use timeseries::{gini, max_mean_ratio, NodeTimeseries, WindowStats};
 pub use topology::{NodeId, Position, Topology, TopologyError, GRID_SPACING_FT, RADIO_RANGE_FT};
 pub use trace::diff::{trace_diff, Divergence, DivergentRecord, KindDelta, TraceDiff};
 pub use trace::{
-    chrome_trace, epoch_rollups, summarize_trace, trace_header, EpochRollup, JsonLinesSink,
-    ProvenanceId, RingSink, TraceDest, TraceEvent, TraceHandle, TraceRecord, TraceSchemaError,
-    TraceSink, TraceSummary, SCHEMA_VERSION,
+    chrome_trace, summarize_trace, trace_header, EpochRollup, JsonLinesSink, ProvenanceId,
+    RingSink, TraceDest, TraceEvent, TraceHandle, TraceRecord, TraceSchemaError, TraceSink,
+    TraceSummary, SCHEMA_VERSION,
 };

@@ -4,6 +4,8 @@
 //! percentage of transmission time spent on each node for all running queries
 //! over the simulation time" (§4.1). All radio message kinds count toward it:
 //! results, query propagation/abortion, maintenance and retransmissions.
+//! The mean hides where that time lands; [`gini`] and [`max_mean_ratio`]
+//! measure the imbalance of a per-node load vector.
 
 use crate::energy::EnergyProfile;
 use crate::probe::Probe;
@@ -106,7 +108,7 @@ impl Metrics {
                     *slot = true;
                 }
             }
-            Probe::Sample { .. } => self.samples += 1,
+            Probe::Sample => self.samples += 1,
             Probe::Delivered { .. }
             | Probe::Missed { .. }
             | Probe::CsmaDeferred { .. }
@@ -463,6 +465,38 @@ impl fmt::Display for Metrics {
     }
 }
 
+/// Max-over-mean ratio of a load vector: 1.0 for perfectly balanced (or
+/// empty/all-zero) load, up to `n` when one element carries everything.
+pub fn max_mean_ratio(values: &[f64]) -> f64 {
+    let sum: f64 = values.iter().sum();
+    if values.is_empty() || sum <= 0.0 {
+        return 1.0;
+    }
+    let mean = sum / values.len() as f64;
+    values.iter().fold(0.0_f64, |m, &v| m.max(v)) / mean
+}
+
+/// Gini coefficient of a non-negative load vector: 0.0 for perfectly equal
+/// load (including all-zero and empty vectors), approaching 1.0 as the load
+/// concentrates on a single element.
+pub fn gini(values: &[f64]) -> f64 {
+    let n = values.len();
+    let sum: f64 = values.iter().sum();
+    if n == 0 || sum <= 0.0 {
+        return 0.0;
+    }
+    let mut sorted: Vec<f64> = values.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("load values are comparable"));
+    // G = (2·Σᵢ i·xᵢ)/(n·Σx) − (n+1)/n with 1-based ranks over the sorted
+    // values — the standard mean-absolute-difference form.
+    let weighted: f64 = sorted
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| (i as f64 + 1.0) * v)
+        .sum();
+    (2.0 * weighted) / (n as f64 * sum) - (n as f64 + 1.0) / n as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,7 +550,7 @@ mod tests {
         m.apply(COLLISION);
         m.apply(LOST);
         m.apply(GAVE_UP);
-        m.apply(Probe::Sample { node: NodeId(0) });
+        m.apply(Probe::Sample);
         assert_eq!(m.retransmissions(), 1);
         assert_eq!(m.collisions(), 2);
         assert_eq!(m.losses(), 1);
@@ -570,7 +604,7 @@ mod tests {
         m.apply(Probe::nap(1, 700));
         m.apply(RETRY);
         m.apply(LOST);
-        m.apply(Probe::Sample { node: NodeId(0) });
+        m.apply(Probe::Sample);
         m.set_horizon(SimTime::from_ms(1000));
         let s = m.snapshot();
         assert_eq!(s.avg_transmission_time_pct, m.avg_transmission_time_pct());
@@ -607,7 +641,7 @@ mod tests {
         m.apply(LOST);
         m.apply(GAVE_UP);
         m.apply(Probe::Orphaned { node: NodeId(1) });
-        m.apply(Probe::Sample { node: NodeId(0) });
+        m.apply(Probe::Sample);
         m.set_horizon(SimTime::from_ms(1000));
 
         // Exhaustive: a new private field in Metrics breaks this pattern.
@@ -717,7 +751,7 @@ mod tests {
         m.apply(Probe::tx(1, MsgKind::Result, 30, 10));
         m.apply(Probe::rx(2, 50.0));
         m.apply(Probe::nap(1, 500));
-        m.apply(Probe::Sample { node: NodeId(0) });
+        m.apply(Probe::Sample);
         m.set_horizon(SimTime::from_ms(1000));
         let per_node: f64 = (0..3).map(|n| m.node_energy_mj(&p, n)).sum();
         let sample_mj = p.sample_uj / 1000.0;
@@ -735,5 +769,28 @@ mod tests {
         let s = m.to_string();
         assert!(s.contains("avg transmission time"));
         assert!(s.contains("result"));
+    }
+
+    #[test]
+    fn gini_known_values() {
+        // Perfect equality.
+        assert_eq!(gini(&[1.0, 1.0, 1.0, 1.0]), 0.0);
+        // All load on one of n elements → (n−1)/n.
+        assert!((gini(&[0.0, 0.0, 0.0, 4.0]) - 0.75).abs() < 1e-12);
+        // Order must not matter.
+        assert!((gini(&[4.0, 0.0, 0.0, 0.0]) - 0.75).abs() < 1e-12);
+        // Degenerate inputs.
+        assert_eq!(gini(&[]), 0.0);
+        assert_eq!(gini(&[0.0, 0.0]), 0.0);
+        // A known intermediate case: [1,2,3,4] → G = 0.25.
+        assert!((gini(&[1.0, 2.0, 3.0, 4.0]) - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn max_mean_ratio_known_values() {
+        assert_eq!(max_mean_ratio(&[2.0, 2.0]), 1.0);
+        assert_eq!(max_mean_ratio(&[0.0, 4.0]), 2.0);
+        assert_eq!(max_mean_ratio(&[]), 1.0);
+        assert_eq!(max_mean_ratio(&[0.0, 0.0]), 1.0);
     }
 }

@@ -1,13 +1,13 @@
 //! The probe seam: every radio occurrence is reported once, as one [`Probe`]
-//! value, and the run's accounting and observers consume that one value.
+//! value, and the run's accounting and trace consume that one value.
 //!
 //! A site in the engine says *what happened* —
 //! `probes.record(at_us, Probe::Tx { .. })` — and nothing about who is
-//! listening. [`Probes`] feeds the value to [`Metrics`] (always) and, when
-//! any observer is attached, to the window recorder and the trace sink.
-//! What a tx, an rx, a collision or a retracted nap *means* to each consumer
-//! is one `match` per consumer (`Metrics::apply`, `WindowRecorder::apply`,
-//! [`Probe::trace_event`]) instead of a hand-written fan-out per site.
+//! listening. [`Probes`] feeds the value to [`Metrics`] (always) and, when a
+//! trace sink is attached, to the trace. What a tx, an rx, a collision or a
+//! retracted nap *means* to each consumer is one `match` per consumer
+//! (`Metrics::apply`, [`Probe::trace_event`]) instead of a hand-written
+//! fan-out per site.
 //!
 //! [`Observe`] states the observer contract; DESIGN.md §22 has the table of
 //! sites.
@@ -15,7 +15,6 @@
 use crate::metrics::Metrics;
 use crate::radio::MsgKind;
 use crate::time::SimTime;
-use crate::timeseries::WindowRecorder;
 use crate::topology::NodeId;
 use crate::trace::{TraceDest, TraceEvent, TraceHandle};
 
@@ -32,10 +31,6 @@ pub struct Observe {
     /// Sink for structured per-event [`TraceEvent`]s from the engine, the
     /// node apps, Tier 1 and the runner's answer mapping.
     pub trace: TraceHandle,
-    /// Record windowed per-node counters (one base epoch per window, the
-    /// default [`EnergyProfile`](crate::EnergyProfile)); the finished
-    /// series comes back from [`Simulator::detach`](crate::Simulator::detach).
-    pub timeseries: bool,
     /// Run the standing invariant auditor over the finished run — post-hoc
     /// arithmetic over artifacts the run already produced. The engine
     /// ignores this; the experiment runner acts on it.
@@ -98,14 +93,13 @@ pub(crate) enum Probe {
     /// A crashed node rebooted.
     Recover { node: NodeId },
     /// A sensor attribute was sampled.
-    Sample { node: NodeId },
+    Sample,
     /// A node dropped results it had no live route for.
     Orphaned { node: NodeId },
 }
 
 impl Probe {
-    /// The change this probe makes to `node`'s credited sleep time, ms —
-    /// the one expression both accumulators evaluate.
+    /// The change this probe makes to `node`'s credited sleep time, ms.
     #[inline(always)]
     pub(crate) fn sleep_delta_ms(self) -> Option<(NodeId, f64)> {
         match self {
@@ -186,46 +180,25 @@ impl Probe {
             Probe::Wake { node, .. } => T::Wake { node },
             Probe::Crash { node, .. } => T::FaultCrash { node },
             Probe::Recover { node } => T::FaultRecover { node },
-            Probe::Rx { .. } | Probe::Sample { .. } | Probe::Orphaned { .. } => return None,
+            Probe::Rx { .. } | Probe::Sample | Probe::Orphaned { .. } => return None,
         })
     }
 }
 
-/// The attached observers, boxed so an unobserved engine carries one null
-/// pointer.
-#[derive(Debug, Default)]
-struct Observers {
-    windows: Option<WindowRecorder>,
-    trace: TraceHandle,
-}
-
-impl Observers {
-    /// Out of line: every engine site inlines [`Probes::record`], and the
-    /// unobserved run should carry only the branch around this call.
-    #[inline(never)]
-    fn observe(&mut self, at_us: u64, probe: Probe) {
-        if let Some(windows) = self.windows.as_mut() {
-            windows.apply(at_us, probe);
-        }
-        if let Some(event) = probe.trace_event() {
-            self.trace.emit(at_us, event);
-        }
-    }
-}
-
-/// Owner of a simulator's [`Metrics`] and of whatever observes the run.
+/// Owner of a simulator's [`Metrics`] and of the trace sink that observes
+/// the run.
 #[derive(Debug)]
 pub(crate) struct Probes {
     metrics: Metrics,
-    observers: Option<Box<Observers>>,
+    trace: TraceHandle,
 }
 
 impl Probes {
-    /// Unobserved accounting for `nodes` nodes.
+    /// Untraced accounting for `nodes` nodes.
     pub(crate) fn new(nodes: usize) -> Self {
         Probes {
             metrics: Metrics::new(nodes),
-            observers: None,
+            trace: TraceHandle::disabled(),
         }
     }
 
@@ -240,46 +213,37 @@ impl Probes {
     /// Reports one occurrence at simulation time `at_us`. Always inlined:
     /// the probe's variant is a constant at every site, so the metrics
     /// `match` folds to its one arm and no `Probe` is ever materialized on
-    /// the unobserved path.
+    /// the untraced path.
     #[inline(always)]
     pub(crate) fn record(&mut self, at_us: u64, probe: Probe) {
         self.metrics.apply(probe);
-        if let Some(obs) = self.observers.as_deref_mut() {
-            obs.observe(at_us, probe);
+        if self.trace.is_enabled() {
+            self.emit(at_us, probe);
+        }
+    }
+
+    /// Out of line: every engine site inlines [`Probes::record`], and the
+    /// untraced run should carry only the branch around this call.
+    #[inline(never)]
+    fn emit(&self, at_us: u64, probe: Probe) {
+        if let Some(event) = probe.trace_event() {
+            self.trace.emit(at_us, event);
         }
     }
 
     /// Emits an app-level trace event, built only if a sink is attached.
     #[inline]
     pub(crate) fn trace_with(&self, at_us: u64, event: impl FnOnce() -> TraceEvent) {
-        if let Some(obs) = self.observers.as_deref() {
-            obs.trace.emit_with(at_us, event);
-        }
+        self.trace.emit_with(at_us, event);
     }
 
-    /// Replaces the observers with what `observe` selects. A recorder that
-    /// is already running keeps its windows.
-    pub(crate) fn attach(&mut self, observe: &Observe, nodes: usize) {
-        let running = self.observers.take().and_then(|obs| obs.windows);
-        let windows = observe
-            .timeseries
-            .then(|| running.unwrap_or_else(|| WindowRecorder::new(nodes)));
-        if windows.is_none() && !observe.trace.is_enabled() {
-            return;
-        }
-        self.observers = Some(Box::new(Observers {
-            windows,
-            trace: observe.trace.clone(),
-        }));
-    }
-
-    /// Drops every observer, returning the window recorder if one ran.
-    pub(crate) fn detach(&mut self) -> Option<WindowRecorder> {
-        self.observers.take()?.windows
+    /// Replaces the trace sink.
+    pub(crate) fn set_trace(&mut self, trace: TraceHandle) {
+        self.trace = trace;
     }
 }
 
-/// Shorthand constructors for the accumulators' unit tests.
+/// Shorthand constructors for the accounting's unit tests.
 #[cfg(test)]
 impl Probe {
     pub(crate) fn tx(node: u16, kind: MsgKind, bytes: usize, airtime_ms: u64) -> Probe {

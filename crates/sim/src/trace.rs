@@ -816,71 +816,6 @@ pub struct EpochRollup {
     pub nonempty_answers: u64,
 }
 
-/// The bucketing rule behind [`epoch_rollups`] and [`summarize_trace`]:
-/// events that carry an explicit `epoch_ms` (rows, answers) are bucketed by
-/// it, everything else by its timestamp.
-struct RollupBuckets {
-    len_ms: u64,
-    buckets: BTreeMap<u64, EpochRollup>,
-}
-
-impl RollupBuckets {
-    fn new(epoch_len_ms: u64) -> Self {
-        RollupBuckets {
-            len_ms: epoch_len_ms.max(1),
-            buckets: BTreeMap::new(),
-        }
-    }
-
-    /// Counts one record from its kind tag and timestamp; `epoch_ms` and
-    /// `nonempty` are read only for the kinds that carry them.
-    fn count(&mut self, kind_tag: &str, time_us: u64, epoch_ms: u64, nonempty: bool) {
-        let len = self.len_ms;
-        let by_time = (time_us / 1000) / len * len;
-        let by_epoch = epoch_ms / len * len;
-        let (bucket, apply): (u64, fn(&mut EpochRollup)) = match kind_tag {
-            "frame-tx" => (by_time, |r| r.tx += 1),
-            "frame-collision" => (by_time, |r| r.collisions += 1),
-            "frame-lost" => (by_time, |r| r.losses += 1),
-            "frame-retry" => (by_time, |r| r.retries += 1),
-            "sleep-start" => (by_time, |r| r.sleeps += 1),
-            "result-delivered" => (by_epoch, |r| r.rows_delivered += 1),
-            "answer-mapped" if nonempty => (by_epoch, |r| {
-                r.answers += 1;
-                r.nonempty_answers += 1;
-            }),
-            "answer-mapped" => (by_epoch, |r| r.answers += 1),
-            _ => return,
-        };
-        apply(self.buckets.entry(bucket).or_insert(EpochRollup {
-            epoch_ms: bucket,
-            ..EpochRollup::default()
-        }));
-    }
-
-    fn finish(self) -> Vec<EpochRollup> {
-        self.buckets.into_values().collect()
-    }
-}
-
-/// Buckets trace records into per-epoch rollups of length `epoch_len_ms`.
-/// Events that carry an explicit `epoch_ms` (rows, answers) are bucketed by
-/// it; everything else by its timestamp.
-pub fn epoch_rollups(records: &[TraceRecord], epoch_len_ms: u64) -> Vec<EpochRollup> {
-    let mut buckets = RollupBuckets::new(epoch_len_ms);
-    for rec in records {
-        let (epoch_ms, nonempty) = match &rec.event {
-            TraceEvent::ResultDelivered { epoch_ms, .. } => (*epoch_ms, false),
-            TraceEvent::AnswerMapped {
-                epoch_ms, nonempty, ..
-            } => (*epoch_ms, *nonempty),
-            _ => (0, false),
-        };
-        buckets.count(rec.event.kind_tag(), rec.time_us, epoch_ms, nonempty);
-    }
-    buckets.finish()
-}
-
 /// Summary of a JSON-lines trace, computed from the text alone (no access
 /// to the run that produced it) — the `trace-analyze` example's core.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -901,7 +836,9 @@ pub struct TraceSummary {
     /// Hops = result-hop events naming the provenance (origin send
     /// included), for provenances that reached the base station.
     pub hop_distribution: BTreeMap<u64, u64>,
-    /// Per-epoch rollups at `BASE_EPOCH_MS` granularity.
+    /// Per-epoch rollups, one per bucket of the caller's `epoch_len_ms`
+    /// that saw activity, in time order. Rows and answers are bucketed by
+    /// the epoch they carry, everything else by its timestamp.
     pub rollups: Vec<EpochRollup>,
     /// Non-empty lines that were neither a record (no `ev` field), a
     /// header (no `schema_version` field), nor a drop marker (no
@@ -1064,7 +1001,7 @@ impl fmt::Display for TraceSchemaError {
 impl std::error::Error for TraceSchemaError {}
 
 /// Summarizes a JSON-lines trace (header line + records). Rollups are
-/// bucketed by `epoch_len_ms`.
+/// bucketed by `epoch_len_ms` (clamped to at least 1 ms).
 ///
 /// A trace with no header at all is tolerated (`schema_version` stays
 /// `None`); lines that are neither records nor headers are skipped and
@@ -1089,7 +1026,8 @@ pub fn summarize_trace(text: &str, epoch_len_ms: u64) -> Result<TraceSummary, Tr
     // Hops per provenance id, and which provenances were delivered.
     let mut hops: BTreeMap<u64, u64> = BTreeMap::new();
     let mut delivered: Vec<u64> = Vec::new();
-    let mut rollups = RollupBuckets::new(epoch_len_ms);
+    let len = epoch_len_ms.max(1);
+    let mut rollups: BTreeMap<u64, EpochRollup> = BTreeMap::new();
     for line in text.lines() {
         if line.is_empty() {
             continue;
@@ -1121,14 +1059,18 @@ pub fn summarize_trace(text: &str, epoch_len_ms: u64) -> Result<TraceSummary, Tr
             .get("nonempty")
             .and_then(JsonValue::as_bool)
             .unwrap_or(false);
-        rollups.count(
-            ev,
-            rec.u64_at("t").unwrap_or(0),
-            rec.u64_at("epoch_ms").unwrap_or(0),
-            nonempty,
-        );
+        let t_ms = rec.u64_at("t").unwrap_or(0) / 1000;
+        let epoch_ms = rec.u64_at("epoch_ms").unwrap_or(0);
         match ev {
+            "frame-tx" => bucket(&mut rollups, len, t_ms).tx += 1,
+            "frame-collision" => bucket(&mut rollups, len, t_ms).collisions += 1,
+            "frame-lost" => bucket(&mut rollups, len, t_ms).losses += 1,
+            "frame-retry" => bucket(&mut rollups, len, t_ms).retries += 1,
+            "sleep-start" => bucket(&mut rollups, len, t_ms).sleeps += 1,
             "answer-mapped" => {
+                let rollup = bucket(&mut rollups, len, epoch_ms);
+                rollup.answers += 1;
+                rollup.nonempty_answers += u64::from(nonempty);
                 let user = rec.u64_at("user").unwrap_or(0);
                 let latency = rec.u64_at("latency_ms").unwrap_or(0);
                 *summary.answers_per_query.entry(user).or_insert(0) += 1;
@@ -1148,6 +1090,7 @@ pub fn summarize_trace(text: &str, epoch_len_ms: u64) -> Result<TraceSummary, Tr
                 }
             }
             "result-delivered" => {
+                bucket(&mut rollups, len, epoch_ms).rows_delivered += 1;
                 delivered.push(rec.u64_at("prov").unwrap_or(0));
             }
             _ => {}
@@ -1159,8 +1102,17 @@ pub fn summarize_trace(text: &str, epoch_len_ms: u64) -> Result<TraceSummary, Tr
         let h = hops.get(&p).copied().unwrap_or(0);
         *summary.hop_distribution.entry(h).or_insert(0) += 1;
     }
-    summary.rollups = rollups.finish();
+    summary.rollups = rollups.into_values().collect();
     Ok(summary)
+}
+
+/// The rollup of the `len`-ms bucket holding `at_ms`, opened on first use.
+fn bucket(rollups: &mut BTreeMap<u64, EpochRollup>, len: u64, at_ms: u64) -> &mut EpochRollup {
+    let epoch_ms = at_ms / len * len;
+    rollups.entry(epoch_ms).or_insert(EpochRollup {
+        epoch_ms,
+        ..EpochRollup::default()
+    })
 }
 
 /// Converts a JSON-lines trace into Chrome trace-event JSON
@@ -1201,6 +1153,17 @@ pub fn chrome_trace(text: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `recs` as a trace file: the header, then one record per line.
+    fn jsonl(recs: &[TraceRecord]) -> String {
+        let mut text = trace_header();
+        text.push('\n');
+        for r in recs {
+            text.push_str(&r.to_json());
+            text.push('\n');
+        }
+        text
+    }
 
     #[test]
     fn provenance_round_trips() {
@@ -1334,7 +1297,7 @@ mod tests {
                 },
             },
         ];
-        let rollups = epoch_rollups(&recs, 2048);
+        let rollups = summarize_trace(&jsonl(&recs), 2048).unwrap().rollups;
         assert_eq!(rollups.len(), 2);
         assert_eq!(rollups[0].epoch_ms, 0);
         assert_eq!(rollups[0].tx, 1);
@@ -1346,8 +1309,6 @@ mod tests {
 
     #[test]
     fn summarize_reads_back_what_the_sink_wrote() {
-        let mut text = trace_header();
-        text.push('\n');
         let p = ProvenanceId::new(NodeId(7), 2048);
         let recs = vec![
             TraceRecord {
@@ -1392,10 +1353,7 @@ mod tests {
                 },
             },
         ];
-        for r in &recs {
-            text.push_str(&r.to_json());
-            text.push('\n');
-        }
+        let text = jsonl(&recs);
         let s = summarize_trace(&text, 2048).expect("schema matches");
         assert_eq!(s.schema_version, Some(SCHEMA_VERSION));
         assert_eq!(s.malformed_lines, 0);
@@ -1539,14 +1497,15 @@ mod tests {
                 },
             },
         ];
-        let rollups = epoch_rollups(&recs, 2048);
+        let text = jsonl(&recs);
+        let rollups = summarize_trace(&text, 2048).unwrap().rollups;
         assert_eq!(rollups.len(), 2);
         assert_eq!(rollups[0].epoch_ms, 0);
         assert_eq!(rollups[0].tx, 2);
         assert_eq!(rollups[1].epoch_ms, 2048);
         assert_eq!(rollups[1].sleeps, 1);
         // Degenerate epoch length: clamped to 1 ms buckets, no panic.
-        let tiny = epoch_rollups(&recs, 0);
+        let tiny = summarize_trace(&text, 0).unwrap().rollups;
         assert_eq!(tiny.iter().map(|r| r.tx).sum::<u64>(), 2);
     }
 

@@ -1,7 +1,7 @@
 //! Sleep-time accounting and the energy model, end to end.
 
 use ttmqo_sim::{
-    ConstantField, Ctx, Destination, EnergyProfile, MsgKind, NodeApp, NodeId, Position,
+    ConstantField, Ctx, Destination, EnergyProfile, FaultPlan, MsgKind, NodeApp, NodeId, Position,
     RadioParams, SimConfig, SimTime, Simulator, Topology,
 };
 
@@ -60,15 +60,23 @@ fn sleep_time_is_accounted() {
 
 #[test]
 fn early_wake_refunds_the_unspent_nap() {
-    let mut s = sim();
-    s.schedule_command(SimTime::from_ms(100), NodeId(1), Cmd::Sleep(800));
-    s.schedule_command(SimTime::from_ms(300), NodeId(1), Cmd::Wake);
-    s.run_until(SimTime::from_ms(1000));
-    assert!(
-        (s.metrics().node_sleep_ms(1) - 200.0).abs() < 1e-6,
-        "slept 100..300 = 200 ms, got {}",
-        s.metrics().node_sleep_ms(1)
-    );
+    // Woken, or crashed (a failed node draws no power): either way the nap
+    // ends at 300 ms and the rest of it is retracted.
+    for crash in [false, true] {
+        let mut s = sim();
+        s.schedule_command(SimTime::from_ms(100), NodeId(1), Cmd::Sleep(800));
+        if crash {
+            s.install_fault_plan(&FaultPlan::scripted(vec![(NodeId(1), 300, None)]));
+        } else {
+            s.schedule_command(SimTime::from_ms(300), NodeId(1), Cmd::Wake);
+        }
+        s.run_until(SimTime::from_ms(1000));
+        assert!(
+            (s.metrics().node_sleep_ms(1) - 200.0).abs() < 1e-6,
+            "slept 100..300 = 200 ms (crash: {crash}), got {}",
+            s.metrics().node_sleep_ms(1)
+        );
+    }
 }
 
 #[test]

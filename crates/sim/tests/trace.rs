@@ -8,8 +8,8 @@ use std::sync::{Arc, Mutex};
 
 use ttmqo_sim::{
     trace_header, ConstantField, Ctx, Destination, EngineStats, JsonLinesSink, MetricsSnapshot,
-    MsgKind, NodeApp, NodeId, Observe, OutputRecord, Position, RadioParams, RingSink, SimConfig,
-    SimTime, Simulator, Topology, TraceEvent, TraceHandle, TraceRecord, TraceSink, SCHEMA_VERSION,
+    MsgKind, NodeApp, NodeId, OutputRecord, Position, RadioParams, RingSink, SimConfig, SimTime,
+    Simulator, Topology, TraceEvent, TraceHandle, TraceRecord, TraceSink, SCHEMA_VERSION,
 };
 
 /// A scriptable test app: sends frames per external commands and echoes
@@ -133,10 +133,7 @@ fn run_scenario(
 ) -> (EngineStats, MetricsSnapshot, Vec<OutputRecord<String>>) {
     let mut sim = new_sim();
     if let Some(trace) = trace {
-        sim.attach(&Observe {
-            trace,
-            ..Observe::default()
-        });
+        sim.set_trace(trace);
     }
     script(&mut sim);
     sim.run_until(SimTime::from_ms(1000));

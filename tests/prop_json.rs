@@ -21,8 +21,8 @@ use ttmqo::sim::json::{self, JsonValue};
 use ttmqo::sim::{
     chrome_trace, summarize_trace, trace_diff, trace_header, AuditCheck, AuditReport,
     AuditViolation, CompletenessReport, EngineStats, EpochRollup, MetricsSnapshot, MsgKind, NodeId,
-    NodeTimeseries, ProvenanceId, QueryCompleteness, TraceDest, TraceEvent, TraceRecord,
-    TraceSummary, WindowStats, SCHEMA_VERSION,
+    ProvenanceId, QueryCompleteness, TraceDest, TraceEvent, TraceRecord, TraceSummary,
+    SCHEMA_VERSION,
 };
 use ttmqo_bench::{EngineBenchResult, FaultBenchResult};
 
@@ -628,60 +628,6 @@ fn kind_counts(rng: &mut TestRng) -> BTreeMap<MsgKind, u64> {
         .collect()
 }
 
-fn node_timeseries(rng: &mut TestRng) -> (NodeTimeseries, Leaves) {
-    let nodes = rng.sample(0..4usize);
-    let series = NodeTimeseries {
-        window_ms: uint(rng),
-        nodes,
-        horizon_ms: uint(rng),
-        windows: vec_of(rng, 3, |rng| WindowStats {
-            start_ms: uint(rng),
-            len_ms: uint(rng),
-            tx_busy_ms: (0..nodes).map(|_| float(rng)).collect(),
-            rx_busy_ms: (0..nodes).map(|_| float(rng)).collect(),
-            sleep_ms: (0..nodes).map(|_| float(rng)).collect(),
-            samples: (0..nodes).map(|_| uint(rng)).collect(),
-            tx_frames: (0..nodes).map(|_| uint(rng)).collect(),
-            energy_mj: (0..nodes).map(|_| float(rng)).collect(),
-            tx_count: kind_counts(rng),
-            collisions: uint(rng),
-            retransmissions: uint(rng),
-            losses: uint(rng),
-            gave_up: uint(rng),
-        }),
-    };
-    let mut leaves = vec![
-        u("schema_version", SCHEMA_VERSION as u64),
-        u("window_ms", series.window_ms),
-        u("nodes", series.nodes as u64),
-        u("horizon_ms", series.horizon_ms),
-    ];
-    for (i, w) in series.windows.iter().enumerate() {
-        let floats = |v: &[f64]| v.iter().map(|x| Leaf::F(*x)).collect::<Vec<_>>();
-        let uints = |v: &[u64]| v.iter().map(|x| Leaf::U(*x)).collect::<Vec<_>>();
-        let mut window = vec![u("start_ms", w.start_ms), u("len_ms", w.len_ms)];
-        window.extend(each("tx_busy_ms", floats(&w.tx_busy_ms)));
-        window.extend(each("rx_busy_ms", floats(&w.rx_busy_ms)));
-        window.extend(each("sleep_ms", floats(&w.sleep_ms)));
-        window.extend(each("energy_mj", floats(&w.energy_mj)));
-        window.extend(each("samples", uints(&w.samples)));
-        window.extend(each("tx_frames", uints(&w.tx_frames)));
-        for (kind, n) in &w.tx_count {
-            window.push(u(&format!("tx_count.{kind}"), *n));
-        }
-        window.extend([
-            u("collisions", w.collisions),
-            u("retransmissions", w.retransmissions),
-            u("losses", w.losses),
-            u("gave_up", w.gave_up),
-            f("max_mean_tx_ratio", w.max_mean_tx_ratio()),
-            f("gini_tx_busy", w.gini_tx_busy()),
-        ]);
-        leaves.extend(under(&format!("windows[{i}]."), window));
-    }
-    (series, leaves)
-}
-
 fn cell_record(rng: &mut TestRng) -> (CellRecord, Leaves) {
     let per_query = vec_of(rng, 3, |rng| {
         let completeness = QueryCompleteness {
@@ -751,7 +697,6 @@ fn cell_record(rng: &mut TestRng) -> (CellRecord, Leaves) {
         trace_file: flag(rng).then(|| text(rng)),
         energy_mj: float(rng),
         max_node_energy_mj: float(rng),
-        timeseries_file: flag(rng).then(|| text(rng)),
         audit: flag(rng).then_some(audit),
     };
     let (c, m, e) = (&record.completeness, &record.metrics, &record.engine);
@@ -834,12 +779,7 @@ fn cell_record(rng: &mut TestRng) -> (CellRecord, Leaves) {
             u("fault_events", e.fault_events),
         ],
     ));
-    for (key, file) in [
-        ("trace_file", &record.trace_file),
-        ("timeseries_file", &record.timeseries_file),
-    ] {
-        leaves.extend(file.as_ref().map(|name| s(key, name)));
-    }
+    leaves.extend(record.trace_file.as_ref().map(|name| s("trace_file", name)));
     if record.audit.is_some() {
         leaves.extend(under("audit.", audit_leaves));
     }
@@ -995,11 +935,6 @@ proptest! {
 
     #[test]
     fn audit_report_round_trips(case in arb(audit_report)) {
-        check(&case.0.to_json(), &case.1)?;
-    }
-
-    #[test]
-    fn node_timeseries_round_trips(case in arb(node_timeseries)) {
         check(&case.0.to_json(), &case.1)?;
     }
 
