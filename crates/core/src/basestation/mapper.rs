@@ -8,7 +8,7 @@
 //! epochs (a member with a 4096 ms epoch only receives answers for epochs at
 //! multiples of 4096 ms even when the synthetic query fires every 2048 ms).
 
-use ttmqo_query::{aggregate_rows, Attribute, EpochAnswer, Query, Row, Selection};
+use ttmqo_query::{aggregate_rows, Attribute, EpochAnswer, Query, RowRef, Selection};
 
 /// Maps one synthetic-query epoch answer onto one member user query.
 ///
@@ -21,7 +21,7 @@ use ttmqo_query::{aggregate_rows, Attribute, EpochAnswer, Query, Row, Selection}
 ///
 /// ```
 /// use ttmqo_core::map_epoch_answer;
-/// use ttmqo_query::{parse_query, EpochAnswer, QueryId, Readings, Row, Attribute};
+/// use ttmqo_query::{parse_query, EpochAnswer, QueryId, Readings, Row, RowSet, Attribute};
 ///
 /// let synthetic = parse_query(QueryId(100), "select light, temp epoch duration 2048")?;
 /// let user = parse_query(QueryId(1), "select light where light >= 500 epoch duration 4096")?;
@@ -29,19 +29,19 @@ use ttmqo_query::{aggregate_rows, Attribute, EpochAnswer, Query, Row, Selection}
 /// let mut readings = Readings::new();
 /// readings.set(Attribute::Light, 700.0);
 /// readings.set(Attribute::Temp, 20.0);
-/// let rows = vec![Row { node: 3, time_ms: 4096, readings }];
+/// let rows = EpochAnswer::Rows(RowSet::new(4096, [Row { node: 3, time_ms: 4096, readings }]));
 ///
 /// // At t=4096 (a user epoch) the qualifying row is re-filtered & projected.
-/// let mapped = map_epoch_answer(&user, &synthetic, 4096, &EpochAnswer::Rows(rows.clone()));
-/// match mapped.unwrap() {
+/// match map_epoch_answer(&user, &synthetic, 4096, &rows).unwrap() {
 ///     EpochAnswer::Rows(rs) => {
+///         let row = rs.iter().next().unwrap();
 ///         assert_eq!(rs.len(), 1);
-///         assert_eq!(rs[0].readings.get(Attribute::Temp), None, "projected away");
+///         assert_eq!(row.readings.get(Attribute::Temp), None, "projected away");
 ///     }
 ///     _ => unreachable!(),
 /// }
 /// // At t=2048 the user query is not due.
-/// assert!(map_epoch_answer(&user, &synthetic, 2048, &EpochAnswer::Rows(rows)).is_none());
+/// assert!(map_epoch_answer(&user, &synthetic, 2048, &rows).is_none());
 /// # Ok::<(), ttmqo_query::ParseQueryError>(())
 /// ```
 pub fn map_epoch_answer(
@@ -72,20 +72,13 @@ pub fn map_epoch_answer_at(
     }
     match (answer, user.selection()) {
         (EpochAnswer::Rows(rows), Selection::Attributes(attrs)) => {
-            let filtered = refilter(user, rows, position_of);
-            let projected: Vec<Row> = filtered
-                .into_iter()
-                .map(|r| Row {
-                    node: r.node,
-                    time_ms: epoch_ms,
-                    readings: r.readings.project(attrs),
-                })
-                .collect();
-            Some(EpochAnswer::Rows(projected))
+            let attrs = attrs.iter().collect();
+            let kept = rows.select(epoch_ms, attrs, |r| keeps(user, position_of, r));
+            Some(EpochAnswer::Rows(kept))
         }
         (EpochAnswer::Rows(rows), Selection::Aggregates(aggs)) => {
-            let filtered = refilter(user, rows, position_of);
-            Some(EpochAnswer::Aggregates(aggregate_rows(&filtered, aggs)))
+            let kept = rows.refs().filter(|&r| keeps(user, position_of, r));
+            Some(EpochAnswer::Aggregates(aggregate_rows(kept, aggs)))
         }
         (EpochAnswer::Aggregates(values), Selection::Aggregates(aggs)) => {
             // Correct only because aggregation merges require equivalent
@@ -103,99 +96,44 @@ pub fn map_epoch_answer_at(
     }
 }
 
-/// Outcome of mapping one *expected* epoch of a user query: either the
-/// mapped answer, or an explicit marker that the epoch produced nothing.
-///
-/// [`map_epoch_answer_at`] alone cannot distinguish "this epoch is not due
-/// for the user query" (benign) from "the epoch was due but the synthetic
-/// stream had no usable result" (data loss) — callers used to silently skip
-/// both. Completeness accounting needs the difference made explicit.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EpochOutcome {
-    /// The synthetic stream answered this due epoch; the mapped user answer.
-    Answered(EpochAnswer),
-    /// The epoch was due for the user query but no answer could be produced:
-    /// the synthetic result never arrived (lost upstream, base station down)
-    /// or could not be mapped.
-    Missing,
-}
-
-impl EpochOutcome {
-    /// Whether this due epoch went unanswered.
-    pub fn is_missing(&self) -> bool {
-        matches!(self, EpochOutcome::Missing)
-    }
-
-    /// The mapped answer, if any.
-    pub fn answer(&self) -> Option<&EpochAnswer> {
-        match self {
-            EpochOutcome::Answered(a) => Some(a),
-            EpochOutcome::Missing => None,
-        }
-    }
-}
-
-/// Maps one epoch of a user query with gaps made explicit.
-///
-/// Returns `None` when `epoch_ms` is not an epoch of the user query at all
-/// (nothing was expected). Otherwise the epoch *was* due, and the result is
-/// [`EpochOutcome::Answered`] when the synthetic stream yielded a mappable
-/// answer or [`EpochOutcome::Missing`] when `answer` was absent (no
-/// synthetic result arrived for this epoch) or unmappable.
-pub fn map_expected_epoch(
-    user: &Query,
-    synthetic: &Query,
-    epoch_ms: u64,
-    answer: Option<&EpochAnswer>,
-    position_of: &dyn Fn(u16) -> Option<(f64, f64)>,
-) -> Option<EpochOutcome> {
-    if !user.epoch().fires_at(epoch_ms) {
-        return None;
-    }
-    Some(
-        match answer.and_then(|a| map_epoch_answer_at(user, synthetic, epoch_ms, a, position_of)) {
-            Some(mapped) => EpochOutcome::Answered(mapped),
-            None => EpochOutcome::Missing,
-        },
-    )
-}
-
-/// Rows of the synthetic stream that satisfy the user's own predicates and
-/// region clause.
-fn refilter(
-    user: &Query,
-    rows: &[Row],
-    position_of: &dyn Fn(u16) -> Option<(f64, f64)>,
-) -> Vec<Row> {
-    rows.iter()
-        .filter(|r| {
-            let in_region = user
-                .region()
-                .is_none_or(|reg| position_of(r.node).is_some_and(|(x, y)| reg.contains(x, y)));
-            in_region
-                && user.predicates().matches_with(|attr| {
-                    // `nodeid` is the row's identity, not a sensed reading —
-                    // it never travels in the readings map. Any other
-                    // missing attribute fails the predicate; the optimizer's
-                    // needed-attribute rule ensures re-filter attributes
-                    // travel with the row.
-                    if attr == Attribute::NodeId {
-                        return f64::from(r.node);
-                    }
-                    r.readings.get(attr).unwrap_or(f64::NAN)
-                })
+/// Whether a row of the synthetic stream satisfies the user's own
+/// predicates and region clause.
+fn keeps(user: &Query, position_of: &dyn Fn(u16) -> Option<(f64, f64)>, row: RowRef<'_>) -> bool {
+    let in_region = user
+        .region()
+        .is_none_or(|reg| position_of(row.node()).is_some_and(|(x, y)| reg.contains(x, y)));
+    in_region
+        && user.predicates().matches_with(|attr| {
+            // `nodeid` is the row's identity, not a sensed reading — it never
+            // travels in the readings map. Any other missing attribute fails
+            // the predicate; the optimizer's needed-attribute rule ensures
+            // re-filter attributes travel with the row.
+            if attr == Attribute::NodeId {
+                return f64::from(row.node());
+            }
+            row.get(attr).unwrap_or(f64::NAN)
         })
-        .cloned()
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ttmqo_query::{parse_query, AggOp, Attribute, QueryId, Readings};
+    use ttmqo_query::{parse_query, AggOp, QueryId, Readings, Row, RowSet};
 
     fn q(id: u64, text: &str) -> Query {
         parse_query(QueryId(id), text).unwrap()
+    }
+
+    fn rows<const N: usize>(rows: [Row; N]) -> EpochAnswer {
+        EpochAnswer::Rows(RowSet::new(0, rows))
+    }
+
+    /// The rows of a mapped acquisition answer.
+    fn mapped_rows(mapped: Option<EpochAnswer>) -> Vec<Row> {
+        let Some(EpochAnswer::Rows(rows)) = mapped else {
+            panic!("{mapped:?} is not a rows answer")
+        };
+        rows.iter().collect()
     }
 
     fn row(node: u16, light: f64, temp: f64) -> Row {
@@ -213,12 +151,8 @@ mod tests {
     fn refilters_with_user_predicates() {
         let synthetic = q(100, "select light, temp epoch duration 2048");
         let user = q(1, "select light where 200<=light<=400 epoch duration 2048");
-        let rows = vec![row(1, 100.0, 0.0), row(2, 300.0, 0.0), row(3, 500.0, 0.0)];
-        let EpochAnswer::Rows(mapped) =
-            map_epoch_answer(&user, &synthetic, 2048, &EpochAnswer::Rows(rows)).unwrap()
-        else {
-            panic!()
-        };
+        let rows = rows([row(1, 100.0, 0.0), row(2, 300.0, 0.0), row(3, 500.0, 0.0)]);
+        let mapped = mapped_rows(map_epoch_answer(&user, &synthetic, 2048, &rows));
         assert_eq!(mapped.len(), 1);
         assert_eq!(mapped[0].node, 2);
     }
@@ -230,12 +164,8 @@ mod tests {
         // empty answer forever.
         let synthetic = q(100, "select light epoch duration 2048");
         let user = q(1, "select light where nodeid = 2 epoch duration 2048");
-        let rows = vec![row(1, 100.0, 0.0), row(2, 300.0, 0.0), row(3, 500.0, 0.0)];
-        let EpochAnswer::Rows(mapped) =
-            map_epoch_answer(&user, &synthetic, 2048, &EpochAnswer::Rows(rows)).unwrap()
-        else {
-            panic!()
-        };
+        let rows = rows([row(1, 100.0, 0.0), row(2, 300.0, 0.0), row(3, 500.0, 0.0)]);
+        let mapped = mapped_rows(map_epoch_answer(&user, &synthetic, 2048, &rows));
         assert_eq!(mapped.len(), 1);
         assert_eq!(mapped[0].node, 2);
     }
@@ -244,15 +174,9 @@ mod tests {
     fn projects_to_user_attributes() {
         let synthetic = q(100, "select light, temp epoch duration 2048");
         let user = q(1, "select temp epoch duration 2048");
-        let EpochAnswer::Rows(mapped) = map_epoch_answer(
-            &user,
-            &synthetic,
-            2048,
-            &EpochAnswer::Rows(vec![row(1, 100.0, 42.0)]),
-        )
-        .unwrap() else {
-            panic!()
-        };
+        let rows = rows([row(1, 100.0, 42.0)]);
+        let mapped = mapped_rows(map_epoch_answer(&user, &synthetic, 2048, &rows));
+        assert_eq!(mapped[0].time_ms, 2048, "stamped with the user's epoch");
         assert_eq!(mapped[0].readings.get(Attribute::Temp), Some(42.0));
         assert_eq!(mapped[0].readings.get(Attribute::Light), None);
     }
@@ -261,9 +185,9 @@ mod tests {
     fn computes_user_aggregates_from_rows() {
         let synthetic = q(100, "select light epoch duration 2048");
         let user = q(1, "select max(light), count(light) epoch duration 2048");
-        let rows = vec![row(1, 100.0, 0.0), row(2, 300.0, 0.0)];
+        let rows = rows([row(1, 100.0, 0.0), row(2, 300.0, 0.0)]);
         let EpochAnswer::Aggregates(vals) =
-            map_epoch_answer(&user, &synthetic, 2048, &EpochAnswer::Rows(rows)).unwrap()
+            map_epoch_answer(&user, &synthetic, 2048, &rows).unwrap()
         else {
             panic!()
         };
@@ -277,7 +201,7 @@ mod tests {
     fn epoch_alignment_suppresses_off_epochs() {
         let synthetic = q(100, "select light epoch duration 2048");
         let user = q(1, "select light epoch duration 6144");
-        let rows = EpochAnswer::Rows(vec![row(1, 1.0, 1.0)]);
+        let rows = rows([row(1, 1.0, 1.0)]);
         assert!(map_epoch_answer(&user, &synthetic, 2048, &rows).is_none());
         assert!(map_epoch_answer(&user, &synthetic, 4096, &rows).is_none());
         assert!(map_epoch_answer(&user, &synthetic, 6144, &rows).is_some());
@@ -319,47 +243,11 @@ mod tests {
     }
 
     #[test]
-    fn expected_epoch_with_no_result_is_marked_missing_not_skipped() {
-        let synthetic = q(100, "select light epoch duration 2048");
-        let user = q(1, "select light epoch duration 4096");
-        let no_pos = |_: u16| None;
-        // Off-epoch: nothing was expected, so no outcome at all.
-        assert_eq!(
-            map_expected_epoch(&user, &synthetic, 2048, None, &no_pos),
-            None
-        );
-        // Due epoch, no synthetic result: an explicit gap marker.
-        let outcome = map_expected_epoch(&user, &synthetic, 4096, None, &no_pos).unwrap();
-        assert!(outcome.is_missing());
-        assert_eq!(outcome.answer(), None);
-        // Due epoch with a result: the mapped answer.
-        let rows = EpochAnswer::Rows(vec![row(1, 100.0, 0.0)]);
-        let outcome = map_expected_epoch(&user, &synthetic, 4096, Some(&rows), &no_pos).unwrap();
-        assert!(!outcome.is_missing());
-        match outcome.answer().unwrap() {
-            EpochAnswer::Rows(rs) => assert_eq!(rs.len(), 1),
-            _ => panic!(),
-        }
-    }
-
-    #[test]
-    fn unmappable_result_is_marked_missing() {
-        // An aggregate stream can never answer an acquisition query; with
-        // gaps made explicit this surfaces as Missing instead of a skip.
-        let synthetic = q(100, "select max(light) epoch duration 2048");
-        let user = q(1, "select light epoch duration 2048");
-        let answer = EpochAnswer::Aggregates(vec![]);
-        let outcome =
-            map_expected_epoch(&user, &synthetic, 2048, Some(&answer), &|_| None).unwrap();
-        assert!(outcome.is_missing());
-    }
-
-    #[test]
     fn empty_rows_map_to_empty_answers() {
         let synthetic = q(100, "select light epoch duration 2048");
         let user = q(1, "select max(light) epoch duration 2048");
         let EpochAnswer::Aggregates(vals) =
-            map_epoch_answer(&user, &synthetic, 2048, &EpochAnswer::Rows(vec![])).unwrap()
+            map_epoch_answer(&user, &synthetic, 2048, &rows([])).unwrap()
         else {
             panic!()
         };

@@ -793,10 +793,8 @@ impl RunSession {
             // from the result rows the base station receives, so later
             // decisions use it.
             if let (Some(opt), EpochAnswer::Rows(rows)) = (learner.as_deref_mut(), answer) {
-                for row in rows {
-                    for (attr, value) in row.readings.iter() {
-                        opt.observe_reading(attr, value);
-                    }
+                for (attr, value) in rows.values() {
+                    opt.observe_reading(attr, value);
                 }
             }
             let arrival_ms = record.time.as_ms();

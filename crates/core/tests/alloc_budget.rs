@@ -7,7 +7,7 @@
 //!
 //! The binary installs its own counting allocator. Counts are per thread —
 //! the harness runs tests on parallel threads, and each test measures only
-//! the calls its own thread makes.
+//! the calls and bytes its own thread makes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,7 +17,7 @@ use ttmqo_core::{
     run_experiment, DagState, Election, ExperimentConfig, RowEntry, RunSession, Strategy, TtmqoApp,
     TtmqoConfig, TtmqoPayload,
 };
-use ttmqo_query::{parse_query, Attribute, QueryId, Readings, Row};
+use ttmqo_query::{parse_query, Attribute, EpochAnswer, QueryId, Readings, Row};
 use ttmqo_sim::{
     NodeApp, NodeId, Observe, Position, RadioParams, SimConfig, SimTime, Simulator, Topology,
     TraceEvent, TraceHandle, TraceRecord, TraceSink, UniformField,
@@ -30,39 +30,48 @@ thread_local! {
     /// Const-initialised and without a destructor, so reading it inside the
     /// allocator neither allocates nor registers anything.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated minus the bytes it has freed
+    /// (requested sizes, not the allocator's rounding).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn note() {
+fn note(grown: usize, shrunk: usize) {
     // Unavailable only while the thread is being torn down; nothing is
     // measured then.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    live(grown, shrunk);
+}
+
+fn live(grown: usize, shrunk: usize) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + grown as i64 - shrunk as i64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter never touches the memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size(), 0);
         // SAFETY: the caller guarantees `layout` is valid for `alloc`.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size(), 0);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size, layout.size());
         // SAFETY: the caller guarantees `ptr` came from this allocator with
         // `layout`, and this allocator only ever hands out `System` blocks.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(0, layout.size());
         // SAFETY: as for `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -76,6 +85,13 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// Bytes this thread frees, net of what it allocates, while running `f`.
+fn bytes_freed_by(f: impl FnOnce()) -> i64 {
+    let before = LIVE.with(Cell::get);
+    f();
+    before - LIVE.with(Cell::get)
 }
 
 fn qs(ids: &[u64]) -> Vec<QueryId> {
@@ -214,8 +230,13 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     // list re-grew 4 → 8 → 16, and the per-kind counters are two arrays. It
     // is 14 182 since a result frame to one parent names nobody: a relay
     // forwards the frame it was handed, electing one parent builds no
-    // vector, and a rows frame holds its one entry inline. The count is the
-    // same in debug and release builds (CI runs both).
+    // vector, and a rows frame holds its one entry inline. It is 14 042
+    // since an acquisition answer is one exact-size allocation: the base
+    // station spends one call on each answer it closes and one on each it
+    // maps for a user, where the mapper's filtered `Vec<Row>` re-grew past 4,
+    // 8 and 16 rows, and an aggregate computed from rows reads them in place
+    // instead of from a filtered copy. The count is the same in debug and
+    // release builds (CI runs both).
     let config = ExperimentConfig {
         strategy: Strategy::InNetOnly,
         grid_n: 8,
@@ -225,7 +246,7 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     let workload = workload_a();
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.engine.frames_total, 5965, "not the pinned cell");
-    assert_eq!(allocs, 14_182);
+    assert_eq!(allocs, 14_042);
 }
 
 #[test]
@@ -243,8 +264,9 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     // longer carries a B-tree, and every answer row is one flat value; the
     // per-slot collision bitset and the per-kind counter arrays, to 40 290;
     // unicast result frames that name nobody and are forwarded, not rebuilt,
-    // to 26 746. How much state that bookkeeping holds is watched by the repo
-    // benchmark's `adaptive-churn` `peak_rss_mib`.
+    // to 26 746; acquisition answers built at exact size in one allocation
+    // each, with no filtered `Vec<Row>` re-growing on the way, and aggregates
+    // read from the rows in place, to 26 442.
     let workload = random_workload(&RandomWorkloadParams {
         n_queries: 100,
         mean_arrival_ms: 10_000.0,
@@ -259,7 +281,27 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     };
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(100));
-    assert_eq!(allocs, 26_746);
+    assert_eq!(allocs, 26_442);
+
+    // What the users' answers hold once the run is over — 443 answers,
+    // 2 059 rows, 3 503 values — pinned exactly: the bytes freed by dropping
+    // them. As `Vec<Row>` (64 B a row, growth slack kept, a five-slot
+    // readings map and a time per row) that was 208 016 B; as exact-size
+    // node/value columns (4 B a row head, 8 B a value, the epoch once) it is
+    // 79 640 B. The same bookkeeping at the repo benchmark's scale is what its
+    // `adaptive-churn` `peak_rss_mib` watches: 25.8 MB of answers in a
+    // 29.3 MiB process before, 6.2 MB after.
+    let answers = report.answers;
+    let mut held = (0, 0, 0);
+    for (_, answer) in answers.values().flatten() {
+        held.0 += 1;
+        if let EpochAnswer::Rows(rows) = answer {
+            held.1 += rows.len();
+            held.2 += rows.iter().map(|r| r.readings.len()).sum::<usize>();
+        }
+    }
+    assert_eq!(held, (443, 2059, 3503), "not the pinned cell");
+    assert_eq!(bytes_freed_by(|| drop(answers)), 79_640);
 }
 
 /// Allocator calls made while node 1 of a three-node line relays node 2's

@@ -8,16 +8,22 @@
 //! not change simulated behaviour — not statistically, but down to the last
 //! bit of every f64 counter. Regenerate only for *intentional* behaviour
 //! changes: `UPDATE_GOLDEN=1 cargo test -p ttmqo-core --test
-//! golden_determinism`.
+//! golden_determinism`. The answers every user was told are pinned the same
+//! way, as digests (`answers_match_their_pinned_digests`).
 
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
-use ttmqo_core::{run_experiment, ExperimentConfig, RunSession, Strategy, WorkloadEvent};
+use ttmqo_core::{
+    run_experiment, ExperimentConfig, RunReport, RunSession, Strategy, WorkloadEvent,
+};
+use ttmqo_query::EpochAnswer;
 use ttmqo_sim::{
     FaultPlan, JsonLinesSink, MetricsSnapshot, NodeId, Observe, RadioParams, RingSink, SimTime,
     TraceHandle, TraceSink,
 };
-use ttmqo_workloads::{workload_a, workload_b};
+use ttmqo_workloads::{
+    random_workload, workload_a, workload_b, workload_end_ms, RandomWorkloadParams,
+};
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -350,10 +356,123 @@ fn digest(text: &str) -> Digest {
     Digest {
         lines: text.lines().count(),
         bytes: text.len(),
-        fnv1a: text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        }),
+        fnv1a: fnv1a(FNV_OFFSET, text.bytes()),
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into a 64-bit FNV-1a state.
+fn fnv1a(h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Answer count, row count and FNV-1a digest of every user answer a run
+/// holds.
+#[derive(Debug, PartialEq)]
+struct AnswerDigest {
+    answers: usize,
+    rows: usize,
+    fnv1a: u64,
+}
+
+/// Digests `report.answers`: per answer the user and the epoch, then per
+/// row the node and each `(attribute, value bits)`, per aggregate `(op,
+/// attribute, value bits)`. Asserts each user's epochs strictly ascend.
+fn answer_digest(report: &RunReport) -> AnswerDigest {
+    let mut d = AnswerDigest {
+        answers: 0,
+        rows: 0,
+        fnv1a: FNV_OFFSET,
+    };
+    let mut feed = |bytes: &[u8]| d.fnv1a = fnv1a(d.fnv1a, bytes.iter().copied());
+    for (user, per_epoch) in &report.answers {
+        assert!(
+            per_epoch.windows(2).all(|w| w[0].0 < w[1].0),
+            "user {user:?}: epochs not strictly ascending"
+        );
+        for (epoch_ms, answer) in per_epoch {
+            d.answers += 1;
+            feed(&user.0.to_le_bytes());
+            feed(&epoch_ms.to_le_bytes());
+            match answer {
+                EpochAnswer::Rows(rows) => {
+                    feed(b"R");
+                    d.rows += rows.len();
+                    for row in rows.iter() {
+                        feed(&row.node.to_le_bytes());
+                        for (attr, value) in row.readings.iter() {
+                            feed(&[attr as u8]);
+                            feed(&value.to_bits().to_le_bytes());
+                        }
+                    }
+                }
+                EpochAnswer::Aggregates(values) => {
+                    feed(b"A");
+                    for v in values {
+                        feed(&[v.op as u8, v.attr as u8]);
+                        feed(&v.value.to_bits().to_le_bytes());
+                    }
+                }
+            }
+        }
+    }
+    d
+}
+
+/// The 100-query churn cell `alloc_budget.rs` pins: queries arriving and
+/// leaving under the full scheme on 4×4.
+fn churn_cell() -> (ExperimentConfig, Vec<WorkloadEvent>) {
+    let workload = random_workload(&RandomWorkloadParams {
+        n_queries: 100,
+        mean_arrival_ms: 10_000.0,
+        nodeid_max: 15.0,
+        ..RandomWorkloadParams::default()
+    });
+    let config = ExperimentConfig {
+        strategy: Strategy::TwoTier,
+        grid_n: 4,
+        duration: SimTime::from_ms(workload_end_ms(&workload)) + 4 * 2048,
+        ..ExperimentConfig::default()
+    };
+    (config, workload)
+}
+
+#[test]
+fn answers_match_their_pinned_digests() {
+    // What every user was told, generated while acquisition answers were
+    // still `Vec<Row>`: a change to how an answer is held must not change one
+    // bit of what it holds. (Tier 1 alone and the full scheme tell Workload
+    // A's users the same thing.)
+    let pinned = [
+        (Strategy::Baseline, (94, 599, 0xd917_aa2c_3eb4_32e4)),
+        (Strategy::BsOnly, (94, 603, 0xa4bf_dc29_6a6b_5354)),
+        (Strategy::InNetOnly, (94, 564, 0x9bfc_bafe_c304_28a2)),
+        (Strategy::TwoTier, (94, 603, 0xa4bf_dc29_6a6b_5354)),
+    ];
+    for (strategy, (answers, rows, fnv1a)) in pinned {
+        let config = ExperimentConfig {
+            strategy,
+            ..golden_config()
+        };
+        let got = answer_digest(&run_experiment(&config, &workload_a()));
+        let want = AnswerDigest {
+            answers,
+            rows,
+            fnv1a,
+        };
+        assert_eq!(got, want, "Workload-A 4×4 golden cell under {strategy}");
+    }
+    let (config, workload) = churn_cell();
+    let got = answer_digest(&run_experiment(&config, &workload));
+    let want = AnswerDigest {
+        answers: 443,
+        rows: 2059,
+        fnv1a: 0xb972_845c_a0b4_29be,
+    };
+    assert_eq!(got, want, "100-query 4×4 churn cell");
 }
 
 // The traced bytes of two cells, generated at commit 755f41b — the last one

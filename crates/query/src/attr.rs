@@ -142,6 +142,21 @@ impl AttrSet {
     pub fn iter(self) -> AttrSetIter {
         AttrSetIter(self.0)
     }
+
+    /// The bitmap, for packing into a wider word.
+    pub(crate) fn bits(self) -> u8 {
+        self.0
+    }
+
+    /// The set whose bitmap [`bits`](Self::bits) returned.
+    pub(crate) fn from_bits(bits: u8) -> AttrSet {
+        AttrSet(bits)
+    }
+
+    /// How many members sort before `attr`: its index among a row's values.
+    pub(crate) fn rank(self, attr: Attribute) -> usize {
+        (self.0 & ((1 << attr as u8) - 1)).count_ones() as usize
+    }
 }
 
 /// Iterator over an [`AttrSet`], ascending.
@@ -203,6 +218,21 @@ pub(crate) struct AttrMap<V> {
     slots: [V; Attribute::ALL.len()],
 }
 
+impl<V: Copy + Default> AttrMap<V> {
+    /// The map from the members of `keys` to `values`, both in canonical
+    /// order.
+    pub(crate) fn from_sorted(keys: AttrSet, values: impl IntoIterator<Item = V>) -> Self {
+        let mut map = AttrMap {
+            present: keys,
+            slots: Default::default(),
+        };
+        for (attr, value) in keys.iter().zip(values) {
+            map.slots[attr as usize] = value;
+        }
+        map
+    }
+}
+
 impl<V: Copy> AttrMap<V> {
     pub(crate) fn insert(&mut self, attr: Attribute, value: V) -> Option<V> {
         let old = self.get(attr);
@@ -223,6 +253,13 @@ impl<V: Copy> AttrMap<V> {
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = (Attribute, V)> + '_ {
         self.present.iter().map(|a| (a, self.slots[a as usize]))
+    }
+
+    /// The values alone, in canonical attribute order.
+    pub(crate) fn into_values(self) -> impl Iterator<Item = V> {
+        (0..Attribute::ALL.len())
+            .filter(move |&i| self.present.0 & 1 << i != 0)
+            .map(move |i| self.slots[i])
     }
 
     /// Drops every entry whose key is not in `keep`.

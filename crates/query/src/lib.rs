@@ -6,8 +6,8 @@
 //! [range predicates](PredicateSet), validated [epoch
 //! durations](EpochDuration), the [`Query`] type itself with its
 //! [builder](QueryBuilder) and [text parser](parse_query), result-side types
-//! ([`Row`], [`EpochAnswer`]), and the [rewrite algebra](integrate) the
-//! base-station optimizer builds on.
+//! ([`Row`], [`RowSet`], [`EpochAnswer`]), and the [rewrite
+//! algebra](integrate) the base-station optimizer builds on.
 //!
 //! # Quick example
 //!
@@ -46,4 +46,6 @@ pub use parser::{parse_query, ParseQueryError};
 pub use predicate::{InvalidPredicateError, Predicate, PredicateSet};
 pub use query::{BuildQueryError, Query, QueryBuilder, QueryId, Selection};
 pub use region::{InvalidRegionError, Region};
-pub use result::{aggregate_rows, AggValue, EpochAnswer, Readings, Row};
+pub use result::{
+    aggregate_rows, AggValue, EpochAnswer, Readings, Row, RowRef, RowSet, RowSetIter,
+};

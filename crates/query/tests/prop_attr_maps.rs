@@ -2,12 +2,14 @@
 //! driven by random operation sequences against the `BTreeMap` versions they
 //! replaced, which live on here as the reference. Results, iteration order
 //! and the `Debug` / `Display` strings must be equal — goldens and trace
-//! digests are made of those strings.
+//! digests are made of those strings. `RowSet`, the packed form an answer's
+//! rows are held in, is checked the same way against the `Vec<Row>` it
+//! replaced, and its `select` against filtering and projecting that vector.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt;
-use ttmqo_query::{Attribute, Predicate, PredicateSet, Readings};
+use ttmqo_query::{Attribute, Predicate, PredicateSet, Readings, Row, RowSet};
 
 /// The reference implementations. The types carry the product's names so
 /// the derived `Debug` prints what the product's must.
@@ -145,6 +147,25 @@ fn arb_value() -> impl Strategy<Value = f64> {
         Just(0.1 + 0.2),
         Just(1e21),
     ]
+}
+
+/// A row's node id: few distinct ids, so duplicates are common, and the
+/// extremes of the 16 bits a head packs.
+fn arb_node() -> impl Strategy<Value = u16> {
+    prop_oneof![0u16..6, 0u16..6, Just(0), Just(u16::MAX), 0u16..=u16::MAX]
+}
+
+/// A row's readings: any subset of the attributes, the infinities included
+/// among the values.
+fn arb_row_readings() -> impl Strategy<Value = Readings> {
+    let value = prop_oneof![arb_value(), Just(f64::INFINITY), Just(f64::NEG_INFINITY)];
+    prop::collection::vec((arb_attr(), value), 0..8).prop_map(|pairs| pairs.into_iter().collect())
+}
+
+/// What a row is, bit for bit.
+fn row_bits(r: &Row) -> (u16, u64, Vec<(Attribute, u64)>) {
+    let readings = r.readings.iter().map(|(a, v)| (a, v.to_bits()));
+    (r.node, r.time_ms, readings.collect())
 }
 
 #[derive(Debug, Clone)]
@@ -363,6 +384,70 @@ proptest! {
             check_readings(&got, &want)?;
             prop_assert_eq!(got == before_got, want == before_want);
         }
+    }
+
+    #[test]
+    fn a_row_set_iterates_back_the_rows_it_was_built_from(
+        time_ms in 0u64..=u64::MAX,
+        rows in prop::collection::vec((arb_node(), arb_row_readings()), 0..65),
+    ) {
+        let rows: Vec<Row> = rows
+            .into_iter()
+            .map(|(node, readings)| Row { node, time_ms, readings })
+            .collect();
+        let set = RowSet::new(time_ms, rows.iter().copied());
+        prop_assert_eq!(
+            set.iter().map(|r| row_bits(&r)).collect::<Vec<_>>(),
+            rows.iter().map(row_bits).collect::<Vec<_>>()
+        );
+        prop_assert_eq!(set.len(), rows.len());
+        prop_assert_eq!(set.is_empty(), rows.is_empty());
+        prop_assert_eq!(
+            set.values().map(|(a, v)| (a, v.to_bits())).collect::<Vec<_>>(),
+            rows.iter()
+                .flat_map(|r| r.readings.iter())
+                .map(|(a, v)| (a, v.to_bits()))
+                .collect::<Vec<_>>()
+        );
+        prop_assert_eq!(format!("{set:?}"), format!("{rows:?}"));
+        // Equal exactly when the rows are (never, if a NaN is present).
+        let twin = RowSet::new(time_ms, rows.iter().copied());
+        prop_assert_eq!(set == twin, rows == rows.clone());
+    }
+
+    #[test]
+    fn selecting_from_a_row_set_is_filtering_and_projecting_its_rows(
+        rows in prop::collection::vec((arb_node(), arb_row_readings()), 0..65),
+        attrs in prop::collection::vec(arb_attr(), 0..6),
+        odd in 0u16..2,
+        time_ms in 0u64..=u64::MAX,
+    ) {
+        let rows: Vec<Row> = rows
+            .into_iter()
+            .map(|(node, readings)| Row { node, time_ms: 0, readings })
+            .collect();
+        let set = RowSet::new(0, rows.iter().copied());
+        // In place, a row reads as it does unpacked.
+        for (r, row) in set.refs().zip(&rows) {
+            prop_assert_eq!(r.node(), row.node);
+            for attr in Attribute::ALL {
+                prop_assert_eq!(
+                    r.get(attr).map(f64::to_bits),
+                    row.readings.get(attr).map(f64::to_bits)
+                );
+            }
+        }
+        let selected = set.select(time_ms, attrs.iter().collect(), |r| r.node() % 2 == odd);
+        let want: Vec<Row> = rows
+            .iter()
+            .filter(|r| r.node % 2 == odd)
+            .map(|r| Row { node: r.node, time_ms, readings: r.readings.project(&attrs) })
+            .collect();
+        prop_assert_eq!(
+            selected.iter().map(|r| row_bits(&r)).collect::<Vec<_>>(),
+            want.iter().map(row_bits).collect::<Vec<_>>()
+        );
+        prop_assert_eq!(selected.len(), want.len());
     }
 
     #[test]

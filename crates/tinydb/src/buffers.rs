@@ -8,7 +8,7 @@
 
 use crate::messages::Output;
 use std::collections::HashMap;
-use ttmqo_query::{AggValue, EpochAnswer, PartialAgg, Query, QueryId, Row, Selection};
+use ttmqo_query::{AggValue, EpochAnswer, PartialAgg, Query, QueryId, Row, RowSet, Selection};
 use ttmqo_sim::Ctx;
 
 /// Packs a timer key: `kind` in the low 4 bits, the query id in the next 28,
@@ -111,7 +111,7 @@ impl EpochBuffers {
                 let mut rows = self.rows.remove(&(qid, epoch_ms)).unwrap_or_default();
                 rows.sort_by_key(|r| r.node);
                 rows.dedup_by_key(|r| r.node);
-                EpochAnswer::Rows(rows)
+                EpochAnswer::Rows(RowSet::new(epoch_ms, rows))
             }
             Selection::Aggregates(aggs) => {
                 let partials = self.partials.remove(&(qid, epoch_ms)).unwrap_or_default();
