@@ -17,6 +17,7 @@
 use crate::innetwork::dag::{DagState, Election};
 use crate::innetwork::payload::{PartialEntry, RowEntry, TtmqoPayload};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use ttmqo_query::{AttrSet, EpochDuration, PartialAgg, Query, QueryId, Readings, Row, Selection};
 use ttmqo_sim::{Ctx, Destination, MsgKind, NodeApp, NodeId, ProvenanceId, TraceEvent};
 use ttmqo_tinydb::{in_region, timer_key, timer_key_parts, Command, EpochBuffers, Output, Srt};
@@ -90,7 +91,8 @@ impl Default for TtmqoConfig {
 #[derive(Debug)]
 pub struct TtmqoApp {
     config: TtmqoConfig,
-    queries: BTreeMap<QueryId, Query>,
+    /// Installed queries, each the allocation its flood carried.
+    queries: BTreeMap<QueryId, Arc<Query>>,
     seen_query_floods: BTreeSet<QueryId>,
     seen_abort_floods: BTreeSet<QueryId>,
     dag: DagState,
@@ -106,7 +108,7 @@ pub struct TtmqoApp {
     requested_queries: BTreeSet<QueryId>,
     /// Queries this node only forwards (SRT-pruned: our id can never match),
     /// kept for the flood-relay timer.
-    forward_only: BTreeMap<QueryId, Query>,
+    forward_only: BTreeMap<QueryId, Arc<Query>>,
     /// Semantic routing tree (built lazily when `config.srt` is on).
     srt: Option<Srt>,
     /// Epoch start of the last no-route resignation broadcast, so an
@@ -139,7 +141,7 @@ impl TtmqoApp {
 
     /// Currently installed queries (for tests and inspection).
     pub fn installed_queries(&self) -> impl Iterator<Item = &Query> {
-        self.queries.values()
+        self.queries.values().map(Arc::as_ref)
     }
 
     /// Read-only view of the routing DAG state (for tests and diagnostics).
@@ -163,11 +165,11 @@ impl TtmqoApp {
         ctx.wake();
     }
 
-    fn install(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, query: Query) {
+    fn install(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, query: &Arc<Query>) {
         if self.queries.contains_key(&query.id()) {
             return;
         }
-        self.queries.insert(query.id(), query);
+        self.queries.insert(query.id(), Arc::clone(query));
         self.rearm_clock(ctx);
     }
 
@@ -182,7 +184,7 @@ impl TtmqoApp {
         self.rearm_clock(ctx);
     }
 
-    fn relay_query_flood(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, query: &Query) {
+    fn relay_query_flood(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, query: &Arc<Query>) {
         if !self.seen_query_floods.insert(query.id()) {
             return;
         }
@@ -198,11 +200,11 @@ impl TtmqoApp {
             ctx.set_timer(jitter, timer_key(K_FLOOD_QUERY, query.id(), 0));
         }
         if matches || ctx.is_base_station() {
-            self.install(ctx, query.clone());
+            self.install(ctx, query);
         } else if forwards {
             // SRT-pruned: we only relay the flood; our id can never satisfy
             // the query, so it must not drive our sampling clock.
-            self.forward_only.insert(query.id(), query.clone());
+            self.forward_only.insert(query.id(), Arc::clone(query));
         }
     }
 
@@ -678,8 +680,8 @@ impl NodeApp for TtmqoApp {
             }
             K_CLOSE => {
                 let epoch_ms = extra * ttmqo_query::BASE_EPOCH_MS;
-                self.buffers
-                    .close(ctx, self.queries.get(&qid), qid, epoch_ms);
+                let query = self.queries.get(&qid).map(Arc::as_ref);
+                self.buffers.close(ctx, query, qid, epoch_ms);
             }
             K_FLOOD_QUERY => {
                 let Some(query) = self
@@ -771,8 +773,8 @@ impl NodeApp for TtmqoApp {
                 self.handle_shared_partials(ctx, *epoch_ms, entries, assignments);
             }
             TtmqoPayload::QueryRequest(qid) => {
-                if let Some(query) = self.queries.get(qid).cloned() {
-                    let payload = TtmqoPayload::QueryShare(query);
+                if let Some(query) = self.queries.get(qid) {
+                    let payload = TtmqoPayload::QueryShare(Arc::clone(query));
                     let bytes = payload.wire_size();
                     // The share goes out at once: this draw delays nothing.
                     // It stays because it is part of the node's RNG stream,
@@ -787,7 +789,7 @@ impl NodeApp for TtmqoApp {
                 if !self.seen_abort_floods.contains(&query.id()) {
                     self.requested_queries.remove(&query.id());
                     // Install without re-flooding: this is local recovery.
-                    self.install(ctx, query.clone());
+                    self.install(ctx, query);
                 }
             }
         }
@@ -796,7 +798,8 @@ impl NodeApp for TtmqoApp {
     fn on_command(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, cmd: Command) {
         debug_assert!(ctx.is_base_station(), "commands arrive at the base station");
         match cmd {
-            Command::Pose(query) => self.relay_query_flood(ctx, &query),
+            // The one allocation every flood frame and installed copy shares.
+            Command::Pose(query) => self.relay_query_flood(ctx, &Arc::new(query)),
             Command::Terminate(qid) => self.relay_abort_flood(ctx, qid),
         }
     }

@@ -17,6 +17,7 @@
 //! says. It is charged the bytes of the single `(recipient, queries)` pair it
 //! stands for, so airtime does not depend on the representation.
 
+use std::sync::Arc;
 use ttmqo_query::{PartialAgg, Query, QueryId, Readings};
 use ttmqo_sim::NodeId;
 
@@ -47,8 +48,9 @@ pub enum TtmqoPayload {
     /// ("node x checks whether it has the data the query retrieves, and
     /// piggybacks this information down", §3.2.2).
     Query {
-        /// The query being flooded.
-        query: Query,
+        /// The query being flooded: the allocation the base station made
+        /// when it was posed, shared by every frame and installed copy.
+        query: Arc<Query>,
         /// All queries the *sender* currently has data for.
         has_data: Vec<QueryId>,
     },
@@ -98,8 +100,9 @@ pub enum TtmqoPayload {
     /// A rebooted node heard traffic for a query it does not know and asks
     /// its neighbours for the definition (failure recovery).
     QueryRequest(QueryId),
-    /// A neighbour's answer to a [`TtmqoPayload::QueryRequest`].
-    QueryShare(Query),
+    /// A neighbour's answer to a [`TtmqoPayload::QueryRequest`]: its own
+    /// installed copy, shared.
+    QueryShare(Arc<Query>),
 }
 
 impl TtmqoPayload {
@@ -259,9 +262,9 @@ mod tests {
 
     #[test]
     fn flood_size_includes_piggyback() {
-        let q = parse_query(QueryId(1), "select light epoch duration 2048").unwrap();
+        let q = Arc::new(parse_query(QueryId(1), "select light epoch duration 2048").unwrap());
         let bare = TtmqoPayload::Query {
-            query: q.clone(),
+            query: Arc::clone(&q),
             has_data: vec![],
         };
         let loaded = TtmqoPayload::Query {

@@ -33,6 +33,8 @@ thread_local! {
     /// Bytes this thread has allocated minus the bytes it has freed
     /// (requested sizes, not the allocator's rounding).
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The most `LIVE` has read since `peak_live_during` last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -45,7 +47,11 @@ fn note(grown: usize, shrunk: usize) {
 }
 
 fn live(grown: usize, shrunk: usize) {
-    let _ = LIVE.try_with(|n| n.set(n.get() + grown as i64 - shrunk as i64));
+    let _ = LIVE.try_with(|n| {
+        let now = n.get() + grown as i64 - shrunk as i64;
+        n.set(now);
+        let _ = PEAK.try_with(|p| p.set(p.get().max(now)));
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -85,6 +91,16 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// The most bytes this thread held at once while running `f`, above what it
+/// held when `f` began: the heap's high-water mark, which is what a process's
+/// peak resident set follows once the heap dominates it.
+fn peak_live_during<T>(f: impl FnOnce() -> T) -> (i64, T) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    let out = f();
+    (PEAK.with(Cell::get) - before, out)
 }
 
 /// Bytes this thread frees, net of what it allocates, while running `f`.
@@ -235,8 +251,12 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     // station spends one call on each answer it closes and one on each it
     // maps for a user, where the mapper's filtered `Vec<Row>` re-grew past 4,
     // 8 and 16 rows, and an aggregate computed from rows reads them in place
-    // instead of from a filtered copy. The count is the same in debug and
-    // release builds (CI runs both).
+    // instead of from a filtered copy. It is 13 026 since a flooded query is
+    // one shared allocation: no node copies the `Query` when it installs or
+    // relays it, the flood frames carry the base station's one copy, and the
+    // B-tree of each node's query table holds a pointer where it held the
+    // whole query. The count is the same in debug and release builds (CI
+    // runs both).
     let config = ExperimentConfig {
         strategy: Strategy::InNetOnly,
         grid_n: 8,
@@ -246,7 +266,7 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     let workload = workload_a();
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.engine.frames_total, 5965, "not the pinned cell");
-    assert_eq!(allocs, 14_042);
+    assert_eq!(allocs, 13_026);
 }
 
 #[test]
@@ -266,7 +286,9 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     // unicast result frames that name nobody and are forwarded, not rebuilt,
     // to 26 746; acquisition answers built at exact size in one allocation
     // each, with no filtered `Vec<Row>` re-growing on the way, and aggregates
-    // read from the rows in place, to 26 442.
+    // read from the rows in place, to 26 442; floods that carry one shared
+    // copy of each query, with no `Query` clone per install or relay, to
+    // 22 513.
     let workload = random_workload(&RandomWorkloadParams {
         n_queries: 100,
         mean_arrival_ms: 10_000.0,
@@ -281,7 +303,7 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     };
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(100));
-    assert_eq!(allocs, 26_442);
+    assert_eq!(allocs, 22_513);
 
     // What the users' answers hold once the run is over — 443 answers,
     // 2 059 rows, 3 503 values — pinned exactly: the bytes freed by dropping
@@ -304,12 +326,47 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     assert_eq!(bytes_freed_by(|| drop(answers)), 79_640);
 }
 
-/// Allocator calls made while node 1 of a three-node line relays node 2's
-/// rows frame (`frame_bytes` of payload) to the base station. Only node 2
-/// qualifies, so each epoch exactly one rows frame travels 2 → 1 → 0 and
-/// node 1 is a pure hop-by-hop relay. Four epochs warm the slab, the event
-/// queue, the interference lists and the app's own state.
-fn allocs_of_a_warm_relay<A>(frame_bytes: usize, app: fn() -> A) -> u64
+#[test]
+fn workload_a_cells_peak_at_a_pinned_number_of_live_bytes() {
+    // The heap's high-water mark over a whole 8×8 Workload-A run, set-up
+    // included, every observer off: an exact proxy for the peak resident set
+    // the repo benchmark's `baseline-32x32` and `twotier-32x32` report. It
+    // was 390 458 B (Baseline) and 311 917 B (TwoTier) while every node held
+    // its own 176-byte copy of each query in a B-tree leaf and each TinyDB
+    // rows frame held a one-row `Vec<Row>` next to room for a whole query.
+    // It is 250 420 B and 193 488 B since a flooded query is one shared
+    // allocation and a rows frame carries its one row inline. Both are the
+    // same in debug and release builds.
+    let workload = workload_a();
+    let cells = [
+        (Strategy::Baseline, 11_763, 250_420),
+        (Strategy::TwoTier, 5_981, 193_488),
+    ];
+    for (strategy, frames, pinned) in cells {
+        let config = ExperimentConfig {
+            strategy,
+            grid_n: 8,
+            duration: SimTime::from_ms(24 * 2048),
+            ..ExperimentConfig::default()
+        };
+        let (peak, report) = peak_live_during(|| run_experiment(&config, &workload));
+        assert_eq!(
+            report.engine.frames_total, frames,
+            "{strategy:?}: not the pinned cell"
+        );
+        assert_eq!(peak, pinned, "{strategy:?}");
+    }
+}
+
+/// The epoch of [`warm_line`] whose frames the tests below watch.
+const LINE_EPOCH_MS: u64 = 4 * 2048;
+
+/// A three-node line on which only node 2 qualifies for the one query, so
+/// each epoch exactly one rows frame travels 2 → 1 → 0 and node 1 is a pure
+/// hop-by-hop relay, run to just before [`LINE_EPOCH_MS`]: four epochs warm
+/// the slab, the event queue, the interference lists and the app's own
+/// state.
+fn warm_line<A>(app: fn() -> A) -> Simulator<A>
 where
     A: NodeApp<Command = Command> + 'static,
 {
@@ -319,11 +376,9 @@ where
             y: 0.0,
         })
         .collect();
-    let radio = RadioParams::default();
-    let hop_ms = radio.tx_time_ms(frame_bytes) as u64;
     let mut sim = Simulator::new(
         Topology::from_positions(line, 1.0).unwrap(),
-        radio,
+        RadioParams::default(),
         SimConfig {
             maintenance_interval_ms: None,
             ..SimConfig::default()
@@ -337,25 +392,55 @@ where
     )
     .unwrap();
     sim.schedule_command(SimTime::ZERO, NodeId::BASE_STATION, Command::Pose(query));
+    sim.run_until(SimTime::from_ms(LINE_EPOCH_MS - 1));
+    sim
+}
 
+/// Allocator calls `sim` makes running on to `to_ms`, with the work the
+/// window held: `(deliveries, frames put on the air, events)`.
+fn allocs_until<A: NodeApp>(sim: &mut Simulator<A>, to_ms: u64) -> (u64, (u64, u64, u64)) {
+    let before = sim.engine_stats();
+    let (allocs, ()) = allocs_during(|| sim.run_until(SimTime::from_ms(to_ms)));
+    let after = sim.engine_stats();
+    let work = (
+        after.deliver_events - before.deliver_events,
+        after.frames_total - before.frames_total,
+        after.events_processed - before.events_processed,
+    );
+    (allocs, work)
+}
+
+/// Allocator calls made while node 1 of [`warm_line`] relays node 2's rows
+/// frame (`frame_bytes` of payload) to the base station.
+fn allocs_of_a_warm_relay<A>(frame_bytes: usize, app: fn() -> A) -> u64
+where
+    A: NodeApp<Command = Command> + 'static,
+{
+    let hop_ms = RadioParams::default().tx_time_ms(frame_bytes) as u64;
+    let mut sim = warm_line(app);
     // The window opens after node 2 has sampled and put its frame on the
     // air, and closes once node 1 has received and re-sent it — before the
     // base station hears the relayed copy.
-    let epoch_ms = 4 * 2048;
-    sim.run_until(SimTime::from_ms(epoch_ms + 1));
-    let before = sim.engine_stats();
-    let (allocs, ()) = allocs_during(|| sim.run_until(SimTime::from_ms(epoch_ms + hop_ms + 1)));
-    let after = sim.engine_stats();
-    assert_eq!(
-        (
-            after.deliver_events - before.deliver_events,
-            after.frames_total - before.frames_total,
-            after.events_processed - before.events_processed,
-        ),
-        (1, 1, 1),
-        "the window is not exactly one relay"
-    );
+    sim.run_until(SimTime::from_ms(LINE_EPOCH_MS + 1));
+    let (allocs, work) = allocs_until(&mut sim, LINE_EPOCH_MS + hop_ms + 1);
+    assert_eq!(work, (1, 1, 1), "the window is not exactly one relay");
     allocs
+}
+
+#[test]
+fn a_warm_baseline_origin_spends_one_allocator_call_on_its_rows_frame() {
+    // The window is the epoch's firing: every node's sample timer, and node
+    // 2 sampling and putting its rows frame on the air.
+    let mut sim = warm_line(|| TinyDbApp::new(TinyDbConfig::default()));
+    let (allocs, work) = allocs_until(&mut sim, LINE_EPOCH_MS + 1);
+    assert_eq!(
+        work,
+        (0, 1, 3),
+        "the window is not exactly one origin frame"
+    );
+    // The call is the frame's `Arc`, which holds the row inline. A frame
+    // holding a one-row `Vec<Row>` made two.
+    assert_eq!(allocs, 1);
 }
 
 #[test]

@@ -5,11 +5,13 @@
 //! brings the whole stack back to life.
 
 use ttmqo_core::{
-    run_experiment, ExperimentConfig, FieldKind, Strategy, TtmqoApp, TtmqoConfig, WorkloadEvent,
+    run_experiment, ExperimentConfig, FieldKind, Strategy, TtmqoApp, TtmqoConfig, WorkloadAction,
+    WorkloadEvent,
 };
 use ttmqo_query::{parse_query, Query, QueryId};
 use ttmqo_sim::{NodeId, RadioParams, SimConfig, SimTime, Simulator, Topology, UniformField};
 use ttmqo_tinydb::{Command, Output};
+use ttmqo_workloads::workload_a;
 
 fn q(id: u64, text: &str) -> Query {
     parse_query(QueryId(id), text).unwrap()
@@ -104,6 +106,37 @@ fn aborting_every_query_empties_every_node_then_readmission_recovers() {
         !answer_epochs_in(&sim, 18 * 2048, 26 * 2048).is_empty(),
         "re-admitted query must produce answers"
     );
+}
+
+/// A flooded query is one value: the base station wraps each posed query
+/// once, and every flood frame and every node's table share that allocation.
+#[test]
+fn every_node_installs_the_one_copy_its_flood_carried() {
+    let mut sim = new_sim();
+    let workload = workload_a();
+    for event in &workload {
+        let WorkloadAction::Pose(query) = &event.action else {
+            unreachable!("Workload A only poses");
+        };
+        let pose = Command::Pose(query.clone());
+        sim.schedule_command(SimTime::ZERO, NodeId::BASE_STATION, pose);
+    }
+    sim.run_until(SimTime::from_ms(2048));
+
+    let installed = |n: u16| -> Vec<&Query> { sim.node(NodeId(n)).installed_queries().collect() };
+    let posed = installed(0);
+    assert_eq!(posed.len(), workload.len());
+    for node in 1..16u16 {
+        let mine = installed(node);
+        assert_eq!(mine.len(), posed.len(), "node {node} missed a flood");
+        for (theirs, mine) in posed.iter().zip(mine) {
+            assert!(
+                std::ptr::eq(*theirs, mine),
+                "node {node} holds its own copy of query {:?}",
+                mine.id()
+            );
+        }
+    }
 }
 
 /// The same cycle through the full two-tier runner: a workload whose every

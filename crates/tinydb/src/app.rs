@@ -19,6 +19,7 @@ use crate::buffers::{in_region, timer_key, timer_key_parts, EpochBuffers};
 use crate::messages::{Command, Output, TinyDbPayload};
 use crate::srt::Srt;
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 use ttmqo_query::{PartialAgg, Query, QueryId, Readings, Row, Selection};
 use ttmqo_sim::{Ctx, Destination, MsgKind, NodeApp, NodeId, ProvenanceId, TraceEvent};
 
@@ -61,8 +62,8 @@ impl Default for TinyDbConfig {
 #[derive(Debug)]
 pub struct TinyDbApp {
     config: TinyDbConfig,
-    /// Installed queries.
-    queries: BTreeMap<QueryId, Query>,
+    /// Installed queries, each the allocation its flood carried.
+    queries: BTreeMap<QueryId, Arc<Query>>,
     /// Queries whose dissemination flood we already relayed.
     seen_query_floods: HashSet<QueryId>,
     /// Aborts we already relayed.
@@ -92,16 +93,16 @@ impl TinyDbApp {
 
     /// Currently installed queries (for tests and inspection).
     pub fn installed_queries(&self) -> impl Iterator<Item = &Query> {
-        self.queries.values()
+        self.queries.values().map(Arc::as_ref)
     }
 
-    fn install(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>, query: Query) {
+    fn install(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>, query: &Arc<Query>) {
         let qid = query.id();
         if self.queries.contains_key(&qid) {
             return;
         }
         let epoch = query.epoch();
-        self.queries.insert(qid, query);
+        self.queries.insert(qid, Arc::clone(query));
         // First firing strictly in the future, aligned to the global epoch
         // grid (TinyDB synchronizes epochs via time sync).
         let now = ctx.now().as_ms();
@@ -114,7 +115,7 @@ impl TinyDbApp {
         self.buffers.forget_query(qid);
     }
 
-    fn relay_query_flood(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>, query: &Query) {
+    fn relay_query_flood(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>, query: &Arc<Query>) {
         let qid = query.id();
         if !self.seen_query_floods.insert(qid) {
             return;
@@ -133,12 +134,12 @@ impl TinyDbApp {
             ctx.set_timer(jitter, timer_key(KIND_FLOOD_QUERY, qid, 0));
         }
         if matches || ctx.is_base_station() {
-            self.install(ctx, query.clone());
+            self.install(ctx, query);
         } else {
             // SRT-pruned: keep the definition around so the flood-relay
             // timer can re-broadcast it, but bypass `install` — no sample
             // timer is ever armed, so this node never sources data for it.
-            self.queries.entry(qid).or_insert_with(|| query.clone());
+            self.queries.entry(qid).or_insert_with(|| Arc::clone(query));
         }
     }
 
@@ -221,11 +222,7 @@ impl TinyDbApp {
                         time_ms: epoch_ms,
                         readings: readings.project(attrs),
                     };
-                    let payload = TinyDbPayload::Rows {
-                        qid,
-                        epoch_ms,
-                        rows: vec![row],
-                    };
+                    let payload = TinyDbPayload::Row { qid, epoch_ms, row };
                     if let Some(parent) = self.parent(ctx) {
                         ctx.trace_with(|| TraceEvent::ResultHop {
                             from: ctx.node(),
@@ -329,12 +326,12 @@ impl NodeApp for TinyDbApp {
             }
             KIND_CLOSE => {
                 let epoch_ms = epoch_idx * ttmqo_query::BASE_EPOCH_MS;
-                self.buffers
-                    .close(ctx, self.queries.get(&qid), qid, epoch_ms);
+                let query = self.queries.get(&qid).map(Arc::as_ref);
+                self.buffers.close(ctx, query, qid, epoch_ms);
             }
             KIND_FLOOD_QUERY => {
                 if let Some(query) = self.queries.get(&qid) {
-                    let payload = TinyDbPayload::Query(query.clone());
+                    let payload = TinyDbPayload::Query(Arc::clone(query));
                     let bytes = payload.wire_size();
                     ctx.send(
                         Destination::Broadcast,
@@ -363,29 +360,21 @@ impl NodeApp for TinyDbApp {
         match payload {
             TinyDbPayload::Query(q) => self.relay_query_flood(ctx, q),
             TinyDbPayload::Abort(qid) => self.relay_abort_flood(ctx, *qid),
-            TinyDbPayload::Rows {
-                qid,
-                epoch_ms,
-                rows,
-            } => {
+            TinyDbPayload::Row { qid, epoch_ms, row } => {
+                let prov = ProvenanceId::new(NodeId(row.node), *epoch_ms);
                 if ctx.is_base_station() {
-                    for row in rows {
-                        ctx.trace_with(|| TraceEvent::ResultDelivered {
-                            prov: ProvenanceId::new(NodeId(row.node), *epoch_ms),
-                            qids: vec![*qid],
-                            epoch_ms: *epoch_ms,
-                        });
-                    }
-                    self.buffers.add_rows(*qid, *epoch_ms, rows.iter().copied());
+                    ctx.trace_with(|| TraceEvent::ResultDelivered {
+                        prov,
+                        qids: vec![*qid],
+                        epoch_ms: *epoch_ms,
+                    });
+                    self.buffers.add_rows(*qid, *epoch_ms, [*row]);
                 } else if let Some(parent) = self.parent(ctx) {
                     ctx.trace_with(|| TraceEvent::ResultHop {
                         from: ctx.node(),
                         to: vec![parent],
                         epoch_ms: *epoch_ms,
-                        prov: rows
-                            .iter()
-                            .map(|r| ProvenanceId::new(NodeId(r.node), *epoch_ms))
-                            .collect(),
+                        prov: vec![prov],
                         qids: vec![*qid],
                         origin: false,
                     });
@@ -444,7 +433,8 @@ impl NodeApp for TinyDbApp {
     fn on_command(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>, cmd: Command) {
         debug_assert!(ctx.is_base_station(), "commands arrive at the base station");
         match cmd {
-            Command::Pose(query) => self.relay_query_flood(ctx, &query),
+            // The one allocation every flood frame and installed copy shares.
+            Command::Pose(query) => self.relay_query_flood(ctx, &Arc::new(query)),
             Command::Terminate(qid) => self.relay_abort_flood(ctx, qid),
         }
     }

@@ -1,23 +1,29 @@
 //! Wire messages, commands and outputs shared by the TinyDB-style baseline
 //! (and reused by the TTMQO runner for its base-station tier).
 
+use std::sync::Arc;
 use ttmqo_query::{EpochAnswer, PartialAgg, Query, QueryId, Row};
 
 /// Radio payloads of the baseline protocol.
 #[derive(Debug, Clone)]
 pub enum TinyDbPayload {
-    /// Query dissemination flood.
-    Query(Query),
+    /// Query dissemination flood. The query is shared, not copied: every
+    /// frame of the flood and every node that installs it hold the one
+    /// allocation the base station made when the query was posed.
+    Query(Arc<Query>),
     /// Query abortion flood.
     Abort(QueryId),
-    /// Acquisition result rows for one query flowing up the tree.
-    Rows {
-        /// The query the rows answer.
+    /// One acquisition result row for one query flowing up the tree. Rows
+    /// of different origins are never merged into one frame — the origin
+    /// sends its own row and every relay forwards the frame it was handed —
+    /// so the frame holds the row itself, not a list of them.
+    Row {
+        /// The query the row answers.
         qid: QueryId,
-        /// Epoch start time the rows belong to, ms.
+        /// Epoch start time the row belongs to, ms.
         epoch_ms: u64,
-        /// The rows themselves.
-        rows: Vec<Row>,
+        /// The row itself.
+        row: Row,
     },
     /// Partial aggregate state for one query flowing up the tree, aligned
     /// with the query's aggregate list.
@@ -43,9 +49,7 @@ impl TinyDbPayload {
                 8 + 4 * q.predicates().len() + if q.region().is_some() { 8 } else { 0 }
             }
             TinyDbPayload::Abort(_) => 2,
-            TinyDbPayload::Rows { rows, .. } => {
-                4 + rows.iter().map(|r| 2 + 2 * r.readings.len()).sum::<usize>()
-            }
+            TinyDbPayload::Row { row, .. } => 4 + 2 + 2 * row.readings.len(),
             TinyDbPayload::Partials { partials, .. } => {
                 4 + partials
                     .iter()
@@ -91,7 +95,7 @@ mod tests {
             "select light where 100<light<300 epoch duration 2048",
         )
         .unwrap();
-        let qmsg = TinyDbPayload::Query(q);
+        let qmsg = TinyDbPayload::Query(q.into());
         assert_eq!(qmsg.wire_size(), 12);
         assert_eq!(TinyDbPayload::Abort(QueryId(1)).wire_size(), 2);
 
@@ -103,18 +107,12 @@ mod tests {
             time_ms: 0,
             readings,
         };
-        let one = TinyDbPayload::Rows {
+        let frame = TinyDbPayload::Row {
             qid: QueryId(1),
             epoch_ms: 0,
-            rows: vec![row],
+            row,
         };
-        let two = TinyDbPayload::Rows {
-            qid: QueryId(1),
-            epoch_ms: 0,
-            rows: vec![row, row],
-        };
-        assert_eq!(one.wire_size(), 4 + 6);
-        assert_eq!(two.wire_size(), 4 + 12);
+        assert_eq!(frame.wire_size(), 4 + 6);
 
         let p = TinyDbPayload::Partials {
             qid: QueryId(1),

@@ -238,3 +238,44 @@ fn query_flood_reaches_every_node_once() {
     // Flooding relays once per node.
     assert_eq!(sim.metrics().tx_count(MsgKind::QueryPropagation), 16);
 }
+
+/// Workload A (`ttmqo_workloads::workload_a`, which depends on this crate),
+/// by id.
+const WORKLOAD_A: [&str; 8] = [
+    "select light where 100<=light<=800 epoch duration 2048",
+    "select light where 150<=light<=700 epoch duration 4096",
+    "select light where 200<=light<=750 epoch duration 4096",
+    "select light where 120<=light<=780 epoch duration 8192",
+    "select light where 300<=light<=600 epoch duration 2048",
+    "select light where 250<=light<=650 epoch duration 8192",
+    "select max(light) epoch duration 4096",
+    "select max(light) epoch duration 8192",
+];
+
+#[test]
+fn every_node_installs_the_one_copy_its_flood_carried() {
+    let topo = Topology::grid(4).unwrap();
+    let mut sim = new_sim(topo, Box::new(UniformField::new(77)));
+    for (id, text) in (0..).zip(WORKLOAD_A) {
+        let q = parse_query(QueryId(id), text).unwrap();
+        sim.schedule_command(SimTime::ZERO, NodeId::BASE_STATION, Command::Pose(q));
+    }
+    sim.run_until(SimTime::from_ms(2048));
+
+    // The base station wraps each posed query once; every flood frame and
+    // every node's table share that allocation.
+    let installed = |n: u16| -> Vec<&Query> { sim.node(NodeId(n)).installed_queries().collect() };
+    let posed = installed(0);
+    assert_eq!(posed.len(), WORKLOAD_A.len());
+    for n in 1..16u16 {
+        let mine = installed(n);
+        assert_eq!(mine.len(), posed.len(), "node {n} missed a flood");
+        for (theirs, mine) in posed.iter().zip(mine) {
+            assert!(
+                std::ptr::eq(*theirs, mine),
+                "node {n} holds its own copy of query {:?}",
+                mine.id()
+            );
+        }
+    }
+}
