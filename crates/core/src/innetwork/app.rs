@@ -20,13 +20,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use ttmqo_query::{AttrSet, EpochDuration, PartialAgg, Query, QueryId, Readings, Row, Selection};
 use ttmqo_sim::{Ctx, Destination, MsgKind, NodeApp, NodeId, ProvenanceId, TraceEvent};
-use ttmqo_tinydb::{in_region, timer_key, timer_key_parts, Command, EpochBuffers, Output, Srt};
+use ttmqo_tinydb::{
+    in_region, timer_key, timer_key_parts, Command, EpochBuffers, Floods, Output, KIND_FLOOD_ABORT,
+    KIND_FLOOD_QUERY,
+};
 
 const K_CLOCK: u64 = 0;
 const K_SLOT: u64 = 1;
 const K_CLOSE: u64 = 2;
-const K_FLOOD_QUERY: u64 = 3;
-const K_FLOOD_ABORT: u64 = 4;
 const K_SLEEP_CHECK: u64 = 5;
 
 /// A result frame's split-responsibility assignments: `(recipient, the
@@ -93,8 +94,8 @@ pub struct TtmqoApp {
     config: TtmqoConfig,
     /// Installed queries, each the allocation its flood carried.
     queries: BTreeMap<QueryId, Arc<Query>>,
-    seen_query_floods: BTreeSet<QueryId>,
-    seen_abort_floods: BTreeSet<QueryId>,
+    /// What this node knows about query and abort floods.
+    floods: Floods,
     dag: DagState,
     /// Bumped on every query-set change to invalidate stale clock timers.
     clock_gen: u64,
@@ -106,11 +107,6 @@ pub struct TtmqoApp {
     slept: bool,
     /// Unknown query ids we already asked the neighbourhood about.
     requested_queries: BTreeSet<QueryId>,
-    /// Queries this node only forwards (SRT-pruned: our id can never match),
-    /// kept for the flood-relay timer.
-    forward_only: BTreeMap<QueryId, Arc<Query>>,
-    /// Semantic routing tree (built lazily when `config.srt` is on).
-    srt: Option<Srt>,
     /// Epoch start of the last no-route resignation broadcast, so an
     /// orphaned node announces at most once per epoch.
     last_no_route_ms: Option<u64>,
@@ -122,18 +118,15 @@ impl TtmqoApp {
     /// Creates an in-network node with the given configuration.
     pub fn new(config: TtmqoConfig) -> Self {
         TtmqoApp {
+            floods: Floods::new(config.srt, config.jitter_ms),
             config,
             queries: BTreeMap::new(),
-            seen_query_floods: BTreeSet::new(),
-            seen_abort_floods: BTreeSet::new(),
             dag: DagState::default(),
             clock_gen: 0,
             has_data: BTreeSet::new(),
             relayed_recently: false,
             slept: false,
             requested_queries: BTreeSet::new(),
-            forward_only: BTreeMap::new(),
-            srt: None,
             last_no_route_ms: None,
             buffers: EpochBuffers::default(),
         }
@@ -142,6 +135,12 @@ impl TtmqoApp {
     /// Currently installed queries (for tests and inspection).
     pub fn installed_queries(&self) -> impl Iterator<Item = &Query> {
         self.queries.values().map(Arc::as_ref)
+    }
+
+    /// Queries this node relays the flood of but never runs: SRT-pruned
+    /// (for tests and inspection).
+    pub fn relay_only_queries(&self) -> impl Iterator<Item = &Query> {
+        self.floods.relay_only()
     }
 
     /// Read-only view of the routing DAG state (for tests and diagnostics).
@@ -173,48 +172,21 @@ impl TtmqoApp {
         self.rearm_clock(ctx);
     }
 
-    fn uninstall(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, qid: QueryId) {
-        if self.queries.remove(&qid).is_none() {
+    fn hear_query(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, query: &Arc<Query>) {
+        if self.floods.on_query(ctx, query) {
+            self.install(ctx, query);
+        }
+    }
+
+    /// A copy of `qid`'s abort flood arrived: the first uninstalls it.
+    fn hear_abort(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, qid: QueryId) {
+        if !self.floods.on_abort(ctx, qid) || self.queries.remove(&qid).is_none() {
             return;
         }
         self.has_data.remove(&qid);
-        self.forward_only.remove(&qid);
         self.dag.forget_query(qid);
         self.buffers.forget_query(qid);
         self.rearm_clock(ctx);
-    }
-
-    fn relay_query_flood(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, query: &Arc<Query>) {
-        if !self.seen_query_floods.insert(query.id()) {
-            return;
-        }
-        let (forwards, matches) = if self.config.srt && !ctx.is_base_station() {
-            let node = ctx.node();
-            let srt = self.srt.get_or_insert_with(|| Srt::build(ctx.topology()));
-            (srt.forwards(node, query), srt.node_matches(node, query))
-        } else {
-            (true, true)
-        };
-        if forwards {
-            let jitter = 1 + ctx.rand_u64() % self.config.jitter_ms.max(1);
-            ctx.set_timer(jitter, timer_key(K_FLOOD_QUERY, query.id(), 0));
-        }
-        if matches || ctx.is_base_station() {
-            self.install(ctx, query);
-        } else if forwards {
-            // SRT-pruned: we only relay the flood; our id can never satisfy
-            // the query, so it must not drive our sampling clock.
-            self.forward_only.insert(query.id(), Arc::clone(query));
-        }
-    }
-
-    fn relay_abort_flood(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, qid: QueryId) {
-        if !self.seen_abort_floods.insert(qid) {
-            return;
-        }
-        let jitter = 1 + ctx.rand_u64() % self.config.jitter_ms.max(1);
-        ctx.set_timer(jitter, timer_key(K_FLOOD_ABORT, qid, 0));
-        self.uninstall(ctx, qid);
     }
 
     /// Collection window: how long after a firing the base station waits
@@ -496,12 +468,10 @@ impl TtmqoApp {
             return;
         }
         for qid in qids {
-            // Never request a query whose flood we already saw: either we
-            // installed it, or SRT deliberately pruned it for this node.
+            // Never request a query we run or whose flood we already
+            // heard: we installed it, SRT pruned it here, or it was aborted.
             if self.queries.contains_key(&qid)
-                || self.forward_only.contains_key(&qid)
-                || self.seen_query_floods.contains(&qid)
-                || self.seen_abort_floods.contains(&qid)
+                || self.floods.heard(qid)
                 || !self.requested_queries.insert(qid)
             {
                 continue;
@@ -683,13 +653,8 @@ impl NodeApp for TtmqoApp {
                 let query = self.queries.get(&qid).map(Arc::as_ref);
                 self.buffers.close(ctx, query, qid, epoch_ms);
             }
-            K_FLOOD_QUERY => {
-                let Some(query) = self
-                    .queries
-                    .get(&qid)
-                    .or_else(|| self.forward_only.get(&qid))
-                    .cloned()
-                else {
+            KIND_FLOOD_QUERY => {
+                let Some(query) = self.floods.to_relay(qid, self.queries.get(&qid)) else {
                     return;
                 };
                 // Evaluate whether we have data for the new query so the
@@ -722,7 +687,7 @@ impl NodeApp for TtmqoApp {
                     payload,
                 );
             }
-            K_FLOOD_ABORT => {
+            KIND_FLOOD_ABORT => {
                 let payload = TtmqoPayload::Abort(qid);
                 let bytes = payload.wire_size();
                 ctx.send(Destination::Broadcast, MsgKind::QueryAbort, bytes, payload);
@@ -747,11 +712,9 @@ impl NodeApp for TtmqoApp {
         match payload {
             TtmqoPayload::Query { query, has_data } => {
                 self.dag.record_has_data(from, has_data.iter().copied());
-                self.relay_query_flood(ctx, query);
+                self.hear_query(ctx, query);
             }
-            TtmqoPayload::Abort(qid) => {
-                self.relay_abort_flood(ctx, *qid);
-            }
+            TtmqoPayload::Abort(qid) => self.hear_abort(ctx, *qid),
             TtmqoPayload::Wakeup { has_data } => {
                 self.dag.record_has_data(from, has_data.iter().copied());
             }
@@ -786,7 +749,7 @@ impl NodeApp for TtmqoApp {
                 }
             }
             TtmqoPayload::QueryShare(query) => {
-                if !self.seen_abort_floods.contains(&query.id()) {
+                if !self.floods.aborted(query.id()) {
                     self.requested_queries.remove(&query.id());
                     // Install without re-flooding: this is local recovery.
                     self.install(ctx, query);
@@ -799,8 +762,8 @@ impl NodeApp for TtmqoApp {
         debug_assert!(ctx.is_base_station(), "commands arrive at the base station");
         match cmd {
             // The one allocation every flood frame and installed copy shares.
-            Command::Pose(query) => self.relay_query_flood(ctx, &Arc::new(query)),
-            Command::Terminate(qid) => self.relay_abort_flood(ctx, qid),
+            Command::Pose(query) => self.hear_query(ctx, &Arc::new(query)),
+            Command::Terminate(qid) => self.hear_abort(ctx, qid),
         }
     }
 

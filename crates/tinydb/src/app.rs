@@ -16,9 +16,9 @@
 //!   deeper levels transmit earlier so parents can merge partials.
 
 use crate::buffers::{in_region, timer_key, timer_key_parts, EpochBuffers};
+use crate::flood::{Floods, KIND_FLOOD_ABORT, KIND_FLOOD_QUERY};
 use crate::messages::{Command, Output, TinyDbPayload};
-use crate::srt::Srt;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use ttmqo_query::{PartialAgg, Query, QueryId, Readings, Row, Selection};
 use ttmqo_sim::{Ctx, Destination, MsgKind, NodeApp, NodeId, ProvenanceId, TraceEvent};
@@ -27,31 +27,20 @@ use ttmqo_sim::{Ctx, Destination, MsgKind, NodeApp, NodeId, ProvenanceId, TraceE
 const KIND_SAMPLE: u64 = 0;
 const KIND_SLOT: u64 = 1;
 const KIND_CLOSE: u64 = 2;
-const KIND_FLOOD_QUERY: u64 = 3;
-const KIND_FLOOD_ABORT: u64 = 4;
+
+/// Length of one TAG transmission slot, ms.
+const SLOT_MS: u64 = 64;
+/// Maximum random jitter added to flood rebroadcasts and slot
+/// transmissions, ms.
+const JITTER_MS: u64 = 24;
 
 /// Per-node configuration of the baseline.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TinyDbConfig {
-    /// Length of one TAG transmission slot, ms.
-    pub slot_ms: u64,
-    /// Maximum random jitter added to flood rebroadcasts and slot
-    /// transmissions, ms.
-    pub jitter_ms: u64,
     /// Whether the Semantic Routing Tree prunes the dissemination of
     /// queries with `nodeid` predicates (TinyDB's SRT; off by default to
     /// match the paper's flooding baseline).
     pub srt: bool,
-}
-
-impl Default for TinyDbConfig {
-    fn default() -> Self {
-        TinyDbConfig {
-            slot_ms: 64,
-            jitter_ms: 24,
-            srt: false,
-        }
-    }
 }
 
 /// The baseline TinyDB-style node application.
@@ -61,34 +50,23 @@ impl Default for TinyDbConfig {
 /// as the base station.
 #[derive(Debug)]
 pub struct TinyDbApp {
-    config: TinyDbConfig,
-    /// Installed queries, each the allocation its flood carried.
+    /// Installed queries — the ones this node samples for (the base
+    /// station: closes epochs of) — each the allocation its flood carried.
     queries: BTreeMap<QueryId, Arc<Query>>,
-    /// Queries whose dissemination flood we already relayed.
-    seen_query_floods: HashSet<QueryId>,
-    /// Aborts we already relayed.
-    seen_abort_floods: HashSet<QueryId>,
+    /// What this node knows about query and abort floods.
+    floods: Floods,
     /// Partials and (base station only) rows per (query, epoch start ms).
     buffers: EpochBuffers,
-    /// Semantic routing tree (built lazily when `config.srt` is on).
-    srt: Option<Srt>,
 }
 
 impl TinyDbApp {
     /// Creates a baseline node with the given configuration.
     pub fn new(config: TinyDbConfig) -> Self {
         TinyDbApp {
-            config,
             queries: BTreeMap::new(),
-            seen_query_floods: HashSet::new(),
-            seen_abort_floods: HashSet::new(),
+            floods: Floods::new(config.srt, JITTER_MS),
             buffers: EpochBuffers::default(),
-            srt: None,
         }
-    }
-
-    fn srt(&mut self, ctx: &Ctx<'_, TinyDbPayload, Output>) -> &Srt {
-        self.srt.get_or_insert_with(|| Srt::build(ctx.topology()))
     }
 
     /// Currently installed queries (for tests and inspection).
@@ -96,72 +74,44 @@ impl TinyDbApp {
         self.queries.values().map(Arc::as_ref)
     }
 
-    fn install(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>, query: &Arc<Query>) {
-        let qid = query.id();
-        if self.queries.contains_key(&qid) {
+    /// Queries this node relays the flood of but never runs: SRT-pruned
+    /// (for tests and inspection).
+    pub fn relay_only_queries(&self) -> impl Iterator<Item = &Query> {
+        self.floods.relay_only()
+    }
+
+    /// A copy of `query`'s flood arrived: the first installs it where the
+    /// node may answer it.
+    fn hear_query(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>, query: &Arc<Query>) {
+        if !self.floods.on_query(ctx, query) {
             return;
         }
-        let epoch = query.epoch();
+        let qid = query.id();
         self.queries.insert(qid, Arc::clone(query));
         // First firing strictly in the future, aligned to the global epoch
         // grid (TinyDB synchronizes epochs via time sync).
         let now = ctx.now().as_ms();
-        let t0 = epoch.next_fire_at(now + 1);
+        let t0 = query.epoch().next_fire_at(now + 1);
         ctx.set_timer(t0 - now, timer_key(KIND_SAMPLE, qid, 0));
     }
 
-    fn uninstall(&mut self, qid: QueryId) {
-        self.queries.remove(&qid);
-        self.buffers.forget_query(qid);
-    }
-
-    fn relay_query_flood(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>, query: &Arc<Query>) {
-        let qid = query.id();
-        if !self.seen_query_floods.insert(qid) {
-            return;
+    fn hear_abort(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>, qid: QueryId) {
+        if self.floods.on_abort(ctx, qid) {
+            self.queries.remove(&qid);
+            self.buffers.forget_query(qid);
         }
-        let (forwards, matches) = if self.config.srt && !ctx.is_base_station() {
-            let node = ctx.node();
-            let srt = self.srt(ctx);
-            (srt.forwards(node, query), srt.node_matches(node, query))
-        } else {
-            (true, true)
-        };
-        if forwards {
-            // Re-broadcast after a short random jitter to desynchronize the
-            // flood.
-            let jitter = 1 + ctx.rand_u64() % self.config.jitter_ms.max(1);
-            ctx.set_timer(jitter, timer_key(KIND_FLOOD_QUERY, qid, 0));
-        }
-        if matches || ctx.is_base_station() {
-            self.install(ctx, query);
-        } else {
-            // SRT-pruned: keep the definition around so the flood-relay
-            // timer can re-broadcast it, but bypass `install` — no sample
-            // timer is ever armed, so this node never sources data for it.
-            self.queries.entry(qid).or_insert_with(|| Arc::clone(query));
-        }
-    }
-
-    fn relay_abort_flood(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>, qid: QueryId) {
-        if !self.seen_abort_floods.insert(qid) {
-            return;
-        }
-        let jitter = 1 + ctx.rand_u64() % self.config.jitter_ms.max(1);
-        ctx.set_timer(jitter, timer_key(KIND_FLOOD_ABORT, qid, 0));
-        self.uninstall(qid);
     }
 
     /// The time this node's TAG slot opens within an epoch that started at
     /// `epoch_ms` (deeper levels transmit earlier).
     fn slot_time(&self, ctx: &Ctx<'_, TinyDbPayload, Output>, epoch_ms: u64) -> u64 {
         let depth_from_bottom = ctx.topology().max_level() - ctx.level();
-        epoch_ms + depth_from_bottom as u64 * self.config.slot_ms
+        epoch_ms + depth_from_bottom as u64 * SLOT_MS
     }
 
     /// When the base station closes an epoch that started at `epoch_ms`.
     fn close_time(&self, ctx: &Ctx<'_, TinyDbPayload, Output>, epoch_ms: u64) -> u64 {
-        epoch_ms + (ctx.topology().max_level() as u64 + 1) * self.config.slot_ms + 32
+        epoch_ms + (ctx.topology().max_level() as u64 + 1) * SLOT_MS + 32
     }
 
     fn parent(&self, ctx: &Ctx<'_, TinyDbPayload, Output>) -> Option<NodeId> {
@@ -253,8 +203,7 @@ impl TinyDbApp {
                 // Arm this node's TAG slot whether or not it qualified: it
                 // may still need to forward children's partials.
                 let epoch_idx = epoch_ms / ttmqo_query::BASE_EPOCH_MS;
-                let slot_at =
-                    self.slot_time(ctx, epoch_ms) + ctx.rand_u64() % self.config.jitter_ms.max(1);
+                let slot_at = self.slot_time(ctx, epoch_ms) + ctx.rand_u64() % JITTER_MS;
                 let now = ctx.now().as_ms();
                 ctx.set_timer(
                     slot_at.saturating_sub(now).max(1),
@@ -330,8 +279,8 @@ impl NodeApp for TinyDbApp {
                 self.buffers.close(ctx, query, qid, epoch_ms);
             }
             KIND_FLOOD_QUERY => {
-                if let Some(query) = self.queries.get(&qid) {
-                    let payload = TinyDbPayload::Query(Arc::clone(query));
+                if let Some(query) = self.floods.to_relay(qid, self.queries.get(&qid)) {
+                    let payload = TinyDbPayload::Query(query);
                     let bytes = payload.wire_size();
                     ctx.send(
                         Destination::Broadcast,
@@ -358,8 +307,8 @@ impl NodeApp for TinyDbApp {
         payload: &TinyDbPayload,
     ) {
         match payload {
-            TinyDbPayload::Query(q) => self.relay_query_flood(ctx, q),
-            TinyDbPayload::Abort(qid) => self.relay_abort_flood(ctx, *qid),
+            TinyDbPayload::Query(q) => self.hear_query(ctx, q),
+            TinyDbPayload::Abort(qid) => self.hear_abort(ctx, *qid),
             TinyDbPayload::Row { qid, epoch_ms, row } => {
                 let prov = ProvenanceId::new(NodeId(row.node), *epoch_ms);
                 if ctx.is_base_station() {
@@ -397,7 +346,7 @@ impl NodeApp for TinyDbApp {
                     return;
                 }
                 let my_slot = self.slot_time(ctx, *epoch_ms);
-                if ctx.now().as_ms() > my_slot + self.config.jitter_ms {
+                if ctx.now().as_ms() > my_slot + JITTER_MS {
                     // Our slot already passed (late child): forward as-is.
                     if let Some(parent) = self.parent(ctx) {
                         ctx.trace_with(|| TraceEvent::ResultHop {
@@ -434,8 +383,8 @@ impl NodeApp for TinyDbApp {
         debug_assert!(ctx.is_base_station(), "commands arrive at the base station");
         match cmd {
             // The one allocation every flood frame and installed copy shares.
-            Command::Pose(query) => self.relay_query_flood(ctx, &Arc::new(query)),
-            Command::Terminate(qid) => self.relay_abort_flood(ctx, qid),
+            Command::Pose(query) => self.hear_query(ctx, &Arc::new(query)),
+            Command::Terminate(qid) => self.hear_abort(ctx, qid),
         }
     }
 }

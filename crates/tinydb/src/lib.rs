@@ -44,10 +44,12 @@
 
 mod app;
 mod buffers;
+mod flood;
 mod messages;
 mod srt;
 
 pub use app::{TinyDbApp, TinyDbConfig};
 pub use buffers::{in_region, timer_key, timer_key_parts, EpochBuffers};
+pub use flood::{Floods, KIND_FLOOD_ABORT, KIND_FLOOD_QUERY};
 pub use messages::{Command, Output, TinyDbPayload};
 pub use srt::Srt;
