@@ -355,6 +355,8 @@ struct Event<C> {
 
 // Events stay ≤ 32 bytes whatever the app's command type is.
 const _: () = assert!(std::mem::size_of::<Event<[u64; 32]>>() <= 32);
+// A frame slot stays ≤ 48 bytes whatever the app's payload type is.
+const _: () = assert!(std::mem::size_of::<FrameState<[u64; 32]>>() <= 48);
 
 impl<C> Ord for Event<C> {
     fn cmp(&self, other: &Self) -> Ordering {
@@ -378,24 +380,20 @@ impl<C> Eq for Event<C> {}
 
 /// One in-flight transmission, stored in the frame slab. The slot is
 /// recycled once the frame's `Deliver` event has fired (or immediately, if
-/// nothing is in range).
+/// nothing is in range). Its collision bits live beside the slab, in
+/// [`Simulator`]'s `corrupted` words, so a slot is a flat value.
 #[derive(Debug)]
 struct FrameState<P> {
     src: NodeId,
     dest: Destination,
     kind: MsgKind,
-    payload_bytes: usize,
+    payload_bytes: u32,
     /// `None` for engine-generated maintenance beacons. Shared (not cloned)
     /// across the frame's receivers and retransmissions.
     payload: Option<Arc<P>>,
-    start_us: u64,
-    end_us: u64,
+    /// Airtime, µs; the delivery fires when it ends.
+    dur_us: u32,
     retries_left: u32,
-    /// Receivers at which this frame was corrupted by a collision: bit `i`
-    /// stands for `neighbors(src)[i]`, in `fanout.div_ceil(64)` words.
-    /// Emptied when the slot is released and re-sized, all zero, when it is
-    /// taken again; the words' capacity is recycled with the slot.
-    corrupted: Vec<u64>,
 }
 
 /// Engine-level configuration beyond the radio itself.
@@ -525,6 +523,13 @@ pub struct Simulator<A: NodeApp> {
     frames: Vec<FrameState<A::Payload>>,
     /// Indices of free slots in `frames`.
     free_frames: Vec<usize>,
+    /// Receivers at which each slot's frame was corrupted by a collision:
+    /// slot `s` owns words `s * collision_words..`, and bit `i` of them
+    /// stands for `neighbors(src)[i]`. Zeroed when the slot is released.
+    corrupted: Vec<u64>,
+    /// Words per slot in `corrupted`: the widest neighbourhood's
+    /// `div_ceil(64)`.
+    collision_words: usize,
     /// Reused by `dispatch_callback` for every [`Ctx`]'s action queue.
     action_scratch: Vec<Action<A::Payload>>,
     /// Per-node earliest time the transmitter is free, µs.
@@ -568,6 +573,8 @@ impl<A: NodeApp> Simulator<A> {
         let n = topology.node_count();
         let nodes: Vec<A> = topology.nodes().map(|id| factory(id, &topology)).collect();
         let rng_state = config.seed;
+        let widest = topology.nodes().map(|id| topology.neighbors(id).len());
+        let collision_words = widest.max().unwrap_or(0).div_ceil(64);
         Simulator {
             nodes,
             factory: Box::new(factory),
@@ -577,6 +584,8 @@ impl<A: NodeApp> Simulator<A> {
             queue: BinaryHeap::new(),
             frames: Vec::new(),
             free_frames: Vec::new(),
+            corrupted: Vec::new(),
+            collision_words,
             action_scratch: Vec::new(),
             tx_ready_at_us: vec![0; n],
             sleep_until_us: vec![0; n],
@@ -725,46 +734,27 @@ impl<A: NodeApp> Simulator<A> {
         self.queue.push(Event { time_us, seq, kind });
     }
 
-    /// Takes a slab slot for `frame`, recycling a free one if possible, and
-    /// gives it one clear collision bit per receiver.
+    /// Takes a slab slot for `frame`, recycling a free one if possible. Its
+    /// collision words are all clear either way.
     fn alloc_frame(&mut self, frame: FrameState<A::Payload>) -> usize {
         self.frames_total += 1;
-        let words = self.topology.neighbors(frame.src).len().div_ceil(64);
-        let idx = match self.free_frames.pop() {
-            Some(idx) => {
-                // Field-wise assignment keeps the slot's collision words
-                // alive across reuse (`frame.corrupted` is a fresh empty Vec
-                // that never allocated).
-                let slot = &mut self.frames[idx];
-                debug_assert!(
-                    slot.corrupted.is_empty(),
-                    "a recycled slot starts with no collision bits, whatever fan-out it last had"
-                );
-                slot.src = frame.src;
-                slot.dest = frame.dest;
-                slot.kind = frame.kind;
-                slot.payload_bytes = frame.payload_bytes;
-                slot.payload = frame.payload;
-                slot.start_us = frame.start_us;
-                slot.end_us = frame.end_us;
-                slot.retries_left = frame.retries_left;
-                idx
-            }
-            None => {
-                self.frames.push(frame);
-                self.slab_high_water = self.slab_high_water.max(self.frames.len());
-                self.frames.len() - 1
-            }
-        };
-        self.frames[idx].corrupted.resize(words, 0);
-        idx
+        if let Some(idx) = self.free_frames.pop() {
+            self.frames[idx] = frame;
+            return idx;
+        }
+        self.frames.push(frame);
+        self.corrupted
+            .resize(self.frames.len() * self.collision_words, 0);
+        self.slab_high_water = self.slab_high_water.max(self.frames.len());
+        self.frames.len() - 1
     }
 
     /// Returns a slot whose deliveries have all fired to the free list. The
-    /// payload `Arc` is dropped now; the slot struct itself is reused.
+    /// payload `Arc` is dropped and the collision words cleared now.
     fn release_frame(&mut self, idx: usize) {
         self.frames[idx].payload = None;
-        self.frames[idx].corrupted.clear();
+        let words = idx * self.collision_words;
+        self.corrupted[words..words + self.collision_words].fill(0);
         self.free_frames.push(idx);
     }
 
@@ -1039,16 +1029,15 @@ impl<A: NodeApp> Simulator<A> {
         // Stamped with the airtime start, not `now`.
         self.probes.record(start_us, probe);
 
+        let airtime_us = u32::try_from(dur_us).expect("a frame's airtime fits in u32 µs");
         let frame_idx = self.alloc_frame(FrameState {
             src,
             dest,
             kind,
-            payload_bytes,
+            payload_bytes: u32::try_from(payload_bytes).expect("a payload fits in u32 bytes"),
             payload,
-            start_us,
-            end_us,
+            dur_us: airtime_us,
             retries_left,
-            corrupted: Vec::new(),
         });
 
         // Mark interference at every in-range node. Only disjoint fields of
@@ -1056,12 +1045,12 @@ impl<A: NodeApp> Simulator<A> {
         // in place (no copy) while the interference state mutates.
         let fanout = self.topology.neighbors(src).len();
         if self.radio.collisions {
-            debug_assert!(dur_us <= u32::MAX as u64, "airtime truncated");
             debug_assert!(frame_idx <= u32::MAX as usize, "slab index truncated");
-            let (frames, topology) = (&mut self.frames, &self.topology);
+            let (frames, topology) = (&self.frames, &self.topology);
+            let (corrupted, words) = (&mut self.corrupted, self.collision_words);
             let entry = IncomingFrame {
                 start_us,
-                dur_us: dur_us as u32,
+                dur_us: airtime_us,
                 frame: frame_idx as u32,
             };
             for (pos, &r) in topology.neighbors(src).iter().enumerate() {
@@ -1071,13 +1060,13 @@ impl<A: NodeApp> Simulator<A> {
                 // neighbour slice. One arena pass drops expired entries,
                 // reports the overlaps, and appends this frame.
                 self.incoming.retain_mark_insert(r.index(), entry, |other| {
-                    let other = &mut frames[other as usize];
+                    let other = other as usize;
                     let theirs = topology
-                        .neighbors(other.src)
+                        .neighbors(frames[other].src)
                         .binary_search(&r)
                         .expect("a frame is audible only at its sender's neighbours");
-                    other.corrupted[theirs / 64] |= 1 << (theirs % 64);
-                    frames[frame_idx].corrupted[pos / 64] |= 1 << (pos % 64);
+                    corrupted[other * words + theirs / 64] |= 1 << (theirs % 64);
+                    corrupted[frame_idx * words + pos / 64] |= 1 << (pos % 64);
                 });
             }
         }
@@ -1100,8 +1089,8 @@ impl<A: NodeApp> Simulator<A> {
             (
                 f.src,
                 f.kind,
-                f.payload_bytes,
-                (f.end_us - f.start_us) as f64 / 1000.0,
+                f.payload_bytes as usize,
+                f64::from(f.dur_us) / 1000.0,
                 f.retries_left,
             )
         };
@@ -1113,14 +1102,14 @@ impl<A: NodeApp> Simulator<A> {
         // (every later transmission starts at or after `now`, past this
         // frame's end), and `dest`/`payload` are never written after
         // allocation — so they move out of the slab once instead of being
-        // re-borrowed per receiver; `dest` and the collision bits go back
-        // before the release so the slot recycles with its capacity.
+        // re-borrowed per receiver; the collision bits stay and are read by
+        // index (the slab's word array may grow under a callback).
         let fanout = self.topology.neighbors(src).len();
+        let bits = frame_idx * self.collision_words;
         let dest = std::mem::replace(&mut self.frames[frame_idx].dest, Destination::Broadcast);
-        let corrupted_at = std::mem::take(&mut self.frames[frame_idx].corrupted);
         // One reference for the whole fan-out: receivers are lent
         // `&Payload` out of this local, which no callback can invalidate.
-        let frame_payload = self.frames[frame_idx].payload.clone();
+        let frame_payload = self.frames[frame_idx].payload.take();
         let is_unicast = matches!(dest, Destination::Unicast(_));
         // With every loss source off no receiver draws from the RNG, so the
         // per-receiver probability is skipped altogether.
@@ -1129,7 +1118,7 @@ impl<A: NodeApp> Simulator<A> {
         for i in 0..fanout {
             let receiver = self.topology.neighbors(src)[i];
             let intended = dest.includes(receiver);
-            let corrupted = corrupted_at[i / 64] >> (i % 64) & 1 != 0;
+            let corrupted = self.corrupted[bits + i / 64] >> (i % 64) & 1 != 0;
             let at = Reception {
                 src,
                 node: receiver,
@@ -1186,8 +1175,6 @@ impl<A: NodeApp> Simulator<A> {
                 }
             });
         }
-        self.frames[frame_idx].dest = dest;
-        self.frames[frame_idx].corrupted = corrupted_at;
         self.release_frame(frame_idx);
     }
 

@@ -12,7 +12,7 @@
 //! on random floods, and on fan-outs past one 64-bit word. What the model's
 //! per-touch purge cutoff misses behind a backlogged sender is pinned too.
 
-use super::{Ctx, Event, EventKind, NodeApp, SimConfig, Simulator};
+use super::{Ctx, Event, EventKind, FrameState, NodeApp, SimConfig, Simulator};
 use crate::incoming::IncomingFrame;
 use crate::{
     ConstantField, Destination, MsgKind, NodeId, Position, RadioParams, RingSink, SimTime,
@@ -116,6 +116,13 @@ fn a_fat_command_type_does_not_grow_the_event() {
     #[allow(dead_code)]
     struct Fat([u8; 256]);
     assert!(std::mem::size_of::<Event<Fat>>() <= 32);
+}
+
+#[test]
+fn a_fat_payload_type_does_not_grow_the_frame_slot() {
+    #[allow(dead_code)]
+    struct Fat([u8; 256]);
+    assert!(std::mem::size_of::<FrameState<Fat>>() <= 48);
 }
 
 /// What a [`Relay`] node does with every frame it is handed.
