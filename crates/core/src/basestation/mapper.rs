@@ -7,7 +7,15 @@
 //! an aggregation query was folded into an acquisition stream, and aligns
 //! epochs (a member with a 4096 ms epoch only receives answers for epochs at
 //! multiples of 4096 ms even when the synthetic query fires every 2048 ms).
+//!
+//! [`map_epoch_answers_at`] maps one synthetic epoch answer onto all its
+//! members at once. Their acquisition answers are views of one shared block
+//! that stores only the rows some member keeps, each projected onto the
+//! attributes its keepers want, so a synthetic answer costs one allocation
+//! however many members it serves. [`map_epoch_answer_at`] is its
+//! one-member case.
 
+use std::iter;
 use ttmqo_query::{aggregate_rows, Attribute, EpochAnswer, Query, RowRef, Selection};
 
 /// Maps one synthetic-query epoch answer onto one member user query.
@@ -59,7 +67,7 @@ pub fn map_epoch_answer(
 ///
 /// `position_of` maps a raw node id to its `(x, y)` position; returning
 /// `None` for an unknown node keeps the row only if the user query has no
-/// region clause.
+/// region clause. The one-member case of [`map_epoch_answers_at`].
 pub fn map_epoch_answer_at(
     user: &Query,
     synthetic: &Query,
@@ -67,32 +75,70 @@ pub fn map_epoch_answer_at(
     answer: &EpochAnswer,
     position_of: &dyn Fn(u16) -> Option<(f64, f64)>,
 ) -> Option<EpochAnswer> {
-    if !user.epoch().fires_at(epoch_ms) {
-        return None;
-    }
-    match (answer, user.selection()) {
-        (EpochAnswer::Rows(rows), Selection::Attributes(attrs)) => {
-            let attrs = attrs.iter().collect();
-            let kept = rows.select(epoch_ms, attrs, |r| keeps(user, position_of, r));
-            Some(EpochAnswer::Rows(kept))
+    let mut mapped = None;
+    let member = || iter::once((user, synthetic));
+    map_epoch_answers_at(member, epoch_ms, answer, position_of, |_, a| {
+        mapped = Some(a);
+    });
+    mapped
+}
+
+/// [`map_epoch_answer_at`] for every member one synthetic epoch answer
+/// serves, at once. `members` lists them as `(user, synthetic)` pairs and
+/// is walked twice, so it must list the same pairs each time; `emit` is
+/// handed each member's answer, in that order, except where
+/// [`map_epoch_answer_at`] returns `None`.
+///
+/// The acquisition members' answers are views of one block that holds only
+/// the rows some member keeps
+/// ([`RowSet::select_all`](ttmqo_query::RowSet::select_all)): the whole call
+/// allocates once for them, not once per member.
+pub fn map_epoch_answers_at<'q, I>(
+    members: impl Fn() -> I,
+    epoch_ms: u64,
+    answer: &EpochAnswer,
+    position_of: &dyn Fn(u16) -> Option<(f64, f64)>,
+    mut emit: impl FnMut(&'q Query, EpochAnswer),
+) where
+    I: Iterator<Item = (&'q Query, &'q Query)>,
+{
+    let due = || members().filter(|(user, _)| user.epoch().fires_at(epoch_ms));
+    let rows = match answer {
+        EpochAnswer::Rows(rows) => rows,
+        EpochAnswer::Aggregates(values) => {
+            for (user, synthetic) in due() {
+                // An aggregate stream can never answer an acquisition query.
+                let Selection::Aggregates(aggs) = user.selection() else {
+                    continue;
+                };
+                // Correct only because aggregation merges require equivalent
+                // predicates (§3.1.2).
+                debug_assert!(synthetic.predicates().equivalent(user.predicates()));
+                let subset = values.iter().filter(|v| aggs.contains(&(v.op, v.attr)));
+                emit(user, EpochAnswer::Aggregates(subset.cloned().collect()));
+            }
+            return;
         }
-        (EpochAnswer::Rows(rows), Selection::Aggregates(aggs)) => {
-            let kept = rows.refs().filter(|&r| keeps(user, position_of, r));
-            Some(EpochAnswer::Aggregates(aggregate_rows(kept, aggs)))
+    };
+    let selections = due().filter_map(|(user, _)| match user.selection() {
+        Selection::Attributes(attrs) => {
+            let keep = move |r: RowRef<'_>| keeps(user, position_of, r);
+            Some((attrs.iter().collect(), keep))
         }
-        (EpochAnswer::Aggregates(values), Selection::Aggregates(aggs)) => {
-            // Correct only because aggregation merges require equivalent
-            // predicates (§3.1.2).
-            debug_assert!(synthetic.predicates().equivalent(user.predicates()));
-            let subset: Vec<_> = values
-                .iter()
-                .filter(|v| aggs.contains(&(v.op, v.attr)))
-                .cloned()
-                .collect();
-            Some(EpochAnswer::Aggregates(subset))
-        }
-        // An aggregate stream can never answer an acquisition query.
-        (EpochAnswer::Aggregates(_), Selection::Attributes(_)) => None,
+        Selection::Aggregates(_) => None,
+    });
+    let mut views = rows.select_all(epoch_ms, selections);
+    for (user, _) in due() {
+        let mapped = match user.selection() {
+            Selection::Attributes(_) => {
+                EpochAnswer::Rows(views.next().expect("one view per acquisition member"))
+            }
+            Selection::Aggregates(aggs) => {
+                let kept = rows.refs().filter(|&r| keeps(user, position_of, r));
+                EpochAnswer::Aggregates(aggregate_rows(kept, aggs))
+            }
+        };
+        emit(user, mapped);
     }
 }
 
@@ -252,5 +298,59 @@ mod tests {
             panic!()
         };
         assert!(vals.is_empty());
+    }
+
+    #[test]
+    fn mapping_all_members_at_once_is_mapping_each_alone() {
+        let synthetic = q(100, "select light, temp, humidity epoch duration 2048");
+        let users = [
+            q(1, "select light where light >= 200 epoch duration 2048"),
+            q(2, "select temp, light where temp <= 30 epoch duration 2048"),
+            q(3, "select humidity where nodeid >= 3 epoch duration 2048"),
+            q(
+                4,
+                "select max(light), count(temp) where light >= 150 epoch duration 2048",
+            ),
+            q(5, "select light epoch duration 4096"),
+            q(
+                6,
+                "select temp where region(0, 0, 2, 1) epoch duration 2048",
+            ),
+            q(7, "select light where light >= 999 epoch duration 2048"),
+            q(8, "select light, temp, humidity epoch duration 2048"),
+        ];
+        let answer = rows(std::array::from_fn::<_, 70, _>(|i| {
+            let i = i as u16;
+            let mut r = row(i, f64::from(i * 7 % 500), f64::from(i % 40));
+            if i.is_multiple_of(3) {
+                r.readings.set(Attribute::Humidity, f64::from(i));
+            }
+            r
+        }));
+        // Node n stands at (n, 0).
+        let position_of = |node: u16| Some((f64::from(node), 0.0));
+        let members = || users.iter().map(|u| (u, &synthetic));
+        for epoch_ms in [2048, 4096] {
+            let mut all = Vec::new();
+            map_epoch_answers_at(members, epoch_ms, &answer, &position_of, |u, a| {
+                all.push((u.id(), a));
+            });
+            let alone: Vec<_> = users
+                .iter()
+                .filter_map(|u| {
+                    let mapped =
+                        map_epoch_answer_at(u, &synthetic, epoch_ms, &answer, &position_of);
+                    Some((u.id(), mapped?))
+                })
+                .collect();
+            assert_eq!(all.len(), if epoch_ms == 4096 { 8 } else { 7 });
+            assert_eq!(format!("{all:?}"), format!("{alone:?}"), "at {epoch_ms}");
+            // Most members keep some rows but not all of the 70: their views
+            // carry row masks two words long.
+            let nonempty = all
+                .iter()
+                .filter(|(_, a)| matches!(a, EpochAnswer::Rows(r) if !r.is_empty()));
+            assert!(nonempty.count() >= 4);
+        }
     }
 }

@@ -13,7 +13,7 @@
 //!   in-network protocol executes the synthetic queries.
 
 use crate::basestation::{
-    map_epoch_answer_at, BaseStationOptimizer, CostModel, NetworkOp, OptimizerOptions,
+    map_epoch_answers_at, BaseStationOptimizer, CostModel, NetworkOp, OptimizerOptions,
     OptimizerStats,
 };
 use crate::innetwork::{TtmqoApp, TtmqoConfig};
@@ -798,12 +798,12 @@ impl RunSession {
                 }
             }
             let arrival_ms = record.time.as_ms();
-            for (user, user_q, syn_q) in ledger.served(*qid, *epoch_ms, arrival_ms) {
-                let Some(mapped) =
-                    map_epoch_answer_at(user_q, syn_q, *epoch_ms, answer, &position_of)
-                else {
-                    continue;
-                };
+            let served = || {
+                let served = ledger.served(*qid, *epoch_ms, arrival_ms);
+                served.map(|(_, user_q, syn_q)| (user_q, syn_q))
+            };
+            map_epoch_answers_at(served, *epoch_ms, answer, &position_of, |user_q, mapped| {
+                let user = user_q.id();
                 let (rows, nonempty) = match &mapped {
                     EpochAnswer::Rows(rows) => (rows.len() as u64, !rows.is_empty()),
                     EpochAnswer::Aggregates(vals) => (0, !vals.is_empty()),
@@ -816,12 +816,12 @@ impl RunSession {
                     nonempty,
                     arrival_ms,
                 };
-                if let Some(mon) = monitor {
+                if let Some(mon) = monitor.as_mut() {
                     mon.note_answer(&a);
                 }
                 trace.emit_with(arrival_ms * 1000, || a.trace_event());
                 answers.entry(user).or_default().push((*epoch_ms, mapped));
-            }
+            });
         }
     }
 

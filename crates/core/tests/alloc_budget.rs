@@ -257,8 +257,12 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     // B-tree of each node's query table holds a pointer where it held the
     // whole query. It is 12 933 since a frame slot owns no allocation: its
     // collision bits are words of one slab-wide array, where each new slot
-    // allocated its own bitset. The count is the same in debug and release
-    // builds (CI runs both).
+    // allocated its own bitset. It is 12 936 since a member's answer is a
+    // view of its synthetic answer: each synthetic answer here serves one
+    // member, so its one shared block is the one allocation the member's copy
+    // was, and the three calls more are the selection scratch's three vectors,
+    // allocated once per thread and kept. The count is the same in debug and
+    // release builds (CI runs both).
     let config = ExperimentConfig {
         strategy: Strategy::InNetOnly,
         grid_n: 8,
@@ -268,7 +272,7 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     let workload = workload_a();
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.engine.frames_total, 5965, "not the pinned cell");
-    assert_eq!(allocs, 12_933);
+    assert_eq!(allocs, 12_936);
 }
 
 #[test]
@@ -293,7 +297,10 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     // 22 513; each node's two seen-flood B-trees merged into one table of
     // both facts per query id, one leaf where there were two, to 22 229;
     // frame slots whose collision bits are words of one slab-wide array, with
-    // no bitset allocated per new slot, to 22 200.
+    // no bitset allocated per new slot, to 22 200; member answers that are
+    // views of one block per synthetic epoch answer, to 22 131: the 211
+    // member answers with rows were 211 allocations and are 136 blocks (−75),
+    // and the selection scratch's vectors cost 6 calls, once per thread.
     let workload = random_workload(&RandomWorkloadParams {
         n_queries: 100,
         mean_arrival_ms: 10_000.0,
@@ -308,16 +315,21 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     };
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(100));
-    assert_eq!(allocs, 22_200);
+    assert_eq!(allocs, 22_131);
 
     // What the users' answers hold once the run is over — 443 answers,
     // 2 059 rows, 3 503 values — pinned exactly: the bytes freed by dropping
     // them. As `Vec<Row>` (64 B a row, growth slack kept, a five-slot
     // readings map and a time per row) that was 208 016 B; as exact-size
-    // node/value columns (4 B a row head, 8 B a value, the epoch once) it is
-    // 79 640 B. The same bookkeeping at the repo benchmark's scale is what its
-    // `adaptive-churn` `peak_rss_mib` watches: 25.8 MB of answers in a
-    // 29.3 MiB process before, 6.2 MB after.
+    // node/value columns (4 B a row head, 8 B a value, the epoch once) it was
+    // 79 640 B. As views of one shared block per synthetic epoch answer it is
+    // 80 672 B, 1 032 B more: the row words fall 36 744 → 28 680 B (−8 064),
+    // as only 211 member answers share 136 blocks here, while the blocks pay
+    // 2 176 B of `Arc` headers, 1 088 B of row counts and 520 B for 65 row
+    // masks, and the 664 slots of the users' answer vectors 8 B each for a
+    // larger view (+5 312 B): the price of sharing, where so few members
+    // share. The benchmark's own scale is where it pays:
+    // `answers_of_the_benchmark_churn_stream_share_their_synthetic_rows`.
     let answers = report.answers;
     let mut held = (0, 0, 0);
     for (_, answer) in answers.values().flatten() {
@@ -328,7 +340,51 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
         }
     }
     assert_eq!(held, (443, 2059, 3503), "not the pinned cell");
-    assert_eq!(bytes_freed_by(|| drop(answers)), 79_640);
+    assert_eq!(bytes_freed_by(|| drop(answers)), 80_672);
+}
+
+#[test]
+fn answers_of_the_benchmark_churn_stream_share_their_synthetic_rows() {
+    // The repo benchmark's `adaptive-churn` inputs: 500 queries arriving and
+    // leaving on 8×8 under the full scheme, where Tier 1 folds nearly every
+    // user query into one of a few synthetic queries, so each synthetic
+    // epoch answer serves several members.
+    let workload = random_workload(&RandomWorkloadParams {
+        n_queries: 500,
+        mean_arrival_ms: 8_000.0,
+        target_concurrency: 48.0,
+        nodeid_max: 63.0,
+        ..RandomWorkloadParams::default()
+    });
+    let config = ExperimentConfig {
+        strategy: Strategy::TwoTier,
+        grid_n: 8,
+        duration: SimTime::from_ms(workload_end_ms(&workload) + 4096),
+        ..ExperimentConfig::default()
+    };
+    let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
+    assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(500));
+    let answers = report.answers;
+    let mut held = (0, 0, 0);
+    for (_, answer) in answers.values().flatten() {
+        held.0 += 1;
+        if let EpochAnswer::Rows(rows) = answer {
+            held.1 += rows.len();
+            held.2 += rows.iter().map(|r| r.readings.len()).sum::<usize>();
+        }
+    }
+    assert_eq!(held, (12_892, 300_182, 499_532), "not the pinned stream");
+
+    // 8 998 of the 12 892 answers are rows answers, mapped from 1 299
+    // synthetic epoch answers. Copied out one per member, their row words
+    // came to 5 215 040 B, and the answers to 6 226 640 B. As views, the 8 915
+    // that hold rows share 1 218 blocks, which store 1 682 584 B of row words
+    // (only the rows and attributes some member keeps; the whole synthetic
+    // answers were 1 846 128 B) plus their row counts and masks.
+    assert_eq!(bytes_freed_by(|| drop(answers)), 2_916_832);
+    // 8 915 member allocations became 1 218 blocks: the run made 265 848
+    // allocator calls before. The same in debug and release builds.
+    assert_eq!(allocs, 258_179);
 }
 
 #[test]
@@ -347,11 +403,23 @@ fn workload_a_cells_peak_at_a_pinned_number_of_live_bytes() {
     // these runs never build. It is 225 684 B and 186 768 B since a frame slot
     // is a flat 48-byte value (88 B before) and its collision bits are words
     // of one slab-wide array, where each slot held a 32-byte bitset of its
-    // own. Both are the same in debug and release builds.
+    // own. It is 226 388 B and 169 632 B since a member's answer is a view of
+    // its synthetic answer's one block, and the base station's result buffers
+    // hash with fixed keys. With a per-process random seed, when a table with
+    // deleted entries grew depended on where its keys hashed, so a run's peak
+    // and allocator calls could differ from one process to the next; under
+    // fixed keys the parent commit reads 223 636 B and 184 720 B. Under
+    // TwoTier the 78 rows answers share 23 blocks, whose 11 040 B of row
+    // words replace 28 352 B of copies (−15 088 B). Under Baseline each of
+    // the 78 is its own synthetic's, so nothing is shared: each block pays a
+    // 16-byte `Arc` header and a row-count word (1 872 B), and each of the 136
+    // slots of the users' answer vectors 8 B for the larger view (1 088 B):
+    // +2 752 B at the peak (+1.2 %), the price of sharing. Both are the same
+    // in debug and release builds.
     let workload = workload_a();
     let cells = [
-        (Strategy::Baseline, 11_763, 225_684),
-        (Strategy::TwoTier, 5_981, 186_768),
+        (Strategy::Baseline, 11_763, 226_388),
+        (Strategy::TwoTier, 5_981, 169_632),
     ];
     for (strategy, frames, pinned) in cells {
         let config = ExperimentConfig {

@@ -138,6 +138,11 @@ impl AttrSet {
         AttrSet(self.0 & other.0)
     }
 
+    /// The attributes in either set.
+    pub(crate) fn union(self, other: AttrSet) -> AttrSet {
+        AttrSet(self.0 | other.0)
+    }
+
     /// Iterates the members in canonical attribute order.
     pub fn iter(self) -> AttrSetIter {
         AttrSetIter(self.0)
@@ -149,7 +154,7 @@ impl AttrSet {
     }
 
     /// The set whose bitmap [`bits`](Self::bits) returned.
-    pub(crate) fn from_bits(bits: u8) -> AttrSet {
+    pub(crate) const fn from_bits(bits: u8) -> AttrSet {
         AttrSet(bits)
     }
 

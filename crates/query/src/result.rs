@@ -4,7 +4,8 @@ use crate::agg::{AggOp, PartialAgg};
 use crate::attr::{AttrMap, AttrSet, Attribute};
 use std::borrow::Borrow;
 use std::cell::Cell;
-use std::fmt;
+use std::sync::Arc;
+use std::{fmt, iter, mem};
 
 /// One node's sampled values for a set of attributes at one instant.
 ///
@@ -110,14 +111,22 @@ pub struct Row {
 
 // A row is a flat value: relays and answer buffers hold it without a heap node.
 const _: () = assert!(std::mem::size_of::<Row>() <= 64);
+// An answer is a view: its rows live in a block it shares.
+const _: () = assert!(std::mem::size_of::<RowSet>() <= 40);
+const _: () = assert!(std::mem::size_of::<EpochAnswer>() <= 40);
 
-/// An acquisition answer: one epoch's rows in one exact-size allocation.
+/// An acquisition answer: one epoch's rows, as a view of a shared block.
 ///
-/// Per row the set keeps the node id and the row's attribute bitmap, and
-/// one value per attribute present; the epoch's time is stated once. A set
-/// is assembled in a per-thread buffer that is reused, then copied once into
-/// an allocation of exactly its length, so an answer holds what it carries
-/// and nothing for growth. [`iter`](Self::iter) yields the rows it was built
+/// The block holds how many rows it stores; per row the node id and the
+/// row's attribute bitmap, and one value per attribute present; then one row
+/// mask for each view that shows only some of its rows. A view states the
+/// epoch's time once and shows the stored rows its mask marks (all of them
+/// without one), each projected onto the view's attributes. One
+/// [`select_all`](Self::select_all) answers many selections from one block,
+/// so the answers a synthetic query's epoch answer is mapped to share one
+/// allocation; a set with no rows holds none. A block is assembled in a
+/// per-thread buffer that is reused, then copied once into an allocation of
+/// exactly its length. [`iter`](Self::iter) yields the rows a set was built
 /// from, bit for bit, in the same order.
 ///
 /// # Examples
@@ -137,17 +146,65 @@ const _: () = assert!(std::mem::size_of::<Row>() <= 64);
 #[derive(Clone)]
 pub struct RowSet {
     time_ms: u64,
+    /// How many rows the view shows.
     len: u32,
-    /// The row heads two to a word (node id in bits 0–15, attribute bitmap
-    /// in bits 16–23 of each half), then every value's bits, row by row.
-    words: Box<[u64]>,
+    /// Where the view's row mask starts in `words`, or [`ALL_ROWS`].
+    mask: u32,
+    /// The attributes the view shows of each row.
+    shown: AttrSet,
+    /// The block: the stored row count; the row heads two to a word (node
+    /// id in bits 0–15, attribute bitmap in bits 16–23 of each half); every
+    /// value's bits, row by row; the row masks, one bit per stored row.
+    /// Empty, which allocates nothing, when the view shows no row.
+    words: Arc<[u64]>,
 }
 
+/// The mask offset of a view that shows every row its block stores.
+const ALL_ROWS: u32 = u32::MAX;
+
+/// Every attribute: what a set built by [`RowSet::new`] shows.
+const EVERY: AttrSet = AttrSet::from_bits((1 << Attribute::ALL.len()) - 1);
+
 thread_local! {
-    /// Where a [`RowSet`] is assembled — its head words and its value words —
-    /// before one copy into an allocation of exactly the final length. Kept
-    /// between builds, so that once warm, assembling allocates nothing.
+    /// Where a block's head words and value words are assembled before one
+    /// copy into an allocation of exactly the final length. Kept between
+    /// builds, so that once warm, assembling allocates nothing.
     static STAGING: Cell<(Vec<u64>, Vec<u64>)> = const { Cell::new((Vec::new(), Vec::new())) };
+    /// What [`RowSet::select_all`] works out before it builds, kept between
+    /// calls like [`STAGING`].
+    static MARKS: Cell<Marks> = const { Cell::new(Marks::new()) };
+}
+
+/// [`RowSet::select_all`]'s scratch.
+#[derive(Default)]
+struct Marks {
+    /// One bit per source row: whether some selection keeps it; then, in as
+    /// many words each, the rows each selection keeps.
+    bits: Vec<u64>,
+    /// Per source row, the attributes of it that its keepers want.
+    wants: Vec<AttrSet>,
+    /// The row masks of the views that show some stored rows but not all.
+    masks: Vec<u64>,
+    /// Per selection, its view: the attributes it shows, how many rows, and
+    /// where its mask starts.
+    views: Vec<(AttrSet, u32, u32)>,
+}
+
+impl Marks {
+    const fn new() -> Marks {
+        Marks {
+            bits: Vec::new(),
+            wants: Vec::new(),
+            masks: Vec::new(),
+            views: Vec::new(),
+        }
+    }
+}
+
+/// Whether bit `i` of the bit array `words` is set.
+#[inline]
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 != 0
 }
 
 impl RowSet {
@@ -157,15 +214,20 @@ impl RowSet {
     ///
     /// If a row's `time_ms` is not `time_ms`.
     pub fn new(time_ms: u64, rows: impl IntoIterator<Item = Row>) -> RowSet {
-        RowSet::build(
+        let rows = rows.into_iter().map(|row| {
+            assert_eq!(row.time_ms, time_ms, "a row set holds one epoch");
+            let values = row.readings.values;
+            let bits = values.into_values().map(f64::to_bits);
+            (row.node, values.keys(), bits)
+        });
+        let (len, words) = RowSet::build(rows, &[]);
+        RowSet {
             time_ms,
-            rows.into_iter().map(|row| {
-                assert_eq!(row.time_ms, time_ms, "a row set holds one epoch");
-                let values = row.readings.values;
-                let bits = values.into_values().map(f64::to_bits);
-                (row.node, values.keys(), bits)
-            }),
-        )
+            len,
+            mask: ALL_ROWS,
+            shown: EVERY,
+            words,
+        }
     }
 
     /// The rows `keep` accepts, each projected onto `attrs`, as a set of the
@@ -176,21 +238,98 @@ impl RowSet {
         attrs: AttrSet,
         keep: impl Fn(RowRef<'_>) -> bool,
     ) -> RowSet {
-        RowSet::build(
-            time_ms,
-            self.rows().filter(|&r| keep(r)).map(|r| {
-                let kept = r.attrs.intersection(attrs);
-                (r.node, kept, r.bits_of(kept))
-            }),
-        )
+        let mut views = self.select_all(time_ms, [(attrs, keep)]);
+        views.next().expect("one set per selection")
     }
 
-    /// Assembles one set from each row's node id, attribute bitmap and value
-    /// bits (in the bitmap's order).
-    fn build<V: Iterator<Item = u64>>(
+    /// One set per `(attrs, keep)` selection, in order: what
+    /// [`select`](Self::select) would return for each. Each `keep` reads
+    /// each row in place, once. The sets are views of one block, which
+    /// stores only the rows some selection keeps, each projected onto the
+    /// attributes its keepers want: it holds no more values than the
+    /// selections' own copies would, and the whole call allocates at most
+    /// once.
+    pub fn select_all<K>(
+        &self,
         time_ms: u64,
+        selections: impl IntoIterator<Item = (AttrSet, K)>,
+    ) -> impl Iterator<Item = RowSet>
+    where
+        K: Fn(RowRef<'_>) -> bool,
+    {
+        let rows = self.len();
+        let width = rows.div_ceil(64);
+        let mut marks = MARKS.take();
+        let Marks {
+            bits,
+            wants,
+            masks,
+            views,
+        } = &mut marks;
+        bits.clear();
+        bits.resize(width, 0);
+        wants.clear();
+        wants.resize(rows, AttrSet::new());
+        views.clear();
+        for (attrs, keep) in selections {
+            let at = bits.len();
+            bits.resize(at + width, 0);
+            let mut kept = 0;
+            for (i, r) in self.rows().enumerate().filter(|&(_, r)| keep(r)) {
+                bits[i / 64] |= 1 << (i % 64);
+                bits[at + i / 64] |= 1 << (i % 64);
+                wants[i] = wants[i].union(r.attrs.intersection(attrs));
+                kept += 1;
+            }
+            views.push((attrs, kept, ALL_ROWS));
+        }
+        let (any, each) = bits.split_at(width);
+        let stored = any.iter().map(|w| w.count_ones()).sum::<u32>();
+        // A view of some stored rows but not all gets a mask; its slot holds
+        // the mask's index until the block is built.
+        let mask_width = (stored as usize).div_ceil(64);
+        let mut masked = 0;
+        for (_, kept, mask) in views.iter_mut() {
+            if *kept != 0 && *kept != stored {
+                *mask = masked;
+                masked += 1;
+            }
+        }
+        masks.clear();
+        masks.resize(masked as usize * mask_width, 0);
+        // Stored row `j` is the `j`-th source row some selection keeps.
+        for (j, i) in (0..rows).filter(|&i| bit(any, i)).enumerate() {
+            for (&(_, _, mask), chosen) in views.iter().zip(each.chunks_exact(width)) {
+                if mask != ALL_ROWS && bit(chosen, i) {
+                    masks[mask as usize * mask_width + j / 64] |= 1 << (j % 64);
+                }
+            }
+        }
+        let source = self.rows().enumerate().filter(|&(i, _)| bit(any, i));
+        let (_, words) = RowSet::build(
+            source.map(|(i, r)| (r.node, wants[i], r.bits_of(wants[i]))),
+            masks,
+        );
+        let base = words.len() - masks.len();
+        for (_, _, mask) in views.iter_mut().filter(|v| v.2 != ALL_ROWS) {
+            let at = base + *mask as usize * mask_width;
+            *mask = u32::try_from(at).expect("a block holds at most u32::MAX words");
+        }
+        Views {
+            time_ms,
+            words,
+            marks,
+            next: 0,
+        }
+    }
+
+    /// Stores `rows` — each a node id, an attribute bitmap and the value
+    /// bits in the bitmap's order — followed by `masks`, as one block;
+    /// returns how many rows it stores, and the block.
+    fn build<V: Iterator<Item = u64>>(
         rows: impl Iterator<Item = (u16, AttrSet, V)>,
-    ) -> RowSet {
+        masks: &[u64],
+    ) -> (u32, Arc<[u64]>) {
         // Taken, not borrowed: a `rows` that builds a set of its own finds
         // the staging empty rather than in use.
         let (mut heads, mut values) = STAGING.take();
@@ -206,15 +345,18 @@ impl RowSet {
             values.extend(bits);
             len += 1;
         }
-        let mut words = Vec::with_capacity(heads.len() + values.len());
-        words.extend_from_slice(&heads);
-        words.extend_from_slice(&values);
+        let len = u32::try_from(len).expect("a row set holds at most u32::MAX rows");
+        let words = match len {
+            0 => Arc::default(),
+            // A chain of slices has an exact length: one allocation.
+            _ => iter::once(u64::from(len))
+                .chain(heads.iter().copied())
+                .chain(values.iter().copied())
+                .chain(masks.iter().copied())
+                .collect(),
+        };
         STAGING.set((heads, values));
-        RowSet {
-            time_ms,
-            len: u32::try_from(len).expect("a row set holds at most u32::MAX rows"),
-            words: words.into_boxed_slice(),
-        }
+        (len, words)
     }
 
     /// Number of rows.
@@ -241,11 +383,8 @@ impl RowSet {
     /// Every `(attribute, value)` the set holds: row by row, each row's in
     /// canonical attribute order.
     pub fn values(&self) -> impl Iterator<Item = (Attribute, f64)> + '_ {
-        self.rows().flat_map(|r| {
-            r.attrs
-                .iter()
-                .zip(r.values.iter().map(|&b| f64::from_bits(b)))
-        })
+        self.rows()
+            .flat_map(|r| r.attrs.iter().zip(r.bits_of(r.attrs).map(f64::from_bits)))
     }
 
     /// The rows read in place, without unpacking their readings.
@@ -254,16 +393,58 @@ impl RowSet {
         self.rows()
     }
 
-    /// The rows as stored.
+    /// The rows the view shows, read from the block.
     #[inline]
     fn rows(&self) -> Packed<'_> {
-        let (heads, values) = self.words.split_at(self.len().div_ceil(2));
+        let (stored, body) = match self.words.split_first() {
+            Some((&n, body)) => (n as usize, body),
+            None => (0, &[][..]),
+        };
+        let (heads, values) = body.split_at(stored.div_ceil(2));
+        let mask = (self.mask != ALL_ROWS)
+            .then(|| &self.words[self.mask as usize..][..stored.div_ceil(64)]);
         Packed {
             heads,
             values,
+            mask,
+            shown: self.shown,
             next: 0,
-            len: self.len(),
+            left: self.len(),
         }
+    }
+}
+
+/// The sets [`RowSet::select_all`] returns: views of one block.
+struct Views {
+    time_ms: u64,
+    words: Arc<[u64]>,
+    /// The scratch the views were worked out in, handed back when done.
+    marks: Marks,
+    next: usize,
+}
+
+impl Iterator for Views {
+    type Item = RowSet;
+
+    fn next(&mut self) -> Option<RowSet> {
+        let &(shown, len, mask) = self.marks.views.get(self.next)?;
+        self.next += 1;
+        Some(RowSet {
+            time_ms: self.time_ms,
+            len,
+            mask,
+            shown,
+            words: match len {
+                0 => Arc::default(),
+                _ => Arc::clone(&self.words),
+            },
+        })
+    }
+}
+
+impl Drop for Views {
+    fn drop(&mut self) {
+        MARKS.set(mem::take(&mut self.marks));
     }
 }
 
@@ -295,8 +476,10 @@ impl<'a> IntoIterator for &'a RowSet {
 #[derive(Debug, Clone, Copy)]
 pub struct RowRef<'a> {
     node: u16,
+    /// The attributes the row shows.
     attrs: AttrSet,
-    /// The row's values, in the order of `attrs`.
+    /// The attributes the row stores, in the order of `values`.
+    stored: AttrSet,
     values: &'a [u64],
 }
 
@@ -310,15 +493,17 @@ impl<'a> RowRef<'a> {
     /// The row's value for `attr`, if it carries one.
     #[inline]
     pub fn get(&self, attr: Attribute) -> Option<f64> {
-        let value = || f64::from_bits(self.values[self.attrs.rank(attr)]);
+        let value = || f64::from_bits(self.values[self.stored.rank(attr)]);
         self.attrs.contains(attr).then(value)
     }
 
-    /// The bits of the row's values for the members of `kept`, in order.
+    /// The bits of the row's values for the members of `kept` it shows, in
+    /// order.
     #[inline]
     fn bits_of(self, kept: AttrSet) -> impl Iterator<Item = u64> + 'a {
-        // Walk the row's own bitmap lowest bit first, alongside its values.
-        let mut carried = self.attrs.bits();
+        // Walk the stored bitmap lowest bit first, alongside its values.
+        let kept = kept.intersection(self.attrs);
+        let mut carried = self.stored.bits();
         self.values.iter().copied().filter(move |_| {
             let lowest = carried & carried.wrapping_neg();
             carried ^= lowest;
@@ -327,14 +512,19 @@ impl<'a> RowRef<'a> {
     }
 }
 
-/// The rows of a [`RowSet`] as stored.
+/// The rows a [`RowSet`] shows, read from its block.
 #[derive(Debug, Clone)]
 struct Packed<'a> {
     heads: &'a [u64],
-    /// The values of the rows not yet yielded.
+    /// The values of the stored rows not yet read.
     values: &'a [u64],
+    /// Which stored rows the view shows; all without a mask.
+    mask: Option<&'a [u64]>,
+    shown: AttrSet,
+    /// The next stored row.
     next: usize,
-    len: usize,
+    /// How many rows are still to be yielded.
+    left: usize,
 }
 
 impl<'a> Iterator for Packed<'a> {
@@ -342,25 +532,29 @@ impl<'a> Iterator for Packed<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<RowRef<'a>> {
-        if self.next == self.len {
-            return None;
+        while self.left > 0 {
+            let i = self.next;
+            self.next += 1;
+            let half = self.heads[i / 2] >> (i % 2 * 32);
+            let stored = AttrSet::from_bits((half >> 16) as u8);
+            let (values, rest) = self.values.split_at(stored.len());
+            self.values = rest;
+            if self.mask.is_none_or(|mask| bit(mask, i)) {
+                self.left -= 1;
+                return Some(RowRef {
+                    node: half as u16,
+                    attrs: stored.intersection(self.shown),
+                    stored,
+                    values,
+                });
+            }
         }
-        let half = self.heads[self.next / 2] >> (self.next % 2 * 32);
-        self.next += 1;
-        let attrs = AttrSet::from_bits((half >> 16) as u8);
-        let (values, rest) = self.values.split_at(attrs.len());
-        self.values = rest;
-        Some(RowRef {
-            node: half as u16,
-            attrs,
-            values,
-        })
+        None
     }
 
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.len - self.next;
-        (left, Some(left))
+        (self.left, Some(self.left))
     }
 }
 
@@ -377,7 +571,7 @@ impl Iterator for RowSetIter<'_> {
     #[inline]
     fn next(&mut self) -> Option<Row> {
         let r = self.rows.next()?;
-        let values = r.values.iter().map(|&bits| f64::from_bits(bits));
+        let values = r.bits_of(r.attrs).map(f64::from_bits);
         Some(Row {
             node: r.node,
             time_ms: self.time_ms,

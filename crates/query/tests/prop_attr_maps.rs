@@ -4,12 +4,14 @@
 //! and the `Debug` / `Display` strings must be equal — goldens and trace
 //! digests are made of those strings. `RowSet`, the packed form an answer's
 //! rows are held in, is checked the same way against the `Vec<Row>` it
-//! replaced, and its `select` against filtering and projecting that vector.
+//! replaced, and its `select` against filtering and projecting that vector;
+//! `select_all`, which answers many selections with views of one shared
+//! block, against one `select` per selection.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt;
-use ttmqo_query::{Attribute, Predicate, PredicateSet, Readings, Row, RowSet};
+use ttmqo_query::{Attribute, Predicate, PredicateSet, Readings, Row, RowRef, RowSet};
 
 /// The reference implementations. The types carry the product's names so
 /// the derived `Debug` prints what the product's must.
@@ -166,6 +168,69 @@ fn arb_row_readings() -> impl Strategy<Value = Readings> {
 fn row_bits(r: &Row) -> (u16, u64, Vec<(Attribute, u64)>) {
     let readings = r.readings.iter().map(|(a, v)| (a, v.to_bits()));
     (r.node, r.time_ms, readings.collect())
+}
+
+/// A selection: the attributes it projects onto, and which rows it keeps —
+/// those whose node id is `residue` modulo `modulus`, and, if `lit`, only
+/// those that carry a light reading. A residue past the modulus keeps none.
+#[derive(Debug, Clone)]
+struct Sel {
+    attrs: Vec<Attribute>,
+    modulus: u16,
+    residue: u16,
+    lit: bool,
+}
+
+fn arb_sel() -> impl Strategy<Value = Sel> {
+    let attrs = || prop::collection::vec(arb_attr(), 0..6);
+    let sel = |(attrs, modulus, residue, lit)| Sel {
+        attrs,
+        modulus,
+        residue,
+        lit,
+    };
+    prop_oneof![
+        (
+            attrs(),
+            1u16..4,
+            0u16..4,
+            prop_oneof![Just(false), Just(true)]
+        )
+            .prop_map(sel),
+        // Keeps every row.
+        (attrs(), Just(1), Just(0), Just(false)).prop_map(sel),
+        // Keeps none.
+        (
+            attrs(),
+            Just(1),
+            Just(1),
+            prop_oneof![Just(false), Just(true)]
+        )
+            .prop_map(sel),
+    ]
+}
+
+/// `sel` as what `RowSet::select_all` takes.
+fn selection(sel: &Sel) -> (ttmqo_query::AttrSet, impl Fn(RowRef<'_>) -> bool) {
+    let (modulus, residue, lit) = (sel.modulus, sel.residue, sel.lit);
+    let keep = move |r: RowRef<'_>| {
+        r.node() % modulus == residue && (!lit || r.get(Attribute::Light).is_some())
+    };
+    (sel.attrs.iter().collect(), keep)
+}
+
+/// What a set is, bit for bit: its rows in order, its length, its values.
+type SetBits = (
+    Vec<(u16, u64, Vec<(Attribute, u64)>)>,
+    usize,
+    bool,
+    Vec<(Attribute, u64)>,
+);
+
+fn set_bits(set: &RowSet) -> SetBits {
+    let rows = set.iter().map(|r| row_bits(&r)).collect();
+    let values = set.values().map(|(a, v)| (a, v.to_bits())).collect();
+    (rows, set.len(), set.is_empty(), values)
 }
 
 #[derive(Debug, Clone)]
@@ -448,6 +513,43 @@ proptest! {
             want.iter().map(row_bits).collect::<Vec<_>>()
         );
         prop_assert_eq!(selected.len(), want.len());
+    }
+
+    #[test]
+    fn selecting_many_at_once_is_selecting_each_alone(
+        rows in prop::collection::vec((arb_node(), arb_row_readings()), 0..200),
+        sels in prop::collection::vec(arb_sel(), 0..6),
+        again in prop::collection::vec(arb_sel(), 0..6),
+        time_ms in 0u64..=u64::MAX,
+    ) {
+        let rows: Vec<Row> = rows
+            .into_iter()
+            .map(|(node, readings)| Row { node, time_ms: 0, readings })
+            .collect();
+        let set = RowSet::new(0, rows.iter().copied());
+        let views: Vec<RowSet> = set.select_all(time_ms, sels.iter().map(selection)).collect();
+        prop_assert_eq!(views.len(), sels.len());
+        for (view, sel) in views.iter().zip(&sels) {
+            let (attrs, keep) = selection(sel);
+            prop_assert_eq!(set_bits(view), set_bits(&set.select(time_ms, attrs, keep)));
+            // Selecting from a view, masked and projected, is selecting from
+            // a set of the rows it shows.
+            let copy = RowSet::new(time_ms, view.iter());
+            let of_view: Vec<RowSet> = view.select_all(7, again.iter().map(selection)).collect();
+            let of_copy: Vec<RowSet> = copy.select_all(7, again.iter().map(selection)).collect();
+            prop_assert_eq!(
+                of_view.iter().map(set_bits).collect::<Vec<_>>(),
+                of_copy.iter().map(set_bits).collect::<Vec<_>>()
+            );
+            for (r, row) in view.refs().zip(copy.iter()) {
+                for attr in Attribute::ALL {
+                    prop_assert_eq!(
+                        r.get(attr).map(f64::to_bits),
+                        row.readings.get(attr).map(f64::to_bits)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::messages::Output;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use ttmqo_query::{AggValue, EpochAnswer, PartialAgg, Query, QueryId, Row, RowSet, Selection};
 use ttmqo_sim::Ctx;
 
@@ -33,13 +34,18 @@ pub fn in_region<P, O>(ctx: &Ctx<'_, P, O>, query: &Query) -> bool {
     })
 }
 
+/// A hash map keyed the same way in every process: when a table with
+/// deleted entries grows depends on where its keys hash, so with a random
+/// seed a run's allocator calls would vary from process to process.
+type Table<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
+
 /// Result state per `(query, epoch-start ms)`: aggregation partials aligned
 /// with the query's aggregate list (every node), and acquisition rows (base
 /// station only).
 #[derive(Debug, Default)]
 pub struct EpochBuffers {
-    partials: HashMap<(QueryId, u64), Vec<Option<PartialAgg>>>,
-    rows: HashMap<(QueryId, u64), Vec<Row>>,
+    partials: Table<(QueryId, u64), Vec<Option<PartialAgg>>>,
+    rows: Table<(QueryId, u64), Vec<Row>>,
 }
 
 impl EpochBuffers {
