@@ -9,7 +9,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod campaign;
 pub mod engine;
 pub mod faults;
 pub mod fig2;
@@ -17,7 +16,6 @@ pub mod fig34;
 pub mod fig5;
 pub mod table;
 
-pub use campaign::{paper_campaign, write_report, CAMPAIGN_REPORT_FILE};
 pub use engine::{
     engine_microbench, twotier_bench, EngineBenchParams, EngineBenchResult, TwoTierBenchParams,
     ENGINE_REPORT_FILE,

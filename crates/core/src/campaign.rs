@@ -61,12 +61,6 @@ use ttmqo_sim::{
     MetricsSnapshot, TraceHandle, SCHEMA_VERSION,
 };
 
-/// Epoch length (ms) used when summarizing a cell's trace for the
-/// trace↔answer audit reconciliation — the paper's base epoch. Only the
-/// summary's per-epoch rollups depend on it; the per-query answer counts
-/// the audit compares are epoch-length independent.
-const AUDIT_SUMMARY_EPOCH_MS: u64 = 2048;
-
 /// A named workload inside a campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignWorkload {
@@ -464,7 +458,7 @@ impl CampaignReport {
     }
 
     /// The whole report as JSON lines: one [`CellRecord::to_json`] object
-    /// per line, in cell order (the `BENCH_campaign.json` shape).
+    /// per line, in cell order.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for cell in &self.cells {
@@ -537,7 +531,7 @@ fn run_cell(spec: &CampaignSpec, cell: &CellSpec) -> CellRecord {
         let summarized = trace_file
             .as_ref()
             .and_then(|name| std::fs::read_to_string(dir.join(name)).ok())
-            .and_then(|text| summarize_trace(&text, AUDIT_SUMMARY_EPOCH_MS).ok());
+            .and_then(|text| summarize_trace(&text).ok());
         match summarized {
             Some(summary) => {
                 let answers: BTreeMap<u64, u64> = report

@@ -172,7 +172,7 @@ fn rollup_marginals_reconcile_with_cell_record_sums() {
     assert!(parsed.get("hotspots").is_some());
 }
 
-/// The sweep `examples/observatory.rs` runs (minus its trace files): two
+/// The sweep `inspect observatory` runs (minus its trace files): two
 /// workloads × {baseline, two-tier} × 3×3 and 4×4, audited.
 fn observatory_spec() -> CampaignSpec {
     let workload = |texts: &[&str]| -> Vec<WorkloadEvent> {

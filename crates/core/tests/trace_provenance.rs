@@ -49,7 +49,7 @@ fn traced_run(strategy: Strategy) -> (ttmqo_core::RunReport, String) {
 fn trace_alone_reproduces_the_reports_answer_counts() {
     for strategy in [Strategy::Baseline, Strategy::TwoTier] {
         let (report, jsonl) = traced_run(strategy);
-        let summary = summarize_trace(&jsonl, 2048).expect("trace schema matches the library");
+        let summary = summarize_trace(&jsonl).expect("trace schema matches the library");
 
         assert_eq!(summary.schema_version, Some(SCHEMA_VERSION));
         assert_eq!(summary.malformed_lines, 0, "[{strategy}] clean trace");

@@ -41,7 +41,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
-use ttmqo_query::QueryId;
+use ttmqo_query::{QueryId, BASE_EPOCH_MS};
 
 /// Version of every machine-readable report this workspace emits: the trace
 /// JSON-lines header and all `BENCH_*.json` records carry it as
@@ -795,7 +795,7 @@ impl TraceSink for RingSink {
 /// instead of collapsed into run totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EpochRollup {
-    /// Start of the bucket, ms (a multiple of the rollup's epoch length).
+    /// Start of the bucket, ms (a multiple of [`BASE_EPOCH_MS`]).
     pub epoch_ms: u64,
     /// Frames transmitted.
     pub tx: u64,
@@ -836,9 +836,9 @@ pub struct TraceSummary {
     /// Hops = result-hop events naming the provenance (origin send
     /// included), for provenances that reached the base station.
     pub hop_distribution: BTreeMap<u64, u64>,
-    /// Per-epoch rollups, one per bucket of the caller's `epoch_len_ms`
-    /// that saw activity, in time order. Rows and answers are bucketed by
-    /// the epoch they carry, everything else by its timestamp.
+    /// Per-epoch rollups, one per base epoch that saw activity, in time
+    /// order. Rows and answers are bucketed by the epoch they carry,
+    /// everything else by its timestamp.
     pub rollups: Vec<EpochRollup>,
     /// Non-empty lines that were neither a record (no `ev` field), a
     /// header (no `schema_version` field), nor a drop marker (no
@@ -874,7 +874,7 @@ impl TraceSummary {
         !self.truncated_tail && self.dropped_records == 0 && self.malformed_lines == 0
     }
 
-    /// One JSON object with every summary field — the `trace_analyze
+    /// One JSON object with every summary field — the `inspect analyze
     /// --json` payload. Per-query latency sample vectors are collapsed to
     /// `{count, mean_ms}` (the samples can number in the hundreds of
     /// thousands on soak traces; the human table shows the same moments).
@@ -1001,7 +1001,7 @@ impl fmt::Display for TraceSchemaError {
 impl std::error::Error for TraceSchemaError {}
 
 /// Summarizes a JSON-lines trace (header line + records). Rollups are
-/// bucketed by `epoch_len_ms` (clamped to at least 1 ms).
+/// bucketed by the base epoch, [`BASE_EPOCH_MS`].
 ///
 /// A trace with no header at all is tolerated (`schema_version` stays
 /// `None`); lines that are neither records nor headers are skipped and
@@ -1017,7 +1017,7 @@ impl std::error::Error for TraceSchemaError {}
 /// A byte-truncated final line (the file stops mid-record, as a crash-time
 /// trace does) is dropped and flagged in [`TraceSummary::truncated_tail`]
 /// instead of being counted as malformed.
-pub fn summarize_trace(text: &str, epoch_len_ms: u64) -> Result<TraceSummary, TraceSchemaError> {
+pub fn summarize_trace(text: &str) -> Result<TraceSummary, TraceSchemaError> {
     let (text, truncated_tail) = json::complete_lines(text);
     let mut summary = TraceSummary {
         truncated_tail,
@@ -1026,7 +1026,6 @@ pub fn summarize_trace(text: &str, epoch_len_ms: u64) -> Result<TraceSummary, Tr
     // Hops per provenance id, and which provenances were delivered.
     let mut hops: BTreeMap<u64, u64> = BTreeMap::new();
     let mut delivered: Vec<u64> = Vec::new();
-    let len = epoch_len_ms.max(1);
     let mut rollups: BTreeMap<u64, EpochRollup> = BTreeMap::new();
     for line in text.lines() {
         if line.is_empty() {
@@ -1062,13 +1061,13 @@ pub fn summarize_trace(text: &str, epoch_len_ms: u64) -> Result<TraceSummary, Tr
         let t_ms = rec.u64_at("t").unwrap_or(0) / 1000;
         let epoch_ms = rec.u64_at("epoch_ms").unwrap_or(0);
         match ev {
-            "frame-tx" => bucket(&mut rollups, len, t_ms).tx += 1,
-            "frame-collision" => bucket(&mut rollups, len, t_ms).collisions += 1,
-            "frame-lost" => bucket(&mut rollups, len, t_ms).losses += 1,
-            "frame-retry" => bucket(&mut rollups, len, t_ms).retries += 1,
-            "sleep-start" => bucket(&mut rollups, len, t_ms).sleeps += 1,
+            "frame-tx" => bucket(&mut rollups, t_ms).tx += 1,
+            "frame-collision" => bucket(&mut rollups, t_ms).collisions += 1,
+            "frame-lost" => bucket(&mut rollups, t_ms).losses += 1,
+            "frame-retry" => bucket(&mut rollups, t_ms).retries += 1,
+            "sleep-start" => bucket(&mut rollups, t_ms).sleeps += 1,
             "answer-mapped" => {
-                let rollup = bucket(&mut rollups, len, epoch_ms);
+                let rollup = bucket(&mut rollups, epoch_ms);
                 rollup.answers += 1;
                 rollup.nonempty_answers += u64::from(nonempty);
                 let user = rec.u64_at("user").unwrap_or(0);
@@ -1090,7 +1089,7 @@ pub fn summarize_trace(text: &str, epoch_len_ms: u64) -> Result<TraceSummary, Tr
                 }
             }
             "result-delivered" => {
-                bucket(&mut rollups, len, epoch_ms).rows_delivered += 1;
+                bucket(&mut rollups, epoch_ms).rows_delivered += 1;
                 delivered.push(rec.u64_at("prov").unwrap_or(0));
             }
             _ => {}
@@ -1106,9 +1105,9 @@ pub fn summarize_trace(text: &str, epoch_len_ms: u64) -> Result<TraceSummary, Tr
     Ok(summary)
 }
 
-/// The rollup of the `len`-ms bucket holding `at_ms`, opened on first use.
-fn bucket(rollups: &mut BTreeMap<u64, EpochRollup>, len: u64, at_ms: u64) -> &mut EpochRollup {
-    let epoch_ms = at_ms / len * len;
+/// The rollup of the base epoch holding `at_ms`, opened on first use.
+fn bucket(rollups: &mut BTreeMap<u64, EpochRollup>, at_ms: u64) -> &mut EpochRollup {
+    let epoch_ms = at_ms / BASE_EPOCH_MS * BASE_EPOCH_MS;
     rollups.entry(epoch_ms).or_insert(EpochRollup {
         epoch_ms,
         ..EpochRollup::default()
@@ -1297,7 +1296,7 @@ mod tests {
                 },
             },
         ];
-        let rollups = summarize_trace(&jsonl(&recs), 2048).unwrap().rollups;
+        let rollups = summarize_trace(&jsonl(&recs)).unwrap().rollups;
         assert_eq!(rollups.len(), 2);
         assert_eq!(rollups[0].epoch_ms, 0);
         assert_eq!(rollups[0].tx, 1);
@@ -1354,7 +1353,7 @@ mod tests {
             },
         ];
         let text = jsonl(&recs);
-        let s = summarize_trace(&text, 2048).expect("schema matches");
+        let s = summarize_trace(&text).expect("schema matches");
         assert_eq!(s.schema_version, Some(SCHEMA_VERSION));
         assert_eq!(s.malformed_lines, 0);
         assert_eq!(s.events, 4);
@@ -1382,7 +1381,7 @@ mod tests {
             "{{\"schema_version\":{},\"format\":\"ttmqo-trace\"}}\n",
             SCHEMA_VERSION + 1
         );
-        let err = summarize_trace(&text, 2048).expect_err("future schema must be rejected");
+        let err = summarize_trace(&text).expect_err("future schema must be rejected");
         assert_eq!(err.found, SCHEMA_VERSION + 1);
         assert_eq!(err.expected, SCHEMA_VERSION);
         assert!(err.to_string().contains("does not match"));
@@ -1394,7 +1393,7 @@ mod tests {
         .to_json();
         late.push('\n');
         late.push_str(&text);
-        assert!(summarize_trace(&late, 2048).is_err());
+        assert!(summarize_trace(&late).is_err());
     }
 
     #[test]
@@ -1408,7 +1407,7 @@ mod tests {
             .to_json(),
         );
         text.push('\n');
-        let s = summarize_trace(&text, 2048).expect("no header: tolerated");
+        let s = summarize_trace(&text).expect("no header: tolerated");
         assert_eq!(s.schema_version, None);
         assert_eq!(s.malformed_lines, 2);
         assert_eq!(s.events, 1);
@@ -1418,7 +1417,7 @@ mod tests {
     #[test]
     fn summarize_of_an_empty_trace_is_empty() {
         for text in ["", "\n\n"] {
-            let s = summarize_trace(text, 2048).expect("empty trace is fine");
+            let s = summarize_trace(text).expect("empty trace is fine");
             assert_eq!(s, TraceSummary::default());
             assert_eq!(s.events, 0);
             assert!(s.rollups.is_empty());
@@ -1428,7 +1427,7 @@ mod tests {
         // A header-only trace parses to zero events but a known version.
         let mut header = trace_header();
         header.push('\n');
-        let s = summarize_trace(&header, 2048).unwrap();
+        let s = summarize_trace(&header).unwrap();
         assert_eq!(s.schema_version, Some(SCHEMA_VERSION));
         assert_eq!(s.events, 0);
     }
@@ -1451,13 +1450,13 @@ mod tests {
         // trace would be.
         let cut = &text[..text.len() - 9];
         assert!(!cut.ends_with('\n') && !cut.ends_with('}'));
-        let s = summarize_trace(cut, 2048).expect("truncated tail tolerated");
+        let s = summarize_trace(cut).expect("truncated tail tolerated");
         assert!(s.truncated_tail);
         assert_eq!(s.events, 2, "partial record excluded");
         assert_eq!(s.malformed_lines, 0, "a truncated tail is not malformed");
         // A file that merely lacks the trailing newline is complete.
         let no_newline = text.trim_end_matches('\n');
-        let s = summarize_trace(no_newline, 2048).unwrap();
+        let s = summarize_trace(no_newline).unwrap();
         assert!(!s.truncated_tail);
         assert_eq!(s.events, 3);
     }
@@ -1498,15 +1497,12 @@ mod tests {
             },
         ];
         let text = jsonl(&recs);
-        let rollups = summarize_trace(&text, 2048).unwrap().rollups;
+        let rollups = summarize_trace(&text).unwrap().rollups;
         assert_eq!(rollups.len(), 2);
         assert_eq!(rollups[0].epoch_ms, 0);
         assert_eq!(rollups[0].tx, 2);
         assert_eq!(rollups[1].epoch_ms, 2048);
         assert_eq!(rollups[1].sleeps, 1);
-        // Degenerate epoch length: clamped to 1 ms buckets, no panic.
-        let tiny = summarize_trace(&text, 0).unwrap().rollups;
-        assert_eq!(tiny.iter().map(|r| r.tx).sum::<u64>(), 2);
     }
 
     #[test]
@@ -1535,7 +1531,7 @@ mod tests {
         }
         assert_eq!(ring.dropped(), 1);
         let text = ring.to_jsonl();
-        let s = summarize_trace(&text, 2048).expect("marker is not a schema error");
+        let s = summarize_trace(&text).expect("marker is not a schema error");
         assert_eq!(s.events, 2, "only retained records are counted");
         assert_eq!(s.dropped_records, 1, "eviction surfaces in the summary");
         assert_eq!(s.malformed_lines, 0, "the drop marker is not malformed");
@@ -1548,7 +1544,7 @@ mod tests {
             time_us: 1000,
             event: TraceEvent::Wake { node: NodeId(1) },
         });
-        let s = summarize_trace(&full.to_jsonl(), 2048).unwrap();
+        let s = summarize_trace(&full.to_jsonl()).unwrap();
         assert_eq!(s.dropped_records, 0);
         assert!(s.is_lossless());
         assert!(!full.to_jsonl().contains("dropped_records"));
@@ -1573,7 +1569,7 @@ mod tests {
             .to_json(),
         );
         text.push('\n');
-        let json = summarize_trace(&text, 2048).unwrap().to_json();
+        let json = summarize_trace(&text).unwrap().to_json();
         assert!(json.contains("\"events\":1"));
         assert!(json.contains("\"lossless\":true"));
         assert!(json.contains("\"query\":1"));
@@ -1582,7 +1578,7 @@ mod tests {
 
         // The same trace behind an evicting ring reports itself lossy.
         text.push_str("{\"dropped_records\":5,\"note\":\"ring-evicted\"}\n");
-        let json = summarize_trace(&text, 2048).unwrap().to_json();
+        let json = summarize_trace(&text).unwrap().to_json();
         assert!(json.contains("\"dropped_records\":5"));
         assert!(json.contains("\"lossless\":false"));
     }

@@ -17,8 +17,8 @@
 //!
 //! The workflow this powers: when the report-diff gate flags a divergent
 //! `RunReport`, re-run both variants with tracing enabled and hand both
-//! traces to [`trace_diff`] — see `examples/divergence.rs` for the
-//! end-to-end recipe.
+//! traces to [`trace_diff`] — `inspect divergence` (`examples/inspect.rs`)
+//! is the end-to-end recipe.
 
 use std::collections::BTreeMap;
 use std::fmt;

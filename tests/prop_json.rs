@@ -975,11 +975,10 @@ fn a_bench_name_with_a_quote_renders_valid_json_and_reads_back() {
 /// Every reader, fed one text. Returning at all is the property.
 fn feed_every_reader(text: &str, other: &str) {
     let _ = json::parse(text);
-    if let Ok(summary) = summarize_trace(text, 2048) {
+    if let Ok(summary) = summarize_trace(text) {
         let _ = summary.to_json();
         let _ = summary.mean_latency_ms();
     }
-    let _ = summarize_trace(text, 0);
     let _ = trace_diff(text, other, 2);
     let _ = trace_diff(other, text, 0);
     let _ = chrome_trace(text);
@@ -1109,7 +1108,7 @@ fn deep_nesting_is_a_typed_error_in_every_reader() {
         let deep = open.repeat(2_000_000);
         assert!(json::parse(&deep).is_err());
         feed_every_reader(&deep, "[]");
-        let summary = summarize_trace(&format!("{deep}\n"), 2048).expect("no schema error");
+        let summary = summarize_trace(&format!("{deep}\n")).expect("no schema error");
         assert_eq!((summary.events, summary.malformed_lines), (0, 1));
     }
 }
@@ -1130,7 +1129,7 @@ fn a_truncated_tail_is_dropped_not_misread() {
         if !text.is_char_boundary(cut) {
             continue;
         }
-        let summary = summarize_trace(&text[..cut], 2048).expect("same schema");
+        let summary = summarize_trace(&text[..cut]).expect("same schema");
         assert!(summary.truncated_tail, "cut at {cut}");
         assert_eq!((summary.events, summary.malformed_lines), (4, 0));
         let diff = trace_diff(&text, &text[..cut], 1);
