@@ -18,16 +18,16 @@ use crate::innetwork::dag::{DagState, Election};
 use crate::innetwork::payload::{PartialEntry, RowEntry, TtmqoPayload};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use ttmqo_query::{AttrSet, EpochDuration, PartialAgg, Query, QueryId, Readings, Row, Selection};
-use ttmqo_sim::{Ctx, Destination, MsgKind, NodeApp, NodeId, ProvenanceId, TraceEvent};
+use ttmqo_query::{
+    AttrSet, EpochDuration, PartialAgg, Query, QueryId, Readings, Row, Selection, BASE_EPOCH_MS,
+};
+use ttmqo_sim::{Ctx, Destination, MsgKind, NodeApp, NodeId, ProvenanceId, Topology, TraceEvent};
 use ttmqo_tinydb::{
-    in_region, timer_key, timer_key_parts, Command, EpochBuffers, Floods, Output, KIND_FLOOD_ABORT,
-    KIND_FLOOD_QUERY,
+    in_region, timer_key, timer_key_parts, Command, EpochBuffers, Floods, Output, TagSlots,
+    KIND_CLOSE, KIND_FLOOD_ABORT, KIND_FLOOD_QUERY, KIND_SLOT,
 };
 
 const K_CLOCK: u64 = 0;
-const K_SLOT: u64 = 1;
-const K_CLOSE: u64 = 2;
 const K_SLEEP_CHECK: u64 = 5;
 
 /// A result frame's split-responsibility assignments: `(recipient, the
@@ -66,6 +66,22 @@ pub struct TtmqoConfig {
     /// Extension beyond the paper, which leaves node failures to future
     /// work.
     pub dead_parent_after: u32,
+}
+
+impl TtmqoConfig {
+    /// How long after a firing the base station collects an epoch, and an
+    /// idle node stays awake to relay: a slot per level, jitter and a margin.
+    pub fn collection_window_ms(&self, topo: &Topology) -> u64 {
+        self.tag_slots().close_after(topo) + self.jitter_ms
+    }
+
+    /// Its TAG slot timing.
+    pub fn tag_slots(&self) -> TagSlots {
+        TagSlots {
+            slot_ms: self.slot_ms,
+            jitter_ms: self.jitter_ms,
+        }
+    }
 }
 
 impl Default for TtmqoConfig {
@@ -143,6 +159,11 @@ impl TtmqoApp {
         self.floods.relay_only()
     }
 
+    /// Read-only view of the result buffers (for tests and inspection).
+    pub fn buffers(&self) -> &EpochBuffers {
+        &self.buffers
+    }
+
     /// Read-only view of the routing DAG state (for tests and diagnostics).
     pub fn dag(&self) -> &DagState {
         &self.dag
@@ -189,17 +210,6 @@ impl TtmqoApp {
         self.rearm_clock(ctx);
     }
 
-    /// Collection window: how long after a firing the base station waits
-    /// before emitting, and how long an idle node stays awake to relay.
-    fn window_ms(&self, ctx: &Ctx<'_, TtmqoPayload, Output>) -> u64 {
-        (ctx.topology().max_level() as u64 + 1) * self.config.slot_ms + self.config.jitter_ms + 32
-    }
-
-    fn slot_delay_ms(&self, ctx: &mut Ctx<'_, TtmqoPayload, Output>) -> u64 {
-        let depth_from_bottom = (ctx.topology().max_level() - ctx.level()) as u64;
-        depth_from_bottom * self.config.slot_ms + ctx.rand_u64() % self.config.jitter_ms.max(1)
-    }
-
     /// Handles one firing of the shared clock at (aligned) time `t_ms`.
     fn handle_clock(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, t_ms: u64) {
         self.relayed_recently = false;
@@ -217,14 +227,13 @@ impl TtmqoApp {
             epoch_ms: t_ms,
             due: due().map(|q| q.id()).collect(),
         });
-        let epoch_idx = t_ms / ttmqo_query::BASE_EPOCH_MS;
 
         if ctx.is_base_station() {
-            // The base station senses nothing; it closes each due query's
-            // epoch after the collection window.
-            let window = self.window_ms(ctx);
+            // The base station senses nothing; it collects each due query's
+            // epoch for the collection window.
+            let window = self.config.collection_window_ms(ctx.topology());
             for q in due() {
-                ctx.set_timer(window, timer_key(K_CLOSE, q.id(), epoch_idx));
+                self.buffers.open(ctx, q, t_ms, window);
             }
             return;
         }
@@ -273,7 +282,7 @@ impl TtmqoApp {
                         .iter()
                         .map(|&(op, attr)| readings.get(attr).map(|v| op.seed(v)))
                         .collect();
-                    self.buffers.merge(q.id(), t_ms, &seeded);
+                    self.buffers.merge(ctx, q.id(), t_ms, &seeded);
                 }
             }
         }
@@ -329,8 +338,7 @@ impl TtmqoApp {
         // Shared aggregation: the partials seeded above are transmitted at
         // this node's TAG slot (deeper levels earlier).
         if aggregation_due {
-            let delay = self.slot_delay_ms(ctx).max(1);
-            ctx.set_timer(delay, timer_key(K_SLOT, QueryId(0), epoch_idx));
+            self.config.tag_slots().arm(ctx, QueryId(0), t_ms);
         }
 
         self.maybe_sleep(ctx, t_ms);
@@ -341,8 +349,8 @@ impl TtmqoApp {
         if !self.config.sleep || ctx.is_base_station() || self.queries.is_empty() {
             return;
         }
-        let window = self.window_ms(ctx);
-        let epoch_idx = t_ms / ttmqo_query::BASE_EPOCH_MS;
+        let window = self.config.collection_window_ms(ctx.topology());
+        let epoch_idx = t_ms / BASE_EPOCH_MS;
         ctx.set_timer(window, timer_key(K_SLEEP_CHECK, QueryId(0), epoch_idx));
     }
 
@@ -514,25 +522,24 @@ impl TtmqoApp {
         }
         if ctx.is_base_station() {
             // Journey's end: buffer the entry's row for each query it
-            // answers on my behalf, straight from the frame.
+            // answers on my behalf, straight from the frame. A query the
+            // base station does not run has no open epoch: its row is late.
             ctx.trace_with(|| TraceEvent::ResultDelivered {
                 prov: ProvenanceId::new(NodeId(entry.node), epoch_ms),
                 qids: mine.to_vec(),
                 epoch_ms,
             });
             for &qid in mine {
-                let Some(q) = self.queries.get(&qid) else {
-                    continue;
-                };
-                let Selection::Attributes(attrs) = q.selection() else {
-                    continue;
+                let readings = match self.queries.get(&qid).map(|q| q.selection()) {
+                    Some(Selection::Attributes(attrs)) => entry.readings.project(attrs),
+                    _ => entry.readings,
                 };
                 let row = Row {
                     node: entry.node,
                     time_ms: epoch_ms,
-                    readings: entry.readings.project(attrs),
+                    readings,
                 };
-                self.buffers.add_rows(qid, epoch_ms, [row]);
+                self.buffers.add_row(ctx, qid, row);
             }
             return;
         }
@@ -572,28 +579,16 @@ impl TtmqoApp {
         self.request_unknown_queries(ctx, mine().map(|e| e.qid));
         let mut merged_any = false;
         for e in mine() {
-            self.buffers.merge(e.qid, epoch_ms, &e.partials);
+            self.buffers.merge(ctx, e.qid, epoch_ms, &e.partials);
             merged_any = true;
         }
         if !merged_any || ctx.is_base_station() {
             return;
         }
         self.relayed_recently = true;
-        // If our TAG slot for this epoch already passed (late child), flush
-        // immediately; otherwise make sure a slot timer exists (a pure relay
-        // with no installed aggregation query never armed one at the clock
-        // firing). Duplicate fires are harmless: the buffer empties once.
-        let my_slot =
-            epoch_ms + (ctx.topology().max_level() - ctx.level()) as u64 * self.config.slot_ms;
-        let now = ctx.now().as_ms();
-        if now > my_slot + self.config.jitter_ms {
+        // A late child's partials go on at once.
+        if !self.config.tag_slots().wait(ctx, QueryId(0), epoch_ms) {
             self.flush_partials(ctx, epoch_ms);
-        } else {
-            let epoch_idx = epoch_ms / ttmqo_query::BASE_EPOCH_MS;
-            ctx.set_timer(
-                my_slot.saturating_sub(now).max(1),
-                timer_key(K_SLOT, QueryId(0), epoch_idx),
-            );
         }
     }
 }
@@ -645,13 +640,11 @@ impl NodeApp for TtmqoApp {
                 ctx.set_timer(gcd.as_ms(), timer_key(K_CLOCK, QueryId(0), self.clock_gen));
                 self.handle_clock(ctx, t);
             }
-            K_SLOT => {
-                self.flush_partials(ctx, extra * ttmqo_query::BASE_EPOCH_MS);
-            }
-            K_CLOSE => {
-                let epoch_ms = extra * ttmqo_query::BASE_EPOCH_MS;
-                let query = self.queries.get(&qid).map(Arc::as_ref);
-                self.buffers.close(ctx, query, qid, epoch_ms);
+            KIND_SLOT => self.flush_partials(ctx, extra * BASE_EPOCH_MS),
+            KIND_CLOSE => {
+                if let Some(query) = self.queries.get(&qid) {
+                    self.buffers.close(ctx, query, extra * BASE_EPOCH_MS);
+                }
             }
             KIND_FLOOD_QUERY => {
                 let Some(query) = self.floods.to_relay(qid, self.queries.get(&qid)) else {

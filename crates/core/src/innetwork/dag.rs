@@ -166,11 +166,6 @@ impl DagState {
         self.slot(neighbor).is_some_and(|i| self.dead[i])
     }
 
-    /// How many upper neighbours are currently presumed dead.
-    pub fn presumed_dead_count(&self) -> usize {
-        self.dead.iter().filter(|&&d| d).count()
-    }
-
     /// Whether every upper neighbour is presumed dead — the node is orphaned
     /// and has no live route toward the base station.
     pub fn is_orphaned(&self) -> bool {
@@ -464,7 +459,6 @@ mod tests {
             "third consecutive failure crosses threshold"
         );
         assert!(d.presumed_dead(NodeId(3)));
-        assert_eq!(d.presumed_dead_count(), 1);
         // Re-election skips the dead parent; among the survivors the
         // query-aware rule still applies (2 has data for 11, so it beats the
         // better-link node 1 for that query).

@@ -229,12 +229,6 @@ fn build_topology(config: &ExperimentConfig) -> Topology {
         .unwrap_or_else(|| Topology::grid(config.grid_n).expect("valid experiment grid"))
 }
 
-/// How long after an epoch fires its answer is collected: one slot per tree
-/// level plus jitter and a margin.
-fn collection_window_ms(config: &ExperimentConfig, topo: &Topology) -> u64 {
-    (topo.max_level() as u64 + 1) * config.innetwork.slot_ms + config.innetwork.jitter_ms + 32
-}
-
 fn build_field(config: &ExperimentConfig, topo: &Topology) -> Box<dyn SensorField + Send + Sync> {
     match config.field {
         FieldKind::Uniform => Box::new(UniformField::new(config.field_seed)),
@@ -417,11 +411,8 @@ const REPAIR_GRACE_MS: u64 = 8 * BASE_EPOCH_MS;
 /// re-optimization of the owning synthetic query when a query goes silent
 /// for [`REPAIR_AFTER_MISSING`] consecutive epochs. Armed only for faulty
 /// runs under a rewriting strategy.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct RepairMonitor {
-    /// Collection-window length: the epoch firing at `e` is audited once the
-    /// clock passes `e + window_ms` (its answer should have closed by then).
-    window_ms: u64,
     /// Next epoch start (ms) to audit, per live user query.
     audit_next: BTreeMap<QueryId, u64>,
     /// Consecutive missing expected epochs, per live user query.
@@ -437,18 +428,6 @@ struct RepairMonitor {
 }
 
 impl RepairMonitor {
-    fn new(window_ms: u64) -> Self {
-        RepairMonitor {
-            window_ms,
-            audit_next: BTreeMap::new(),
-            streaks: BTreeMap::new(),
-            answered: BTreeMap::new(),
-            pending: Vec::new(),
-            repairs: 0,
-            latencies_ms: Vec::new(),
-        }
-    }
-
     fn note_posed(&mut self, q: &Query, t_ms: u64) {
         self.audit_next
             .insert(q.id(), q.epoch().next_fire_at(t_ms + 1));
@@ -484,9 +463,9 @@ impl RepairMonitor {
         }
     }
 
-    /// Audits every epoch whose collection window closed by time `b`;
-    /// returns the user queries whose missing streak crossed the threshold.
-    fn due_repairs(&mut self, b: u64, ledger: &Ledger) -> Vec<QueryId> {
+    /// Audits every epoch whose collection window (`window_ms`) closed by
+    /// time `b`; returns the users whose missing streak crossed the threshold.
+    fn due_repairs(&mut self, b: u64, window_ms: u64, ledger: &Ledger) -> Vec<QueryId> {
         self.pending
             .retain(|(t0, _)| b.saturating_sub(*t0) <= REPAIR_GRACE_MS);
         let mut due = Vec::new();
@@ -497,7 +476,7 @@ impl RepairMonitor {
             let step = life.query.epoch().as_ms();
             let answered = self.answered.entry(*uid).or_default();
             let streak = self.streaks.entry(*uid).or_insert(0);
-            while *next + self.window_ms <= b {
+            while *next + window_ms <= b {
                 if answered.contains(next) {
                     *streak = 0;
                 } else {
@@ -660,7 +639,6 @@ pub struct RunSession {
     optimizer: Option<BaseStationOptimizer>,
     /// Materialized fault schedule (completeness expectations).
     schedule: Option<FaultSchedule>,
-    window_ms: u64,
     state: RunnerState,
 }
 
@@ -719,9 +697,8 @@ impl RunSession {
         // monitor (armed only for faulty runs with the rewriting tier —
         // fault-free runs take exactly the pre-fault code path).
         let schedule = (!config.faults.is_empty()).then(|| config.faults.materialize(&topo));
-        let window_ms = collection_window_ms(config, &topo);
         let state = RunnerState {
-            monitor: (rewriting && schedule.is_some()).then(|| RepairMonitor::new(window_ms)),
+            monitor: (rewriting && schedule.is_some()).then(RepairMonitor::default),
             ..RunnerState::default()
         };
 
@@ -732,7 +709,6 @@ impl RunSession {
             sim,
             optimizer,
             schedule,
-            window_ms,
             state,
         }
     }
@@ -877,12 +853,13 @@ impl RunSession {
         if self.state.monitor.is_none() {
             return;
         }
+        let window_ms = self.config.innetwork.collection_window_ms(&self.topo);
         let mut b = (self.state.audited_to / BASE_EPOCH_MS + 1) * BASE_EPOCH_MS;
         while b < t_ms || (inclusive && b == t_ms) {
             self.sim.run_until(SimTime::from_ms(b));
             self.ingest();
             let due = match self.state.monitor.as_mut() {
-                Some(mon) => mon.due_repairs(b, &self.state.ledger),
+                Some(mon) => mon.due_repairs(b, window_ms, &self.state.ledger),
                 None => Vec::new(),
             };
             for uid in due {
@@ -1020,6 +997,7 @@ impl RunSession {
         // are an upper bound and exact for predicate-free acquisition
         // queries.
         let srt = Srt::build(&self.topo);
+        let window_ms = self.config.innetwork.collection_window_ms(&self.topo);
         let mut per_query: BTreeMap<QueryId, QueryCompleteness> = BTreeMap::new();
         for (uid, life) in &self.state.ledger.users {
             let q = &life.query;
@@ -1049,7 +1027,7 @@ impl RunSession {
             let mut qc = QueryCompleteness::default();
             let step = q.epoch().as_ms();
             let mut e = q.epoch().next_fire_at(life.posed_ms + 1);
-            while e + self.window_ms < end {
+            while e + window_ms < end {
                 let alive = static_matching
                     .iter()
                     .filter(|&&n| self.schedule.as_ref().is_none_or(|s| s.alive_at(n, e)))

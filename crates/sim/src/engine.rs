@@ -247,6 +247,14 @@ impl<'a, P, O> Ctx<'a, P, O> {
             .record(self.now_us, Probe::Orphaned { node: self.node });
     }
 
+    /// Records that the base station dropped one result for an epoch it is
+    /// not collecting (closed already, or of an aborted query): a partials
+    /// entry when `partials`, an acquisition row otherwise. Feeds
+    /// [`Metrics::late_rows`] and [`Metrics::late_partials`].
+    pub fn record_late(&mut self, partials: bool) {
+        self.probes.record(self.now_us, Probe::Late { partials });
+    }
+
     /// Puts the radio to sleep until `now + duration_ms`: no frames are
     /// received while asleep (timers still fire — the clock keeps running).
     pub fn sleep_for(&mut self, duration_ms: u64) {
@@ -285,11 +293,6 @@ impl<'a, P, O> Ctx<'a, P, O> {
     /// A deterministic pseudo-random `u64` from the simulation's seed.
     pub fn rand_u64(&mut self) -> u64 {
         next_rand(self.rng_state)
-    }
-
-    /// A deterministic pseudo-random value in `[0, 1)`.
-    pub fn rand_f64(&mut self) -> f64 {
-        (self.rand_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 

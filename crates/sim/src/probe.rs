@@ -96,6 +96,8 @@ pub(crate) enum Probe {
     Sample,
     /// A node dropped results it had no live route for.
     Orphaned { node: NodeId },
+    /// The base station dropped a result for an epoch it is not collecting.
+    Late { partials: bool },
 }
 
 impl Probe {
@@ -180,7 +182,9 @@ impl Probe {
             Probe::Wake { node, .. } => T::Wake { node },
             Probe::Crash { node, .. } => T::FaultCrash { node },
             Probe::Recover { node } => T::FaultRecover { node },
-            Probe::Rx { .. } | Probe::Sample | Probe::Orphaned { .. } => return None,
+            Probe::Rx { .. } | Probe::Sample | Probe::Orphaned { .. } | Probe::Late { .. } => {
+                return None
+            }
         })
     }
 }

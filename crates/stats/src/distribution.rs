@@ -154,11 +154,6 @@ impl SelectivityEstimator {
             .observe(value);
     }
 
-    /// Observations accumulated for an attribute.
-    pub fn observation_count(&self, attr: Attribute) -> u64 {
-        self.adaptive.get(&attr).map_or(0, |m| m.sample_count())
-    }
-
     /// Registers a distribution model for one attribute, replacing any
     /// previous model.
     pub fn set_model(
@@ -254,7 +249,6 @@ mod tests {
         for _ in 0..5 {
             est.observe(Attribute::Light, 950.0);
         }
-        assert_eq!(est.observation_count(Attribute::Light), 10);
         // All observed mass sits in [900, 1000]: adaptive estimate ≈ 1.
         assert!(est.selectivity(&ps) > 0.9, "got {}", est.selectivity(&ps));
     }

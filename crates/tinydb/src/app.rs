@@ -15,24 +15,18 @@
 //! * aggregation uses TAG-style slotted in-network aggregation, **per query**:
 //!   deeper levels transmit earlier so parents can merge partials.
 
-use crate::buffers::{in_region, timer_key, timer_key_parts, EpochBuffers};
+use crate::buffers::{
+    in_region, timer_key, timer_key_parts, EpochBuffers, TagSlots, KIND_CLOSE, KIND_SLOT,
+};
 use crate::flood::{Floods, KIND_FLOOD_ABORT, KIND_FLOOD_QUERY};
 use crate::messages::{Command, Output, TinyDbPayload};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use ttmqo_query::{PartialAgg, Query, QueryId, Readings, Row, Selection};
+use ttmqo_query::{PartialAgg, Query, QueryId, Readings, Row, Selection, BASE_EPOCH_MS};
 use ttmqo_sim::{Ctx, Destination, MsgKind, NodeApp, NodeId, ProvenanceId, TraceEvent};
 
-/// Timer-key kinds (low 4 bits of the key).
+/// Timer-key kind of a query's sampling clock (low 4 bits of the key).
 const KIND_SAMPLE: u64 = 0;
-const KIND_SLOT: u64 = 1;
-const KIND_CLOSE: u64 = 2;
-
-/// Length of one TAG transmission slot, ms.
-const SLOT_MS: u64 = 64;
-/// Maximum random jitter added to flood rebroadcasts and slot
-/// transmissions, ms.
-const JITTER_MS: u64 = 24;
 
 /// Per-node configuration of the baseline.
 #[derive(Debug, Clone, Default)]
@@ -60,11 +54,18 @@ pub struct TinyDbApp {
 }
 
 impl TinyDbApp {
+    /// TAG slots of 64 ms; flood rebroadcasts and slot transmissions are
+    /// jittered by up to 24 ms.
+    pub const TAG: TagSlots = TagSlots {
+        slot_ms: 64,
+        jitter_ms: 24,
+    };
+
     /// Creates a baseline node with the given configuration.
     pub fn new(config: TinyDbConfig) -> Self {
         TinyDbApp {
             queries: BTreeMap::new(),
-            floods: Floods::new(config.srt, JITTER_MS),
+            floods: Floods::new(config.srt, Self::TAG.jitter_ms),
             buffers: EpochBuffers::default(),
         }
     }
@@ -78,6 +79,11 @@ impl TinyDbApp {
     /// (for tests and inspection).
     pub fn relay_only_queries(&self) -> impl Iterator<Item = &Query> {
         self.floods.relay_only()
+    }
+
+    /// Read-only view of the result buffers (for tests and inspection).
+    pub fn buffers(&self) -> &EpochBuffers {
+        &self.buffers
     }
 
     /// A copy of `query`'s flood arrived: the first installs it where the
@@ -102,31 +108,17 @@ impl TinyDbApp {
         }
     }
 
-    /// The time this node's TAG slot opens within an epoch that started at
-    /// `epoch_ms` (deeper levels transmit earlier).
-    fn slot_time(&self, ctx: &Ctx<'_, TinyDbPayload, Output>, epoch_ms: u64) -> u64 {
-        let depth_from_bottom = ctx.topology().max_level() - ctx.level();
-        epoch_ms + depth_from_bottom as u64 * SLOT_MS
-    }
-
-    /// When the base station closes an epoch that started at `epoch_ms`.
-    fn close_time(&self, ctx: &Ctx<'_, TinyDbPayload, Output>, epoch_ms: u64) -> u64 {
-        epoch_ms + (ctx.topology().max_level() as u64 + 1) * SLOT_MS + 32
-    }
-
     fn parent(&self, ctx: &Ctx<'_, TinyDbPayload, Output>) -> Option<NodeId> {
         ctx.topology().default_parent(ctx.node())
     }
 
-    fn handle_sample(
-        &mut self,
-        ctx: &mut Ctx<'_, TinyDbPayload, Output>,
-        qid: QueryId,
-        epoch_ms: u64,
-    ) {
+    /// The query's sampling clock fired at the start of one of its epochs.
+    fn handle_sample(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>, qid: QueryId) {
         let Some(query) = self.queries.get(&qid) else {
             return; // query terminated since the timer was set
         };
+        let now = ctx.now().as_ms();
+        let epoch_ms = now - now % query.epoch().as_ms();
         // Re-arm the periodic sample timer.
         ctx.set_timer(query.epoch().as_ms(), timer_key(KIND_SAMPLE, qid, 0));
 
@@ -140,10 +132,10 @@ impl TinyDbApp {
         });
 
         if ctx.is_base_station() {
-            // The base station does not sense; it only closes the epoch.
-            let close_at = self.close_time(ctx, epoch_ms);
-            let epoch_idx = epoch_ms / ttmqo_query::BASE_EPOCH_MS;
-            ctx.set_timer(close_at - epoch_ms, timer_key(KIND_CLOSE, qid, epoch_idx));
+            // The base station does not sense; it collects the epoch until
+            // one slot after every level's has passed, plus a margin.
+            let close_after = Self::TAG.close_after(ctx.topology());
+            self.buffers.open(ctx, query, epoch_ms, close_after);
             return;
         }
         if !in_region(ctx, query) {
@@ -198,17 +190,11 @@ impl TinyDbApp {
                         .iter()
                         .map(|&(op, attr)| readings.get(attr).map(|v| op.seed(v)))
                         .collect();
-                    self.buffers.merge(qid, epoch_ms, &seeded);
+                    self.buffers.merge(ctx, qid, epoch_ms, &seeded);
                 }
                 // Arm this node's TAG slot whether or not it qualified: it
                 // may still need to forward children's partials.
-                let epoch_idx = epoch_ms / ttmqo_query::BASE_EPOCH_MS;
-                let slot_at = self.slot_time(ctx, epoch_ms) + ctx.rand_u64() % JITTER_MS;
-                let now = ctx.now().as_ms();
-                ctx.set_timer(
-                    slot_at.saturating_sub(now).max(1),
-                    timer_key(KIND_SLOT, qid, epoch_idx),
-                );
+                Self::TAG.arm(ctx, qid, epoch_ms);
             }
         }
     }
@@ -219,7 +205,7 @@ impl TinyDbApp {
         qid: QueryId,
         epoch_ms: u64,
     ) {
-        let Some(partials) = self.buffers.take_partials(qid, epoch_ms) else {
+        let Some(partials) = self.buffers.take(qid, epoch_ms) else {
             return; // nothing to send this epoch
         };
         if partials.iter().all(Option::is_none) {
@@ -261,22 +247,12 @@ impl NodeApp for TinyDbApp {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>, key: u64) {
         let (kind, qid, epoch_idx) = timer_key_parts(key);
         match kind {
-            KIND_SAMPLE => {
-                // The epoch that just started is "now" rounded to the grid.
-                let Some(query) = self.queries.get(&qid) else {
-                    return;
-                };
-                let now = ctx.now().as_ms();
-                let epoch_ms = now - now % query.epoch().as_ms();
-                self.handle_sample(ctx, qid, epoch_ms);
-            }
-            KIND_SLOT => {
-                self.handle_slot(ctx, qid, epoch_idx * ttmqo_query::BASE_EPOCH_MS);
-            }
+            KIND_SAMPLE => self.handle_sample(ctx, qid),
+            KIND_SLOT => self.handle_slot(ctx, qid, epoch_idx * BASE_EPOCH_MS),
             KIND_CLOSE => {
-                let epoch_ms = epoch_idx * ttmqo_query::BASE_EPOCH_MS;
-                let query = self.queries.get(&qid).map(Arc::as_ref);
-                self.buffers.close(ctx, query, qid, epoch_ms);
+                if let Some(query) = self.queries.get(&qid) {
+                    self.buffers.close(ctx, query, epoch_idx * BASE_EPOCH_MS);
+                }
             }
             KIND_FLOOD_QUERY => {
                 if let Some(query) = self.floods.to_relay(qid, self.queries.get(&qid)) {
@@ -317,7 +293,7 @@ impl NodeApp for TinyDbApp {
                         qids: vec![*qid],
                         epoch_ms: *epoch_ms,
                     });
-                    self.buffers.add_rows(*qid, *epoch_ms, [*row]);
+                    self.buffers.add_row(ctx, *qid, *row);
                 } else if let Some(parent) = self.parent(ctx) {
                     ctx.trace_with(|| TraceEvent::ResultHop {
                         from: ctx.node(),
@@ -341,39 +317,10 @@ impl NodeApp for TinyDbApp {
                 epoch_ms,
                 partials,
             } => {
-                if ctx.is_base_station() {
-                    self.buffers.merge(*qid, *epoch_ms, partials);
-                    return;
-                }
-                let my_slot = self.slot_time(ctx, *epoch_ms);
-                if ctx.now().as_ms() > my_slot + JITTER_MS {
-                    // Our slot already passed (late child): forward as-is.
-                    if let Some(parent) = self.parent(ctx) {
-                        ctx.trace_with(|| TraceEvent::ResultHop {
-                            from: ctx.node(),
-                            to: vec![parent],
-                            epoch_ms: *epoch_ms,
-                            prov: Vec::new(),
-                            qids: vec![*qid],
-                            origin: false,
-                        });
-                        ctx.forward(
-                            Destination::Unicast(parent),
-                            MsgKind::Result,
-                            payload.wire_size(),
-                        );
-                    }
-                } else {
-                    self.buffers.merge(*qid, *epoch_ms, partials);
-                    // A pure relay (e.g. SRT-pruned) has no sample timer and
-                    // therefore no slot timer yet: arm one. Duplicate slot
-                    // fires are harmless — the buffer empties on the first.
-                    let now = ctx.now().as_ms();
-                    let epoch_idx = epoch_ms / ttmqo_query::BASE_EPOCH_MS;
-                    ctx.set_timer(
-                        my_slot.saturating_sub(now).max(1),
-                        timer_key(KIND_SLOT, *qid, epoch_idx),
-                    );
+                self.buffers.merge(ctx, *qid, *epoch_ms, partials);
+                // A late child's partials go on at once.
+                if !ctx.is_base_station() && !Self::TAG.wait(ctx, *qid, *epoch_ms) {
+                    self.handle_slot(ctx, *qid, *epoch_ms);
                 }
             }
         }

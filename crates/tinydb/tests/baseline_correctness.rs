@@ -2,6 +2,8 @@
 //! base station must equal ground truth computed directly from the sensor
 //! field.
 
+mod field_truth;
+
 use ttmqo_query::{parse_query, AggOp, Attribute, EpochAnswer, Query, QueryId};
 use ttmqo_sim::{
     ConstantField, MsgKind, NodeId, RadioParams, SensorField, SimConfig, SimTime, Simulator,
@@ -40,13 +42,17 @@ fn answers_for(sim: &Simulator<TinyDbApp>, qid: QueryId) -> Vec<(u64, EpochAnswe
 fn acquisition_collects_all_qualifying_rows() {
     let topo = Topology::grid(4).unwrap();
     let field = UniformField::new(77);
-    let mut sim = new_sim(topo, Box::new(field));
+    let mut sim = new_sim(topo.clone(), Box::new(field));
     let q = parse_query(
         QueryId(1),
         "select nodeid, light where light >= 500 epoch duration 2048",
     )
     .unwrap();
-    sim.schedule_command(SimTime::ZERO, NodeId::BASE_STATION, Command::Pose(q));
+    sim.schedule_command(
+        SimTime::ZERO,
+        NodeId::BASE_STATION,
+        Command::Pose(q.clone()),
+    );
     sim.run_until(SimTime::from_ms(8 * 2048));
 
     let answers = answers_for(&sim, QueryId(1));
@@ -59,12 +65,8 @@ fn acquisition_collects_all_qualifying_rows() {
         let EpochAnswer::Rows(rows) = answer else {
             panic!("expected rows")
         };
-        // Ground truth from the field: every node (except the base station)
-        // whose light reading at the epoch qualifies.
         let t = SimTime::from_ms(*epoch_ms);
-        let expected: Vec<u16> = (1..16u16)
-            .filter(|&n| field.reading(NodeId(n), Attribute::Light, t) >= 500.0)
-            .collect();
+        let expected = field_truth::qualifying(&q, &field, &topo, t);
         let got: Vec<u16> = rows.iter().map(|r| r.node).collect();
         assert_eq!(got, expected, "epoch {epoch_ms}");
         for row in rows {

@@ -109,10 +109,15 @@ const CODE: [&str; 3] = ["crates", "src", "examples"];
 
 /// Mechanisms the documents describe as deleted: they may be named, and must
 /// not exist.
-const GONE: [&str; 3] = [
+const GONE: [&str; 8] = [
     "CampaignSpec::warm_start",
+    "Ctx::rand_f64",
+    "DagState::presumed_dead_count",
+    "MetricsSnapshot::tx_bytes_total",
     "Observe::profile",
     "Observe::timeseries",
+    "QueryCompleteness::missing_epochs",
+    "SelectivityEstimator::observation_count",
 ];
 
 /// Standard-library types the documents name members of; not checked.
