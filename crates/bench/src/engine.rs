@@ -227,7 +227,6 @@ pub fn engine_microbench(params: &EngineBenchParams) -> EngineBenchResult {
         seed: params.seed,
         // The flood app is the traffic source; no engine beacons on top.
         maintenance_interval_ms: None,
-        ..SimConfig::default()
     };
     let template: Vec<u64> = (0..params.payload_words as u64).collect();
     let interval_ms = params.interval_ms;

@@ -162,7 +162,6 @@ pub fn fault_bench(params: &FaultBenchParams) -> FaultBenchResult {
         sim: SimConfig {
             seed: params.seed,
             maintenance_interval_ms: None,
-            ..SimConfig::default()
         },
         faults: params.plan.clone(),
         ..ExperimentConfig::default()

@@ -2,11 +2,10 @@
 //! (adaptive workloads: benefit ratio, α, synthetic-query count).
 
 use ttmqo_core::{
-    run_campaign, BaseStationOptimizer, CampaignSpec, CostModel, ExperimentConfig,
-    OptimizerOptions, Strategy, WorkloadAction, WorkloadEvent,
+    run_campaign, BaseStationOptimizer, CampaignSpec, ExperimentConfig, OptimizerOptions, Strategy,
+    WorkloadAction, WorkloadEvent,
 };
-use ttmqo_sim::{SimTime, Topology};
-use ttmqo_stats::{EmpiricalDistribution, LevelStats, SelectivityEstimator};
+use ttmqo_sim::{RadioParams, SimTime, Topology};
 
 /// Simulated duration of each Figure 3 cell, in base epochs.
 pub const FIG3_DURATION_EPOCHS: u64 = 96;
@@ -140,18 +139,7 @@ pub fn optimizer_sweep_with(
     grid_n: usize,
 ) -> OptimizerSweep {
     let topo = Topology::grid(grid_n).expect("valid grid");
-    let levels = LevelStats::from_levels(topo.levels().iter().copied());
-    let mut estimator = SelectivityEstimator::uniform();
-    estimator.set_model(
-        ttmqo_query::Attribute::NodeId,
-        Box::new(EmpiricalDistribution::from_samples(
-            ttmqo_query::Attribute::NodeId,
-            topo.node_count(),
-            (1..topo.node_count()).map(|i| i as f64),
-        )),
-    );
-    let model = CostModel::new(4.0, 0.2, levels, estimator);
-    let mut opt = BaseStationOptimizer::with_options(model, options);
+    let mut opt = BaseStationOptimizer::for_topology(&topo, &RadioParams::default(), options);
 
     let mut events: Vec<WorkloadEvent> = events.to_vec();
     events.sort_by_key(|e| e.at);

@@ -13,8 +13,9 @@ use crate::basestation::cost::CostModel;
 use crate::basestation::synthetic::{Demand, SyntheticQuery};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use ttmqo_query::{integrate, Query, QueryId};
-use ttmqo_sim::{TraceEvent, TraceHandle};
+use ttmqo_query::{integrate, Attribute, Query, QueryId};
+use ttmqo_sim::{NodeId, RadioParams, Topology, TraceEvent, TraceHandle};
+use ttmqo_stats::{EmpiricalDistribution, LevelStats, SelectivityEstimator};
 
 /// First id handed to synthetic queries; user query ids must stay below it.
 pub const SYNTHETIC_ID_BASE: u64 = 1 << 20;
@@ -73,7 +74,9 @@ pub struct OptimizerStats {
 /// algorithm; the other settings exist for the ablation benchmarks).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizerOptions {
-    /// Algorithm 2's termination parameter α.
+    /// Algorithm 2's termination parameter α. Inside an
+    /// [`ExperimentConfig`](crate::ExperimentConfig) this value is ignored:
+    /// the runner overwrites it with `ExperimentConfig::alpha`.
     pub alpha: f64,
     /// Whether a merged synthetic query is recursively re-inserted
     /// (Algorithm 1's `Insert(q_id, Q_syn)` tail call). Disabling stops after
@@ -163,6 +166,36 @@ impl BaseStationOptimizer {
             trace: TraceHandle::disabled(),
             trace_now_ms: 0,
         }
+    }
+
+    /// The optimizer the experiment runner builds for a deployment: the
+    /// radio's `C_start`/`C_trans`, the topology's level counts, uniform
+    /// value statistics, an empirical `nodeid` model over the ids actually
+    /// deployed (a uniform model over the whole id domain would wildly
+    /// overestimate a `nodeid` predicate's selectivity on a small
+    /// deployment), and the sensing nodes' positions for region clauses.
+    pub fn for_topology(topo: &Topology, radio: &RadioParams, options: OptimizerOptions) -> Self {
+        let levels = LevelStats::from_levels(topo.levels().iter().copied());
+        let mut estimator = SelectivityEstimator::uniform();
+        estimator.set_model(
+            Attribute::NodeId,
+            Box::new(EmpiricalDistribution::from_samples(
+                Attribute::NodeId,
+                topo.node_count(),
+                (1..topo.node_count()).map(|i| i as f64),
+            )),
+        );
+        let positions = topo
+            .nodes()
+            .filter(|n| *n != NodeId::BASE_STATION)
+            .map(|n| {
+                let p = topo.position(n);
+                (p.x, p.y)
+            })
+            .collect();
+        let model = CostModel::new(radio.startup_ms, radio.per_byte_ms, levels, estimator)
+            .with_positions(positions);
+        Self::with_options(model, options)
     }
 
     /// Attaches a trace sink: every `Beneficial` evaluation and every

@@ -17,8 +17,8 @@
 //! time, event and answer counts, a [`MetricsSnapshot`] of the simulator's
 //! counters, and the tier-1 optimizer's statistics when that tier ran.
 //! [`CampaignReport::to_jsonl`] serializes the records as JSON lines (one
-//! object per cell) for dashboards and regression tracking. The record
-//! shape is documented on [`CellRecord::to_json`].
+//! object per cell): the campaign's one document. The record shape is
+//! documented on [`CellRecord::to_json`].
 //!
 //! # Example
 //!
@@ -268,7 +268,7 @@ pub struct CellRecord {
     /// Fault-plan name (`"none"` for the fault-free entry).
     pub fault: String,
     /// Host wall-clock time of this cell's simulation, ms. The only
-    /// non-deterministic field.
+    /// non-deterministic field, so [`CellRecord::to_json`] leaves it out.
     pub wall_clock_ms: f64,
     /// Number of workload events replayed.
     pub workload_events: usize,
@@ -315,8 +315,8 @@ impl CellRecord {
     /// JSON-lines report):
     ///
     /// ```json
-    /// {"schema_version":2,"workload":"A","strategy":"two-tier","grid_n":4,"field_seed":987,
-    ///  "fault":"none","wall_clock_ms":12.5,"workload_events":8,"queries_answered":4,
+    /// {"schema_version":3,"workload":"A","strategy":"two-tier","grid_n":4,"field_seed":987,
+    ///  "fault":"none","workload_events":8,"queries_answered":4,
     ///  "answer_epochs":160,"avg_synthetic_count":1.9,"avg_benefit_ratio":0.31,
     ///  "energy_mj":14000.2,"max_node_energy_mj":950.8,
     ///  "optimizer":{"inserted":4,"terminated":4,"injections":2,"abortions":1,
@@ -336,7 +336,9 @@ impl CellRecord {
     /// ```
     ///
     /// `schema_version` is [`ttmqo_sim::SCHEMA_VERSION`] (shared with the
-    /// trace JSONL format and the `BENCH_*.json` reports). `optimizer` is
+    /// trace JSONL format and the `BENCH_*.json` reports). Host time
+    /// (`wall_clock_ms`) is left out, so the same cell renders the same
+    /// bytes on any machine and CI can `diff` the records. `optimizer` is
     /// `null` for strategies without the base-station tier. A trailing
     /// `"trace_file":"trace-0-....jsonl"` field is present only when the
     /// campaign ran with [`CampaignSpec::trace_output`], and a trailing
@@ -350,7 +352,6 @@ impl CellRecord {
             o.u64("grid_n", self.grid_n as u64);
             o.u64("field_seed", self.field_seed);
             o.str("fault", &self.fault);
-            o.f64("wall_clock_ms", self.wall_clock_ms);
             o.u64("workload_events", self.workload_events as u64);
             o.u64("queries_answered", self.queries_answered as u64);
             o.u64("answer_epochs", self.answer_epochs as u64);

@@ -42,8 +42,6 @@ pub struct TtmqoConfig {
     pub slot_ms: u64,
     /// Maximum random jitter on floods and slots, ms.
     pub jitter_ms: u64,
-    /// Whether idle nodes sleep between firings (§3.2.2's sleep mode).
-    pub sleep: bool,
     /// Whether parents are chosen dynamically per message (§3.2.2). When
     /// false, every message follows the fixed link-quality tree (ablation:
     /// shared messages without query-aware routing).
@@ -89,7 +87,6 @@ impl Default for TtmqoConfig {
         TtmqoConfig {
             slot_ms: 64,
             jitter_ms: 24,
-            sleep: true,
             dynamic_parents: true,
             query_recovery: true,
             srt: false,
@@ -307,12 +304,7 @@ impl TtmqoApp {
         // anyway — neighbours learn has-data sets by overhearing result
         // frames, so an explicit broadcast is needed only for data that
         // serves queries not due right now.
-        if self.config.sleep
-            && self.slept
-            && !had_data
-            && !self.has_data.is_empty()
-            && !transmits_now
-        {
+        if self.slept && !had_data && !self.has_data.is_empty() && !transmits_now {
             let payload = TtmqoPayload::Wakeup {
                 has_data: self.has_data.iter().copied().collect(),
             };
@@ -346,7 +338,7 @@ impl TtmqoApp {
 
     /// Schedules the post-window sleep check.
     fn maybe_sleep(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, t_ms: u64) {
-        if !self.config.sleep || ctx.is_base_station() || self.queries.is_empty() {
+        if ctx.is_base_station() || self.queries.is_empty() {
             return;
         }
         let window = self.config.collection_window_ms(ctx.topology());

@@ -16,8 +16,6 @@
 //! * [`campaign`] — declarative sweeps over strategies × grid sizes × field
 //!   seeds × workloads, executed across a thread pool ([`run_campaign`])
 //!   with one JSON-lines record per run.
-//! * [`rollup`] — cross-cell aggregation of a campaign's records: per-axis
-//!   marginals, hotspot cells, audit-violation totals.
 //!
 //! # Quick example
 //!
@@ -50,7 +48,6 @@
 pub mod basestation;
 pub mod campaign;
 pub mod innetwork;
-pub mod rollup;
 mod runner;
 
 pub use basestation::{
@@ -65,7 +62,6 @@ pub use campaign::{
 pub use innetwork::{
     DagState, Election, PartialEntry, RowEntry, TtmqoApp, TtmqoConfig, TtmqoPayload,
 };
-pub use rollup::{AxisMarginal, CampaignRollup, HotspotCell};
 pub use runner::{
     run_experiment, ExperimentConfig, FieldKind, RunReport, RunSession, Strategy, WorkloadAction,
     WorkloadEvent,

@@ -13,8 +13,7 @@
 //!   in-network protocol executes the synthetic queries.
 
 use crate::basestation::{
-    map_epoch_answers_at, BaseStationOptimizer, CostModel, NetworkOp, OptimizerOptions,
-    OptimizerStats,
+    map_epoch_answers_at, BaseStationOptimizer, NetworkOp, OptimizerOptions, OptimizerStats,
 };
 use crate::innetwork::{TtmqoApp, TtmqoConfig};
 use std::collections::{BTreeMap, BTreeSet};
@@ -24,7 +23,6 @@ use ttmqo_sim::{
     FaultSchedule, Metrics, NodeId, Observe, QueryCompleteness, RadioParams, SensorField,
     SimConfig, SimTime, Simulator, Topology, TraceEvent, UniformField,
 };
-use ttmqo_stats::{EmpiricalDistribution, LevelStats, SelectivityEstimator};
 use ttmqo_tinydb::{Command, Output, Srt, TinyDbApp, TinyDbConfig};
 
 /// Which optimization tiers run (§4's four configurations).
@@ -130,7 +128,9 @@ pub struct ExperimentConfig {
     pub radio: RadioParams,
     /// Engine configuration (seed, maintenance traffic).
     pub sim: SimConfig,
-    /// Termination parameter α of Algorithm 2.
+    /// Termination parameter α of Algorithm 2. This field wins: the runner
+    /// builds its optimizer with `OptimizerOptions { alpha, ..optimizer }`,
+    /// so `optimizer.alpha` is ignored.
     pub alpha: f64,
     /// Sensor field kind.
     pub field: FieldKind,
@@ -139,7 +139,8 @@ pub struct ExperimentConfig {
     /// Explicit topology overriding `grid_n` (random deployments, custom
     /// layouts). `None` uses the paper's n×n grid.
     pub topology_override: Option<Topology>,
-    /// Tier-1 algorithm knobs beyond α (ablations).
+    /// Tier-1 algorithm knobs beyond α (ablations). Their `alpha` is
+    /// ignored; [`ExperimentConfig::alpha`] wins.
     pub optimizer: OptimizerOptions,
     /// Tier-2 configuration (slotting, sleep, dynamic parents).
     pub innetwork: TtmqoConfig,
@@ -239,37 +240,9 @@ fn build_field(config: &ExperimentConfig, topo: &Topology) -> Box<dyn SensorFiel
 }
 
 fn build_optimizer(config: &ExperimentConfig, topo: &Topology) -> BaseStationOptimizer {
-    let levels = LevelStats::from_levels(topo.levels().iter().copied());
-    // Value attributes use the uniform model (the paper's configuration);
-    // `nodeid` gets an empirical model over the *actually deployed* ids —
-    // a uniform model over the full id domain would wildly overestimate the
-    // selectivity of nodeid predicates on a small deployment.
-    let mut estimator = SelectivityEstimator::uniform();
-    estimator.set_model(
-        ttmqo_query::Attribute::NodeId,
-        Box::new(EmpiricalDistribution::from_samples(
-            ttmqo_query::Attribute::NodeId,
-            topo.node_count(),
-            (1..topo.node_count()).map(|i| i as f64),
-        )),
-    );
-    let positions: Vec<(f64, f64)> = topo
-        .nodes()
-        .filter(|n| *n != NodeId::BASE_STATION)
-        .map(|n| {
-            let p = topo.position(n);
-            (p.x, p.y)
-        })
-        .collect();
-    let model = CostModel::new(
-        config.radio.startup_ms,
-        config.radio.per_byte_ms,
-        levels,
-        estimator,
-    )
-    .with_positions(positions);
-    BaseStationOptimizer::with_options(
-        model,
+    BaseStationOptimizer::for_topology(
+        topo,
+        &config.radio,
         OptimizerOptions {
             alpha: config.alpha,
             ..config.optimizer

@@ -1,8 +1,8 @@
 //! Campaign-runner integration tests: the parallel executor must be an
 //! observational no-op relative to running each cell alone, and the report
-//! must carry exactly one record per cell. The standing auditor and the
-//! cross-cell rollup get the same treatment: attaching them must not move a
-//! single bit of any cell record.
+//! must carry exactly one record per cell. The standing auditor gets the
+//! same treatment: attaching it must not move a single bit of any cell
+//! record.
 
 use ttmqo_core::{
     run_campaign_sequential, run_campaign_with, CampaignSpec, ExperimentConfig, FieldKind,
@@ -126,52 +126,6 @@ fn audited_campaign_is_bit_identical_to_a_bare_run() {
     }
 }
 
-#[test]
-fn rollup_marginals_reconcile_with_cell_record_sums() {
-    let spec = paper_spec().audit();
-    let report = run_campaign_with(&spec, 4);
-    let rollup = report.rollup();
-
-    assert_eq!(rollup.cells, report.cells.len());
-    assert_eq!(rollup.audited_cells, report.cells.len());
-    assert_eq!(rollup.audit_violations, 0);
-    assert!(rollup.is_clean());
-
-    // Exact integer reconciliation: every axis partitions the totals.
-    let events: u64 = report.cells.iter().map(|c| c.engine.events_processed).sum();
-    let answers: u64 = report.cells.iter().map(|c| c.answer_epochs as u64).sum();
-    assert_eq!(rollup.events_processed, events);
-    assert_eq!(rollup.answer_epochs, answers);
-    for (axis, marginals) in [
-        ("workload", &rollup.by_workload),
-        ("strategy", &rollup.by_strategy),
-        ("grid", &rollup.by_grid),
-        ("fault", &rollup.by_fault),
-    ] {
-        assert_eq!(
-            marginals.iter().map(|m| m.cells).sum::<usize>(),
-            rollup.cells,
-            "{axis} cells"
-        );
-        assert_eq!(
-            marginals.iter().map(|m| m.events_processed).sum::<u64>(),
-            events,
-            "{axis} events"
-        );
-        assert_eq!(
-            marginals.iter().map(|m| m.answer_epochs).sum::<u64>(),
-            answers,
-            "{axis} answers"
-        );
-    }
-
-    // The rollup document parses and carries the axes.
-    let json = rollup.to_json();
-    let parsed = ttmqo_sim::json::parse(&json).expect("rollup JSON parses");
-    assert!(parsed.get("by_strategy").is_some());
-    assert!(parsed.get("hotspots").is_some());
-}
-
 /// The sweep `inspect observatory` runs (minus its trace files): two
 /// workloads × {baseline, two-tier} × 3×3 and 4×4, audited.
 fn observatory_spec() -> CampaignSpec {
@@ -207,17 +161,19 @@ fn observatory_spec() -> CampaignSpec {
 }
 
 #[test]
-fn rollup_documents_are_byte_identical_across_thread_counts() {
-    // CI gates the observatory's rollup with `diff`, so both renderings must
-    // be a pure function of the simulated records: no host time may leak in,
-    // whichever thread ran which cell.
+fn campaign_records_are_byte_identical_across_thread_counts() {
+    // CI gates the observatory's records with `diff`, so their rendering
+    // must be a pure function of the simulated run: no host time may leak
+    // in, whichever thread ran which cell.
     let spec = observatory_spec();
-    let one = run_campaign_with(&spec, 1).rollup();
-    let two = run_campaign_with(&spec, 2).rollup();
-    assert_eq!(one.cells, 8);
-    assert!(one.is_clean());
-    assert_eq!(one.to_json(), two.to_json());
-    assert_eq!(one.to_markdown(), two.to_markdown());
+    let one = run_campaign_with(&spec, 1);
+    let two = run_campaign_with(&spec, 2);
+    assert_eq!(one.cells.len(), 8);
+    assert!(one
+        .cells
+        .iter()
+        .all(|c| c.audit.as_ref().is_some_and(|a| a.is_clean())));
+    assert_eq!(one.to_jsonl(), two.to_jsonl());
 }
 
 #[test]

@@ -408,8 +408,11 @@ pub struct SimConfig {
     /// (ms), phase-staggered per node — the paper's "periodical network
     /// maintenance messages".
     pub maintenance_interval_ms: Option<u64>,
+}
+
+impl SimConfig {
     /// Payload bytes of a maintenance beacon.
-    pub maintenance_bytes: usize,
+    pub const MAINTENANCE_BYTES: usize = 8;
 }
 
 impl Default for SimConfig {
@@ -417,7 +420,6 @@ impl Default for SimConfig {
         SimConfig {
             seed: 0xC0FFEE,
             maintenance_interval_ms: Some(30_000),
-            maintenance_bytes: 8,
         }
     }
 }
@@ -854,7 +856,7 @@ impl<A: NodeApp> Simulator<A> {
                     node,
                     Destination::Broadcast,
                     MsgKind::Maintenance,
-                    self.config.maintenance_bytes,
+                    SimConfig::MAINTENANCE_BYTES,
                     None,
                     self.now_us,
                     0,
@@ -972,7 +974,7 @@ impl<A: NodeApp> Simulator<A> {
         if self.failed[src.index()] {
             return; // a dead node transmits nothing (incl. pending retries)
         }
-        let total_bytes = payload_bytes + self.radio.header_bytes;
+        let total_bytes = payload_bytes + RadioParams::HEADER_BYTES;
         let dur_us = (self.radio.tx_time_ms(payload_bytes) * 1000.0).round() as u64;
         let mut start_us = earliest_us.max(self.tx_ready_at_us[src.index()]);
         if self.radio.collisions {

@@ -1,7 +1,7 @@
 //! The workspace's one JSON layer: one writer and one exact reader.
 //!
 //! Every machine-readable report (trace JSONL and its summary, audits,
-//! campaign records and rollups, the `BENCH_*.json` rows) is rendered by
+//! campaign records, the `BENCH_*.json` rows) is rendered by
 //! the [`Obj`]/[`Arr`] builders here and read back by [`parse`]. The policy
 //! is stated once:
 //!

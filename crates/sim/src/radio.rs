@@ -91,9 +91,6 @@ pub struct RadioParams {
     pub startup_ms: f64,
     /// Per-byte transmission cost, ms (`C_trans`).
     pub per_byte_ms: f64,
-    /// Frame header bytes charged on every transmission (source, destination
-    /// bitmap, kind, CRC).
-    pub header_bytes: usize,
     /// Independent per-receiver probability of losing a frame, in `[0, 1]`.
     /// The paper's experiments assume a lossless environment (0.0).
     pub loss_rate: f64,
@@ -120,7 +117,6 @@ impl Default for RadioParams {
         RadioParams {
             startup_ms: 4.0,
             per_byte_ms: 0.2,
-            header_bytes: 7,
             loss_rate: 0.0,
             distance_loss: false,
             collisions: true,
@@ -131,6 +127,10 @@ impl Default for RadioParams {
 }
 
 impl RadioParams {
+    /// Frame header bytes charged on every transmission (source, destination
+    /// bitmap, kind, CRC).
+    pub const HEADER_BYTES: usize = 7;
+
     /// Lossless, collision-free radio — the paper's stated assumption for the
     /// cost model itself.
     pub fn lossless() -> Self {
@@ -154,7 +154,7 @@ impl RadioParams {
 
     /// Time to push a frame with `payload_bytes` of payload onto the air, ms.
     pub fn tx_time_ms(&self, payload_bytes: usize) -> f64 {
-        self.startup_ms + self.per_byte_ms * (self.header_bytes + payload_bytes) as f64
+        self.startup_ms + self.per_byte_ms * (Self::HEADER_BYTES + payload_bytes) as f64
     }
 }
 

@@ -458,7 +458,6 @@ fn sleeping_node_misses_frames_until_wake() {
 fn maintenance_beacons_are_accounted_but_not_delivered() {
     let config = SimConfig {
         maintenance_interval_ms: Some(1000),
-        maintenance_bytes: 8,
         ..SimConfig::default()
     };
     let mut sim = Simulator::new(
@@ -484,7 +483,6 @@ fn runs_are_deterministic_for_a_fixed_seed() {
         let config = SimConfig {
             seed,
             maintenance_interval_ms: Some(700),
-            maintenance_bytes: 8,
         };
         let mut sim = Simulator::new(
             Topology::grid(4).unwrap(),
@@ -836,7 +834,6 @@ fn lossy_grid_sim() -> Simulator<Probe> {
     let config = SimConfig {
         seed: 99,
         maintenance_interval_ms: Some(700),
-        maintenance_bytes: 8,
     };
     let mut sim = Simulator::new(
         Topology::grid(4).unwrap(),

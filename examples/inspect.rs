@@ -1,16 +1,16 @@
 //! One way to ask a run what happened: four subcommands over the library's
 //! campaign, audit and trace layers.
 //!
-//! * `observatory` — runs a small audited, traced campaign and rolls it up.
-//!   `CampaignSpec::audit` arms the standing checks (phase accounting, slab
-//!   sanity, energy conservation, completeness, trace↔answer agreement) on
-//!   every cell; a violation, or a check skipped because a trace was missing
-//!   or lossy, exits nonzero. Writes
-//!   `observatory/campaign-report.json` (no host time in it, so CI `diff`s it
-//!   against `bench/baselines/BENCH_observatory.json`),
-//!   `observatory/campaign-report.md` and one trace per cell under
-//!   `observatory/traces/`. Auditing is observational only: an audited
-//!   campaign produces bit-identical cell records to a bare run.
+//! * `observatory` — runs a small audited, traced campaign and prints one
+//!   row per cell. `CampaignSpec::audit` arms the standing checks (phase
+//!   accounting, slab sanity, energy conservation, completeness,
+//!   trace↔answer agreement) on every cell; a violation, or a check skipped
+//!   because a trace was missing or lossy, exits nonzero. Writes the cell
+//!   records to `observatory/campaign.jsonl` (no host time in them, so CI
+//!   `diff`s it against `bench/baselines/BENCH_observatory.jsonl`) and one
+//!   trace per cell under `observatory/traces/`. Auditing is observational
+//!   only: an audited campaign produces bit-identical cell records to a bare
+//!   run.
 //! * `analyze <trace.jsonl> [--chrome F] [--json]` — reconstructs what a run
 //!   did from its trace alone (`summarize_trace`, the code path the auditor
 //!   reconciles against the live answers): events by kind, per-query answers
@@ -132,42 +132,50 @@ fn observatory() -> Result<(), ExitCode> {
         report.wall_clock_ms,
         report.threads
     );
-    // Each record renders as one JSON line for external tooling.
-    println!("first record as JSON:\n{}", report.cells[0].to_json());
+    let jsonl_path = out_dir.join("campaign.jsonl");
+    write(&jsonl_path, report.to_jsonl())?;
 
-    let rollup = report.rollup();
-    let json_path = out_dir.join("campaign-report.json");
-    let md_path = out_dir.join("campaign-report.md");
-    write(&json_path, rollup.to_json() + "\n")?;
-    write(&md_path, rollup.to_markdown())?;
+    // One row per cell, and the exit code from the same pass: a violation
+    // fails the run, and so does a skipped check (a trace that was never
+    // reconciled proves nothing).
+    println!("\nworkload  strategy  grid  events answers min epoch  energy mJ violations skipped");
+    let (mut violations, mut skipped) = (0, 0);
+    for cell in &report.cells {
+        let (v, k) = cell
+            .audit
+            .as_ref()
+            .map_or((0, 0), |a| (a.violations.len(), a.checks_skipped));
+        violations += v;
+        skipped += k;
+        println!(
+            "{:<9} {:<9} {:>4} {:>7} {:>7} {:>9.3} {:>10.1} {:>10} {:>7}",
+            cell.workload,
+            cell.strategy,
+            cell.grid_n,
+            cell.engine.events_processed,
+            cell.answer_epochs,
+            cell.completeness.min_epoch_ratio(),
+            cell.energy_mj,
+            v,
+            k,
+        );
+    }
+    println!("\nwrote {}", jsonl_path.display());
 
-    println!("\n{}", rollup.to_markdown());
-    println!("wrote {} and {}", json_path.display(), md_path.display());
-
-    // The rollup does not carry skipped checks, so they are counted here: a
-    // trace that was never reconciled proves nothing.
-    let skipped: u32 = report
-        .cells
-        .iter()
-        .filter_map(|c| c.audit.as_ref())
-        .map(|a| a.checks_skipped)
-        .sum();
-    if !rollup.is_clean() {
+    let cells = report.cells.len();
+    if violations > 0 {
         eprintln!(
-            "audit: {} violations across {} cells — see {}",
-            rollup.audit_violations,
-            rollup.cells,
-            json_path.display(),
+            "audit: {violations} violations across {cells} cells — see {}",
+            jsonl_path.display(),
         );
         Err(ExitCode::FAILURE)
     } else if skipped > 0 {
         eprintln!(
-            "audit: {skipped} checks skipped across {} cells — a trace was missing or lossy",
-            rollup.cells,
+            "audit: {skipped} checks skipped across {cells} cells — a trace was missing or lossy"
         );
         Err(ExitCode::FAILURE)
     } else {
-        println!("audit: all {} cells clean", rollup.cells);
+        println!("audit: all {cells} cells clean");
         Ok(())
     }
 }

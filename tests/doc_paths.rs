@@ -109,7 +109,8 @@ const CODE: [&str; 3] = ["crates", "src", "examples"];
 
 /// Mechanisms the documents describe as deleted: they may be named, and must
 /// not exist.
-const GONE: [&str; 8] = [
+const GONE: [&str; 9] = [
+    "CampaignReport::rollup",
     "CampaignSpec::warm_start",
     "Ctx::rand_f64",
     "DagState::presumed_dead_count",

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use proptest::strategy::FnStrategy;
 use proptest::TestRng;
 use std::collections::BTreeMap;
-use ttmqo::core::{CampaignRollup, CellRecord, OptimizerStats, Strategy as Tier};
+use ttmqo::core::{CellRecord, OptimizerStats, Strategy as Tier};
 use ttmqo::query::QueryId;
 use ttmqo::sim::json::{self, JsonValue};
 use ttmqo::sim::{
@@ -707,7 +707,6 @@ fn cell_record(rng: &mut TestRng) -> (CellRecord, Leaves) {
         u("grid_n", record.grid_n as u64),
         u("field_seed", record.field_seed),
         s("fault", &record.fault),
-        f("wall_clock_ms", record.wall_clock_ms),
         u("workload_events", record.workload_events as u64),
         u("queries_answered", record.queries_answered as u64),
         u("answer_epochs", record.answer_epochs as u64),
@@ -784,72 +783,6 @@ fn cell_record(rng: &mut TestRng) -> (CellRecord, Leaves) {
         leaves.extend(under("audit.", audit_leaves));
     }
     (record, leaves)
-}
-
-fn rollup(rng: &mut TestRng) -> (CampaignRollup, Leaves) {
-    // A handful of axis values, so marginals aggregate several cells.
-    let names = [text(rng), text(rng)];
-    let records: Vec<CellRecord> = vec_of(rng, 6, |rng| {
-        let (mut record, _) = cell_record(rng);
-        record.workload = names[rng.sample(0..2usize)].clone();
-        record.fault = names[rng.sample(0..2usize)].clone();
-        record.grid_n = rng.sample(3..5usize);
-        record
-    });
-    let rollup = CampaignRollup::from_records(&records);
-    let mut leaves = vec![
-        u("schema_version", SCHEMA_VERSION as u64),
-        u("cells", rollup.cells as u64),
-        u("audited_cells", rollup.audited_cells as u64),
-        u("audit_violations", rollup.audit_violations),
-        u("events_processed", rollup.events_processed),
-        u("answer_epochs", rollup.answer_epochs),
-        f("energy_mj", rollup.energy_mj),
-        f("max_node_energy_mj", rollup.max_node_energy_mj),
-    ];
-    for (name, axis) in [
-        ("by_workload", &rollup.by_workload),
-        ("by_strategy", &rollup.by_strategy),
-        ("by_grid", &rollup.by_grid),
-        ("by_fault", &rollup.by_fault),
-    ] {
-        for (i, m) in axis.iter().enumerate() {
-            leaves.extend(under(
-                &format!("{name}[{i}]."),
-                vec![
-                    s("key", &m.key),
-                    u("cells", m.cells as u64),
-                    u("events_processed", m.events_processed),
-                    u("timer_events", m.timer_events),
-                    u("deliver_events", m.deliver_events),
-                    u("command_events", m.command_events),
-                    u("maintenance_events", m.maintenance_events),
-                    u("fault_events", m.fault_events),
-                    u("answer_epochs", m.answer_epochs),
-                    f("energy_mj", m.energy_mj),
-                    f("max_node_energy_mj", m.max_node_energy_mj),
-                    f("min_epoch_ratio", m.min_epoch_ratio),
-                    u("repairs_triggered", m.repairs_triggered),
-                    u("audit_violations", m.audit_violations),
-                ],
-            ));
-        }
-    }
-    for (i, h) in rollup.hotspots.iter().enumerate() {
-        leaves.extend(under(
-            &format!("hotspots[{i}]."),
-            vec![
-                u("index", h.index as u64),
-                s("workload", &h.workload),
-                s("strategy", h.strategy),
-                u("grid_n", h.grid_n as u64),
-                u("field_seed", h.field_seed),
-                s("fault", &h.fault),
-                u("events_processed", h.events_processed),
-            ],
-        ));
-    }
-    (rollup, leaves)
 }
 
 fn engine_result(rng: &mut TestRng) -> (EngineBenchResult, Leaves) {
@@ -940,12 +873,11 @@ proptest! {
 
     #[test]
     fn cell_record_round_trips(case in arb(cell_record)) {
-        check(&case.0.to_json(), &case.1)?;
-    }
-
-    #[test]
-    fn campaign_rollup_round_trips(case in arb(rollup)) {
-        check(&case.0.to_json(), &case.1)?;
+        let rendered = case.0.to_json();
+        check(&rendered, &case.1)?;
+        // Host time is read in process, never written.
+        let doc = json::parse(&rendered).expect("checked above");
+        prop_assert!(doc.get("wall_clock_ms").is_none());
     }
 
     #[test]
@@ -986,7 +918,7 @@ fn feed_every_reader(text: &str, other: &str) {
 
 /// One of our own documents, picked and filled at random.
 fn own_document(rng: &mut TestRng) -> String {
-    match rng.sample(0..6u8) {
+    match rng.sample(0..5u8) {
         0 | 1 => {
             let mut text = trace_header();
             text.push('\n');
@@ -1000,8 +932,7 @@ fn own_document(rng: &mut TestRng) -> String {
             text
         }
         2 => cell_record(rng).0.to_json(),
-        3 => rollup(rng).0.to_json(),
-        4 => trace_summary(rng).0.to_json(),
+        3 => trace_summary(rng).0.to_json(),
         _ => format!(
             "{}\n{}\n",
             engine_result(rng).0.to_json(),
