@@ -965,7 +965,7 @@ mod tests {
     /// running synthetic is skipped unscored, however hopeless the pair.
     #[test]
     fn every_probe_round_traces_every_running_synthetic() {
-        let ring = Arc::new(Mutex::new(RingSink::new(0)));
+        let ring = Arc::new(Mutex::new(RingSink::new()));
         let mut o = opt(0.6);
         o.set_trace(TraceHandle::shared(
             ring.clone() as Arc<Mutex<dyn TraceSink>>

@@ -423,7 +423,7 @@ impl TtmqoApp {
             return;
         }
         self.last_no_route_ms = Some(epoch_ms);
-        ctx.trace(TraceEvent::NoRouteResignation {
+        ctx.trace_with(|| TraceEvent::NoRouteResignation {
             node: ctx.node(),
             epoch_ms,
         });
@@ -806,7 +806,7 @@ impl NodeApp for TtmqoApp {
         // excluded from routing; the next epoch's rows re-elect among the
         // surviving upper neighbours.
         if self.dag.record_send_failure(dest) {
-            ctx.trace(TraceEvent::ParentDead {
+            ctx.trace_with(|| TraceEvent::ParentDead {
                 node: ctx.node(),
                 parent: dest,
             });

@@ -19,8 +19,8 @@ use ttmqo_core::{
 };
 use ttmqo_query::{parse_query, Attribute, EpochAnswer, QueryId, Readings, Row};
 use ttmqo_sim::{
-    Ctx, Destination, MsgKind, NodeApp, NodeId, Observe, Position, RadioParams, SimConfig, SimTime,
-    Simulator, Topology, TraceEvent, TraceHandle, TraceRecord, TraceSink, UniformField,
+    Ctx, Destination, MsgKind, NodeApp, NodeId, Observe, Position, Probe, RadioParams, SimConfig,
+    SimTime, Simulator, Topology, TraceEvent, TraceHandle, TraceRecord, TraceSink, UniformField,
 };
 use ttmqo_tinydb::{Command, TinyDbApp, TinyDbConfig};
 use ttmqo_workloads::{random_workload, workload_a, workload_end_ms, RandomWorkloadParams};
@@ -168,7 +168,7 @@ struct DeliveredInWindow {
 
 impl TraceSink for DeliveredInWindow {
     fn record(&mut self, rec: &TraceRecord) {
-        if matches!(rec.event, TraceEvent::FrameDelivered { .. })
+        if matches!(rec.event, TraceEvent::Engine(Probe::Delivered { .. }))
             && (self.from_us..self.to_us).contains(&rec.time_us)
         {
             self.copies.fetch_add(1, Ordering::Relaxed);

@@ -202,7 +202,7 @@ fn tracing_leaves_the_golden_cell_untouched() {
     };
 
     let untraced = run(TraceHandle::disabled());
-    let ring = Arc::new(Mutex::new(RingSink::new(0)));
+    let ring = Arc::new(Mutex::new(RingSink::new()));
     let traced = run(TraceHandle::shared(
         ring.clone() as Arc<Mutex<dyn TraceSink>>
     ));
@@ -475,24 +475,30 @@ fn answers_match_their_pinned_digests() {
     assert_eq!(got, want, "100-query 4×4 churn cell");
 }
 
-// The traced bytes of two cells, generated at commit 755f41b — the last one
-// whose engine wrote to `Metrics`, a window recorder and the trace sink by
-// hand at every site — and never regenerated by the commit that re-routed
-// those sites through the probe seam, nor by the one that deleted the
-// recorder. Unlike the on-vs-off tests above, which compare one build with
+// The traced bytes of three cells. The first two were generated at commit
+// 755f41b — the last one whose engine wrote to `Metrics`, a window recorder
+// and the trace sink by hand at every site — and never regenerated by the
+// commit that re-routed those sites through the probe seam, nor by the one
+// that deleted the recorder. Unlike the on-vs-off tests above, which compare one build with
 // itself, these compare builds.
 //
 // The golden cell covers frame tx / delivery / collision / retry, CSMA
 // deferrals and wakes; the stormy one (15% loss, a crash with recovery, a
 // crash without, Workload B so that idle nodes nap) adds loss, missed and
 // abandoned frames, sleep-start and the fault events — every engine trace
-// kind appears in it.
+// kind appears in it, and the test asserts so.
 //
 // `STORMY_TRACE` moved once since: Tier 1 scores every running synthetic
 // again, so Workload B's trace gained the ten `tier1-eval` lines the
 // candidate index used to hide (11200 → 11210 lines). The new digest is
 // what commit 091690d writes when its linear-scan reference mode is made
 // the default and nothing else is touched; `GOLDEN_TRACE` never moved.
+//
+// `FAULTED_TRACE` (10% loss, one crash that recovers, Workload B) was taken
+// at commit ad79f16, the last one whose trace mirrored each engine
+// occurrence in a `TraceEvent` variant of its own, field by field. It too
+// carries all twelve engine kinds, so their JSON bytes are pinned across the
+// change that traces the probe itself.
 const GOLDEN_TRACE: Digest = Digest {
     lines: 10807,
     bytes: 936846,
@@ -503,6 +509,27 @@ const STORMY_TRACE: Digest = Digest {
     bytes: 959734,
     fnv1a: 0x787c_d611_e162_2362,
 };
+const FAULTED_TRACE: Digest = Digest {
+    lines: 12045,
+    bytes: 1041064,
+    fnv1a: 0x938b_ff8f_cb45_3879,
+};
+
+/// Every `ev` tag an engine occurrence is traced under.
+const ENGINE_KINDS: [&str; 12] = [
+    "frame-tx",
+    "csma-deferred",
+    "frame-delivered",
+    "frame-collision",
+    "frame-lost",
+    "frame-missed",
+    "frame-retry",
+    "frame-gave-up",
+    "sleep-start",
+    "wake",
+    "fault-crash",
+    "fault-recover",
+];
 
 fn stormy_config() -> ExperimentConfig {
     ExperimentConfig {
@@ -518,22 +545,53 @@ fn stormy_config() -> ExperimentConfig {
     }
 }
 
+fn faulted_config() -> ExperimentConfig {
+    ExperimentConfig {
+        radio: RadioParams {
+            loss_rate: 0.1,
+            ..RadioParams::default()
+        },
+        faults: FaultPlan::scripted(vec![(NodeId(5), 4 * 2048, Some(14 * 2048))]),
+        ..golden_config()
+    }
+}
+
 #[test]
 fn trace_bytes_match_the_pinned_digests() {
-    for (name, config, workload, trace) in [
-        ("golden", golden_config(), workload_a(), GOLDEN_TRACE),
-        ("stormy", stormy_config(), workload_b(), STORMY_TRACE),
+    let golden_kinds = [
+        "frame-tx",
+        "frame-delivered",
+        "frame-collision",
+        "frame-retry",
+        "csma-deferred",
+        "wake",
+    ];
+    for (name, config, workload, trace, kinds) in [
+        (
+            "golden",
+            golden_config(),
+            workload_a(),
+            GOLDEN_TRACE,
+            &golden_kinds[..],
+        ),
+        (
+            "stormy",
+            stormy_config(),
+            workload_b(),
+            STORMY_TRACE,
+            &ENGINE_KINDS,
+        ),
+        (
+            "faulted",
+            faulted_config(),
+            workload_b(),
+            FAULTED_TRACE,
+            &ENGINE_KINDS,
+        ),
     ] {
         let run = observe(&config, &workload, [true, false]);
         assert_eq!(digest(&run.trace), trace, "{name} cell: JSONL trace");
-        for kind in [
-            "frame-tx",
-            "frame-delivered",
-            "frame-collision",
-            "frame-retry",
-            "csma-deferred",
-            "wake",
-        ] {
+        for kind in kinds {
             let tag = format!("\"ev\":\"{kind}\"");
             assert!(run.trace.contains(&tag), "{name} cell never traced {kind}");
         }

@@ -108,7 +108,7 @@ fn stopping_at_boundary_instants_reproduces_the_straight_run() {
     ]);
     for faults in [FaultPlan::default(), faulty] {
         let traced = || {
-            let ring = Arc::new(Mutex::new(RingSink::new(0)));
+            let ring = Arc::new(Mutex::new(RingSink::new()));
             let config = ExperimentConfig {
                 strategy: Strategy::TwoTier,
                 grid_n: 4,

@@ -263,9 +263,9 @@ impl AuditReport {
     /// Trace ↔ report reconciliation: per-user-query answer counts
     /// reconstructed from the trace alone must equal the run report's, in
     /// both directions (no phantom trace queries, no untraced answers).
-    /// Skipped — not failed — when the trace is known lossy (ring-evicted
-    /// records, a byte-truncated tail, malformed lines): an incomplete
-    /// record cannot refute the run.
+    /// Skipped — not failed — when the trace is known lossy (a
+    /// byte-truncated tail, malformed lines): an incomplete record cannot
+    /// refute the run.
     pub fn check_trace_answers(
         &mut self,
         summary: &TraceSummary,
@@ -498,10 +498,6 @@ mod tests {
         for lossy in [
             TraceSummary {
                 truncated_tail: true,
-                ..TraceSummary::default()
-            },
-            TraceSummary {
-                dropped_records: 3,
                 ..TraceSummary::default()
             },
             TraceSummary {

@@ -277,14 +277,9 @@ impl<'a, P, O> Ctx<'a, P, O> {
     }
 
     /// Records an application-level trace event at the current simulation
-    /// time (no-op when tracing is disabled).
-    pub fn trace(&self, event: TraceEvent) {
-        self.trace_with(|| event);
-    }
-
-    /// Like [`Ctx::trace`], but builds the event only when a trace sink is
-    /// attached: disabled tracing costs one branch and zero allocations
-    /// without the app checking anything.
+    /// time. The event is built only when a trace sink is attached: disabled
+    /// tracing costs one branch and zero allocations without the app
+    /// checking anything.
     #[inline]
     pub fn trace_with(&self, event: impl FnOnce() -> TraceEvent) {
         self.probes.trace_with(self.now_us, event);

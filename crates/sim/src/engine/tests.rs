@@ -15,7 +15,7 @@
 use super::{Ctx, Event, EventKind, FrameState, NodeApp, SimConfig, Simulator};
 use crate::incoming::IncomingFrame;
 use crate::{
-    ConstantField, Destination, MsgKind, NodeId, Position, RadioParams, RingSink, SimTime,
+    ConstantField, Destination, MsgKind, NodeId, Position, Probe, RadioParams, RingSink, SimTime,
     Topology, TraceEvent, TraceHandle, TraceRecord,
 };
 use proptest::prelude::*;
@@ -234,7 +234,7 @@ fn traced_sim<A: NodeApp>(
         Box::new(ConstantField),
         factory,
     );
-    let ring = Arc::new(Mutex::new(RingSink::new(0)));
+    let ring = Arc::new(Mutex::new(RingSink::new()));
     sim.set_trace(TraceHandle::shared(ring.clone()));
     (sim, ring)
 }
@@ -312,18 +312,18 @@ fn forward_from_a_command_is_a_programming_error() {
 /// so the first two name the frame.
 type Corrupted = BTreeSet<(NodeId, u64, NodeId)>;
 
-/// The `FrameCollision` records of a trace.
+/// The collision records of a trace.
 fn traced_collisions<'a>(records: impl Iterator<Item = &'a TraceRecord>) -> Corrupted {
     records
         .filter_map(|r| match r.event {
-            TraceEvent::FrameCollision { src, node, .. } => Some((src, r.time_us, node)),
+            TraceEvent::Engine(Probe::Collision(at)) => Some((at.src, r.time_us, at.node)),
             _ => None,
         })
         .collect()
 }
 
 /// The collision model, kept apart from the engine's code: the trace's
-/// `FrameTx` records in emission order, each touching its sender's
+/// `Tx` records in emission order, each touching its sender's
 /// neighbours' lists of audible frames — purge what ended by the new frame's
 /// start, corrupt both sides of every overlap, push.
 fn reference_collisions<'a>(
@@ -334,9 +334,11 @@ fn reference_collisions<'a>(
     let mut frames = Vec::new();
     let mut corrupted = Corrupted::new();
     for record in records {
-        let TraceEvent::FrameTx {
-            src, airtime_us, ..
-        } = record.event
+        let TraceEvent::Engine(Probe::Tx {
+            node: src,
+            airtime_us,
+            ..
+        }) = record.event
         else {
             continue;
         };
@@ -596,9 +598,9 @@ fn behind_a_backlogged_neighbour(
 fn airtime_of(ring: &Mutex<RingSink>, src: NodeId) -> (u64, u64) {
     let ring = ring.lock().unwrap();
     let mut sent = ring.records().filter_map(|r| match r.event {
-        TraceEvent::FrameTx {
-            src: s, airtime_us, ..
-        } if s == src => Some((r.time_us, r.time_us + airtime_us)),
+        TraceEvent::Engine(Probe::Tx {
+            node, airtime_us, ..
+        }) if node == src => Some((r.time_us, r.time_us + airtime_us)),
         _ => None,
     });
     let airtime = sent.next().expect("one transmission");

@@ -93,7 +93,7 @@ pub use field::{BoundCorrelatedField, ConstantField, CorrelatedField, SensorFiel
 pub use metrics::{
     gini, max_mean_ratio, CompletenessReport, Metrics, MetricsSnapshot, QueryCompleteness,
 };
-pub use probe::Observe;
+pub use probe::{Observe, Probe, Reception};
 pub use radio::{Destination, MsgKind, RadioParams};
 pub use time::SimTime;
 pub use topology::{NodeId, Position, Topology, TopologyError, GRID_SPACING_FT, RADIO_RANGE_FT};

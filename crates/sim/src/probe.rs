@@ -4,10 +4,10 @@
 //! A site in the engine says *what happened* —
 //! `probes.record(at_us, Probe::Tx { .. })` — and nothing about who is
 //! listening. [`Probes`] feeds the value to [`Metrics`] (always) and, when a
-//! trace sink is attached, to the trace. What a tx, an rx, a collision or a
-//! retracted nap *means* to each consumer is one `match` per consumer
-//! (`Metrics::apply`, [`Probe::trace_event`]) instead of a hand-written
-//! fan-out per site.
+//! trace sink is attached, to the trace as [`TraceEvent::Engine`]. What a
+//! tx, an rx, a collision or a retracted nap *means* to each consumer is one
+//! `match` per consumer (`Metrics::apply`, the trace writer) instead of a
+//! hand-written fan-out per site.
 //!
 //! [`Observe`] states the observer contract; DESIGN.md §22 has the table of
 //! sites.
@@ -38,66 +38,121 @@ pub struct Observe {
 }
 
 /// One frame at one of its receivers.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Reception {
-    pub(crate) src: NodeId,
-    pub(crate) node: NodeId,
-    pub(crate) kind: MsgKind,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reception {
+    /// Transmitting node.
+    pub src: NodeId,
+    /// Receiving node.
+    pub node: NodeId,
+    /// Message kind.
+    pub kind: MsgKind,
 }
 
 /// One engine occurrence. `Copy`, allocation-free, and built whether or not
-/// anyone observes the run.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Probe {
+/// anyone observes the run. It is also the occurrence's trace record
+/// ([`TraceEvent::Engine`]); `Rx`, `Sample`, `Orphaned` and `Late` are
+/// booked but never traced.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Probe {
     /// A frame went on the air (recorded at its airtime start).
     Tx {
+        /// Transmitting node.
         node: NodeId,
+        /// Message kind.
         kind: MsgKind,
+        /// Addressing.
         dest: TraceDest,
         /// Payload + header bytes.
         bytes: usize,
+        /// Airtime of the transmission, µs.
         airtime_us: u64,
     },
     /// An awake, live node's radio received a frame (intact or not).
-    Rx { node: NodeId, busy_ms: f64 },
+    Rx {
+        /// Receiving node.
+        node: NodeId,
+        /// Radio time the reception cost, ms.
+        busy_ms: f64,
+    },
     /// A frame arrived intact and is about to be handed to the node's app.
-    Delivered { at: Reception, intended: bool },
+    Delivered {
+        /// The frame and its receiver.
+        at: Reception,
+        /// Whether the receiver was addressed (else an overhear).
+        intended: bool,
+    },
     /// A frame was corrupted by a collision at the receiver.
     Collision(Reception),
     /// The loss model dropped a frame at the receiver.
     Lost(Reception),
     /// An addressed frame found the receiver's radio off (asleep or failed).
-    Missed { at: Reception, asleep: bool },
+    Missed {
+        /// The frame and its addressed receiver.
+        at: Reception,
+        /// True if the receiver slept; false if it was failed.
+        asleep: bool,
+    },
     /// A missed unicast frame was re-queued.
-    Retry { at: Reception, retries_left: u32 },
+    Retry {
+        /// The frame and its addressed receiver.
+        at: Reception,
+        /// Retries remaining after this one.
+        retries_left: u32,
+    },
     /// A unicast frame ran out of retries.
     GaveUp(Reception),
     /// A transmission's carrier sense deferred at least once.
     CsmaDeferred {
+        /// Deferring sender.
         node: NodeId,
+        /// Number of deferrals taken.
         deferrals: u32,
+        /// Whether the deferral budget was exhausted (transmit-with-collision
+        /// fall-through).
         capped: bool,
     },
     /// A nap was planned. Naps are credited in full when planned, so the
     /// unspent part of the nap it replaces (`pending_us`) is retracted.
     Sleep {
+        /// Sleeping node.
         node: NodeId,
+        /// Planned nap length, ms.
         duration_ms: u64,
+        /// Unspent part of the replaced nap, µs.
         pending_us: u64,
     },
     /// The radio was woken early; the unspent nap is retracted.
-    Wake { node: NodeId, pending_us: u64 },
+    Wake {
+        /// Waking node.
+        node: NodeId,
+        /// Unspent part of the nap, µs.
+        pending_us: u64,
+    },
     /// A fault crashed the node; the unspent nap is retracted (a failed
     /// node draws no power, so leaving it credited would overstate sleep).
-    Crash { node: NodeId, pending_us: u64 },
+    Crash {
+        /// Crashed node.
+        node: NodeId,
+        /// Unspent part of its nap, µs.
+        pending_us: u64,
+    },
     /// A crashed node rebooted.
-    Recover { node: NodeId },
+    Recover {
+        /// Recovered node.
+        node: NodeId,
+    },
     /// A sensor attribute was sampled.
     Sample,
     /// A node dropped results it had no live route for.
-    Orphaned { node: NodeId },
+    Orphaned {
+        /// The node that dropped them.
+        node: NodeId,
+    },
     /// The base station dropped a result for an epoch it is not collecting.
-    Late { partials: bool },
+    Late {
+        /// Whether the result was an aggregation partial (else a row).
+        partials: bool,
+    },
 }
 
 impl Probe {
@@ -115,77 +170,6 @@ impl Probe {
             }
             _ => None,
         }
-    }
-
-    /// The trace record of this occurrence, if it has one: the only place
-    /// an engine [`TraceEvent`] is built.
-    fn trace_event(self) -> Option<TraceEvent> {
-        use TraceEvent as T;
-        Some(match self {
-            Probe::Tx {
-                node: src,
-                kind,
-                dest,
-                bytes,
-                airtime_us,
-            } => T::FrameTx {
-                src,
-                kind,
-                dest,
-                bytes,
-                airtime_us,
-            },
-            Probe::Delivered {
-                at: Reception { src, node, kind },
-                intended,
-            } => T::FrameDelivered {
-                src,
-                node,
-                kind,
-                intended,
-            },
-            Probe::Collision(Reception { src, node, kind }) => {
-                T::FrameCollision { src, node, kind }
-            }
-            Probe::Lost(Reception { src, node, kind }) => T::FrameLost { src, node, kind },
-            Probe::Missed {
-                at: Reception { src, node, kind },
-                asleep,
-            } => T::FrameMissed {
-                src,
-                node,
-                kind,
-                asleep,
-            },
-            Probe::Retry {
-                at: Reception { src, node, kind },
-                retries_left,
-            } => T::FrameRetry {
-                src,
-                node,
-                kind,
-                retries_left,
-            },
-            Probe::GaveUp(Reception { src, node, kind }) => T::FrameGaveUp { src, node, kind },
-            Probe::CsmaDeferred {
-                node,
-                deferrals,
-                capped,
-            } => T::CsmaDeferred {
-                node,
-                deferrals,
-                capped,
-            },
-            Probe::Sleep {
-                node, duration_ms, ..
-            } => T::SleepStart { node, duration_ms },
-            Probe::Wake { node, .. } => T::Wake { node },
-            Probe::Crash { node, .. } => T::FaultCrash { node },
-            Probe::Recover { node } => T::FaultRecover { node },
-            Probe::Rx { .. } | Probe::Sample | Probe::Orphaned { .. } | Probe::Late { .. } => {
-                return None
-            }
-        })
     }
 }
 
@@ -230,8 +214,11 @@ impl Probes {
     /// untraced run should carry only the branch around this call.
     #[inline(never)]
     fn emit(&self, at_us: u64, probe: Probe) {
-        if let Some(event) = probe.trace_event() {
-            self.trace.emit(at_us, event);
+        if !matches!(
+            probe,
+            Probe::Rx { .. } | Probe::Sample | Probe::Orphaned { .. } | Probe::Late { .. }
+        ) {
+            self.trace.emit_with(at_us, || TraceEvent::Engine(probe));
         }
     }
 

@@ -27,17 +27,18 @@
 //! # Formats
 //!
 //! [`JsonLinesSink`] writes one JSON object per record after a header line
-//! carrying [`SCHEMA_VERSION`]; [`RingSink`] keeps a bounded in-memory ring
-//! for tests. [`summarize_trace`] and [`chrome_trace`] consume the
-//! JSON-lines text. Writer and reader are the workspace's one
+//! carrying [`SCHEMA_VERSION`]; [`RingSink`] keeps every record in memory
+//! for tests. [`summarize_trace`], [`chrome_trace`] and
+//! [`trace_diff`](diff::trace_diff) read the JSON-lines text through one
+//! line decoder. Writer and reader are the workspace's one
 //! [JSON layer](crate::json).
 
 pub mod diff;
 
 use crate::json::{self, JsonValue};
-use crate::radio::MsgKind;
+use crate::probe::{Probe, Reception};
 use crate::topology::NodeId;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -93,112 +94,10 @@ pub enum TraceDest {
 /// routing) and the base-station tier (rewriting, answer mapping).
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
-    /// A frame was put on the air.
-    FrameTx {
-        /// Transmitting node.
-        src: NodeId,
-        /// Message kind.
-        kind: MsgKind,
-        /// Addressing.
-        dest: TraceDest,
-        /// Payload + header bytes.
-        bytes: usize,
-        /// Airtime of the transmission, µs.
-        airtime_us: u64,
-    },
-    /// A transmission's carrier-sense loop deferred at least once.
-    CsmaDeferred {
-        /// Deferring sender.
-        node: NodeId,
-        /// Number of deferrals taken.
-        deferrals: u32,
-        /// Whether the deferral budget was exhausted (transmit-with-collision
-        /// fall-through).
-        capped: bool,
-    },
-    /// A frame reached a node intact and was handed to its app.
-    FrameDelivered {
-        /// Transmitting node.
-        src: NodeId,
-        /// Receiving node.
-        node: NodeId,
-        /// Message kind.
-        kind: MsgKind,
-        /// Whether the receiver was addressed (else an overhear).
-        intended: bool,
-    },
-    /// A frame was corrupted by a collision at a receiver.
-    FrameCollision {
-        /// Transmitting node.
-        src: NodeId,
-        /// Receiver at which the frames collided.
-        node: NodeId,
-        /// Message kind.
-        kind: MsgKind,
-    },
-    /// A frame was dropped by the loss model at a receiver.
-    FrameLost {
-        /// Transmitting node.
-        src: NodeId,
-        /// Receiver that missed the frame.
-        node: NodeId,
-        /// Message kind.
-        kind: MsgKind,
-    },
-    /// An addressed unicast frame was missed because the receiver's radio
-    /// was off.
-    FrameMissed {
-        /// Transmitting node.
-        src: NodeId,
-        /// Addressed receiver.
-        node: NodeId,
-        /// Message kind.
-        kind: MsgKind,
-        /// True if the receiver slept; false if it was failed.
-        asleep: bool,
-    },
-    /// A missed unicast frame was re-queued for retransmission.
-    FrameRetry {
-        /// Transmitting node.
-        src: NodeId,
-        /// Addressed receiver.
-        node: NodeId,
-        /// Message kind.
-        kind: MsgKind,
-        /// Retries remaining after this one.
-        retries_left: u32,
-    },
-    /// A unicast frame was abandoned after exhausting its retry budget.
-    FrameGaveUp {
-        /// Transmitting node.
-        src: NodeId,
-        /// Addressed receiver that never acknowledged.
-        node: NodeId,
-        /// Message kind.
-        kind: MsgKind,
-    },
-    /// A node turned its radio off.
-    SleepStart {
-        /// Sleeping node.
-        node: NodeId,
-        /// Planned nap length, ms.
-        duration_ms: u64,
-    },
-    /// A node woke (or cancelled a pending nap).
-    Wake {
-        /// Waking node.
-        node: NodeId,
-    },
-    /// A fault-injection crash fired.
-    FaultCrash {
-        /// Crashed node.
-        node: NodeId,
-    },
-    /// A crashed node rebooted with fresh state.
-    FaultRecover {
-        /// Recovered node.
-        node: NodeId,
-    },
+    /// An engine occurrence — a frame on the air, at a receiver, retried or
+    /// abandoned; a CSMA deferral; a nap or an early wake; a crash or a
+    /// recovery — traced as the [`Probe`] the engine booked it with.
+    Engine(Probe),
     /// The shared clock fired with at least one due query (§3.2.1).
     EpochFire {
         /// Firing node.
@@ -342,40 +241,6 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// The event's kind tag, as used in the JSON `ev` field.
-    pub fn kind_tag(&self) -> &'static str {
-        match self {
-            TraceEvent::FrameTx { .. } => "frame-tx",
-            TraceEvent::CsmaDeferred { .. } => "csma-deferred",
-            TraceEvent::FrameDelivered { .. } => "frame-delivered",
-            TraceEvent::FrameCollision { .. } => "frame-collision",
-            TraceEvent::FrameLost { .. } => "frame-lost",
-            TraceEvent::FrameMissed { .. } => "frame-missed",
-            TraceEvent::FrameRetry { .. } => "frame-retry",
-            TraceEvent::FrameGaveUp { .. } => "frame-gave-up",
-            TraceEvent::SleepStart { .. } => "sleep-start",
-            TraceEvent::Wake { .. } => "wake",
-            TraceEvent::FaultCrash { .. } => "fault-crash",
-            TraceEvent::FaultRecover { .. } => "fault-recover",
-            TraceEvent::EpochFire { .. } => "epoch-fire",
-            TraceEvent::SharedAcquisition { .. } => "shared-acquisition",
-            TraceEvent::ResultHop { .. } => "result-hop",
-            TraceEvent::ResultDelivered { .. } => "result-delivered",
-            TraceEvent::NoRouteResignation { .. } => "no-route",
-            TraceEvent::ParentDead { .. } => "parent-dead",
-            TraceEvent::Tier1Eval { .. } => "tier1-eval",
-            TraceEvent::Tier1Merge { .. } => "tier1-merge",
-            TraceEvent::Tier1Covered { .. } => "tier1-covered",
-            TraceEvent::Tier1Install { .. } => "tier1-install",
-            TraceEvent::Tier1Reoptimize { .. } => "tier1-reoptimize",
-            TraceEvent::Tier1Remove { .. } => "tier1-remove",
-            TraceEvent::Tier1Reindex { .. } => "tier1-reindex",
-            TraceEvent::AnswerMapped { .. } => "answer-mapped",
-        }
-    }
-}
-
 /// One timestamped trace record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
@@ -392,98 +257,22 @@ impl TraceRecord {
     pub fn to_json(&self) -> String {
         json::object(|o| {
             o.u64("t", self.time_us);
-            o.str("ev", self.event.kind_tag());
-            self.event.write_fields(o);
+            self.event.write(o);
         })
     }
 }
 
 impl TraceEvent {
-    fn write_fields(&self, o: &mut json::Obj<'_>) {
+    /// Writes the `ev` kind tag and the event's fields.
+    fn write(&self, o: &mut json::Obj<'_>) {
         match self {
-            TraceEvent::FrameTx {
-                src,
-                kind,
-                dest,
-                bytes,
-                airtime_us,
-            } => {
-                o.u64("src", src.0 as u64);
-                o.str("kind", &kind.to_string());
-                match dest {
-                    TraceDest::Broadcast => o.str("dest", "broadcast"),
-                    TraceDest::Unicast(n) => o.u64("dest", n.0 as u64),
-                    TraceDest::Multicast(k) => {
-                        o.str("dest", "multicast");
-                        o.u64("fanout", *k as u64);
-                    }
-                }
-                o.u64("bytes", *bytes as u64);
-                o.u64("airtime_us", *airtime_us);
-            }
-            TraceEvent::CsmaDeferred {
-                node,
-                deferrals,
-                capped,
-            } => {
-                o.u64("node", node.0 as u64);
-                o.u64("deferrals", *deferrals as u64);
-                o.bool("capped", *capped);
-            }
-            TraceEvent::FrameDelivered {
-                src,
-                node,
-                kind,
-                intended,
-            } => {
-                o.u64("src", src.0 as u64);
-                o.u64("node", node.0 as u64);
-                o.str("kind", &kind.to_string());
-                o.bool("intended", *intended);
-            }
-            TraceEvent::FrameCollision { src, node, kind }
-            | TraceEvent::FrameLost { src, node, kind }
-            | TraceEvent::FrameGaveUp { src, node, kind } => {
-                o.u64("src", src.0 as u64);
-                o.u64("node", node.0 as u64);
-                o.str("kind", &kind.to_string());
-            }
-            TraceEvent::FrameMissed {
-                src,
-                node,
-                kind,
-                asleep,
-            } => {
-                o.u64("src", src.0 as u64);
-                o.u64("node", node.0 as u64);
-                o.str("kind", &kind.to_string());
-                o.bool("asleep", *asleep);
-            }
-            TraceEvent::FrameRetry {
-                src,
-                node,
-                kind,
-                retries_left,
-            } => {
-                o.u64("src", src.0 as u64);
-                o.u64("node", node.0 as u64);
-                o.str("kind", &kind.to_string());
-                o.u64("retries_left", *retries_left as u64);
-            }
-            TraceEvent::SleepStart { node, duration_ms } => {
-                o.u64("node", node.0 as u64);
-                o.u64("duration_ms", *duration_ms);
-            }
-            TraceEvent::Wake { node }
-            | TraceEvent::FaultCrash { node }
-            | TraceEvent::FaultRecover { node } => {
-                o.u64("node", node.0 as u64);
-            }
+            TraceEvent::Engine(probe) => write_probe(probe, o),
             TraceEvent::EpochFire {
                 node,
                 epoch_ms,
                 due,
             } => {
+                o.str("ev", "epoch-fire");
                 o.u64("node", node.0 as u64);
                 o.u64("epoch_ms", *epoch_ms);
                 o.u64s("due", due.iter().map(|q| q.0));
@@ -494,6 +283,7 @@ impl TraceEvent {
                 acq,
                 agg,
             } => {
+                o.str("ev", "shared-acquisition");
                 o.u64("node", node.0 as u64);
                 o.u64("epoch_ms", *epoch_ms);
                 o.u64s("acq", acq.iter().map(|q| q.0));
@@ -507,6 +297,7 @@ impl TraceEvent {
                 qids,
                 origin,
             } => {
+                o.str("ev", "result-hop");
                 o.u64("from", from.0 as u64);
                 o.u64s("to", to.iter().map(|n| n.0 as u64));
                 o.u64("epoch_ms", *epoch_ms);
@@ -519,15 +310,18 @@ impl TraceEvent {
                 qids,
                 epoch_ms,
             } => {
+                o.str("ev", "result-delivered");
                 o.u64("prov", prov.0);
                 o.u64s("qids", qids.iter().map(|q| q.0));
                 o.u64("epoch_ms", *epoch_ms);
             }
             TraceEvent::NoRouteResignation { node, epoch_ms } => {
+                o.str("ev", "no-route");
                 o.u64("node", node.0 as u64);
                 o.u64("epoch_ms", *epoch_ms);
             }
             TraceEvent::ParentDead { node, parent } => {
+                o.str("ev", "parent-dead");
                 o.u64("node", node.0 as u64);
                 o.u64("parent", parent.0 as u64);
             }
@@ -536,6 +330,7 @@ impl TraceEvent {
                 candidate,
                 rate,
             } => {
+                o.str("ev", "tier1-eval");
                 o.u64("probe", probe.0);
                 o.u64("candidate", candidate.0);
                 if rate.is_finite() {
@@ -550,19 +345,24 @@ impl TraceEvent {
                 candidate,
                 merged,
             } => {
+                o.str("ev", "tier1-merge");
                 o.u64("probe", probe.0);
                 o.u64("candidate", candidate.0);
                 o.u64("merged", merged.0);
             }
             TraceEvent::Tier1Covered { probe, covered_by } => {
+                o.str("ev", "tier1-covered");
                 o.u64("probe", probe.0);
                 o.u64("covered_by", covered_by.0);
             }
-            TraceEvent::Tier1Install { synthetic, members }
-            | TraceEvent::Tier1Reoptimize { synthetic, members }
-            | TraceEvent::Tier1Reindex { synthetic, members } => {
-                o.u64("synthetic", synthetic.0);
-                o.u64s("members", members.iter().map(|q| q.0));
+            TraceEvent::Tier1Install { synthetic, members } => {
+                write_members(o, "tier1-install", *synthetic, members)
+            }
+            TraceEvent::Tier1Reoptimize { synthetic, members } => {
+                write_members(o, "tier1-reoptimize", *synthetic, members)
+            }
+            TraceEvent::Tier1Reindex { synthetic, members } => {
+                write_members(o, "tier1-reindex", *synthetic, members)
             }
             TraceEvent::Tier1Remove {
                 user,
@@ -570,6 +370,7 @@ impl TraceEvent {
                 emptied,
                 rebuilt,
             } => {
+                o.str("ev", "tier1-remove");
                 o.u64("user", user.0);
                 o.u64("synthetic", synthetic.0);
                 o.bool("emptied", *emptied);
@@ -583,6 +384,7 @@ impl TraceEvent {
                 nonempty,
                 latency_ms,
             } => {
+                o.str("ev", "answer-mapped");
                 o.u64("user", user.0);
                 o.u64("synthetic", synthetic.0);
                 o.u64("epoch_ms", *epoch_ms);
@@ -590,6 +392,95 @@ impl TraceEvent {
                 o.bool("nonempty", *nonempty);
                 o.u64("latency_ms", *latency_ms);
             }
+        }
+    }
+}
+
+/// A synthetic query and its members, under the kind tag `ev`.
+fn write_members(o: &mut json::Obj<'_>, ev: &str, synthetic: QueryId, members: &[QueryId]) {
+    o.str("ev", ev);
+    o.u64("synthetic", synthetic.0);
+    o.u64s("members", members.iter().map(|q| q.0));
+}
+
+/// Writes an engine occurrence's `ev` kind tag and fields: the one place a
+/// [`Probe`] becomes a trace line. `Probes::emit` never hands over `Rx`,
+/// `Sample`, `Orphaned` or `Late`; they are written only when built by hand.
+fn write_probe(probe: &Probe, o: &mut json::Obj<'_>) {
+    let at_node = |o: &mut json::Obj<'_>, ev: &str, node: NodeId| {
+        o.str("ev", ev);
+        o.u64("node", node.0 as u64);
+    };
+    let reception = |o: &mut json::Obj<'_>, ev: &str, at: &Reception| {
+        o.str("ev", ev);
+        o.u64("src", at.src.0 as u64);
+        o.u64("node", at.node.0 as u64);
+        o.str("kind", &at.kind.to_string());
+    };
+    match probe {
+        Probe::Tx {
+            node,
+            kind,
+            dest,
+            bytes,
+            airtime_us,
+        } => {
+            o.str("ev", "frame-tx");
+            o.u64("src", node.0 as u64);
+            o.str("kind", &kind.to_string());
+            match dest {
+                TraceDest::Broadcast => o.str("dest", "broadcast"),
+                TraceDest::Unicast(n) => o.u64("dest", n.0 as u64),
+                TraceDest::Multicast(k) => {
+                    o.str("dest", "multicast");
+                    o.u64("fanout", *k as u64);
+                }
+            }
+            o.u64("bytes", *bytes as u64);
+            o.u64("airtime_us", *airtime_us);
+        }
+        Probe::CsmaDeferred {
+            node,
+            deferrals,
+            capped,
+        } => {
+            at_node(o, "csma-deferred", *node);
+            o.u64("deferrals", *deferrals as u64);
+            o.bool("capped", *capped);
+        }
+        Probe::Delivered { at, intended } => {
+            reception(o, "frame-delivered", at);
+            o.bool("intended", *intended);
+        }
+        Probe::Collision(at) => reception(o, "frame-collision", at),
+        Probe::Lost(at) => reception(o, "frame-lost", at),
+        Probe::Missed { at, asleep } => {
+            reception(o, "frame-missed", at);
+            o.bool("asleep", *asleep);
+        }
+        Probe::Retry { at, retries_left } => {
+            reception(o, "frame-retry", at);
+            o.u64("retries_left", *retries_left as u64);
+        }
+        Probe::GaveUp(at) => reception(o, "frame-gave-up", at),
+        Probe::Sleep {
+            node, duration_ms, ..
+        } => {
+            at_node(o, "sleep-start", *node);
+            o.u64("duration_ms", *duration_ms);
+        }
+        Probe::Wake { node, .. } => at_node(o, "wake", *node),
+        Probe::Crash { node, .. } => at_node(o, "fault-crash", *node),
+        Probe::Recover { node } => at_node(o, "fault-recover", *node),
+        Probe::Rx { node, busy_ms } => {
+            at_node(o, "rx", *node);
+            o.f64("busy_ms", *busy_ms);
+        }
+        Probe::Sample => o.str("ev", "sample"),
+        Probe::Orphaned { node } => at_node(o, "orphaned", *node),
+        Probe::Late { partials } => {
+            o.str("ev", "late");
+            o.bool("partials", *partials);
         }
     }
 }
@@ -629,11 +520,6 @@ impl TraceHandle {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
-    }
-
-    /// Records `event` at simulation time `time_us` (no-op when disabled).
-    pub fn emit(&self, time_us: u64, event: TraceEvent) {
-        self.emit_with(time_us, || event);
     }
 
     /// Records the event `build` returns at simulation time `time_us`.
@@ -717,60 +603,38 @@ impl TraceSink for JsonLinesSink {
     }
 }
 
-/// Bounded in-memory sink for tests: keeps the most recent `capacity`
-/// records, counting what it dropped.
+/// In-memory sink for tests: keeps every record.
 #[derive(Debug, Default)]
 pub struct RingSink {
-    capacity: usize,
-    records: VecDeque<TraceRecord>,
-    dropped: u64,
+    records: Vec<TraceRecord>,
 }
 
 impl RingSink {
-    /// A ring keeping at most `capacity` records (0 keeps everything —
-    /// convenient for short test runs).
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
-            capacity,
-            records: VecDeque::new(),
-            dropped: 0,
-        }
+    /// An empty sink.
+    pub fn new() -> Self {
+        RingSink::default()
     }
 
-    /// The retained records, oldest first.
+    /// The records, oldest first.
     pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
         self.records.iter()
     }
 
-    /// Number of retained records.
+    /// Number of records.
     pub fn len(&self) -> usize {
         self.records.len()
     }
 
-    /// Whether nothing was recorded (or everything was dropped).
+    /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
 
-    /// Records evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Renders the ring as trace JSONL: the [`trace_header`], a
-    /// `{"dropped_records":N,...}` marker when the ring evicted anything
-    /// (so [`summarize_trace`] reports the loss instead of passing the
-    /// text off as complete), then the retained records oldest-first.
+    /// Renders the records as trace JSONL: the [`trace_header`], then one
+    /// record per line, oldest first.
     pub fn to_jsonl(&self) -> String {
         let mut out = trace_header();
         out.push('\n');
-        if self.dropped > 0 {
-            out.push_str(&json::object(|o| {
-                o.u64("dropped_records", self.dropped);
-                o.str("note", "ring-evicted");
-            }));
-            out.push('\n');
-        }
         for rec in &self.records {
             out.push_str(&rec.to_json());
             out.push('\n');
@@ -781,13 +645,7 @@ impl RingSink {
 
 impl TraceSink for RingSink {
     fn record(&mut self, rec: &TraceRecord) {
-        if self.capacity > 0 && self.records.len() == self.capacity {
-            self.records.pop_front();
-            // Saturate: a pathological run must not wrap the counter back
-            // to "nothing dropped".
-            self.dropped = self.dropped.saturating_add(1);
-        }
-        self.records.push_back(rec.clone());
+        self.records.push(rec.clone());
     }
 }
 
@@ -840,15 +698,9 @@ pub struct TraceSummary {
     /// order. Rows and answers are bucketed by the epoch they carry,
     /// everything else by its timestamp.
     pub rollups: Vec<EpochRollup>,
-    /// Non-empty lines that were neither a record (no `ev` field), a
-    /// header (no `schema_version` field), nor a drop marker (no
-    /// `dropped_records` field) and were skipped.
+    /// Non-empty lines that were neither a record (no `ev` field) nor a
+    /// header (no `schema_version` field) and were skipped.
     pub malformed_lines: u64,
-    /// Records the producing sink evicted before this text was written,
-    /// summed from drop-marker lines (`{"dropped_records":N,...}`) such as
-    /// the ones [`RingSink::to_jsonl`] emits. A nonzero count means the
-    /// trace is lossy even though every present line parsed cleanly.
-    pub dropped_records: u64,
     /// Whether the file ended in a byte-truncated partial record (a
     /// crash-time or mid-write trace). The partial line is excluded from
     /// every count rather than treated as malformed.
@@ -867,11 +719,11 @@ impl TraceSummary {
     }
 
     /// Whether the summarized text is a complete record of the run: no
-    /// byte-truncated tail, no sink-evicted records, no malformed lines.
+    /// byte-truncated tail, no malformed lines.
     /// Reconciliation against a lossy trace proves nothing, so consumers
     /// (the invariant auditor among them) gate on this.
     pub fn is_lossless(&self) -> bool {
-        !self.truncated_tail && self.dropped_records == 0 && self.malformed_lines == 0
+        !self.truncated_tail && self.malformed_lines == 0
     }
 
     /// One JSON object with every summary field — the `inspect analyze
@@ -891,7 +743,6 @@ impl TraceSummary {
             hop_distribution,
             rollups,
             malformed_lines,
-            dropped_records,
             truncated_tail,
         } = self;
         json::object(|o| {
@@ -902,7 +753,6 @@ impl TraceSummary {
             }
             o.u64("events", *events);
             o.u64("malformed_lines", *malformed_lines);
-            o.u64("dropped_records", *dropped_records);
             o.bool("truncated_tail", *truncated_tail);
             o.bool("lossless", self.is_lossless());
             o.obj("by_kind", |o| {
@@ -1018,7 +868,7 @@ impl std::error::Error for TraceSchemaError {}
 /// trace does) is dropped and flagged in [`TraceSummary::truncated_tail`]
 /// instead of being counted as malformed.
 pub fn summarize_trace(text: &str) -> Result<TraceSummary, TraceSchemaError> {
-    let (text, truncated_tail) = json::complete_lines(text);
+    let (lines, truncated_tail) = trace_lines(text);
     let mut summary = TraceSummary {
         truncated_tail,
         ..TraceSummary::default()
@@ -1027,11 +877,7 @@ pub fn summarize_trace(text: &str) -> Result<TraceSummary, TraceSchemaError> {
     let mut hops: BTreeMap<u64, u64> = BTreeMap::new();
     let mut delivered: Vec<u64> = Vec::new();
     let mut rollups: BTreeMap<u64, EpochRollup> = BTreeMap::new();
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        let rec = json::parse(line).unwrap_or(JsonValue::Null);
+    for (_, rec) in lines {
         let Some(ev) = rec.str_at("ev") else {
             // The header (or an unknown line): pick up the schema version.
             if let Some(v) = rec.u64_at("schema_version") {
@@ -1043,10 +889,6 @@ pub fn summarize_trace(text: &str) -> Result<TraceSummary, TraceSchemaError> {
                     });
                 }
                 summary.schema_version = Some(v);
-            } else if let Some(d) = rec.u64_at("dropped_records") {
-                // A drop marker from a bounded sink: the trace is lossy by
-                // this many records, but the marker itself is well-formed.
-                summary.dropped_records = summary.dropped_records.saturating_add(d);
             } else {
                 summary.malformed_lines += 1;
             }
@@ -1117,12 +959,12 @@ fn bucket(rollups: &mut BTreeMap<u64, EpochRollup>, at_ms: u64) -> &mut EpochRol
 /// Converts a JSON-lines trace into Chrome trace-event JSON
 /// (`chrome://tracing` / Perfetto's JSON importer): frame transmissions
 /// become complete (`X`) slices on their source node's track, everything
-/// else instant (`i`) events on the node named by the record.
+/// else instant (`i`) events on the node the record names (`node`, else
+/// `src`, else `from`).
 pub fn chrome_trace(text: &str) -> String {
     json::object(|o| {
         o.arr("traceEvents", |a| {
-            for line in text.lines() {
-                let rec = json::parse(line).unwrap_or(JsonValue::Null);
+            for (_, rec) in trace_lines(text).0 {
                 let Some(ev) = rec.str_at("ev") else {
                     continue;
                 };
@@ -1136,22 +978,59 @@ pub fn chrome_trace(text: &str) -> String {
                         o.str("s", "t");
                     }
                     o.u64("pid", 0);
-                    o.u64(
-                        "tid",
-                        rec.u64_at("node")
-                            .or_else(|| rec.u64_at("src"))
-                            .or_else(|| rec.u64_at("from"))
-                            .unwrap_or(0),
-                    );
+                    o.u64("tid", record_node(&rec).unwrap_or(0));
                 });
             }
         });
     })
 }
 
+/// The non-blank lines of a trace, each with its parse, and whether a
+/// byte-truncated final line was dropped first ([`json::complete_lines`]):
+/// the one line decoder [`summarize_trace`], [`chrome_trace`] and
+/// [`trace_diff`](diff::trace_diff) share. A record is a line with an `ev`.
+fn trace_lines(text: &str) -> (impl Iterator<Item = (&str, JsonValue<'_>)>, bool) {
+    let (text, truncated) = json::complete_lines(text);
+    let lines = text.lines().filter(|l| !l.is_empty());
+    (lines.map(|line| (line, parse_line(line))), truncated)
+}
+
+/// One trace line's JSON; `Null` when it is not JSON.
+fn parse_line(line: &str) -> JsonValue<'_> {
+    json::parse(line).unwrap_or(JsonValue::Null)
+}
+
+/// The node a record names: its `node`, else `src`, else `from`. A record
+/// naming none of them (Tier 1's, the answer mapping's) names no node.
+fn record_node(rec: &JsonValue) -> Option<u64> {
+    rec.u64_at("node")
+        .or_else(|| rec.u64_at("src"))
+        .or_else(|| rec.u64_at("from"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::radio::MsgKind;
+
+    /// Node 1 woke.
+    fn wake() -> TraceEvent {
+        TraceEvent::Engine(Probe::Wake {
+            node: NodeId(1),
+            pending_us: 0,
+        })
+    }
+
+    /// Node 1 broadcast a 10-byte result frame, 100 µs on the air.
+    fn tx() -> TraceEvent {
+        TraceEvent::Engine(Probe::Tx {
+            node: NodeId(1),
+            kind: MsgKind::Result,
+            dest: TraceDest::Broadcast,
+            bytes: 10,
+            airtime_us: 100,
+        })
+    }
 
     /// `recs` as a trace file: the header, then one record per line.
     fn jsonl(recs: &[TraceRecord]) -> String {
@@ -1175,23 +1054,8 @@ mod tests {
     fn disabled_handle_is_inert() {
         let h = TraceHandle::default();
         assert!(!h.is_enabled());
-        h.emit(5, TraceEvent::Wake { node: NodeId(1) });
+        h.emit_with(5, || unreachable!("a disabled handle builds no event"));
         h.flush(); // no sink: nothing to do, nothing to panic on
-    }
-
-    #[test]
-    fn ring_sink_bounds_and_counts_drops() {
-        let ring = Arc::new(Mutex::new(RingSink::new(2)));
-        let h = TraceHandle::shared(ring.clone());
-        assert!(h.is_enabled());
-        for i in 0..5 {
-            h.emit(i, TraceEvent::Wake { node: NodeId(0) });
-        }
-        let ring = ring.lock().unwrap();
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.dropped(), 3);
-        let times: Vec<u64> = ring.records().map(|r| r.time_us).collect();
-        assert_eq!(times, vec![3, 4]);
     }
 
     #[test]
@@ -1209,16 +1073,15 @@ mod tests {
         }
         let buf = Buf(Arc::new(Mutex::new(Vec::new())));
         let h = TraceHandle::new(JsonLinesSink::new(buf.clone()).unwrap());
-        h.emit(
-            1000,
-            TraceEvent::FrameTx {
-                src: NodeId(3),
+        h.emit_with(1000, || {
+            TraceEvent::Engine(Probe::Tx {
+                node: NodeId(3),
                 kind: MsgKind::Result,
                 dest: TraceDest::Unicast(NodeId(1)),
                 bytes: 32,
                 airtime_us: 10400,
-            },
-        );
+            })
+        });
         h.flush();
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -1268,21 +1131,15 @@ mod tests {
         let recs = vec![
             TraceRecord {
                 time_us: 100_000, // 100 ms → epoch 0
-                event: TraceEvent::FrameTx {
-                    src: NodeId(1),
-                    kind: MsgKind::Result,
-                    dest: TraceDest::Broadcast,
-                    bytes: 10,
-                    airtime_us: 100,
-                },
+                event: tx(),
             },
             TraceRecord {
                 time_us: 2_500_000, // 2500 ms → epoch 2048
-                event: TraceEvent::FrameCollision {
+                event: TraceEvent::Engine(Probe::Collision(Reception {
                     src: NodeId(1),
                     node: NodeId(2),
                     kind: MsgKind::Result,
-                },
+                })),
             },
             TraceRecord {
                 time_us: 4_500_000, // bucketed by its epoch field, not time
@@ -1388,7 +1245,7 @@ mod tests {
         // The rejection happens even when the header follows records.
         let mut late = TraceRecord {
             time_us: 0,
-            event: TraceEvent::Wake { node: NodeId(1) },
+            event: wake(),
         }
         .to_json();
         late.push('\n');
@@ -1402,7 +1259,7 @@ mod tests {
         text.push_str(
             &TraceRecord {
                 time_us: 1000,
-                event: TraceEvent::Wake { node: NodeId(1) },
+                event: wake(),
             }
             .to_json(),
         );
@@ -1440,7 +1297,7 @@ mod tests {
             text.push_str(
                 &TraceRecord {
                     time_us: t,
-                    event: TraceEvent::Wake { node: NodeId(1) },
+                    event: wake(),
                 }
                 .to_json(),
             );
@@ -1470,30 +1327,19 @@ mod tests {
         let recs = vec![
             TraceRecord {
                 time_us: 0,
-                event: TraceEvent::FrameTx {
-                    src: NodeId(1),
-                    kind: MsgKind::Result,
-                    dest: TraceDest::Broadcast,
-                    bytes: 10,
-                    airtime_us: 100,
-                },
+                event: tx(),
             },
             TraceRecord {
                 time_us: 2_047_999,
-                event: TraceEvent::FrameTx {
-                    src: NodeId(1),
-                    kind: MsgKind::Result,
-                    dest: TraceDest::Broadcast,
-                    bytes: 10,
-                    airtime_us: 100,
-                },
+                event: tx(),
             },
             TraceRecord {
                 time_us: 2_048_000, // exactly at the horizon of a 1-epoch run
-                event: TraceEvent::SleepStart {
+                event: TraceEvent::Engine(Probe::Sleep {
                     node: NodeId(2),
                     duration_ms: 100,
-                },
+                    pending_us: 0,
+                }),
             },
         ];
         let text = jsonl(&recs);
@@ -1503,51 +1349,6 @@ mod tests {
         assert_eq!(rollups[0].tx, 2);
         assert_eq!(rollups[1].epoch_ms, 2048);
         assert_eq!(rollups[1].sleeps, 1);
-    }
-
-    #[test]
-    fn ring_sink_drop_counter_saturates() {
-        let mut ring = RingSink::new(1);
-        ring.dropped = u64::MAX;
-        let rec = TraceRecord {
-            time_us: 0,
-            event: TraceEvent::Wake { node: NodeId(0) },
-        };
-        ring.record(&rec); // fills the ring
-        ring.record(&rec); // evicts: dropped must saturate, not wrap
-        ring.record(&rec);
-        assert_eq!(ring.dropped(), u64::MAX);
-        assert_eq!(ring.len(), 1);
-    }
-
-    #[test]
-    fn ring_sink_jsonl_surfaces_evictions_to_the_summary() {
-        let mut ring = RingSink::new(2);
-        for t in [1000, 2000, 3000] {
-            ring.record(&TraceRecord {
-                time_us: t,
-                event: TraceEvent::Wake { node: NodeId(1) },
-            });
-        }
-        assert_eq!(ring.dropped(), 1);
-        let text = ring.to_jsonl();
-        let s = summarize_trace(&text).expect("marker is not a schema error");
-        assert_eq!(s.events, 2, "only retained records are counted");
-        assert_eq!(s.dropped_records, 1, "eviction surfaces in the summary");
-        assert_eq!(s.malformed_lines, 0, "the drop marker is not malformed");
-        assert!(!s.is_lossless(), "an evicting ring is a lossy trace");
-
-        // A ring that never evicted writes no marker and reads back
-        // lossless.
-        let mut full = RingSink::new(0);
-        full.record(&TraceRecord {
-            time_us: 1000,
-            event: TraceEvent::Wake { node: NodeId(1) },
-        });
-        let s = summarize_trace(&full.to_jsonl()).unwrap();
-        assert_eq!(s.dropped_records, 0);
-        assert!(s.is_lossless());
-        assert!(!full.to_jsonl().contains("dropped_records"));
     }
 
     #[test]
@@ -1576,10 +1377,15 @@ mod tests {
         assert!(json.contains("\"mean_ms\":352"));
         assert!(json::parse(&json).is_ok());
 
-        // The same trace behind an evicting ring reports itself lossy.
+        // A line shaped like the drop marker bounded sinks once wrote is
+        // neither a record nor a header: malformed, so the trace is lossy.
         text.push_str("{\"dropped_records\":5,\"note\":\"ring-evicted\"}\n");
-        let json = summarize_trace(&text).unwrap().to_json();
-        assert!(json.contains("\"dropped_records\":5"));
+        let summary = summarize_trace(&text).unwrap();
+        assert_eq!(summary.malformed_lines, 1);
+        assert!(!summary.is_lossless());
+        let json = summary.to_json();
+        assert!(json.contains("\"malformed_lines\":1"));
         assert!(json.contains("\"lossless\":false"));
+        assert!(!json.contains("dropped_records"));
     }
 }

@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::json::{self, JsonValue};
+use super::{parse_line, record_node, trace_lines};
 
 /// One side's record at the divergence point, decoded for display.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,23 +34,20 @@ pub struct DivergentRecord {
     pub kind: Option<String>,
     /// The record's simulation time (`t`), µs.
     pub time_us: Option<u64>,
-    /// The node the record names (`node`, `src`, `from`, or `user` — the
-    /// same precedence [`super::chrome_trace`] uses for its track id).
+    /// The node the record names (`node`, else `src`, else `from` — the
+    /// precedence [`super::chrome_trace`] uses for its track id). A record
+    /// naming none of them, such as `answer-mapped`, has none.
     pub node: Option<u64>,
 }
 
 impl DivergentRecord {
     fn decode(line: &str) -> Self {
-        let rec = json::parse(line).unwrap_or(JsonValue::Null);
+        let rec = parse_line(line);
         DivergentRecord {
             line: line.to_string(),
             kind: rec.str_at("ev").map(str::to_string),
             time_us: rec.u64_at("t"),
-            node: rec
-                .u64_at("node")
-                .or_else(|| rec.u64_at("src"))
-                .or_else(|| rec.u64_at("from"))
-                .or_else(|| rec.u64_at("user")),
+            node: record_node(&rec),
         }
     }
 }
@@ -123,11 +120,10 @@ impl TraceDiff {
 /// without an `ev` field (headers, anything that is not a JSON object) are
 /// skipped, and a byte-truncated final line is dropped and flagged.
 fn record_lines(text: &str) -> (Vec<&str>, BTreeMap<String, u64>, bool) {
-    let (text, truncated) = json::complete_lines(text);
+    let (lines, truncated) = trace_lines(text);
     let mut records = Vec::new();
     let mut counts = BTreeMap::new();
-    for line in text.lines() {
-        let rec = json::parse(line).unwrap_or(JsonValue::Null);
+    for (line, rec) in lines {
         if let Some(kind) = rec.str_at("ev") {
             records.push(line);
             *counts.entry(kind.to_string()).or_insert(0) += 1;
@@ -249,6 +245,22 @@ mod tests {
         assert_eq!((d.kind_deltas[0].count_a, d.kind_deltas[0].count_b), (1, 0));
         assert_eq!(d.kind_deltas[1].kind, "frame-tx");
         assert_eq!((d.kind_deltas[1].count_a, d.kind_deltas[1].count_b), (1, 2));
+    }
+
+    #[test]
+    fn a_record_naming_no_node_reports_none() {
+        let answer = |user| {
+            format!(
+                "{{\"t\":5,\"ev\":\"answer-mapped\",\"user\":{user},\"synthetic\":9,\
+                 \"epoch_ms\":0,\"rows\":1,\"nonempty\":true,\"latency_ms\":5}}"
+            )
+        };
+        let d = trace_diff(&trace_of(&[answer(3)]), &trace_of(&[answer(4)]), 0);
+        let div = d.divergence.expect("the user ids differ");
+        let a = div.a.expect("side A has a record");
+        assert_eq!(a.kind.as_deref(), Some("answer-mapped"));
+        assert_eq!(a.node, None, "a user query id is not a node");
+        assert!(a.to_string().ends_with("node=?"), "{a}");
     }
 
     #[test]

@@ -144,20 +144,25 @@ fn run_scenario(
 
 #[test]
 fn ring_sink_captures_the_scenarios_events() {
-    let ring = Arc::new(Mutex::new(RingSink::new(0)));
+    let ring = Arc::new(Mutex::new(RingSink::new()));
     let handle = TraceHandle::shared(ring.clone() as Arc<Mutex<dyn TraceSink>>);
     let (stats, snapshot, _) = run_scenario(Some(handle));
 
     let ring = ring.lock().unwrap();
     let records: Vec<&TraceRecord> = ring.records().collect();
     assert!(!records.is_empty());
-    assert_eq!(ring.dropped(), 0, "unbounded ring drops nothing");
 
-    let count = |f: &dyn Fn(&TraceRecord) -> bool| records.iter().filter(|r| f(r)).count() as u64;
-    let tx = count(&|r| matches!(r.event, TraceEvent::FrameTx { .. }));
-    let delivered = count(&|r| matches!(r.event, TraceEvent::FrameDelivered { .. }));
-    let sleeps = count(&|r| matches!(r.event, TraceEvent::SleepStart { .. }));
-    let missed = count(&|r| matches!(r.event, TraceEvent::FrameMissed { .. }));
+    use ttmqo_sim::Probe as P;
+    let count = |f: &dyn Fn(&P) -> bool| {
+        records
+            .iter()
+            .filter(|r| matches!(&r.event, TraceEvent::Engine(p) if f(p)))
+            .count() as u64
+    };
+    let tx = count(&|p| matches!(p, P::Tx { .. }));
+    let delivered = count(&|p| matches!(p, P::Delivered { .. }));
+    let sleeps = count(&|p| matches!(p, P::Sleep { .. }));
+    let missed = count(&|p| matches!(p, P::Missed { .. }));
 
     // Every transmission the metrics counted appears in the trace, and the
     // scripted nap produced its sleep and missed-frame records (the nap
@@ -232,7 +237,7 @@ fn golden_trace_is_byte_identical_across_runs() {
 fn tracing_never_changes_what_the_simulation_computes() {
     let untraced = run_scenario(None);
     let disabled = run_scenario(Some(TraceHandle::disabled()));
-    let ring = Arc::new(Mutex::new(RingSink::new(0)));
+    let ring = Arc::new(Mutex::new(RingSink::new()));
     let enabled = run_scenario(Some(TraceHandle::shared(
         ring.clone() as Arc<Mutex<dyn TraceSink>>
     )));

@@ -47,7 +47,7 @@ use ttmqo::core::{
 use ttmqo::query::{parse_query, QueryId, BASE_EPOCH_MS};
 use ttmqo::sim::{
     chrome_trace, gini, max_mean_ratio, summarize_trace, trace_diff, FaultPlan, JsonLinesSink,
-    NodeId, Observe, SimTime, TraceEvent, TraceHandle, TraceRecord, TraceSink,
+    NodeId, Observe, Probe, SimTime, TraceEvent, TraceHandle, TraceRecord, TraceSink,
 };
 use ttmqo::workloads::workload_a;
 
@@ -230,12 +230,6 @@ fn analyze(args: &[String]) -> Result<(), ExitCode> {
         if summary.malformed_lines > 0 {
             println!("{} malformed lines skipped", summary.malformed_lines);
         }
-        if summary.dropped_records > 0 {
-            println!(
-                "{} records dropped at capture time (ring eviction)",
-                summary.dropped_records
-            );
-        }
         if summary.truncated_tail {
             println!("final line truncated (crash-time trace tail tolerated)");
         }
@@ -329,16 +323,16 @@ struct Airtime {
 
 impl TraceSink for Airtime {
     fn record(&mut self, rec: &TraceRecord) {
-        if let TraceEvent::FrameTx {
-            src, airtime_us, ..
-        } = &rec.event
+        if let TraceEvent::Engine(Probe::Tx {
+            node, airtime_us, ..
+        }) = rec.event
         {
             let epoch = (rec.time_us / (BASE_EPOCH_MS * 1000)) as usize;
             if self.epochs.len() <= epoch {
                 self.epochs
                     .resize(epoch + 1, vec![0.0; HOTSPOT_GRID_N * HOTSPOT_GRID_N]);
             }
-            self.epochs[epoch][src.index()] += *airtime_us as f64 / 1000.0;
+            self.epochs[epoch][node.index()] += airtime_us as f64 / 1000.0;
         }
     }
 }

@@ -109,7 +109,7 @@ const CODE: [&str; 3] = ["crates", "src", "examples"];
 
 /// Mechanisms the documents describe as deleted: they may be named, and must
 /// not exist.
-const GONE: [&str; 9] = [
+const GONE: [&str; 10] = [
     "CampaignReport::rollup",
     "CampaignSpec::warm_start",
     "Ctx::rand_f64",
@@ -117,6 +117,7 @@ const GONE: [&str; 9] = [
     "MetricsSnapshot::tx_bytes_total",
     "Observe::profile",
     "Observe::timeseries",
+    "Probe::trace_event",
     "QueryCompleteness::missing_epochs",
     "SelectivityEstimator::observation_count",
 ];

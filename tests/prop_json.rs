@@ -21,8 +21,8 @@ use ttmqo::sim::json::{self, JsonValue};
 use ttmqo::sim::{
     chrome_trace, summarize_trace, trace_diff, trace_header, AuditCheck, AuditReport,
     AuditViolation, CompletenessReport, EngineStats, EpochRollup, MetricsSnapshot, MsgKind, NodeId,
-    ProvenanceId, QueryCompleteness, TraceDest, TraceEvent, TraceRecord, TraceSummary,
-    SCHEMA_VERSION,
+    Probe, ProvenanceId, QueryCompleteness, Reception, TraceDest, TraceEvent, TraceRecord,
+    TraceSummary, SCHEMA_VERSION,
 };
 use ttmqo_bench::{EngineBenchResult, FaultBenchResult};
 
@@ -224,6 +224,11 @@ fn trace_record(rng: &mut TestRng) -> (TraceRecord, Leaves) {
     let (flag_a, flag_b, latency_ms) = (flag(rng), flag(rng), count(rng));
     let (list, list2) = (qids(rng), qids(rng));
     let members = [vec![u("synthetic", a)], each("members", ids(&list))].concat();
+    let reception = Reception {
+        src,
+        node: at,
+        kind,
+    };
     let frame = |extra: Leaves| {
         let mut leaves = vec![
             u("src", src.0 as u64),
@@ -233,7 +238,9 @@ fn trace_record(rng: &mut TestRng) -> (TraceRecord, Leaves) {
         leaves.extend(extra);
         leaves
     };
-    let (event, fields): (TraceEvent, Leaves) = match rng.sample(0..26u8) {
+    let at_node = |extra: Leaves| [vec![u("node", at.0 as u64)], extra].concat();
+    let engine = TraceEvent::Engine;
+    let (event, ev, fields): (TraceEvent, &str, Leaves) = match rng.sample(0..30u8) {
         0 => {
             let (dest, dest_leaves) = match rng.sample(0..3u8) {
                 0 => (TraceDest::Broadcast, vec![s("dest", "broadcast")]),
@@ -247,101 +254,117 @@ fn trace_record(rng: &mut TestRng) -> (TraceRecord, Leaves) {
             let mut leaves = vec![u("src", src.0 as u64), s("kind", kind)];
             leaves.extend(dest_leaves);
             leaves.extend([u("bytes", bytes as u64), u("airtime_us", a)]);
-            let event = TraceEvent::FrameTx {
-                src,
+            let event = engine(Probe::Tx {
+                node: src,
                 kind,
                 dest,
                 bytes,
                 airtime_us: a,
-            };
-            (event, leaves)
+            });
+            (event, "frame-tx", leaves)
         }
         1 => {
             let deferrals = rng.sample(0..=u32::MAX);
             (
-                TraceEvent::CsmaDeferred {
+                engine(Probe::CsmaDeferred {
                     node: at,
                     deferrals,
                     capped: flag_a,
-                },
-                vec![
-                    u("node", at.0 as u64),
-                    u("deferrals", deferrals as u64),
-                    b("capped", flag_a),
-                ],
+                }),
+                "csma-deferred",
+                at_node(vec![u("deferrals", deferrals as u64), b("capped", flag_a)]),
             )
         }
         2 => (
-            TraceEvent::FrameDelivered {
-                src,
-                node: at,
-                kind,
+            engine(Probe::Delivered {
+                at: reception,
                 intended: flag_a,
-            },
+            }),
+            "frame-delivered",
             frame(vec![b("intended", flag_a)]),
         ),
         3 => (
-            TraceEvent::FrameCollision {
-                src,
-                node: at,
-                kind,
-            },
+            engine(Probe::Collision(reception)),
+            "frame-collision",
             frame(vec![]),
         ),
-        4 => (
-            TraceEvent::FrameLost {
-                src,
-                node: at,
-                kind,
-            },
-            frame(vec![]),
-        ),
+        4 => (engine(Probe::Lost(reception)), "frame-lost", frame(vec![])),
         5 => (
-            TraceEvent::FrameGaveUp {
-                src,
-                node: at,
-                kind,
-            },
+            engine(Probe::GaveUp(reception)),
+            "frame-gave-up",
             frame(vec![]),
         ),
         6 => (
-            TraceEvent::FrameMissed {
-                src,
-                node: at,
-                kind,
+            engine(Probe::Missed {
+                at: reception,
                 asleep: flag_a,
-            },
+            }),
+            "frame-missed",
             frame(vec![b("asleep", flag_a)]),
         ),
         7 => {
             let retries_left = rng.sample(0..=u32::MAX);
             (
-                TraceEvent::FrameRetry {
-                    src,
-                    node: at,
-                    kind,
+                engine(Probe::Retry {
+                    at: reception,
                     retries_left,
-                },
+                }),
+                "frame-retry",
                 frame(vec![u("retries_left", retries_left as u64)]),
             )
         }
+        // A nap's, wake's or crash's retracted time is booked, not traced.
         8 => (
-            TraceEvent::SleepStart {
+            engine(Probe::Sleep {
                 node: at,
                 duration_ms: a,
-            },
-            vec![u("node", at.0 as u64), u("duration_ms", a)],
+                pending_us: c,
+            }),
+            "sleep-start",
+            at_node(vec![u("duration_ms", a)]),
         ),
-        9 => (TraceEvent::Wake { node: at }, vec![u("node", at.0 as u64)]),
+        9 => (
+            engine(Probe::Wake {
+                node: at,
+                pending_us: c,
+            }),
+            "wake",
+            at_node(vec![]),
+        ),
         10 => (
-            TraceEvent::FaultCrash { node: at },
-            vec![u("node", at.0 as u64)],
+            engine(Probe::Crash {
+                node: at,
+                pending_us: c,
+            }),
+            "fault-crash",
+            at_node(vec![]),
         ),
         11 => (
-            TraceEvent::FaultRecover { node: at },
-            vec![u("node", at.0 as u64)],
+            engine(Probe::Recover { node: at }),
+            "fault-recover",
+            at_node(vec![]),
         ),
+        // The four occurrences `Probes::emit` never traces, built by hand.
         12 => {
+            let busy_ms = float(rng);
+            (
+                engine(Probe::Rx { node: at, busy_ms }),
+                "rx",
+                at_node(vec![f("busy_ms", busy_ms)]),
+            )
+        }
+        13 => (engine(Probe::Sample), "sample", vec![]),
+        14 => (
+            engine(Probe::Orphaned { node: at }),
+            "orphaned",
+            at_node(vec![]),
+        ),
+        15 => (
+            engine(Probe::Late { partials: flag_a }),
+            "late",
+            vec![b("partials", flag_a)],
+        ),
+        16 => {
             let mut leaves = vec![u("node", at.0 as u64), u("epoch_ms", epoch_ms)];
             leaves.extend(each("due", ids(&list)));
             let event = TraceEvent::EpochFire {
@@ -349,9 +372,9 @@ fn trace_record(rng: &mut TestRng) -> (TraceRecord, Leaves) {
                 epoch_ms,
                 due: list,
             };
-            (event, leaves)
+            (event, "epoch-fire", leaves)
         }
-        13 => {
+        17 => {
             let mut leaves = vec![u("node", at.0 as u64), u("epoch_ms", epoch_ms)];
             leaves.extend(each("acq", ids(&list)));
             leaves.extend(each("agg", ids(&list2)));
@@ -361,9 +384,9 @@ fn trace_record(rng: &mut TestRng) -> (TraceRecord, Leaves) {
                 acq: list,
                 agg: list2,
             };
-            (event, leaves)
+            (event, "shared-acquisition", leaves)
         }
-        14 => {
+        18 => {
             let to = vec_of(rng, 3, node);
             let prov = vec_of(rng, 3, |rng| ProvenanceId::new(node(rng), uint(rng) >> 16));
             let mut leaves = vec![u("from", src.0 as u64)];
@@ -380,9 +403,9 @@ fn trace_record(rng: &mut TestRng) -> (TraceRecord, Leaves) {
                 qids: list,
                 origin: flag_a,
             };
-            (event, leaves)
+            (event, "result-hop", leaves)
         }
-        15 => {
+        19 => {
             let prov = ProvenanceId::new(at, a >> 16);
             let mut leaves = vec![u("prov", prov.0)];
             leaves.extend(each("qids", ids(&list)));
@@ -392,20 +415,22 @@ fn trace_record(rng: &mut TestRng) -> (TraceRecord, Leaves) {
                 qids: list,
                 epoch_ms,
             };
-            (event, leaves)
+            (event, "result-delivered", leaves)
         }
-        16 => (
+        20 => (
             TraceEvent::NoRouteResignation { node: at, epoch_ms },
+            "no-route",
             vec![u("node", at.0 as u64), u("epoch_ms", epoch_ms)],
         ),
-        17 => (
+        21 => (
             TraceEvent::ParentDead {
                 node: at,
                 parent: src,
             },
+            "parent-dead",
             vec![u("node", at.0 as u64), u("parent", src.0 as u64)],
         ),
-        18 => {
+        22 => {
             let rate = float(rng);
             let rate_leaf = if rate.is_finite() {
                 f("rate", rate)
@@ -418,52 +443,59 @@ fn trace_record(rng: &mut TestRng) -> (TraceRecord, Leaves) {
                     candidate: QueryId(c),
                     rate,
                 },
+                "tier1-eval",
                 vec![u("probe", a), u("candidate", c), rate_leaf],
             )
         }
-        19 => (
+        23 => (
             TraceEvent::Tier1Merge {
                 probe: QueryId(a),
                 candidate: QueryId(c),
                 merged: QueryId(d),
             },
+            "tier1-merge",
             vec![u("probe", a), u("candidate", c), u("merged", d)],
         ),
-        20 => (
+        24 => (
             TraceEvent::Tier1Covered {
                 probe: QueryId(a),
                 covered_by: QueryId(c),
             },
+            "tier1-covered",
             vec![u("probe", a), u("covered_by", c)],
         ),
-        21 => (
+        25 => (
             TraceEvent::Tier1Install {
                 synthetic: QueryId(a),
                 members: list,
             },
+            "tier1-install",
             members,
         ),
-        22 => (
+        26 => (
             TraceEvent::Tier1Reoptimize {
                 synthetic: QueryId(a),
                 members: list,
             },
+            "tier1-reoptimize",
             members,
         ),
-        23 => (
+        27 => (
             TraceEvent::Tier1Reindex {
                 synthetic: QueryId(a),
                 members: list,
             },
+            "tier1-reindex",
             members,
         ),
-        24 => (
+        28 => (
             TraceEvent::Tier1Remove {
                 user: QueryId(a),
                 synthetic: QueryId(c),
                 emptied: flag_a,
                 rebuilt: flag_b,
             },
+            "tier1-remove",
             vec![
                 u("user", a),
                 u("synthetic", c),
@@ -480,6 +512,7 @@ fn trace_record(rng: &mut TestRng) -> (TraceRecord, Leaves) {
                 nonempty: flag_a,
                 latency_ms,
             },
+            "answer-mapped",
             vec![
                 u("user", a),
                 u("synthetic", c),
@@ -494,7 +527,7 @@ fn trace_record(rng: &mut TestRng) -> (TraceRecord, Leaves) {
         time_us: uint(rng),
         event,
     };
-    let mut leaves = vec![u("t", record.time_us), s("ev", record.event.kind_tag())];
+    let mut leaves = vec![u("t", record.time_us), s("ev", ev)];
     leaves.extend(fields);
     (record, leaves)
 }
@@ -522,7 +555,6 @@ fn trace_summary(rng: &mut TestRng) -> (TraceSummary, Leaves) {
             nonempty_answers: uint(rng),
         }),
         malformed_lines: rng.sample(0..2u64),
-        dropped_records: rng.sample(0..2u64),
         truncated_tail: flag(rng),
         ..TraceSummary::default()
     };
@@ -544,7 +576,6 @@ fn trace_summary(rng: &mut TestRng) -> (TraceSummary, Leaves) {
         ),
         u("events", summary.events),
         u("malformed_lines", summary.malformed_lines),
-        u("dropped_records", summary.dropped_records),
         b("truncated_tail", summary.truncated_tail),
         b("lossless", summary.is_lossless()),
     ];
@@ -922,9 +953,6 @@ fn own_document(rng: &mut TestRng) -> String {
         0 | 1 => {
             let mut text = trace_header();
             text.push('\n');
-            if flag(rng) {
-                text.push_str("{\"dropped_records\":3,\"note\":\"ring-evicted\"}\n");
-            }
             for _ in 0..rng.sample(1..12usize) {
                 text.push_str(&trace_record(rng).0.to_json());
                 text.push('\n');
@@ -995,7 +1023,6 @@ fn json_soup(rng: &mut TestRng) -> String {
         "\"name\"",
         "\"wall_us\"",
         "\"events\"",
-        "\"dropped_records\"",
         "\"answer-mapped\"",
         "\"result-hop\"",
         "\"result-delivered\"",
