@@ -1,28 +1,30 @@
 //! Engine hot-path microbenchmark: transmit/deliver work and frame-slab
 //! footprint on synthetic floods, plus four end-to-end rows.
 //!
-//! Writes `BENCH_engine.json` (JSON lines, one record per scenario) holding
-//! only exact counters, so two runs write the same bytes and CI gates the
-//! smoke-scale file with `diff` against `bench/baselines/`. Host time (wall
-//! seconds, topology build, events/s) is printed in the table and nowhere
-//! else; the perf trajectory is the repo benchmark (`benchmark/`) and
-//! `bench/history/`.
+//! Writes two JSON-lines reports holding only exact counters, so two runs
+//! write the same bytes and CI gates the smoke-scale files with `diff`
+//! against `bench/baselines/`: `BENCH_engine.json` (one record per flood
+//! scenario) and `BENCH_engine_cells.jsonl` (the end-to-end rows'
+//! `CampaignReport::to_jsonl` records). Host time (wall seconds, events/s)
+//! is printed in the table and nowhere else; the perf trajectory is the
+//! repo benchmark (`benchmark/`) and `bench/history/`.
 //!
-//! Every end-to-end row runs under the standing invariant auditor, and the
-//! bench refuses to write a report in which any row counts a violation — so
-//! no violating document can become a baseline. A report it cannot write
-//! fails the bench rather than leaving an older file behind for the gate.
+//! Every end-to-end row is an audited campaign cell, and the bench refuses
+//! to write a report in which any cell counts a violation — so no violating
+//! document can become a baseline. A report it cannot write fails the bench
+//! rather than leaving an older file behind for the gate.
 //!
 //! `ENGINE_BENCH_SCALE=smoke` shrinks the simulated duration for CI smoke
-//! runs (the numbers still land in the report, labelled by the same scenario
-//! names).
+//! runs (the numbers still land in the reports, labelled by the same
+//! scenario names).
 
 use std::process::ExitCode;
 
 use ttmqo_bench::{
-    engine_microbench, print_table, twotier_bench, EngineBenchParams, TwoTierBenchParams,
-    ENGINE_REPORT_FILE,
+    engine_campaigns, engine_microbench, print_table, write_report, EngineBenchParams,
+    ENGINE_CELLS_FILE, ENGINE_REPORT_FILE,
 };
+use ttmqo_core::run_campaign;
 
 fn main() -> ExitCode {
     let smoke = std::env::var("ENGINE_BENCH_SCALE").as_deref() == Ok("smoke");
@@ -31,31 +33,35 @@ fn main() -> ExitCode {
     // enough simulated time to exercise retries and collisions while
     // staying trivial for CI.
     let duration_ms = if smoke { 30_000 } else { 600_000 };
-    // Two-tier and baseline rows replay Workload A end to end; durations are
-    // in epochs (2048 ms) so every row sees complete result rounds.
-    let twotier_duration_ms = if smoke { 16 * 2048 } else { 64 * 2048 };
+    // The end-to-end rows replay Workload A; durations are in epochs
+    // (2048 ms) so every row sees complete result rounds.
+    let e2e_duration_ms = if smoke { 16 * 2048 } else { 64 * 2048 };
 
-    let results: Vec<_> = EngineBenchParams::default_scenarios(duration_ms)
+    let floods: Vec<_> = EngineBenchParams::default_scenarios(duration_ms)
         .iter()
         .map(engine_microbench)
-        .chain(
-            TwoTierBenchParams::default_scenarios(twotier_duration_ms)
-                .iter()
-                .map(twotier_bench),
-        )
         .collect();
-    let rows: Vec<Vec<String>> = results
+    let reports = engine_campaigns(e2e_duration_ms).map(|spec| run_campaign(&spec));
+    let cells: Vec<_> = reports.iter().flat_map(|r| &r.cells).collect();
+
+    let flood_rows = floods
         .iter()
-        .map(|r| {
+        .map(|r| (r.name.clone(), r.grid_n, r.wall_s, &r.stats));
+    let cell_rows = cells.iter().map(|c| {
+        let name = format!("{}-{}x{}", c.strategy, c.grid_n, c.grid_n);
+        (name, c.grid_n, c.wall_clock_ms / 1000.0, &c.engine)
+    });
+    let rows: Vec<Vec<String>> = flood_rows
+        .chain(cell_rows)
+        .map(|(name, grid_n, wall_s, s)| {
             vec![
-                r.name.clone(),
-                (r.grid_n * r.grid_n).to_string(),
-                format!("{:.4}", r.wall_s),
-                format!("{:.4}", r.topo_build_s),
-                r.events.to_string(),
-                format!("{:.0}", r.events as f64 / r.wall_s.max(1e-9)),
-                r.stats.frame_slab_high_water.to_string(),
-                r.stats.csma_capped_deferrals.to_string(),
+                name,
+                (grid_n * grid_n).to_string(),
+                format!("{wall_s:.4}"),
+                s.events_processed.to_string(),
+                format!("{:.0}", s.events_processed as f64 / wall_s.max(1e-9)),
+                s.frame_slab_high_water.to_string(),
+                s.csma_capped_deferrals.to_string(),
             ]
         })
         .collect();
@@ -65,7 +71,6 @@ fn main() -> ExitCode {
             "scenario",
             "nodes",
             "wall s",
-            "topo s",
             "events",
             "events/s",
             "slab high-water",
@@ -75,25 +80,26 @@ fn main() -> ExitCode {
     );
 
     // The auditor is end-of-run arithmetic over counters the run produces
-    // anyway; a row with violations is a correctness bug, never a baseline.
-    for r in &results {
-        assert!(
-            matches!(r.audit_violations, None | Some(0)),
-            "audited {} run must be violation-free, got {:?}",
-            r.name,
-            r.audit_violations
-        );
+    // anyway; a cell with violations is a correctness bug, never a baseline.
+    let dirty: Vec<_> = cells
+        .iter()
+        .filter(|c| !c.audit.as_ref().is_some_and(|a| a.is_clean()))
+        .collect();
+    for c in &dirty {
+        eprintln!("{}-{}: {:?}", c.strategy, c.grid_n, c.audit);
+    }
+    if !dirty.is_empty() {
+        eprintln!("audit violations: wrote neither {ENGINE_REPORT_FILE} nor {ENGINE_CELLS_FILE}");
+        return ExitCode::FAILURE;
     }
 
-    let report: String = results.iter().map(|r| r.to_json() + "\n").collect();
-    match std::fs::write(ENGINE_REPORT_FILE, report) {
-        Ok(()) => {
-            eprintln!("wrote {} records to {ENGINE_REPORT_FILE}", results.len());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("could not write {ENGINE_REPORT_FILE}: {e}");
-            ExitCode::FAILURE
-        }
+    let flood_jsonl: String = floods.iter().map(|r| r.to_json() + "\n").collect();
+    let cells_jsonl: String = reports.iter().map(|r| r.to_jsonl()).collect();
+    if write_report(ENGINE_REPORT_FILE, &flood_jsonl)
+        && write_report(ENGINE_CELLS_FILE, &cells_jsonl)
+    {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

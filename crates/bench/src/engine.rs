@@ -1,5 +1,6 @@
 //! Engine microbenchmark: the transmit/deliver hot path, with an exact JSON
-//! report (`BENCH_engine.json`).
+//! report (`BENCH_engine.json`), plus four end-to-end rows run as campaign
+//! cells (`BENCH_engine_cells.jsonl`).
 //!
 //! Every figure in the paper is replayed through `Simulator`'s
 //! transmit/deliver loop thousands of epochs per campaign cell, so that loop
@@ -13,13 +14,18 @@
 //! proxy; the slab recycles slots, so it must stay flat as simulated time
 //! grows) — so two runs write the same bytes. Host time is measured and
 //! printed by the bench, never written.
+//!
+//! The end-to-end rows ([`engine_campaigns`]) run the full stack instead, so
+//! the engine is also tracked under real protocol traffic. They are
+//! experiments, not engine drivers, so their report is their
+//! [`CellRecord`](ttmqo_core::CellRecord)s.
 
 use std::time::Instant;
-use ttmqo_core::{run_experiment, ExperimentConfig, Strategy};
+use ttmqo_core::{CampaignSpec, ExperimentConfig, Strategy};
 use ttmqo_sim::json;
 use ttmqo_sim::{
-    ConstantField, Ctx, Destination, EngineStats, MsgKind, NodeApp, NodeId, Observe, RadioParams,
-    SimConfig, SimTime, Simulator, Topology,
+    ConstantField, Ctx, Destination, EngineStats, MsgKind, NodeApp, NodeId, RadioParams, SimConfig,
+    SimTime, Simulator, Topology,
 };
 use ttmqo_workloads::workload_a;
 
@@ -82,54 +88,43 @@ impl EngineBenchParams {
     }
 }
 
-/// One end-to-end row of the engine bench: the full stack (Tier-1
-/// optimizer, in-network tier or TinyDB app, runner) on a big grid, so the
-/// report tracks how the engine scales under real protocol traffic — SRT
-/// floods, epoch-synchronized results, maintenance beacons — not just
-/// synthetic flood load.
-#[derive(Debug, Clone)]
-pub struct TwoTierBenchParams {
-    /// Scenario name carried into the report.
-    pub name: String,
-    /// What runs on the grid: the two-tier scheme for the ladder, the
-    /// TinyDB baseline for the backlog row.
-    pub strategy: Strategy,
-    /// Grid side (nodes = `grid_n²`).
-    pub grid_n: usize,
-    /// Simulated duration, ms.
-    pub duration_ms: u64,
-}
-
-impl TwoTierBenchParams {
-    /// The big-grid two-tier ladder, then the one row with a deep CSMA
-    /// backlog. `duration_ms` is the 16×16 row's simulated duration; larger
-    /// grids shrink it like the flood rows do.
-    ///
-    /// The flood and two-tier rows keep the pending-event population near
-    /// the node count. `baseline-32x32` — every user query of Workload A
-    /// run unshared under TinyDB — offers more than the channel carries, so
-    /// frames queue behind carrier sense and the backlog grows with the run
-    /// (slab high water 16,398 after 16 base epochs, 72,158 after 64). That
-    /// is the shape that tells an event queue that holds up under backlog
-    /// from one that does not. It is not shrunk: the backlog needs the
-    /// epochs.
-    pub fn default_scenarios(duration_ms: u64) -> Vec<TwoTierBenchParams> {
-        let base = |name: &str, strategy, grid_n, duration_ms| TwoTierBenchParams {
-            name: name.to_string(),
-            strategy,
-            grid_n,
-            duration_ms,
+/// The engine bench's end-to-end rows: Workload A through the full stack
+/// (Tier-1 optimizer, in-network tier or TinyDB app, runner), each an
+/// audited one-cell campaign. `duration_ms` is the 16×16 row's simulated
+/// duration; larger grids shrink it like the flood rows do.
+///
+/// The big-grid two-tier ladder comes first, then the one row with a deep
+/// CSMA backlog. The flood and two-tier rows keep the pending-event
+/// population near the node count. `baseline-32x32` — every user query of
+/// Workload A run unshared under TinyDB — offers more than the channel
+/// carries, so frames queue behind carrier sense and the backlog grows with
+/// the run (slab high water 16,398 after 16 base epochs, 72,158 after 64).
+/// That is the shape that tells an event queue that holds up under backlog
+/// from one that does not. It is not shrunk: the backlog needs the epochs.
+pub fn engine_campaigns(duration_ms: u64) -> [CampaignSpec; 4] {
+    let cell = |strategy, grid_n, duration_ms| {
+        let base = ExperimentConfig {
+            duration: SimTime::from_ms(duration_ms),
+            ..ExperimentConfig::default()
         };
-        vec![
-            base("twotier-16x16", Strategy::TwoTier, 16, duration_ms),
-            base("twotier-32x32", Strategy::TwoTier, 32, duration_ms / 2),
-            base("twotier-64x64", Strategy::TwoTier, 64, duration_ms / 4),
-            base("baseline-32x32", Strategy::Baseline, 32, duration_ms),
-        ]
-    }
+        CampaignSpec::new(base)
+            .strategies([strategy])
+            .grid_sizes([grid_n])
+            .workload("A", workload_a())
+            .audit()
+    };
+    [
+        cell(Strategy::TwoTier, 16, duration_ms),
+        cell(Strategy::TwoTier, 32, duration_ms / 2),
+        cell(Strategy::TwoTier, 64, duration_ms / 4),
+        cell(Strategy::Baseline, 32, duration_ms),
+    ]
 }
 
-/// Measured results of one scenario.
+/// File the engine bench writes its end-to-end cell records to.
+pub const ENGINE_CELLS_FILE: &str = "BENCH_engine_cells.jsonl";
+
+/// Measured results of one flood scenario.
 #[derive(Debug, Clone)]
 pub struct EngineBenchResult {
     /// Scenario name.
@@ -141,20 +136,11 @@ pub struct EngineBenchResult {
     /// Host wall-clock of the run, seconds (excludes the topology build).
     /// Printed by the bench, not written to the report.
     pub wall_s: f64,
-    /// Host wall-clock of the topology build (neighbour lists + BFS levels)
-    /// for this scenario's grid, seconds. Printed, not written.
-    pub topo_build_s: f64,
-    /// Engine events processed (transmit deliveries, timers, commands).
-    pub events: u64,
-    /// Frames put on the air.
-    pub tx_frames: u64,
     /// Frames handed to apps (`on_message` + `on_overhear`).
     pub delivered: u64,
-    /// Engine slab/event counters at the end of the run.
+    /// Engine counters at the end of the run: events, frames put on the
+    /// air, slab occupancy.
     pub stats: EngineStats,
-    /// Standing-auditor violation count of an end-to-end row (the flood
-    /// rows run no auditor).
-    pub audit_violations: Option<u64>,
 }
 
 /// The trivial traffic generator: every `interval_ms` each node broadcasts
@@ -216,9 +202,7 @@ impl NodeApp for FloodApp {
 
 /// Runs one scenario and measures it.
 pub fn engine_microbench(params: &EngineBenchParams) -> EngineBenchResult {
-    let topo_start = Instant::now();
     let topo = Topology::grid(params.grid_n).expect("valid bench grid");
-    let topo_build_s = topo_start.elapsed().as_secs_f64();
     let radio = RadioParams {
         collisions: params.collisions,
         ..RadioParams::default()
@@ -246,68 +230,13 @@ pub fn engine_microbench(params: &EngineBenchParams) -> EngineBenchResult {
     let delivered: u64 = (0..params.grid_n * params.grid_n)
         .map(|i| sim.node(NodeId(i as u16)).delivered)
         .sum();
-    let stats = sim.engine_stats();
-    let events = stats.events_processed;
     EngineBenchResult {
         name: params.name.clone(),
         grid_n: params.grid_n,
         duration_ms: params.duration_ms,
         wall_s,
-        topo_build_s,
-        events,
-        tx_frames: sim.metrics().tx_count_total(),
         delivered,
-        stats,
-        audit_violations: None,
-    }
-}
-
-/// Runs one end-to-end scenario (Workload A through the full stack under
-/// `params.strategy`) and measures it with the same report shape as the
-/// flood rows.
-/// `delivered` counts result rows delivered at the base station. The
-/// standing invariant auditor is always armed: it is end-of-run arithmetic
-/// that moves no counter, and the row carries its violation count.
-pub fn twotier_bench(params: &TwoTierBenchParams) -> EngineBenchResult {
-    let topo_start = Instant::now();
-    let topo = Topology::grid(params.grid_n).expect("valid bench grid");
-    let topo_build_s = topo_start.elapsed().as_secs_f64();
-    let config = ExperimentConfig {
-        strategy: params.strategy,
-        grid_n: params.grid_n,
-        duration: SimTime::from_ms(params.duration_ms),
-        topology_override: Some(topo),
-        observe: Observe {
-            audit: true,
-            ..Observe::default()
-        },
-        ..ExperimentConfig::default()
-    };
-    let start = Instant::now();
-    let report = run_experiment(&config, &workload_a());
-    let wall_s = start.elapsed().as_secs_f64();
-
-    let delivered: u64 = report
-        .completeness
-        .per_query
-        .values()
-        .map(|qc| qc.delivered_rows)
-        .sum();
-    let events = report.engine.events_processed;
-    EngineBenchResult {
-        name: params.name.clone(),
-        grid_n: params.grid_n,
-        duration_ms: params.duration_ms,
-        wall_s,
-        topo_build_s,
-        events,
-        tx_frames: report.metrics.tx_count_total(),
-        delivered,
-        stats: report.engine,
-        audit_violations: report
-            .audit
-            .as_ref()
-            .map(|audit| audit.violations.len() as u64),
+        stats: sim.engine_stats(),
     }
 }
 
@@ -321,22 +250,17 @@ impl EngineBenchResult {
             o.str("name", &self.name);
             o.u64("grid_n", self.grid_n as u64);
             o.u64("duration_ms", self.duration_ms);
-            o.u64("events", self.events);
-            o.u64("tx_frames", self.tx_frames);
+            o.u64("events", s.events_processed);
+            o.u64("tx_frames", s.frames_total);
             o.u64("delivered", self.delivered);
-            o.u64("frames_total", s.frames_total);
-            o.u64("slab_len", s.frame_slab_len as u64);
             o.u64("slab_high_water", s.frame_slab_high_water as u64);
             o.u64("frames_in_flight", s.frames_in_flight as u64);
             o.u64("csma_capped_deferrals", s.csma_capped_deferrals);
-            if let Some(violations) = self.audit_violations {
-                o.u64("audit_violations", violations);
-            }
         })
     }
 }
 
-/// Default file the engine bench writes its JSON-lines report to.
+/// File the engine bench writes its flood rows to.
 pub const ENGINE_REPORT_FILE: &str = "BENCH_engine.json";
 
 #[cfg(test)]
@@ -360,8 +284,7 @@ mod tests {
     #[test]
     fn microbench_counts_events_and_bounds_slab() {
         let r = engine_microbench(&tiny());
-        assert!(r.events > 0 && r.tx_frames > 0 && r.delivered > 0);
-        assert!(r.stats.frames_total >= r.tx_frames);
+        assert!(r.stats.events_processed > 0 && r.stats.frames_total > 0 && r.delivered > 0);
         // The slab recycles: its footprint is in-flight frames, an order of
         // magnitude (and asymptotically unboundedly) below total
         // transmissions.

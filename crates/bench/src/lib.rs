@@ -17,12 +17,10 @@ pub mod fig5;
 pub mod table;
 
 pub use engine::{
-    engine_microbench, twotier_bench, EngineBenchParams, EngineBenchResult, TwoTierBenchParams,
+    engine_campaigns, engine_microbench, EngineBenchParams, EngineBenchResult, ENGINE_CELLS_FILE,
     ENGINE_REPORT_FILE,
 };
-pub use faults::{
-    fault_bench, FaultBenchParams, FaultBenchResult, FAULTS_REPORT_FILE, FAULT_BENCH_EPOCH_MS,
-};
+pub use faults::{fault_campaigns, FAULT_BENCH_EPOCH_MS, FAULT_CELLS_FILE};
 pub use fig2::{fig2_counts, Fig2Counts};
 pub use fig34::{
     fig3_campaign, fig3_matrix, optimizer_sweep, optimizer_sweep_with, Fig3Cell, OptimizerSweep,
@@ -30,3 +28,15 @@ pub use fig34::{
 };
 pub use fig5::{fig5_campaign, fig5_cell_name, fig5_points, fig5_savings, Fig5Point};
 pub use table::print_table;
+
+/// Writes a bench's JSON-lines report to `file` and says so on stderr.
+/// Returns `false` if it could not, so the bench fails rather than leave an
+/// older file behind for the CI gate.
+pub fn write_report(file: &str, jsonl: &str) -> bool {
+    let written = std::fs::write(file, jsonl);
+    match &written {
+        Ok(()) => eprintln!("wrote {} records to {file}", jsonl.lines().count()),
+        Err(e) => eprintln!("could not write {file}: {e}"),
+    }
+    written.is_ok()
+}

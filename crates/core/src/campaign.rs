@@ -321,7 +321,7 @@ impl CellRecord {
     ///  "energy_mj":14000.2,"max_node_energy_mj":950.8,
     ///  "optimizer":{"inserted":4,"terminated":4,"injections":2,"abortions":1,
     ///               "absorbed_insertions":2,"absorbed_terminations":3},
-    ///  "completeness":{"min_epoch_ratio":1,"min_row_ratio":0.95,
+    ///  "completeness":{"min_epoch_ratio":1,"min_row_ratio":0.95,"delivered_rows":1520,
     ///                  "repairs_triggered":0,"mean_repair_latency_ms":null},
     ///  "metrics":{"avg_transmission_time_pct":0.41,"total_tx_busy_ms":1031.2,
     ///             "total_rx_busy_ms":2222.1,"total_sleep_ms":0,
@@ -330,13 +330,13 @@ impl CellRecord {
     ///             "orphaned_drops":0,"orphaned_nodes":0,
     ///             "samples":512,"horizon_ms":196608},
     ///  "engine":{"events_processed":5000,"frames_total":320,
-    ///            "frame_slab_high_water":4,"csma_capped_deferrals":0,
+    ///            "frame_slab_high_water":4,"frames_in_flight":0,"csma_capped_deferrals":0,
     ///            "timer_events":4000,"deliver_events":900,"command_events":8,
     ///            "maintenance_events":92,"fault_events":0}}
     /// ```
     ///
     /// `schema_version` is [`ttmqo_sim::SCHEMA_VERSION`] (shared with the
-    /// trace JSONL format and the `BENCH_*.json` reports). Host time
+    /// trace JSONL format and the flood rows of `BENCH_engine.json`). Host time
     /// (`wall_clock_ms`) is left out, so the same cell renders the same
     /// bytes on any machine and CI can `diff` the records. `optimizer` is
     /// `null` for strategies without the base-station tier. A trailing
@@ -374,6 +374,7 @@ impl CellRecord {
             o.obj("completeness", |o| {
                 o.f64("min_epoch_ratio", c.min_epoch_ratio());
                 o.f64("min_row_ratio", c.min_row_ratio());
+                o.u64("delivered_rows", c.delivered_rows());
                 o.u64("repairs_triggered", c.repairs_triggered);
                 match c.mean_repair_latency_ms() {
                     Some(ms) => o.f64("mean_repair_latency_ms", ms),
@@ -410,6 +411,7 @@ impl CellRecord {
                 o.u64("events_processed", e.events_processed);
                 o.u64("frames_total", e.frames_total);
                 o.u64("frame_slab_high_water", e.frame_slab_high_water as u64);
+                o.u64("frames_in_flight", e.frames_in_flight as u64);
                 o.u64("csma_capped_deferrals", e.csma_capped_deferrals);
                 o.u64("timer_events", e.timer_events);
                 o.u64("deliver_events", e.deliver_events);

@@ -543,4 +543,46 @@ mod tests {
         assert!(!d.presumed_dead(NodeId(1)));
         assert!(!d.record_send_failure(NodeId(1)));
     }
+
+    /// Pins the two best-link tie rules. Some sensing nodes have two upper
+    /// neighbours at the same best link quality; TinyDB's tree
+    /// (`Topology::default_parent`, also TTMQO's route when
+    /// `dynamic_parents` is off) takes the higher id, and `choose_parents`
+    /// with no has-data knowledge takes the lower. They agree everywhere
+    /// else. Unifying them moves simulated bits (ROADMAP item 11).
+    #[test]
+    fn the_two_routing_rules_break_best_link_ties_in_opposite_directions() {
+        use ttmqo_sim::Topology;
+        for (grid_n, ties) in [(4, 2), (8, 14), (32, 310)] {
+            let topo = Topology::grid(grid_n).unwrap();
+            let mut tied = 0;
+            for node in topo.nodes().skip(1) {
+                let upper: Vec<(NodeId, f64)> = topo
+                    .upper_neighbors(node)
+                    .into_iter()
+                    .map(|n| (n, topo.link_quality(node, n)))
+                    .collect();
+                let best = upper.iter().map(|&(_, q)| q).fold(0.0, f64::max);
+                let at_best: Vec<NodeId> = upper
+                    .iter()
+                    .filter(|&&(_, q)| q == best)
+                    .map(|&(n, _)| n)
+                    .collect();
+                let tinydb = topo
+                    .default_parent(node)
+                    .expect("a sensing node has a parent");
+                let Election::One(elected) = elect(&DagState::new(upper), &[1]) else {
+                    panic!("no has-data knowledge elects one parent");
+                };
+                if at_best.len() == 1 {
+                    assert_eq!((tinydb, elected), (at_best[0], at_best[0]), "node {node}");
+                } else {
+                    tied += 1;
+                    assert_eq!(at_best.len(), 2, "node {node}");
+                    assert_eq!((tinydb, elected), (at_best[1], at_best[0]), "node {node}");
+                }
+            }
+            assert_eq!(tied, ties, "{grid_n}x{grid_n}");
+        }
+    }
 }

@@ -131,8 +131,8 @@ impl AuditReport {
 
     /// Engine-internal accounting: the per-phase event breakdown must sum
     /// to `events_processed`, and the frame slab's occupancy figures must
-    /// be mutually consistent (in-flight ≤ slab length ≤ high water ≤
-    /// frames ever allocated).
+    /// be mutually consistent (in-flight ≤ high water ≤ frames ever put on
+    /// the air).
     pub fn check_engine(&mut self, engine: &EngineStats) {
         self.checks_run += 1;
         let phase_sum = engine.timer_events
@@ -149,20 +149,12 @@ impl AuditReport {
             );
         }
         self.checks_run += 1;
-        if engine.frames_in_flight > engine.frame_slab_len {
+        if engine.frames_in_flight > engine.frame_slab_high_water {
             self.violate(
                 AuditCheck::SlabSanity,
-                "frames_in_flight <= frame_slab_len",
-                format!("<= {}", engine.frame_slab_len),
-                engine.frames_in_flight,
-            );
-        }
-        if engine.frame_slab_len > engine.frame_slab_high_water {
-            self.violate(
-                AuditCheck::SlabSanity,
-                "frame_slab_len <= frame_slab_high_water",
+                "frames_in_flight <= frame_slab_high_water",
                 format!("<= {}", engine.frame_slab_high_water),
-                engine.frame_slab_len,
+                engine.frames_in_flight,
             );
         }
         if (engine.frame_slab_high_water as u64) > engine.frames_total {
@@ -366,7 +358,6 @@ mod tests {
         EngineStats {
             events_processed: 100,
             frames_total: 40,
-            frame_slab_len: 4,
             frame_slab_high_water: 4,
             frames_in_flight: 2,
             csma_capped_deferrals: 0,
@@ -405,8 +396,8 @@ mod tests {
     #[test]
     fn slab_inconsistencies_are_flagged_individually() {
         let mut engine = healthy_engine();
-        engine.frames_in_flight = 9; // > slab len
-        engine.frame_slab_len = 5; // > high water
+        engine.frames_in_flight = 9; // > high water
+        engine.frames_total = 3; // < high water
         let mut audit = AuditReport::new();
         audit.check_engine(&engine);
         let slab: Vec<_> = audit

@@ -50,10 +50,14 @@
 //!   walked in neighbour order when it fires — provably the order the
 //!   per-receiver events popped in), dividing event-queue traffic by the
 //!   fan-out factor;
-//! * collision markers live on the frame itself — one bit per position in
-//!   the sender's neighbour slice, `fanout.div_ceil(64)` words whose
-//!   capacity is recycled with the slab slot — so marking sets a bit, a
-//!   delivery tests bit `i`, and neither path searches or hashes.
+//! * collision markers live in one slab-wide word array, `corrupted`: slot
+//!   `s` owns `collision_words` words (the widest neighbourhood's bit
+//!   count, rounded up to 64), one bit per position in its sender's
+//!   neighbour slice, grown with the slab and cleared when the slot is
+//!   released. Marking a new frame sets its bit by loop index; marking the
+//!   frame it overlaps binary-searches that frame's sender's neighbour
+//!   slice for the receiver's position. A delivery tests bit `i`, and no
+//!   path hashes.
 
 use crate::faults::{FaultOverlay, FaultPlan};
 use crate::field::SensorField;
@@ -427,14 +431,12 @@ pub struct EngineStats {
     /// Events popped from the queue so far (timers, deliveries, commands,
     /// maintenance, failures).
     pub events_processed: u64,
-    /// Frames ever put on the air (slab allocations, including recycled
-    /// slots).
+    /// Frames ever put on the air: [`Metrics::tx_count_total`], since every
+    /// slab slot the engine takes is booked as one transmission.
     pub frames_total: u64,
-    /// Current slab length — the peak number of concurrently in-flight
-    /// frames so far, since slots are recycled before the slab grows.
-    pub frame_slab_len: usize,
-    /// High-water mark of the slab (equals `frame_slab_len`; kept separate
-    /// so reports stay meaningful if the slab ever learns to shrink).
+    /// High-water mark of the slab — the peak number of concurrently
+    /// in-flight frames so far, since slots are recycled before the slab
+    /// grows and the slab never shrinks.
     pub frame_slab_high_water: usize,
     /// Frames currently in flight (allocated slots minus free list).
     pub frames_in_flight: usize,
@@ -550,8 +552,6 @@ pub struct Simulator<A: NodeApp> {
     rng_state: u64,
     started: bool,
     events_processed: u64,
-    frames_total: u64,
-    slab_high_water: usize,
     csma_capped: u64,
     /// Per-phase event counters indexed by [`EnginePhase::index`] — the
     /// breakdown behind `events_processed`.
@@ -596,8 +596,6 @@ impl<A: NodeApp> Simulator<A> {
             rng_state,
             started: false,
             events_processed: 0,
-            frames_total: 0,
-            slab_high_water: 0,
             csma_capped: 0,
             phase_events: [0; EnginePhase::COUNT],
             topology,
@@ -622,9 +620,8 @@ impl<A: NodeApp> Simulator<A> {
     pub fn engine_stats(&self) -> EngineStats {
         EngineStats {
             events_processed: self.events_processed,
-            frames_total: self.frames_total,
-            frame_slab_len: self.frames.len(),
-            frame_slab_high_water: self.slab_high_water,
+            frames_total: self.metrics().tx_count_total(),
+            frame_slab_high_water: self.frames.len(),
             frames_in_flight: self.frames.len() - self.free_frames.len(),
             csma_capped_deferrals: self.csma_capped,
             timer_events: self.phase_events[EnginePhase::Timer.index()],
@@ -737,7 +734,6 @@ impl<A: NodeApp> Simulator<A> {
     /// Takes a slab slot for `frame`, recycling a free one if possible. Its
     /// collision words are all clear either way.
     fn alloc_frame(&mut self, frame: FrameState<A::Payload>) -> usize {
-        self.frames_total += 1;
         if let Some(idx) = self.free_frames.pop() {
             self.frames[idx] = frame;
             return idx;
@@ -745,7 +741,6 @@ impl<A: NodeApp> Simulator<A> {
         self.frames.push(frame);
         self.corrupted
             .resize(self.frames.len() * self.collision_words, 0);
-        self.slab_high_water = self.slab_high_water.max(self.frames.len());
         self.frames.len() - 1
     }
 
@@ -1241,8 +1236,7 @@ impl<A: NodeApp> Debug for Simulator<A> {
             .field("nodes", &self.nodes.len())
             .field("now", &self.now())
             .field("pending_events", &self.queue.len())
-            .field("frames_total", &self.frames_total)
-            .field("frame_slab_high_water", &self.slab_high_water)
+            .field("frame_slab_high_water", &self.frames.len())
             .finish_non_exhaustive()
     }
 }

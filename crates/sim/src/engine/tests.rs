@@ -512,7 +512,7 @@ fn collisions_past_bit_64_and_recycled_slots_match_the_reference() {
         }
     }
     // Two slots served all eight frames, wide and narrow alike.
-    assert_eq!(sim.engine_stats().frame_slab_len, 2);
+    assert_eq!(sim.engine_stats().frame_slab_high_water, 2);
     assert_eq!(sim.engine_stats().frames_total, 8);
 
     let ring = ring.lock().unwrap();

@@ -1,16 +1,15 @@
 //! The workspace's one JSON layer: one writer and one exact reader.
 //!
 //! Every machine-readable report (trace JSONL and its summary, audits,
-//! campaign records, the `BENCH_*.json` rows) is rendered by
+//! campaign records, the engine bench's flood rows) is rendered by
 //! the [`Obj`]/[`Arr`] builders here and read back by [`parse`]. The policy
 //! is stated once:
 //!
 //! * **Field order is call order.** The builders own comma placement, key
 //!   quoting and bracket closing; a deterministic run renders byte-identical
 //!   documents.
-//! * **Floats** use Rust's shortest round-trip form ([`Obj::f64`]) or a
-//!   fixed number of decimals where a report already prints one
-//!   ([`Obj::fixed`]); a non-finite value becomes `null` under both.
+//! * **Floats** use Rust's shortest round-trip form ([`Obj::f64`]); a
+//!   non-finite value becomes `null`.
 //! * **Strings and keys are escaped** (`"`, `\`, `\n`, `\r`, `\t`, other
 //!   control characters as `\u00XX`).
 //! * **Unsigned integers are exact.** A literal of digits only that fits a
@@ -52,18 +51,14 @@ fn push_str_lit(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Appends `v` as a JSON number: shortest round-trip form, or `decimals`
-/// fixed decimals; `null` when non-finite.
-fn push_f64(out: &mut String, v: f64, decimals: Option<usize>) {
-    let written = match decimals {
-        _ if !v.is_finite() => {
-            out.push_str("null");
-            Ok(())
-        }
-        None => write!(out, "{v}"),
-        Some(d) => write!(out, "{v:.d$}"),
-    };
-    written.expect("writing to a String cannot fail");
+/// Appends `v` as a JSON number in shortest round-trip form; `null` when
+/// non-finite.
+fn push_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        write!(out, "{v}").expect("writing to a String cannot fail");
+    } else {
+        out.push_str("null");
+    }
 }
 
 /// Appends `v` in decimal. Integers are most of every report and of every
@@ -120,13 +115,7 @@ impl Obj<'_> {
 
     /// `"key":1.5`, shortest round-trip form; `null` when non-finite.
     pub fn f64(&mut self, key: &str, v: f64) {
-        push_f64(self.key(key), v, None);
-    }
-
-    /// `"key":1.500` with exactly `decimals` decimals; `null` when
-    /// non-finite.
-    pub fn fixed(&mut self, key: &str, v: f64, decimals: usize) {
-        push_f64(self.key(key), v, Some(decimals));
+        push_f64(self.key(key), v);
     }
 
     /// `"key":true`.
@@ -634,7 +623,7 @@ mod tests {
     }
 
     #[test]
-    fn floats_are_shortest_roundtrip_or_fixed_and_never_invalid() {
+    fn floats_are_shortest_roundtrip_and_never_invalid() {
         let json = object(|o| {
             o.f64("a", 1.5);
             o.f64("b", 5.0);
@@ -642,14 +631,11 @@ mod tests {
             o.f64("d", f64::NAN);
             o.f64("e", f64::INFINITY);
             o.f64("f", -0.0);
-            o.fixed("g", 1.0, 6);
-            o.fixed("h", 2.25, 1);
-            o.fixed("i", f64::NEG_INFINITY, 3);
+            o.f64("g", f64::NEG_INFINITY);
         });
         assert_eq!(
             json,
-            "{\"a\":1.5,\"b\":5,\"c\":7.547715999999999,\"d\":null,\"e\":null,\"f\":-0,\
-             \"g\":1.000000,\"h\":2.2,\"i\":null}"
+            "{\"a\":1.5,\"b\":5,\"c\":7.547715999999999,\"d\":null,\"e\":null,\"f\":-0,\"g\":null}"
         );
         let back = parse(&json).unwrap();
         let bits = |k| back.get(k).and_then(JsonValue::as_f64).map(f64::to_bits);

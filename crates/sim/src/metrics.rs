@@ -439,6 +439,11 @@ impl CompletenessReport {
             .fold(1.0, f64::min)
     }
 
+    /// Rows delivered in the answers of every user query.
+    pub fn delivered_rows(&self) -> u64 {
+        self.per_query.values().map(|qc| qc.delivered_rows).sum()
+    }
+
     /// Mean repair latency over triggered repairs, ms (`None` if none
     /// completed).
     pub fn mean_repair_latency_ms(&self) -> Option<f64> {

@@ -79,7 +79,7 @@ fn every_repo_path_the_documents_name_exists() {
             if fenced {
                 continue;
             }
-            // Templates (`BENCH_{engine,faults}.json`), globs and
+            // Templates (`BENCH_{engine_cells,faults}.jsonl`), globs and
             // placeholders name families of paths, not one path.
             let paths = code_spans(line).into_iter().filter(|span| {
                 ROOTS.iter().any(|root| span.starts_with(root)) && !span.contains(['{', '*', '<'])
@@ -109,12 +109,14 @@ const CODE: [&str; 3] = ["crates", "src", "examples"];
 
 /// Mechanisms the documents describe as deleted: they may be named, and must
 /// not exist.
-const GONE: [&str; 10] = [
+const GONE: [&str; 12] = [
     "CampaignReport::rollup",
     "CampaignSpec::warm_start",
     "Ctx::rand_f64",
     "DagState::presumed_dead_count",
+    "EngineStats::frame_slab_len",
     "MetricsSnapshot::tx_bytes_total",
+    "Obj::fixed",
     "Observe::profile",
     "Observe::timeseries",
     "Probe::trace_event",

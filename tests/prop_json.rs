@@ -24,7 +24,7 @@ use ttmqo::sim::{
     Probe, ProvenanceId, QueryCompleteness, Reception, TraceDest, TraceEvent, TraceRecord,
     TraceSummary, SCHEMA_VERSION,
 };
-use ttmqo_bench::{EngineBenchResult, FaultBenchResult};
+use ttmqo_bench::EngineBenchResult;
 
 // ---------------------------------------------------------------------------
 // Value generators
@@ -114,9 +114,6 @@ enum Leaf {
     U(u64),
     /// Shortest round-trip float (`null` when non-finite).
     F(f64),
-    /// Float printed with a fixed number of decimals (`null` when
-    /// non-finite).
-    Fixed(f64, usize),
     S(String),
     B(bool),
     Null,
@@ -129,9 +126,6 @@ fn u(key: &str, v: u64) -> (String, Leaf) {
 }
 fn f(key: &str, v: f64) -> (String, Leaf) {
     (key.to_string(), Leaf::F(v))
-}
-fn fixed(key: &str, v: f64, decimals: usize) -> (String, Leaf) {
-    (key.to_string(), Leaf::Fixed(v, decimals))
 }
 fn s(key: &str, v: impl ToString) -> (String, Leaf) {
     (key.to_string(), Leaf::S(v.to_string()))
@@ -198,12 +192,8 @@ fn check(json: &str, expected: &Leaves) -> Result<(), TestCaseError> {
     for ((key, got), (_, want)) in got.iter().zip(expected) {
         let matches = match want {
             Leaf::U(n) => *got == JsonValue::Uint(*n),
-            Leaf::F(x) | Leaf::Fixed(x, _) if !x.is_finite() => *got == JsonValue::Null,
+            Leaf::F(x) if !x.is_finite() => *got == JsonValue::Null,
             Leaf::F(x) => got.as_f64().map(f64::to_bits) == Some(x.to_bits()),
-            Leaf::Fixed(x, decimals) => {
-                let rendered: f64 = format!("{x:.decimals$}").parse().expect("a float");
-                got.as_f64().map(f64::to_bits) == Some(rendered.to_bits())
-            }
             Leaf::S(text) => got.as_str() == Some(text),
             Leaf::B(flag) => got.as_bool() == Some(*flag),
             Leaf::Null => *got == JsonValue::Null,
@@ -715,7 +705,6 @@ fn cell_record(rng: &mut TestRng) -> (CellRecord, Leaves) {
         engine: EngineStats {
             events_processed: count(rng),
             frames_total: uint(rng),
-            frame_slab_len: rng.sample(0..10_000usize),
             frame_slab_high_water: rng.sample(0..10_000usize),
             frames_in_flight: rng.sample(0..10_000usize),
             csma_capped_deferrals: uint(rng),
@@ -765,6 +754,7 @@ fn cell_record(rng: &mut TestRng) -> (CellRecord, Leaves) {
         vec![
             f("min_epoch_ratio", c.min_epoch_ratio()),
             f("min_row_ratio", c.min_row_ratio()),
+            u("delivered_rows", c.delivered_rows()),
             u("repairs_triggered", c.repairs_triggered),
             opt(
                 "mean_repair_latency_ms",
@@ -801,6 +791,7 @@ fn cell_record(rng: &mut TestRng) -> (CellRecord, Leaves) {
             u("events_processed", e.events_processed),
             u("frames_total", e.frames_total),
             u("frame_slab_high_water", e.frame_slab_high_water as u64),
+            u("frames_in_flight", e.frames_in_flight as u64),
             u("csma_capped_deferrals", e.csma_capped_deferrals),
             u("timer_events", e.timer_events),
             u("deliver_events", e.deliver_events),
@@ -823,67 +814,23 @@ fn engine_result(rng: &mut TestRng) -> (EngineBenchResult, Leaves) {
         grid_n: rng.sample(0..100usize),
         duration_ms: uint(rng),
         wall_s: float(rng),
-        topo_build_s: float(rng),
-        events: uint(rng),
-        tx_frames: uint(rng),
         delivered: uint(rng),
         stats: record.engine,
-        audit_violations: flag(rng).then(|| uint(rng)),
     };
     let st = &result.stats;
-    let mut leaves = vec![
+    let leaves = vec![
         u("schema_version", SCHEMA_VERSION as u64),
         s("name", &result.name),
         u("grid_n", result.grid_n as u64),
         u("duration_ms", result.duration_ms),
-        u("events", result.events),
-        u("tx_frames", result.tx_frames),
+        u("events", st.events_processed),
+        u("tx_frames", st.frames_total),
         u("delivered", result.delivered),
-        u("frames_total", st.frames_total),
-        u("slab_len", st.frame_slab_len as u64),
         u("slab_high_water", st.frame_slab_high_water as u64),
         u("frames_in_flight", st.frames_in_flight as u64),
         u("csma_capped_deferrals", st.csma_capped_deferrals),
     ];
-    leaves.extend(result.audit_violations.map(|n| u("audit_violations", n)));
     (result, leaves)
-}
-
-fn fault_result(rng: &mut TestRng) -> (FaultBenchResult, Leaves) {
-    let r = FaultBenchResult {
-        name: text(rng),
-        grid_n: rng.sample(0..100usize),
-        duration_ms: uint(rng),
-        wall_s: float(rng),
-        tx_frames: uint(rng),
-        retransmissions: uint(rng),
-        gave_up: uint(rng),
-        orphaned_drops: uint(rng),
-        orphaned_nodes: uint(rng),
-        min_epoch_ratio: float(rng),
-        min_row_ratio: float(rng),
-        repairs_triggered: uint(rng),
-        mean_repair_latency_ms: flag(rng).then(|| float(rng)),
-    };
-    let leaves = vec![
-        u("schema_version", SCHEMA_VERSION as u64),
-        s("name", &r.name),
-        u("grid_n", r.grid_n as u64),
-        u("duration_ms", r.duration_ms),
-        u("tx_frames", r.tx_frames),
-        u("retransmissions", r.retransmissions),
-        u("gave_up", r.gave_up),
-        u("orphaned_drops", r.orphaned_drops),
-        u("orphaned_nodes", r.orphaned_nodes),
-        fixed("min_epoch_ratio", r.min_epoch_ratio, 6),
-        fixed("min_row_ratio", r.min_row_ratio, 6),
-        u("repairs_triggered", r.repairs_triggered),
-        opt(
-            "mean_repair_latency_ms",
-            r.mean_repair_latency_ms.map(|ms| Leaf::Fixed(ms, 1)),
-        ),
-    ];
-    (r, leaves)
 }
 
 proptest! {
@@ -912,12 +859,8 @@ proptest! {
     }
 
     #[test]
-    fn bench_results_round_trip(
-        engine in arb(engine_result),
-        faults in arb(fault_result),
-    ) {
+    fn bench_results_round_trip(engine in arb(engine_result)) {
         check(&engine.0.to_json(), &engine.1)?;
-        check(&faults.0.to_json(), &faults.1)?;
     }
 }
 
@@ -961,11 +904,7 @@ fn own_document(rng: &mut TestRng) -> String {
         }
         2 => cell_record(rng).0.to_json(),
         3 => trace_summary(rng).0.to_json(),
-        _ => format!(
-            "{}\n{}\n",
-            engine_result(rng).0.to_json(),
-            fault_result(rng).0.to_json()
-        ),
+        _ => format!("{}\n", engine_result(rng).0.to_json()),
     }
 }
 
