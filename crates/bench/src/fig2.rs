@@ -11,6 +11,7 @@
 
 use ttmqo_core::{TtmqoApp, TtmqoConfig};
 use ttmqo_query::{parse_query, Attribute, Query, QueryId};
+use ttmqo_sim::json;
 use ttmqo_sim::{
     Metrics, MsgKind, NodeApp, NodeId, Position, RadioParams, SensorField, SimConfig, SimTime,
     Simulator, Topology,
@@ -162,6 +163,45 @@ pub fn fig2_counts(aggregation: bool) -> (Fig2Counts, Fig2Counts) {
         q2,
     );
     (tinydb, ttmqo)
+}
+
+/// One variant of the figure: TinyDB's counts and TTMQO's.
+#[derive(Debug, Clone, Copy)]
+pub struct Fig2Pair {
+    /// `"acquisition"` or `"aggregation"`.
+    pub variant: &'static str,
+    /// TinyDB on its fixed tree.
+    pub tinydb: Fig2Counts,
+    /// TTMQO on the DAG.
+    pub ttmqo: Fig2Counts,
+}
+
+impl Fig2Pair {
+    /// The pair as one JSON object:
+    /// `{"variant":"acquisition","tinydb":{"messages_per_epoch":20,"nodes_involved":8},"ttmqo":{...}}`.
+    pub fn to_json(&self) -> String {
+        json::object(|o| {
+            o.str("variant", self.variant);
+            for (key, counts) in [("tinydb", self.tinydb), ("ttmqo", self.ttmqo)] {
+                o.obj(key, |o| {
+                    o.f64("messages_per_epoch", counts.messages_per_epoch);
+                    o.u64("nodes_involved", counts.nodes_involved as u64);
+                });
+            }
+        })
+    }
+}
+
+/// Both variants of the worked example, acquisition first.
+pub fn fig2_pairs() -> [Fig2Pair; 2] {
+    [("acquisition", false), ("aggregation", true)].map(|(variant, aggregation)| {
+        let (tinydb, ttmqo) = fig2_counts(aggregation);
+        Fig2Pair {
+            variant,
+            tinydb,
+            ttmqo,
+        }
+    })
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
-//! Figure-regeneration harness for the TTMQO reproduction.
+//! Figure-regeneration and benchmark harness for the TTMQO reproduction.
 //!
-//! Each function here computes the data behind one of the paper's figures;
-//! the `benches/` binaries print them as tables (`cargo bench -p ttmqo-bench`
-//! regenerates every figure). Keeping the logic in the library lets the test
-//! suite assert the figures' *shapes* cheaply.
+//! Three `harness = false` benches use it: `figures` writes every paper
+//! figure as a file of records ([`figures`], [`sweep`], [`fig2`]) and prints
+//! its tables; `engine` and `faults` write the engine and fault reports.
+//! Keeping the specs in the library lets the test suite assert the
+//! figures' *shapes* on small runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,8 +13,8 @@
 pub mod engine;
 pub mod faults;
 pub mod fig2;
-pub mod fig34;
-pub mod fig5;
+pub mod figures;
+pub mod sweep;
 pub mod table;
 
 pub use engine::{
@@ -21,12 +22,12 @@ pub use engine::{
     ENGINE_REPORT_FILE,
 };
 pub use faults::{fault_campaigns, FAULT_BENCH_EPOCH_MS, FAULT_CELLS_FILE};
-pub use fig2::{fig2_counts, Fig2Counts};
-pub use fig34::{
-    fig3_campaign, fig3_matrix, optimizer_sweep, optimizer_sweep_with, Fig3Cell, OptimizerSweep,
-    FIG3_DURATION_EPOCHS,
+pub use fig2::{fig2_counts, fig2_pairs, Fig2Counts, Fig2Pair};
+pub use figures::{
+    ablation_campaigns, fig3_campaign, fig4_sweeps, fig5_campaign, fig5_cell_name, saving_pct,
+    scale_campaigns, FIGURE_EPOCHS, FIGURE_FILES,
 };
-pub use fig5::{fig5_campaign, fig5_cell_name, fig5_points, fig5_savings, Fig5Point};
+pub use sweep::{optimizer_sweep_with, OptimizerSweep};
 pub use table::print_table;
 
 /// Writes a bench's JSON-lines report to `file` and says so on stderr.

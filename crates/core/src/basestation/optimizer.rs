@@ -82,9 +82,6 @@ pub struct OptimizerOptions {
     /// (Algorithm 1's `Insert(q_id, Q_syn)` tail call). Disabling stops after
     /// the first merge.
     pub reinsert: bool,
-    /// Whether candidates are ranked by benefit *rate* (`benefit/cost(q_i)`,
-    /// the paper's `Beneficial`) or by raw benefit.
-    pub rank_by_rate: bool,
 }
 
 impl Default for OptimizerOptions {
@@ -92,7 +89,6 @@ impl Default for OptimizerOptions {
         OptimizerOptions {
             alpha: 0.6,
             reinsert: true,
-            rank_by_rate: true,
         }
     }
 }
@@ -448,7 +444,7 @@ impl BaseStationOptimizer {
             // order (ties go to the first seen).
             let mut best: Option<(QueryId, f64)> = None;
             for (&id, sq) in &self.synthetics {
-                let rate = self.score(&pq, sq.query());
+                let rate = self.cost.benefit_rate(&pq, sq.query());
                 self.trace(|| TraceEvent::Tier1Eval {
                     probe: pq.id(),
                     candidate: id,
@@ -516,32 +512,6 @@ impl BaseStationOptimizer {
                     return;
                 }
             }
-        }
-    }
-
-    /// Candidate score: ≥ 1.0 means covered, > 0 means a beneficial merge.
-    /// Rate mode is the paper's `Beneficial`; raw mode squashes the raw
-    /// benefit into `(0, 1)` so it never masquerades as coverage.
-    fn score(&self, probe: &Query, candidate: &Query) -> f64 {
-        if self.options.rank_by_rate {
-            return self.cost.benefit_rate(probe, candidate);
-        }
-        if ttmqo_query::covers_query(candidate, probe) {
-            return f64::INFINITY;
-        }
-        let Some(mut b) = self.cost.benefit(probe, candidate) else {
-            return 0.0;
-        };
-        if probe.is_aggregation()
-            && candidate.is_aggregation()
-            && probe.predicates().equivalent(candidate.predicates())
-        {
-            b = b.max(1e-9);
-        }
-        if b <= 0.0 {
-            b
-        } else {
-            b / (1.0 + b)
         }
     }
 

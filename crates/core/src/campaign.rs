@@ -442,24 +442,6 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// The record at the given sweep coordinates, if the campaign ran it
-    /// (the first matching record when the sweep has several fault-plan
-    /// entries — filter `cells` by `fault` name to disambiguate).
-    pub fn cell(
-        &self,
-        workload: &str,
-        strategy: Strategy,
-        grid_n: usize,
-        field_seed: u64,
-    ) -> Option<&CellRecord> {
-        self.cells.iter().find(|c| {
-            c.workload == workload
-                && c.strategy == strategy
-                && c.grid_n == grid_n
-                && c.field_seed == field_seed
-        })
-    }
-
     /// The whole report as JSON lines: one [`CellRecord::to_json`] object
     /// per line, in cell order.
     pub fn to_jsonl(&self) -> String {
@@ -706,11 +688,17 @@ mod tests {
         // Only the two-tier cell carries optimizer stats.
         assert!(report.cells[0].optimizer.is_none());
         assert!(report.cells[1].optimizer.is_some());
-        let found = report
-            .cell("tiny", Strategy::TwoTier, 3, spec.base.field_seed)
-            .expect("lookup by coordinates");
+        let at = |strategy, field_seed| {
+            report.cells.iter().find(|c| {
+                c.workload == "tiny"
+                    && c.strategy == strategy
+                    && c.grid_n == 3
+                    && c.field_seed == field_seed
+            })
+        };
+        let found = at(Strategy::TwoTier, spec.base.field_seed).expect("lookup by coordinates");
         assert_eq!(found.strategy, Strategy::TwoTier);
-        assert!(report.cell("tiny", Strategy::InNetOnly, 3, 0).is_none());
+        assert!(at(Strategy::InNetOnly, 0).is_none());
     }
 
     #[test]

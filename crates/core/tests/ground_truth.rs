@@ -19,7 +19,7 @@ use ttmqo_tinydb::{Command, Output, TinyDbApp, TinyDbConfig};
 use ttmqo_workloads::workload_a;
 
 /// Workload A's cell: 8×8, engine seed 1.
-fn cell(strategy: Strategy, radio: RadioParams) -> ExperimentConfig {
+fn config_for(strategy: Strategy, radio: RadioParams) -> ExperimentConfig {
     ExperimentConfig {
         strategy,
         grid_n: 8,
@@ -41,7 +41,7 @@ fn delivered_rows_are_field_truth_and_what_arrived_late_is_counted() {
     // frame to noise but lets frames collide and retries them.
     let radios = [RadioParams::lossless(), RadioParams::default()];
     for (radio, strategy) in radios.iter().flat_map(|r| Strategy::ALL.map(|s| (r, s))) {
-        let config = cell(strategy, radio.clone());
+        let config = config_for(strategy, radio.clone());
         let field = UniformField::new(config.field_seed);
         let report = run_experiment(&config, &workload);
         // The epochs `RunSession::finish` expects an answer for: those whose

@@ -336,7 +336,7 @@ impl TraceEvent {
                 if rate.is_finite() {
                     o.f64("rate", *rate);
                 } else {
-                    // Coverage scores can be +inf in raw-benefit mode.
+                    // JSON has no infinity; a non-finite rate is a string.
                     o.str("rate", "inf");
                 }
             }

@@ -101,6 +101,37 @@ fn every_repo_path_the_documents_name_exists() {
     );
 }
 
+/// A figure section of EXPERIMENTS.md quotes the file its numbers come
+/// from: every `## ` heading that names a `--bench` target also names a
+/// `bench/results/` file (which the test above requires to exist).
+#[test]
+fn every_bench_heading_names_its_results_file() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = fs::read_to_string(repo.join("EXPERIMENTS.md")).unwrap();
+    let headings: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("## ") && l.contains("--bench "))
+        .collect();
+    // Six figure sections at least; finding fewer means the scan broke.
+    assert!(
+        headings.len() >= 6,
+        "only {} bench headings",
+        headings.len()
+    );
+    let bare: Vec<&&str> = headings
+        .iter()
+        .filter(|h| {
+            !code_spans(h)
+                .iter()
+                .any(|s| s.starts_with("bench/results/"))
+        })
+        .collect();
+    assert!(
+        bare.is_empty(),
+        "headings name a bench but no bench/results/ file:\n{bare:#?}"
+    );
+}
+
 /// The documents that describe the code as it stands.
 const DESCRIBING: [&str; 2] = ["README.md", "DESIGN.md"];
 
@@ -109,7 +140,7 @@ const CODE: [&str; 3] = ["crates", "src", "examples"];
 
 /// Mechanisms the documents describe as deleted: they may be named, and must
 /// not exist.
-const GONE: [&str; 12] = [
+const GONE: [&str; 13] = [
     "CampaignReport::rollup",
     "CampaignSpec::warm_start",
     "Ctx::rand_f64",
@@ -119,6 +150,7 @@ const GONE: [&str; 12] = [
     "Obj::fixed",
     "Observe::profile",
     "Observe::timeseries",
+    "OptimizerOptions::rank_by_rate",
     "Probe::trace_event",
     "QueryCompleteness::missing_epochs",
     "SelectivityEstimator::observation_count",
