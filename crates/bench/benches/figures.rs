@@ -1,6 +1,7 @@
-//! Regenerates every figure of the paper's evaluation as a file of records
-//! in the working directory (`crates/bench/` under `cargo bench`), and
-//! prints each file's records as a table:
+//! Regenerates every checked-in bench result — the paper's figures, the
+//! fault campaigns and the engine rows — as files of records written
+//! straight into `bench/results/`, and prints each file's records as a
+//! table:
 //!
 //! * `fig2.jsonl` — Figure 2's worked routing example: its two count pairs;
 //! * `fig3.jsonl` — Figure 3: campaign cell records;
@@ -8,18 +9,29 @@
 //!   records, one per sweep point;
 //! * `fig5.jsonl` — Figure 5: cell records;
 //! * `ablations.jsonl` — the network ablations: cell records;
-//! * `scale.jsonl` — the supplementary experiments S1–S4: cell records.
+//! * `scale.jsonl` — the supplementary experiments S1–S4: cell records;
+//! * `faults.jsonl` — the fault campaigns over 48 epochs: cell records;
+//! * `engine.jsonl` — the engine's four end-to-end rows: cell records;
+//! * `flood.jsonl` — the engine's six flood scenarios: one record each.
 //!
 //! A saving is read against the Baseline record with the same workload,
 //! grid, field seed and fault. The records hold only what the simulation
-//! decides, so two runs write the same bytes and CI diffs each file against
-//! its copy under `bench/results/`. A file the bench cannot write fails it.
+//! decides, so two runs write the same bytes: running the bench is the
+//! refresh, and CI fails if it leaves `git status` showing a change under
+//! `bench/results/`. Host time (wall seconds, events/s) is printed in the
+//! fault and engine tables and nowhere else.
+//!
+//! If any audited cell counts a violation, the bench writes nothing and
+//! exits nonzero, so no violating record can become a result. A file the
+//! bench cannot write fails it too.
 
 use std::process::ExitCode;
 
 use ttmqo_bench::{
-    ablation_campaigns, fig2_pairs, fig3_campaign, fig4_sweeps, fig5_campaign, print_table,
-    saving_pct, scale_campaigns, write_report, OptimizerSweep, FIGURE_EPOCHS, FIGURE_FILES,
+    ablation_campaigns, engine_campaigns, engine_microbench, fault_campaigns, fig2_pairs,
+    fig3_campaign, fig4_sweeps, fig5_campaign, print_table, saving_pct, scale_campaigns,
+    write_report, EngineBenchParams, EngineBenchResult, OptimizerSweep, FIGURE_EPOCHS,
+    RESULT_FILES,
 };
 use ttmqo_core::{run_campaign, CampaignReport, CampaignSpec, CellRecord};
 use ttmqo_sim::MsgKind;
@@ -100,6 +112,78 @@ fn sweep_table(title: &str, sweeps: &[OptimizerSweep]) {
     );
 }
 
+fn fault_table(records: &[CellRecord]) {
+    let rows: Vec<Vec<String>> = records
+        .iter()
+        .map(|c| {
+            vec![
+                c.fault.clone(),
+                (c.grid_n * c.grid_n).to_string(),
+                format!("{:.4}", c.wall_clock_ms / 1000.0),
+                format!(
+                    "{:.0}",
+                    c.metrics.horizon_ms as f64 / c.wall_clock_ms.max(1e-6) * 1000.0
+                ),
+                format!("{:.3}", c.completeness.min_epoch_ratio()),
+                format!("{:.3}", c.completeness.min_row_ratio()),
+                c.completeness.repairs_triggered.to_string(),
+                c.metrics.orphaned_nodes.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "Fault bench — healing throughput and answer completeness",
+        &[
+            "fault",
+            "nodes",
+            "wall s",
+            "sim ms/s",
+            "epoch ratio",
+            "row ratio",
+            "repairs",
+            "orphans",
+        ],
+        &rows,
+    );
+}
+
+fn engine_table(floods: &[EngineBenchResult], cells: &[CellRecord]) {
+    let flood_rows = floods
+        .iter()
+        .map(|r| (r.name.clone(), r.grid_n, r.wall_s, &r.stats));
+    let cell_rows = cells.iter().map(|c| {
+        let name = format!("{}-{}x{}", c.strategy, c.grid_n, c.grid_n);
+        (name, c.grid_n, c.wall_clock_ms / 1000.0, &c.engine)
+    });
+    let rows: Vec<Vec<String>> = flood_rows
+        .chain(cell_rows)
+        .map(|(name, grid_n, wall_s, s)| {
+            vec![
+                name,
+                (grid_n * grid_n).to_string(),
+                format!("{wall_s:.4}"),
+                s.events_processed.to_string(),
+                format!("{:.0}", s.events_processed as f64 / wall_s.max(1e-9)),
+                s.frame_slab_high_water.to_string(),
+                s.csma_capped_deferrals.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "Engine microbench — transmit/deliver hot path",
+        &[
+            "scenario",
+            "nodes",
+            "wall s",
+            "events",
+            "events/s",
+            "slab high-water",
+            "csma caps",
+        ],
+        &rows,
+    );
+}
+
 fn main() -> ExitCode {
     let fig2 = fig2_pairs();
     let (fig3, fig3_file) = run([fig3_campaign(FIGURE_EPOCHS)]);
@@ -109,6 +193,14 @@ fn main() -> ExitCode {
     let (fig5, fig5_file) = run([fig5_campaign(&mixes, &selectivities, FIGURE_EPOCHS, 7)]);
     let (ablations, ablations_file) = run(ablation_campaigns());
     let (scale, scale_file) = run(scale_campaigns());
+    // 48 epochs cover the crashes (epoch 8), detection, re-election and a
+    // long recovered tail.
+    let (faults, faults_file) = run(fault_campaigns(48));
+    let (engine, engine_file) = run(engine_campaigns());
+    let floods: Vec<EngineBenchResult> = EngineBenchParams::default_scenarios()
+        .iter()
+        .map(engine_microbench)
+        .collect();
 
     let counts = |c: &ttmqo_bench::Fig2Counts| {
         format!(
@@ -150,6 +242,24 @@ fn main() -> ExitCode {
         &ablations,
     );
     cell_table("S1–S4 — query count, deployment, radio, big grids", &scale);
+    fault_table(&faults);
+    engine_table(&floods, &engine);
+
+    // The auditor is end-of-run arithmetic over counters the run produces
+    // anyway; a cell with violations is a correctness bug, never a result.
+    let audited = [&fig3, &fig5, &ablations, &scale, &faults, &engine];
+    let dirty: Vec<&CellRecord> = audited
+        .into_iter()
+        .flatten()
+        .filter(|c| c.audit.as_ref().is_some_and(|a| !a.is_clean()))
+        .collect();
+    for c in &dirty {
+        eprintln!("{}/{}-{}: {:?}", c.workload, c.strategy, c.grid_n, c.audit);
+    }
+    if !dirty.is_empty() {
+        eprintln!("audit violations: wrote nothing to bench/results/");
+        return ExitCode::FAILURE;
+    }
 
     let files = [
         fig2.iter().map(|p| p.to_json() + "\n").collect(),
@@ -158,8 +268,11 @@ fn main() -> ExitCode {
         fig5_file,
         ablations_file,
         scale_file,
+        faults_file,
+        engine_file,
+        floods.iter().map(|r| r.to_json() + "\n").collect(),
     ];
-    let mut written = FIGURE_FILES.iter().zip(&files);
+    let mut written = RESULT_FILES.iter().zip(&files);
     if written.all(|(file, jsonl)| write_report(file, jsonl)) {
         ExitCode::SUCCESS
     } else {

@@ -1,6 +1,6 @@
-//! Engine microbenchmark: the transmit/deliver hot path, with an exact JSON
-//! report (`BENCH_engine.json`), plus four end-to-end rows run as campaign
-//! cells (`BENCH_engine_cells.jsonl`).
+//! Engine microbenchmark: the transmit/deliver hot path on synthetic
+//! floods (`flood.jsonl`), plus four end-to-end rows run as campaign cells
+//! (`engine.jsonl`).
 //!
 //! Every figure in the paper is replayed through `Simulator`'s
 //! transmit/deliver loop thousands of epochs per campaign cell, so that loop
@@ -22,6 +22,7 @@
 
 use std::time::Instant;
 use ttmqo_core::{CampaignSpec, ExperimentConfig, Strategy};
+use ttmqo_query::BASE_EPOCH_MS;
 use ttmqo_sim::json;
 use ttmqo_sim::{
     ConstantField, Ctx, Destination, EngineStats, MsgKind, NodeApp, NodeId, RadioParams, SimConfig,
@@ -38,16 +39,19 @@ pub struct EngineBenchParams {
     pub grid_n: usize,
     /// Simulated duration, ms.
     pub duration_ms: u64,
-    /// Per-node broadcast period, ms.
-    pub interval_ms: u64,
-    /// Payload length in `u64` words — real heap content, so the cost of
-    /// cloning payloads per receiver (what `Arc` sharing eliminates) shows.
-    pub payload_words: usize,
     /// Whether the CSMA/collision model runs (the paper's default).
     pub collisions: bool,
-    /// Engine seed.
-    pub seed: u64,
 }
+
+/// Per-node broadcast period of every flood scenario, ms.
+const FLOOD_INTERVAL_MS: u64 = 500;
+
+/// Flood payload length in `u64` words — real heap content, so the cost of
+/// cloning payloads per receiver (what `Arc` sharing eliminates) shows.
+const FLOOD_PAYLOAD_WORDS: usize = 8;
+
+/// Engine seed of every flood scenario.
+const FLOOD_SEED: u64 = 0xE161E;
 
 impl EngineBenchParams {
     /// The default scenario set: both grids of the paper with collisions on,
@@ -63,19 +67,16 @@ impl EngineBenchParams {
     /// time, measuring queue growth rather than engine speed and defeating
     /// the slab's flat-footprint property.
     ///
-    /// `duration_ms` is the simulated duration of the small (paper-scale)
-    /// rows; the big-grid rows shrink it so every row processes a
-    /// comparable event count (events scale linearly with nodes at fixed
-    /// local density).
-    pub fn default_scenarios(duration_ms: u64) -> Vec<EngineBenchParams> {
+    /// The small (paper-scale) rows run ten simulated minutes; the big-grid
+    /// rows shrink that so every row processes a comparable event count
+    /// (events scale linearly with nodes at fixed local density).
+    pub fn default_scenarios() -> Vec<EngineBenchParams> {
+        let duration_ms = 600_000;
         let base = |name: &str, grid_n, collisions, duration_ms| EngineBenchParams {
             name: name.to_string(),
             grid_n,
             duration_ms,
-            interval_ms: 500,
-            payload_words: 8,
             collisions,
-            seed: 0xE161E,
         };
         vec![
             base("flood-4x4-csma", 4, true, duration_ms),
@@ -90,18 +91,20 @@ impl EngineBenchParams {
 
 /// The engine bench's end-to-end rows: Workload A through the full stack
 /// (Tier-1 optimizer, in-network tier or TinyDB app, runner), each an
-/// audited one-cell campaign. `duration_ms` is the 16×16 row's simulated
-/// duration; larger grids shrink it like the flood rows do.
+/// audited one-cell campaign. The 16×16 row runs 64 base epochs, so every
+/// row sees complete result rounds; larger grids shrink it like the flood
+/// rows do.
 ///
 /// The big-grid two-tier ladder comes first, then the one row with a deep
 /// CSMA backlog. The flood and two-tier rows keep the pending-event
 /// population near the node count. `baseline-32x32` — every user query of
 /// Workload A run unshared under TinyDB — offers more than the channel
 /// carries, so frames queue behind carrier sense and the backlog grows with
-/// the run (slab high water 16,398 after 16 base epochs, 72,158 after 64).
+/// the run (slab high water 16,398 after 16 base epochs, 72,099 after 64).
 /// That is the shape that tells an event queue that holds up under backlog
 /// from one that does not. It is not shrunk: the backlog needs the epochs.
-pub fn engine_campaigns(duration_ms: u64) -> [CampaignSpec; 4] {
+pub fn engine_campaigns() -> [CampaignSpec; 4] {
+    let duration_ms = 64 * BASE_EPOCH_MS;
     let cell = |strategy, grid_n, duration_ms| {
         let base = ExperimentConfig {
             duration: SimTime::from_ms(duration_ms),
@@ -120,9 +123,6 @@ pub fn engine_campaigns(duration_ms: u64) -> [CampaignSpec; 4] {
         cell(Strategy::Baseline, 32, duration_ms),
     ]
 }
-
-/// File the engine bench writes its end-to-end cell records to.
-pub const ENGINE_CELLS_FILE: &str = "BENCH_engine_cells.jsonl";
 
 /// Measured results of one flood scenario.
 #[derive(Debug, Clone)]
@@ -143,14 +143,13 @@ pub struct EngineBenchResult {
     pub stats: EngineStats,
 }
 
-/// The trivial traffic generator: every `interval_ms` each node broadcasts
+/// The trivial traffic generator: every [`FLOOD_INTERVAL_MS`] each node broadcasts
 /// one frame and unicasts one to an upper neighbour (toward the base
 /// station), with heap-backed payloads. All logic beyond counting is in the
 /// engine.
 #[derive(Debug)]
 struct FloodApp {
     template: Vec<u64>,
-    interval_ms: u64,
     parent: Option<NodeId>,
     delivered: u64,
 }
@@ -164,7 +163,7 @@ impl NodeApp for FloodApp {
         self.parent = ctx.topology().default_parent(ctx.node());
         // Deterministic phase stagger so the whole grid doesn't transmit in
         // the same microsecond.
-        let phase = 1 + ctx.rand_u64() % self.interval_ms;
+        let phase = 1 + ctx.rand_u64() % FLOOD_INTERVAL_MS;
         ctx.set_timer(phase, 0);
     }
 
@@ -184,7 +183,7 @@ impl NodeApp for FloodApp {
                 self.template.clone(),
             );
         }
-        ctx.set_timer(self.interval_ms, 0);
+        ctx.set_timer(FLOOD_INTERVAL_MS, 0);
     }
 
     fn on_message(&mut self, _: &mut Ctx<'_, Vec<u64>, ()>, _: NodeId, _: MsgKind, p: &Vec<u64>) {
@@ -208,17 +207,15 @@ pub fn engine_microbench(params: &EngineBenchParams) -> EngineBenchResult {
         ..RadioParams::default()
     };
     let config = SimConfig {
-        seed: params.seed,
+        seed: FLOOD_SEED,
         // The flood app is the traffic source; no engine beacons on top.
         maintenance_interval_ms: None,
     };
-    let template: Vec<u64> = (0..params.payload_words as u64).collect();
-    let interval_ms = params.interval_ms;
+    let template: Vec<u64> = (0..FLOOD_PAYLOAD_WORDS as u64).collect();
     let mut sim: Simulator<FloodApp> =
         Simulator::new(topo, radio, config, Box::new(ConstantField), move |_, _| {
             FloodApp {
                 template: template.clone(),
-                interval_ms,
                 parent: None,
                 delivered: 0,
             }
@@ -241,7 +238,7 @@ pub fn engine_microbench(params: &EngineBenchParams) -> EngineBenchResult {
 }
 
 impl EngineBenchResult {
-    /// One JSON object (one line of `BENCH_engine.json`): exact counters
+    /// One JSON object (one line of `flood.jsonl`): exact counters
     /// only, so a deterministic run renders the same bytes.
     pub fn to_json(&self) -> String {
         let s = &self.stats;
@@ -260,24 +257,18 @@ impl EngineBenchResult {
     }
 }
 
-/// File the engine bench writes its flood rows to.
-pub const ENGINE_REPORT_FILE: &str = "BENCH_engine.json";
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn tiny() -> EngineBenchParams {
-        // Sub-saturated like the default scenarios: ~9% airtime per node, so
-        // the in-flight population is set by traffic density, not run length.
+        // Sub-saturated like the default scenarios, so the in-flight
+        // population is set by traffic density, not run length.
         EngineBenchParams {
             name: "tiny".into(),
             grid_n: 3,
             duration_ms: 20_000,
-            interval_ms: 400,
-            payload_words: 8,
             collisions: true,
-            seed: 7,
         }
     }
 

@@ -1,6 +1,6 @@
 //! Fault-subsystem benchmark: end-to-end TTMQO runs under each fault-plan
 //! element, as two campaigns whose cell records are the report
-//! (`BENCH_faults.jsonl`).
+//! (`faults.jsonl`).
 //!
 //! Two questions gate the fault subsystem:
 //!
@@ -20,23 +20,17 @@
 
 use ttmqo_core::campaign::CampaignFault;
 use ttmqo_core::{CampaignSpec, ExperimentConfig, Strategy, WorkloadEvent};
-use ttmqo_query::{parse_query, QueryId};
+use ttmqo_query::{parse_query, QueryId, BASE_EPOCH_MS};
 use ttmqo_sim::{
     FaultPlan, LinkDegradation, NodeId, RadioParams, RandomCrashes, SimConfig, SimTime,
 };
-
-/// Epoch length of the bench workload, ms (the paper's default epoch).
-pub const FAULT_BENCH_EPOCH_MS: u64 = 2048;
-
-/// File the fault bench writes its cell records to.
-pub const FAULT_CELLS_FILE: &str = "BENCH_faults.jsonl";
 
 /// A TwoTier campaign on one 8×8 cell over `duration_epochs` epochs. Its
 /// workload is the full select, plus `select light where nodeid = n` when
 /// a `singleton` source `n` is given.
 fn fault_spec(duration_epochs: u64, singleton: Option<u16>) -> CampaignSpec {
     let base = ExperimentConfig {
-        duration: SimTime::from_ms(duration_epochs * FAULT_BENCH_EPOCH_MS),
+        duration: SimTime::from_ms(duration_epochs * BASE_EPOCH_MS),
         radio: RadioParams::lossless(),
         sim: SimConfig {
             seed: 0xFA171,
@@ -78,7 +72,7 @@ fn fault_spec(duration_epochs: u64, singleton: Option<u16>) -> CampaignSpec {
 /// `singleton_reboot_triggers_a_repair_with_measured_latency` reboots its
 /// node and measures one.
 pub fn fault_campaigns(duration_epochs: u64) -> [CampaignSpec; 2] {
-    let e = FAULT_BENCH_EPOCH_MS;
+    let e = BASE_EPOCH_MS;
     let healing = fault_spec(duration_epochs, None)
         .fault_plan(
             "crash-10pct-8x8",
@@ -140,7 +134,7 @@ mod tests {
     fn healthy_and_one_crash() -> CampaignSpec {
         tiny(fault_spec(12, None)).fault_plan(
             "crash-relay-6",
-            FaultPlan::scripted(vec![(NodeId(6), 4 * FAULT_BENCH_EPOCH_MS + 1, None)]),
+            FaultPlan::scripted(vec![(NodeId(6), 4 * BASE_EPOCH_MS + 1, None)]),
         )
     }
 
@@ -201,10 +195,7 @@ mod tests {
         assert_eq!(repair.cell_count(), 1);
         assert_eq!(repair.workloads[0].events.len(), 2);
         for spec in [&healing, &repair] {
-            assert_eq!(
-                spec.base.duration,
-                SimTime::from_ms(24 * FAULT_BENCH_EPOCH_MS)
-            );
+            assert_eq!(spec.base.duration, SimTime::from_ms(24 * BASE_EPOCH_MS));
         }
     }
 
@@ -216,7 +207,7 @@ mod tests {
         // has a subsequent answer and its latency is measurable. Twenty
         // epochs leave the node time to rejoin (re-learn the query from
         // neighbours, re-route) and answer the repair.
-        let e = FAULT_BENCH_EPOCH_MS;
+        let e = BASE_EPOCH_MS;
         let mut spec = tiny(fault_spec(20, Some(15)));
         spec.faults = vec![CampaignFault {
             name: "reboot-15".to_string(),

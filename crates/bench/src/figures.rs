@@ -29,17 +29,6 @@ use ttmqo_workloads::{
 /// Simulated duration of each Figure 3 and Figure 5 cell, in base epochs.
 pub const FIGURE_EPOCHS: u64 = 96;
 
-/// The files the `figures` bench writes, one per figure, in the order it
-/// writes them. CI compares each with its copy under `bench/results/`.
-pub const FIGURE_FILES: [&str; 6] = [
-    "fig2.jsonl",
-    "fig3.jsonl",
-    "fig4.jsonl",
-    "fig5.jsonl",
-    "ablations.jsonl",
-    "scale.jsonl",
-];
-
 /// The paper's default experiment over `epochs` base epochs (2048 ms).
 fn base(epochs: u64) -> ExperimentConfig {
     ExperimentConfig {

@@ -336,9 +336,10 @@ impl CellRecord {
     /// ```
     ///
     /// `schema_version` is [`ttmqo_sim::SCHEMA_VERSION`] (shared with the
-    /// trace JSONL format and the flood rows of `BENCH_engine.json`). Host time
-    /// (`wall_clock_ms`) is left out, so the same cell renders the same
-    /// bytes on any machine and CI can `diff` the records. `optimizer` is
+    /// trace JSONL format and the flood rows of `bench/results/flood.jsonl`).
+    /// Host time (`wall_clock_ms`) is left out, so the same cell renders the
+    /// same bytes on any machine and a checked-in record file is its own
+    /// regression gate. `optimizer` is
     /// `null` for strategies without the base-station tier. A trailing
     /// `"trace_file":"trace-0-....jsonl"` field is present only when the
     /// campaign ran with [`CampaignSpec::trace_output`], and a trailing

@@ -46,11 +46,6 @@ pub struct TtmqoConfig {
     /// false, every message follows the fixed link-quality tree (ablation:
     /// shared messages without query-aware routing).
     pub dynamic_parents: bool,
-    /// Whether rebooted nodes may recover query definitions from neighbours
-    /// (a node that hears traffic for an unknown query broadcasts a request;
-    /// any neighbour that knows the query shares it). Extension beyond the
-    /// paper, which leaves node failures to future work.
-    pub query_recovery: bool,
     /// Whether the Semantic Routing Tree prunes dissemination of queries
     /// with `nodeid` predicates (§3.2.2 mentions SRT as the alternative to
     /// flooding for node-id based queries; off by default).
@@ -88,7 +83,6 @@ impl Default for TtmqoConfig {
             slot_ms: 64,
             jitter_ms: 24,
             dynamic_parents: true,
-            query_recovery: true,
             srt: false,
             dead_parent_after: 0,
         }
@@ -458,15 +452,14 @@ impl TtmqoApp {
     }
 
     /// Failure recovery: ask the neighbourhood about query ids we hear
-    /// traffic for but do not know (at most once per id per reboot).
+    /// traffic for but do not know (at most once per id per reboot); any
+    /// neighbour that knows the query shares it. Extension beyond the paper,
+    /// which leaves node failures to future work.
     fn request_unknown_queries<I: IntoIterator<Item = QueryId>>(
         &mut self,
         ctx: &mut Ctx<'_, TtmqoPayload, Output>,
         qids: I,
     ) {
-        if !self.config.query_recovery {
-            return;
-        }
         for qid in qids {
             // Never request a query we run or whose flood we already
             // heard: we installed it, SRT pruned it here, or it was aborted.

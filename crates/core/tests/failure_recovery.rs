@@ -9,7 +9,7 @@ use ttmqo_query::{parse_query, Query, QueryId};
 use ttmqo_sim::{NodeId, RadioParams, SimConfig, SimTime, Simulator, Topology, UniformField};
 use ttmqo_tinydb::{Command, Output};
 
-fn new_sim(recovery: bool) -> Simulator<TtmqoApp> {
+fn new_sim() -> Simulator<TtmqoApp> {
     Simulator::new(
         Topology::grid(4).unwrap(),
         RadioParams::lossless(),
@@ -18,12 +18,7 @@ fn new_sim(recovery: bool) -> Simulator<TtmqoApp> {
             ..SimConfig::default()
         },
         Box::new(UniformField::new(31)),
-        move |_, _| {
-            TtmqoApp::new(TtmqoConfig {
-                query_recovery: recovery,
-                ..TtmqoConfig::default()
-            })
-        },
+        |_, _| TtmqoApp::new(TtmqoConfig::default()),
     )
 }
 
@@ -45,7 +40,7 @@ fn answers_in(sim: &Simulator<TtmqoApp>, from_ms: u64, to_ms: u64) -> Vec<(u64, 
 
 #[test]
 fn failed_node_vanishes_from_answers() {
-    let mut sim = new_sim(true);
+    let mut sim = new_sim();
     sim.schedule_command(SimTime::ZERO, NodeId::BASE_STATION, Command::Pose(query()));
     // Node 15 (a corner leaf) crashes at epoch 5.
     sim.schedule_failure(SimTime::from_ms(5 * 2048), NodeId(15));
@@ -62,7 +57,7 @@ fn failed_node_vanishes_from_answers() {
 
 #[test]
 fn recovered_node_relearns_the_query_and_contributes_again() {
-    let mut sim = new_sim(true);
+    let mut sim = new_sim();
     sim.schedule_command(SimTime::ZERO, NodeId::BASE_STATION, Command::Pose(query()));
     sim.schedule_failure(SimTime::from_ms(5 * 2048), NodeId(15));
     sim.schedule_recovery(SimTime::from_ms(10 * 2048), NodeId(15));
@@ -82,28 +77,11 @@ fn recovered_node_relearns_the_query_and_contributes_again() {
 }
 
 #[test]
-fn without_query_recovery_the_rebooted_node_stays_silent() {
-    let mut sim = new_sim(false);
-    sim.schedule_command(SimTime::ZERO, NodeId::BASE_STATION, Command::Pose(query()));
-    sim.schedule_failure(SimTime::from_ms(5 * 2048), NodeId(15));
-    sim.schedule_recovery(SimTime::from_ms(10 * 2048), NodeId(15));
-    sim.run_until(SimTime::from_ms(30 * 2048));
-
-    assert_eq!(
-        sim.node(NodeId(15)).installed_queries().count(),
-        0,
-        "no recovery mechanism, no query"
-    );
-    let tail = answers_in(&sim, 25 * 2048, 30 * 2048);
-    assert!(tail.iter().all(|&(_, n)| n == 14), "{tail:?}");
-}
-
-#[test]
 fn failed_relay_loses_descendants_until_recovery() {
     // Crash an interior level-1 node; its descendants' unicasts to it are
     // lost (retried, then dropped) until the DAG steers around it or the
     // node recovers. With dynamic parents, coverage returns quickly.
-    let mut sim = new_sim(true);
+    let mut sim = new_sim();
     sim.schedule_command(SimTime::ZERO, NodeId::BASE_STATION, Command::Pose(query()));
     sim.schedule_failure(SimTime::from_ms(5 * 2048), NodeId(1));
     sim.schedule_recovery(SimTime::from_ms(12 * 2048), NodeId(1));
@@ -129,7 +107,7 @@ fn failed_relay_loses_descendants_until_recovery() {
 
 #[test]
 fn base_station_failure_suppresses_answers_until_recovery() {
-    let mut sim = new_sim(true);
+    let mut sim = new_sim();
     sim.schedule_command(SimTime::ZERO, NodeId::BASE_STATION, Command::Pose(query()));
     sim.schedule_failure(SimTime::from_ms(5 * 2048), NodeId::BASE_STATION);
     sim.run_until(SimTime::from_ms(12 * 2048));

@@ -44,11 +44,11 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 use ttmqo_query::{QueryId, BASE_EPOCH_MS};
 
-/// Version of every machine-readable report this workspace emits: the trace
-/// JSON-lines header and all `BENCH_*.json` records carry it as
-/// `schema_version`. This constant is the single source of truth — bump
-/// it here (and document the change in DESIGN.md §13) whenever any report's
-/// field set changes shape.
+/// Version of the workspace's machine-readable reports: the trace
+/// JSON-lines header, trace summaries, cell records, audit reports and flood
+/// rows carry it as `schema_version`. This constant is the single source of
+/// truth — bump it here (and document the change in DESIGN.md §13) whenever
+/// any report's field set changes shape.
 pub const SCHEMA_VERSION: u32 = 3;
 
 /// Identity of one sensed sample: origin node and epoch start packed into a

@@ -6,11 +6,10 @@
 //!   accounting, slab sanity, energy conservation, completeness,
 //!   trace↔answer agreement) on every cell; a violation, or a check skipped
 //!   because a trace was missing or lossy, exits nonzero. Writes the cell
-//!   records to `observatory/campaign.jsonl` (no host time in them, so CI
-//!   `diff`s it against `bench/baselines/BENCH_observatory.jsonl`) and one
-//!   trace per cell under `observatory/traces/`. Auditing is observational
-//!   only: an audited campaign produces bit-identical cell records to a bare
-//!   run.
+//!   records to `bench/results/observatory.jsonl` (no host time in them, so
+//!   the checked-in file is the gate) and one trace per cell under
+//!   `observatory/traces/`. Auditing is observational only: an audited
+//!   campaign produces bit-identical cell records to a bare run.
 //! * `analyze <trace.jsonl> [--chrome F] [--json]` — reconstructs what a run
 //!   did from its trace alone (`summarize_trace`, the code path the auditor
 //!   reconciles against the live answers): events by kind, per-query answers
@@ -25,13 +24,13 @@
 //!   (node `i` at row `i / n`, column `i % n`; the base station is node 0 at
 //!   the origin corner), then Gini, max/mean, the worst single-epoch Gini and
 //!   energy. The output is checked in as `bench/results/hotspots.txt`, which
-//!   CI diffs and EXPERIMENTS.md §"Hotspots & imbalance" quotes.
+//!   CI regenerates and EXPERIMENTS.md §"Hotspots & imbalance" quotes.
 //! * `divergence` — forks one run under two fault plans and names the first
 //!   event where the forks depart (kind, simulated time, node) with a context
 //!   window per side (`trace_diff`). Runs are deterministic, so a fork is a
 //!   replay: a fresh session run to the fork instant and handed its own plan
 //!   there. Both traces, under `divergence/`, share a byte-identical prefix.
-//!   When CI's baseline gate says two runs disagree, this is how to localize
+//!   When CI's results gate says two runs disagree, this is how to localize
 //!   the first departure.
 //!
 //! Run with: `cargo run --release --example inspect -- <subcommand> [args]`
@@ -132,7 +131,7 @@ fn observatory() -> Result<(), ExitCode> {
         report.wall_clock_ms,
         report.threads
     );
-    let jsonl_path = out_dir.join("campaign.jsonl");
+    let jsonl_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("bench/results/observatory.jsonl");
     write(&jsonl_path, report.to_jsonl())?;
 
     // One row per cell, and the exit code from the same pass: a violation

@@ -1,7 +1,8 @@
 //! Every repository path the documents name in backticks exists, and so
-//! does every `Type::member` README.md and DESIGN.md name, so a file or a
-//! method that moves or goes takes its mentions with it. EXPERIMENTS.md is a
-//! log of what was measured when, and may name what has since gone.
+//! does every `ttmqo::<crate>::<name>` they name and every `Type::member`
+//! README.md and DESIGN.md name, so a file, a module or a method that moves
+//! or goes takes its mentions with it. EXPERIMENTS.md is a log of what was
+//! measured when, and may name members that have since gone.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -79,7 +80,7 @@ fn every_repo_path_the_documents_name_exists() {
             if fenced {
                 continue;
             }
-            // Templates (`BENCH_{engine_cells,faults}.jsonl`), globs and
+            // Templates (`bench/results/{fig3,fig5}.jsonl`), globs and
             // placeholders name families of paths, not one path.
             let paths = code_spans(line).into_iter().filter(|span| {
                 ROOTS.iter().any(|root| span.starts_with(root)) && !span.contains(['{', '*', '<'])
@@ -101,7 +102,128 @@ fn every_repo_path_the_documents_name_exists() {
     );
 }
 
-/// A figure section of EXPERIMENTS.md quotes the file its numbers come
+/// The names a crate root declares public: its `pub` modules and items, and
+/// what its `pub use` statements re-export (the alias, if any, else the
+/// path's last segment).
+fn public_names(lib_rs: &str) -> BTreeSet<String> {
+    let code = lib_rs
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .collect::<Vec<_>>()
+        .join(" ");
+    let mut names = BTreeSet::new();
+    let words: Vec<&str> = code.split_whitespace().collect();
+    for w in words.windows(3) {
+        let items = [
+            "mod", "fn", "struct", "enum", "trait", "type", "const", "static",
+        ];
+        if w[0] == "pub" && items.contains(&w[1]) {
+            names.insert(w[2].chars().take_while(|&c| is_ident(c)).collect());
+        }
+    }
+    for statement in code.split(';') {
+        let Some((_, tree)) = statement.split_once("pub use ") else {
+            continue;
+        };
+        for item in tree.split(['{', '}', ',']) {
+            let name = match item.rsplit_once(" as ") {
+                Some((_, alias)) => alias,
+                None => item.rsplit("::").next().unwrap_or(item),
+            };
+            if !name.trim().is_empty() {
+                names.insert(name.trim().to_string());
+            }
+        }
+    }
+    names
+}
+
+/// `(crate, name)` for every `ttmqo::<crate>::<name>` in `text`, one pair
+/// per name of a `{..}` group; the name is empty where the path stops at
+/// the crate.
+fn crate_paths(text: &str) -> Vec<(&str, &str)> {
+    let leading_ident = |s: &str| s.find(|c| !is_ident(c)).unwrap_or(s.len());
+    let mut paths = Vec::new();
+    for (at, prefix) in text.match_indices("ttmqo::") {
+        if text[..at].ends_with(is_ident) {
+            continue;
+        }
+        let rest = &text[at + prefix.len()..];
+        let krate = &rest[..leading_ident(rest)];
+        let Some(after) = rest[krate.len()..].strip_prefix("::") else {
+            paths.push((krate, ""));
+            continue;
+        };
+        match after.strip_prefix('{') {
+            Some(group) => {
+                let group = &group[..group.find('}').unwrap_or(group.len())];
+                let items = group.split(',').map(str::trim);
+                paths.extend(
+                    items
+                        .filter(|i| !i.is_empty())
+                        .map(|i| (krate, &i[..leading_ident(i)])),
+                );
+            }
+            None => paths.push((krate, &after[..leading_ident(after)])),
+        }
+    }
+    paths
+}
+
+#[test]
+fn crate_paths_read_plain_and_grouped_names() {
+    let text =
+        "`ttmqo::sim::json` and\nuse ttmqo::core::{\n    run_campaign,\n    CellRecord,\n};\n\
+                `ttmqo::query` but not `my_ttmqo::x::y`";
+    assert_eq!(
+        crate_paths(text),
+        [
+            ("sim", "json"),
+            ("core", "run_campaign"),
+            ("core", "CellRecord"),
+            ("query", ""),
+        ]
+    );
+    let lib =
+        "//! `pub mod fake;`\npub mod json;\npub use a::{b::Gone as Kept, c};\npub fn gini() {}";
+    let names = public_names(lib);
+    assert_eq!(
+        names.iter().map(String::as_str).collect::<Vec<_>>(),
+        ["Kept", "c", "gini", "json"]
+    );
+}
+
+/// Every `ttmqo::<crate>::<name>` the documents name, in prose or in code,
+/// is a crate the umbrella re-exports and a public module, item or
+/// re-export of that crate's root (`crates/<crate>/src/lib.rs`).
+#[test]
+fn every_crate_path_the_documents_name_exists() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let umbrella = fs::read_to_string(repo.join("src/lib.rs")).unwrap();
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for doc in DOCS {
+        let text = fs::read_to_string(repo.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        for (krate, name) in crate_paths(&text) {
+            checked += 1;
+            let lib = fs::read_to_string(repo.join("crates").join(krate).join("src/lib.rs"));
+            let exported = umbrella.contains(&format!("pub use ttmqo_{krate} as {krate};"))
+                && lib.is_ok_and(|lib| name.is_empty() || public_names(&lib).contains(name));
+            if !exported {
+                missing.push(format!("{doc}: `ttmqo::{krate}::{name}`"));
+            }
+        }
+    }
+    // README's examples alone name a dozen; finding few means the scan broke.
+    assert!(checked >= 10, "only {checked} crate paths found");
+    assert!(
+        missing.is_empty(),
+        "documents name crate paths that do not exist:\n{}",
+        missing.join("\n")
+    );
+}
+
+/// A bench section of EXPERIMENTS.md quotes the file its numbers come
 /// from: every `## ` heading that names a `--bench` target also names a
 /// `bench/results/` file (which the test above requires to exist).
 #[test]
@@ -112,9 +234,10 @@ fn every_bench_heading_names_its_results_file() {
         .lines()
         .filter(|l| l.starts_with("## ") && l.contains("--bench "))
         .collect();
-    // Six figure sections at least; finding fewer means the scan broke.
+    // Six figure sections, the faults and the big-grid engine at least;
+    // finding fewer means the scan broke.
     assert!(
-        headings.len() >= 6,
+        headings.len() >= 8,
         "only {} bench headings",
         headings.len()
     );
