@@ -1,7 +1,7 @@
 //! Regenerates every checked-in bench result — the paper's figures, the
-//! fault campaigns and the engine rows — as files of records written
-//! straight into `bench/results/`, and prints each file's records as a
-//! table:
+//! fault campaigns, the engine rows, the observatory and the hotspot
+//! tables — as files written straight into `bench/results/`, and prints
+//! each file's records as a table:
 //!
 //! * `fig2.jsonl` — Figure 2's worked routing example: its two count pairs;
 //! * `fig3.jsonl` — Figure 3: campaign cell records;
@@ -12,29 +12,35 @@
 //! * `scale.jsonl` — the supplementary experiments S1–S4: cell records;
 //! * `faults.jsonl` — the fault campaigns over 48 epochs: cell records;
 //! * `engine.jsonl` — the engine's four end-to-end rows: cell records;
-//! * `flood.jsonl` — the engine's six flood scenarios: one record each.
+//! * `flood.jsonl` — the engine's six flood scenarios: one record each;
+//! * `observatory.jsonl` — the audited, traced observatory: cell records
+//!   (its traces go to `observatory/traces/`, outside the results);
+//! * `analyze-trace-1.json` — `summarize_trace` of one observatory trace;
+//! * `hotspots.txt` — per-node tx-busy tables and imbalance, Markdown.
 //!
 //! A saving is read against the Baseline record with the same workload,
-//! grid, field seed and fault. The records hold only what the simulation
+//! grid, field seed and fault. The files hold only what the simulation
 //! decides, so two runs write the same bytes: running the bench is the
 //! refresh, and CI fails if it leaves `git status` showing a change under
 //! `bench/results/`. Host time (wall seconds, events/s) is printed in the
 //! fault and engine tables and nowhere else.
 //!
-//! If any audited cell counts a violation, the bench writes nothing and
-//! exits nonzero, so no violating record can become a result. A file the
-//! bench cannot write fails it too.
+//! If any audited cell counts a violation or a skipped check (a trace the
+//! auditor could not reconcile proves nothing), the bench writes nothing
+//! and exits nonzero, so no such record can become a result. A file the
+//! bench cannot write or a trace it cannot summarize fails it too.
 
+use std::path::Path;
 use std::process::ExitCode;
 
 use ttmqo_bench::{
     ablation_campaigns, engine_campaigns, engine_microbench, fault_campaigns, fig2_pairs,
-    fig3_campaign, fig4_sweeps, fig5_campaign, print_table, saving_pct, scale_campaigns,
-    write_report, EngineBenchParams, EngineBenchResult, OptimizerSweep, FIGURE_EPOCHS,
-    RESULT_FILES,
+    fig3_campaign, fig4_sweeps, fig5_campaign, hotspots, observatory_campaign, print_table,
+    saving_pct, scale_campaigns, write_report, EngineBenchParams, EngineBenchResult,
+    OptimizerSweep, ANALYZED_TRACE, FIGURE_EPOCHS, RESULT_FILES, TRACES_DIR,
 };
 use ttmqo_core::{run_campaign, CampaignReport, CampaignSpec, CellRecord};
-use ttmqo_sim::MsgKind;
+use ttmqo_sim::{summarize_trace, MsgKind};
 
 /// Runs the campaigns and returns their records and their file.
 fn run(specs: impl IntoIterator<Item = CampaignSpec>) -> (Vec<CellRecord>, String) {
@@ -184,6 +190,51 @@ fn engine_table(floods: &[EngineBenchResult], cells: &[CellRecord]) {
     );
 }
 
+fn observatory_table(records: &[CellRecord]) {
+    let rows: Vec<Vec<String>> = records
+        .iter()
+        .map(|c| {
+            let audit = c.audit.as_ref();
+            vec![
+                c.workload.clone(),
+                c.strategy.to_string(),
+                c.grid_n.to_string(),
+                c.engine.events_processed.to_string(),
+                c.answer_epochs.to_string(),
+                format!("{:.3}", c.completeness.min_epoch_ratio()),
+                format!("{:.1}", c.energy_mj),
+                audit.map_or(0, |a| a.violations.len()).to_string(),
+                audit.map_or(0, |a| a.checks_skipped).to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "Observatory — audited, traced cells",
+        &[
+            "workload",
+            "strategy",
+            "grid n",
+            "events",
+            "answers",
+            "min epoch",
+            "energy mJ",
+            "violations",
+            "skipped",
+        ],
+        &rows,
+    );
+}
+
+/// The summary of the observatory trace the results hold, one JSON object.
+fn analyzed_trace() -> Result<String, String> {
+    let path = Path::new(TRACES_DIR).join(ANALYZED_TRACE);
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let summary =
+        summarize_trace(&text).map_err(|e| format!("cannot analyze {}: {e}", path.display()))?;
+    Ok(summary.to_json() + "\n")
+}
+
 fn main() -> ExitCode {
     let fig2 = fig2_pairs();
     let (fig3, fig3_file) = run([fig3_campaign(FIGURE_EPOCHS)]);
@@ -201,6 +252,8 @@ fn main() -> ExitCode {
         .iter()
         .map(engine_microbench)
         .collect();
+    let (observatory, observatory_file) = run([observatory_campaign()]);
+    let hotspots = hotspots();
 
     let counts = |c: &ttmqo_bench::Fig2Counts| {
         format!(
@@ -244,22 +297,45 @@ fn main() -> ExitCode {
     cell_table("S1–S4 — query count, deployment, radio, big grids", &scale);
     fault_table(&faults);
     engine_table(&floods, &engine);
+    observatory_table(&observatory);
+    println!("\n=== Hotspots — per-node tx busy and imbalance ===\n\n{hotspots}");
 
     // The auditor is end-of-run arithmetic over counters the run produces
-    // anyway; a cell with violations is a correctness bug, never a result.
-    let audited = [&fig3, &fig5, &ablations, &scale, &faults, &engine];
+    // anyway; a cell with violations is a correctness bug, never a result,
+    // and a skipped check (a trace that was never reconciled) proves
+    // nothing. Only the observatory traces, so only it can skip.
+    let audited = [
+        &fig3,
+        &fig5,
+        &ablations,
+        &scale,
+        &faults,
+        &engine,
+        &observatory,
+    ];
     let dirty: Vec<&CellRecord> = audited
         .into_iter()
         .flatten()
-        .filter(|c| c.audit.as_ref().is_some_and(|a| !a.is_clean()))
+        .filter(|c| {
+            c.audit
+                .as_ref()
+                .is_some_and(|a| !a.is_clean() || a.checks_skipped > 0)
+        })
         .collect();
     for c in &dirty {
         eprintln!("{}/{}-{}: {:?}", c.workload, c.strategy, c.grid_n, c.audit);
     }
     if !dirty.is_empty() {
-        eprintln!("audit violations: wrote nothing to bench/results/");
+        eprintln!("audit violations or skipped checks: wrote nothing to bench/results/");
         return ExitCode::FAILURE;
     }
+    let analyzed = match analyzed_trace() {
+        Ok(json) => json,
+        Err(e) => {
+            eprintln!("{e}: wrote nothing to bench/results/");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let files = [
         fig2.iter().map(|p| p.to_json() + "\n").collect(),
@@ -271,6 +347,9 @@ fn main() -> ExitCode {
         faults_file,
         engine_file,
         floods.iter().map(|r| r.to_json() + "\n").collect(),
+        observatory_file,
+        analyzed,
+        hotspots,
     ];
     let mut written = RESULT_FILES.iter().zip(&files);
     if written.all(|(file, jsonl)| write_report(file, jsonl)) {

@@ -392,11 +392,6 @@ impl BaseStationOptimizer {
         self.user_to_syn.get(&user).copied()
     }
 
-    /// A live user query by id.
-    pub fn user_query(&self, user: QueryId) -> Option<&Query> {
-        self.user_queries.get(&user)
-    }
-
     /// Σ cost of all running user queries (the denominator of the paper's
     /// *benefit ratio*).
     pub fn total_user_cost(&self) -> f64 {
@@ -579,7 +574,7 @@ mod tests {
                 .synthetic(*syn_id)
                 .unwrap_or_else(|| panic!("user {uid} maps to missing synthetic {syn_id}"));
             assert!(sq.contains_member(*uid));
-            let uq = o.user_query(*uid).unwrap();
+            let uq = &o.user_queries[uid];
             assert!(
                 covers_query(sq.query(), uq),
                 "synthetic {} does not cover user {}",

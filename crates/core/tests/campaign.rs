@@ -126,56 +126,6 @@ fn audited_campaign_is_bit_identical_to_a_bare_run() {
     }
 }
 
-/// The sweep `inspect observatory` runs (minus its trace files): two
-/// workloads × {baseline, two-tier} × 3×3 and 4×4, audited.
-fn observatory_spec() -> CampaignSpec {
-    let workload = |texts: &[&str]| -> Vec<WorkloadEvent> {
-        let numbered = texts.iter().enumerate();
-        numbered
-            .map(|(i, text)| WorkloadEvent::pose(0, q(i as u64 + 1, text)))
-            .collect()
-    };
-    let base = ExperimentConfig {
-        duration: SimTime::from_ms(12 * 2048),
-        ..ExperimentConfig::default()
-    };
-    CampaignSpec::new(base)
-        .strategies([Strategy::Baseline, Strategy::TwoTier])
-        .grid_sizes([3, 4])
-        .workload(
-            "overlap",
-            workload(&[
-                "select light where 280<light<600 epoch duration 2048",
-                "select light where 100<light<300 epoch duration 4096",
-                "select light where 150<light<500 epoch duration 4096",
-            ]),
-        )
-        .workload(
-            "disjoint",
-            workload(&[
-                "select light where 100<light<200 epoch duration 2048",
-                "select temp where 40<temp<60 epoch duration 2048",
-            ]),
-        )
-        .audit()
-}
-
-#[test]
-fn campaign_records_are_byte_identical_across_thread_counts() {
-    // CI gates the observatory's records with `diff`, so their rendering
-    // must be a pure function of the simulated run: no host time may leak
-    // in, whichever thread ran which cell.
-    let spec = observatory_spec();
-    let one = run_campaign_with(&spec, 1);
-    let two = run_campaign_with(&spec, 2);
-    assert_eq!(one.cells.len(), 8);
-    assert!(one
-        .cells
-        .iter()
-        .all(|c| c.audit.as_ref().is_some_and(|a| a.is_clean())));
-    assert_eq!(one.to_jsonl(), two.to_jsonl());
-}
-
 #[test]
 fn report_emits_one_jsonl_record_per_cell() {
     let spec = paper_spec();

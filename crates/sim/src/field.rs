@@ -72,6 +72,14 @@ impl SensorField for UniformField {
     }
 }
 
+/// Fraction of the domain covered by the correlated field's spatial
+/// gradient.
+const GRADIENT_STRENGTH: f64 = 0.5;
+/// Fraction of the domain covered by its temporal drift.
+const DRIFT_STRENGTH: f64 = 0.2;
+/// Fraction of the domain used for its per-node noise.
+const NOISE_STRENGTH: f64 = 0.05;
+
 /// A spatially and temporally correlated field: a smooth spatial gradient
 /// plus a slow global sinusoidal drift plus small deterministic noise.
 ///
@@ -81,12 +89,6 @@ impl SensorField for UniformField {
 #[derive(Debug, Clone)]
 pub struct CorrelatedField {
     seed: u64,
-    /// Fraction of the domain covered by the spatial gradient, `[0, 1]`.
-    gradient_strength: f64,
-    /// Fraction of the domain covered by the temporal drift, `[0, 1]`.
-    drift_strength: f64,
-    /// Fraction of the domain used for per-node noise, `[0, 1]`.
-    noise_strength: f64,
     /// Spatial extent used to normalize the gradient, feet.
     extent_ft: f64,
     /// Period of the temporal drift, ms.
@@ -105,28 +107,9 @@ impl CorrelatedField {
             .fold(1.0_f64, f64::max);
         CorrelatedField {
             seed,
-            gradient_strength: 0.5,
-            drift_strength: 0.2,
-            noise_strength: 0.05,
             extent_ft: extent,
             period_ms: 600_000,
         }
-    }
-
-    /// Overrides the relative strengths of gradient, drift and noise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any strength is negative or the sum exceeds 1.
-    pub fn with_strengths(mut self, gradient: f64, drift: f64, noise: f64) -> Self {
-        assert!(
-            gradient >= 0.0 && drift >= 0.0 && noise >= 0.0 && gradient + drift + noise <= 1.0,
-            "strengths must be non-negative and sum to at most 1"
-        );
-        self.gradient_strength = gradient;
-        self.drift_strength = drift;
-        self.noise_strength = noise;
-        self
     }
 }
 
@@ -173,11 +156,9 @@ impl SensorField for BoundCorrelatedField {
         let h = splitmix(f.seed ^ (node.0 as u64) << 24 ^ (attr as u64) << 8 ^ bucket);
         let noise = (h >> 11) as f64 / (1u64 << 53) as f64;
 
-        let base = 0.5 * (1.0 - f.gradient_strength - f.drift_strength - f.noise_strength);
-        let unit = base
-            + f.gradient_strength * gradient
-            + f.drift_strength * drift
-            + f.noise_strength * noise;
+        let base = 0.5 * (1.0 - GRADIENT_STRENGTH - DRIFT_STRENGTH - NOISE_STRENGTH);
+        let unit =
+            base + GRADIENT_STRENGTH * gradient + DRIFT_STRENGTH * drift + NOISE_STRENGTH * noise;
         lo + unit.clamp(0.0, 1.0) * width
     }
 }
@@ -264,18 +245,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sum to at most 1")]
-    fn bad_strengths_panic() {
-        let topo = Topology::grid(2).unwrap();
-        let _ = CorrelatedField::for_topology(1, &topo).with_strengths(0.9, 0.9, 0.9);
-    }
-
-    #[test]
     fn correlated_values_stay_in_domain() {
         let topo = Topology::grid(8).unwrap();
-        let f = CorrelatedField::for_topology(99, &topo)
-            .with_strengths(0.6, 0.3, 0.1)
-            .bind(&topo);
+        let f = CorrelatedField::for_topology(99, &topo).bind(&topo);
         for n in topo.nodes() {
             for t in [0u64, 2048, 300_000, 599_000] {
                 let v = f.reading(n, Attribute::Humidity, SimTime::from_ms(t));

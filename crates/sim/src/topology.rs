@@ -186,7 +186,7 @@ impl Topology {
     ///
     /// Returns [`TopologyError`] on an empty grid, id-space overflow, invalid
     /// range, or a spacing so large the grid is disconnected.
-    pub fn grid_with(n: usize, spacing: f64, range: f64) -> Result<Self, TopologyError> {
+    fn grid_with(n: usize, spacing: f64, range: f64) -> Result<Self, TopologyError> {
         let positions: Vec<Position> = (0..n * n)
             .map(|i| Position {
                 x: (i % n) as f64 * spacing,

@@ -10,15 +10,16 @@
 //! record (headers skipped, byte-truncated tails tolerated) and reports:
 //!
 //! - the first diverging record index, with each side's record decoded into
-//!   kind / time / node for display and an N-record context window per side;
+//!   kind / time / node for display, up to N shared records before it and
+//!   up to N records after it on each side;
 //! - per-kind record-count deltas over the whole files, which characterize
 //!   *how* the runs differ after the split (e.g. one side retries more);
 //! - whether either file ended in a truncated partial record.
 //!
-//! The workflow this powers: when the report-diff gate flags a divergent
-//! `RunReport`, re-run both variants with tracing enabled and hand both
-//! traces to [`trace_diff`] — `inspect divergence` (`examples/inspect.rs`)
-//! is the end-to-end recipe.
+//! The workflow this powers: when the results gate flags a changed record,
+//! re-run both variants with tracing enabled and hand both traces to
+//! [`trace_diff`]. `inspect diff <a> <b>` (`examples/inspect.rs`) prints
+//! the [`TraceDiff`] of two trace files.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -73,10 +74,13 @@ pub struct Divergence {
     pub a: Option<DivergentRecord>,
     /// Side B's record there (`None`: side B ended first).
     pub b: Option<DivergentRecord>,
-    /// Side A's records around the divergence (up to N before and after).
-    pub context_a: Vec<String>,
-    /// Side B's records around the divergence (up to N before and after).
-    pub context_b: Vec<String>,
+    /// The up to N records just before the divergence, which both sides
+    /// share.
+    pub shared: Vec<String>,
+    /// Side A's up to N records after its divergent record.
+    pub after_a: Vec<String>,
+    /// Side B's up to N records after its divergent record.
+    pub after_b: Vec<String>,
 }
 
 /// Record-count delta for one event kind between the two traces.
@@ -113,6 +117,53 @@ impl TraceDiff {
     /// Whether the traces are byte-identical over their complete records.
     pub fn identical(&self) -> bool {
         self.divergence.is_none()
+    }
+}
+
+impl fmt::Display for TraceDiff {
+    /// A report for a terminal: the record counts; then, per side, the
+    /// shared records before the divergence (`...`), the divergent record
+    /// (`>>>`) and the records after it (`+`); then the kinds whose counts
+    /// differ. Side A is `a`, side B is `b`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "traces: {} vs {} records",
+            self.records_a, self.records_b
+        )?;
+        for (side, truncated) in [("a", self.truncated_a), ("b", self.truncated_b)] {
+            if truncated {
+                writeln!(f, "trace {side} ends in a truncated record (dropped)")?;
+            }
+        }
+        let Some(div) = &self.divergence else {
+            return writeln!(f, "identical over every complete record");
+        };
+        writeln!(f, "first divergence at record #{}:", div.index)?;
+        for (side, rec, after) in [("a", &div.a, &div.after_a), ("b", &div.b, &div.after_b)] {
+            for line in &div.shared {
+                writeln!(f, "  {side}  ...  {line}")?;
+            }
+            match rec {
+                Some(r) => writeln!(f, "  {side}  >>>  {r}  {}", r.line)?,
+                None => writeln!(f, "  {side}  >>>  (trace ends here)")?,
+            }
+            for line in after {
+                writeln!(f, "  {side}   +   {line}")?;
+            }
+        }
+        writeln!(f, "event-kind count deltas (a vs b):")?;
+        for d in &self.kind_deltas {
+            writeln!(
+                f,
+                "  {:<20} {:>8} vs {:>8} ({:+})",
+                d.kind,
+                d.count_a,
+                d.count_b,
+                d.count_b as i64 - d.count_a as i64
+            )?;
+        }
+        Ok(())
     }
 }
 
@@ -164,20 +215,18 @@ pub fn trace_diff(a: &str, b: &str, context: usize) -> TraceDiff {
         .or((recs_a.len() != recs_b.len()).then_some(shared));
 
     let divergence = split.map(|index| {
-        let window = |recs: &[&str]| -> Vec<String> {
-            let lo = index.saturating_sub(context);
-            let hi = recs.len().min(index + context + 1);
-            recs[lo.min(recs.len())..hi]
-                .iter()
-                .map(|s| s.to_string())
-                .collect()
+        let owned = |recs: &[&str]| -> Vec<String> { recs.iter().map(|s| s.to_string()).collect() };
+        let after = |recs: &[&str]| {
+            let from = (index + 1).min(recs.len());
+            owned(&recs[from..recs.len().min(from.saturating_add(context))])
         };
         Divergence {
             index,
             a: recs_a.get(index).map(|l| DivergentRecord::decode(l)),
             b: recs_b.get(index).map(|l| DivergentRecord::decode(l)),
-            context_a: window(&recs_a),
-            context_b: window(&recs_b),
+            shared: owned(&recs_a[index.saturating_sub(context)..index]),
+            after_a: after(&recs_a),
+            after_b: after(&recs_b),
         }
     });
 
@@ -236,9 +285,9 @@ mod tests {
         assert_eq!(a.node, Some(7));
         let b = div.b.expect("side B has a record");
         assert_eq!(b.kind.as_deref(), Some("frame-tx"));
-        // Context: 1 before + the diverging record.
-        assert_eq!(div.context_a.len(), 2);
-        assert_eq!(div.context_a[0], base[1]);
+        // Context: the 1 shared record before; nothing after on either side.
+        assert_eq!(div.shared, vec![base[1].clone()]);
+        assert!(div.after_a.is_empty() && div.after_b.is_empty());
         // Count deltas name both changed kinds.
         assert_eq!(d.kind_deltas.len(), 2);
         assert_eq!(d.kind_deltas[0].kind, "fault-crash");
@@ -272,7 +321,36 @@ mod tests {
         assert_eq!(div.index, 1);
         assert!(div.a.is_some());
         assert!(div.b.is_none(), "side B ended first");
-        assert_eq!(div.context_b.len(), 1); // only the record before the end
+        assert_eq!(div.shared, vec![short[0].clone()]); // the record before the end
+        assert!(div.after_a.is_empty() && div.after_b.is_empty());
+    }
+
+    #[test]
+    fn display_prints_each_divergent_record_once_after_the_shared_ones() {
+        let shared: Vec<String> = (0..4).map(|i| rec(i, "frame-tx", i)).collect();
+        let side = |ev: &str| {
+            let mut recs = shared.clone();
+            recs.extend((10..14).map(|t| rec(t, ev, t)));
+            trace_of(&recs)
+        };
+        let (a, b) = (side("epoch-fire"), side("fault-crash"));
+        for context in [0, 2, 4, 9, usize::MAX] {
+            let text = trace_diff(&a, &b, context).to_string();
+            for (label, ev) in [("a", "epoch-fire"), ("b", "fault-crash")] {
+                let lines: Vec<&str> = text
+                    .lines()
+                    .filter(|l| l.starts_with(&format!("  {label}  ")))
+                    .collect();
+                let marked = |m: &str| lines.iter().filter(|l| l.contains(m)).count();
+                assert_eq!(marked(">>>"), 1, "{text}");
+                let at = lines.iter().position(|l| l.contains(">>>")).unwrap();
+                assert_eq!(at, context.min(4), "{text}");
+                assert!(lines[at].contains(&format!("kind={ev} t=10µs")), "{text}");
+                // Records after the split follow it, never precede it.
+                assert!(lines[..at].iter().all(|l| l.contains("frame-tx")));
+                assert_eq!(lines.len() - at - 1, context.min(3), "{text}");
+            }
+        }
     }
 
     #[test]

@@ -19,8 +19,6 @@ use std::fmt;
 /// assert_eq!(stats.sensor_count(), 5);
 /// assert_eq!(stats.max_depth(), 2);
 /// assert_eq!(stats.nodes_at(1), 3);
-/// // Average depth d = (3·1 + 2·2) / 5.
-/// assert!((stats.avg_depth() - 1.4).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LevelStats {
@@ -81,17 +79,6 @@ impl LevelStats {
             .enumerate()
             .map(|(i, &c)| (i as u32 + 1, c))
     }
-
-    /// Average node depth `d = Σ_k N_k · k / |N|` — the `d` of the paper's
-    /// §3.1.3 worked example. Returns 0.0 for an empty network.
-    pub fn avg_depth(&self) -> f64 {
-        let n = self.sensor_count();
-        if n == 0 {
-            return 0.0;
-        }
-        let weighted: u64 = self.iter().map(|(k, c)| k as u64 * c).sum();
-        weighted as f64 / n as f64
-    }
 }
 
 impl fmt::Display for LevelStats {
@@ -135,13 +122,6 @@ mod tests {
         let s = LevelStats::from_levels(std::iter::empty());
         assert_eq!(s.sensor_count(), 0);
         assert_eq!(s.max_depth(), 0);
-        assert_eq!(s.avg_depth(), 0.0);
-    }
-
-    #[test]
-    fn avg_depth_weighted_mean() {
-        let s = LevelStats::from_counts([4, 4]);
-        assert!((s.avg_depth() - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -1,16 +1,11 @@
-//! `bench/results/` holds what its producers write and nothing else. CI runs
-//! every producer and fails if `git status` then shows a change there, so a
-//! file that no producer writes any more would sit in the directory
+//! `bench/results/` holds what the `figures` bench writes and nothing else.
+//! CI runs the bench and fails if `git status` then shows a change there,
+//! so a file the bench no longer writes would sit in the directory
 //! unchecked.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
-
-/// What the `inspect` example writes there, or CI redirects its output to:
-/// `observatory`'s cell records, `analyze --json` of one observatory trace
-/// and the `hotspots` tables.
-const INSPECT_FILES: [&str; 3] = ["observatory.jsonl", "analyze-trace-1.json", "hotspots.txt"];
 
 #[test]
 fn every_results_file_has_a_producer() {
@@ -26,7 +21,6 @@ fn every_results_file_has_a_producer() {
         .collect();
     let produced: BTreeSet<String> = ttmqo_bench::RESULT_FILES
         .iter()
-        .chain(&INSPECT_FILES)
         .map(|f| f.to_string())
         .collect();
     assert_eq!(present, produced);
