@@ -284,7 +284,7 @@ struct UserLife {
     terminated_ms: Option<u64>,
 }
 
-/// The one record of query lives (DESIGN.md §23): every user query ever
+/// The one record of query lives (DESIGN.md §8): every user query ever
 /// posed and every query ever injected into the network, each stored once,
 /// joined by the services the injected queries gave the users. An injected
 /// id's query never changes — Tier 1 rewrites under fresh ids — so "who was

@@ -82,7 +82,7 @@ proptest! {
 
 /// The trace text with its `answer-mapped` lines split out and sorted: a
 /// stop drains the base station's outputs early, so it may move those lines
-/// (DESIGN.md §17) but nothing else.
+/// (DESIGN.md §8) but nothing else.
 fn split_answers(ring: &Mutex<RingSink>) -> (Vec<String>, Vec<String>) {
     let text = ring.lock().unwrap().to_jsonl();
     let (mut answers, rest): (Vec<String>, Vec<String>) = text

@@ -608,7 +608,7 @@ fn airtime_of(ring: &Mutex<RingSink>, src: NodeId) -> (u64, u64) {
     airtime
 }
 
-/// The per-touch purge cutoff (DESIGN.md §"Unordered incoming blocks") is
+/// The per-touch purge cutoff (DESIGN.md §9, "Incoming blocks") is
 /// the model's, not physics': a frame still on the air at a receiver leaves
 /// its block as soon as a backlogged neighbour's frame, starting later,
 /// touches it. Pinned here as it behaves; fixing it moves the fingerprint.

@@ -9,7 +9,7 @@
 //! `match` per consumer (`Metrics::apply`, the trace writer) instead of a
 //! hand-written fan-out per site.
 //!
-//! [`Observe`] states the observer contract; DESIGN.md §22 has the table of
+//! [`Observe`] states the observer contract; DESIGN.md §11 has the table of
 //! sites.
 
 use crate::metrics::Metrics;

@@ -47,7 +47,7 @@ use ttmqo_query::{QueryId, BASE_EPOCH_MS};
 /// Version of the workspace's machine-readable reports: the trace
 /// JSON-lines header, trace summaries, cell records, audit reports and flood
 /// rows carry it as `schema_version`. This constant is the single source of
-/// truth — bump it here (and document the change in DESIGN.md §13) whenever
+/// truth — bump it here (and document the change in DESIGN.md §11) whenever
 /// any report's field set changes shape.
 pub const SCHEMA_VERSION: u32 = 3;
 

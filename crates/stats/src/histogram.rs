@@ -1,26 +1,10 @@
 //! Equi-width histograms for selectivity estimation.
 
-use std::fmt;
-
 /// An equi-width histogram over a closed value range.
 ///
 /// Used to estimate `sel(q, N_k)` (Eq. 1) from observed sensor readings when
 /// the uniform assumption is not wanted. Mass falling outside the configured
 /// range is clamped into the boundary buckets.
-///
-/// # Examples
-///
-/// ```
-/// use ttmqo_stats::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 100.0, 10)?;
-/// for v in [5.0, 15.0, 15.5, 95.0] {
-///     h.add(v);
-/// }
-/// assert_eq!(h.total(), 4);
-/// assert!((h.fraction_in(10.0, 20.0) - 0.5).abs() < 1e-9);
-/// # Ok::<(), ttmqo_stats::HistogramError>(())
-/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
@@ -37,17 +21,6 @@ pub enum HistogramError {
     /// Zero buckets were requested.
     NoBuckets,
 }
-
-impl fmt::Display for HistogramError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HistogramError::InvalidRange => f.write_str("histogram range is empty or not finite"),
-            HistogramError::NoBuckets => f.write_str("histogram needs at least one bucket"),
-        }
-    }
-}
-
-impl std::error::Error for HistogramError {}
 
 impl Histogram {
     /// Creates an empty histogram over `[lo, hi]` with `buckets` equal-width
@@ -70,21 +43,6 @@ impl Histogram {
             buckets: vec![0; buckets],
             total: 0,
         })
-    }
-
-    /// Raw per-bucket counts, lowest bucket first (for serialization).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Lower bound of the configured range.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Upper bound of the configured range.
-    pub fn hi(&self) -> f64 {
-        self.hi
     }
 
     /// Total number of observations added.
@@ -136,31 +94,6 @@ impl Histogram {
             }
         }
         (mass / self.total as f64).clamp(0.0, 1.0)
-    }
-
-    /// Merges another histogram with the same configuration into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ranges or bucket counts differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.lo, other.lo, "histogram ranges differ");
-        assert_eq!(self.hi, other.hi, "histogram ranges differ");
-        assert_eq!(
-            self.buckets.len(),
-            other.buckets.len(),
-            "bucket counts differ"
-        );
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
-
-    /// Clears all recorded observations.
-    pub fn clear(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        self.total = 0;
     }
 }
 
@@ -233,30 +166,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates() {
-        let mut a = Histogram::new(0.0, 10.0, 5).unwrap();
-        let mut b = Histogram::new(0.0, 10.0, 5).unwrap();
-        a.add(1.0);
-        b.add(9.0);
-        a.merge(&b);
-        assert_eq!(a.total(), 2);
-        assert!((a.fraction_in(0.0, 2.0) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket counts differ")]
-    fn merge_mismatched_panics() {
-        let mut a = Histogram::new(0.0, 10.0, 5).unwrap();
-        let b = Histogram::new(0.0, 10.0, 4).unwrap();
-        a.merge(&b);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut h = Histogram::new(0.0, 10.0, 5).unwrap();
-        h.add(5.0);
-        h.clear();
-        assert_eq!(h.total(), 0);
-        assert_eq!(h.fraction_in(0.0, 10.0), 0.0);
+    fn whole_buckets_count_in_full() {
+        let mut h = Histogram::new(0.0, 100.0, 10).unwrap();
+        for v in [5.0, 15.0, 15.5, 95.0] {
+            h.add(v);
+        }
+        assert_eq!(h.total(), 4);
+        assert!((h.fraction_in(10.0, 20.0) - 0.5).abs() < 1e-9);
     }
 }

@@ -6,10 +6,10 @@
 //! query's predicates — and the per-level node populations `N_k` of the data
 //! routing tree. This crate provides both:
 //!
-//! * [`Histogram`] / [`DataDistribution`] / [`SelectivityEstimator`] for
-//!   selectivity, with the paper's uniform fallback;
-//! * [`LevelStats`] for the level populations, maximum depth and the average
-//!   depth `d` used in the paper's worked example.
+//! * [`DataDistribution`] / [`SelectivityEstimator`] for selectivity, with
+//!   the paper's uniform fallback and a histogram-backed
+//!   [`EmpiricalDistribution`];
+//! * [`LevelStats`] for the level populations and the maximum depth.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,5 +22,4 @@ mod levels;
 pub use distribution::{
     DataDistribution, EmpiricalDistribution, SelectivityEstimator, UniformDistribution,
 };
-pub use histogram::{Histogram, HistogramError};
 pub use levels::LevelStats;

@@ -85,7 +85,7 @@ pub fn churn_workload(params: &ChurnWorkloadParams) -> Vec<WorkloadEvent> {
 
 /// The arrival sequence alone (no timestamps, no departures): query `i`
 /// instantiates a seeded template under id `i`.
-pub fn churn_queries(params: &ChurnWorkloadParams) -> Vec<Query> {
+fn churn_queries(params: &ChurnWorkloadParams) -> Vec<Query> {
     let mut rng = StdRng::seed_from_u64(params.seed);
     let n_templates = params.n_templates.max(1);
     let templates: Vec<Query> = (0..n_templates)

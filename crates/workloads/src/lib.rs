@@ -20,7 +20,7 @@ mod random;
 mod selectivity;
 mod static_abc;
 
-pub use churn::{churn_queries, churn_workload, ChurnWorkloadParams};
+pub use churn::{churn_workload, ChurnWorkloadParams};
 pub use random::{
     random_workload, workload_end_ms, RandomWorkloadParams, ATTR_MENU, EPOCH_MENU_MS,
 };

@@ -2,7 +2,9 @@
 //! does every `ttmqo::<crate>::<name>` they name and every `Type::member`
 //! README.md and DESIGN.md name, so a file, a module or a method that moves
 //! or goes takes its mentions with it. EXPERIMENTS.md is a log of what was
-//! measured when, and may name members that have since gone.
+//! measured when, and may name members that have since gone. Every perf
+//! ledger is named in EXPERIMENTS.md, every `DESIGN.md §N` names a section
+//! that exists, and each document stays within its line budget.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -255,6 +257,126 @@ fn every_bench_heading_names_its_results_file() {
     );
 }
 
+/// Every ledger under `bench/history/` is a row of EXPERIMENTS.md's
+/// trajectory table, so a measurement kept as data is also findable.
+#[test]
+fn every_history_ledger_is_named_in_experiments() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = fs::read_to_string(repo.join("EXPERIMENTS.md")).unwrap();
+    let mut ledgers: Vec<String> = fs::read_dir(repo.join("bench/history"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    ledgers.sort();
+    assert!(ledgers.len() >= 10, "only {} ledgers", ledgers.len());
+    let unnamed: Vec<&String> = ledgers
+        .iter()
+        .filter(|name| !text.contains(&format!("`bench/history/{name}`")))
+        .collect();
+    assert!(
+        unnamed.is_empty(),
+        "EXPERIMENTS.md names no `bench/history/` path for:\n{unnamed:#?}"
+    );
+}
+
+/// The section numbers of `DESIGN.md §N` references in `text`: the number
+/// after the `§`, and after each `, §` or ` and §` that follows it. `None`
+/// stands for a `§` followed by something other than a number.
+fn design_sections(text: &str) -> Vec<Option<u32>> {
+    let mut sections = Vec::new();
+    for (at, prefix) in text.match_indices("DESIGN.md §") {
+        let mut rest = &text[at + prefix.len()..];
+        loop {
+            let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+            sections.push(rest[..digits].parse().ok());
+            rest = &rest[digits..];
+            let next = [", §", " and §"]
+                .iter()
+                .find_map(|sep| rest.strip_prefix(sep));
+            match next {
+                Some(next) if digits > 0 => rest = next,
+                _ => break,
+            }
+        }
+    }
+    sections
+}
+
+/// Every file under `dir` whose extension is `rs` or `md`.
+fn text_files(dir: &Path, files: &mut Vec<std::path::PathBuf>) {
+    for entry in fs::read_dir(dir).unwrap().flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            text_files(&path, files);
+        } else if path.extension().is_some_and(|e| e == "rs" || e == "md") {
+            files.push(path);
+        }
+    }
+}
+
+#[test]
+fn design_sections_read_lists_and_flag_names() {
+    assert_eq!(
+        design_sections("(DESIGN.md §11, §16) and DESIGN.md §9 and §3; DESIGN.md §\"X\""),
+        [Some(11), Some(16), Some(9), Some(3), None]
+    );
+}
+
+/// A `DESIGN.md §N` in the code, the tests, README.md or EXPERIMENTS.md
+/// names a `## N.` heading of DESIGN.md, so renumbering the sections takes
+/// the references with it.
+#[test]
+fn every_design_section_reference_resolves() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = fs::read_to_string(repo.join("DESIGN.md")).unwrap();
+    let headings: BTreeSet<u32> = design
+        .lines()
+        .filter_map(|l| l.strip_prefix("## "))
+        .filter_map(|h| h.split_once(". ").and_then(|(n, _)| n.parse().ok()))
+        .collect();
+    let mut files = vec![repo.join("README.md"), repo.join("EXPERIMENTS.md")];
+    text_files(&repo.join("crates"), &mut files);
+    text_files(&repo.join("tests"), &mut files);
+    let mut checked = 0;
+    let mut dangling = Vec::new();
+    // This file's own examples of the pattern are not references.
+    files.retain(|f| !f.ends_with(file!()));
+    for file in files {
+        let text = fs::read_to_string(&file).unwrap();
+        for section in design_sections(&text) {
+            checked += 1;
+            if !section.is_some_and(|n| headings.contains(&n)) {
+                let shown = section.map_or("a name".to_string(), |n| n.to_string());
+                dangling.push(format!("{}: §{shown}", file.display()));
+            }
+        }
+    }
+    // The code alone cites five sections; finding few means the scan broke.
+    assert!(checked >= 5, "only {checked} section references found");
+    assert!(
+        dangling.is_empty(),
+        "references to DESIGN.md sections that have no `## N.` heading:\n{}",
+        dangling.join("\n")
+    );
+}
+
+/// What each document may grow to. A change that needs more room says
+/// what it replaces.
+const LINE_BUDGETS: [(&str, usize); 3] = [
+    ("DESIGN.md", 600),
+    ("EXPERIMENTS.md", 600),
+    ("README.md", 390),
+];
+
+#[test]
+fn documents_stay_within_their_line_budgets() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for (doc, budget) in LINE_BUDGETS {
+        let lines = fs::read_to_string(repo.join(doc)).unwrap().lines().count();
+        assert!(lines <= budget, "{doc} has {lines} lines, budget {budget}");
+    }
+}
+
 /// The documents that describe the code as it stands.
 const DESCRIBING: [&str; 2] = ["README.md", "DESIGN.md"];
 
@@ -263,12 +385,15 @@ const CODE: [&str; 3] = ["crates", "src", "examples"];
 
 /// Mechanisms the documents describe as deleted: they may be named, and must
 /// not exist.
-const GONE: [&str; 13] = [
+const GONE: [&str; 17] = [
     "CampaignReport::rollup",
     "CampaignSpec::warm_start",
+    "CorrelatedField::with_strengths",
     "Ctx::rand_f64",
     "DagState::presumed_dead_count",
+    "EngineStats::csma_sorts_saved",
     "EngineStats::frame_slab_len",
+    "LevelStats::avg_depth",
     "MetricsSnapshot::tx_bytes_total",
     "Obj::fixed",
     "Observe::profile",
@@ -277,6 +402,7 @@ const GONE: [&str; 13] = [
     "Probe::trace_event",
     "QueryCompleteness::missing_epochs",
     "SelectivityEstimator::observation_count",
+    "TtmqoConfig::query_recovery",
 ];
 
 /// Standard-library types the documents name members of; not checked.
