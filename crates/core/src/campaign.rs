@@ -315,7 +315,7 @@ impl CellRecord {
     /// JSON-lines report):
     ///
     /// ```json
-    /// {"schema_version":3,"workload":"A","strategy":"two-tier","grid_n":4,"field_seed":987,
+    /// {"schema_version":4,"workload":"A","strategy":"two-tier","grid_n":4,"field_seed":987,
     ///  "fault":"none","workload_events":8,"queries_answered":4,
     ///  "answer_epochs":160,"avg_synthetic_count":1.9,"avg_benefit_ratio":0.31,
     ///  "energy_mj":14000.2,"max_node_energy_mj":950.8,

@@ -119,6 +119,9 @@ pub struct TtmqoApp {
     last_no_route_ms: Option<u64>,
     /// Partials and (base station only) rows per (query, epoch-start ms).
     buffers: EpochBuffers,
+    /// The fixed link-quality parent every frame follows when
+    /// `dynamic_parents` is off, read once per boot in `on_start`.
+    fixed_parent: Option<NodeId>,
 }
 
 impl TtmqoApp {
@@ -136,6 +139,7 @@ impl TtmqoApp {
             requested_queries: BTreeSet::new(),
             last_no_route_ms: None,
             buffers: EpochBuffers::default(),
+            fixed_parent: None,
         }
     }
 
@@ -373,8 +377,7 @@ impl TtmqoApp {
         let election = if self.config.dynamic_parents {
             self.dag.choose_parents(qids.clone())
         } else {
-            let parent = ctx.topology().default_parent(ctx.node());
-            parent.map_or(Election::NoRoute, Election::One)
+            self.fixed_parent.map_or(Election::NoRoute, Election::One)
         };
         let (dest, assignments) = match election {
             Election::NoRoute => {
@@ -610,6 +613,9 @@ impl NodeApp for TtmqoApp {
             .collect();
         self.dag = DagState::new(upper);
         self.dag.set_failure_detector(self.config.dead_parent_after);
+        if !self.config.dynamic_parents {
+            self.fixed_parent = topo.default_parent(node);
+        }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, key: u64) {

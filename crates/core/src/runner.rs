@@ -558,31 +558,27 @@ impl SimKind {
     fn now(&self) -> SimTime {
         with_sim!(self, s => s.now())
     }
+
+    fn topology(&self) -> &Topology {
+        with_sim!(self, s => s.topology())
+    }
 }
 
-/// Builds the strategy's simulator with the trace sink attached and the
-/// fault plan installed.
-fn build_sim(config: &ExperimentConfig, topo: &Topology) -> SimKind {
-    let field = build_field(config, topo);
+/// Builds the strategy's simulator, which keeps the run's one copy of the
+/// topology, with the trace sink attached and the fault plan installed.
+fn build_sim(config: &ExperimentConfig, topo: Topology) -> SimKind {
+    let field = build_field(config, &topo);
     let (radio, sim_config) = (config.radio.clone(), config.sim.clone());
     let mut sim = if config.strategy.uses_innetwork_tier() {
         let innetwork = effective_innetwork(config);
         let factory = move |_: NodeId, _: &Topology| TtmqoApp::new(innetwork.clone());
         SimKind::Ttmqo(Box::new(Simulator::new(
-            topo.clone(),
-            radio,
-            sim_config,
-            field,
-            factory,
+            topo, radio, sim_config, field, factory,
         )))
     } else {
         let factory = |_: NodeId, _: &Topology| TinyDbApp::new(TinyDbConfig::default());
         SimKind::TinyDb(Box::new(Simulator::new(
-            topo.clone(),
-            radio,
-            sim_config,
-            field,
-            factory,
+            topo, radio, sim_config, field, factory,
         )))
     };
     with_sim!(&mut sim, s => {
@@ -606,7 +602,6 @@ fn build_sim(config: &ExperimentConfig, topo: &Topology) -> SimKind {
 /// again is a replay: a fresh session and `run_to(t)`.
 pub struct RunSession {
     config: ExperimentConfig,
-    topo: Topology,
     events: Vec<WorkloadEvent>,
     sim: SimKind,
     optimizer: Option<BaseStationOptimizer>,
@@ -655,13 +650,13 @@ impl RunSession {
     ///
     /// Panics if the grid cannot be constructed (e.g. `grid_n == 0`).
     pub fn new(config: &ExperimentConfig, workload: &[WorkloadEvent]) -> RunSession {
-        let topo = build_topology(config);
         let events = Self::prepare_events(config, workload);
-        let sim = build_sim(config, &topo);
+        let sim = build_sim(config, build_topology(config));
+        let topo = sim.topology();
 
         let rewriting = config.strategy.uses_basestation_tier();
         let optimizer = rewriting.then(|| {
-            let mut opt = build_optimizer(config, &topo);
+            let mut opt = build_optimizer(config, topo);
             opt.set_trace(config.observe.trace.clone());
             opt
         });
@@ -669,7 +664,7 @@ impl RunSession {
         // executes, used for completeness expectations, plus the repair
         // monitor (armed only for faulty runs with the rewriting tier —
         // fault-free runs take exactly the pre-fault code path).
-        let schedule = (!config.faults.is_empty()).then(|| config.faults.materialize(&topo));
+        let schedule = (!config.faults.is_empty()).then(|| config.faults.materialize(topo));
         let state = RunnerState {
             monitor: (rewriting && schedule.is_some()).then(RepairMonitor::default),
             ..RunnerState::default()
@@ -677,7 +672,6 @@ impl RunSession {
 
         RunSession {
             config: config.clone(),
-            topo,
             events,
             sim,
             optimizer,
@@ -715,8 +709,9 @@ impl RunSession {
     /// holds the services in force at `e`, and a termination that should
     /// drop the answer has always been recorded by drain time.
     fn ingest(&mut self) {
+        let outputs = self.sim.take_outputs();
         let trace = &self.config.observe.trace;
-        let topo = &self.topo;
+        let topo = self.sim.topology();
         let position_of = |node: u16| {
             let id = NodeId(node);
             (id.index() < topo.node_count()).then(|| {
@@ -732,7 +727,7 @@ impl RunSession {
         } = &mut self.state;
         let adaptive = self.config.adaptive_statistics;
         let mut learner = self.optimizer.as_mut().filter(|_| adaptive);
-        for record in self.sim.take_outputs() {
+        for record in outputs {
             let Output::Answer {
                 qid,
                 epoch_ms,
@@ -826,7 +821,10 @@ impl RunSession {
         if self.state.monitor.is_none() {
             return;
         }
-        let window_ms = self.config.innetwork.collection_window_ms(&self.topo);
+        let window_ms = self
+            .config
+            .innetwork
+            .collection_window_ms(self.sim.topology());
         let mut b = (self.state.audited_to / BASE_EPOCH_MS + 1) * BASE_EPOCH_MS;
         while b < t_ms || (inclusive && b == t_ms) {
             self.sim.run_until(SimTime::from_ms(b));
@@ -949,7 +947,7 @@ impl RunSession {
     pub fn replace_fault_plan(&mut self, plan: &FaultPlan) {
         self.sim.replace_fault_plan(plan);
         self.config.faults = plan.clone();
-        self.schedule = (!plan.is_empty()).then(|| plan.materialize(&self.topo));
+        self.schedule = (!plan.is_empty()).then(|| plan.materialize(self.sim.topology()));
     }
 
     /// Runs to the end of the workload and assembles the report.
@@ -969,14 +967,14 @@ impl RunSession {
         // query; value predicates depend on readings, so row expectations
         // are an upper bound and exact for predicate-free acquisition
         // queries.
-        let srt = Srt::build(&self.topo);
-        let window_ms = self.config.innetwork.collection_window_ms(&self.topo);
+        let topo = self.sim.topology();
+        let srt = Srt::build(topo);
+        let window_ms = self.config.innetwork.collection_window_ms(topo);
         let mut per_query: BTreeMap<QueryId, QueryCompleteness> = BTreeMap::new();
         for (uid, life) in &self.state.ledger.users {
             let q = &life.query;
             let end = life.terminated_ms.unwrap_or(u64::MAX).min(duration.as_ms());
-            let static_matching: Vec<NodeId> = self
-                .topo
+            let static_matching: Vec<NodeId> = topo
                 .nodes()
                 .filter(|&n| n != NodeId::BASE_STATION && srt.node_matches(n, q))
                 .collect();

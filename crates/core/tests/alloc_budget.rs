@@ -264,8 +264,10 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     // allocated once per thread and kept. It is 12 925 since the base station
     // holds an epoch only from its open to its close: the 12 rows and 3
     // partials entries that arrive after their close are counted and
-    // dropped, where each began a buffer of its own that nothing read. The
-    // count is the same in debug and release builds (CI runs both).
+    // dropped, where each began a buffer of its own that nothing read. It is
+    // 12 605 since the grid is bucketed without hashing into flat neighbour
+    // lists and the session no longer clones it. The count is the same in
+    // debug and release builds (CI runs both).
     let config = ExperimentConfig {
         strategy: Strategy::InNetOnly,
         grid_n: 8,
@@ -275,7 +277,7 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     let workload = workload_a();
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.engine.frames_total, 5965, "not the pinned cell");
-    assert_eq!(allocs, 12_925);
+    assert_eq!(allocs, 12_605);
 }
 
 #[test]
@@ -306,7 +308,8 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     // and the selection scratch's vectors cost 6 calls, once per thread; a
     // base station that counts and drops what arrives for an epoch it does
     // not hold open (45 rows and 3 partials entries) instead of buffering it,
-    // to 22 125.
+    // to 22 125; a grid bucketed without hashing into flat neighbour lists,
+    // held once by the simulator, to 22 051.
     let workload = random_workload(&RandomWorkloadParams {
         n_queries: 100,
         mean_arrival_ms: 10_000.0,
@@ -321,7 +324,7 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     };
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(100));
-    assert_eq!(allocs, 22_125);
+    assert_eq!(allocs, 22_051);
 
     // What the users' answers hold once the run is over — 443 answers,
     // 2 059 rows, 3 503 values — pinned exactly: the bytes freed by dropping
@@ -391,8 +394,10 @@ fn answers_of_the_benchmark_churn_stream_share_their_synthetic_rows() {
     // 8 915 member allocations became 1 218 blocks: the run made 265 848
     // allocator calls before, and 258 179 until the base station dropped the
     // 73 rows and 42 partials entries that arrive after their epoch's close
-    // instead of buffering them. The same in debug and release builds.
-    assert_eq!(allocs, 258_081);
+    // instead of buffering them, and 258 081 until the grid was bucketed
+    // without hashing into flat neighbour lists and held once. The same in
+    // debug and release builds.
+    assert_eq!(allocs, 257_761);
 }
 
 #[test]
@@ -432,11 +437,14 @@ fn workload_a_cells_peak_at_a_pinned_number_of_live_bytes() {
     // 188 776 B and 168 868 B since the engine keeps each count once: the
     // boxed simulator drops its own frames-ever and slab-high-water fields
     // (16 B), read off the metrics' transmit count and the slab's length.
-    // Both are the same in debug and release builds.
+    // It is 180 484 B and 160 064 B since the session holds the topology
+    // once, in the simulator, where it held a clone, and that one copy's
+    // neighbour lists are one flat array. Both are the same in debug and
+    // release builds.
     let workload = workload_a();
     let cells = [
-        (Strategy::Baseline, 11_763, 188_776),
-        (Strategy::TwoTier, 5_981, 168_868),
+        (Strategy::Baseline, 11_763, 180_484),
+        (Strategy::TwoTier, 5_981, 160_064),
     ];
     for (strategy, frames, pinned) in cells {
         let config = ExperimentConfig {
@@ -451,6 +459,54 @@ fn workload_a_cells_peak_at_a_pinned_number_of_live_bytes() {
             "{strategy:?}: not the pinned cell"
         );
         assert_eq!(peak, pinned, "{strategy:?}");
+    }
+}
+
+#[test]
+fn setting_up_the_papers_32x32_deployment_makes_a_pinned_number_of_allocator_calls() {
+    // The grid is built once per run and bucketed without hashing: its
+    // positions, each node's bucket, the buckets' bounds and their nodes in
+    // order, the flat neighbour array (sized once from the candidates and
+    // trimmed once), its offsets, the levels and the BFS queue. The SipHash
+    // bucket map and one `Vec` per neighbour list made 4 306 calls.
+    let (allocs, topo) = allocs_during(|| Topology::grid(32).unwrap());
+    assert_eq!(topo.node_count(), 1024);
+    assert_eq!(allocs, 9);
+    // A session keeps that one copy: the simulator owns it, and the session
+    // reads it through the simulator. Cloning it into the simulator made
+    // 5 541 calls (TwoTier) and 5 524 (Baseline).
+    let workload = workload_a();
+    for (strategy, pinned) in [(Strategy::TwoTier, 47), (Strategy::Baseline, 30)] {
+        let config = ExperimentConfig {
+            strategy,
+            grid_n: 32,
+            ..ExperimentConfig::default()
+        };
+        let (allocs, session) = allocs_during(|| RunSession::new(&config, &workload));
+        drop(session);
+        assert_eq!(allocs, pinned, "{strategy:?}");
+    }
+}
+
+#[test]
+fn a_topology_spread_over_any_distance_allocates_for_its_nodes_only() {
+    // However far apart the nodes are, the bucket grid has O(n) buckets:
+    // these three nodes are disconnected at every spread, and the build's
+    // heap high-water mark is the same whether the far node is 1 000 ft or
+    // 1e300 ft away.
+    let peak_at = |x: f64| {
+        let positions = vec![
+            Position { x: 0.0, y: 0.0 },
+            Position { x, y: x },
+            Position { x: 20.0, y: 0.0 },
+        ];
+        let (peak, built) = peak_live_during(|| Topology::from_positions(positions, 50.0));
+        assert!(built.is_err(), "{x}");
+        peak
+    };
+    let near = peak_at(1e3);
+    for x in [1e15, 1e300, f64::MAX, -f64::MAX] {
+        assert_eq!(peak_at(x), near, "{x}");
     }
 }
 

@@ -294,7 +294,7 @@ impl AuditReport {
     /// One JSON object:
     ///
     /// ```json
-    /// {"schema_version":3,"checks_run":4,"checks_skipped":1,"violations":[
+    /// {"schema_version":4,"checks_run":4,"checks_skipped":1,"violations":[
     ///   {"check":"phase-accounting","subject":"timer+deliver+command+maintenance+fault",
     ///    "expected":"4000","actual":"4001"}]}
     /// ```

@@ -6,7 +6,7 @@
 //! reproduces exactly that; arbitrary placements are supported through
 //! [`Topology::from_positions`].
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifier of a node in the simulated network.
@@ -58,6 +58,8 @@ pub enum TopologyError {
     TooManyNodes(usize),
     /// The radio range is not positive and finite.
     InvalidRange,
+    /// This node's position has an infinite or NaN coordinate.
+    NonFinitePosition(u16),
     /// Some node cannot reach the base station over any number of hops.
     Disconnected(u16),
 }
@@ -68,6 +70,7 @@ impl fmt::Display for TopologyError {
             TopologyError::Empty => f.write_str("topology has no nodes"),
             TopologyError::TooManyNodes(n) => write!(f, "too many nodes: {n}"),
             TopologyError::InvalidRange => f.write_str("radio range must be positive and finite"),
+            TopologyError::NonFinitePosition(id) => write!(f, "node n{id} has no finite position"),
             TopologyError::Disconnected(id) => {
                 write!(f, "node n{id} cannot reach the base station")
             }
@@ -82,11 +85,7 @@ impl std::error::Error for TopologyError {}
 ///
 /// Holds at most 65,536 nodes (the `u16` id space; a 256×256 grid fits
 /// exactly). Construction is near-linear in the node count for
-/// bounded-density deployments: a spatial grid-bucket index
-/// (`SpatialIndex`, cells of side `radio_range`) replaces the all-pairs
-/// O(n²) scan, so only the 9 buckets a node's radio disc can overlap are
-/// examined per node. The index is retained for ad-hoc disc queries
-/// ([`Topology::nodes_within`]).
+/// bounded-density deployments; the neighbour lists are stored back to back.
 ///
 /// # Examples
 ///
@@ -104,63 +103,88 @@ impl std::error::Error for TopologyError {}
 pub struct Topology {
     positions: Vec<Position>,
     radio_range: f64,
-    neighbors: Vec<Vec<NodeId>>,
+    /// Every node's neighbour list, in node order, each ascending by id.
+    adjacency: Vec<NodeId>,
+    /// Node `i`'s list is `adjacency[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
     levels: Vec<u32>,
     /// The largest of `levels`, fixed at construction like the levels are.
     max_level: u32,
-    index: SpatialIndex,
 }
 
-/// Spatial grid-bucket index over node positions: square cells of side
-/// `cell_ft` (the radio range), so any disc of that radius is covered by the
-/// centre's cell plus its 8 neighbours. Build is O(n); a disc query touches
-/// only the buckets the disc can overlap. Bucket contents are in ascending
-/// id order (nodes are inserted in id order), which is what lets
-/// [`Topology::from_positions`] reproduce the all-pairs scan's neighbour
-/// lists byte for byte.
-#[derive(Debug, Clone, Default)]
-struct SpatialIndex {
-    cell_ft: f64,
-    cells: HashMap<(i64, i64), Vec<NodeId>>,
+/// The nodes counting-sorted, ascending by id, into a dense row-major grid
+/// of square buckets whose side is a little over the radio range (so nodes
+/// in range share or abut a bucket, rounding included) and at least
+/// `extent / √n` (so there are O(n) buckets at any spread).
+struct Buckets {
+    cols: usize,
+    rows: usize,
+    /// Each node's bucket, `row * cols + col`.
+    bucket_of: Vec<u32>,
+    /// Bucket `b` holds `order[bounds[b]..bounds[b + 1]]`.
+    bounds: Vec<u32>,
+    order: Vec<NodeId>,
 }
 
-impl SpatialIndex {
-    fn build(positions: &[Position], cell_ft: f64) -> Self {
-        let mut cells: HashMap<(i64, i64), Vec<NodeId>> = HashMap::new();
-        for (i, p) in positions.iter().enumerate() {
-            cells
-                .entry(Self::cell_at(*p, cell_ft))
-                .or_default()
-                .push(NodeId(i as u16));
+impl Buckets {
+    /// Bins finite `positions`. Halved coordinates and a side never below
+    /// `f64::MIN_POSITIVE` keep every offset, extent and quotient finite.
+    fn new(positions: &[Position], range: f64) -> Self {
+        let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
+        let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        for p in positions {
+            (min_x, max_x) = (min_x.min(p.x), max_x.max(p.x));
+            (min_y, max_y) = (min_y.min(p.y), max_y.max(p.y));
         }
-        SpatialIndex { cell_ft, cells }
+        let (half_min_x, half_min_y) = (min_x / 2.0, min_y / 2.0);
+        let half_extent = (max_x / 2.0 - half_min_x).max(max_y / 2.0 - half_min_y);
+        let n = positions.len() as f64;
+        let half_side = (range / 2.0 * (1.0 + 1.0 / 1024.0))
+            .max(half_extent / n.sqrt())
+            .max(f64::MIN_POSITIVE);
+        let index = |half_offset: f64| (half_offset / half_side) as usize;
+        let cols = index(max_x / 2.0 - half_min_x) + 1;
+        let rows = index(max_y / 2.0 - half_min_y) + 1;
+        let bucket_of: Vec<u32> = positions
+            .iter()
+            .map(|p| (index(p.y / 2.0 - half_min_y) * cols + index(p.x / 2.0 - half_min_x)) as u32)
+            .collect();
+        // Counted at `b + 2`, the prefix sums put bucket `b`'s start at
+        // `b + 1`; placing its nodes advances that to its end, which is
+        // bucket `b + 1`'s start. The last entry is left over.
+        let mut bounds = vec![0u32; cols * rows + 2];
+        for &b in &bucket_of {
+            bounds[b as usize + 2] += 1;
+        }
+        for b in 2..bounds.len() {
+            bounds[b] += bounds[b - 1];
+        }
+        let mut order = vec![NodeId(0); positions.len()];
+        for (i, &b) in bucket_of.iter().enumerate() {
+            let slot = &mut bounds[b as usize + 1];
+            order[*slot as usize] = NodeId(i as u16);
+            *slot += 1;
+        }
+        Buckets {
+            cols,
+            rows,
+            bucket_of,
+            bounds,
+            order,
+        }
     }
 
-    fn cell_at(p: Position, cell_ft: f64) -> (i64, i64) {
-        (
-            (p.x / cell_ft).floor() as i64,
-            (p.y / cell_ft).floor() as i64,
-        )
-    }
-
-    /// Calls `f` with every node in the buckets a disc of radius `radius`
-    /// centred at `center` can overlap. Candidates only — callers filter by
-    /// actual distance. Visit order is deterministic (row-major over the
-    /// bucket window, ascending ids within a bucket) but not globally
-    /// sorted.
-    fn for_each_candidate(&self, center: Position, radius: f64, mut f: impl FnMut(NodeId)) {
-        let (cx, cy) = Self::cell_at(center, self.cell_ft);
-        // A disc of radius r reaches ceil(r / cell) cells in each direction.
-        let reach = (radius / self.cell_ft).ceil().max(1.0) as i64;
-        for dy in -reach..=reach {
-            for dx in -reach..=reach {
-                if let Some(bucket) = self.cells.get(&(cx + dx, cy + dy)) {
-                    for &id in bucket {
-                        f(id);
-                    }
-                }
-            }
-        }
+    /// The nodes of every bucket next to or equal to `node`'s: each row of
+    /// up to three buckets is one run of `order`.
+    fn candidates(&self, node: usize) -> impl Iterator<Item = &[NodeId]> {
+        let b = self.bucket_of[node] as usize;
+        let (row, col) = (b / self.cols, b % self.cols);
+        let (left, right) = (col.saturating_sub(1), (col + 1).min(self.cols - 1));
+        (row.saturating_sub(1)..=(row + 1).min(self.rows - 1)).map(move |r| {
+            let from = self.bounds[r * self.cols + left] as usize;
+            let to = self.bounds[r * self.cols + right + 1] as usize;
+            &self.order[from..to]
+        })
     }
 }
 
@@ -246,7 +270,8 @@ impl Topology {
     /// # Errors
     ///
     /// Returns [`TopologyError`] if the position list is empty or too large,
-    /// the range invalid, or some node is unreachable from the base station.
+    /// the range invalid, a coordinate infinite or NaN, or some node is
+    /// unreachable from the base station.
     pub fn from_positions(
         positions: Vec<Position>,
         radio_range: f64,
@@ -260,31 +285,41 @@ impl Topology {
         if !(radio_range.is_finite() && radio_range > 0.0) {
             return Err(TopologyError::InvalidRange);
         }
-        let n = positions.len();
-        // Bucket the nodes once, then find each node's neighbours by scanning
-        // only the buckets its radio disc can overlap — near-linear overall
-        // for bounded-density deployments, versus the all-pairs O(n²) scan
-        // this replaces. The old scan produced each neighbour list in
-        // ascending id order (smaller ids were pushed during earlier outer
-        // iterations, larger ids during the node's own), so sorting the
-        // collected candidates ascending reproduces it byte for byte.
-        let index = SpatialIndex::build(&positions, radio_range);
-        let mut neighbors: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for i in 0..n {
-            let list = &mut neighbors[i];
-            index.for_each_candidate(positions[i], radio_range, |j| {
-                if j.index() != i && positions[i].distance(positions[j.index()]) <= radio_range {
-                    list.push(j);
-                }
-            });
-            list.sort_unstable();
+        if let Some(i) = positions
+            .iter()
+            .position(|p| !(p.x.is_finite() && p.y.is_finite()))
+        {
+            return Err(TopologyError::NonFinitePosition(i as u16));
         }
+        let n = positions.len();
+        // A node's candidates are its 3×3 buckets, one run per bucket row;
+        // sorting those in range gives an all-pairs scan's ascending list.
+        // The candidates bound the lists' total, so the flat array is sized
+        // once, unless a clump has more than 64 a node: it then grows.
+        let buckets = Buckets::new(&positions, radio_range);
+        let bound = (0..n).flat_map(|i| buckets.candidates(i)).flatten().count();
+        let mut adjacency = Vec::with_capacity(bound.min(64 * n));
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        for (i, &p) in positions.iter().enumerate() {
+            let start = adjacency.len();
+            for &j in buckets.candidates(i).flatten() {
+                if j.index() != i && p.distance(positions[j.index()]) <= radio_range {
+                    adjacency.push(j);
+                }
+            }
+            adjacency[start..].sort_unstable();
+            offsets.push(adjacency.len() as u32);
+        }
+        adjacency.shrink_to_fit();
+        let neighbors = |u: usize| &adjacency[offsets[u] as usize..offsets[u + 1] as usize];
         // BFS hop levels from the base station.
         let mut levels = vec![u32::MAX; n];
         levels[0] = 0;
-        let mut queue = std::collections::VecDeque::from([0usize]);
+        let mut queue = VecDeque::with_capacity(n);
+        queue.push_back(0);
         while let Some(u) = queue.pop_front() {
-            for &v in &neighbors[u] {
+            for &v in neighbors(u) {
                 if levels[v.index()] == u32::MAX {
                     levels[v.index()] = levels[u] + 1;
                     queue.push_back(v.index());
@@ -298,10 +333,10 @@ impl Topology {
         Ok(Topology {
             positions,
             radio_range,
-            neighbors,
+            adjacency,
+            offsets,
             levels,
             max_level,
-            index,
         })
     }
 
@@ -331,44 +366,8 @@ impl Topology {
 
     /// Nodes within radio range of `node` (excluding itself).
     pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.neighbors[node.index()]
-    }
-
-    /// All nodes within `radius` feet of `center` (inclusive), ascending by
-    /// id — a bucket query over the spatial index, touching only the cells
-    /// the disc can overlap rather than every node.
-    ///
-    /// This is the general form of the precomputed [`Topology::neighbors`]
-    /// lists (which fix the centre at a node and the radius at the radio
-    /// range): audibility-style questions — "who can hear a transmitter
-    /// standing here?", region-scoped CSMA or fault injection — ask it for
-    /// arbitrary points and radii. A node at exactly `center` is included;
-    /// a non-finite or negative radius returns no nodes.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ttmqo_sim::{NodeId, Topology};
-    ///
-    /// let topo = Topology::grid(4)?;
-    /// // Standing on the base station, a 25 ft disc hears nodes 0, 1 and 4
-    /// // (20 ft away) but not the diagonal node 5 (28.3 ft).
-    /// let heard = topo.nodes_within(topo.position(NodeId(0)), 25.0);
-    /// assert_eq!(heard, vec![NodeId(0), NodeId(1), NodeId(4)]);
-    /// # Ok::<(), ttmqo_sim::TopologyError>(())
-    /// ```
-    pub fn nodes_within(&self, center: Position, radius: f64) -> Vec<NodeId> {
-        if !(radius.is_finite() && radius >= 0.0) {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        self.index.for_each_candidate(center, radius, |id| {
-            if self.positions[id.index()].distance(center) <= radius {
-                out.push(id);
-            }
-        });
-        out.sort_unstable();
-        out
+        let i = node.index();
+        &self.adjacency[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Whether two distinct nodes are within radio range of each other.
@@ -574,12 +573,9 @@ mod tests {
         assert!(t.level(NodeId(u16::MAX)) > 0);
     }
 
-    #[test]
-    fn spatial_index_matches_all_pairs_scan() {
-        // The bucket-index build must reproduce the old O(n²) scan exactly:
-        // same neighbour sets, same (ascending) order — on an irregular
-        // deployment where nodes straddle bucket boundaries.
-        let t = Topology::random_uniform(200, 300.0, 60.0, 0xBEEF).unwrap();
+    /// Asserts that every neighbour list equals an all-pairs scan's: the
+    /// same nodes in the same (ascending) order.
+    fn assert_matches_all_pairs_scan(t: &Topology) {
         for a in t.nodes() {
             let brute: Vec<NodeId> = t
                 .nodes()
@@ -590,31 +586,78 @@ mod tests {
     }
 
     #[test]
-    fn nodes_within_matches_brute_force_disc() {
-        let t = Topology::random_uniform(150, 250.0, 55.0, 0xF00D).unwrap();
-        // Arbitrary centres (on and off nodes) and radii, including a radius
-        // larger than a bucket cell (forces the multi-cell reach path).
-        let centers = [
-            t.position(NodeId(0)),
-            t.position(NodeId(77)),
-            Position { x: 123.4, y: 210.9 },
-        ];
-        for center in centers {
-            for radius in [0.0, 10.0, 55.0, 140.0] {
-                let brute: Vec<NodeId> = t
-                    .nodes()
-                    .filter(|&b| t.position(b).distance(center) <= radius)
-                    .collect();
-                assert_eq!(t.nodes_within(center, radius), brute);
-            }
+    fn spatial_index_matches_all_pairs_scan() {
+        let at = |x: f64, y: f64| Position { x, y };
+        // An irregular deployment where nodes straddle bucket boundaries.
+        assert_matches_all_pairs_scan(&Topology::random_uniform(200, 300.0, 60.0, 0xBEEF).unwrap());
+        // Nodes exactly one range apart, on the edges of range-wide buckets,
+        // at negative coordinates: a 3-4-5 lattice.
+        let edges: Vec<Position> = (0..36)
+            .map(|i| {
+                at(
+                    -150.0 + f64::from(i % 6) * 30.0,
+                    -200.0 + f64::from(i / 6) * 40.0,
+                )
+            })
+            .collect();
+        let t = Topology::from_positions(edges, 50.0).unwrap();
+        assert!(
+            t.neighbors(NodeId(0)).contains(&NodeId(7)),
+            "(0,0)–(30,40) is 50 ft"
+        );
+        assert_matches_all_pairs_scan(&t);
+        let negative: Vec<Position> = (0..40)
+            .map(|i| at(-f64::from(i) * 17.5, -f64::from(i * i % 7) * 9.0))
+            .collect();
+        assert_matches_all_pairs_scan(&Topology::from_positions(negative, 50.0).unwrap());
+        // A one-row line, spaced exactly at the range.
+        let line = (0..30).map(|i| at(f64::from(i) * 50.0, 0.0)).collect();
+        let t = Topology::from_positions(line, 50.0).unwrap();
+        assert_eq!(t.max_level(), 29);
+        assert_matches_all_pairs_scan(&t);
+        // Every node in one bucket: each hears all the others.
+        let clump = (0..25)
+            .map(|i| at(f64::from(i % 5), f64::from(i / 5)))
+            .collect();
+        let t = Topology::from_positions(clump, 50.0).unwrap();
+        assert!(t.nodes().all(|a| t.neighbors(a).len() == 24));
+        assert_matches_all_pairs_scan(&t);
+    }
+
+    #[test]
+    fn unplaceable_or_unreachable_positions_are_errors() {
+        let at = |x: f64, y: f64| Position { x, y };
+        for (far, err) in [
+            (at(f64::INFINITY, 0.0), TopologyError::NonFinitePosition(1)),
+            (
+                at(0.0, f64::NEG_INFINITY),
+                TopologyError::NonFinitePosition(1),
+            ),
+            (at(f64::NAN, 0.0), TopologyError::NonFinitePosition(1)),
+            (at(1e300, 0.0), TopologyError::Disconnected(1)),
+            (at(-1e300, 1e300), TopologyError::Disconnected(1)),
+            (at(f64::MAX, -f64::MAX), TopologyError::Disconnected(1)),
+            (at(1e15, 0.0), TopologyError::Disconnected(1)),
+        ] {
+            let positions = vec![at(0.0, 0.0), far, at(20.0, 0.0)];
+            assert_eq!(
+                Topology::from_positions(positions, 50.0).unwrap_err(),
+                err,
+                "{far:?}"
+            );
         }
-        // A node standing at the centre is included (distance 0).
-        assert!(t
-            .nodes_within(t.position(NodeId(3)), 0.0)
-            .contains(&NodeId(3)));
-        // Degenerate radii find nothing rather than panicking.
-        assert!(t.nodes_within(centers[2], f64::NAN).is_empty());
-        assert!(t.nodes_within(centers[2], -1.0).is_empty());
+        // Spread across the whole range of f64, or a few subnormal steps
+        // under the smallest range there is, the nodes still fit a grid of
+        // O(n) buckets.
+        let spread = vec![at(-f64::MAX, -f64::MAX), at(f64::MAX, f64::MAX)];
+        assert_eq!(
+            Topology::from_positions(spread, f64::MAX).unwrap_err(),
+            TopologyError::Disconnected(1)
+        );
+        let tiny = f64::from_bits(1);
+        let mut specks = vec![at(0.0, 0.0); 299];
+        specks.push(at(4.0 * tiny, 0.0));
+        assert_matches_all_pairs_scan(&Topology::from_positions(specks, tiny).unwrap());
     }
 
     #[test]

@@ -49,7 +49,7 @@ use ttmqo_query::{QueryId, BASE_EPOCH_MS};
 /// rows carry it as `schema_version`. This constant is the single source of
 /// truth — bump it here (and document the change in DESIGN.md §11) whenever
 /// any report's field set changes shape.
-pub const SCHEMA_VERSION: u32 = 3;
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// Identity of one sensed sample: origin node and epoch start packed into a
 /// `u64` (`node << 48 | epoch_ms`). Rows already carry both on the wire, so

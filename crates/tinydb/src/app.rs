@@ -51,6 +51,9 @@ pub struct TinyDbApp {
     floods: Floods,
     /// Partials and (base station only) rows per (query, epoch start ms).
     buffers: EpochBuffers,
+    /// This node's parent in the routing tree, read once per boot in
+    /// `on_start` (`None` at the base station).
+    parent: Option<NodeId>,
 }
 
 impl TinyDbApp {
@@ -67,6 +70,7 @@ impl TinyDbApp {
             queries: BTreeMap::new(),
             floods: Floods::new(config.srt, Self::TAG.jitter_ms),
             buffers: EpochBuffers::default(),
+            parent: None,
         }
     }
 
@@ -106,10 +110,6 @@ impl TinyDbApp {
             self.queries.remove(&qid);
             self.buffers.forget_query(qid);
         }
-    }
-
-    fn parent(&self, ctx: &Ctx<'_, TinyDbPayload, Output>) -> Option<NodeId> {
-        ctx.topology().default_parent(ctx.node())
     }
 
     /// The query's sampling clock fired at the start of one of its epochs.
@@ -165,7 +165,7 @@ impl TinyDbApp {
                         readings: readings.project(attrs),
                     };
                     let payload = TinyDbPayload::Row { qid, epoch_ms, row };
-                    if let Some(parent) = self.parent(ctx) {
+                    if let Some(parent) = self.parent {
                         ctx.trace_with(|| TraceEvent::ResultHop {
                             from: ctx.node(),
                             to: vec![parent],
@@ -211,7 +211,7 @@ impl TinyDbApp {
         if partials.iter().all(Option::is_none) {
             return;
         }
-        if let Some(parent) = self.parent(ctx) {
+        if let Some(parent) = self.parent {
             // TAG merges per-origin identity away: no provenance to carry.
             ctx.trace_with(|| TraceEvent::ResultHop {
                 from: ctx.node(),
@@ -242,7 +242,9 @@ impl NodeApp for TinyDbApp {
     type Command = Command;
     type Output = Output;
 
-    fn on_start(&mut self, _ctx: &mut Ctx<'_, TinyDbPayload, Output>) {}
+    fn on_start(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>) {
+        self.parent = ctx.topology().default_parent(ctx.node());
+    }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>, key: u64) {
         let (kind, qid, epoch_idx) = timer_key_parts(key);
@@ -294,7 +296,7 @@ impl NodeApp for TinyDbApp {
                         epoch_ms: *epoch_ms,
                     });
                     self.buffers.add_row(ctx, *qid, *row);
-                } else if let Some(parent) = self.parent(ctx) {
+                } else if let Some(parent) = self.parent {
                     ctx.trace_with(|| TraceEvent::ResultHop {
                         from: ctx.node(),
                         to: vec![parent],

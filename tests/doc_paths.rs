@@ -385,7 +385,7 @@ const CODE: [&str; 3] = ["crates", "src", "examples"];
 
 /// Mechanisms the documents describe as deleted: they may be named, and must
 /// not exist.
-const GONE: [&str; 17] = [
+const GONE: [&str; 18] = [
     "CampaignReport::rollup",
     "CampaignSpec::warm_start",
     "CorrelatedField::with_strengths",
@@ -402,6 +402,7 @@ const GONE: [&str; 17] = [
     "Probe::trace_event",
     "QueryCompleteness::missing_epochs",
     "SelectivityEstimator::observation_count",
+    "Topology::nodes_within",
     "TtmqoConfig::query_recovery",
 ];
 
