@@ -25,10 +25,16 @@ use ttmqo_query::{aggregate_rows, Attribute, EpochAnswer, Query, RowRef, Selecti
 /// all (which indicates an optimizer bug — the synthetic must cover its
 /// members).
 ///
+/// `position_of` maps a raw node id to its `(x, y)` position for
+/// region-based queries: rows from outside the user's region clause are
+/// filtered out (the base station knows every node's deployment position).
+/// Returning `None` for an unknown node keeps the row only if the user query
+/// has no region clause. The one-member case of [`map_epoch_answers_at`].
+///
 /// # Examples
 ///
 /// ```
-/// use ttmqo_core::map_epoch_answer;
+/// use ttmqo_core::map_epoch_answer_at;
 /// use ttmqo_query::{parse_query, EpochAnswer, QueryId, Readings, Row, RowSet, Attribute};
 ///
 /// let synthetic = parse_query(QueryId(100), "select light, temp epoch duration 2048")?;
@@ -38,9 +44,10 @@ use ttmqo_query::{aggregate_rows, Attribute, EpochAnswer, Query, RowRef, Selecti
 /// readings.set(Attribute::Light, 700.0);
 /// readings.set(Attribute::Temp, 20.0);
 /// let rows = EpochAnswer::Rows(RowSet::new(4096, [Row { node: 3, time_ms: 4096, readings }]));
+/// let nowhere = |_| None; // no region clause: positions are not needed
 ///
 /// // At t=4096 (a user epoch) the qualifying row is re-filtered & projected.
-/// match map_epoch_answer(&user, &synthetic, 4096, &rows).unwrap() {
+/// match map_epoch_answer_at(&user, &synthetic, 4096, &rows, &nowhere).unwrap() {
 ///     EpochAnswer::Rows(rs) => {
 ///         let row = rs.iter().next().unwrap();
 ///         assert_eq!(rs.len(), 1);
@@ -49,25 +56,9 @@ use ttmqo_query::{aggregate_rows, Attribute, EpochAnswer, Query, RowRef, Selecti
 ///     _ => unreachable!(),
 /// }
 /// // At t=2048 the user query is not due.
-/// assert!(map_epoch_answer(&user, &synthetic, 2048, &rows).is_none());
+/// assert!(map_epoch_answer_at(&user, &synthetic, 2048, &rows, &nowhere).is_none());
 /// # Ok::<(), ttmqo_query::ParseQueryError>(())
 /// ```
-pub fn map_epoch_answer(
-    user: &Query,
-    synthetic: &Query,
-    epoch_ms: u64,
-    answer: &EpochAnswer,
-) -> Option<EpochAnswer> {
-    map_epoch_answer_at(user, synthetic, epoch_ms, answer, &|_| None)
-}
-
-/// [`map_epoch_answer`] with a node-position resolver for region-based
-/// queries: rows from outside the user's region clause are filtered out (the
-/// base station knows every node's deployment position).
-///
-/// `position_of` maps a raw node id to its `(x, y)` position; returning
-/// `None` for an unknown node keeps the row only if the user query has no
-/// region clause. The one-member case of [`map_epoch_answers_at`].
 pub fn map_epoch_answer_at(
     user: &Query,
     synthetic: &Query,
@@ -166,6 +157,9 @@ mod tests {
     use super::*;
     use ttmqo_query::{parse_query, AggOp, QueryId, Readings, Row, RowSet};
 
+    /// No node has a position: none of these queries has a region clause.
+    const NOWHERE: &dyn Fn(u16) -> Option<(f64, f64)> = &|_| None;
+
     fn q(id: u64, text: &str) -> Query {
         parse_query(QueryId(id), text).unwrap()
     }
@@ -198,7 +192,7 @@ mod tests {
         let synthetic = q(100, "select light, temp epoch duration 2048");
         let user = q(1, "select light where 200<=light<=400 epoch duration 2048");
         let rows = rows([row(1, 100.0, 0.0), row(2, 300.0, 0.0), row(3, 500.0, 0.0)]);
-        let mapped = mapped_rows(map_epoch_answer(&user, &synthetic, 2048, &rows));
+        let mapped = mapped_rows(map_epoch_answer_at(&user, &synthetic, 2048, &rows, NOWHERE));
         assert_eq!(mapped.len(), 1);
         assert_eq!(mapped[0].node, 2);
     }
@@ -211,7 +205,7 @@ mod tests {
         let synthetic = q(100, "select light epoch duration 2048");
         let user = q(1, "select light where nodeid = 2 epoch duration 2048");
         let rows = rows([row(1, 100.0, 0.0), row(2, 300.0, 0.0), row(3, 500.0, 0.0)]);
-        let mapped = mapped_rows(map_epoch_answer(&user, &synthetic, 2048, &rows));
+        let mapped = mapped_rows(map_epoch_answer_at(&user, &synthetic, 2048, &rows, NOWHERE));
         assert_eq!(mapped.len(), 1);
         assert_eq!(mapped[0].node, 2);
     }
@@ -221,7 +215,7 @@ mod tests {
         let synthetic = q(100, "select light, temp epoch duration 2048");
         let user = q(1, "select temp epoch duration 2048");
         let rows = rows([row(1, 100.0, 42.0)]);
-        let mapped = mapped_rows(map_epoch_answer(&user, &synthetic, 2048, &rows));
+        let mapped = mapped_rows(map_epoch_answer_at(&user, &synthetic, 2048, &rows, NOWHERE));
         assert_eq!(mapped[0].time_ms, 2048, "stamped with the user's epoch");
         assert_eq!(mapped[0].readings.get(Attribute::Temp), Some(42.0));
         assert_eq!(mapped[0].readings.get(Attribute::Light), None);
@@ -233,7 +227,7 @@ mod tests {
         let user = q(1, "select max(light), count(light) epoch duration 2048");
         let rows = rows([row(1, 100.0, 0.0), row(2, 300.0, 0.0)]);
         let EpochAnswer::Aggregates(vals) =
-            map_epoch_answer(&user, &synthetic, 2048, &rows).unwrap()
+            map_epoch_answer_at(&user, &synthetic, 2048, &rows, NOWHERE).unwrap()
         else {
             panic!()
         };
@@ -248,10 +242,10 @@ mod tests {
         let synthetic = q(100, "select light epoch duration 2048");
         let user = q(1, "select light epoch duration 6144");
         let rows = rows([row(1, 1.0, 1.0)]);
-        assert!(map_epoch_answer(&user, &synthetic, 2048, &rows).is_none());
-        assert!(map_epoch_answer(&user, &synthetic, 4096, &rows).is_none());
-        assert!(map_epoch_answer(&user, &synthetic, 6144, &rows).is_some());
-        assert!(map_epoch_answer(&user, &synthetic, 12288, &rows).is_some());
+        assert!(map_epoch_answer_at(&user, &synthetic, 2048, &rows, NOWHERE).is_none());
+        assert!(map_epoch_answer_at(&user, &synthetic, 4096, &rows, NOWHERE).is_none());
+        assert!(map_epoch_answer_at(&user, &synthetic, 6144, &rows, NOWHERE).is_some());
+        assert!(map_epoch_answer_at(&user, &synthetic, 12288, &rows, NOWHERE).is_some());
     }
 
     #[test]
@@ -271,7 +265,7 @@ mod tests {
             },
         ]);
         let EpochAnswer::Aggregates(vals) =
-            map_epoch_answer(&user, &synthetic, 2048, &answer).unwrap()
+            map_epoch_answer_at(&user, &synthetic, 2048, &answer, NOWHERE).unwrap()
         else {
             panic!()
         };
@@ -285,7 +279,7 @@ mod tests {
         let synthetic = q(100, "select max(light) epoch duration 2048");
         let user = q(1, "select light epoch duration 2048");
         let answer = EpochAnswer::Aggregates(vec![]);
-        assert!(map_epoch_answer(&user, &synthetic, 2048, &answer).is_none());
+        assert!(map_epoch_answer_at(&user, &synthetic, 2048, &answer, NOWHERE).is_none());
     }
 
     #[test]
@@ -293,7 +287,7 @@ mod tests {
         let synthetic = q(100, "select light epoch duration 2048");
         let user = q(1, "select max(light) epoch duration 2048");
         let EpochAnswer::Aggregates(vals) =
-            map_epoch_answer(&user, &synthetic, 2048, &rows([])).unwrap()
+            map_epoch_answer_at(&user, &synthetic, 2048, &rows([]), NOWHERE).unwrap()
         else {
             panic!()
         };

@@ -7,7 +7,7 @@ mod optimizer;
 mod synthetic;
 
 pub use cost::CostModel;
-pub use mapper::{map_epoch_answer, map_epoch_answer_at, map_epoch_answers_at};
+pub use mapper::{map_epoch_answer_at, map_epoch_answers_at};
 pub use optimizer::{
     BaseStationOptimizer, InsertError, NetworkOp, OptimizerOptions, OptimizerStats,
     SYNTHETIC_ID_BASE,

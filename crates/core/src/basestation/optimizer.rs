@@ -317,13 +317,7 @@ impl BaseStationOptimizer {
                 synthetic: syn_id,
                 members: members.clone(),
             });
-            for m in members {
-                self.user_to_syn.remove(&m);
-                let mq = self.user_queries[&m].clone();
-                let mut probe = SyntheticQuery::new(mq.with_id(self.fresh_syn_id()));
-                probe.add_member(m, &Demand::of(&mq));
-                self.insert_probe(probe);
-            }
+            self.reinsert(members);
         } else {
             self.refresh_benefit(syn_id);
         }
@@ -357,13 +351,7 @@ impl BaseStationOptimizer {
             synthetic: syn_id,
             members: members.clone(),
         });
-        for m in members {
-            self.user_to_syn.remove(&m);
-            let mq = self.user_queries[&m].clone();
-            let mut probe = SyntheticQuery::new(mq.with_id(self.fresh_syn_id()));
-            probe.add_member(m, &Demand::of(&mq));
-            self.insert_probe(probe);
-        }
+        self.reinsert(members);
         self.diff_ops()
     }
 
@@ -420,6 +408,19 @@ impl BaseStationOptimizer {
         let id = QueryId(self.next_syn);
         self.next_syn += 1;
         id
+    }
+
+    /// Runs each of `members` back through Algorithm 1 on its own: detaches
+    /// it from its synthetic query, gives it a fresh synthetic id and lets it
+    /// land wherever is now most beneficial.
+    fn reinsert(&mut self, members: Vec<QueryId>) {
+        for m in members {
+            self.user_to_syn.remove(&m);
+            let mq = self.user_queries[&m].clone();
+            let mut probe = SyntheticQuery::new(mq.with_id(self.fresh_syn_id()));
+            probe.add_member(m, &Demand::of(&mq));
+            self.insert_probe(probe);
+        }
     }
 
     /// The iterative core of Algorithm 1. `probe` is a detached synthetic

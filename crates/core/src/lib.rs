@@ -51,9 +51,8 @@ pub mod innetwork;
 mod runner;
 
 pub use basestation::{
-    map_epoch_answer, map_epoch_answer_at, map_epoch_answers_at, BaseStationOptimizer, CostModel,
-    Demand, InsertError, NetworkOp, OptimizerOptions, OptimizerStats, SyntheticQuery,
-    SYNTHETIC_ID_BASE,
+    map_epoch_answer_at, map_epoch_answers_at, BaseStationOptimizer, CostModel, Demand,
+    InsertError, NetworkOp, OptimizerOptions, OptimizerStats, SyntheticQuery, SYNTHETIC_ID_BASE,
 };
 pub use campaign::{
     run_campaign, run_campaign_sequential, run_campaign_with, CampaignReport, CampaignSpec,

@@ -223,13 +223,6 @@ impl RunReport {
     }
 }
 
-fn build_topology(config: &ExperimentConfig) -> Topology {
-    config
-        .topology_override
-        .clone()
-        .unwrap_or_else(|| Topology::grid(config.grid_n).expect("valid experiment grid"))
-}
-
 fn build_field(config: &ExperimentConfig, topo: &Topology) -> Box<dyn SensorField + Send + Sync> {
     match config.field {
         FieldKind::Uniform => Box::new(UniformField::new(config.field_seed)),
@@ -253,7 +246,7 @@ fn build_optimizer(config: &ExperimentConfig, topo: &Topology) -> BaseStationOpt
 /// Runs one experiment: the workload under the configured strategy.
 ///
 /// Equivalent to `RunSession::new(config, workload).finish()`; the session
-/// API additionally allows stopping mid-run and swapping the fault plan.
+/// API additionally allows stopping mid-run.
 ///
 /// # Panics
 ///
@@ -551,10 +544,6 @@ impl SimKind {
         with_sim!(self, s => s.engine_stats())
     }
 
-    fn replace_fault_plan(&mut self, plan: &FaultPlan) {
-        with_sim!(self, s => s.replace_fault_plan(plan))
-    }
-
     fn now(&self) -> SimTime {
         with_sim!(self, s => s.now())
     }
@@ -597,8 +586,11 @@ fn build_sim(config: &ExperimentConfig, topo: Topology) -> SimKind {
 /// time such that finishing is bit-identical — same [`RunReport`], same
 /// trace records (a stop drains the base station's outputs, so
 /// `answer-mapped` records may sit earlier in the file) — to a run that
-/// never stopped, and [`replace_fault_plan`](Self::replace_fault_plan)
-/// swaps the fault plan there. Runs are deterministic, so being at time `t`
+/// never stopped. The configuration, fault plan included, is fixed in
+/// [`new`](Self::new): a what-if run under another plan is another session
+/// built under that plan. Runs are deterministic, so two runs under
+/// non-empty plans agree up to the first fault their plans disagree on (a
+/// non-empty plan also arms self-healing in `new`), and being at time `t`
 /// again is a replay: a fresh session and `run_to(t)`.
 pub struct RunSession {
     config: ExperimentConfig,
@@ -612,7 +604,7 @@ pub struct RunSession {
 
 /// The driver state that changes as the run advances, next to the
 /// simulator's and the optimizer's own. Everything else a session holds is
-/// fixed when it is built or by [`RunSession::replace_fault_plan`].
+/// fixed when [`RunSession::new`] builds it.
 #[derive(Debug, Default)]
 struct RunnerState {
     /// Next workload event to apply.
@@ -651,12 +643,19 @@ impl RunSession {
     /// Panics if the grid cannot be constructed (e.g. `grid_n == 0`).
     pub fn new(config: &ExperimentConfig, workload: &[WorkloadEvent]) -> RunSession {
         let events = Self::prepare_events(config, workload);
-        let sim = build_sim(config, build_topology(config));
+        // The simulator keeps the run's one topology: an override moves out
+        // of the session's copy of the config into it.
+        let mut config = config.clone();
+        let topo = config
+            .topology_override
+            .take()
+            .unwrap_or_else(|| Topology::grid(config.grid_n).expect("valid experiment grid"));
+        let sim = build_sim(&config, topo);
         let topo = sim.topology();
 
         let rewriting = config.strategy.uses_basestation_tier();
         let optimizer = rewriting.then(|| {
-            let mut opt = build_optimizer(config, topo);
+            let mut opt = build_optimizer(&config, topo);
             opt.set_trace(config.observe.trace.clone());
             opt
         });
@@ -671,7 +670,7 @@ impl RunSession {
         };
 
         RunSession {
-            config: config.clone(),
+            config,
             events,
             sim,
             optimizer,
@@ -689,16 +688,6 @@ impl RunSession {
         events.sort_by_key(|e| e.at);
         events.retain(|e| e.at < config.duration);
         events
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    /// The configuration the session runs under.
-    pub fn config(&self) -> &ExperimentConfig {
-        &self.config
     }
 
     /// Drains pending network outputs: feeds adaptive statistics, maps each
@@ -927,27 +916,6 @@ impl RunSession {
                 }
             }
         }
-    }
-
-    /// Swaps the engine's fault plan: pending injected fault events are
-    /// retracted, the new plan is installed from the current instant, and
-    /// the session's completeness expectations follow it. This is the fork
-    /// primitive: build N sessions from the same inputs, `run_to(t)` each,
-    /// and hand each a divergent plan — they share everything up to `t`.
-    ///
-    /// What a fork does *not* get is what the plan a session was built with
-    /// decides once, in [`RunSession::new`]: the repair monitor and the
-    /// in-network dead-parent detector are armed only when that plan is
-    /// non-empty. A session built calm and forked into a crash therefore
-    /// reports the crash's lost answers but neither re-routes around the
-    /// dead node nor re-injects, where a cold run under the same plan does
-    /// both (`fault_healing::a_calm_built_fork_neither_detects_nor_repairs`
-    /// pins the difference). To fork between faulty futures that heal,
-    /// build the sessions under a plan that is already non-empty.
-    pub fn replace_fault_plan(&mut self, plan: &FaultPlan) {
-        self.sim.replace_fault_plan(plan);
-        self.config.faults = plan.clone();
-        self.schedule = (!plan.is_empty()).then(|| plan.materialize(self.sim.topology()));
     }
 
     /// Runs to the end of the workload and assembles the report.

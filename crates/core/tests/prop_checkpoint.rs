@@ -5,8 +5,8 @@
 //! `RunReport` exactly (the debug rendering uses shortest-roundtrip float
 //! formatting, so string equality is bit equality). This file used to hold
 //! the same property for checkpoint/restore; slicing is what survives of it,
-//! and what every fork (`run_to(t)` + `replace_fault_plan`) and the repo
-//! benchmark's sliced `adaptive-churn` repetition rely on.
+//! and what the repo benchmark relies on when it cuts each single run into
+//! 32 `run_to` slices.
 //!
 //! Each case runs eight short 4×4 simulations; the case count is kept small
 //! accordingly (override with `PROPTEST_CASES`).

@@ -4,7 +4,7 @@
 
 use ttmqo_core::{run_experiment, ExperimentConfig, FieldKind, Strategy, WorkloadEvent};
 use ttmqo_query::{parse_query, EpochAnswer, Query, QueryId};
-use ttmqo_sim::{RadioParams, SimConfig, SimTime};
+use ttmqo_sim::{MsgKind, RadioParams, SimConfig, SimTime};
 
 fn q(id: u64, text: &str) -> Query {
     parse_query(QueryId(id), text).unwrap()
@@ -167,6 +167,38 @@ fn optimized_strategies_cost_less_on_similar_workload() {
         "two-tier {} not ≪ baseline {base}",
         tx[&Strategy::TwoTier]
     );
+}
+
+#[test]
+fn unshared_tier_2_pays_two_bytes_more_per_row_frame_than_baseline() {
+    // A named deviation (EXPERIMENTS.md deviation 5, ROADMAP item 5): with
+    // nothing to share, Tier 2 sends the frames TinyDB sends, but a
+    // one-query row frame costs 8 + 2r bytes under `TtmqoPayload::wire_size`
+    // against `TinyDbPayload::wire_size`'s 6 + 2r. Charging a served set of
+    // one nothing extra makes the bytes equal and must flip this test.
+    let workload = vec![WorkloadEvent::pose(
+        0,
+        q(1, "select light epoch duration 2048"),
+    )];
+    let result_frames_and_bytes = |strategy| {
+        // The run ends mid-epoch: an end on an epoch boundary charges
+        // TinyDB's frames of the next epoch but not Tier 2's later slots.
+        let config = ExperimentConfig {
+            duration: SimTime::from_ms(30 * 2048 + 1024),
+            ..config(strategy, 4, 30)
+        };
+        let metrics = run_experiment(&config, &workload).metrics;
+        (
+            metrics.tx_count(MsgKind::Result),
+            metrics.tx_bytes(MsgKind::Result),
+        )
+    };
+    let (base_frames, base_bytes) = result_frames_and_bytes(Strategy::Baseline);
+    let (innet_frames, innet_bytes) = result_frames_and_bytes(Strategy::InNetOnly);
+    assert!(base_frames > 0);
+    assert_eq!(innet_frames, base_frames);
+    assert!(innet_bytes > base_bytes);
+    assert_eq!(innet_bytes - base_bytes, 2 * base_frames);
 }
 
 #[test]

@@ -709,22 +709,6 @@ impl<A: NodeApp> Simulator<A> {
         self.faults = plan.overlay(&self.topology);
     }
 
-    /// Swaps the installed fault plan for `plan`: every pending `Fail` /
-    /// `Recover` event of the previous plan is retracted (all other queue
-    /// entries keep their exact `(time, seq)` keys) and the new plan's
-    /// events and loss overlay are installed. This is how a run is *forked*
-    /// by replay: build N simulators from the same inputs, run each to the
-    /// same instant `t`, give each a different plan whose events lie after
-    /// `t`, and the futures share everything up to `t` and diverge only
-    /// where the plans do. Nodes already down stay down; an empty `plan`
-    /// leaves a fault-free simulator exactly as it was.
-    pub fn replace_fault_plan(&mut self, plan: &FaultPlan) {
-        self.queue
-            .retain(|e| !matches!(e.kind, EventKind::Fail { .. } | EventKind::Recover { .. }));
-        self.faults = None;
-        self.install_fault_plan(plan);
-    }
-
     fn push_event(&mut self, time_us: u64, kind: EventKind<A::Command>) {
         self.seq += 1;
         let seq = self.seq;

@@ -3,10 +3,10 @@
 //!
 //! Two runs of this simulator with identical configuration produce
 //! byte-identical JSON-lines traces — that *is* the determinism contract.
-//! So when two traces differ (a baseline vs a candidate binary, or one run
-//! forked at an instant under two fault plans), the first differing record is
-//! the first observable behavioural departure, and everything before it is
-//! provably shared history. [`trace_diff`] compares two traces record by
+//! So when two traces differ (a baseline vs a candidate binary, or two runs
+//! of one config under two non-empty fault plans), the first differing
+//! record is the first observable behavioural departure, and everything
+//! before it is provably shared history. [`trace_diff`] compares two traces record by
 //! record (headers skipped, byte-truncated tails tolerated) and reports:
 //!
 //! - the first diverging record index, with each side's record decoded into

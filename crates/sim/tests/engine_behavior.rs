@@ -900,62 +900,46 @@ fn empty_fault_plan_leaves_runs_bit_identical() {
 }
 
 #[test]
-fn a_run_forks_by_replaying_to_an_instant_and_replacing_the_plan() {
-    // Being at time t is a replay: a fresh simulator run to t. Stopping
-    // there is unobservable, and what is installed there decides the rest.
-    let fork = |plan: Option<FaultPlan>| {
+fn stopping_mid_run_is_unobservable_and_the_plan_decides_the_future() {
+    // A plan installed at time zero decides the run: the same plan gives
+    // the same future, different sampled plans diverge, and stopping
+    // `run_until` at an instant and resuming is the straight run.
+    let run = |plan: Option<FaultPlan>, stop_ms: Option<u64>| {
         let mut sim = lossy_grid_sim();
-        sim.run_until(SimTime::from_ms(4_321));
         if let Some(plan) = plan {
-            sim.replace_fault_plan(&plan);
+            sim.install_fault_plan(&plan);
+        }
+        if let Some(stop_ms) = stop_ms {
+            sim.run_until(SimTime::from_ms(stop_ms));
         }
         sim.run_until(SimTime::from_ms(LOSSY_GRID_END_MS));
         observables(&sim)
     };
-    let mut straight = lossy_grid_sim();
-    straight.run_until(SimTime::from_ms(LOSSY_GRID_END_MS));
-    let control = observables(&straight);
-    assert_eq!(fork(None), control, "stopping mid-run must be unobservable");
+    let control = run(None, None);
     assert_eq!(
-        fork(Some(FaultPlan::default())),
+        run(None, Some(4_321)),
         control,
-        "an empty replacement plan is the straight run"
+        "stopping mid-run must be unobservable"
     );
 
     let (a, b) = (
-        fork(Some(sampled_crashes(1))),
-        fork(Some(sampled_crashes(2))),
+        run(Some(sampled_crashes(1)), None),
+        run(Some(sampled_crashes(2)), None),
     );
-    assert_ne!(a, control, "fork A's crashes must be observable");
-    assert_ne!(b, control, "fork B's crashes must be observable");
+    assert!(a.2.fault_events > 0, "plan A's crashes must fire");
+    assert_ne!(a, control, "plan A's crashes must be observable");
+    assert_ne!(b, control, "plan B's crashes must be observable");
     assert_ne!(a, b, "different plans must diverge");
     assert_eq!(
-        fork(Some(sampled_crashes(1))),
+        run(Some(sampled_crashes(1)), None),
         a,
-        "the same plan from the same instant is the same future"
+        "the same plan is the same future"
     );
-}
-
-#[test]
-fn replacing_an_installed_plan_retracts_its_pending_fault_events() {
-    // A run that already has crash/recovery events queued, forked under a
-    // *different* plan: the old plan's events must be gone.
-    let run = |swap: Option<FaultPlan>| {
-        let mut sim = lossy_grid_sim();
-        sim.install_fault_plan(&sampled_crashes(0xFA17));
-        sim.run_until(SimTime::from_ms(2_000));
-        if let Some(plan) = swap {
-            sim.replace_fault_plan(&plan);
-        }
-        sim.run_until(SimTime::from_ms(LOSSY_GRID_END_MS));
-        sim.engine_stats().fault_events
-    };
-    assert!(run(None) > 0);
-    // FaultPlan::default() is empty: no fault event may fire after the swap.
-    assert_eq!(run(Some(FaultPlan::default())), 0);
-    // And a later, shorter plan fires only its own pair.
-    let one_outage = FaultPlan::scripted(vec![(NodeId(5), 8_000, Some(9_000))]);
-    assert_eq!(run(Some(one_outage)), 2);
+    assert_eq!(
+        run(Some(sampled_crashes(1)), Some(7_777)),
+        a,
+        "stopping mid-run under a plan must be unobservable"
+    );
 }
 
 #[test]

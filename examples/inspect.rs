@@ -15,8 +15,8 @@
 //!   it and 5 records after it on each side, then the event kinds whose
 //!   counts differ (`trace_diff`). Runs are
 //!   deterministic, so the first differing record is the first behavioural
-//!   departure: two forks of one run, or yesterday's CI artifact against
-//!   today's.
+//!   departure: two runs under different fault plans, or yesterday's CI
+//!   artifact against today's.
 //!
 //! Run with: `cargo run --release --example inspect -- <subcommand> [args]`
 

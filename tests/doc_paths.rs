@@ -385,7 +385,7 @@ const CODE: [&str; 3] = ["crates", "src", "examples"];
 
 /// Mechanisms the documents describe as deleted: they may be named, and must
 /// not exist.
-const GONE: [&str; 18] = [
+const GONE: [&str; 21] = [
     "CampaignReport::rollup",
     "CampaignSpec::warm_start",
     "CorrelatedField::with_strengths",
@@ -401,7 +401,10 @@ const GONE: [&str; 18] = [
     "OptimizerOptions::rank_by_rate",
     "Probe::trace_event",
     "QueryCompleteness::missing_epochs",
+    "RunSession::now",
+    "RunSession::replace_fault_plan",
     "SelectivityEstimator::observation_count",
+    "Simulator::replace_fault_plan",
     "Topology::nodes_within",
     "TtmqoConfig::query_recovery",
 ];
