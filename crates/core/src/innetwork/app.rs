@@ -16,7 +16,6 @@
 
 use crate::innetwork::dag::{DagState, Election};
 use crate::innetwork::payload::{PartialEntry, RowEntry, TtmqoPayload};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use ttmqo_query::{
     AttrSet, EpochDuration, PartialAgg, Query, QueryId, Readings, Row, Selection, BASE_EPOCH_MS,
@@ -99,21 +98,18 @@ impl Default for TtmqoConfig {
 #[derive(Debug)]
 pub struct TtmqoApp {
     config: TtmqoConfig,
-    /// Installed queries, each the allocation its flood carried.
-    queries: BTreeMap<QueryId, Arc<Query>>,
-    /// What this node knows about query and abort floods.
+    /// What this node knows per query id: the floods it heard, the queries
+    /// it runs or only relays, which of them its latest readings satisfy
+    /// (has data for), and which unknown ids it already asked the
+    /// neighbourhood about.
     floods: Floods,
     dag: DagState,
     /// Bumped on every query-set change to invalidate stale clock timers.
     clock_gen: u64,
-    /// Queries this node's latest readings satisfy.
-    has_data: BTreeSet<QueryId>,
     /// Whether any message was relayed since the last firing (sleep gate).
     relayed_recently: bool,
     /// Whether this node actually slept during the last inter-firing gap.
     slept: bool,
-    /// Unknown query ids we already asked the neighbourhood about.
-    requested_queries: BTreeSet<QueryId>,
     /// Epoch start of the last no-route resignation broadcast, so an
     /// orphaned node announces at most once per epoch.
     last_no_route_ms: Option<u64>,
@@ -130,13 +126,10 @@ impl TtmqoApp {
         TtmqoApp {
             floods: Floods::new(config.srt, config.jitter_ms),
             config,
-            queries: BTreeMap::new(),
             dag: DagState::default(),
             clock_gen: 0,
-            has_data: BTreeSet::new(),
             relayed_recently: false,
             slept: false,
-            requested_queries: BTreeSet::new(),
             last_no_route_ms: None,
             buffers: EpochBuffers::default(),
             fixed_parent: None,
@@ -145,7 +138,7 @@ impl TtmqoApp {
 
     /// Currently installed queries (for tests and inspection).
     pub fn installed_queries(&self) -> impl Iterator<Item = &Query> {
-        self.queries.values().map(Arc::as_ref)
+        self.floods.installed().map(Arc::as_ref)
     }
 
     /// Queries this node relays the flood of but never runs: SRT-pruned
@@ -165,7 +158,7 @@ impl TtmqoApp {
     }
 
     fn gcd_epoch(&self) -> Option<EpochDuration> {
-        EpochDuration::gcd_all(self.queries.values().map(|q| q.epoch()))
+        EpochDuration::gcd_all(self.floods.installed().map(|q| q.epoch()))
     }
 
     /// (Re)arms the shared clock after any query-set change (§3.2.1: "we
@@ -181,11 +174,9 @@ impl TtmqoApp {
     }
 
     fn install(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, query: &Arc<Query>) {
-        if self.queries.contains_key(&query.id()) {
-            return;
+        if self.floods.install(query) {
+            self.rearm_clock(ctx);
         }
-        self.queries.insert(query.id(), Arc::clone(query));
-        self.rearm_clock(ctx);
     }
 
     fn hear_query(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, query: &Arc<Query>) {
@@ -196,10 +187,9 @@ impl TtmqoApp {
 
     /// A copy of `qid`'s abort flood arrived: the first uninstalls it.
     fn hear_abort(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, qid: QueryId) {
-        if !self.floods.on_abort(ctx, qid) || self.queries.remove(&qid).is_none() {
+        if !self.floods.on_abort(ctx, qid) || !self.floods.uninstall(qid) {
             return;
         }
-        self.has_data.remove(&qid);
         self.dag.forget_query(qid);
         self.buffers.forget_query(qid);
         self.rearm_clock(ctx);
@@ -211,23 +201,21 @@ impl TtmqoApp {
         // The due queries are walked in place, in ascending id order, once
         // per use: every node fires at every epoch, so copying them out is
         // not free.
-        let queries = &self.queries;
-        let due = || queries.values().filter(|q| q.epoch().fires_at(t_ms));
-        if due().next().is_none() {
+        if due(&self.floods, t_ms).next().is_none() {
             self.maybe_sleep(ctx, t_ms);
             return;
         }
         ctx.trace_with(|| TraceEvent::EpochFire {
             node: ctx.node(),
             epoch_ms: t_ms,
-            due: due().map(|q| q.id()).collect(),
+            due: due(&self.floods, t_ms).map(|q| q.id()).collect(),
         });
 
         if ctx.is_base_station() {
             // The base station senses nothing; it collects each due query's
             // epoch for the collection window.
             let window = self.config.collection_window_ms(ctx.topology());
-            for q in due() {
+            for q in due(&self.floods, t_ms) {
                 self.buffers.open(ctx, q, t_ms, window);
             }
             return;
@@ -237,7 +225,7 @@ impl TtmqoApp {
         // queries' attributes exactly once (region-excluded queries can
         // never match here, so their attributes are not worth sampling).
         let mut union_attrs = AttrSet::new();
-        for q in due() {
+        for q in due(&self.floods, t_ms) {
             if in_region(ctx, q) {
                 union_attrs.extend(q.sampled_attributes());
             }
@@ -250,22 +238,25 @@ impl TtmqoApp {
 
         // Matched queries by kind, ascending. Matched aggregation queries
         // seed their own partials right away; matched acquisition queries
-        // pool the attributes their shared frame must carry.
-        let had_data = !self.has_data.is_empty();
+        // pool the attributes their shared frame must carry. Each due
+        // query's has-data mark becomes whether it matched.
+        let had_data = self.floods.has_any_data();
         let mut acq_matches: Vec<QueryId> = Vec::new();
         let mut acq_attrs = AttrSet::new();
         let mut agg_matched = false;
         let mut aggregation_due = false;
-        for q in due() {
+        let buffers = &mut self.buffers;
+        self.floods.mark_installed(|q| {
+            if !q.epoch().fires_at(t_ms) {
+                return None;
+            }
             aggregation_due |= q.is_aggregation();
             let matches = in_region(ctx, q)
                 && q.predicates()
                     .matches_with(|attr| readings.get(attr).unwrap_or(f64::NAN));
             if !matches {
-                self.has_data.remove(&q.id());
-                continue;
+                return Some(false);
             }
-            self.has_data.insert(q.id());
             match q.selection() {
                 Selection::Attributes(attrs) => {
                     acq_matches.push(q.id());
@@ -277,21 +268,22 @@ impl TtmqoApp {
                         .iter()
                         .map(|&(op, attr)| readings.get(attr).map(|v| op.seed(v)))
                         .collect();
-                    self.buffers.merge(ctx, q.id(), t_ms, &seeded);
+                    buffers.merge(ctx, q.id(), t_ms, &seeded);
                 }
             }
-        }
+            Some(true)
+        });
 
         let transmits_now = !acq_matches.is_empty() || agg_matched;
         // Shared-acquisition hit: one sample batch served several queries.
-        // (A due query is in `has_data` exactly when it matched above.)
+        // (A due query is marked has-data exactly when it matched above.)
         if transmits_now {
             ctx.trace_with(|| TraceEvent::SharedAcquisition {
                 node: ctx.node(),
                 epoch_ms: t_ms,
                 acq: acq_matches.clone(),
-                agg: due()
-                    .filter(|q| q.is_aggregation() && self.has_data.contains(&q.id()))
+                agg: due(&self.floods, t_ms)
+                    .filter(|q| q.is_aggregation() && self.floods.has_data_for(q.id()))
                     .map(|q| q.id())
                     .collect(),
             });
@@ -302,9 +294,9 @@ impl TtmqoApp {
         // anyway — neighbours learn has-data sets by overhearing result
         // frames, so an explicit broadcast is needed only for data that
         // serves queries not due right now.
-        if self.slept && !had_data && !self.has_data.is_empty() && !transmits_now {
+        if self.slept && !had_data && self.floods.has_any_data() && !transmits_now {
             let payload = TtmqoPayload::Wakeup {
-                has_data: self.has_data.iter().copied().collect(),
+                has_data: self.floods.has_data().collect(),
             };
             let bytes = payload.wire_size();
             ctx.send(Destination::Broadcast, MsgKind::Wakeup, bytes, payload);
@@ -336,7 +328,7 @@ impl TtmqoApp {
 
     /// Schedules the post-window sleep check.
     fn maybe_sleep(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>, t_ms: u64) {
-        if ctx.is_base_station() || self.queries.is_empty() {
+        if ctx.is_base_station() || self.floods.runs_none() {
             return;
         }
         let window = self.config.collection_window_ms(ctx.topology());
@@ -345,7 +337,7 @@ impl TtmqoApp {
     }
 
     fn handle_sleep_check(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>) {
-        if !self.has_data.is_empty() || self.relayed_recently || self.queries.is_empty() {
+        if self.floods.has_any_data() || self.relayed_recently || self.floods.runs_none() {
             return;
         }
         let Some(gcd) = self.gcd_epoch() else { return };
@@ -466,10 +458,7 @@ impl TtmqoApp {
         for qid in qids {
             // Never request a query we run or whose flood we already
             // heard: we installed it, SRT pruned it here, or it was aborted.
-            if self.queries.contains_key(&qid)
-                || self.floods.heard(qid)
-                || !self.requested_queries.insert(qid)
-            {
+            if !self.floods.request(qid) {
                 continue;
             }
             let payload = TtmqoPayload::QueryRequest(qid);
@@ -518,7 +507,7 @@ impl TtmqoApp {
                 epoch_ms,
             });
             for &qid in mine {
-                let readings = match self.queries.get(&qid).map(|q| q.selection()) {
+                let readings = match self.floods.running(qid).map(|q| q.selection()) {
                     Some(Selection::Attributes(attrs)) => entry.readings.project(attrs),
                     _ => entry.readings,
                 };
@@ -581,6 +570,11 @@ impl TtmqoApp {
     }
 }
 
+/// The installed queries due at a firing at `t_ms`, ascending.
+fn due(floods: &Floods, t_ms: u64) -> impl Iterator<Item = &Arc<Query>> {
+    floods.installed().filter(move |q| q.epoch().fires_at(t_ms))
+}
+
 /// Puts a shared acquisition frame on the air.
 fn send_shared_rows(
     ctx: &mut Ctx<'_, TtmqoPayload, Output>,
@@ -606,12 +600,8 @@ impl NodeApp for TtmqoApp {
     fn on_start(&mut self, ctx: &mut Ctx<'_, TtmqoPayload, Output>) {
         let node = ctx.node();
         let topo = ctx.topology();
-        let upper: Vec<(NodeId, f64)> = topo
-            .upper_neighbors(node)
-            .into_iter()
-            .map(|n| (n, topo.link_quality(node, n)))
-            .collect();
-        self.dag = DagState::new(upper);
+        let upper = topo.upper_neighbors(node).into_iter();
+        self.dag = DagState::new(upper.map(|n| (n, topo.link_quality(node, n))));
         self.dag.set_failure_detector(self.config.dead_parent_after);
         if !self.config.dynamic_parents {
             self.fixed_parent = topo.default_parent(node);
@@ -633,12 +623,12 @@ impl NodeApp for TtmqoApp {
             }
             KIND_SLOT => self.flush_partials(ctx, extra * BASE_EPOCH_MS),
             KIND_CLOSE => {
-                if let Some(query) = self.queries.get(&qid) {
+                if let Some(query) = self.floods.running(qid) {
                     self.buffers.close(ctx, query, extra * BASE_EPOCH_MS);
                 }
             }
             KIND_FLOOD_QUERY => {
-                let Some(query) = self.floods.to_relay(qid, self.queries.get(&qid)) else {
+                let Some(query) = self.floods.to_relay(qid) else {
                     return;
                 };
                 // Evaluate whether we have data for the new query so the
@@ -653,15 +643,11 @@ impl NodeApp for TtmqoApp {
                         && query
                             .predicates()
                             .matches_with(|attr| readings.get(attr).expect("attributes sampled"));
-                    if matches {
-                        self.has_data.insert(qid);
-                    } else {
-                        self.has_data.remove(&qid);
-                    }
+                    self.floods.set_has_data(qid, matches);
                 }
                 let payload = TtmqoPayload::Query {
                     query,
-                    has_data: self.has_data.iter().copied().collect(),
+                    has_data: self.floods.has_data().collect(),
                 };
                 let bytes = payload.wire_size();
                 ctx.send(
@@ -720,7 +706,7 @@ impl NodeApp for TtmqoApp {
                 self.handle_shared_partials(ctx, *epoch_ms, entries, assignments);
             }
             TtmqoPayload::QueryRequest(qid) => {
-                if let Some(query) = self.queries.get(qid) {
+                if let Some(query) = self.floods.running(*qid) {
                     let payload = TtmqoPayload::QueryShare(Arc::clone(query));
                     let bytes = payload.wire_size();
                     // The share goes out at once: this draw delays nothing.
@@ -734,7 +720,6 @@ impl NodeApp for TtmqoApp {
             }
             TtmqoPayload::QueryShare(query) => {
                 if !self.floods.aborted(query.id()) {
-                    self.requested_queries.remove(&query.id());
                     // Install without re-flooding: this is local recovery.
                     self.install(ctx, query);
                 }

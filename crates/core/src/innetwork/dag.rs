@@ -10,10 +10,11 @@
 //! for a subset of queries), one multicast message is required."
 //!
 //! This is the receive path's hot state — every overheard result frame
-//! refreshes it — so it is dense: one slot per upper neighbour, found by a
-//! scan of the (short) neighbour list, and query-id lists kept **sorted and
-//! unique** so that set operations are merge walks over slices and a warm
-//! update reuses the list's buffer instead of allocating.
+//! refreshes it — so it is dense: one record per upper neighbour, found by a
+//! scan of the (short) record list, and every neighbour's query-id list kept
+//! **sorted and unique**, back to back in one shared vector, so that set
+//! operations are merge walks over slices and a warm update reuses the
+//! vector's buffer instead of allocating.
 
 use ttmqo_query::QueryId;
 use ttmqo_sim::NodeId;
@@ -45,56 +46,77 @@ pub enum Election {
     Split(Vec<(NodeId, Vec<QueryId>)>),
 }
 
-/// What a node knows about its upper-level neighbours. Every per-neighbour
-/// vector is indexed by the neighbour's position in `upper`.
+/// What a node knows about one upper-level neighbour.
+#[derive(Debug, Clone)]
+struct Upper {
+    /// Link quality toward it.
+    link: f64,
+    /// Failure detector: consecutive failed unicast sends (retry budget
+    /// exhausted without a link-layer acknowledgement) toward it since we
+    /// last heard *any* frame from it.
+    failures: u32,
+    /// Where its has-data list starts in [`DagState::known`], and its length.
+    start: u32,
+    len: u32,
+    node: NodeId,
+    /// Presumed dead: excluded from parent election until heard from again.
+    dead: bool,
+    /// Whether its has-data list was ever recorded — an empty list once
+    /// recorded is knowledge, distinct from never having heard about it.
+    recorded: bool,
+}
+
+/// What a node knows about its upper-level neighbours.
 #[derive(Debug, Clone, Default)]
 pub struct DagState {
-    /// Upper-level neighbours (the DAG edges toward the base station),
+    /// The upper-level neighbours (the DAG edges toward the base station),
     /// distinct.
-    upper: Vec<NodeId>,
-    /// Link quality per upper neighbour.
-    link: Vec<f64>,
-    /// Queries each upper neighbour is believed to have data for (from flood
-    /// piggybacks, wake-up broadcasts and overheard result frames): sorted
-    /// ascending, no duplicates, overwritten in place. `None` until the
-    /// neighbour is first heard about — distinct from a known-empty list.
-    has_data: Vec<Option<Vec<QueryId>>>,
-    /// Failure detector: consecutive failed unicast sends (retry budget
-    /// exhausted without a link-layer acknowledgement) toward each upper
-    /// neighbour since we last heard *any* frame from it.
-    failures_since_heard: Vec<u32>,
-    /// Upper neighbours currently presumed dead (excluded from parent
-    /// election until heard from again).
-    dead: Vec<bool>,
+    uppers: Vec<Upper>,
+    /// The queries each upper neighbour is believed to have data for (from
+    /// flood piggybacks, wake-up broadcasts and overheard result frames),
+    /// one list per neighbour, back to back in `uppers` order: each sorted
+    /// ascending, no duplicates, overwritten in place.
+    known: Vec<QueryId>,
     /// Consecutive-failure threshold before a parent is presumed dead
     /// (0 = detector disabled, the default).
     dead_after: u32,
 }
 
 impl DagState {
-    /// Initializes the DAG edges from the topology-derived upper neighbour
-    /// list (distinct nodes) and link qualities.
-    pub fn new(upper: Vec<(NodeId, f64)>) -> Self {
-        let n = upper.len();
+    /// Initializes the DAG edges from the topology-derived upper neighbours
+    /// (distinct nodes) and their link qualities.
+    pub fn new(upper: impl IntoIterator<Item = (NodeId, f64)>) -> Self {
+        let uppers = upper.into_iter().map(|(node, link)| Upper {
+            link,
+            failures: 0,
+            start: 0,
+            len: 0,
+            node,
+            dead: false,
+            recorded: false,
+        });
         DagState {
-            link: upper.iter().map(|&(_, q)| q).collect(),
-            upper: upper.into_iter().map(|(n, _)| n).collect(),
-            has_data: vec![None; n],
-            failures_since_heard: vec![0; n],
-            dead: vec![false; n],
+            uppers: uppers.collect(),
+            known: Vec::new(),
             dead_after: 0,
         }
     }
 
     /// The upper-level neighbours.
-    pub fn upper_neighbors(&self) -> &[NodeId] {
-        &self.upper
+    pub fn upper_neighbors(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.uppers.iter().map(|u| u.node)
     }
 
-    /// Position of `neighbor` in `upper` — the index of its state in every
-    /// per-neighbour vector. A scan: the list is a handful of 2-byte ids.
+    /// Position of `neighbor`'s record in `uppers`. A scan: the list is a
+    /// handful of records.
     fn slot(&self, neighbor: NodeId) -> Option<usize> {
-        self.upper.iter().position(|&n| n == neighbor)
+        self.uppers.iter().position(|u| u.node == neighbor)
+    }
+
+    /// The has-data list of the neighbour whose record is `u`.
+    fn list(&self, u: &Upper) -> &[QueryId] {
+        let start = u.start as usize;
+        &self.known[start..start + u.len as usize]
     }
 
     /// Arms the parent failure detector: a parent whose unicast sends fail
@@ -108,8 +130,9 @@ impl DagState {
     pub fn set_failure_detector(&mut self, threshold: u32) {
         self.dead_after = threshold;
         if threshold == 0 {
-            self.dead.fill(false);
-            self.failures_since_heard.fill(0);
+            for u in &mut self.uppers {
+                (u.dead, u.failures) = (false, 0);
+            }
         }
     }
 
@@ -125,9 +148,10 @@ impl DagState {
         let Some(i) = self.slot(parent) else {
             return false;
         };
-        self.failures_since_heard[i] += 1;
-        if self.failures_since_heard[i] >= self.dead_after && !self.dead[i] {
-            self.dead[i] = true;
+        let u = &mut self.uppers[i];
+        u.failures += 1;
+        if u.failures >= self.dead_after && !u.dead {
+            u.dead = true;
             return true;
         }
         false
@@ -143,8 +167,7 @@ impl DagState {
             return;
         }
         if let Some(i) = self.slot(neighbor) {
-            self.failures_since_heard[i] = 0;
-            self.dead[i] = true;
+            (self.uppers[i].failures, self.uppers[i].dead) = (0, true);
         }
     }
 
@@ -156,42 +179,85 @@ impl DagState {
             return;
         }
         if let Some(i) = self.slot(neighbor) {
-            self.failures_since_heard[i] = 0;
-            self.dead[i] = false;
+            (self.uppers[i].failures, self.uppers[i].dead) = (0, false);
         }
     }
 
     /// Whether `neighbor` is currently presumed dead.
     pub fn presumed_dead(&self, neighbor: NodeId) -> bool {
-        self.slot(neighbor).is_some_and(|i| self.dead[i])
+        self.slot(neighbor).is_some_and(|i| self.uppers[i].dead)
     }
 
     /// Whether every upper neighbour is presumed dead — the node is orphaned
     /// and has no live route toward the base station.
     pub fn is_orphaned(&self) -> bool {
-        !self.upper.is_empty() && self.dead.iter().all(|&d| d)
+        !self.uppers.is_empty() && self.uppers.iter().all(|u| u.dead)
     }
 
     /// Records (replaces) the set of queries `neighbor` has data for. The
     /// input may come in any order and repeat ids; the stored list is sorted
-    /// and unique. Once a neighbour's list has grown to its working size,
-    /// updating it allocates nothing.
+    /// and unique. The new list overwrites the old one in place: an unchanged
+    /// list (the common case: a neighbour's frames keep serving the same
+    /// queries) writes nothing, only a change of length moves the lists after
+    /// it (once), and once the shared vector has grown to its working size an
+    /// update allocates nothing.
     pub fn record_has_data<I: IntoIterator<Item = QueryId>>(&mut self, neighbor: NodeId, qids: I) {
         let Some(i) = self.slot(neighbor) else {
             return;
         };
-        let known = self.has_data[i].get_or_insert_with(Vec::new);
-        known.clear();
-        known.extend(qids);
-        known.sort_unstable();
-        known.dedup();
+        let (start, old) = (self.uppers[i].start as usize, self.uppers[i].len as usize);
+        self.uppers[i].recorded = true;
+        let (mut len, mut changed) = (0, false);
+        for q in qids {
+            if len >= old {
+                self.known.push(q);
+                changed = true;
+            } else if self.known[start + len] != q {
+                self.known[start + len] = q;
+                changed = true;
+            }
+            len += 1;
+        }
+        if !changed && len == old {
+            return;
+        }
+        if len > old {
+            // What outgrew the old list went to the end: one rotation puts
+            // it in place, where an insert per id would move the lists
+            // after it once per id.
+            self.known[start + old..].rotate_right(len - old);
+        }
+        let list = &mut self.known[start..start + len];
+        list.sort_unstable();
+        let mut unique = len.min(1);
+        for r in 1..len {
+            if list[r] != list[unique - 1] {
+                list[unique] = list[r];
+                unique += 1;
+            }
+        }
+        self.known.drain(start + unique..start + len.max(old));
+        self.uppers[i].len = unique as u32;
+        self.shift_after(i, unique as i64 - old as i64);
+    }
+
+    /// Moves the lists of the records after `i` by `by` places.
+    fn shift_after(&mut self, i: usize, by: i64) {
+        if by != 0 {
+            for u in &mut self.uppers[i + 1..] {
+                u.start = (i64::from(u.start) + by) as u32;
+            }
+        }
     }
 
     /// Forgets a query everywhere (on abort).
     pub fn forget_query(&mut self, qid: QueryId) {
-        for known in self.has_data.iter_mut().flatten() {
-            if let Ok(at) = known.binary_search(&qid) {
-                known.remove(at);
+        for i in 0..self.uppers.len() {
+            let u = &self.uppers[i];
+            if let Ok(at) = self.list(u).binary_search(&qid) {
+                self.known.remove(u.start as usize + at);
+                self.uppers[i].len -= 1;
+                self.shift_after(i, -1);
             }
         }
     }
@@ -200,19 +266,20 @@ impl DagState {
     /// when nothing was ever recorded about it (or it is no upper
     /// neighbour).
     pub fn known_data(&self, neighbor: NodeId) -> Option<&[QueryId]> {
-        self.has_data[self.slot(neighbor)?].as_deref()
+        let u = &self.uppers[self.slot(neighbor)?];
+        u.recorded.then(|| self.list(u))
     }
 
-    /// The queries of `queries` that upper neighbour `i` has data for and
-    /// that no parent picked so far is responsible for, ascending.
+    /// The queries of `queries` that the neighbour whose record is `u` has
+    /// data for and that no parent picked so far is responsible for,
+    /// ascending.
     fn uncovered_overlap<'a>(
         &'a self,
-        i: usize,
+        u: &'a Upper,
         queries: impl Iterator<Item = QueryId> + 'a,
         picked: &'a [(NodeId, Vec<QueryId>)],
     ) -> impl Iterator<Item = QueryId> + 'a {
-        let known = self.has_data[i].as_deref().unwrap_or(&[]);
-        sorted_intersection(known, queries).filter(move |&q| !covered(picked, q))
+        sorted_intersection(self.list(u), queries).filter(move |&q| !covered(picked, q))
     }
 
     /// Chooses parents for a message serving `queries` (ascending, no
@@ -241,30 +308,32 @@ impl DagState {
                 .all(|(a, b)| a < b),
             "queries are sorted and unique"
         );
-        let live = self.dead.iter().filter(|&&d| !d).count();
+        let live = self.uppers.iter().filter(|u| !u.dead).count();
         let mut uncovered = queries.len();
         if live == 0 || uncovered == 0 {
             return Election::NoRoute;
         }
         let mut picked: Vec<(NodeId, Vec<QueryId>)> = Vec::new();
         while uncovered > 0 {
-            let (best, overlap) = (0..self.upper.len())
-                .filter(|&i| !self.dead[i])
-                .map(|i| {
-                    let overlap = self.uncovered_overlap(i, queries.clone(), &picked);
-                    (i, overlap.count())
+            let (best, overlap) = self
+                .uppers
+                .iter()
+                .filter(|u| !u.dead)
+                .map(|u| {
+                    let overlap = self.uncovered_overlap(u, queries.clone(), &picked);
+                    (u, overlap.count())
                 })
                 .max_by(|&(a, oa), &(b, ob)| {
                     oa.cmp(&ob)
                         .then_with(|| {
-                            self.link[a]
-                                .partial_cmp(&self.link[b])
+                            a.link
+                                .partial_cmp(&b.link)
                                 .expect("link qualities are finite")
                         })
-                        .then_with(|| self.upper[b].0.cmp(&self.upper[a].0)) // lower id wins ties
+                        .then_with(|| b.node.0.cmp(&a.node.0)) // lower id wins ties
                 })
                 .expect("a live upper neighbour exists");
-            let parent = self.upper[best];
+            let parent = best.node;
             if picked.is_empty() {
                 if overlap == uncovered || overlap == 0 {
                     // The first round settles it: `parent` has data for
@@ -542,6 +611,96 @@ mod tests {
         d.set_failure_detector(0);
         assert!(!d.presumed_dead(NodeId(1)));
         assert!(!d.record_send_failure(NodeId(1)));
+    }
+
+    #[test]
+    fn records_match_the_per_neighbour_vectors_they_replaced() {
+        // Replay one deterministic pseudo-random stream of has-data records
+        // (any order, with repeats, lists growing and shrinking), aborts,
+        // sends that fail, no-route resignations and frames heard through
+        // the records and through one vector per neighbour fact, as the
+        // state was kept before, and demand the same answer to every lookup
+        // and the same list order after each step.
+        let mut state = 0x5eed_0fda_6500_0001_u64;
+        let mut rand = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let upper = [
+            (NodeId(4), 0.9),
+            (NodeId(9), 0.5),
+            (NodeId(2), 0.5),
+            (NodeId(7), 0.3),
+        ];
+        let mut d = DagState::new(upper);
+        d.set_failure_detector(3);
+        let mut has_data: Vec<Option<Vec<QueryId>>> = vec![None; upper.len()];
+        let mut failures = [0u32; 4];
+        let mut dead = [false; 4];
+        let (mut longest, mut died) = (0, 0);
+        for step in 0..20_000 {
+            let i = (rand() % 5) as usize; // 4 is a stranger
+            let node = upper.get(i).map_or(NodeId(99), |&(n, _)| n);
+            match rand() % 8 {
+                0..=3 => {
+                    let len = rand() % 9;
+                    let qids: Vec<QueryId> = (0..len).map(|_| QueryId(rand() % 12)).collect();
+                    if let Some(known) = has_data.get_mut(i) {
+                        let mut list = qids.clone();
+                        list.sort_unstable();
+                        list.dedup();
+                        longest = longest.max(list.len());
+                        *known = Some(list);
+                    }
+                    d.record_has_data(node, qids);
+                }
+                4 => {
+                    let qid = QueryId(rand() % 12);
+                    for known in has_data.iter_mut().flatten() {
+                        known.retain(|&q| q != qid);
+                    }
+                    d.forget_query(qid);
+                }
+                5 => {
+                    let crossed = i < 4 && {
+                        failures[i] += 1;
+                        failures[i] >= 3 && !std::mem::replace(&mut dead[i], true)
+                    };
+                    died += usize::from(crossed);
+                    assert_eq!(d.record_send_failure(node), crossed, "step {step}");
+                }
+                6 => {
+                    if i < 4 {
+                        (failures[i], dead[i]) = (0, true);
+                    }
+                    d.record_no_route(node);
+                }
+                _ => {
+                    if i < 4 {
+                        (failures[i], dead[i]) = (0, false);
+                    }
+                    d.record_heard(node);
+                }
+            }
+            let nodes: Vec<NodeId> = upper.iter().map(|&(n, _)| n).collect();
+            assert_eq!(d.upper_neighbors().collect::<Vec<_>>(), nodes);
+            for (j, &n) in nodes.iter().enumerate() {
+                assert_eq!(
+                    d.known_data(n),
+                    has_data[j].as_deref(),
+                    "{n} at step {step}"
+                );
+                assert_eq!(d.presumed_dead(n), dead[j], "{n} at step {step}");
+            }
+            assert_eq!(d.known_data(NodeId(99)), None);
+            assert_eq!(d.is_orphaned(), dead.iter().all(|&x| x));
+        }
+        assert!(
+            longest >= 7 && died > 40,
+            "longest list {longest}, {died} deaths"
+        );
     }
 
     /// Pins the two best-link tie rules. Some sensing nodes have two upper

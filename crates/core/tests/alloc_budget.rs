@@ -117,12 +117,15 @@ fn qs(ids: &[u64]) -> Vec<QueryId> {
 #[test]
 fn warm_dag_updates_and_elections_allocate_only_what_they_return() {
     let mut dag = DagState::new(vec![(NodeId(1), 0.9), (NodeId(2), 0.5), (NodeId(3), 0.3)]);
-    // Cold: each neighbour's list grows to its working size once.
+    // Cold: the one vector every neighbour's list lives in grows to its
+    // working size once (while each list was a vector of its own, each grew
+    // on its own).
     dag.record_has_data(NodeId(2), qs(&[10, 11, 12, 13]));
     dag.record_has_data(NodeId(3), qs(&[14, 15, 16, 17]));
 
-    // Warm: overwriting a list in place — in any order, with repeats —
-    // allocates nothing; neither does hearing from a stranger.
+    // Warm: overwriting a list in place — in any order, with repeats, with
+    // no more ids than the list it replaces — allocates nothing; neither
+    // does hearing from a stranger.
     let fresh = [13, 10, 10, 12].map(QueryId);
     let (n, ()) = allocs_during(|| {
         dag.record_has_data(NodeId(2), fresh);
@@ -266,8 +269,15 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     // partials entries that arrive after their close are counted and
     // dropped, where each began a buffer of its own that nothing read. It is
     // 12 605 since the grid is bucketed without hashing into flat neighbour
-    // lists and the session no longer clones it. The count is the same in
-    // debug and release builds (CI runs both).
+    // lists and the session no longer clones it. It is 11 488 since a node's
+    // state is a few flat vectors: one sorted table of query ids with their
+    // flood, has-data and requested marks and the definitions held, where
+    // the installed queries, the flood table and the has-data and requested
+    // sets were four B-trees; one vector of DAG records with every
+    // neighbour's has-data list back to back, where each list was a vector
+    // of its own beside five parallel ones; and result buffers in sorted
+    // vectors grown one entry at a time, where they were hash tables. The
+    // count is the same in debug and release builds (CI runs both).
     let config = ExperimentConfig {
         strategy: Strategy::InNetOnly,
         grid_n: 8,
@@ -277,7 +287,7 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     let workload = workload_a();
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.engine.frames_total, 5965, "not the pinned cell");
-    assert_eq!(allocs, 12_605);
+    assert_eq!(allocs, 11_488);
 }
 
 #[test]
@@ -309,7 +319,9 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     // base station that counts and drops what arrives for an epoch it does
     // not hold open (45 rows and 3 partials entries) instead of buffering it,
     // to 22 125; a grid bucketed without hashing into flat neighbour lists,
-    // held once by the simulator, to 22 051.
+    // held once by the simulator, to 22 051; each node's query ids, DAG
+    // has-data lists and result buffers in a few flat vectors, where they
+    // were B-trees, one vector per neighbour and hash tables, to 20 839.
     let workload = random_workload(&RandomWorkloadParams {
         n_queries: 100,
         mean_arrival_ms: 10_000.0,
@@ -324,7 +336,7 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     };
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(100));
-    assert_eq!(allocs, 22_051);
+    assert_eq!(allocs, 20_839);
 
     // What the users' answers hold once the run is over — 443 answers,
     // 2 059 rows, 3 503 values — pinned exactly: the bytes freed by dropping
@@ -395,9 +407,10 @@ fn answers_of_the_benchmark_churn_stream_share_their_synthetic_rows() {
     // allocator calls before, and 258 179 until the base station dropped the
     // 73 rows and 42 partials entries that arrive after their epoch's close
     // instead of buffering them, and 258 081 until the grid was bucketed
-    // without hashing into flat neighbour lists and held once. The same in
-    // debug and release builds.
-    assert_eq!(allocs, 257_761);
+    // without hashing into flat neighbour lists and held once, and 257 761
+    // until each node's query ids, DAG has-data lists and result buffers
+    // were a few flat vectors. The same in debug and release builds.
+    assert_eq!(allocs, 247_782);
 }
 
 #[test]
@@ -439,12 +452,16 @@ fn workload_a_cells_peak_at_a_pinned_number_of_live_bytes() {
     // (16 B), read off the metrics' transmit count and the slab's length.
     // It is 180 484 B and 160 064 B since the session holds the topology
     // once, in the simulator, where it held a clone, and that one copy's
-    // neighbour lists are one flat array. Both are the same in debug and
-    // release builds.
+    // neighbour lists are one flat array. It is 166 812 B and 115 243 B since
+    // a node's state is a few flat vectors (a sorted table of query ids, one
+    // vector of DAG records, result buffers grown one entry at a time) where
+    // it was B-trees, per-neighbour vectors and hash tables: a TtmqoApp is
+    // 280 B inline (392 B before), and on `twotier-32x32` its heap is about a
+    // third of what it was. Both are the same in debug and release builds.
     let workload = workload_a();
     let cells = [
-        (Strategy::Baseline, 11_763, 180_484),
-        (Strategy::TwoTier, 5_981, 160_064),
+        (Strategy::Baseline, 11_763, 166_812),
+        (Strategy::TwoTier, 5_981, 115_243),
     ];
     for (strategy, frames, pinned) in cells {
         let config = ExperimentConfig {
@@ -458,6 +475,32 @@ fn workload_a_cells_peak_at_a_pinned_number_of_live_bytes() {
             report.engine.frames_total, frames,
             "{strategy:?}: not the pinned cell"
         );
+        assert_eq!(peak, pinned, "{strategy:?}");
+    }
+}
+
+#[test]
+fn the_papers_32x32_deployment_peaks_at_a_pinned_number_of_live_bytes() {
+    // The heap's high-water mark over a 32×32 Workload-A run to two base
+    // epochs, set-up included, every observer off: what the 1 024 nodes'
+    // apps hold once every query is installed and every has-data list
+    // recorded, before any backlog builds. While each node kept its query
+    // ids in B-trees, its DAG has-data lists one vector per neighbour and its
+    // result buffers in hash tables, the peaks were 1 988 228 B (TwoTier)
+    // and 1 594 296 B (Baseline); as a few flat vectors per node they are
+    // 557 B and 112 B per node less. The same in debug and release builds.
+    let workload = workload_a();
+    for (strategy, pinned) in [
+        (Strategy::TwoTier, 1_417_467),
+        (Strategy::Baseline, 1_479_284),
+    ] {
+        let config = ExperimentConfig {
+            strategy,
+            grid_n: 32,
+            duration: SimTime::from_ms(2 * 2048),
+            ..ExperimentConfig::default()
+        };
+        let (peak, _) = peak_live_during(|| run_experiment(&config, &workload));
         assert_eq!(peak, pinned, "{strategy:?}");
     }
 }
@@ -493,7 +536,10 @@ fn a_session_on_a_topology_override_holds_one_copy_of_it() {
     // The S2 random deployments set `topology_override`. The session moves
     // it out of its own copy of the config into the simulator, so it holds
     // one topology, as on the grid path. Cloning it once more for the
-    // simulator made 40 calls and held 43 490 bytes.
+    // simulator made 40 calls and held 43 490 bytes. The session held
+    // 39 946 bytes until its 64 apps were 112 B smaller each (7 168 B): a
+    // node's query table, DAG state and result buffers are flat vectors,
+    // where they were B-trees, per-neighbour vectors and hash tables.
     let topo = Topology::random_uniform(64, 150.0, 50.0, 12).unwrap();
     let workload = workload_a();
     let config = ExperimentConfig {
@@ -503,7 +549,7 @@ fn a_session_on_a_topology_override_holds_one_copy_of_it() {
     };
     let (allocs, session) = allocs_during(|| RunSession::new(&config, &workload));
     let held = bytes_freed_by(|| drop(session));
-    assert_eq!((allocs, held), (36, 39_946));
+    assert_eq!((allocs, held), (36, 32_778));
 }
 
 #[test]

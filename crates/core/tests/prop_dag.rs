@@ -189,7 +189,7 @@ proptest! {
     /// Chosen parents are always actual upper-level neighbours.
     #[test]
     fn parents_come_from_the_upper_set(dag in arb_dag(), queries in arb_queries()) {
-        let upper: BTreeSet<NodeId> = dag.upper_neighbors().iter().copied().collect();
+        let upper: BTreeSet<NodeId> = dag.upper_neighbors().collect();
         for (parent, _) in elect(&dag, &queries) {
             prop_assert!(upper.contains(&parent));
         }

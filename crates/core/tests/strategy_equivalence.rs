@@ -202,6 +202,39 @@ fn unshared_tier_2_pays_two_bytes_more_per_row_frame_than_baseline() {
 }
 
 #[test]
+fn a_run_ending_on_an_epoch_boundary_charges_tinydb_the_next_epochs_frames() {
+    // A pinned deviation (the run-end FOUND in CHANGES.md): `run_until`
+    // includes events at the end instant, so a run that ends on an epoch
+    // boundary sends TinyDB's result frames of the epoch that starts there,
+    // while Tier 2's slotted frames of that epoch fall past the end. Every
+    // campaign's duration is a whole number of epochs, so every
+    // `tx_time_pct` comparison charges Baseline about one epoch more. A run
+    // end that treats both alike must flip this test.
+    let workload = vec![WorkloadEvent::pose(
+        0,
+        q(1, "select light epoch duration 2048"),
+    )];
+    let result_frames = |strategy, end_ms| {
+        let config = ExperimentConfig {
+            duration: SimTime::from_ms(end_ms),
+            ..config(strategy, 4, 30)
+        };
+        run_experiment(&config, &workload)
+            .metrics
+            .tx_count(MsgKind::Result)
+    };
+    let boundary = 30 * 2048;
+    assert_eq!(result_frames(Strategy::Baseline, boundary), 682);
+    assert_eq!(result_frames(Strategy::InNetOnly, boundary), 674);
+    // Half an epoch later both have sent that epoch's frames.
+    let mid_epoch = boundary + 1024;
+    assert_eq!(
+        result_frames(Strategy::Baseline, mid_epoch),
+        result_frames(Strategy::InNetOnly, mid_epoch)
+    );
+}
+
+#[test]
 fn two_tier_handles_dynamic_arrivals_and_departures() {
     let workload = vec![
         WorkloadEvent::pose(

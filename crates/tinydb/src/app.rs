@@ -20,7 +20,6 @@ use crate::buffers::{
 };
 use crate::flood::{Floods, KIND_FLOOD_ABORT, KIND_FLOOD_QUERY};
 use crate::messages::{Command, Output, TinyDbPayload};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use ttmqo_query::{PartialAgg, Query, QueryId, Readings, Row, Selection, BASE_EPOCH_MS};
 use ttmqo_sim::{Ctx, Destination, MsgKind, NodeApp, NodeId, ProvenanceId, TraceEvent};
@@ -44,10 +43,9 @@ pub struct TinyDbConfig {
 /// as the base station.
 #[derive(Debug)]
 pub struct TinyDbApp {
-    /// Installed queries — the ones this node samples for (the base
-    /// station: closes epochs of) — each the allocation its flood carried.
-    queries: BTreeMap<QueryId, Arc<Query>>,
-    /// What this node knows about query and abort floods.
+    /// What this node knows per query id: the floods it heard and the
+    /// queries it runs (samples for; the base station: closes epochs of) or
+    /// only relays.
     floods: Floods,
     /// Partials and (base station only) rows per (query, epoch start ms).
     buffers: EpochBuffers,
@@ -67,7 +65,6 @@ impl TinyDbApp {
     /// Creates a baseline node with the given configuration.
     pub fn new(config: TinyDbConfig) -> Self {
         TinyDbApp {
-            queries: BTreeMap::new(),
             floods: Floods::new(config.srt, Self::TAG.jitter_ms),
             buffers: EpochBuffers::default(),
             parent: None,
@@ -76,7 +73,7 @@ impl TinyDbApp {
 
     /// Currently installed queries (for tests and inspection).
     pub fn installed_queries(&self) -> impl Iterator<Item = &Query> {
-        self.queries.values().map(Arc::as_ref)
+        self.floods.installed().map(Arc::as_ref)
     }
 
     /// Queries this node relays the flood of but never runs: SRT-pruned
@@ -97,7 +94,7 @@ impl TinyDbApp {
             return;
         }
         let qid = query.id();
-        self.queries.insert(qid, Arc::clone(query));
+        self.floods.install(query);
         // First firing strictly in the future, aligned to the global epoch
         // grid (TinyDB synchronizes epochs via time sync).
         let now = ctx.now().as_ms();
@@ -107,14 +104,14 @@ impl TinyDbApp {
 
     fn hear_abort(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>, qid: QueryId) {
         if self.floods.on_abort(ctx, qid) {
-            self.queries.remove(&qid);
+            self.floods.uninstall(qid);
             self.buffers.forget_query(qid);
         }
     }
 
     /// The query's sampling clock fired at the start of one of its epochs.
     fn handle_sample(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>, qid: QueryId) {
-        let Some(query) = self.queries.get(&qid) else {
+        let Some(query) = self.floods.running(qid) else {
             return; // query terminated since the timer was set
         };
         let now = ctx.now().as_ms();
@@ -252,12 +249,12 @@ impl NodeApp for TinyDbApp {
             KIND_SAMPLE => self.handle_sample(ctx, qid),
             KIND_SLOT => self.handle_slot(ctx, qid, epoch_idx * BASE_EPOCH_MS),
             KIND_CLOSE => {
-                if let Some(query) = self.queries.get(&qid) {
+                if let Some(query) = self.floods.running(qid) {
                     self.buffers.close(ctx, query, epoch_idx * BASE_EPOCH_MS);
                 }
             }
             KIND_FLOOD_QUERY => {
-                if let Some(query) = self.floods.to_relay(qid, self.queries.get(&qid)) {
+                if let Some(query) = self.floods.to_relay(qid) {
                     let payload = TinyDbPayload::Query(query);
                     let bytes = payload.wire_size();
                     ctx.send(

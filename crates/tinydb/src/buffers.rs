@@ -7,8 +7,6 @@
 //! routed; they do not differ in any of this, so it exists once.
 
 use crate::messages::Output;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, DefaultHasher};
 use ttmqo_query::{
     AggValue, EpochAnswer, PartialAgg, Query, QueryId, Row, RowSet, Selection, BASE_EPOCH_MS,
 };
@@ -40,11 +38,6 @@ pub fn in_region<P, O>(ctx: &Ctx<'_, P, O>, query: &Query) -> bool {
         r.contains(pos.x, pos.y)
     })
 }
-
-/// A hash map keyed the same way in every process: when a table with
-/// deleted entries grows depends on where its keys hash, so with a random
-/// seed a run's allocator calls would vary from process to process.
-type Table<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
 /// TAG (Tiny AGgregation) slot timing: a node sends its partials in its
 /// slot of each epoch, and deeper tree levels send earlier.
@@ -88,6 +81,55 @@ impl TagSlots {
     }
 }
 
+/// Values sorted by `(query, epoch-start ms)`: a node holds a handful at a
+/// time, so a binary search over one flat vector finds them, and walks and
+/// removals come in ascending query id. The vector grows one entry at a
+/// time, so that it stays at its high-water mark (a node's is one or two
+/// entries of 40 bytes, where doubling would hold room for four).
+#[derive(Debug)]
+struct ByEpoch<V>(Vec<((QueryId, u64), V)>);
+
+impl<V> Default for ByEpoch<V> {
+    fn default() -> Self {
+        ByEpoch(Vec::new())
+    }
+}
+
+impl<V> ByEpoch<V> {
+    fn find(&self, key: (QueryId, u64)) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&key, |&(k, _)| k)
+    }
+
+    fn get_mut(&mut self, key: (QueryId, u64)) -> Option<&mut V> {
+        let at = self.find(key).ok()?;
+        Some(&mut self.0[at].1)
+    }
+
+    /// Inserts `value` under `key`, replacing what was there.
+    fn insert(&mut self, key: (QueryId, u64), value: V) {
+        match self.find(key) {
+            Ok(at) => self.0[at].1 = value,
+            Err(at) => self.insert_at(at, key, value),
+        }
+    }
+
+    /// Inserts `value` under `key` at `at`, where [`find`](Self::find)
+    /// said it belongs.
+    fn insert_at(&mut self, at: usize, key: (QueryId, u64), value: V) {
+        self.0.reserve_exact(1);
+        self.0.insert(at, (key, value));
+    }
+
+    fn remove(&mut self, key: (QueryId, u64)) -> Option<V> {
+        let at = self.find(key).ok()?;
+        Some(self.0.remove(at).1)
+    }
+
+    fn keys(&self) -> impl Iterator<Item = (QueryId, u64)> + '_ {
+        self.0.iter().map(|&(k, _)| k)
+    }
+}
+
 /// Result state per `(query, epoch-start ms)`.
 ///
 /// A node other than the base station buffers aggregation partials until
@@ -98,9 +140,9 @@ impl TagSlots {
 #[derive(Debug, Default)]
 pub struct EpochBuffers {
     /// Partials: a node's await its slot, the base station's are open epochs.
-    partials: Table<(QueryId, u64), Vec<Option<PartialAgg>>>,
+    partials: ByEpoch<Vec<Option<PartialAgg>>>,
     /// The base station's open acquisition epochs.
-    rows: Table<(QueryId, u64), Vec<Row>>,
+    rows: ByEpoch<Vec<Row>>,
 }
 
 impl EpochBuffers {
@@ -113,36 +155,46 @@ impl EpochBuffers {
         epoch_ms: u64,
         incoming: &[Option<PartialAgg>],
     ) {
-        match self.partials.get_mut(&(qid, epoch_ms)) {
-            Some(buffer) => merge_partials(buffer, incoming),
-            None if ctx.is_base_station() => ctx.record_late(true),
-            None => {
-                self.partials.insert((qid, epoch_ms), incoming.to_vec());
-            }
+        if !self.merge_into(qid, epoch_ms, incoming, ctx.is_base_station()) {
+            ctx.record_late(true);
         }
+    }
+
+    /// [`merge`](Self::merge) but for the late count: `false` when the
+    /// epoch is not held and `open_only` (at the base station) forbids
+    /// beginning it.
+    fn merge_into(
+        &mut self,
+        qid: QueryId,
+        epoch_ms: u64,
+        incoming: &[Option<PartialAgg>],
+        open_only: bool,
+    ) -> bool {
+        let key = (qid, epoch_ms);
+        match self.partials.find(key) {
+            Ok(at) => merge_partials(&mut self.partials.0[at].1, incoming),
+            Err(_) if open_only => return false,
+            Err(at) => self.partials.insert_at(at, key, incoming.to_vec()),
+        }
+        true
     }
 
     /// Removes and returns the query's partials for the epoch.
     pub fn take(&mut self, qid: QueryId, epoch_ms: u64) -> Option<Vec<Option<PartialAgg>>> {
-        self.partials.remove(&(qid, epoch_ms))
+        self.partials.remove((qid, epoch_ms))
     }
 
     /// Removes every query's partials for the epoch as the iterator is
-    /// consumed, in ascending query id (so a frame built from them does not
-    /// depend on hash order).
+    /// consumed, in ascending query id (the order a frame built from them
+    /// carries them in).
     pub fn take_epoch(
         &mut self,
         epoch_ms: u64,
     ) -> impl Iterator<Item = (QueryId, Vec<Option<PartialAgg>>)> + '_ {
-        let mut keys: Vec<(QueryId, u64)> = self
-            .partials
-            .keys()
-            .filter(|(_, e)| *e == epoch_ms)
-            .copied()
-            .collect();
-        keys.sort_unstable();
-        keys.into_iter()
-            .map(|k| (k.0, self.partials.remove(&k).expect("key just listed")))
+        self.partials
+            .0
+            .extract_if(.., move |((_, e), _)| *e == epoch_ms)
+            .map(|((qid, _), partials)| (qid, partials))
     }
 
     /// Base station: opens the query's epoch that started at `epoch_ms` and
@@ -166,7 +218,7 @@ impl EpochBuffers {
 
     /// Base station: adds an acquisition row to the query's open epoch.
     pub fn add_row<P>(&mut self, ctx: &mut Ctx<'_, P, Output>, qid: QueryId, row: Row) {
-        match self.rows.get_mut(&(qid, row.time_ms)) {
+        match self.rows.get_mut((qid, row.time_ms)) {
             Some(rows) => rows.push(row),
             None => ctx.record_late(false),
         }
@@ -174,25 +226,25 @@ impl EpochBuffers {
 
     /// The `(query, epoch start)` pairs held: at the base station, its open epochs.
     pub fn epochs(&self) -> impl Iterator<Item = (QueryId, u64)> + '_ {
-        self.rows.keys().chain(self.partials.keys()).copied()
+        self.rows.keys().chain(self.partials.keys())
     }
 
     /// Drops everything buffered for a query that is being uninstalled.
     pub fn forget_query(&mut self, qid: QueryId) {
-        self.partials.retain(|(id, _), _| *id != qid);
-        self.rows.retain(|(id, _), _| *id != qid);
+        self.partials.0.retain(|((id, _), _)| *id != qid);
+        self.rows.0.retain(|((id, _), _)| *id != qid);
     }
 
     /// Base station: closes the query's epoch, if it is still open, into its
     /// answer: rows sorted and unique by node, or finalized aggregates.
     pub fn close<P>(&mut self, ctx: &mut Ctx<'_, P, Output>, query: &Query, epoch_ms: u64) {
         let key = (query.id(), epoch_ms);
-        let answer = if let Some(mut rows) = self.rows.remove(&key) {
+        let answer = if let Some(mut rows) = self.rows.remove(key) {
             rows.sort_by_key(|r| r.node);
             rows.dedup_by_key(|r| r.node);
             EpochAnswer::Rows(RowSet::new(epoch_ms, rows))
         } else if let (Some(partials), Selection::Aggregates(aggs)) =
-            (self.partials.remove(&key), query.selection())
+            (self.partials.remove(key), query.selection())
         {
             let values = aggs.iter().zip(&partials).filter_map(|(&(op, attr), p)| {
                 let value = p.as_ref()?.finalize();
@@ -238,7 +290,8 @@ fn merge_partials(buffer: &mut Vec<Option<PartialAgg>>, incoming: &[Option<Parti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ttmqo_query::AggOp;
+    use std::collections::HashMap;
+    use ttmqo_query::{AggOp, Readings};
 
     #[test]
     fn timer_key_roundtrip() {
@@ -274,5 +327,104 @@ mod tests {
         buffers.partials.insert((QueryId(1), 2048), buf);
         assert_eq!(buffers.take(QueryId(1), 2048).unwrap().len(), 2);
         assert!(buffers.take(QueryId(1), 2048).is_none());
+    }
+
+    #[test]
+    fn sorted_buffers_match_the_hash_maps_they_replaced() {
+        // Replay one deterministic pseudo-random stream of merges (at a node
+        // and at the base station), opens, rows, takes, whole-epoch takes,
+        // closes and forgotten queries through the buffers and through the
+        // hash maps they replaced, and demand the same answer to every
+        // lookup after each step, every whole-epoch take in ascending query
+        // id, and the same held epochs.
+        let mut state = 0xbeef_0b0e_5eed_0001u64;
+        let mut rand = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut buffers = EpochBuffers::default();
+        let mut partials: HashMap<(QueryId, u64), Vec<Option<PartialAgg>>> = HashMap::new();
+        let mut rows: HashMap<(QueryId, u64), Vec<Row>> = HashMap::new();
+        let (mut late, mut widest) = (0, 0);
+        for step in 0..20_000 {
+            let key = (QueryId(rand() % 6), 2048 * (rand() % 4));
+            match rand() % 10 {
+                0..=2 => {
+                    let open_only = rand() % 3 == 0;
+                    let incoming: Vec<Option<PartialAgg>> = (0..1 + rand() % 3)
+                        .map(|_| (rand() % 4 > 0).then(|| AggOp::Max.seed((rand() % 100) as f64)))
+                        .collect();
+                    let merged = match partials.get_mut(&key) {
+                        Some(buffer) => {
+                            merge_partials(buffer, &incoming);
+                            true
+                        }
+                        None if open_only => false,
+                        None => {
+                            partials.insert(key, incoming.clone());
+                            true
+                        }
+                    };
+                    late += usize::from(!merged);
+                    let got = buffers.merge_into(key.0, key.1, &incoming, open_only);
+                    assert_eq!(got, merged, "step {step}");
+                }
+                3 => {
+                    partials.insert(key, Vec::new());
+                    buffers.partials.insert(key, Vec::new());
+                }
+                4 => {
+                    rows.insert(key, Vec::new());
+                    buffers.rows.insert(key, Vec::new());
+                }
+                5 => {
+                    let row = Row {
+                        node: (rand() % 16) as u16,
+                        time_ms: key.1,
+                        readings: Readings::new(),
+                    };
+                    let held = rows.get_mut(&key).map(|r| r.push(row)).is_some();
+                    let got = buffers.rows.get_mut(key).map(|r| r.push(row)).is_some();
+                    assert_eq!(got, held, "step {step}");
+                }
+                6 => {
+                    assert_eq!(
+                        buffers.take(key.0, key.1),
+                        partials.remove(&key),
+                        "step {step}"
+                    );
+                    assert_eq!(buffers.rows.remove(key), rows.remove(&key), "step {step}");
+                }
+                7 => {
+                    let mut keys: Vec<_> =
+                        partials.keys().filter(|k| k.1 == key.1).copied().collect();
+                    keys.sort_unstable();
+                    let expected: Vec<_> = keys
+                        .into_iter()
+                        .map(|k| (k.0, partials.remove(&k).unwrap()))
+                        .collect();
+                    widest = widest.max(expected.len());
+                    let taken: Vec<_> = buffers.take_epoch(key.1).collect();
+                    assert_eq!(taken, expected, "step {step}");
+                }
+                8 => {
+                    partials.retain(|k, _| k.0 != key.0);
+                    rows.retain(|k, _| k.0 != key.0);
+                    buffers.forget_query(key.0);
+                }
+                _ => {}
+            }
+            let mut held: Vec<_> = rows.keys().chain(partials.keys()).copied().collect();
+            let mut got: Vec<_> = buffers.epochs().collect();
+            held.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, held, "step {step}");
+        }
+        assert!(
+            late > 100 && widest >= 4,
+            "{late} late merges, widest take {widest}"
+        );
     }
 }
