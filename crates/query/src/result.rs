@@ -118,10 +118,12 @@ const _: () = assert!(std::mem::size_of::<EpochAnswer>() <= 40);
 /// An acquisition answer: one epoch's rows, as a view of a shared block.
 ///
 /// The block holds how many rows it stores; per row the node id and the
-/// row's attribute bitmap, and one value per attribute present; then one row
-/// mask for each view that shows only some of its rows. A view states the
-/// epoch's time once and shows the stored rows its mask marks (all of them
-/// without one), each projected onto the view's attributes. One
+/// row's attribute bitmap, and one value per attribute present — except a
+/// `nodeid` value whose bits are the node id's own, which the row head marks
+/// as implied instead; then one row mask for each view that shows only some
+/// of its rows. A view states the epoch's time once and shows the stored
+/// rows its mask marks (all of them without one), each projected onto the
+/// view's attributes. One
 /// [`select_all`](Self::select_all) answers many selections from one block,
 /// so the answers a synthetic query's epoch answer is mapped to share one
 /// allocation; a set with no rows holds none. A block is assembled in a
@@ -153,14 +155,22 @@ pub struct RowSet {
     /// The attributes the view shows of each row.
     shown: AttrSet,
     /// The block: the stored row count; the row heads two to a word (node
-    /// id in bits 0–15, attribute bitmap in bits 16–23 of each half); every
-    /// value's bits, row by row; the row masks, one bit per stored row.
+    /// id in bits 0–15, attribute bitmap in bits 16–23 and [`IMPLIED`] in
+    /// bit 24 of each half); every stored value's bits, row by row; the row
+    /// masks, one bit per stored row.
     /// Empty, which allocates nothing, when the view shows no row.
     words: Arc<[u64]>,
 }
 
 /// The mask offset of a view that shows every row its block stores.
 const ALL_ROWS: u32 = u32::MAX;
+
+/// The row-head bit that marks a row's `nodeid` value as implied: its bits
+/// are `f64::from(node)`'s, and the block does not store them.
+const IMPLIED: u32 = 1 << 24;
+
+/// Every attribute but `NodeId`: what a row with an implied `nodeid` stores.
+const NOT_NODE_ID: AttrSet = AttrSet::from_bits(!(1 << Attribute::NodeId as u8));
 
 /// Every attribute: what a set built by [`RowSet::new`] shows.
 const EVERY: AttrSet = AttrSet::from_bits((1 << Attribute::ALL.len()) - 1);
@@ -325,7 +335,8 @@ impl RowSet {
 
     /// Stores `rows` — each a node id, an attribute bitmap and the value
     /// bits in the bitmap's order — followed by `masks`, as one block;
-    /// returns how many rows it stores, and the block.
+    /// returns how many rows it stores, and the block. A `nodeid` value
+    /// equal, bit for bit, to the node id is marked implied, not stored.
     fn build<V: Iterator<Item = u64>>(
         rows: impl Iterator<Item = (u16, AttrSet, V)>,
         masks: &[u64],
@@ -336,8 +347,16 @@ impl RowSet {
         heads.clear();
         values.clear();
         let mut len = 0;
-        for (node, attrs, bits) in rows {
-            let head = u64::from(node) | u64::from(attrs.bits()) << 16;
+        for (node, attrs, mut bits) in rows {
+            let mut head = u32::from(node) | u32::from(attrs.bits()) << 16;
+            // `NodeId` sorts first, so its value leads the row's.
+            if attrs.contains(Attribute::NodeId) {
+                match bits.next().expect("a value per attribute") {
+                    id if id == f64::from(node).to_bits() => head |= IMPLIED,
+                    id => values.push(id),
+                }
+            }
+            let head = u64::from(head);
             match heads.last_mut() {
                 Some(word) if len % 2 == 1 => *word |= head << 32,
                 _ => heads.push(head),
@@ -478,7 +497,8 @@ pub struct RowRef<'a> {
     node: u16,
     /// The attributes the row shows.
     attrs: AttrSet,
-    /// The attributes the row stores, in the order of `values`.
+    /// The attributes whose values the block stores, in the order of
+    /// `values`: the row's bitmap, less `NodeId` when its value is implied.
     stored: AttrSet,
     values: &'a [u64],
 }
@@ -493,7 +513,14 @@ impl<'a> RowRef<'a> {
     /// The row's value for `attr`, if it carries one.
     #[inline]
     pub fn get(&self, attr: Attribute) -> Option<f64> {
-        let value = || f64::from_bits(self.values[self.stored.rank(attr)]);
+        let value = || {
+            if self.stored.contains(attr) {
+                f64::from_bits(self.values[self.stored.rank(attr)])
+            } else {
+                // Only an implied `nodeid` is shown but not stored.
+                f64::from(self.node)
+            }
+        };
         self.attrs.contains(attr).then(value)
     }
 
@@ -501,14 +528,18 @@ impl<'a> RowRef<'a> {
     /// order.
     #[inline]
     fn bits_of(self, kept: AttrSet) -> impl Iterator<Item = u64> + 'a {
-        // Walk the stored bitmap lowest bit first, alongside its values.
         let kept = kept.intersection(self.attrs);
+        let implied = kept.contains(Attribute::NodeId) && !self.stored.contains(Attribute::NodeId);
+        let implied = implied.then(|| f64::from(self.node).to_bits());
+        // Walk the stored bitmap lowest bit first, alongside its values.
         let mut carried = self.stored.bits();
-        self.values.iter().copied().filter(move |_| {
-            let lowest = carried & carried.wrapping_neg();
-            carried ^= lowest;
-            kept.bits() & lowest != 0
-        })
+        implied
+            .into_iter()
+            .chain(self.values.iter().copied().filter(move |_| {
+                let lowest = carried & carried.wrapping_neg();
+                carried ^= lowest;
+                kept.bits() & lowest != 0
+            }))
     }
 }
 
@@ -535,15 +566,19 @@ impl<'a> Iterator for Packed<'a> {
         while self.left > 0 {
             let i = self.next;
             self.next += 1;
-            let half = self.heads[i / 2] >> (i % 2 * 32);
-            let stored = AttrSet::from_bits((half >> 16) as u8);
+            let half = (self.heads[i / 2] >> (i % 2 * 32)) as u32;
+            let row = AttrSet::from_bits((half >> 16) as u8);
+            let stored = match half & IMPLIED {
+                0 => row,
+                _ => row.intersection(NOT_NODE_ID),
+            };
             let (values, rest) = self.values.split_at(stored.len());
             self.values = rest;
             if self.mask.is_none_or(|mask| bit(mask, i)) {
                 self.left -= 1;
                 return Some(RowRef {
                     node: half as u16,
-                    attrs: stored.intersection(self.shown),
+                    attrs: row.intersection(self.shown),
                     stored,
                     values,
                 });

@@ -11,7 +11,7 @@
 //! the steady-state live count is `target_concurrency`; the process runs
 //! until `n_queries` have arrived, and every query departs.
 
-use crate::random::{exponential, random_query};
+use crate::random::{exponential, random_query, timeline, Life};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ttmqo_core::WorkloadEvent;
@@ -67,20 +67,23 @@ impl Default for ChurnWorkloadParams {
 /// assert_eq!(events.len(), 80); // 40 poses + 40 terminations
 /// ```
 pub fn churn_workload(params: &ChurnWorkloadParams) -> Vec<WorkloadEvent> {
+    timeline(churn_lives(params))
+}
+
+/// The queries' lives in arrival order, before they become events.
+pub(crate) fn churn_lives(params: &ChurnWorkloadParams) -> Vec<Life> {
     let queries = churn_queries(params);
     let mut rng = StdRng::seed_from_u64(params.seed ^ 0x5EED_CAFE);
     let mean_lifetime_ms = params.target_concurrency * params.mean_arrival_ms;
-    let mut events = Vec::with_capacity(queries.len() * 2);
     let mut t = 0.0f64;
-    for query in queries {
-        t += exponential(&mut rng, params.mean_arrival_ms);
-        let lifetime = exponential(&mut rng, mean_lifetime_ms).max(1000.0);
-        let qid = query.id();
-        events.push(WorkloadEvent::pose(t as u64, query));
-        events.push(WorkloadEvent::terminate((t + lifetime) as u64, qid));
-    }
-    events.sort_by_key(|e| e.at);
-    events
+    queries
+        .into_iter()
+        .map(|query| {
+            t += exponential(&mut rng, params.mean_arrival_ms);
+            let lifetime = exponential(&mut rng, mean_lifetime_ms).max(1000.0);
+            (t as u64, (t + lifetime) as u64, query)
+        })
+        .collect()
 }
 
 /// The arrival sequence alone (no timestamps, no departures): query `i`

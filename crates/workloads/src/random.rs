@@ -72,27 +72,62 @@ pub const ATTR_MENU: [Attribute; 3] = [Attribute::NodeId, Attribute::Light, Attr
 /// assert_eq!(events.len(), 100); // 50 poses + 50 terminations
 /// ```
 pub fn random_workload(params: &RandomWorkloadParams) -> Vec<WorkloadEvent> {
+    timeline(random_lives(params))
+}
+
+/// The queries' lives in arrival order, before they become events.
+fn random_lives(params: &RandomWorkloadParams) -> Vec<Life> {
     let mut rng = StdRng::seed_from_u64(params.seed);
     let mean_duration_ms = params.target_concurrency * params.mean_arrival_ms;
-    let mut events = Vec::with_capacity(params.n_queries * 2);
     let mut t = 0.0f64;
-    for i in 0..params.n_queries {
-        t += exponential(&mut rng, params.mean_arrival_ms);
-        let duration = exponential(&mut rng, mean_duration_ms).max(1000.0);
-        let query = random_query(
-            &mut rng,
-            QueryId(i as u64),
-            params.aggregation_fraction,
-            params.nodeid_max,
-        );
-        events.push(WorkloadEvent::pose(t as u64, query));
-        events.push(WorkloadEvent::terminate(
-            (t + duration) as u64,
-            QueryId(i as u64),
-        ));
+    (0..params.n_queries)
+        .map(|i| {
+            t += exponential(&mut rng, params.mean_arrival_ms);
+            let duration = exponential(&mut rng, mean_duration_ms).max(1000.0);
+            let query = random_query(
+                &mut rng,
+                QueryId(i as u64),
+                params.aggregation_fraction,
+                params.nodeid_max,
+            );
+            (t as u64, (t + duration) as u64, query)
+        })
+        .collect()
+}
+
+/// A query's life: when it is posed and when terminated, in ms, and the
+/// query.
+pub(crate) type Life = (u64, u64, Query);
+
+/// The pose and terminate events of `lives`, sorted by time, ties in the
+/// order they were generated (life `i`'s pose `2i`-th, its termination
+/// `2i + 1`-th): what a stable sort of the events by time gives. It sorts
+/// `(time, generation index)` keys and moves each query once, where sorting
+/// the 184-byte events moved each several times.
+///
+/// # Panics
+///
+/// If `lives` are not in pose order.
+pub(crate) fn timeline(lives: Vec<Life>) -> Vec<WorkloadEvent> {
+    // In pose order, the sorted keys meet the poses in the order `lives`
+    // holds their queries.
+    assert!(
+        lives.windows(2).all(|w| w[0].0 <= w[1].0),
+        "lives are in pose order"
+    );
+    let mut keys: Vec<(u64, usize, QueryId)> = Vec::with_capacity(lives.len() * 2);
+    for (i, (posed, ended, query)) in lives.iter().enumerate() {
+        keys.push((*posed, 2 * i, query.id()));
+        keys.push((*ended, 2 * i + 1, query.id()));
     }
-    events.sort_by_key(|e| e.at);
-    events
+    keys.sort_unstable_by_key(|&(at, generated, _)| (at, generated));
+    let mut queries = lives.into_iter().map(|(_, _, query)| query);
+    keys.into_iter()
+        .map(|(at, generated, id)| match generated % 2 {
+            0 => WorkloadEvent::pose(at, queries.next().expect("a query per pose")),
+            _ => WorkloadEvent::terminate(at, id),
+        })
+        .collect()
 }
 
 /// End time of the last event, ms.
@@ -185,6 +220,62 @@ mod tests {
         assert_eq!(terms, 100);
         // Sorted by time.
         assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
+    }
+
+    /// What the generators returned while they sorted the events
+    /// themselves: the lives' events in generation order, stably sorted.
+    fn sorted_events(lives: Vec<Life>) -> Vec<WorkloadEvent> {
+        let mut events = Vec::new();
+        for (posed, ended, query) in lives {
+            let id = query.id();
+            events.push(WorkloadEvent::pose(posed, query));
+            events.push(WorkloadEvent::terminate(ended, id));
+        }
+        events.sort_by_key(|e| e.at);
+        events
+    }
+
+    #[test]
+    fn sorting_keys_orders_events_as_sorting_the_events_did() {
+        // Sub-millisecond arrivals make many poses share a millisecond, and
+        // terminations land on poses' milliseconds: ties of both kinds.
+        let mut ties = 0;
+        for seed in 0..8 {
+            for n_queries in [0, 1, 2, 7, 64, 500] {
+                for mean_arrival_ms in [0.4, 40.0, 8_000.0] {
+                    let random = RandomWorkloadParams {
+                        n_queries,
+                        mean_arrival_ms,
+                        target_concurrency: 4.0,
+                        seed,
+                        ..RandomWorkloadParams::default()
+                    };
+                    let churn = crate::ChurnWorkloadParams {
+                        n_queries,
+                        mean_arrival_ms,
+                        target_concurrency: 4.0,
+                        seed,
+                        ..crate::ChurnWorkloadParams::default()
+                    };
+                    let cases = [
+                        (random_workload(&random), random_lives(&random)),
+                        (
+                            crate::churn_workload(&churn),
+                            crate::churn::churn_lives(&churn),
+                        ),
+                    ];
+                    for (events, lives) in cases {
+                        ties += events.windows(2).filter(|w| w[0].at == w[1].at).count();
+                        assert_eq!(
+                            events,
+                            sorted_events(lives),
+                            "seed {seed}, {n_queries} queries"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(ties > 1_000, "only {ties} ties");
     }
 
     #[test]
