@@ -1,7 +1,7 @@
 //! Regenerates every checked-in bench result — the paper's figures, the
-//! fault campaigns, the engine rows, the observatory and the hotspot
-//! tables — as files written straight into `bench/results/`, and prints
-//! each file's records as a table:
+//! fault campaigns, the observatory and the hotspot tables — as files
+//! written straight into `bench/results/`, and prints each file's records
+//! as a table:
 //!
 //! * `fig2.jsonl` — Figure 2's worked routing example: its two count pairs;
 //! * `fig3.jsonl` — Figure 3: campaign cell records;
@@ -11,9 +11,7 @@
 //! * `ablations.jsonl` — the network ablations: cell records;
 //! * `scale.jsonl` — the supplementary experiments S1–S4: cell records;
 //! * `faults.jsonl` — the fault campaigns over 48 epochs: cell records;
-//! * `engine.jsonl` — the engine's four end-to-end rows: cell records;
-//! * `flood.jsonl` — the engine's six flood scenarios: one record each;
-//! * `observatory.jsonl` — the audited, traced observatory: cell records
+//! * `observatory.jsonl` — the traced observatory: cell records
 //!   (its traces go to `observatory/traces/`, outside the results);
 //! * `analyze-trace-1.json` — `summarize_trace` of one observatory trace;
 //! * `hotspots.txt` — per-node tx-busy tables and imbalance, Markdown.
@@ -22,11 +20,12 @@
 //! grid, field seed and fault. The files hold only what the simulation
 //! decides, so two runs write the same bytes: running the bench is the
 //! refresh, and CI fails if it leaves `git status` showing a change under
-//! `bench/results/`. Host time (wall seconds, events/s) is printed in the
-//! fault and engine tables and nowhere else.
+//! `bench/results/`. Host time (wall seconds, simulated ms/s) is printed in
+//! the fault table and nowhere else.
 //!
-//! If any audited cell counts a violation or a skipped check (a trace the
-//! auditor could not reconcile proves nothing), the bench writes nothing
+//! Every campaign runs with the auditor armed, so every cell record carries
+//! an `audit`. If any cell counts a violation or a skipped check (a trace
+//! the auditor could not reconcile proves nothing), the bench writes nothing
 //! and exits nonzero, so no such record can become a result. A file the
 //! bench cannot write or a trace it cannot summarize fails it too.
 
@@ -34,19 +33,42 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use ttmqo_bench::{
-    ablation_campaigns, engine_campaigns, engine_microbench, fault_campaigns, fig2_pairs,
-    fig3_campaign, fig4_sweeps, fig5_campaign, hotspots, observatory_campaign, print_table,
-    saving_pct, scale_campaigns, write_report, EngineBenchParams, EngineBenchResult,
+    ablation_campaigns, fault_campaigns, fig2_pairs, fig3_campaign, fig4_sweeps, fig5_campaign,
+    hotspots, observatory_campaign, print_table, saving_pct, scale_campaigns, write_report,
     OptimizerSweep, ANALYZED_TRACE, FIGURE_EPOCHS, RESULT_FILES, TRACES_DIR,
 };
 use ttmqo_core::{run_campaign, CampaignReport, CampaignSpec, CellRecord};
 use ttmqo_sim::{summarize_trace, MsgKind};
 
-/// Runs the campaigns and returns their records and their file.
-fn run(specs: impl IntoIterator<Item = CampaignSpec>) -> (Vec<CellRecord>, String) {
-    let reports: Vec<CampaignReport> = specs.into_iter().map(|s| run_campaign(&s)).collect();
+/// Runs the campaigns with the auditor armed and returns their records and
+/// their file. The auditor is end-of-run arithmetic over counters the run
+/// produces anyway; a cell with violations is a correctness bug, never a
+/// result, and a skipped check (a trace that was never reconciled) proves
+/// nothing. Either is an error naming every such cell.
+fn run(specs: impl IntoIterator<Item = CampaignSpec>) -> Result<(Vec<CellRecord>, String), String> {
+    let reports: Vec<CampaignReport> = specs
+        .into_iter()
+        .map(|s| run_campaign(&s.audit()))
+        .collect();
     let file = reports.iter().map(CampaignReport::to_jsonl).collect();
-    (reports.into_iter().flat_map(|r| r.cells).collect(), file)
+    let cells: Vec<CellRecord> = reports.into_iter().flat_map(|r| r.cells).collect();
+    let dirty: Vec<String> = cells
+        .iter()
+        .filter(|c| {
+            !c.audit
+                .as_ref()
+                .is_some_and(|a| a.is_clean() && a.checks_skipped == 0)
+        })
+        .map(|c| format!("{}/{}-{}: {:?}", c.workload, c.strategy, c.grid_n, c.audit))
+        .collect();
+    if dirty.is_empty() {
+        Ok((cells, file))
+    } else {
+        Err(format!(
+            "audit violations or skipped checks:\n{}",
+            dirty.join("\n")
+        ))
+    }
 }
 
 fn cell_table(title: &str, records: &[CellRecord]) {
@@ -153,43 +175,6 @@ fn fault_table(records: &[CellRecord]) {
     );
 }
 
-fn engine_table(floods: &[EngineBenchResult], cells: &[CellRecord]) {
-    let flood_rows = floods
-        .iter()
-        .map(|r| (r.name.clone(), r.grid_n, r.wall_s, &r.stats));
-    let cell_rows = cells.iter().map(|c| {
-        let name = format!("{}-{}x{}", c.strategy, c.grid_n, c.grid_n);
-        (name, c.grid_n, c.wall_clock_ms / 1000.0, &c.engine)
-    });
-    let rows: Vec<Vec<String>> = flood_rows
-        .chain(cell_rows)
-        .map(|(name, grid_n, wall_s, s)| {
-            vec![
-                name,
-                (grid_n * grid_n).to_string(),
-                format!("{wall_s:.4}"),
-                s.events_processed.to_string(),
-                format!("{:.0}", s.events_processed as f64 / wall_s.max(1e-9)),
-                s.frame_slab_high_water.to_string(),
-                s.csma_capped_deferrals.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "Engine microbench — transmit/deliver hot path",
-        &[
-            "scenario",
-            "nodes",
-            "wall s",
-            "events",
-            "events/s",
-            "slab high-water",
-            "csma caps",
-        ],
-        &rows,
-    );
-}
-
 fn observatory_table(records: &[CellRecord]) {
     let rows: Vec<Vec<String>> = records
         .iter()
@@ -236,23 +221,36 @@ fn analyzed_trace() -> Result<String, String> {
 }
 
 fn main() -> ExitCode {
+    let files = match results() {
+        Ok(files) => files,
+        Err(e) => {
+            eprintln!("{e}\nwrote nothing to bench/results/");
+            return ExitCode::FAILURE;
+        }
+    };
+    let mut written = RESULT_FILES.iter().zip(&files);
+    if written.all(|(file, contents)| write_report(file, contents)) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// Runs every campaign, prints its table, and returns the contents of the
+/// [`RESULT_FILES`] in order.
+fn results() -> Result<[String; RESULT_FILES.len()], String> {
     let fig2 = fig2_pairs();
-    let (fig3, fig3_file) = run([fig3_campaign(FIGURE_EPOCHS)]);
+    let (fig3, fig3_file) = run([fig3_campaign(FIGURE_EPOCHS)])?;
     let fig4 = fig4_sweeps();
     let mixes = [0.0, 0.5, 1.0];
     let selectivities = [0.2, 0.4, 0.6, 0.8, 1.0];
-    let (fig5, fig5_file) = run([fig5_campaign(&mixes, &selectivities, FIGURE_EPOCHS, 7)]);
-    let (ablations, ablations_file) = run(ablation_campaigns());
-    let (scale, scale_file) = run(scale_campaigns());
+    let (fig5, fig5_file) = run([fig5_campaign(&mixes, &selectivities, FIGURE_EPOCHS, 7)])?;
+    let (ablations, ablations_file) = run(ablation_campaigns())?;
+    let (scale, scale_file) = run(scale_campaigns())?;
     // 48 epochs cover the crashes (epoch 8), detection, re-election and a
     // long recovered tail.
-    let (faults, faults_file) = run(fault_campaigns(48));
-    let (engine, engine_file) = run(engine_campaigns());
-    let floods: Vec<EngineBenchResult> = EngineBenchParams::default_scenarios()
-        .iter()
-        .map(engine_microbench)
-        .collect();
-    let (observatory, observatory_file) = run([observatory_campaign()]);
+    let (faults, faults_file) = run(fault_campaigns(48))?;
+    let (observatory, observatory_file) = run([observatory_campaign()])?;
     let hotspots = hotspots();
 
     let counts = |c: &ttmqo_bench::Fig2Counts| {
@@ -296,48 +294,10 @@ fn main() -> ExitCode {
     );
     cell_table("S1–S4 — query count, deployment, radio, big grids", &scale);
     fault_table(&faults);
-    engine_table(&floods, &engine);
     observatory_table(&observatory);
     println!("\n=== Hotspots — per-node tx busy and imbalance ===\n\n{hotspots}");
 
-    // The auditor is end-of-run arithmetic over counters the run produces
-    // anyway; a cell with violations is a correctness bug, never a result,
-    // and a skipped check (a trace that was never reconciled) proves
-    // nothing. Only the observatory traces, so only it can skip.
-    let audited = [
-        &fig3,
-        &fig5,
-        &ablations,
-        &scale,
-        &faults,
-        &engine,
-        &observatory,
-    ];
-    let dirty: Vec<&CellRecord> = audited
-        .into_iter()
-        .flatten()
-        .filter(|c| {
-            c.audit
-                .as_ref()
-                .is_some_and(|a| !a.is_clean() || a.checks_skipped > 0)
-        })
-        .collect();
-    for c in &dirty {
-        eprintln!("{}/{}-{}: {:?}", c.workload, c.strategy, c.grid_n, c.audit);
-    }
-    if !dirty.is_empty() {
-        eprintln!("audit violations or skipped checks: wrote nothing to bench/results/");
-        return ExitCode::FAILURE;
-    }
-    let analyzed = match analyzed_trace() {
-        Ok(json) => json,
-        Err(e) => {
-            eprintln!("{e}: wrote nothing to bench/results/");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let files = [
+    Ok([
         fig2.iter().map(|p| p.to_json() + "\n").collect(),
         fig3_file,
         fig4.iter().map(|s| s.to_json() + "\n").collect(),
@@ -345,16 +305,8 @@ fn main() -> ExitCode {
         ablations_file,
         scale_file,
         faults_file,
-        engine_file,
-        floods.iter().map(|r| r.to_json() + "\n").collect(),
         observatory_file,
-        analyzed,
+        analyzed_trace()?,
         hotspots,
-    ];
-    let mut written = RESULT_FILES.iter().zip(&files);
-    if written.all(|(file, jsonl)| write_report(file, jsonl)) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    ])
 }

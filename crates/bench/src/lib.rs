@@ -2,18 +2,17 @@
 //!
 //! One `harness = false` bench, `figures`, uses it: it runs every paper
 //! figure ([`figures`], [`sweep`], [`fig2`]), the fault campaigns
-//! ([`faults`]), the engine's flood and end-to-end rows ([`engine`]), the
-//! audited, traced [`observatory`] and the [`hotspots()`] report, prints
-//! their tables, and writes each as a file straight into [`RESULTS_DIR`],
-//! the one place anything writes checked-in results. Keeping the specs in
-//! the library lets the test suite assert the figures' *shapes* on small
-//! runs.
+//! ([`faults`]), the traced [`observatory`] and the [`hotspots()`] report,
+//! audits every cell, prints their tables, and writes each as a file
+//! straight into [`RESULTS_DIR`], the one place anything writes checked-in
+//! results. Keeping the specs in the library lets the test suite assert the
+//! figures' *shapes* on small runs. Engine speed is not measured here: the
+//! repo benchmark (`benchmark/`) times it with per-layer attribution.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod engine;
 pub mod faults;
 pub mod fig2;
 pub mod figures;
@@ -22,7 +21,6 @@ pub mod observatory;
 pub mod sweep;
 pub mod table;
 
-pub use engine::{engine_campaigns, engine_microbench, EngineBenchParams, EngineBenchResult};
 pub use faults::fault_campaigns;
 pub use fig2::{fig2_counts, fig2_pairs, Fig2Counts, Fig2Pair};
 pub use figures::{
@@ -40,10 +38,9 @@ pub const RESULTS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/
 
 /// The files the `figures` bench writes into [`RESULTS_DIR`], in the order
 /// it writes them: the six paper figures, then the fault campaigns' cell
-/// records, the engine's end-to-end cell records and its flood rows, the
-/// observatory's cell records, the summary of its [`ANALYZED_TRACE`] and
-/// the hotspot tables.
-pub const RESULT_FILES: [&str; 12] = [
+/// records, the observatory's cell records, the summary of its
+/// [`ANALYZED_TRACE`] and the hotspot tables.
+pub const RESULT_FILES: [&str; 10] = [
     "fig2.jsonl",
     "fig3.jsonl",
     "fig4.jsonl",
@@ -51,8 +48,6 @@ pub const RESULT_FILES: [&str; 12] = [
     "ablations.jsonl",
     "scale.jsonl",
     "faults.jsonl",
-    "engine.jsonl",
-    "flood.jsonl",
     "observatory.jsonl",
     "analyze-trace-1.json",
     "hotspots.txt",

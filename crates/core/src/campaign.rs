@@ -336,8 +336,7 @@ impl CellRecord {
     /// ```
     ///
     /// `schema_version` is [`ttmqo_sim::SCHEMA_VERSION`] (shared with the
-    /// trace JSONL format and the flood rows of `bench/results/flood.jsonl`).
-    /// Host time (`wall_clock_ms`) is left out, so the same cell renders the
+    /// trace JSONL format). Host time (`wall_clock_ms`) is left out, so the same cell renders the
     /// same bytes on any machine and a checked-in record file is its own
     /// regression gate. `optimizer` is
     /// `null` for strategies without the base-station tier. A trailing

@@ -11,8 +11,11 @@
 //! plain set of `(frame, receiver)` pairs give for the same transmissions —
 //! on random floods, and on fan-outs past one 64-bit word. What the model's
 //! per-touch purge cutoff misses behind a backlogged sender is pinned too.
+//!
+//! And the frame slab's: it recycles slots, so its high water is set by how
+//! many frames are on the air at once, not by how long the run is.
 
-use super::{Ctx, Event, EventKind, FrameState, NodeApp, SimConfig, Simulator};
+use super::{Ctx, EngineStats, Event, EventKind, FrameState, NodeApp, SimConfig, Simulator};
 use crate::incoming::IncomingFrame;
 use crate::{
     ConstantField, Destination, MsgKind, NodeId, Position, Probe, RadioParams, RingSink, SimTime,
@@ -640,4 +643,98 @@ fn a_backlogged_neighbours_future_frame_hides_a_frame_still_on_the_air() {
             assert!(r_start >= 17_800 + 200, "R defers behind A's frame");
         }
     }
+}
+
+/// Broadcast period of every [`Beacon`], ms.
+const BEACON_INTERVAL_MS: u64 = 500;
+
+/// Bytes of every [`Beacon`] frame.
+const BEACON_BYTES: usize = 64;
+
+/// Every [`BEACON_INTERVAL_MS`] broadcasts one frame and unicasts one to its
+/// default parent, from a random phase; counts what it hears. All logic
+/// beyond that is the engine's.
+#[derive(Debug, Default)]
+struct Beacon {
+    parent: Option<NodeId>,
+    heard: u64,
+}
+
+impl NodeApp for Beacon {
+    type Payload = u16;
+    type Command = ();
+    type Output = ();
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u16, ()>) {
+        self.parent = ctx.topology().default_parent(ctx.node());
+        let phase = 1 + ctx.rand_u64() % BEACON_INTERVAL_MS;
+        ctx.set_timer(phase, 0);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u16, ()>, _key: u64) {
+        ctx.send(
+            Destination::Broadcast,
+            MsgKind::Maintenance,
+            BEACON_BYTES,
+            0,
+        );
+        if let Some(parent) = self.parent {
+            let to = Destination::Unicast(parent);
+            ctx.send(to, MsgKind::Result, BEACON_BYTES, 0);
+        }
+        ctx.set_timer(BEACON_INTERVAL_MS, 0);
+    }
+
+    fn on_message(&mut self, _: &mut Ctx<'_, u16, ()>, _: NodeId, _: MsgKind, _: &u16) {
+        self.heard += 1;
+    }
+
+    fn on_command(&mut self, _: &mut Ctx<'_, u16, ()>, _: ()) {}
+
+    fn on_overhear(&mut self, _: &mut Ctx<'_, u16, ()>, _: NodeId, _: MsgKind, _: &u16) {
+        self.heard += 1;
+    }
+}
+
+/// A 3×3 grid of [`Beacon`]s under CSMA, run for `ms`: two 64-byte frames a
+/// node per 500 ms is well under channel capacity, so the backlog stays
+/// bounded. Returns the engine's counters and the frames the apps heard.
+fn beacons(ms: u64) -> (EngineStats, u64) {
+    let mut sim = Simulator::new(
+        Topology::grid(3).unwrap(),
+        RadioParams::default(),
+        SimConfig {
+            seed: 0xE161E,
+            maintenance_interval_ms: None,
+        },
+        Box::new(ConstantField),
+        |_, _| Beacon::default(),
+    );
+    sim.run_until(SimTime::from_ms(ms));
+    let heard = (0..9).map(|i| sim.node(NodeId(i)).heard).sum();
+    (sim.engine_stats(), heard)
+}
+
+#[test]
+fn beacons_count_events_and_the_slab_stays_far_below_the_frames() {
+    let (stats, heard) = beacons(20_000);
+    assert!(stats.events_processed > 0 && stats.frames_total > 0 && heard > 0);
+    // The slab recycles: its footprint is the frames on the air at once, an
+    // order of magnitude below the frames sent.
+    assert!((stats.frame_slab_high_water as u64) * 10 < stats.frames_total);
+    // Only frames still on the air at the horizon hold slots.
+    assert!(stats.frames_in_flight <= stats.frame_slab_high_water);
+}
+
+#[test]
+fn slab_high_water_is_flat_in_simulated_time() {
+    let (short, _) = beacons(20_000);
+    let (long, _) = beacons(200_000);
+    assert!(long.frames_total > 5 * short.frames_total);
+    assert!(
+        long.frame_slab_high_water <= short.frame_slab_high_water * 2,
+        "slab high water must stay flat: {} (20 s) vs {} (200 s)",
+        short.frame_slab_high_water,
+        long.frame_slab_high_water,
+    );
 }

@@ -1,7 +1,7 @@
 //! The workspace's one JSON layer: one writer and one exact reader.
 //!
 //! Every machine-readable report (trace JSONL and its summary, audits,
-//! campaign records, the engine bench's flood rows) is rendered by
+//! campaign records, Tier-1 sweep points) is rendered by
 //! the [`Obj`]/[`Arr`] builders here and read back by [`parse`]. The policy
 //! is stated once:
 //!

@@ -236,10 +236,10 @@ fn every_bench_heading_names_its_results_file() {
         .lines()
         .filter(|l| l.starts_with("## ") && l.contains("--bench "))
         .collect();
-    // Six figure sections, the faults, the big-grid engine, the hotspots
-    // and the observatory at least; finding fewer means the scan broke.
+    // Six figure sections, the faults, the hotspots and the observatory at
+    // least; finding fewer means the scan broke.
     assert!(
-        headings.len() >= 10,
+        headings.len() >= 9,
         "only {} bench headings",
         headings.len()
     );
