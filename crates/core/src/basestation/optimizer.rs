@@ -122,8 +122,9 @@ pub struct BaseStationOptimizer {
     cost: CostModel,
     options: OptimizerOptions,
     synthetics: BTreeMap<QueryId, SyntheticQuery>,
-    user_to_syn: BTreeMap<QueryId, QueryId>,
-    user_queries: BTreeMap<QueryId, Query>,
+    /// Every running user query with the synthetic query it is written
+    /// into (`qid'`).
+    users: BTreeMap<QueryId, User>,
     injected: BTreeSet<QueryId>,
     next_syn: u64,
     stats: OptimizerStats,
@@ -132,6 +133,16 @@ pub struct BaseStationOptimizer {
     /// Simulation time stamped onto trace events, ms (the optimizer runs
     /// outside the simulator, so the runner feeds it the clock).
     trace_now_ms: u64,
+}
+
+/// A running user query and the synthetic query it is written into. While
+/// Algorithm 1 places the user, `syn` may name a probe or a synthetic query
+/// being rewritten; it is current again once `insert`, `terminate` or
+/// `reoptimize` returns.
+#[derive(Debug)]
+struct User {
+    query: Query,
+    syn: QueryId,
 }
 
 impl BaseStationOptimizer {
@@ -154,8 +165,7 @@ impl BaseStationOptimizer {
             cost,
             options,
             synthetics: BTreeMap::new(),
-            user_to_syn: BTreeMap::new(),
-            user_queries: BTreeMap::new(),
+            users: BTreeMap::new(),
             injected: BTreeSet::new(),
             next_syn: SYNTHETIC_ID_BASE,
             stats: OptimizerStats::default(),
@@ -248,14 +258,15 @@ impl BaseStationOptimizer {
         if qid.0 >= SYNTHETIC_ID_BASE {
             return Err(InsertError::ReservedId(qid));
         }
-        if self.user_queries.contains_key(&qid) {
+        if self.users.contains_key(&qid) {
             return Err(InsertError::DuplicateId(qid));
         }
-        self.user_queries.insert(qid, query.clone());
         self.stats.inserted += 1;
 
         let mut probe = SyntheticQuery::new(query.with_id(self.fresh_syn_id()));
         probe.add_member(qid, &Demand::of(&query));
+        let syn = probe.id();
+        self.users.insert(qid, User { query, syn });
         self.insert_probe(probe);
 
         let ops = self.diff_ops();
@@ -277,13 +288,9 @@ impl BaseStationOptimizer {
     ///
     /// Returns no operations for an unknown id.
     pub fn terminate(&mut self, qid: QueryId) -> Vec<NetworkOp> {
-        let Some(syn_id) = self.user_to_syn.remove(&qid) else {
+        let Some(User { query, syn: syn_id }) = self.users.remove(&qid) else {
             return Vec::new();
         };
-        let query = self
-            .user_queries
-            .remove(&qid)
-            .expect("mapped user query exists");
         self.stats.terminated += 1;
 
         let sq = self
@@ -372,18 +379,18 @@ impl BaseStationOptimizer {
 
     /// Number of running user queries.
     pub fn user_count(&self) -> usize {
-        self.user_queries.len()
+        self.users.len()
     }
 
     /// The synthetic query a user query is currently written into (`qid'`).
     pub fn mapping(&self, user: QueryId) -> Option<QueryId> {
-        self.user_to_syn.get(&user).copied()
+        self.users.get(&user).map(|u| u.syn)
     }
 
     /// Σ cost of all running user queries (the denominator of the paper's
     /// *benefit ratio*).
     pub fn total_user_cost(&self) -> f64 {
-        self.user_queries.values().map(|q| self.cost.cost(q)).sum()
+        self.users.values().map(|u| self.cost.cost(&u.query)).sum()
     }
 
     /// Σ cost of all running synthetic queries.
@@ -415,10 +422,10 @@ impl BaseStationOptimizer {
     /// land wherever is now most beneficial.
     fn reinsert(&mut self, members: Vec<QueryId>) {
         for m in members {
-            self.user_to_syn.remove(&m);
-            let mq = self.user_queries[&m].clone();
-            let mut probe = SyntheticQuery::new(mq.with_id(self.fresh_syn_id()));
-            probe.add_member(m, &Demand::of(&mq));
+            let id = self.fresh_syn_id();
+            let query = &self.users[&m].query;
+            let mut probe = SyntheticQuery::new(query.with_id(id));
+            probe.add_member(m, &Demand::of(query));
             self.insert_probe(probe);
         }
     }
@@ -463,9 +470,9 @@ impl BaseStationOptimizer {
                     let members: Vec<QueryId> = probe.members().collect();
                     let sq = self.synthetics.get_mut(&id).expect("best exists");
                     for m in &members {
-                        let demand = Demand::of(&self.user_queries[m]);
-                        sq.add_member(*m, &demand);
-                        self.user_to_syn.insert(*m, id);
+                        let user = self.users.get_mut(m).expect("a member is a running user");
+                        sq.add_member(*m, &Demand::of(&user.query));
+                        user.syn = id;
                     }
                     self.refresh_benefit(id);
                     return;
@@ -488,7 +495,7 @@ impl BaseStationOptimizer {
                     });
                     let mut merged = SyntheticQuery::new(merged_query);
                     for m in old.members().chain(probe.members()) {
-                        merged.add_member(m, &Demand::of(&self.user_queries[&m]));
+                        merged.add_member(m, &Demand::of(&self.users[&m].query));
                     }
                     probe = merged;
                 }
@@ -500,8 +507,11 @@ impl BaseStationOptimizer {
                         synthetic: id,
                         members: members.clone(),
                     });
-                    for m in members {
-                        self.user_to_syn.insert(m, id);
+                    for m in &members {
+                        self.users
+                            .get_mut(m)
+                            .expect("a member is a running user")
+                            .syn = id;
                     }
                     self.synthetics.insert(id, probe);
                     self.refresh_benefit(id);
@@ -520,7 +530,7 @@ impl BaseStationOptimizer {
         };
         let member_cost: f64 = sq
             .members()
-            .map(|m| self.cost.cost(&self.user_queries[&m]))
+            .map(|m| self.cost.cost(&self.users[&m].query))
             .sum();
         let own = self.cost.cost(sq.query());
         if let Some(sq) = self.synthetics.get_mut(&id) {
@@ -570,12 +580,11 @@ mod tests {
 
     /// Every live user query must be covered by its synthetic query.
     fn assert_invariants(o: &BaseStationOptimizer) {
-        for (uid, syn_id) in &o.user_to_syn {
+        for (uid, User { query: uq, syn }) in &o.users {
             let sq = o
-                .synthetic(*syn_id)
-                .unwrap_or_else(|| panic!("user {uid} maps to missing synthetic {syn_id}"));
+                .synthetic(*syn)
+                .unwrap_or_else(|| panic!("user {uid} maps to missing synthetic {syn}"));
             assert!(sq.contains_member(*uid));
-            let uq = &o.user_queries[uid];
             assert!(
                 covers_query(sq.query(), uq),
                 "synthetic {} does not cover user {}",
@@ -583,7 +592,6 @@ mod tests {
                 uq
             );
         }
-        assert_eq!(o.user_to_syn.len(), o.user_count());
         let member_total: usize = o.synthetics.values().map(|s| s.member_count()).sum();
         assert_eq!(member_total, o.user_count());
     }
@@ -1032,10 +1040,11 @@ mod tests {
         let covering = o.mapping(QueryId(1)).unwrap();
 
         let query = q(2, "select light epoch duration 4096");
-        o.user_queries.insert(query.id(), query.clone());
         o.stats.inserted += 1;
         let mut probe = SyntheticQuery::new(query.with_id(o.fresh_syn_id()));
         probe.add_member(query.id(), &Demand::of(&query));
+        let syn = probe.id();
+        o.users.insert(query.id(), User { query, syn });
         o.insert_probe_from(probe, 1); // pretend one merge already happened
 
         assert_eq!(
@@ -1073,7 +1082,6 @@ mod tests {
         }
         assert_eq!(o.synthetic_count(), 0);
         assert_eq!(o.user_count(), 0);
-        assert!(o.user_to_syn.is_empty(), "drained mapping must be empty");
         assert!(aborts > 0, "draining must abort the running synthetics");
         // Epoch-GCD over the drained (empty) set must be `None`, not panic.
         assert!(

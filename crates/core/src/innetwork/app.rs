@@ -49,16 +49,17 @@ pub struct TtmqoConfig {
     /// with `nodeid` predicates (§3.2.2 mentions SRT as the alternative to
     /// flooding for node-id based queries; off by default).
     pub srt: bool,
-    /// Self-healing: number of consecutive *failed* unicast sends (whole
-    /// retry budget exhausted with no link-layer acknowledgement) after
-    /// which a parent is presumed dead and excluded from parent election.
-    /// Hearing any frame from it (including overheard ones) resets the
-    /// counter and revives it. `0` disables the detector (the default) —
-    /// routing is then byte-identical to the pre-fault-subsystem behaviour.
-    /// Extension beyond the paper, which leaves node failures to future
-    /// work.
-    pub dead_parent_after: u32,
 }
+
+/// Self-healing: the number of consecutive *failed* unicast sends (whole
+/// retry budget exhausted with no link-layer acknowledgement) after which a
+/// parent is presumed dead and excluded from parent election. Hearing any
+/// frame from it (including overheard ones) resets the count and revives
+/// it. The runner arms the detector for faulty runs only
+/// (`TtmqoApp::with_failure_detector`); off, routing is byte-identical to
+/// the pre-fault-subsystem behaviour. Extension beyond the paper, which
+/// leaves node failures to future work.
+const DEAD_PARENT_AFTER: u32 = 3;
 
 impl TtmqoConfig {
     /// How long after a firing the base station collects an epoch, and an
@@ -83,7 +84,6 @@ impl Default for TtmqoConfig {
             jitter_ms: 24,
             dynamic_parents: true,
             srt: false,
-            dead_parent_after: 0,
         }
     }
 }
@@ -118,6 +118,9 @@ pub struct TtmqoApp {
     /// The fixed link-quality parent every frame follows when
     /// `dynamic_parents` is off, read once per boot in `on_start`.
     fixed_parent: Option<NodeId>,
+    /// Whether the parent failure detector is armed (at
+    /// [`DEAD_PARENT_AFTER`]).
+    detects_dead_parents: bool,
 }
 
 impl TtmqoApp {
@@ -133,6 +136,16 @@ impl TtmqoApp {
             last_no_route_ms: None,
             buffers: EpochBuffers::default(),
             fixed_parent: None,
+            detects_dead_parents: false,
+        }
+    }
+
+    /// The same node with the parent failure detector armed: the runner's
+    /// choice for runs with a fault plan.
+    pub(crate) fn with_failure_detector(self) -> Self {
+        TtmqoApp {
+            detects_dead_parents: true,
+            ..self
         }
     }
 
@@ -602,7 +615,9 @@ impl NodeApp for TtmqoApp {
         let topo = ctx.topology();
         let upper = topo.upper_neighbors(node).into_iter();
         self.dag = DagState::new(upper.map(|n| (n, topo.link_quality(node, n))));
-        self.dag.set_failure_detector(self.config.dead_parent_after);
+        if self.detects_dead_parents {
+            self.dag.set_failure_detector(DEAD_PARENT_AFTER);
+        }
         if !self.config.dynamic_parents {
             self.fixed_parent = topo.default_parent(node);
         }

@@ -17,7 +17,7 @@ use crate::basestation::{
 };
 use crate::innetwork::{TtmqoApp, TtmqoConfig};
 use std::collections::{BTreeMap, BTreeSet};
-use ttmqo_query::{EpochAnswer, Query, QueryId, Selection, BASE_EPOCH_MS};
+use ttmqo_query::{EpochAnswer, EpochDuration, Query, QueryId, Selection, BASE_EPOCH_MS};
 use ttmqo_sim::{
     AuditReport, CompletenessReport, CorrelatedField, EnergyProfile, EngineStats, FaultPlan,
     FaultSchedule, Metrics, NodeId, Observe, QueryCompleteness, RadioParams, SensorField,
@@ -149,10 +149,9 @@ pub struct ExperimentConfig {
     pub adaptive_statistics: bool,
     /// Fault-injection plan (crashes, recoveries, loss windows). Empty by
     /// default: no fault events are scheduled and no extra randomness is
-    /// drawn. A non-empty plan also auto-arms the in-network parent failure
-    /// detector (unless `innetwork.dead_parent_after` was set explicitly)
-    /// and, for rewriting strategies, the base station's missing-result
-    /// repair monitor.
+    /// drawn. A non-empty plan also arms the in-network parent failure
+    /// detector and, for rewriting strategies, the base station's
+    /// missing-result repair monitor.
     pub faults: FaultPlan,
     /// What to observe about the run: trace sink, invariant auditor. Both
     /// off by default; [`Observe`] states the one contract they share (on or
@@ -226,9 +225,7 @@ impl RunReport {
 fn build_field(config: &ExperimentConfig, topo: &Topology) -> Box<dyn SensorField + Send + Sync> {
     match config.field {
         FieldKind::Uniform => Box::new(UniformField::new(config.field_seed)),
-        FieldKind::Correlated => {
-            Box::new(CorrelatedField::for_topology(config.field_seed, topo).bind(topo))
-        }
+        FieldKind::Correlated => Box::new(CorrelatedField::for_topology(config.field_seed, topo)),
     }
 }
 
@@ -255,17 +252,6 @@ pub fn run_experiment(config: &ExperimentConfig, workload: &[WorkloadEvent]) -> 
     RunSession::new(config, workload).finish()
 }
 
-/// The in-network parent failure detector auto-arms for faulty runs unless
-/// the caller chose a threshold; fault-free runs keep it off, so their
-/// routing (and the golden snapshot) is untouched.
-fn effective_innetwork(config: &ExperimentConfig) -> TtmqoConfig {
-    let mut innetwork = config.innetwork.clone();
-    if !config.faults.is_empty() && innetwork.dead_parent_after == 0 {
-        innetwork.dead_parent_after = 3;
-    }
-    innetwork
-}
-
 /// One user query's life at the base station.
 #[derive(Debug)]
 struct UserLife {
@@ -281,16 +267,21 @@ struct UserLife {
 /// posed and every query ever injected into the network, each stored once,
 /// joined by the services the injected queries gave the users. An injected
 /// id's query never changes — Tier 1 rewrites under fresh ids — so "who was
-/// served by which id from when to when" is all that answer attribution,
-/// completeness accounting and the repair monitor need. Strategies without
-/// Tier 1 are the degenerate case: every user is its own injected query.
+/// served by which id from when to when" is all that answer attribution and
+/// completeness accounting need. Strategies without
+/// Tier 1 are the degenerate case: every user is its own injected query,
+/// and its definition is the one in `users`.
 #[derive(Debug, Default)]
 struct Ledger {
     users: BTreeMap<QueryId, UserLife>,
     /// The running users, each with its open service: the injected query now
     /// serving it, and since when.
     open: BTreeMap<QueryId, Option<(QueryId, u64)>>,
-    /// Definitions, taken from the [`NetworkOp::Inject`] that created them.
+    /// Definitions of the injected queries that are not a user's own (Tier
+    /// 1's synthetics), taken from the [`NetworkOp::Inject`] that created
+    /// them. Tier 1 never reuses a user id: its ids are at or above
+    /// [`SYNTHETIC_ID_BASE`](crate::SYNTHETIC_ID_BASE), which users may not
+    /// take.
     injected: BTreeMap<QueryId, Query>,
     /// `(injected, user, from_ms) → until_ms`: the half-open interval of
     /// epoch starts `injected` answered for `user`; `u64::MAX` while open.
@@ -335,8 +326,12 @@ impl Ledger {
         self.closing.drain(..done).map(|(_, user)| user)
     }
 
+    /// Enters an injected query's definition, unless it is a posed user's
+    /// own.
     fn inject(&mut self, query: &Query) {
-        self.injected.insert(query.id(), query.clone());
+        if !self.users.contains_key(&query.id()) {
+            self.injected.insert(query.id(), query.clone());
+        }
     }
 
     /// Brings the open services in line with `mapping` as of `t_ms`, after
@@ -371,6 +366,7 @@ impl Ledger {
         arrival_ms: u64,
     ) -> impl Iterator<Item = (QueryId, &Query, &Query)> {
         let syn_q = self.injected.get(&syn);
+        let syn_q = syn_q.or_else(|| self.users.get(&syn).map(|life| &life.query));
         let by_syn = (syn, QueryId(0), 0)..=(syn, QueryId(u64::MAX), u64::MAX);
         self.services
             .range(by_syn)
@@ -397,13 +393,8 @@ const REPAIR_GRACE_MS: u64 = 8 * BASE_EPOCH_MS;
 /// runs under a rewriting strategy.
 #[derive(Debug, Default)]
 struct RepairMonitor {
-    /// Next epoch start (ms) to audit, per live user query.
-    audit_next: BTreeMap<QueryId, u64>,
-    /// Consecutive missing expected epochs, per live user query.
-    streaks: BTreeMap<QueryId, u32>,
-    /// Epochs answered with a non-empty result that the audit has yet to
-    /// reach, per live user query.
-    answered: BTreeMap<QueryId, BTreeSet<u64>>,
+    /// The audit of each live user query.
+    audits: BTreeMap<QueryId, Audit>,
     /// Repairs whose first post-repair answer has not arrived yet:
     /// `(trigger ms, member user queries)`.
     pending: Vec<(u64, Vec<QueryId>)>,
@@ -411,17 +402,33 @@ struct RepairMonitor {
     latencies_ms: Vec<u64>,
 }
 
+/// Where the repair monitor's audit of one live user query stands.
+#[derive(Debug)]
+struct Audit {
+    /// The query's epoch, the audit's step.
+    epoch: EpochDuration,
+    /// Next epoch start (ms) to audit.
+    next: u64,
+    /// Consecutive missing expected epochs.
+    streak: u32,
+    /// Epochs answered with a non-empty result that the audit has yet to
+    /// reach.
+    answered: BTreeSet<u64>,
+}
+
 impl RepairMonitor {
     fn note_posed(&mut self, q: &Query, t_ms: u64) {
-        self.audit_next
-            .insert(q.id(), q.epoch().next_fire_at(t_ms + 1));
-        self.streaks.insert(q.id(), 0);
+        let audit = Audit {
+            epoch: q.epoch(),
+            next: q.epoch().next_fire_at(t_ms + 1),
+            streak: 0,
+            answered: BTreeSet::new(),
+        };
+        self.audits.insert(q.id(), audit);
     }
 
     fn note_terminated(&mut self, qid: QueryId) {
-        self.audit_next.remove(&qid);
-        self.streaks.remove(&qid);
-        self.answered.remove(&qid);
+        self.audits.remove(&qid);
         self.pending.retain_mut(|(_, members)| {
             members.retain(|m| *m != qid);
             !members.is_empty()
@@ -434,12 +441,10 @@ impl RepairMonitor {
         }
         // The audit only moves forward: an epoch it has passed, or one of a
         // user it no longer follows, is never looked up again.
-        if self
-            .audit_next
-            .get(&a.user)
-            .is_some_and(|next| a.epoch_ms >= *next)
-        {
-            self.answered.entry(a.user).or_default().insert(a.epoch_ms);
+        if let Some(audit) = self.audits.get_mut(&a.user) {
+            if a.epoch_ms >= audit.next {
+                audit.answered.insert(a.epoch_ms);
+            }
         }
         if let Some(pos) = self.pending.iter().position(|(_, m)| m.contains(&a.user)) {
             let (t0, _) = self.pending.remove(pos);
@@ -449,27 +454,23 @@ impl RepairMonitor {
 
     /// Audits every epoch whose collection window (`window_ms`) closed by
     /// time `b`; returns the users whose missing streak crossed the threshold.
-    fn due_repairs(&mut self, b: u64, window_ms: u64, ledger: &Ledger) -> Vec<QueryId> {
+    fn due_repairs(&mut self, b: u64, window_ms: u64) -> Vec<QueryId> {
         self.pending
             .retain(|(t0, _)| b.saturating_sub(*t0) <= REPAIR_GRACE_MS);
         let mut due = Vec::new();
-        for (uid, next) in &mut self.audit_next {
-            let Some(life) = ledger.users.get(uid) else {
-                continue;
-            };
-            let step = life.query.epoch().as_ms();
-            let answered = self.answered.entry(*uid).or_default();
-            let streak = self.streaks.entry(*uid).or_insert(0);
-            while *next + window_ms <= b {
-                if answered.contains(next) {
-                    *streak = 0;
+        for (uid, audit) in &mut self.audits {
+            while audit.next + window_ms <= b {
+                if audit.answered.contains(&audit.next) {
+                    audit.streak = 0;
                 } else {
-                    *streak += 1;
+                    audit.streak += 1;
                 }
-                *next += step;
+                audit.next += audit.epoch.as_ms();
             }
-            answered.retain(|epoch_ms| *epoch_ms >= *next);
-            if *streak >= REPAIR_AFTER_MISSING && !self.pending.iter().any(|(_, m)| m.contains(uid))
+            let next = audit.next;
+            audit.answered.retain(|epoch_ms| *epoch_ms >= next);
+            if audit.streak >= REPAIR_AFTER_MISSING
+                && !self.pending.iter().any(|(_, m)| m.contains(uid))
             {
                 due.push(*uid);
             }
@@ -477,15 +478,15 @@ impl RepairMonitor {
         due
     }
 
-    fn note_repaired(&mut self, b: u64, members: &[QueryId], ledger: &Ledger) {
+    fn note_repaired(&mut self, b: u64, members: &[QueryId]) {
         self.repairs += 1;
         self.pending.push((b, members.to_vec()));
         for m in members {
-            self.streaks.insert(*m, 0);
-            if let (Some(next), Some(life)) = (self.audit_next.get_mut(m), ledger.users.get(m)) {
+            if let Some(audit) = self.audits.get_mut(m) {
+                audit.streak = 0;
                 // Give the replacement flood until its next epoch before the
                 // audit resumes counting.
-                *next = life.query.epoch().next_fire_at(b + 1);
+                audit.next = audit.epoch.next_fire_at(b + 1);
             }
         }
     }
@@ -577,11 +578,19 @@ fn build_sim(config: &ExperimentConfig, topo: Topology) -> SimKind {
     let field = build_field(config, &topo);
     let (radio, sim_config) = (config.radio.clone(), config.sim.clone());
     let mut sim = if config.strategy.uses_innetwork_tier() {
-        let innetwork = effective_innetwork(config);
-        let factory = move |_: NodeId, _: &Topology| TtmqoApp::new(innetwork.clone());
-        SimKind::Ttmqo(Box::new(Simulator::new(
-            topo, radio, sim_config, field, factory,
-        )))
+        // Fault-free runs keep the parent failure detector off, so their
+        // routing (and the golden snapshot) is untouched.
+        let innetwork = config.innetwork.clone();
+        let sim = if config.faults.is_empty() {
+            let factory = move |_: NodeId, _: &Topology| TtmqoApp::new(innetwork.clone());
+            Simulator::new(topo, radio, sim_config, field, factory)
+        } else {
+            let factory = move |_: NodeId, _: &Topology| {
+                TtmqoApp::new(innetwork.clone()).with_failure_detector()
+            };
+            Simulator::new(topo, radio, sim_config, field, factory)
+        };
+        SimKind::Ttmqo(Box::new(sim))
     } else {
         let factory = |_: NodeId, _: &Topology| TinyDbApp::new(TinyDbConfig::default());
         SimKind::TinyDb(Box::new(Simulator::new(
@@ -844,7 +853,7 @@ impl RunSession {
             self.sim.run_until(SimTime::from_ms(b));
             self.ingest();
             let due = match self.state.monitor.as_mut() {
-                Some(mon) => mon.due_repairs(b, window_ms, &self.state.ledger),
+                Some(mon) => mon.due_repairs(b, window_ms),
                 None => Vec::new(),
             };
             for uid in due {
@@ -864,7 +873,7 @@ impl RunSession {
                 self.fold_dt(b);
                 self.commit(ops, b);
                 if let Some(mon) = self.state.monitor.as_mut() {
-                    mon.note_repaired(b, &members, &self.state.ledger);
+                    mon.note_repaired(b, &members);
                 }
             }
             self.state.audited_to = b;
@@ -1065,10 +1074,13 @@ impl RunSession {
 
 #[cfg(test)]
 mod tests {
-    use super::{ExperimentConfig, Ledger, RunSession, Strategy, WorkloadEvent};
-    use std::collections::{BTreeMap, BTreeSet};
+    use super::{
+        build_sim, ExperimentConfig, Ledger, RunSession, Strategy, WorkloadAction, WorkloadEvent,
+    };
+    use std::collections::BTreeMap;
     use ttmqo_query::{parse_query, Query, QueryId};
-    use ttmqo_sim::{FaultPlan, NodeId, SimTime};
+    use ttmqo_sim::{FaultPlan, NodeId, SimTime, Topology};
+    use ttmqo_tinydb::{Command, Output};
 
     // -- Reference implementation -----------------------------------------
     // The timeline the ledger replaced: after every workload event and every
@@ -1307,6 +1319,75 @@ mod tests {
     }
 
     #[test]
+    fn without_tier_1_the_ledger_copies_no_query_and_every_answer_reaches_its_user() {
+        // Baseline: every injected query is a user's own, so the ledger
+        // reads its definition from `users` and keeps nothing in `injected`.
+        // The reference is the same network driven by hand, command for
+        // command: every answer the base station emits belongs to the user
+        // of its id, unless it arrived after that user was gone.
+        let texts = [
+            "select light epoch duration 2048",
+            "select light where 200<light<700 epoch duration 4096",
+            "select max(temp) epoch duration 2048",
+            "select temp, light where 4<nodeid<12 epoch duration 6144",
+        ];
+        let mut workload = Vec::new();
+        for id in 0..12u64 {
+            let text = texts[id as usize % texts.len()];
+            let posed_ms = id * 1_500;
+            let query = parse_query(QueryId(id), text).unwrap();
+            workload.push(WorkloadEvent::pose(posed_ms, query));
+            if id % 3 != 2 {
+                let end_ms = posed_ms + 9_000 + id * 977;
+                workload.push(WorkloadEvent::terminate(end_ms, QueryId(id)));
+            }
+        }
+        let config = ExperimentConfig {
+            strategy: Strategy::Baseline,
+            grid_n: 4,
+            duration: SimTime::from_ms(24 * 2048),
+            ..ExperimentConfig::default()
+        };
+        let mut session = RunSession::new(&config, &workload);
+        for slice in 1..=8 {
+            session.run_to(SimTime::from_ms(slice * 3 * 2048));
+            assert!(session.state.ledger.injected.is_empty(), "slice {slice}");
+        }
+        assert_eq!(session.state.ledger.users.len(), 12);
+        let report = session.finish();
+
+        let mut sim = build_sim(&config, Topology::grid(4).unwrap());
+        let mut outputs = Vec::new();
+        let mut gone_ms = BTreeMap::new();
+        for event in RunSession::prepare_events(&config, &workload) {
+            sim.run_until(event.at);
+            outputs.extend(sim.take_outputs());
+            let command = match event.action {
+                WorkloadAction::Pose(q) => Command::Pose(q),
+                WorkloadAction::Terminate(id) => {
+                    gone_ms.insert(id, event.at.as_ms());
+                    Command::Terminate(id)
+                }
+            };
+            sim.schedule_command(event.at, NodeId::BASE_STATION, command);
+        }
+        sim.run_until(config.duration);
+        outputs.extend(sim.take_outputs());
+        let mut want: BTreeMap<QueryId, Vec<u64>> = BTreeMap::new();
+        for record in outputs {
+            let Output::Answer { qid, epoch_ms, .. } = record.output;
+            if gone_ms.get(&qid).is_none_or(|t| record.time.as_ms() <= *t) {
+                want.entry(qid).or_default().push(epoch_ms);
+            }
+        }
+        let got: BTreeMap<QueryId, Vec<u64>> = (report.answers.iter())
+            .map(|(user, answers)| (*user, answers.iter().map(|(e, _)| *e).collect()))
+            .collect();
+        assert_eq!(got.len(), 12, "every user was answered");
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn repair_monitor_forgets_what_the_audit_has_passed() {
         // Crashes next to the base station keep the monitor auditing (and
         // repairing) for the whole run. Per live user it may hold only the
@@ -1343,13 +1424,13 @@ mod tests {
                 .monitor
                 .as_ref()
                 .expect("faulty rewriting run");
-            let held: usize = monitor.answered.values().map(BTreeSet::len).sum();
+            let held: usize = monitor.audits.values().map(|a| a.answered.len()).sum();
             assert!(
                 held <= 2 * 4,
                 "{held} answered epochs held after {epochs} epochs"
             );
             assert_eq!(
-                monitor.answered.contains_key(&QueryId(1)),
+                monitor.audits.contains_key(&QueryId(1)),
                 epochs < 60,
                 "after {epochs} epochs"
             );

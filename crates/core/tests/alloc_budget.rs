@@ -279,8 +279,11 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     // of its own beside five parallel ones; and result buffers in sorted
     // vectors grown one entry at a time, where they were hash tables. It is
     // 11 480 since the session's ledger takes each posed query out of the
-    // session's events, where it cloned it. The count is the same in debug
-    // and release builds (CI runs both).
+    // session's events, where it cloned it. It is 11 471 since the ledger
+    // keeps no copy of an injected query that is a user's own: each of the
+    // 8 poses cloned its query (one call for its selection) into a B-tree
+    // leaf of its own map. The count is the same in debug and release builds
+    // (CI runs both).
     let config = ExperimentConfig {
         strategy: Strategy::InNetOnly,
         grid_n: 8,
@@ -290,7 +293,7 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     let workload = workload_a();
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.engine.frames_total, 5965, "not the pinned cell");
-    assert_eq!(allocs, 11_480);
+    assert_eq!(allocs, 11_471);
 }
 
 #[test]
@@ -330,7 +333,10 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     // that takes each posed query out of the session's events, where it
     // cloned it, to 20 739; and back up to 20 812 as each of the 73
     // terminated users' answer vectors with growth slack is shrunk to fit
-    // once its answers are final, one reallocation each.
+    // once its answers are final, one reallocation each; then to 20 644 once
+    // Tier 1 kept each user's query and synthetic id in one B-tree where it
+    // kept two: no clone of each of the 100 inserted queries and of each of
+    // the 55 members re-inserted under a fresh id, and 13 B-tree nodes fewer.
     let workload = random_workload(&RandomWorkloadParams {
         n_queries: 100,
         mean_arrival_ms: 10_000.0,
@@ -345,7 +351,7 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     };
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(100));
-    assert_eq!(allocs, 20_812);
+    assert_eq!(allocs, 20_644);
 
     // What the users' answers hold once the run is over — 443 answers,
     // 2 059 rows, 3 503 values — pinned exactly: the bytes freed by dropping
@@ -413,12 +419,15 @@ fn the_benchmark_churn_stream_peaks_at_a_pinned_number_of_live_bytes() {
     // gone, and the session's ledger held a clone of every posed query.
     // Implied `nodeid` values took it to 3 057 841 B (−447 448), a ledger
     // that takes each posed query out of the session's events to 3 057 032 B
-    // (−809), and answer vectors shrunk to fit once final to 2 798 024 B
-    // (−259 008). The same in debug and release builds.
+    // (−809), answer vectors shrunk to fit once final to 2 798 024 B
+    // (−259 008), and Tier 1's users in one B-tree of one record to
+    // 2 797 920 B (−104: the user → synthetic leaf's 192 B, less 8 B more
+    // for each of the 11 slots of the users' leaf). The same in debug and
+    // release builds.
     let (config, workload) = benchmark_churn_stream();
     let (peak, report) = peak_live_during(|| RunSession::new(&config, &workload).finish());
     assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(500));
-    assert_eq!(peak, 2_798_024);
+    assert_eq!(peak, 2_797_920);
 }
 
 #[test]
@@ -463,9 +472,12 @@ fn answers_of_the_benchmark_churn_stream_share_their_synthetic_rows() {
     // `nodeid` values (−1: the staging buffer grows one step less) and the
     // ledger took each posed query out of the session's events instead of
     // cloning it (−499); shrinking the 444 terminated users' answer vectors
-    // with slack costs one reallocation each. The same in debug and release
-    // builds.
-    assert_eq!(allocs, 247_726);
+    // with slack costs one reallocation each. 247 144 since Tier 1 keeps
+    // each user's query and synthetic id in one B-tree where it kept two:
+    // no clone of each of the 500 inserted queries and of each of the 17
+    // members re-inserted under a fresh id, and 65 B-tree nodes fewer. The
+    // same in debug and release builds.
+    assert_eq!(allocs, 247_144);
 }
 
 #[test]
@@ -514,12 +526,16 @@ fn workload_a_cells_peak_at_a_pinned_number_of_live_bytes() {
     // 280 B inline (392 B before), and on `twotier-32x32` its heap is about a
     // third of what it was. It is 166 802 B and 115 233 B since the
     // session's ledger takes each posed query out of the session's events,
-    // where it held a clone of it. Both are the same in debug and release
-    // builds.
+    // where it held a clone of it. It is 164 752 B and 115 129 B since the
+    // ledger keeps no copy of an injected query that is a user's own (under
+    // Baseline, the 8 users' copies: a 2 040-byte B-tree leaf and 10 B of
+    // selections) and Tier 1 keeps each user's query and synthetic id in one
+    // B-tree (under TwoTier, one 192-byte leaf fewer, 88 B more in the other).
+    // Both are the same in debug and release builds.
     let workload = workload_a();
     let cells = [
-        (Strategy::Baseline, 11_763, 166_802),
-        (Strategy::TwoTier, 5_981, 115_233),
+        (Strategy::Baseline, 11_763, 164_752),
+        (Strategy::TwoTier, 5_981, 115_129),
     ];
     for (strategy, frames, pinned) in cells {
         let config = ExperimentConfig {
@@ -548,11 +564,14 @@ fn the_papers_32x32_deployment_peaks_at_a_pinned_number_of_live_bytes() {
     // and 1 594 296 B (Baseline); as a few flat vectors per node they are
     // 557 B and 112 B per node less. They were 1 417 467 B and 1 479 284 B
     // until the session's ledger took each posed query out of the session's
-    // events instead of cloning it. The same in debug and release builds.
+    // events instead of cloning it, and 1 417 457 B and 1 479 274 B until the
+    // ledger kept no copy of a user's own injected query (Baseline, −2 050 B)
+    // and Tier 1 kept its users in one B-tree of one record (TwoTier,
+    // −104 B). The same in debug and release builds.
     let workload = workload_a();
     for (strategy, pinned) in [
-        (Strategy::TwoTier, 1_417_457),
-        (Strategy::Baseline, 1_479_274),
+        (Strategy::TwoTier, 1_417_353),
+        (Strategy::Baseline, 1_477_224),
     ] {
         let config = ExperimentConfig {
             strategy,

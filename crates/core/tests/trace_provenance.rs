@@ -58,24 +58,15 @@ fn trace_alone_reproduces_the_reports_answer_counts() {
         // The acceptance criterion: per-user-query answer counts match the
         // live report exactly, reconstructed from the trace text alone.
         assert_eq!(
-            summary.answers_per_query.len(),
+            summary.queries.len(),
             report.answers.len(),
             "[{strategy}] user-query set"
         );
         for (qid, answers) in &report.answers {
             assert_eq!(
-                summary.answers_per_query.get(&qid.0).copied(),
+                summary.queries.get(&qid.0).map(|q| q.answers),
                 Some(answers.len() as u64),
                 "[{strategy}] answer count for query {qid:?}"
-            );
-        }
-
-        // Every mapped answer carries a latency sample.
-        for (qid, lats) in &summary.latency_ms_per_query {
-            assert_eq!(
-                lats.len() as u64,
-                summary.answers_per_query[qid],
-                "[{strategy}] latency samples for query {qid}"
             );
         }
 

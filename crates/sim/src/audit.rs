@@ -269,7 +269,7 @@ impl AuditReport {
         }
         self.checks_run += 1;
         for (qid, expected) in report_answers {
-            let traced = summary.answers_per_query.get(qid).copied().unwrap_or(0);
+            let traced = summary.queries.get(qid).map_or(0, |q| q.answers);
             if traced != *expected {
                 self.violate(
                     AuditCheck::TraceAnswers,
@@ -279,13 +279,13 @@ impl AuditReport {
                 );
             }
         }
-        for qid in summary.answers_per_query.keys() {
+        for (qid, traced) in &summary.queries {
             if !report_answers.contains_key(qid) {
                 self.violate(
                     AuditCheck::TraceAnswers,
                     &format!("query {qid} in trace but not in report"),
                     "absent",
-                    summary.answers_per_query[qid],
+                    traced.answers,
                 );
             }
         }
@@ -353,6 +353,7 @@ mod tests {
     use crate::probe::Probe;
     use crate::radio::MsgKind;
     use crate::time::SimTime;
+    use crate::trace::QueryTally;
 
     fn healthy_engine() -> EngineStats {
         EngineStats {
@@ -461,8 +462,13 @@ mod tests {
     #[test]
     fn trace_answer_counts_reconcile_in_both_directions() {
         let mut summary = TraceSummary::default();
-        summary.answers_per_query.insert(1, 10);
-        summary.answers_per_query.insert(2, 4);
+        for (qid, answers) in [(1, 10), (2, 4)] {
+            let tally = QueryTally {
+                answers,
+                ..QueryTally::default()
+            };
+            summary.queries.insert(qid, tally);
+        }
         let mut report: BTreeMap<u64, u64> = BTreeMap::new();
         report.insert(1, 10);
         report.insert(2, 4);

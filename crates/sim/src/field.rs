@@ -79,6 +79,8 @@ const GRADIENT_STRENGTH: f64 = 0.5;
 const DRIFT_STRENGTH: f64 = 0.2;
 /// Fraction of the domain used for its per-node noise.
 const NOISE_STRENGTH: f64 = 0.05;
+/// Period of its temporal drift, ms.
+const DRIFT_PERIOD_MS: u64 = 600_000;
 
 /// A spatially and temporally correlated field: a smooth spatial gradient
 /// plus a slow global sinusoidal drift plus small deterministic noise.
@@ -91,53 +93,32 @@ pub struct CorrelatedField {
     seed: u64,
     /// Spatial extent used to normalize the gradient, feet.
     extent_ft: f64,
-    /// Period of the temporal drift, ms.
-    period_ms: u64,
-}
-
-impl CorrelatedField {
-    /// A correlated field sized to a topology's bounding box.
-    pub fn for_topology(seed: u64, topo: &Topology) -> Self {
-        let extent = topo
-            .nodes()
-            .map(|n| {
-                let Position { x, y } = topo.position(n);
-                x.max(y)
-            })
-            .fold(1.0_f64, f64::max);
-        CorrelatedField {
-            seed,
-            extent_ft: extent,
-            period_ms: 600_000,
-        }
-    }
-}
-
-/// A correlated field bound to a concrete topology (needed to map node ids to
-/// positions).
-#[derive(Debug, Clone)]
-pub struct BoundCorrelatedField {
-    field: CorrelatedField,
+    /// Each node's position, by node index.
     positions: Vec<Position>,
 }
 
 impl CorrelatedField {
-    /// Binds the field to a topology, capturing node positions.
-    pub fn bind(self, topo: &Topology) -> BoundCorrelatedField {
-        let positions = topo.nodes().map(|n| topo.position(n)).collect();
-        BoundCorrelatedField {
-            field: self,
+    /// A correlated field over a topology's nodes, sized to its bounding
+    /// box.
+    pub fn for_topology(seed: u64, topo: &Topology) -> Self {
+        let positions: Vec<Position> = topo.nodes().map(|n| topo.position(n)).collect();
+        let extent_ft = positions
+            .iter()
+            .map(|p| p.x.max(p.y))
+            .fold(1.0_f64, f64::max);
+        CorrelatedField {
+            seed,
+            extent_ft,
             positions,
         }
     }
 }
 
-impl SensorField for BoundCorrelatedField {
+impl SensorField for CorrelatedField {
     fn reading(&self, node: NodeId, attr: Attribute, t: SimTime) -> f64 {
         if attr == Attribute::NodeId {
             return node.0 as f64;
         }
-        let f = &self.field;
         let (lo, hi) = attr.domain();
         let width = hi - lo;
         let pos = self
@@ -147,13 +128,13 @@ impl SensorField for BoundCorrelatedField {
             .unwrap_or_default();
 
         // Smooth diagonal gradient across the deployment.
-        let gradient = (pos.x + pos.y) / (2.0 * f.extent_ft);
+        let gradient = (pos.x + pos.y) / (2.0 * self.extent_ft);
         // Slow sinusoidal drift shared by all nodes.
-        let phase = t.as_ms() as f64 / f.period_ms as f64 * std::f64::consts::TAU;
+        let phase = t.as_ms() as f64 / DRIFT_PERIOD_MS as f64 * std::f64::consts::TAU;
         let drift = 0.5 + 0.5 * phase.sin();
         // Small per-(node, attr, epoch-bucket) deterministic noise.
         let bucket = t.as_ms() / ttmqo_query::BASE_EPOCH_MS;
-        let h = splitmix(f.seed ^ (node.0 as u64) << 24 ^ (attr as u64) << 8 ^ bucket);
+        let h = splitmix(self.seed ^ (node.0 as u64) << 24 ^ (attr as u64) << 8 ^ bucket);
         let noise = (h >> 11) as f64 / (1u64 << 53) as f64;
 
         let base = 0.5 * (1.0 - GRADIENT_STRENGTH - DRIFT_STRENGTH - NOISE_STRENGTH);
@@ -225,7 +206,7 @@ mod tests {
     #[test]
     fn correlated_field_neighbors_are_similar() {
         let topo = Topology::grid(8).unwrap();
-        let f = CorrelatedField::for_topology(5, &topo).bind(&topo);
+        let f = CorrelatedField::for_topology(5, &topo);
         let t = SimTime::from_ms(2048);
         // Adjacent nodes differ far less than opposite corners.
         let v_a = f.reading(NodeId(9), Attribute::Light, t);
@@ -237,7 +218,7 @@ mod tests {
     #[test]
     fn correlated_field_changes_slowly_in_time() {
         let topo = Topology::grid(4).unwrap();
-        let f = CorrelatedField::for_topology(5, &topo).bind(&topo);
+        let f = CorrelatedField::for_topology(5, &topo);
         let v0 = f.reading(NodeId(5), Attribute::Temp, SimTime::from_ms(0));
         let v1 = f.reading(NodeId(5), Attribute::Temp, SimTime::from_ms(2048));
         let (lo, hi) = Attribute::Temp.domain();
@@ -247,7 +228,7 @@ mod tests {
     #[test]
     fn correlated_values_stay_in_domain() {
         let topo = Topology::grid(8).unwrap();
-        let f = CorrelatedField::for_topology(99, &topo).bind(&topo);
+        let f = CorrelatedField::for_topology(99, &topo);
         for n in topo.nodes() {
             for t in [0u64, 2048, 300_000, 599_000] {
                 let v = f.reading(n, Attribute::Humidity, SimTime::from_ms(t));

@@ -89,7 +89,7 @@ pub use engine::{Ctx, EngineStats, NodeApp, OutputRecord, SimConfig, Simulator};
 pub use faults::{
     CrashEvent, FaultPlan, FaultSchedule, LinkDegradation, RandomCrashes, RegionLossOverride,
 };
-pub use field::{BoundCorrelatedField, ConstantField, CorrelatedField, SensorField, UniformField};
+pub use field::{ConstantField, CorrelatedField, SensorField, UniformField};
 pub use metrics::{
     gini, max_mean_ratio, CompletenessReport, Metrics, MetricsSnapshot, QueryCompleteness,
 };
@@ -100,6 +100,6 @@ pub use topology::{NodeId, Position, Topology, TopologyError, GRID_SPACING_FT, R
 pub use trace::diff::{trace_diff, Divergence, DivergentRecord, KindDelta, TraceDiff};
 pub use trace::{
     chrome_trace, summarize_trace, trace_header, EpochRollup, JsonLinesSink, ProvenanceId,
-    RingSink, TraceDest, TraceEvent, TraceHandle, TraceRecord, TraceSchemaError, TraceSink,
-    TraceSummary, SCHEMA_VERSION,
+    QueryTally, RingSink, TraceDest, TraceEvent, TraceHandle, TraceRecord, TraceSchemaError,
+    TraceSink, TraceSummary, SCHEMA_VERSION,
 };

@@ -674,6 +674,25 @@ pub struct EpochRollup {
     pub nonempty_answers: u64,
 }
 
+/// The `answer-mapped` records of one user query, added up.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueryTally {
+    /// Answers mapped (== `RunReport.answers[q].len()`).
+    pub answers: u64,
+    /// Mapped answers that carried data.
+    pub nonempty: u64,
+    /// Σ answer latency, ms (epoch start → emission), saturating rather
+    /// than overflowing on a hostile trace.
+    pub latency_sum_ms: u64,
+}
+
+impl QueryTally {
+    /// Mean answer latency, ms (`None` with no answer).
+    pub fn mean_latency_ms(&self) -> Option<f64> {
+        (self.answers > 0).then(|| self.latency_sum_ms as f64 / self.answers as f64)
+    }
+}
+
 /// Summary of a JSON-lines trace, computed from the text alone (no access
 /// to the run that produced it) — the `trace-analyze` example's core.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -684,12 +703,8 @@ pub struct TraceSummary {
     pub events: u64,
     /// Record count per event kind tag.
     pub by_kind: BTreeMap<String, u64>,
-    /// Per user query: answers mapped (== `RunReport.answers[q].len()`).
-    pub answers_per_query: BTreeMap<u64, u64>,
-    /// Per user query: mapped answers that carried data.
-    pub nonempty_per_query: BTreeMap<u64, u64>,
-    /// Per user query: answer latency samples, ms (epoch start → emission).
-    pub latency_ms_per_query: BTreeMap<u64, Vec<u64>>,
+    /// Per user query: what its mapped answers add up to.
+    pub queries: BTreeMap<u64, QueryTally>,
     /// Hop-count distribution over delivered provenances: hops → samples.
     /// Hops = result-hop events naming the provenance (origin send
     /// included), for provenances that reached the base station.
@@ -710,12 +725,15 @@ pub struct TraceSummary {
 impl TraceSummary {
     /// Total answers mapped across all user queries.
     pub fn total_answers(&self) -> u64 {
-        self.answers_per_query.values().sum()
+        self.queries.values().map(|q| q.answers).sum()
     }
 
     /// Mean answer latency over every mapped answer, ms.
     pub fn mean_latency_ms(&self) -> Option<f64> {
-        mean(self.latency_ms_per_query.values().flatten().copied())
+        let answers = self.total_answers();
+        let sums = self.queries.values().map(|q| q.latency_sum_ms);
+        let sum_ms = sums.fold(0u64, u64::saturating_add);
+        (answers > 0).then(|| sum_ms as f64 / answers as f64)
     }
 
     /// Whether the summarized text is a complete record of the run: no
@@ -727,9 +745,8 @@ impl TraceSummary {
     }
 
     /// One JSON object with every summary field — the `inspect analyze
-    /// --json` payload. Per-query latency sample vectors are collapsed to
-    /// `{count, mean_ms}` (the samples can number in the hundreds of
-    /// thousands on soak traces; the human table shows the same moments).
+    /// --json` payload. A query's latency renders as `{count, mean_ms}`,
+    /// its count being its answers.
     pub fn to_json(&self) -> String {
         // Exhaustive destructuring: a field added to the summary without a
         // serialization decision here is a compile error.
@@ -737,9 +754,7 @@ impl TraceSummary {
             schema_version,
             events,
             by_kind,
-            answers_per_query,
-            nonempty_per_query,
-            latency_ms_per_query,
+            queries,
             hop_distribution,
             rollups,
             malformed_lines,
@@ -761,21 +776,14 @@ impl TraceSummary {
                 }
             });
             o.arr("queries", |a| {
-                for (query, answers) in answers_per_query {
-                    let latencies = latency_ms_per_query
-                        .get(query)
-                        .map(Vec::as_slice)
-                        .unwrap_or(&[]);
+                for (query, tally) in queries {
                     a.obj(|o| {
                         o.u64("query", *query);
-                        o.u64("answers", *answers);
-                        o.u64(
-                            "nonempty",
-                            nonempty_per_query.get(query).copied().unwrap_or(0),
-                        );
+                        o.u64("answers", tally.answers);
+                        o.u64("nonempty", tally.nonempty);
                         o.obj("latency", |o| {
-                            o.u64("count", latencies.len() as u64);
-                            match mean(latencies.iter().copied()) {
+                            o.u64("count", tally.answers);
+                            match tally.mean_latency_ms() {
                                 Some(mean) => o.f64("mean_ms", mean),
                                 None => o.null("mean_ms"),
                             }
@@ -816,15 +824,6 @@ impl TraceSummary {
             });
         })
     }
-}
-
-/// Mean of latency samples (`None` when empty); the sum saturates rather
-/// than overflowing on a hostile trace.
-fn mean(samples: impl IntoIterator<Item = u64>) -> Option<f64> {
-    let (sum, n) = samples
-        .into_iter()
-        .fold((0u64, 0u64), |(s, n), l| (s.saturating_add(l), n + 1));
-    (n > 0).then(|| sum as f64 / n as f64)
 }
 
 /// A trace was written under an incompatible schema version: its field set
@@ -913,16 +912,11 @@ pub fn summarize_trace(text: &str) -> Result<TraceSummary, TraceSchemaError> {
                 rollup.answers += 1;
                 rollup.nonempty_answers += u64::from(nonempty);
                 let user = rec.u64_at("user").unwrap_or(0);
+                let tally = summary.queries.entry(user).or_default();
+                tally.answers += 1;
+                tally.nonempty += u64::from(nonempty);
                 let latency = rec.u64_at("latency_ms").unwrap_or(0);
-                *summary.answers_per_query.entry(user).or_insert(0) += 1;
-                if nonempty {
-                    *summary.nonempty_per_query.entry(user).or_insert(0) += 1;
-                }
-                summary
-                    .latency_ms_per_query
-                    .entry(user)
-                    .or_default()
-                    .push(latency);
+                tally.latency_sum_ms = tally.latency_sum_ms.saturating_add(latency);
             }
             "result-hop" => {
                 let prov = rec.get("prov").map_or(&[][..], JsonValue::items);
@@ -1215,9 +1209,12 @@ mod tests {
         assert_eq!(s.malformed_lines, 0);
         assert_eq!(s.events, 4);
         assert_eq!(s.by_kind["result-hop"], 2);
-        assert_eq!(s.answers_per_query[&1], 1);
-        assert_eq!(s.nonempty_per_query[&1], 1);
-        assert_eq!(s.latency_ms_per_query[&1], vec![352]);
+        let one = QueryTally {
+            answers: 1,
+            nonempty: 1,
+            latency_sum_ms: 352,
+        };
+        assert_eq!(s.queries[&1], one);
         // The sample took 2 hops (origin + one relay) and was delivered.
         assert_eq!(s.hop_distribution[&2], 1);
         assert_eq!(s.total_answers(), 1);

@@ -1,15 +1,20 @@
-//! Integration tests of the trace subsystem against a live simulation:
-//! event capture through a `RingSink`, byte-identical golden JSONL across
-//! runs, and the invariance guarantee that tracing — disabled or enabled —
-//! never changes what the simulation computes.
+//! Integration tests of the trace subsystem: event capture through a
+//! `RingSink` from a live simulation, byte-identical golden JSONL across
+//! runs, the invariance guarantee that tracing — disabled or enabled —
+//! never changes what the simulation computes, and the summary's per-query
+//! tallies against a line-by-line recount.
 
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
+use ttmqo_query::QueryId;
+use ttmqo_sim::json::{self, JsonValue};
 use ttmqo_sim::{
-    trace_header, ConstantField, Ctx, Destination, EngineStats, JsonLinesSink, MetricsSnapshot,
-    MsgKind, NodeApp, NodeId, OutputRecord, Position, RadioParams, RingSink, SimConfig, SimTime,
-    Simulator, Topology, TraceEvent, TraceHandle, TraceRecord, TraceSink, SCHEMA_VERSION,
+    summarize_trace, trace_header, ConstantField, Ctx, Destination, EngineStats, JsonLinesSink,
+    MetricsSnapshot, MsgKind, NodeApp, NodeId, OutputRecord, Position, RadioParams, RingSink,
+    SimConfig, SimTime, Simulator, Topology, TraceEvent, TraceHandle, TraceRecord, TraceSink,
+    SCHEMA_VERSION,
 };
 
 /// A scriptable test app: sends frames per external commands and echoes
@@ -252,4 +257,88 @@ fn tracing_never_changes_what_the_simulation_computes() {
         !ring.lock().unwrap().is_empty(),
         "the enabled run actually traced"
     );
+}
+
+#[test]
+fn one_tally_per_query_matches_the_maps_it_replaced() {
+    // Random traces of mapped answers — a few users, some answers empty,
+    // latencies small or within a few thousand of `u64::MAX`, other records
+    // between them, now and then a record missing its user or latency —
+    // summarized, and recounted line by line into the three maps the tally
+    // replaced: answers, non-empty answers and every latency sample, per
+    // user.
+    let mut state = 0x7a11_1e55_0fba_5e00_u64;
+    let mut rand = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for case in 0..200 {
+        let mut text = trace_header();
+        for i in 0..rand() % 300 {
+            let line = match rand() % 10 {
+                0 => format!("{{\"t\":{i},\"ev\":\"wake\",\"node\":1}}"),
+                1 => format!(
+                    "{{\"t\":{i},\"ev\":\"answer-mapped\",\"user\":{}}}",
+                    rand() % 6
+                ),
+                2 => format!(
+                    "{{\"t\":{i},\"ev\":\"answer-mapped\",\"latency_ms\":{}}}",
+                    rand()
+                ),
+                _ => TraceRecord {
+                    time_us: i * 1000,
+                    event: TraceEvent::AnswerMapped {
+                        user: QueryId(rand() % 6),
+                        synthetic: QueryId(1 << 20),
+                        epoch_ms: 2048 * (i / 8),
+                        rows: rand() % 4,
+                        nonempty: rand() % 3 != 0,
+                        latency_ms: match rand() % 3 {
+                            0 => u64::MAX - rand() % 4096,
+                            _ => rand() % 5000,
+                        },
+                    },
+                }
+                .to_json(),
+            };
+            text.push('\n');
+            text.push_str(&line);
+        }
+
+        let mut answers: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut nonempty: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut latencies: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for line in text.lines().skip(1) {
+            let rec = json::parse(line).expect("the test writes JSON");
+            if rec.str_at("ev") == Some("answer-mapped") {
+                let user = rec.u64_at("user").unwrap_or(0);
+                *answers.entry(user).or_insert(0) += 1;
+                if rec.get("nonempty").and_then(JsonValue::as_bool) == Some(true) {
+                    *nonempty.entry(user).or_insert(0) += 1;
+                }
+                let latency = rec.u64_at("latency_ms").unwrap_or(0);
+                latencies.entry(user).or_default().push(latency);
+            }
+        }
+        // The mean the maps gave: a saturating sum over the samples.
+        let mean = |samples: &mut dyn Iterator<Item = &u64>| {
+            let (sum, n) = samples.fold((0u64, 0u64), |(s, n), l| (s.saturating_add(*l), n + 1));
+            (n > 0).then(|| sum as f64 / n as f64)
+        };
+
+        let s = summarize_trace(&text).expect("own trace");
+        assert!(s.queries.keys().eq(answers.keys()), "case {case}");
+        for (user, tally) in &s.queries {
+            assert_eq!(tally.answers, answers[user], "case {case}, user {user}");
+            let want = nonempty.get(user).copied().unwrap_or(0);
+            assert_eq!(tally.nonempty, want, "case {case}, user {user}");
+            let want = mean(&mut latencies[user].iter());
+            assert_eq!(tally.mean_latency_ms(), want, "case {case}, user {user}");
+        }
+        assert_eq!(s.total_answers(), answers.values().sum::<u64>());
+        let all = mean(&mut latencies.values().flatten());
+        assert_eq!(s.mean_latency_ms(), all, "case {case}");
+    }
 }

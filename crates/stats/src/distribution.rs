@@ -8,7 +8,6 @@
 //! selectivity of a conjunctive predicate set under the usual independence
 //! assumption.
 
-use crate::histogram::Histogram;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use ttmqo_query::{Attribute, PredicateSet};
@@ -58,44 +57,81 @@ impl DataDistribution for UniformDistribution {
     }
 }
 
-/// Histogram-backed empirical distribution, built from observed readings.
+/// Empirical distribution built from observed readings: an equi-width
+/// histogram over the attribute's domain, used to estimate `sel(q, N_k)`
+/// (Eq. 1) when the uniform assumption is not wanted. Readings outside the
+/// domain are clamped into the boundary buckets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmpiricalDistribution {
-    histogram: Histogram,
+    lo: f64,
+    hi: f64,
+    buckets: Vec<u64>,
+    total: u64,
 }
 
 impl EmpiricalDistribution {
-    /// Builds an empirical model for `attr` with `buckets` buckets from the
-    /// given samples. Falls back to zero-mass (empty histogram) when no
-    /// samples are provided.
+    /// Builds an empirical model for `attr` with `buckets` buckets (at least
+    /// one) from the given samples. Falls back to zero mass (an empty
+    /// histogram) when no samples are provided.
     pub fn from_samples<I: IntoIterator<Item = f64>>(
         attr: Attribute,
         buckets: usize,
         samples: I,
     ) -> Self {
         let (lo, hi) = attr.domain();
-        let mut histogram =
-            Histogram::new(lo, hi, buckets.max(1)).expect("attribute domains are non-empty");
+        let mut model = EmpiricalDistribution {
+            lo,
+            hi,
+            buckets: vec![0; buckets.max(1)],
+            total: 0,
+        };
         for s in samples {
-            histogram.add(s);
+            model.observe(s);
         }
-        EmpiricalDistribution { histogram }
+        model
     }
 
     /// Number of samples folded in.
     pub fn sample_count(&self) -> u64 {
-        self.histogram.total()
+        self.total
     }
 
-    /// Records one more observation.
+    /// Records one more observation; values outside the domain land in the
+    /// nearest boundary bucket.
     pub fn observe(&mut self, value: f64) {
-        self.histogram.add(value);
+        let n = self.buckets.len();
+        let frac = (value - self.lo) / (self.hi - self.lo);
+        let idx = ((frac * n as f64).floor() as isize).clamp(0, n as isize - 1) as usize;
+        self.buckets[idx] += 1;
+        self.total += 1;
     }
 }
 
 impl DataDistribution for EmpiricalDistribution {
+    /// The fraction of observations in `[min, max]`, with linear
+    /// interpolation inside partially covered buckets; 0 with none.
     fn fraction_in(&self, min: f64, max: f64) -> f64 {
-        self.histogram.fraction_in(min, max)
+        if self.total == 0 || min > max {
+            return 0.0;
+        }
+        let width = (self.hi - self.lo) / self.buckets.len() as f64;
+        let mut mass = 0.0;
+        for (idx, &count) in self.buckets.iter().enumerate() {
+            if count == 0 {
+                continue;
+            }
+            let (blo, bhi) = (
+                self.lo + idx as f64 * width,
+                self.lo + (idx + 1) as f64 * width,
+            );
+            let overlap = (max.min(bhi) - min.max(blo)).max(0.0);
+            if overlap > 0.0 {
+                mass += count as f64 * overlap / (bhi - blo);
+            } else if min <= blo && max >= bhi {
+                mass += count as f64;
+            }
+        }
+        (mass / self.total as f64).clamp(0.0, 1.0)
     }
 }
 
@@ -219,6 +255,58 @@ mod tests {
         e.observe(50.0);
         assert_eq!(e.sample_count(), 1);
         assert!(e.fraction_in(40.0, 60.0) > 0.9);
+    }
+
+    /// A humidity model (domain `[0, 100]`) with `buckets` buckets.
+    fn humidity(buckets: usize, samples: &[f64]) -> EmpiricalDistribution {
+        EmpiricalDistribution::from_samples(Attribute::Humidity, buckets, samples.iter().copied())
+    }
+
+    #[test]
+    fn empty_model_estimates_zero() {
+        assert_eq!(humidity(5, &[]).fraction_in(0.0, 100.0), 0.0);
+    }
+
+    #[test]
+    fn zero_buckets_mean_one() {
+        let e = humidity(0, &[10.0, 90.0]);
+        assert_eq!(e.sample_count(), 2);
+        // One bucket over the whole domain: mass spreads evenly across it.
+        assert!((e.fraction_in(0.0, 25.0) - 0.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn full_range_fraction_is_one() {
+        let samples: Vec<f64> = (0..10).map(|i| 10.0 * i as f64).collect();
+        assert!((humidity(5, &samples).fraction_in(0.0, 100.0) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn out_of_range_values_clamp_to_boundary_buckets() {
+        let e = humidity(5, &[-50.0, 500.0]);
+        assert_eq!(e.sample_count(), 2);
+        assert!(e.fraction_in(0.0, 20.0) > 0.0);
+        assert!(e.fraction_in(80.0, 100.0) > 0.0);
+    }
+
+    #[test]
+    fn partial_bucket_interpolates() {
+        let e = humidity(1, &[50.0; 100]);
+        // Half of the single bucket's width ⇒ half the mass under the
+        // within-bucket-uniform assumption.
+        assert!((e.fraction_in(0.0, 50.0) - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn inverted_query_range_is_zero() {
+        assert_eq!(humidity(5, &[50.0]).fraction_in(60.0, 40.0), 0.0);
+    }
+
+    #[test]
+    fn whole_buckets_count_in_full() {
+        let e = humidity(10, &[5.0, 15.0, 15.5, 95.0]);
+        assert_eq!(e.sample_count(), 4);
+        assert!((e.fraction_in(10.0, 20.0) - 0.5).abs() < 1e-9);
     }
 
     #[test]

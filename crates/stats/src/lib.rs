@@ -7,7 +7,7 @@
 //! routing tree. This crate provides both:
 //!
 //! * [`DataDistribution`] / [`SelectivityEstimator`] for selectivity, with
-//!   the paper's uniform fallback and a histogram-backed
+//!   the paper's uniform fallback and an equi-width histogram,
 //!   [`EmpiricalDistribution`];
 //! * [`LevelStats`] for the level populations and the maximum depth.
 
@@ -16,7 +16,6 @@
 #![warn(missing_debug_implementations)]
 
 mod distribution;
-mod histogram;
 mod levels;
 
 pub use distribution::{

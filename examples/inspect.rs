@@ -108,20 +108,15 @@ fn analyze(args: &[String]) -> Result<(), ExitCode> {
         }
     }
 
-    if !json && !summary.answers_per_query.is_empty() {
+    if !json && !summary.queries.is_empty() {
         println!("\nper-query answers:");
         println!(
             "  {:<8} {:>8} {:>9} {:>13}",
             "query", "answers", "nonempty", "mean lat ms"
         );
-        for (qid, n) in &summary.answers_per_query {
-            let nonempty = summary.nonempty_per_query.get(qid).copied().unwrap_or(0);
-            let lat = summary
-                .latency_ms_per_query
-                .get(qid)
-                .filter(|v| !v.is_empty())
-                .map(|v| v.iter().sum::<u64>() as f64 / v.len() as f64);
-            match lat {
+        for (qid, tally) in &summary.queries {
+            let (n, nonempty) = (tally.answers, tally.nonempty);
+            match tally.mean_latency_ms() {
                 Some(ms) => println!("  {qid:<8} {n:>8} {nonempty:>9} {ms:>13.1}"),
                 None => println!("  {qid:<8} {n:>8} {nonempty:>9} {:>13}", "-"),
             }

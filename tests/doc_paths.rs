@@ -385,7 +385,7 @@ const CODE: [&str; 3] = ["crates", "src", "examples"];
 
 /// Mechanisms the documents describe as deleted: they may be named, and must
 /// not exist.
-const GONE: [&str; 21] = [
+const GONE: [&str; 22] = [
     "CampaignReport::rollup",
     "CampaignSpec::warm_start",
     "CorrelatedField::with_strengths",
@@ -406,6 +406,7 @@ const GONE: [&str; 21] = [
     "SelectivityEstimator::observation_count",
     "Simulator::replace_fault_plan",
     "Topology::nodes_within",
+    "TtmqoConfig::dead_parent_after",
     "TtmqoConfig::query_recovery",
 ];
 

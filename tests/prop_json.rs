@@ -21,8 +21,8 @@ use ttmqo::sim::json::{self, JsonValue};
 use ttmqo::sim::{
     chrome_trace, summarize_trace, trace_diff, trace_header, AuditCheck, AuditReport,
     AuditViolation, CompletenessReport, EngineStats, EpochRollup, MetricsSnapshot, MsgKind, NodeId,
-    Probe, ProvenanceId, QueryCompleteness, Reception, TraceDest, TraceEvent, TraceRecord,
-    TraceSummary, SCHEMA_VERSION,
+    Probe, ProvenanceId, QueryCompleteness, QueryTally, Reception, TraceDest, TraceEvent,
+    TraceRecord, TraceSummary, SCHEMA_VERSION,
 };
 
 // ---------------------------------------------------------------------------
@@ -548,14 +548,13 @@ fn trace_summary(rng: &mut TestRng) -> (TraceSummary, Leaves) {
         ..TraceSummary::default()
     };
     for q in &queries {
-        summary.answers_per_query.insert(*q, uint(rng));
-        if flag(rng) {
-            summary.nonempty_per_query.insert(*q, uint(rng));
-        }
-        if flag(rng) {
-            let samples = vec_of(rng, 4, count);
-            summary.latency_ms_per_query.insert(*q, samples);
-        }
+        // Zero answers too: the mean is then `null`.
+        let tally = QueryTally {
+            answers: if flag(rng) { uint(rng) } else { 0 },
+            nonempty: uint(rng),
+            latency_sum_ms: uint(rng),
+        };
+        summary.queries.insert(*q, tally);
     }
     let mut leaves = vec![
         u("schema_version", SCHEMA_VERSION as u64),
@@ -571,21 +570,16 @@ fn trace_summary(rng: &mut TestRng) -> (TraceSummary, Leaves) {
     for (kind, n) in &summary.by_kind {
         leaves.push(u(&format!("by_kind.{kind}"), *n));
     }
-    for (i, (query, answers)) in summary.answers_per_query.iter().enumerate() {
-        let latencies = summary.latency_ms_per_query.get(query);
-        let latencies = latencies.map_or(&[][..], Vec::as_slice);
-        let mean = (!latencies.is_empty())
-            .then(|| Leaf::F(latencies.iter().sum::<u64>() as f64 / latencies.len() as f64));
+    for (i, (query, tally)) in summary.queries.iter().enumerate() {
+        let mean = (tally.answers > 0)
+            .then(|| Leaf::F(tally.latency_sum_ms as f64 / tally.answers as f64));
         leaves.extend(under(
             &format!("queries[{i}]."),
             vec![
                 u("query", *query),
-                u("answers", *answers),
-                u(
-                    "nonempty",
-                    summary.nonempty_per_query.get(query).copied().unwrap_or(0),
-                ),
-                u("latency.count", latencies.len() as u64),
+                u("answers", tally.answers),
+                u("nonempty", tally.nonempty),
+                u("latency.count", tally.answers),
                 opt("latency.mean_ms", mean),
             ],
         ));
