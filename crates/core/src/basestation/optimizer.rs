@@ -11,7 +11,7 @@
 
 use crate::basestation::cost::CostModel;
 use crate::basestation::synthetic::{Demand, SyntheticQuery};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use ttmqo_query::{integrate, Attribute, Query, QueryId};
 use ttmqo_sim::{NodeId, RadioParams, Topology, TraceEvent, TraceHandle};
@@ -125,7 +125,9 @@ pub struct BaseStationOptimizer {
     /// Every running user query with the synthetic query it is written
     /// into (`qid'`).
     users: BTreeMap<QueryId, User>,
-    injected: BTreeSet<QueryId>,
+    /// The next synthetic id to hand out. Ids are never reused, so the
+    /// value at the start of a call separates the synthetics that ran
+    /// before it from those it made.
     next_syn: u64,
     stats: OptimizerStats,
     /// Trace sink for Tier-1 decisions (disabled by default; zero cost).
@@ -166,7 +168,6 @@ impl BaseStationOptimizer {
             options,
             synthetics: BTreeMap::new(),
             users: BTreeMap::new(),
-            injected: BTreeSet::new(),
             next_syn: SYNTHETIC_ID_BASE,
             stats: OptimizerStats::default(),
             trace: TraceHandle::disabled(),
@@ -263,13 +264,14 @@ impl BaseStationOptimizer {
         }
         self.stats.inserted += 1;
 
+        let (since, mut ops) = (self.next_syn, Vec::new());
         let mut probe = SyntheticQuery::new(query.with_id(self.fresh_syn_id()));
         probe.add_member(qid, &Demand::of(&query));
         let syn = probe.id();
         self.users.insert(qid, User { query, syn });
-        self.insert_probe(probe);
+        self.insert_probe(probe, &mut ops);
 
-        let ops = self.diff_ops();
+        let ops = self.network_ops(since, ops);
         if ops.is_empty() {
             self.stats.absorbed_insertions += 1;
         }
@@ -293,6 +295,7 @@ impl BaseStationOptimizer {
         };
         self.stats.terminated += 1;
 
+        let (since, mut ops) = (self.next_syn, Vec::new());
         let sq = self
             .synthetics
             .get_mut(&syn_id)
@@ -313,23 +316,22 @@ impl BaseStationOptimizer {
         });
 
         if emptied {
-            self.synthetics.remove(&syn_id);
+            self.retire(syn_id, &mut ops);
         } else if rebuilt {
             let sq = self
-                .synthetics
-                .remove(&syn_id)
+                .retire(syn_id, &mut ops)
                 .expect("synthetic still present");
             let members: Vec<QueryId> = sq.members().collect();
             self.trace(|| TraceEvent::Tier1Reindex {
                 synthetic: syn_id,
                 members: members.clone(),
             });
-            self.reinsert(members);
+            self.reinsert(members, &mut ops);
         } else {
             self.refresh_benefit(syn_id);
         }
 
-        let ops = self.diff_ops();
+        let ops = self.network_ops(since, ops);
         if ops.is_empty() {
             self.stats.absorbed_terminations += 1;
         }
@@ -349,8 +351,9 @@ impl BaseStationOptimizer {
     ///
     /// Returns no operations when `syn_id` is not running.
     pub fn reoptimize(&mut self, syn_id: QueryId) -> Vec<NetworkOp> {
-        let Some(sq) = self.synthetics.remove(&syn_id) else {
-            return Vec::new();
+        let (since, mut ops) = (self.next_syn, Vec::new());
+        let Some(sq) = self.retire(syn_id, &mut ops) else {
+            return ops;
         };
         self.stats.reoptimizations += 1;
         let members: Vec<QueryId> = sq.members().collect();
@@ -358,8 +361,8 @@ impl BaseStationOptimizer {
             synthetic: syn_id,
             members: members.clone(),
         });
-        self.reinsert(members);
-        self.diff_ops()
+        self.reinsert(members, &mut ops);
+        self.network_ops(since, ops)
     }
 
     /// The currently running synthetic queries (as injected).
@@ -417,16 +420,23 @@ impl BaseStationOptimizer {
         id
     }
 
+    /// Removes the running synthetic `id`, noting its abort in `ops`.
+    fn retire(&mut self, id: QueryId, ops: &mut Vec<NetworkOp>) -> Option<SyntheticQuery> {
+        let sq = self.synthetics.remove(&id)?;
+        ops.push(NetworkOp::Abort(id));
+        Some(sq)
+    }
+
     /// Runs each of `members` back through Algorithm 1 on its own: detaches
     /// it from its synthetic query, gives it a fresh synthetic id and lets it
-    /// land wherever is now most beneficial.
-    fn reinsert(&mut self, members: Vec<QueryId>) {
+    /// land wherever is now most beneficial. Removals go to `ops`.
+    fn reinsert(&mut self, members: Vec<QueryId>, ops: &mut Vec<NetworkOp>) {
         for m in members {
             let id = self.fresh_syn_id();
             let query = &self.users[&m].query;
             let mut probe = SyntheticQuery::new(query.with_id(id));
             probe.add_member(m, &Demand::of(query));
-            self.insert_probe(probe);
+            self.insert_probe(probe, ops);
         }
     }
 
@@ -434,13 +444,19 @@ impl BaseStationOptimizer {
     /// query (a new user query, or a just-merged synthetic): find the most
     /// beneficial running synthetic to rewrite with; attach if covered; merge
     /// and retry if beneficial; otherwise install as a new synthetic query.
-    fn insert_probe(&mut self, probe: SyntheticQuery) {
-        self.insert_probe_from(probe, 0);
+    /// Every synthetic a merge removes goes to `ops` as an abort.
+    fn insert_probe(&mut self, probe: SyntheticQuery, ops: &mut Vec<NetworkOp>) {
+        self.insert_probe_from(probe, 0, ops);
     }
 
     /// [`insert_probe`](Self::insert_probe) with an explicit starting merge
     /// count, so tests can enter the loop in the post-merge state.
-    fn insert_probe_from(&mut self, mut probe: SyntheticQuery, mut merges: u32) {
+    fn insert_probe_from(
+        &mut self,
+        mut probe: SyntheticQuery,
+        mut merges: u32,
+        ops: &mut Vec<NetworkOp>,
+    ) {
         loop {
             let pq = probe.query().clone();
             // Algorithm 1's scan: every running synthetic, in ascending id
@@ -485,7 +501,7 @@ impl BaseStationOptimizer {
                     // still absorbs the merged probe rather than letting it
                     // install as a duplicate.
                     merges += 1;
-                    let old = self.synthetics.remove(&id).expect("best exists");
+                    let old = self.retire(id, ops).expect("best exists");
                     let merged_query = integrate(self.fresh_syn_id(), old.query(), &pq)
                         .expect("positive benefit rate implies integrable");
                     self.trace(|| TraceEvent::Tier1Merge {
@@ -538,20 +554,26 @@ impl BaseStationOptimizer {
         }
     }
 
-    /// Computes the injections/abortions turning the previously injected set
-    /// into the current synthetic set.
-    fn diff_ops(&mut self) -> Vec<NetworkOp> {
-        let current: BTreeSet<QueryId> = self.synthetics.keys().copied().collect();
-        let mut ops = Vec::new();
-        for &gone in self.injected.difference(&current) {
-            ops.push(NetworkOp::Abort(gone));
-            self.stats.abortions += 1;
-        }
-        for &new in current.difference(&self.injected) {
-            ops.push(NetworkOp::Inject(self.synthetics[&new].query().clone()));
+    /// The network operations of one `insert`, `terminate` or `reoptimize`
+    /// call that began when the next synthetic id was `since` and noted
+    /// each synthetic it removed as an abort in `removed`. Ids are never
+    /// reused, so a removed id below `since` ran before the call and is
+    /// aborted, one from `since` up was made and unmade within it and never
+    /// reached the network, and every running id from `since` up is new and
+    /// is injected. Aborts come first, then injections, each ascending.
+    fn network_ops(&mut self, since: u64, mut removed: Vec<NetworkOp>) -> Vec<NetworkOp> {
+        let ran_before = |op: &NetworkOp| matches!(op, NetworkOp::Abort(id) if id.0 < since);
+        removed.retain(ran_before);
+        removed.sort_unstable_by_key(|op| match op {
+            NetworkOp::Abort(id) => *id,
+            NetworkOp::Inject(query) => query.id(),
+        });
+        let mut ops = removed;
+        self.stats.abortions += ops.len() as u64;
+        for sq in self.synthetics.range(QueryId(since)..).map(|(_, sq)| sq) {
+            ops.push(NetworkOp::Inject(sq.query().clone()));
             self.stats.injections += 1;
         }
-        self.injected = current;
         ops
     }
 }
@@ -559,6 +581,7 @@ impl BaseStationOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use std::sync::{Arc, Mutex};
     use ttmqo_query::{covers_query, parse_query};
     use ttmqo_sim::{RingSink, TraceSink};
@@ -1045,7 +1068,7 @@ mod tests {
         probe.add_member(query.id(), &Demand::of(&query));
         let syn = probe.id();
         o.users.insert(query.id(), User { query, syn });
-        o.insert_probe_from(probe, 1); // pretend one merge already happened
+        o.insert_probe_from(probe, 1, &mut Vec::new()); // pretend one merge already happened
 
         assert_eq!(
             o.synthetic_count(),

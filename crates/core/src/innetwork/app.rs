@@ -45,10 +45,6 @@ pub struct TtmqoConfig {
     /// false, every message follows the fixed link-quality tree (ablation:
     /// shared messages without query-aware routing).
     pub dynamic_parents: bool,
-    /// Whether the Semantic Routing Tree prunes dissemination of queries
-    /// with `nodeid` predicates (§3.2.2 mentions SRT as the alternative to
-    /// flooding for node-id based queries; off by default).
-    pub srt: bool,
 }
 
 /// Self-healing: the number of consecutive *failed* unicast sends (whole
@@ -83,7 +79,6 @@ impl Default for TtmqoConfig {
             slot_ms: 64,
             jitter_ms: 24,
             dynamic_parents: true,
-            srt: false,
         }
     }
 }
@@ -99,7 +94,7 @@ impl Default for TtmqoConfig {
 pub struct TtmqoApp {
     config: TtmqoConfig,
     /// What this node knows per query id: the floods it heard, the queries
-    /// it runs or only relays, which of them its latest readings satisfy
+    /// it runs, which of them its latest readings satisfy
     /// (has data for), and which unknown ids it already asked the
     /// neighbourhood about.
     floods: Floods,
@@ -127,7 +122,7 @@ impl TtmqoApp {
     /// Creates an in-network node with the given configuration.
     pub fn new(config: TtmqoConfig) -> Self {
         TtmqoApp {
-            floods: Floods::new(config.srt, config.jitter_ms),
+            floods: Floods::new(config.jitter_ms),
             config,
             dag: DagState::default(),
             clock_gen: 0,
@@ -152,12 +147,6 @@ impl TtmqoApp {
     /// Currently installed queries (for tests and inspection).
     pub fn installed_queries(&self) -> impl Iterator<Item = &Query> {
         self.floods.installed().map(Arc::as_ref)
-    }
-
-    /// Queries this node relays the flood of but never runs: SRT-pruned
-    /// (for tests and inspection).
-    pub fn relay_only_queries(&self) -> impl Iterator<Item = &Query> {
-        self.floods.relay_only()
     }
 
     /// Read-only view of the result buffers (for tests and inspection).
@@ -470,7 +459,7 @@ impl TtmqoApp {
     ) {
         for qid in qids {
             // Never request a query we run or whose flood we already
-            // heard: we installed it, SRT pruned it here, or it was aborted.
+            // heard: we installed it, or it was aborted.
             if !self.floods.request(qid) {
                 continue;
             }
@@ -643,7 +632,7 @@ impl NodeApp for TtmqoApp {
                 }
             }
             KIND_FLOOD_QUERY => {
-                let Some(query) = self.floods.to_relay(qid) else {
+                let Some(query) = self.floods.running(qid).cloned() else {
                     return;
                 };
                 // Evaluate whether we have data for the new query so the

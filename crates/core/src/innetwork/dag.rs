@@ -708,7 +708,7 @@ mod tests {
     /// (`Topology::default_parent`, also TTMQO's route when
     /// `dynamic_parents` is off) takes the higher id, and `choose_parents`
     /// with no has-data knowledge takes the lower. They agree everywhere
-    /// else. Unifying them moves simulated bits (ROADMAP item 11).
+    /// else. Unifying them moves simulated bits.
     #[test]
     fn the_two_routing_rules_break_best_link_ties_in_opposite_directions() {
         use ttmqo_sim::Topology;

@@ -282,8 +282,10 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     // session's events, where it cloned it. It is 11 471 since the ledger
     // keeps no copy of an injected query that is a user's own: each of the
     // 8 poses cloned its query (one call for its selection) into a B-tree
-    // leaf of its own map. The count is the same in debug and release builds
-    // (CI runs both).
+    // leaf of its own map. It is 11 468 since `Srt::build` reads node
+    // positions only: the subtree id ranges, subtree boxes and level order
+    // the static answer-set check never read were three vectors. The count
+    // is the same in debug and release builds (CI runs both).
     let config = ExperimentConfig {
         strategy: Strategy::InNetOnly,
         grid_n: 8,
@@ -293,7 +295,7 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     let workload = workload_a();
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.engine.frames_total, 5965, "not the pinned cell");
-    assert_eq!(allocs, 11_471);
+    assert_eq!(allocs, 11_468);
 }
 
 #[test]
@@ -336,7 +338,11 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     // once its answers are final, one reallocation each; then to 20 644 once
     // Tier 1 kept each user's query and synthetic id in one B-tree where it
     // kept two: no clone of each of the 100 inserted queries and of each of
-    // the 55 members re-inserted under a fresh id, and 13 B-tree nodes fewer.
+    // the 55 members re-inserted under a fresh id, and 13 B-tree nodes fewer;
+    // then to 20 243 once Tier 1 read its network operations off the call's
+    // removals and the ids it handed out, where each of its 200 calls
+    // collected the running synthetic ids into a fresh B-tree set (−398), and
+    // `Srt::build` kept only positions (−3).
     let workload = random_workload(&RandomWorkloadParams {
         n_queries: 100,
         mean_arrival_ms: 10_000.0,
@@ -351,7 +357,7 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     };
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(100));
-    assert_eq!(allocs, 20_644);
+    assert_eq!(allocs, 20_243);
 
     // What the users' answers hold once the run is over — 443 answers,
     // 2 059 rows, 3 503 values — pinned exactly: the bytes freed by dropping
@@ -422,12 +428,15 @@ fn the_benchmark_churn_stream_peaks_at_a_pinned_number_of_live_bytes() {
     // (−809), answer vectors shrunk to fit once final to 2 798 024 B
     // (−259 008), and Tier 1's users in one B-tree of one record to
     // 2 797 920 B (−104: the user → synthetic leaf's 192 B, less 8 B more
-    // for each of the 11 slots of the users' leaf). The same in debug and
-    // release builds.
+    // for each of the 11 slots of the users' leaf). It is 2 793 032 B
+    // (−4 888) since queries flood with no pruning option: each of the 64
+    // apps' query tables is 40 B smaller (2 560 B), the static answer-set
+    // check builds no subtree ranges or boxes (2 304 B), and a fault plan
+    // has no region list (24 B). The same in debug and release builds.
     let (config, workload) = benchmark_churn_stream();
     let (peak, report) = peak_live_during(|| RunSession::new(&config, &workload).finish());
     assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(500));
-    assert_eq!(peak, 2_797_920);
+    assert_eq!(peak, 2_793_032);
 }
 
 #[test]
@@ -475,9 +484,13 @@ fn answers_of_the_benchmark_churn_stream_share_their_synthetic_rows() {
     // with slack costs one reallocation each. 247 144 since Tier 1 keeps
     // each user's query and synthetic id in one B-tree where it kept two:
     // no clone of each of the 500 inserted queries and of each of the 17
-    // members re-inserted under a fresh id, and 65 B-tree nodes fewer. The
-    // same in debug and release builds.
-    assert_eq!(allocs, 247_144);
+    // members re-inserted under a fresh id, and 65 B-tree nodes fewer.
+    // 245 143 since Tier 1 reads its network operations off each call's
+    // removals and the ids it handed out, where each of its 1 000 calls
+    // collected the running synthetic ids into a fresh B-tree set (−1 998),
+    // and `Srt::build` keeps only positions (−3). The same in debug and
+    // release builds.
+    assert_eq!(allocs, 245_143);
 }
 
 #[test]
@@ -531,11 +544,16 @@ fn workload_a_cells_peak_at_a_pinned_number_of_live_bytes() {
     // Baseline, the 8 users' copies: a 2 040-byte B-tree leaf and 10 B of
     // selections) and Tier 1 keeps each user's query and synthetic id in one
     // B-tree (under TwoTier, one 192-byte leaf fewer, 88 B more in the other).
+    // It is 162 168 B and 112 209 B since queries flood with no pruning
+    // option and a fault plan has no region list (each of the 64 apps' query
+    // tables 40 B smaller, the plan 24 B: −2 584 B under Baseline, −2 816 B
+    // under TwoTier) and Tier 1 keeps no set of injected ids (TwoTier: one
+    // 104-byte B-tree leaf).
     // Both are the same in debug and release builds.
     let workload = workload_a();
     let cells = [
-        (Strategy::Baseline, 11_763, 164_752),
-        (Strategy::TwoTier, 5_981, 115_129),
+        (Strategy::Baseline, 11_763, 162_168),
+        (Strategy::TwoTier, 5_981, 112_209),
     ];
     for (strategy, frames, pinned) in cells {
         let config = ExperimentConfig {
@@ -567,11 +585,16 @@ fn the_papers_32x32_deployment_peaks_at_a_pinned_number_of_live_bytes() {
     // events instead of cloning it, and 1 417 457 B and 1 479 274 B until the
     // ledger kept no copy of a user's own injected query (Baseline, −2 050 B)
     // and Tier 1 kept its users in one B-tree of one record (TwoTier,
-    // −104 B). The same in debug and release builds.
+    // −104 B). They were 1 417 353 B and 1 477 224 B until queries flooded
+    // with no pruning option: a node's query table holds no pruning flag,
+    // relay-only list or boxed routing tree, 40 B less in each of the 1 024
+    // apps (40 960 B), and the peaks fell by 40 984 B and 46 040 B; TwoTier's
+    // fell 104 B more as Tier 1 stopped keeping a set of injected ids. The
+    // same in debug and release builds.
     let workload = workload_a();
     for (strategy, pinned) in [
-        (Strategy::TwoTier, 1_417_353),
-        (Strategy::Baseline, 1_477_224),
+        (Strategy::TwoTier, 1_376_265),
+        (Strategy::Baseline, 1_431_184),
     ] {
         let config = ExperimentConfig {
             strategy,
@@ -618,7 +641,10 @@ fn a_session_on_a_topology_override_holds_one_copy_of_it() {
     // simulator made 40 calls and held 43 490 bytes. The session held
     // 39 946 bytes until its 64 apps were 112 B smaller each (7 168 B): a
     // node's query table, DAG state and result buffers are flat vectors,
-    // where they were B-trees, per-neighbour vectors and hash tables.
+    // where they were B-trees, per-neighbour vectors and hash tables. It held
+    // 32 778 bytes until each app's query table was 40 B smaller again (no
+    // pruning flag, relay-only list or boxed routing tree: 2 560 B) and the
+    // fault plan it keeps lost its region list (24 B).
     let topo = Topology::random_uniform(64, 150.0, 50.0, 12).unwrap();
     let workload = workload_a();
     let config = ExperimentConfig {
@@ -628,7 +654,7 @@ fn a_session_on_a_topology_override_holds_one_copy_of_it() {
     };
     let (allocs, session) = allocs_during(|| RunSession::new(&config, &workload));
     let held = bytes_freed_by(|| drop(session));
-    assert_eq!((allocs, held), (36, 32_778));
+    assert_eq!((allocs, held), (36, 30_194));
 }
 
 #[test]

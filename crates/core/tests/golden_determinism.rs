@@ -102,7 +102,7 @@ fn workload_a_metrics_match_golden_snapshot() {
 
 fn golden_big_cell(strategy: Strategy) -> MetricsSnapshot {
     // The big-grid cell: Workload A on a 32×32 grid (1024 nodes), long
-    // enough for SRT dissemination, several epoch rounds and retransmission
+    // enough for query floods, several epoch rounds and retransmission
     // traffic. Generated from the engine as of PR 6 (all-pairs O(n²)
     // topology build, before the big-grid rework), so a passing run proves
     // the event queue — any queue popping in `(time, seq)` order — and the

@@ -1,15 +1,11 @@
 //! End-to-end region-based queries (§3.2.2's "region-based query" case):
-//! spatial restriction, correct answers across strategies, rewriting with
-//! region-union carriers, and spatial SRT pruning.
+//! spatial restriction, correct answers across strategies, and rewriting
+//! with region-union carriers. Both tiers flood such queries, as they do
+//! every query.
 
-use ttmqo_core::{
-    run_experiment, ExperimentConfig, Strategy, TtmqoApp, TtmqoConfig, WorkloadEvent,
-};
+use ttmqo_core::{run_experiment, ExperimentConfig, Strategy, WorkloadEvent};
 use ttmqo_query::{parse_query, EpochAnswer, Query, QueryId};
-use ttmqo_sim::{
-    MsgKind, NodeId, RadioParams, SimConfig, SimTime, Simulator, Topology, UniformField,
-};
-use ttmqo_tinydb::Command;
+use ttmqo_sim::{RadioParams, SimConfig, SimTime};
 
 fn q(id: u64, text: &str) -> Query {
     parse_query(QueryId(id), text).unwrap()
@@ -34,23 +30,35 @@ fn config(strategy: Strategy, epochs: u64) -> ExperimentConfig {
 const NW_REGION: &str = "region(0, 0, 30, 30)";
 
 #[test]
-fn region_restricts_the_answer_set() {
-    let workload = vec![WorkloadEvent::pose(
-        0,
-        q(
-            1,
-            &format!("select nodeid, light where {NW_REGION} epoch duration 2048"),
-        ),
-    )];
-    let report = run_experiment(&config(Strategy::Baseline, 12), &workload);
-    let answers = &report.answers[&QueryId(1)];
-    assert!(answers.len() >= 8);
-    for (epoch, answer) in answers.iter().filter(|(e, _)| *e >= 2 * 2048) {
-        let EpochAnswer::Rows(rows) = answer else {
-            panic!("expected rows")
-        };
-        let ids: Vec<u16> = rows.iter().map(|r| r.node).collect();
-        assert_eq!(ids, vec![1, 4, 5], "epoch {epoch}: exactly the NW corner");
+fn a_flooded_region_or_nodeid_query_answers_from_exactly_the_nodes_it_selects() {
+    // Both apps flood the query to every node; every steady epoch holds a
+    // row from each node it selects and from no other.
+    let restrictions = [(NW_REGION, [1, 4, 5]), ("1 <= nodeid <= 3", [1, 2, 3])];
+    for (restriction, selected) in restrictions {
+        let text = format!("select nodeid, light where {restriction} epoch duration 2048");
+        let workload = vec![WorkloadEvent::pose(0, q(1, &text))];
+        for strategy in [Strategy::Baseline, Strategy::InNetOnly] {
+            let config = ExperimentConfig {
+                field_seed: 5,
+                ..config(strategy, 12)
+            };
+            let report = run_experiment(&config, &workload);
+            let answers = &report.answers[&QueryId(1)];
+            assert!(answers.len() >= 8, "{strategy}, {restriction}");
+            for (epoch, answer) in answers.iter().filter(|(e, _)| *e >= 2 * 2048) {
+                let EpochAnswer::Rows(rows) = answer else {
+                    panic!("expected rows")
+                };
+                let ids: Vec<u16> = rows.iter().map(|r| r.node).collect();
+                assert_eq!(ids, selected, "{strategy}, {restriction}, epoch {epoch}");
+            }
+            // Tier 2's nodes that the query never selects nap between
+            // firings (§3.2.2); TinyDB has no sleep mode.
+            if strategy == Strategy::InNetOnly {
+                let slept = report.metrics.total_sleep_ms();
+                assert!(slept > 0.0, "{restriction}: no node slept");
+            }
+        }
     }
 }
 
@@ -198,57 +206,5 @@ fn disjoint_region_aggregations_stay_separate() {
         report.avg_synthetic_count > 1.8,
         "different-region MAX queries must stay apart: {}",
         report.avg_synthetic_count
-    );
-}
-
-#[test]
-fn spatial_srt_prunes_dissemination() {
-    let topo = Topology::grid(4).unwrap();
-    let run = |srt: bool| {
-        let mut sim = Simulator::new(
-            topo.clone(),
-            RadioParams::lossless(),
-            SimConfig {
-                maintenance_interval_ms: None,
-                ..SimConfig::default()
-            },
-            Box::new(UniformField::new(3)),
-            move |_, _| {
-                TtmqoApp::new(TtmqoConfig {
-                    srt,
-                    ..TtmqoConfig::default()
-                })
-            },
-        );
-        sim.schedule_command(
-            SimTime::ZERO,
-            NodeId::BASE_STATION,
-            Command::Pose(q(
-                1,
-                &format!("select light where {NW_REGION} epoch duration 2048"),
-            )),
-        );
-        sim.run_until(SimTime::from_ms(8 * 2048));
-        let answers: Vec<_> = sim
-            .outputs()
-            .iter()
-            .filter_map(|o| match &o.output {
-                ttmqo_tinydb::Output::Answer {
-                    epoch_ms, answer, ..
-                } if *epoch_ms >= 4096 => Some((*epoch_ms, answer.clone())),
-                _ => None,
-            })
-            .collect();
-        (sim.metrics().tx_count(MsgKind::QueryPropagation), answers)
-    };
-    let (flood, flood_answers) = run(false);
-    let (pruned, pruned_answers) = run(true);
-    assert!(
-        pruned < flood,
-        "spatial SRT must prune: {pruned} !< {flood}"
-    );
-    assert_eq!(
-        flood_answers, pruned_answers,
-        "pruning must not change answers"
     );
 }

@@ -171,7 +171,7 @@ fn optimized_strategies_cost_less_on_similar_workload() {
 
 #[test]
 fn unshared_tier_2_pays_two_bytes_more_per_row_frame_than_baseline() {
-    // A named deviation (EXPERIMENTS.md deviation 5, ROADMAP item 5): with
+    // A named deviation (EXPERIMENTS.md deviation 5): with
     // nothing to share, Tier 2 sends the frames TinyDB sends, but a
     // one-query row frame costs 8 + 2r bytes under `TtmqoPayload::wire_size`
     // against `TinyDbPayload::wire_size`'s 6 + 2r. Charging a served set of

@@ -94,14 +94,6 @@ impl Region {
             && self.y_max >= other.y_max
     }
 
-    /// Whether the two rectangles overlap (boundaries touching counts).
-    pub fn intersects(&self, other: &Region) -> bool {
-        self.x_min <= other.x_max
-            && other.x_min <= self.x_max
-            && self.y_min <= other.y_max
-            && other.y_min <= self.y_max
-    }
-
     /// The smallest rectangle containing both.
     pub fn union_cover(&self, other: &Region) -> Region {
         Region {
@@ -171,16 +163,11 @@ mod tests {
     }
 
     #[test]
-    fn containment_and_intersection() {
+    fn containment() {
         let big = r(0.0, 0.0, 100.0, 100.0);
         let small = r(10.0, 10.0, 20.0, 20.0);
-        let apart = r(200.0, 200.0, 300.0, 300.0);
         assert!(big.contains_region(&small));
         assert!(!small.contains_region(&big));
-        assert!(big.intersects(&small));
-        assert!(!big.intersects(&apart));
-        // Touching boundaries intersect.
-        assert!(r(0.0, 0.0, 10.0, 10.0).intersects(&r(10.0, 0.0, 20.0, 10.0)));
     }
 
     #[test]

@@ -706,7 +706,7 @@ impl<A: NodeApp> Simulator<A> {
                 self.schedule_recovery(SimTime::from_ms(r), c.node);
             }
         }
-        self.faults = plan.overlay(&self.topology);
+        self.faults = plan.overlay();
     }
 
     fn push_event(&mut self, time_us: u64, kind: EventKind<A::Command>) {
@@ -1170,7 +1170,7 @@ impl<A: NodeApp> Simulator<A> {
             self.radio.loss_rate
         };
         match &self.faults {
-            Some(overlay) => overlay.loss_prob(base, receiver.index(), self.now_us),
+            Some(overlay) => overlay.loss_prob(base, self.now_us),
             None => base,
         }
     }

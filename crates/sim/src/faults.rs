@@ -1,6 +1,5 @@
 //! Deterministic fault injection: scripted and randomly sampled node
-//! crashes/recoveries, link-quality degradation windows, and per-region
-//! loss-rate overrides.
+//! crashes/recoveries and link-quality degradation windows.
 //!
 //! The paper's evaluation assumes a lossless channel and immortal nodes
 //! (§4); a [`FaultPlan`] is how a run departs from that assumption in a
@@ -8,7 +7,7 @@
 //! it against a concrete [`Topology`] into a [`FaultSchedule`] (the exact
 //! crash/recovery timeline, sampled with the plan's own seed — never the
 //! simulation RNG) and [`Simulator::install_fault_plan`] applies it. The
-//! loss-side elements become an engine overlay consulted on the delivery
+//! degradation windows become an engine overlay consulted on the delivery
 //! path; crashes become [`Simulator::schedule_failure`] /
 //! [`Simulator::schedule_recovery`] events.
 //!
@@ -71,38 +70,6 @@ impl LinkDegradation {
     }
 }
 
-/// A rectangular region whose receivers see *at least* `loss_rate` during a
-/// time window (localized obstruction: machinery, a wall of rain). Node
-/// membership is decided once at materialization from node positions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RegionLossOverride {
-    /// Region lower-left corner, feet.
-    pub x0: f64,
-    /// Region lower-left corner, feet.
-    pub y0: f64,
-    /// Region upper-right corner, feet.
-    pub x1: f64,
-    /// Region upper-right corner, feet.
-    pub y1: f64,
-    /// Window start, ms (inclusive).
-    pub from_ms: u64,
-    /// Window end, ms (exclusive; `u64::MAX` = open-ended).
-    pub until_ms: u64,
-    /// Floor on the per-receiver loss probability inside the region.
-    pub loss_rate: f64,
-}
-
-impl RegionLossOverride {
-    fn contains_time(&self, t_us: u64) -> bool {
-        self.from_ms.saturating_mul(1000) <= t_us
-            && (self.until_ms == u64::MAX || t_us < self.until_ms.saturating_mul(1000))
-    }
-
-    fn contains_position(&self, x: f64, y: f64) -> bool {
-        self.x0 <= x && x <= self.x1 && self.y0 <= y && y <= self.y1
-    }
-}
-
 /// A deterministic, seedable description of everything that goes wrong
 /// during a run.
 ///
@@ -131,8 +98,6 @@ pub struct FaultPlan {
     pub random_crashes: Option<RandomCrashes>,
     /// Global link-quality degradation windows.
     pub degradations: Vec<LinkDegradation>,
-    /// Per-region loss-rate overrides.
-    pub region_overrides: Vec<RegionLossOverride>,
 }
 
 impl FaultPlan {
@@ -168,16 +133,13 @@ impl FaultPlan {
 
     /// Whether the plan injects nothing (the engine stays untouched).
     pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty()
-            && self.random_crashes.is_none()
-            && self.degradations.is_empty()
-            && self.region_overrides.is_empty()
+        self.crashes.is_empty() && self.random_crashes.is_none() && self.degradations.is_empty()
     }
 
-    /// Whether the plan carries any loss-side element (degradation windows
-    /// or region overrides) that needs the engine's delivery-path overlay.
+    /// Whether the plan carries any loss-side element (a degradation
+    /// window) that needs the engine's delivery-path overlay.
     pub fn has_loss_elements(&self) -> bool {
-        !self.degradations.is_empty() || !self.region_overrides.is_empty()
+        !self.degradations.is_empty()
     }
 
     /// Expands the plan against a topology into the concrete crash/recovery
@@ -208,27 +170,12 @@ impl FaultPlan {
         FaultSchedule { crashes }
     }
 
-    pub(crate) fn overlay(&self, topology: &Topology) -> Option<FaultOverlay> {
+    pub(crate) fn overlay(&self) -> Option<FaultOverlay> {
         if !self.has_loss_elements() {
             return None;
         }
-        let regions = self
-            .region_overrides
-            .iter()
-            .map(|r| {
-                let members = topology
-                    .nodes()
-                    .map(|id| {
-                        let p = topology.position(id);
-                        r.contains_position(p.x, p.y)
-                    })
-                    .collect();
-                (*r, members)
-            })
-            .collect();
         Some(FaultOverlay {
             degradations: self.degradations.clone(),
-            regions,
         })
     }
 }
@@ -267,28 +214,21 @@ impl FaultSchedule {
     }
 }
 
-/// The engine-side view of a plan's loss elements, precomputed so the
-/// delivery hot path does arithmetic only: window checks are integer
-/// compares, region membership is a per-node boolean lookup.
+/// The engine-side view of a plan's loss elements, so the delivery hot
+/// path does arithmetic only: window checks are integer compares.
 #[derive(Debug)]
 pub(crate) struct FaultOverlay {
     degradations: Vec<LinkDegradation>,
-    regions: Vec<(RegionLossOverride, Vec<bool>)>,
 }
 
 impl FaultOverlay {
-    /// Combines the radio's own loss probability with every active fault
-    /// element for `receiver` at `now_us`.
-    pub(crate) fn loss_prob(&self, base: f64, receiver: usize, now_us: u64) -> f64 {
+    /// Combines the radio's own loss probability with every degradation
+    /// window active at `now_us`.
+    pub(crate) fn loss_prob(&self, base: f64, now_us: u64) -> f64 {
         let mut p = base;
         for d in &self.degradations {
             if d.contains(now_us) {
                 p = 1.0 - (1.0 - p) * (1.0 - d.added_loss);
-            }
-        }
-        for (r, members) in &self.regions {
-            if members[receiver] && r.contains_time(now_us) {
-                p = p.max(r.loss_rate);
             }
         }
         p.clamp(0.0, 1.0)
@@ -316,7 +256,7 @@ mod tests {
         assert!(!plan.has_loss_elements());
         let topo = Topology::grid(4).unwrap();
         assert!(plan.materialize(&topo).crashes().is_empty());
-        assert!(plan.overlay(&topo).is_none());
+        assert!(plan.overlay().is_none());
     }
 
     #[test]
@@ -382,7 +322,6 @@ mod tests {
 
     #[test]
     fn degradation_window_compounds_loss_independently() {
-        let topo = Topology::grid(4).unwrap();
         let plan = FaultPlan {
             degradations: vec![LinkDegradation {
                 from_ms: 10,
@@ -391,12 +330,12 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let o = plan.overlay(&topo).unwrap();
+        let o = plan.overlay().unwrap();
         // Outside the window: base untouched.
-        assert_eq!(o.loss_prob(0.2, 0, 9_999), 0.2);
-        assert_eq!(o.loss_prob(0.2, 0, 20_000), 0.2);
+        assert_eq!(o.loss_prob(0.2, 9_999), 0.2);
+        assert_eq!(o.loss_prob(0.2, 20_000), 0.2);
         // Inside: 1 − (1−0.2)(1−0.5) = 0.6.
-        assert!((o.loss_prob(0.2, 0, 15_000) - 0.6).abs() < 1e-12);
+        assert!((o.loss_prob(0.2, 15_000) - 0.6).abs() < 1e-12);
         // Open-ended windows stay active.
         let open = FaultPlan {
             degradations: vec![LinkDegradation {
@@ -406,30 +345,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let o = open.overlay(&topo).unwrap();
-        assert_eq!(o.loss_prob(0.0, 0, u64::MAX - 1), 1.0);
-    }
-
-    #[test]
-    fn region_override_applies_to_members_only() {
-        let topo = Topology::grid(4).unwrap(); // 20 ft spacing
-        let plan = FaultPlan {
-            region_overrides: vec![RegionLossOverride {
-                x0: -1.0,
-                y0: -1.0,
-                x1: 25.0,
-                y1: 25.0, // covers nodes 0, 1, 4, 5
-                from_ms: 0,
-                until_ms: u64::MAX,
-                loss_rate: 0.9,
-            }],
-            ..FaultPlan::default()
-        };
-        let o = plan.overlay(&topo).unwrap();
-        assert_eq!(o.loss_prob(0.0, NodeId(5).index(), 1_000), 0.9);
-        // A floor, not a multiplier: a higher base survives.
-        assert_eq!(o.loss_prob(0.95, NodeId(5).index(), 1_000), 0.95);
-        // Node 15 at (60, 60) is outside the region.
-        assert_eq!(o.loss_prob(0.0, NodeId(15).index(), 1_000), 0.0);
+        let o = open.overlay().unwrap();
+        assert_eq!(o.loss_prob(0.0, u64::MAX - 1), 1.0);
     }
 }

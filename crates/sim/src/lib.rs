@@ -86,9 +86,7 @@ mod trace;
 pub use audit::{AuditCheck, AuditReport, AuditViolation};
 pub use energy::EnergyProfile;
 pub use engine::{Ctx, EngineStats, NodeApp, OutputRecord, SimConfig, Simulator};
-pub use faults::{
-    CrashEvent, FaultPlan, FaultSchedule, LinkDegradation, RandomCrashes, RegionLossOverride,
-};
+pub use faults::{CrashEvent, FaultPlan, FaultSchedule, LinkDegradation, RandomCrashes};
 pub use field::{ConstantField, CorrelatedField, SensorField, UniformField};
 pub use metrics::{
     gini, max_mean_ratio, CompletenessReport, Metrics, MetricsSnapshot, QueryCompleteness,

@@ -3,8 +3,8 @@
 
 use ttmqo_sim::{
     ConstantField, Ctx, Destination, EngineStats, FaultPlan, LinkDegradation, MetricsSnapshot,
-    MsgKind, NodeApp, NodeId, OutputRecord, Position, RadioParams, RandomCrashes,
-    RegionLossOverride, SimConfig, SimTime, Simulator, Topology,
+    MsgKind, NodeApp, NodeId, OutputRecord, Position, RadioParams, RandomCrashes, SimConfig,
+    SimTime, Simulator, Topology,
 };
 
 /// A scriptable test app: sends frames per a static script and records what
@@ -788,40 +788,6 @@ fn fault_plan_degradation_window_gates_delivery() {
         .collect();
     assert_eq!(tags, vec!["t500", "t4000"]);
     assert_eq!(sim.metrics().losses(), 1);
-}
-
-#[test]
-fn fault_plan_region_override_is_local() {
-    // Nodes 0-1-2 in a line; a certain-loss region covers only node 2, so
-    // node 1's broadcast reaches 0 but not 2.
-    let mut radio = RadioParams::lossless();
-    radio.max_retries = 0;
-    let mut sim = new_sim(line_topology(3, 20.0), radio);
-    sim.install_fault_plan(&FaultPlan {
-        region_overrides: vec![RegionLossOverride {
-            x0: 35.0,
-            y0: -5.0,
-            x1: 45.0,
-            y1: 5.0,
-            from_ms: 0,
-            until_ms: u64::MAX,
-            loss_rate: 1.0,
-        }],
-        ..FaultPlan::default()
-    });
-    sim.schedule_command(
-        SimTime::from_ms(10),
-        NodeId(1),
-        Cmd::Send {
-            dest: Destination::Broadcast,
-            kind: MsgKind::Result,
-            bytes: 4,
-            tag: "b".into(),
-        },
-    );
-    sim.run_until(SimTime::from_ms(1_000));
-    assert_eq!(sim.node(NodeId(0)).received.len(), 1);
-    assert!(sim.node(NodeId(2)).received.is_empty());
 }
 
 /// A busy 4×4 grid for the fault-plan tests: an RNG-drawing loss path,

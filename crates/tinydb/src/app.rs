@@ -27,14 +27,10 @@ use ttmqo_sim::{Ctx, Destination, MsgKind, NodeApp, NodeId, ProvenanceId, TraceE
 /// Timer-key kind of a query's sampling clock (low 4 bits of the key).
 const KIND_SAMPLE: u64 = 0;
 
-/// Per-node configuration of the baseline.
+/// Per-node configuration of the baseline: nothing to set, as the paper's
+/// flooding baseline has no options.
 #[derive(Debug, Clone, Default)]
-pub struct TinyDbConfig {
-    /// Whether the Semantic Routing Tree prunes the dissemination of
-    /// queries with `nodeid` predicates (TinyDB's SRT; off by default to
-    /// match the paper's flooding baseline).
-    pub srt: bool,
-}
+pub struct TinyDbConfig {}
 
 /// The baseline TinyDB-style node application.
 ///
@@ -44,8 +40,7 @@ pub struct TinyDbConfig {
 #[derive(Debug)]
 pub struct TinyDbApp {
     /// What this node knows per query id: the floods it heard and the
-    /// queries it runs (samples for; the base station: closes epochs of) or
-    /// only relays.
+    /// queries it runs (samples for; the base station: closes epochs of).
     floods: Floods,
     /// Partials and (base station only) rows per (query, epoch start ms).
     buffers: EpochBuffers,
@@ -63,9 +58,9 @@ impl TinyDbApp {
     };
 
     /// Creates a baseline node with the given configuration.
-    pub fn new(config: TinyDbConfig) -> Self {
+    pub fn new(_config: TinyDbConfig) -> Self {
         TinyDbApp {
-            floods: Floods::new(config.srt, Self::TAG.jitter_ms),
+            floods: Floods::new(Self::TAG.jitter_ms),
             buffers: EpochBuffers::default(),
             parent: None,
         }
@@ -76,19 +71,12 @@ impl TinyDbApp {
         self.floods.installed().map(Arc::as_ref)
     }
 
-    /// Queries this node relays the flood of but never runs: SRT-pruned
-    /// (for tests and inspection).
-    pub fn relay_only_queries(&self) -> impl Iterator<Item = &Query> {
-        self.floods.relay_only()
-    }
-
     /// Read-only view of the result buffers (for tests and inspection).
     pub fn buffers(&self) -> &EpochBuffers {
         &self.buffers
     }
 
-    /// A copy of `query`'s flood arrived: the first installs it where the
-    /// node may answer it.
+    /// A copy of `query`'s flood arrived: the first installs it.
     fn hear_query(&mut self, ctx: &mut Ctx<'_, TinyDbPayload, Output>, query: &Arc<Query>) {
         if !self.floods.on_query(ctx, query) {
             return;
@@ -254,7 +242,7 @@ impl NodeApp for TinyDbApp {
                 }
             }
             KIND_FLOOD_QUERY => {
-                if let Some(query) = self.floods.to_relay(qid) {
+                if let Some(query) = self.floods.running(qid).cloned() {
                     let payload = TinyDbPayload::Query(query);
                     let bytes = payload.wire_size();
                     ctx.send(

@@ -1,16 +1,13 @@
 //! Query dissemination, as both node applications do it: TinyDB-style
-//! flooding of query definitions and aborts, pruned by the Semantic Routing
-//! Tree when it is on (§3.2.2) — and the one table of what a node knows per
-//! query id.
+//! flooding of query definitions and aborts (both tiers flood, §3.2.2) — and
+//! the one table of what a node knows per query id.
 //!
 //! [`TinyDbApp`](crate::TinyDbApp) and the in-network tier's `TtmqoApp`
 //! differ in what a query frame carries and in what running a query means.
 //! Which copy of a flood a node relays, after how long, and which
-//! definitions it holds to run or only to relay, they do not differ in, so
-//! it exists once.
+//! definitions it holds, they do not differ in, so it exists once.
 
 use crate::buffers::timer_key;
-use crate::srt::Srt;
 use std::sync::Arc;
 use ttmqo_query::{Query, QueryId};
 use ttmqo_sim::Ctx;
@@ -45,19 +42,16 @@ fn find(defs: &[Def], qid: QueryId) -> Result<usize, usize> {
 
 /// One node's table of query ids: which of an id's two floods it heard
 /// (two independent facts, since a copy of either may arrive first), the
-/// definitions it runs or only relays, the in-network tier's has-data and
-/// requested marks — and the semantic routing tree that prunes query
-/// floods.
+/// definitions it runs, and the in-network tier's has-data and requested
+/// marks.
 ///
-/// Four sorted flat vectors: an id costs 9 bytes while only its marks are
+/// Three sorted flat vectors: an id costs 9 bytes while only its marks are
 /// left (a node remembers every id it ever heard a flood for, so that a
 /// late copy is not taken for a new query), and only the handful of
 /// definitions held pay 16 more. Every walk is in ascending id, the order
 /// in which the ids reach the radio.
 #[derive(Debug)]
 pub struct Floods {
-    /// Whether the SRT prunes dissemination.
-    srt: bool,
     /// Maximum random jitter before a re-broadcast, ms.
     jitter_ms: u64,
     /// Every id the node has marks for or runs, ascending.
@@ -67,86 +61,42 @@ pub struct Floods {
     /// The installed queries — the ones the node samples for (the base
     /// station: closes the epochs of) — ascending by id; each id is in `ids`.
     running: Vec<Def>,
-    /// Queries whose flood the node forwards although its id or position can
-    /// never satisfy them (SRT-pruned), held for the re-broadcast until
-    /// their abort; ascending by id.
-    relay_only: Vec<Def>,
-    /// Built at the first flood that consults it; boxed, so that a node
-    /// without pruning does not carry its size.
-    tree: Option<Box<Srt>>,
 }
 
 impl Floods {
-    /// An empty table: `srt` turns pruning on, and each re-broadcast waits
-    /// `1..=jitter_ms` ms.
-    pub fn new(srt: bool, jitter_ms: u64) -> Self {
+    /// An empty table; each re-broadcast waits `1..=jitter_ms` ms.
+    pub fn new(jitter_ms: u64) -> Self {
         Floods {
-            srt,
             jitter_ms,
             ids: Vec::new(),
             marks: Vec::new(),
             running: Vec::new(),
-            relay_only: Vec::new(),
-            tree: None,
         }
     }
 
     /// A copy of `query`'s flood arrived (at the base station: the query
-    /// was posed). The first copy arms the re-broadcast unless the SRT
-    /// prunes it here, and holds the definition for it if the node may not
-    /// run it. Returns whether this node should run the query: `true` only
-    /// for the first copy, and not where the SRT rules it out.
+    /// was posed). The first copy arms the re-broadcast. Returns whether
+    /// this node should run the query: `true` only for the first copy.
     pub fn on_query<P, O>(&mut self, ctx: &mut Ctx<'_, P, O>, query: &Arc<Query>) -> bool {
         let qid = query.id();
         // Only the first copy of a flood counts.
         if !self.first_copy(qid, HEARD_QUERY) {
             return false;
         }
-        let (forwards, matches) = if self.srt && !ctx.is_base_station() {
-            let (node, topo) = (ctx.node(), ctx.topology());
-            let tree = self.tree.get_or_insert_with(|| Srt::build(topo).into());
-            (tree.forwards(node, query), tree.node_matches(node, query))
-        } else {
-            (true, true)
-        };
-        if forwards {
-            self.arm(ctx, KIND_FLOOD_QUERY, qid);
-            if !matches {
-                self.hold_relay_only(query);
-            }
-        }
-        matches
+        self.arm(ctx, KIND_FLOOD_QUERY, qid);
+        true
     }
 
     /// A copy of `qid`'s abort flood arrived (at the base station: the
-    /// query was terminated). The first copy arms the re-broadcast and drops
-    /// a relay-only definition. Returns whether this node should stop
-    /// running the query: `true` only for the first copy.
+    /// query was terminated). The first copy arms the re-broadcast. Returns
+    /// whether this node should stop running the query: `true` only for the
+    /// first copy.
     pub fn on_abort<P, O>(&mut self, ctx: &mut Ctx<'_, P, O>, qid: QueryId) -> bool {
         if !self.first_copy(qid, HEARD_ABORT) {
             return false;
         }
         self.arm(ctx, KIND_FLOOD_ABORT, qid);
-        self.drop_relay_only(qid);
         true
-    }
-
-    /// Holds `query`'s definition to relay it only.
-    fn hold_relay_only(&mut self, query: &Arc<Query>) {
-        if let Err(at) = find(&self.relay_only, query.id()) {
-            let def = Def {
-                id: query.id(),
-                query: Arc::clone(query),
-            };
-            self.relay_only.insert(at, def);
-        }
-    }
-
-    /// Drops `qid`'s definition if the node holds it to relay it only.
-    fn drop_relay_only(&mut self, qid: QueryId) {
-        if let Ok(at) = find(&self.relay_only, qid) {
-            self.relay_only.remove(at);
-        }
     }
 
     /// Sets `kind`'s re-broadcast timer for `qid` after a short random
@@ -214,7 +164,9 @@ impl Floods {
         true
     }
 
-    /// The installed query `qid`, if the node runs it.
+    /// The installed query `qid`, if the node runs it: also the definition a
+    /// [`KIND_FLOOD_QUERY`] timer for `qid` re-broadcasts (none after the
+    /// query's abort).
     pub fn running(&self, qid: QueryId) -> Option<&Arc<Query>> {
         let at = find(&self.running, qid).ok()?;
         Some(&self.running[at].query)
@@ -230,20 +182,8 @@ impl Floods {
         self.running.is_empty()
     }
 
-    /// The definition a [`KIND_FLOOD_QUERY`] timer for `qid` re-broadcasts:
-    /// the one the node runs or only relays; `None` when it holds neither,
-    /// as after the query's abort.
-    pub fn to_relay(&self, qid: QueryId) -> Option<Arc<Query>> {
-        let relayed = || {
-            find(&self.relay_only, qid)
-                .ok()
-                .map(|at| &self.relay_only[at].query)
-        };
-        self.running(qid).or_else(relayed).cloned()
-    }
-
     /// Whether this node has heard either flood for `qid`: it then runs the
-    /// query, relays it only, was pruned from it, or saw it aborted.
+    /// query or saw it aborted.
     pub fn heard(&self, qid: QueryId) -> bool {
         self.marks_of(qid) & (HEARD_QUERY | HEARD_ABORT) != 0
     }
@@ -251,11 +191,6 @@ impl Floods {
     /// Whether this node has heard `qid`'s abort flood.
     pub fn aborted(&self, qid: QueryId) -> bool {
         self.marks_of(qid) & HEARD_ABORT != 0
-    }
-
-    /// The queries this node only relays (for tests and inspection).
-    pub fn relay_only(&self) -> impl Iterator<Item = &Query> {
-        self.relay_only.iter().map(|d| d.query.as_ref())
     }
 
     /// The queries marked as ones this node's latest readings satisfy,
@@ -304,8 +239,8 @@ impl Floods {
     }
 
     /// Whether to ask the neighbourhood for `qid`'s definition: not when
-    /// the node runs the query or heard a flood of it (it installed it, the
-    /// SRT pruned it here, or it was aborted), nor when it asked already.
+    /// the node runs the query or heard a flood of it (it installed it or it
+    /// was aborted), nor when it asked already.
     /// A `true` marks it asked.
     pub fn request(&mut self, qid: QueryId) -> bool {
         // Most ids a node hears traffic for are ones it runs: the handful of
@@ -327,12 +262,11 @@ mod tests {
     use ttmqo_query::parse_query;
 
     /// The table as the in-network tier kept it before it was one table:
-    /// which floods were heard, the relay-only and the installed
-    /// definitions, the has-data set and the requested set.
+    /// which floods were heard, the installed definitions, the has-data set
+    /// and the requested set.
     #[derive(Default)]
     struct Model {
         heard: BTreeMap<QueryId, (bool, bool)>,
-        relay_only: BTreeMap<QueryId, Arc<Query>>,
         queries: BTreeMap<QueryId, Arc<Query>>,
         has_data: BTreeSet<QueryId>,
         requested: BTreeSet<QueryId>,
@@ -345,11 +279,6 @@ mod tests {
             ids(&mut table.installed().map(|q| q.id())),
             ids(&mut model.queries.keys().copied()),
             "installed at step {step}"
-        );
-        assert_eq!(
-            ids(&mut table.relay_only().map(|q| q.id())),
-            ids(&mut model.relay_only.keys().copied()),
-            "relay-only at step {step}"
         );
         assert_eq!(
             ids(&mut table.has_data()),
@@ -368,15 +297,13 @@ mod tests {
                 table.running(qid).map(|q| q.id()),
                 model.queries.get(&qid).map(|q| q.id())
             );
-            let relay = model.queries.get(&qid).or(model.relay_only.get(&qid));
-            assert_eq!(table.to_relay(qid).map(|q| q.id()), relay.map(|q| q.id()));
         }
     }
 
     #[test]
     fn one_table_matches_the_maps_and_sets_it_replaced() {
         // Replay one deterministic pseudo-random stream of installs,
-        // relay-only holds, flood copies, requests, has-data marks and
+        // flood copies, requests, has-data marks and
         // uninstalls through the table and through the B-trees it replaced,
         // and demand the same answer to every lookup and the same order of
         // every walk after each step. Ids come from a range small enough
@@ -394,36 +321,30 @@ mod tests {
                 Arc::new(parse_query(QueryId(i * 7 % 96), &text).unwrap())
             })
             .collect();
-        let (mut table, mut model) = (Floods::new(false, 24), Model::default());
+        let (mut table, mut model) = (Floods::new(24), Model::default());
         let mut asked = 0;
         for step in 0..8_000 {
             let q = &qids[(rand() % qids.len() as u64) as usize];
             let qid = q.id();
             match rand() % 9 {
-                // A flood copy: the first one counts, and the SRT may leave
-                // the definition to be relayed only.
+                // A flood copy: the first one counts.
                 0 => {
                     let seen = model.heard.entry(qid).or_default();
                     let first = !std::mem::replace(&mut seen.0, true);
                     assert_eq!(table.first_copy(qid, HEARD_QUERY), first, "step {step}");
-                    if first && rand() % 3 == 0 {
-                        model.relay_only.insert(qid, Arc::clone(q));
-                        table.hold_relay_only(q);
-                    } else if first {
+                    if first {
                         let new = !model.queries.contains_key(&qid);
                         model.queries.entry(qid).or_insert_with(|| Arc::clone(q));
                         assert_eq!(table.install(q), new, "step {step}");
                     }
                 }
-                // An abort copy: the first one drops what is held, and the
-                // in-network tier's has-data mark with a query it ran.
+                // An abort copy: the first one drops what is run, and the
+                // in-network tier's has-data mark with it.
                 1 => {
                     let seen = model.heard.entry(qid).or_default();
                     let first = !std::mem::replace(&mut seen.1, true);
                     assert_eq!(table.first_copy(qid, HEARD_ABORT), first, "step {step}");
                     if first {
-                        model.relay_only.remove(&qid);
-                        table.drop_relay_only(qid);
                         let ran = model.queries.remove(&qid).is_some();
                         assert_eq!(table.uninstall(qid), ran, "step {step}");
                         if ran {
@@ -472,6 +393,6 @@ mod tests {
             assert_same(&table, &model, &qids, step);
         }
         assert!(asked > 10, "{asked} requests");
-        assert!(model.relay_only.len() + model.queries.len() > 0);
+        assert!(!model.queries.is_empty());
     }
 }

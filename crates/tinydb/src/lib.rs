@@ -42,16 +42,16 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod answer_set;
 mod app;
 mod buffers;
 mod flood;
 mod messages;
-mod srt;
 
+pub use answer_set::Srt;
 pub use app::{TinyDbApp, TinyDbConfig};
 pub use buffers::{
     in_region, timer_key, timer_key_parts, EpochBuffers, TagSlots, KIND_CLOSE, KIND_SLOT,
 };
 pub use flood::{Floods, KIND_FLOOD_ABORT, KIND_FLOOD_QUERY};
 pub use messages::{Command, Output, TinyDbPayload};
-pub use srt::Srt;

@@ -385,7 +385,7 @@ const CODE: [&str; 3] = ["crates", "src", "examples"];
 
 /// Mechanisms the documents describe as deleted: they may be named, and must
 /// not exist.
-const GONE: [&str; 22] = [
+const GONE: [&str; 24] = [
     "CampaignReport::rollup",
     "CampaignSpec::warm_start",
     "CorrelatedField::with_strengths",
@@ -401,10 +401,12 @@ const GONE: [&str; 22] = [
     "OptimizerOptions::rank_by_rate",
     "Probe::trace_event",
     "QueryCompleteness::missing_epochs",
+    "Region::intersects",
     "RunSession::now",
     "RunSession::replace_fault_plan",
     "SelectivityEstimator::observation_count",
     "Simulator::replace_fault_plan",
+    "Srt::forwards",
     "Topology::nodes_within",
     "TtmqoConfig::dead_parent_after",
     "TtmqoConfig::query_recovery",
@@ -502,8 +504,9 @@ fn collect_members(dir: &Path, members: &mut BTreeMap<String, BTreeSet<String>>)
             if lines[i..i + open]
                 .iter()
                 .any(|l| l.trim_end().ends_with(';'))
+                || line.trim_end().ends_with("{}")
             {
-                continue; // a unit or tuple struct, or a one-line item
+                continue; // a unit, tuple or empty struct, or a one-line item
             }
             let header = lines[i..=i + open].join(" ");
             let Some(ty) = declared_type(&header) else {
@@ -629,4 +632,39 @@ fn nothing_the_documents_call_gone_exists() {
             "`{name}` is back in the code: take it off GONE"
         );
     }
+}
+
+/// A numbered ROADMAP entry moves whenever the roadmap is rewritten, so the
+/// documents that describe the code and the code itself name the pinned
+/// test or the EXPERIMENTS.md deviation instead. ROADMAP.md and CHANGES.md
+/// may cite their own numbers; `benchmark/` and `vendor/` are not ours to
+/// edit here.
+#[test]
+fn no_document_or_program_file_points_at_a_roadmap_item_by_number() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut code = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        text_files(&repo.join(dir), &mut code);
+    }
+    let rust = code
+        .into_iter()
+        .filter(|f| f.extension().is_some_and(|e| e == "rs"));
+    let files: Vec<_> = DOCS.iter().map(|doc| repo.join(doc)).chain(rust).collect();
+    let needle = concat!("ROADMAP", " item");
+    let mut pointers = Vec::new();
+    for file in &files {
+        let text = fs::read_to_string(file).unwrap();
+        for (n, line) in text.lines().enumerate() {
+            if line.contains(needle) {
+                pointers.push(format!("{}:{}", file.display(), n + 1));
+            }
+        }
+    }
+    // The scan reads the three documents and every Rust file of the crates.
+    assert!(files.len() > 50, "only {} files scanned", files.len());
+    assert!(
+        pointers.is_empty(),
+        "name the pinned test or the deviation instead:\n{}",
+        pointers.join("\n")
+    );
 }

@@ -194,9 +194,11 @@ fn assert_optimizer_invariants(opt: &BaseStationOptimizer, live: &[Query]) {
 
 /// Inserts query `i` built from `(selections[i], predicates[i], epochs[i])`
 /// for every index all three lists have, then terminates by `kill_order`
-/// (positions in the shrinking live list; out-of-range ones are skipped),
-/// checking coverage after every step and that the network-op stream only
-/// ever aborts what it injected.
+/// (positions in the shrinking live list; an out-of-range one instead
+/// re-optimizes the synthetic query serving live query `k % len`), checking
+/// coverage after every step, that the network-op stream only ever aborts
+/// what it injected, and that what it injected and did not abort is the
+/// optimizer's synthetic set.
 fn check_interleaving(
     selections: &[Selection],
     predicates: &[PredicateSet],
@@ -208,7 +210,9 @@ fn check_interleaving(
     let mut live: Vec<Query> = Vec::new();
     let mut injected: std::collections::BTreeSet<QueryId> = Default::default();
 
-    let apply_ops = |ops: Vec<NetworkOp>, injected: &mut std::collections::BTreeSet<QueryId>| {
+    let apply_ops = |ops: Vec<NetworkOp>,
+                     opt: &BaseStationOptimizer,
+                     injected: &mut std::collections::BTreeSet<QueryId>| {
         for op in ops {
             match op {
                 NetworkOp::Inject(q) => {
@@ -219,6 +223,9 @@ fn check_interleaving(
                 }
             }
         }
+        // What the network was told to run is what the optimizer runs.
+        let running = opt.synthetic_queries().map(|q| q.id());
+        prop_assert!(injected.iter().copied().eq(running), "injected ≠ running");
         Ok(())
     };
 
@@ -232,21 +239,23 @@ fn check_interleaving(
         .expect("valid");
         live.push(q.clone());
         let ops = opt.insert(q).expect("unique ids");
-        apply_ops(ops, &mut injected)?;
+        apply_ops(ops, &opt, &mut injected)?;
         assert_optimizer_invariants(&opt, &live);
     }
     for &k in kill_order {
-        if k < live.len() {
-            let q = live.remove(k);
-            let ops = opt.terminate(q.id());
-            apply_ops(ops, &mut injected)?;
-            assert_optimizer_invariants(&opt, &live);
-        }
+        let ops = if k < live.len() {
+            opt.terminate(live.remove(k).id())
+        } else if !live.is_empty() {
+            let syn = opt
+                .mapping(live[k % live.len()].id())
+                .expect("a live query is served");
+            opt.reoptimize(syn)
+        } else {
+            continue;
+        };
+        apply_ops(ops, &opt, &mut injected)?;
+        assert_optimizer_invariants(&opt, &live);
     }
-    // The injected set equals the optimizer's synthetic set at all times.
-    let current: std::collections::BTreeSet<QueryId> =
-        opt.synthetic_queries().map(|q| q.id()).collect();
-    prop_assert_eq!(injected, current);
     Ok(())
 }
 
