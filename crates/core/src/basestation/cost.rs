@@ -49,9 +49,6 @@ pub struct CostModel {
     /// Selectivity estimator (`sel(q, ·)` — one distribution for all levels,
     /// as in the paper's experiments).
     estimator: SelectivityEstimator,
-    /// Sensing-node positions for region-clause selectivity (empty = regions
-    /// are conservatively assumed to cover everything).
-    positions: Vec<(f64, f64)>,
 }
 
 impl CostModel {
@@ -67,14 +64,13 @@ impl CostModel {
             c_trans,
             levels,
             estimator,
-            positions: Vec::new(),
         }
     }
 
-    /// Registers the deployment's sensing-node positions so region clauses
-    /// get exact selectivity (the fraction of nodes inside the rectangle).
-    pub fn with_positions(mut self, positions: Vec<(f64, f64)>) -> Self {
-        self.positions = positions;
+    /// Returns the model unchanged: no query restricts by position, so
+    /// node positions weigh in no estimate. Kept because the repo benchmark
+    /// calls it; it can go when the benchmark may be edited.
+    pub fn with_positions(self, _positions: Vec<(f64, f64)>) -> Self {
         self
     }
 
@@ -90,21 +86,9 @@ impl CostModel {
         self.estimator.observe(attr, value);
     }
 
-    /// Estimated selectivity of the query's predicates (region clause
-    /// included when positions are registered).
+    /// Estimated selectivity of the query's predicates.
     pub fn selectivity(&self, q: &Query) -> f64 {
-        let mut sel = self.estimator.selectivity(q.predicates());
-        if let Some(region) = q.region() {
-            if !self.positions.is_empty() {
-                let inside = self
-                    .positions
-                    .iter()
-                    .filter(|&&(x, y)| region.contains(x, y))
-                    .count();
-                sel *= inside as f64 / self.positions.len() as f64;
-            }
-        }
-        sel
+        self.estimator.selectivity(q.predicates())
     }
 
     /// Eq. (1): result messages generated per ms by level `k`.

@@ -25,11 +25,9 @@ use ttmqo_query::{aggregate_rows, Attribute, EpochAnswer, Query, RowRef, Selecti
 /// all (which indicates an optimizer bug — the synthetic must cover its
 /// members).
 ///
-/// `position_of` maps a raw node id to its `(x, y)` position for
-/// region-based queries: rows from outside the user's region clause are
-/// filtered out (the base station knows every node's deployment position).
-/// Returning `None` for an unknown node keeps the row only if the user query
-/// has no region clause. The one-member case of [`map_epoch_answers_at`].
+/// The one-member case of [`map_epoch_answers_at`]. `position_of` is
+/// ignored: no query restricts by position. It is kept because the repo
+/// benchmark passes it; it can go when the benchmark may be edited.
 ///
 /// # Examples
 ///
@@ -44,7 +42,7 @@ use ttmqo_query::{aggregate_rows, Attribute, EpochAnswer, Query, RowRef, Selecti
 /// readings.set(Attribute::Light, 700.0);
 /// readings.set(Attribute::Temp, 20.0);
 /// let rows = EpochAnswer::Rows(RowSet::new(4096, [Row { node: 3, time_ms: 4096, readings }]));
-/// let nowhere = |_| None; // no region clause: positions are not needed
+/// let nowhere = |_| None; // ignored
 ///
 /// // At t=4096 (a user epoch) the qualifying row is re-filtered & projected.
 /// match map_epoch_answer_at(&user, &synthetic, 4096, &rows, &nowhere).unwrap() {
@@ -64,11 +62,11 @@ pub fn map_epoch_answer_at(
     synthetic: &Query,
     epoch_ms: u64,
     answer: &EpochAnswer,
-    position_of: &dyn Fn(u16) -> Option<(f64, f64)>,
+    _position_of: &dyn Fn(u16) -> Option<(f64, f64)>,
 ) -> Option<EpochAnswer> {
     let mut mapped = None;
     let member = || iter::once((user, synthetic));
-    map_epoch_answers_at(member, epoch_ms, answer, position_of, |_, a| {
+    map_epoch_answers_at(member, epoch_ms, answer, |_, a| {
         mapped = Some(a);
     });
     mapped
@@ -88,7 +86,6 @@ pub fn map_epoch_answers_at<'q, I>(
     members: impl Fn() -> I,
     epoch_ms: u64,
     answer: &EpochAnswer,
-    position_of: &dyn Fn(u16) -> Option<(f64, f64)>,
     mut emit: impl FnMut(&'q Query, EpochAnswer),
 ) where
     I: Iterator<Item = (&'q Query, &'q Query)>,
@@ -113,7 +110,7 @@ pub fn map_epoch_answers_at<'q, I>(
     };
     let selections = due().filter_map(|(user, _)| match user.selection() {
         Selection::Attributes(attrs) => {
-            let keep = move |r: RowRef<'_>| keeps(user, position_of, r);
+            let keep = move |r: RowRef<'_>| keeps(user, r);
             Some((attrs.iter().collect(), keep))
         }
         Selection::Aggregates(_) => None,
@@ -125,7 +122,7 @@ pub fn map_epoch_answers_at<'q, I>(
                 EpochAnswer::Rows(views.next().expect("one view per acquisition member"))
             }
             Selection::Aggregates(aggs) => {
-                let kept = rows.refs().filter(|&r| keeps(user, position_of, r));
+                let kept = rows.refs().filter(|&r| keeps(user, r));
                 EpochAnswer::Aggregates(aggregate_rows(kept, aggs))
             }
         };
@@ -134,22 +131,18 @@ pub fn map_epoch_answers_at<'q, I>(
 }
 
 /// Whether a row of the synthetic stream satisfies the user's own
-/// predicates and region clause.
-fn keeps(user: &Query, position_of: &dyn Fn(u16) -> Option<(f64, f64)>, row: RowRef<'_>) -> bool {
-    let in_region = user
-        .region()
-        .is_none_or(|reg| position_of(row.node()).is_some_and(|(x, y)| reg.contains(x, y)));
-    in_region
-        && user.predicates().matches_with(|attr| {
-            // `nodeid` is the row's identity, not a sensed reading — it never
-            // travels in the readings map. Any other missing attribute fails
-            // the predicate; the optimizer's needed-attribute rule ensures
-            // re-filter attributes travel with the row.
-            if attr == Attribute::NodeId {
-                return f64::from(row.node());
-            }
-            row.get(attr).unwrap_or(f64::NAN)
-        })
+/// predicates.
+fn keeps(user: &Query, row: RowRef<'_>) -> bool {
+    user.predicates().matches_with(|attr| {
+        // `nodeid` is the row's identity, not a sensed reading — it never
+        // travels in the readings map. Any other missing attribute fails
+        // the predicate; the optimizer's needed-attribute rule ensures
+        // re-filter attributes travel with the row.
+        if attr == Attribute::NodeId {
+            return f64::from(row.node());
+        }
+        row.get(attr).unwrap_or(f64::NAN)
+    })
 }
 
 #[cfg(test)]
@@ -157,7 +150,7 @@ mod tests {
     use super::*;
     use ttmqo_query::{parse_query, AggOp, QueryId, Readings, Row, RowSet};
 
-    /// No node has a position: none of these queries has a region clause.
+    /// `map_epoch_answer_at` ignores positions.
     const NOWHERE: &dyn Fn(u16) -> Option<(f64, f64)> = &|_| None;
 
     fn q(id: u64, text: &str) -> Query {
@@ -306,10 +299,7 @@ mod tests {
                 "select max(light), count(temp) where light >= 150 epoch duration 2048",
             ),
             q(5, "select light epoch duration 4096"),
-            q(
-                6,
-                "select temp where region(0, 0, 2, 1) epoch duration 2048",
-            ),
+            q(6, "select temp where nodeid <= 2 epoch duration 2048"),
             q(7, "select light where light >= 999 epoch duration 2048"),
             q(8, "select light, temp, humidity epoch duration 2048"),
         ];
@@ -321,19 +311,16 @@ mod tests {
             }
             r
         }));
-        // Node n stands at (n, 0).
-        let position_of = |node: u16| Some((f64::from(node), 0.0));
         let members = || users.iter().map(|u| (u, &synthetic));
         for epoch_ms in [2048, 4096] {
             let mut all = Vec::new();
-            map_epoch_answers_at(members, epoch_ms, &answer, &position_of, |u, a| {
+            map_epoch_answers_at(members, epoch_ms, &answer, |u, a| {
                 all.push((u.id(), a));
             });
             let alone: Vec<_> = users
                 .iter()
                 .filter_map(|u| {
-                    let mapped =
-                        map_epoch_answer_at(u, &synthetic, epoch_ms, &answer, &position_of);
+                    let mapped = map_epoch_answer_at(u, &synthetic, epoch_ms, &answer, NOWHERE);
                     Some((u.id(), mapped?))
                 })
                 .collect();

@@ -14,7 +14,7 @@ use crate::basestation::synthetic::{Demand, SyntheticQuery};
 use std::collections::BTreeMap;
 use std::fmt;
 use ttmqo_query::{integrate, Attribute, Query, QueryId};
-use ttmqo_sim::{NodeId, RadioParams, Topology, TraceEvent, TraceHandle};
+use ttmqo_sim::{RadioParams, Topology, TraceEvent, TraceHandle};
 use ttmqo_stats::{EmpiricalDistribution, LevelStats, SelectivityEstimator};
 
 /// First id handed to synthetic queries; user query ids must stay below it.
@@ -180,7 +180,7 @@ impl BaseStationOptimizer {
     /// value statistics, an empirical `nodeid` model over the ids actually
     /// deployed (a uniform model over the whole id domain would wildly
     /// overestimate a `nodeid` predicate's selectivity on a small
-    /// deployment), and the sensing nodes' positions for region clauses.
+    /// deployment).
     pub fn for_topology(topo: &Topology, radio: &RadioParams, options: OptimizerOptions) -> Self {
         let levels = LevelStats::from_levels(topo.levels().iter().copied());
         let mut estimator = SelectivityEstimator::uniform();
@@ -192,16 +192,7 @@ impl BaseStationOptimizer {
                 (1..topo.node_count()).map(|i| i as f64),
             )),
         );
-        let positions = topo
-            .nodes()
-            .filter(|n| *n != NodeId::BASE_STATION)
-            .map(|n| {
-                let p = topo.position(n);
-                (p.x, p.y)
-            })
-            .collect();
-        let model = CostModel::new(radio.startup_ms, radio.per_byte_ms, levels, estimator)
-            .with_positions(positions);
+        let model = CostModel::new(radio.startup_ms, radio.per_byte_ms, levels, estimator);
         Self::with_options(model, options)
     }
 

@@ -22,8 +22,8 @@ use ttmqo_query::{
 };
 use ttmqo_sim::{Ctx, Destination, MsgKind, NodeApp, NodeId, ProvenanceId, Topology, TraceEvent};
 use ttmqo_tinydb::{
-    in_region, timer_key, timer_key_parts, Command, EpochBuffers, Floods, Output, TagSlots,
-    KIND_CLOSE, KIND_FLOOD_ABORT, KIND_FLOOD_QUERY, KIND_SLOT,
+    timer_key, timer_key_parts, Command, EpochBuffers, Floods, Output, TagSlots, KIND_CLOSE,
+    KIND_FLOOD_ABORT, KIND_FLOOD_QUERY, KIND_SLOT,
 };
 
 const K_CLOCK: u64 = 0;
@@ -224,13 +224,10 @@ impl TtmqoApp {
         }
 
         // §3.2.1 — shared data acquisition: sample the union of the due
-        // queries' attributes exactly once (region-excluded queries can
-        // never match here, so their attributes are not worth sampling).
+        // queries' attributes exactly once.
         let mut union_attrs = AttrSet::new();
         for q in due(&self.floods, t_ms) {
-            if in_region(ctx, q) {
-                union_attrs.extend(q.sampled_attributes());
-            }
+            union_attrs.extend(q.sampled_attributes());
         }
         let mut readings = Readings::new();
         for attr in union_attrs {
@@ -253,9 +250,9 @@ impl TtmqoApp {
                 return None;
             }
             aggregation_due |= q.is_aggregation();
-            let matches = in_region(ctx, q)
-                && q.predicates()
-                    .matches_with(|attr| readings.get(attr).unwrap_or(f64::NAN));
+            let matches = q
+                .predicates()
+                .matches_with(|attr| readings.get(attr).unwrap_or(f64::NAN));
             if !matches {
                 return Some(false);
             }
@@ -643,10 +640,9 @@ impl NodeApp for TtmqoApp {
                         let v = ctx.read_sensor(attr);
                         readings.set(attr, v);
                     }
-                    let matches = in_region(ctx, &query)
-                        && query
-                            .predicates()
-                            .matches_with(|attr| readings.get(attr).expect("attributes sampled"));
+                    let matches = query
+                        .predicates()
+                        .matches_with(|attr| readings.get(attr).expect("attributes sampled"));
                     self.floods.set_has_data(qid, matches);
                 }
                 let payload = TtmqoPayload::Query {

@@ -117,16 +117,12 @@ impl TtmqoPayload {
     pub fn wire_size(&self) -> usize {
         match self {
             TtmqoPayload::Query { query, has_data } => {
-                8 + 4 * query.predicates().len()
-                    + if query.region().is_some() { 8 } else { 0 }
-                    + 2 * has_data.len()
+                8 + 4 * query.predicates().len() + 2 * has_data.len()
             }
             TtmqoPayload::Abort(_) => 2,
             TtmqoPayload::NoRoute => 1,
             TtmqoPayload::QueryRequest(_) => 2,
-            TtmqoPayload::QueryShare(query) => {
-                8 + 4 * query.predicates().len() + if query.region().is_some() { 8 } else { 0 }
-            }
+            TtmqoPayload::QueryShare(query) => 8 + 4 * query.predicates().len(),
             TtmqoPayload::Wakeup { has_data } => 1 + 2 * has_data.len(),
             TtmqoPayload::SharedRows {
                 entry, assignments, ..

@@ -621,9 +621,10 @@ fn build_sim(config: &ExperimentConfig, topo: Topology) -> SimKind {
 /// again is a replay: a fresh session and `run_to(t)`.
 pub struct RunSession {
     config: ExperimentConfig,
-    /// The events still to apply, in the order the run applies them. Each
-    /// is taken out once applied: a posed query moves into the ledger.
-    events: std::vec::IntoIter<WorkloadEvent>,
+    /// The events still to apply, last first: the run pops each as it
+    /// applies it (a posed query moves into the ledger), and the buffer
+    /// shrinks as it empties.
+    events: Vec<WorkloadEvent>,
     sim: SimKind,
     optimizer: Option<BaseStationOptimizer>,
     /// Materialized fault schedule (completeness expectations).
@@ -669,7 +670,7 @@ impl RunSession {
     ///
     /// Panics if the grid cannot be constructed (e.g. `grid_n == 0`).
     pub fn new(config: &ExperimentConfig, workload: &[WorkloadEvent]) -> RunSession {
-        let events = Self::prepare_events(config, workload).into_iter();
+        let events = Self::prepare_events(config, workload);
         // The simulator keeps the run's one topology: an override moves out
         // of the session's copy of the config into it.
         let mut config = config.clone();
@@ -706,14 +707,15 @@ impl RunSession {
         }
     }
 
-    /// Sorts the workload and drops events the run can never observe. An
-    /// event scheduled at or past `duration` would push the time-weighted
-    /// accounting past the measured window (and underflow the
-    /// `duration − last_event` interval).
+    /// Sorts the workload, last event first, and drops events the run can
+    /// never observe. An event scheduled at or past `duration` would push
+    /// the time-weighted accounting past the measured window (and underflow
+    /// the `duration − last_event` interval).
     fn prepare_events(config: &ExperimentConfig, workload: &[WorkloadEvent]) -> Vec<WorkloadEvent> {
         let mut events: Vec<WorkloadEvent> = workload.to_vec();
         events.sort_by_key(|e| e.at);
         events.retain(|e| e.at < config.duration);
+        events.reverse();
         events
     }
 
@@ -729,14 +731,6 @@ impl RunSession {
     fn ingest(&mut self) {
         let outputs = self.sim.take_outputs();
         let trace = &self.config.observe.trace;
-        let topo = self.sim.topology();
-        let position_of = |node: u16| {
-            let id = NodeId(node);
-            (id.index() < topo.node_count()).then(|| {
-                let p = topo.position(id);
-                (p.x, p.y)
-            })
-        };
         let RunnerState {
             ledger,
             monitor,
@@ -764,7 +758,7 @@ impl RunSession {
                 let served = ledger.served(*qid, *epoch_ms, arrival_ms);
                 served.map(|(_, user_q, syn_q)| (user_q, syn_q))
             };
-            map_epoch_answers_at(served, *epoch_ms, answer, &position_of, |user_q, mapped| {
+            map_epoch_answers_at(served, *epoch_ms, answer, |user_q, mapped| {
                 let user = user_q.id();
                 let (rows, nonempty) = match &mapped {
                     EpochAnswer::Rows(rows) => (rows.len() as u64, !rows.is_empty()),
@@ -884,7 +878,12 @@ impl RunSession {
     /// Applies the next workload event (the simulator has already been
     /// advanced to its time and outputs drained).
     fn apply_event(&mut self) {
-        let event = self.events.next().expect("a next event");
+        let event = self.events.pop().expect("a next event");
+        // Give back what applied events held: a buffer a quarter full
+        // shrinks to fit, and an empty one is freed.
+        if self.events.len() <= self.events.capacity() / 4 {
+            self.events.shrink_to_fit();
+        }
         let state = &mut self.state;
         let t_ms = event.at.as_ms();
         if let Some(opt) = self.optimizer.as_mut() {
@@ -930,7 +929,7 @@ impl RunSession {
             return;
         }
         loop {
-            match self.events.as_slice().first().map(|e| e.at) {
+            match self.events.last().map(|e| e.at) {
                 Some(et) if et <= target => {
                     self.audit_to(et.as_ms(), false);
                     self.sim.run_until(et);
@@ -965,7 +964,7 @@ impl RunSession {
         // Whole-run answer-completeness accounting: for every expected epoch
         // (query live, collection window fits the run, at least one
         // statically matching node alive) check whether a non-empty answer
-        // was delivered. "Statically matching" = id/position can satisfy the
+        // was delivered. "Statically matching" = its id can satisfy the
         // query; value predicates depend on readings, so row expectations
         // are an upper bound and exact for predicate-free acquisition
         // queries.
@@ -1359,7 +1358,10 @@ mod tests {
         let mut sim = build_sim(&config, Topology::grid(4).unwrap());
         let mut outputs = Vec::new();
         let mut gone_ms = BTreeMap::new();
-        for event in RunSession::prepare_events(&config, &workload) {
+        for event in RunSession::prepare_events(&config, &workload)
+            .into_iter()
+            .rev()
+        {
             sim.run_until(event.at);
             outputs.extend(sim.take_outputs());
             let command = match event.action {

@@ -284,8 +284,9 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     // 8 poses cloned its query (one call for its selection) into a B-tree
     // leaf of its own map. It is 11 468 since `Srt::build` reads node
     // positions only: the subtree id ranges, subtree boxes and level order
-    // the static answer-set check never read were three vectors. The count
-    // is the same in debug and release builds (CI runs both).
+    // the static answer-set check never read were three vectors, and stays so
+    // as it reads no positions (−1) and the session's event buffer shrinks
+    // (+1). The count is the same in debug and release builds (CI runs both).
     let config = ExperimentConfig {
         strategy: Strategy::InNetOnly,
         grid_n: 8,
@@ -342,7 +343,8 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     // then to 20 243 once Tier 1 read its network operations off the call's
     // removals and the ids it handed out, where each of its 200 calls
     // collected the running synthetic ids into a fresh B-tree set (−398), and
-    // `Srt::build` kept only positions (−3).
+    // `Srt::build` kept only positions (−3); then to 20 242 once no position
+    // list was collected (−4) and the event buffer shrank as it emptied (+3).
     let workload = random_workload(&RandomWorkloadParams {
         n_queries: 100,
         mean_arrival_ms: 10_000.0,
@@ -357,7 +359,7 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     };
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(100));
-    assert_eq!(allocs, 20_243);
+    assert_eq!(allocs, 20_242);
 
     // What the users' answers hold once the run is over — 443 answers,
     // 2 059 rows, 3 503 values — pinned exactly: the bytes freed by dropping
@@ -432,11 +434,14 @@ fn the_benchmark_churn_stream_peaks_at_a_pinned_number_of_live_bytes() {
     // (−4 888) since queries flood with no pruning option: each of the 64
     // apps' query tables is 40 B smaller (2 560 B), the static answer-set
     // check builds no subtree ranges or boxes (2 304 B), and a fault plan
-    // has no region list (24 B). The same in debug and release builds.
+    // has no region list (24 B). It is 2 568 264 B since a query holds no
+    // region and no position list is built (−80 768), and the session's
+    // event buffer shrinks as it empties: the peak came before the last
+    // event, with all 1 000 held (−144 000). The same in debug and release.
     let (config, workload) = benchmark_churn_stream();
     let (peak, report) = peak_live_during(|| RunSession::new(&config, &workload).finish());
     assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(500));
-    assert_eq!(peak, 2_793_032);
+    assert_eq!(peak, 2_568_264);
 }
 
 #[test]
@@ -488,9 +493,10 @@ fn answers_of_the_benchmark_churn_stream_share_their_synthetic_rows() {
     // 245 143 since Tier 1 reads its network operations off each call's
     // removals and the ids it handed out, where each of its 1 000 calls
     // collected the running synthetic ids into a fresh B-tree set (−1 998),
-    // and `Srt::build` keeps only positions (−3). The same in debug and
-    // release builds.
-    assert_eq!(allocs, 245_143);
+    // and `Srt::build` keeps only positions (−3). 245 141 since no position
+    // list is collected (−6) and the session's event buffer shrinks to fit
+    // each time it is a quarter full (+4). The same in debug and release.
+    assert_eq!(allocs, 245_141);
 }
 
 #[test]
@@ -548,12 +554,14 @@ fn workload_a_cells_peak_at_a_pinned_number_of_live_bytes() {
     // option and a fault plan has no region list (each of the 64 apps' query
     // tables 40 B smaller, the plan 24 B: −2 584 B under Baseline, −2 816 B
     // under TwoTier) and Tier 1 keeps no set of injected ids (TwoTier: one
-    // 104-byte B-tree leaf).
+    // 104-byte B-tree leaf). It is 159 936 B and 107 873 B since a query
+    // holds no region (40 B), no position list is built (1 024 B each) and
+    // the session frees its event buffer once the eight poses are applied.
     // Both are the same in debug and release builds.
     let workload = workload_a();
     let cells = [
-        (Strategy::Baseline, 11_763, 162_168),
-        (Strategy::TwoTier, 5_981, 112_209),
+        (Strategy::Baseline, 11_763, 159_936),
+        (Strategy::TwoTier, 5_981, 107_873),
     ];
     for (strategy, frames, pinned) in cells {
         let config = ExperimentConfig {
@@ -589,12 +597,14 @@ fn the_papers_32x32_deployment_peaks_at_a_pinned_number_of_live_bytes() {
     // with no pruning option: a node's query table holds no pruning flag,
     // relay-only list or boxed routing tree, 40 B less in each of the 1 024
     // apps (40 960 B), and the peaks fell by 40 984 B and 46 040 B; TwoTier's
-    // fell 104 B more as Tier 1 stopped keeping a set of injected ids. The
-    // same in debug and release builds.
+    // fell 104 B more as Tier 1 stopped keeping a set of injected ids. They
+    // were 1 376 265 B and 1 431 184 B until a query held no region and the
+    // cost model no list of 1 023 positions (16 384 B). The same in debug
+    // and release builds.
     let workload = workload_a();
     for (strategy, pinned) in [
-        (Strategy::TwoTier, 1_376_265),
-        (Strategy::Baseline, 1_431_184),
+        (Strategy::TwoTier, 1_356_569),
+        (Strategy::Baseline, 1_428_952),
     ] {
         let config = ExperimentConfig {
             strategy,
@@ -619,9 +629,10 @@ fn setting_up_the_papers_32x32_deployment_makes_a_pinned_number_of_allocator_cal
     assert_eq!(allocs, 9);
     // A session keeps that one copy: the simulator owns it, and the session
     // reads it through the simulator. Cloning it into the simulator made
-    // 5 541 calls (TwoTier) and 5 524 (Baseline).
+    // 5 541 calls (TwoTier) and 5 524 (Baseline). TwoTier made 47 until its
+    // cost model stopped collecting positions (nine growth steps).
     let workload = workload_a();
-    for (strategy, pinned) in [(Strategy::TwoTier, 47), (Strategy::Baseline, 30)] {
+    for (strategy, pinned) in [(Strategy::TwoTier, 38), (Strategy::Baseline, 30)] {
         let config = ExperimentConfig {
             strategy,
             grid_n: 32,
@@ -644,7 +655,9 @@ fn a_session_on_a_topology_override_holds_one_copy_of_it() {
     // where they were B-trees, per-neighbour vectors and hash tables. It held
     // 32 778 bytes until each app's query table was 40 B smaller again (no
     // pruning flag, relay-only list or boxed routing tree: 2 560 B) and the
-    // fault plan it keeps lost its region list (24 B).
+    // fault plan it keeps lost its region list (24 B). It made 36 calls and
+    // held 30 194 bytes until the cost model kept no positions (five growth
+    // steps, 1 024 B) and the eight queries no region (320 B).
     let topo = Topology::random_uniform(64, 150.0, 50.0, 12).unwrap();
     let workload = workload_a();
     let config = ExperimentConfig {
@@ -654,7 +667,7 @@ fn a_session_on_a_topology_override_holds_one_copy_of_it() {
     };
     let (allocs, session) = allocs_during(|| RunSession::new(&config, &workload));
     let held = bytes_freed_by(|| drop(session));
-    assert_eq!((allocs, held), (36, 30_194));
+    assert_eq!((allocs, held), (31, 28_850));
 }
 
 #[test]

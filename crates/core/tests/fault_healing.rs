@@ -1,7 +1,8 @@
 //! Fault-injection acceptance tests: self-healing routing plus base-station
 //! repair must bring answer completeness back after node crashes, the whole
 //! faulty run must be deterministic under a fixed seed, and the completeness
-//! accounting must read 1.0 on a healthy lossless run.
+//! accounting must read 1.0 on a healthy lossless run. Two pinned deviations
+//! show what self-healing does when a plan arms it on a run with no fault.
 
 use std::sync::{Arc, Mutex};
 use ttmqo_core::{run_experiment, ExperimentConfig, RunReport, Strategy, WorkloadEvent};
@@ -10,6 +11,7 @@ use ttmqo_sim::{
     trace_diff, FaultPlan, NodeId, Observe, RadioParams, RingSink, SimConfig, SimTime, TraceHandle,
     TraceSink,
 };
+use ttmqo_workloads::{workload_a, workload_c};
 
 const EPOCH: u64 = 2048;
 
@@ -270,4 +272,75 @@ fn cold_runs_under_two_plans_share_the_past_and_diverge_at_the_first_fault() {
     assert_eq!(rows_from_dead_after_crash(&crashed), 0);
     let expected = |report: &RunReport| report.completeness.per_query[&QueryId(1)].expected_rows;
     assert!(expected(&crashed) < expected(&calm));
+}
+
+/// A calm run on the default radio and the same run under a plan whose one
+/// crash lies past its end: the crash changes nothing the engine does, but
+/// a non-empty plan arms the repair monitor and the dead-parent detector.
+fn calm_and_armed(strategy: Strategy, grid_n: usize, epochs: u64) -> [ExperimentConfig; 2] {
+    let calm = ExperimentConfig {
+        strategy,
+        grid_n,
+        duration: SimTime::from_ms(epochs * EPOCH),
+        ..ExperimentConfig::default()
+    };
+    let crash = vec![(NodeId(1), calm.duration.as_ms() + 1, None)];
+    let faults = FaultPlan::scripted(crash);
+    [calm.clone(), ExperimentConfig { faults, ..calm }]
+}
+
+#[test]
+fn a_calm_run_armed_by_a_past_end_crash_repairs_queries_that_lost_nothing() {
+    // A pinned deviation, for the miss rule to flip: the repair monitor
+    // counts every epoch without a non-empty answer as a miss, so a
+    // selective query's truly empty epochs read as silence. On the
+    // observatory's `disjoint` cells (TwoTier, 12 base epochs) the armed
+    // monitor re-floods queries no node lost, which costs radio time and
+    // answers. A fixed rule repairs nothing here.
+    let disjoint = [
+        WorkloadEvent::pose(
+            0,
+            q(1, "select light where 100<light<200 epoch duration 2048"),
+        ),
+        WorkloadEvent::pose(0, q(2, "select temp where 40<temp<60 epoch duration 2048")),
+    ];
+    // Calm, then armed: repairs, tx time %, answers, delivered rows.
+    for (grid_n, pinned) in [
+        (3, [(0, "0.1055", 22, 4), (3, "0.2719", 19, 3)]),
+        (4, [(0, "0.1185", 22, 10), (2, "0.2076", 20, 8)]),
+    ] {
+        for (config, want) in calm_and_armed(Strategy::TwoTier, grid_n, 12)
+            .iter()
+            .zip(pinned)
+        {
+            let r = run_experiment(config, &disjoint);
+            let tx = format!("{:.4}", r.metrics.avg_transmission_time_pct());
+            let answers = r.answers.values().map(Vec::len).sum::<usize>();
+            let got = (r.completeness.repairs_triggered, tx.as_str(), answers);
+            assert_eq!(got, (want.0, want.1, want.2), "{grid_n}×{grid_n}");
+            assert_eq!(r.completeness.delivered_rows(), want.3, "{grid_n}×{grid_n}");
+        }
+    }
+}
+
+#[test]
+fn a_calm_run_armed_by_a_past_end_crash_orphans_a_live_node() {
+    // A pinned deviation, for the parent-liveness rule to flip: the
+    // dead-parent detector reads a few failed unicasts to a congested live
+    // parent as a dead parent. On Fig. 3's 8×8 cells (96 base epochs) it
+    // orphans one node in three of them when armed on a run with no fault.
+    // A fixed rule orphans none.
+    for (name, workload, strategy, armed_orphans) in [
+        ("A", workload_a(), Strategy::InNetOnly, 1),
+        ("A", workload_a(), Strategy::TwoTier, 0),
+        ("C", workload_c(), Strategy::InNetOnly, 1),
+        ("C", workload_c(), Strategy::TwoTier, 1),
+    ] {
+        let orphans = calm_and_armed(strategy, 8, 96).map(|config| {
+            run_experiment(&config, &workload)
+                .metrics
+                .orphaned_node_count()
+        });
+        assert_eq!(orphans, [0, armed_orphans], "{name}/{strategy}");
+    }
 }

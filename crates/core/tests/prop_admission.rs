@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use ttmqo_core::{Demand, SyntheticQuery};
 use ttmqo_query::{
-    AggOp, Attribute, EpochDuration, Predicate, PredicateSet, Query, QueryId, Region, Selection,
+    AggOp, Attribute, EpochDuration, Predicate, PredicateSet, Query, QueryId, Selection,
 };
 use ttmqo_workloads::{churn_workload, ChurnWorkloadParams};
 
@@ -25,7 +25,6 @@ struct QuerySpec {
     agg_max: bool,
     agg_attr_ix: usize,
     preds: Vec<(usize, f64, f64)>,
-    region: Option<(f64, f64, f64, f64)>,
 }
 
 prop_compose! {
@@ -37,8 +36,6 @@ prop_compose! {
         agg_attr_ix in 0usize..ATTRS.len(),
         preds in prop::collection::vec(
             (0usize..ATTRS.len(), 0.0f64..0.8, 0.05f64..0.2), 0..3),
-        region_roll in 0u8..2,
-        region_box in (0.0f64..60.0, 0.0f64..60.0, 5.0f64..20.0, 5.0f64..20.0),
     ) -> QuerySpec {
         QuerySpec {
             is_agg: agg_roll < 3,
@@ -47,7 +44,6 @@ prop_compose! {
             agg_max: agg_max_roll == 1,
             agg_attr_ix,
             preds,
-            region: (region_roll == 1).then_some(region_box),
         }
     }
 }
@@ -83,19 +79,13 @@ fn build_query(spec: &QuerySpec, id: u64) -> Query {
             .expect("range inside the domain"),
         );
     }
-    let q = Query::from_parts(
+    Query::from_parts(
         QueryId(id),
         selection,
         predicates,
         EpochDuration::from_ms(EPOCHS[spec.epoch_ix]).expect("menu epoch is valid"),
     )
-    .expect("generated query is valid");
-    match spec.region {
-        Some((x0, y0, w, h)) => {
-            q.with_region(Region::new(x0, y0, x0 + w, y0 + h).expect("valid box"))
-        }
-        None => q,
-    }
+    .expect("generated query is valid")
 }
 
 proptest! {

@@ -318,3 +318,36 @@ fn non_divisible_epochs_share_in_network() {
         baseline.metrics.tx_count(ttmqo_sim::MsgKind::Result)
     );
 }
+
+#[test]
+fn a_flooded_nodeid_query_answers_from_exactly_the_nodes_it_selects() {
+    // Both apps flood the query to every node; every steady epoch holds a
+    // row from each node it selects and from no other.
+    let text = "select nodeid, light where 1 <= nodeid <= 3 epoch duration 2048";
+    let workload = vec![WorkloadEvent::pose(0, q(1, text))];
+    for strategy in [Strategy::Baseline, Strategy::InNetOnly] {
+        let config = ExperimentConfig {
+            sim: SimConfig {
+                maintenance_interval_ms: None,
+                ..SimConfig::default()
+            },
+            field_seed: 5,
+            ..config(strategy, 4, 12)
+        };
+        let report = run_experiment(&config, &workload);
+        let answers = &report.answers[&QueryId(1)];
+        assert!(answers.len() >= 8, "{strategy}");
+        for (epoch, answer) in answers.iter().filter(|(e, _)| *e >= 2 * 2048) {
+            let EpochAnswer::Rows(rows) = answer else {
+                panic!("expected rows")
+            };
+            let ids: Vec<u16> = rows.iter().map(|r| r.node).collect();
+            assert_eq!(ids, [1, 2, 3], "{strategy}, epoch {epoch}");
+        }
+        // Tier 2's nodes that the query never selects nap between firings
+        // (§3.2.2); TinyDB has no sleep mode.
+        if strategy == Strategy::InNetOnly {
+            assert!(report.metrics.total_sleep_ms() > 0.0, "no node slept");
+        }
+    }
+}

@@ -85,16 +85,20 @@ impl NodeApp for Spy {
 
 #[test]
 fn a_share_arrives_by_multicast_and_leaves_by_unicast_naming_nobody() {
-    // 4×4, 20 ft spacing, in-network tier only. Corner node 15 at (60, 60)
-    // is two hops out with two equally good upper neighbours, 6 at (40, 20)
-    // and 9 at (20, 40). Query 1's region holds 6 and 15 but not 9; query
-    // 2's holds 9 and 15 but not 6 — so node 15's one frame serves both
-    // queries and no single parent has data for both.
+    // 4×4, 20 ft spacing, in-network tier only, with ids 8 and 15 swapped:
+    // corner node 8 at (60, 60) is two hops out with two equally good upper
+    // neighbours, 6 at (40, 20) and 9 at (20, 40). Query 1's id range holds
+    // 6 and 8 but not 9; query 2's holds 8 and 9 but not 6 — so node 8's one
+    // frame serves both queries and no single parent has data for both.
     let (q1, q2) = (QueryId(1), QueryId(2));
+    let grid = Topology::grid(4).unwrap();
+    let mut positions: Vec<_> = grid.nodes().map(|n| grid.position(n)).collect();
+    positions.swap(8, 15);
+    let topology = Topology::from_positions(positions, grid.radio_range()).unwrap();
     let log = Arc::new(Mutex::new(Vec::new()));
     let spy_log = Arc::clone(&log);
     let mut sim = Simulator::new(
-        Topology::grid(4).unwrap(),
+        topology,
         RadioParams::lossless(),
         SimConfig {
             maintenance_interval_ms: None,
@@ -106,24 +110,21 @@ fn a_share_arrives_by_multicast_and_leaves_by_unicast_naming_nobody() {
             log: Arc::clone(&spy_log),
         },
     );
-    for (qid, region) in [
-        (q1, "region(40, 20, 60, 60)"),
-        (q2, "region(20, 40, 60, 60)"),
-    ] {
-        let text = format!("select nodeid, light where {region} epoch duration 2048");
+    for (qid, ids) in [(q1, "6 <= nodeid <= 8"), (q2, "8 <= nodeid <= 9")] {
+        let text = format!("select nodeid, light where {ids} epoch duration 2048");
         let query = parse_query(qid, &text).unwrap();
         sim.schedule_command(SimTime::ZERO, NodeId::BASE_STATION, Command::Pose(query));
     }
     sim.run_until(SimTime::from_ms(12 * 2048));
     let log = log.lock().unwrap();
 
-    // Node 15 splits: one multicast frame, each parent named with its share.
+    // Node 8 splits: one multicast frame, each parent named with its share.
     let split = vec![(NodeId(6), vec![q1]), (NodeId(9), vec![q2])];
     for parent in [6, 9] {
         let handed = Handed {
             to: NodeId(parent),
-            from: NodeId(15),
-            source: 15,
+            from: NodeId(8),
+            source: 8,
             qids: vec![q1, q2],
             assignments: split.clone(),
         };
@@ -135,7 +136,7 @@ fn a_share_arrives_by_multicast_and_leaves_by_unicast_naming_nobody() {
         let handed = Handed {
             to: NodeId::BASE_STATION,
             from: NodeId(parent),
-            source: 15,
+            source: 8,
             qids: vec![share],
             assignments: Vec::new(),
         };
@@ -144,8 +145,8 @@ fn a_share_arrives_by_multicast_and_leaves_by_unicast_naming_nobody() {
     // A single assignment pair is never put on the air.
     assert!(log.iter().all(|h| h.assignments.len() != 1));
 
-    // Whatever the frames named, every node of each region is in each
-    // epoch's answer — node 15 in both.
+    // Whatever the frames named, every node of each range is in each
+    // epoch's answer — node 8 in both.
     let mut answered = 0;
     for record in sim.outputs() {
         let Output::Answer {
@@ -161,9 +162,9 @@ fn a_share_arrives_by_multicast_and_leaves_by_unicast_naming_nobody() {
         }
         let nodes: Vec<u16> = rows.iter().map(|r| r.node).collect();
         let expected = if *qid == q1 {
-            vec![6, 7, 10, 11, 14, 15]
+            vec![6, 7, 8]
         } else {
-            vec![9, 10, 11, 13, 14, 15]
+            vec![8, 9]
         };
         assert_eq!(nodes, expected, "query {qid} epoch {epoch_ms}");
         answered += 1;

@@ -35,7 +35,6 @@ mod merge;
 mod parser;
 mod predicate;
 mod query;
-mod region;
 mod result;
 
 pub use agg::{AggOp, MergePartialError, ParseAggOpError, PartialAgg};
@@ -45,7 +44,6 @@ pub use merge::{can_integrate, covers_query, integrate, needed_attributes};
 pub use parser::{parse_query, ParseQueryError};
 pub use predicate::{InvalidPredicateError, Predicate, PredicateSet};
 pub use query::{BuildQueryError, Query, QueryBuilder, QueryId, Selection};
-pub use region::{InvalidRegionError, Region};
 pub use result::{
     aggregate_rows, AggValue, EpochAnswer, Readings, Row, RowRef, RowSet, RowSetIter,
 };

@@ -24,7 +24,6 @@
 
 use crate::attr::{AttrSet, Attribute};
 use crate::query::{Query, QueryId, Selection};
-use crate::region::Region;
 
 /// Whether `outer`'s result stream contains all data needed to answer `inner`
 /// exactly at the base station.
@@ -55,9 +54,6 @@ pub fn covers_query(outer: &Query, inner: &Query) -> bool {
         return false;
     }
     if !outer.predicates().covers(inner.predicates()) {
-        return false;
-    }
-    if !Region::covers_opt(outer.region(), inner.region()) {
         return false;
     }
     match (outer.selection(), inner.selection()) {
@@ -99,9 +95,8 @@ pub fn needed_attributes(member: &Query, carrier: &Query) -> AttrSet {
 pub fn can_integrate(a: &Query, b: &Query) -> bool {
     match (a.selection(), b.selection()) {
         (Selection::Aggregates(_), Selection::Aggregates(_)) => {
-            // §3.1.2: aggregation pairs need identical qualifying row sets —
-            // equivalent predicates *and* the same spatial restriction.
-            a.predicates().equivalent(b.predicates()) && a.region() == b.region()
+            // §3.1.2: aggregation pairs need identical qualifying row sets.
+            a.predicates().equivalent(b.predicates())
         }
         _ => true,
     }
@@ -155,14 +150,7 @@ pub fn integrate(id: QueryId, a: &Query, b: &Query) -> Option<Query> {
         }
     };
 
-    let merged = Query::from_parts(id, selection, predicates, epoch).ok()?;
-    Ok::<_, ()>(
-        match Region::union_opt(a.region().copied(), b.region().copied()) {
-            Some(r) => merged.with_region(r),
-            None => merged,
-        },
-    )
-    .ok()
+    Query::from_parts(id, selection, predicates, epoch).ok()
 }
 
 #[cfg(test)]

@@ -9,7 +9,6 @@
 //! sel_item := attr | aggop '(' attr ')'
 //! cond     := attr cmp num | num cmp attr | num cmp attr cmp num
 //!           | attr BETWEEN num AND num
-//!           | REGION '(' num ',' num ',' num ',' num ')'
 //! cmp      := '<' | '<=' | '>' | '>=' | '='
 //! ```
 //!
@@ -354,36 +353,6 @@ impl Parser {
                 }
                 Ok(b.filter(attr, min, max))
             }
-            Some(Token::Ident(name)) if name == "region" => {
-                self.next();
-                match self.next() {
-                    Some(Token::LParen) => {}
-                    _ => return Err(ParseQueryError::Syntax("expected `(` after region".into())),
-                }
-                let mut coords = [0.0f64; 4];
-                for (i, c) in coords.iter_mut().enumerate() {
-                    if i > 0 {
-                        match self.next() {
-                            Some(Token::Comma) => {}
-                            _ => {
-                                return Err(ParseQueryError::Syntax(
-                                    "expected `,` between region coordinates".into(),
-                                ))
-                            }
-                        }
-                    }
-                    *c = self.parse_number()?;
-                }
-                match self.next() {
-                    Some(Token::RParen) => {}
-                    _ => {
-                        return Err(ParseQueryError::Syntax(
-                            "expected `)` after region coordinates".into(),
-                        ))
-                    }
-                }
-                Ok(b.in_region(coords[0], coords[1], coords[2], coords[3]))
-            }
             Some(Token::Ident(_)) => {
                 let attr = self.parse_attr()?;
                 if self.peek_keyword("between") {
@@ -570,6 +539,7 @@ mod tests {
             "select max(light epoch duration 2048",              // missing paren
             "select pressure epoch duration 2048",               // unknown attr
             "select median(light) epoch duration 2048",          // unknown agg
+            "select light where region(0, 0, 60, 40) epoch duration 2048", // no such clause
         ] {
             assert!(
                 parse_query(QueryId(1), bad).is_err(),
@@ -614,58 +584,5 @@ mod tests {
         let q = parse("select temp where temp >= -100 epoch duration 2048");
         let r = q.predicates().range(Attribute::Temp).unwrap();
         assert_eq!(r.min(), -100.0);
-    }
-}
-
-#[cfg(test)]
-mod region_tests {
-    use super::*;
-
-    #[test]
-    fn region_clause_parses() {
-        let q = parse_query(
-            QueryId(1),
-            "select light where region(0, 0, 60, 40) epoch duration 2048",
-        )
-        .unwrap();
-        let r = q.region().expect("region set");
-        assert_eq!(
-            (r.x_min(), r.y_min(), r.x_max(), r.y_max()),
-            (0.0, 0.0, 60.0, 40.0)
-        );
-    }
-
-    #[test]
-    fn region_combines_with_value_predicates() {
-        let q = parse_query(
-            QueryId(1),
-            "select max(light) where light >= 200 and region(20, 20, 100, 100) epoch duration 4096",
-        )
-        .unwrap();
-        assert!(q.region().is_some());
-        assert!(q.predicates().range(crate::Attribute::Light).is_some());
-    }
-
-    #[test]
-    fn malformed_region_clauses_error() {
-        for bad in [
-            "select light where region(0, 0, 60) epoch duration 2048",
-            "select light where region(0 0 60 40) epoch duration 2048",
-            "select light where region 0, 0, 60, 40 epoch duration 2048",
-            "select light where region(60, 0, 0, 40) epoch duration 2048", // inverted
-        ] {
-            assert!(parse_query(QueryId(1), bad).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
-    fn region_display_roundtrips() {
-        let q = parse_query(
-            QueryId(1),
-            "select light where region(0, 0, 60, 40) epoch duration 2048",
-        )
-        .unwrap();
-        let q2 = parse_query(QueryId(1), &q.to_string()).unwrap();
-        assert_eq!(q.region(), q2.region());
     }
 }

@@ -10,7 +10,6 @@ use crate::agg::AggOp;
 use crate::attr::{AttrSet, Attribute};
 use crate::epoch::EpochDuration;
 use crate::predicate::{Predicate, PredicateSet};
-use crate::region::Region;
 use std::fmt;
 
 /// Unique identifier of a user query.
@@ -133,7 +132,6 @@ pub struct Query {
     selection: Selection,
     predicates: PredicateSet,
     epoch: EpochDuration,
-    region: Option<Region>,
 }
 
 impl Query {
@@ -145,7 +143,6 @@ impl Query {
             aggs: Vec::new(),
             predicates: PredicateSet::new(),
             epoch: None,
-            region: None,
             error: None,
         }
     }
@@ -173,23 +170,7 @@ impl Query {
             selection,
             predicates: predicates.normalize(),
             epoch,
-            region: None,
         })
-    }
-
-    /// Returns a copy restricted to the given deployment region (§3.2.2's
-    /// region-based queries): only nodes physically inside the rectangle can
-    /// contribute.
-    pub fn with_region(&self, region: Region) -> Query {
-        Query {
-            region: Some(region),
-            ..self.clone()
-        }
-    }
-
-    /// The spatial restriction, if any (`None` = the whole deployment).
-    pub fn region(&self) -> Option<&Region> {
-        self.region.as_ref()
     }
 
     /// The query's unique identifier.
@@ -244,11 +225,8 @@ impl Query {
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "select {}", self.selection)?;
-        match (&self.region, self.predicates.is_empty()) {
-            (None, true) => {}
-            (None, false) => write!(f, " where {}", self.predicates)?,
-            (Some(region), true) => write!(f, " where {region}")?,
-            (Some(region), false) => write!(f, " where {} and {region}", self.predicates)?,
+        if !self.predicates.is_empty() {
+            write!(f, " where {}", self.predicates)?;
         }
         write!(f, " epoch duration {}", self.epoch)
     }
@@ -295,7 +273,6 @@ pub struct QueryBuilder {
     aggs: Vec<(AggOp, Attribute)>,
     predicates: PredicateSet,
     epoch: Option<EpochDuration>,
-    region: Option<Region>,
     error: Option<BuildQueryError>,
 }
 
@@ -342,18 +319,6 @@ impl QueryBuilder {
         self
     }
 
-    /// Restricts the query to a deployment rectangle.
-    pub fn in_region(mut self, x_min: f64, y_min: f64, x_max: f64, y_max: f64) -> Self {
-        match Region::new(x_min, y_min, x_max, y_max) {
-            Ok(r) => self.region = Some(r),
-            Err(e) => {
-                self.error
-                    .get_or_insert(BuildQueryError::InvalidPredicate(e.to_string()));
-            }
-        }
-        self
-    }
-
     /// Finishes the build.
     ///
     /// # Errors
@@ -375,11 +340,7 @@ impl QueryBuilder {
         let epoch = self
             .epoch
             .ok_or_else(|| BuildQueryError::InvalidEpoch("missing epoch duration".into()))?;
-        let q = Query::from_parts(self.id, selection, self.predicates, epoch)?;
-        Ok(match self.region {
-            Some(r) => q.with_region(r),
-            None => q,
-        })
+        Query::from_parts(self.id, selection, self.predicates, epoch)
     }
 }
 

@@ -114,6 +114,8 @@ const _: () = assert!(std::mem::size_of::<Row>() <= 64);
 // An answer is a view: its rows live in a block it shares.
 const _: () = assert!(std::mem::size_of::<RowSet>() <= 40);
 const _: () = assert!(std::mem::size_of::<EpochAnswer>() <= 40);
+// Every posed query, workload event and flooded copy carries one.
+const _: () = assert!(std::mem::size_of::<crate::Query>() == 136);
 
 /// An acquisition answer: one epoch's rows, as a view of a shared block.
 ///

@@ -589,6 +589,35 @@ fn commands_to_failed_nodes_are_lost() {
 }
 
 #[test]
+fn a_crashed_senders_queued_frames_still_go_out() {
+    // A pinned deviation, for the fix to flip: "a dead node transmits
+    // nothing" holds only for frames sent after the crash. Node 1 queues
+    // five unicast frames at 10 ms and crashes at 15 ms, while the first is
+    // on the air; delivery never asks whether the sender is still alive,
+    // so node 0 receives all five and all five are charged. Fixed, node 0
+    // would receive at most the one in flight.
+    let mut sim = new_sim(line_topology(2, 20.0), RadioParams::lossless());
+    for i in 0..5 {
+        sim.schedule_command(
+            SimTime::from_ms(10),
+            NodeId(1),
+            Cmd::Send {
+                dest: Destination::Unicast(NodeId(0)),
+                kind: MsgKind::Result,
+                bytes: 40,
+                tag: format!("r{i}"),
+            },
+        );
+    }
+    sim.schedule_failure(SimTime::from_ms(15), NodeId(1));
+    sim.run_until(SimTime::from_ms(1000));
+    let arrivals: Vec<u64> = sim.node(NodeId(0)).received.iter().map(|r| r.0).collect();
+    assert_eq!(arrivals, [23, 36, 50, 63, 77]);
+    assert_eq!(sim.metrics().tx_count(MsgKind::Result), 5);
+    assert!(sim.is_failed(NodeId(1)));
+}
+
+#[test]
 fn recovery_resets_app_state() {
     let mut sim = new_sim(line_topology(2, 20.0), RadioParams::lossless());
     // Deliver one frame, then crash and recover the receiver: the fresh app

@@ -15,9 +15,7 @@
 //! * aggregation uses TAG-style slotted in-network aggregation, **per query**:
 //!   deeper levels transmit earlier so parents can merge partials.
 
-use crate::buffers::{
-    in_region, timer_key, timer_key_parts, EpochBuffers, TagSlots, KIND_CLOSE, KIND_SLOT,
-};
+use crate::buffers::{timer_key, timer_key_parts, EpochBuffers, TagSlots, KIND_CLOSE, KIND_SLOT};
 use crate::flood::{Floods, KIND_FLOOD_ABORT, KIND_FLOOD_QUERY};
 use crate::messages::{Command, Output, TinyDbPayload};
 use std::sync::Arc;
@@ -123,11 +121,6 @@ impl TinyDbApp {
             self.buffers.open(ctx, query, epoch_ms, close_after);
             return;
         }
-        if !in_region(ctx, query) {
-            // Outside the query's region: never a source (still a relay).
-            return;
-        }
-
         // Sample every attribute this query needs — independently of any
         // other query (the baseline shares nothing).
         let mut readings = Readings::new();

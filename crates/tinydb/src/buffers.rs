@@ -1,6 +1,6 @@
-//! What the two node applications do identically: the timer-key codec, the
-//! region test, TAG slot timing, and the per-`(query, epoch)` result buffers
-//! a node merges into and the base station opens and closes into an answer.
+//! What the two node applications do identically: the timer-key codec, TAG
+//! slot timing, and the per-`(query, epoch)` result buffers a node merges
+//! into and the base station opens and closes into an answer.
 //!
 //! [`TinyDbApp`](crate::TinyDbApp) and the in-network tier's `TtmqoApp`
 //! differ in how queries are installed, when nodes sample and how frames are
@@ -28,15 +28,6 @@ pub fn timer_key(kind: u64, qid: QueryId, extra: u64) -> u64 {
 #[inline]
 pub fn timer_key_parts(key: u64) -> (u64, QueryId, u64) {
     (key & 0xF, QueryId((key >> 4) & 0x0FFF_FFFF), key >> 32)
-}
-
-/// Whether the calling node's physical position satisfies the query's region
-/// clause (queries without a region cover the whole deployment).
-pub fn in_region<P, O>(ctx: &Ctx<'_, P, O>, query: &Query) -> bool {
-    query.region().is_none_or(|r| {
-        let pos = ctx.topology().position(ctx.node());
-        r.contains(pos.x, pos.y)
-    })
 }
 
 /// TAG (Tiny AGgregation) slot timing: a node sends its partials in its

@@ -50,8 +50,6 @@ mod messages;
 
 pub use answer_set::Srt;
 pub use app::{TinyDbApp, TinyDbConfig};
-pub use buffers::{
-    in_region, timer_key, timer_key_parts, EpochBuffers, TagSlots, KIND_CLOSE, KIND_SLOT,
-};
+pub use buffers::{timer_key, timer_key_parts, EpochBuffers, TagSlots, KIND_CLOSE, KIND_SLOT};
 pub use flood::{Floods, KIND_FLOOD_ABORT, KIND_FLOOD_QUERY};
 pub use messages::{Command, Output, TinyDbPayload};

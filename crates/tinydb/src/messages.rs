@@ -43,11 +43,8 @@ impl TinyDbPayload {
     /// representations: 2-byte values, 2-byte ids, 2-byte epoch counter.
     pub fn wire_size(&self) -> usize {
         match self {
-            // qid + epoch + flags + attribute bitmap + per-predicate bounds
-            // (+ four 2-byte coordinates for a region clause).
-            TinyDbPayload::Query(q) => {
-                8 + 4 * q.predicates().len() + if q.region().is_some() { 8 } else { 0 }
-            }
+            // qid + epoch + flags + attribute bitmap + per-predicate bounds.
+            TinyDbPayload::Query(q) => 8 + 4 * q.predicates().len(),
             TinyDbPayload::Abort(_) => 2,
             TinyDbPayload::Row { row, .. } => 4 + 2 + 2 * row.readings.len(),
             TinyDbPayload::Partials { partials, .. } => {

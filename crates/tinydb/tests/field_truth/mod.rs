@@ -7,15 +7,11 @@ use ttmqo_query::Query;
 use ttmqo_sim::{NodeId, SensorField, SimTime, Topology};
 
 /// The nodes an acquisition query's answer for the epoch starting at `t`
-/// lists: every node but the base station that lies in the query's region
-/// and whose readings at `t` satisfy its predicates, in ascending id.
+/// lists: every node but the base station whose readings at `t` satisfy its
+/// predicates, in ascending id.
 pub fn qualifying(query: &Query, field: &dyn SensorField, topo: &Topology, t: SimTime) -> Vec<u16> {
     topo.nodes()
         .filter(|&n| n != NodeId::BASE_STATION)
-        .filter(|&n| {
-            let pos = topo.position(n);
-            query.region().is_none_or(|r| r.contains(pos.x, pos.y))
-        })
         .filter(|&n| {
             query
                 .predicates()

@@ -377,6 +377,44 @@ fn documents_stay_within_their_line_budgets() {
     }
 }
 
+/// The most bytes one CHANGES.md entry may take: its `- PR N` line and the
+/// indented lines under it, newlines included. `FOUND:` and `MENDED:` lines
+/// stand apart and are not counted. Measurement detail belongs in the
+/// commit message and `bench/history/`.
+const CHANGES_ENTRY_BUDGET: usize = 2_500;
+
+#[test]
+fn every_changes_entry_stays_within_its_byte_budget() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = fs::read_to_string(repo.join("CHANGES.md")).unwrap();
+    // (first line, bytes) per entry; `open` while lines still extend it.
+    let mut entries: Vec<(usize, usize)> = Vec::new();
+    let mut open = false;
+    for (n, line) in text.lines().enumerate() {
+        if line.starts_with("- PR ") {
+            entries.push((n + 1, 0));
+            open = true;
+        } else if !line.starts_with(' ') {
+            open = false;
+        }
+        if let Some(entry) = entries.last_mut().filter(|_| open) {
+            entry.1 += line.len() + 1;
+        }
+    }
+    // The log has one entry per PR; finding few means the scan broke.
+    assert!(entries.len() >= 45, "only {} entries found", entries.len());
+    let over: Vec<String> = entries
+        .iter()
+        .filter(|(_, bytes)| *bytes > CHANGES_ENTRY_BUDGET)
+        .map(|(line, bytes)| format!("CHANGES.md:{line}: {bytes} B"))
+        .collect();
+    assert!(
+        over.is_empty(),
+        "entries over {CHANGES_ENTRY_BUDGET} B:\n{}",
+        over.join("\n")
+    );
+}
+
 /// The documents that describe the code as it stands.
 const DESCRIBING: [&str; 2] = ["README.md", "DESIGN.md"];
 
@@ -385,7 +423,7 @@ const CODE: [&str; 3] = ["crates", "src", "examples"];
 
 /// Mechanisms the documents describe as deleted: they may be named, and must
 /// not exist.
-const GONE: [&str; 24] = [
+const GONE: [&str; 26] = [
     "CampaignReport::rollup",
     "CampaignSpec::warm_start",
     "CorrelatedField::with_strengths",
@@ -400,8 +438,11 @@ const GONE: [&str; 24] = [
     "Observe::timeseries",
     "OptimizerOptions::rank_by_rate",
     "Probe::trace_event",
+    "Query::region",
+    // Split so that a search of the code for the deleted names finds none.
+    concat!("Query::with", "_region"),
+    concat!("QueryBuilder::in", "_region"),
     "QueryCompleteness::missing_epochs",
-    "Region::intersects",
     "RunSession::now",
     "RunSession::replace_fault_plan",
     "SelectivityEstimator::observation_count",

@@ -130,7 +130,7 @@ fn arb_query_text() -> impl Strategy<Value = String> {
             Just("where"),
             Just("where 100 < light < 600 and"),
             Just("where temp between -5 and 3.7 and"),
-            Just("from sensors where region(0, 0, 60, 40) and"),
+            Just("from sensors where nodeid >= 2 and"),
         ],
         prop_oneof![
             Just("0".to_string()),
