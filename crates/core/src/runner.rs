@@ -17,7 +17,7 @@ use crate::basestation::{
 };
 use crate::innetwork::{TtmqoApp, TtmqoConfig};
 use std::collections::{BTreeMap, BTreeSet};
-use ttmqo_query::{EpochAnswer, EpochDuration, Query, QueryId, Selection, BASE_EPOCH_MS};
+use ttmqo_query::{EpochAnswer, Query, QueryId, Selection, BASE_EPOCH_MS};
 use ttmqo_sim::{
     AuditReport, CompletenessReport, CorrelatedField, EnergyProfile, EngineStats, FaultPlan,
     FaultSchedule, Metrics, NodeId, Observe, QueryCompleteness, RadioParams, SensorField,
@@ -222,24 +222,6 @@ impl RunReport {
     }
 }
 
-fn build_field(config: &ExperimentConfig, topo: &Topology) -> Box<dyn SensorField + Send + Sync> {
-    match config.field {
-        FieldKind::Uniform => Box::new(UniformField::new(config.field_seed)),
-        FieldKind::Correlated => Box::new(CorrelatedField::for_topology(config.field_seed, topo)),
-    }
-}
-
-fn build_optimizer(config: &ExperimentConfig, topo: &Topology) -> BaseStationOptimizer {
-    BaseStationOptimizer::for_topology(
-        topo,
-        &config.radio,
-        OptimizerOptions {
-            alpha: config.alpha,
-            ..config.optimizer
-        },
-    )
-}
-
 /// Runs one experiment: the workload under the configured strategy.
 ///
 /// Equivalent to `RunSession::new(config, workload).finish()`; the session
@@ -247,115 +229,224 @@ fn build_optimizer(config: &ExperimentConfig, topo: &Topology) -> BaseStationOpt
 ///
 /// # Panics
 ///
-/// Panics if the grid cannot be constructed (e.g. `grid_n == 0`).
+/// Panics if the grid cannot be constructed (e.g. `grid_n == 0`), or if
+/// the workload poses one id twice.
 pub fn run_experiment(config: &ExperimentConfig, workload: &[WorkloadEvent]) -> RunReport {
     RunSession::new(config, workload).finish()
 }
 
-/// One user query's life at the base station.
+/// One user query's record at the base station, from its pose until the run
+/// is past its termination and its answers are final (DESIGN.md §8); then
+/// [`Report::file`] turns it into the user's two report rows.
 #[derive(Debug)]
-struct UserLife {
+struct User {
     query: Query,
     posed_ms: u64,
-    /// `None` while the query runs. TinyDB labels an answer with its epoch's
-    /// *start* but emits it at the epoch's close, so an epoch can straddle a
-    /// Terminate; attribution checks the answer's arrival against this.
-    terminated_ms: Option<u64>,
+    life: Life,
+    /// `(epoch start ms, answer)` in arrival order.
+    answers: Vec<(u64, EpochAnswer)>,
+    /// The repair monitor's audit while the query runs, if the monitor is
+    /// armed; boxed, so that runs arming none keep the record small.
+    audit: Option<Box<Audit>>,
 }
 
-/// The one record of query lives (DESIGN.md §8): every user query ever
-/// posed and every query ever injected into the network, each stored once,
-/// joined by the services the injected queries gave the users. An injected
-/// id's query never changes — Tier 1 rewrites under fresh ids — so "who was
-/// served by which id from when to when" is all that answer attribution and
-/// completeness accounting need. Strategies without
-/// Tier 1 are the degenerate case: every user is its own injected query,
-/// and its definition is the one in `users`.
+/// Where a user query's life stands.
+#[derive(Debug)]
+enum Life {
+    /// Running, served by this injected query, if any: the open service is
+    /// that query's latest in [`Ledger::services`] for the user.
+    Running(Option<QueryId>),
+    /// Terminated at this instant (ms). TinyDB labels an answer with its
+    /// epoch's *start* but emits it at the epoch's close, so an epoch can
+    /// straddle a Terminate: an answer arriving at this instant still counts,
+    /// so the record stays until the run is past it.
+    Terminated(u64),
+}
+
+/// The report rows of the users whose answers are final, and what their
+/// completeness is measured against besides the topology.
+#[derive(Debug, Default)]
+struct Report {
+    answers: BTreeMap<QueryId, Vec<(u64, EpochAnswer)>>,
+    per_query: BTreeMap<QueryId, QueryCompleteness>,
+    /// The materialized fault plan: a node crashed at an epoch's start is
+    /// not expected to answer it.
+    schedule: Option<FaultSchedule>,
+    /// How long after its start an epoch's answer may take, ms.
+    window_ms: u64,
+    end_ms: u64,
+}
+
+impl Report {
+    /// Files each of `users`, whose answers are final, as its two rows: its
+    /// answers sorted by epoch and shrunk to fit (a user never answered has
+    /// none), and its completeness.
+    fn file(&mut self, users: impl Iterator<Item = (QueryId, User)>, topo: &Topology) {
+        for (id, mut user) in users {
+            user.answers.sort_by_key(|(epoch_ms, _)| *epoch_ms);
+            user.answers.shrink_to_fit();
+            self.per_query.insert(id, self.completeness(&user, topo));
+            if !user.answers.is_empty() {
+                self.answers.insert(id, user.answers);
+            }
+        }
+    }
+
+    /// A final user's whole-run answer completeness: for every expected epoch
+    /// (query live, collection window fits the run, at least one statically
+    /// matching node alive) whether a non-empty answer was delivered.
+    /// "Statically matching" = its id can satisfy the query; value predicates
+    /// depend on readings, so row expectations are an upper bound and exact
+    /// for predicate-free acquisition queries.
+    fn completeness(&self, user: &User, topo: &Topology) -> QueryCompleteness {
+        let q = &user.query;
+        let end = match user.life {
+            Life::Terminated(t_ms) => t_ms.min(self.end_ms),
+            Life::Running(_) => self.end_ms,
+        };
+        let srt = Srt::build(topo);
+        let static_matching: Vec<NodeId> = (topo.nodes())
+            .filter(|&n| n != NodeId::BASE_STATION && srt.node_matches(n, q))
+            .collect();
+        let is_acquisition = matches!(q.selection(), Selection::Attributes(_));
+        let mut qc = QueryCompleteness::default();
+        let mut e = q.epoch().next_fire_at(user.posed_ms + 1);
+        while e + self.window_ms < end {
+            // Of several answers for one epoch, the last to arrive counts.
+            let after = user.answers.partition_point(|(epoch_ms, _)| *epoch_ms <= e);
+            let answer = after.checked_sub(1).map(|i| &user.answers[i]);
+            let alive = (static_matching.iter())
+                .filter(|&&n| self.schedule.as_ref().is_none_or(|s| s.alive_at(n, e)))
+                .count() as u64;
+            if alive > 0 {
+                qc.expected_epochs += 1;
+                if is_acquisition {
+                    qc.expected_rows += alive;
+                }
+                if let Some((_, answer)) = answer.filter(|(epoch_ms, _)| *epoch_ms == e) {
+                    qc.answered_epochs += u64::from(!answer.is_empty());
+                    if let EpochAnswer::Rows(rows) = answer {
+                        qc.delivered_rows += rows.len() as u64;
+                    }
+                }
+            }
+            e += q.epoch().as_ms();
+        }
+        qc
+    }
+}
+
+/// The base station's record of query lives (DESIGN.md §8): each live or
+/// closing user's record, every injected query that is not a user's own,
+/// and the services the injected queries gave the users. An injected id's
+/// query never changes — Tier 1 rewrites under fresh ids — so "who was
+/// served by which id from when to when" is all that answer attribution
+/// needs. Without Tier 1 every user is its own injected query.
 #[derive(Debug, Default)]
 struct Ledger {
-    users: BTreeMap<QueryId, UserLife>,
-    /// The running users, each with its open service: the injected query now
-    /// serving it, and since when.
-    open: BTreeMap<QueryId, Option<(QueryId, u64)>>,
-    /// Definitions of the injected queries that are not a user's own (Tier
-    /// 1's synthetics), taken from the [`NetworkOp::Inject`] that created
-    /// them. Tier 1 never reuses a user id: its ids are at or above
-    /// [`SYNTHETIC_ID_BASE`](crate::SYNTHETIC_ID_BASE), which users may not
-    /// take.
+    users: BTreeMap<QueryId, User>,
+    /// Tier 1's synthetics, from the [`NetworkOp::Inject`] that created each.
+    /// Their ids are at or above [`SYNTHETIC_ID_BASE`](crate::SYNTHETIC_ID_BASE),
+    /// which users may not take.
     injected: BTreeMap<QueryId, Query>,
     /// `(injected, user, from_ms) → until_ms`: the half-open interval of
     /// epoch starts `injected` answered for `user`; `u64::MAX` while open.
-    services: BTreeMap<(QueryId, QueryId, u64), u64>,
-    /// `(terminated_ms, user)` for the users terminated at an instant the
-    /// run has not yet passed: an answer arriving at that instant still
-    /// counts, so their answers may still grow.
-    closing: Vec<(u64, QueryId)>,
+    services: Services,
 }
 
+/// `(injected, user, from_ms) → until_ms`, as in [`Ledger::services`].
+type Services = BTreeMap<(QueryId, QueryId, u64), u64>;
+
 impl Ledger {
-    fn pose(&mut self, query: Query, t_ms: u64) {
-        let id = query.id();
-        let life = UserLife {
+    /// Opens a record for a posed user query, with an audit if `audited`.
+    fn pose(&mut self, query: Query, t_ms: u64, audited: bool) {
+        let audit = audited.then(|| {
+            Box::new(Audit {
+                next: query.epoch().next_fire_at(t_ms + 1),
+                streak: 0,
+                answered: BTreeSet::new(),
+            })
+        });
+        let user = User {
             query,
             posed_ms: t_ms,
-            terminated_ms: None,
+            life: Life::Running(None),
+            answers: Vec::new(),
+            audit,
         };
-        self.users.insert(id, life);
-        self.open.insert(id, None);
+        self.users.insert(user.query.id(), user);
     }
 
-    fn terminate(&mut self, user: QueryId, t_ms: u64) {
-        if let Some(Some((syn, from_ms))) = self.open.remove(&user) {
-            self.services.insert((syn, user, from_ms), t_ms);
+    /// Closes a running user's open service and audit; its record stays
+    /// until [`finalized`](Self::finalized) returns it.
+    fn terminate(&mut self, id: QueryId, t_ms: u64) {
+        let Some(User { life, audit, .. }) = self.users.get_mut(&id) else {
+            return;
+        };
+        let Life::Running(serving) = *life else {
+            return;
+        };
+        if let Some(syn) = serving {
+            Self::close(&mut self.services, syn, id, t_ms);
         }
-        if let Some(life) = self.users.get_mut(&user) {
-            life.terminated_ms = Some(t_ms);
-            self.closing.push((t_ms, user));
-        }
+        *life = Life::Terminated(t_ms);
+        *audit = None;
     }
 
-    /// The users whose answers are final at `now_ms`, the run being past
-    /// their termination instant ([`served`](Self::served) drops every
-    /// answer that arrives later); each is returned once.
-    fn finalized(&mut self, now_ms: u64) -> impl Iterator<Item = QueryId> + '_ {
-        let done = self
-            .closing
-            .iter()
-            .take_while(|(t_ms, _)| *t_ms < now_ms)
-            .count();
-        self.closing.drain(..done).map(|(_, user)| user)
+    fn running_count(&self) -> usize {
+        let running = |user: &&User| matches!(user.life, Life::Running(_));
+        self.users.values().filter(running).count()
     }
 
-    /// Enters an injected query's definition, unless it is a posed user's
-    /// own.
+    /// Takes out the records whose answers are final at `now_ms`: the run is
+    /// past their termination, and [`served`](Self::served) drops later ones.
+    fn finalized(&mut self, now_ms: u64) -> impl Iterator<Item = (QueryId, User)> + '_ {
+        self.users.extract_if(.., move |_, user| match user.life {
+            Life::Terminated(t_ms) => t_ms < now_ms,
+            Life::Running(_) => false,
+        })
+    }
+
+    /// Enters an injected query's definition, unless it is a user's own.
     fn inject(&mut self, query: &Query) {
         if !self.users.contains_key(&query.id()) {
             self.injected.insert(query.id(), query.clone());
         }
     }
 
-    /// Brings the open services in line with `mapping` as of `t_ms`, after
-    /// the events at `t_ms` ran. A service opened and closed within one
-    /// millisecond is empty: the mapping in force at an epoch is the state
-    /// after *all* events at or before its start.
+    /// Brings the running users' open services in line with `mapping` as of
+    /// `t_ms`, after the events at `t_ms` ran. A service opened and closed
+    /// within one millisecond is empty: the mapping in force at an epoch is
+    /// the state after *all* events at or before its start.
     fn remap(&mut self, t_ms: u64, mapping: impl Fn(QueryId) -> Option<QueryId>) {
-        for (user, open) in &mut self.open {
-            let now = mapping(*user);
-            if now == open.map(|(syn, _)| syn) {
+        for (id, user) in &mut self.users {
+            let Life::Running(serving) = &mut user.life else {
+                continue;
+            };
+            let now = mapping(*id);
+            if now == *serving {
                 continue;
             }
-            if let Some((syn, from_ms)) = *open {
-                self.services.insert((syn, *user, from_ms), t_ms);
+            if let Some(syn) = *serving {
+                Self::close(&mut self.services, syn, *id, t_ms);
             }
-            *open = now.map(|syn| (syn, t_ms));
+            *serving = now;
             if let Some(syn) = now {
-                self.services.insert((syn, *user, t_ms), u64::MAX);
+                self.services.insert((syn, *id, t_ms), u64::MAX);
             }
         }
     }
 
+    /// Ends the open service `syn` gives `user`, its latest, at `t_ms`.
+    fn close(services: &mut Services, syn: QueryId, user: QueryId, t_ms: u64) {
+        let given = (syn, user, 0)..=(syn, user, u64::MAX);
+        if let Some((_, until_ms)) = services.range_mut(given).next_back() {
+            *until_ms = t_ms;
+        }
+    }
+
     /// The users the injected query `syn` was serving at the epoch starting
-    /// at `epoch_ms`, in ascending id order, as `(user, user query, injected
+    /// at `epoch_ms`, in ascending id order, as `(user query, injected
     /// query)` — minus those already gone when the answer arrived (an answer
     /// arriving at the termination instant itself still counts: the user was
     /// live when it materialized).
@@ -364,17 +455,17 @@ impl Ledger {
         syn: QueryId,
         epoch_ms: u64,
         arrival_ms: u64,
-    ) -> impl Iterator<Item = (QueryId, &Query, &Query)> {
+    ) -> impl Iterator<Item = (&Query, &Query)> {
         let syn_q = self.injected.get(&syn);
-        let syn_q = syn_q.or_else(|| self.users.get(&syn).map(|life| &life.query));
+        let syn_q = syn_q.or_else(|| self.users.get(&syn).map(|user| &user.query));
         let by_syn = (syn, QueryId(0), 0)..=(syn, QueryId(u64::MAX), u64::MAX);
         self.services
             .range(by_syn)
             .filter(move |((_, _, from_ms), until_ms)| (*from_ms..**until_ms).contains(&epoch_ms))
-            .filter_map(move |((_, user, _), _)| {
-                let life = self.users.get(user)?;
-                let gone = life.terminated_ms.is_some_and(|t| arrival_ms > t);
-                (!gone).then_some((*user, &life.query, syn_q?))
+            .filter_map(move |((_, id, _), _)| {
+                let user = self.users.get(id)?;
+                let gone = matches!(user.life, Life::Terminated(t) if arrival_ms > t);
+                (!gone).then_some((&user.query, syn_q?))
             })
     }
 }
@@ -386,15 +477,14 @@ const REPAIR_AFTER_MISSING: u32 = 2;
 /// lost too) stops blocking further repair attempts after this long.
 const REPAIR_GRACE_MS: u64 = 8 * BASE_EPOCH_MS;
 
-/// The base station's missing-result detector: audits every user query's
-/// expected epochs as their collection windows close, and asks for a Tier-1
-/// re-optimization of the owning synthetic query when a query goes silent
-/// for [`REPAIR_AFTER_MISSING`] consecutive epochs. Armed only for faulty
-/// runs under a rewriting strategy.
+/// The base station's missing-result detector: audits every running user
+/// query's expected epochs as their collection windows close (the audit
+/// lives in the user's record), and asks for a Tier-1 re-optimization of
+/// the owning synthetic query when a query goes silent for
+/// [`REPAIR_AFTER_MISSING`] consecutive epochs. Armed only for faulty runs
+/// under a rewriting strategy.
 #[derive(Debug, Default)]
 struct RepairMonitor {
-    /// The audit of each live user query.
-    audits: BTreeMap<QueryId, Audit>,
     /// Repairs whose first post-repair answer has not arrived yet:
     /// `(trigger ms, member user queries)`.
     pending: Vec<(u64, Vec<QueryId>)>,
@@ -402,11 +492,10 @@ struct RepairMonitor {
     latencies_ms: Vec<u64>,
 }
 
-/// Where the repair monitor's audit of one live user query stands.
+/// Where the repair monitor's audit of one running user query stands; its
+/// step is the query's epoch.
 #[derive(Debug)]
 struct Audit {
-    /// The query's epoch, the audit's step.
-    epoch: EpochDuration,
     /// Next epoch start (ms) to audit.
     next: u64,
     /// Consecutive missing expected epochs.
@@ -417,109 +506,71 @@ struct Audit {
 }
 
 impl RepairMonitor {
-    fn note_posed(&mut self, q: &Query, t_ms: u64) {
-        let audit = Audit {
-            epoch: q.epoch(),
-            next: q.epoch().next_fire_at(t_ms + 1),
-            streak: 0,
-            answered: BTreeSet::new(),
-        };
-        self.audits.insert(q.id(), audit);
-    }
-
     fn note_terminated(&mut self, qid: QueryId) {
-        self.audits.remove(&qid);
         self.pending.retain_mut(|(_, members)| {
             members.retain(|m| *m != qid);
             !members.is_empty()
         });
     }
 
-    fn note_answer(&mut self, a: &MappedAnswer) {
-        if !a.nonempty {
-            return;
+    /// Notes user `id`'s non-empty answer for epoch `epoch_ms`, arrived at `at_ms`.
+    fn note_answer(&mut self, id: QueryId, epoch_ms: u64, at_ms: u64, audit: Option<&mut Audit>) {
+        // The audit only moves forward: an epoch it has passed is never
+        // looked up again.
+        if let Some(audit) = audit.filter(|audit| epoch_ms >= audit.next) {
+            audit.answered.insert(epoch_ms);
         }
-        // The audit only moves forward: an epoch it has passed, or one of a
-        // user it no longer follows, is never looked up again.
-        if let Some(audit) = self.audits.get_mut(&a.user) {
-            if a.epoch_ms >= audit.next {
-                audit.answered.insert(a.epoch_ms);
-            }
-        }
-        if let Some(pos) = self.pending.iter().position(|(_, m)| m.contains(&a.user)) {
+        if let Some(pos) = self.pending.iter().position(|(_, m)| m.contains(&id)) {
             let (t0, _) = self.pending.remove(pos);
-            self.latencies_ms.push(a.arrival_ms.saturating_sub(t0));
+            self.latencies_ms.push(at_ms.saturating_sub(t0));
         }
     }
 
     /// Audits every epoch whose collection window (`window_ms`) closed by
-    /// time `b`; returns the users whose missing streak crossed the threshold.
-    fn due_repairs(&mut self, b: u64, window_ms: u64) -> Vec<QueryId> {
+    /// time `b`; returns the users whose missing streak crossed the
+    /// threshold, in ascending id order.
+    fn due_repairs(&mut self, ledger: &mut Ledger, b: u64, window_ms: u64) -> Vec<QueryId> {
         self.pending
             .retain(|(t0, _)| b.saturating_sub(*t0) <= REPAIR_GRACE_MS);
         let mut due = Vec::new();
-        for (uid, audit) in &mut self.audits {
+        for (id, user) in &mut ledger.users {
+            let Some(audit) = user.audit.as_mut() else {
+                continue;
+            };
             while audit.next + window_ms <= b {
                 if audit.answered.contains(&audit.next) {
                     audit.streak = 0;
                 } else {
                     audit.streak += 1;
                 }
-                audit.next += audit.epoch.as_ms();
+                audit.next += user.query.epoch().as_ms();
             }
             let next = audit.next;
             audit.answered.retain(|epoch_ms| *epoch_ms >= next);
             if audit.streak >= REPAIR_AFTER_MISSING
-                && !self.pending.iter().any(|(_, m)| m.contains(uid))
+                && !self.pending.iter().any(|(_, m)| m.contains(id))
             {
-                due.push(*uid);
+                due.push(*id);
             }
         }
         due
     }
 
-    fn note_repaired(&mut self, b: u64, members: &[QueryId]) {
+    fn note_repaired(&mut self, ledger: &mut Ledger, b: u64, members: &[QueryId]) {
         self.repairs += 1;
         self.pending.push((b, members.to_vec()));
         for m in members {
-            if let Some(audit) = self.audits.get_mut(m) {
+            if let Some(User {
+                query,
+                audit: Some(audit),
+                ..
+            }) = ledger.users.get_mut(m)
+            {
                 audit.streak = 0;
                 // Give the replacement flood until its next epoch before the
                 // audit resumes counting.
-                audit.next = audit.epoch.next_fire_at(b + 1);
+                audit.next = query.epoch().next_fire_at(b + 1);
             }
-        }
-    }
-}
-
-/// One synthetic answer mapped back to one user query: the runner-level
-/// counterpart of the engine's probe values, built once per mapping and
-/// handed to the repair monitor and the trace.
-#[derive(Debug, Clone, Copy)]
-struct MappedAnswer {
-    user: QueryId,
-    synthetic: QueryId,
-    epoch_ms: u64,
-    /// Result rows in the mapped answer (0 for aggregates).
-    rows: u64,
-    nonempty: bool,
-    arrival_ms: u64,
-}
-
-impl MappedAnswer {
-    /// Emission delay past the epoch start, ms.
-    fn latency_ms(&self) -> u64 {
-        self.arrival_ms.saturating_sub(self.epoch_ms)
-    }
-
-    fn trace_event(&self) -> TraceEvent {
-        TraceEvent::AnswerMapped {
-            user: self.user,
-            synthetic: self.synthetic,
-            epoch_ms: self.epoch_ms,
-            rows: self.rows,
-            nonempty: self.nonempty,
-            latency_ms: self.latency_ms(),
         }
     }
 }
@@ -547,22 +598,6 @@ impl SimKind {
         with_sim!(self, s => s.run_until(t))
     }
 
-    fn take_outputs(&mut self) -> Vec<ttmqo_sim::OutputRecord<Output>> {
-        with_sim!(self, s => s.take_outputs())
-    }
-
-    fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: Command) {
-        with_sim!(self, s => s.schedule_command(at, node, cmd))
-    }
-
-    fn metrics(&self) -> &Metrics {
-        with_sim!(self, s => s.metrics())
-    }
-
-    fn engine_stats(&self) -> EngineStats {
-        with_sim!(self, s => s.engine_stats())
-    }
-
     fn now(&self) -> SimTime {
         with_sim!(self, s => s.now())
     }
@@ -575,7 +610,10 @@ impl SimKind {
 /// Builds the strategy's simulator, which keeps the run's one copy of the
 /// topology, with the trace sink attached and the fault plan installed.
 fn build_sim(config: &ExperimentConfig, topo: Topology) -> SimKind {
-    let field = build_field(config, &topo);
+    let field: Box<dyn SensorField + Send + Sync> = match config.field {
+        FieldKind::Uniform => Box::new(UniformField::new(config.field_seed)),
+        FieldKind::Correlated => Box::new(CorrelatedField::for_topology(config.field_seed, &topo)),
+    };
     let (radio, sim_config) = (config.radio.clone(), config.sim.clone());
     let mut sim = if config.strategy.uses_innetwork_tier() {
         // Fault-free runs keep the parent failure detector off, so their
@@ -627,8 +665,6 @@ pub struct RunSession {
     events: Vec<WorkloadEvent>,
     sim: SimKind,
     optimizer: Option<BaseStationOptimizer>,
-    /// Materialized fault schedule (completeness expectations).
-    schedule: Option<FaultSchedule>,
     state: RunnerState,
 }
 
@@ -637,10 +673,8 @@ pub struct RunSession {
 /// fixed when [`RunSession::new`] builds it.
 #[derive(Debug, Default)]
 struct RunnerState {
-    /// Highest base-epoch boundary the repair monitor has audited (and the
-    /// floor above which the next audit boundary is computed). Advanced to
-    /// the event time at each workload event, matching the audit loop the
-    /// monolithic driver ran per inter-event interval.
+    /// Highest base-epoch boundary the repair monitor has audited, or the
+    /// latest workload event's time if that is later.
     audited_to: u64,
     monitor: Option<RepairMonitor>,
     ledger: Ledger,
@@ -649,7 +683,10 @@ struct RunnerState {
     last_t: u64,
     current_syn_count: usize,
     current_ratio: f64,
-    answers: BTreeMap<QueryId, Vec<(u64, EpochAnswer)>>,
+    /// The answers one synthetic answer maps to, by user: gathered while the
+    /// ledger is read, then written into the users' records.
+    mapped: Vec<(QueryId, EpochAnswer)>,
+    report: Report,
 }
 
 impl std::fmt::Debug for RunSession {
@@ -658,7 +695,7 @@ impl std::fmt::Debug for RunSession {
             .field("strategy", &self.config.strategy)
             .field("now_ms", &self.sim.now().as_ms())
             .field("events_left", &self.events.len())
-            .field("running_users", &self.state.ledger.open.len())
+            .field("running_users", &self.state.ledger.running_count())
             .finish_non_exhaustive()
     }
 }
@@ -668,7 +705,9 @@ impl RunSession {
     ///
     /// # Panics
     ///
-    /// Panics if the grid cannot be constructed (e.g. `grid_n == 0`).
+    /// Panics if the grid cannot be constructed (e.g. `grid_n == 0`), or if
+    /// the workload poses one id twice: a user id names one life, under
+    /// every strategy.
     pub fn new(config: &ExperimentConfig, workload: &[WorkloadEvent]) -> RunSession {
         let events = Self::prepare_events(config, workload);
         // The simulator keeps the run's one topology: an override moves out
@@ -683,7 +722,12 @@ impl RunSession {
 
         let rewriting = config.strategy.uses_basestation_tier();
         let optimizer = rewriting.then(|| {
-            let mut opt = build_optimizer(&config, topo);
+            let alpha = config.alpha;
+            let options = OptimizerOptions {
+                alpha,
+                ..config.optimizer
+            };
+            let mut opt = BaseStationOptimizer::for_topology(topo, &config.radio, options);
             opt.set_trace(config.observe.trace.clone());
             opt
         });
@@ -694,6 +738,12 @@ impl RunSession {
         let schedule = (!config.faults.is_empty()).then(|| config.faults.materialize(topo));
         let state = RunnerState {
             monitor: (rewriting && schedule.is_some()).then(RepairMonitor::default),
+            report: Report {
+                schedule,
+                window_ms: config.innetwork.collection_window_ms(topo),
+                end_ms: config.duration.as_ms(),
+                ..Report::default()
+            },
             ..RunnerState::default()
         };
 
@@ -702,7 +752,6 @@ impl RunSession {
             events,
             sim,
             optimizer,
-            schedule,
             state,
         }
     }
@@ -712,6 +761,7 @@ impl RunSession {
     /// the time-weighted accounting past the measured window (and underflow
     /// the `duration − last_event` interval).
     fn prepare_events(config: &ExperimentConfig, workload: &[WorkloadEvent]) -> Vec<WorkloadEvent> {
+        Self::assert_each_id_posed_once(workload);
         let mut events: Vec<WorkloadEvent> = workload.to_vec();
         events.sort_by_key(|e| e.at);
         events.retain(|e| e.at < config.duration);
@@ -719,22 +769,34 @@ impl RunSession {
         events
     }
 
-    /// Drains pending network outputs: feeds adaptive statistics, maps each
-    /// answer back to the user queries it served, and reports each mapping
-    /// to the repair monitor and the trace. An
-    /// answer for epoch `e` is always emitted (and thus drained) after every
-    /// workload event at or before `e` has executed, so the ledger already
-    /// holds the services in force at `e`, and a termination that should
-    /// drop the answer has always been recorded by drain time. Last, the
-    /// answers of each user the run is now past the termination of are
-    /// final, and shrunk to fit.
+    /// Panics if `workload` poses one id twice.
+    fn assert_each_id_posed_once(workload: &[WorkloadEvent]) {
+        let mut posed = Vec::with_capacity(workload.len());
+        for event in workload {
+            if let WorkloadAction::Pose(q) = &event.action {
+                posed.push(q.id());
+            }
+        }
+        posed.sort_unstable();
+        if let Some(pair) = posed.windows(2).find(|pair| pair[0] == pair[1]) {
+            panic!("the workload poses {} twice", pair[0]);
+        }
+    }
+
+    /// Drains pending network outputs: feeds adaptive statistics, and maps
+    /// each answer into the records of the users it served, telling the
+    /// repair monitor and the trace. An answer for epoch `e` is emitted after
+    /// every workload event at or before `e` ran, so the ledger already holds
+    /// the services in force at `e` and any termination that drops it. Last,
+    /// it files the users the run is now past the termination of.
     fn ingest(&mut self) {
-        let outputs = self.sim.take_outputs();
+        let outputs = with_sim!(&mut self.sim, s => s.take_outputs());
         let trace = &self.config.observe.trace;
         let RunnerState {
             ledger,
             monitor,
-            answers,
+            mapped,
+            report,
             ..
         } = &mut self.state;
         let adaptive = self.config.adaptive_statistics;
@@ -754,36 +816,32 @@ impl RunSession {
                 }
             }
             let arrival_ms = record.time.as_ms();
-            let served = || {
-                let served = ledger.served(*qid, *epoch_ms, arrival_ms);
-                served.map(|(_, user_q, syn_q)| (user_q, syn_q))
-            };
-            map_epoch_answers_at(served, *epoch_ms, answer, |user_q, mapped| {
-                let user = user_q.id();
-                let (rows, nonempty) = match &mapped {
+            let served = || ledger.served(*qid, *epoch_ms, arrival_ms);
+            map_epoch_answers_at(served, *epoch_ms, answer, |user_q, answer| {
+                mapped.push((user_q.id(), answer));
+            });
+            for (id, answer) in mapped.drain(..) {
+                let (rows, nonempty) = match &answer {
                     EpochAnswer::Rows(rows) => (rows.len() as u64, !rows.is_empty()),
                     EpochAnswer::Aggregates(vals) => (0, !vals.is_empty()),
                 };
-                let a = MappedAnswer {
-                    user,
+                let user = (ledger.users.get_mut(&id)).expect("a served user has a record");
+                if let Some(mon) = monitor.as_mut().filter(|_| nonempty) {
+                    mon.note_answer(id, *epoch_ms, arrival_ms, user.audit.as_deref_mut());
+                }
+                trace.emit_with(arrival_ms * 1000, || TraceEvent::AnswerMapped {
+                    user: id,
                     synthetic: *qid,
                     epoch_ms: *epoch_ms,
                     rows,
                     nonempty,
-                    arrival_ms,
-                };
-                if let Some(mon) = monitor.as_mut() {
-                    mon.note_answer(&a);
-                }
-                trace.emit_with(arrival_ms * 1000, || a.trace_event());
-                answers.entry(user).or_default().push((*epoch_ms, mapped));
-            });
-        }
-        for user in ledger.finalized(self.sim.now().as_ms()) {
-            if let Some(final_answers) = answers.get_mut(&user) {
-                final_answers.shrink_to_fit();
+                    latency_ms: arrival_ms.saturating_sub(*epoch_ms),
+                });
+                user.answers.push((*epoch_ms, answer));
             }
         }
+        let finalized = ledger.finalized(self.sim.now().as_ms());
+        report.file(finalized, self.sim.topology());
     }
 
     /// Folds the time-weighted statistics over `[last_t, t_ms)`. Called only
@@ -812,8 +870,8 @@ impl RunSession {
                 }
                 NetworkOp::Abort(id) => Command::Terminate(id),
             };
-            self.sim
-                .schedule_command(SimTime::from_ms(t_ms), NodeId::BASE_STATION, cmd);
+            let at = SimTime::from_ms(t_ms);
+            with_sim!(&mut self.sim, s => s.schedule_command(at, NodeId::BASE_STATION, cmd));
         }
         match &self.optimizer {
             Some(opt) => {
@@ -823,7 +881,7 @@ impl RunSession {
             }
             None => {
                 state.ledger.remap(t_ms, Some);
-                state.current_syn_count = state.ledger.open.len();
+                state.current_syn_count = state.ledger.running_count();
             }
         }
     }
@@ -838,16 +896,13 @@ impl RunSession {
         if self.state.monitor.is_none() {
             return;
         }
-        let window_ms = self
-            .config
-            .innetwork
-            .collection_window_ms(self.sim.topology());
         let mut b = (self.state.audited_to / BASE_EPOCH_MS + 1) * BASE_EPOCH_MS;
         while b < t_ms || (inclusive && b == t_ms) {
             self.sim.run_until(SimTime::from_ms(b));
             self.ingest();
-            let due = match self.state.monitor.as_mut() {
-                Some(mon) => mon.due_repairs(b, window_ms),
+            let state = &mut self.state;
+            let due = match state.monitor.as_mut() {
+                Some(mon) => mon.due_repairs(&mut state.ledger, b, state.report.window_ms),
                 None => Vec::new(),
             };
             for uid in due {
@@ -866,8 +921,9 @@ impl RunSession {
                 // The interval up to the repair ran under the old set.
                 self.fold_dt(b);
                 self.commit(ops, b);
-                if let Some(mon) = self.state.monitor.as_mut() {
-                    mon.note_repaired(b, &members);
+                let state = &mut self.state;
+                if let Some(mon) = state.monitor.as_mut() {
+                    mon.note_repaired(&mut state.ledger, b, &members);
                 }
             }
             self.state.audited_to = b;
@@ -891,16 +947,13 @@ impl RunSession {
         }
         let ops = match event.action {
             WorkloadAction::Pose(q) => {
-                if let Some(mon) = state.monitor.as_mut() {
-                    mon.note_posed(&q, t_ms);
-                }
                 let ops = match self.optimizer.as_mut() {
                     Some(opt) => opt
                         .insert(q.clone())
                         .expect("workload ids are unique and unreserved"),
                     None => vec![NetworkOp::Inject(q.clone())],
                 };
-                state.ledger.pose(q, t_ms);
+                state.ledger.pose(q, t_ms, state.monitor.is_some());
                 ops
             }
             WorkloadAction::Terminate(qid) => {
@@ -957,87 +1010,25 @@ impl RunSession {
         self.run_to(duration);
         self.fold_dt(duration.as_ms());
 
-        for per_query in self.state.answers.values_mut() {
-            per_query.sort_by_key(|(e, _)| *e);
-        }
-
-        // Whole-run answer-completeness accounting: for every expected epoch
-        // (query live, collection window fits the run, at least one
-        // statically matching node alive) check whether a non-empty answer
-        // was delivered. "Statically matching" = its id can satisfy the
-        // query; value predicates depend on readings, so row expectations
-        // are an upper bound and exact for predicate-free acquisition
-        // queries.
-        let topo = self.sim.topology();
-        let srt = Srt::build(topo);
-        let window_ms = self.config.innetwork.collection_window_ms(topo);
-        let mut per_query: BTreeMap<QueryId, QueryCompleteness> = BTreeMap::new();
-        for (uid, life) in &self.state.ledger.users {
-            let q = &life.query;
-            let end = life.terminated_ms.unwrap_or(u64::MAX).min(duration.as_ms());
-            let static_matching: Vec<NodeId> = topo
-                .nodes()
-                .filter(|&n| n != NodeId::BASE_STATION && srt.node_matches(n, q))
-                .collect();
-            let by_epoch: BTreeMap<u64, (bool, u64)> = self
-                .state
-                .answers
-                .get(uid)
-                .map(|v| {
-                    v.iter()
-                        .map(|(e, a)| {
-                            let info = match a {
-                                EpochAnswer::Rows(rows) => (!rows.is_empty(), rows.len() as u64),
-                                EpochAnswer::Aggregates(vals) => (!vals.is_empty(), 0),
-                            };
-                            (*e, info)
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-            let is_acquisition = matches!(q.selection(), Selection::Attributes(_));
-            let mut qc = QueryCompleteness::default();
-            let step = q.epoch().as_ms();
-            let mut e = q.epoch().next_fire_at(life.posed_ms + 1);
-            while e + window_ms < end {
-                let alive = static_matching
-                    .iter()
-                    .filter(|&&n| self.schedule.as_ref().is_none_or(|s| s.alive_at(n, e)))
-                    .count() as u64;
-                if alive > 0 {
-                    qc.expected_epochs += 1;
-                    if is_acquisition {
-                        qc.expected_rows += alive;
-                    }
-                    if let Some((nonempty, rows)) = by_epoch.get(&e) {
-                        if *nonempty {
-                            qc.answered_epochs += 1;
-                        }
-                        qc.delivered_rows += rows;
-                    }
-                }
-                e += step;
-            }
-            per_query.insert(*uid, qc);
-        }
-        let completeness = match &self.state.monitor {
-            Some(mon) => CompletenessReport {
-                per_query,
-                repairs_triggered: mon.repairs,
-                repair_latency_ms: mon.latencies_ms.clone(),
-            },
-            None => CompletenessReport {
-                per_query,
-                ..CompletenessReport::default()
-            },
+        // The users still running at the end are final too.
+        let mut report = self.state.report;
+        report.file(self.state.ledger.users.into_iter(), self.sim.topology());
+        let (answers, per_query) = (report.answers, report.per_query);
+        let (repairs_triggered, repair_latency_ms) = match self.state.monitor {
+            Some(mon) => (mon.repairs, mon.latencies_ms),
+            None => (0, Vec::new()),
+        };
+        let completeness = CompletenessReport {
+            per_query,
+            repairs_triggered,
+            repair_latency_ms,
         };
 
         let total = duration.as_ms().max(1) as f64;
-        let metrics = self.sim.metrics().clone();
+        let (metrics, engine) = with_sim!(&self.sim, s => (s.metrics().clone(), s.engine_stats()));
         let energy_profile = EnergyProfile::default();
         let energy_mj = metrics.total_energy_mj(&energy_profile);
         let max_node_energy_mj = metrics.max_node_energy_mj(&energy_profile);
-        let engine = self.sim.engine_stats();
         // The standing invariant auditor: pure post-hoc arithmetic over the
         // artifacts assembled above, so enabling it cannot perturb the run
         // it is auditing. The trace↔answer reconciliation needs the trace
@@ -1058,7 +1049,7 @@ impl RunSession {
         RunReport {
             strategy: self.config.strategy,
             metrics,
-            answers: self.state.answers,
+            answers,
             avg_synthetic_count: self.state.weighted_syn / total,
             avg_benefit_ratio: self.state.weighted_ratio / total,
             optimizer_stats: self.optimizer.map(|o| o.stats()),
@@ -1074,7 +1065,8 @@ impl RunSession {
 #[cfg(test)]
 mod tests {
     use super::{
-        build_sim, ExperimentConfig, Ledger, RunSession, Strategy, WorkloadAction, WorkloadEvent,
+        build_sim, ExperimentConfig, Ledger, Life, RunSession, SimKind, Strategy, WorkloadAction,
+        WorkloadEvent,
     };
     use std::collections::BTreeMap;
     use ttmqo_query::{parse_query, Query, QueryId};
@@ -1173,7 +1165,7 @@ mod tests {
     impl Twin {
         fn pose(&mut self, q: &Query, t: u64) {
             self.live.insert(q.id(), q.clone());
-            self.ledger.pose(q.clone(), t);
+            self.ledger.pose(q.clone(), t, false);
         }
 
         fn terminate(&mut self, uid: QueryId, t: u64) {
@@ -1267,7 +1259,8 @@ mod tests {
                     _ => next() % (t + 5000),
                 };
                 let arrival_ms = epoch_ms + next() % 700;
-                let got: Vec<_> = twin.ledger.served(qid, epoch_ms, arrival_ms).collect();
+                let served = twin.ledger.served(qid, epoch_ms, arrival_ms);
+                let got: Vec<_> = served.map(|(u, s)| (u.id(), u, s)).collect();
                 let want = reference_served(
                     &twin.snapshots,
                     &twin.terminated_at,
@@ -1305,9 +1298,10 @@ mod tests {
             ];
             let mut session = RunSession::new(&config, &workload);
             session.run_to(SimTime::from_ms(t));
-            assert_eq!(session.state.ledger.closing, [(t, QueryId(0))], "{t}");
+            let life = &session.state.ledger.users[&QueryId(0)].life;
+            assert!(matches!(life, Life::Terminated(at) if *at == t), "{t}");
             session.run_to(SimTime::from_ms(t + 1));
-            assert!(session.state.ledger.closing.is_empty(), "{t}");
+            assert!(!session.state.ledger.users.contains_key(&QueryId(0)), "{t}");
             let report = session.finish();
             let answers = &report.answers[&QueryId(0)];
             let got: Vec<u64> = answers.iter().map(|(e, _)| *e).collect();
@@ -1352,7 +1346,11 @@ mod tests {
             session.run_to(SimTime::from_ms(slice * 3 * 2048));
             assert!(session.state.ledger.injected.is_empty(), "slice {slice}");
         }
-        assert_eq!(session.state.ledger.users.len(), 12);
+        // The eight terminated users are final and filed as report rows; the
+        // four still running keep their records to the end.
+        let running: Vec<u64> = session.state.ledger.users.keys().map(|id| id.0).collect();
+        assert_eq!(running, [2, 5, 8, 11]);
+        assert_eq!(session.state.report.per_query.len(), 8);
         let report = session.finish();
 
         let mut sim = build_sim(&config, Topology::grid(4).unwrap());
@@ -1363,7 +1361,7 @@ mod tests {
             .rev()
         {
             sim.run_until(event.at);
-            outputs.extend(sim.take_outputs());
+            outputs.extend(with_sim!(&mut sim, s => s.take_outputs()));
             let command = match event.action {
                 WorkloadAction::Pose(q) => Command::Pose(q),
                 WorkloadAction::Terminate(id) => {
@@ -1371,10 +1369,10 @@ mod tests {
                     Command::Terminate(id)
                 }
             };
-            sim.schedule_command(event.at, NodeId::BASE_STATION, command);
+            with_sim!(&mut sim, s => s.schedule_command(event.at, NodeId::BASE_STATION, command));
         }
         sim.run_until(config.duration);
-        outputs.extend(sim.take_outputs());
+        outputs.extend(with_sim!(&mut sim, s => s.take_outputs()));
         let mut want: BTreeMap<QueryId, Vec<u64>> = BTreeMap::new();
         for record in outputs {
             let Output::Answer { qid, epoch_ms, .. } = record.output;
@@ -1394,7 +1392,8 @@ mod tests {
         // Crashes next to the base station keep the monitor auditing (and
         // repairing) for the whole run. Per live user it may hold only the
         // answered epochs its audit has yet to reach — a collection window's
-        // worth — however long the run; a terminated user holds none.
+        // worth — however long the run; a terminated user holds none, and
+        // its record is gone once its answers are final.
         let q = |id: u64, text: &str| parse_query(QueryId(id), text).unwrap();
         let workload = vec![
             WorkloadEvent::pose(0, q(0, "select light epoch duration 2048")),
@@ -1421,21 +1420,16 @@ mod tests {
         let mut session = RunSession::new(&config, &workload);
         for epochs in [25, 50, 100, 150, 200] {
             session.run_to(SimTime::from_ms(epochs * 2048));
-            let monitor = session
-                .state
-                .monitor
-                .as_ref()
-                .expect("faulty rewriting run");
-            let held: usize = monitor.audits.values().map(|a| a.answered.len()).sum();
+            let users = &session.state.ledger.users;
+            let audits = users.values().filter_map(|user| user.audit.as_ref());
+            let held: usize = audits.map(|a| a.answered.len()).sum();
             assert!(
                 held <= 2 * 4,
                 "{held} answered epochs held after {epochs} epochs"
             );
-            assert_eq!(
-                monitor.audits.contains_key(&QueryId(1)),
-                epochs < 60,
-                "after {epochs} epochs"
-            );
+            let audited = users.get(&QueryId(1)).map(|user| user.audit.is_some());
+            let want = (epochs < 60).then_some(true);
+            assert_eq!(audited, want, "after {epochs} epochs");
         }
         let monitor = session.state.monitor.as_ref().unwrap();
         assert!(monitor.repairs > 0, "the run never exercised a repair");

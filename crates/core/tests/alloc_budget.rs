@@ -286,7 +286,11 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     // positions only: the subtree id ranges, subtree boxes and level order
     // the static answer-set check never read were three vectors, and stays so
     // as it reads no positions (−1) and the session's event buffer shrinks
-    // (+1). The count is the same in debug and release builds (CI runs both).
+    // (+1). It is 11 457 since each user is one record from pose to report
+    // rows, where the session kept three maps by user and built a map of each
+    // user's answers by epoch at the end, and the workload's ids are checked
+    // to be posed once (+1). The count is the same in debug and release
+    // builds (CI runs both).
     let config = ExperimentConfig {
         strategy: Strategy::InNetOnly,
         grid_n: 8,
@@ -296,7 +300,7 @@ fn an_unobserved_cell_makes_a_pinned_number_of_allocator_calls() {
     let workload = workload_a();
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.engine.frames_total, 5965, "not the pinned cell");
-    assert_eq!(allocs, 11_468);
+    assert_eq!(allocs, 11_457);
 }
 
 #[test]
@@ -344,7 +348,9 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     // removals and the ids it handed out, where each of its 200 calls
     // collected the running synthetic ids into a fresh B-tree set (−398), and
     // `Srt::build` kept only positions (−3); then to 20 242 once no position
-    // list was collected (−4) and the event buffer shrank as it emptied (+3).
+    // list was collected (−4) and the event buffer shrank as it emptied (+3);
+    // then to 20 036 once each user was one record from pose to report rows
+    // (−206).
     let workload = random_workload(&RandomWorkloadParams {
         n_queries: 100,
         mean_arrival_ms: 10_000.0,
@@ -359,7 +365,7 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     };
     let (allocs, report) = allocs_during(|| run_experiment(&config, &workload));
     assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(100));
-    assert_eq!(allocs, 20_242);
+    assert_eq!(allocs, 20_036);
 
     // What the users' answers hold once the run is over — 443 answers,
     // 2 059 rows, 3 503 values — pinned exactly: the bytes freed by dropping
@@ -377,7 +383,8 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
     // is 74 656 B since a block stores no `nodeid` value equal, bit for bit,
     // to its row's node id (752 values, 6 016 B), and 64 048 B since a
     // terminated user's answer vector is shrunk to fit (221 unused 48-byte
-    // slots).
+    // slots). It is 63 680 B since the report's map of answers is filled as
+    // users become final, in fewer B-tree nodes.
     let answers = report.answers;
     let mut held = (0, 0, 0);
     for (_, answer) in answers.values().flatten() {
@@ -392,7 +399,7 @@ fn a_churn_cell_makes_a_pinned_number_of_allocator_calls() {
         answers.values().all(|a| a.capacity() == a.len()),
         "a terminated user's answers kept growth slack"
     );
-    assert_eq!(bytes_freed_by(|| drop(answers)), 64_048);
+    assert_eq!(bytes_freed_by(|| drop(answers)), 63_680);
 }
 
 /// The repo benchmark's `adaptive-churn` inputs: 500 queries arriving and
@@ -437,11 +444,14 @@ fn the_benchmark_churn_stream_peaks_at_a_pinned_number_of_live_bytes() {
     // has no region list (24 B). It is 2 568 264 B since a query holds no
     // region and no position list is built (−80 768), and the session's
     // event buffer shrinks as it empties: the peak came before the last
-    // event, with all 1 000 held (−144 000). The same in debug and release.
+    // event, with all 1 000 held (−144 000). It is 2 441 783 B since a
+    // user's record leaves the ledger once its answers are final, where the
+    // ledger held every user ever posed (−126 481). The same in debug and
+    // release.
     let (config, workload) = benchmark_churn_stream();
     let (peak, report) = peak_live_during(|| RunSession::new(&config, &workload).finish());
     assert_eq!(report.optimizer_stats.map(|s| s.terminated), Some(500));
-    assert_eq!(peak, 2_568_264);
+    assert_eq!(peak, 2_441_783);
 }
 
 #[test]
@@ -470,12 +480,14 @@ fn answers_of_the_benchmark_churn_stream_share_their_synthetic_rows() {
     // equal, bit for bit, to the node id their row head holds; a head marks
     // them implied instead (2 470 408 B). Every user here is terminated, and
     // its answers are final once the run is past that instant: shrunk to
-    // fit, the vectors give back 5 396 unused 48-byte slots.
+    // fit, the vectors give back 5 396 unused 48-byte slots. 2 207 160 B
+    // (−4 240) since the report's map of answers is filled as users become
+    // final, in fewer B-tree nodes.
     assert!(
         answers.values().all(|a| a.capacity() == a.len()),
         "a terminated user's answers kept growth slack"
     );
-    assert_eq!(bytes_freed_by(|| drop(answers)), 2_211_400);
+    assert_eq!(bytes_freed_by(|| drop(answers)), 2_207_160);
     // 8 915 member allocations became 1 218 blocks: the run made 265 848
     // allocator calls before, and 258 179 until the base station dropped the
     // 73 rows and 42 partials entries that arrive after their epoch's close
@@ -495,8 +507,11 @@ fn answers_of_the_benchmark_churn_stream_share_their_synthetic_rows() {
     // collected the running synthetic ids into a fresh B-tree set (−1 998),
     // and `Srt::build` keeps only positions (−3). 245 141 since no position
     // list is collected (−6) and the session's event buffer shrinks to fit
-    // each time it is a quarter full (+4). The same in debug and release.
-    assert_eq!(allocs, 245_141);
+    // each time it is a quarter full (+4). 242 892 since each user is one
+    // record from pose to report rows, where the session kept three maps by
+    // user and built a map of each user's answers by epoch at the end. The
+    // same in debug and release.
+    assert_eq!(allocs, 242_892);
 }
 
 #[test]
@@ -557,10 +572,12 @@ fn workload_a_cells_peak_at_a_pinned_number_of_live_bytes() {
     // 104-byte B-tree leaf). It is 159 936 B and 107 873 B since a query
     // holds no region (40 B), no position list is built (1 024 B each) and
     // the session frees its event buffer once the eight poses are applied.
-    // Both are the same in debug and release builds.
+    // Baseline's is 159 920 B since each user is one record in one B-tree
+    // (TwoTier's peak comes before any user is posed). Both are the same in
+    // debug and release builds.
     let workload = workload_a();
     let cells = [
-        (Strategy::Baseline, 11_763, 159_936),
+        (Strategy::Baseline, 11_763, 159_920),
         (Strategy::TwoTier, 5_981, 107_873),
     ];
     for (strategy, frames, pinned) in cells {
@@ -599,12 +616,13 @@ fn the_papers_32x32_deployment_peaks_at_a_pinned_number_of_live_bytes() {
     // apps (40 960 B), and the peaks fell by 40 984 B and 46 040 B; TwoTier's
     // fell 104 B more as Tier 1 stopped keeping a set of injected ids. They
     // were 1 376 265 B and 1 431 184 B until a query held no region and the
-    // cost model no list of 1 023 positions (16 384 B). The same in debug
-    // and release builds.
+    // cost model no list of 1 023 positions (16 384 B), and 1 356 569 B and
+    // 1 428 952 B until each user was one record in one B-tree. The same in
+    // debug and release builds.
     let workload = workload_a();
     for (strategy, pinned) in [
-        (Strategy::TwoTier, 1_356_569),
-        (Strategy::Baseline, 1_428_952),
+        (Strategy::TwoTier, 1_356_553),
+        (Strategy::Baseline, 1_428_936),
     ] {
         let config = ExperimentConfig {
             strategy,
@@ -630,9 +648,10 @@ fn setting_up_the_papers_32x32_deployment_makes_a_pinned_number_of_allocator_cal
     // A session keeps that one copy: the simulator owns it, and the session
     // reads it through the simulator. Cloning it into the simulator made
     // 5 541 calls (TwoTier) and 5 524 (Baseline). TwoTier made 47 until its
-    // cost model stopped collecting positions (nine growth steps).
+    // cost model stopped collecting positions (nine growth steps), 38 and 30
+    // until the workload's ids were checked to be posed once (one vector).
     let workload = workload_a();
-    for (strategy, pinned) in [(Strategy::TwoTier, 38), (Strategy::Baseline, 30)] {
+    for (strategy, pinned) in [(Strategy::TwoTier, 39), (Strategy::Baseline, 31)] {
         let config = ExperimentConfig {
             strategy,
             grid_n: 32,
@@ -657,7 +676,8 @@ fn a_session_on_a_topology_override_holds_one_copy_of_it() {
     // pruning flag, relay-only list or boxed routing tree: 2 560 B) and the
     // fault plan it keeps lost its region list (24 B). It made 36 calls and
     // held 30 194 bytes until the cost model kept no positions (five growth
-    // steps, 1 024 B) and the eight queries no region (320 B).
+    // steps, 1 024 B) and the eight queries no region (320 B), and 31 calls
+    // until the workload's ids were checked to be posed once.
     let topo = Topology::random_uniform(64, 150.0, 50.0, 12).unwrap();
     let workload = workload_a();
     let config = ExperimentConfig {
@@ -667,7 +687,7 @@ fn a_session_on_a_topology_override_holds_one_copy_of_it() {
     };
     let (allocs, session) = allocs_during(|| RunSession::new(&config, &workload));
     let held = bytes_freed_by(|| drop(session));
-    assert_eq!((allocs, held), (31, 28_850));
+    assert_eq!((allocs, held), (32, 28_850));
 }
 
 #[test]

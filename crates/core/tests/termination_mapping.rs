@@ -9,7 +9,7 @@
 
 use ttmqo_core::{run_experiment, ExperimentConfig, FieldKind, Strategy, WorkloadEvent};
 use ttmqo_query::{parse_query, Query, QueryId};
-use ttmqo_sim::{RadioParams, SimConfig, SimTime};
+use ttmqo_sim::{MsgKind, RadioParams, SimConfig, SimTime};
 
 fn q(id: u64, text: &str) -> Query {
     parse_query(QueryId(id), text).unwrap()
@@ -134,5 +134,80 @@ fn many_event_workload_maps_answers_only_inside_lifetimes() {
             answered >= 16,
             "{strategy}: only {answered}/{n} queries ever answered"
         );
+    }
+}
+
+const LIGHT: &str = "select light epoch duration 2048";
+
+/// 40 base epochs on an `n`×`n` grid under the default radio.
+fn forty_epochs(strategy: Strategy, grid_n: usize) -> ExperimentConfig {
+    ExperimentConfig {
+        strategy,
+        grid_n,
+        duration: SimTime::from_ms(40 * 2048),
+        ..ExperimentConfig::default()
+    }
+}
+
+/// User 1 posed at 0 ms and terminated at 10 240 ms, then user `second`
+/// posed at 20 480 ms, all three asking for `LIGHT`.
+fn pose_terminate_pose(second: u64) -> Vec<WorkloadEvent> {
+    vec![
+        WorkloadEvent::pose(0, q(1, LIGHT)),
+        WorkloadEvent::terminate(10_240, QueryId(1)),
+        WorkloadEvent::pose(20_480, q(second, LIGHT)),
+    ]
+}
+
+#[test]
+fn a_workload_that_poses_an_id_twice_is_rejected_under_every_strategy() {
+    // A user id names one life. Posed again after its termination, Baseline
+    // answered the second life in 0 of 29 expected epochs (every node had
+    // already seen the id's flood), and the rewriting strategies listed the
+    // two lives' 4 + 29 answers under one id.
+    let workload = pose_terminate_pose(1);
+    for strategy in Strategy::ALL {
+        let config = forty_epochs(strategy, 4);
+        let refused = std::panic::catch_unwind(|| run_experiment(&config, &workload));
+        let message = refused.expect_err("a re-posed id was accepted");
+        let message = message.downcast_ref::<String>().map(String::as_str);
+        let want = format!("the workload poses {} twice", QueryId(1));
+        assert_eq!(message, Some(want.as_str()), "{strategy}");
+    }
+}
+
+#[test]
+fn a_pose_right_after_a_lost_abort_flood_goes_unanswered_in_network() {
+    // A pinned deviation, for the flood fix (ROADMAP.md, the query that
+    // never arrives) to flip. On the 4×4 grid under the in-network tier, the
+    // abort flood for user 1 and the pose flood for user 3 each end at the
+    // base station's own frame: 1 `QueryAbort` and 16 + 1 `QueryPropagation`
+    // frames go out. User 1 keeps running in the network, so the base
+    // station drops its rows as late, and user 3 is never answered.
+    let workload = pose_terminate_pose(3);
+    for strategy in [Strategy::InNetOnly, Strategy::TwoTier] {
+        let report = run_experiment(&forty_epochs(strategy, 4), &workload);
+        let third = &report.completeness.per_query[&QueryId(3)];
+        assert_eq!(
+            (third.answered_epochs, third.expected_epochs),
+            (0, 29),
+            "{strategy}"
+        );
+        if strategy == Strategy::InNetOnly {
+            let metrics = &report.metrics;
+            assert_eq!(metrics.tx_count(MsgKind::QueryAbort), 1);
+            assert_eq!(metrics.tx_count(MsgKind::QueryPropagation), 17);
+            assert_eq!(metrics.late_rows(), 524);
+        }
+    }
+    // Posed alone, or on the 8×8 grid, user 3 is answered every epoch.
+    let alone = [WorkloadEvent::pose(20_480, q(3, LIGHT))];
+    for (grid_n, workload) in [(4, &alone[..]), (8, &workload[..])] {
+        for strategy in [Strategy::InNetOnly, Strategy::TwoTier] {
+            let report = run_experiment(&forty_epochs(strategy, grid_n), workload);
+            let third = &report.completeness.per_query[&QueryId(3)];
+            let got = (third.answered_epochs, third.expected_epochs);
+            assert_eq!(got, (29, 29), "{strategy} on {grid_n}×{grid_n}");
+        }
     }
 }

@@ -423,7 +423,7 @@ const CODE: [&str; 3] = ["crates", "src", "examples"];
 
 /// Mechanisms the documents describe as deleted: they may be named, and must
 /// not exist.
-const GONE: [&str; 26] = [
+const GONE: [&str; 29] = [
     "CampaignReport::rollup",
     "CampaignSpec::warm_start",
     "CorrelatedField::with_strengths",
@@ -431,6 +431,7 @@ const GONE: [&str; 26] = [
     "DagState::presumed_dead_count",
     "EngineStats::csma_sorts_saved",
     "EngineStats::frame_slab_len",
+    "Ledger::open",
     "LevelStats::avg_depth",
     "MetricsSnapshot::tx_bytes_total",
     "Obj::fixed",
@@ -443,8 +444,10 @@ const GONE: [&str; 26] = [
     concat!("Query::with", "_region"),
     concat!("QueryBuilder::in", "_region"),
     "QueryCompleteness::missing_epochs",
+    "RepairMonitor::audits",
     "RunSession::now",
     "RunSession::replace_fault_plan",
+    "RunnerState::answers",
     "SelectivityEstimator::observation_count",
     "Simulator::replace_fault_plan",
     "Srt::forwards",
