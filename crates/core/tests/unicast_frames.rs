@@ -27,10 +27,10 @@ struct Spy {
     log: Arc<Mutex<Vec<Handed>>>,
 }
 
-type SpyCtx<'a> = Ctx<'a, TtmqoPayload, Output>;
+type SpyCtx<'a> = Ctx<'a, Arc<TtmqoPayload>, Output>;
 
 impl NodeApp for Spy {
-    type Payload = TtmqoPayload;
+    type Payload = Arc<TtmqoPayload>;
     type Command = Command;
     type Output = Output;
 
@@ -47,11 +47,11 @@ impl NodeApp for Spy {
         ctx: &mut SpyCtx<'_>,
         from: NodeId,
         kind: MsgKind,
-        payload: &TtmqoPayload,
+        payload: &Arc<TtmqoPayload>,
     ) {
         if let TtmqoPayload::SharedRows {
             entry, assignments, ..
-        } = payload
+        } = &**payload
         {
             self.log.lock().unwrap().push(Handed {
                 to: ctx.node(),
@@ -73,7 +73,7 @@ impl NodeApp for Spy {
         ctx: &mut SpyCtx<'_>,
         from: NodeId,
         kind: MsgKind,
-        payload: &TtmqoPayload,
+        payload: &Arc<TtmqoPayload>,
     ) {
         self.app.on_overhear(ctx, from, kind, payload);
     }

@@ -22,10 +22,13 @@
 //! of epochs through, so its steady state is allocation-free and its memory
 //! bounded by *in-flight* frames, not total transmissions:
 //!
-//! * payloads are stored once per transmission behind an [`Arc`]; a
-//!   broadcast delivered to k neighbours takes one reference for the whole
-//!   fan-out and lends `&Payload` to each receiver (retransmissions share
-//!   the same allocation too, and so does a relay's [`Ctx::forward`]);
+//! * a frame owns its payload by value, in its slab slot: a delivery moves
+//!   it out once for the whole fan-out and lends `&Payload` to each
+//!   receiver, and only a unicast retry clones it. An app whose payload is
+//!   plain data (TinyDB's rows) allocates nothing per transmission; one
+//!   whose frames are shared or large declares an [`Arc`](std::sync::Arc)
+//!   payload, so a relay's `payload.clone()` and a retry share the one
+//!   allocation and the slot holds a pointer;
 //! * frame state lives in a slab with a free list — a slot is recycled as
 //!   soon as the last scheduled delivery of its frame has fired, so slab
 //!   length equals the high-water mark of concurrently in-flight frames
@@ -71,7 +74,6 @@ use crate::trace::{TraceDest, TraceEvent, TraceHandle};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt::Debug;
-use std::sync::Arc;
 use ttmqo_query::Attribute;
 
 /// Behaviour of one node (including the base station, which is node 0).
@@ -79,7 +81,10 @@ use ttmqo_query::Attribute;
 /// All interaction with the network happens through the [`Ctx`]: the engine
 /// applies queued actions after each callback returns.
 pub trait NodeApp: Sized {
-    /// Application frame payload carried by radio messages.
+    /// Application frame payload carried by radio messages. An in-flight
+    /// frame holds it by value, so its size sets the frame slot's
+    /// ([`Simulator::FRAME_SLOT_BYTES`]); a large or shared payload is
+    /// declared as an `Arc`.
     type Payload: Clone + Debug;
     /// External commands injected into nodes from outside the network
     /// (e.g. a user posing a query at the base station).
@@ -148,8 +153,6 @@ pub struct Ctx<'a, P, O> {
     /// Engine-owned scratch, drained and reused across callbacks.
     actions: &'a mut Vec<Action<P>>,
     rng_state: &'a mut u64,
-    /// The frame being delivered, in `on_message` / `on_overhear` only.
-    delivering: Option<&'a Arc<P>>,
 }
 
 /// One record emitted by a node via [`Ctx::emit`].
@@ -194,40 +197,17 @@ impl<'a, P, O> Ctx<'a, P, O> {
     /// `C_start + C_trans·len` and reaches in-range recipients when the
     /// transmission completes.
     ///
-    /// The payload is stored once behind an [`Arc`] however many receivers
-    /// the frame reaches; an app re-sending the same payload may pass an
-    /// `Arc<P>` directly to share the allocation across transmissions, and
-    /// a relay re-sending the frame it was handed uses [`Ctx::forward`].
-    pub fn send(
-        &mut self,
-        dest: Destination,
-        kind: MsgKind,
-        payload_bytes: usize,
-        payload: impl Into<Arc<P>>,
-    ) {
+    /// The frame owns `payload` until its last delivery: every receiver is
+    /// lent the one value, and a unicast retry sends a clone. A relay
+    /// re-sends a clone of the payload it was handed; an app whose payload
+    /// is an [`Arc`](std::sync::Arc) shares one allocation that way.
+    pub fn send(&mut self, dest: Destination, kind: MsgKind, payload_bytes: usize, payload: P) {
         self.actions.push(Action::Send {
             dest,
             kind,
             payload_bytes,
-            payload: payload.into(),
+            payload,
         });
-    }
-
-    /// Re-sends the frame this callback was handed, payload untouched — what
-    /// a hop-by-hop relay does. Indistinguishable from [`Ctx::send`] of a
-    /// clone of that payload, except that the new frame shares the received
-    /// frame's allocation instead of copying it.
-    ///
-    /// # Panics
-    ///
-    /// Outside [`NodeApp::on_message`] and [`NodeApp::on_overhear`] no frame
-    /// is being delivered, and calling this is a bug in the app: it panics
-    /// with "`Ctx::forward`: no frame is being delivered".
-    pub fn forward(&mut self, dest: Destination, kind: MsgKind, payload_bytes: usize) {
-        let payload = self
-            .delivering
-            .expect("`Ctx::forward`: no frame is being delivered");
-        self.send(dest, kind, payload_bytes, Arc::clone(payload));
     }
 
     /// Arms a one-shot timer `delay_ms` from now; `key` is returned to
@@ -301,7 +281,7 @@ enum Action<P> {
         dest: Destination,
         kind: MsgKind,
         payload_bytes: usize,
-        payload: Arc<P>,
+        payload: P,
     },
     SetTimer {
         delay_ms: u64,
@@ -357,8 +337,6 @@ struct Event<C> {
 
 // Events stay ≤ 32 bytes whatever the app's command type is.
 const _: () = assert!(std::mem::size_of::<Event<[u64; 32]>>() <= 32);
-// A frame slot stays ≤ 48 bytes whatever the app's payload type is.
-const _: () = assert!(std::mem::size_of::<FrameState<[u64; 32]>>() <= 48);
 
 impl<C> Ord for Event<C> {
     fn cmp(&self, other: &Self) -> Ordering {
@@ -390,9 +368,9 @@ struct FrameState<P> {
     dest: Destination,
     kind: MsgKind,
     payload_bytes: u32,
-    /// `None` for engine-generated maintenance beacons. Shared (not cloned)
-    /// across the frame's receivers and retransmissions.
-    payload: Option<Arc<P>>,
+    /// `None` for engine-generated maintenance beacons, and once the
+    /// frame's delivery has taken it out.
+    payload: Option<P>,
     /// Airtime, µs; the delivery fires when it ends.
     dur_us: u32,
     retries_left: u32,
@@ -559,6 +537,10 @@ pub struct Simulator<A: NodeApp> {
 }
 
 impl<A: NodeApp> Simulator<A> {
+    /// Bytes one frame slab slot takes. A slot owns its frame's payload by
+    /// value, so the app's payload type sets it.
+    pub const FRAME_SLOT_BYTES: usize = std::mem::size_of::<FrameState<A::Payload>>();
+
     /// Builds a simulator, constructing one app per node via `factory`.
     pub fn new<F>(
         topology: Topology,
@@ -729,7 +711,7 @@ impl<A: NodeApp> Simulator<A> {
     }
 
     /// Returns a slot whose deliveries have all fired to the free list. The
-    /// payload `Arc` is dropped and the collision words cleared now.
+    /// payload is dropped and the collision words cleared now.
     fn release_frame(&mut self, idx: usize) {
         self.frames[idx].payload = None;
         let words = idx * self.collision_words;
@@ -746,7 +728,7 @@ impl<A: NodeApp> Simulator<A> {
         if !self.started {
             self.started = true;
             for id in 0..self.nodes.len() {
-                self.dispatch_callback(NodeId(id as u16), None, |app, ctx| app.on_start(ctx));
+                self.dispatch_callback(NodeId(id as u16), |app, ctx| app.on_start(ctx));
             }
             if let Some(interval) = self.config.maintenance_interval_ms {
                 for id in 0..self.nodes.len() {
@@ -780,13 +762,13 @@ impl<A: NodeApp> Simulator<A> {
         match kind {
             EventKind::Timer { node, key } => {
                 if !self.failed[node.index()] {
-                    self.dispatch_callback(node, None, |app, ctx| app.on_timer(ctx, key));
+                    self.dispatch_callback(node, |app, ctx| app.on_timer(ctx, key));
                 }
                 EnginePhase::Timer
             }
             EventKind::Command { node, cmd } => {
                 if !self.failed[node.index()] {
-                    self.dispatch_callback(node, None, |app, ctx| app.on_command(ctx, *cmd));
+                    self.dispatch_callback(node, |app, ctx| app.on_command(ctx, *cmd));
                 }
                 EnginePhase::Command
             }
@@ -809,7 +791,7 @@ impl<A: NodeApp> Simulator<A> {
                     self.failed[node.index()] = false;
                     self.tx_ready_at_us[node.index()] = self.now_us;
                     self.nodes[node.index()] = (self.factory)(node, &self.topology);
-                    self.dispatch_callback(node, None, |app, ctx| app.on_start(ctx));
+                    self.dispatch_callback(node, |app, ctx| app.on_start(ctx));
                 }
                 EnginePhase::Fault
             }
@@ -849,12 +831,10 @@ impl<A: NodeApp> Simulator<A> {
     }
 
     /// Runs one app callback on `node` — `call` picks which — then applies
-    /// the actions it queued. `delivering` is the frame the callback is
-    /// about, if it is about one.
+    /// the actions it queued.
     fn dispatch_callback(
         &mut self,
         node: NodeId,
-        delivering: Option<&Arc<A::Payload>>,
         call: impl FnOnce(&mut A, &mut Ctx<'_, A::Payload, A::Output>),
     ) {
         debug_assert!(self.action_scratch.is_empty());
@@ -867,7 +847,6 @@ impl<A: NodeApp> Simulator<A> {
             outputs: &mut self.outputs,
             actions: &mut self.action_scratch,
             rng_state: &mut self.rng_state,
-            delivering,
         };
         call(&mut self.nodes[node.index()], &mut ctx);
         // The action queue is engine-owned scratch, lent in place: a callback
@@ -941,7 +920,7 @@ impl<A: NodeApp> Simulator<A> {
         dest: Destination,
         kind: MsgKind,
         payload_bytes: usize,
-        payload: Option<Arc<A::Payload>>,
+        payload: Option<A::Payload>,
         earliest_us: u64,
         retries_left: u32,
     ) {
@@ -1086,8 +1065,8 @@ impl<A: NodeApp> Simulator<A> {
         let fanout = self.topology.neighbors(src).len();
         let bits = frame_idx * self.collision_words;
         let dest = std::mem::replace(&mut self.frames[frame_idx].dest, Destination::Broadcast);
-        // One reference for the whole fan-out: receivers are lent
-        // `&Payload` out of this local, which no callback can invalidate.
+        // Moved out for the whole fan-out: receivers are lent `&Payload`
+        // out of this local, which no callback can invalidate.
         let frame_payload = self.frames[frame_idx].payload.take();
         let is_unicast = matches!(dest, Destination::Unicast(_));
         // With every loss source off no receiver draws from the RNG, so the
@@ -1112,7 +1091,7 @@ impl<A: NodeApp> Simulator<A> {
                         .record(self.now_us, Probe::Missed { at, asleep });
                 }
                 if intended && is_unicast {
-                    self.retry_or_give_up(at, payload_bytes, frame_payload.clone(), retries_left);
+                    self.retry_or_give_up(at, payload_bytes, &frame_payload, retries_left);
                 }
                 continue;
             }
@@ -1134,19 +1113,18 @@ impl<A: NodeApp> Simulator<A> {
             }
             if corrupted || lost {
                 if intended && is_unicast {
-                    self.retry_or_give_up(at, payload_bytes, frame_payload.clone(), retries_left);
+                    self.retry_or_give_up(at, payload_bytes, &frame_payload, retries_left);
                 }
                 continue;
             }
 
-            let Some(shared) = &frame_payload else {
+            let Some(payload) = &frame_payload else {
                 // Engine-generated beacon: accounted, not delivered to the app.
                 continue;
             };
-            let payload: &A::Payload = shared;
             self.probes
                 .record(self.now_us, Probe::Delivered { at, intended });
-            self.dispatch_callback(receiver, Some(shared), |app, ctx| {
+            self.dispatch_callback(receiver, |app, ctx| {
                 if intended {
                     app.on_message(ctx, src, kind, payload)
                 } else {
@@ -1176,20 +1154,20 @@ impl<A: NodeApp> Simulator<A> {
     }
 
     /// Re-queues a unicast frame missed `at` its sole intended recipient, or
-    /// gives up once its retry budget is spent. The payload `Arc` is shared
-    /// with the original transmission, not copied.
+    /// gives up once its retry budget is spent. The retry sends a clone of
+    /// `payload`.
     fn retry_or_give_up(
         &mut self,
         at: Reception,
         payload_bytes: usize,
-        payload: Option<Arc<A::Payload>>,
+        payload: &Option<A::Payload>,
         retries_left: u32,
     ) {
         let Reception { src, node, kind } = at;
         if retries_left == 0 {
             self.probes.record(self.now_us, Probe::GaveUp(at));
             if !self.failed[src.index()] {
-                self.dispatch_callback(src, None, |app, ctx| app.on_send_failed(ctx, node, kind));
+                self.dispatch_callback(src, |app, ctx| app.on_send_failed(ctx, node, kind));
             }
             return;
         }
@@ -1207,7 +1185,7 @@ impl<A: NodeApp> Simulator<A> {
             Destination::Unicast(node),
             kind,
             payload_bytes,
-            payload,
+            payload.clone(),
             self.now_us + backoff_us,
             retries_left,
         );

@@ -3,8 +3,9 @@
 //! model is the pushed stream itself, sorted — not a second heap, which would
 //! be the same code checking itself.
 //!
-//! And `Ctx::forward`'s: the forwarded frame is the received allocation, and
-//! nothing else about the run can tell it from `send` of a clone.
+//! And a frame's payload's: the frame owns it, a retry clones it and no
+//! receiver does; an `Arc` payload a relay clones is the received
+//! allocation, and nothing else about the run can tell it from a copy.
 //!
 //! And the collision model's: the receivers a run reports each frame
 //! corrupted at are those a plain `Vec` of audible frames per node and a
@@ -122,28 +123,30 @@ fn a_fat_command_type_does_not_grow_the_event() {
 }
 
 #[test]
-fn a_fat_payload_type_does_not_grow_the_frame_slot() {
+fn an_arc_payload_keeps_the_frame_slot_at_48_bytes() {
+    // A slot owns its payload by value: an app whose frames are fat or
+    // shared declares an `Arc` payload, and its slot holds the pointer.
     #[allow(dead_code)]
     struct Fat([u8; 256]);
-    assert!(std::mem::size_of::<FrameState<Fat>>() <= 48);
+    assert_eq!(std::mem::size_of::<FrameState<Arc<Fat>>>(), 48);
+    // A pointer to an unsized payload is two words wide.
+    assert_eq!(Simulator::<Relay>::FRAME_SLOT_BYTES, 56);
 }
 
 /// What a [`Relay`] node does with every frame it is handed.
 #[derive(Debug, Clone, Copy)]
 enum Hop {
     Keep,
-    /// Re-send to this node with `Ctx::forward`.
-    Forward(NodeId),
-    /// Re-send to this node the way relays did before `forward` existed.
-    SendClone(NodeId),
+    /// Re-send to this node a clone of the `Arc` it was handed.
+    Share(NodeId),
+    /// Re-send to this node a fresh copy of the text.
+    Copy(NodeId),
 }
 
 #[derive(Debug)]
 enum RelayCmd {
     Originate(Destination),
     Nap(u64),
-    ForwardFromCommand,
-    ForwardFromTimer,
 }
 
 /// Records where each payload it is handed lives, then relays per its `hop`.
@@ -151,56 +154,57 @@ enum RelayCmd {
 struct Relay {
     hop: Hop,
     /// Address of every payload handed to this node, in arrival order.
-    heard: Vec<*const String>,
+    heard: Vec<*const str>,
 }
 
 const FRAME_BYTES: usize = 12;
 
 impl Relay {
-    fn handle(&mut self, ctx: &mut Ctx<'_, String, ()>, payload: &String) {
-        self.heard.push(payload);
-        match self.hop {
-            Hop::Keep => {}
-            Hop::Forward(to) => ctx.forward(Destination::Unicast(to), MsgKind::Result, FRAME_BYTES),
-            Hop::SendClone(to) => ctx.send(
-                Destination::Unicast(to),
-                MsgKind::Result,
-                FRAME_BYTES,
-                payload.clone(),
-            ),
-        }
+    fn handle(&mut self, ctx: &mut Ctx<'_, Arc<str>, ()>, payload: &Arc<str>) {
+        self.heard.push(Arc::as_ptr(payload));
+        let (to, payload) = match self.hop {
+            Hop::Keep => return,
+            Hop::Share(to) => (to, Arc::clone(payload)),
+            Hop::Copy(to) => (to, Arc::from(&**payload)),
+        };
+        ctx.send(
+            Destination::Unicast(to),
+            MsgKind::Result,
+            FRAME_BYTES,
+            payload,
+        );
     }
 }
 
 impl NodeApp for Relay {
-    type Payload = String;
+    type Payload = Arc<str>;
     type Command = RelayCmd;
     type Output = ();
 
-    fn on_start(&mut self, _ctx: &mut Ctx<'_, String, ()>) {}
+    fn on_start(&mut self, _ctx: &mut Ctx<'_, Arc<str>, ()>) {}
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, String, ()>, _key: u64) {
-        ctx.forward(Destination::Broadcast, MsgKind::Result, FRAME_BYTES);
-    }
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_, Arc<str>, ()>, _key: u64) {}
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, String, ()>, _: NodeId, _: MsgKind, p: &String) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Arc<str>, ()>, _: NodeId, _: MsgKind, p: &Arc<str>) {
         self.handle(ctx, p);
     }
 
-    fn on_overhear(&mut self, ctx: &mut Ctx<'_, String, ()>, _: NodeId, _: MsgKind, p: &String) {
+    fn on_overhear(
+        &mut self,
+        ctx: &mut Ctx<'_, Arc<str>, ()>,
+        _: NodeId,
+        _: MsgKind,
+        p: &Arc<str>,
+    ) {
         self.handle(ctx, p);
     }
 
-    fn on_command(&mut self, ctx: &mut Ctx<'_, String, ()>, cmd: RelayCmd) {
+    fn on_command(&mut self, ctx: &mut Ctx<'_, Arc<str>, ()>, cmd: RelayCmd) {
         match cmd {
             RelayCmd::Originate(dest) => {
-                ctx.send(dest, MsgKind::Result, FRAME_BYTES, String::from("rows"))
+                ctx.send(dest, MsgKind::Result, FRAME_BYTES, "rows".into())
             }
             RelayCmd::Nap(ms) => ctx.sleep_for(ms),
-            RelayCmd::ForwardFromCommand => {
-                ctx.forward(Destination::Broadcast, MsgKind::Result, FRAME_BYTES)
-            }
-            RelayCmd::ForwardFromTimer => ctx.set_timer(1, 0),
         }
     }
 }
@@ -261,8 +265,8 @@ fn relayed_through_a_nap(relay: Hop) -> (Simulator<Relay>, String) {
 }
 
 #[test]
-fn a_forwarded_frame_and_its_retransmissions_share_the_received_payload() {
-    let (sim, _) = relayed_through_a_nap(Hop::Forward(NodeId(0)));
+fn a_relayed_arc_and_its_retransmissions_share_the_received_allocation() {
+    let (sim, _) = relayed_through_a_nap(Hop::Share(NodeId(0)));
     let at_relay = &sim.node(NodeId(1)).heard;
     assert_eq!(at_relay.len(), 1);
     // The base station was handed the very allocation the relay was.
@@ -270,19 +274,20 @@ fn a_forwarded_frame_and_its_retransmissions_share_the_received_payload() {
 }
 
 #[test]
-fn forward_is_observably_send_of_a_clone() {
-    let (shared, shared_trace) = relayed_through_a_nap(Hop::Forward(NodeId(0)));
-    let (cloned, cloned_trace) = relayed_through_a_nap(Hop::SendClone(NodeId(0)));
-    assert_eq!(shared.metrics().snapshot(), cloned.metrics().snapshot());
-    assert_eq!(shared.engine_stats(), cloned.engine_stats());
-    assert_eq!(shared_trace, cloned_trace);
-    assert_eq!(cloned.node(NodeId(0)).heard.len(), 1);
+fn sharing_a_relayed_arc_is_observably_sending_a_copy() {
+    let (shared, shared_trace) = relayed_through_a_nap(Hop::Share(NodeId(0)));
+    let (copied, copied_trace) = relayed_through_a_nap(Hop::Copy(NodeId(0)));
+    assert_eq!(shared.metrics().snapshot(), copied.metrics().snapshot());
+    assert_eq!(shared.engine_stats(), copied.engine_stats());
+    assert_eq!(shared_trace, copied_trace);
+    assert_eq!(copied.node(NodeId(1)).heard.len(), 1);
+    assert_ne!(copied.node(NodeId(0)).heard, copied.node(NodeId(1)).heard);
 }
 
 #[test]
-fn an_overhearer_may_forward_too() {
+fn an_overhearer_may_relay_too() {
     // Node 1 sends to node 2; node 0 overhears it and hands it back.
-    let (mut sim, _) = relay_line([Hop::Forward(NodeId(1)), Hop::Keep, Hop::Keep]);
+    let (mut sim, _) = relay_line([Hop::Share(NodeId(1)), Hop::Keep, Hop::Keep]);
     sim.schedule_command(
         SimTime::from_ms(10),
         NodeId(1),
@@ -294,20 +299,65 @@ fn an_overhearer_may_forward_too() {
     assert_eq!(sim.node(NodeId(2)).heard, sim.node(NodeId(0)).heard);
 }
 
-#[test]
-#[should_panic(expected = "no frame is being delivered")]
-fn forward_from_a_timer_is_a_programming_error() {
-    let (mut sim, _) = relay_line([Hop::Keep; 3]);
-    sim.schedule_command(SimTime::from_ms(1), NodeId(1), RelayCmd::ForwardFromTimer);
-    sim.run_until(SimTime::from_ms(100));
+thread_local! {
+    /// Clones of a [`Counted`] payload made on this thread.
+    static CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// A by-value payload that counts its clones.
+#[derive(Debug)]
+struct Counted;
+
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        CLONES.with(|c| c.set(c.get() + 1));
+        Counted
+    }
+}
+
+/// Sends one unicast frame to node 0 when commanded; otherwise idle.
+#[derive(Debug)]
+struct Once;
+
+impl NodeApp for Once {
+    type Payload = Counted;
+    type Command = Option<u64>;
+    type Output = ();
+
+    fn on_start(&mut self, _: &mut Ctx<'_, Counted, ()>) {}
+
+    fn on_timer(&mut self, _: &mut Ctx<'_, Counted, ()>, _: u64) {}
+
+    fn on_message(&mut self, _: &mut Ctx<'_, Counted, ()>, _: NodeId, _: MsgKind, _: &Counted) {}
+
+    /// `Some(ms)` naps that long; `None` sends.
+    fn on_command(&mut self, ctx: &mut Ctx<'_, Counted, ()>, nap: Option<u64>) {
+        match nap {
+            Some(ms) => ctx.sleep_for(ms),
+            None => ctx.send(Destination::Unicast(NodeId(0)), MsgKind::Result, 4, Counted),
+        }
+    }
 }
 
 #[test]
-#[should_panic(expected = "no frame is being delivered")]
-fn forward_from_a_command_is_a_programming_error() {
-    let (mut sim, _) = relay_line([Hop::Keep; 3]);
-    sim.schedule_command(SimTime::from_ms(1), NodeId(1), RelayCmd::ForwardFromCommand);
-    sim.run_until(SimTime::from_ms(100));
+fn a_by_value_payload_is_cloned_once_per_retry_and_never_per_receiver() {
+    // Node 1 sends to node 0 in a triangle, so node 2 overhears every
+    // attempt; node 0 naps through the first ones.
+    let triangle = vec![
+        Position { x: 0.0, y: 0.0 },
+        Position { x: 10.0, y: 0.0 },
+        Position { x: 5.0, y: 5.0 },
+    ];
+    let topology = Topology::from_positions(triangle, 50.0).unwrap();
+    let (mut sim, _) = traced_sim(topology, |_, _| Once);
+    sim.schedule_command(SimTime::from_ms(5), NodeId(0), Some(60));
+    sim.schedule_command(SimTime::from_ms(10), NodeId(1), None);
+    CLONES.with(|c| c.set(0));
+    sim.run_until(SimTime::from_ms(2_000));
+    let retries = sim.metrics().retransmissions();
+    assert!(retries >= 2, "{retries} retries");
+    assert_eq!(sim.metrics().gave_up(), 0);
+    assert_eq!(CLONES.with(|c| c.get()), retries);
 }
 
 /// A frame corrupted at a receiver, named by what a trace shows of it:
@@ -388,7 +438,7 @@ impl NodeApp for Flooder {
         self.heard += 1;
         if !self.seen.contains(flood) {
             self.seen.push(*flood);
-            ctx.forward(Destination::Broadcast, MsgKind::Result, FRAME_BYTES);
+            ctx.send(Destination::Broadcast, MsgKind::Result, FRAME_BYTES, *flood);
         }
     }
 

@@ -20,9 +20,7 @@ pub enum TinyDbPayload {
     Row {
         /// The query the row answers.
         qid: QueryId,
-        /// Epoch start time the row belongs to, ms.
-        epoch_ms: u64,
-        /// The row itself.
+        /// The row itself; its `time_ms` is the epoch start it belongs to.
         row: Row,
     },
     /// Partial aggregate state for one query flowing up the tree, aligned
@@ -33,8 +31,9 @@ pub enum TinyDbPayload {
         /// Epoch start time the partials belong to, ms.
         epoch_ms: u64,
         /// One partial per `(op, attr)` in the query's aggregate list;
-        /// `None` where no qualifying reading contributed yet.
-        partials: Vec<Option<PartialAgg>>,
+        /// `None` where no qualifying reading contributed yet. One shared
+        /// allocation, so a retried frame copies none of it.
+        partials: Arc<[Option<PartialAgg>]>,
     },
 }
 
@@ -106,7 +105,6 @@ mod tests {
         };
         let frame = TinyDbPayload::Row {
             qid: QueryId(1),
-            epoch_ms: 0,
             row,
         };
         assert_eq!(frame.wire_size(), 4 + 6);
@@ -114,7 +112,7 @@ mod tests {
         let p = TinyDbPayload::Partials {
             qid: QueryId(1),
             epoch_ms: 0,
-            partials: vec![Some(AggOp::Max.seed(5.0)), None, Some(AggOp::Avg.seed(2.0))],
+            partials: [Some(AggOp::Max.seed(5.0)), None, Some(AggOp::Avg.seed(2.0))].into(),
         };
         assert_eq!(p.wire_size(), (4 + 2) + 4);
     }

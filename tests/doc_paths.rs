@@ -423,10 +423,11 @@ const CODE: [&str; 3] = ["crates", "src", "examples"];
 
 /// Mechanisms the documents describe as deleted: they may be named, and must
 /// not exist.
-const GONE: [&str; 29] = [
+const GONE: [&str; 30] = [
     "CampaignReport::rollup",
     "CampaignSpec::warm_start",
     "CorrelatedField::with_strengths",
+    "Ctx::forward",
     "Ctx::rand_f64",
     "DagState::presumed_dead_count",
     "EngineStats::csma_sorts_saved",
